@@ -1,9 +1,10 @@
 //! Regenerate or verify the committed sim≡net equivalence golden file.
 //!
 //! One file is pinned: `golden/simnet_tiny.txt` — the tiny golden world
-//! replayed through both the sim engine and the `asap-net` loopback
-//! runtime for one algorithm per message-codec family, with each side's
-//! backend-tagged lifecycle digest recorded. Beyond golden drift, the run
+//! replayed through the sim engine on both its in-memory carrier and the
+//! `asap-net` framed carrier for one algorithm per message-codec family,
+//! fault-free and under the lossy profile, with each side's backend-tagged
+//! lifecycle digest recorded. Beyond golden drift, the run
 //! itself fails if any sim/net pair diverges or any wire frame fails to
 //! decode: the pinned file is only ever a witness of equivalence.
 //!
@@ -27,13 +28,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    eprintln!("replaying the sim/net equivalence matrix (4 algorithms, overlay=random)...");
+    eprintln!(
+        "replaying the sim/net equivalence matrix (4 algorithms x fault-free+lossy, overlay=random)..."
+    );
     let records = simnet_records();
     let mut ok = true;
     for r in &records {
         eprintln!(
             "  {}: {} vs {} ({} messages, {} answered)",
-            r.algo.label(),
+            r.label(),
             r.sim.report(),
             r.net.report(),
             r.messages,
@@ -42,7 +45,7 @@ fn main() -> ExitCode {
         if !r.equivalent() {
             eprintln!(
                 "error: sim/net divergence in {} (wire_errors={})",
-                r.algo.label(),
+                r.label(),
                 r.wire_errors
             );
             ok = false;

@@ -74,6 +74,21 @@ pub fn graph_violations(
     out
 }
 
+/// The R4 root set: nodes matching `roots` plus every method of every impl
+/// of a `root_traits` trait, sorted and deduplicated.
+pub fn panic_roots(graph: &CallGraph, cfg: &LintConfig) -> Vec<usize> {
+    let mut roots: Vec<usize> = Vec::new();
+    for p in &cfg.panic_roots {
+        roots.extend(graph.match_pattern(p));
+    }
+    for t in &cfg.panic_root_traits {
+        roots.extend(graph.trait_impl_methods(t));
+    }
+    roots.sort_unstable();
+    roots.dedup();
+    roots
+}
+
 /// R4: `unwrap`/`expect` in any function reachable from the configured
 /// roots (`Simulation::run`) or any implementation of a root trait
 /// (`Protocol`). Unlike the old path-scoped check this follows calls across
@@ -89,15 +104,7 @@ fn panic_reachability(
     if cfg.scope(RuleId::R4).is_none() {
         return;
     }
-    let mut roots: Vec<usize> = Vec::new();
-    for p in &cfg.panic_roots {
-        roots.extend(graph.match_pattern(p));
-    }
-    for t in &cfg.panic_root_traits {
-        roots.extend(graph.trait_impl_methods(t));
-    }
-    roots.sort_unstable();
-    roots.dedup();
+    let roots = panic_roots(graph, cfg);
     if roots.is_empty() {
         return;
     }

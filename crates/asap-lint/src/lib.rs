@@ -315,9 +315,18 @@ impl Report {
 }
 
 /// Directories never descended into: build products, vendored third-party
-/// shims (not ours to lint), VCS metadata, experiment output, and the
-/// linter's own intentionally-violating test fixtures.
-const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "results", "fixtures"];
+/// shims (not ours to lint), VCS metadata, experiment output, the
+/// linter's own intentionally-violating test fixtures, and the standalone
+/// `benchmark` package (not a workspace member, in no rule's scope — its
+/// functions would otherwise land in the see-everything `(unit)` crate).
+const SKIP_DIRS: [&str; 6] = [
+    "target",
+    "vendor",
+    ".git",
+    "results",
+    "fixtures",
+    "benchmark",
+];
 
 /// Collect every `.rs` file under `root`, workspace-relative, sorted.
 pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -347,17 +356,7 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// first-party call graph (bounded by the crate dependency DAG parsed from
 /// the `Cargo.toml` manifests).
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Report> {
-    let mut inputs = Vec::new();
-    for path in collect_rust_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        inputs.push((rel, std::fs::read_to_string(&path)?));
-    }
-    let deps = callgraph::parse_crate_deps(root);
-    let outcome = lint_unit(inputs, cfg, Some(&deps));
+    let outcome = lint_workspace_unit(root, cfg)?;
     let sources: BTreeMap<&str, &str> = outcome
         .files
         .iter()
@@ -374,6 +373,22 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Report> 
         rendered,
         graph_summary: outcome.graph.summary(),
     })
+}
+
+/// The workspace as one [`lint_unit`]: what [`lint_workspace`] reports on,
+/// with the call graph still attached (tests query reachability on it).
+pub fn lint_workspace_unit(root: &Path, cfg: &LintConfig) -> std::io::Result<UnitOutcome> {
+    let mut inputs = Vec::new();
+    for path in collect_rust_files(root)? {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        inputs.push((rel, std::fs::read_to_string(&path)?));
+    }
+    let deps = callgraph::parse_crate_deps(root);
+    Ok(lint_unit(inputs, cfg, Some(&deps)))
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` containing

@@ -293,13 +293,22 @@ fn parse_fn(
 
 /// Extract call sites from a function's body token range.
 pub fn calls_in(tokens: &[Tok], body: (usize, usize)) -> Vec<Call> {
-    let (start, end) = body;
+    let (start, end) = (body.0, body.1.min(tokens.len()));
     let mut out = Vec::new();
-    for i in start..end.min(tokens.len()) {
+    for i in start..end {
         let Some(name) = tokens[i].ident() else {
             continue;
         };
-        if !tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+        // `name(` or, through a turbofish, `name::<T>(`.
+        let mut after = i + 1;
+        if after + 2 < end
+            && tokens[after].is_punct(':')
+            && tokens[after + 1].is_punct(':')
+            && tokens[after + 2].is_punct('<')
+        {
+            after = skip_angles(tokens, after + 2, end);
+        }
+        if !tokens.get(after).is_some_and(|t| t.is_punct('(')) {
             continue;
         }
         if NON_CALL_KEYWORDS.contains(&name) {
@@ -458,8 +467,10 @@ mod tests {
 
     #[test]
     fn calls_are_classified() {
-        let s = parse_src("fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); }");
-        let lexed = lex("fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); }");
+        let src = "fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); \
+                   wire::decode::<P>(b); x.get::<Vec<u8>>(); let y = a::<B>::C; }";
+        let s = parse_src(src);
+        let lexed = lex(src);
         let calls = calls_in(&lexed.tokens, s.fns[0].body);
         assert_eq!(
             calls,
@@ -468,6 +479,10 @@ mod tests {
                 Call::Method("h".into()),
                 Call::Path("Type".into(), "make".into()),
                 Call::Path("seg".into(), "free_in_mod".into()),
+                // Turbofish calls are calls; a turbofish not followed by
+                // `(` is not.
+                Call::Path("wire".into(), "decode".into()),
+                Call::Method("get".into()),
             ]
         );
     }

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use asap_lint::{lint_workspace, LintConfig};
+use asap_lint::{analysis, lint_workspace, lint_workspace_unit, LintConfig};
 
 #[test]
 fn workspace_is_lint_clean_under_committed_config() {
@@ -28,6 +28,35 @@ fn workspace_is_lint_clean_under_committed_config() {
         panic!(
             "{} lint violation(s) in the workspace (see above)",
             report.diagnostics.len()
+        );
+    }
+}
+
+/// The wire decoder is reached only through the generic `C::unpack` in the
+/// engine's dispatch, which name-based resolution cannot follow — it is in
+/// R4's scope because `Carrier` is a root trait. If that ever stops being
+/// true (trait renamed, root dropped, unpack no longer calling the
+/// decoder) the decoder would silently leave panic-reachability; this pins
+/// it inside.
+#[test]
+fn wire_decoder_is_in_the_panic_reachable_set() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crate lives at <root>/crates/asap-lint");
+    let cfg_text =
+        std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml at workspace root");
+    let cfg = LintConfig::parse(&cfg_text).expect("committed lint.toml parses");
+    let graph = lint_workspace_unit(root, &cfg)
+        .expect("workspace walk succeeds")
+        .graph;
+    let seen = graph.reach(&analysis::panic_roots(&graph, &cfg), |_| false);
+    for name in ["Framed::unpack", "decode_frame_exact", "decode_frame"] {
+        let nodes = graph.match_pattern(name);
+        assert!(!nodes.is_empty(), "`{name}` is gone from the call graph");
+        assert!(
+            nodes.iter().all(|&n| seen[n]),
+            "`{name}` fell out of R4 panic-reachability"
         );
     }
 }

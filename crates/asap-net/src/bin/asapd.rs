@@ -1,7 +1,8 @@
-//! `asapd` — a minimal ASAP search daemon over the loopback runtime.
+//! `asapd` — a minimal ASAP search daemon: the sim engine on the framed
+//! wire carrier, paced against the wall clock.
 //!
 //! Hosts a whole node population in one process (see
-//! [`asap_net::daemon`]), paced against the wall clock, and exposes a
+//! [`asap_net::daemon`]) and exposes a
 //! line-oriented control protocol on a Unix domain socket:
 //!
 //! ```text

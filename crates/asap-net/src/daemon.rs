@@ -1,37 +1,34 @@
-//! The `asapd` daemon runtime: one process hosting a whole loopback node
-//! population, paced by the wall clock and driven over a control socket.
+//! The `asapd` daemon runtime: one process hosting a whole node population
+//! on the sim engine, paced by the wall clock and driven over a control
+//! socket.
 //!
 //! Where [`crate::loopback`] replays a pinned workload trace for digest
 //! equivalence, the daemon's "trace" arrives live: text commands on a Unix
 //! domain socket (`join`, `leave`, `advertise`, `search`, `query`, `stats`,
-//! `peers`, `quit`) mutate the same [`NetCtx`] world the loopback uses,
-//! through the same [`Transport`]-generic protocol hooks. Messages still
-//! cross the wire codec; delivery is still latency-scheduled on the virtual
-//! timeline — but virtual time is paced against the OS clock through a
-//! [`VirtualClock`], and protocol sends are staged in per-peer outbound
-//! queues drained after each callback.
+//! `peers`, `quit`) are validated here and become
+//! [`TraceEvent`]s applied through [`Simulation::apply_event`] — the same
+//! engine, on the same [`Framed`] carrier, the loopback uses. The daemon
+//! itself keeps only pacing (virtual time follows the OS clock through a
+//! [`VirtualClock`]; `run_until(clock.now_us())` dispatches what is due)
+//! and the control socket.
 //!
-//! Two deliberate nondeterminism boundaries (and why the daemon makes no
-//! digest claim — see DESIGN.md §7):
-//!
-//! * **Wall-clock pacing.** Command arrival times, and therefore query
-//!   issue and send timestamps, come from [`VirtualClock::now_us`].
-//! * **Outbound drain order.** Same-instant deliveries are sequenced by
-//!   destination peer id at drain time, not by the protocol's send order.
+//! The one deliberate nondeterminism boundary (and why the daemon makes no
+//! digest claim — see DESIGN.md §7) is wall-clock pacing: command arrival
+//! times, and therefore query issue and send timestamps, come from
+//! [`VirtualClock::now_us`]. Given those timestamps the run is the
+//! engine's: events dispatch in `(time, seq)` order.
 //!
 //! The control protocol is line-oriented: one command in, one `ok ...` or
 //! `err ...` line out, so `nc -U`/scripts can drive a node population
-//! interactively.
+//! interactively. A command line is capped at 4 KiB (`MAX_LINE`).
 
 use crate::clock::VirtualClock;
-use crate::loopback::NetCtx;
+use crate::loopback::{Framed, Loopback};
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
-use asap_sim::event::EngineEvent;
-use asap_sim::{CheckpointProtocol, Transport};
+use asap_sim::{CheckpointProtocol, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
-use asap_trace::Event as TraceEvt;
-use asap_workload::{DocId, QuerySpec, WorkloadConfig};
-use std::io::{BufRead, BufReader, Write};
+use asap_workload::{DocId, QuerySpec, TraceEvent, WorkloadConfig};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -55,6 +52,14 @@ pub struct DaemonConfig {
 /// queued event comes due sooner.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
+/// Longest accepted control line, bytes (newline excluded). Ample for the
+/// eight verbs; caps what a client that never sends `\n` can make the
+/// daemon buffer.
+const MAX_LINE: usize = 4096;
+
+/// A control command and the channel its one-line response goes back on.
+type Command = (String, mpsc::Sender<String>);
+
 /// Run a daemon until a `quit` command (or the listener dies). Owns the
 /// calling thread; the control listener runs on background threads. The
 /// protocol is built from the generated content model (ASAP's ad tables
@@ -65,18 +70,20 @@ where
     F: FnOnce(&asap_workload::ContentModel) -> P,
 {
     let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(cfg.seed));
-    // One scripted query satisfies the generator's floor; the trace is
-    // never preloaded — the operator *is* the trace.
-    let workload = asap_workload::generate(&WorkloadConfig::reduced(cfg.peers, 1, cfg.seed));
+    // One scripted query satisfies the generator's floor; the trace decides
+    // who starts offline and is then dropped — the operator *is* the trace.
+    let mut workload = asap_workload::generate(&WorkloadConfig::reduced(cfg.peers, 1, cfg.seed));
+    workload.trace.events.clear();
     let overlay = OverlayConfig::new(OverlayKind::Random, cfg.peers, cfg.seed).build();
     let protocol = make_protocol(&workload.model);
-    let mut ctx =
-        NetCtx::<P>::assemble(&phys, &workload, overlay, OverlayKind::Random, cfg.seed, false);
-    ctx.stage_outbound();
+    let sim = Loopback::new(&phys, &workload, overlay, OverlayKind::Random, protocol, cfg.seed)
+        // A daemon has no end of trace: never cut events off at a horizon.
+        .horizon_grace(u64::MAX)
+        .build();
 
     let _ = std::fs::remove_file(&cfg.socket);
     let listener = UnixListener::bind(&cfg.socket)?;
-    let (cmd_tx, cmd_rx) = mpsc::channel::<(String, mpsc::Sender<String>)>();
+    let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
     thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
@@ -87,25 +94,19 @@ where
 
     let clock = VirtualClock::new(cfg.speed);
     let mut daemon = Daemon {
-        ctx,
-        protocol,
+        sim,
         next_query_id: 0,
     };
-    daemon.protocol.on_init(&mut daemon.ctx);
-    daemon.ctx.drain_outbound();
-
     loop {
-        daemon.dispatch_due(&clock);
-        let wait = match daemon.ctx.queue.peek_time() {
+        daemon.sim.run_until(clock.now_us());
+        let wait = match daemon.sim.next_event_us() {
             Some(t) => clock.wall_until(t).min(IDLE_WAIT),
             None => IDLE_WAIT,
         };
         match cmd_rx.recv_timeout(wait) {
             Ok((line, reply)) => {
-                daemon.ctx.now_us = daemon.ctx.now_us.max(clock.now_us());
-                let (response, quit) = daemon.handle_command(&line);
+                let (response, quit) = daemon.handle_command(&line, clock.now_us());
                 let _ = reply.send(response);
-                daemon.ctx.drain_outbound();
                 if quit {
                     break;
                 }
@@ -119,113 +120,86 @@ where
 }
 
 /// One control connection: line in, line out, until EOF.
-fn serve_connection(stream: UnixStream, tx: &mpsc::Sender<(String, mpsc::Sender<String>)>) {
+fn serve_connection(stream: UnixStream, tx: &mpsc::Sender<Command>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let mut write_half = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    serve_lines(BufReader::new(stream), write_half, tx);
+}
+
+/// The connection loop over any reader/writer pair. Reads are capped one
+/// byte past [`MAX_LINE`], so an over-long line is detected — answered
+/// with `err line too long` and the connection closed — without ever
+/// buffering more than the cap.
+fn serve_lines(mut reader: impl BufRead, mut writer: impl Write, tx: &mpsc::Sender<Command>) {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_LINE {
+            let _ = writeln!(writer, "err line too long");
+            break;
+        }
+        let Ok(command) = std::str::from_utf8(&line) else {
+            break;
+        };
         let (reply_tx, reply_rx) = mpsc::channel();
-        if tx.send((line, reply_tx)).is_err() {
+        if tx.send((command.to_string(), reply_tx)).is_err() {
             break;
         }
         let Ok(response) = reply_rx.recv() else { break };
-        if writeln!(write_half, "{response}").is_err() {
+        if writeln!(writer, "{response}").is_err() {
             break;
         }
     }
 }
 
 struct Daemon<'a, P: CheckpointProtocol> {
-    ctx: NetCtx<'a, P>,
-    protocol: P,
+    sim: Simulation<'a, P, Framed<P>>,
     next_query_id: u32,
 }
 
 impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
-    /// Dispatch every event whose virtual due time has passed, draining
-    /// staged sends after each callback.
-    fn dispatch_due(&mut self, clock: &VirtualClock) {
-        loop {
-            let now_v = clock.now_us();
-            let Some(t) = self.ctx.queue.peek_time() else {
-                return;
-            };
-            if t > now_v {
-                return;
-            }
-            let Some(sched) = self.ctx.queue.pop() else {
-                return;
-            };
-            // Late events (due before a command bumped the clock) keep the
-            // timeline monotonic rather than exact — wall pacing, not
-            // virtual replay.
-            self.ctx.now_us = self.ctx.now_us.max(sched.time_us);
-            match sched.event {
-                EngineEvent::Deliver { to, from, msg, dup } => {
-                    let delivered = self.ctx.alive[to.index()];
-                    self.ctx
-                        .trace(|| TraceEvt::Deliver { to, from, delivered, dup });
-                    if delivered {
-                        match crate::wire::decode_frame_exact::<P>(&msg) {
-                            Ok(frame) => {
-                                self.protocol.on_message(&mut self.ctx, to, from, frame.msg)
-                            }
-                            Err(_) => self.ctx.wire_errors += 1,
-                        }
-                    }
-                }
-                EngineEvent::Timer { node, tag } => {
-                    let fired = self.ctx.alive[node.index()];
-                    self.ctx.trace(|| TraceEvt::TimerFired { node, tag, fired });
-                    if fired {
-                        self.protocol.on_timer(&mut self.ctx, node, tag);
-                    }
-                }
-                // The daemon never preloads a trace; nothing schedules this.
-                EngineEvent::Trace(_) => {}
-            }
-            self.ctx.drain_outbound();
-        }
-    }
-
-    /// Execute one control command; returns `(response_line, quit)`.
-    fn handle_command(&mut self, line: &str) -> (String, bool) {
+    /// Execute one control command arriving at virtual time `now_us`;
+    /// returns `(response_line, quit)`.
+    fn handle_command(&mut self, line: &str, now_us: u64) -> (String, bool) {
         let mut words = line.split_whitespace();
         let verb = words.next().unwrap_or("");
         let args: Vec<&str> = words.collect();
+        let ctx = self.sim.ctx();
         let response = match verb {
             "stats" => Ok(format!(
                 "ok now_us={} alive={} sent={} answered={}/{}",
-                self.ctx.now_us,
-                self.ctx.alive_count,
-                self.ctx.messages_sent,
-                self.ctx.ledger.num_succeeded(),
-                self.ctx.ledger.num_queries(),
+                now_us.max(ctx.now_us()),
+                ctx.alive_count(),
+                ctx.messages_sent(),
+                ctx.ledger.num_succeeded(),
+                ctx.ledger.num_queries(),
             )),
             "peers" => Ok(self.peers_line()),
-            "join" => self.parse_peer(&args, 0).map(|p| {
-                if self.ctx.apply_join(p) {
-                    self.protocol.on_join(&mut self.ctx, p);
-                    format!("ok join peer={}", p.0)
-                } else {
-                    format!("err peer {} already alive", p.0)
+            "join" => self.parse_peer(&args, 0).and_then(|p| {
+                if self.sim.ctx().alive(p) {
+                    return Err(format!("peer {} already alive", p.0));
                 }
+                self.sim.apply_event(now_us, TraceEvent::Join(p));
+                Ok(format!("ok join peer={}", p.0))
             }),
-            "leave" => self.parse_peer(&args, 0).map(|p| {
-                if self.ctx.apply_leave(p) {
-                    self.protocol.on_leave(&mut self.ctx, p);
-                    format!("ok leave peer={}", p.0)
-                } else {
-                    format!("err peer {} already offline", p.0)
-                }
+            "leave" => self.parse_live_peer(&args).map(|p| {
+                self.sim.apply_event(now_us, TraceEvent::Leave(p));
+                format!("ok leave peer={}", p.0)
             }),
-            "advertise" => self.cmd_advertise(&args),
-            "search" => self.cmd_search(&args),
+            "advertise" => self.cmd_advertise(&args, now_us),
+            "search" => self.cmd_search(&args, now_us),
             "query" => match args.first().and_then(|s| s.parse::<u32>().ok()) {
-                Some(id) => Ok(if self.ctx.ledger.is_answered(id) {
+                Some(id) => Ok(if ctx.ledger.is_answered(id) {
                     format!("ok answered id={id}")
                 } else {
                     format!("ok pending id={id}")
@@ -243,10 +217,11 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
     }
 
     fn peers_line(&self) -> String {
+        let ctx = self.sim.ctx();
         let mut alive = String::new();
         let mut offline = String::new();
-        for i in 0..self.ctx.alive.len() {
-            let slot = if self.ctx.alive[i] {
+        for i in 0..ctx.num_peers() {
+            let slot = if ctx.alive(PeerId(i as u32)) {
                 &mut alive
             } else {
                 &mut offline
@@ -264,54 +239,58 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
             .get(idx)
             .ok_or_else(|| "missing peer id".to_string())?;
         let id: u32 = raw.parse().map_err(|_| format!("bad peer id {raw}"))?;
-        if (id as usize) < self.ctx.alive.len() {
+        if (id as usize) < self.sim.ctx().num_peers() {
             Ok(PeerId(id))
         } else {
             Err(format!("peer {id} out of range"))
         }
     }
 
-    /// `advertise <peer> [<doc>]` — share a document (default: the first
-    /// one the peer does not hold yet) and run the protocol's
-    /// content-change hook, exactly like a trace `AddDocument`.
-    fn cmd_advertise(&mut self, args: &[&str]) -> Result<String, String> {
-        let peer = self.parse_peer(args, 0)?;
-        if !self.ctx.alive[peer.index()] {
-            return Err(format!("peer {} is offline", peer.0));
+    /// The first argument as a peer that is currently alive.
+    fn parse_live_peer(&self, args: &[&str]) -> Result<PeerId, String> {
+        let p = self.parse_peer(args, 0)?;
+        if self.sim.ctx().alive(p) {
+            Ok(p)
+        } else {
+            Err(format!("peer {} is offline", p.0))
         }
+    }
+
+    /// `advertise <peer> [<doc>]` — share a document (default: the first
+    /// one the peer does not hold yet) as a trace `AddDocument`.
+    fn cmd_advertise(&mut self, args: &[&str], now_us: u64) -> Result<String, String> {
+        let peer = self.parse_live_peer(args)?;
+        let ctx = self.sim.ctx();
         let doc = match args.get(1) {
             Some(raw) => self.parse_doc(raw)?,
-            None => (0..self.ctx.model.num_docs() as u32)
+            None => (0..ctx.model.num_docs() as u32)
                 .map(DocId)
-                .find(|&d| !self.ctx.content.peer_has_doc(peer, d))
+                .find(|&d| !ctx.content.peer_has_doc(peer, d))
                 .ok_or_else(|| "peer already holds every document".to_string())?,
         };
-        if self.ctx.apply_content(peer, doc, true) {
-            self.protocol.on_content_change(&mut self.ctx, peer, doc, true);
-            Ok(format!("ok advertise peer={} doc={}", peer.0, doc.0))
-        } else {
-            Err(format!("peer {} already holds doc {}", peer.0, doc.0))
+        if ctx.content.peer_has_doc(peer, doc) {
+            return Err(format!("peer {} already holds doc {}", peer.0, doc.0));
         }
+        self.sim
+            .apply_event(now_us, TraceEvent::AddDocument { peer, doc });
+        Ok(format!("ok advertise peer={} doc={}", peer.0, doc.0))
     }
 
     /// `search <peer> [<doc>]` — issue a query for a target document
     /// (default: the lowest-id document some *other* live peer holds),
     /// with the document's own keywords as the conjunctive terms.
-    fn cmd_search(&mut self, args: &[&str]) -> Result<String, String> {
-        let requester = self.parse_peer(args, 0)?;
-        if !self.ctx.alive[requester.index()] {
-            return Err(format!("peer {} is offline", requester.0));
-        }
+    fn cmd_search(&mut self, args: &[&str], now_us: u64) -> Result<String, String> {
+        let requester = self.parse_live_peer(args)?;
+        let ctx = self.sim.ctx();
         let target = match args.get(1) {
             Some(raw) => self.parse_doc(raw)?,
-            None => (0..self.ctx.model.num_docs() as u32)
+            None => (0..ctx.model.num_docs() as u32)
                 .map(DocId)
                 .find(|&d| {
-                    self.ctx
-                        .content
+                    ctx.content
                         .holders(d)
                         .iter()
-                        .any(|&h| h != requester && self.ctx.alive[h.index()])
+                        .any(|&h| h != requester && ctx.alive(h))
                 })
                 .ok_or_else(|| "no live remote holder of any document".to_string())?,
         };
@@ -320,20 +299,58 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
         let spec = QuerySpec {
             id,
             requester,
-            terms: self.ctx.model.doc(target).keywords.clone(),
+            terms: ctx.model.doc(target).keywords.clone(),
             target,
         };
-        self.ctx.register_query(&spec);
-        self.protocol.on_query(&mut self.ctx, &spec);
+        self.sim.apply_event(now_us, TraceEvent::Query(spec));
         Ok(format!("ok search id={id} target={}", target.0))
     }
 
     fn parse_doc(&self, raw: &str) -> Result<DocId, String> {
         let id: u32 = raw.parse().map_err(|_| format!("bad doc id {raw}"))?;
-        if (id as usize) < self.ctx.model.num_docs() {
+        if (id as usize) < self.sim.ctx().model.num_docs() {
             Ok(DocId(id))
         } else {
             Err(format!("doc {id} out of range"))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn over_long_control_line_is_rejected_with_a_bounded_read() {
+        // A client that never sends a newline: 1 MiB of 'a'.
+        let total = 1u64 << 20;
+        let mut reader = BufReader::with_capacity(64, std::io::repeat(b'a').take(total));
+        let mut reply = Vec::new();
+        let (tx, rx) = mpsc::channel::<Command>();
+        serve_lines(&mut reader, &mut reply, &tx);
+        assert_eq!(reply, b"err line too long\n");
+        assert!(rx.try_recv().is_err(), "no command reaches the daemon");
+        // Bounded: the connection consumed the cap (+1 probe byte, + at
+        // most one BufReader refill), never the whole stream.
+        let consumed = total - reader.get_ref().limit();
+        assert!(
+            consumed <= MAX_LINE as u64 + 1 + 64,
+            "read {consumed} bytes of an over-long line"
+        );
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_cap_is_served() {
+        let mut input = vec![b'x'; MAX_LINE];
+        input.push(b'\n');
+        let mut reply = Vec::new();
+        let (tx, rx) = mpsc::channel::<Command>();
+        let daemon = thread::spawn(move || {
+            let (line, reply) = rx.recv().expect("one command");
+            reply.send(format!("ok {}", line.len())).expect("client waits");
+        });
+        serve_lines(&input[..], &mut reply, &tx);
+        daemon.join().expect("daemon side");
+        assert_eq!(reply, format!("ok {MAX_LINE}\n").into_bytes());
     }
 }

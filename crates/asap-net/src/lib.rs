@@ -1,22 +1,25 @@
 //! Wire-crossing runtimes for the ASAP protocol stack.
 //!
 //! The protocol crates (`asap-search`, `asap-core`) are written against the
-//! [`asap_sim::Transport`] capability trait, never against the sim engine
-//! itself. This crate supplies the *other* side of that seam:
+//! [`asap_sim::Transport`] capability trait, and the engine is generic over
+//! what its queue holds for a message in flight ([`asap_sim::Carrier`]).
+//! This crate supplies the wire side of that seam:
 //!
 //! * [`wire`] — length-prefixed, checksummed framing over the protocols'
 //!   canonical checkpoint codecs; no per-protocol wire code.
-//! * [`loopback`] — a deterministic many-node in-process runtime whose
-//!   event queue carries encoded frames. It mirrors the sim engine's
-//!   scheduling exactly, so replaying a pinned workload through both
-//!   backends and comparing backend-tagged lifecycle digests
-//!   ([`asap_trace::LifecycleDigest`]) proves the API redesign preserved
-//!   protocol behavior *through serialization*.
+//! * [`loopback`] — the [`Framed`] message carrier and [`Loopback`], the
+//!   sim engine's own builder on that carrier: the event queue holds
+//!   encoded frames, `send` encodes, dispatch decodes, and everything
+//!   else *is* `asap_sim::Simulation`. Replaying a pinned workload on
+//!   both carriers and comparing backend-tagged lifecycle digests
+//!   ([`asap_trace::LifecycleDigest`]) proves protocol behavior survives
+//!   serialization; the audit, fault and adversary layers work on the
+//!   net carrier because it is the same code.
 //! * [`clock`] — the monotonic wall→virtual clock mapping.
-//! * [`daemon`] — the `asapd` runtime: the same world paced by the wall
-//!   clock, driven over a Unix-socket control protocol, with per-peer
-//!   outbound queues. Deliberately nondeterministic at two documented
-//!   boundaries (pacing, drain order); it makes no digest claim.
+//! * [`daemon`] — the `asapd` runtime: the same engine paced by the wall
+//!   clock and driven over a Unix-socket control protocol whose commands
+//!   become workload events. Nondeterministic at one documented boundary
+//!   (pacing); it makes no digest claim.
 //!
 //! Determinism policy: lint rules R1–R5 apply to this crate. The wall
 //! clock reads in [`clock`] are the single sanctioned ambient-time
@@ -29,5 +32,5 @@ pub mod wire;
 
 pub use clock::VirtualClock;
 pub use daemon::{run_daemon, DaemonConfig};
-pub use loopback::{Loopback, NetReport};
+pub use loopback::{Framed, Loopback};
 pub use wire::{Frame, WireError, MAX_FRAME};

@@ -1,573 +1,51 @@
-//! The deterministic many-node loopback runtime: every protocol message
-//! crosses the wire codec.
+//! The net carrier: the sim engine with every protocol message crossing
+//! the wire codec.
 //!
-//! [`Loopback`] mirrors the sim engine's assembly and dispatch rules
-//! exactly — same placement draws, same `(time, seq)` event order, same
-//! join/leave/content bookkeeping, same RNG stream discipline — but its
-//! event queue carries **encoded frames** ([`crate::wire`]) instead of
-//! in-memory message values: `send` serializes the payload through the
-//! protocol's canonical codec, and dispatch deserializes it before
-//! `on_message`. A protocol therefore runs the identical decision sequence
-//! on both backends, with the wire format load-bearing in between; the
-//! backend-tagged lifecycle digests ([`asap_trace::LifecycleDigest`])
-//! being equal is the checked sim≡net witness.
+//! There is no second runtime here. [`Framed`] is an
+//! [`asap_sim::Carrier`]: the engine's `send` serializes the payload into
+//! a [`crate::wire`] frame just before the queue push, and dispatch
+//! validates and decodes it just before `on_message`. Placement, the
+//! `(time, seq)` event order, join/leave/content bookkeeping, RNG streams,
+//! and the audit, fault, adversary and profile layers are the engine's own
+//! code, so a [`Loopback`] run makes the identical decision sequence as a
+//! `Simulation::builder` run with the wire format load-bearing in between;
+//! equal backend-tagged lifecycle digests
+//! ([`asap_trace::LifecycleDigest`]) are the checked sim≡net witness.
 //!
-//! What is deliberately *not* mirrored: the audit, fault, and adversary
-//! layers (sim-engine-only instrumentation; equivalence runs are honest
-//! and fault-free) and the engine profile. Locally produced frames decode
-//! cleanly by construction; if one ever does not, the loopback drops the
-//! message and counts it in [`NetReport::wire_errors`] rather than
-//! panicking (lint rule R4), so a codec regression surfaces as a digest
-//! mismatch plus a nonzero error count, never an abort.
+//! Locally produced frames decode cleanly by construction; if one ever
+//! does not, the engine drops the message and counts it in
+//! [`SimReport::wire_errors`](asap_sim::SimReport::wire_errors) rather
+//! than panicking (lint rule R4), so a codec regression surfaces as a
+//! digest mismatch plus a nonzero error count, never an abort.
 
 use crate::wire::{self, Frame};
-use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
-use asap_overlay::{Overlay, OverlayKind, PeerId};
-use asap_sim::event::{EngineEvent, EventQueue};
-use asap_sim::{CheckpointProtocol, EventHandle, ScratchGuard, ScratchSlot, Transport};
-use asap_topology::{PhysNodeId, PhysicalNetwork};
-use asap_trace::{Event as TraceEvt, TraceSink};
-use asap_workload::{ContentModel, ContentState, DocId, QuerySpec, TraceEvent, Workload};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use asap_metrics::MsgClass;
+use asap_overlay::PeerId;
+use asap_sim::{Carrier, CheckpointProtocol, SimBuilder};
 use std::marker::PhantomData;
 
-/// A staged outbound frame: `(due_us, to, from, encoded frame)`. Only the
-/// daemon stages sends (see [`NetCtx::stage_outbound`]); the loopback
-/// enqueues immediately to preserve the sim's `(time, seq)` order.
-type Staged = (u64, PeerId, PeerId, Vec<u8>);
+/// The wire carrier: the event queue holds encoded frames of protocol `P`.
+pub struct Framed<P>(PhantomData<P>);
 
-/// The world as seen by a protocol running on the net backend. Mirrors the
-/// sim engine's `Ctx` field-for-field minus the sim-only instrumentation
-/// layers; the [`Transport`] impl is the single protocol-facing surface.
-pub struct NetCtx<'a, P: CheckpointProtocol> {
-    pub(crate) now_us: u64,
-    pub(crate) queue: EventQueue<Vec<u8>>,
-    pub(crate) overlay: Overlay,
-    pub(crate) overlay_kind: OverlayKind,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) alive_count: usize,
-    pub(crate) alive_list: Vec<PeerId>,
-    pub(crate) scratch: ScratchSlot,
-    pub(crate) content: ContentState,
-    pub(crate) model: &'a ContentModel,
-    pub(crate) phys: &'a PhysicalNetwork,
-    pub(crate) assignment: Vec<PhysNodeId>,
-    pub(crate) rng: SmallRng,
-    pub(crate) load: LoadRecorder,
-    pub(crate) ledger: QueryLedger,
-    pub(crate) retry: RetryCounters,
-    pub(crate) messages_sent: u64,
-    pub(crate) horizon_us: u64,
-    pub(crate) trace_end_us: u64,
-    pub(crate) trace: Option<Box<dyn TraceSink>>,
-    pub(crate) wire_errors: u64,
-    /// Per-destination outbound queues; `Some` puts sends into staged mode
-    /// (daemon), `None` enqueues directly (loopback).
-    pub(crate) outbound: Option<Vec<VecDeque<Staged>>>,
-    pub(crate) _protocol: PhantomData<fn() -> P>,
-}
+impl<P: CheckpointProtocol> Carrier<P::Msg> for Framed<P> {
+    type Packed = Vec<u8>;
 
-impl<'a, P: CheckpointProtocol> NetCtx<'a, P> {
-    /// Mirror of the sim engine's assembly: identical placement draws from
-    /// the identically salted engine stream, identical initial liveness and
-    /// detachment, identical trace preload (skipped for the daemon, whose
-    /// trace arrives over the control socket instead).
-    pub(crate) fn assemble(
-        phys: &'a PhysicalNetwork,
-        workload: &'a Workload,
-        mut overlay: Overlay,
-        overlay_kind: OverlayKind,
-        seed: u64,
-        preload_trace: bool,
-    ) -> Self {
-        let n = workload.model.num_peers();
-        // lint: allow(release-assert, reason=construction-time validation, mirrors Simulation::assemble, before any event dispatch)
-        assert_eq!(overlay.num_peers(), n, "overlay/workload size mismatch");
-        // lint: allow(release-assert, reason=construction-time validation, mirrors Simulation::assemble, before any event dispatch)
-        assert!(
-            phys.num_nodes() >= n,
-            "need at least as many physical nodes as peers"
-        );
-        // lint: allow(rng-stream-discipline, reason=engine-stream salt, deliberately identical to Simulation::assemble so placement and join draws mirror the sim bit-for-bit)
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x51AE_0F5A_1769);
-
-        let mut ids: Vec<u32> = (0..phys.num_nodes() as u32).collect();
-        for i in 0..n {
-            let j = rng.gen_range(i..ids.len());
-            ids.swap(i, j);
-        }
-        let assignment: Vec<PhysNodeId> = ids[..n].iter().map(|&i| PhysNodeId(i)).collect();
-
-        let alive = workload.initially_alive.clone();
-        for (i, &a) in alive.iter().enumerate() {
-            if !a {
-                overlay.detach(PeerId(i as u32));
-            }
-        }
-        let alive_count = alive.iter().filter(|&&a| a).count();
-        let alive_list: Vec<PeerId> = alive
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a)
-            .map(|(i, _)| PeerId(i as u32))
-            .collect();
-
-        let mut queue = EventQueue::new();
-        if preload_trace {
-            for te in &workload.trace.events {
-                queue.push(te.time_us, EngineEvent::Trace(te.event.clone()));
-            }
-        }
-
-        let mut load = LoadRecorder::new();
-        load.set_alive(0, alive_count);
-        let trace_end_us = workload.trace.duration_us();
-
-        Self {
-            now_us: 0,
-            queue,
-            overlay,
-            overlay_kind,
-            alive,
-            alive_count,
-            alive_list,
-            scratch: ScratchSlot::default(),
-            content: ContentState::from_model(&workload.model),
-            model: &workload.model,
-            phys,
-            assignment,
-            rng,
-            load,
-            ledger: QueryLedger::new(),
-            retry: RetryCounters::new(),
-            messages_sent: 0,
-            horizon_us: trace_end_us + 30_000_000,
-            trace_end_us,
-            trace: None,
-            wire_errors: 0,
-            outbound: None,
-            _protocol: PhantomData,
-        }
-    }
-
-    #[inline]
-    fn emit<F: FnOnce() -> TraceEvt>(&mut self, f: F) {
-        if let Some(sink) = self.trace.as_deref_mut() {
-            sink.record(self.now_us, &f());
-        }
-    }
-
-    #[inline]
-    fn latency_us(&self, a: PeerId, b: PeerId) -> u64 {
-        self.phys
-            .latency_us(self.assignment[a.index()], self.assignment[b.index()])
-    }
-
-    /// Switch sends into staged per-peer outbound queues (daemon mode).
-    pub(crate) fn stage_outbound(&mut self) {
-        let n = self.alive.len();
-        self.outbound = Some((0..n).map(|_| VecDeque::new()).collect());
-    }
-
-    /// Drain every staged outbound frame into the event queue, destination
-    /// peers in ascending id order, each peer's frames FIFO. This drain
-    /// order — not the sim's send order — sequences same-instant
-    /// deliveries, which is the daemon's documented scheduling divergence.
-    pub(crate) fn drain_outbound(&mut self) {
-        let Some(mut queues) = self.outbound.take() else {
-            return;
-        };
-        for q in queues.iter_mut() {
-            while let Some((due, to, from, bytes)) = q.pop_front() {
-                self.queue.push(
-                    due,
-                    EngineEvent::Deliver {
-                        to,
-                        from,
-                        msg: bytes,
-                        dup: false,
-                    },
-                );
-            }
-        }
-        self.outbound = Some(queues);
-    }
-
-    /// Mirror of the sim's join handling (same child-RNG derivation, same
-    /// attach rule). Returns `false` if `p` was already alive.
-    pub(crate) fn apply_join(&mut self, p: PeerId) -> bool {
-        if self.alive[p.index()] {
-            return false;
-        }
-        self.alive[p.index()] = true;
-        self.alive_count += 1;
-        if let Err(pos) = self.alive_list.binary_search(&p) {
-            self.alive_list.insert(pos, p);
-        }
-        self.load.set_alive(self.now_us, self.alive_count);
-        let degree = self.overlay_kind.avg_degree().round() as usize;
-        // lint: allow(rng-stream-discipline, reason=derived child stream, mirrors the sim engine's join handling exactly)
-        let mut rng = SmallRng::seed_from_u64(self.rng.gen());
-        match self.overlay_kind {
-            OverlayKind::Random => self
-                .overlay
-                .attach_uniform(p, &self.alive_list, degree, &mut rng),
-            OverlayKind::PowerLaw | OverlayKind::Crawled => {
-                self.overlay
-                    .attach_preferential(p, &self.alive_list, degree, &mut rng)
-            }
-        }
-        self.emit(|| TraceEvt::Join { peer: p });
-        true
-    }
-
-    /// Mirror of the sim's leave handling. Returns `false` if `p` was
-    /// already offline.
-    pub(crate) fn apply_leave(&mut self, p: PeerId) -> bool {
-        if !self.alive[p.index()] {
-            return false;
-        }
-        self.alive[p.index()] = false;
-        self.alive_count -= 1;
-        if let Ok(pos) = self.alive_list.binary_search(&p) {
-            self.alive_list.remove(pos);
-        }
-        self.load.set_alive(self.now_us, self.alive_count);
-        self.overlay.detach(p);
-        self.emit(|| TraceEvt::Leave { peer: p });
-        true
-    }
-
-    /// Mirror of the sim's content-change handling; `true` if applied.
-    pub(crate) fn apply_content(&mut self, peer: PeerId, doc: DocId, added: bool) -> bool {
-        let applied = if added {
-            self.content.add(self.model, peer, doc)
-        } else {
-            self.content.remove(self.model, peer, doc)
-        };
-        self.emit(|| TraceEvt::ContentChanged {
-            peer,
-            doc: doc.0,
-            added,
-            applied,
-        });
-        applied
-    }
-
-    /// Mirror of the sim's query registration (ledger + trace; the caller
-    /// then invokes `on_query`).
-    pub(crate) fn register_query(&mut self, q: &QuerySpec) {
-        self.emit(|| TraceEvt::QueryIssued {
-            id: q.id,
-            requester: q.requester,
-        });
-        self.ledger.register(q.id, self.now_us);
-    }
-}
-
-impl<'a, P: CheckpointProtocol> Transport for NetCtx<'a, P> {
-    type Msg = P::Msg;
-
-    #[inline]
-    fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    #[inline]
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: P::Msg) {
-        debug_assert_ne!(from, to, "no self-messages");
-        self.load.record(self.now_us, class, bytes);
-        self.messages_sent += 1;
-        let base = self.now_us + self.latency_us(from, to);
-        let delay_us = base - self.now_us;
-        self.emit(|| TraceEvt::Send {
-            from,
-            to,
-            class,
-            bytes: bytes as u32,
-            delay_us,
-        });
-        let frame = Frame {
+    fn pack(from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: P::Msg) -> Vec<u8> {
+        wire::encode_frame::<P>(&Frame {
             from,
             to,
             class,
             billed: bytes as u32,
             msg,
-        };
-        let encoded = wire::encode_frame::<P>(&frame);
-        match self.outbound.as_mut() {
-            Some(queues) => queues[to.index()].push_back((base, to, from, encoded)),
-            None => {
-                self.queue.push(
-                    base,
-                    EngineEvent::Deliver {
-                        to,
-                        from,
-                        msg: encoded,
-                        dup: false,
-                    },
-                );
-            }
-        }
+        })
     }
 
-    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
-        self.emit(|| TraceEvt::TimerSet {
-            node,
-            delay_us,
-            tag,
-        });
-        self.queue
-            .push(self.now_us + delay_us, EngineEvent::Timer { node, tag })
-    }
-
-    fn cancel_timer(&mut self, handle: EventHandle) -> bool {
-        let cancelled = self.queue.cancel(handle);
-        self.emit(|| TraceEvt::TimerCancelled { cancelled });
-        cancelled
-    }
-
-    #[inline]
-    fn scratch(&mut self) -> ScratchGuard {
-        self.scratch.lease()
-    }
-
-    #[inline]
-    fn content(&self) -> &ContentState {
-        &self.content
-    }
-
-    #[inline]
-    fn model(&self) -> &ContentModel {
-        self.model
-    }
-
-    #[inline]
-    fn neighbors(&self, p: PeerId) -> &[PeerId] {
-        self.overlay.neighbors(p)
-    }
-
-    #[inline]
-    fn degree(&self, p: PeerId) -> usize {
-        self.overlay.degree(p)
-    }
-
-    #[inline]
-    fn alive(&self, p: PeerId) -> bool {
-        self.alive[p.index()]
-    }
-
-    #[inline]
-    fn alive_count(&self) -> usize {
-        self.alive_count
-    }
-
-    #[inline]
-    fn alive_peers(&self) -> &[PeerId] {
-        debug_assert_eq!(self.alive_list.len(), self.alive_count);
-        &self.alive_list
-    }
-
-    #[inline]
-    fn num_peers(&self) -> usize {
-        self.alive.len()
-    }
-
-    #[inline]
-    fn is_answered(&self, query: u32) -> bool {
-        self.ledger.is_answered(query)
-    }
-
-    fn report_answer(&mut self, query_id: u32) {
-        self.ledger.answer(query_id, self.now_us);
-        self.emit(|| TraceEvt::QueryAnswered { id: query_id });
-    }
-
-    fn count(&mut self, stat: RetryStat) {
-        self.retry.record(stat);
-        self.emit(|| TraceEvt::Counter { stat });
-    }
-
-    #[inline]
-    fn trace(&mut self, f: impl FnOnce() -> TraceEvt) {
-        self.emit(f);
-    }
-
-    #[inline]
-    fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
+    fn unpack(packed: Vec<u8>) -> Option<P::Msg> {
+        wire::decode_frame_exact::<P>(&packed).ok().map(|f| f.msg)
     }
 }
 
-/// Result of a finished loopback run.
-pub struct NetReport<P> {
-    pub load: LoadRecorder,
-    pub ledger: QueryLedger,
-    pub protocol: P,
-    pub messages_sent: u64,
-    pub end_time_us: u64,
-    pub alive: Vec<bool>,
-    pub retry: RetryCounters,
-    /// The trace sink handed to [`Loopback::trace`], after observing the
-    /// whole run; `None` when tracing was off.
-    pub trace: Option<Box<dyn TraceSink>>,
-    /// Frames that failed to decode at dispatch (always 0 on a healthy
-    /// build — a nonzero count means the wire codec regressed).
-    pub wire_errors: u64,
-}
-
-/// A configured loopback run: the whole node population in one process,
-/// every message crossing the wire codec, replaying the same workload
-/// trace the sim engine would.
-pub struct Loopback<'a, P: CheckpointProtocol> {
-    ctx: NetCtx<'a, P>,
-    protocol: P,
-    started: bool,
-    halted: bool,
-}
-
-impl<'a, P: CheckpointProtocol> Loopback<'a, P> {
-    /// Assemble a loopback run. Arguments and semantics mirror
-    /// `Simulation::builder` (same seed → same placement, same preloaded
-    /// trace, same horizon).
-    pub fn new(
-        phys: &'a PhysicalNetwork,
-        workload: &'a Workload,
-        overlay: Overlay,
-        overlay_kind: OverlayKind,
-        protocol: P,
-        seed: u64,
-    ) -> Self {
-        Self {
-            ctx: NetCtx::assemble(phys, workload, overlay, overlay_kind, seed, true),
-            protocol,
-            started: false,
-            halted: false,
-        }
-    }
-
-    /// Attach a trace sink (typically an
-    /// [`asap_trace::DigestSink`] tagged
-    /// [`asap_trace::Backend::Net`]).
-    pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.ctx.trace = Some(sink);
-        self
-    }
-
-    /// Override the horizon grace period (default 30 s past trace end),
-    /// mirroring `SimBuilder::horizon_grace`.
-    pub fn horizon_grace(mut self, grace_us: u64) -> Self {
-        self.ctx.horizon_us = self.ctx.trace_end_us + grace_us;
-        self
-    }
-
-    /// Run to the horizon (or queue exhaustion) and report.
-    pub fn run(mut self) -> NetReport<P> {
-        if !self.started {
-            self.started = true;
-            self.protocol.on_init(&mut self.ctx);
-        }
-        while self.step() {}
-        NetReport {
-            end_time_us: self.ctx.now_us,
-            messages_sent: self.ctx.messages_sent,
-            load: self.ctx.load,
-            ledger: self.ctx.ledger,
-            alive: self.ctx.alive,
-            retry: self.ctx.retry,
-            protocol: self.protocol,
-            trace: self.ctx.trace,
-            wire_errors: self.ctx.wire_errors,
-        }
-    }
-
-    /// Dispatch the next event; `false` when the run halts. Mirrors the
-    /// sim engine's dispatch (horizon rule, liveness gates, trace points)
-    /// with frame decoding inserted between delivery and `on_message`.
-    fn step(&mut self) -> bool {
-        if self.halted {
-            return false;
-        }
-        let Some(sched) = self.ctx.queue.pop() else {
-            self.halted = true;
-            return false;
-        };
-        debug_assert!(sched.time_us >= self.ctx.now_us, "time goes forward");
-        if sched.time_us > self.ctx.horizon_us {
-            self.halted = true;
-            return false;
-        }
-        self.ctx.now_us = sched.time_us;
-        match sched.event {
-            EngineEvent::Deliver { to, from, msg, dup } => {
-                let delivered = self.ctx.alive[to.index()];
-                self.ctx.emit(|| TraceEvt::Deliver {
-                    to,
-                    from,
-                    delivered,
-                    dup,
-                });
-                if delivered {
-                    match wire::decode_frame_exact::<P>(&msg) {
-                        Ok(frame) => {
-                            debug_assert_eq!(frame.from, from, "envelope/frame address skew");
-                            debug_assert_eq!(frame.to, to, "envelope/frame address skew");
-                            self.protocol.on_message(&mut self.ctx, to, from, frame.msg);
-                        }
-                        Err(_) => self.ctx.wire_errors += 1,
-                    }
-                }
-            }
-            EngineEvent::Timer { node, tag } => {
-                let fired = self.ctx.alive[node.index()];
-                self.ctx.emit(|| TraceEvt::TimerFired { node, tag, fired });
-                if fired {
-                    self.protocol.on_timer(&mut self.ctx, node, tag);
-                }
-            }
-            EngineEvent::Trace(ev) => self.apply_trace(ev),
-        }
-        true
-    }
-
-    fn apply_trace(&mut self, ev: TraceEvent) {
-        let ctx = &mut self.ctx;
-        match ev {
-            TraceEvent::Query(q) => {
-                debug_assert!(ctx.alive[q.requester.index()], "trace guarantees liveness");
-                ctx.register_query(&q);
-                self.protocol.on_query(ctx, &q);
-            }
-            TraceEvent::AddDocument { peer, doc } => {
-                if ctx.apply_content(peer, doc, true) {
-                    self.protocol.on_content_change(ctx, peer, doc, true);
-                }
-            }
-            TraceEvent::RemoveDocument { peer, doc } => {
-                if ctx.apply_content(peer, doc, false) {
-                    self.protocol.on_content_change(ctx, peer, doc, false);
-                }
-            }
-            TraceEvent::Join(p) => {
-                let joined = ctx.apply_join(p);
-                debug_assert!(joined, "trace joins only offline peers");
-                if joined {
-                    self.protocol.on_join(ctx, p);
-                }
-            }
-            TraceEvent::Leave(p) => {
-                let left = ctx.apply_leave(p);
-                debug_assert!(left, "trace leaves only live peers");
-                if left {
-                    self.protocol.on_leave(ctx, p);
-                }
-            }
-        }
-    }
-}
+/// A loopback run: the engine's own builder on the [`Framed`] carrier.
+/// `Loopback::new(phys, workload, overlay, kind, protocol, seed)` takes the
+/// arguments of `Simulation::builder` and offers the same layers.
+pub type Loopback<'a, P> = SimBuilder<'a, P, Framed<P>>;

@@ -189,8 +189,8 @@ pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>
     )))
 }
 
-/// Decode a buffer that must hold exactly one whole frame (the loopback
-/// dispatch path). Incomplete input is [`WireError::Truncated`]; leftover
+/// Decode a buffer that must hold exactly one whole frame (what
+/// [`Framed::unpack`](crate::Framed) does to a queued message). Incomplete input is [`WireError::Truncated`]; leftover
 /// bytes after the frame are [`WireError::TrailingPayload`].
 pub fn decode_frame_exact<P: CheckpointProtocol>(buf: &[u8]) -> Result<Frame<P::Msg>, WireError> {
     match decode_frame::<P>(buf)? {

@@ -1,12 +1,14 @@
-//! Sim≡net: the loopback runtime replays a workload to the same lifecycle
-//! digest as the sim engine, for every protocol family.
+//! Sim≡net: the engine on the framed carrier replays a workload to the
+//! same lifecycle digest as on the in-memory carrier, for every protocol
+//! family.
 //!
-//! This is the tentpole invariant of the transport-trait redesign: the
-//! same monomorphized protocol state machine runs on both backends, with
-//! the wire codec load-bearing only on the net side. Equal backend-tagged
-//! [`LifecycleDigest`]s over a full replay prove (a) the `Transport`
-//! extraction preserved engine semantics and (b) encode→decode on every
-//! single delivered message is behaviorally invisible.
+//! Both runs are `asap_sim::Simulation`; only what the event queue holds
+//! for a message in flight differs. Equal backend-tagged
+//! [`LifecycleDigest`]s over a full replay prove encode→decode on every
+//! single delivered message is behaviorally invisible, and the faulted,
+//! audited cases prove the engine layers (audit, fault injection, profile)
+//! see the identical event stream on the net carrier: lost, duplicated and
+//! delivered frames alike.
 //!
 //! The tiny-scale pinned matrix lives in `asap-bench` (`simnet` bin,
 //! `golden/simnet_tiny.txt`); this tier keeps a fast in-tree witness.
@@ -15,7 +17,7 @@ use asap_core::{Asap, AsapConfig};
 use asap_net::Loopback;
 use asap_overlay::{OverlayConfig, OverlayKind};
 use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
-use asap_sim::{CheckpointProtocol, Simulation};
+use asap_sim::{AuditConfig, CheckpointProtocol, FaultPlan, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_trace::{Backend, DigestSink, LifecycleDigest, TraceSink};
 use asap_workload::{Workload, WorkloadConfig};
@@ -41,32 +43,44 @@ fn digest_of(sink: Box<dyn TraceSink>) -> LifecycleDigest {
         .digest()
 }
 
-/// Run one protocol on both backends; assert digest and metric equality.
-fn assert_equivalent<P: CheckpointProtocol>(label: &str, sim_proto: P, net_proto: P) {
+/// 10 % loss and 2 % duplication: every fault decision path the carrier
+/// sits under (dropped before packing, packed once, packed twice).
+fn lossy_duplicating() -> FaultPlan {
+    FaultPlan {
+        loss_ppm: 100_000,
+        duplicate_ppm: 20_000,
+        ..FaultPlan::none()
+    }
+}
+
+/// Run one protocol on both carriers; assert digest and metric equality.
+/// With `faulted`, both runs are audited under [`lossy_duplicating`] and
+/// the engine layers must agree too.
+fn assert_equivalent<P: CheckpointProtocol>(label: &str, make: impl Fn() -> P, faulted: bool) {
     let (phys, workload) = world();
 
-    let sim = Simulation::builder(
-        &phys,
-        &workload,
-        overlay(),
-        OverlayKind::Random,
-        sim_proto,
-        SEED,
-    )
-    .trace(Box::new(DigestSink::new(Backend::Sim)))
-    .run();
-    let net = Loopback::new(
-        &phys,
-        &workload,
-        overlay(),
-        OverlayKind::Random,
-        net_proto,
-        SEED,
-    )
-    .trace(Box::new(DigestSink::new(Backend::Net)))
-    .run();
+    let mut sim = Simulation::builder(&phys, &workload, overlay(), OverlayKind::Random, make(), SEED)
+        .trace(Box::new(DigestSink::new(Backend::Sim)));
+    let mut net = Loopback::new(&phys, &workload, overlay(), OverlayKind::Random, make(), SEED)
+        .trace(Box::new(DigestSink::new(Backend::Net)));
+    if faulted {
+        sim = sim.audit(AuditConfig::default()).faults(lossy_duplicating());
+        net = net.audit(AuditConfig::default()).faults(lossy_duplicating());
+    }
+    let (sim, net) = (sim.run(), net.run());
 
     assert_eq!(net.wire_errors, 0, "{label}: frames failed to decode");
+    assert_eq!(sim.wire_errors, 0, "{label}: the identity carrier cannot fail");
+    assert_eq!(sim.profile, net.profile, "{label}: engine profiles diverge");
+    if faulted {
+        let (sa, na) = (sim.audit.expect("audited"), net.audit.expect("audited"));
+        assert!(sa.is_clean(), "{label}: sim audit {:?}", sa.violations);
+        assert!(na.is_clean(), "{label}: net audit {:?}", na.violations);
+        assert_eq!(sa.digest, na.digest, "{label}: audit digests diverge");
+        let stats = sim.faults.expect("faulted");
+        assert!(stats.dropped > 0 && stats.duplicated > 0, "{label}: plan was inert");
+        assert_eq!(Some(stats), net.faults, "{label}: fault stats diverge");
+    }
     let ds = digest_of(sim.trace.expect("sim sink"));
     let dn = digest_of(net.trace.expect("net sink"));
     assert_eq!(ds.backend(), Backend::Sim);
@@ -94,36 +108,28 @@ fn assert_equivalent<P: CheckpointProtocol>(label: &str, sim_proto: P, net_proto
     assert_eq!(sim.alive, net.alive, "{label}");
 }
 
+fn both_ways<P: CheckpointProtocol>(label: &str, make: impl Fn() -> P) {
+    assert_equivalent(label, &make, false);
+    assert_equivalent(&format!("{label}@faulted"), &make, true);
+}
+
 #[test]
 fn flooding_replays_identically_on_both_backends() {
-    assert_equivalent(
-        "flooding",
-        Flooding::new(FloodingConfig::default()),
-        Flooding::new(FloodingConfig::default()),
-    );
+    both_ways("flooding", || Flooding::new(FloodingConfig::default()));
 }
 
 #[test]
 fn random_walk_replays_identically_on_both_backends() {
-    assert_equivalent(
-        "random-walk",
-        RandomWalk::new(RandomWalkConfig::default()),
-        RandomWalk::new(RandomWalkConfig::default()),
-    );
+    both_ways("random-walk", || RandomWalk::new(RandomWalkConfig::default()));
 }
 
 #[test]
 fn gsa_replays_identically_on_both_backends() {
-    assert_equivalent(
-        "gsa",
-        Gsa::new(GsaConfig::default()),
-        Gsa::new(GsaConfig::default()),
-    );
+    both_ways("gsa", || Gsa::new(GsaConfig::default()));
 }
 
 #[test]
 fn asap_rw_replays_identically_on_both_backends() {
     let (_, workload) = world();
-    let make = || Asap::new(AsapConfig::rw(), &workload.model);
-    assert_equivalent("asap-rw", make(), make());
+    both_ways("asap-rw", || Asap::new(AsapConfig::rw(), &workload.model));
 }

@@ -45,9 +45,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Salt xor-ed into the run seed for the dedicated adversary RNG stream;
-/// must differ from every other per-run stream derivation (fault layer
-/// `0xFA17_0B5E_55ED_C0DE`, engine placement `0x51AE_0F5A_1769`, workload
-/// `0x40AD_10AD`).
+/// must differ from every other per-run stream derivation (the
+/// `[streams.*]` registry in `lint.toml` lists them all; rule R6 keeps
+/// each salt inside its owner file).
 const ADVERSARY_STREAM_SALT: u64 = 0xBAD5_EED5_0DD0_5A17;
 
 const PPM_SCALE: u32 = 1_000_000;

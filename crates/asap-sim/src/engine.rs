@@ -4,7 +4,7 @@ use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats};
 use crate::audit::{AuditConfig, AuditReport, SimAuditor};
 use crate::event::{EngineEvent, EventHandle, EventQueue, QueueBackend};
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultStats};
-use crate::transport::{ScratchGuard, ScratchSlot, Transport};
+use crate::transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
 use asap_overlay::{Overlay, OverlayKind, PeerId};
 use asap_topology::{PhysNodeId, PhysicalNetwork};
@@ -16,9 +16,8 @@ use rand::{Rng, SeedableRng};
 /// A search algorithm under test. The backend owns the world (overlay,
 /// liveness, content, clock); the protocol owns its own per-node state and
 /// reacts to events through these hooks. Every hook is generic over the
-/// [`Transport`] it runs against, so the same monomorphized state machine
-/// drives the deterministic sim engine and `asap-net`'s wire-crossing
-/// runtimes alike.
+/// [`Transport`] it runs against; the engine's [`Ctx`] is the one
+/// implementation, on either message [`Carrier`].
 pub trait Protocol {
     /// Protocol-specific message payload.
     type Msg: Clone;
@@ -78,10 +77,11 @@ pub trait Protocol {
 }
 
 /// The world as seen by a protocol: clock, overlay, liveness, content,
-/// messaging, timers, metrics.
-pub struct Ctx<'a, M> {
+/// messaging, timers, metrics. `C` is what the event queue holds for a
+/// message in flight (see [`Carrier`]); the default queues `M` itself.
+pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
     pub(crate) now_us: u64,
-    pub(crate) queue: EventQueue<M>,
+    pub(crate) queue: EventQueue<C::Packed>,
     /// The mutable overlay graph (read via [`Ctx::neighbors`]).
     pub overlay: Overlay,
     pub(crate) overlay_kind: OverlayKind,
@@ -109,6 +109,8 @@ pub struct Ctx<'a, M> {
     /// Robustness-event accounting (see [`Ctx::count`]).
     pub(crate) retry: RetryCounters,
     pub(crate) messages_sent: u64,
+    /// Deliveries dropped because [`Carrier::unpack`] rejected them.
+    pub(crate) wire_errors: u64,
     pub(crate) horizon_us: u64,
     pub(crate) trace_end_us: u64,
     pub(crate) run_seed: u64,
@@ -151,7 +153,7 @@ pub struct EngineProfile {
     pub past_horizon: u64,
 }
 
-impl<'a, M> Ctx<'a, M> {
+impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
     /// Current simulation time, µs.
     #[inline]
     pub fn now_us(&self) -> u64 {
@@ -268,7 +270,7 @@ impl<'a, M> Ctx<'a, M> {
                     EngineEvent::Deliver {
                         to,
                         from,
-                        msg,
+                        msg: C::pack(from, to, class, bytes, msg),
                         dup: false,
                     },
                 );
@@ -279,7 +281,7 @@ impl<'a, M> Ctx<'a, M> {
                         EngineEvent::Deliver {
                             to,
                             from,
-                            msg,
+                            msg: C::pack(from, to, class, bytes, msg),
                             dup: true,
                         },
                     );
@@ -369,10 +371,10 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-/// The sim engine is the reference [`Transport`]: every method delegates to
-/// the inherent `Ctx` method (or field) protocols used to touch directly,
-/// so the split is behaviorally invisible — the golden digests prove it.
-impl<'a, M: Clone> Transport for Ctx<'a, M> {
+/// The engine is the one [`Transport`]: every method delegates to the
+/// inherent `Ctx` method (or field) protocols used to touch directly, so
+/// the split is behaviorally invisible — the golden digests prove it.
+impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
     type Msg = M;
 
     #[inline]
@@ -478,6 +480,10 @@ pub struct SimReport<P> {
     pub ledger: QueryLedger,
     pub protocol: P,
     pub messages_sent: u64,
+    /// Deliveries dropped because the carrier could not unpack them
+    /// (always 0 on [`InMemory`]; nonzero on a wire carrier means the
+    /// codec regressed).
+    pub wire_errors: u64,
     pub end_time_us: u64,
     /// Final liveness map.
     pub alive: Vec<bool>,
@@ -503,8 +509,8 @@ pub struct SimReport<P> {
 }
 
 /// A configured simulation, ready to run.
-pub struct Simulation<'a, P: Protocol> {
-    pub(crate) ctx: Ctx<'a, P::Msg>,
+pub struct Simulation<'a, P: Protocol, C: Carrier<P::Msg> = InMemory> {
+    pub(crate) ctx: Ctx<'a, P::Msg, C>,
     pub(crate) protocol: P,
     /// Whether `on_init` has run (set before the first dispatched event, and
     /// restored from checkpoints so a resumed run never re-initializes).
@@ -515,14 +521,32 @@ pub struct Simulation<'a, P: Protocol> {
 }
 
 /// Typed configuration for a [`Simulation`], obtained from
-/// [`Simulation::builder`]. Optional layers (audit, faults, tracing, horizon
+/// [`Simulation::builder`] (or [`SimBuilder::new`] on a non-default
+/// [`Carrier`]). Optional layers (audit, faults, tracing, horizon
 /// override) are attached here; [`SimBuilder::build`] or the
 /// [`SimBuilder::run`] shorthand produce the configured simulation.
-pub struct SimBuilder<'a, P: Protocol> {
-    sim: Simulation<'a, P>,
+pub struct SimBuilder<'a, P: Protocol, C: Carrier<P::Msg> = InMemory> {
+    sim: Simulation<'a, P, C>,
 }
 
-impl<'a, P: Protocol> SimBuilder<'a, P> {
+impl<'a, P: Protocol, C: Carrier<P::Msg>> SimBuilder<'a, P, C> {
+    /// Start configuring a simulation: peers are mapped onto distinct random
+    /// physical nodes, the trace is preloaded, and initial liveness comes
+    /// from the workload (joiners start offline **and detached**). Optional
+    /// layers are attached on the returned builder.
+    pub fn new(
+        phys: &'a PhysicalNetwork,
+        workload: &'a Workload,
+        overlay: Overlay,
+        overlay_kind: OverlayKind,
+        protocol: P,
+        seed: u64,
+    ) -> Self {
+        Self {
+            sim: Simulation::assemble(phys, workload, overlay, overlay_kind, protocol, seed),
+        }
+    }
+
     /// Enable the invariant auditor for this run; the resulting
     /// [`SimReport::audit`] carries violations, check counts, and the
     /// event-stream digest. See [`crate::audit`] for what is checked.
@@ -594,7 +618,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
     }
 
     /// Finish configuration.
-    pub fn build(self) -> Simulation<'a, P> {
+    pub fn build(self) -> Simulation<'a, P, C> {
         self.sim
     }
 
@@ -605,10 +629,9 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
 }
 
 impl<'a, P: Protocol> Simulation<'a, P> {
-    /// Start configuring a simulation: peers are mapped onto distinct random
-    /// physical nodes, the trace is preloaded, and initial liveness comes
-    /// from the workload (joiners start offline **and detached**). Optional
-    /// layers are attached on the returned [`SimBuilder`].
+    /// [`SimBuilder::new`] on the default in-memory carrier. Defined on
+    /// that instantiation only (the `HashMap::new` pattern) so callers
+    /// never have to name the carrier.
     pub fn builder(
         phys: &'a PhysicalNetwork,
         workload: &'a Workload,
@@ -617,11 +640,11 @@ impl<'a, P: Protocol> Simulation<'a, P> {
         protocol: P,
         seed: u64,
     ) -> SimBuilder<'a, P> {
-        SimBuilder {
-            sim: Self::assemble(phys, workload, overlay, overlay_kind, protocol, seed),
-        }
+        SimBuilder::new(phys, workload, overlay, overlay_kind, protocol, seed)
     }
+}
 
+impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
     fn assemble(
         phys: &'a PhysicalNetwork,
         workload: &'a Workload,
@@ -695,6 +718,7 @@ impl<'a, P: Protocol> Simulation<'a, P> {
             ledger: QueryLedger::new(),
             retry: RetryCounters::new(),
             messages_sent: 0,
+            wire_errors: 0,
             run_seed: seed,
             audit: None,
             faults: None,
@@ -772,7 +796,7 @@ impl<'a, P: Protocol> Simulation<'a, P> {
     }
 
     fn set_horizon_grace(&mut self, grace_us: u64) {
-        self.ctx.horizon_us = self.ctx.trace_end_us + grace_us;
+        self.ctx.horizon_us = self.ctx.trace_end_us.saturating_add(grace_us);
     }
 
     /// Run to the horizon (or queue exhaustion) and return the report.
@@ -819,6 +843,30 @@ impl<'a, P: Protocol> Simulation<'a, P> {
     /// get the protocol back through [`SimReport::protocol`].
     pub fn protocol(&self) -> &P {
         &self.protocol
+    }
+
+    /// Borrow the world mid-run (liveness, content, ledger, load).
+    pub fn ctx(&self) -> &Ctx<'a, P::Msg, C> {
+        &self.ctx
+    }
+
+    /// Scheduled time of the next event [`Simulation::run_until`] would
+    /// dispatch, if any — what a wall-clock driver sleeps until.
+    pub fn next_event_us(&mut self) -> Option<u64> {
+        self.ctx.queue.peek_time()
+    }
+
+    /// Apply one workload event now: schedule it at `at_us` (or the current
+    /// virtual time, whichever is later — the clock never rewinds) and
+    /// dispatch everything due up to and including it, so it runs through
+    /// the same path, in the same `(time, seq)` order, as a preloaded trace
+    /// event. The event must be valid for the current world (a `Join` of an
+    /// offline peer, a `Query` from a live one — what trace generation
+    /// guarantees); a halted run only queues it.
+    pub fn apply_event(&mut self, at_us: u64, ev: TraceEvent) {
+        let t = self.ctx.now_us.max(at_us);
+        self.ctx.queue.push(t, EngineEvent::Trace(ev));
+        self.run_until(t);
     }
 
     fn ensure_init(&mut self) {
@@ -870,7 +918,10 @@ impl<'a, P: Protocol> Simulation<'a, P> {
                     dup,
                 });
                 if delivered {
-                    self.protocol.on_message(&mut self.ctx, to, from, msg);
+                    match C::unpack(msg) {
+                        Some(msg) => self.protocol.on_message(&mut self.ctx, to, from, msg),
+                        None => self.ctx.wire_errors += 1,
+                    }
                 }
             }
             EngineEvent::Timer { node, tag } => {
@@ -916,6 +967,7 @@ impl<'a, P: Protocol> Simulation<'a, P> {
         SimReport {
             end_time_us: self.ctx.now_us,
             messages_sent: self.ctx.messages_sent,
+            wire_errors: self.ctx.wire_errors,
             load: self.ctx.load,
             ledger: self.ctx.ledger,
             alive: self.ctx.alive,

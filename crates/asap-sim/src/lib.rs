@@ -40,7 +40,7 @@ pub use audit::{AuditConfig, AuditReport, Fnv64};
 pub use checkpoint::{Checkpoint, CheckpointProtocol, CodecError, Decoder, Encoder};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};
-pub use transport::{ScratchGuard, ScratchSlot, Transport};
+pub use transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};
 pub use fault::{FaultDecision, FaultPlan, FaultState, FaultStats, PartitionWindow};
 pub use message::{
     ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_hit_size,

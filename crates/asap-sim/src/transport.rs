@@ -5,15 +5,17 @@
 //! [`Ctx`](crate::Ctx), which welded them to the discrete-event engine.
 //! [`Transport`] extracts the engine-coupled surface — clock, messaging,
 //! timers, randomness, liveness, content, metrics, tracing — into a trait
-//! that `Protocol` hooks are generic over, so the *same* monomorphized
-//! state machines drive both backends:
+//! that `Protocol` hooks are generic over. There is one implementation,
+//! the engine's `Ctx`; what varies between the backends is only what the
+//! event queue holds while a message is in flight, and that is the
+//! [`Carrier`] type parameter of the engine:
 //!
-//! * the deterministic sim engine (`Ctx` implements `Transport` by
-//!   delegating to its inherent methods — zero behavior change, every
-//!   golden digest bit-identical), and
-//! * `asap-net`'s loopback/daemon runtimes, where [`Transport::send`]
-//!   crosses a real wire codec (length-prefixed frames, per-peer outbound
-//!   queues) instead of pushing a typed event.
+//! * [`InMemory`] (the default) queues the `P::Msg` value itself — the
+//!   deterministic sim engine every golden digest is pinned on, and
+//! * `asap_net::Framed` queues the message as an encoded wire frame:
+//!   [`Carrier::pack`] serializes inside `send`, [`Carrier::unpack`]
+//!   validates and decodes just before `on_message`. `asap-net`'s loopback
+//!   and the `asapd` daemon are this same engine on that carrier.
 //!
 //! The trait is deliberately *not* object-safe ([`Transport::trace`] is
 //! generic so a disabled sink costs one pointer test and never constructs
@@ -123,6 +125,41 @@ pub trait Transport {
     /// Whether a trace sink is attached (lets protocols skip preparing
     /// expensive event arguments).
     fn tracing_enabled(&self) -> bool;
+}
+
+/// What the event queue holds for a message between [`Transport::send`]
+/// and `on_message`. The engine packs just before the queue push and
+/// unpacks just before the protocol callback, so everything else — clock,
+/// fault and adversary decisions, audit, load accounting, `(time, seq)`
+/// order — is carrier-independent by construction.
+pub trait Carrier<M> {
+    /// The queued form of one message.
+    type Packed;
+
+    /// Encode `msg` with the envelope `send` was called with.
+    fn pack(from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) -> Self::Packed;
+
+    /// Decode a queued message. `None` means the packed form failed
+    /// validation: the engine drops the message and counts it in
+    /// [`SimReport::wire_errors`](crate::SimReport::wire_errors).
+    fn unpack(packed: Self::Packed) -> Option<M>;
+}
+
+/// The identity carrier: the queue holds the message value itself.
+pub struct InMemory;
+
+impl<M> Carrier<M> for InMemory {
+    type Packed = M;
+
+    #[inline]
+    fn pack(_: PeerId, _: PeerId, _: MsgClass, _: usize, msg: M) -> M {
+        msg
+    }
+
+    #[inline]
+    fn unpack(packed: M) -> Option<M> {
+        Some(packed)
+    }
 }
 
 /// A shareable scratch-capacity slot. Backends hold one and lease it to

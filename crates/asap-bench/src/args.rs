@@ -1,20 +1,21 @@
 //! Shared CLI argument handling for the bench binaries.
 //!
-//! Every harness binary (`experiments`, `golden`, `perf`, `warmstart`,
-//! `bisect`, `simnet`) parses flags from the same small vocabulary —
-//! `--scale`, `--seed`, `--algo`, `--overlay`, `--workers`, `--faults`,
-//! `--adversary`, `--sharded` — but each used to hand-roll its own loop,
-//! with per-binary drift in error messages and accepted spellings. This
-//! module centralizes that vocabulary once:
+//! The harness binaries (`experiments`, `perf`, `warmstart`, `bisect`,
+//! `simnet`) parse flags from the same small vocabulary — `--scale`,
+//! `--seed`, `--algo`, `--overlay`, `--workers`, `--faults`, `--adversary`
+//! — but each used to hand-roll its own loop, with per-binary drift in
+//! error messages and accepted spellings. This module centralizes that
+//! vocabulary once:
 //!
 //! * [`CommonArgs`] holds the parsed axes and [`CommonArgs::accept`] slots
 //!   into any binary's flag loop: offer each unrecognized flag to the
 //!   common set first, then match binary-specific flags.
 //! * Each binary opts into exactly the axes its CLI supports via [`Axes`],
-//!   so delegating never widens a binary's flag surface (e.g. `golden`
-//!   stays pinned to the tiny golden scale and only shares `--sharded`).
+//!   so delegating never widens a binary's flag surface (`golden`, pinned
+//!   to the tiny golden scale and seed, shares none and parses its two
+//!   mode flags itself).
 //! * [`CommonArgs::run_spec`] produces the [`RunSpec`] the layered axes
-//!   (faults, adversary, queue backend) describe, so binaries build their
+//!   (faults, adversary) describe, so binaries build their
 //!   engine configuration from the parse result directly.
 //! * [`CommonArgs::usage`] renders the usage fragment for the enabled
 //!   axes, keeping help text in lockstep with what actually parses.
@@ -53,7 +54,6 @@ pub struct Axes {
     pub workers: bool,
     pub faults: bool,
     pub adversary: bool,
-    pub sharded: bool,
 }
 
 impl Axes {
@@ -66,7 +66,6 @@ impl Axes {
         workers: false,
         faults: false,
         adversary: false,
-        sharded: false,
     };
 
     /// The single-cell vocabulary (`warmstart`, `bisect`): which audited
@@ -87,7 +86,6 @@ impl Axes {
         workers: true,
         faults: true,
         adversary: true,
-        sharded: true,
         ..Self::NONE
     };
 }
@@ -103,7 +101,6 @@ pub struct CommonArgs {
     pub workers: usize,
     pub faults: FaultProfile,
     pub adversary: AdversaryProfile,
-    pub sharded: bool,
 }
 
 impl CommonArgs {
@@ -121,7 +118,6 @@ impl CommonArgs {
             workers: rayon::current_num_threads(),
             faults: FaultProfile::None,
             adversary: AdversaryProfile::None,
-            sharded: false,
         }
     }
 
@@ -167,7 +163,6 @@ impl CommonArgs {
                 self.adversary =
                     AdversaryProfile::parse(&v).ok_or(format!("unknown adversary profile '{v}'"))?;
             }
-            "--sharded" if self.axes.sharded => self.sharded = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -197,20 +192,16 @@ impl CommonArgs {
         if self.axes.adversary {
             parts.push("[--adversary none|spam<pct>|freeride<pct>|eclipse<pct>]");
         }
-        if self.axes.sharded {
-            parts.push("[--sharded]");
-        }
         parts.join(" ")
     }
 
-    /// The [`RunSpec`] these axes describe: layered faults/adversary and the
-    /// queue backend. Audit and tracing are per-binary concerns, composed on
-    /// top via the spec's builder methods.
+    /// The [`RunSpec`] these axes describe: layered faults and adversary.
+    /// Audit and tracing are per-binary concerns, composed on top via the
+    /// spec's builder methods.
     pub fn run_spec(&self) -> RunSpec {
         RunSpec::figures()
             .with_faults(self.faults)
             .with_adversary(self.adversary)
-            .with_sharded(self.sharded)
     }
 }
 
@@ -235,24 +226,23 @@ mod tests {
         let rest = feed(
             &mut common,
             &[
-                "--scale", "paper", "--seed", "7", "--faults", "lossy", "--sharded", "--check",
+                "--scale", "paper", "--seed", "7", "--faults", "lossy", "--check",
             ],
         )
         .expect("valid flags parse");
         assert_eq!(common.scale, Scale::Paper);
         assert_eq!(common.seed, 7);
         assert_eq!(common.faults, FaultProfile::Lossy);
-        assert!(common.sharded);
         assert_eq!(rest, vec!["--check".to_string()]);
     }
 
     #[test]
     fn disabled_axes_are_not_consumed() {
         let mut common = CommonArgs::new(Axes::CELL);
-        let rest = feed(&mut common, &["--sharded", "--algo", "gsa"]).expect("parse");
+        let rest = feed(&mut common, &["--faults", "--algo", "gsa"]).expect("parse");
         assert_eq!(common.algo, AlgoKind::Gsa);
-        assert_eq!(rest, vec!["--sharded".to_string()]);
-        assert!(!common.sharded);
+        assert_eq!(rest, vec!["--faults".to_string()]);
+        assert_eq!(common.faults, FaultProfile::None);
     }
 
     #[test]
@@ -265,11 +255,9 @@ mod tests {
     #[test]
     fn run_spec_reflects_the_layered_axes() {
         let mut common = CommonArgs::new(Axes::SWEEP);
-        feed(&mut common, &["--faults", "lossy", "--adversary", "spam10", "--sharded"])
-            .expect("parse");
+        feed(&mut common, &["--faults", "lossy", "--adversary", "spam10"]).expect("parse");
         let spec = common.run_spec();
         assert_eq!(spec.faults, FaultProfile::Lossy);
-        assert!(spec.sharded);
         assert!(spec.audit.is_none());
         assert!(spec.trace.is_none());
     }
@@ -281,6 +269,6 @@ mod tests {
         assert!(!sweep.contains("--algo"));
         let cell = CommonArgs::new(Axes::CELL).usage();
         assert!(cell.contains("--algo"));
-        assert!(!cell.contains("--sharded"));
+        assert!(!cell.contains("--faults"));
     }
 }

@@ -20,21 +20,16 @@
 //!   fault-free matrix with the trace recorder attached and assert the
 //!   digests are bit-identical to the untraced run: observation must never
 //!   perturb the simulation.
-//! * `--sharded` (composes with `--check`) — replay every matrix on the
-//!   time-window-sharded event-queue backend. The golden files don't change:
-//!   all 150 pinned digests must come out bit-identical on either backend,
-//!   so CI runs `--check` both with and without this flag.
 
 use std::process::ExitCode;
 
-use asap_bench::args::{Axes, CommonArgs};
 use asap_bench::faults::FaultProfile;
 use asap_bench::harness::{
-    diff_golden, golden_lines_scenario, golden_lines_with, golden_world, replay_matrix_parallel,
-    replay_matrix_traced, replay_scenario_matrix, resume_golden_lines, resume_matrix_records,
-    ReplayRecord, ResumeRecord, GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS, RESUME_KEY_COLS,
+    cell_to_record, diff_golden, golden_lines, golden_world, replay_matrix, replay_spec,
+    resume_golden_lines, resume_matrix_records, scenario_spec, ReplayRecord, ResumeRecord,
+    GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS, RESUME_KEY_COLS,
 };
-use asap_bench::runner::World;
+use asap_bench::runner::{RunSpec, World};
 use asap_bench::scenario::ScenarioPack;
 
 fn report_records(label: &str, records: &[ReplayRecord]) {
@@ -57,39 +52,18 @@ fn report_records(label: &str, records: &[ReplayRecord]) {
     }
 }
 
-fn replay(world: &World, faults: FaultProfile, sharded: bool) -> Vec<ReplayRecord> {
+/// Replay one 18-cell matrix (`tag` names it: `faults=…` / `scenario=…`).
+fn replay(world: &World, spec: &RunSpec, tag: &str) -> Vec<ReplayRecord> {
     // Fan across every core: `--check` passing from here *is* the proof that
     // the parallel sweep reproduces the pinned digests bit-for-bit.
     let workers = rayon::current_num_threads();
-    eprintln!(
-        "replaying the golden matrix (18 audited cells, faults={}, workers={workers}, queue={})...",
-        faults.label(),
-        backend_label(sharded),
-    );
-    let records = replay_matrix_parallel(world, faults, workers, sharded);
-    report_records(&format!("faults={}", faults.label()), &records);
+    eprintln!("replaying the golden matrix (18 audited cells, {tag}, workers={workers})...");
+    let records: Vec<ReplayRecord> = replay_matrix(world, spec, workers)
+        .iter()
+        .map(cell_to_record)
+        .collect();
+    report_records(tag, &records);
     records
-}
-
-fn replay_scenario(pack: ScenarioPack, sharded: bool) -> Vec<ReplayRecord> {
-    let workers = rayon::current_num_threads();
-    eprintln!(
-        "replaying the {} scenario matrix (18 audited cells, workers={workers}, queue={})...",
-        pack.label(),
-        backend_label(sharded),
-    );
-    let world = pack.world();
-    let records = replay_scenario_matrix(&world, pack, workers, sharded);
-    report_records(&format!("scenario={}", pack.label()), &records);
-    records
-}
-
-fn backend_label(sharded: bool) -> &'static str {
-    if sharded {
-        "sharded"
-    } else {
-        "heap"
-    }
 }
 
 /// Write or check one golden file; returns true on success. In check mode
@@ -138,13 +112,12 @@ fn pin(path: &str, fresh: &str, check: bool, key_cols: usize) -> bool {
 /// three quarter points. Besides pinning the digests, every resumed digest
 /// must equal its cell's uninterrupted digest — the bit-identical-resume
 /// acceptance gate. Returns the records and whether that gate held.
-fn replay_resume(world: &World, sharded: bool) -> (Vec<ResumeRecord>, bool) {
+fn replay_resume(world: &World) -> (Vec<ResumeRecord>, bool) {
     let workers = rayon::current_num_threads();
     eprintln!(
-        "replaying the resume matrix (20 audited cells x 3 split points, workers={workers}, queue={})...",
-        backend_label(sharded),
+        "replaying the resume matrix (20 audited cells x 3 split points, workers={workers})..."
     );
-    let records = resume_matrix_records(world, workers, sharded);
+    let records = resume_matrix_records(world, workers);
     let mut ok = true;
     for r in &records {
         if r.digest != r.cold_digest {
@@ -170,12 +143,13 @@ fn replay_resume(world: &World, sharded: bool) -> (Vec<ResumeRecord>, bool) {
 
 /// Replay the fault-free matrix with the recorder attached and demand the
 /// traced digests match the untraced records exactly. Returns true on pass.
-fn trace_pass(world: &World, untraced: &[ReplayRecord], sharded: bool) -> bool {
+fn trace_pass(world: &World, untraced: &[ReplayRecord]) -> bool {
     let workers = rayon::current_num_threads();
     eprintln!("replaying the fault-free matrix traced (workers={workers})...");
-    let traced = replay_matrix_traced(world, FaultProfile::None, workers, sharded);
+    let traced = replay_matrix(world, &replay_spec(FaultProfile::None, true), workers);
     let mut ok = true;
-    for ((rec, cell), want) in traced.iter().zip(untraced) {
+    for (cell, want) in traced.iter().zip(untraced) {
+        let rec = &cell_to_record(cell);
         let recorder = cell.trace.as_ref().expect("traced replay keeps its recorder");
         if rec != want {
             eprintln!(
@@ -203,40 +177,19 @@ fn trace_pass(world: &World, untraced: &[ReplayRecord], sharded: bool) -> bool {
 }
 
 fn main() -> ExitCode {
-    // The golden matrix is pinned at the tiny scale by construction, so the
-    // only shared axis this CLI exposes is the queue backend.
-    let mut common = CommonArgs::new(Axes {
-        sharded: true,
-        ..Axes::NONE
-    });
+    // The golden matrix is pinned at the tiny scale and seed by
+    // construction, so this CLI shares none of the `asap_bench::args` axes.
     let mut check = false;
     let mut trace = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match common.accept(&flag, &mut args) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    for flag in std::env::args().skip(1) {
         match flag.as_str() {
             "--check" => check = true,
             "--trace" => trace = true,
             other => {
-                eprintln!("error: unknown flag {other}\nusage: golden [--check] [--trace] [--sharded]");
+                eprintln!("error: unknown flag {other}\nusage: golden [--check] [--trace]");
                 return ExitCode::from(2);
             }
         }
-    }
-    let sharded = common.sharded;
-    if sharded && !check {
-        // Pinning from the sharded backend would be fine (digests are
-        // backend-invariant), but regeneration should stay on the default
-        // path so an accidental backend divergence can't be pinned in.
-        eprintln!("error: --sharded only composes with --check");
-        return ExitCode::from(2);
     }
     let world = golden_world();
     let mut ok = true;
@@ -250,16 +203,19 @@ fn main() -> ExitCode {
             concat!(env!("CARGO_MANIFEST_DIR"), "/golden/replay_tiny_lossy.txt"),
         ),
     ] {
-        let records = replay(&world, faults, sharded);
-        let fresh = golden_lines_with(&records, faults);
+        let tag = format!("faults={}", faults.label());
+        let records = replay(&world, &replay_spec(faults, false), &tag);
+        // The fault-free file's header carries no tag.
+        let fresh = golden_lines(&records, if faults.is_none() { "" } else { &tag });
         ok &= pin(path, &fresh, check, REPLAY_KEY_COLS);
         if trace && faults.is_none() {
-            ok &= trace_pass(&world, &records, sharded);
+            ok &= trace_pass(&world, &records);
         }
     }
     for pack in ScenarioPack::ALL {
-        let records = replay_scenario(pack, sharded);
-        let fresh = golden_lines_scenario(&records, pack);
+        let tag = format!("scenario={}", pack.label());
+        let records = replay(&pack.world(), &scenario_spec(pack), &tag);
+        let fresh = golden_lines(&records, &tag);
         let path = format!(
             "{}/golden/{}",
             env!("CARGO_MANIFEST_DIR"),
@@ -268,7 +224,7 @@ fn main() -> ExitCode {
         ok &= pin(&path, &fresh, check, REPLAY_KEY_COLS);
     }
     {
-        let (records, resume_ok) = replay_resume(&world, sharded);
+        let (records, resume_ok) = replay_resume(&world);
         ok &= resume_ok;
         let fresh = resume_golden_lines(&records);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/resume_tiny.txt");

@@ -2,7 +2,7 @@
 //! are committed as `BENCH_pr9.json` at the workspace root.
 //!
 //! * `cargo run --release -p asap-bench --bin perf -- --scale all` — run
-//!   every leg (tiny micros + e2e, default sweeps + backend comparison, the
+//!   every leg (tiny micros + e2e, default e2e cell + sweeps, the
 //!   xl 100k-peer cell) and write `BENCH_pr9.json` (`--out FILE` redirects).
 //! * `cargo run --release -p asap-bench --bin perf -- --check BENCH_pr9.json`
 //!   — run the requested legs and exit nonzero if any timed metric regressed
@@ -20,16 +20,14 @@
 //!   engine's event-loop profile counters ride along as exact integers: any
 //!   drift in them is a behavior change, not noise.
 //! * `default` — the 4-cell sweep serial vs parallel at default scale
-//!   (1,500 peers), plus one default cell on the binary-heap vs the
-//!   time-window-sharded queue backend (`shard_speedup_default`); the two
-//!   runs must agree on the outcome fingerprint, so the comparison doubles
-//!   as a backend-invariance check at a scale the goldens never reach.
+//!   (1,500 peers), plus one default ASAP(RW) cell (`e2e_default_heap_ms`;
+//!   the key keeps its `BENCH_pr9.json` name so `--check` still gates it).
 //! * `xl` — build the streamed 103,872-node topology and run one 100,000
-//!   peer random-walk cell on the sharded backend (`e2e_xl_ms`).
+//!   peer random-walk cell (`e2e_xl_ms`).
 //!
-//! Speedup ratios (`sweep_speedup_*`, `shard_speedup_default`) are derived
-//! values: written for the trajectory record, never regression-gated (they
-//! move with core count — `threads` records what this host gave the run).
+//! Speedup ratios (`sweep_speedup_*`) are derived values: written for the
+//! trajectory record, never regression-gated (they move with core count —
+//! `threads` records what this host gave the run).
 //!
 //! `--gate KEY=TOL` (repeatable) pins a per-key tolerance tighter than the
 //! global `--tolerance`; CI uses it to hold the micro benches to 5 %.
@@ -41,8 +39,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use asap_bench::args::next_value;
-use asap_bench::faults::FaultProfile;
-use asap_bench::runner::{run_cell_spec, run_cell_with, sweep_cells_spec, RunSpec, World};
+use asap_bench::runner::{run_cell_spec, sweep_cells_spec, RunSpec, World};
 use asap_bench::{AlgoKind, Scale};
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomParams, CountingBloom, ProbePlan};
@@ -195,7 +192,7 @@ fn micro_snapshot_rc() -> f64 {
 
 /// The reduced sweep the macro legs time: two algorithms × two overlays,
 /// mixing an allocation-heavy baseline with the ASAP hot path.
-fn sweep_cells() -> [(AlgoKind, OverlayKind); 4] {
+fn perf_cells() -> [(AlgoKind, OverlayKind); 4] {
     [
         (AlgoKind::Flooding, OverlayKind::Random),
         (AlgoKind::Flooding, OverlayKind::PowerLaw),
@@ -208,7 +205,7 @@ fn sweep_cells() -> [(AlgoKind, OverlayKind); 4] {
 /// asserts serial/parallel fingerprint agreement and returns
 /// `(serial_ms, parallel_ms)`.
 fn sweep_pair(world: &World, threads: usize) -> (f64, f64) {
-    let cells = sweep_cells();
+    let cells = perf_cells();
     let spec = RunSpec::figures();
     let (serial, serial_ms) = timed_ms(|| sweep_cells_spec(world, &cells, 1, &spec));
     let (parallel, parallel_ms) = timed_ms(|| sweep_cells_spec(world, &cells, threads, &spec));
@@ -233,15 +230,9 @@ fn leg_tiny(r: &mut Results, threads: usize) {
     let world = World::build(Scale::Tiny, SEED);
 
     eprintln!("perf[tiny]: end-to-end cell...");
-    let (cell, e2e_ms) = timed_ms(|| {
-        run_cell_with(
-            &world,
-            AlgoKind::AsapRw,
-            OverlayKind::Random,
-            None,
-            FaultProfile::None,
-        )
-    });
+    let spec = RunSpec::figures();
+    let (cell, e2e_ms) =
+        timed_ms(|| run_cell_spec(&world, AlgoKind::AsapRw, OverlayKind::Random, &spec));
     assert!(cell.queries > 0, "perf cell must actually run queries");
     r.timed("e2e_tiny_ms", e2e_ms);
 
@@ -277,31 +268,12 @@ fn leg_default(r: &mut Results, threads: usize) {
     eprintln!("perf[default]: building the world...");
     let world = World::build(Scale::Default, SEED);
 
-    eprintln!("perf[default]: e2e cell on the heap backend...");
-    let (heap, heap_ms) = timed_ms(|| {
-        run_cell_spec(
-            &world,
-            AlgoKind::AsapRw,
-            OverlayKind::Random,
-            &RunSpec::figures(),
-        )
-    });
-    eprintln!("perf[default]: e2e cell on the sharded backend...");
-    let (sharded, sharded_ms) = timed_ms(|| {
-        run_cell_spec(
-            &world,
-            AlgoKind::AsapRw,
-            OverlayKind::Random,
-            &RunSpec::figures().with_sharded(true),
-        )
-    });
-    assert_eq!(
-        heap.outcome_fingerprint, sharded.outcome_fingerprint,
-        "sharded backend diverged from the heap at default scale"
-    );
-    r.timed("e2e_default_heap_ms", heap_ms);
-    r.timed("e2e_default_sharded_ms", sharded_ms);
-    r.derived("shard_speedup_default", heap_ms / sharded_ms);
+    eprintln!("perf[default]: end-to-end cell...");
+    let spec = RunSpec::figures();
+    let (cell, e2e_ms) =
+        timed_ms(|| run_cell_spec(&world, AlgoKind::AsapRw, OverlayKind::Random, &spec));
+    assert!(cell.queries > 0, "perf cell must actually run queries");
+    r.timed("e2e_default_heap_ms", e2e_ms);
 
     eprintln!("perf[default]: serial vs parallel sweep ({threads} workers)...");
     let (serial_ms, parallel_ms) = sweep_pair(&world, threads);
@@ -315,15 +287,10 @@ fn leg_xl(r: &mut Results) {
     let (world, build_ms) = timed_ms(|| World::build(Scale::Xl, SEED));
     r.timed("xl_world_build_ms", build_ms);
 
-    eprintln!("perf[xl]: 100k-peer random-walk cell (sharded backend)...");
-    let (cell, e2e_ms) = timed_ms(|| {
-        run_cell_spec(
-            &world,
-            AlgoKind::RandomWalk,
-            OverlayKind::Random,
-            &RunSpec::figures().with_sharded(true),
-        )
-    });
+    eprintln!("perf[xl]: 100k-peer random-walk cell...");
+    let spec = RunSpec::figures();
+    let (cell, e2e_ms) =
+        timed_ms(|| run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec));
     assert!(cell.queries > 0, "xl cell must actually run queries");
     r.timed("e2e_xl_ms", e2e_ms);
     r.int("xl_peers", Scale::Xl.peers() as u64);

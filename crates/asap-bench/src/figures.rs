@@ -169,14 +169,14 @@ pub fn emit(dir: &Path, name: &str, caption: &str, table: &Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_one, World};
+    use crate::runner::{run_cell_spec, RunSpec, World};
 
     fn mini_runs() -> Vec<RunSummary> {
         let world = World::build(Scale::Tiny, 9);
-        vec![
-            run_one(&world, AlgoKind::RandomWalk, OverlayKind::Crawled),
-            run_one(&world, AlgoKind::AsapRw, OverlayKind::Crawled),
-        ]
+        let spec = RunSpec::figures();
+        [AlgoKind::RandomWalk, AlgoKind::AsapRw]
+            .map(|algo| run_cell_spec(&world, algo, OverlayKind::Crawled, &spec).summary)
+            .into()
     }
 
     #[test]

@@ -58,19 +58,15 @@ pub fn golden_world() -> World {
     World::build(GOLDEN_SCALE, GOLDEN_SEED)
 }
 
-/// Run one audited, fault-free cell of the replay matrix.
-pub fn replay_cell(world: &World, algo: AlgoKind, overlay: OverlayKind) -> ReplayRecord {
-    replay_cell_with(world, algo, overlay, FaultProfile::None)
-}
-
-/// Run one audited cell under a fault profile.
-pub fn replay_cell_with(
+/// Run one cell of the replay matrix under an audited [`RunSpec`]
+/// ([`replay_spec`], [`scenario_spec`]) and reduce it to its pinned record.
+pub fn replay_cell(
     world: &World,
     algo: AlgoKind,
     overlay: OverlayKind,
-    faults: FaultProfile,
+    spec: &RunSpec,
 ) -> ReplayRecord {
-    cell_to_record(&run_cell_spec(world, algo, overlay, &replay_spec(faults, false)))
+    cell_to_record(&run_cell_spec(world, algo, overlay, spec))
 }
 
 /// The [`RunSpec`] every replay path uses: always audited, optionally
@@ -94,33 +90,6 @@ pub fn scenario_spec(pack: ScenarioPack) -> RunSpec {
         adversary: pack.adversary(),
         ..RunSpec::default()
     }
-}
-
-/// Run one audited cell of a scenario pack's matrix. The caller supplies the
-/// pack's world ([`ScenarioPack::world`]) so it amortizes across cells.
-pub fn replay_scenario_cell(
-    world: &World,
-    algo: AlgoKind,
-    overlay: OverlayKind,
-    pack: ScenarioPack,
-) -> ReplayRecord {
-    cell_to_record(&run_cell_spec(world, algo, overlay, &scenario_spec(pack)))
-}
-
-/// Replay the full matrix of one scenario pack, in golden-file order, fanned
-/// across `workers` rayon workers. `sharded` selects the event-queue
-/// backend; every digest must be backend-invariant.
-pub fn replay_scenario_matrix(
-    world: &World,
-    pack: ScenarioPack,
-    workers: usize,
-    sharded: bool,
-) -> Vec<ReplayRecord> {
-    let spec = scenario_spec(pack).with_sharded(sharded);
-    sweep_cells_spec(world, &replay_matrix_cells(), workers, &spec)
-        .into_iter()
-        .map(|cell| cell_to_record(&cell))
-        .collect()
 }
 
 /// Reduce an audited [`CellReport`] to the fields the golden file pins.
@@ -150,78 +119,26 @@ pub fn replay_matrix_cells() -> Vec<(AlgoKind, OverlayKind)> {
     cells
 }
 
-/// The whole fault-free replay matrix: every algorithm × every overlay.
-pub fn replay_matrix(world: &World) -> Vec<ReplayRecord> {
-    replay_matrix_with(world, FaultProfile::None)
+/// The whole replay matrix — every algorithm × every overlay — under an
+/// audited [`RunSpec`], fanned across `workers` rayon workers. Reports come
+/// back in golden-file order regardless of the worker count; the golden
+/// `--check` runs this with parallelism on to prove the parallel sweep
+/// reproduces the pinned digests bit-for-bit. Map [`cell_to_record`] over
+/// the result for the pinned fields; a traced spec leaves each cell's
+/// [`Recorder`](asap_sim::trace::Recorder) in [`CellReport::trace`].
+pub fn replay_matrix(world: &World, spec: &RunSpec, workers: usize) -> Vec<CellReport> {
+    sweep_cells_spec(world, &replay_matrix_cells(), workers, spec)
 }
 
-/// The whole replay matrix under a fault profile, serially.
-pub fn replay_matrix_with(world: &World, faults: FaultProfile) -> Vec<ReplayRecord> {
-    replay_matrix_parallel(world, faults, 1, false)
-}
-
-/// The whole replay matrix under a fault profile, fanned across `workers`
-/// rayon workers. Records come back in golden-file order regardless of the
-/// worker count; the golden `--check` runs this with parallelism on to prove
-/// the parallel sweep reproduces the pinned digests bit-for-bit. `sharded`
-/// selects the event-queue backend; the pinned digests must come out
-/// identical either way (`--check --sharded` is the enforcement).
-pub fn replay_matrix_parallel(
-    world: &World,
-    faults: FaultProfile,
-    workers: usize,
-    sharded: bool,
-) -> Vec<ReplayRecord> {
-    let spec = replay_spec(faults, false).with_sharded(sharded);
-    sweep_cells_spec(world, &replay_matrix_cells(), workers, &spec)
-        .into_iter()
-        .map(|cell| cell_to_record(&cell))
-        .collect()
-}
-
-/// The replay matrix with trace capture on: every cell comes back as the
-/// pinned [`ReplayRecord`] plus the full [`CellReport`] holding its
-/// [`Recorder`](asap_sim::trace::Recorder). Used by the golden `--trace`
-/// mode and the trace tier to prove observation changes nothing.
-pub fn replay_matrix_traced(
-    world: &World,
-    faults: FaultProfile,
-    workers: usize,
-    sharded: bool,
-) -> Vec<(ReplayRecord, CellReport)> {
-    let spec = replay_spec(faults, true).with_sharded(sharded);
-    sweep_cells_spec(world, &replay_matrix_cells(), workers, &spec)
-        .into_iter()
-        .map(|cell| (cell_to_record(&cell), cell))
-        .collect()
-}
-
-/// Serialize fault-free records in the golden-file format: one
+/// Serialize records in the golden-file format: one
 /// `overlay algo digest queries succeeded messages` line per cell, digests
-/// in fixed-width hex so diffs align.
-pub fn golden_lines(records: &[ReplayRecord]) -> String {
-    golden_lines_with(records, FaultProfile::None)
-}
-
-/// [`golden_lines`] for an arbitrary fault profile (named in the header so
-/// the two golden files can't be confused for one another).
-pub fn golden_lines_with(records: &[ReplayRecord], faults: FaultProfile) -> String {
-    let tag = if faults.is_none() {
-        String::new()
-    } else {
-        format!(" faults={}", faults.label())
-    };
-    golden_lines_tagged(records, &tag)
-}
-
-/// [`golden_lines`] for a scenario pack (`scenario=<label>` in the header).
-pub fn golden_lines_scenario(records: &[ReplayRecord], pack: ScenarioPack) -> String {
-    golden_lines_tagged(records, &format!(" scenario={}", pack.label()))
-}
-
-fn golden_lines_tagged(records: &[ReplayRecord], tag: &str) -> String {
+/// in fixed-width hex so diffs align. `tag` names the matrix in the header
+/// (`faults=lossy`, `scenario=spam10`; empty for the fault-free file) so
+/// the golden files can't be confused for one another.
+pub fn golden_lines(records: &[ReplayRecord], tag: &str) -> String {
+    let sep = if tag.is_empty() { "" } else { " " };
     let mut out = format!(
-        "# replay digests: scale=tiny seed={GOLDEN_SEED}{tag}\n# overlay algo digest queries succeeded messages\n"
+        "# replay digests: scale=tiny seed={GOLDEN_SEED}{sep}{tag}\n# overlay algo digest queries succeeded messages\n"
     );
     for r in records {
         out.push_str(&format!(
@@ -328,12 +245,9 @@ pub struct ResumeRecord {
 }
 
 /// Replay one resume cell: one uninterrupted audited run for the reference
-/// digest and end time, then one split run per quarter point. With
-/// `sharded`, both halves of every split run — and the cold reference — use
-/// the sharded backend, so resume goldens gate backend invariance across
-/// the checkpoint boundary too.
-pub fn replay_resume_cell(world: &World, cell: ResumeCell, sharded: bool) -> Vec<ResumeRecord> {
-    let spec = cell.variant.spec().with_sharded(sharded);
+/// digest and end time, then one split run per quarter point.
+pub fn replay_resume_cell(world: &World, cell: ResumeCell) -> Vec<ResumeRecord> {
+    let spec = cell.variant.spec();
     let cold = run_cell_spec(world, cell.algo, cell.overlay, &spec);
     let cold_digest = cell_to_record(&cold).digest;
     (1..=RESUME_SPLITS)
@@ -354,12 +268,12 @@ pub fn replay_resume_cell(world: &World, cell: ResumeCell, sharded: bool) -> Vec
 /// The whole resume matrix, fanned across `workers` rayon workers at cell
 /// grain (each cell's four runs stay serial on one worker). Records come
 /// back in cell-then-split order regardless of the worker count.
-pub fn resume_matrix_records(world: &World, workers: usize, sharded: bool) -> Vec<ResumeRecord> {
+pub fn resume_matrix_records(world: &World, workers: usize) -> Vec<ResumeRecord> {
     let cells = resume_matrix_cells();
     if workers <= 1 {
         return cells
             .into_iter()
-            .flat_map(|c| replay_resume_cell(world, c, sharded))
+            .flat_map(|c| replay_resume_cell(world, c))
             .collect();
     }
     let pool = rayon::ThreadPoolBuilder::new()
@@ -369,7 +283,7 @@ pub fn resume_matrix_records(world: &World, workers: usize, sharded: bool) -> Ve
     let per_cell: Vec<Vec<ResumeRecord>> = pool.install(|| {
         cells
             .into_par_iter()
-            .map(|c| replay_resume_cell(world, c, sharded))
+            .map(|c| replay_resume_cell(world, c))
             .collect()
     });
     per_cell.into_iter().flatten().collect()
@@ -496,7 +410,7 @@ mod tests {
             alive_fingerprint: 2,
             violations: 0,
         }];
-        let parsed = parse_golden(&golden_lines(&records));
+        let parsed = parse_golden(&golden_lines(&records, ""));
         assert_eq!(
             parsed,
             vec![(

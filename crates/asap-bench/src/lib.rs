@@ -29,6 +29,6 @@ pub use adversary::AdversaryProfile;
 pub use algo::AlgoKind;
 pub use faults::FaultProfile;
 pub use scenario::ScenarioPack;
-pub use harness::{replay_cell, replay_cell_with, replay_matrix, replay_matrix_with, ReplayRecord};
-pub use runner::{run_cell, run_cell_with, run_one, CellReport, RunSummary};
+pub use harness::{replay_cell, replay_matrix, ReplayRecord};
+pub use runner::{CellReport, RunSummary};
 pub use scale::Scale;

@@ -147,11 +147,6 @@ pub struct RunSpec {
     /// Adversary profile (also poisons ASAP's protocol state for spam
     /// peers). The default `None` attaches no adversary layer at all.
     pub adversary: AdversaryProfile,
-    /// Run the engine on the time-window-sharded event queue instead of the
-    /// single binary heap. Pop order — and therefore every digest — is
-    /// identical by construction; the golden `--check --sharded` leg pins
-    /// that equivalence against all 150 golden digests.
-    pub sharded: bool,
 }
 
 impl RunSpec {
@@ -181,12 +176,6 @@ impl RunSpec {
     /// Run under an adversary profile.
     pub fn with_adversary(mut self, adversary: AdversaryProfile) -> Self {
         self.adversary = adversary;
-        self
-    }
-
-    /// Select the sharded event-queue backend.
-    pub fn with_sharded(mut self, sharded: bool) -> Self {
-        self.sharded = sharded;
         self
     }
 }
@@ -223,50 +212,6 @@ pub struct CellReport {
     pub trace: Option<Recorder>,
     /// Event-loop phase counters and queue high-water marks (always on).
     pub profile: EngineProfile,
-}
-
-/// Run one cell of the matrix (unaudited, fault-free; figures path).
-pub fn run_one(world: &World, algo: AlgoKind, overlay_kind: OverlayKind) -> RunSummary {
-    run_cell_spec(world, algo, overlay_kind, &RunSpec::figures()).summary
-}
-
-/// Run one cell, optionally with the engine's invariant auditor attached.
-pub fn run_cell(
-    world: &World,
-    algo: AlgoKind,
-    overlay_kind: OverlayKind,
-    audit: Option<AuditConfig>,
-) -> CellReport {
-    run_cell_spec(
-        world,
-        algo,
-        overlay_kind,
-        &RunSpec {
-            audit,
-            ..RunSpec::default()
-        },
-    )
-}
-
-/// Run one cell under a fault profile: the engine injects the profile's
-/// faults and every protocol runs with the matching retry/backoff budgets.
-pub fn run_cell_with(
-    world: &World,
-    algo: AlgoKind,
-    overlay_kind: OverlayKind,
-    audit: Option<AuditConfig>,
-    faults: FaultProfile,
-) -> CellReport {
-    run_cell_spec(
-        world,
-        algo,
-        overlay_kind,
-        &RunSpec {
-            audit,
-            faults,
-            ..RunSpec::default()
-        },
-    )
 }
 
 /// Run one cell under a [`RunSpec`]: the single configuration point shared
@@ -315,7 +260,7 @@ fn apply_spec<'a, P: Protocol>(
     if let Some(tc) = spec.trace {
         b = b.trace(Box::new(Recorder::new(tc)));
     }
-    b.sharded(spec.sharded)
+    b
 }
 
 /// Drive one protocol through a cell, either uninterrupted or split at
@@ -360,15 +305,12 @@ fn drive<P: CheckpointProtocol>(
         make(),
         world.seed,
     );
-    // Only the trace sink and the queue backend are re-attached: the sink
-    // lives outside checkpointed state (so the recorder holds post-split
-    // events only), and the backend is an execution strategy, not state —
-    // the resumed queue adopts the fresh builder's choice. Audit, faults,
+    // Only the trace sink is re-attached: it lives outside checkpointed
+    // state (so the recorder holds post-split events only). Audit, faults,
     // and adversary come from the checkpoint.
     if let Some(tc) = spec.trace {
         fresh = fresh.trace(Box::new(Recorder::new(tc)));
     }
-    fresh = fresh.sharded(spec.sharded);
     fresh
         .from_checkpoint(&ckpt)
         .expect("resume world matches the checkpointed world")
@@ -505,63 +447,16 @@ fn finish<P>(
     }
 }
 
-/// Run a set of matrix cells with up to `workers` rayon workers (one
-/// simulation per cell — the data-race-free-by-structure grain for a DES).
-pub fn sweep(
-    scale: Scale,
-    seed: u64,
-    cells: &[(AlgoKind, OverlayKind)],
-    workers: usize,
-) -> Vec<RunSummary> {
-    sweep_cells(scale, seed, cells, workers, None, FaultProfile::None)
-        .into_iter()
-        .map(|c| c.summary)
-        .collect()
-}
-
-/// [`sweep`] with full cell reports, an optional auditor, and a fault
-/// profile. Builds one world and delegates to [`sweep_cells_in`].
-pub fn sweep_cells(
-    scale: Scale,
-    seed: u64,
-    cells: &[(AlgoKind, OverlayKind)],
-    workers: usize,
-    audit: Option<AuditConfig>,
-    faults: FaultProfile,
-) -> Vec<CellReport> {
-    let world = World::build(scale, seed);
-    sweep_cells_in(&world, cells, workers, audit, faults)
-}
-
-/// Sweep matrix cells over a prebuilt world, fanning across a rayon pool of
-/// `workers` threads (`<= 1` runs serially on the caller's thread).
+/// Sweep matrix cells over a prebuilt world under one [`RunSpec`], fanning
+/// across a rayon pool of `workers` threads (`<= 1` runs serially on the
+/// caller's thread); one simulation per cell is the data-race-free-by-
+/// structure grain for a DES.
 ///
 /// Parallelism is observationally pure: the world is immutable during the
 /// sweep, every simulation derives all randomness from `(scale, seed, algo,
 /// overlay)`, and results come back in cell order — so the per-cell digests
 /// are bit-identical to a serial sweep, which the golden `--check` harness
 /// exercises with parallelism on.
-pub fn sweep_cells_in(
-    world: &World,
-    cells: &[(AlgoKind, OverlayKind)],
-    workers: usize,
-    audit: Option<AuditConfig>,
-    faults: FaultProfile,
-) -> Vec<CellReport> {
-    sweep_cells_spec(
-        world,
-        cells,
-        workers,
-        &RunSpec {
-            audit,
-            faults,
-            ..RunSpec::default()
-        },
-    )
-}
-
-/// [`sweep_cells_in`] driven by a [`RunSpec`] — the one configuration point
-/// for serial and parallel sweeps, including per-cell trace capture.
 pub fn sweep_cells_spec(
     world: &World,
     cells: &[(AlgoKind, OverlayKind)],
@@ -625,7 +520,8 @@ mod tests {
     #[test]
     fn tiny_cell_runs() {
         let world = World::build(Scale::Tiny, 5);
-        let s = run_one(&world, AlgoKind::RandomWalk, OverlayKind::Random);
+        let spec = RunSpec::figures();
+        let s = run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec).summary;
         assert!(s.queries > 0);
         assert!(s.messages_sent > 0);
         assert!(s.mean_load > 0.0);
@@ -634,7 +530,8 @@ mod tests {
     #[test]
     fn tiny_asap_cell_runs_with_stats() {
         let world = World::build(Scale::Tiny, 6);
-        let s = run_one(&world, AlgoKind::AsapRw, OverlayKind::Crawled);
+        let spec = RunSpec::figures();
+        let s = run_cell_spec(&world, AlgoKind::AsapRw, OverlayKind::Crawled, &spec).summary;
         assert!(s.asap_stats.is_some());
         assert!(s.success_rate > 0.0);
     }
@@ -667,10 +564,11 @@ mod tests {
     #[test]
     fn off_table_cells_carry_clamp_notes() {
         let world = World::build(Scale::Tiny, 5);
-        let rw = run_one(&world, AlgoKind::RandomWalk, OverlayKind::Random);
+        let spec = RunSpec::figures();
+        let rw = run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec).summary;
         assert_eq!(rw.notes.len(), 1);
         assert!(rw.notes[0].contains("random-walk TTL clamped 15 -> 32"));
-        let fld = run_one(&world, AlgoKind::Flooding, OverlayKind::Random);
+        let fld = run_cell_spec(&world, AlgoKind::Flooding, OverlayKind::Random, &spec).summary;
         assert!(fld.notes.is_empty(), "flooding never scales its TTL");
     }
 }

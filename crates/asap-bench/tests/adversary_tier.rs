@@ -7,11 +7,9 @@
 //! disabled contract at the bench level, and regression-tests the
 //! poisoned-ad → confirm-retry accounting.
 
-use asap_bench::harness::{
-    golden_world, parse_golden, replay_cell, replay_scenario_cell, scenario_spec,
-};
+use asap_bench::harness::{golden_world, parse_golden, replay_cell, replay_spec, scenario_spec};
 use asap_bench::runner::{run_cell_spec, RunSpec};
-use asap_bench::{AdversaryProfile, AlgoKind, ScenarioPack};
+use asap_bench::{AdversaryProfile, AlgoKind, FaultProfile, ScenarioPack};
 use asap_metrics::RetryStat;
 use asap_overlay::OverlayKind;
 
@@ -45,7 +43,7 @@ fn scenario_goldens_spot_check() {
             (AlgoKind::RandomWalk, OverlayKind::Random),
             (AlgoKind::AsapRw, OverlayKind::Crawled),
         ] {
-            let r = replay_scenario_cell(&world, algo, overlay, pack);
+            let r = replay_cell(&world, algo, overlay, &scenario_spec(pack));
             assert_eq!(
                 r.violations,
                 0,
@@ -89,7 +87,7 @@ fn none_profile_reproduces_the_honest_golden() {
     ] {
         let cell = run_cell_spec(&world, algo, overlay, &spec);
         assert!(cell.adversary.is_none(), "no layer attached for profile=none");
-        let direct = replay_cell(&world, algo, overlay);
+        let direct = replay_cell(&world, algo, overlay, &replay_spec(FaultProfile::None, false));
         assert_eq!(
             direct.digest,
             cell.audit.as_ref().expect("audited").digest,
@@ -140,7 +138,7 @@ fn poisoned_confirms_retry_without_double_counting() {
     let spam_world = pack.world();
     let lossy_spec = |adversary: AdversaryProfile| RunSpec {
         audit: Some(asap_sim::AuditConfig::default()),
-        faults: asap_bench::FaultProfile::Lossy,
+        faults: FaultProfile::Lossy,
         adversary,
         ..RunSpec::default()
     };

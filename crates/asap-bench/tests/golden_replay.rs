@@ -3,9 +3,10 @@
 //! `cargo run -p asap-bench --bin golden` regenerates the golden file after
 //! an intentional behavior change; this suite then pins the new digests.
 
+use asap_bench::faults::FaultProfile;
 use asap_bench::harness::{
-    golden_world, parse_golden, replay_cell, replay_cell_with, replay_matrix, GOLDEN_LOSSY_PROFILE,
-    GOLDEN_OVERLAYS,
+    cell_to_record, golden_world, parse_golden, replay_cell, replay_matrix, replay_spec,
+    ReplayRecord, GOLDEN_LOSSY_PROFILE, GOLDEN_OVERLAYS,
 };
 use asap_bench::AlgoKind;
 
@@ -18,7 +19,11 @@ const GOLDEN_LOSSY: &str = include_str!("../golden/replay_tiny_lossy.txt");
 #[test]
 fn golden_matrix_replays_clean_stable_and_consistent() {
     let world = golden_world();
-    let records = replay_matrix(&world);
+    let spec = replay_spec(FaultProfile::None, false);
+    let records: Vec<ReplayRecord> = replay_matrix(&world, &spec, 1)
+        .iter()
+        .map(cell_to_record)
+        .collect();
 
     // (a) Zero auditor violations anywhere.
     for r in &records {
@@ -86,18 +91,19 @@ fn golden_matrix_replays_clean_stable_and_consistent() {
 #[test]
 fn replay_is_run_twice_deterministic() {
     let world = golden_world();
+    let spec = replay_spec(FaultProfile::None, false);
     for (algo, overlay) in [
         (AlgoKind::Flooding, GOLDEN_OVERLAYS[0]),
         (AlgoKind::AsapRw, GOLDEN_OVERLAYS[1]),
     ] {
-        let a = replay_cell(&world, algo, overlay);
-        let b = replay_cell(&world, algo, overlay);
+        let a = replay_cell(&world, algo, overlay, &spec);
+        let b = replay_cell(&world, algo, overlay, &spec);
         assert_eq!(a, b, "second replay of {} diverged", algo.label());
     }
     // A rebuilt world must also reproduce: world construction is seeded.
     let rebuilt = golden_world();
-    let a = replay_cell(&world, AlgoKind::Gsa, GOLDEN_OVERLAYS[0]);
-    let b = replay_cell(&rebuilt, AlgoKind::Gsa, GOLDEN_OVERLAYS[0]);
+    let a = replay_cell(&world, AlgoKind::Gsa, GOLDEN_OVERLAYS[0], &spec);
+    let b = replay_cell(&rebuilt, AlgoKind::Gsa, GOLDEN_OVERLAYS[0], &spec);
     assert_eq!(a, b, "world rebuild diverged");
 }
 
@@ -115,11 +121,12 @@ fn lossy_golden_spot_check() {
         "lossy golden file covers the matrix"
     );
     let world = golden_world();
+    let spec = replay_spec(GOLDEN_LOSSY_PROFILE, false);
     for (algo, overlay) in [
         (AlgoKind::Flooding, GOLDEN_OVERLAYS[0]),
         (AlgoKind::AsapRw, GOLDEN_OVERLAYS[2]),
     ] {
-        let r = replay_cell_with(&world, algo, overlay, GOLDEN_LOSSY_PROFILE);
+        let r = replay_cell(&world, algo, overlay, &spec);
         assert_eq!(r.violations, 0, "auditor violations under loss");
         let (_, _, want) = golden
             .iter()

@@ -7,7 +7,7 @@
 //! digests.
 
 use asap_bench::faults::FaultProfile;
-use asap_bench::runner::sweep_cells;
+use asap_bench::runner::{sweep_cells_spec, RunSpec, World};
 use asap_bench::{AlgoKind, Scale};
 use asap_overlay::OverlayKind;
 use asap_sim::AuditConfig;
@@ -19,31 +19,27 @@ fn digests(workers: usize, faults: FaultProfile) -> Vec<(String, String, u64)> {
         (AlgoKind::AsapRw, OverlayKind::Random),
         (AlgoKind::AsapRw, OverlayKind::PowerLaw),
     ];
-    sweep_cells(
-        Scale::Tiny,
-        11,
-        &cells,
-        workers,
-        Some(AuditConfig::default()),
-        faults,
-    )
-    .into_iter()
-    .map(|c| {
-        let audit = c.audit.expect("audited sweep");
-        assert!(
-            audit.is_clean(),
-            "{} / {}: violations {:?}",
-            c.summary.algo.label(),
-            c.summary.overlay.label(),
-            audit.violations
-        );
-        (
-            c.summary.overlay.label().to_string(),
-            c.summary.algo.label().to_string(),
-            audit.digest,
-        )
-    })
-    .collect()
+    let spec = RunSpec::figures()
+        .audited(AuditConfig::default())
+        .with_faults(faults);
+    sweep_cells_spec(&World::build(Scale::Tiny, 11), &cells, workers, &spec)
+        .into_iter()
+        .map(|c| {
+            let audit = c.audit.expect("audited sweep");
+            assert!(
+                audit.is_clean(),
+                "{} / {}: violations {:?}",
+                c.summary.algo.label(),
+                c.summary.overlay.label(),
+                audit.violations
+            );
+            (
+                c.summary.overlay.label().to_string(),
+                c.summary.algo.label().to_string(),
+                audit.digest,
+            )
+        })
+        .collect()
 }
 
 #[test]

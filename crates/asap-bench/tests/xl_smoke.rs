@@ -1,19 +1,16 @@
-//! XL-scale smoke: the 100,000-peer tier actually runs end to end, and the
-//! sharded queue backend agrees with the binary heap at a scale the pinned
-//! goldens never reach.
+//! XL-scale smoke: the 100,000-peer tier actually runs end to end.
 //!
 //! Ignored by default — building the 103,872-node streamed topology plus a
 //! 100k-peer cell takes ~15 s in release (minutes in debug). CI's bench-smoke
 //! job and local deep runs opt in with `cargo test --release -- --ignored`.
 
-use asap_bench::faults::FaultProfile;
 use asap_bench::runner::{run_cell_spec, RunSpec, World};
 use asap_bench::{AlgoKind, Scale};
 use asap_overlay::OverlayKind;
 
 #[test]
 #[ignore = "builds a 103,872-node topology and runs a 100k-peer cell; release-only"]
-fn xl_cell_completes_and_backends_agree() {
+fn xl_cell_completes_and_answers_a_query() {
     let world = World::build(Scale::Xl, 42);
     assert_eq!(world.scale.peers(), 100_000);
     assert!(
@@ -22,27 +19,11 @@ fn xl_cell_completes_and_backends_agree() {
         world.phys.num_nodes()
     );
 
-    let spec = RunSpec {
-        faults: FaultProfile::None,
-        ..RunSpec::figures()
-    };
-    let heap = run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec);
-    assert!(heap.queries > 0, "xl cell must run queries");
+    let spec = RunSpec::figures();
+    let cell = run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec);
+    assert!(cell.queries > 0, "xl cell must run queries");
     assert!(
-        heap.summary.success_rate > 0.0,
+        cell.summary.success_rate > 0.0,
         "a 100k-peer random walk should answer at least one query"
     );
-
-    let sharded = run_cell_spec(
-        &world,
-        AlgoKind::RandomWalk,
-        OverlayKind::Random,
-        &spec.clone().with_sharded(true),
-    );
-    assert_eq!(
-        heap.outcome_fingerprint, sharded.outcome_fingerprint,
-        "sharded backend diverged from the heap at xl scale"
-    );
-    assert_eq!(heap.profile.sends, sharded.profile.sends);
-    assert_eq!(heap.profile.queue_hwm, sharded.profile.queue_hwm);
 }

@@ -13,15 +13,15 @@ use asap_lint::{lint_workspace, LintConfig};
 
 /// `(crate, functions, edges)` as of this commit.
 const PINNED: &[(&str, usize, usize)] = &[
-    ("asap-bench", 188, 1620),
+    ("asap-bench", 170, 1458),
     ("asap-bloom", 63, 76),
-    ("asap-core", 125, 1848),
+    ("asap-core", 125, 1758),
     ("asap-lint", 93, 200),
     ("asap-metrics", 70, 52),
-    ("asap-net", 35, 272),
+    ("asap-net", 35, 260),
     ("asap-overlay", 39, 47),
-    ("asap-search", 48, 278),
-    ("asap-sim", 288, 1207),
+    ("asap-search", 48, 260),
+    ("asap-sim", 269, 1030),
     ("asap-topology", 44, 67),
     ("asap-trace", 55, 81),
     ("asap-workload", 70, 255),

@@ -149,7 +149,10 @@ fn serve_lines(mut reader: impl BufRead, mut writer: impl Write, tx: &mpsc::Send
             break;
         }
         let Ok(command) = std::str::from_utf8(&line) else {
-            break;
+            if writeln!(writer, "err invalid utf-8").is_err() {
+                break;
+            }
+            continue;
         };
         let (reply_tx, reply_rx) = mpsc::channel();
         if tx.send((command.to_string(), reply_tx)).is_err() {
@@ -352,5 +355,25 @@ mod tests {
         serve_lines(&input[..], &mut reply, &tx);
         daemon.join().expect("daemon side");
         assert_eq!(reply, format!("ok {MAX_LINE}\n").into_bytes());
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_answered_and_the_connection_keeps_serving() {
+        let input = b"\xff\nstats\n";
+        let mut reply = Vec::new();
+        let (tx, rx) = mpsc::channel::<Command>();
+        let daemon = thread::spawn(move || {
+            rx.iter()
+                .map(|(line, reply)| {
+                    reply.send(format!("ok {line}")).expect("client waits");
+                    line
+                })
+                .collect::<Vec<String>>()
+        });
+        serve_lines(&input[..], &mut reply, &tx);
+        drop(tx);
+        let seen = daemon.join().expect("daemon side");
+        assert_eq!(seen, ["stats"], "the bad line never reaches the daemon");
+        assert_eq!(reply, b"err invalid utf-8\nok stats\n");
     }
 }

@@ -1036,15 +1036,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         // layers are replaced wholesale; derived liveness views are
         // recomputed from the restored bitmap.
         let ctx = &mut sim.ctx;
-        // The backend is the resuming builder's choice (an execution
-        // strategy, not checkpointed state): a run checkpointed on the heap
-        // backend resumes bit-identically on the sharded one and vice versa.
-        ctx.queue = EventQueue::from_parts_in(
-            ctx.queue.backend_kind(),
-            next_seq,
-            entries,
-            cancelled,
-        );
+        ctx.queue = EventQueue::from_parts(next_seq, entries, cancelled);
         ctx.overlay = Overlay::from_adjacency(adj);
         ctx.alive_count = alive.iter().filter(|&&a| a).count();
         ctx.alive_list = alive

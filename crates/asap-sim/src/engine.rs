@@ -2,7 +2,7 @@
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats};
 use crate::audit::{AuditConfig, AuditReport, SimAuditor};
-use crate::event::{EngineEvent, EventHandle, EventQueue, QueueBackend};
+use crate::event::{EngineEvent, EventHandle, EventQueue};
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultStats};
 use crate::transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
@@ -589,22 +589,6 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> SimBuilder<'a, P, C> {
     /// timers forever (ASAP's refresh beacons).
     pub fn horizon_grace(mut self, grace_us: u64) -> Self {
         self.sim.set_horizon_grace(grace_us);
-        self
-    }
-
-    /// Run the event queue on the time-window-sharded calendar backend
-    /// instead of the monolithic binary heap (off by default). The backend
-    /// is an execution strategy only: pop order — and therefore every
-    /// digest — is identical on both (see [`crate::event`] for the proof
-    /// sketch), but the sharded backend turns out-of-window pushes into
-    /// O(1) buffer appends and sorts each window once, in parallel via the
-    /// rayon shim when a worker pool is installed.
-    pub fn sharded(mut self, on: bool) -> Self {
-        self.sim.ctx.queue.set_backend(if on {
-            QueueBackend::Sharded
-        } else {
-            QueueBackend::Heap
-        });
         self
     }
 

@@ -1,35 +1,17 @@
-//! The engine's event queue.
-//!
-//! Two execution backends share one queue API and one observable behavior
-//! (see [`QueueBackend`]):
-//!
-//! * **Heap** — the classic monolithic `BinaryHeap`, the default.
-//! * **Sharded** — a calendar queue sharded by virtual-time window. Events
-//!   beyond the current window land in per-window append buffers (O(1), no
-//!   heap sift); a window is sorted once — in parallel via the vendored
-//!   rayon shim when large — at the moment it becomes current ("sealed").
-//!   Pushes into the current or a past window go to a small overflow heap.
-//!
-//! **Pop-order proof sketch** (the property `golden --check` pins across
-//! all 150 digests with sharding enabled): let `W = time_us >> WINDOW_SHIFT`.
-//! The sharded backend maintains two invariants — every buffered future
-//! entry has `W > current_window`, and every sealed/overflow entry has
-//! `W <= current_window`. Since `W` is monotone in `time_us`, every future
-//! entry's time strictly exceeds every sealed/overflow entry's time, so the
-//! global `(time, seq)` minimum is always `min(sealed head, overflow head)`
-//! while either is non-empty; when both are empty it lives in the smallest
-//! future window, which sealing makes current. Within a window, the sealed
-//! vector is sorted by `(time, seq)` and the overflow heap pops its
-//! `(time, seq)` minimum, so every pop returns the unique global minimum —
-//! exactly what the monolithic heap returns. `seq` uniqueness makes the
-//! minimum unique, so the two backends' pop streams are identical.
+//! The engine's event queue: one binary min-heap ordered by `(time, seq)`.
+//! `seq` is a monotone per-queue counter, so simultaneous events pop in
+//! insertion order and the pop stream is a pure function of the push/cancel
+//! history. Cancellation is tombstone-based — `cancel` records the sequence
+//! number, `pop`/`peek_time` discard matching entries as they surface — and
+//! tombstones whose entries can no longer surface are purged once the set
+//! outgrows `max(PURGE_TRIGGER, live entries)`, and at the engine's halt.
 
 use crate::collections::DetHashSet;
 use asap_overlay::PeerId;
 use asap_workload::TraceEvent;
 use std::cmp::Ordering;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Opaque handle to a scheduled event, usable with [`EventQueue::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,212 +76,9 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
-/// Which execution backend an [`EventQueue`] runs on. The backend is an
-/// execution strategy, not state: both produce identical pop streams (see
-/// the module docs), and checkpoints serialize the same sorted entry view
-/// regardless (`entries_sorted` / `cancelled_sorted`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    #[default]
-    Heap,
-    Sharded,
-}
-
-/// Virtual-time window width: `1 << WINDOW_SHIFT` µs (≈ 65.5 ms). Runs
-/// last tens of virtual seconds, so a run spans hundreds of windows —
-/// coarse enough that per-window buffers amortize, fine enough that the
-/// sealed sort stays small relative to the run.
-const WINDOW_SHIFT: u32 = 16;
-
-/// Sealed-window sorts below this length always use the serial path; the
-/// parallel key-sort only pays off for bulk buffers (e.g. the preloaded
-/// workload trace).
-const PAR_SEAL_MIN: usize = 4096;
-
 /// Tombstone purges trigger once the set outgrows `max(PURGE_TRIGGER,
 /// live entries)` — at that point at least one tombstone is provably dead.
 const PURGE_TRIGGER: usize = 64;
-
-/// The calendar backend: the current window as a sorted, cursor-consumed
-/// run plus an overflow heap for late pushes, and per-window unsorted
-/// append buffers for everything further out.
-#[derive(Debug)]
-struct ShardedQueue<M> {
-    /// The current window's pre-existing entries, sorted ascending; consumed
-    /// from the front (`as_slice()` peeks, `next()` pops).
-    sealed: std::vec::IntoIter<Scheduled<M>>,
-    /// Entries pushed into the current or a past window after its seal.
-    overflow: BinaryHeap<Reverse<Scheduled<M>>>,
-    /// Highest window ever sealed (0 before the first seal — windows only
-    /// matter relative to each other, see the module invariants).
-    current_window: u64,
-    /// Future windows' append buffers, keyed by window index.
-    future: BTreeMap<u64, Vec<Scheduled<M>>>,
-    /// Total entries across `future` (kept so `len` is O(1)).
-    future_len: usize,
-}
-
-impl<M> Default for ShardedQueue<M> {
-    fn default() -> Self {
-        Self {
-            sealed: Vec::new().into_iter(),
-            overflow: BinaryHeap::new(),
-            current_window: 0,
-            future: BTreeMap::new(),
-            future_len: 0,
-        }
-    }
-}
-
-impl<M> ShardedQueue<M> {
-    fn push(&mut self, s: Scheduled<M>) {
-        let w = s.time_us >> WINDOW_SHIFT;
-        if w <= self.current_window {
-            self.overflow.push(Reverse(s));
-        } else {
-            self.future.entry(w).or_default().push(s);
-            self.future_len += 1;
-        }
-    }
-
-    /// Make the smallest future window current, sorting its buffer.
-    /// Returns `false` when no future window exists.
-    fn seal_next(&mut self) -> bool {
-        let Some((w, mut buf)) = self.future.pop_first() else {
-            return false;
-        };
-        self.future_len -= buf.len();
-        sort_scheduled(&mut buf);
-        self.current_window = w;
-        self.sealed = buf.into_iter();
-        true
-    }
-
-    /// `(time, seq)` of the backend's head entry, sealing windows as needed.
-    fn peek(&mut self) -> Option<(u64, u64)> {
-        loop {
-            let sealed = self.sealed.as_slice().first().map(|s| (s.time_us, s.seq));
-            let over = self.overflow.peek().map(|Reverse(s)| (s.time_us, s.seq));
-            match (sealed, over) {
-                (Some(a), Some(b)) => return Some(a.min(b)),
-                (Some(a), None) => return Some(a),
-                (None, Some(b)) => return Some(b),
-                (None, None) => {
-                    if !self.seal_next() {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        loop {
-            let sealed = self.sealed.as_slice().first().map(|s| (s.time_us, s.seq));
-            let over = self.overflow.peek().map(|Reverse(s)| (s.time_us, s.seq));
-            match (sealed, over) {
-                (Some(a), Some(b)) if b < a => return self.overflow.pop().map(|Reverse(s)| s),
-                (Some(_), _) => return self.sealed.next(),
-                (None, Some(_)) => return self.overflow.pop().map(|Reverse(s)| s),
-                (None, None) => {
-                    if !self.seal_next() {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.sealed.as_slice().len() + self.overflow.len() + self.future_len
-    }
-
-    fn entry_refs(&self) -> impl Iterator<Item = &Scheduled<M>> {
-        self.sealed
-            .as_slice()
-            .iter()
-            .chain(self.overflow.iter().map(|Reverse(s)| s))
-            .chain(self.future.values().flatten())
-    }
-}
-
-/// Sort a window buffer ascending by `(time, seq)`. Large buffers sort
-/// their `Copy` keys through the rayon shim's deterministic parallel sort,
-/// then apply the permutation — the events themselves (which may hold
-/// non-`Send` protocol messages) never cross a thread boundary. Keys are
-/// unique (`seq` is), so the result is identical for every worker count.
-fn sort_scheduled<M>(buf: &mut Vec<Scheduled<M>>) {
-    if buf.len() < PAR_SEAL_MIN || rayon::current_num_threads() <= 1 {
-        buf.sort_unstable();
-        return;
-    }
-    let mut keys: Vec<(u64, u64, u32)> = buf
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.time_us, s.seq, i as u32))
-        .collect();
-    rayon::slice::par_sort_unstable(&mut keys);
-    let mut slots: Vec<Option<Scheduled<M>>> =
-        std::mem::take(buf).into_iter().map(Some).collect();
-    buf.reserve_exact(slots.len());
-    for &(_, _, i) in &keys {
-        if let Some(s) = slots[i as usize].take() {
-            buf.push(s);
-        }
-    }
-    debug_assert_eq!(buf.len(), slots.len(), "permutation must be total");
-}
-
-/// Backend storage (see [`QueueBackend`] for semantics).
-#[derive(Debug)]
-enum Backend<M> {
-    Heap(BinaryHeap<Reverse<Scheduled<M>>>),
-    Sharded(ShardedQueue<M>),
-}
-
-impl<M> Backend<M> {
-    fn new(kind: QueueBackend) -> Self {
-        match kind {
-            QueueBackend::Heap => Self::Heap(BinaryHeap::new()),
-            QueueBackend::Sharded => Self::Sharded(ShardedQueue::default()),
-        }
-    }
-
-    fn kind(&self) -> QueueBackend {
-        match self {
-            Self::Heap(_) => QueueBackend::Heap,
-            Self::Sharded(_) => QueueBackend::Sharded,
-        }
-    }
-
-    fn push(&mut self, s: Scheduled<M>) {
-        match self {
-            Self::Heap(h) => h.push(Reverse(s)),
-            Self::Sharded(q) => q.push(s),
-        }
-    }
-
-    fn peek(&mut self) -> Option<(u64, u64)> {
-        match self {
-            Self::Heap(h) => h.peek().map(|Reverse(s)| (s.time_us, s.seq)),
-            Self::Sharded(q) => q.peek(),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        match self {
-            Self::Heap(h) => h.pop().map(|Reverse(s)| s),
-            Self::Sharded(q) => q.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Heap(h) => h.len(),
-            Self::Sharded(q) => q.len(),
-        }
-    }
-}
 
 /// Min-queue of scheduled events with a monotone sequence counter.
 ///
@@ -314,7 +93,7 @@ impl<M> Backend<M> {
 /// determinism policy (DESIGN.md §6).
 #[derive(Debug)]
 pub struct EventQueue<M> {
-    backend: Backend<M>,
+    heap: BinaryHeap<Reverse<Scheduled<M>>>,
     next_seq: u64,
     cancelled: DetHashSet<u64>,
     /// High-water mark of `cancelled` over the queue's lifetime (diagnostic;
@@ -324,7 +103,7 @@ pub struct EventQueue<M> {
 
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
-        Self::with_backend(QueueBackend::Heap)
+        Self::from_parts(0, Vec::new(), Vec::new())
     }
 }
 
@@ -333,53 +112,14 @@ impl<M> EventQueue<M> {
         Self::default()
     }
 
-    /// An empty queue on the given backend.
-    pub fn with_backend(kind: QueueBackend) -> Self {
-        Self {
-            backend: Backend::new(kind),
-            next_seq: 0,
-            cancelled: DetHashSet::default(),
-            cancelled_hwm: 0,
-        }
-    }
-
-    /// The backend this queue executes on.
-    pub fn backend_kind(&self) -> QueueBackend {
-        self.backend.kind()
-    }
-
-    /// Switch backends in place, preserving every entry, its sequence
-    /// number, and all tombstones. O(n) moves plus the target backend's
-    /// insertion cost; the pop stream is unaffected (see module docs).
-    pub fn set_backend(&mut self, kind: QueueBackend) {
-        if kind == self.backend.kind() {
-            return;
-        }
-        let old = std::mem::replace(&mut self.backend, Backend::new(kind));
-        let entries: Vec<Scheduled<M>> = match old {
-            Backend::Heap(h) => h.into_vec().into_iter().map(|Reverse(s)| s).collect(),
-            Backend::Sharded(q) => {
-                let mut v: Vec<Scheduled<M>> = q.sealed.collect();
-                v.extend(q.overflow.into_vec().into_iter().map(|Reverse(s)| s));
-                for buf in q.future.into_values() {
-                    v.extend(buf);
-                }
-                v
-            }
-        };
-        for s in entries {
-            self.backend.push(s);
-        }
-    }
-
     pub fn push(&mut self, time_us: u64, event: EngineEvent<M>) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.backend.push(Scheduled {
+        self.heap.push(Reverse(Scheduled {
             time_us,
             seq,
             event,
-        });
+        }));
         EventHandle(seq)
     }
 
@@ -396,7 +136,7 @@ impl<M> EventQueue<M> {
             // A tombstone per live entry is the most that can ever match;
             // beyond that the set provably holds dead tombstones. Purging is
             // a pure function of queue state, so it cannot perturb replay.
-            if self.cancelled.len() > PURGE_TRIGGER.max(self.backend.len()) {
+            if self.cancelled.len() > PURGE_TRIGGER.max(self.heap.len()) {
                 self.purge_cancelled();
             }
         }
@@ -411,10 +151,7 @@ impl<M> EventQueue<M> {
         if self.cancelled.is_empty() {
             return;
         }
-        let live: DetHashSet<u64> = match &self.backend {
-            Backend::Heap(h) => h.iter().map(|Reverse(s)| s.seq).collect(),
-            Backend::Sharded(q) => q.entry_refs().map(|s| s.seq).collect(),
-        };
+        let live: DetHashSet<u64> = self.heap.iter().map(|Reverse(s)| s.seq).collect();
         self.cancelled.retain(|seq| live.contains(seq));
     }
 
@@ -431,7 +168,7 @@ impl<M> EventQueue<M> {
 
     pub fn pop(&mut self) -> Option<Scheduled<M>> {
         loop {
-            let s = self.backend.pop()?;
+            let Reverse(s) = self.heap.pop()?;
             if self.cancelled.remove(&s.seq) {
                 continue;
             }
@@ -444,9 +181,10 @@ impl<M> EventQueue<M> {
     /// never changes what a later `pop` observes.
     pub fn peek_time(&mut self) -> Option<u64> {
         loop {
-            let (time_us, seq) = self.backend.peek()?;
+            let Reverse(head) = self.heap.peek()?;
+            let (time_us, seq) = (head.time_us, head.seq);
             if self.cancelled.remove(&seq) {
-                self.backend.pop();
+                self.heap.pop();
             } else {
                 return Some(time_us);
             }
@@ -456,11 +194,11 @@ impl<M> EventQueue<M> {
     /// Scheduled entries still queued, including cancelled ones whose
     /// tombstones have not yet been collected by `pop`.
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.heap.is_empty()
     }
 
     /// The next sequence number `push` would hand out (checkpointing).
@@ -469,13 +207,10 @@ impl<M> EventQueue<M> {
     }
 
     /// Every entry still queued — uncollected tombstones included — in
-    /// canonical `(time, seq)` order, for checkpoint serialization. Backend
-    /// layout is an implementation detail; the sorted view is the state.
+    /// canonical `(time, seq)` order, for checkpoint serialization. The
+    /// heap's internal layout is not state; the sorted view is.
     pub fn entries_sorted(&self) -> Vec<&Scheduled<M>> {
-        let mut v: Vec<&Scheduled<M>> = match &self.backend {
-            Backend::Heap(h) => h.iter().map(|Reverse(s)| s).collect(),
-            Backend::Sharded(q) => q.entry_refs().collect(),
-        };
+        let mut v: Vec<&Scheduled<M>> = self.heap.iter().map(|Reverse(s)| s).collect();
         v.sort_by_key(|s| (s.time_us, s.seq));
         v
     }
@@ -487,29 +222,14 @@ impl<M> EventQueue<M> {
         v
     }
 
-    /// Rebuild a queue from checkpoint state on the default heap backend
-    /// (see [`EventQueue::from_parts_in`] to choose).
-    pub fn from_parts(next_seq: u64, entries: Vec<Scheduled<M>>, cancelled: Vec<u64>) -> Self {
-        Self::from_parts_in(QueueBackend::Heap, next_seq, entries, cancelled)
-    }
-
     /// Rebuild a queue from checkpoint state: the surviving entries (with
     /// their original sequence numbers), the uncollected tombstones, and the
-    /// sequence counter to continue from. The backend's internal layout need
-    /// not match the originating run's — `pop` always returns the unique
-    /// `(time, seq)` minimum, so replay order is identical regardless.
-    pub fn from_parts_in(
-        kind: QueueBackend,
-        next_seq: u64,
-        entries: Vec<Scheduled<M>>,
-        cancelled: Vec<u64>,
-    ) -> Self {
-        let mut backend = Backend::new(kind);
-        for s in entries {
-            backend.push(s);
-        }
+    /// sequence counter to continue from. `pop` always returns the unique
+    /// `(time, seq)` minimum, so replay order does not depend on the order
+    /// `entries` arrive in.
+    pub fn from_parts(next_seq: u64, entries: Vec<Scheduled<M>>, cancelled: Vec<u64>) -> Self {
         Self {
-            backend,
+            heap: entries.into_iter().map(Reverse).collect(),
             next_seq,
             cancelled: cancelled.into_iter().collect(),
             cancelled_hwm: 0,
@@ -537,54 +257,44 @@ mod tests {
             .collect()
     }
 
-    const BOTH: [QueueBackend; 2] = [QueueBackend::Heap, QueueBackend::Sharded];
-
     #[test]
     fn pops_in_time_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(300, timer(0, 3));
-            q.push(100, timer(0, 1));
-            q.push(200, timer(0, 2));
-            assert_eq!(drain_tags(&mut q), vec![1, 2, 3], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.push(300, timer(0, 3));
+        q.push(100, timer(0, 1));
+        q.push(200, timer(0, 2));
+        assert_eq!(drain_tags(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn equal_times_are_fifo() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            for tag in 0..10 {
-                q.push(42, timer(0, tag));
-            }
-            assert_eq!(drain_tags(&mut q), (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        for tag in 0..10 {
+            q.push(42, timer(0, tag));
         }
+        assert_eq!(drain_tags(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn len_and_empty() {
-        for kind in BOTH {
-            let mut q: EventQueue<()> = EventQueue::with_backend(kind);
-            assert!(q.is_empty());
-            q.push(1, timer(0, 0));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
+        q.push(1, timer(0, 0));
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn tie_break_is_insertion_order_even_interleaved_with_pops() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(10, timer(0, 0));
-            q.push(5, timer(0, 100));
-            assert_eq!(q.pop().unwrap().time_us, 5);
-            // Later insertions at the same time as a pending event sort after it.
-            q.push(10, timer(0, 1));
-            q.push(10, timer(0, 2));
-            assert_eq!(drain_tags(&mut q), vec![0, 1, 2], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.push(10, timer(0, 0));
+        q.push(5, timer(0, 100));
+        assert_eq!(q.pop().unwrap().time_us, 5);
+        // Later insertions at the same time as a pending event sort after it.
+        q.push(10, timer(0, 1));
+        q.push(10, timer(0, 2));
+        assert_eq!(drain_tags(&mut q), vec![0, 1, 2]);
     }
 
     #[test]
@@ -599,212 +309,82 @@ mod tests {
 
     #[test]
     fn cancelled_event_never_surfaces() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(100, timer(0, 0));
-            let h = q.push(200, timer(0, 1));
-            q.push(300, timer(0, 2));
-            assert!(q.cancel(h));
-            assert_eq!(drain_tags(&mut q), vec![0, 2], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.push(100, timer(0, 0));
+        let h = q.push(200, timer(0, 1));
+        q.push(300, timer(0, 2));
+        assert!(q.cancel(h));
+        assert_eq!(drain_tags(&mut q), vec![0, 2]);
     }
 
     #[test]
     fn cancel_is_idempotent() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            let h = q.push(1, timer(0, 0));
-            assert!(q.cancel(h));
-            assert!(!q.cancel(h), "second cancel of the same handle is a no-op");
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        let h = q.push(1, timer(0, 0));
+        assert!(q.cancel(h));
+        assert!(!q.cancel(h), "second cancel of the same handle is a no-op");
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn cancel_after_fire_is_benign() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            let h = q.push(1, timer(0, 0));
-            q.pop().unwrap();
-            q.cancel(h); // tombstone for an already-popped seq can never match
-            q.push(2, timer(0, 1));
-            assert!(q.pop().is_some(), "later events are unaffected");
-        }
+        let mut q = EventQueue::new();
+        let h = q.push(1, timer(0, 0));
+        q.pop().unwrap();
+        q.cancel(h); // tombstone for an already-popped seq can never match
+        q.push(2, timer(0, 1));
+        assert!(q.pop().is_some(), "later events are unaffected");
     }
 
     #[test]
     fn peek_time_matches_pop_and_collects_tombstones() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            let h = q.push(100, timer(0, 0));
-            q.push(200, timer(0, 1));
-            q.cancel(h);
-            assert_eq!(q.peek_time(), Some(200), "tombstoned head is skipped");
-            assert_eq!(q.pop().unwrap().time_us, 200);
-            assert_eq!(q.peek_time(), None);
-        }
+        let mut q = EventQueue::new();
+        let h = q.push(100, timer(0, 0));
+        q.push(200, timer(0, 1));
+        q.cancel(h);
+        assert_eq!(q.peek_time(), Some(200), "tombstoned head is skipped");
+        assert_eq!(q.pop().unwrap().time_us, 200);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn from_parts_replays_identically() {
-        for src in BOTH {
-            for dst in BOTH {
-                let mut q = EventQueue::with_backend(src);
-                q.push(300, timer(0, 3));
-                q.push(100, timer(0, 1));
-                let h = q.push(200, timer(0, 2));
-                q.cancel(h);
-                let entries: Vec<Scheduled<()>> = q
-                    .entries_sorted()
-                    .into_iter()
-                    .map(|s| Scheduled {
-                        time_us: s.time_us,
-                        seq: s.seq,
-                        event: s.event.clone(),
-                    })
-                    .collect();
-                let mut rebuilt =
-                    EventQueue::from_parts_in(dst, q.next_seq(), entries, q.cancelled_sorted());
-                assert_eq!(rebuilt.backend_kind(), dst);
-                assert_eq!(rebuilt.next_seq(), q.next_seq());
-                assert_eq!(rebuilt.len(), q.len());
-                loop {
-                    match (q.pop(), rebuilt.pop()) {
-                        (None, None) => break,
-                        (a, b) => assert_eq!(
-                            a.map(|s| (s.time_us, s.seq)),
-                            b.map(|s| (s.time_us, s.seq))
-                        ),
-                    }
-                }
+        let mut q = EventQueue::new();
+        q.push(300, timer(0, 3));
+        q.push(100, timer(0, 1));
+        let h = q.push(200, timer(0, 2));
+        q.cancel(h);
+        let entries: Vec<Scheduled<()>> = q
+            .entries_sorted()
+            .into_iter()
+            .map(|s| Scheduled {
+                time_us: s.time_us,
+                seq: s.seq,
+                event: s.event.clone(),
+            })
+            .collect();
+        let mut rebuilt = EventQueue::from_parts(q.next_seq(), entries, q.cancelled_sorted());
+        assert_eq!(rebuilt.next_seq(), q.next_seq());
+        assert_eq!(rebuilt.len(), q.len());
+        loop {
+            match (q.pop(), rebuilt.pop()) {
+                (None, None) => break,
+                (a, b) => assert_eq!(
+                    a.map(|s| (s.time_us, s.seq)),
+                    b.map(|s| (s.time_us, s.seq))
+                ),
             }
         }
     }
 
     #[test]
     fn cancelling_head_does_not_reorder_survivors() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            let h = q.push(10, timer(0, 0));
-            q.push(10, timer(0, 1));
-            q.push(10, timer(0, 2));
-            q.cancel(h);
-            assert_eq!(drain_tags(&mut q), vec![1, 2], "{kind:?}");
-        }
-    }
-
-    // --- sharded-backend specifics ------------------------------------
-
-    /// Window boundaries: events in far-apart windows interleaved with
-    /// same-window pushes after a seal still pop in global order.
-    #[test]
-    fn sharded_pops_across_window_boundaries() {
-        let w = 1u64 << WINDOW_SHIFT;
-        let mut q = EventQueue::with_backend(QueueBackend::Sharded);
-        q.push(3 * w + 5, timer(0, 30));
-        q.push(7, timer(0, 1));
-        q.push(w + 1, timer(0, 10));
-        assert_eq!(q.pop().unwrap().time_us, 7);
-        // After popping into window 0, push into the *current* window and a
-        // past time — both must surface before the future windows.
-        q.push(9, timer(0, 2));
-        assert_eq!(drain_tags(&mut q), vec![2, 10, 30]);
-    }
-
-    /// Randomized differential test: an LCG-driven op mix (pushes across
-    /// many windows, interleaved pops, cancels of random handles) applied
-    /// to both backends yields identical pop streams.
-    #[test]
-    fn sharded_and_heap_pop_streams_are_identical() {
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut shard = EventQueue::with_backend(QueueBackend::Sharded);
-        let mut handles: Vec<EventHandle> = Vec::new();
-        let mut popped: Vec<(u64, u64)> = Vec::new();
-        let mut x: u64 = 0xDEAD_BEEF_CAFE_1234;
-        let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x
-        };
-        let mut clock = 0u64;
-        for step in 0..20_000u64 {
-            match rng() % 10 {
-                0..=5 => {
-                    // Push at a time spread over ±several windows ahead of
-                    // the last popped time (never behind it, like a real sim).
-                    let t = clock + rng() % (1 << (WINDOW_SHIFT + 2));
-                    let ha = heap.push(t, timer(0, step));
-                    let hb = shard.push(t, timer(0, step));
-                    assert_eq!(ha, hb);
-                    handles.push(ha);
-                }
-                6..=7 => {
-                    let a = heap.pop().map(|s| (s.time_us, s.seq));
-                    let b = shard.pop().map(|s| (s.time_us, s.seq));
-                    assert_eq!(a, b, "pop streams diverged at step {step}");
-                    if let Some((t, seq)) = a {
-                        clock = clock.max(t);
-                        popped.push((t, seq));
-                    }
-                }
-                8 => {
-                    if !handles.is_empty() {
-                        let h = handles[(rng() % handles.len() as u64) as usize];
-                        assert_eq!(heap.cancel(h), shard.cancel(h));
-                    }
-                }
-                _ => {
-                    assert_eq!(heap.peek_time(), shard.peek_time());
-                }
-            }
-        }
-        loop {
-            let a = heap.pop().map(|s| (s.time_us, s.seq));
-            let b = shard.pop().map(|s| (s.time_us, s.seq));
-            assert_eq!(a, b);
-            if let Some(p) = a {
-                popped.push(p);
-            } else {
-                break;
-            }
-        }
-        assert!(popped.windows(2).all(|w| w[0] < w[1]), "global order");
-        assert!(!popped.is_empty());
-    }
-
-    /// Switching backends mid-stream (tombstones pending, windows open)
-    /// changes nothing observable.
-    #[test]
-    fn set_backend_mid_stream_preserves_order_and_tombstones() {
-        for (src, dst) in [
-            (QueueBackend::Heap, QueueBackend::Sharded),
-            (QueueBackend::Sharded, QueueBackend::Heap),
-        ] {
-            let mut q = EventQueue::with_backend(src);
-            let w = 1u64 << WINDOW_SHIFT;
-            for i in 0..100u64 {
-                q.push(i * w / 10, timer(0, i));
-            }
-            let h = q.push(w / 2, timer(0, 1000));
-            q.cancel(h);
-            let head = q.pop().map(|s| s.seq);
-            q.set_backend(dst);
-            assert_eq!(q.backend_kind(), dst);
-            let mut reference = EventQueue::with_backend(src);
-            for i in 0..100u64 {
-                reference.push(i * w / 10, timer(0, i));
-            }
-            let h2 = reference.push(w / 2, timer(0, 1000));
-            reference.cancel(h2);
-            assert_eq!(reference.pop().map(|s| s.seq), head);
-            loop {
-                let a = q.pop().map(|s| s.seq);
-                let b = reference.pop().map(|s| s.seq);
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
+        let mut q = EventQueue::new();
+        let h = q.push(10, timer(0, 0));
+        q.push(10, timer(0, 1));
+        q.push(10, timer(0, 2));
+        q.cancel(h);
+        assert_eq!(drain_tags(&mut q), vec![1, 2]);
     }
 
     // --- tombstone purging (regression: unbounded cancel-after-fire) ---
@@ -816,21 +396,19 @@ mod tests {
     /// the auto-purge trigger.
     #[test]
     fn cancel_after_fire_tombstones_are_purged() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_backend(kind);
-            for i in 0..10_000u64 {
-                let h = q.push(i, timer(0, i));
-                let fired = q.pop().expect("just pushed");
-                assert_eq!(fired.seq, h.raw());
-                q.cancel(h); // cancel-after-fire: tombstone can never match
-            }
-            assert!(
-                q.cancelled_hwm() <= PURGE_TRIGGER + 1,
-                "{kind:?}: hwm {} must stay pinned at the purge trigger",
-                q.cancelled_hwm()
-            );
-            assert!(q.cancelled_len() <= PURGE_TRIGGER + 1);
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            let h = q.push(i, timer(0, i));
+            let fired = q.pop().expect("just pushed");
+            assert_eq!(fired.seq, h.raw());
+            q.cancel(h); // cancel-after-fire: tombstone can never match
         }
+        assert!(
+            q.cancelled_hwm() <= PURGE_TRIGGER + 1,
+            "hwm {} must stay pinned at the purge trigger",
+            q.cancelled_hwm()
+        );
+        assert!(q.cancelled_len() <= PURGE_TRIGGER + 1);
     }
 
     /// Live tombstones (cancelled entries still queued) survive a purge;
@@ -839,7 +417,7 @@ mod tests {
     /// to the live set, while the entry list is untouched.
     #[test]
     fn purge_keeps_live_tombstones_and_shrinks_checkpoint_state() {
-        let mut q = EventQueue::with_backend(QueueBackend::Heap);
+        let mut q = EventQueue::new();
         // 3 live cancelled entries…
         let live: Vec<EventHandle> = (0..3).map(|i| q.push(1000 + i, timer(0, i))).collect();
         // …and 200 cancel-after-fire tombstones (dead).
@@ -868,56 +446,23 @@ mod tests {
     /// tombstone matching are identical with and without it.
     #[test]
     fn purge_is_behaviorally_invisible() {
-        for kind in BOTH {
-            let build = || {
-                let mut q = EventQueue::with_backend(kind);
-                let mut cancels = Vec::new();
-                for i in 0..50u64 {
-                    let h = q.push(i * 7 % 40, timer(0, i));
-                    if i % 3 == 0 {
-                        cancels.push(h);
-                    }
-                }
-                for h in cancels {
-                    q.cancel(h);
-                }
-                q
-            };
-            let mut plain = build();
-            let mut purged = build();
-            purged.purge_cancelled();
-            assert_eq!(drain_tags(&mut plain), drain_tags(&mut purged), "{kind:?}");
-        }
-    }
-
-    /// The parallel seal path (large window buffer + multi-worker pool)
-    /// sorts identically to the serial path.
-    #[test]
-    fn parallel_seal_matches_serial_order() {
         let build = || {
-            let mut q = EventQueue::with_backend(QueueBackend::Sharded);
-            let w = 1u64 << WINDOW_SHIFT;
-            let mut x: u64 = 99;
-            for i in 0..(PAR_SEAL_MIN as u64 + 500) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                // All into one far-future window so one seal sorts them all.
-                q.push(3 * w + (x % w), timer(0, i));
+            let mut q = EventQueue::new();
+            let mut cancels = Vec::new();
+            for i in 0..50u64 {
+                let h = q.push(i * 7 % 40, timer(0, i));
+                if i % 3 == 0 {
+                    cancels.push(h);
+                }
+            }
+            for h in cancels {
+                q.cancel(h);
             }
             q
         };
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build()
-            .unwrap_or_else(|e| panic!("pool: {e}"));
-        let par: Vec<(u64, u64)> = pool.install(|| {
-            let mut q = build();
-            std::iter::from_fn(|| q.pop()).map(|s| (s.time_us, s.seq)).collect()
-        });
-        let serial_pool = rayon::ThreadPoolBuilder::new().num_threads(1).build()
-            .unwrap_or_else(|e| panic!("pool: {e}"));
-        let ser: Vec<(u64, u64)> = serial_pool.install(|| {
-            let mut q = build();
-            std::iter::from_fn(|| q.pop()).map(|s| (s.time_us, s.seq)).collect()
-        });
-        assert_eq!(par, ser);
-        assert!(ser.windows(2).all(|w| w[0] < w[1]));
+        let mut plain = build();
+        let mut purged = build();
+        purged.purge_cancelled();
+        assert_eq!(drain_tags(&mut plain), drain_tags(&mut purged));
     }
 }

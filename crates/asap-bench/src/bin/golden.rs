@@ -1,6 +1,6 @@
 //! Regenerate or verify the committed replay-digest golden files.
 //!
-//! Six files are pinned: `golden/replay_tiny.txt` (the fault-free matrix —
+//! Seven files are pinned: `golden/replay_tiny.txt` (the fault-free matrix —
 //! the paper's perfect network), `golden/replay_tiny_lossy.txt` (the same
 //! matrix under the `lossy` fault profile with protocol retries enabled),
 //! one `golden/replay_tiny_<scenario>.txt` per robustness scenario pack
@@ -8,7 +8,10 @@
 //! `asap_bench::scenario`), and `golden/resume_tiny.txt` (tier 9: every
 //! honest cell plus one lossy and one spam10 cell checkpointed and resumed
 //! at three split points; `--check` additionally demands each resumed digest
-//! equal its uninterrupted run's digest bit-for-bit).
+//! equal its uninterrupted run's digest bit-for-bit) and
+//! `golden/ckpt_tiny.txt` (the length and FNV-1a 64 of each of those cells'
+//! serialized s2 checkpoint: the `VERSION = 1` bytes, not only what a
+//! resumed run computes from them).
 //!
 //! * `cargo run -p asap-bench --bin golden` — replay both golden matrices
 //!   and rewrite the files. Run after an *intentional* behavior change and
@@ -25,9 +28,9 @@ use std::process::ExitCode;
 
 use asap_bench::faults::FaultProfile;
 use asap_bench::harness::{
-    cell_to_record, diff_golden, golden_lines, golden_world, replay_matrix, replay_spec,
-    resume_golden_lines, resume_matrix_records, scenario_spec, ReplayRecord, ResumeRecord,
-    GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS, RESUME_KEY_COLS,
+    cell_to_record, ckpt_golden_lines, diff_golden, golden_lines, golden_world, replay_matrix,
+    replay_spec, resume_golden_lines, resume_matrix_records, scenario_spec, ReplayRecord,
+    ResumeRecord, CKPT_KEY_COLS, GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS, RESUME_KEY_COLS,
 };
 use asap_bench::runner::{RunSpec, World};
 use asap_bench::scenario::ScenarioPack;
@@ -229,6 +232,8 @@ fn main() -> ExitCode {
         let fresh = resume_golden_lines(&records);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/resume_tiny.txt");
         ok &= pin(path, &fresh, check, RESUME_KEY_COLS);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/ckpt_tiny.txt");
+        ok &= pin(path, &ckpt_golden_lines(&records), check, CKPT_KEY_COLS);
     }
     if ok {
         ExitCode::SUCCESS

@@ -242,6 +242,9 @@ pub struct ResumeRecord {
     /// `digest == cold_digest` for every record; the golden `--check` mode
     /// and the tier-9 spot check both verify it.
     pub cold_digest: u64,
+    /// `(length, FNV-1a 64)` of the serialized checkpoint the run resumed
+    /// from — what `golden/ckpt_tiny.txt` pins at s2.
+    pub checkpoint: (usize, u64),
 }
 
 /// Replay one resume cell: one uninterrupted audited run for the reference
@@ -260,6 +263,7 @@ pub fn replay_resume_cell(world: &World, cell: ResumeCell) -> Vec<ResumeRecord> 
                 split_us,
                 digest: cell_to_record(&resumed).digest,
                 cold_digest,
+                checkpoint: resumed.checkpoint.expect("split runs resume from a checkpoint"),
             }
         })
         .collect()
@@ -313,6 +317,35 @@ pub fn resume_golden_lines(records: &[ResumeRecord]) -> String {
 
 /// Key width of a resume golden line (`overlay algo variant sK`).
 pub const RESUME_KEY_COLS: usize = 4;
+
+/// The split point whose checkpoint *bytes* `golden/ckpt_tiny.txt` pins.
+pub const CKPT_PIN_SPLIT: u64 = 2;
+
+/// Serialize the checkpoint-format fixture: one `overlay algo variant len
+/// fnv64` line per resume cell at split [`CKPT_PIN_SPLIT`]. The resume file
+/// pins what a resumed run computes; this one pins the `VERSION = 1` bytes
+/// themselves, so a codec change that reinterprets the format fails here
+/// even if it round-trips with itself.
+pub fn ckpt_golden_lines(records: &[ResumeRecord]) -> String {
+    let mut out = format!(
+        "# checkpoint bytes: scale=tiny seed={GOLDEN_SEED} split=s{CKPT_PIN_SPLIT} (format VERSION 1)\n\
+         # overlay algo variant len fnv64\n"
+    );
+    for r in records.iter().filter(|r| r.split_index == CKPT_PIN_SPLIT) {
+        out.push_str(&format!(
+            "{} {} {} {} {:016x}\n",
+            r.cell.overlay.label(),
+            r.cell.algo.label(),
+            r.cell.variant.label(),
+            r.checkpoint.0,
+            r.checkpoint.1
+        ));
+    }
+    out
+}
+
+/// Key width of a checkpoint-bytes golden line (`overlay algo variant`).
+pub const CKPT_KEY_COLS: usize = 3;
 
 /// Key width of a replay golden line (`overlay algo`).
 pub const REPLAY_KEY_COLS: usize = 2;

@@ -212,6 +212,9 @@ pub struct CellReport {
     pub trace: Option<Recorder>,
     /// Event-loop phase counters and queue high-water marks (always on).
     pub profile: EngineProfile,
+    /// `(length, FNV-1a 64)` of the checkpoint bytes a [`run_cell_split`]
+    /// run resumed from; `None` for an uninterrupted run.
+    pub checkpoint: Option<(usize, u64)>,
 }
 
 /// Run one cell under a [`RunSpec`]: the single configuration point shared
@@ -273,7 +276,7 @@ fn drive<P: CheckpointProtocol>(
     spec: &RunSpec,
     split_us: Option<u64>,
     make: impl Fn() -> P,
-) -> SimReport<P> {
+) -> (SimReport<P>, Option<(usize, u64)>) {
     let peers = world.scale.peers();
     let b = apply_spec(
         Simulation::builder(
@@ -288,7 +291,7 @@ fn drive<P: CheckpointProtocol>(
         peers,
     );
     let Some(split_us) = split_us else {
-        return b.run();
+        return (b.run(), None);
     };
     let mut sim = b.build();
     sim.run_until(split_us);
@@ -297,6 +300,9 @@ fn drive<P: CheckpointProtocol>(
     let ckpt = Checkpoint::from_bytes(sim.checkpoint().into_bytes())
         .expect("a freshly taken checkpoint always re-parses");
     drop(sim);
+    let mut sum = Fnv64::new();
+    sum.write_bytes(ckpt.as_bytes());
+    let pin = (ckpt.as_bytes().len(), sum.finish());
     let mut fresh = Simulation::builder(
         &world.phys,
         &world.workload,
@@ -311,10 +317,11 @@ fn drive<P: CheckpointProtocol>(
     if let Some(tc) = spec.trace {
         fresh = fresh.trace(Box::new(Recorder::new(tc)));
     }
-    fresh
+    let report = fresh
         .from_checkpoint(&ckpt)
         .expect("resume world matches the checkpointed world")
-        .run()
+        .run();
+    (report, Some(pin))
 }
 
 fn run_cell_exec(
@@ -384,7 +391,7 @@ fn run_cell_exec(
                     )
                 }
             });
-            let stats = report.protocol.stats.clone();
+            let stats = report.0.protocol.stats.clone();
             finish(algo, overlay_kind, scale, report, Some(stats))
         }
     }
@@ -394,7 +401,7 @@ fn finish<P>(
     algo: AlgoKind,
     overlay: OverlayKind,
     scale: Scale,
-    mut report: SimReport<P>,
+    (mut report, checkpoint): (SimReport<P>, Option<(usize, u64)>),
     asap_stats: Option<asap_core::protocol::AsapStats>,
 ) -> CellReport {
     // Surface clamped scale knobs as run metadata so the summary (and any
@@ -444,6 +451,7 @@ fn finish<P>(
         audit: report.audit,
         trace,
         profile: report.profile,
+        checkpoint,
     }
 }
 

@@ -3,7 +3,9 @@
 //! The full 20-cell × 3-split resume matrix is verified by
 //! `cargo run -p asap-bench --bin golden -- --check` (CI's checkpoint-smoke
 //! job); this suite keeps the `cargo test -q` cost at two cells × one split
-//! each, pinned against the committed `golden/resume_tiny.txt`.
+//! each, pinned against the committed `golden/resume_tiny.txt` (what the
+//! resumed run computes) and `golden/ckpt_tiny.txt` (the checkpoint bytes it
+//! resumed from: the `VERSION = 1` format itself).
 
 use asap_bench::harness::{golden_world, ResumeCell, ResumeVariant, RESUME_SPLITS};
 use asap_bench::runner::{run_cell_spec, run_cell_split, World};
@@ -11,6 +13,7 @@ use asap_bench::AlgoKind;
 use asap_overlay::OverlayKind;
 
 const RESUME_GOLDEN: &str = include_str!("../golden/resume_tiny.txt");
+const CKPT_GOLDEN: &str = include_str!("../golden/ckpt_tiny.txt");
 
 /// Parse the resume fixture: `overlay algo variant sK split_us digest`.
 fn parse_resume(text: &str) -> Vec<(String, String, String, u64, u64, u64)> {
@@ -70,6 +73,19 @@ fn spot_check(world: &World, cell: ResumeCell) {
          change is intentional, regenerate with \
          `cargo run -p asap-bench --bin golden`"
     );
+    // The bytes, not only what resuming from them computes.
+    let (len, fnv) = resumed.checkpoint.expect("split runs resume from a checkpoint");
+    let pinned = format!(
+        "{} {} {} {len} {fnv:016x}",
+        cell.overlay.label(),
+        cell.algo.label(),
+        cell.variant.label()
+    );
+    assert!(
+        CKPT_GOLDEN.lines().any(|l| l == pinned),
+        "checkpoint bytes drifted from golden/ckpt_tiny.txt: computed `{pinned}` — \
+         VERSION 1 bytes must never be reinterpreted (DESIGN.md §6d)"
+    );
 }
 
 #[test]
@@ -79,6 +95,9 @@ fn resume_golden_covers_full_matrix() {
     assert_eq!(golden.iter().filter(|r| r.2 == "honest").count(), 54);
     assert_eq!(golden.iter().filter(|r| r.2 == "lossy").count(), 3);
     assert_eq!(golden.iter().filter(|r| r.2 == "spam10").count(), 3);
+    // One checkpoint-bytes line per cell.
+    let pinned = CKPT_GOLDEN.lines().filter(|l| !l.starts_with('#') && !l.is_empty());
+    assert_eq!(pinned.count(), 20);
 }
 
 #[test]

@@ -20,6 +20,7 @@
 //! queries identically on every other node (the paper's "set of universal
 //! hash functions all nodes agree on").
 
+pub mod codec;
 pub mod encoding;
 pub mod filter;
 pub mod hashing;

@@ -1,4 +1,5 @@
-//! Checkpoint codec for the ASAP protocol ([`CheckpointProtocol`]).
+//! Checkpoint codec for the ASAP protocol ([`CheckpointProtocol`]), and —
+//! through [`AsapMsg`]'s field list — the payload of its `asap-net` frames.
 //!
 //! Static configuration ([`crate::AsapConfig`]) and the keyword hash table
 //! (derived from the content model) are never serialized — the resume caller
@@ -13,677 +14,175 @@
 //! whose *insertion* order is behaviorally meaningful and serialized
 //! verbatim), so encode → decode → re-encode is byte-identical.
 //!
-//! Bloom filters carry their [`BloomParams`] inline (`bits`, `hashes`, then
-//! the words or counts), making every filter self-describing: message decode
-//! is an associated function without access to the protocol config.
+//! Bloom filters carry their [`asap_bloom::BloomParams`] inline (`bits`,
+//! `hashes`, then the words or counts), making every filter
+//! self-describing: a message decodes without access to the protocol config.
 //!
 //! `Rc` aliasing is *not* preserved: a filter shared by fifty caches
 //! serializes fifty times and decodes into fifty allocations. Behavior only
 //! depends on filter values, so digests are unaffected; only resumed-run
 //! memory footprints differ.
-//!
-//! The hierarchical [`crate::SuperAsap`] variant is deliberately *not*
-//! checkpointable: it is a demonstration deployment outside the pinned
-//! golden matrix, and growing it a codec would double this module for no
-//! replay coverage.
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
-use crate::protocol::{Asap, NodeState, ReAdvert};
+use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
 use crate::repository::{AdRepository, CachedAd};
 use crate::search::{PendingSearch, Phase};
-use asap_bloom::{BloomFilter, BloomParams, CountingBloom, FilterPatch};
 use asap_overlay::PeerId;
-use asap_sim::checkpoint::{CheckpointProtocol, CodecError, Decoder, Encoder};
-use asap_sim::collections::{DetHashMap, DetHashSet};
-use asap_sim::util::{Backoff, SeenTracker};
-use asap_sim::NodeTable;
-use asap_workload::{InterestSet, KeywordId};
-use std::rc::Rc;
+use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
+use asap_sim::{codec_enum, codec_struct, NodeTable};
+use asap_workload::InterestSet;
 
-// ---------------------------------------------------------------------------
-// Primitive pieces
-// ---------------------------------------------------------------------------
+// --- messages ---------------------------------------------------------------
 
-fn encode_terms(terms: &Rc<[KeywordId]>, enc: &mut Encoder) {
-    enc.put_len(terms.len());
-    for t in terms.iter() {
-        enc.put_u32(t.0);
-    }
-}
+codec_struct!(AdSnapshot { source, topics, version, filter });
+codec_enum!(Forwarding {
+    0 => Direct,
+    1 => Flood { ttl },
+    2 => Walk { budget },
+    3 => Gsa { budget },
+});
+codec_enum!(AdPayload {
+    0 => Full(snap),
+    1 => Patch { source, topics, version, patch, result },
+    2 => Refresh { source, topics, version },
+});
+codec_enum!(AsapMsg {
+    0 => Ad { payload, fwd, delivery },
+    1 => FullAdFetch,
+    2 => AdsRequest { requester, interests, hops, query, terms },
+    3 => AdsReply { ads, query },
+    4 => Confirm { query, requester, terms },
+    5 => ConfirmReply { query, results },
+});
 
-fn decode_terms(dec: &mut Decoder<'_>) -> Result<Rc<[KeywordId]>, CodecError> {
-    let n = dec.get_count()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(KeywordId(dec.get_u32()?));
-    }
-    Ok(v.into())
-}
+// --- per-node and per-search state ------------------------------------------
 
-fn encode_backoff(b: &Backoff, enc: &mut Encoder) {
-    let (delay_us, cap_us, remaining) = b.raw_parts();
-    enc.put_u64(delay_us);
-    enc.put_u64(cap_us);
-    enc.put_u32(remaining);
-}
+codec_struct!(CachedAd { topics, version, filter, last_used_us, last_refreshed_us, stale });
+codec_struct!(ReAdvert { baseline_fetches, backoff });
+codec_enum!(Phase { 0 => Confirming, 1 => Fallback });
+codec_struct!(AsapStats {
+    local_lookup_hits, fallback_rounds, confirms_sent, confirms_positive, confirms_negative,
+    repair_fetches, full_deliveries, patch_deliveries, refresh_deliveries,
+});
 
-fn decode_backoff(dec: &mut Decoder<'_>) -> Result<Backoff, CodecError> {
-    let delay_us = dec.get_u64()?;
-    let cap_us = dec.get_u64()?;
-    let remaining = dec.get_u32()?;
-    Ok(Backoff::from_raw_parts(delay_us, cap_us, remaining))
-}
-
-fn decode_params(dec: &mut Decoder<'_>) -> Result<BloomParams, CodecError> {
-    let bits = dec.get_u32()?;
-    let hashes = dec.get_u32()?;
-    if bits == 0 || hashes == 0 {
-        return Err(CodecError::Invalid("degenerate bloom params"));
-    }
-    Ok(BloomParams { bits, hashes })
-}
-
-fn encode_filter(filter: &BloomFilter, enc: &mut Encoder) {
-    let params = filter.params();
-    enc.put_u32(params.bits);
-    enc.put_u32(params.hashes);
-    let words = filter.words();
-    enc.put_len(words.len());
-    for &w in words {
-        enc.put_u64(w);
-    }
-}
-
-fn decode_filter(dec: &mut Decoder<'_>) -> Result<BloomFilter, CodecError> {
-    let params = decode_params(dec)?;
-    let n = dec.get_count()?;
-    let mut words = Vec::with_capacity(n);
-    for _ in 0..n {
-        words.push(dec.get_u64()?);
-    }
-    BloomFilter::from_words(params, words).ok_or(CodecError::Invalid("bloom filter words"))
-}
-
-fn encode_counting(filter: &CountingBloom, enc: &mut Encoder) {
-    let params = filter.params();
-    enc.put_u32(params.bits);
-    enc.put_u32(params.hashes);
-    let counts = filter.counts();
-    enc.put_len(counts.len());
-    for &c in counts {
-        enc.put_u16(c);
-    }
-}
-
-fn decode_counting(dec: &mut Decoder<'_>) -> Result<CountingBloom, CodecError> {
-    let params = decode_params(dec)?;
-    let n = dec.get_count()?;
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts.push(dec.get_u16()?);
-    }
-    CountingBloom::from_counts(params, counts).ok_or(CodecError::Invalid("counting bloom counts"))
-}
-
-fn encode_snapshot(snap: &AdSnapshot, enc: &mut Encoder) {
-    enc.put_u32(snap.source.0);
-    enc.put_u16(snap.topics.0);
-    enc.put_u16(snap.version);
-    encode_filter(&snap.filter, enc);
-}
-
-fn decode_snapshot(dec: &mut Decoder<'_>) -> Result<AdSnapshot, CodecError> {
-    Ok(AdSnapshot {
-        source: PeerId(dec.get_u32()?),
-        topics: InterestSet(dec.get_u16()?),
-        version: dec.get_u16()?,
-        filter: Rc::new(decode_filter(dec)?),
-    })
-}
-
-fn encode_patch(patch: &FilterPatch, enc: &mut Encoder) {
-    enc.put_len(patch.set.len());
-    for &b in &patch.set {
-        enc.put_u32(b);
-    }
-    enc.put_len(patch.cleared.len());
-    for &b in &patch.cleared {
-        enc.put_u32(b);
-    }
-}
-
-fn decode_patch(dec: &mut Decoder<'_>) -> Result<FilterPatch, CodecError> {
-    let mut patch = FilterPatch::default();
-    let n = dec.get_count()?;
-    for _ in 0..n {
-        patch.set.push(dec.get_u32()?);
-    }
-    let n = dec.get_count()?;
-    for _ in 0..n {
-        patch.cleared.push(dec.get_u32()?);
-    }
-    Ok(patch)
-}
-
-fn encode_fwd(fwd: Forwarding, enc: &mut Encoder) {
-    match fwd {
-        Forwarding::Direct => enc.put_u8(0),
-        Forwarding::Flood { ttl } => {
-            enc.put_u8(1);
-            enc.put_u8(ttl);
-        }
-        Forwarding::Walk { budget } => {
-            enc.put_u8(2);
-            enc.put_u32(budget);
-        }
-        Forwarding::Gsa { budget } => {
-            enc.put_u8(3);
-            enc.put_u32(budget);
+// Hand-written: entries go back through `from_entries` (sorted, unique by
+// source). The capacity is configuration, not state: the decoded repository
+// is exactly full until `decode_state` calls `restore_capacity`.
+impl Codec for AdRepository {
+    fn put(&self, enc: &mut Encoder) {
+        enc.put_len(self.len());
+        for (source, ad) in self.iter() {
+            source.put(enc);
+            ad.put(enc);
         }
     }
-}
-
-fn decode_fwd(dec: &mut Decoder<'_>) -> Result<Forwarding, CodecError> {
-    match dec.get_u8()? {
-        0 => Ok(Forwarding::Direct),
-        1 => Ok(Forwarding::Flood { ttl: dec.get_u8()? }),
-        2 => Ok(Forwarding::Walk {
-            budget: dec.get_u32()?,
-        }),
-        3 => Ok(Forwarding::Gsa {
-            budget: dec.get_u32()?,
-        }),
-        _ => Err(CodecError::BadTag),
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let entries: Vec<(PeerId, CachedAd)> = Codec::pull(dec)?;
+        Self::from_entries(entries.len().max(1), entries)
+            .ok_or(CodecError::Invalid("ad repository entries"))
     }
 }
 
-fn encode_payload(payload: &AdPayload, enc: &mut Encoder) {
-    match payload {
-        AdPayload::Full(snap) => {
-            enc.put_u8(0);
-            encode_snapshot(snap, enc);
-        }
-        AdPayload::Patch {
-            source,
-            topics,
-            version,
-            patch,
-            result,
-        } => {
-            enc.put_u8(1);
-            enc.put_u32(source.0);
-            enc.put_u16(topics.0);
-            enc.put_u16(*version);
-            encode_patch(patch, enc);
-            encode_filter(result, enc);
-        }
-        AdPayload::Refresh {
-            source,
-            topics,
-            version,
-        } => {
-            enc.put_u8(2);
-            enc.put_u32(source.0);
-            enc.put_u16(topics.0);
-            enc.put_u16(*version);
-        }
+// Hand-written: `snapshot` is not serialized — it is invariantly the
+// filter's current snapshot (audit_invariants checks exactly this) and is
+// rebuilt via `CountingBloom::snapshot_rc`.
+impl Codec for NodeState {
+    fn put(&self, enc: &mut Encoder) {
+        self.filter.put(enc);
+        self.version.put(enc);
+        self.repo.put(enc);
+        self.fetching.put(enc);
+        self.fetch_backoff.put(enc);
+        self.fetches_served.put(enc);
+        self.readvert.put(enc);
     }
-}
-
-fn decode_payload(dec: &mut Decoder<'_>) -> Result<AdPayload, CodecError> {
-    match dec.get_u8()? {
-        0 => Ok(AdPayload::Full(decode_snapshot(dec)?)),
-        1 => Ok(AdPayload::Patch {
-            source: PeerId(dec.get_u32()?),
-            topics: InterestSet(dec.get_u16()?),
-            version: dec.get_u16()?,
-            patch: Rc::new(decode_patch(dec)?),
-            result: Rc::new(decode_filter(dec)?),
-        }),
-        2 => Ok(AdPayload::Refresh {
-            source: PeerId(dec.get_u32()?),
-            topics: InterestSet(dec.get_u16()?),
-            version: dec.get_u16()?,
-        }),
-        _ => Err(CodecError::BadTag),
-    }
-}
-
-fn encode_asap_msg(msg: &AsapMsg, enc: &mut Encoder) {
-    match msg {
-        AsapMsg::Ad {
-            payload,
-            fwd,
-            delivery,
-        } => {
-            enc.put_u8(0);
-            encode_payload(payload, enc);
-            encode_fwd(*fwd, enc);
-            enc.put_u64(*delivery);
-        }
-        AsapMsg::FullAdFetch => enc.put_u8(1),
-        AsapMsg::AdsRequest {
-            requester,
-            interests,
-            hops,
-            query,
-            terms,
-        } => {
-            enc.put_u8(2);
-            enc.put_u32(requester.0);
-            enc.put_u16(interests.0);
-            enc.put_u8(*hops);
-            match query {
-                Some(q) => {
-                    enc.put_bool(true);
-                    enc.put_u32(*q);
-                }
-                None => enc.put_bool(false),
-            }
-            match terms {
-                Some(t) => {
-                    enc.put_bool(true);
-                    encode_terms(t, enc);
-                }
-                None => enc.put_bool(false),
-            }
-        }
-        AsapMsg::AdsReply { ads, query } => {
-            enc.put_u8(3);
-            enc.put_len(ads.len());
-            for snap in ads {
-                encode_snapshot(snap, enc);
-            }
-            match query {
-                Some(q) => {
-                    enc.put_bool(true);
-                    enc.put_u32(*q);
-                }
-                None => enc.put_bool(false),
-            }
-        }
-        AsapMsg::Confirm {
-            query,
-            requester,
-            terms,
-        } => {
-            enc.put_u8(4);
-            enc.put_u32(*query);
-            enc.put_u32(requester.0);
-            encode_terms(terms, enc);
-        }
-        AsapMsg::ConfirmReply { query, results } => {
-            enc.put_u8(5);
-            enc.put_u32(*query);
-            enc.put_u32(*results);
-        }
-    }
-}
-
-fn decode_asap_msg(dec: &mut Decoder<'_>) -> Result<AsapMsg, CodecError> {
-    match dec.get_u8()? {
-        0 => Ok(AsapMsg::Ad {
-            payload: decode_payload(dec)?,
-            fwd: decode_fwd(dec)?,
-            delivery: dec.get_u64()?,
-        }),
-        1 => Ok(AsapMsg::FullAdFetch),
-        2 => {
-            let requester = PeerId(dec.get_u32()?);
-            let interests = InterestSet(dec.get_u16()?);
-            let hops = dec.get_u8()?;
-            let query = if dec.get_bool()? {
-                Some(dec.get_u32()?)
-            } else {
-                None
-            };
-            let terms = if dec.get_bool()? {
-                Some(decode_terms(dec)?)
-            } else {
-                None
-            };
-            Ok(AsapMsg::AdsRequest {
-                requester,
-                interests,
-                hops,
-                query,
-                terms,
-            })
-        }
-        3 => {
-            let n = dec.get_count()?;
-            let mut ads = Vec::with_capacity(n);
-            for _ in 0..n {
-                ads.push(decode_snapshot(dec)?);
-            }
-            let query = if dec.get_bool()? {
-                Some(dec.get_u32()?)
-            } else {
-                None
-            };
-            Ok(AsapMsg::AdsReply { ads, query })
-        }
-        4 => Ok(AsapMsg::Confirm {
-            query: dec.get_u32()?,
-            requester: PeerId(dec.get_u32()?),
-            terms: decode_terms(dec)?,
-        }),
-        5 => Ok(AsapMsg::ConfirmReply {
-            query: dec.get_u32()?,
-            results: dec.get_u32()?,
-        }),
-        _ => Err(CodecError::BadTag),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-node state
-// ---------------------------------------------------------------------------
-
-fn encode_node(st: &NodeState, enc: &mut Encoder) {
-    encode_counting(&st.filter, enc);
-    enc.put_u16(st.version);
-    // `snapshot` is not serialized: it is invariantly the filter's current
-    // snapshot (audit_invariants checks exactly this) and is rebuilt on
-    // decode via `CountingBloom::snapshot_rc`.
-    enc.put_len(st.repo.len());
-    for (source, ad) in st.repo.iter() {
-        enc.put_u32(source.0);
-        enc.put_u16(ad.topics.0);
-        enc.put_u16(ad.version);
-        encode_filter(&ad.filter, enc);
-        enc.put_u64(ad.last_used_us);
-        enc.put_u64(ad.last_refreshed_us);
-        enc.put_bool(ad.stale);
-    }
-    let mut fetching: Vec<u32> = st.fetching.iter().map(|p| p.0).collect();
-    fetching.sort_unstable();
-    enc.put_len(fetching.len());
-    for p in fetching {
-        enc.put_u32(p);
-    }
-    let mut pacers: Vec<(&PeerId, &Backoff)> = st.fetch_backoff.iter().collect();
-    pacers.sort_by_key(|(p, _)| p.0);
-    enc.put_len(pacers.len());
-    for (p, b) in pacers {
-        enc.put_u32(p.0);
-        encode_backoff(b, enc);
-    }
-    enc.put_u64(st.fetches_served);
-    match &st.readvert {
-        Some(ra) => {
-            enc.put_bool(true);
-            enc.put_u64(ra.baseline_fetches);
-            encode_backoff(&ra.backoff, enc);
-        }
-        None => enc.put_bool(false),
-    }
-}
-
-fn decode_node(
-    dec: &mut Decoder<'_>,
-    num_peers: usize,
-    cache_capacity: usize,
-) -> Result<NodeState, CodecError> {
-    let filter = decode_counting(dec)?;
-    let version = dec.get_u16()?;
-    let snapshot = filter.snapshot_rc();
-    let n_ads = dec.get_count()?;
-    if n_ads > cache_capacity {
-        return Err(CodecError::Invalid("ad cache over capacity"));
-    }
-    let mut entries = Vec::with_capacity(n_ads);
-    for _ in 0..n_ads {
-        let source = dec.get_u32()?;
-        if source as usize >= num_peers {
-            return Err(CodecError::Invalid("cached-ad source out of range"));
-        }
-        let topics = InterestSet(dec.get_u16()?);
-        let version = dec.get_u16()?;
-        let filter = Rc::new(decode_filter(dec)?);
-        let last_used_us = dec.get_u64()?;
-        let last_refreshed_us = dec.get_u64()?;
-        let stale = dec.get_bool()?;
-        entries.push((
-            PeerId(source),
-            CachedAd {
-                topics,
-                version,
-                filter,
-                last_used_us,
-                last_refreshed_us,
-                stale,
-            },
-        ));
-    }
-    let repo = AdRepository::from_entries(cache_capacity, entries)
-        .ok_or(CodecError::Invalid("ad repository entries"))?;
-    let n = dec.get_count()?;
-    let mut fetching = DetHashSet::default();
-    for _ in 0..n {
-        let p = dec.get_u32()?;
-        if p as usize >= num_peers {
-            return Err(CodecError::Invalid("fetching peer out of range"));
-        }
-        fetching.insert(PeerId(p));
-    }
-    let n = dec.get_count()?;
-    let mut fetch_backoff = DetHashMap::default();
-    for _ in 0..n {
-        let p = dec.get_u32()?;
-        if p as usize >= num_peers {
-            return Err(CodecError::Invalid("fetch pacer peer out of range"));
-        }
-        fetch_backoff.insert(PeerId(p), decode_backoff(dec)?);
-    }
-    let fetches_served = dec.get_u64()?;
-    let readvert = if dec.get_bool()? {
-        Some(ReAdvert {
-            baseline_fetches: dec.get_u64()?,
-            backoff: decode_backoff(dec)?,
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let filter = asap_bloom::CountingBloom::pull(dec)?;
+        Ok(Self {
+            snapshot: filter.snapshot_rc(),
+            filter,
+            version: Codec::pull(dec)?,
+            repo: Codec::pull(dec)?,
+            fetching: Codec::pull(dec)?,
+            fetch_backoff: Codec::pull(dec)?,
+            fetches_served: Codec::pull(dec)?,
+            readvert: Codec::pull(dec)?,
         })
-    } else {
-        None
-    };
-    Ok(NodeState {
-        filter,
-        version,
-        snapshot,
-        repo,
-        fetching,
-        fetch_backoff,
-        fetches_served,
-        readvert,
-    })
+    }
 }
 
-// ---------------------------------------------------------------------------
-// The protocol impl
-// ---------------------------------------------------------------------------
+// Hand-written: `term_hashes` is a pure function of `terms` and the
+// protocol's keyword table — left empty here, recomputed by `decode_state`.
+impl Codec for PendingSearch {
+    fn put(&self, enc: &mut Encoder) {
+        self.requester.put(enc);
+        self.terms.put(enc);
+        self.answered.put(enc);
+        self.phase.put(enc);
+        self.in_flight.put(enc);
+        self.confirmed.put(enc);
+        self.backlog.put(enc);
+        self.backoff.put(enc);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            requester: Codec::pull(dec)?,
+            terms: Codec::pull(dec)?,
+            term_hashes: Vec::new(),
+            answered: Codec::pull(dec)?,
+            phase: Codec::pull(dec)?,
+            in_flight: Codec::pull(dec)?,
+            confirmed: Codec::pull(dec)?,
+            backlog: Codec::pull(dec)?,
+            backoff: Codec::pull(dec)?,
+        })
+    }
+}
+
+// --- the protocol impl -------------------------------------------------------
 
 impl CheckpointProtocol for Asap {
-    fn encode_msg(msg: &AsapMsg, enc: &mut Encoder) {
-        encode_asap_msg(msg, enc);
-    }
-
-    fn decode_msg(dec: &mut Decoder<'_>) -> Result<AsapMsg, CodecError> {
-        decode_asap_msg(dec)
-    }
-
     fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_len(self.nodes.len());
-        for st in &self.nodes {
-            encode_node(st, enc);
-        }
-        let mut pending: Vec<(&u32, &PendingSearch)> = self.pending.iter().collect();
-        pending.sort_by_key(|(id, _)| **id);
-        enc.put_len(pending.len());
-        for (id, p) in pending {
-            enc.put_u32(*id);
-            enc.put_u32(p.requester.0);
-            encode_terms(&p.terms, enc);
-            // `term_hashes` are a pure function of `terms` — recomputed.
-            enc.put_bool(p.answered);
-            enc.put_u8(u8::from(p.phase == Phase::Fallback));
-            enc.put_len(p.in_flight.len());
-            for s in &p.in_flight {
-                enc.put_u32(s.0);
-            }
-            let mut confirmed: Vec<u32> = p.confirmed.iter().map(|s| s.0).collect();
-            confirmed.sort_unstable();
-            enc.put_len(confirmed.len());
-            for s in confirmed {
-                enc.put_u32(s);
-            }
-            enc.put_len(p.backlog.len());
-            for s in &p.backlog {
-                enc.put_u32(s.0);
-            }
-            encode_backoff(&p.backoff, enc);
-        }
-        let seen = &self.seen;
-        enc.put_len(seen.window());
-        let entries = seen.entries();
-        enc.put_len(entries.len());
-        for (delivery, visitors) in entries {
-            enc.put_u64(delivery);
-            enc.put_len(visitors.len());
-            for v in visitors {
-                enc.put_u32(v);
-            }
-        }
-        // Dense slots in index order == the old map's sorted-by-PeerId order;
-        // EMPTY slots are "no claim" (spam claims always union ≥1 class).
-        let claimed: Vec<(u32, u16)> = self
-            .claimed_topics
-            .iter()
-            .enumerate()
+        enc.put_seq(&self.nodes);
+        self.pending.put(enc);
+        self.seen.put(enc);
+        // Dense slots in index order == ascending peer order; EMPTY slots
+        // are "no claim" (spam claims always union ≥1 class).
+        let claims = self.claimed_topics.iter().enumerate();
+        let claims: Vec<(PeerId, InterestSet)> = claims
             .filter(|(_, topics)| !topics.is_empty())
-            .map(|(p, topics)| (p as u32, topics.0))
+            .map(|(p, &topics)| (PeerId(p as u32), topics))
             .collect();
-        enc.put_len(claimed.len());
-        for (p, topics) in claimed {
-            enc.put_u32(p);
-            enc.put_u16(topics);
-        }
-        enc.put_u64(self.next_delivery);
-        enc.put_u64(self.stats.local_lookup_hits);
-        enc.put_u64(self.stats.fallback_rounds);
-        enc.put_u64(self.stats.confirms_sent);
-        enc.put_u64(self.stats.confirms_positive);
-        enc.put_u64(self.stats.confirms_negative);
-        enc.put_u64(self.stats.repair_fetches);
-        enc.put_u64(self.stats.full_deliveries);
-        enc.put_u64(self.stats.patch_deliveries);
-        enc.put_u64(self.stats.refresh_deliveries);
+        claims.put(enc);
+        self.next_delivery.put(enc);
+        self.stats.put(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let num_peers = self.nodes.len();
-        let n = dec.get_len()?;
-        if n != num_peers {
+        let mut nodes: Vec<NodeState> = Codec::pull(dec)?;
+        if nodes.len() != num_peers {
             return Err(CodecError::Invalid("node count mismatch"));
         }
-        let mut nodes = Vec::with_capacity(num_peers);
-        for _ in 0..num_peers {
-            nodes.push(decode_node(dec, num_peers, self.config.cache_capacity)?);
+        for st in &mut nodes {
+            st.repo.restore_capacity(self.config.cache_capacity)?;
         }
-        let n = dec.get_count()?;
-        let mut pending = DetHashMap::default();
-        for _ in 0..n {
-            let id = dec.get_u32()?;
-            let requester = dec.get_u32()?;
-            if requester as usize >= num_peers {
-                return Err(CodecError::Invalid("pending requester out of range"));
-            }
-            let terms = decode_terms(dec)?;
-            if terms.iter().any(|t| t.index() >= self.kw_hashes.len()) {
-                return Err(CodecError::Invalid("pending term out of range"));
-            }
-            let term_hashes = terms.iter().map(|&k| self.hash_of(k)).collect();
-            let answered = dec.get_bool()?;
-            let phase = match dec.get_u8()? {
-                0 => Phase::Confirming,
-                1 => Phase::Fallback,
-                _ => return Err(CodecError::BadTag),
-            };
-            let m = dec.get_count()?;
-            let mut in_flight = Vec::with_capacity(m);
-            for _ in 0..m {
-                in_flight.push(PeerId(dec.get_u32()?));
-            }
-            let m = dec.get_count()?;
-            let mut confirmed = DetHashSet::default();
-            for _ in 0..m {
-                confirmed.insert(PeerId(dec.get_u32()?));
-            }
-            let m = dec.get_count()?;
-            let mut backlog = Vec::with_capacity(m);
-            for _ in 0..m {
-                backlog.push(PeerId(dec.get_u32()?));
-            }
-            let backoff = decode_backoff(dec)?;
-            pending.insert(
-                id,
-                PendingSearch {
-                    requester: PeerId(requester),
-                    terms,
-                    term_hashes,
-                    answered,
-                    phase,
-                    in_flight,
-                    confirmed,
-                    backlog,
-                    backoff,
-                },
-            );
+        let mut pending: asap_sim::collections::DetHashMap<u32, PendingSearch> = Codec::pull(dec)?;
+        for p in pending.values_mut() {
+            p.term_hashes = p.terms.iter().map(|&k| self.hash_of(k)).collect();
         }
-        let window = dec.get_len()?;
-        if window == 0 {
-            return Err(CodecError::Invalid("zero seen window"));
-        }
-        let n = dec.get_count()?;
-        if n > window {
-            return Err(CodecError::Invalid("seen entries exceed window"));
-        }
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let delivery = dec.get_u64()?;
-            let m = dec.get_count()?;
-            let mut visitors = Vec::new();
-            for _ in 0..m {
-                visitors.push(dec.get_u32()?);
-            }
-            entries.push((delivery, visitors));
-        }
-        let seen = SeenTracker::from_entries(window, entries);
-        let n = dec.get_count()?;
+        let seen = Codec::pull(dec)?;
+        let claims: Vec<(PeerId, InterestSet)> = Codec::pull(dec)?;
         let mut claimed_topics = NodeTable::from_vec(vec![InterestSet::EMPTY; num_peers]);
-        for _ in 0..n {
-            let p = dec.get_u32()?;
-            if p as usize >= num_peers {
-                return Err(CodecError::Invalid("claimed-topics peer out of range"));
-            }
-            claimed_topics[p as usize] = InterestSet(dec.get_u16()?);
+        for (p, topics) in claims {
+            claimed_topics[p.index()] = topics;
         }
-        let next_delivery = dec.get_u64()?;
-        let stats = crate::protocol::AsapStats {
-            local_lookup_hits: dec.get_u64()?,
-            fallback_rounds: dec.get_u64()?,
-            confirms_sent: dec.get_u64()?,
-            confirms_positive: dec.get_u64()?,
-            confirms_negative: dec.get_u64()?,
-            repair_fetches: dec.get_u64()?,
-            full_deliveries: dec.get_u64()?,
-            patch_deliveries: dec.get_u64()?,
-            refresh_deliveries: dec.get_u64()?,
-        };
+        self.next_delivery = Codec::pull(dec)?;
+        self.stats = Codec::pull(dec)?;
         self.nodes = NodeTable::from_vec(nodes);
         self.pending = pending;
         self.seen = seen;
         self.claimed_topics = claimed_topics;
-        self.next_delivery = next_delivery;
-        self.stats = stats;
         Ok(())
     }
 }
@@ -693,29 +192,19 @@ mod tests {
     use super::*;
     use crate::config::{AsapConfig, DeliveryKind};
     use crate::retry::RobustnessConfig;
+    use asap_bloom::{BloomFilter, BloomParams, CountingBloom, FilterPatch};
     use asap_overlay::{OverlayConfig, OverlayKind};
-    use asap_sim::checkpoint::Checkpoint;
+    use asap_sim::checkpoint::{assert_canonical, Checkpoint};
     use asap_sim::{AdversaryPlan, AuditConfig, FaultPlan, Simulation};
     use asap_topology::{PhysicalNetwork, TransitStubConfig};
-    use asap_workload::{Workload, WorkloadConfig};
+    use asap_workload::{KeywordId, Workload, WorkloadConfig};
+    use std::rc::Rc;
 
     fn world(peers: usize, queries: usize, seed: u64) -> (PhysicalNetwork, Workload, asap_overlay::Overlay) {
         let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
         let workload = asap_workload::generate(&WorkloadConfig::reduced(peers, queries, seed));
         let overlay = OverlayConfig::new(OverlayKind::Random, peers, seed).build();
         (phys, workload, overlay)
-    }
-
-    fn msg_roundtrip(msg: &AsapMsg) {
-        let mut enc = Encoder::new();
-        encode_asap_msg(msg, &mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = decode_asap_msg(&mut dec).unwrap();
-        dec.finish().unwrap();
-        let mut enc2 = Encoder::new();
-        encode_asap_msg(&back, &mut enc2);
-        assert_eq!(bytes, enc2.into_bytes(), "re-encode differs for {msg:?}");
     }
 
     fn sample_snapshot() -> AdSnapshot {
@@ -736,12 +225,12 @@ mod tests {
         let snap = sample_snapshot();
         let old = BloomFilter::from_keys(BloomParams::for_capacity(64, 4), ["rock"]);
         let patch = FilterPatch::diff(&old, &snap.filter);
-        msg_roundtrip(&AsapMsg::Ad {
+        assert_canonical(&AsapMsg::Ad {
             payload: AdPayload::Full(snap.clone()),
             fwd: Forwarding::Flood { ttl: 6 },
             delivery: 42,
         });
-        msg_roundtrip(&AsapMsg::Ad {
+        assert_canonical(&AsapMsg::Ad {
             payload: AdPayload::Patch {
                 source: PeerId(7),
                 topics: InterestSet(0b101),
@@ -752,7 +241,7 @@ mod tests {
             fwd: Forwarding::Walk { budget: 900 },
             delivery: 43,
         });
-        msg_roundtrip(&AsapMsg::Ad {
+        assert_canonical(&AsapMsg::Ad {
             payload: AdPayload::Refresh {
                 source: PeerId(9),
                 topics: InterestSet(0b1),
@@ -761,35 +250,35 @@ mod tests {
             fwd: Forwarding::Gsa { budget: 12 },
             delivery: 44,
         });
-        msg_roundtrip(&AsapMsg::FullAdFetch);
-        msg_roundtrip(&AsapMsg::AdsRequest {
+        assert_canonical(&AsapMsg::FullAdFetch);
+        assert_canonical(&AsapMsg::AdsRequest {
             requester: PeerId(3),
             interests: InterestSet(0b11),
             hops: 1,
             query: Some(17),
             terms: Some(Rc::clone(&terms)),
         });
-        msg_roundtrip(&AsapMsg::AdsRequest {
+        assert_canonical(&AsapMsg::AdsRequest {
             requester: PeerId(3),
             interests: InterestSet(0b11),
             hops: 2,
             query: None,
             terms: None,
         });
-        msg_roundtrip(&AsapMsg::AdsReply {
+        assert_canonical(&AsapMsg::AdsReply {
             ads: vec![snap.clone(), sample_snapshot()],
             query: Some(17),
         });
-        msg_roundtrip(&AsapMsg::AdsReply {
+        assert_canonical(&AsapMsg::AdsReply {
             ads: Vec::new(),
             query: None,
         });
-        msg_roundtrip(&AsapMsg::Confirm {
+        assert_canonical(&AsapMsg::Confirm {
             query: 17,
             requester: PeerId(3),
             terms,
         });
-        msg_roundtrip(&AsapMsg::ConfirmReply {
+        assert_canonical(&AsapMsg::ConfirmReply {
             query: 17,
             results: 2,
         });
@@ -799,7 +288,7 @@ mod tests {
     fn asap_msg_decode_rejects_bad_tags() {
         for bytes in [[200u8].as_slice(), &[0, 9], &[0]] {
             let mut dec = Decoder::new(bytes);
-            assert!(decode_asap_msg(&mut dec).is_err(), "accepted {bytes:?}");
+            assert!(AsapMsg::pull(&mut dec).is_err(), "accepted {bytes:?}");
         }
     }
 
@@ -811,29 +300,27 @@ mod tests {
         enc.put_len(0);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        assert!(matches!(
-            decode_filter(&mut dec),
-            Err(CodecError::Invalid(_))
-        ));
+        assert!(matches!(BloomFilter::pull(&mut dec), Err(CodecError::Invalid(_))));
     }
 
     /// Run `make()` twice over the same world: once uninterrupted, once
     /// split at `frac` of the trace through a byte-roundtripped checkpoint.
     /// Digests must match bit-for-bit.
-    fn assert_split_run_identical<F>(
+    fn assert_split_run_identical<P, F>(
         make: F,
         seed: u64,
         faults: Option<FaultPlan>,
         adversary: Option<AdversaryPlan>,
     ) where
-        F: Fn(&asap_workload::ContentModel, &[asap_sim::AdversaryRole]) -> Asap,
+        P: CheckpointProtocol,
+        F: Fn(&asap_workload::ContentModel, &[asap_sim::AdversaryRole]) -> P,
     {
         let (phys, workload, overlay) = world(120, 150, seed);
         let roles = adversary
             .as_ref()
             .map(|plan| asap_sim::assign_roles(plan, workload.model.num_peers(), seed))
             .unwrap_or_else(|| vec![asap_sim::AdversaryRole::Honest; workload.model.num_peers()]);
-        let build = |protocol: Asap, ov: asap_overlay::Overlay| {
+        let build = |protocol: P, ov: asap_overlay::Overlay| {
             let mut b = Simulation::builder(&phys, &workload, ov, OverlayKind::Random, protocol, seed)
                 .audit(AuditConfig::default());
             if let Some(f) = faults.clone() {
@@ -912,6 +399,46 @@ mod tests {
             None,
             None,
         );
+    }
+
+    /// The hierarchical deployment rides the same checkpoint: roles, super
+    /// peers' repositories and registrations, union interests, stats.
+    #[test]
+    fn superpeer_split_run_is_bit_identical() {
+        use crate::superpeer::{SuperAsap, SuperPeerConfig};
+        assert_split_run_identical(
+            |model, _| {
+                let asap = scaled(DeliveryKind::RandomWalk { walkers: 5 });
+                SuperAsap::new(SuperPeerConfig::new(asap), model)
+            },
+            67,
+            None,
+            None,
+        );
+    }
+
+    #[test]
+    fn super_msg_codec_roundtrips() {
+        use crate::superpeer::SuperMsg;
+        let terms: Rc<[KeywordId]> = vec![KeywordId(1), KeywordId(44)].into();
+        let (query, requester) = (17, PeerId(3));
+        assert_canonical(&SuperMsg::Register { snap: sample_snapshot() });
+        assert_canonical(&SuperMsg::Digest {
+            entries: vec![(PeerId(7), InterestSet(0b101), 3)].into(),
+            budget: 40,
+        });
+        assert_canonical(&SuperMsg::Fetch);
+        assert_canonical(&SuperMsg::FetchReply { snap: sample_snapshot() });
+        assert_canonical(&SuperMsg::QueryAsk { query, requester, terms: Rc::clone(&terms) });
+        assert_canonical(&SuperMsg::Confirm { query, requester, terms: Rc::clone(&terms) });
+        assert_canonical(&SuperMsg::ConfirmReply { query, results: 2 });
+        assert_canonical(&SuperMsg::AdsRequest { query, requester, terms: Rc::clone(&terms) });
+        assert_canonical(&SuperMsg::AdsReply {
+            query,
+            requester,
+            terms,
+            ads: vec![sample_snapshot()],
+        });
     }
 
     #[test]
@@ -1009,18 +536,12 @@ mod tests {
                     filter.insert(&key);
                 }
             }
+            assert_canonical(&filter);
             let mut enc = Encoder::new();
-            encode_counting(&filter, &mut enc);
+            filter.put(&mut enc);
             let bytes = enc.into_bytes();
-
-            let mut dec = Decoder::new(&bytes);
-            let back = decode_counting(&mut dec).unwrap();
-            dec.finish().unwrap();
+            let back = CountingBloom::pull(&mut Decoder::new(&bytes)).unwrap();
             prop_assert_eq!(back.counts(), filter.counts());
-
-            let mut enc2 = Encoder::new();
-            encode_counting(&back, &mut enc2);
-            prop_assert_eq!(bytes, enc2.into_bytes());
         }
 
         /// A corrupted count vector length is a typed error, not a panic:
@@ -1038,10 +559,7 @@ mod tests {
             }
             let bytes = enc.into_bytes();
             let mut dec = Decoder::new(&bytes);
-            prop_assert!(matches!(
-                decode_counting(&mut dec),
-                Err(CodecError::Invalid(_))
-            ));
+            prop_assert!(matches!(CountingBloom::pull(&mut dec), Err(CodecError::Invalid(_))));
         }
     }
 }

@@ -19,6 +19,7 @@ use crate::ad::AdSnapshot;
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, ProbePlan};
 use asap_overlay::PeerId;
+use asap_sim::CodecError;
 use asap_workload::InterestSet;
 use std::rc::Rc;
 
@@ -123,6 +124,17 @@ impl AdRepository {
             ads,
             capacity,
         })
+    }
+
+    /// Capacity is configuration, not state: a checkpoint restores only the
+    /// entries (the decoded repository is exactly full) and the resuming
+    /// protocol installs its configured capacity here.
+    pub(crate) fn restore_capacity(&mut self, capacity: usize) -> Result<(), CodecError> {
+        if self.len() > capacity {
+            return Err(CodecError::Invalid("ad cache over capacity"));
+        }
+        self.capacity = capacity;
+        Ok(())
     }
 
     /// Store/overwrite the full ad of `source`. Evicts the least-recently

@@ -31,6 +31,8 @@ use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, CountingBloom, WireFilter};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
+use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
+use asap_sim::{codec_enum, codec_struct};
 use asap_sim::{
     ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_size, Protocol,
     Transport, HEADER_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
@@ -192,6 +194,13 @@ impl SuperAsap {
         }
     }
 
+    /// Super peers are the "powerful and willing" nodes of the hierarchy:
+    /// they carry a multiple of the flat cache budget because they cache on
+    /// behalf of all their leaves.
+    fn super_cache_capacity(&self) -> usize {
+        self.config.asap.cache_capacity * 4
+    }
+
     pub fn role(&self, p: PeerId) -> Role {
         self.roles[p.index()]
     }
@@ -254,11 +263,7 @@ impl SuperAsap {
             let peer = PeerId(p as u32);
             if is_super[p] {
                 self.roles[p] = Role::Super;
-                // Super peers are the "powerful and willing" nodes of the
-                // hierarchy: they carry a multiple of the flat cache budget
-                // because they cache on behalf of all their leaves.
-                self.nodes[p].repo =
-                    Some(AdRepository::new(self.config.asap.cache_capacity * 4));
+                self.nodes[p].repo = Some(AdRepository::new(self.super_cache_capacity()));
                 self.union_interests[p] = ctx.model().interests[p];
                 self.stats.supers += 1;
             } else {
@@ -705,5 +710,74 @@ impl Protocol for SuperAsap {
         st.version = st.version.wrapping_add(1);
         st.snapshot = st.filter.snapshot_rc();
         self.register_with_home(ctx, peer);
+    }
+}
+
+// --- checkpoint codec (and, through `SuperMsg`, the wire payload) -----------
+
+codec_enum!(Role { 0 => Super, 1 => Leaf { home } });
+codec_enum!(SuperMsg {
+    0 => Register { snap },
+    1 => Digest { entries, budget },
+    2 => Fetch,
+    3 => FetchReply { snap },
+    4 => QueryAsk { query, requester, terms },
+    5 => Confirm { query, requester, terms },
+    6 => ConfirmReply { query, results },
+    7 => AdsRequest { query, requester, terms },
+    8 => AdsReply { query, requester, terms, ads },
+});
+codec_struct!(SuperStats {
+    supers, leaves, registrations, digests_sent, fetches, leaf_queries_forwarded,
+    super_local_hits, super_fallbacks,
+});
+
+/// A super peer's registered dependents, ascending by source.
+type Registered = Vec<(PeerId, (InterestSet, u16))>;
+
+// Hand-written: `snapshot` is not serialized — it is the filter's current
+// snapshot, rebuilt via `CountingBloom::snapshot_rc` (as in flat ASAP).
+impl Codec for NodeState {
+    fn put(&self, enc: &mut Encoder) {
+        self.filter.put(enc);
+        self.version.put(enc);
+        self.repo.put(enc);
+        let registered: Registered = self.registered.iter().map(|(&p, &e)| (p, e)).collect();
+        registered.put(enc);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let filter = CountingBloom::pull(dec)?;
+        Ok(Self {
+            snapshot: filter.snapshot_rc(),
+            filter,
+            version: Codec::pull(dec)?,
+            repo: Codec::pull(dec)?,
+            registered: Registered::pull(dec)?.into_iter().collect(),
+        })
+    }
+}
+
+impl CheckpointProtocol for SuperAsap {
+    fn encode_state(&self, enc: &mut Encoder) {
+        self.roles.put(enc);
+        self.nodes.put(enc);
+        self.union_interests.put(enc);
+        self.stats.put(enc);
+        self.initialized.put(enc);
+    }
+
+    fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+        let (roles, mut nodes, unions): (Vec<Role>, Vec<NodeState>, Vec<InterestSet>) =
+            Codec::pull(dec)?;
+        let n = self.nodes.len();
+        if roles.len() != n || nodes.len() != n || unions.len() != n {
+            return Err(CodecError::Invalid("node count mismatch"));
+        }
+        for repo in nodes.iter_mut().filter_map(|st| st.repo.as_mut()) {
+            repo.restore_capacity(self.super_cache_capacity())?;
+        }
+        (self.stats, self.initialized) = Codec::pull(dec)?;
+        (self.roles, self.nodes, self.union_interests) = (roles, nodes, unions);
+        Ok(())
     }
 }

@@ -5,8 +5,8 @@
 //! what its queue holds for a message in flight ([`asap_sim::Carrier`]).
 //! This crate supplies the wire side of that seam:
 //!
-//! * [`wire`] — length-prefixed, checksummed framing over the protocols'
-//!   canonical checkpoint codecs; no per-protocol wire code.
+//! * [`wire`] — length-prefixed, checksummed framing whose payload is the
+//!   message's [`asap_sim::Codec`]; no per-protocol wire code.
 //! * [`loopback`] — the [`Framed`] message carrier and [`Loopback`], the
 //!   sim engine's own builder on that carrier: the event queue holds
 //!   encoded frames, `send` encodes, dispatch decodes, and everything

@@ -2,9 +2,10 @@
 //! the wire codec.
 //!
 //! There is no second runtime here. [`Framed`] is an
-//! [`asap_sim::Carrier`]: the engine's `send` serializes the payload into
-//! a [`crate::wire`] frame just before the queue push, and dispatch
-//! validates and decodes it just before `on_message`. Placement, the
+//! [`asap_sim::Carrier`]: the engine's `send` serializes the message (its
+//! [`asap_sim::Codec`] is the frame payload) into a [`crate::wire`] frame
+//! just before the queue push, and dispatch validates and decodes it just
+//! before `on_message`. Placement, the
 //! `(time, seq)` event order, join/leave/content bookkeeping, RNG streams,
 //! and the audit, fault, adversary and profile layers are the engine's own
 //! code, so a [`Loopback`] run makes the identical decision sequence as a

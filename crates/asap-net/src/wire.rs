@@ -1,11 +1,11 @@
-//! Length-prefixed wire framing over the checkpoint message codecs.
+//! Length-prefixed wire framing over the messages' [`Codec`].
 //!
-//! Every protocol that can ride a checkpoint
-//! ([`CheckpointProtocol`]) already owns a canonical, panic-free binary
-//! codec for its in-flight messages. The wire layer reuses it verbatim: a
-//! frame is an envelope (addressing, class, billed size) around exactly one
-//! `P::Msg` payload, so sim and net backends serialize identically and no
-//! per-protocol wire code exists at all.
+//! The message type of every protocol that can ride a checkpoint
+//! ([`CheckpointProtocol`]) has one canonical, panic-free [`Codec`]
+//! definition. The wire layer calls it directly: a frame is an envelope
+//! (addressing, class, billed size) around exactly one `P::Msg` payload, so
+//! sim and net backends serialize identically and no per-protocol wire code
+//! exists at all.
 //!
 //! Frame layout (little-endian, fixed field order):
 //!
@@ -14,7 +14,7 @@
 //! [from: u32] [to: u32]              peer ids
 //! [class: u8]                        MsgClass tag (= MsgClass::index())
 //! [billed: u32]                      bytes billed by the protocol model
-//! [payload: len - 21 bytes]          P::Msg via CheckpointProtocol codec
+//! [payload: len - 21 bytes]          P::Msg via its Codec
 //! [checksum: u64]                    FNV-1a 64 over from..payload
 //! ```
 //!
@@ -29,7 +29,7 @@
 
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::{CheckpointProtocol, CodecError, Decoder, Encoder, Fnv64};
+use asap_sim::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
 
 /// Hard upper bound on `len` (bytes after the length prefix). Far above any
 /// real ASAP message (full ads are ~KB-scale); caps what a corrupted length
@@ -116,7 +116,7 @@ pub fn encode_frame_into<P: CheckpointProtocol>(frame: &Frame<P::Msg>, out: &mut
     body.put_u32(frame.to.0);
     body.put_u8(class_to_tag(frame.class));
     body.put_u32(frame.billed);
-    P::encode_msg(&frame.msg, &mut body);
+    frame.msg.put(&mut body);
     let body = body.into_bytes();
     let mut sum = Fnv64::new();
     sum.write_bytes(&body);
@@ -175,7 +175,8 @@ pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>
     let to = PeerId(dec.get_u32()?);
     let class = class_from_tag(dec.get_u8()?)?;
     let billed = dec.get_u32()?;
-    let msg = P::decode_msg(&mut dec)?;
+    // Unbounded id spaces: frames are produced in-process by this engine.
+    let msg = P::Msg::pull(&mut dec)?;
     dec.finish().map_err(|_| WireError::TrailingPayload)?;
     Ok(Some((
         Frame {

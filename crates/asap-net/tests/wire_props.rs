@@ -21,7 +21,8 @@ use asap_net::wire::{
 };
 use asap_overlay::PeerId;
 use asap_search::{BaselineMsg, Flooding};
-use asap_sim::{CheckpointProtocol, Fnv64};
+use asap_sim::checkpoint::assert_canonical;
+use asap_sim::{CheckpointProtocol, Codec, Encoder, Fnv64};
 use asap_workload::{InterestSet, KeywordId};
 use proptest::prelude::*;
 
@@ -152,6 +153,17 @@ fn assert_roundtrip<P: CheckpointProtocol>(bytes: &[u8]) {
     assert_eq!(encode_frame::<P>(&stream), bytes);
 }
 
+/// The frame payload *is* the message's [`Codec`] image — the same bytes a
+/// checkpoint holds for the message in flight — and that image is canonical.
+fn assert_payload_is_codec<M: Codec + std::fmt::Debug>(msg: &M, frame_bytes: &[u8]) {
+    assert_canonical(msg);
+    let mut enc = Encoder::new();
+    msg.put(&mut enc);
+    // len(4) + from(4) + to(4) + class(1) + billed(4), then payload, then
+    // the 8-byte checksum.
+    assert_eq!(&frame_bytes[17..frame_bytes.len() - 8], enc.into_bytes());
+}
+
 /// Every proper prefix is either "keep reading" (streaming) or a typed
 /// `Truncated` (exact) — never a panic, never a bogus frame.
 fn assert_prefixes_truncate<P: CheckpointProtocol>(bytes: &[u8], cut: usize)
@@ -181,7 +193,9 @@ proptest! {
         let (kind, query, peer) = ids;
         let (ttl, nterms, class_idx, billed) = shape;
         let f = frame(baseline_msg(kind, query, peer, ttl, nterms), peer, class_idx, billed);
-        assert_roundtrip::<Flooding>(&encode_frame::<Flooding>(&f));
+        let bytes = encode_frame::<Flooding>(&f);
+        assert_payload_is_codec(&f.msg, &bytes);
+        assert_roundtrip::<Flooding>(&bytes);
     }
 
     #[test]
@@ -192,7 +206,9 @@ proptest! {
         let (kind, query, peer) = ids;
         let (ttl, nterms, class_idx, billed) = shape;
         let f = frame(asap_msg(kind, query, peer, ttl, nterms), peer, class_idx, billed);
-        assert_roundtrip::<Asap>(&encode_frame::<Asap>(&f));
+        let bytes = encode_frame::<Asap>(&f);
+        assert_payload_is_codec(&f.msg, &bytes);
+        assert_roundtrip::<Asap>(&bytes);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! re-attaches joining peers with a topology-appropriate rule (uniform for
 //! random, degree-preferential for the heavy-tailed families).
 
+pub mod codec;
 pub mod collections;
 pub mod crawled;
 pub mod degree;

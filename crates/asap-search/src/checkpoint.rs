@@ -4,227 +4,49 @@
 //! never serialized — the resume caller reconstructs each protocol with the
 //! same configuration the original run used. Only dynamic cross-event state
 //! rides the checkpoint: the flooding dedup window and the per-query
-//! retransmission tables (serialized in ascending query-id order so that
-//! encode → decode → re-encode is byte-identical).
+//! retransmission tables (maps serialize in ascending key order, so
+//! encode → decode → re-encode is byte-identical). [`BaselineMsg`]'s field
+//! list below is also its `asap-net` wire payload.
 
-use crate::common::{BaselineMsg, RetransmitState, SeenTracker};
+use crate::common::{BaselineMsg, RetransmitState};
 use crate::flooding::Flooding;
 use crate::gsa::Gsa;
 use crate::random_walk::RandomWalk;
-use asap_overlay::PeerId;
-use asap_sim::checkpoint::{CheckpointProtocol, CodecError, Decoder, Encoder};
-use asap_sim::collections::DetHashMap;
-use asap_sim::util::Backoff;
-use asap_workload::KeywordId;
-use std::rc::Rc;
+use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
+use asap_sim::{codec_enum, codec_struct};
 
-fn encode_terms(terms: &Rc<[KeywordId]>, enc: &mut Encoder) {
-    enc.put_len(terms.len());
-    for t in terms.iter() {
-        enc.put_u32(t.0);
-    }
-}
-
-fn decode_terms(dec: &mut Decoder<'_>) -> Result<Rc<[KeywordId]>, CodecError> {
-    let n = dec.get_count()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(KeywordId(dec.get_u32()?));
-    }
-    Ok(v.into())
-}
-
-fn encode_baseline_msg(msg: &BaselineMsg, enc: &mut Encoder) {
-    match msg {
-        BaselineMsg::Flood {
-            query,
-            requester,
-            terms,
-            ttl,
-        } => {
-            enc.put_u8(0);
-            enc.put_u32(*query);
-            enc.put_u32(requester.0);
-            encode_terms(terms, enc);
-            enc.put_u8(*ttl);
-        }
-        BaselineMsg::Walk {
-            query,
-            requester,
-            terms,
-            ttl,
-        } => {
-            enc.put_u8(1);
-            enc.put_u32(*query);
-            enc.put_u32(requester.0);
-            encode_terms(terms, enc);
-            enc.put_u16(*ttl);
-        }
-        BaselineMsg::Gsa {
-            query,
-            requester,
-            terms,
-            budget,
-        } => {
-            enc.put_u8(2);
-            enc.put_u32(*query);
-            enc.put_u32(requester.0);
-            encode_terms(terms, enc);
-            enc.put_u32(*budget);
-        }
-        BaselineMsg::Hit { query, results } => {
-            enc.put_u8(3);
-            enc.put_u32(*query);
-            enc.put_u32(*results);
-        }
-    }
-}
-
-fn decode_baseline_msg(dec: &mut Decoder<'_>) -> Result<BaselineMsg, CodecError> {
-    match dec.get_u8()? {
-        0 => Ok(BaselineMsg::Flood {
-            query: dec.get_u32()?,
-            requester: PeerId(dec.get_u32()?),
-            terms: decode_terms(dec)?,
-            ttl: dec.get_u8()?,
-        }),
-        1 => Ok(BaselineMsg::Walk {
-            query: dec.get_u32()?,
-            requester: PeerId(dec.get_u32()?),
-            terms: decode_terms(dec)?,
-            ttl: dec.get_u16()?,
-        }),
-        2 => Ok(BaselineMsg::Gsa {
-            query: dec.get_u32()?,
-            requester: PeerId(dec.get_u32()?),
-            terms: decode_terms(dec)?,
-            budget: dec.get_u32()?,
-        }),
-        3 => Ok(BaselineMsg::Hit {
-            query: dec.get_u32()?,
-            results: dec.get_u32()?,
-        }),
-        _ => Err(CodecError::BadTag),
-    }
-}
-
-/// Retransmission table in ascending query-id order (canonical).
-fn encode_retrans(retrans: &DetHashMap<u32, RetransmitState>, enc: &mut Encoder) {
-    let mut items: Vec<(&u32, &RetransmitState)> = retrans.iter().collect();
-    items.sort_by_key(|(id, _)| **id);
-    enc.put_len(items.len());
-    for (id, s) in items {
-        enc.put_u32(*id);
-        enc.put_u32(s.requester.0);
-        encode_terms(&s.terms, enc);
-        let (delay_us, cap_us, remaining) = s.backoff.raw_parts();
-        enc.put_u64(delay_us);
-        enc.put_u64(cap_us);
-        enc.put_u32(remaining);
-    }
-}
-
-fn decode_retrans(dec: &mut Decoder<'_>) -> Result<DetHashMap<u32, RetransmitState>, CodecError> {
-    let n = dec.get_count()?;
-    let mut map = DetHashMap::default();
-    for _ in 0..n {
-        let id = dec.get_u32()?;
-        let requester = PeerId(dec.get_u32()?);
-        let terms = decode_terms(dec)?;
-        let delay_us = dec.get_u64()?;
-        let cap_us = dec.get_u64()?;
-        let remaining = dec.get_u32()?;
-        map.insert(
-            id,
-            RetransmitState {
-                requester,
-                terms,
-                backoff: Backoff::from_raw_parts(delay_us, cap_us, remaining),
-            },
-        );
-    }
-    Ok(map)
-}
+codec_enum!(BaselineMsg {
+    0 => Flood { query, requester, terms, ttl },
+    1 => Walk { query, requester, terms, ttl },
+    2 => Gsa { query, requester, terms, budget },
+    3 => Hit { query, results },
+});
+codec_struct!(RetransmitState { requester, terms, backoff });
 
 impl CheckpointProtocol for Flooding {
-    fn encode_msg(msg: &BaselineMsg, enc: &mut Encoder) {
-        encode_baseline_msg(msg, enc);
-    }
-
-    fn decode_msg(dec: &mut Decoder<'_>) -> Result<BaselineMsg, CodecError> {
-        decode_baseline_msg(dec)
-    }
-
     fn encode_state(&self, enc: &mut Encoder) {
-        let inner = self.seen.inner();
-        enc.put_len(inner.window());
-        let entries = inner.entries();
-        enc.put_len(entries.len());
-        for (query, visitors) in entries {
-            enc.put_u32(query);
-            enc.put_len(visitors.len());
-            for v in visitors {
-                enc.put_u32(v);
-            }
-        }
-        encode_retrans(&self.retrans, enc);
+        self.seen.put(enc);
+        self.retrans.put(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let window = dec.get_len()?;
-        if window == 0 {
-            return Err(CodecError::Invalid("zero seen window"));
-        }
-        let n = dec.get_count()?;
-        if n > window {
-            return Err(CodecError::Invalid("seen entries exceed window"));
-        }
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let query = dec.get_u32()?;
-            let m = dec.get_count()?;
-            let mut visitors = Vec::new();
-            for _ in 0..m {
-                visitors.push(dec.get_u32()?);
-            }
-            entries.push((query, visitors));
-        }
-        self.seen = SeenTracker::from_inner(asap_sim::util::SeenTracker::from_entries(
-            window, entries,
-        ));
-        self.retrans = decode_retrans(dec)?;
+        (self.seen, self.retrans) = Codec::pull(dec)?;
         Ok(())
     }
 }
 
 impl CheckpointProtocol for RandomWalk {
-    fn encode_msg(msg: &BaselineMsg, enc: &mut Encoder) {
-        encode_baseline_msg(msg, enc);
-    }
-
-    fn decode_msg(dec: &mut Decoder<'_>) -> Result<BaselineMsg, CodecError> {
-        decode_baseline_msg(dec)
-    }
-
     fn encode_state(&self, enc: &mut Encoder) {
-        encode_retrans(&self.retrans, enc);
+        self.retrans.put(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.retrans = decode_retrans(dec)?;
+        self.retrans = Codec::pull(dec)?;
         Ok(())
     }
 }
 
 impl CheckpointProtocol for Gsa {
-    fn encode_msg(msg: &BaselineMsg, enc: &mut Encoder) {
-        encode_baseline_msg(msg, enc);
-    }
-
-    fn decode_msg(dec: &mut Decoder<'_>) -> Result<BaselineMsg, CodecError> {
-        decode_baseline_msg(dec)
-    }
-
     // GSA carries its whole search state inside the probes themselves.
     fn encode_state(&self, _enc: &mut Encoder) {}
 
@@ -242,43 +64,34 @@ mod tests {
     use crate::testutil::world;
     use crate::Retransmit;
     use asap_overlay::OverlayKind;
-    use asap_sim::checkpoint::Checkpoint;
+    use asap_overlay::PeerId;
+    use asap_sim::checkpoint::{assert_canonical, Checkpoint};
     use asap_sim::{AuditConfig, Simulation};
-
-    fn msg_roundtrip(msg: &BaselineMsg) {
-        let mut enc = Encoder::new();
-        encode_baseline_msg(msg, &mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = decode_baseline_msg(&mut dec).unwrap();
-        dec.finish().unwrap();
-        let mut enc2 = Encoder::new();
-        encode_baseline_msg(&back, &mut enc2);
-        assert_eq!(bytes, enc2.into_bytes(), "re-encode differs for {msg:?}");
-    }
+    use asap_workload::KeywordId;
+    use std::rc::Rc;
 
     #[test]
     fn baseline_msg_codec_roundtrips() {
         let terms: Rc<[KeywordId]> = vec![KeywordId(3), KeywordId(99)].into();
-        msg_roundtrip(&BaselineMsg::Flood {
+        assert_canonical(&BaselineMsg::Flood {
             query: 7,
             requester: PeerId(2),
             terms: Rc::clone(&terms),
             ttl: 6,
         });
-        msg_roundtrip(&BaselineMsg::Walk {
+        assert_canonical(&BaselineMsg::Walk {
             query: 8,
             requester: PeerId(0),
             terms: Rc::clone(&terms),
             ttl: 1024,
         });
-        msg_roundtrip(&BaselineMsg::Gsa {
+        assert_canonical(&BaselineMsg::Gsa {
             query: 9,
             requester: PeerId(5),
             terms,
             budget: 8000,
         });
-        msg_roundtrip(&BaselineMsg::Hit {
+        assert_canonical(&BaselineMsg::Hit {
             query: 7,
             results: 3,
         });
@@ -288,10 +101,7 @@ mod tests {
     fn baseline_msg_decode_rejects_bad_tag() {
         let bytes = [9u8];
         let mut dec = Decoder::new(&bytes);
-        assert!(matches!(
-            decode_baseline_msg(&mut dec),
-            Err(CodecError::BadTag)
-        ));
+        assert!(matches!(BaselineMsg::pull(&mut dec), Err(CodecError::BadTag)));
     }
 
     /// Run `make()` twice over the same world: once uninterrupted, once

@@ -138,17 +138,9 @@ impl SeenTracker {
     pub fn tracked_queries(&self) -> usize {
         self.inner.tracked_keys()
     }
-
-    /// The wrapped tracker (checkpoint serialization).
-    pub(crate) fn inner(&self) -> &asap_sim::util::SeenTracker<u32> {
-        &self.inner
-    }
-
-    /// Wrap a restored tracker (checkpoint deserialization).
-    pub(crate) fn from_inner(inner: asap_sim::util::SeenTracker<u32>) -> Self {
-        Self { inner }
-    }
 }
+
+asap_sim::codec_struct!(SeenTracker { inner });
 
 #[cfg(test)]
 mod tests {

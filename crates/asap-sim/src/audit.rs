@@ -30,7 +30,8 @@
 use crate::adversary::AdversaryStats;
 use crate::fault::FaultStats;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
-use asap_overlay::{Overlay, PeerId};
+use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder};
+use asap_overlay::{codec_struct, Overlay, PeerId};
 
 /// Streaming FNV-1a 64-bit hash. Stable, dependency-free, and fast enough
 /// to run per-event; collisions are irrelevant for a regression digest.
@@ -188,6 +189,54 @@ pub struct SimAuditor {
     adversary_absorbed: u64,
 }
 
+codec_struct!(AuditConfig { check_invariants, digest_events, max_violations });
+
+// Hand-written: the digest travels as its raw state word and `retry_mirror`
+// is an `asap-metrics` type, restored through `RetryCounters::from_counts`.
+// Checkpoint section [11] (DESIGN.md §6d).
+impl Codec for SimAuditor {
+    fn put(&self, enc: &mut Encoder) {
+        self.cfg.put(enc);
+        self.violations.put(enc);
+        self.suppressed.put(enc);
+        self.checks.put(enc);
+        self.events.put(enc);
+        self.digest.finish().put(enc);
+        self.last_key.put(enc);
+        self.alive.put(enc);
+        self.alive_count.put(enc);
+        self.sent_bytes.put(enc);
+        self.sent_msgs.put(enc);
+        self.retry_mirror.counts().put(enc);
+        self.fault_drops.put(enc);
+        self.fault_partition_drops.put(enc);
+        self.fault_dups_announced.put(enc);
+        self.fault_dups_seen.put(enc);
+        self.adversary_absorbed.put(enc);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            cfg: Codec::pull(dec)?,
+            violations: Codec::pull(dec)?,
+            suppressed: Codec::pull(dec)?,
+            checks: Codec::pull(dec)?,
+            events: Codec::pull(dec)?,
+            digest: Fnv64::from_raw(Codec::pull(dec)?),
+            last_key: Codec::pull(dec)?,
+            alive: Codec::pull(dec)?,
+            alive_count: Codec::pull(dec)?,
+            sent_bytes: Codec::pull(dec)?,
+            sent_msgs: Codec::pull(dec)?,
+            retry_mirror: RetryCounters::from_counts(Codec::pull(dec)?),
+            fault_drops: Codec::pull(dec)?,
+            fault_partition_drops: Codec::pull(dec)?,
+            fault_dups_announced: Codec::pull(dec)?,
+            fault_dups_seen: Codec::pull(dec)?,
+            adversary_absorbed: Codec::pull(dec)?,
+        })
+    }
+}
+
 impl SimAuditor {
     /// Build an auditor whose liveness mirror starts from `alive` (the
     /// engine's initial map, before any event runs).
@@ -228,113 +277,6 @@ impl SimAuditor {
     /// Record an externally detected violation (protocol hooks, ledger).
     pub(crate) fn push_violation(&mut self, msg: String) {
         self.check(false, || msg);
-    }
-
-    /// Serialize the full auditor state in checkpoint field order (see
-    /// DESIGN.md §8): config, violation ledger, counters, digest word, last
-    /// dispatch key, liveness mirror, per-class accounting, robustness and
-    /// fault/adversary mirrors.
-    pub(crate) fn encode_checkpoint(&self, enc: &mut crate::checkpoint::Encoder) {
-        enc.put_bool(self.cfg.check_invariants);
-        enc.put_bool(self.cfg.digest_events);
-        enc.put_u64(self.cfg.max_violations as u64);
-        enc.put_u64(self.violations.len() as u64);
-        for v in &self.violations {
-            enc.put_str(v);
-        }
-        enc.put_u64(self.suppressed);
-        enc.put_u64(self.checks);
-        enc.put_u64(self.events);
-        enc.put_u64(self.digest.finish());
-        match self.last_key {
-            Some((t, s)) => {
-                enc.put_bool(true);
-                enc.put_u64(t);
-                enc.put_u64(s);
-            }
-            None => enc.put_bool(false),
-        }
-        enc.put_u64(self.alive.len() as u64);
-        for &a in &self.alive {
-            enc.put_bool(a);
-        }
-        enc.put_u64(self.alive_count as u64);
-        for &b in &self.sent_bytes {
-            enc.put_u64(b);
-        }
-        for &m in &self.sent_msgs {
-            enc.put_u64(m);
-        }
-        for &c in &self.retry_mirror.counts() {
-            enc.put_u64(c);
-        }
-        enc.put_u64(self.fault_drops);
-        enc.put_u64(self.fault_partition_drops);
-        enc.put_u64(self.fault_dups_announced);
-        enc.put_u64(self.fault_dups_seen);
-        enc.put_u64(self.adversary_absorbed);
-    }
-
-    /// Rebuild an auditor mid-run from [`Self::encode_checkpoint`] output.
-    pub(crate) fn decode_checkpoint(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CodecError> {
-        let cfg = AuditConfig {
-            check_invariants: dec.get_bool()?,
-            digest_events: dec.get_bool()?,
-            max_violations: dec.get_len()?,
-        };
-        let n_violations = dec.get_count()?;
-        let mut violations = Vec::with_capacity(n_violations);
-        for _ in 0..n_violations {
-            violations.push(dec.get_str()?);
-        }
-        let suppressed = dec.get_u64()?;
-        let checks = dec.get_u64()?;
-        let events = dec.get_u64()?;
-        let digest = Fnv64::from_raw(dec.get_u64()?);
-        let last_key = if dec.get_bool()? {
-            Some((dec.get_u64()?, dec.get_u64()?))
-        } else {
-            None
-        };
-        let n_alive = dec.get_count()?;
-        let mut alive = Vec::with_capacity(n_alive);
-        for _ in 0..n_alive {
-            alive.push(dec.get_bool()?);
-        }
-        let alive_count = dec.get_len()?;
-        let mut sent_bytes = [0u64; MsgClass::COUNT];
-        for b in sent_bytes.iter_mut() {
-            *b = dec.get_u64()?;
-        }
-        let mut sent_msgs = [0u64; MsgClass::COUNT];
-        for m in sent_msgs.iter_mut() {
-            *m = dec.get_u64()?;
-        }
-        let mut retry_counts = [0u64; 4];
-        for c in retry_counts.iter_mut() {
-            *c = dec.get_u64()?;
-        }
-        Ok(Self {
-            cfg,
-            violations,
-            suppressed,
-            checks,
-            events,
-            digest,
-            last_key,
-            alive,
-            alive_count,
-            sent_bytes,
-            sent_msgs,
-            retry_mirror: RetryCounters::from_counts(retry_counts),
-            fault_drops: dec.get_u64()?,
-            fault_partition_drops: dec.get_u64()?,
-            fault_dups_announced: dec.get_u64()?,
-            fault_dups_seen: dec.get_u64()?,
-            adversary_absorbed: dec.get_u64()?,
-        })
     }
 
     /// Length of the liveness mirror (decode validation: must equal the

@@ -27,6 +27,10 @@ pub mod util;
 /// them; this re-export is the canonical path for everyone else.
 pub use asap_overlay::collections;
 
+/// The field-list macros behind every [`Codec`] impl (see
+/// [`asap_overlay::codec`]), re-exported for the protocol crates.
+pub use asap_overlay::{codec_enum, codec_struct};
+
 /// The observability layer (trace events, sinks, recorder). Re-exported so
 /// protocol crates depending on `asap-sim` can name trace events without a
 /// direct `asap-trace` dependency.
@@ -37,7 +41,7 @@ pub use adversary::{
 };
 pub use arena::{NodeIdx, NodeTable};
 pub use audit::{AuditConfig, AuditReport, Fnv64};
-pub use checkpoint::{Checkpoint, CheckpointProtocol, CodecError, Decoder, Encoder};
+pub use checkpoint::{Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};
 pub use transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};

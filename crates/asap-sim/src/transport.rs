@@ -12,7 +12,8 @@
 //!
 //! * [`InMemory`] (the default) queues the `P::Msg` value itself — the
 //!   deterministic sim engine every golden digest is pinned on, and
-//! * `asap_net::Framed` queues the message as an encoded wire frame:
+//! * `asap_net::Framed` queues the message as an encoded wire frame whose
+//!   payload is the message's [`Codec`](crate::Codec):
 //!   [`Carrier::pack`] serializes inside `send`, [`Carrier::unpack`]
 //!   validates and decodes just before `on_message`. `asap-net`'s loopback
 //!   and the `asapd` daemon are this same engine on that carrier.

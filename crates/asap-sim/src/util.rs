@@ -1,6 +1,8 @@
 //! Small protocol-side utilities.
 
 use crate::collections::{DetHashMap, DetHashSet};
+use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder};
+use asap_overlay::codec_struct;
 use std::collections::VecDeque;
 use std::hash::Hash;
 
@@ -51,40 +53,37 @@ impl<K: Hash + Eq + Copy> SeenTracker<K> {
     pub fn tracked_keys(&self) -> usize {
         self.seen.len()
     }
+}
 
-    /// The configured window size (checkpointing).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Canonical checkpoint view: `(key, visitors)` pairs in eviction-queue
-    /// order (oldest first), visitors sorted ascending. The eviction queue
-    /// and the map hold exactly the same keys, so this captures the whole
-    /// state.
-    pub fn entries(&self) -> Vec<(K, Vec<u32>)> {
-        self.order
-            .iter()
-            .map(|k| {
-                let mut visitors: Vec<u32> = self
-                    .seen
-                    .get(k)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                visitors.sort_unstable();
-                (*k, visitors)
-            })
-            .collect()
-    }
-
-    /// Rebuild a tracker from [`SeenTracker::entries`] output. Entries must
-    /// be in eviction-queue order and within the window.
-    pub fn from_entries(window: usize, entries: Vec<(K, Vec<u32>)>) -> Self {
-        let mut t = Self::new(window);
-        for (key, visitors) in entries {
-            t.order.push_back(key);
-            t.seen.insert(key, visitors.into_iter().collect());
+// Hand-written: the window must be positive and hold every entry. Wire
+// form: the window, then `(key, visitors)` pairs in eviction-queue order
+// (oldest first), visitors ascending — the eviction queue and the map hold
+// exactly the same keys, so this is the whole state.
+impl<K: Hash + Eq + Copy + Codec> Codec for SeenTracker<K> {
+    fn put(&self, enc: &mut Encoder) {
+        self.window.put(enc);
+        enc.put_len(self.order.len());
+        for key in &self.order {
+            key.put(enc);
+            match self.seen.get(key) {
+                Some(visitors) => visitors.put(enc),
+                None => enc.put_len(0),
+            }
         }
-        t
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let (window, entries): (usize, Vec<(K, DetHashSet<u32>)>) = Codec::pull(dec)?;
+        if window == 0 {
+            return Err(CodecError::Invalid("zero seen window"));
+        }
+        if entries.len() > window {
+            return Err(CodecError::Invalid("seen entries exceed window"));
+        }
+        Ok(Self {
+            order: entries.iter().map(|&(key, _)| key).collect(),
+            seen: entries.into_iter().collect(),
+            window,
+        })
     }
 }
 
@@ -123,24 +122,9 @@ impl Backoff {
     pub fn exhausted(&self) -> bool {
         self.remaining == 0
     }
-
-    /// Raw `(delay_us, cap_us, remaining)` fields, for checkpointing a
-    /// backoff mid-stream. Pair with [`Backoff::from_raw_parts`].
-    pub fn raw_parts(&self) -> (u64, u64, u32) {
-        (self.delay_us, self.cap_us, self.remaining)
-    }
-
-    /// Rebuild a backoff from [`Backoff::raw_parts`] output. No clamping is
-    /// applied — the fields are restored verbatim so a checkpointed backoff
-    /// continues its schedule exactly.
-    pub fn from_raw_parts(delay_us: u64, cap_us: u64, remaining: u32) -> Self {
-        Self {
-            delay_us,
-            cap_us,
-            remaining,
-        }
-    }
 }
+
+codec_struct!(Backoff { delay_us, cap_us, remaining });
 
 /// The delay before each retry, one item per attempt in the budget.
 impl Iterator for Backoff {

@@ -14,15 +14,19 @@
 //! * resuming under any plan mix finishes auditor-clean with the same
 //!   digest as the uninterrupted run;
 //! * decode of truncated, bit-flipped, or wrong-version bytes returns a
-//!   typed [`CodecError`] — never a panic, never an oversized allocation.
+//!   typed [`CodecError`] — never a panic, never an oversized allocation;
+//! * a checksummed-but-wrong checkpoint — a peer id past the world inside a
+//!   queued message's payload — is a typed error at resume, not an index
+//!   panic in the run that follows.
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_sim::collections::DetHashMap;
+use asap_sim::event::Scheduled;
 use asap_sim::{
-    query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint, CheckpointProtocol,
-    CodecError, Decoder, Encoder, EventHandle, FaultPlan, Fnv64, PartitionWindow, Protocol,
-    SimReport, Simulation, Transport,
+    codec_enum, query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint,
+    CheckpointProtocol, Codec, CodecError, Decoder, Encoder, EngineEvent, EventHandle, FaultPlan,
+    Fnv64, PartitionWindow, Protocol, SimReport, Simulation, Transport,
 };
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{DocId, KeywordId, QuerySpec, Workload, WorkloadConfig};
@@ -60,10 +64,35 @@ struct Pinger {
     retried: u64,
 }
 
+/// `origin` repeats the sender inside the payload (the reply goes there),
+/// so a queued `Ask` carries a peer id the engine's envelope does not.
 #[derive(Debug, Clone)]
 enum PingMsg {
-    Ask { query: u32, terms: Vec<KeywordId> },
+    Ask { origin: PeerId, query: u32, terms: Vec<KeywordId> },
     Reply { query: u32 },
+}
+
+codec_enum!(PingMsg { 0 => Ask { origin, query, terms }, 1 => Reply { query } });
+
+// Hand-written: the timer handle rides as its raw queue sequence number
+// (`EventHandle::raw` / `from_raw` survive checkpoint/resume verbatim).
+impl Codec for Pending {
+    fn put(&self, enc: &mut Encoder) {
+        self.handle.raw().put(enc);
+        self.requester.put(enc);
+        self.target.put(enc);
+        self.attempts.put(enc);
+        self.terms.put(enc);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            handle: EventHandle::from_raw(Codec::pull(dec)?),
+            requester: Codec::pull(dec)?,
+            target: Codec::pull(dec)?,
+            attempts: Codec::pull(dec)?,
+            terms: Codec::pull(dec)?,
+        })
+    }
 }
 
 fn ask<C: Transport<Msg = PingMsg>>(ctx: &mut C, requester: PeerId, target: DocId, query: u32, terms: &[KeywordId]) {
@@ -80,6 +109,7 @@ fn ask<C: Transport<Msg = PingMsg>>(ctx: &mut C, requester: PeerId, target: DocI
             MsgClass::Query,
             query_size(terms.len()),
             PingMsg::Ask {
+                origin: requester,
                 query,
                 terms: terms.to_vec(),
             },
@@ -107,11 +137,12 @@ impl Protocol for Pinger {
 
     fn on_message<C: Transport<Msg = PingMsg>>(&mut self, ctx: &mut C, to: PeerId, from: PeerId, msg: PingMsg) {
         match msg {
-            PingMsg::Ask { query, terms } => {
+            PingMsg::Ask { origin, query, terms } => {
+                debug_assert_eq!(origin, from);
                 if ctx.content().peer_matches(ctx.model(), to, &terms) {
                     ctx.send(
                         to,
-                        from,
+                        origin,
                         MsgClass::QueryHit,
                         query_hit_size(1),
                         PingMsg::Reply { query },
@@ -146,89 +177,14 @@ impl Protocol for Pinger {
 }
 
 impl CheckpointProtocol for Pinger {
-    fn encode_msg(msg: &PingMsg, enc: &mut Encoder) {
-        match msg {
-            PingMsg::Ask { query, terms } => {
-                enc.put_u8(0);
-                enc.put_u32(*query);
-                enc.put_len(terms.len());
-                for t in terms {
-                    enc.put_u32(t.0);
-                }
-            }
-            PingMsg::Reply { query } => {
-                enc.put_u8(1);
-                enc.put_u32(*query);
-            }
-        }
-    }
-
-    fn decode_msg(dec: &mut Decoder<'_>) -> Result<PingMsg, CodecError> {
-        match dec.get_u8()? {
-            0 => {
-                let query = dec.get_u32()?;
-                let n = dec.get_count()?;
-                let mut terms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    terms.push(KeywordId(dec.get_u32()?));
-                }
-                Ok(PingMsg::Ask { query, terms })
-            }
-            1 => Ok(PingMsg::Reply {
-                query: dec.get_u32()?,
-            }),
-            _ => Err(CodecError::BadTag),
-        }
-    }
-
     fn encode_state(&self, enc: &mut Encoder) {
-        let mut ids: Vec<u32> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        enc.put_len(ids.len());
-        for id in ids {
-            let p = &self.pending[&id];
-            enc.put_u32(id);
-            enc.put_u64(p.handle.raw());
-            enc.put_u32(p.requester.0);
-            enc.put_u32(p.target.0);
-            enc.put_u8(p.attempts);
-            enc.put_len(p.terms.len());
-            for t in &p.terms {
-                enc.put_u32(t.0);
-            }
-        }
-        enc.put_u64(self.cancelled_live);
-        enc.put_u64(self.retried);
+        self.pending.put(enc);
+        self.cancelled_live.put(enc);
+        self.retried.put(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = dec.get_count()?;
-        let mut pending = DetHashMap::default();
-        for _ in 0..n {
-            let id = dec.get_u32()?;
-            let handle = EventHandle::from_raw(dec.get_u64()?);
-            let requester = PeerId(dec.get_u32()?);
-            let target = DocId(dec.get_u32()?);
-            let attempts = dec.get_u8()?;
-            let t = dec.get_count()?;
-            let mut terms = Vec::with_capacity(t);
-            for _ in 0..t {
-                terms.push(KeywordId(dec.get_u32()?));
-            }
-            pending.insert(
-                id,
-                Pending {
-                    handle,
-                    requester,
-                    target,
-                    terms,
-                    attempts,
-                },
-            );
-        }
-        self.pending = pending;
-        self.cancelled_live = dec.get_u64()?;
-        self.retried = dec.get_u64()?;
+        (self.pending, self.cancelled_live, self.retried) = Codec::pull(dec)?;
         Ok(())
     }
 }
@@ -423,6 +379,70 @@ fn sample_bytes() -> &'static [u8] {
     })
 }
 
+/// Recompute the trailing checksum after patching body bytes.
+fn reseal(bytes: &mut [u8]) {
+    let body_len = bytes.len() - 8;
+    let mut h = Fnv64::new();
+    h.write_bytes(&bytes[..body_len]);
+    let sum = h.finish();
+    bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A checkpoint can pass the checksum and still be wrong. The engine's
+/// envelope (`to`/`from`) was always range-checked; the *payload* of a queued
+/// message was not, so a peer id past the world resumed `Ok` and then indexed
+/// out of bounds inside `run`. The bounded decoder checks every `PeerId`
+/// wherever it sits.
+#[test]
+fn out_of_range_peer_inside_a_queued_message_is_rejected() {
+    let seed = 73;
+    let (phys, workload, overlay) = world(seed);
+    let mut sim = builder(&phys, &workload, overlay.clone(), seed, None, None).build();
+    sim.run_until(workload.trace.duration_us() / 2);
+    let bytes = sim.checkpoint().into_bytes();
+    drop(sim);
+
+    // Walk section [1] to the first queued `Ask` and note where it starts.
+    // magic + version + seed + peers + overlay tag + now + started + halted.
+    const HEADER: usize = 8 + 2 + 8 + 8 + 1 + 8 + 1 + 1;
+    // time + seq + event tag + to + from + dup + message tag.
+    const ORIGIN_AT: usize = 8 + 8 + 1 + 4 + 4 + 1 + 1;
+    let body = &bytes[..bytes.len() - 8];
+    let mut dec = Decoder::new(body);
+    dec.get_bytes(HEADER).expect("header");
+    u64::pull(&mut dec).expect("next_seq");
+    let queued = dec.get_count().expect("entry count");
+    let origin_at = (0..queued)
+        .find_map(|_| {
+            let at = body.len() - dec.remaining();
+            let entry = Scheduled::<PingMsg>::pull(&mut dec).expect("own entry");
+            let ask = matches!(
+                entry.event,
+                EngineEvent::Deliver { msg: PingMsg::Ask { .. }, .. }
+            );
+            ask.then_some(at + ORIGIN_AT)
+        })
+        .expect("an Ask in flight at the split");
+
+    let resume_with = |origin: u32| {
+        let mut patched = bytes.clone();
+        patched[origin_at..origin_at + 4].copy_from_slice(&origin.to_le_bytes());
+        reseal(&mut patched);
+        let ckpt = Checkpoint::from_bytes(patched).expect("checksum recomputed");
+        builder(&phys, &workload, overlay.clone(), seed, None, None)
+            .from_checkpoint(&ckpt)
+            .map(|_| ())
+    };
+    assert_eq!(resume_with(PEERS as u32 - 1), Ok(()), "the last peer is in range");
+    for past in [PEERS as u32, u32::MAX] {
+        assert_eq!(
+            resume_with(past),
+            Err(CodecError::Invalid("peer id out of range")),
+            "origin {past} resumed"
+        );
+    }
+}
+
 proptest! {
     /// Every proper prefix decodes to a typed error, never a panic.
     #[test]
@@ -461,11 +481,7 @@ proptest! {
         let version = if version == 1 { 0 } else { version };
         let mut bytes = sample_bytes().to_vec();
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let mut h = Fnv64::new();
-        h.write_bytes(&bytes[..body_len]);
-        let sum = h.finish();
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         prop_assert_eq!(
             Checkpoint::from_bytes(bytes).expect_err("foreign version accepted"),
             CodecError::UnsupportedVersion(version)

@@ -1,0 +1,97 @@
+//! [`Codec`] for the workload's ids and trace events (queued trace events
+//! ride a checkpoint's event queue; ids ride every protocol message).
+
+use crate::{DocId, InterestSet, KeywordId, QuerySpec, TraceEvent};
+use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder};
+use asap_overlay::{codec_enum, codec_struct};
+
+// Hand-written: the id must lie inside the decoder's document space.
+impl Codec for DocId {
+    fn put(&self, enc: &mut Encoder) {
+        enc.put_u32(self.0);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.get_id(dec.bounds().docs, "doc id out of range")
+            .map(DocId)
+    }
+}
+
+// Hand-written: the id must lie inside the decoder's vocabulary.
+impl Codec for KeywordId {
+    fn put(&self, enc: &mut Encoder) {
+        enc.put_u32(self.0);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.get_id(dec.bounds().keywords, "keyword id out of range")
+            .map(KeywordId)
+    }
+}
+
+impl Codec for InterestSet {
+    fn put(&self, enc: &mut Encoder) {
+        enc.put_u16(self.0);
+    }
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        dec.get_u16().map(InterestSet)
+    }
+}
+
+codec_struct!(QuerySpec { id, requester, terms, target });
+codec_enum!(TraceEvent {
+    0 => Query(q),
+    1 => AddDocument { peer, doc },
+    2 => RemoveDocument { peer, doc },
+    3 => Join(p),
+    4 => Leave(p),
+});
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asap_overlay::codec::{assert_canonical, IdBounds};
+    use asap_overlay::PeerId;
+
+    #[test]
+    fn bounded_doc_and_keyword_ids_accept_n_minus_one_and_reject_n() {
+        let bounds = IdBounds {
+            docs: 40,
+            keywords: 7,
+            ..IdBounds::NONE
+        };
+        let dec = |bytes: &'static [u8; 4]| Decoder::new(bytes).with_bounds(bounds);
+        assert_eq!(DocId::pull(&mut dec(&[39, 0, 0, 0])), Ok(DocId(39)));
+        assert!(matches!(
+            DocId::pull(&mut dec(&[40, 0, 0, 0])),
+            Err(CodecError::Invalid(_))
+        ));
+        assert_eq!(KeywordId::pull(&mut dec(&[6, 0, 0, 0])), Ok(KeywordId(6)));
+        assert!(matches!(
+            KeywordId::pull(&mut dec(&[7, 0, 0, 0])),
+            Err(CodecError::Invalid(_))
+        ));
+        assert_eq!(
+            DocId::pull(&mut Decoder::new(&[255; 4])),
+            Ok(DocId(u32::MAX))
+        );
+    }
+
+    #[test]
+    fn query_spec_terms_are_checked_against_the_vocabulary() {
+        let q = QuerySpec {
+            id: 1,
+            requester: PeerId(2),
+            terms: vec![KeywordId(3), KeywordId(9)],
+            target: DocId(4),
+        };
+        assert_canonical(&TraceEvent::Query(q.clone()));
+        let mut enc = Encoder::new();
+        q.put(&mut enc);
+        let bytes = enc.into_bytes();
+        let bounds = IdBounds {
+            keywords: 9,
+            ..IdBounds::NONE
+        };
+        let got = QuerySpec::pull(&mut Decoder::new(&bytes).with_bounds(bounds));
+        assert_eq!(got, Err(CodecError::Invalid("keyword id out of range")));
+    }
+}

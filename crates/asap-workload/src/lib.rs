@@ -19,6 +19,7 @@
 //! emitting events, so the "always answerable" invariant holds by
 //! construction (and is re-checked by tests).
 
+pub mod codec;
 pub mod config;
 pub mod content;
 pub mod ids;

@@ -1,7 +1,7 @@
 //! Shared CLI argument handling for the bench binaries.
 //!
-//! The harness binaries (`experiments`, `perf`, `warmstart`, `bisect`,
-//! `simnet`) parse flags from the same small vocabulary — `--scale`,
+//! The harness binaries (`experiments`, `warmstart`, `bisect`, `simnet`)
+//! parse flags from the same small vocabulary — `--scale`,
 //! `--seed`, `--algo`, `--overlay`, `--workers`, `--faults`, `--adversary`
 //! — but each used to hand-roll its own loop, with per-binary drift in
 //! error messages and accepted spellings. This module centralizes that
@@ -21,7 +21,7 @@
 //!   axes, keeping help text in lockstep with what actually parses.
 //!
 //! The tiny free helpers ([`next_value`], [`parse_overlay`]) serve the
-//! binaries' residual bespoke flags (`perf --gate`, `bisect --a/--b`).
+//! binaries' residual bespoke flags (`experiments --out`, `bisect --a/--b`).
 
 use crate::adversary::AdversaryProfile;
 use crate::algo::AlgoKind;

@@ -21,7 +21,7 @@
 //! lands in the JSON report verbatim (the record's own JSONL form), next to
 //! the window, the common prefix length, and the probe count.
 //!
-//! The golden CI jobs run this on failure and upload the report as an
+//! The CI `golden` job runs this on failure and uploads the report as an
 //! artifact, so a digest drift comes with its first divergent event
 //! attached.
 
@@ -38,7 +38,7 @@ use asap_bench::faults::FaultProfile;
 use asap_bench::runner::{run_cell_spec, RunSpec, World};
 use asap_bench::AlgoKind;
 use asap_overlay::OverlayKind;
-use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
+use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::trace::{Record, Recorder, TraceConfig};
 use asap_sim::{AuditConfig, Checkpoint, CheckpointProtocol, SimBuilder, Simulation};
 
@@ -370,25 +370,12 @@ fn search_cell(
         }
         AlgoKind::RandomWalk => {
             let mk = |side: SideSpec| {
-                move || {
-                    RandomWalk::new(RandomWalkConfig {
-                        walkers: 5,
-                        ttl: scale.rw_ttl(),
-                        retransmit: side.faults.retransmit(),
-                    })
-                }
+                move || RandomWalk::new(scale.random_walk_config(side.faults.retransmit()))
             };
             search(world, args.common.overlay, a, b, hi_us, args.capacity, mk(a), mk(b))
         }
         AlgoKind::Gsa => {
-            let mk = |_: SideSpec| {
-                move || {
-                    Gsa::new(GsaConfig {
-                        budget: scale.gsa_budget(),
-                        branch: 4,
-                    })
-                }
-            };
+            let mk = |_: SideSpec| move || Gsa::new(scale.gsa_config());
             search(world, args.common.overlay, a, b, hi_us, args.capacity, mk(a), mk(b))
         }
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {

@@ -11,7 +11,7 @@
 //! * `cargo run -p asap-bench --bin simnet` — replay and rewrite the file.
 //! * `cargo run -p asap-bench --bin simnet -- --check` — replay and compare
 //!   against the committed file; exits nonzero on drift or sim≠net. CI's
-//!   `net-smoke` job runs this next to the `asapd --demo` smoke.
+//!   `golden` job runs this next to `golden --check`.
 
 #![allow(clippy::print_stdout)]
 

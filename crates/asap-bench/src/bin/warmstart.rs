@@ -33,15 +33,14 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use asap_bench::args::{next_value, Axes, CommonArgs};
-use asap_bench::runner::{run_cell_spec, RunSpec, World};
+use asap_bench::runner::{par_map, run_cell_spec, RunSpec, World};
 use asap_bench::scale::Scale;
 use asap_bench::table::{fnum, Table};
 use asap_bench::AlgoKind;
 use asap_core::{Asap, AsapConfig};
 use asap_overlay::OverlayKind;
-use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
+use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::{AuditConfig, Checkpoint, CheckpointProtocol, Simulation};
-use rayon::prelude::*;
 
 struct Args {
     checkpoint: PathBuf,
@@ -139,7 +138,7 @@ fn warm_sweep<P: CheckpointProtocol, C: Send>(
     workers: usize,
     make: impl Fn(&C) -> P + Sync,
 ) -> Vec<(String, u64, Vec<String>, f64)> {
-    let resume_one = |(label, cfg): (String, C)| {
+    par_map(workers, variants, |(label, cfg): (String, C)| {
         let start = Instant::now();
         let report = Simulation::builder(
             &world.phys,
@@ -167,15 +166,7 @@ fn warm_sweep<P: CheckpointProtocol, C: Send>(
             format!("{secs:.2}s"),
         ];
         (label, digest, row, secs)
-    };
-    if workers <= 1 || variants.len() <= 1 {
-        return variants.into_iter().map(resume_one).collect();
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.min(variants.len()))
-        .build()
-        .unwrap_or_else(|e| panic!("building the warm-start pool failed: {e}"));
-    pool.install(|| variants.into_par_iter().map(resume_one).collect())
+    })
 }
 
 /// The audited spec every warmstart run uses: the auditor's digest is the
@@ -240,15 +231,8 @@ fn checkpoint_cell(args: &Args, world: &World, split_us: u64) -> Checkpoint {
     }
     match args.common.algo {
         AlgoKind::Flooding => go!(Flooding::new(FloodingConfig::default())),
-        AlgoKind::RandomWalk => go!(RandomWalk::new(RandomWalkConfig {
-            walkers: 5,
-            ttl: world.scale.rw_ttl(),
-            retransmit: None,
-        })),
-        AlgoKind::Gsa => go!(Gsa::new(GsaConfig {
-            budget: world.scale.gsa_budget(),
-            branch: 4,
-        })),
+        AlgoKind::RandomWalk => go!(RandomWalk::new(world.scale.random_walk_config(None))),
+        AlgoKind::Gsa => go!(Gsa::new(world.scale.gsa_config())),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
             go!(args.common.algo.build_asap(world.scale, &world.workload.model))
         }
@@ -295,17 +279,10 @@ fn warm(args: &Args, world: &World) -> ExitCode {
             Flooding::new(FloodingConfig::default())
         }),
         AlgoKind::RandomWalk => warm_sweep(world, args.common.overlay, &ckpt, baseline_only, args.common.workers, |_| {
-            RandomWalk::new(RandomWalkConfig {
-                walkers: 5,
-                ttl: world.scale.rw_ttl(),
-                retransmit: None,
-            })
+            RandomWalk::new(world.scale.random_walk_config(None))
         }),
         AlgoKind::Gsa => warm_sweep(world, args.common.overlay, &ckpt, baseline_only, args.common.workers, |_| {
-            Gsa::new(GsaConfig {
-                budget: world.scale.gsa_budget(),
-                branch: 4,
-            })
+            Gsa::new(world.scale.gsa_config())
         }),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => warm_sweep(
             world,

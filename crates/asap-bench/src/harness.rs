@@ -19,13 +19,15 @@
 
 use crate::algo::AlgoKind;
 use crate::faults::FaultProfile;
-use crate::runner::{run_cell_spec, run_cell_split, sweep_cells_spec, CellReport, RunSpec, World};
+use crate::runner::{
+    full_matrix, par_map, run_cell_spec, run_cell_split, sweep_cells_spec, CellReport, RunSpec,
+    World,
+};
 use crate::scale::Scale;
 use crate::scenario::ScenarioPack;
 use asap_overlay::OverlayKind;
 use asap_sim::trace::TraceConfig;
 use asap_sim::AuditConfig;
-use rayon::prelude::*;
 
 /// The pinned replay world: tiny scale so the whole matrix replays in
 /// seconds, covering all three overlay families.
@@ -108,17 +110,6 @@ pub fn cell_to_record(cell: &CellReport) -> ReplayRecord {
     }
 }
 
-/// The cells of the replay matrix in golden-file order (overlay-major).
-pub fn replay_matrix_cells() -> Vec<(AlgoKind, OverlayKind)> {
-    let mut cells = Vec::new();
-    for overlay in GOLDEN_OVERLAYS {
-        for algo in AlgoKind::ALL {
-            cells.push((algo, overlay));
-        }
-    }
-    cells
-}
-
 /// The whole replay matrix — every algorithm × every overlay — under an
 /// audited [`RunSpec`], fanned across `workers` rayon workers. Reports come
 /// back in golden-file order regardless of the worker count; the golden
@@ -127,7 +118,7 @@ pub fn replay_matrix_cells() -> Vec<(AlgoKind, OverlayKind)> {
 /// the result for the pinned fields; a traced spec leaves each cell's
 /// [`Recorder`](asap_sim::trace::Recorder) in [`CellReport::trace`].
 pub fn replay_matrix(world: &World, spec: &RunSpec, workers: usize) -> Vec<CellReport> {
-    sweep_cells_spec(world, &replay_matrix_cells(), workers, spec)
+    sweep_cells_spec(world, &full_matrix(), workers, spec)
 }
 
 /// Serialize records in the golden-file format: one
@@ -207,7 +198,7 @@ pub struct ResumeCell {
 /// twenty cells share [`golden_world`] — the spam10 pack's workload axis is
 /// inert, which `scenario::tests` pins.
 pub fn resume_matrix_cells() -> Vec<ResumeCell> {
-    let mut cells: Vec<ResumeCell> = replay_matrix_cells()
+    let mut cells: Vec<ResumeCell> = full_matrix()
         .into_iter()
         .map(|(algo, overlay)| ResumeCell {
             algo,
@@ -273,24 +264,10 @@ pub fn replay_resume_cell(world: &World, cell: ResumeCell) -> Vec<ResumeRecord> 
 /// grain (each cell's four runs stay serial on one worker). Records come
 /// back in cell-then-split order regardless of the worker count.
 pub fn resume_matrix_records(world: &World, workers: usize) -> Vec<ResumeRecord> {
-    let cells = resume_matrix_cells();
-    if workers <= 1 {
-        return cells
-            .into_iter()
-            .flat_map(|c| replay_resume_cell(world, c))
-            .collect();
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.min(cells.len()))
-        .build()
-        .unwrap_or_else(|e| panic!("building the resume thread pool failed: {e}"));
-    let per_cell: Vec<Vec<ResumeRecord>> = pool.install(|| {
-        cells
-            .into_par_iter()
-            .map(|c| replay_resume_cell(world, c))
-            .collect()
-    });
-    per_cell.into_iter().flatten().collect()
+    par_map(workers, resume_matrix_cells(), |c| replay_resume_cell(world, c))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Serialize resume records in the tier-9 golden-file format. The line key

@@ -7,7 +7,7 @@ use crate::scale::Scale;
 use rayon::prelude::*;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
 use asap_overlay::{OverlayConfig, OverlayKind};
-use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
+use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::trace::{Recorder, TraceConfig};
 use asap_sim::{
     AdversaryStats, AuditConfig, AuditReport, Checkpoint, CheckpointProtocol, EngineProfile,
@@ -353,11 +353,7 @@ fn run_cell_exec(
             overlay_kind,
             scale,
             drive(world, overlay_kind, spec, split_us, || {
-                RandomWalk::new(RandomWalkConfig {
-                    walkers: 5,
-                    ttl: scale.rw_ttl(),
-                    retransmit: faults.retransmit(),
-                })
+                RandomWalk::new(scale.random_walk_config(faults.retransmit()))
             }),
             None,
         ),
@@ -365,12 +361,7 @@ fn run_cell_exec(
             algo,
             overlay_kind,
             scale,
-            drive(world, overlay_kind, spec, split_us, || {
-                Gsa::new(GsaConfig {
-                    budget: scale.gsa_budget(),
-                    branch: 4,
-                })
-            }),
+            drive(world, overlay_kind, spec, split_us, || Gsa::new(scale.gsa_config())),
             None,
         ),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
@@ -455,10 +446,27 @@ fn finish<P>(
     }
 }
 
+/// Map `f` over `items` on a rayon pool of `workers` threads; `workers <= 1`
+/// (or a single item) runs serially on the caller's thread. Results come
+/// back in item order whatever the worker count.
+pub fn par_map<T: Send, R: Send>(
+    workers: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(workers.min(items.len()))
+        .build()
+        .unwrap_or_else(|e| panic!("building the sweep thread pool failed: {e}"));
+    pool.install(|| items.into_par_iter().map(f).collect())
+}
+
 /// Sweep matrix cells over a prebuilt world under one [`RunSpec`], fanning
-/// across a rayon pool of `workers` threads (`<= 1` runs serially on the
-/// caller's thread); one simulation per cell is the data-race-free-by-
-/// structure grain for a DES.
+/// across `workers` threads ([`par_map`]); one simulation per cell is the
+/// data-race-free-by-structure grain for a DES.
 ///
 /// Parallelism is observationally pure: the world is immutable during the
 /// sweep, every simulation derives all randomness from `(scale, seed, algo,
@@ -472,7 +480,7 @@ pub fn sweep_cells_spec(
     spec: &RunSpec,
 ) -> Vec<CellReport> {
     let total = cells.len();
-    let run = |i: usize, a: AlgoKind, o: OverlayKind| {
+    par_map(workers, cells.iter().copied().enumerate().collect(), |(i, (a, o))| {
         let off_table = if a.clamp_notes(world.scale).is_empty() {
             ""
         } else {
@@ -480,32 +488,10 @@ pub fn sweep_cells_spec(
         };
         eprintln!("[run {}/{}] {} / {}{}", i + 1, total, a.label(), o.label(), off_table);
         run_cell_spec(world, a, o, spec)
-    };
-    if workers <= 1 || total <= 1 {
-        return cells
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, o))| run(i, a, o))
-            .collect();
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.min(total))
-        .build()
-        .unwrap_or_else(|e| panic!("building the sweep thread pool failed: {e}"));
-    let indexed: Vec<(usize, AlgoKind, OverlayKind)> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, o))| (i, a, o))
-        .collect();
-    pool.install(|| {
-        indexed
-            .into_par_iter()
-            .map(|(i, a, o)| run(i, a, o))
-            .collect()
     })
 }
 
-/// The full 6 × 3 matrix.
+/// The full 6 × 3 matrix, overlay-major (the golden files' line order).
 pub fn full_matrix() -> Vec<(AlgoKind, OverlayKind)> {
     let mut cells = Vec::new();
     for o in OverlayKind::ALL {

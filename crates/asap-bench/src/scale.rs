@@ -6,6 +6,7 @@
 //! shapes — are preserved; time constants and flooding TTL stay as
 //! published. EXPERIMENTS.md discusses the fidelity of each scale.
 
+use asap_search::{GsaConfig, RandomWalkConfig, Retransmit};
 use asap_topology::TransitStubConfig;
 use asap_workload::WorkloadConfig;
 
@@ -95,6 +96,23 @@ impl Scale {
     /// GSA message budget (paper: 8,000 at 10,000 peers).
     pub fn gsa_budget(self) -> u32 {
         self.knobs().gsa_budget
+    }
+
+    /// The paper's random-walk baseline at this scale (§IV: 5 walkers).
+    pub fn random_walk_config(self, retransmit: Option<Retransmit>) -> RandomWalkConfig {
+        RandomWalkConfig {
+            walkers: 5,
+            ttl: self.rw_ttl(),
+            retransmit,
+        }
+    }
+
+    /// The paper's GSA baseline at this scale (§IV: fan-out 4).
+    pub fn gsa_config(self) -> GsaConfig {
+        GsaConfig {
+            budget: self.gsa_budget(),
+            branch: 4,
+        }
     }
 
     /// Every population-proportional knob, with its pre-clamp value kept

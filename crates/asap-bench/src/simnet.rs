@@ -8,8 +8,8 @@
 //! whole seam at once: the per-protocol checkpoint codecs doubling as wire
 //! codecs, the framing layer, and — on the lossy rows — the fault layer
 //! and the protocols' retry paths running over frames. The matrix is
-//! pinned in `golden/simnet_tiny.txt` and checked by the CI `net-smoke`
-//! job via the `simnet` bin.
+//! pinned in `golden/simnet_tiny.txt` and checked by the CI `golden` job
+//! via the `simnet` bin.
 
 use crate::algo::AlgoKind;
 use crate::faults::FaultProfile;
@@ -17,7 +17,7 @@ use crate::harness::{golden_world, GOLDEN_SEED};
 use crate::runner::World;
 use asap_net::Loopback;
 use asap_overlay::OverlayKind;
-use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
+use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::{CheckpointProtocol, Simulation};
 use asap_trace::{Backend, DigestSink, LifecycleDigest, TraceSink};
 
@@ -122,18 +122,9 @@ pub fn simnet_records() -> Vec<SimnetRecord> {
                     })
                 }),
                 AlgoKind::RandomWalk => replay_pair(&world, algo, faults, || {
-                    RandomWalk::new(RandomWalkConfig {
-                        walkers: 5,
-                        ttl: scale.rw_ttl(),
-                        retransmit: faults.retransmit(),
-                    })
+                    RandomWalk::new(scale.random_walk_config(faults.retransmit()))
                 }),
-                AlgoKind::Gsa => replay_pair(&world, algo, faults, || {
-                    Gsa::new(GsaConfig {
-                        budget: scale.gsa_budget(),
-                        branch: 4,
-                    })
-                }),
+                AlgoKind::Gsa => replay_pair(&world, algo, faults, || Gsa::new(scale.gsa_config())),
                 AlgoKind::AsapRw => replay_pair(&world, algo, faults, || {
                     algo.build_asap_with(scale, &world.workload.model, faults.robustness())
                 }),

@@ -3,7 +3,7 @@
 //!
 //! Spot-checks cells of each committed scenario golden (the full 54-cell
 //! matrix is verified by `cargo run -p asap-bench --bin golden -- --check`,
-//! which CI runs in the adversary-smoke job), pins the zero-cost-when-
+//! which CI runs in the `golden` job), pins the zero-cost-when-
 //! disabled contract at the bench level, and regression-tests the
 //! poisoned-ad → confirm-retry accounting.
 

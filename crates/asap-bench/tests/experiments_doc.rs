@@ -1,7 +1,8 @@
 //! EXPERIMENTS.md ↔ code cross-checks: the scale-knob table in the doc is
 //! load-bearing (readers size runs off it, and clamp notes cite it), so this
 //! test parses the markdown and fails if any cell drifts from
-//! `Scale::knobs()`.
+//! `Scale::knobs()`. The Fig. 4 table cites `results/fig4.tsv` and is diffed
+//! against it the same way.
 
 use asap_bench::Scale;
 
@@ -61,12 +62,15 @@ fn table_row(doc: &str, knob: &str) -> [Cell; 3] {
     [parse_cell(cols[2]), parse_cell(cols[3]), parse_cell(cols[4])]
 }
 
+fn read_from_root(path: &str) -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::read_to_string(root.join(path))
+        .unwrap_or_else(|e| panic!("{path} readable from the workspace root: {e}"))
+}
+
 #[test]
 fn experiments_table_matches_scale_knobs() {
-    let doc = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md"),
-    )
-    .expect("EXPERIMENTS.md readable from the workspace root");
+    let doc = read_from_root("EXPERIMENTS.md");
 
     type Derive = fn(Scale) -> (u64, u64);
     let scales = [Scale::Paper, Scale::Default, Scale::Tiny];
@@ -111,10 +115,7 @@ fn experiments_table_matches_scale_knobs() {
 /// cell has none.
 #[test]
 fn clamp_annotations_match_run_notes() {
-    let doc = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md"),
-    )
-    .expect("EXPERIMENTS.md readable from the workspace root");
+    let doc = read_from_root("EXPERIMENTS.md");
     for (i, scale) in [Scale::Paper, Scale::Default, Scale::Tiny].iter().enumerate() {
         let clamped_knobs: Vec<&str> = [
             "random-walk TTL",
@@ -133,4 +134,24 @@ fn clamp_annotations_match_run_notes() {
             scale.label()
         );
     }
+}
+
+/// The Fig. 4 table is a copy of `results/fig4.tsv`; a smoke run that
+/// overwrote the TSV at another scale once left the two disagreeing.
+#[test]
+fn fig4_table_matches_results_tsv() {
+    let doc = read_from_root("EXPERIMENTS.md");
+    let section = doc
+        .split("\n### ")
+        .find(|s| s.starts_with("Fig. 4"))
+        .expect("EXPERIMENTS.md has a '### Fig. 4' section");
+    let table: Vec<Vec<&str>> = section
+        .lines()
+        .filter(|l| l.starts_with('|') && !l.starts_with("|-"))
+        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+        .collect();
+    let tsv = read_from_root("results/fig4.tsv");
+    let rows: Vec<Vec<&str>> = tsv.lines().map(|l| l.split('\t').collect()).collect();
+    assert_eq!(rows.len(), 7, "header + six algorithms in results/fig4.tsv");
+    assert_eq!(table, rows, "EXPERIMENTS.md Fig. 4 table vs results/fig4.tsv");
 }

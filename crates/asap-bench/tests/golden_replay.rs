@@ -111,7 +111,7 @@ fn replay_is_run_twice_deterministic() {
 /// under the pinned lossy profile and compare against the committed
 /// digests. (The full 18-cell lossy matrix is verified by
 /// `cargo run -p asap-bench --bin golden -- --check`, which CI runs in the
-/// lint job; this keeps the test-tier cost at two cells.)
+/// `golden` job; this keeps the test-tier cost at two cells.)
 #[test]
 fn lossy_golden_spot_check() {
     let golden = parse_golden(GOLDEN_LOSSY);

@@ -1,9 +1,9 @@
 //! Tier 9 — resume-equivalence spot checks (see TESTING.md).
 //!
 //! The full 20-cell × 3-split resume matrix is verified by
-//! `cargo run -p asap-bench --bin golden -- --check` (CI's checkpoint-smoke
-//! job); this suite keeps the `cargo test -q` cost at two cells × one split
-//! each, pinned against the committed `golden/resume_tiny.txt` (what the
+//! `cargo run -p asap-bench --bin golden -- --check` (CI's `golden` job);
+//! this suite keeps the `cargo test -q` cost at two cells × one split each,
+//! pinned against the committed `golden/resume_tiny.txt` (what the
 //! resumed run computes) and `golden/ckpt_tiny.txt` (the checkpoint bytes it
 //! resumed from: the `VERSION = 1` format itself).
 

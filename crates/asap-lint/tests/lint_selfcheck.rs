@@ -13,7 +13,7 @@ use asap_lint::{lint_workspace, LintConfig};
 
 /// `(crate, functions, edges)` as of this commit.
 const PINNED: &[(&str, usize, usize)] = &[
-    ("asap-bench", 171, 1493),
+    ("asap-bench", 148, 1222),
     ("asap-bloom", 69, 128),
     ("asap-core", 114, 1769),
     ("asap-lint", 93, 200),

@@ -132,7 +132,7 @@ pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
 }
 
 /// Always-on event-loop profile: phase counters and queue-depth high-water
-/// marks. Surfaced via [`SimReport::profile`] and the bench `perf` bin.
+/// marks. Surfaced via [`SimReport::profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProfile {
     /// Messages sent (before fault decisions).

@@ -18,10 +18,14 @@
 //! `hashes`, then the words or counts), making every filter
 //! self-describing: a message decodes without access to the protocol config.
 //!
-//! `Rc` aliasing is *not* preserved: a filter shared by fifty caches
-//! serializes fifty times and decodes into fifty allocations. Behavior only
-//! depends on filter values, so digests are unaffected; only resumed-run
-//! memory footprints differ.
+//! `Rc` aliasing is not *written*: a filter shared by fifty caches
+//! serializes fifty times. It is restored on the way in — the resume
+//! decoder and the `asap-net` carrier each hold an
+//! [`asap_sim::Interner`], through which equal filters decode to one
+//! allocation (content-checked, see `asap-bloom`'s codec), so a resumed or
+//! wire-crossing run holds as many filter allocations as the run it
+//! continues ([`Asap::distinct_cached_filters`]). Behavior only depends on
+//! filter values, so digests never see the difference.
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
@@ -512,6 +516,21 @@ mod tests {
             ckpt1.as_bytes(),
             ckpt2.as_bytes(),
             "checkpoint re-encode differs"
+        );
+        // The bytes repeat a filter per cacher; the resumed caches share it
+        // again, exactly as far as the running ones did.
+        let cached = |asap: &Asap| (0..100).map(|p| asap.cache_len(PeerId(p))).sum::<usize>();
+        let (before, after) = (sim.protocol(), resumed.protocol());
+        assert_eq!(cached(before), cached(after));
+        assert_eq!(
+            before.distinct_cached_filters(),
+            after.distinct_cached_filters()
+        );
+        assert!(
+            after.distinct_cached_filters() * 4 < cached(after),
+            "{} allocations behind {} cached ads",
+            after.distinct_cached_filters(),
+            cached(after)
         );
     }
 

@@ -235,6 +235,16 @@ impl Asap {
         self.nodes[node.index()].repo.len()
     }
 
+    /// Distinct filter allocations behind every cached ad of every node:
+    /// how far `Rc` sharing reaches (a cached-ad count of thousands over a
+    /// few hundred allocations is the simulator's memory model working).
+    /// Diagnostic / test API.
+    pub fn distinct_cached_filters(&self) -> usize {
+        let cached = self.nodes.iter().flat_map(|st| st.repo.iter());
+        let allocations: DetHashSet<_> = cached.map(|(_, ad)| Rc::as_ptr(&ad.filter)).collect();
+        allocations.len()
+    }
+
     /// The node's own current ad version. Diagnostic / test API.
     pub fn own_version(&self, node: PeerId) -> u16 {
         self.nodes[node.index()].version

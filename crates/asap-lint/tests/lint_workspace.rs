@@ -37,7 +37,9 @@ fn workspace_is_lint_clean_under_committed_config() {
 /// R4's scope because `Carrier` is a root trait. If that ever stops being
 /// true (trait renamed, root dropped, unpack no longer calling the
 /// decoder) the decoder would silently leave panic-reachability; this pins
-/// it inside.
+/// it inside, down to the interner lookup a filter-bearing frame goes
+/// through (reached from `BloomFilter`'s `Codec` impl, a root as well) and
+/// the public interner-less entry points (roots by name in `lint.toml`).
 #[test]
 fn wire_decoder_is_in_the_panic_reachable_set() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -51,7 +53,17 @@ fn wire_decoder_is_in_the_panic_reachable_set() {
         .expect("workspace walk succeeds")
         .graph;
     let seen = graph.reach(&analysis::panic_roots(&graph, &cfg), |_| false);
-    for name in ["Framed::unpack", "decode_frame_exact", "decode_frame"] {
+    for name in [
+        "Framed::unpack",
+        "decode_exact_sharing",
+        "decode_sharing",
+        "checksum",
+        "BloomFilter::pull_shared",
+        "intern_filter",
+        "Interner::intern",
+        "decode_frame_exact",
+        "decode_frame",
+    ] {
         let nodes = graph.match_pattern(name);
         assert!(!nodes.is_empty(), "`{name}` is gone from the call graph");
         assert!(

@@ -16,7 +16,8 @@
 //! `--demo` runs the end-to-end smoke sequence CI pins: spawn the daemon,
 //! connect as a client, join an offline node, advertise a document on it,
 //! search for that document from another node, and poll until the query
-//! resolves — all in a few wall seconds at the default `--speed`.
+//! resolves — all in a few wall seconds at the default `--speed`. It exits
+//! non-zero unless the query resolved and `stats` reports `wire_errors=0`.
 
 #![allow(clippy::print_stdout)]
 
@@ -294,5 +295,10 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
     let stats = client.roundtrip("stats").map_err(|e| fail("stats", e))?;
     println!("demo: query {id} answered; {stats}");
     let _ = client.roundtrip("quit");
-    Ok(())
+    // A frame that fails to decode is dropped, not fatal: the search above
+    // can resolve around it, so the count is checked in its own right.
+    match field(&stats, "wire_errors") {
+        Some("0") => Ok(()),
+        _ => Err(format!("frames failed to decode: {stats}")),
+    }
 }

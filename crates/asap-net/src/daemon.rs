@@ -25,7 +25,7 @@
 use crate::clock::VirtualClock;
 use crate::loopback::{Framed, Loopback};
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
-use asap_sim::{CheckpointProtocol, Simulation};
+use asap_sim::{Carrier, CheckpointProtocol, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{DocId, QuerySpec, TraceEvent, WorkloadConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -165,12 +165,13 @@ fn serve_lines(mut reader: impl BufRead, mut writer: impl Write, tx: &mpsc::Send
     }
 }
 
-struct Daemon<'a, P: CheckpointProtocol> {
-    sim: Simulation<'a, P, Framed<P>>,
+/// `C` is [`Framed`] outside tests, which substitute a carrier that fails.
+struct Daemon<'a, P: CheckpointProtocol, C: Carrier<P::Msg> = Framed<P>> {
+    sim: Simulation<'a, P, C>,
     next_query_id: u32,
 }
 
-impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
+impl<'a, P: CheckpointProtocol, C: Carrier<P::Msg>> Daemon<'a, P, C> {
     /// Execute one control command arriving at virtual time `now_us`;
     /// returns `(response_line, quit)`.
     fn handle_command(&mut self, line: &str, now_us: u64) -> (String, bool) {
@@ -179,13 +180,16 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
         let args: Vec<&str> = words.collect();
         let ctx = self.sim.ctx();
         let response = match verb {
+            // `wire_errors` is frames dropped because they failed to
+            // decode: anything but 0 means the codec regressed.
             "stats" => Ok(format!(
-                "ok now_us={} alive={} sent={} answered={}/{}",
+                "ok now_us={} alive={} sent={} answered={}/{} wire_errors={}",
                 now_us.max(ctx.now_us()),
                 ctx.alive_count(),
                 ctx.messages_sent(),
                 ctx.ledger.num_succeeded(),
                 ctx.ledger.num_queries(),
+                ctx.wire_errors(),
             )),
             "peers" => Ok(self.peers_line()),
             "join" => self.parse_peer(&args, 0).and_then(|p| {
@@ -322,6 +326,96 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asap_metrics::MsgClass;
+    use asap_search::{BaselineMsg, Flooding, FloodingConfig};
+    use asap_sim::SimBuilder;
+
+    /// [`Framed`], except that every `NTH` frame has a body bit flipped on
+    /// its way into the queue (none has for `NTH` = 0: the count starts at 1).
+    struct Flipping<const NTH: u64> {
+        inner: Framed<Flooding>,
+        packed: u64,
+    }
+
+    impl<const NTH: u64> Default for Flipping<NTH> {
+        fn default() -> Self {
+            Self {
+                inner: Framed::default(),
+                packed: 0,
+            }
+        }
+    }
+
+    impl<const NTH: u64> Carrier<BaselineMsg> for Flipping<NTH> {
+        type Packed = Vec<u8>;
+
+        fn pack(
+            &mut self,
+            from: PeerId,
+            to: PeerId,
+            class: MsgClass,
+            bytes: usize,
+            msg: BaselineMsg,
+        ) -> Vec<u8> {
+            let mut frame = self.inner.pack(from, to, class, bytes, msg);
+            self.packed += 1;
+            if self.packed.is_multiple_of(NTH) {
+                frame[20] ^= 1;
+            }
+            frame
+        }
+
+        fn unpack(&mut self, packed: Vec<u8>) -> Option<BaselineMsg> {
+            self.inner.unpack(packed)
+        }
+    }
+
+    /// Search from the first live peer on a 12-peer flooding daemon whose
+    /// carrier is `Flipping<NTH>`, let the flood settle, and return the
+    /// `stats` reply with the engine's own count of dropped frames.
+    fn stats_after_a_search<const NTH: u64>() -> (String, u64) {
+        let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(1));
+        let mut workload = asap_workload::generate(&WorkloadConfig::reduced(12, 1, 1));
+        workload.trace.events.clear();
+        let overlay = OverlayConfig::new(OverlayKind::Random, 12, 1).build();
+        let protocol = Flooding::new(FloodingConfig::default());
+        let sim: Simulation<'_, _, Flipping<NTH>> =
+            SimBuilder::new(&phys, &workload, overlay, OverlayKind::Random, protocol, 1)
+                .horizon_grace(u64::MAX)
+                .build();
+        let mut daemon = Daemon {
+            sim,
+            next_query_id: 0,
+        };
+        let requester = daemon.sim.ctx().alive_peers()[0].0;
+        let (reply, _) = daemon.handle_command(&format!("search {requester}"), 1_000);
+        assert!(reply.starts_with("ok search id=0"), "{reply}");
+        daemon.sim.run_until(60_000_000);
+        let (stats, quit) = daemon.handle_command("stats", 60_000_000);
+        assert!(!quit);
+        (stats, daemon.sim.ctx().wire_errors())
+    }
+
+    #[test]
+    fn stats_reports_no_wire_errors_on_a_healthy_carrier() {
+        let (stats, dropped) = stats_after_a_search::<0>();
+        assert_eq!(dropped, 0);
+        assert!(stats.starts_with("ok now_us=60000000 alive="), "{stats}");
+        assert!(stats.ends_with(" answered=1/1 wire_errors=0"), "{stats}");
+    }
+
+    #[test]
+    fn stats_counts_every_frame_that_failed_to_decode() {
+        let (stats, dropped) = stats_after_a_search::<3>();
+        assert!(
+            dropped > 0,
+            "no corrupted frame was ever delivered: {stats}"
+        );
+        assert!(
+            stats.ends_with(&format!(" wire_errors={dropped}")),
+            "{stats}"
+        );
+    }
 
     #[test]
     fn over_long_control_line_is_rejected_with_a_bounded_read() {

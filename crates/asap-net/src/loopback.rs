@@ -13,6 +13,14 @@
 //! equal backend-tagged lifecycle digests
 //! ([`asap_trace::LifecycleDigest`]) are the checked sim≡net witness.
 //!
+//! The carrier keeps two things between messages, both owned by the
+//! engine's `Ctx` and gone with it: the buffer every frame is encoded in,
+//! and an [`Interner`] every frame is decoded with. An ad's filter is
+//! cached by many peers at once (that is the paper's point, §III-B); the
+//! interner makes those peers share one allocation, as they do on the sim,
+//! instead of holding one private copy per delivery. Neither changes a
+//! byte of any frame or a field of any decoded message.
+//!
 //! Locally produced frames decode cleanly by construction; if one ever
 //! does not, the engine drops the message and counts it in
 //! [`SimReport::wire_errors`](asap_sim::SimReport::wire_errors) rather
@@ -22,27 +30,57 @@
 use crate::wire::{self, Frame};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::{Carrier, CheckpointProtocol, SimBuilder};
+use asap_sim::{Carrier, CheckpointProtocol, Interner, SimBuilder};
 use std::marker::PhantomData;
 
 /// The wire carrier: the event queue holds encoded frames of protocol `P`.
-pub struct Framed<P>(PhantomData<P>);
+pub struct Framed<P> {
+    /// Every frame is encoded here first, so the queued copy is one
+    /// allocation of exactly the frame's size.
+    scratch: Vec<u8>,
+    /// Shared values already decoded and still alive somewhere: a filter
+    /// that arrives again decodes to the allocation its cachers hold.
+    decoded: Interner,
+    protocol: PhantomData<P>,
+}
+
+impl<P> Default for Framed<P> {
+    fn default() -> Self {
+        Self {
+            scratch: Vec::new(),
+            decoded: Interner::default(),
+            protocol: PhantomData,
+        }
+    }
+}
 
 impl<P: CheckpointProtocol> Carrier<P::Msg> for Framed<P> {
     type Packed = Vec<u8>;
 
-    fn pack(from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: P::Msg) -> Vec<u8> {
-        wire::encode_frame::<P>(&Frame {
+    fn pack(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        class: MsgClass,
+        bytes: usize,
+        msg: P::Msg,
+    ) -> Vec<u8> {
+        let frame = Frame {
             from,
             to,
             class,
             billed: bytes as u32,
             msg,
-        })
+        };
+        self.scratch.clear();
+        wire::encode_frame_into::<P>(&frame, &mut self.scratch);
+        self.scratch.as_slice().to_vec()
     }
 
-    fn unpack(packed: Vec<u8>) -> Option<P::Msg> {
-        wire::decode_frame_exact::<P>(&packed).ok().map(|f| f.msg)
+    fn unpack(&mut self, packed: Vec<u8>) -> Option<P::Msg> {
+        wire::decode_exact_sharing::<P>(&packed, Some(&mut self.decoded))
+            .ok()
+            .map(|f| f.msg)
     }
 }
 

@@ -15,8 +15,12 @@
 //! [class: u8]                        MsgClass tag (= MsgClass::index())
 //! [billed: u32]                      bytes billed by the protocol model
 //! [payload: len - 21 bytes]          P::Msg via its Codec
-//! [checksum: u64]                    FNV-1a 64 over from..payload
+//! [checksum: u64]                    checksum() over from..payload
 //! ```
+//!
+//! [`checksum`] folds the covered bytes eight at a time. A frame is encoded
+//! in one pass into the caller's buffer — envelope, payload, checksum, then
+//! the length patched in — and decoded only after the checksum verified.
 //!
 //! The `billed` field carries the *modeled* message size (the paper's
 //! analytic sizes, what [`asap_sim::Transport::send`] charges), which is
@@ -29,7 +33,11 @@
 
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
+use asap_sim::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Interner};
+
+/// The frame checksum: the codec's 64-bit word-wide fold, the same function
+/// decoded filters are interned under.
+pub use asap_overlay::codec::checksum;
 
 /// Hard upper bound on `len` (bytes after the length prefix). Far above any
 /// real ASAP message (full ads are ~KB-scale); caps what a corrupted length
@@ -51,7 +59,7 @@ pub enum WireError {
     /// Length prefix smaller than the fixed envelope — no room for even an
     /// empty payload.
     UndersizedFrame(u32),
-    /// The trailing FNV-1a checksum does not match the frame body.
+    /// The trailing [`checksum`] does not match the frame body.
     BadChecksum,
     /// Class byte outside the [`MsgClass`] tag range.
     BadClassTag(u8),
@@ -111,19 +119,19 @@ pub fn class_from_tag(tag: u8) -> Result<MsgClass, WireError> {
 /// Append one encoded frame to `out`. Infallible: every `Frame` has exactly
 /// one wire image.
 pub fn encode_frame_into<P: CheckpointProtocol>(frame: &Frame<P::Msg>, out: &mut Vec<u8>) {
-    let mut body = Encoder::new();
-    body.put_u32(frame.from.0);
-    body.put_u32(frame.to.0);
-    body.put_u8(class_to_tag(frame.class));
-    body.put_u32(frame.billed);
-    frame.msg.put(&mut body);
-    let body = body.into_bytes();
-    let mut sum = Fnv64::new();
-    sum.write_bytes(&body);
-    let len = (body.len() + 8) as u32;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&sum.finish().to_le_bytes());
+    let start = out.len();
+    let mut enc = Encoder::appending_to(std::mem::take(out));
+    enc.put_u32(0); // the length, patched once it is known
+    enc.put_u32(frame.from.0);
+    enc.put_u32(frame.to.0);
+    enc.put_u8(class_to_tag(frame.class));
+    enc.put_u32(frame.billed);
+    frame.msg.put(&mut enc);
+    *out = enc.into_bytes();
+    let sum = checksum(&out[start + 4..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encode one frame into a fresh buffer.
@@ -146,12 +154,19 @@ pub type Decoded<M> = Option<(Frame<M>, usize)>;
 ///   caller's discretion — see [`decode_frame_exact`].)
 /// * `Err(_)` — the prefix can never become a valid frame.
 pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>, WireError> {
-    if buf.len() < 4 {
+    decode_sharing::<P>(buf, None)
+}
+
+/// [`decode_frame`], with the payload's shared values going through
+/// `shared` when there is one (see [`Interner`]).
+fn decode_sharing<P: CheckpointProtocol>(
+    buf: &[u8],
+    shared: Option<&mut Interner>,
+) -> Result<Decoded<P::Msg>, WireError> {
+    let Some(len_bytes) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&buf[..4]);
-    let len = u32::from_le_bytes(len_bytes);
+    };
+    let len = u32::from_le_bytes(*len_bytes);
     if (len as usize) > MAX_FRAME {
         return Err(WireError::OversizedFrame(len));
     }
@@ -159,23 +174,24 @@ pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>
         return Err(WireError::UndersizedFrame(len));
     }
     let total = 4 + len as usize;
-    if buf.len() < total {
+    let Some(covered) = buf.get(4..total) else {
         return Ok(None);
-    }
-    let body = &buf[4..total - 8];
-    let mut sum_bytes = [0u8; 8];
-    sum_bytes.copy_from_slice(&buf[total - 8..total]);
-    let mut sum = Fnv64::new();
-    sum.write_bytes(body);
-    if sum.finish() != u64::from_le_bytes(sum_bytes) {
+    };
+    let Some((body, sum)) = covered.split_last_chunk::<8>() else {
+        return Err(WireError::UndersizedFrame(len));
+    };
+    if checksum(body) != u64::from_le_bytes(*sum) {
         return Err(WireError::BadChecksum);
     }
+    // Unbounded id spaces: frames are produced in-process by this engine.
     let mut dec = Decoder::new(body);
+    if let Some(table) = shared {
+        dec = dec.with_interner(table);
+    }
     let from = PeerId(dec.get_u32()?);
     let to = PeerId(dec.get_u32()?);
     let class = class_from_tag(dec.get_u8()?)?;
     let billed = dec.get_u32()?;
-    // Unbounded id spaces: frames are produced in-process by this engine.
     let msg = P::Msg::pull(&mut dec)?;
     dec.finish().map_err(|_| WireError::TrailingPayload)?;
     Ok(Some((
@@ -190,11 +206,20 @@ pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>
     )))
 }
 
-/// Decode a buffer that must hold exactly one whole frame (what
-/// [`Framed::unpack`](crate::Framed) does to a queued message). Incomplete input is [`WireError::Truncated`]; leftover
-/// bytes after the frame are [`WireError::TrailingPayload`].
+/// Decode a buffer that must hold exactly one whole frame. Incomplete input
+/// is [`WireError::Truncated`]; leftover bytes after the frame are
+/// [`WireError::TrailingPayload`]. Every `Rc` in the message is an
+/// allocation of its own; [`Framed::unpack`](crate::Framed) is this with
+/// the carrier's interner.
 pub fn decode_frame_exact<P: CheckpointProtocol>(buf: &[u8]) -> Result<Frame<P::Msg>, WireError> {
-    match decode_frame::<P>(buf)? {
+    decode_exact_sharing::<P>(buf, None)
+}
+
+pub(crate) fn decode_exact_sharing<P: CheckpointProtocol>(
+    buf: &[u8],
+    shared: Option<&mut Interner>,
+) -> Result<Frame<P::Msg>, WireError> {
+    match decode_sharing::<P>(buf, shared)? {
         Some((frame, consumed)) if consumed == buf.len() => Ok(frame),
         Some(_) => Err(WireError::TrailingPayload),
         None => Err(WireError::Truncated),
@@ -277,19 +302,87 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bit_flips_fail_the_checksum() {
-        let bytes = encode_frame::<Flooding>(&frame());
-        // Flip one bit in the body (past the length prefix, before the
-        // checksum) — the checksum must catch it before field decoding.
+    /// A full ad as ASAP ships it: a 1.5 KB frame, most of it filter words.
+    fn ad_frame() -> Frame<asap_core::AsapMsg> {
+        let filter = asap_bloom::BloomFilter::from_keys(
+            asap_bloom::BloomParams::paper_default(),
+            ["rock", "jazz", "blues"],
+        );
+        Frame {
+            from: PeerId(3),
+            to: PeerId(9),
+            class: MsgClass::FullAd,
+            billed: 1_500,
+            msg: asap_core::AsapMsg::Ad {
+                payload: asap_core::AdPayload::Full(asap_core::AdSnapshot {
+                    source: PeerId(3),
+                    topics: asap_workload::InterestSet(0b101),
+                    version: 2,
+                    filter: std::rc::Rc::new(filter),
+                }),
+                fwd: asap_core::Forwarding::Walk { budget: 100 },
+                delivery: 1,
+            },
+        }
+    }
+
+    /// Flip one bit in every body byte (past the length prefix, before the
+    /// checksum): the checksum must catch each before field decoding.
+    fn assert_body_flips_fail<P: CheckpointProtocol>(bytes: &[u8])
+    where
+        P::Msg: std::fmt::Debug,
+    {
         for pos in 4..bytes.len() - 8 {
-            let mut bad = bytes.clone();
+            let mut bad = bytes.to_vec();
             bad[pos] ^= 0x10;
             assert_eq!(
-                decode_frame::<Flooding>(&bad).unwrap_err(),
+                decode_frame::<P>(&bad).unwrap_err(),
                 WireError::BadChecksum,
                 "flip at {pos} slipped through"
             );
         }
+    }
+
+    #[test]
+    fn bit_flips_fail_the_checksum() {
+        assert_body_flips_fail::<Flooding>(&encode_frame::<Flooding>(&frame()));
+        let ad = encode_frame::<asap_core::Asap>(&ad_frame());
+        assert_eq!(ad.len(), 1_512);
+        assert_body_flips_fail::<asap_core::Asap>(&ad);
+    }
+
+    #[test]
+    fn appended_frames_are_decoded_where_they_start() {
+        let mut buf = vec![0xEE; 3];
+        encode_frame_into::<Flooding>(&frame(), &mut buf);
+        let one = buf.len();
+        encode_frame_into::<asap_core::Asap>(&ad_frame(), &mut buf);
+        assert_eq!(buf[..3], [0xEE; 3], "what the buffer held is kept");
+        assert_eq!(buf[3..one], encode_frame::<Flooding>(&frame()));
+        assert_eq!(buf[one..], encode_frame::<asap_core::Asap>(&ad_frame()));
+    }
+
+    #[test]
+    fn an_interner_shares_filters_across_frames_and_changes_nothing_else() {
+        let bytes = encode_frame::<asap_core::Asap>(&ad_frame());
+        let filter_of = |f: Frame<asap_core::AsapMsg>| match f.msg {
+            asap_core::AsapMsg::Ad {
+                payload: asap_core::AdPayload::Full(snap),
+                ..
+            } => snap.filter,
+            other => panic!("not a full ad: {other:?}"),
+        };
+        let mut table = Interner::default();
+        let mut shared = || {
+            let frame = decode_exact_sharing::<asap_core::Asap>(&bytes, Some(&mut table));
+            let frame = frame.expect("clean decode");
+            assert_eq!(encode_frame::<asap_core::Asap>(&frame), bytes);
+            filter_of(frame)
+        };
+        let (a, b) = (shared(), shared());
+        assert!(std::rc::Rc::ptr_eq(&a, &b));
+        let private = filter_of(decode_frame_exact::<asap_core::Asap>(&bytes).expect("clean"));
+        assert!(!std::rc::Rc::ptr_eq(&a, &private));
+        assert_eq!(a, private);
     }
 }

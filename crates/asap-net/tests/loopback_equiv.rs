@@ -13,9 +13,9 @@
 //! The tiny-scale pinned matrix lives in `asap-bench` (`simnet` bin,
 //! `golden/simnet_tiny.txt`); this tier keeps a fast in-tree witness.
 
-use asap_core::{Asap, AsapConfig};
+use asap_core::{Asap, AsapConfig, SuperAsap, SuperPeerConfig};
 use asap_net::Loopback;
-use asap_overlay::{OverlayConfig, OverlayKind};
+use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
 use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
 use asap_sim::{AuditConfig, CheckpointProtocol, FaultPlan, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
@@ -132,4 +132,51 @@ fn gsa_replays_identically_on_both_backends() {
 fn asap_rw_replays_identically_on_both_backends() {
     let (_, workload) = world();
     both_ways("asap-rw", || Asap::new(AsapConfig::rw(), &workload.model));
+}
+
+#[test]
+fn super_asap_replays_identically_on_both_backends() {
+    let (_, workload) = world();
+    both_ways("super-asap", || {
+        SuperAsap::new(SuperPeerConfig::new(AsapConfig::rw()), &workload.model)
+    });
+}
+
+/// The memory half of sim≡net, as a count a test can gate: filters that
+/// crossed the wire are shared among their cachers as widely as filters
+/// that never left memory.
+#[test]
+fn net_caches_share_filter_allocations_like_the_sim() {
+    let (phys, workload) = world();
+    let make = || Asap::new(AsapConfig::rw(), &workload.model);
+    let sim = Simulation::builder(
+        &phys,
+        &workload,
+        overlay(),
+        OverlayKind::Random,
+        make(),
+        SEED,
+    );
+    let net = Loopback::new(
+        &phys,
+        &workload,
+        overlay(),
+        OverlayKind::Random,
+        make(),
+        SEED,
+    );
+    let (sim, net) = (sim.run().protocol, net.run().protocol);
+    let cached =
+        |asap: &Asap| -> usize { (0..PEERS as u32).map(|p| asap.cache_len(PeerId(p))).sum() };
+    assert_eq!(cached(&sim), cached(&net));
+    let (in_memory, decoded) = (sim.distinct_cached_filters(), net.distinct_cached_filters());
+    assert!(
+        decoded <= in_memory,
+        "{decoded} allocations on the net carrier, {in_memory} on the sim"
+    );
+    assert!(
+        decoded * 4 < cached(&net),
+        "{decoded} allocations behind {} cached ads",
+        cached(&net)
+    );
 }

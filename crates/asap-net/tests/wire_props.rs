@@ -17,12 +17,12 @@ use asap_bloom::{BloomFilter, BloomParams};
 use asap_core::{AdPayload, AdSnapshot, Asap, AsapMsg, Forwarding};
 use asap_metrics::MsgClass;
 use asap_net::wire::{
-    decode_frame, decode_frame_exact, encode_frame, Frame, WireError, ENVELOPE, MAX_FRAME,
+    checksum, decode_frame, decode_frame_exact, encode_frame, Frame, WireError, ENVELOPE, MAX_FRAME,
 };
 use asap_overlay::PeerId;
 use asap_search::{BaselineMsg, Flooding};
 use asap_sim::checkpoint::assert_canonical;
-use asap_sim::{CheckpointProtocol, Codec, Encoder, Fnv64};
+use asap_sim::{CheckpointProtocol, Codec, Encoder};
 use asap_workload::{InterestSet, KeywordId};
 use proptest::prelude::*;
 
@@ -284,14 +284,37 @@ proptest! {
         // so the corruption reaches the tag check instead of BadChecksum.
         bytes[12] = bad_tag;
         let body_end = bytes.len() - 8;
-        let mut sum = Fnv64::new();
-        sum.write_bytes(&bytes[4..body_end]);
-        let end = bytes.len();
-        bytes[body_end..end].copy_from_slice(&sum.finish().to_le_bytes());
+        let sum = checksum(&bytes[4..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
         prop_assert_eq!(
             decode_frame_exact::<Flooding>(&bytes).unwrap_err(),
             WireError::BadClassTag(bad_tag)
         );
+    }
+
+    #[test]
+    fn zero_bytes_appended_to_the_payload_change_the_checksum(
+        ids in (0u8..8, 0u32..1_000_000, 0u32..1_000_000),
+        extra in 1usize..24,
+    ) {
+        let (kind, query, peer) = ids;
+        let f = frame(asap_msg(kind, query, peer, 9, 2), peer, kind as usize, query);
+        let bytes = encode_frame::<Asap>(&f);
+        let body_end = bytes.len() - 8;
+        let stamped = checksum(&bytes[4..body_end]);
+        prop_assert_eq!(&bytes[body_end..], &stamped.to_le_bytes()[..]);
+        // Zero padding alone would make these the same words: the length is
+        // folded in, so they are not the same checksum.
+        let mut padded = bytes[4..body_end].to_vec();
+        padded.extend(std::iter::repeat_n(0, extra));
+        prop_assert_ne!(checksum(&padded), stamped);
+        // And the frame carrying them is rejected, not read as the original.
+        let mut grown = bytes[..body_end].to_vec();
+        grown.extend(std::iter::repeat_n(0, extra));
+        grown.extend_from_slice(&stamped.to_le_bytes());
+        let len = (grown.len() - 4) as u32;
+        grown[..4].copy_from_slice(&len.to_le_bytes());
+        prop_assert_eq!(decode_frame_exact::<Asap>(&grown).unwrap_err(), WireError::BadChecksum);
     }
 
     #[test]

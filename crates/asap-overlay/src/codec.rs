@@ -19,9 +19,10 @@
 
 use crate::collections::{DetHashMap, DetHashSet};
 use crate::{OverlayKind, PeerId};
+use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Typed decode failure. Every malformed input maps to one of these —
 /// decoding never panics.
@@ -60,6 +61,41 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// A 64-bit checksum of `bytes`, folded one little-endian `u64` per step:
+/// what guards an `asap-net` frame, and the key a decoded value is interned
+/// under. The tail is zero-padded to a whole word and the length folded in
+/// last, so an image and the same image with zero bytes appended differ.
+/// Each step is a bijection of the running state (rotate, xor, multiply by
+/// an odd constant) and, for a given state, of the word folded in, so
+/// corruption confined to one word always changes the result. Whole
+/// 32-byte blocks go down four independent lanes, which keeps four
+/// multiplies in flight instead of one; the lanes meet in an xor of
+/// rotations, a bijection of each lane as well. It catches codec and queue
+/// bugs, not an attacker.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    /// The odd FxHash multiplier; only its mixing quality matters.
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let fold = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let word_of = |chunk: &[u8]| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    };
+    let mut lanes = [0u64; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fold(*lane, word_of(chunk));
+        }
+    }
+    let [a, b, c, d] = lanes;
+    let mut h = a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48);
+    for chunk in blocks.remainder().chunks(8) {
+        h = fold(h, word_of(chunk));
+    }
+    fold(h, bytes.len() as u64)
+}
+
 /// Append-only little-endian byte sink.
 #[derive(Debug, Default)]
 pub struct Encoder {
@@ -69,6 +105,12 @@ pub struct Encoder {
 impl Encoder {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An encoder that appends to `buf`, keeping what it holds and its
+    /// capacity: how a caller encodes into a buffer it reuses.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Self { buf }
     }
 
     #[inline]
@@ -111,6 +153,18 @@ impl Encoder {
     /// Raw bytes, no length prefix (magic, fixed-width blobs).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// A counted `u64` sequence, byte-identical to [`Encoder::put_seq`] over
+    /// the same words but written as one block: one reservation, and a copy
+    /// loop the compiler can widen, instead of a capacity check per word.
+    pub fn put_words(&mut self, words: &[u64]) {
+        self.put_len(words.len());
+        let at = self.buf.len();
+        self.buf.resize(at + words.len() * 8, 0);
+        for (slot, word) in self.buf[at..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
     }
 
     /// A counted sequence: the item count, then every item. This is what a
@@ -160,12 +214,68 @@ impl IdBounds {
     };
 }
 
+/// Decode-side sharing table: values that decode equal become one `Rc`
+/// (see [`Codec::pull_shared`]). A [`Decoder`] carries one only when its
+/// owner attaches it ([`Decoder::with_interner`]); whoever owns the table
+/// decides how far sharing reaches — one checkpoint resume, or every frame
+/// a carrier unpacks.
+///
+/// The table holds [`Weak`] handles only, so it never keeps a value alive,
+/// and it sweeps the dead ones each time it has doubled since the last
+/// sweep, so it stays within twice the values that were live then. Entries
+/// are type-erased because the types worth interning live in crates above
+/// this one.
+#[derive(Debug, Default)]
+pub struct Interner {
+    table: DetHashMap<u64, Weak<dyn Any>>,
+    /// Table size at which the next insert sweeps first.
+    sweep_at: usize,
+}
+
+impl Interner {
+    /// Below this size a sweep is not worth its scan.
+    const MIN_SWEEP: usize = 16;
+
+    /// The shared value for `key`: the registered one if it is still alive
+    /// and `same` accepts it, otherwise `make()`'s, which is registered in
+    /// its place. `key` may be any deterministic function of the value's
+    /// encoded image; a hit is decided by `same`, never by the key, so two
+    /// values that collide on a key are never merged.
+    pub fn intern<T: Any>(
+        &mut self,
+        key: u64,
+        same: impl FnOnce(&T) -> bool,
+        make: impl FnOnce() -> Result<T, CodecError>,
+    ) -> Result<Rc<T>, CodecError> {
+        let live = self.table.get(&key).and_then(Weak::upgrade);
+        if let Some(hit) = live.and_then(|rc| rc.downcast::<T>().ok()) {
+            if same(&hit) {
+                return Ok(hit);
+            }
+        }
+        let fresh = Rc::new(make()?);
+        if self.table.len() >= self.sweep_at {
+            self.table.retain(|_, w| w.strong_count() > 0);
+            self.sweep_at = (2 * self.table.len()).max(Self::MIN_SWEEP);
+        }
+        let handle: Weak<T> = Rc::downgrade(&fresh);
+        self.table.insert(key, handle);
+        Ok(fresh)
+    }
+
+    /// Entries in the table, dead ones not yet swept included.
+    pub fn entries(&self) -> usize {
+        self.table.len()
+    }
+}
+
 /// Bounds-checked little-endian reader.
 #[derive(Debug)]
 pub struct Decoder<'b> {
     buf: &'b [u8],
     pos: usize,
     bounds: IdBounds,
+    interner: Option<&'b mut Interner>,
 }
 
 impl<'b> Decoder<'b> {
@@ -175,6 +285,7 @@ impl<'b> Decoder<'b> {
             buf,
             pos: 0,
             bounds: IdBounds::NONE,
+            interner: None,
         }
     }
 
@@ -187,6 +298,18 @@ impl<'b> Decoder<'b> {
 
     pub fn bounds(&self) -> IdBounds {
         self.bounds
+    }
+
+    /// Share equal decoded values through `table` (see [`Interner`]).
+    /// Without one every `Rc` decodes into an allocation of its own.
+    pub fn with_interner(mut self, table: &'b mut Interner) -> Self {
+        self.interner = Some(table);
+        self
+    }
+
+    /// The attached sharing table, if any.
+    pub fn interner(&mut self) -> Option<&mut Interner> {
+        self.interner.as_deref_mut()
     }
 
     #[inline]
@@ -295,6 +418,13 @@ pub trait Codec: Sized {
 
     /// Read one value back.
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError>;
+
+    /// Read one value back into an `Rc` (what `Rc<Self>` decodes through).
+    /// A type whose decoded values are immutable and repeat across the
+    /// input overrides this to go through [`Decoder::interner`].
+    fn pull_shared(dec: &mut Decoder<'_>) -> Result<Rc<Self>, CodecError> {
+        Self::pull(dec).map(Rc::new)
+    }
 }
 
 macro_rules! scalar_codec {
@@ -377,13 +507,15 @@ impl<T: Codec> Codec for Rc<[T]> {
     }
 }
 
-/// Transparent: `Rc` aliasing is not preserved, only the value.
+/// Transparent on the way out: every handle writes the whole value. On the
+/// way in `T` decides ([`Codec::pull_shared`]): a fresh allocation per
+/// handle by default, one per distinct value for a type that interns.
 impl<T: Codec> Codec for Rc<T> {
     fn put(&self, enc: &mut Encoder) {
         (**self).put(enc);
     }
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        T::pull(dec).map(Rc::new)
+        T::pull_shared(dec)
     }
 }
 
@@ -589,6 +721,56 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert!(dec.get_count().is_err());
+    }
+
+    #[test]
+    fn checksum_sees_every_word_the_tail_and_the_length() {
+        // Long enough for whole 32-byte blocks, loose words and a tail.
+        let base: Vec<u8> = (0..77u8).map(|i| i.wrapping_mul(37)).collect();
+        let sum = checksum(&base);
+        for pos in 0..base.len() {
+            for bit in 0..8 {
+                let mut bad = base.clone();
+                bad[pos] ^= 1 << bit;
+                assert_ne!(checksum(&bad), sum, "flip at byte {pos} bit {bit}");
+            }
+        }
+        // Zero bytes appended pad to the same words; the length tells them
+        // apart. So does it for the empty image.
+        let mut longer = base.clone();
+        for _ in 0..9 {
+            longer.push(0);
+            assert_ne!(checksum(&longer), sum, "{} bytes", longer.len());
+        }
+        assert_ne!(checksum(&[]), checksum(&[0]));
+        // Words that trade places change their lane or their step.
+        let mut swapped = base.clone();
+        swapped.swap(0, 8);
+        assert_ne!(checksum(&swapped), sum);
+    }
+
+    #[test]
+    fn interner_shares_by_content_and_registers_only_what_decoded() {
+        let mut table = Interner::default();
+        let ok = |v: u32| move || Ok(v);
+        let a = table.intern(1, |&have: &u32| have == 10, ok(10)).unwrap();
+        let b = table.intern(1, |&have: &u32| have == 10, ok(10)).unwrap();
+        assert!(Rc::ptr_eq(&a, &b));
+        // Same key, other content: not merged, and the slot changes hands.
+        let c = table.intern(1, |&have: &u32| have == 11, ok(11)).unwrap();
+        assert_eq!((*a, *c), (10, 11));
+        assert_eq!(table.entries(), 1);
+        // Same key, other type: a miss, never a cast.
+        let d = table.intern(1, |_: &u64| true, || Ok(12u64)).unwrap();
+        assert_eq!(*d, 12);
+        // A value that fails to decode is an error and leaves no entry.
+        let bad = table.intern(2, |_: &u32| true, || Err(CodecError::BadTag));
+        assert_eq!(bad, Err(CodecError::BadTag));
+        assert_eq!(table.entries(), 1);
+        // Once the last handle is gone the entry no longer resolves.
+        drop(d);
+        let e = table.intern(1, |_: &u64| true, || Ok(13u64)).unwrap();
+        assert_eq!(*e, 13);
     }
 
     #[derive(Debug, PartialEq)]

@@ -82,6 +82,9 @@ pub trait Protocol {
 pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
     pub(crate) now_us: u64,
     pub(crate) queue: EventQueue<C::Packed>,
+    /// Packs in [`Ctx::send`], unpacks at dispatch; zero-sized on the
+    /// default carrier.
+    pub(crate) carrier: C,
     /// The mutable overlay graph (read via [`Ctx::neighbors`]).
     pub overlay: Overlay,
     pub(crate) overlay_kind: OverlayKind,
@@ -270,7 +273,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
                     EngineEvent::Deliver {
                         to,
                         from,
-                        msg: C::pack(from, to, class, bytes, msg),
+                        msg: self.carrier.pack(from, to, class, bytes, msg),
                         dup: false,
                     },
                 );
@@ -281,7 +284,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
                         EngineEvent::Deliver {
                             to,
                             from,
-                            msg: C::pack(from, to, class, bytes, msg),
+                            msg: self.carrier.pack(from, to, class, bytes, msg),
                             dup: true,
                         },
                     );
@@ -368,6 +371,12 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
     /// Total messages sent so far (all classes).
     pub fn messages_sent(&self) -> u64 {
         self.messages_sent
+    }
+
+    /// Deliveries dropped so far because [`Carrier::unpack`] rejected them
+    /// (what [`SimReport::wire_errors`] ends up as).
+    pub fn wire_errors(&self) -> u64 {
+        self.wire_errors
     }
 }
 
@@ -687,6 +696,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             horizon_us: trace_end_us + 30_000_000,
             now_us: 0,
             queue,
+            carrier: C::default(),
             overlay,
             overlay_kind,
             alive,
@@ -902,7 +912,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
                     dup,
                 });
                 if delivered {
-                    match C::unpack(msg) {
+                    match self.ctx.carrier.unpack(msg) {
                         Some(msg) => self.protocol.on_message(&mut self.ctx, to, from, msg),
                         None => self.ctx.wire_errors += 1,
                     }

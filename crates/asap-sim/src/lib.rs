@@ -41,7 +41,9 @@ pub use adversary::{
 };
 pub use arena::{NodeIdx, NodeTable};
 pub use audit::{AuditConfig, AuditReport, Fnv64};
-pub use checkpoint::{Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
+pub use checkpoint::{
+    Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Interner,
+};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};
 pub use transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};

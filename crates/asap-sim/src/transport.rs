@@ -18,6 +18,10 @@
 //!   validates and decodes just before `on_message`. `asap-net`'s loopback
 //!   and the `asapd` daemon are this same engine on that carrier.
 //!
+//! The engine's `Ctx` owns one carrier value per run, so a carrier can keep
+//! state across messages (the framed one reuses its encode buffer and
+//! interns the filters it decodes) without any global.
+//!
 //! The trait is deliberately *not* object-safe ([`Transport::trace`] is
 //! generic so a disabled sink costs one pointer test and never constructs
 //! the event); protocols take `&mut C` with `C: Transport<Msg = Self::Msg>`
@@ -133,32 +137,45 @@ pub trait Transport {
 /// unpacks just before the protocol callback, so everything else — clock,
 /// fault and adversary decisions, audit, load accounting, `(time, seq)`
 /// order — is carrier-independent by construction.
-pub trait Carrier<M> {
+///
+/// A carrier may keep state between messages (buffers it reuses, what it
+/// has already decoded). The engine's `Ctx` owns the one instance, built
+/// by `Default`, so that state lives and dies with the `Simulation`; it
+/// must never change what `unpack` returns for a given packed form.
+pub trait Carrier<M>: Default {
     /// The queued form of one message.
     type Packed;
 
     /// Encode `msg` with the envelope `send` was called with.
-    fn pack(from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) -> Self::Packed;
+    fn pack(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        class: MsgClass,
+        bytes: usize,
+        msg: M,
+    ) -> Self::Packed;
 
     /// Decode a queued message. `None` means the packed form failed
     /// validation: the engine drops the message and counts it in
     /// [`SimReport::wire_errors`](crate::SimReport::wire_errors).
-    fn unpack(packed: Self::Packed) -> Option<M>;
+    fn unpack(&mut self, packed: Self::Packed) -> Option<M>;
 }
 
 /// The identity carrier: the queue holds the message value itself.
+#[derive(Default)]
 pub struct InMemory;
 
 impl<M> Carrier<M> for InMemory {
     type Packed = M;
 
     #[inline]
-    fn pack(_: PeerId, _: PeerId, _: MsgClass, _: usize, msg: M) -> M {
+    fn pack(&mut self, _: PeerId, _: PeerId, _: MsgClass, _: usize, msg: M) -> M {
         msg
     }
 
     #[inline]
-    fn unpack(packed: M) -> Option<M> {
+    fn unpack(&mut self, packed: M) -> Option<M> {
         Some(packed)
     }
 }

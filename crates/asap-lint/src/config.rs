@@ -83,7 +83,7 @@ pub struct LintConfig {
     pub allows: Vec<AllowEntry>,
     /// R6 stream-salt registry, in declaration order.
     pub streams: Vec<StreamDef>,
-    /// R3 digest/event-ordering sink patterns (`Fnv64::*`, `Scheduled::cmp`,
+    /// R3 digest/event-ordering sink patterns (`Fnv64::*`, `EventKey::cmp`,
     /// bare fn names). Functions these sinks (transitively) call are the
     /// digest path; float/clock/RandomState taint inside it is flagged.
     pub taint_sinks: Vec<String>,

@@ -21,7 +21,7 @@ const PINNED: &[(&str, usize, usize)] = &[
     ("asap-net", 38, 280),
     ("asap-overlay", 99, 179),
     ("asap-search", 34, 227),
-    ("asap-sim", 238, 1077),
+    ("asap-sim", 250, 1130),
     ("asap-topology", 44, 67),
     ("asap-trace", 55, 86),
     ("asap-workload", 76, 289),

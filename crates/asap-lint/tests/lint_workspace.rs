@@ -42,6 +42,49 @@ fn workspace_is_lint_clean_under_committed_config() {
 /// the public interner-less entry points (roots by name in `lint.toml`).
 #[test]
 fn wire_decoder_is_in_the_panic_reachable_set() {
+    assert_panic_reachable(&[
+        "Framed::unpack",
+        "decode_exact_sharing",
+        "decode_sharing",
+        "checksum",
+        "BloomFilter::pull_shared",
+        "intern_filter",
+        "Interner::intern",
+        "decode_frame_exact",
+        "decode_frame",
+    ]);
+}
+
+/// Every event of every run goes through the calendar queue, and a panic in
+/// its placement or cursor arithmetic would be reachable from
+/// `Simulation::run` on whatever schedule first hits it. The queue's
+/// internals carry distinctive names so the by-name resolver pins them
+/// individually: if `step` stops calling `pop`, or one of these is renamed
+/// into a name the graph cannot tell apart, this fails instead of R4
+/// silently shrinking.
+#[test]
+fn event_queue_is_in_the_panic_reachable_set() {
+    assert_panic_reachable(&[
+        "EventQueue::pop",
+        "EventQueue::peek_time",
+        "EventQueue::push",
+        "EventQueue::enqueue_scheduled",
+        "EventQueue::fill_slot",
+        "EventQueue::release_slot",
+        "EventQueue::place_key",
+        "EventQueue::next_occupied_bucket",
+        "EventQueue::advance_cursor",
+        "EventQueue::locate_head",
+        "EventQueue::remove_head",
+        "EventQueue::collect_tombstone",
+        "EventQueue::purge_cancelled",
+        "EventKey::cmp",
+    ]);
+}
+
+/// Each name matches at least one call-graph node, and every node it
+/// matches is reachable from R4's roots under the committed `lint.toml`.
+fn assert_panic_reachable(names: &[&str]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -53,17 +96,7 @@ fn wire_decoder_is_in_the_panic_reachable_set() {
         .expect("workspace walk succeeds")
         .graph;
     let seen = graph.reach(&analysis::panic_roots(&graph, &cfg), |_| false);
-    for name in [
-        "Framed::unpack",
-        "decode_exact_sharing",
-        "decode_sharing",
-        "checksum",
-        "BloomFilter::pull_shared",
-        "intern_filter",
-        "Interner::intern",
-        "decode_frame_exact",
-        "decode_frame",
-    ] {
+    for name in names {
         let nodes = graph.match_pattern(name);
         assert!(!nodes.is_empty(), "`{name}` is gone from the call graph");
         assert!(

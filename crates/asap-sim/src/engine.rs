@@ -239,7 +239,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
             Some(f) => f.decide(self.now_us, from, to),
             None => FaultDecision::CLEAN,
         };
-        let base = self.now_us + self.latency_us(from, to);
+        let base = self.now_us.saturating_add(self.latency_us(from, to));
         match decision {
             FaultDecision::Drop { partition } => {
                 if let Some(a) = self.audit.as_deref_mut() {
@@ -260,7 +260,8 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
                 // Delivered sends carry the scheduled delay (latency plus
                 // fault jitter); dropped sends show up as `fault-drop`
                 // instead, so the latency histograms see deliveries only.
-                let delay_us = (base + jitter_us) - self.now_us;
+                let deliver_at = base.saturating_add(jitter_us);
+                let delay_us = deliver_at - self.now_us;
                 self.trace(|| TraceEvt::Send {
                     from,
                     to,
@@ -269,7 +270,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
                     delay_us,
                 });
                 self.queue.push(
-                    base + jitter_us,
+                    deliver_at,
                     EngineEvent::Deliver {
                         to,
                         from,
@@ -280,7 +281,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
                 if let Some((dj, msg)) = copy {
                     self.trace(|| TraceEvt::FaultDuplicate { from, to });
                     self.queue.push(
-                        base + dj,
+                        base.saturating_add(dj),
                         EngineEvent::Deliver {
                             to,
                             from,
@@ -349,8 +350,10 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
     pub fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
         self.profile.timers_set += 1;
         self.trace(|| TraceEvt::TimerSet { node, delay_us, tag });
-        self.queue
-            .push(self.now_us + delay_us, EngineEvent::Timer { node, tag })
+        // Saturating: a delay near `u64::MAX` means "never" (it lands past
+        // any horizon), not a wrap into the past that fires at once.
+        let fire_at = self.now_us.saturating_add(delay_us);
+        self.queue.push(fire_at, EngineEvent::Timer { node, tag })
     }
 
     /// Cancel a pending timer set via [`Ctx::set_timer`]; a cancelled timer
@@ -1392,6 +1395,47 @@ mod tests {
         )
         .run();
         assert_eq!(report.protocol.fired, vec![1, 2, 3]);
+    }
+
+    /// A delay near `u64::MAX` means "never". Armed at `now > 0` the
+    /// deadline used to overflow — a panic in debug builds, a wrap into the
+    /// past (an immediate firing) in release. It saturates instead: the
+    /// timer sits past every horizon, the run halts there as usual, and the
+    /// profile counts it among the events left behind.
+    #[test]
+    fn timer_past_the_end_of_time_never_fires() {
+        struct NeverProto {
+            fired: Vec<u64>,
+        }
+        impl Protocol for NeverProto {
+            type Msg = ();
+            fn on_init<C: Transport<Msg = ()>>(&mut self, ctx: &mut C) {
+                ctx.set_timer(PeerId(0), 1_000, 1);
+            }
+            fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
+            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_timer<C: Transport<Msg = ()>>(&mut self, ctx: &mut C, node: PeerId, tag: u64) {
+                self.fired.push(tag);
+                if tag == 1 {
+                    assert!(ctx.now_us() > 0);
+                    ctx.set_timer(node, u64::MAX, 2);
+                    ctx.set_timer(node, u64::MAX - 500, 3);
+                }
+            }
+        }
+        let (phys, workload, overlay) = small_world(5);
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            NeverProto { fired: vec![] },
+            5,
+        )
+        .run();
+        assert_eq!(report.protocol.fired, vec![1], "the saturated timers never fire");
+        assert_eq!(report.profile.past_horizon, 2, "both are left past the horizon");
+        assert!(report.end_time_us <= workload.trace.duration_us() + 30_000_000);
     }
 
     #[test]

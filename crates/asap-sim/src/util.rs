@@ -1,6 +1,6 @@
 //! Small protocol-side utilities.
 
-use crate::collections::{DetHashMap, DetHashSet};
+use crate::collections::DetHashMap;
 use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder};
 use asap_overlay::codec_struct;
 use std::collections::VecDeque;
@@ -10,11 +10,26 @@ use std::hash::Hash;
 /// suppression in flood-style dissemination. Memory stays flat over an
 /// arbitrarily long trace: once more than `window` keys are live, the oldest
 /// key's state is forgotten (by then its flood has long died out).
+///
+/// Visitors are peer ids — dense, and a flood reaches most of them — so each
+/// key keeps a bitset (one `u64` per 64 ids, grown to the highest id seen):
+/// a visit is one map probe and one word test.
 #[derive(Debug)]
 pub struct SeenTracker<K: Hash + Eq + Copy> {
-    seen: DetHashMap<K, DetHashSet<u32>>,
+    seen: DetHashMap<K, Vec<u64>>,
     order: VecDeque<K>,
     window: usize,
+}
+
+/// Set `visitor`'s bit; `true` if it was clear.
+fn mark_visitor(bits: &mut Vec<u64>, visitor: u32) -> bool {
+    let (word, bit) = (visitor as usize / 64, 1u64 << (visitor % 64));
+    if word >= bits.len() {
+        bits.resize(word + 1, 0);
+    }
+    let fresh = bits[word] & bit == 0;
+    bits[word] |= bit;
+    fresh
 }
 
 impl<K: Hash + Eq + Copy> SeenTracker<K> {
@@ -30,8 +45,8 @@ impl<K: Hash + Eq + Copy> SeenTracker<K> {
     /// Returns `true` the first time `(key, visitor)` is observed; `false`
     /// afterwards (until `key` ages out of the window).
     pub fn first_visit(&mut self, key: K, visitor: u32) -> bool {
-        if let Some(entry) = self.seen.get_mut(&key) {
-            return entry.insert(visitor);
+        if let Some(bits) = self.seen.get_mut(&key) {
+            return mark_visitor(bits, visitor);
         }
         // New key: evict *before* inserting, so the tracker never holds more
         // than `window` keys (not even transiently) and the key registered by
@@ -44,9 +59,9 @@ impl<K: Hash + Eq + Copy> SeenTracker<K> {
             }
         }
         self.order.push_back(key);
-        let mut visitors = DetHashSet::default();
-        visitors.insert(visitor);
-        self.seen.insert(key, visitors);
+        let mut bits = Vec::new();
+        mark_visitor(&mut bits, visitor);
+        self.seen.insert(key, bits);
         true
     }
 
@@ -57,31 +72,52 @@ impl<K: Hash + Eq + Copy> SeenTracker<K> {
 
 // Hand-written: the window must be positive and hold every entry. Wire
 // form: the window, then `(key, visitors)` pairs in eviction-queue order
-// (oldest first), visitors ascending — the eviction queue and the map hold
-// exactly the same keys, so this is the whole state.
+// (oldest first), visitors as a counted list of ascending ids — the eviction
+// queue and the map hold exactly the same keys, so this is the whole state.
 impl<K: Hash + Eq + Copy + Codec> Codec for SeenTracker<K> {
     fn put(&self, enc: &mut Encoder) {
         self.window.put(enc);
         enc.put_len(self.order.len());
         for key in &self.order {
             key.put(enc);
-            match self.seen.get(key) {
-                Some(visitors) => visitors.put(enc),
-                None => enc.put_len(0),
+            let bits = self.seen.get(key).map_or(&[][..], Vec::as_slice);
+            enc.put_len(bits.iter().map(|w| w.count_ones() as usize).sum());
+            for (word, &set) in bits.iter().enumerate() {
+                let mut rest = set;
+                while rest != 0 {
+                    (word as u32 * 64 + rest.trailing_zeros()).put(enc);
+                    rest &= rest - 1;
+                }
             }
         }
     }
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let (window, entries): (usize, Vec<(K, DetHashSet<u32>)>) = Codec::pull(dec)?;
+        let (window, entries): (usize, Vec<(K, Vec<u32>)>) = Codec::pull(dec)?;
         if window == 0 {
             return Err(CodecError::Invalid("zero seen window"));
         }
         if entries.len() > window {
             return Err(CodecError::Invalid("seen entries exceed window"));
         }
+        let peers = dec.bounds().peers;
+        let mut seen = DetHashMap::default();
+        let mut order = VecDeque::with_capacity(entries.len());
+        for (key, visitors) in entries {
+            let mut bits = Vec::new();
+            for visitor in visitors {
+                // The bitset grows to the highest id it is handed: a corrupt
+                // id must be refused here, not turned into an allocation.
+                if visitor as usize >= peers {
+                    return Err(CodecError::Invalid("seen visitor out of range"));
+                }
+                mark_visitor(&mut bits, visitor);
+            }
+            seen.insert(key, bits);
+            order.push_back(key);
+        }
         Ok(Self {
-            order: entries.iter().map(|&(key, _)| key).collect(),
-            seen: entries.into_iter().collect(),
+            seen,
+            order,
             window,
         })
     }

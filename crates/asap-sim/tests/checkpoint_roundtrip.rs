@@ -16,13 +16,16 @@
 //! * decode of truncated, bit-flipped, or wrong-version bytes returns a
 //!   typed [`CodecError`] — never a panic, never an oversized allocation;
 //! * a checksummed-but-wrong checkpoint — a peer id past the world inside a
-//!   queued message's payload — is a typed error at resume, not an index
-//!   panic in the run that follows.
+//!   queued message's payload, or among a flood tracker's visitors — is a
+//!   typed error at resume, not an index panic in the run that follows (or
+//!   an allocation sized by the corrupt id).
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
+use asap_sim::checkpoint::IdBounds;
 use asap_sim::collections::DetHashMap;
 use asap_sim::event::Scheduled;
+use asap_sim::util::SeenTracker;
 use asap_sim::{
     codec_enum, query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint,
     CheckpointProtocol, Codec, CodecError, Decoder, Encoder, EngineEvent, EventHandle, FaultPlan,
@@ -439,6 +442,36 @@ fn out_of_range_peer_inside_a_queued_message_is_rejected() {
             resume_with(past),
             Err(CodecError::Invalid("peer id out of range")),
             "origin {past} resumed"
+        );
+    }
+}
+
+/// The same boundary for the flood trackers' visitor bitsets, which grow to
+/// the highest id they are handed: a visitor past the world is refused at
+/// decode — a corrupt `u32::MAX` would otherwise become a 512 MB bitset.
+#[test]
+fn out_of_range_visitor_in_a_seen_tracker_is_rejected() {
+    let decode_with = |visitor: u32| {
+        let mut tracker: SeenTracker<u32> = SeenTracker::new(4);
+        tracker.first_visit(9, 3);
+        tracker.first_visit(9, visitor);
+        let mut enc = Encoder::new();
+        tracker.put(&mut enc);
+        let bytes = enc.into_bytes();
+        let bounds = IdBounds {
+            peers: PEERS,
+            ..IdBounds::NONE
+        };
+        SeenTracker::<u32>::pull(&mut Decoder::new(&bytes).with_bounds(bounds)).map(|mut t| {
+            assert!(!t.first_visit(9, 3) && !t.first_visit(9, visitor));
+        })
+    };
+    assert_eq!(decode_with(PEERS as u32 - 1), Ok(()), "last peer");
+    for past in [PEERS as u32, u32::MAX] {
+        assert_eq!(
+            decode_with(past),
+            Err(CodecError::Invalid("seen visitor out of range")),
+            "visitor {past} decoded"
         );
     }
 }

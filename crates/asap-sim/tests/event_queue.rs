@@ -47,9 +47,11 @@ impl Model {
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push at `last_popped_time + ahead_us` (sims never schedule in the past).
+    /// Push at `last_popped_time + offset_us`. The engine only ever pushes
+    /// ahead; a negative offset (clamped at time 0) is a push *behind* the
+    /// clock, which the API allows and the queue must still surface first.
     Push {
-        ahead_us: u64,
+        offset_us: i64,
     },
     Pop,
     /// Cancel the handle at `index % issued` (may already have fired).
@@ -59,14 +61,30 @@ enum Op {
     Peek,
 }
 
+const MS: i64 = 1_000;
+const S: i64 = 1_000_000;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     // The vendored proptest shim's prop_oneof! is uniform; repeat arms to
-    // weight pushes over the rest.
+    // weight them. The push arms are the queue's placement regions (its
+    // bucket width and ring size are private, so each range straddles every
+    // plausible choice: buckets of 64 µs–4 ms, a window of 0.5–4 s): the
+    // clock's own instant, the bucket being drained, inside the ring, and
+    // beyond its horizon from seconds to hours — so one tape carries the
+    // far-to-ring migration, ring indices wrapping many laps, and late
+    // pushes racing the bucket being drained; the last push arm lands behind
+    // the clock. `Cancel` and `Peek` hit wherever the tape has put entries.
     prop_oneof![
-        (0u64..500_000).prop_map(|ahead_us| Op::Push { ahead_us }),
-        (0u64..500_000).prop_map(|ahead_us| Op::Push { ahead_us }),
-        (0u64..500_000).prop_map(|ahead_us| Op::Push { ahead_us }),
-        (0u64..500_000).prop_map(|ahead_us| Op::Push { ahead_us }),
+        (0i64..1).prop_map(|offset_us| Op::Push { offset_us }),
+        (1i64..64).prop_map(|offset_us| Op::Push { offset_us }),
+        (0..500 * MS).prop_map(|offset_us| Op::Push { offset_us }),
+        (0..500 * MS).prop_map(|offset_us| Op::Push { offset_us }),
+        (500 * MS..5 * S).prop_map(|offset_us| Op::Push { offset_us }),
+        (5 * S..120 * S).prop_map(|offset_us| Op::Push { offset_us }),
+        (120 * S..10_000 * S).prop_map(|offset_us| Op::Push { offset_us }),
+        (-10 * S..0).prop_map(|offset_us| Op::Push { offset_us }),
+        (0u32..1).prop_map(|_| Op::Pop),
+        (0u32..1).prop_map(|_| Op::Pop),
         (0u32..1).prop_map(|_| Op::Pop),
         (0u32..1).prop_map(|_| Op::Pop),
         (0usize..10_000).prop_map(|index| Op::Cancel { index }),
@@ -82,19 +100,22 @@ fn popped(q: &mut EventQueue<()>) -> Option<(u64, u64, u64)> {
 }
 
 proptest! {
-    /// Any op tape — pushes spread over half a virtual second, interleaved
-    /// pops, cancels of arbitrary (possibly fired) handles — drives the
-    /// queue and the model through identical observable states.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any op tape — pushes from the clock's own instant to hours ahead of
+    /// it and behind it, interleaved pops, cancels of arbitrary (possibly
+    /// fired) handles — drives the queue and the model through identical
+    /// observable states.
     #[test]
-    fn op_tapes_match_the_model(ops in prop::collection::vec(op_strategy(), 1..400)) {
+    fn op_tapes_match_the_model(ops in prop::collection::vec(op_strategy(), 1..600)) {
         let mut queue: EventQueue<()> = EventQueue::new();
         let mut model = Model::default();
         let mut issued: Vec<EventHandle> = Vec::new();
         let mut clock = 0u64;
         for (i, op) in ops.iter().enumerate() {
             match *op {
-                Op::Push { ahead_us } => {
-                    let (t, tag) = (clock + ahead_us, i as u64);
+                Op::Push { offset_us } => {
+                    let (t, tag) = (clock.saturating_add_signed(offset_us), i as u64);
                     let h = queue.push(t, EngineEvent::Timer { node: PeerId(0), tag });
                     prop_assert_eq!(h.raw(), issued.len() as u64, "seq is the push count");
                     model.entries.insert((t, h.raw()), tag);

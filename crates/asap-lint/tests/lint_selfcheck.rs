@@ -15,16 +15,16 @@ use asap_lint::{lint_workspace, LintConfig};
 const PINNED: &[(&str, usize, usize)] = &[
     ("asap-bench", 148, 1222),
     ("asap-bloom", 74, 147),
-    ("asap-core", 115, 1782),
+    ("asap-core", 115, 1790),
     ("asap-lint", 93, 200),
     ("asap-metrics", 70, 52),
-    ("asap-net", 38, 280),
-    ("asap-overlay", 99, 179),
-    ("asap-search", 34, 227),
-    ("asap-sim", 250, 1130),
+    ("asap-net", 38, 282),
+    ("asap-overlay", 102, 182),
+    ("asap-search", 34, 229),
+    ("asap-sim", 250, 1134),
     ("asap-topology", 44, 67),
     ("asap-trace", 55, 86),
-    ("asap-workload", 76, 289),
+    ("asap-workload", 81, 307),
     ("xtask", 7, 6),
 ];
 

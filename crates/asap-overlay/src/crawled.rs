@@ -11,21 +11,17 @@
 //! connectivity. The two published properties — average degree 3.35 and
 //! heavy tail — are reproduced exactly/structurally.
 
-use crate::degree::{degree_sequence, TruncatedPowerLaw};
 use crate::graph::Overlay;
-use crate::powerlaw::pair_stubs;
+use crate::powerlaw;
 use rand::rngs::SmallRng;
 
 /// Degree exponent chosen to mimic measured Gnutella crawls (leaf-heavy).
-const CRAWL_ALPHA: f64 = -1.7;
+pub(crate) const CRAWL_ALPHA: f64 = -1.7;
 /// The paper's measured average degree for the crawled topology.
 pub const CRAWL_AVG_DEGREE: f64 = 3.35;
 
 pub fn generate(n: usize, rng: &mut SmallRng) -> Overlay {
-    let cutoff = TruncatedPowerLaw::fit_cutoff(CRAWL_ALPHA, CRAWL_AVG_DEGREE, n);
-    let dist = TruncatedPowerLaw::new(CRAWL_ALPHA, cutoff);
-    let degs = degree_sequence(&dist, n, CRAWL_AVG_DEGREE, rng);
-    pair_stubs(n, &degs, rng)
+    powerlaw::generate(n, CRAWL_AVG_DEGREE, CRAWL_ALPHA, rng)
 }
 
 #[cfg(test)]

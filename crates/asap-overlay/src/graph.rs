@@ -1,4 +1,12 @@
 //! The mutable overlay graph.
+//!
+//! Construction is linear in the graph: generators wire probabilistically
+//! and then call [`Overlay::repair_connectivity`], which is one reachability
+//! pass — O(n + m) however many orphan components there are (at 100,000
+//! peers a random overlay has 667 and a crawled one over 4,700, so a
+//! traversal per orphan was all but 1 % of the cost of building one). The
+//! repair's output is a function of the wired graph and the RNG alone; its
+//! tests keep the traversal-per-orphan version as the oracle for that.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -162,6 +170,29 @@ impl Overlay {
         }
     }
 
+    /// Mark `start`'s whole component in `seen` and return how many vertices
+    /// that newly marked (0 if `start` was marked already). Marked vertices
+    /// are never re-entered, so any number of calls over one `seen` cost
+    /// O(n + m) in total. `stack` is scratch, empty on entry and on return.
+    fn mark_component(&self, start: PeerId, seen: &mut [bool], stack: &mut Vec<PeerId>) -> usize {
+        if seen[start.index()] {
+            return 0;
+        }
+        seen[start.index()] = true;
+        let mut marked = 1;
+        stack.push(start);
+        while let Some(u) = stack.pop() {
+            for &v in self.neighbors(u) {
+                if !seen[v.index()] {
+                    seen[v.index()] = true;
+                    marked += 1;
+                    stack.push(v);
+                }
+            }
+        }
+        marked
+    }
+
     /// Whether the graph is a single connected component (isolated-vertex
     /// graphs with `n > 1` are disconnected).
     pub fn is_connected(&self) -> bool {
@@ -170,49 +201,38 @@ impl Overlay {
             return true;
         }
         let mut seen = vec![false; n];
-        let mut stack = vec![PeerId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in self.neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == n
+        self.mark_component(PeerId(0), &mut seen, &mut Vec::new()) == n
     }
 
-    /// Connect all components by linking random members to component 0.
-    /// Used by generators after probabilistic wiring.
+    /// Connect all components by linking the lowest-indexed member of each
+    /// orphan component to a random member of peer 0's component. Used by
+    /// generators after probabilistic wiring.
+    ///
+    /// One pass, O(n + m) plus the anchor draws: `seen` holds peer 0's
+    /// component, the cursor walks up to the lowest unseen peer, and after
+    /// the link only that orphan's component is filled in — which leaves
+    /// `seen` exactly as a fresh traversal from peer 0 would, so the orphan
+    /// order, the anchor draws and the edge insertion order are those of
+    /// re-scanning the whole graph per orphan (the `#[cfg(test)]` oracle).
     pub fn repair_connectivity(&mut self, rng: &mut SmallRng) {
         let n = self.num_peers();
         if n == 0 {
             return;
         }
-        loop {
-            let mut seen = vec![false; n];
-            let mut stack = vec![PeerId(0)];
-            seen[0] = true;
-            while let Some(u) = stack.pop() {
-                for &v in self.neighbors(u) {
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        stack.push(v);
-                    }
-                }
-            }
-            let Some(orphan) = seen.iter().position(|&s| !s) else {
-                return;
-            };
+        let mut seen = vec![false; n];
+        let mut stack = Vec::new();
+        self.mark_component(PeerId(0), &mut seen, &mut stack);
+        let mut cursor = 0;
+        while let Some(offset) = seen[cursor..].iter().position(|&s| !s) {
+            let orphan = cursor + offset;
             // Link the orphan component to a random reached node.
             let mut anchor = rng.gen_range(0..n);
             while !seen[anchor] {
                 anchor = rng.gen_range(0..n);
             }
             self.add_edge(PeerId(orphan as u32), PeerId(anchor as u32));
+            self.mark_component(PeerId(orphan as u32), &mut seen, &mut stack);
+            cursor = orphan + 1;
         }
     }
 
@@ -298,6 +318,147 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         g.repair_connectivity(&mut rng);
         assert!(g.is_connected());
+    }
+
+    /// `repair_connectivity` as it stood before the one-pass version, kept
+    /// verbatim as the reference: a full traversal from peer 0, and a fresh
+    /// `seen`, for every orphan component.
+    fn repair_by_rescan(g: &mut Overlay, rng: &mut SmallRng) {
+        let n = g.num_peers();
+        if n == 0 {
+            return;
+        }
+        loop {
+            let mut seen = vec![false; n];
+            let mut stack = vec![PeerId(0)];
+            seen[0] = true;
+            while let Some(u) = stack.pop() {
+                for &v in g.neighbors(u) {
+                    if !seen[v.index()] {
+                        seen[v.index()] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            let Some(orphan) = seen.iter().position(|&s| !s) else {
+                return;
+            };
+            // Link the orphan component to a random reached node.
+            let mut anchor = rng.gen_range(0..n);
+            while !seen[anchor] {
+                anchor = rng.gen_range(0..n);
+            }
+            g.add_edge(PeerId(orphan as u32), PeerId(anchor as u32));
+        }
+    }
+
+    /// Repair copies of `wired` both ways from the same RNG state and demand
+    /// the same adjacency lists, element for element, and the same next draw
+    /// (so the same number of anchor draws; none at all when nothing needed
+    /// linking). Returns the edges added.
+    fn assert_repair_matches_rescan(wired: &Overlay, rng: &SmallRng, what: &str) -> usize {
+        let (mut fast, mut fast_rng) = (wired.clone(), rng.clone());
+        let (mut slow, mut slow_rng) = (wired.clone(), rng.clone());
+        fast.repair_connectivity(&mut fast_rng);
+        repair_by_rescan(&mut slow, &mut slow_rng);
+        assert!(
+            fast.adjacency() == slow.adjacency(),
+            "{what}: adjacency differs"
+        );
+        let next = fast_rng.gen::<u64>();
+        assert_eq!(next, slow_rng.gen::<u64>(), "{what}: draw count differs");
+        assert!(fast.is_connected(), "{what}: not connected");
+        let added = fast.num_edges() - wired.num_edges();
+        if added == 0 {
+            assert_eq!(
+                next,
+                rng.clone().gen::<u64>(),
+                "{what}: drew with no orphan"
+            );
+        }
+        added
+    }
+
+    #[test]
+    fn repair_matches_rescan_on_every_generator() {
+        use crate::crawled::{CRAWL_ALPHA, CRAWL_AVG_DEGREE};
+        use crate::{powerlaw, random, OverlayKind};
+        for kind in OverlayKind::ALL {
+            for n in [0usize, 1, 2, 150, 1_500, 20_000] {
+                let seeds = if n < 20_000 { 1..6u64 } else { 1..3 };
+                for seed in seeds {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let wired = match kind {
+                        OverlayKind::Random => random::wire(n, 5.0, &mut rng),
+                        OverlayKind::PowerLaw => powerlaw::wire(n, 5.0, -0.74, &mut rng),
+                        OverlayKind::Crawled => {
+                            powerlaw::wire(n, CRAWL_AVG_DEGREE, CRAWL_ALPHA, &mut rng)
+                        }
+                    };
+                    let what = format!("{kind:?} n={n} seed={seed}");
+                    let added = assert_repair_matches_rescan(&wired, &rng, &what);
+                    if n >= 1_500 {
+                        assert!(added > 0, "{what}: nothing to repair, case is vacuous");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repair_matches_rescan_on_hand_built_graphs() {
+        let rng = SmallRng::seed_from_u64(7);
+        let path = |g: &mut Overlay, from: u32, to: u32| {
+            for i in from..to {
+                g.add_edge(PeerId(i), PeerId(i + 1));
+            }
+        };
+
+        let isolated = Overlay::with_peers(40);
+        assert_eq!(
+            assert_repair_matches_rescan(&isolated, &rng, "all isolated"),
+            39
+        );
+
+        // Already connected: no edge, and (checked by the helper) no draw.
+        let mut connected = Overlay::with_peers(30);
+        path(&mut connected, 0, 29);
+        assert_eq!(
+            assert_repair_matches_rescan(&connected, &rng, "connected"),
+            0
+        );
+
+        // Peer 0 alone: every anchor draw must land on 0 until 1..20 joins.
+        let mut zero_alone = Overlay::with_peers(20);
+        path(&mut zero_alone, 1, 19);
+        assert_eq!(
+            assert_repair_matches_rescan(&zero_alone, &rng, "peer 0 isolated"),
+            1
+        );
+
+        let mut halves = Overlay::with_peers(400);
+        path(&mut halves, 0, 199);
+        path(&mut halves, 200, 399);
+        assert_eq!(assert_repair_matches_rescan(&halves, &rng, "two halves"), 1);
+
+        // An orphan component with internal structure: a path of 50 whose
+        // lowest peer is an end. Marking only the orphan itself would link
+        // every one of the 50 separately.
+        let mut tail = Overlay::with_peers(60);
+        path(&mut tail, 0, 9);
+        path(&mut tail, 10, 59);
+        assert_eq!(assert_repair_matches_rescan(&tail, &rng, "path of 50"), 1);
+
+        // Interleaved components: the cursor must skip peers a previous
+        // orphan's fill already reached.
+        let mut woven = Overlay::with_peers(90);
+        for i in 0..87 {
+            woven.add_edge(PeerId(i), PeerId(i + 3));
+        }
+        assert_eq!(
+            assert_repair_matches_rescan(&woven, &rng, "three woven paths"),
+            2
+        );
     }
 
     #[test]

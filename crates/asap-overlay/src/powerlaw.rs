@@ -13,13 +13,20 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
 pub fn generate(n: usize, avg_degree: f64, alpha: f64, rng: &mut SmallRng) -> Overlay {
+    let mut g = wire(n, avg_degree, alpha, rng);
+    g.repair_connectivity(rng);
+    g
+}
+
+/// Degree draw and stub pairing alone, before the connectivity repair.
+pub(crate) fn wire(n: usize, avg_degree: f64, alpha: f64, rng: &mut SmallRng) -> Overlay {
     let cutoff = TruncatedPowerLaw::fit_cutoff(alpha, avg_degree, n);
     let dist = TruncatedPowerLaw::new(alpha, cutoff);
     let degs = degree_sequence(&dist, n, avg_degree, rng);
     pair_stubs(n, &degs, rng)
 }
 
-/// Configuration-model pairing of a degree sequence.
+/// Configuration-model pairing of a degree sequence (not yet repaired).
 pub(crate) fn pair_stubs(n: usize, degs: &[usize], rng: &mut SmallRng) -> Overlay {
     let mut stubs: Vec<PeerId> = Vec::with_capacity(degs.iter().sum());
     for (i, &d) in degs.iter().enumerate() {
@@ -31,7 +38,6 @@ pub(crate) fn pair_stubs(n: usize, degs: &[usize], rng: &mut SmallRng) -> Overla
         // add_edge drops self-loops and duplicates.
         g.add_edge(pair[0], pair[1]);
     }
-    g.repair_connectivity(rng);
     g
 }
 

@@ -7,6 +7,13 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 pub fn generate(n: usize, avg_degree: f64, rng: &mut SmallRng) -> Overlay {
+    let mut g = wire(n, avg_degree, rng);
+    g.repair_connectivity(rng);
+    g
+}
+
+/// The `G(n, M)` wiring alone, before the connectivity repair.
+pub(crate) fn wire(n: usize, avg_degree: f64, rng: &mut SmallRng) -> Overlay {
     let mut g = Overlay::with_peers(n);
     let target_edges = ((n as f64 * avg_degree) / 2.0).round() as usize;
     let mut added = 0;
@@ -20,7 +27,6 @@ pub fn generate(n: usize, avg_degree: f64, rng: &mut SmallRng) -> Overlay {
             added += 1;
         }
     }
-    g.repair_connectivity(rng);
     g
 }
 

@@ -32,7 +32,7 @@ pub use asap_overlay::PeerId;
 pub use config::{HeterogeneityPack, WorkloadConfig};
 pub use content::ContentModel;
 pub use ids::{ClassId, DocId, InterestSet, KeywordId};
-pub use state::ContentState;
+pub use state::{ContentState, Holdings};
 pub use trace::{QuerySpec, Trace, TraceEvent};
 pub use vocab::Vocabulary;
 

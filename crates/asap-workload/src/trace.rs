@@ -7,7 +7,7 @@
 use crate::config::WorkloadConfig;
 use crate::content::ContentModel;
 use crate::ids::{ClassId, DocId, KeywordId};
-use crate::state::ContentState;
+use crate::state::Holdings;
 use crate::zipf::exp_gap_us;
 use asap_overlay::PeerId;
 use rand::rngs::SmallRng;
@@ -69,7 +69,7 @@ impl Trace {
     /// a live peer other than the requester at issue time. Returns the
     /// number of queries checked.
     pub fn validate(&self, model: &ContentModel, initially_alive: &[bool]) -> usize {
-        let mut state = ContentState::from_model(model);
+        let mut state = Holdings::from_model(model);
         let mut alive = initially_alive.to_vec();
         let mut checked = 0;
         for te in &self.events {
@@ -85,10 +85,10 @@ impl Trace {
                     checked += 1;
                 }
                 TraceEvent::AddDocument { peer, doc } => {
-                    state.add(model, *peer, *doc);
+                    state.add(*peer, *doc);
                 }
                 TraceEvent::RemoveDocument { peer, doc } => {
-                    state.remove(model, *peer, *doc);
+                    state.remove(*peer, *doc);
                 }
                 TraceEvent::Join(p) => alive[p.index()] = true,
                 TraceEvent::Leave(p) => alive[p.index()] = false,
@@ -150,7 +150,8 @@ pub fn generate_trace(
     let mut recent_joiners: Vec<PeerId> = Vec::new();
 
     // --- chronological generation ------------------------------------------
-    let mut state = ContentState::from_model(model);
+    // Who holds what is all the generator reads; no keyword multiset here.
+    let mut state = Holdings::from_model(model);
     let mut events = Vec::with_capacity(slots.len() + config.queries / 8);
     let mut query_id = 0u32;
 
@@ -214,7 +215,8 @@ pub fn generate_trace(
                 });
                 // 10 % of requests are followed by a content change.
                 if rng.gen_bool(config.content_change_fraction) {
-                    if let Some(ev) = synthesize_change(model, &mut state, &alive, rng) {
+                    if let Some(ev) = synthesize_change(model, &mut state, &alive, alive_count, rng)
+                    {
                         events.push(TimedEvent { time_us, event: ev });
                     }
                 }
@@ -241,7 +243,7 @@ fn random_alive(alive: &[bool], alive_count: usize, rng: &mut SmallRng) -> PeerI
 fn synthesize_query(
     config: &WorkloadConfig,
     model: &ContentModel,
-    state: &ContentState,
+    state: &Holdings,
     alive: &[bool],
     alive_count: usize,
     id: u32,
@@ -320,11 +322,11 @@ fn pick_terms(
 /// from the snapshot.
 fn synthesize_change(
     model: &ContentModel,
-    state: &mut ContentState,
+    state: &mut Holdings,
     alive: &[bool],
+    alive_count: usize,
     rng: &mut SmallRng,
 ) -> Option<TraceEvent> {
-    let alive_count = alive.iter().filter(|&&a| a).count();
     if rng.gen_bool(0.5) {
         // Addition.
         for _ in 0..16 {
@@ -336,7 +338,7 @@ fn synthesize_change(
                 continue;
             }
             let doc = pool[rng.gen_range(0..pool.len())];
-            if state.add(model, peer, doc) {
+            if state.add(peer, doc) {
                 return Some(TraceEvent::AddDocument { peer, doc });
             }
         }
@@ -350,7 +352,7 @@ fn synthesize_change(
                 continue;
             }
             let doc = docs[rng.gen_range(0..docs.len())];
-            state.remove(model, peer, doc);
+            state.remove(peer, doc);
             return Some(TraceEvent::RemoveDocument { peer, doc });
         }
         None
@@ -433,7 +435,7 @@ mod tests {
     #[test]
     fn requesters_do_not_hold_target() {
         let (model, trace, alive) = workload(300, 400, 26);
-        let mut state = ContentState::from_model(&model);
+        let mut state = Holdings::from_model(&model);
         let mut alive = alive;
         for te in &trace.events {
             match &te.event {
@@ -441,10 +443,10 @@ mod tests {
                     assert!(!state.peer_has_doc(q.requester, q.target));
                 }
                 TraceEvent::AddDocument { peer, doc } => {
-                    state.add(&model, *peer, *doc);
+                    state.add(*peer, *doc);
                 }
                 TraceEvent::RemoveDocument { peer, doc } => {
-                    state.remove(&model, *peer, *doc);
+                    state.remove(*peer, *doc);
                 }
                 TraceEvent::Join(p) => alive[p.index()] = true,
                 TraceEvent::Leave(p) => alive[p.index()] = false,

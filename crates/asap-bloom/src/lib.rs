@@ -26,10 +26,8 @@ pub mod filter;
 pub mod hashing;
 pub mod params;
 pub mod patch;
-pub mod variable;
 
 pub use encoding::WireFilter;
 pub use filter::{BloomFilter, CountingBloom, ProbePlan};
 pub use params::BloomParams;
 pub use patch::FilterPatch;
-pub use variable::VariableFilter;

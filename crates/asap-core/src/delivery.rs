@@ -9,8 +9,7 @@ use crate::ad::{AdPayload, AsapMsg, Forwarding};
 use crate::config::DeliveryKind;
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::Transport;
-use rand::Rng;
+use asap_sim::{spread, Transport};
 
 /// Load-accounting class of an ad payload.
 pub(crate) fn ad_class(payload: &AdPayload) -> MsgClass {
@@ -122,21 +121,8 @@ fn fan_to_all<C: Transport<Msg = AsapMsg>>(
     delivery: u64,
     fwd: Forwarding,
 ) {
-    // Index loop re-borrowing the neighbor slice each iteration: sends only
-    // enqueue events, the overlay cannot change mid-event, so no target list
-    // needs materializing.
-    let mut i = 0;
-    loop {
-        let nbrs = ctx.neighbors(node);
-        if i >= nbrs.len() {
-            break;
-        }
-        let t = nbrs[i];
-        i += 1;
-        if Some(t) != exclude {
-            send_ad(ctx, node, t, payload.clone(), delivery, fwd);
-        }
-    }
+    let send = |ctx: &mut C, t| send_ad(ctx, node, t, payload.clone(), delivery, fwd);
+    spread::fan_out(ctx, node, |t| Some(t) != exclude, send);
 }
 
 /// One walker hop: uniform random neighbor avoiding immediate backtrack.
@@ -149,29 +135,10 @@ fn walk_step<C: Transport<Msg = AsapMsg>>(
     delivery: u64,
     budget: u32,
 ) {
-    let degree = ctx.neighbors(node).len();
-    if degree == 0 {
-        return;
+    if let Some(next) = spread::walk_next(ctx, node, came_from) {
+        let fwd = Forwarding::Walk { budget: budget - 1 };
+        send_ad(ctx, node, next, payload, delivery, fwd);
     }
-    let next = if degree == 1 {
-        ctx.neighbors(node)[0]
-    } else {
-        loop {
-            let i = ctx.rng().gen_range(0..degree);
-            let cand = ctx.neighbors(node)[i];
-            if Some(cand) != came_from {
-                break cand;
-            }
-        }
-    };
-    send_ad(
-        ctx,
-        node,
-        next,
-        payload,
-        delivery,
-        Forwarding::Walk { budget: budget - 1 },
-    );
 }
 
 /// GSA-style dispersal: fan to up to `branch` random neighbors while the
@@ -185,43 +152,12 @@ fn gsa_disperse<C: Transport<Msg = AsapMsg>>(
     budget: u32,
     branch: u32,
 ) {
-    if budget == 0 {
+    // `pick_front` is this side's arrangement (see `spread`'s module docs).
+    let Some(hops) = spread::disperse(ctx, node, exclude, budget, branch, spread::pick_front)
+    else {
         return;
-    }
-    // Candidate staging uses the engine's scratch buffer — zero allocation
-    // once its capacity has grown to the overlay's max degree; the guard
-    // hands the buffer back when it drops, early return included.
-    let mut nbrs = ctx.scratch();
-    nbrs.extend(
-        ctx.neighbors(node)
-            .iter()
-            .copied()
-            .filter(|&n| Some(n) != exclude),
-    );
-    if nbrs.is_empty() {
-        nbrs.extend_from_slice(ctx.neighbors(node));
-        if nbrs.is_empty() {
-            return;
-        }
-    }
-    let fan = if budget < 2 * branch {
-        1
-    } else {
-        (branch as usize).min(nbrs.len())
     };
-    // Deterministic partial shuffle.
-    for i in 0..fan {
-        let j = ctx.rng().gen_range(i..nbrs.len());
-        nbrs.swap(i, j);
-    }
-    nbrs.truncate(fan);
-    let fan = nbrs.len() as u32;
-    let remaining = budget - fan;
-    let share = remaining / fan;
-    let mut extra = remaining % fan;
-    for &n in nbrs.iter() {
-        let b = share + u32::from(extra > 0);
-        extra = extra.saturating_sub(1);
+    for (n, b) in hops.shares() {
         send_ad(ctx, node, n, payload.clone(), delivery, Forwarding::Gsa { budget: b });
     }
 }

@@ -17,7 +17,9 @@ use asap_bloom::hashing::KeyHash;
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::collections::DetHashSet;
-use asap_sim::{ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, Transport};
+use asap_sim::{
+    ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, spread, Transport,
+};
 use asap_workload::{InterestSet, KeywordId, QuerySpec};
 use std::rc::Rc;
 
@@ -154,28 +156,20 @@ pub(crate) fn send_ads_request<C: Transport<Msg = AsapMsg>>(
     node: PeerId,
     query: Option<u32>,
     terms: Option<Rc<[KeywordId]>>,
-) -> usize {
+) -> u32 {
     let interests = ctx.model().interests[node.index()];
     let hops = asap.config.ads_request_hops;
-    let targets: Vec<PeerId> = ctx.neighbors(node).to_vec();
     let bytes = ads_request_size(interests.len())
         + terms.as_ref().map_or(0, |t| t.len() * asap_sim::KEYWORD_WIRE_BYTES);
-    for &t in &targets {
-        ctx.send(
-            node,
-            t,
-            MsgClass::AdsRequest,
-            bytes,
-            AsapMsg::AdsRequest {
-                requester: node,
-                interests,
-                hops,
-                query,
-                terms: terms.clone(),
-            },
-        );
-    }
-    targets.len()
+    let msg = AsapMsg::AdsRequest {
+        requester: node,
+        interests,
+        hops,
+        query,
+        terms,
+    };
+    let send = |ctx: &mut C, t| ctx.send(node, t, MsgClass::AdsRequest, bytes, msg.clone());
+    spread::fan_out(ctx, node, |_| true, send)
 }
 
 /// Move a pending search into the fallback round.
@@ -248,28 +242,16 @@ pub(crate) fn handle_ads_request<C: Transport<Msg = AsapMsg>>(
     }
     // Propagate within the h-hop scope.
     if hops > 1 {
-        let targets: Vec<PeerId> = ctx
-            .neighbors(node)
-            .iter()
-            .copied()
-            .filter(|&n| n != from && n != requester)
-            .collect();
         let bytes = ads_request_size(interests.len());
-        for t in targets {
-            ctx.send(
-                node,
-                t,
-                MsgClass::AdsRequest,
-                bytes,
-                AsapMsg::AdsRequest {
-                    requester,
-                    interests,
-                    hops: hops - 1,
-                    query,
-                    terms: terms.clone(),
-                },
-            );
-        }
+        let msg = AsapMsg::AdsRequest {
+            requester,
+            interests,
+            hops: hops - 1,
+            query,
+            terms,
+        };
+        let send = |ctx: &mut C, t| ctx.send(node, t, MsgClass::AdsRequest, bytes, msg.clone());
+        spread::fan_out(ctx, node, |n| n != from && n != requester, send);
     }
 }
 

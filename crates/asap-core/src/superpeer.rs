@@ -34,8 +34,8 @@ use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::{codec_enum, codec_struct};
 use asap_sim::{
-    ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_size, Protocol,
-    Transport, HEADER_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
+    ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_size, spread,
+    Protocol, Transport, HEADER_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
 };
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::Rng;
@@ -481,10 +481,7 @@ impl SuperAsap {
         // Hubs can have dozens of super neighbors; a handful of randomly
         // chosen ones bounds the fallback fan-out.
         const FALLBACK_FANOUT: usize = 6;
-        for i in 0..FALLBACK_FANOUT.min(supers.len()) {
-            let j = ctx.rng().gen_range(i..supers.len());
-            supers.swap(i, j);
-        }
+        spread::pick_front(ctx.rng(), &mut supers, FALLBACK_FANOUT);
         supers.truncate(FALLBACK_FANOUT);
         let bytes = ads_request_size(terms.len());
         for s in supers {

@@ -6,12 +6,16 @@ use std::path::Path;
 
 use asap_lint::{analysis, lint_workspace, lint_workspace_unit, LintConfig};
 
-#[test]
-fn workspace_is_lint_clean_under_committed_config() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("crate lives at <root>/crates/asap-lint");
+        .expect("crate lives at <root>/crates/asap-lint")
+}
+
+#[test]
+fn workspace_is_lint_clean_under_committed_config() {
+    let root = workspace_root();
     let cfg_text =
         std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml at workspace root");
     let cfg = LintConfig::parse(&cfg_text).expect("committed lint.toml parses");
@@ -82,13 +86,46 @@ fn event_queue_is_in_the_panic_reachable_set() {
     ]);
 }
 
+/// The flood, walk and GSA strategies exist once, in `asap_sim::spread`,
+/// and both the query baselines and ad delivery reach them from protocol
+/// hooks — so R4 must still see the moved code, by name.
+#[test]
+fn dissemination_kernel_is_in_the_panic_reachable_set() {
+    assert_panic_reachable(&[
+        "fan_out",
+        "walk_next",
+        "pick_front",
+        "disperse",
+        "Dispersal::shares",
+    ]);
+}
+
+/// Every next-hop draw for queries and for ads is made inside
+/// `asap_sim::spread`. A `.rng()` in a baseline or in ad delivery means a
+/// strategy is being hand-rolled beside the kernel again — the copies this
+/// guard keeps from growing back.
+#[test]
+fn next_hop_draws_stay_inside_the_kernel() {
+    let root = workspace_root();
+    let mut files = vec![root.join("crates/asap-core/src/delivery.rs")];
+    let search =
+        std::fs::read_dir(root.join("crates/asap-search/src")).expect("asap-search sources");
+    files.extend(search.map(|e| e.expect("readable dir entry").path()));
+    files.retain(|p| p.extension().is_some_and(|x| x == "rs"));
+    assert!(files.len() > 5, "only {} files to scan", files.len());
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("source file reads");
+        if let Some(i) = text.lines().position(|l| l.contains(".rng()")) {
+            let at = format!("{}:{}", file.display(), i + 1);
+            panic!("{at}: draws from the decision stream outside asap_sim::spread");
+        }
+    }
+}
+
 /// Each name matches at least one call-graph node, and every node it
 /// matches is reachable from R4's roots under the committed `lint.toml`.
 fn assert_panic_reachable(names: &[&str]) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate lives at <root>/crates/asap-lint");
+    let root = workspace_root();
     let cfg_text =
         std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml at workspace root");
     let cfg = LintConfig::parse(&cfg_text).expect("committed lint.toml parses");

@@ -25,7 +25,7 @@
 use crate::clock::VirtualClock;
 use crate::loopback::{Framed, Loopback};
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
-use asap_sim::{Carrier, CheckpointProtocol, Simulation};
+use asap_sim::{Carrier, CheckpointProtocol, Simulation, Transport};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{DocId, QuerySpec, TraceEvent, WorkloadConfig};
 use std::io::{BufRead, BufReader, Read, Write};

@@ -1,10 +1,11 @@
 //! Shared mechanics of the query-based baselines.
 
-use asap_metrics::MsgClass;
+use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
+use asap_sim::collections::DetHashMap;
 use asap_sim::util::Backoff;
 use asap_sim::{query_hit_size, Transport};
-use asap_workload::KeywordId;
+use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;
 
 /// Wire message of all three baselines. Terms are reference-counted: a flood
@@ -112,6 +113,64 @@ pub struct RetransmitState {
     pub requester: PeerId,
     pub terms: Rc<[KeywordId]>,
     pub backoff: Backoff,
+}
+
+/// Queries awaiting possible retransmission, by query id (which doubles as
+/// the timer tag — the baselines use no other timers).
+pub type RetransmitTable = DetHashMap<u32, RetransmitState>;
+
+/// Requester side of `on_query`, after the first wave went out: under a
+/// retransmit `policy`, remember the query and arm its first timer.
+pub fn arm_retransmit<C: Transport<Msg = BaselineMsg>>(
+    table: &mut RetransmitTable,
+    ctx: &mut C,
+    policy: Option<Retransmit>,
+    q: &QuerySpec,
+    terms: Rc<[KeywordId]>,
+) {
+    if let Some(rt) = policy {
+        table.insert(
+            q.id,
+            RetransmitState {
+                requester: q.requester,
+                terms,
+                backoff: rt.backoff(),
+            },
+        );
+        ctx.set_timer(q.requester, rt.timeout_us, u64::from(q.id));
+    }
+}
+
+/// The baselines' whole `on_timer`: if the query behind `tag` is still
+/// unanswered and has retries left, count one, `relaunch(ctx, query, terms)`
+/// the probe wave from `node` and re-arm on the backed-off delay; an
+/// answered or exhausted query leaves the table.
+pub fn retransmit_due<C: Transport<Msg = BaselineMsg>>(
+    table: &mut RetransmitTable,
+    ctx: &mut C,
+    node: PeerId,
+    tag: u64,
+    relaunch: impl FnOnce(&mut C, u32, &Rc<[KeywordId]>),
+) {
+    let query = tag as u32;
+    let Some(state) = table.get_mut(&query).filter(|s| s.requester == node) else {
+        return;
+    };
+    if ctx.is_answered(query) {
+        table.remove(&query);
+        return;
+    }
+    match state.backoff.next() {
+        Some(delay) => {
+            ctx.count(RetryStat::Retries);
+            relaunch(ctx, query, &state.terms);
+            ctx.set_timer(node, delay, tag);
+        }
+        None => {
+            table.remove(&query);
+            ctx.count(RetryStat::DeliveriesAbandoned);
+        }
+    }
 }
 
 /// Per-query duplicate suppression with a bounded window of recent queries,

@@ -4,11 +4,13 @@
 //! first-seen query to all neighbors but the sender until the TTL expires.
 //! Matching nodes return a hit directly to the requester.
 
-use crate::common::{absorb_hit, reply_if_match, BaselineMsg, Retransmit, RetransmitState, SeenTracker};
+use crate::common::{
+    absorb_hit, arm_retransmit, reply_if_match, retransmit_due, BaselineMsg, Retransmit,
+    RetransmitTable, SeenTracker,
+};
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
-use asap_sim::collections::DetHashMap;
-use asap_sim::{query_size, Protocol, Transport};
+use asap_sim::{query_size, spread, Protocol, Transport};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;
 
@@ -39,9 +41,7 @@ impl Default for FloodingConfig {
 pub struct Flooding {
     pub(crate) config: FloodingConfig,
     pub(crate) seen: SeenTracker,
-    /// Queries awaiting possible retransmission, by query id (which doubles
-    /// as the timer tag — the baselines use no other timers).
-    pub(crate) retrans: DetHashMap<u32, RetransmitState>,
+    pub(crate) retrans: RetransmitTable,
 }
 
 impl Flooding {
@@ -52,7 +52,7 @@ impl Flooding {
         }
         Self {
             seen: SeenTracker::new(config.seen_window),
-            retrans: DetHashMap::default(),
+            retrans: RetransmitTable::default(),
             config,
         }
     }
@@ -67,35 +67,14 @@ impl Flooding {
         ttl: u8,
     ) {
         let bytes = query_size(terms.len());
-        // Index loop re-borrowing the neighbor slice each iteration: sends
-        // only enqueue events and the overlay cannot change mid-event, so no
-        // target list needs materializing.
-        let mut i = 0;
-        let mut fanout: u32 = 0;
-        loop {
-            let nbrs = ctx.neighbors(node);
-            if i >= nbrs.len() {
-                break;
-            }
-            let t = nbrs[i];
-            i += 1;
-            if Some(t) == exclude {
-                continue;
-            }
-            fanout += 1;
-            ctx.send(
-                node,
-                t,
-                MsgClass::Query,
-                bytes,
-                BaselineMsg::Flood {
-                    query,
-                    requester,
-                    terms: Rc::clone(terms),
-                    ttl,
-                },
-            );
-        }
+        let msg = BaselineMsg::Flood {
+            query,
+            requester,
+            terms: Rc::clone(terms),
+            ttl,
+        };
+        let send = |ctx: &mut C, t| ctx.send(node, t, MsgClass::Query, bytes, msg.clone());
+        let fanout = spread::fan_out(ctx, node, |t| Some(t) != exclude, send);
         ctx.trace(|| asap_sim::trace::Event::FloodFanout {
             id: query,
             node,
@@ -113,17 +92,7 @@ impl Protocol for Flooding {
         // The requester is marked visited so reflected floods die instantly.
         self.seen.first_visit(q.id, q.requester);
         Self::fan_out(ctx, q.requester, None, q.id, q.requester, &terms, self.config.ttl);
-        if let Some(rt) = self.config.retransmit {
-            self.retrans.insert(
-                q.id,
-                RetransmitState {
-                    requester: q.requester,
-                    terms,
-                    backoff: rt.backoff(),
-                },
-            );
-            ctx.set_timer(q.requester, rt.timeout_us, u64::from(q.id));
-        }
+        arm_retransmit(&mut self.retrans, ctx, self.config.retransmit, q, terms);
     }
 
     fn on_message<C: Transport<Msg = BaselineMsg>>(
@@ -155,33 +124,12 @@ impl Protocol for Flooding {
     }
 
     fn on_timer<C: Transport<Msg = BaselineMsg>>(&mut self, ctx: &mut C, node: PeerId, tag: u64) {
-        let query = tag as u32;
-        let Some(state) = self.retrans.get_mut(&query) else {
-            return;
-        };
-        if state.requester != node {
-            return;
-        }
-        if ctx.is_answered(query) {
-            self.retrans.remove(&query);
-            return;
-        }
-        let next = state.backoff.next();
-        let terms = Rc::clone(&state.terms);
-        match next {
-            Some(delay) => {
-                // The seen tracker still remembers everyone the first wave
-                // reached, so the re-flood only probes the subtrees the lost
-                // copies never covered.
-                ctx.count(RetryStat::Retries);
-                Self::fan_out(ctx, node, None, query, node, &terms, self.config.ttl);
-                ctx.set_timer(node, delay, tag);
-            }
-            None => {
-                self.retrans.remove(&query);
-                ctx.count(RetryStat::DeliveriesAbandoned);
-            }
-        }
+        // The seen tracker still remembers everyone the first wave reached,
+        // so the re-flood only probes the subtrees the lost copies never
+        // covered.
+        retransmit_due(&mut self.retrans, ctx, node, tag, |ctx, query, terms| {
+            Self::fan_out(ctx, node, None, query, node, terms, self.config.ttl)
+        });
     }
 
     fn on_leave<C: Transport<Msg = BaselineMsg>>(&mut self, _ctx: &mut C, node: PeerId) {
@@ -275,6 +223,60 @@ mod tests {
             "success {}",
             report.ledger.success_rate()
         );
+    }
+
+    /// Query-class messages per search on a hand-built, churn-free overlay.
+    fn query_messages_per_search(adj: Vec<Vec<PeerId>>, ttl: u8) -> u64 {
+        use asap_topology::{PhysicalNetwork, TransitStubConfig};
+        use asap_workload::WorkloadConfig;
+        let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(34));
+        let workload = asap_workload::generate(&WorkloadConfig {
+            joins: 0,
+            leaves: 0,
+            ..WorkloadConfig::reduced(adj.len(), 40, 34)
+        });
+        let cfg = FloodingConfig {
+            ttl,
+            ..Default::default()
+        };
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            asap_overlay::Overlay::from_adjacency(adj),
+            OverlayKind::Random,
+            Flooding::new(cfg),
+            34,
+        )
+        .run();
+        let sent = report.load.class_message_totals()[MsgClass::Query.index()];
+        let searches = report.ledger.num_queries() as u64;
+        assert_eq!(sent % searches, 0, "{sent} messages over {searches} searches");
+        sent / searches
+    }
+
+    /// The closed forms Biernacki (PAPERS.md) validates a flooding simulator
+    /// against. Exact, not approximate: latencies are shortest-path, so the
+    /// origin's copy never arrives after a relayed one, and ties dispatch in
+    /// send order — every node forwards exactly once, to all but the sender.
+    #[test]
+    fn message_count_matches_the_closed_form_on_ring_and_clique() {
+        let ring: Vec<_> = (0..16)
+            .map(|i| vec![PeerId((i + 15) % 16), PeerId((i + 1) % 16)])
+            .collect();
+        // Two arms of `t` hops each, which on n > 2t peers never meet.
+        for t in [1u8, 3, 6, 7] {
+            let sent = query_messages_per_search(ring.clone(), t);
+            assert_eq!(sent, 2 * u64::from(t), "ring TTL {t}");
+        }
+        // K_n, TTL 2: n − 1 first-wave sends, then each receiver forwards to
+        // the other n − 2, all suppressed as duplicates on arrival.
+        for n in [4u32, 6, 9] {
+            let clique = (0..n)
+                .map(|i| (0..n).filter(|&j| j != i).map(PeerId).collect())
+                .collect();
+            let sent = query_messages_per_search(clique, 2);
+            assert_eq!(sent, u64::from((n - 1) * (n - 1)), "K_{n}");
+        }
     }
 
     #[test]

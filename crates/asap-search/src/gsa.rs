@@ -12,8 +12,9 @@
 use crate::common::{absorb_hit, reply_if_match, BaselineMsg};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::{query_size, Protocol, Transport};
+use asap_sim::{query_size, spread, Protocol, Transport};
 use asap_workload::{KeywordId, QuerySpec};
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use std::rc::Rc;
 
@@ -62,47 +63,20 @@ impl Gsa {
         terms: &Rc<[KeywordId]>,
         budget: u32,
     ) {
-        if budget == 0 {
+        let branch = self.config.branch as u32;
+        // The full shuffle is this side's arrangement (see `spread`'s docs).
+        let shuffle = |rng: &mut SmallRng, nbrs: &mut [PeerId], _fan| nbrs.shuffle(rng);
+        let Some(hops) = spread::disperse(ctx, node, exclude, budget, branch, shuffle) else {
             return;
-        }
-        // Candidate staging uses the engine's scratch buffer — zero
-        // allocation once its capacity has grown to the overlay's max degree.
-        let mut nbrs = ctx.scratch();
-        nbrs.extend(
-            ctx.neighbors(node)
-                .iter()
-                .copied()
-                .filter(|&n| Some(n) != exclude),
-        );
-        if nbrs.is_empty() {
-            // Dead end: allow the backtrack rather than dying.
-            nbrs.extend_from_slice(ctx.neighbors(node));
-            if nbrs.is_empty() {
-                return;
-            }
-        }
-        // Walk mode when the budget can't feed a real fan-out.
-        let fan = if budget < 2 * self.config.branch as u32 {
-            1
-        } else {
-            self.config.branch.min(nbrs.len())
         };
-        nbrs.shuffle(ctx.rng());
-        nbrs.truncate(fan);
-        let fan = nbrs.len() as u32;
         ctx.trace(|| asap_sim::trace::Event::GsaDisperse {
             id: query,
             node,
-            fanout: fan,
+            fanout: hops.fan(),
             budget,
         });
-        let remaining = budget - fan; // each send costs one message
-        let share = remaining / fan;
-        let mut extra = remaining % fan;
         let bytes = query_size(terms.len());
-        for &n in nbrs.iter() {
-            let b = share + u32::from(extra > 0);
-            extra = extra.saturating_sub(1);
+        for (n, b) in hops.shares() {
             ctx.send(
                 node,
                 n,

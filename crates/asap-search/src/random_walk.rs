@@ -5,13 +5,14 @@
 //! tightly bounded — walkers × TTL messages — which is why the paper finds
 //! its load lowest but its success rate poor under 1.28-copy replication.
 
-use crate::common::{absorb_hit, reply_if_match, BaselineMsg, Retransmit, RetransmitState};
-use asap_metrics::{MsgClass, RetryStat};
+use crate::common::{
+    absorb_hit, arm_retransmit, reply_if_match, retransmit_due, BaselineMsg, Retransmit,
+    RetransmitTable,
+};
+use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::collections::DetHashMap;
-use asap_sim::{query_size, Protocol, Transport};
+use asap_sim::{query_size, spread, Protocol, Transport};
 use asap_workload::{KeywordId, QuerySpec};
-use rand::Rng;
 use std::rc::Rc;
 
 /// Random-walk parameters.
@@ -40,9 +41,7 @@ impl Default for RandomWalkConfig {
 #[derive(Debug)]
 pub struct RandomWalk {
     pub(crate) config: RandomWalkConfig,
-    /// Queries awaiting possible walker relaunch, by query id (which doubles
-    /// as the timer tag — the baselines use no other timers).
-    pub(crate) retrans: DetHashMap<u32, RetransmitState>,
+    pub(crate) retrans: RetransmitTable,
 }
 
 impl RandomWalk {
@@ -54,7 +53,7 @@ impl RandomWalk {
         }
         Self {
             config,
-            retrans: DetHashMap::default(),
+            retrans: RetransmitTable::default(),
         }
     }
 
@@ -69,20 +68,8 @@ impl RandomWalk {
         terms: &Rc<[KeywordId]>,
         ttl: u16,
     ) {
-        let degree = ctx.neighbors(node).len();
-        if degree == 0 {
+        let Some(next) = spread::walk_next(ctx, node, came_from) else {
             return; // walker dies at an isolated node
-        }
-        let next = if degree == 1 {
-            ctx.neighbors(node)[0]
-        } else {
-            loop {
-                let i = ctx.rng().gen_range(0..degree);
-                let cand = ctx.neighbors(node)[i];
-                if Some(cand) != came_from {
-                    break cand;
-                }
-            }
         };
         ctx.trace(|| asap_sim::trace::Event::WalkStep {
             id: query,
@@ -112,17 +99,7 @@ impl Protocol for RandomWalk {
         for _ in 0..self.config.walkers {
             Self::step(ctx, q.requester, None, q.id, q.requester, &terms, self.config.ttl);
         }
-        if let Some(rt) = self.config.retransmit {
-            self.retrans.insert(
-                q.id,
-                RetransmitState {
-                    requester: q.requester,
-                    terms,
-                    backoff: rt.backoff(),
-                },
-            );
-            ctx.set_timer(q.requester, rt.timeout_us, u64::from(q.id));
-        }
+        arm_retransmit(&mut self.retrans, ctx, self.config.retransmit, q, terms);
     }
 
     fn on_message<C: Transport<Msg = BaselineMsg>>(
@@ -150,34 +127,13 @@ impl Protocol for RandomWalk {
     }
 
     fn on_timer<C: Transport<Msg = BaselineMsg>>(&mut self, ctx: &mut C, node: PeerId, tag: u64) {
-        let query = tag as u32;
-        let Some(state) = self.retrans.get_mut(&query) else {
-            return;
-        };
-        if state.requester != node {
-            return;
-        }
-        if ctx.is_answered(query) {
-            self.retrans.remove(&query);
-            return;
-        }
-        let next = state.backoff.next();
-        let terms = Rc::clone(&state.terms);
-        match next {
-            Some(delay) => {
-                // Relaunch the full walker set with fresh TTLs: walkers are
-                // memoryless, so a new cohort explores independently.
-                ctx.count(RetryStat::Retries);
-                for _ in 0..self.config.walkers {
-                    Self::step(ctx, node, None, query, node, &terms, self.config.ttl);
-                }
-                ctx.set_timer(node, delay, tag);
+        // Relaunch the full walker set with fresh TTLs: walkers are
+        // memoryless, so a new cohort explores independently.
+        retransmit_due(&mut self.retrans, ctx, node, tag, |ctx, query, terms| {
+            for _ in 0..self.config.walkers {
+                Self::step(ctx, node, None, query, node, terms, self.config.ttl);
             }
-            None => {
-                self.retrans.remove(&query);
-                ctx.count(RetryStat::DeliveriesAbandoned);
-            }
-        }
+        });
     }
 
     fn on_leave<C: Transport<Msg = BaselineMsg>>(&mut self, _ctx: &mut C, node: PeerId) {

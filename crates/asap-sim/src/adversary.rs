@@ -4,7 +4,7 @@
 //! An [`AdversaryPlan`] attached via
 //! [`SimBuilder::adversary`](crate::SimBuilder::adversary) assigns a
 //! per-peer [`AdversaryRole`] once at attach time and then intercepts every
-//! [`Ctx::send`](crate::Ctx::send) *after* the bytes are charged (the sender
+//! [`Transport::send`](crate::Transport::send) *after* the bytes are charged (the sender
 //! consumed the bandwidth whether or not the recipient cooperates):
 //!
 //! 1. **ad spam** — spam peers advertise content they do not hold; the

@@ -157,45 +157,6 @@ pub struct EngineProfile {
 }
 
 impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
-    /// Current simulation time, µs.
-    #[inline]
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    #[inline]
-    pub fn alive(&self, p: PeerId) -> bool {
-        self.alive[p.index()]
-    }
-
-    pub fn alive_count(&self) -> usize {
-        self.alive_count
-    }
-
-    pub fn num_peers(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// Currently-alive peers in ascending id order. Maintained
-    /// incrementally — no per-call allocation or scan.
-    pub fn alive_peers(&self) -> &[PeerId] {
-        debug_assert_eq!(self.alive_list.len(), self.alive_count);
-        &self.alive_list
-    }
-
-    /// Lease the engine's reusable scratch buffer (cleared). Protocols use
-    /// it to stage per-event target lists without allocating; the capacity
-    /// returns to the engine automatically when the guard drops, so early
-    /// returns can't leak it.
-    pub fn scratch(&mut self) -> ScratchGuard {
-        self.scratch.lease()
-    }
-
-    #[inline]
-    pub fn neighbors(&self, p: PeerId) -> &[PeerId] {
-        self.overlay.neighbors(p)
-    }
-
     /// One-way network latency between two peers, µs.
     #[inline]
     pub fn latency_us(&self, a: PeerId, b: PeerId) -> u64 {
@@ -203,18 +164,41 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
             .latency_us(self.assignment[a.index()], self.assignment[b.index()])
     }
 
-    /// Send a protocol message: bytes are charged to `class` now (the sender
-    /// consumed the bandwidth), delivery is scheduled after the network
-    /// latency, and messages reaching a dead node are dropped there.
+    /// Total messages sent so far (all classes).
+    pub fn messages_sent(&self) -> u64 {
+        self.messages_sent
+    }
+
+    /// Deliveries dropped so far because [`Carrier::unpack`] rejected them
+    /// (what [`SimReport::wire_errors`] ends up as).
+    pub fn wire_errors(&self) -> u64 {
+        self.wire_errors
+    }
+}
+
+/// The engine is the one [`Transport`]. `Ctx` has no inherent twin of any
+/// method here: callers holding a concrete `Ctx` import the trait.
+impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
+    type Msg = M;
+
+    #[inline]
+    fn now_us(&self) -> u64 {
+        self.now_us
+    }
+
+    #[inline]
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
+    /// Delivery is scheduled after the network latency; a message reaching
+    /// a dead node is dropped there.
     ///
     /// With a fault layer attached ([`SimBuilder::faults`]) the message
     /// may additionally be dropped, jittered, or duplicated *after* the
     /// bytes are charged — the sender paid for the transmission either way,
     /// so the byte-reconciliation invariant is untouched by faults.
-    pub fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M)
-    where
-        M: Clone,
-    {
+    fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) {
         debug_assert_ne!(from, to, "no self-messages");
         self.load.record(self.now_us, class, bytes);
         self.messages_sent += 1;
@@ -294,60 +278,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
         }
     }
 
-    /// Emit one trace event if a sink is attached. The closure defers event
-    /// construction, so a disabled sink costs one pointer test and nothing
-    /// else; a sink never touches engine state, randomness, or scheduling.
-    #[inline]
-    pub fn trace<F: FnOnce() -> TraceEvt>(&mut self, f: F) {
-        if let Some(sink) = self.trace.as_deref_mut() {
-            sink.record(self.now_us, &f());
-            self.profile.trace_records += 1;
-        }
-    }
-
-    /// Whether a trace sink is attached (lets protocols skip preparing
-    /// expensive event arguments).
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Event-loop phase counters accumulated so far.
-    pub fn profile(&self) -> &EngineProfile {
-        &self.profile
-    }
-
-    /// Count one protocol-robustness event (retry, duplicate suppressed,
-    /// confirmation lost, delivery abandoned). The auditor keeps an
-    /// independent mirror and reconciles it exactly at the end of the run —
-    /// the same double-entry discipline as [`Ctx::send`]'s byte accounting.
-    pub fn count(&mut self, stat: RetryStat) {
-        self.retry.record(stat);
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_counter(stat);
-        }
-        self.trace(|| TraceEvt::Counter { stat });
-    }
-
-    /// Robustness counters accumulated so far.
-    pub fn retry_counters(&self) -> &RetryCounters {
-        &self.retry
-    }
-
-    /// Fault-layer statistics so far; `None` when no fault plan is attached.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_deref().map(FaultState::stats)
-    }
-
-    /// Adversary-layer statistics so far; `None` when no adversary plan is
-    /// attached.
-    pub fn adversary_stats(&self) -> Option<&AdversaryStats> {
-        self.adversary.as_deref().map(AdversaryState::stats)
-    }
-
-    /// Schedule `on_timer(node, tag)` after `delay_us` (dropped if the node
-    /// is dead when it fires). The handle can cancel it later.
-    pub fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
+    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
         self.profile.timers_set += 1;
         self.trace(|| TraceEvt::TimerSet { node, delay_us, tag });
         // Saturating: a delay near `u64::MAX` means "never" (it lands past
@@ -356,67 +287,16 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
         self.queue.push(fire_at, EngineEvent::Timer { node, tag })
     }
 
-    /// Cancel a pending timer set via [`Ctx::set_timer`]; a cancelled timer
-    /// never reaches `on_timer`. See [`EventQueue::cancel`] for the return
-    /// value's semantics.
-    pub fn cancel_timer(&mut self, handle: EventHandle) -> bool {
+    /// See [`EventQueue::cancel`] for the return value's semantics.
+    fn cancel_timer(&mut self, handle: EventHandle) -> bool {
         let cancelled = self.queue.cancel(handle);
         self.trace(|| TraceEvt::TimerCancelled { cancelled });
         cancelled
     }
 
-    /// Record a confirmed result for `query_id` arriving now.
-    pub fn report_answer(&mut self, query_id: u32) {
-        self.ledger.answer(query_id, self.now_us);
-        self.trace(|| TraceEvt::QueryAnswered { id: query_id });
-    }
-
-    /// Total messages sent so far (all classes).
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// Deliveries dropped so far because [`Carrier::unpack`] rejected them
-    /// (what [`SimReport::wire_errors`] ends up as).
-    pub fn wire_errors(&self) -> u64 {
-        self.wire_errors
-    }
-}
-
-/// The engine is the one [`Transport`]: every method delegates to the
-/// inherent `Ctx` method (or field) protocols used to touch directly, so
-/// the split is behaviorally invisible — the golden digests prove it.
-impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
-    type Msg = M;
-
-    #[inline]
-    fn now_us(&self) -> u64 {
-        Ctx::now_us(self)
-    }
-
-    #[inline]
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    #[inline]
-    fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) {
-        Ctx::send(self, from, to, class, bytes, msg);
-    }
-
-    #[inline]
-    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
-        Ctx::set_timer(self, node, delay_us, tag)
-    }
-
-    #[inline]
-    fn cancel_timer(&mut self, handle: EventHandle) -> bool {
-        Ctx::cancel_timer(self, handle)
-    }
-
     #[inline]
     fn scratch(&mut self) -> ScratchGuard {
-        Ctx::scratch(self)
+        self.scratch.lease()
     }
 
     #[inline]
@@ -441,22 +321,24 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
 
     #[inline]
     fn alive(&self, p: PeerId) -> bool {
-        Ctx::alive(self, p)
+        self.alive[p.index()]
     }
 
     #[inline]
     fn alive_count(&self) -> usize {
-        Ctx::alive_count(self)
+        self.alive_count
     }
 
+    /// Maintained incrementally — no per-call allocation or scan.
     #[inline]
     fn alive_peers(&self) -> &[PeerId] {
-        Ctx::alive_peers(self)
+        debug_assert_eq!(self.alive_list.len(), self.alive_count);
+        &self.alive_list
     }
 
     #[inline]
     fn num_peers(&self) -> usize {
-        Ctx::num_peers(self)
+        self.alive.len()
     }
 
     #[inline]
@@ -464,24 +346,34 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         self.ledger.is_answered(query)
     }
 
-    #[inline]
     fn report_answer(&mut self, query_id: u32) {
-        Ctx::report_answer(self, query_id);
+        self.ledger.answer(query_id, self.now_us);
+        self.trace(|| TraceEvt::QueryAnswered { id: query_id });
     }
 
-    #[inline]
+    /// The auditor keeps an independent mirror and reconciles it exactly at
+    /// the end of the run — the same double-entry discipline as `send`'s
+    /// byte accounting.
     fn count(&mut self, stat: RetryStat) {
-        Ctx::count(self, stat);
+        self.retry.record(stat);
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.on_counter(stat);
+        }
+        self.trace(|| TraceEvt::Counter { stat });
     }
 
+    /// A sink never touches engine state, randomness, or scheduling.
     #[inline]
     fn trace(&mut self, f: impl FnOnce() -> TraceEvt) {
-        Ctx::trace(self, f);
+        if let Some(sink) = self.trace.as_deref_mut() {
+            sink.record(self.now_us, &f());
+            self.profile.trace_records += 1;
+        }
     }
 
     #[inline]
     fn tracing_enabled(&self) -> bool {
-        Ctx::tracing_enabled(self)
+        self.trace.is_some()
     }
 }
 
@@ -661,10 +553,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
 
         // Random distinct physical placement (partial Fisher–Yates).
         let mut ids: Vec<u32> = (0..phys.num_nodes() as u32).collect();
-        for i in 0..n {
-            let j = rng.gen_range(i..ids.len());
-            ids.swap(i, j);
-        }
+        crate::spread::pick_front(&mut rng, &mut ids, n);
         let assignment: Vec<PhysNodeId> = ids[..n].iter().map(|&i| PhysNodeId(i)).collect();
 
         // Initially-offline joiners are not wired into the overlay yet.

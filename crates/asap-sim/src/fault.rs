@@ -2,7 +2,7 @@
 //! duplication, and timed partition windows.
 //!
 //! A [`FaultPlan`] attached via [`Simulation::with_faults`](crate::Simulation::with_faults)
-//! intercepts every [`Ctx::send`](crate::Ctx::send) *after* the bytes are
+//! intercepts every [`Transport::send`](crate::Transport::send) *after* the bytes are
 //! charged (the sender consumed the bandwidth whether or not the network
 //! delivers) and decides the message's fate:
 //!

@@ -19,6 +19,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod message;
+pub mod spread;
 pub mod transport;
 pub mod util;
 

@@ -11,18 +11,16 @@
 //! offset bases followed by a 64-bit finalizer, rather than
 //! `std::collections`' randomly-keyed `DefaultHasher`.
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-const FNV_OFFSET_A: u64 = 0xCBF2_9CE4_8422_2325;
+use asap_overlay::codec::Fnv64;
+
+/// The second base hash starts from FNV's offset basis with its halves
+/// swapped; the first is plain FNV-1a.
 const FNV_OFFSET_B: u64 = 0x8422_2325_CBF2_9CE4;
 
 #[inline]
-fn fnv1a(bytes: &[u8], offset: u64) -> u64 {
-    let mut h = offset;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+fn fnv1a(mut h: Fnv64, bytes: &[u8]) -> u64 {
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 /// SplitMix64 finalizer — breaks up FNV's weak avalanche on short keys.
@@ -48,10 +46,10 @@ impl KeyHash {
     pub fn of(key: &str) -> Self {
         let bytes = key.as_bytes();
         Self {
-            h1: mix(fnv1a(bytes, FNV_OFFSET_A)),
+            h1: mix(fnv1a(Fnv64::new(), bytes)),
             // Force h2 odd so successive probes never collapse onto one bit
             // when m shares factors with h2.
-            h2: mix(fnv1a(bytes, FNV_OFFSET_B)) | 1,
+            h2: mix(fnv1a(Fnv64::from_raw(FNV_OFFSET_B), bytes)) | 1,
         }
     }
 
@@ -82,6 +80,23 @@ mod tests {
             a.bits(11_542, 8).collect::<Vec<_>>(),
             b.bits(11_542, 8).collect::<Vec<_>>()
         );
+    }
+
+    /// Every ad ever built hashes through `KeyHash::of`, so its values are
+    /// pinned: these were computed before the base hash moved onto the
+    /// shared `Fnv64`.
+    #[test]
+    fn key_hashes_are_pinned() {
+        let pins = [
+            ("", 0xf52a_15e9_a9b5_e89b, 0xfe53_61af_3ba5_1715),
+            ("a", 0x02c0_bdbf_4814_20f8, 0xa4e6_26d0_7eda_00bd),
+            ("metallica", 0xdb33_a7b9_2cf3_34f6, 0x68d1_c755_1e10_bf4b),
+            ("rock and roll", 0x43ab_1054_3671_f8b6, 0x75a2_c155_7497_0d9d),
+            ("key-9999", 0x7b4c_0cd0_b067_d976, 0xf31d_fa83_1d3f_d3a5),
+        ];
+        for (key, h1, h2) in pins {
+            assert_eq!(KeyHash::of(key), KeyHash { h1, h2 }, "{key:?}");
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl Asap {
 
     /// [`Asap::new`] plus the adversary poison pass: every `AdSpammer` in
     /// `roles` salts its content filter with the keywords of
-    /// [`SPAM_POISON_DOCS`] documents it does not hold and claims their
+    /// `SPAM_POISON_DOCS` documents it does not hold and claims their
     /// classes as advertised topics. An all-honest `roles` slice draws no
     /// randomness and produces state identical to [`Asap::new`].
     ///

@@ -258,7 +258,7 @@ pub fn panic_sites(lexed: &LexOutput, in_test: &[bool], range: (usize, usize)) -
 }
 
 /// R3 taint sites inside `[start, end)`: float types/literals plus the
-/// nondeterminism sources in [`TAINT_IDENTS`]. Test tokens are skipped.
+/// nondeterminism sources in `TAINT_IDENTS`. Test tokens are skipped.
 pub fn taint_sites(lexed: &LexOutput, in_test: &[bool], range: (usize, usize)) -> Vec<Violation> {
     let toks = &lexed.tokens;
     let mut out = Vec::new();

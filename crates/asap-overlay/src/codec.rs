@@ -15,7 +15,7 @@
 //! [`crate::collections`] does: it is the one crate every codec-bearing
 //! crate (`asap-bloom`, `asap-workload`, `asap-sim`, the protocols) can
 //! reach, and the orphan rule wants trait or type to be local.
-//! `asap_sim::{Codec, CodecError, Decoder, Encoder}` re-export it.
+//! `asap_sim::{Codec, CodecError, Decoder, Encoder, Fnv64}` re-export it.
 
 use crate::collections::{DetHashMap, DetHashSet};
 use crate::{OverlayKind, PeerId};
@@ -94,6 +94,66 @@ pub fn checksum(bytes: &[u8]) -> u64 {
         h = fold(h, word_of(chunk));
     }
     fold(h, bytes.len() as u64)
+}
+
+/// Streaming FNV-1a 64-bit hash: the workspace's one byte-at-a-time hash —
+/// the checkpoint trailer, the audit and lifecycle digests, Bloom keyword
+/// hashing. Stable, dependency-free, and fast enough to run per event;
+/// collisions are irrelevant for a regression digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    #[inline]
+    pub const fn new() -> Self {
+        Self(Self::OFFSET)
+    }
+
+    /// Fold one word as its eight little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// Fold a whole record at once.
+    #[inline]
+    pub fn write_all(&mut self, vs: &[u64]) {
+        for &v in vs {
+            self.write_u64(v);
+        }
+    }
+
+    /// Fold raw bytes.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+        self.0 = h;
+    }
+
+    #[inline]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// Continue a fold from a raw state word: a previously observed
+    /// [`Fnv64::finish`] value (checkpointing; FNV-1a state is just the
+    /// running hash word) or a custom offset basis.
+    #[inline]
+    pub const fn from_raw(h: u64) -> Self {
+        Self(h)
+    }
 }
 
 /// Append-only little-endian byte sink.
@@ -747,6 +807,30 @@ mod tests {
         let mut swapped = base.clone();
         swapped.swap(0, 8);
         assert_ne!(checksum(&swapped), sum);
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // FNV-1a of the empty input is the offset basis.
+        assert_eq!(Fnv64::new().finish(), 0xcbf2_9ce4_8422_2325);
+        // A word folds its eight little-endian bytes; cross-check against a
+        // direct byte-at-a-time computation.
+        let mut h = Fnv64::new();
+        h.write_u64(0x0102_0304_0506_0708);
+        let mut expect = 0xcbf2_9ce4_8422_2325u64;
+        for b in [0x08u8, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01] {
+            expect = (expect ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(h.finish(), expect);
+    }
+
+    #[test]
+    fn fnv_is_order_sensitive() {
+        let mut a = Fnv64::new();
+        a.write_all(&[1, 2]);
+        let mut b = Fnv64::new();
+        b.write_all(&[2, 1]);
+        assert_ne!(a.finish(), b.finish());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! GSA — the budget-bounded "generalized search algorithm".
 //!
 //! **Substitution note (DESIGN.md §5).** The paper cites Gkantsidis et al.'s
-//! hybrid search schemes [12] and assigns "a budget of 8,000, which limits
+//! hybrid search schemes \[12\] and assigns "a budget of 8,000, which limits
 //! the total number of messages during a search process". We implement the
 //! family's canonical shape: a probe carries a message budget; while the
 //! budget is plentiful the node forwards to up to `branch` random neighbors,

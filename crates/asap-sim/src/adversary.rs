@@ -37,7 +37,8 @@
 //!   lint rule R3's no-float scope.
 //!
 //! The auditor reconciles [`AdversaryStats`] exactly against its own mirror
-//! of the announced absorb events (see `SimAuditor::on_adversary_absorb`).
+//! of the `adversary-absorb` events (see
+//! [`SimAuditor::observe`](crate::audit::SimAuditor::observe)).
 
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;

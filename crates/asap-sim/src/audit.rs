@@ -1,9 +1,12 @@
 //! Toggleable invariant auditing and event-stream digesting for the engine.
 //!
-//! The auditor is a passive observer threaded through the event loop. It
-//! keeps **independent mirrors** of the state it checks — its own liveness
-//! map, its own per-class byte and message counters — so a bookkeeping bug
-//! in the engine cannot hide by corrupting both sides of a comparison. At
+//! The auditor is a passive consumer of the engine's one event stream: the
+//! engine's tap builds each [`asap_trace::Event`] once and hands it to
+//! [`SimAuditor::observe`] with the `(time, seq)` key of the event being
+//! dispatched, then to the trace sink, if any. It keeps **independent
+//! mirrors** of the state it checks — its own liveness map, its own
+//! per-class byte and message counters — so a bookkeeping bug in the
+//! engine cannot hide by corrupting both sides of a comparison. At
 //! the end of a run the mirrors must reconcile *exactly* with the engine's
 //! [`LoadRecorder`] and liveness map, and the [`QueryLedger`] must pass its
 //! structural consistency check.
@@ -17,78 +20,31 @@
 //! * after churn, dead peers have degree 0, adjacency stays symmetric and
 //!   self-loop-free, and the engine's live count matches the mirror.
 //!
+//! What it reads from the stream: every send arrives as exactly one of
+//! `send`, `fault-drop` or `adversary-absorb` and is mirrored and folded
+//! from whichever one it is; `deliver`, `timer-fired`, `query-issued`,
+//! `content-changed`, `join` and `leave` are the dispatched events;
+//! `fault-dup` and `counter` feed their mirrors. Timer arming and
+//! cancelling, answers and the protocol taps change nothing it mirrors and
+//! are ignored. The overlay sweep is a state check, not an event: the
+//! engine calls [`SimAuditor::check_overlay`] after each join and leave.
+//!
 //! The auditor also folds every dispatched event (and every send) into an
 //! FNV-1a digest. The digest covers integers only — peer ids, times,
 //! sequence numbers, byte counts — so it is identical across debug/release
 //! builds and platforms, which is what the differential-replay harness in
 //! `asap-bench` pins as golden values.
 //!
-//! Auditing is **off by default**: a `Simulation` without
-//! [`with_audit`](crate::Simulation::with_audit) carries `None` and pays one
-//! pointer test per event.
+//! Auditing is **off by default**: a `Simulation` built without
+//! [`SimBuilder::audit`](crate::SimBuilder::audit) carries `None` and pays
+//! one pointer test per event.
 
 use crate::adversary::AdversaryStats;
 use crate::fault::FaultStats;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
-use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder};
+use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder, Fnv64};
 use asap_overlay::{codec_struct, Overlay, PeerId};
-
-/// Streaming FNV-1a 64-bit hash. Stable, dependency-free, and fast enough
-/// to run per-event; collisions are irrelevant for a regression digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub const fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    #[inline]
-    pub fn write_u64(&mut self, v: u64) {
-        let mut h = self.0;
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// Fold a whole record at once.
-    #[inline]
-    pub fn write_all(&mut self, vs: &[u64]) {
-        for &v in vs {
-            self.write_u64(v);
-        }
-    }
-
-    /// Fold raw bytes (the checkpoint trailer checksum).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    pub const fn finish(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuild a streaming hash from a previously observed [`Fnv64::finish`]
-    /// value, continuing the fold exactly where the snapshot left off
-    /// (checkpointing; FNV-1a state is just the running hash word).
-    pub const fn from_raw(h: u64) -> Self {
-        Self(h)
-    }
-}
+use asap_trace::Event;
 
 /// What the auditor does. Both halves are independent: digesting without
 /// invariant checks gives the cheapest replay fingerprint; checks without
@@ -156,8 +112,8 @@ const TAG_FAULT_DUP: u64 = 10;
 // a run without an adversary layer at all.
 const TAG_ADVERSARY_ABSORB: u64 = 11;
 
-/// The audit hook object owned by the engine context. See the module docs
-/// for the invariant list.
+/// The event-stream consumer owned by the engine context. See the module
+/// docs for the invariant list.
 #[derive(Debug)]
 pub struct SimAuditor {
     cfg: AuditConfig,
@@ -174,9 +130,10 @@ pub struct SimAuditor {
     /// Independent per-class accounting, driven only by observed sends.
     sent_bytes: [u64; MsgClass::COUNT],
     sent_msgs: [u64; MsgClass::COUNT],
-    /// Independent robustness-counter mirror, driven only by [`Self::on_counter`].
+    /// Independent robustness-counter mirror, driven only by `counter`
+    /// events.
     retry_mirror: RetryCounters,
-    /// Fault-event mirrors, driven only by the `on_fault_*` hooks.
+    /// Fault-event mirrors, driven only by `fault-drop` and `fault-dup`.
     fault_drops: u64,
     fault_partition_drops: u64,
     fault_dups_announced: u64,
@@ -184,8 +141,7 @@ pub struct SimAuditor {
     /// announced count (the tripwire), and stragglers past the horizon make
     /// "fewer seen than announced" legal.
     fault_dups_seen: u64,
-    /// Adversary-absorption mirror, driven only by
-    /// [`Self::on_adversary_absorb`].
+    /// Adversary-absorption mirror, driven only by `adversary-absorb`.
     adversary_absorbed: u64,
 }
 
@@ -300,9 +256,116 @@ impl SimAuditor {
         }
     }
 
-    /// A message left `from` for `to`: mirror the byte/message accounting
-    /// and require the sender to be alive.
-    pub fn on_send(&mut self, now_us: u64, from: PeerId, to: PeerId, class: MsgClass, bytes: usize) {
+    /// Fold `record` into the digest, if digesting.
+    #[inline]
+    fn fold(&mut self, record: &[u64]) {
+        if self.cfg.digest_events {
+            self.digest.write_all(record);
+        }
+    }
+
+    /// Consume one engine event. `(now_us, seq)` is the key of the event
+    /// being dispatched; `seq` is read only for the dispatched kinds (the
+    /// module docs list what each kind drives).
+    pub fn observe(&mut self, now_us: u64, seq: u64, ev: &Event) {
+        match *ev {
+            Event::Send { from, to, class, bytes, .. } => self.sent(now_us, from, to, class, bytes),
+            Event::FaultDrop { from, to, class, bytes, partition } => {
+                self.sent(now_us, from, to, class, bytes);
+                if partition {
+                    self.fault_partition_drops += 1;
+                } else {
+                    self.fault_drops += 1;
+                }
+                self.fold(&[TAG_FAULT_DROP, now_us, from.0 as u64, to.0 as u64, partition as u64]);
+            }
+            Event::AdversaryAbsorb { from, to, class, bytes } => {
+                self.sent(now_us, from, to, class, bytes);
+                self.adversary_absorbed += 1;
+                let class = class.index() as u64;
+                self.fold(&[TAG_ADVERSARY_ABSORB, now_us, from.0 as u64, to.0 as u64, class]);
+            }
+            Event::FaultDuplicate { from, to } => {
+                self.fault_dups_announced += 1;
+                self.fold(&[TAG_FAULT_DUP, now_us, from.0 as u64, to.0 as u64]);
+            }
+            // Reconciled exactly at `finish` but never folded into the digest
+            // (fault-free digests keep their historical values).
+            Event::Counter { stat } => self.retry_mirror.record(stat),
+            // `delivered` is the engine's liveness gate; `dup` marks a
+            // fault-injected copy, which a `fault-dup` must have announced.
+            // `dup` is deliberately **not** folded: fault-free records keep
+            // their exact historical shape, and a duplicate is already
+            // visible in the stream as an extra record.
+            Event::Deliver { to, from, delivered, dup } => {
+                self.observe_key(now_us, seq);
+                self.fault_dups_seen += dup as u64;
+                if self.cfg.check_invariants {
+                    self.check(delivered == self.alive[to.index()], || {
+                        let fate = if delivered { "delivered to dead" } else { "dropped at live" };
+                        format!("message from {from:?} {fate} node {to:?} at {now_us}")
+                    });
+                    if dup {
+                        self.check(self.fault_dups_seen <= self.fault_dups_announced, || {
+                            format!(
+                                "duplicate delivery from {from:?} to {to:?} at {now_us} \
+                                 without a matching fault-layer duplication event"
+                            )
+                        });
+                    }
+                }
+                let (to, from) = (to.0 as u64, from.0 as u64);
+                self.fold(&[TAG_DELIVER, now_us, seq, to, from, delivered as u64]);
+            }
+            Event::TimerFired { node, tag, fired } => {
+                self.observe_key(now_us, seq);
+                if self.cfg.check_invariants {
+                    let mirror = self.alive[node.index()];
+                    self.check(fired == mirror, || {
+                        format!("timer tag {tag} at {node:?}: fired={fired} but mirror alive={mirror}")
+                    });
+                }
+                self.fold(&[TAG_TIMER, now_us, seq, node.0 as u64, tag, fired as u64]);
+            }
+            Event::QueryIssued { id, requester } => {
+                self.observe_key(now_us, seq);
+                if self.cfg.check_invariants {
+                    self.check(self.alive[requester.index()], || {
+                        format!("query {id} issued by dead node {requester:?} at {now_us}")
+                    });
+                }
+                self.fold(&[TAG_QUERY, now_us, seq, id as u64, requester.0 as u64]);
+            }
+            Event::ContentChanged { peer, doc, added, applied } => {
+                self.observe_key(now_us, seq);
+                let (peer, doc) = (peer.0 as u64, doc as u64);
+                self.fold(&[TAG_CONTENT, now_us, seq, peer, doc, added as u64, applied as u64]);
+            }
+            Event::Join { peer } => {
+                self.flip(now_us, seq, peer, true);
+                self.fold(&[TAG_JOIN, now_us, seq, peer.0 as u64]);
+            }
+            Event::Leave { peer } => {
+                self.flip(now_us, seq, peer, false);
+                self.fold(&[TAG_LEAVE, now_us, seq, peer.0 as u64]);
+            }
+            Event::TimerSet { .. }
+            | Event::TimerCancelled { .. }
+            | Event::QueryAnswered { .. }
+            | Event::AdPublished { .. }
+            | Event::QueryLocalHits { .. }
+            | Event::QueryFallback { .. }
+            | Event::ConfirmSent { .. }
+            | Event::ConfirmResult { .. }
+            | Event::FloodFanout { .. }
+            | Event::WalkStep { .. }
+            | Event::GsaDisperse { .. } => {}
+        }
+    }
+
+    /// A message left `from` for `to` (whatever became of it): mirror the
+    /// byte/message accounting and require the sender to be alive.
+    fn sent(&mut self, now_us: u64, from: PeerId, to: PeerId, class: MsgClass, bytes: u32) {
         self.sent_bytes[class.index()] += bytes as u64;
         self.sent_msgs[class.index()] += 1;
         if self.cfg.check_invariants {
@@ -311,209 +374,26 @@ impl SimAuditor {
                 format!("dead node {from:?} sent {class:?} at {now_us}")
             });
         }
-        if self.cfg.digest_events {
-            self.digest.write_all(&[
-                TAG_SEND,
-                now_us,
-                from.0 as u64,
-                to.0 as u64,
-                class.index() as u64,
-                bytes as u64,
-            ]);
-        }
+        let (from, to, class) = (from.0 as u64, to.0 as u64, class.index() as u64);
+        self.fold(&[TAG_SEND, now_us, from, to, class, bytes as u64]);
     }
 
-    /// A `Deliver` event reached dispatch. `delivered` is the engine's
-    /// decision (false = dropped because `to` is dead); `dup` marks a
-    /// fault-injected duplicate copy, which must have been announced via
-    /// [`Self::on_fault_duplicate`] — a double delivery without a matching
-    /// duplication event is a violation.
-    ///
-    /// The `dup` flag is deliberately **not** folded into the digest record:
-    /// fault-free records keep their exact historical shape, and a duplicate
-    /// is already visible in the stream as an extra record.
-    pub fn on_deliver(
-        &mut self,
-        time_us: u64,
-        seq: u64,
-        to: PeerId,
-        from: PeerId,
-        delivered: bool,
-        dup: bool,
-    ) {
+    /// A join (`alive`) or leave was applied: flip the mirror, legal
+    /// direction only.
+    fn flip(&mut self, time_us: u64, seq: u64, p: PeerId, alive: bool) {
         self.observe_key(time_us, seq);
-        if dup {
-            self.fault_dups_seen += 1;
-        }
+        let legal = self.alive[p.index()] != alive;
         if self.cfg.check_invariants {
-            let mirror = self.alive[to.index()];
-            self.check(delivered == mirror, || {
-                if delivered {
-                    format!("message from {from:?} delivered to dead node {to:?} at {time_us}")
-                } else {
-                    format!("message from {from:?} dropped at live node {to:?} at {time_us}")
-                }
-            });
-            if dup {
-                self.check(self.fault_dups_seen <= self.fault_dups_announced, || {
-                    format!(
-                        "duplicate delivery from {from:?} to {to:?} at {time_us} \
-                         without a matching fault-layer duplication event"
-                    )
-                });
+            let what = if alive { "join of already-live" } else { "leave of already-dead" };
+            self.check(legal, || format!("{what} node {p:?} at {time_us}"));
+        }
+        if legal {
+            self.alive[p.index()] = alive;
+            if alive {
+                self.alive_count += 1;
+            } else {
+                self.alive_count -= 1;
             }
-        }
-        if self.cfg.digest_events {
-            self.digest.write_all(&[
-                TAG_DELIVER,
-                time_us,
-                seq,
-                to.0 as u64,
-                from.0 as u64,
-                delivered as u64,
-            ]);
-        }
-    }
-
-    /// The fault layer dropped a send (random loss or a partition cut).
-    pub fn on_fault_drop(&mut self, now_us: u64, from: PeerId, to: PeerId, partition: bool) {
-        if partition {
-            self.fault_partition_drops += 1;
-        } else {
-            self.fault_drops += 1;
-        }
-        if self.cfg.digest_events {
-            self.digest.write_all(&[
-                TAG_FAULT_DROP,
-                now_us,
-                from.0 as u64,
-                to.0 as u64,
-                partition as u64,
-            ]);
-        }
-    }
-
-    /// The fault layer scheduled a duplicate copy of a send.
-    pub fn on_fault_duplicate(&mut self, now_us: u64, from: PeerId, to: PeerId) {
-        self.fault_dups_announced += 1;
-        if self.cfg.digest_events {
-            self.digest
-                .write_all(&[TAG_FAULT_DUP, now_us, from.0 as u64, to.0 as u64]);
-        }
-    }
-
-    /// The adversary layer absorbed a send at a free-riding target (the
-    /// bytes were charged, nothing was queued).
-    pub fn on_adversary_absorb(
-        &mut self,
-        now_us: u64,
-        from: PeerId,
-        to: PeerId,
-        class: MsgClass,
-    ) {
-        self.adversary_absorbed += 1;
-        if self.cfg.digest_events {
-            self.digest.write_all(&[
-                TAG_ADVERSARY_ABSORB,
-                now_us,
-                from.0 as u64,
-                to.0 as u64,
-                class.index() as u64,
-            ]);
-        }
-    }
-
-    /// The protocol counted a robustness event via `Ctx::count`; mirror it.
-    /// Counters are reconciled exactly at [`Self::finish`] but never folded
-    /// into the digest (fault-free digests keep their historical values).
-    pub fn on_counter(&mut self, stat: RetryStat) {
-        self.retry_mirror.record(stat);
-    }
-
-    /// A `Timer` event reached dispatch. `fired` mirrors the liveness gate.
-    pub fn on_timer(&mut self, time_us: u64, seq: u64, node: PeerId, tag: u64, fired: bool) {
-        self.observe_key(time_us, seq);
-        if self.cfg.check_invariants {
-            let mirror = self.alive[node.index()];
-            self.check(fired == mirror, || {
-                format!("timer tag {tag} at {node:?}: fired={fired} but mirror alive={mirror}")
-            });
-        }
-        if self.cfg.digest_events {
-            self.digest
-                .write_all(&[TAG_TIMER, time_us, seq, node.0 as u64, tag, fired as u64]);
-        }
-    }
-
-    /// A trace query is about to be handed to the protocol.
-    pub fn on_trace_query(&mut self, time_us: u64, seq: u64, id: u32, requester: PeerId) {
-        self.observe_key(time_us, seq);
-        if self.cfg.check_invariants {
-            self.check(self.alive[requester.index()], || {
-                format!("query {id} issued by dead node {requester:?} at {time_us}")
-            });
-        }
-        if self.cfg.digest_events {
-            self.digest
-                .write_all(&[TAG_QUERY, time_us, seq, id as u64, requester.0 as u64]);
-        }
-    }
-
-    /// A content-change trace event was applied (or skipped as a no-op).
-    pub fn on_content_change(
-        &mut self,
-        time_us: u64,
-        seq: u64,
-        peer: PeerId,
-        doc: u32,
-        added: bool,
-        applied: bool,
-    ) {
-        self.observe_key(time_us, seq);
-        if self.cfg.digest_events {
-            self.digest.write_all(&[
-                TAG_CONTENT,
-                time_us,
-                seq,
-                peer.0 as u64,
-                doc as u64,
-                added as u64,
-                applied as u64,
-            ]);
-        }
-    }
-
-    /// A join trace event was applied: flip the mirror, legal direction only.
-    pub fn on_join(&mut self, time_us: u64, seq: u64, p: PeerId) {
-        self.observe_key(time_us, seq);
-        if self.cfg.check_invariants {
-            self.check(!self.alive[p.index()], || {
-                format!("join of already-live node {p:?} at {time_us}")
-            });
-        }
-        if !self.alive[p.index()] {
-            self.alive[p.index()] = true;
-            self.alive_count += 1;
-        }
-        if self.cfg.digest_events {
-            self.digest.write_all(&[TAG_JOIN, time_us, seq, p.0 as u64]);
-        }
-    }
-
-    /// A leave trace event was applied.
-    pub fn on_leave(&mut self, time_us: u64, seq: u64, p: PeerId) {
-        self.observe_key(time_us, seq);
-        if self.cfg.check_invariants {
-            self.check(self.alive[p.index()], || {
-                format!("leave of already-dead node {p:?} at {time_us}")
-            });
-        }
-        if self.alive[p.index()] {
-            self.alive[p.index()] = false;
-            self.alive_count -= 1;
-        }
-        if self.cfg.digest_events {
-            self.digest.write_all(&[TAG_LEAVE, time_us, seq, p.0 as u64]);
         }
     }
 
@@ -690,34 +570,60 @@ impl SimAuditor {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // FNV-1a of the empty input is the offset basis.
-        assert_eq!(Fnv64::new().finish(), 0xcbf2_9ce4_8422_2325);
-        // One zero byte from write_u64 folds eight zero bytes; cross-check
-        // against a direct byte-at-a-time computation.
-        let mut h = Fnv64::new();
-        h.write_u64(0x0102_0304_0506_0708);
-        let mut expect = 0xcbf2_9ce4_8422_2325u64;
-        for b in [0x08u8, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01] {
-            expect = (expect ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    fn deliver(to: u32, from: u32, delivered: bool, dup: bool) -> Event {
+        Event::Deliver {
+            to: PeerId(to),
+            from: PeerId(from),
+            delivered,
+            dup,
         }
-        assert_eq!(h.finish(), expect);
     }
 
-    #[test]
-    fn digest_is_order_sensitive() {
-        let mut a = Fnv64::new();
-        a.write_all(&[1, 2]);
-        let mut b = Fnv64::new();
-        b.write_all(&[2, 1]);
-        assert_ne!(a.finish(), b.finish());
+    // A 40-byte query from peer 0 to peer 1, by each of its three fates.
+    const Q: MsgClass = MsgClass::Query;
+    const SEND: Event =
+        Event::Send { from: PeerId(0), to: PeerId(1), class: Q, bytes: 40, delay_us: 4_000 };
+    const ABSORB: Event =
+        Event::AdversaryAbsorb { from: PeerId(0), to: PeerId(1), class: Q, bytes: 40 };
+
+    fn fault_drop(partition: bool) -> Event {
+        Event::FaultDrop { from: PeerId(0), to: PeerId(1), class: Q, bytes: 40, partition }
+    }
+
+    /// Finish a four-peer run in which the engine charged `sends` copies of
+    /// the 40-byte query.
+    fn finish(
+        a: SimAuditor,
+        sends: u64,
+        retry: &RetryCounters,
+        faults: Option<&FaultStats>,
+        adversary: Option<&AdversaryStats>,
+    ) -> AuditReport {
+        use asap_overlay::{OverlayConfig, OverlayKind};
+        let alive = vec![true; 4];
+        let overlay: Overlay = OverlayConfig::new(OverlayKind::Random, 4, 1).build();
+        let mut load = LoadRecorder::new();
+        for _ in 0..sends {
+            load.record(5, Q, 40);
+        }
+        a.finish(
+            &load,
+            &QueryLedger::new(),
+            &overlay,
+            &alive,
+            4,
+            sends,
+            0,
+            retry,
+            faults,
+            adversary,
+        )
     }
 
     #[test]
     fn delivery_to_dead_node_is_flagged() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, false]);
-        a.on_deliver(10, 0, PeerId(1), PeerId(0), true, false);
+        a.observe(10, 0, &deliver(1, 0, true, false));
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("dead node"));
     }
@@ -725,7 +631,7 @@ mod tests {
     #[test]
     fn drop_at_live_node_is_flagged() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-        a.on_deliver(10, 0, PeerId(1), PeerId(0), false, false);
+        a.observe(10, 0, &deliver(1, 0, false, false));
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("dropped at live node"));
     }
@@ -733,27 +639,29 @@ mod tests {
     #[test]
     fn non_monotone_keys_are_flagged() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-        a.on_deliver(10, 5, PeerId(1), PeerId(0), true, false);
-        a.on_deliver(10, 4, PeerId(0), PeerId(1), true, false); // same time, seq back
+        a.observe(10, 5, &deliver(1, 0, true, false));
+        a.observe(10, 4, &deliver(0, 1, true, false)); // same time, seq back
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("not after"));
         // Equal times with increasing seq are fine.
         let mut b = SimAuditor::new(AuditConfig::default(), &[true, true]);
-        b.on_deliver(10, 5, PeerId(1), PeerId(0), true, false);
-        b.on_deliver(10, 6, PeerId(0), PeerId(1), true, false);
+        b.observe(10, 5, &deliver(1, 0, true, false));
+        b.observe(10, 6, &deliver(0, 1, true, false));
         assert!(b.violations.is_empty());
     }
 
     #[test]
     fn join_leave_mirror_tracks_and_flags_illegal_flips() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, false]);
-        a.on_join(5, 0, PeerId(1));
+        a.observe(5, 0, &Event::Join { peer: PeerId(1) });
         assert!(a.violations.is_empty());
-        a.on_join(6, 1, PeerId(1)); // already live
+        a.observe(6, 1, &Event::Join { peer: PeerId(1) }); // already live
         assert_eq!(a.violations.len(), 1);
-        a.on_leave(7, 2, PeerId(0));
-        a.on_leave(8, 3, PeerId(0)); // already dead
+        a.observe(7, 2, &Event::Leave { peer: PeerId(0) });
+        a.observe(8, 3, &Event::Leave { peer: PeerId(0) }); // already dead
         assert_eq!(a.violations.len(), 2);
+        assert!(a.violations[0].contains("join of already-live node"));
+        assert!(a.violations[1].contains("leave of already-dead node"));
         assert_eq!(a.alive_count, 1); // node 1 alive, node 0 dead
     }
 
@@ -765,7 +673,7 @@ mod tests {
         };
         let mut a = SimAuditor::new(cfg, &[false]);
         for i in 0..5 {
-            a.on_deliver(i, i, PeerId(0), PeerId(0), true, false);
+            a.observe(i, i, &deliver(0, 0, true, false));
         }
         assert_eq!(a.violations.len(), 2);
         assert_eq!(a.suppressed, 3);
@@ -778,15 +686,16 @@ mod tests {
             ..AuditConfig::default()
         };
         let mut a = SimAuditor::new(cfg, &[false]);
-        a.on_deliver(1, 0, PeerId(0), PeerId(0), true, false); // would violate
+        a.observe(1, 0, &deliver(0, 0, true, false)); // would violate
         assert!(a.violations.is_empty());
         assert_eq!(a.events, 1);
+        assert_ne!(a.digest, Fnv64::new());
     }
 
     #[test]
     fn unannounced_duplicate_delivery_is_flagged() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-        a.on_deliver(10, 0, PeerId(1), PeerId(0), true, true);
+        a.observe(10, 0, &deliver(1, 0, true, true));
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("without a matching fault-layer duplication event"));
     }
@@ -794,60 +703,91 @@ mod tests {
     #[test]
     fn announced_duplicate_delivery_is_clean() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-        a.on_fault_duplicate(5, PeerId(0), PeerId(1));
-        a.on_deliver(10, 0, PeerId(1), PeerId(0), true, false);
-        a.on_deliver(11, 1, PeerId(1), PeerId(0), true, true);
+        a.observe(5, 0, &Event::FaultDuplicate { from: PeerId(0), to: PeerId(1) });
+        a.observe(10, 0, &deliver(1, 0, true, false));
+        a.observe(11, 1, &deliver(1, 0, true, true));
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         // A second duplicate without a second announcement trips.
-        a.on_deliver(12, 2, PeerId(1), PeerId(0), true, true);
+        a.observe(12, 2, &deliver(1, 0, true, true));
         assert_eq!(a.violations.len(), 1);
+    }
+
+    /// `fault-drop` and `adversary-absorb` each stand for a send: they fold
+    /// the `TAG_SEND` record a delivered send folds, then their own — the
+    /// two records the engine's old hook pair folded, in that order.
+    #[test]
+    fn drop_and_absorb_fold_the_send_record_then_their_own() {
+        let by_hand = |own: &[u64]| {
+            let mut h = Fnv64::new();
+            h.write_all(&[TAG_SEND, 5, 0, 1, Q.index() as u64, 40]);
+            h.write_all(own);
+            h
+        };
+        let observed = |ev: Event| {
+            let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+            a.observe(5, 0, &ev);
+            assert!(a.violations.is_empty(), "{:?}", a.violations);
+            assert_eq!((a.sent_msgs[Q.index()], a.sent_bytes[Q.index()]), (1, 40));
+            assert_eq!(a.events, 0, "a send is not a dispatched event");
+            a
+        };
+        for partition in [false, true] {
+            let a = observed(fault_drop(partition));
+            let own = [TAG_FAULT_DROP, 5, 0, 1, partition as u64];
+            assert_eq!(a.digest, by_hand(&own), "partition={partition}");
+            let mirrors = (a.fault_drops, a.fault_partition_drops);
+            assert_eq!(mirrors, (!partition as u64, partition as u64));
+        }
+        let a = observed(ABSORB);
+        assert_eq!(a.digest, by_hand(&[TAG_ADVERSARY_ABSORB, 5, 0, 1, Q.index() as u64]));
+        assert_eq!(a.adversary_absorbed, 1);
+        // A delivered send folds the same record and nothing more.
+        assert_eq!(observed(SEND).digest, by_hand(&[]));
+    }
+
+    #[test]
+    fn ignored_events_change_nothing() {
+        let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        for ev in [
+            Event::TimerSet { node: PeerId(0), delay_us: 5, tag: 1 },
+            Event::TimerCancelled { cancelled: true },
+            Event::QueryAnswered { id: 3 },
+            Event::QueryFallback { id: 3, node: PeerId(0) },
+        ] {
+            a.observe(9, 9, &ev);
+        }
+        assert_eq!((a.events, a.checks, a.last_key), (0, 0, None));
+        assert_eq!(a.digest, Fnv64::new());
     }
 
     #[test]
     fn fault_records_change_the_digest_only_when_faults_fire() {
         let stream = |fault: bool| {
             let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-            a.on_send(5, PeerId(0), PeerId(1), MsgClass::Query, 40);
             if fault {
-                a.on_fault_drop(5, PeerId(0), PeerId(1), false);
+                a.observe(5, 0, &fault_drop(false));
             } else {
-                a.on_deliver(9, 0, PeerId(1), PeerId(0), true, false);
+                a.observe(5, 0, &SEND);
+                a.observe(9, 0, &deliver(1, 0, true, false));
             }
             a
         };
         // Same sends, different fate ⇒ different digests (drop vs deliver).
-        assert_ne!(
-            stream(true).digest.finish(),
-            stream(false).digest.finish()
-        );
+        assert_ne!(stream(true).digest, stream(false).digest);
     }
 
     #[test]
     fn counter_mirror_reconciles_in_finish() {
-        use asap_overlay::{Overlay, OverlayConfig, OverlayKind};
         let finish_with = |mirror_hits: u32, engine_hits: u32| {
-            let alive = vec![true; 4];
-            let mut a = SimAuditor::new(AuditConfig::default(), &alive);
+            let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
             for _ in 0..mirror_hits {
-                a.on_counter(RetryStat::Retries);
+                a.observe(0, 0, &Event::Counter { stat: RetryStat::Retries });
             }
             let mut retry = RetryCounters::new();
             for _ in 0..engine_hits {
                 retry.record(RetryStat::Retries);
             }
-            let overlay: Overlay = OverlayConfig::new(OverlayKind::Random, 4, 1).build();
-            a.finish(
-                &LoadRecorder::new(),
-                &QueryLedger::new(),
-                &overlay,
-                &alive,
-                4,
-                0,
-                0,
-                &retry,
-                None,
-                None,
-            )
+            finish(a, 0, &retry, None, None)
         };
         assert!(finish_with(3, 3).is_clean());
         let bad = finish_with(3, 2);
@@ -857,90 +797,55 @@ mod tests {
 
     #[test]
     fn fault_stats_mirror_reconciles_in_finish() {
-        use asap_overlay::{Overlay, OverlayConfig, OverlayKind};
         let finish_with = |announce: bool| {
-            let alive = vec![true; 4];
-            let mut a = SimAuditor::new(AuditConfig::default(), &alive);
+            let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
             if announce {
-                a.on_fault_drop(5, PeerId(0), PeerId(1), false);
+                a.observe(5, 0, &fault_drop(false));
             }
             let stats = FaultStats {
                 dropped: 1,
                 ..FaultStats::default()
             };
-            let overlay: Overlay = OverlayConfig::new(OverlayKind::Random, 4, 1).build();
-            a.finish(
-                &LoadRecorder::new(),
-                &QueryLedger::new(),
-                &overlay,
-                &alive,
-                4,
-                0,
-                0,
-                &RetryCounters::new(),
-                Some(&stats),
-                None,
-            )
+            // The dropped send was charged either way.
+            finish(a, 1, &RetryCounters::new(), Some(&stats), None)
         };
         assert!(finish_with(true).is_clean());
         let bad = finish_with(false);
-        assert!(bad
-            .violations
-            .iter()
-            .any(|v| v.contains("fault drops")));
+        assert!(bad.violations.iter().any(|v| v.contains("fault drops")));
     }
 
     #[test]
     fn adversary_stats_mirror_reconciles_in_finish() {
-        use asap_overlay::{Overlay, OverlayConfig, OverlayKind};
         let finish_with = |announce: bool| {
-            let alive = vec![true; 4];
-            let mut a = SimAuditor::new(AuditConfig::default(), &alive);
+            let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
             if announce {
-                a.on_adversary_absorb(5, PeerId(0), PeerId(1), MsgClass::Query);
+                a.observe(5, 0, &ABSORB);
             }
             let stats = AdversaryStats {
                 absorbed: 1,
                 free_riders: 1,
                 ..AdversaryStats::default()
             };
-            let overlay: Overlay = OverlayConfig::new(OverlayKind::Random, 4, 1).build();
-            a.finish(
-                &LoadRecorder::new(),
-                &QueryLedger::new(),
-                &overlay,
-                &alive,
-                4,
-                0,
-                0,
-                &RetryCounters::new(),
-                None,
-                Some(&stats),
-            )
+            // The absorbed send was charged either way.
+            finish(a, 1, &RetryCounters::new(), None, Some(&stats))
         };
         assert!(finish_with(true).is_clean());
         let bad = finish_with(false);
-        assert!(bad
-            .violations
-            .iter()
-            .any(|v| v.contains("adversary absorbs")));
+        assert!(bad.violations.iter().any(|v| v.contains("adversary absorbs")));
     }
 
     #[test]
     fn absorb_records_change_the_digest_only_when_they_fire() {
         let stream = |absorbed: bool| {
             let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-            a.on_send(5, PeerId(0), PeerId(1), MsgClass::Query, 40);
             if absorbed {
-                a.on_adversary_absorb(5, PeerId(0), PeerId(1), MsgClass::Query);
+                a.observe(5, 0, &ABSORB);
             } else {
-                a.on_deliver(9, 0, PeerId(1), PeerId(0), true, false);
+                a.observe(5, 0, &SEND);
+                a.observe(9, 0, &deliver(1, 0, true, false));
             }
             a
         };
-        assert_ne!(
-            stream(true).digest.finish(),
-            stream(false).digest.finish()
-        );
+        assert_ne!(stream(true).digest, stream(false).digest);
     }
 }

@@ -33,7 +33,7 @@
 //! payloads included — is range-checked by its own `Codec` impl.
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
-use crate::audit::{Fnv64, SimAuditor};
+use crate::audit::SimAuditor;
 use crate::engine::{EngineProfile, Protocol, SimBuilder, Simulation};
 use crate::event::{EngineEvent, EventQueue, Scheduled};
 use crate::fault::{FaultPlan, FaultState, FaultStats, PartitionWindow};
@@ -44,7 +44,7 @@ use asap_workload::{ContentState, DocId, Workload};
 use rand::rngs::SmallRng;
 
 pub use asap_overlay::codec::{
-    assert_canonical, Codec, CodecError, Decoder, Encoder, IdBounds, Interner,
+    assert_canonical, Codec, CodecError, Decoder, Encoder, Fnv64, IdBounds, Interner,
 };
 
 /// File magic: the first eight bytes of every checkpoint.
@@ -339,8 +339,10 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
             .collect();
         rows.put(enc);
         // [8] Robustness counters, [9] send counter, [10] engine profile.
+        // [9] repeats [10]'s `sends`, the engine's one send counter, so the
+        // layout stays VERSION 1; decode rejects a mismatch.
         ctx.retry.counts().put(enc);
-        ctx.messages_sent.put(enc);
+        ctx.profile.sends.put(enc);
         ctx.profile.put(enc);
         // [11] Auditor, [12] fault layer, [13] adversary layer (all optional).
         ctx.audit.put(enc);
@@ -453,6 +455,9 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         let retry = RetryCounters::from_counts(Codec::pull(&mut dec)?);
         let messages_sent = u64::pull(&mut dec)?;
         let profile = EngineProfile::pull(&mut dec)?;
+        if messages_sent != profile.sends {
+            return Err(CodecError::Invalid("send counter disagrees with engine profile"));
+        }
         // [11] Auditor.
         let audit: Option<Box<SimAuditor>> = Codec::pull(&mut dec)?;
         if audit.as_ref().is_some_and(|a| a.mirror_len() != num_peers) {
@@ -485,7 +490,6 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         ctx.load = LoadRecorder::from_parts(buckets, msg_totals, alive_steps, notes);
         ctx.ledger = QueryLedger::from_parts(raw_len, rows);
         ctx.retry = retry;
-        ctx.messages_sent = messages_sent;
         ctx.profile = profile;
         ctx.now_us = header.now_us;
         ctx.audit = audit;

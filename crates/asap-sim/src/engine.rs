@@ -69,7 +69,7 @@ pub trait Protocol {
     /// Protocol-level invariant sweep, called once at the end of an
     /// **audited** run (never on unaudited runs). Return one message per
     /// violated protocol invariant; they land in the
-    /// [`AuditReport`](crate::audit::AuditReport) beside the engine's own.
+    /// [`AuditReport`] beside the engine's own.
     fn audit_invariants<C: Transport<Msg = Self::Msg>>(&self, ctx: &C) -> Vec<String> {
         let _ = ctx;
         Vec::new()
@@ -81,6 +81,9 @@ pub trait Protocol {
 /// message in flight (see [`Carrier`]); the default queues `M` itself.
 pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
     pub(crate) now_us: u64,
+    /// Sequence number of the event being dispatched: with `now_us`, the
+    /// `(time, seq)` key the auditor requires to increase.
+    pub(crate) seq: u64,
     pub(crate) queue: EventQueue<C::Packed>,
     /// Packs in [`Ctx::send`], unpacks at dispatch; zero-sized on the
     /// default carrier.
@@ -111,23 +114,23 @@ pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
     pub ledger: QueryLedger,
     /// Robustness-event accounting (see [`Ctx::count`]).
     pub(crate) retry: RetryCounters,
-    pub(crate) messages_sent: u64,
     /// Deliveries dropped because [`Carrier::unpack`] rejected them.
     pub(crate) wire_errors: u64,
     pub(crate) horizon_us: u64,
     pub(crate) trace_end_us: u64,
     pub(crate) run_seed: u64,
-    /// Optional invariant auditor (off by default: one pointer test per
-    /// event when disabled).
+    /// Optional invariant auditor, fed by [`Transport::trace`] (off by
+    /// default: one pointer test per event when disabled).
     pub(crate) audit: Option<Box<SimAuditor>>,
     /// Optional fault-injection layer (off by default, like the auditor).
     pub(crate) faults: Option<Box<FaultState>>,
     /// Optional adversary layer (off by default, like the fault layer: one
     /// pointer test per send when disabled).
     pub(crate) adversary: Option<Box<AdversaryState>>,
-    /// Optional trace sink (off by default: one pointer test per event when
-    /// disabled, and event construction is deferred behind a closure so the
-    /// disabled path does no work at all).
+    /// Optional trace sink, the tap's second consumer (off by default: one
+    /// pointer test per event when disabled, and event construction is
+    /// deferred behind a closure so a run with neither consumer does no
+    /// work at all).
     pub(crate) trace: Option<Box<dyn TraceSink>>,
     /// Event-loop phase counters and queue-depth high-water marks, always on
     /// (plain integer increments).
@@ -138,7 +141,8 @@ pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
 /// marks. Surfaced via [`SimReport::profile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProfile {
-    /// Messages sent (before fault decisions).
+    /// Messages sent (before fault decisions): the engine's one send
+    /// counter, which [`SimReport::messages_sent`] reports.
     pub sends: u64,
     /// Deliver events dispatched (dead-target drops included).
     pub delivers: u64,
@@ -166,13 +170,21 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
 
     /// Total messages sent so far (all classes).
     pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+        self.profile.sends
     }
 
     /// Deliveries dropped so far because [`Carrier::unpack`] rejected them
     /// (what [`SimReport::wire_errors`] ends up as).
     pub fn wire_errors(&self) -> u64 {
         self.wire_errors
+    }
+
+    /// The auditor's overlay sweep, run after churn (a state check, not an
+    /// event).
+    fn check_overlay(&mut self) {
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.check_overlay(&self.overlay, &self.alive, self.alive_count);
+        }
     }
 }
 
@@ -198,24 +210,22 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
     /// may additionally be dropped, jittered, or duplicated *after* the
     /// bytes are charged — the sender paid for the transmission either way,
     /// so the byte-reconciliation invariant is untouched by faults.
+    ///
+    /// Every send emits exactly one of `Send`, `FaultDrop` or
+    /// `AdversaryAbsorb`, each carrying the billed class and bytes — the
+    /// auditor's send mirror counts on it.
     fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) {
         debug_assert_ne!(from, to, "no self-messages");
         self.load.record(self.now_us, class, bytes);
-        self.messages_sent += 1;
         self.profile.sends += 1;
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_send(self.now_us, from, to, class, bytes);
-        }
+        let billed = bytes as u32;
         // Free-riding targets absorb request-class messages: the bytes are
         // already charged (the sender paid), but nothing is queued — the
         // message reaches the recipient and dies there. The decision draws
         // no randomness, so the fault stream below stays untouched.
         if let Some(adv) = self.adversary.as_deref_mut() {
             if adv.absorb(to, class) {
-                if let Some(a) = self.audit.as_deref_mut() {
-                    a.on_adversary_absorb(self.now_us, from, to, class);
-                }
-                self.trace(|| TraceEvt::AdversaryAbsorb { from, to, class });
+                self.trace(|| TraceEvt::AdversaryAbsorb { from, to, class, bytes: billed });
                 return;
             }
         }
@@ -226,21 +236,13 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         let base = self.now_us.saturating_add(self.latency_us(from, to));
         match decision {
             FaultDecision::Drop { partition } => {
-                if let Some(a) = self.audit.as_deref_mut() {
-                    a.on_fault_drop(self.now_us, from, to, partition);
-                }
-                self.trace(|| TraceEvt::FaultDrop { from, to, partition });
+                self.trace(|| TraceEvt::FaultDrop { from, to, class, bytes: billed, partition });
             }
             FaultDecision::Deliver {
                 jitter_us,
                 duplicate_jitter_us,
             } => {
-                let copy = duplicate_jitter_us.map(|dj| {
-                    if let Some(a) = self.audit.as_deref_mut() {
-                        a.on_fault_duplicate(self.now_us, from, to);
-                    }
-                    (dj, msg.clone())
-                });
+                let copy = duplicate_jitter_us.map(|dj| (dj, msg.clone()));
                 // Delivered sends carry the scheduled delay (latency plus
                 // fault jitter); dropped sends show up as `fault-drop`
                 // instead, so the latency histograms see deliveries only.
@@ -250,7 +252,7 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
                     from,
                     to,
                     class,
-                    bytes: bytes as u32,
+                    bytes: billed,
                     delay_us,
                 });
                 self.queue.push(
@@ -351,29 +353,30 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         self.trace(|| TraceEvt::QueryAnswered { id: query_id });
     }
 
-    /// The auditor keeps an independent mirror and reconciles it exactly at
-    /// the end of the run — the same double-entry discipline as `send`'s
-    /// byte accounting.
+    /// The auditor keeps an independent mirror (fed by the `Counter`
+    /// event) and reconciles it exactly at the end of the run — the same
+    /// double-entry discipline as `send`'s byte accounting.
     fn count(&mut self, stat: RetryStat) {
         self.retry.record(stat);
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_counter(stat);
-        }
         self.trace(|| TraceEvt::Counter { stat });
     }
 
-    /// A sink never touches engine state, randomness, or scheduling.
+    /// The engine's one tap: the event is built once, folded by the
+    /// auditor under the dispatch key `(now_us, seq)`, then recorded by the
+    /// sink. Neither touches engine state, randomness, or scheduling.
     #[inline]
     fn trace(&mut self, f: impl FnOnce() -> TraceEvt) {
+        if self.audit.is_none() && self.trace.is_none() {
+            return;
+        }
+        let ev = f();
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.observe(self.now_us, self.seq, &ev);
+        }
         if let Some(sink) = self.trace.as_deref_mut() {
-            sink.record(self.now_us, &f());
+            sink.record(self.now_us, &ev);
             self.profile.trace_records += 1;
         }
-    }
-
-    #[inline]
-    fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 }
 
@@ -587,6 +590,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             // simulation forever.
             horizon_us: trace_end_us + 30_000_000,
             now_us: 0,
+            seq: 0,
             queue,
             carrier: C::default(),
             overlay,
@@ -603,7 +607,6 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             load,
             ledger: QueryLedger::new(),
             retry: RetryCounters::new(),
-            messages_sent: 0,
             wire_errors: 0,
             run_seed: seed,
             audit: None,
@@ -785,24 +788,16 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             return false;
         }
         self.ctx.now_us = sched.time_us;
+        self.ctx.seq = sched.seq;
         let depth = self.ctx.queue.len() + 1;
         if depth > self.ctx.profile.queue_hwm {
             self.ctx.profile.queue_hwm = depth;
         }
-        let (time_us, seq) = (sched.time_us, sched.seq);
         match sched.event {
             EngineEvent::Deliver { to, from, msg, dup } => {
                 self.ctx.profile.delivers += 1;
                 let delivered = self.ctx.alive[to.index()];
-                if let Some(a) = self.ctx.audit.as_deref_mut() {
-                    a.on_deliver(time_us, seq, to, from, delivered, dup);
-                }
-                self.ctx.trace(|| TraceEvt::Deliver {
-                    to,
-                    from,
-                    delivered,
-                    dup,
-                });
+                self.ctx.trace(|| TraceEvt::Deliver { to, from, delivered, dup });
                 if delivered {
                     match self.ctx.carrier.unpack(msg) {
                         Some(msg) => self.protocol.on_message(&mut self.ctx, to, from, msg),
@@ -813,9 +808,6 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             EngineEvent::Timer { node, tag } => {
                 self.ctx.profile.timers_fired += 1;
                 let fired = self.ctx.alive[node.index()];
-                if let Some(a) = self.ctx.audit.as_deref_mut() {
-                    a.on_timer(time_us, seq, node, tag, fired);
-                }
                 self.ctx.trace(|| TraceEvt::TimerFired { node, tag, fired });
                 if fired {
                     self.protocol.on_timer(&mut self.ctx, node, tag);
@@ -823,7 +815,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             }
             EngineEvent::Trace(ev) => {
                 self.ctx.profile.trace_events += 1;
-                self.apply_trace(time_us, seq, ev);
+                self.apply_trace(ev);
             }
         }
         true
@@ -843,7 +835,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
                 &self.ctx.overlay,
                 &self.ctx.alive,
                 self.ctx.alive_count,
-                self.ctx.messages_sent,
+                self.ctx.profile.sends,
                 self.ctx.now_us,
                 &self.ctx.retry,
                 faults.as_ref(),
@@ -852,7 +844,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         });
         SimReport {
             end_time_us: self.ctx.now_us,
-            messages_sent: self.ctx.messages_sent,
+            messages_sent: self.ctx.profile.sends,
             wire_errors: self.ctx.wire_errors,
             load: self.ctx.load,
             ledger: self.ctx.ledger,
@@ -868,51 +860,17 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         }
     }
 
-    fn apply_trace(&mut self, time_us: u64, seq: u64, ev: TraceEvent) {
+    fn apply_trace(&mut self, ev: TraceEvent) {
         let ctx = &mut self.ctx;
         match ev {
             TraceEvent::Query(q) => {
                 debug_assert!(ctx.alive[q.requester.index()], "trace guarantees liveness");
-                if let Some(a) = ctx.audit.as_deref_mut() {
-                    a.on_trace_query(time_us, seq, q.id, q.requester);
-                }
-                ctx.trace(|| TraceEvt::QueryIssued {
-                    id: q.id,
-                    requester: q.requester,
-                });
+                ctx.trace(|| TraceEvt::QueryIssued { id: q.id, requester: q.requester });
                 ctx.ledger.register(q.id, ctx.now_us);
                 self.protocol.on_query(ctx, &q);
             }
-            TraceEvent::AddDocument { peer, doc } => {
-                let applied = ctx.content.add(ctx.model, peer, doc);
-                if let Some(a) = ctx.audit.as_deref_mut() {
-                    a.on_content_change(time_us, seq, peer, doc.0, true, applied);
-                }
-                ctx.trace(|| TraceEvt::ContentChanged {
-                    peer,
-                    doc: doc.0,
-                    added: true,
-                    applied,
-                });
-                if applied {
-                    self.protocol.on_content_change(ctx, peer, doc, true);
-                }
-            }
-            TraceEvent::RemoveDocument { peer, doc } => {
-                let applied = ctx.content.remove(ctx.model, peer, doc);
-                if let Some(a) = ctx.audit.as_deref_mut() {
-                    a.on_content_change(time_us, seq, peer, doc.0, false, applied);
-                }
-                ctx.trace(|| TraceEvt::ContentChanged {
-                    peer,
-                    doc: doc.0,
-                    added: false,
-                    applied,
-                });
-                if applied {
-                    self.protocol.on_content_change(ctx, peer, doc, false);
-                }
-            }
+            TraceEvent::AddDocument { peer, doc } => self.change_content(peer, doc, true),
+            TraceEvent::RemoveDocument { peer, doc } => self.change_content(peer, doc, false),
             TraceEvent::Join(p) => {
                 debug_assert!(!ctx.alive[p.index()]);
                 ctx.alive[p.index()] = true;
@@ -935,11 +893,8 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
                         .overlay
                         .attach_preferential(p, &ctx.alive_list, degree, &mut rng),
                 }
-                if let Some(a) = ctx.audit.as_deref_mut() {
-                    a.on_join(time_us, seq, p);
-                    a.check_overlay(&ctx.overlay, &ctx.alive, ctx.alive_count);
-                }
                 ctx.trace(|| TraceEvt::Join { peer: p });
+                ctx.check_overlay();
                 self.protocol.on_join(ctx, p);
             }
             TraceEvent::Leave(p) => {
@@ -951,13 +906,25 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
                 }
                 ctx.load.set_alive(ctx.now_us, ctx.alive_count);
                 ctx.overlay.detach(p);
-                if let Some(a) = ctx.audit.as_deref_mut() {
-                    a.on_leave(time_us, seq, p);
-                    a.check_overlay(&ctx.overlay, &ctx.alive, ctx.alive_count);
-                }
                 ctx.trace(|| TraceEvt::Leave { peer: p });
+                ctx.check_overlay();
                 self.protocol.on_leave(ctx, p);
             }
+        }
+    }
+
+    /// Apply one content-change trace event; only a change that was not a
+    /// no-op reaches the protocol.
+    fn change_content(&mut self, peer: PeerId, doc: DocId, added: bool) {
+        let ctx = &mut self.ctx;
+        let applied = if added {
+            ctx.content.add(ctx.model, peer, doc)
+        } else {
+            ctx.content.remove(ctx.model, peer, doc)
+        };
+        ctx.trace(|| TraceEvt::ContentChanged { peer, doc: doc.0, added, applied });
+        if applied {
+            self.protocol.on_content_change(ctx, peer, doc, added);
         }
     }
 }
@@ -1364,6 +1331,47 @@ mod tests {
         assert_eq!(rec.total(), traced.profile.trace_records);
         assert!(rec.stats().counts().contains_key("send"));
         assert!(rec.stats().counts().contains_key("query-issued"));
+    }
+
+    /// The auditor mirrors sends from the tap, so every send must emit
+    /// exactly one of `send`, `fault-drop` or `adversary-absorb`, and every
+    /// duplication its `fault-dup` — on all three send paths at once.
+    #[test]
+    fn every_send_emits_exactly_one_send_event() {
+        use crate::{AdversaryPlan, FaultPlan};
+        use asap_trace::Recorder;
+        let (phys, workload, overlay) = small_world(10);
+        let report =
+            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 10)
+                .faults(FaultPlan {
+                    loss_ppm: 100_000,
+                    duplicate_ppm: 100_000,
+                    ..FaultPlan::none()
+                })
+                .adversary(AdversaryPlan {
+                    free_rider_ppm: 200_000,
+                    ..AdversaryPlan::none()
+                })
+                .audit(AuditConfig::default())
+                .trace(Box::new(Recorder::default()))
+                .run();
+        let Ok(rec) = report.trace.expect("traced").into_any().downcast::<Recorder>() else {
+            panic!("recorder downcasts back");
+        };
+        let n = |name: &str| rec.stats().counts().get(name).copied().unwrap_or(0);
+        let duplicated = report.faults.expect("fault layer").duplicated;
+        assert!(
+            n("fault-drop") > 0 && n("adversary-absorb") > 0 && duplicated > 0,
+            "every send path is exercised: {:?}",
+            rec.stats().counts()
+        );
+        assert_eq!(
+            n("send") + n("fault-drop") + n("adversary-absorb"),
+            report.profile.sends
+        );
+        assert_eq!(n("fault-dup"), duplicated);
+        let audit = report.audit.expect("audited");
+        assert!(audit.is_clean(), "{:?}", audit.violations);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: per-link loss, latency jitter,
 //! duplication, and timed partition windows.
 //!
-//! A [`FaultPlan`] attached via [`Simulation::with_faults`](crate::Simulation::with_faults)
+//! A [`FaultPlan`] attached via [`SimBuilder::faults`](crate::SimBuilder::faults)
 //! intercepts every [`Transport::send`](crate::Transport::send) *after* the bytes are
 //! charged (the sender consumed the bandwidth whether or not the network
 //! delivers) and decides the message's fate:
@@ -27,8 +27,8 @@
 //!   this module sits inside lint rule R3's no-float scope.
 //!
 //! The auditor reconciles [`FaultStats`] exactly against its own mirrors of
-//! the announced drop/duplicate events, and flags any duplicate delivery
-//! that was never announced (see `SimAuditor::on_deliver`).
+//! the `fault-drop`/`fault-dup` events, and flags any duplicate delivery
+//! that was never announced (see [`SimAuditor::observe`](crate::audit::SimAuditor::observe)).
 
 use asap_overlay::PeerId;
 use rand::rngs::SmallRng;

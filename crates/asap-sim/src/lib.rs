@@ -41,9 +41,9 @@ pub use adversary::{
     assign_roles, AdversaryPlan, AdversaryRole, AdversaryState, AdversaryStats, EclipseTarget,
 };
 pub use arena::{NodeIdx, NodeTable};
-pub use audit::{AuditConfig, AuditReport, Fnv64};
+pub use audit::{AuditConfig, AuditReport};
 pub use checkpoint::{
-    Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Interner,
+    Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64, Interner,
 };
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};

@@ -23,9 +23,9 @@
 //! interns the filters it decodes) without any global.
 //!
 //! The trait is deliberately *not* object-safe ([`Transport::trace`] is
-//! generic so a disabled sink costs one pointer test and never constructs
-//! the event); protocols take `&mut C` with `C: Transport<Msg = Self::Msg>`
-//! and the call devirtualizes at monomorphization time.
+//! generic so an unobserved run never constructs the event); protocols
+//! take `&mut C` with `C: Transport<Msg = Self::Msg>` and the call
+//! devirtualizes at monomorphization time.
 //!
 //! # Contract
 //!
@@ -123,13 +123,10 @@ pub trait Transport {
     /// confirmation lost, delivery abandoned).
     fn count(&mut self, stat: RetryStat);
 
-    /// Emit one trace event if a sink is attached. The closure defers event
-    /// construction, so a disabled sink costs one pointer test.
+    /// Emit one event to the backend's observers (the engine's auditor and
+    /// trace sink, when attached). The closure defers event construction,
+    /// so a run with neither attached never builds the event.
     fn trace(&mut self, f: impl FnOnce() -> TraceEvt);
-
-    /// Whether a trace sink is attached (lets protocols skip preparing
-    /// expensive event arguments).
-    fn tracing_enabled(&self) -> bool;
 }
 
 /// What the event queue holds for a message between [`Transport::send`]

@@ -207,7 +207,7 @@ fn loss_runs_clean_and_changes_the_digest() {
 fn duplication_runs_clean_and_is_announced() {
     // A clean audit here exercises the duplicate tripwire end to end: every
     // double delivery observed at dispatch had a matching announced
-    // duplication event (see `SimAuditor::on_deliver`).
+    // `fault-dup` event (see `SimAuditor::observe`).
     let plan = FaultPlan {
         duplicate_ppm: 200_000, // 20 %
         ..FaultPlan::default()

@@ -22,6 +22,7 @@
 
 use crate::event::Event;
 use crate::sink::TraceSink;
+use asap_overlay::codec::Fnv64;
 use std::any::Any;
 
 /// Which runtime produced a trace stream. Tags digests (and any derived
@@ -45,36 +46,11 @@ impl Backend {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a over one event's canonical field encoding.
-struct EventHasher(u64);
-
-impl EventHasher {
-    fn new(kind: u64) -> Self {
-        let mut h = Self(FNV_OFFSET);
-        h.word(kind);
-        h
-    }
-
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 /// Per-event lifecycle hash; `None` for scheduling-internal events the
 /// digest ignores. The leading kind word keeps same-field events of
 /// different kinds distinct; field order is fixed and part of the format.
 fn lifecycle_hash(ev: &Event) -> Option<u64> {
-    let mut h;
+    let mut h = Fnv64::new();
     match *ev {
         Event::Send {
             from,
@@ -82,113 +58,49 @@ fn lifecycle_hash(ev: &Event) -> Option<u64> {
             class,
             bytes,
             delay_us,
-        } => {
-            h = EventHasher::new(1);
-            h.word(from.0 as u64);
-            h.word(to.0 as u64);
-            h.word(class as u64);
-            h.word(bytes as u64);
-            h.word(delay_us);
-        }
+        } => h.write_all(&[1, from.0 as u64, to.0 as u64, class as u64, bytes as u64, delay_us]),
         Event::Deliver {
             to,
             from,
             delivered,
             dup,
-        } => {
-            h = EventHasher::new(2);
-            h.word(to.0 as u64);
-            h.word(from.0 as u64);
-            h.word(delivered as u64);
-            h.word(dup as u64);
-        }
-        Event::QueryIssued { id, requester } => {
-            h = EventHasher::new(3);
-            h.word(id as u64);
-            h.word(requester.0 as u64);
-        }
-        Event::QueryAnswered { id } => {
-            h = EventHasher::new(4);
-            h.word(id as u64);
-        }
+        } => h.write_all(&[2, to.0 as u64, from.0 as u64, delivered as u64, dup as u64]),
+        Event::QueryIssued { id, requester } => h.write_all(&[3, id as u64, requester.0 as u64]),
+        Event::QueryAnswered { id } => h.write_all(&[4, id as u64]),
         Event::ContentChanged {
             peer,
             doc,
             added,
             applied,
-        } => {
-            h = EventHasher::new(5);
-            h.word(peer.0 as u64);
-            h.word(doc as u64);
-            h.word(added as u64);
-            h.word(applied as u64);
-        }
-        Event::Join { peer } => {
-            h = EventHasher::new(6);
-            h.word(peer.0 as u64);
-        }
-        Event::Leave { peer } => {
-            h = EventHasher::new(7);
-            h.word(peer.0 as u64);
-        }
-        Event::AdPublished { node, class } => {
-            h = EventHasher::new(8);
-            h.word(node.0 as u64);
-            h.word(class as u64);
-        }
+        } => h.write_all(&[5, peer.0 as u64, doc as u64, added as u64, applied as u64]),
+        Event::Join { peer } => h.write_all(&[6, peer.0 as u64]),
+        Event::Leave { peer } => h.write_all(&[7, peer.0 as u64]),
+        Event::AdPublished { node, class } => h.write_all(&[8, node.0 as u64, class as u64]),
         Event::QueryLocalHits { id, node, hits } => {
-            h = EventHasher::new(9);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-            h.word(hits as u64);
+            h.write_all(&[9, id as u64, node.0 as u64, hits as u64])
         }
-        Event::QueryFallback { id, node } => {
-            h = EventHasher::new(10);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-        }
+        Event::QueryFallback { id, node } => h.write_all(&[10, id as u64, node.0 as u64]),
         Event::ConfirmSent { id, node, targets } => {
-            h = EventHasher::new(11);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-            h.word(targets as u64);
+            h.write_all(&[11, id as u64, node.0 as u64, targets as u64])
         }
         Event::ConfirmResult { id, node, positive } => {
-            h = EventHasher::new(12);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-            h.word(positive as u64);
+            h.write_all(&[12, id as u64, node.0 as u64, positive as u64])
         }
         Event::FloodFanout {
             id,
             node,
             ttl,
             fanout,
-        } => {
-            h = EventHasher::new(13);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-            h.word(ttl as u64);
-            h.word(fanout as u64);
-        }
+        } => h.write_all(&[13, id as u64, node.0 as u64, ttl as u64, fanout as u64]),
         Event::WalkStep { id, node, ttl } => {
-            h = EventHasher::new(14);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-            h.word(ttl as u64);
+            h.write_all(&[14, id as u64, node.0 as u64, ttl as u64])
         }
         Event::GsaDisperse {
             id,
             node,
             fanout,
             budget,
-        } => {
-            h = EventHasher::new(15);
-            h.word(id as u64);
-            h.word(node.0 as u64);
-            h.word(fanout as u64);
-            h.word(budget as u64);
-        }
+        } => h.write_all(&[15, id as u64, node.0 as u64, fanout as u64, budget as u64]),
         Event::TimerSet { .. }
         | Event::TimerFired { .. }
         | Event::TimerCancelled { .. }
@@ -229,8 +141,8 @@ impl LifecycleDigest {
     /// lifecycle event. Comparable across backends.
     pub fn value(&self) -> u64 {
         // Folding in the count distinguishes e.g. {x, x} from {2x}.
-        let mut h = EventHasher::new(self.count);
-        h.word(self.acc);
+        let mut h = Fnv64::new();
+        h.write_all(&[self.count, self.acc]);
         h.finish()
     }
 
@@ -336,6 +248,8 @@ mod tests {
         d.absorb(&Event::FaultDrop {
             from: PeerId(0),
             to: PeerId(1),
+            class: MsgClass::Query,
+            bytes: 60,
             partition: false,
         });
         assert_eq!(d.value(), before);

@@ -7,8 +7,10 @@
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 
-/// One observable simulation event. Engine events mirror the audit hooks;
-/// protocol taps come from the search/advertisement implementations.
+/// One observable simulation event. Engine events are the one stream both
+/// the engine's auditor and any attached sink consume (so they carry every
+/// field the auditor folds); protocol taps come from the
+/// search/advertisement implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A message left `from`: bytes charged, delivery scheduled `delay_us`
@@ -29,10 +31,13 @@ pub enum Event {
         delivered: bool,
         dup: bool,
     },
-    /// The fault layer dropped a send (random loss, or a partition cut).
+    /// The fault layer dropped a send (random loss, or a partition cut)
+    /// after its bytes were charged.
     FaultDrop {
         from: PeerId,
         to: PeerId,
+        class: MsgClass,
+        bytes: u32,
         partition: bool,
     },
     /// The fault layer scheduled a duplicate copy of a send.
@@ -43,6 +48,7 @@ pub enum Event {
         from: PeerId,
         to: PeerId,
         class: MsgClass,
+        bytes: u32,
     },
     /// A protocol timer was armed.
     TimerSet { node: PeerId, delay_us: u64, tag: u64 },
@@ -235,19 +241,22 @@ impl Record {
                 push_bool(&mut out, "delivered", delivered);
                 push_bool(&mut out, "dup", dup);
             }
-            Event::FaultDrop { from, to, partition } => {
+            Event::FaultDrop { from, to, class, bytes, partition } => {
                 push_u64(&mut out, "from", from.0 as u64);
                 push_u64(&mut out, "to", to.0 as u64);
+                push_label(&mut out, "class", class.label());
+                push_u64(&mut out, "bytes", bytes as u64);
                 push_bool(&mut out, "partition", partition);
             }
             Event::FaultDuplicate { from, to } => {
                 push_u64(&mut out, "from", from.0 as u64);
                 push_u64(&mut out, "to", to.0 as u64);
             }
-            Event::AdversaryAbsorb { from, to, class } => {
+            Event::AdversaryAbsorb { from, to, class, bytes } => {
                 push_u64(&mut out, "from", from.0 as u64);
                 push_u64(&mut out, "to", to.0 as u64);
                 push_label(&mut out, "class", class.label());
+                push_u64(&mut out, "bytes", bytes as u64);
             }
             Event::TimerSet { node, delay_us, tag } => {
                 push_u64(&mut out, "node", node.0 as u64);
@@ -362,6 +371,18 @@ mod tests {
             r.to_jsonl(),
             "{\"t\":12345,\"ev\":\"send\",\"from\":1,\"to\":2,\"class\":\"query\",\"bytes\":60,\"delay_us\":4000}"
         );
+        // A dropped send still carries what it was billed.
+        let event = Event::FaultDrop {
+            from: PeerId(1),
+            to: PeerId(2),
+            class: MsgClass::Query,
+            bytes: 60,
+            partition: false,
+        };
+        assert_eq!(
+            Record { now_us: 7, event }.to_jsonl(),
+            "{\"t\":7,\"ev\":\"fault-drop\",\"from\":1,\"to\":2,\"class\":\"query\",\"bytes\":60,\"partition\":0}"
+        );
     }
 
     #[test]
@@ -400,6 +421,8 @@ mod tests {
             Event::FaultDrop {
                 from: PeerId(0),
                 to: PeerId(1),
+                class: MsgClass::Query,
+                bytes: 60,
                 partition: true,
             },
             Event::FaultDuplicate {
@@ -410,6 +433,7 @@ mod tests {
                 from: PeerId(0),
                 to: PeerId(1),
                 class: MsgClass::Query,
+                bytes: 60,
             },
             Event::TimerSet {
                 node: PeerId(0),

@@ -400,19 +400,24 @@ mod tests {
         assert_eq!(f.fill_ratio(), 0.0);
     }
 
+    /// The analytic oracle `(1−e^{−kn/m})^k` at the paper's parameters
+    /// (m = 11,542, k = 8) filled to their design load n = 1,000: the
+    /// measured false-positive rate must be within ±20 % of it. Measured:
+    /// 3,822 ppm against 3,905 (the benchmark's `bloom_false_positive_rate`
+    /// check, same keys and probes).
     #[test]
     fn fp_rate_near_prediction() {
-        let p = BloomParams::for_capacity(1_000, 8);
-        let keys: Vec<String> = (0..1_000).map(|i| format!("present-{i}")).collect();
+        let p = BloomParams::paper_default();
+        let keys: Vec<String> = (0..1_000).map(|i| format!("keyword-{i}")).collect();
         let f = BloomFilter::from_keys(p, keys.iter().map(String::as_str));
-        let trials = 20_000;
+        let trials = 400_000;
         let fps = (0..trials)
             .filter(|i| f.contains(&format!("absent-{i}")))
             .count();
         let rate = fps as f64 / trials as f64;
         let predicted = p.false_positive_rate(1_000);
         assert!(
-            rate < predicted * 3.0 + 0.002,
+            (rate / predicted - 1.0).abs() <= 0.20,
             "measured {rate}, predicted {predicted}"
         );
     }

@@ -21,10 +21,10 @@ const PINNED: &[(&str, usize, usize)] = &[
     ("asap-net", 38, 269),
     ("asap-overlay", 109, 187),
     ("asap-search", 36, 171),
-    ("asap-sim", 226, 1095),
+    ("asap-sim", 226, 1096),
     ("asap-topology", 44, 67),
     ("asap-trace", 52, 85),
-    ("asap-workload", 81, 307),
+    ("asap-workload", 86, 332),
     ("xtask", 7, 6),
 ];
 

@@ -8,6 +8,7 @@
 //! repair's output is a function of the wired graph and the RNG alone; its
 //! tests keep the traversal-per-orphan version as the oracle for that.
 
+use crate::codec::CodecError;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -49,11 +50,30 @@ impl Overlay {
         &self.adj
     }
 
-    /// Rebuild an overlay from [`Overlay::adjacency`] output, verbatim. The
-    /// caller is responsible for handing back lists that keep the undirected
-    /// invariant (every edge present in both directions).
-    pub fn from_adjacency(adj: Vec<Vec<PeerId>>) -> Self {
-        Self { adj }
+    /// Rebuild an overlay from [`Overlay::adjacency`] output, verbatim,
+    /// after checking the undirected invariant [`Overlay::detach`] and
+    /// [`Overlay::remove_edge`] rely on: no self-loop, no neighbor listed
+    /// twice, every edge present in both directions.
+    pub fn from_adjacency(adj: Vec<Vec<PeerId>>) -> Result<Self, CodecError> {
+        let mut edges: Vec<(PeerId, PeerId)> = adj
+            .iter()
+            .enumerate()
+            .flat_map(|(p, nbrs)| nbrs.iter().map(move |&n| (PeerId(p as u32), n)))
+            .collect();
+        edges.sort_unstable();
+        if edges.iter().any(|&(a, b)| a == b) {
+            return Err(CodecError::Invalid("overlay self-loop"));
+        }
+        if edges.windows(2).any(|w| w[0] == w[1]) {
+            return Err(CodecError::Invalid("overlay duplicate edge"));
+        }
+        if edges
+            .iter()
+            .any(|&(a, b)| edges.binary_search(&(b, a)).is_err())
+        {
+            return Err(CodecError::Invalid("overlay edge without its reverse"));
+        }
+        Ok(Self { adj })
     }
 
     pub fn num_edges(&self) -> usize {

@@ -242,7 +242,7 @@ mod tests {
         let report = Simulation::builder(
             &phys,
             &workload,
-            asap_overlay::Overlay::from_adjacency(adj),
+            asap_overlay::Overlay::from_adjacency(adj).expect("an undirected graph"),
             OverlayKind::Random,
             Flooding::new(cfg),
             34,

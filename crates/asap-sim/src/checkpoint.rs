@@ -21,16 +21,20 @@
 //! * the trace sink — passive observation, never part of engine state;
 //! * the horizon and trace end — recomputed from the builder at resume, so
 //!   a warm-started sweep can vary horizon grace across cells;
-//! * derived state (keyword multisets, alive lists, adversary role maps,
-//!   physical placement) — recomputed deterministically from the restored
-//!   primary state and the validated-equal run seed.
+//! * derived state (per-peer keyword signatures, alive lists, adversary
+//!   role maps, physical placement) — recomputed deterministically from the
+//!   restored primary state and the validated-equal run seed.
 //!
 //! Decoding is fully validated and panic-free: corrupted, truncated, or
 //! wrong-version bytes yield a typed [`CodecError`], never a panic; a
 //! trailing FNV-1a checksum over the body rejects bit flips up front, and
 //! the resume decoder carries the world's [`IdBounds`], so every peer,
 //! document and keyword id anywhere in the body — in-flight message
-//! payloads included — is range-checked by its own `Codec` impl.
+//! payloads included — is range-checked by its own `Codec` impl. The
+//! overlay and content sections must also keep the invariants the run
+//! later relies on (undirected adjacency; sorted holdings whose transpose
+//! the holder lists are), so a checksummed-but-inconsistent checkpoint is a
+//! typed error at resume rather than a panic at the next churn event.
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
 use crate::audit::SimAuditor;
@@ -416,25 +420,22 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         let next_seq = u64::pull(&mut dec)?;
         let entries: Vec<Scheduled<P::Msg>> = Codec::pull(&mut dec)?;
         let cancelled: Vec<u64> = Codec::pull(&mut dec)?;
-        // [2] Overlay.
+        // [2] Overlay: the undirected invariant `detach` relies on is
+        // checked here, not met as a panic mid-run.
         let adj: Vec<Vec<PeerId>> = Codec::pull(&mut dec)?;
         if adj.len() != num_peers {
             return Err(CodecError::Invalid("overlay size mismatch"));
         }
+        let overlay = Overlay::from_adjacency(adj)?;
         // [3] Liveness.
         let mut alive = Vec::with_capacity(num_peers);
         for _ in 0..num_peers {
             alive.push(bool::pull(&mut dec)?);
         }
-        // [4] Content.
+        // [4] Content, checked against the model and its own invariants.
         let holdings: Vec<Vec<DocId>> = Codec::pull(&mut dec)?;
-        if holdings.len() != num_peers {
-            return Err(CodecError::Invalid("holdings size mismatch"));
-        }
         let holders: Vec<Vec<PeerId>> = Codec::pull(&mut dec)?;
-        if holders.len() != num_docs {
-            return Err(CodecError::Invalid("holders size mismatch"));
-        }
+        let content = ContentState::from_parts(sim.ctx.model, holdings, holders)?;
         // [5] Engine RNG.
         let RngState(rng_state) = Codec::pull(&mut dec)?;
         // [6] Load recorder: buckets, message totals, alive steps, notes.
@@ -476,7 +477,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         // recomputed from the restored bitmap.
         let ctx = &mut sim.ctx;
         ctx.queue = EventQueue::from_parts(next_seq, entries, cancelled);
-        ctx.overlay = Overlay::from_adjacency(adj);
+        ctx.overlay = overlay;
         ctx.alive_count = alive.iter().filter(|&&a| a).count();
         ctx.alive_list = alive
             .iter()
@@ -485,7 +486,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
             .map(|(i, _)| PeerId(i as u32))
             .collect();
         ctx.alive = alive;
-        ctx.content = ContentState::from_parts(ctx.model, holdings, holders);
+        ctx.content = content;
         ctx.rng = SmallRng::from_state(rng_state);
         ctx.load = LoadRecorder::from_parts(buckets, msg_totals, alive_steps, notes);
         ctx.ledger = QueryLedger::from_parts(raw_len, rows);

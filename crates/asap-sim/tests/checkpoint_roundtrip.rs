@@ -18,7 +18,8 @@
 //! * a checksummed-but-wrong checkpoint — a peer id past the world inside a
 //!   queued message's payload, or among a flood tracker's visitors — is a
 //!   typed error at resume, not an index panic in the run that follows (or
-//!   an allocation sized by the corrupt id).
+//!   an allocation sized by the corrupt id); so are content and overlay
+//!   sections that break the invariants the run later `expect`s.
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
@@ -34,6 +35,7 @@ use asap_sim::{
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{DocId, KeywordId, QuerySpec, Workload, WorkloadConfig};
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 const PEERS: usize = 120;
@@ -391,6 +393,194 @@ fn reseal(bytes: &mut [u8]) {
     bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
 }
 
+/// Checkpoint bytes before section [1]: magic + version + seed + peers +
+/// overlay tag + now + started + halted.
+const HEADER: usize = 8 + 2 + 8 + 8 + 1 + 8 + 1 + 1;
+
+/// A checkpoint taken halfway through the seed-`seed` run, and a resume of
+/// any (resealed) copy of its bytes against the same world.
+fn halfway(seed: u64) -> (Vec<u8>, impl Fn(Vec<u8>) -> Result<(), CodecError>) {
+    let (phys, workload, overlay) = world(seed);
+    let mut sim = builder(&phys, &workload, overlay.clone(), seed, None, None).build();
+    sim.run_until(workload.trace.duration_us() / 2);
+    let bytes = sim.checkpoint().into_bytes();
+    drop(sim);
+    let resume = move |bytes: Vec<u8>| {
+        let ckpt = Checkpoint::from_bytes(bytes).expect("checksum recomputed");
+        builder(&phys, &workload, overlay.clone(), seed, None, None)
+            .from_checkpoint(&ckpt)
+            .map(|_| ())
+    };
+    (bytes, resume)
+}
+
+/// Where sections [2] (adjacency), [4a] (holdings) and [4b] (holders) sit.
+fn overlay_and_content(bytes: &[u8]) -> [Range<usize>; 3] {
+    let body = &bytes[..bytes.len() - 8];
+    let at = |dec: &Decoder<'_>| body.len() - dec.remaining();
+    let mut dec = Decoder::new(body);
+    dec.get_bytes(HEADER).expect("header");
+    u64::pull(&mut dec).expect("next_seq");
+    Vec::<Scheduled<PingMsg>>::pull(&mut dec).expect("queued entries");
+    Vec::<u64>::pull(&mut dec).expect("tombstones");
+    let adjacency = at(&dec);
+    Vec::<Vec<PeerId>>::pull(&mut dec).expect("adjacency");
+    let liveness = at(&dec);
+    dec.get_bytes(PEERS).expect("liveness");
+    let holdings = at(&dec);
+    Vec::<Vec<DocId>>::pull(&mut dec).expect("holdings");
+    let holders = at(&dec);
+    Vec::<Vec<PeerId>>::pull(&mut dec).expect("holders");
+    [adjacency..liveness, holdings..holders, holders..at(&dec)]
+}
+
+fn decode<T: Codec>(bytes: &[u8]) -> T {
+    T::pull(&mut Decoder::new(bytes)).expect("own section")
+}
+
+/// `bytes` with the section at `range` replaced by `value`, resealed.
+fn spliced<T: Codec>(bytes: &[u8], range: &Range<usize>, value: &T) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    value.put(&mut enc);
+    let mut out = [
+        &bytes[..range.start],
+        &enc.into_bytes(),
+        &bytes[range.end..],
+    ]
+    .concat();
+    reseal(&mut out);
+    out
+}
+
+/// Holdings must be strictly ascending per peer: `Holdings::remove` binary
+/// searches them, so an unsorted list resumed `Ok` and then hit its
+/// `expect("holder invariant")` at the next content change.
+#[test]
+fn holdings_not_strictly_ascending_are_rejected() {
+    let (bytes, resume) = halfway(75);
+    let [_, at, _] = overlay_and_content(&bytes);
+    let holdings: Vec<Vec<DocId>> = decode(&bytes[at.clone()]);
+    let p = holdings
+        .iter()
+        .position(|h| h.len() >= 2)
+        .expect("a peer holding two documents");
+    assert_eq!(
+        resume(spliced(&bytes, &at, &holdings)),
+        Ok(()),
+        "re-encoded as it was"
+    );
+
+    let mut swapped = holdings.clone();
+    swapped[p].swap(0, 1);
+    let mut repeated = holdings;
+    repeated[p][1] = repeated[p][0];
+    for bad in [swapped, repeated] {
+        assert_eq!(
+            resume(spliced(&bytes, &at, &bad)),
+            Err(CodecError::Invalid("holdings not strictly ascending")),
+            "{:?} resumed",
+            bad[p]
+        );
+    }
+}
+
+/// `holders` must be exactly the transpose of the holdings; its order is
+/// history (`swap_remove`) and is not checked.
+#[test]
+fn holders_that_are_not_the_transpose_are_rejected() {
+    let (bytes, resume) = halfway(76);
+    let [_, _, at] = overlay_and_content(&bytes);
+    let holders: Vec<Vec<PeerId>> = decode(&bytes[at.clone()]);
+    let d = holders
+        .iter()
+        .position(|hs| hs.len() >= 2)
+        .expect("a replicated document");
+    let outsider = (0..PEERS as u32)
+        .map(PeerId)
+        .find(|p| !holders[d].contains(p))
+        .expect("a peer not holding it");
+    let patched = |edit: &dyn Fn(&mut Vec<PeerId>)| {
+        let mut bad = holders.clone();
+        edit(&mut bad[d]);
+        resume(spliced(&bytes, &at, &bad))
+    };
+    assert_eq!(patched(&|hs| hs.reverse()), Ok(()), "holder order is free");
+
+    let not_transpose = Err(CodecError::Invalid(
+        "holders are not the transpose of holdings",
+    ));
+    assert_eq!(
+        patched(&|hs| hs.truncate(hs.len() - 1)),
+        not_transpose,
+        "a holder dropped"
+    );
+    assert_eq!(
+        patched(&|hs| hs.push(outsider)),
+        not_transpose,
+        "a non-holder added"
+    );
+    assert_eq!(
+        patched(&|hs| hs[0] = outsider),
+        not_transpose,
+        "a holder replaced"
+    );
+    assert_eq!(
+        patched(&|hs| hs[1] = hs[0]),
+        not_transpose,
+        "a holder listed twice"
+    );
+}
+
+/// Adjacency must be undirected, with no self-loop and no neighbor listed
+/// twice: `Overlay::detach` `expect`s the reverse of every edge, so a
+/// one-sided edge resumed `Ok` and panicked when either end churned.
+#[test]
+fn adjacency_breaking_the_undirected_invariant_is_rejected() {
+    let (bytes, resume) = halfway(77);
+    let [at, _, _] = overlay_and_content(&bytes);
+    let adj: Vec<Vec<PeerId>> = decode(&bytes[at.clone()]);
+    let p = adj
+        .iter()
+        .position(|n| n.len() >= 2)
+        .expect("a peer with two neighbors");
+    let (me, q) = (PeerId(p as u32), adj[p][0]);
+    let stranger = (0..PEERS as u32)
+        .map(PeerId)
+        .find(|&r| r != me && !adj[p].contains(&r))
+        .expect("a peer it is not linked to");
+    let patched = |edit: &dyn Fn(&mut Vec<Vec<PeerId>>)| {
+        let mut bad = adj.clone();
+        edit(&mut bad);
+        resume(spliced(&bytes, &at, &bad))
+    };
+    assert_eq!(
+        patched(&|a| a[p].reverse()),
+        Ok(()),
+        "neighbor order is free"
+    );
+
+    let invalid = CodecError::Invalid;
+    assert_eq!(
+        patched(&|a| a[p].push(me)),
+        Err(invalid("overlay self-loop"))
+    );
+    assert_eq!(
+        patched(&|a| {
+            a[p].push(q);
+            a[q.index()].push(me);
+        }),
+        Err(invalid("overlay duplicate edge"))
+    );
+    assert_eq!(
+        patched(&|a| a[q.index()].retain(|&n| n != me)),
+        Err(invalid("overlay edge without its reverse"))
+    );
+    assert_eq!(
+        patched(&|a| a[p].push(stranger)),
+        Err(invalid("overlay edge without its reverse"))
+    );
+}
+
 /// A checkpoint can pass the checksum and still be wrong. The engine's
 /// envelope (`to`/`from`) was always range-checked; the *payload* of a queued
 /// message was not, so a peer id past the world resumed `Ok` and then indexed
@@ -406,8 +596,6 @@ fn out_of_range_peer_inside_a_queued_message_is_rejected() {
     drop(sim);
 
     // Walk section [1] to the first queued `Ask` and note where it starts.
-    // magic + version + seed + peers + overlay tag + now + started + halted.
-    const HEADER: usize = 8 + 2 + 8 + 8 + 1 + 8 + 1 + 1;
     // time + seq + event tag + to + from + dup + message tag.
     const ORIGIN_AT: usize = 8 + 8 + 1 + 4 + 4 + 1 + 1;
     let body = &bytes[..bytes.len() - 8];

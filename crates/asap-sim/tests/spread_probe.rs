@@ -80,7 +80,7 @@ fn kernel_holds_its_contract_on_a_real_transport() {
         leaves: 0,
         ..WorkloadConfig::reduced(6, 4, 5)
     });
-    let overlay = Overlay::from_adjacency(star());
+    let overlay = Overlay::from_adjacency(star()).expect("an undirected graph");
     let probe = Probe { checked: false };
     let report =
         Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, probe, 5).run();

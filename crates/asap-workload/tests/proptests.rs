@@ -1,8 +1,85 @@
 //! Property-based tests for the workload generator: structural invariants
 //! that must hold for any seed and (sane) size.
 
-use asap_workload::{ContentState, TraceEvent, WorkloadConfig};
+use asap_workload::content::Document;
+use asap_workload::{ContentState, DocId, KeywordId, PeerId, TraceEvent, WorkloadConfig};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// 1–4 distinct terms of `doc` (fewer if it has fewer keywords).
+fn terms_of(rng: &mut SmallRng, doc: &Document) -> Vec<KeywordId> {
+    let mut kws = doc.keywords.clone();
+    let n = rng.gen_range(1..=4usize).min(kws.len());
+    for i in 0..n {
+        let j = rng.gen_range(i..kws.len());
+        kws.swap(i, j);
+    }
+    kws.truncate(n);
+    kws
+}
+
+proptest! {
+    // Each case replays a tape and probes every peer; a few dozen cover it.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After any add/remove tape the kept signatures are the ones a fresh
+    /// `from_parts` derivation gives, and the signature prefilter never
+    /// changes an answer: `peer_matches` and `matching_docs` equal the
+    /// exhaustive scan on 1–4-term queries from a held document, from any
+    /// document, and across two held documents.
+    #[test]
+    fn signature_prefilter_never_changes_an_answer(seed in 0u64..10_000, changes in 500usize..3_000) {
+        let w = asap_workload::generate(&WorkloadConfig::reduced(150, 10, seed));
+        let model = &w.model;
+        let mut state = ContentState::from_model(model);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (peers, docs) = (model.num_peers() as u32, model.num_docs() as u32);
+        let (mut added, mut removed) = (0, 0);
+        for _ in 0..changes {
+            let peer = PeerId(rng.gen_range(0..peers));
+            let held = state.peer_docs(peer);
+            if rng.gen_bool(0.5) || held.is_empty() {
+                added += usize::from(state.add(model, peer, DocId(rng.gen_range(0..docs))));
+            } else {
+                let doc = held[rng.gen_range(0..held.len())];
+                removed += usize::from(state.remove(model, peer, doc));
+            }
+        }
+        prop_assert!(added > 100 && removed > 100, "{} adds, {} removes", added, removed);
+        let (holdings, holders) = state.parts();
+        let fresh = ContentState::from_parts(model, holdings.to_vec(), holders.to_vec());
+        prop_assert!(fresh == Ok(state.clone()), "kept state differs from a fresh derivation");
+
+        let (mut hits, mut misses) = (0, 0);
+        for peer in (0..peers).map(PeerId) {
+            let held = state.peer_docs(peer);
+            for _ in 0..4 {
+                let any = model.doc(DocId(rng.gen_range(0..docs)));
+                let mut queries = vec![terms_of(&mut rng, any)];
+                if !held.is_empty() {
+                    let a = model.doc(held[rng.gen_range(0..held.len())]);
+                    let b = model.doc(held[rng.gen_range(0..held.len())]);
+                    queries.push(terms_of(&mut rng, a));
+                    let mut across = terms_of(&mut rng, a);
+                    across.truncate(2);
+                    across.extend(terms_of(&mut rng, b).into_iter().take(2));
+                    across.sort_unstable();
+                    across.dedup();
+                    queries.push(across);
+                }
+                for terms in &queries {
+                    let exhaustive: Vec<DocId> =
+                        held.iter().copied().filter(|&d| model.doc(d).matches(terms)).collect();
+                    prop_assert_eq!(state.peer_matches(model, peer, terms), !exhaustive.is_empty());
+                    prop_assert_eq!(state.matching_docs(model, peer, terms).collect::<Vec<_>>(), exhaustive.clone());
+                    if exhaustive.is_empty() { misses += 1 } else { hits += 1 }
+                }
+            }
+        }
+        prop_assert!(hits > 200 && misses > 200, "{} hits, {} misses", hits, misses);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]

@@ -4,9 +4,11 @@
 //! ten orphan components to repair and a trace sees a few hundred content
 //! changes. This pins the 10,000-peer world — the trace and the adjacency of
 //! all three overlays — to FNV-1a constants computed before the
-//! connectivity repair went one-pass and the trace generator dropped the
-//! keyword multiset, so a construction shortcut that changes a single
-//! neighbor slot or trace event at scale turns `cargo test -q` red.
+//! connectivity repair went one-pass and the trace generator stopped
+//! building per-peer keyword state (it reads `Holdings` alone), so a
+//! construction shortcut that changes a single neighbor slot or trace
+//! event at scale turns `cargo test -q` red. The simulator's keyword
+//! signatures are built after the world, not in it, and cannot move these.
 
 use asap_p2p::overlay::{OverlayConfig, OverlayKind};
 use asap_p2p::sim::{Codec, Encoder, Fnv64};

@@ -8,6 +8,7 @@
 use asap_bench::runner::{run_cell_spec, RunSpec, World};
 use asap_bench::{AlgoKind, Scale};
 use asap_overlay::{OverlayConfig, OverlayKind};
+use asap_topology::{dijkstra, LatencyCoord, PhysNodeId, PhysicalNetwork, TransitStubConfig};
 
 #[test]
 #[ignore = "builds a 103,872-node topology and runs a 100k-peer cell; release-only"]
@@ -44,5 +45,33 @@ fn xl_overlays_build_connected_with_pinned_edge_counts() {
         let ov = OverlayConfig::new(kind, Scale::Xl.peers(), 42).build();
         assert!(ov.is_connected(), "{kind:?} not connected at xl");
         assert_eq!(ov.num_edges(), edges, "{kind:?} edge count at xl");
+    }
+}
+
+/// The latency coordinates are exact at the xl topology too — 60-node stub
+/// domains, 192 transit nodes — checked against Dijkstra from a transit
+/// node, a gateway, a stub node deep in its domain and a spread of others,
+/// to every one of the 103,872 nodes (same-domain targets included).
+#[test]
+#[ignore = "runs eight Dijkstra passes over the 103,872-node topology; release-only"]
+fn xl_latency_coordinates_match_dijkstra() {
+    let net = PhysicalNetwork::generate(&TransitStubConfig::xl(42));
+    let g = net.graph();
+    let coords: Vec<LatencyCoord> = (0..g.num_nodes() as u32)
+        .map(|i| net.coord(PhysNodeId(i)))
+        .collect();
+    let sd = &g.stub_domains()[g.stub_domains().len() / 2];
+    let deep = (sd.members.start..sd.members.end)
+        .map(PhysNodeId)
+        .max_by_key(|&n| net.latency_us(n, sd.gateway))
+        .expect("a non-empty stub domain");
+    let mut sources = vec![PhysNodeId(0), sd.gateway, deep];
+    sources.extend((1..6).map(|k| PhysNodeId(k * 17_321 % g.num_nodes() as u32)));
+    for src in sources {
+        let truth = dijkstra::sssp(g, src);
+        for (b, &want) in truth.iter().enumerate() {
+            let got = net.coord_latency_us(coords[src.index()], coords[b]);
+            assert_eq!(got, want, "{src:?} -> {b}");
+        }
     }
 }

@@ -21,8 +21,8 @@ const PINNED: &[(&str, usize, usize)] = &[
     ("asap-net", 38, 269),
     ("asap-overlay", 109, 187),
     ("asap-search", 36, 171),
-    ("asap-sim", 226, 1096),
-    ("asap-topology", 44, 67),
+    ("asap-sim", 226, 1098),
+    ("asap-topology", 46, 68),
     ("asap-trace", 52, 85),
     ("asap-workload", 86, 332),
     ("xtask", 7, 6),

@@ -100,6 +100,21 @@ fn dissemination_kernel_is_in_the_panic_reachable_set() {
     ]);
 }
 
+/// Every send pays one latency query: `Ctx::latency_us` reads two peer
+/// coordinates and hands them to the pair formula in `asap-topology`. The
+/// formula lives in another crate and answers 4–16 M sends a run, so R4
+/// must see it, down to the table lookups, by name.
+#[test]
+fn latency_path_is_in_the_panic_reachable_set() {
+    assert_panic_reachable(&[
+        "Ctx::latency_us",
+        "PhysicalNetwork::coord_latency_us",
+        "LatencyOracle::coord_latency_us",
+        "LatencyOracle::transit_pair",
+        "LatencyOracle::stub_pair_hops",
+    ]);
+}
+
 /// Every next-hop draw for queries and for ads is made inside
 /// `asap_sim::spread`. A `.rng()` in a baseline or in ad delivery means a
 /// strategy is being hand-rolled beside the kernel again — the copies this

@@ -416,10 +416,11 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         preamble(&mut dec)?;
         let header = Header::pull(&mut dec)?;
 
-        // [1] Event queue.
+        // [1] Event queue, checked against the queue's own invariants.
         let next_seq = u64::pull(&mut dec)?;
         let entries: Vec<Scheduled<P::Msg>> = Codec::pull(&mut dec)?;
         let cancelled: Vec<u64> = Codec::pull(&mut dec)?;
+        let queue = EventQueue::from_parts(header.now_us, next_seq, entries, cancelled)?;
         // [2] Overlay: the undirected invariant `detach` relies on is
         // checked here, not met as a panic mid-run.
         let adj: Vec<Vec<PeerId>> = Codec::pull(&mut dec)?;
@@ -476,7 +477,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         // layers are replaced wholesale; derived liveness views are
         // recomputed from the restored bitmap.
         let ctx = &mut sim.ctx;
-        ctx.queue = EventQueue::from_parts(next_seq, entries, cancelled);
+        ctx.queue = queue;
         ctx.overlay = overlay;
         ctx.alive_count = alive.iter().filter(|&&a| a).count();
         ctx.alive_list = alive

@@ -7,7 +7,7 @@ use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultStats};
 use crate::transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
 use asap_overlay::{Overlay, OverlayKind, PeerId};
-use asap_topology::{PhysNodeId, PhysicalNetwork};
+use asap_topology::{LatencyCoord, PhysNodeId, PhysicalNetwork};
 use asap_trace::{Event as TraceEvt, TraceSink};
 use asap_workload::{ContentModel, ContentState, DocId, QuerySpec, TraceEvent, Workload};
 use rand::rngs::SmallRng;
@@ -105,7 +105,9 @@ pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
     /// The static content model (documents, interests, vocabulary).
     pub model: &'a ContentModel,
     pub(crate) phys: &'a PhysicalNetwork,
-    pub(crate) assignment: Vec<PhysNodeId>,
+    /// Each peer's place in the physical hierarchy, resolved once at
+    /// placement: a send reads two of these and the transit table.
+    pub(crate) coords: Vec<LatencyCoord>,
     /// Deterministic per-run RNG for protocol decisions.
     pub rng: SmallRng,
     /// Byte/load accounting.
@@ -165,7 +167,7 @@ impl<'a, M, C: Carrier<M>> Ctx<'a, M, C> {
     #[inline]
     pub fn latency_us(&self, a: PeerId, b: PeerId) -> u64 {
         self.phys
-            .latency_us(self.assignment[a.index()], self.assignment[b.index()])
+            .coord_latency_us(self.coords[a.index()], self.coords[b.index()])
     }
 
     /// Total messages sent so far (all classes).
@@ -554,10 +556,14 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         );
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x51AE_0F5A_1769);
 
-        // Random distinct physical placement (partial Fisher–Yates).
+        // Random distinct physical placement (partial Fisher–Yates), each
+        // node resolved to its latency coordinate once, here.
         let mut ids: Vec<u32> = (0..phys.num_nodes() as u32).collect();
         crate::spread::pick_front(&mut rng, &mut ids, n);
-        let assignment: Vec<PhysNodeId> = ids[..n].iter().map(|&i| PhysNodeId(i)).collect();
+        let coords: Vec<LatencyCoord> = ids[..n]
+            .iter()
+            .map(|&i| phys.coord(PhysNodeId(i)))
+            .collect();
 
         // Initially-offline joiners are not wired into the overlay yet.
         let alive = workload.initially_alive.clone();
@@ -602,7 +608,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             content: ContentState::from_model(&workload.model),
             model: &workload.model,
             phys,
-            assignment,
+            coords,
             rng,
             load,
             ledger: QueryLedger::new(),

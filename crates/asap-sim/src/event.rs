@@ -28,6 +28,7 @@
 //! outgrows `max(PURGE_TRIGGER, live entries)`, and at the engine's halt.
 
 use crate::collections::DetHashSet;
+use asap_overlay::codec::CodecError;
 use asap_overlay::PeerId;
 use asap_workload::TraceEvent;
 use std::cmp::{Ordering, Reverse};
@@ -180,7 +181,20 @@ pub struct EventQueue<M> {
 
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
-        Self::from_parts(0, Vec::new(), Vec::new())
+        Self {
+            slab: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+            heads: Box::new([NIL; RING_BUCKETS]),
+            occupied: [0; BITMAP_WORDS],
+            cursor: 0,
+            run: Vec::new(),
+            overflow: BinaryHeap::new(),
+            len: 0,
+            next_seq: 0,
+            cancelled: DetHashSet::default(),
+            cancelled_hwm: 0,
+        }
     }
 }
 
@@ -460,25 +474,47 @@ impl<M> EventQueue<M> {
     /// sequence counter to continue from. `pop` always returns the unique
     /// `(time, seq)` minimum, so replay order does not depend on the order
     /// `entries` arrive in.
-    pub fn from_parts(next_seq: u64, entries: Vec<Scheduled<M>>, cancelled: Vec<u64>) -> Self {
+    ///
+    /// Rejects parts no history of `push`/`cancel` up to clock `now_us`
+    /// leaves behind: an entry scheduled before `now_us`, an entry or a
+    /// tombstone whose seq was never issued (a tombstone ≥ `next_seq`
+    /// would cancel a future push), or two entries sharing a seq. A
+    /// tombstone whose entry is no longer queued is legal.
+    pub fn from_parts(
+        now_us: u64,
+        next_seq: u64,
+        entries: Vec<Scheduled<M>>,
+        cancelled: Vec<u64>,
+    ) -> Result<Self, CodecError> {
+        if cancelled.iter().any(|&seq| seq >= next_seq) {
+            return Err(CodecError::Invalid(
+                "queue tombstone for a never-issued seq",
+            ));
+        }
+        if entries.iter().any(|s| s.time_us < now_us) {
+            return Err(CodecError::Invalid(
+                "queued entry scheduled before the clock",
+            ));
+        }
+        let mut seqs: Vec<u64> = entries.iter().map(|s| s.seq).collect();
+        seqs.sort_unstable();
+        if seqs.last().is_some_and(|&seq| seq >= next_seq) {
+            return Err(CodecError::Invalid("queued entry with a never-issued seq"));
+        }
+        if seqs.windows(2).any(|w| w[0] == w[1]) {
+            return Err(CodecError::Invalid("two queued entries share a seq"));
+        }
         let mut queue = Self {
             slab: Vec::with_capacity(entries.len()),
             links: Vec::with_capacity(entries.len()),
-            free: NIL,
-            heads: Box::new([NIL; RING_BUCKETS]),
-            occupied: [0; BITMAP_WORDS],
-            cursor: 0,
-            run: Vec::new(),
-            overflow: BinaryHeap::new(),
-            len: 0,
             next_seq,
             cancelled: cancelled.into_iter().collect(),
-            cancelled_hwm: 0,
+            ..Self::default()
         };
         for s in entries {
             queue.enqueue_scheduled(s);
         }
-        queue
+        Ok(queue)
     }
 }
 
@@ -601,7 +637,8 @@ mod tests {
                 event: s.event.clone(),
             })
             .collect();
-        let rebuilt = EventQueue::from_parts(q.next_seq(), entries, q.cancelled_sorted());
+        let rebuilt = EventQueue::from_parts(0, q.next_seq(), entries, q.cancelled_sorted())
+            .expect("a queue's own parts are valid");
         assert_eq!(rebuilt.next_seq(), q.next_seq());
         assert_eq!(rebuilt.len(), q.len());
         rebuilt

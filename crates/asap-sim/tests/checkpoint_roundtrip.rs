@@ -19,7 +19,8 @@
 //!   queued message's payload, or among a flood tracker's visitors — is a
 //!   typed error at resume, not an index panic in the run that follows (or
 //!   an allocation sized by the corrupt id); so are content and overlay
-//!   sections that break the invariants the run later `expect`s.
+//!   sections that break the invariants the run later `expect`s, and an
+//!   event-queue section that breaks the queue's own.
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
@@ -28,7 +29,7 @@ use asap_sim::collections::DetHashMap;
 use asap_sim::event::Scheduled;
 use asap_sim::util::SeenTracker;
 use asap_sim::{
-    codec_enum, query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint,
+    codec_enum, codec_struct, query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint,
     CheckpointProtocol, Codec, CodecError, Decoder, Encoder, EngineEvent, EventHandle, FaultPlan,
     Fnv64, PartitionWindow, Protocol, SimReport, Simulation, Transport,
 };
@@ -578,6 +579,102 @@ fn adjacency_breaking_the_undirected_invariant_is_rejected() {
     assert_eq!(
         patched(&|a| a[p].push(stranger)),
         Err(invalid("overlay edge without its reverse"))
+    );
+}
+
+/// Section [1]: the queue's seq counter, its entries, its tombstones.
+struct QueueSection {
+    next_seq: u64,
+    entries: Vec<Scheduled<PingMsg>>,
+    tombstones: Vec<u64>,
+}
+codec_struct!(QueueSection {
+    next_seq,
+    entries,
+    tombstones
+});
+
+/// An edit of section [1], handed the clock of the split.
+type QueueEdit<'e> = &'e dyn Fn(&mut QueueSection, u64);
+
+/// A resume of `halfway(seed)`'s checkpoint with section [1] edited.
+fn queue_patcher(seed: u64) -> impl Fn(QueueEdit<'_>) -> Result<(), CodecError> {
+    let (bytes, resume) = halfway(seed);
+    let now_us = Checkpoint::from_bytes(bytes.clone())
+        .expect("sealed")
+        .now_us();
+    let body_len = bytes.len() - 8;
+    let mut dec = Decoder::new(&bytes[HEADER..body_len]);
+    QueueSection::pull(&mut dec).expect("section [1]");
+    let at = HEADER..body_len - dec.remaining();
+    move |edit: QueueEdit<'_>| {
+        let mut queue: QueueSection = decode(&bytes[at.clone()]);
+        edit(&mut queue, now_us);
+        resume(spliced(&bytes, &at, &queue))
+    }
+}
+
+/// A tombstone is a seq `cancel` was handed, so it is below `next_seq`. One
+/// at `next_seq` resumed `Ok` and silently cancelled the next event pushed.
+/// A tombstone whose entry has already left the queue stays legal.
+#[test]
+fn queue_tombstone_for_a_never_issued_seq_is_rejected() {
+    let patched = queue_patcher(78);
+    assert_eq!(patched(&|_, _| {}), Ok(()), "re-encoded as it was");
+    let dead = |q: &mut QueueSection, _| {
+        let seq = (0..q.next_seq)
+            .find(|s| q.entries.iter().all(|e| e.seq != *s) && !q.tombstones.contains(s))
+            .expect("a seq that already left the queue");
+        q.tombstones.push(seq);
+        q.tombstones.sort_unstable();
+    };
+    assert_eq!(patched(&dead), Ok(()), "a tombstone for a fired event");
+    assert_eq!(
+        patched(&|q, _| q.tombstones.push(q.next_seq)),
+        Err(CodecError::Invalid(
+            "queue tombstone for a never-issued seq"
+        ))
+    );
+}
+
+/// Every queued seq was issued by `push`, so it is below `next_seq`; one at
+/// `next_seq` would tie with the next push and break the unique
+/// `(time, seq)` order `pop` promises.
+#[test]
+fn queued_entry_with_a_never_issued_seq_is_rejected() {
+    let patched = queue_patcher(79);
+    assert_eq!(
+        patched(&|q, _| q.entries[0].seq = q.next_seq),
+        Err(CodecError::Invalid("queued entry with a never-issued seq"))
+    );
+}
+
+/// Two queued entries with one seq break the unique `(time, seq)` order.
+#[test]
+fn queued_entries_sharing_a_seq_are_rejected() {
+    let patched = queue_patcher(80);
+    assert_eq!(
+        patched(&|q, _| q.entries[1].seq = q.entries[0].seq),
+        Err(CodecError::Invalid("two queued entries share a seq"))
+    );
+}
+
+/// Nothing is scheduled before the clock: an entry behind it tripped the
+/// engine's "time goes forward" `debug_assert!` at the next step in debug,
+/// and turned the clock back in release.
+#[test]
+fn queued_entry_before_the_clock_is_rejected() {
+    let patched = queue_patcher(81);
+    assert_eq!(
+        patched(&|q, now_us| q.entries[0].time_us = now_us),
+        Ok(()),
+        "an entry at the clock itself"
+    );
+    assert_eq!(
+        patched(&|q, now_us| q.entries[0].time_us = now_us - 1),
+        Err(CodecError::Invalid(
+            "queued entry scheduled before the clock"
+        ))
     );
 }
 

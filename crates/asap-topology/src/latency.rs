@@ -16,6 +16,16 @@
 //! same gateway). So exact APSP is only needed (a) over the transit core
 //! (144 nodes at paper scale) and (b) inside each ≤ ~40-node stub domain,
 //! where uniform 2 ms edges reduce it to BFS hop counts.
+//!
+//! Everything a query needs to know about one endpoint — its stub domain,
+//! its index there, its parent transit node and its latency to that node —
+//! is resolved once into a [`LatencyCoord`]. A transit node is its own
+//! parent at exit latency 0, so one formula covers every pair:
+//!
+//! ```text
+//! same stub domain:  hops(a, b) × 2 ms
+//! otherwise:         exit(a) + transit_dist(parent(a), parent(b)) + exit(b)
+//! ```
 
 use crate::graph::{NodeKind, PhysGraph, PhysNodeId};
 use std::cmp::Reverse;
@@ -23,6 +33,25 @@ use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 const UNREACHED_HOPS: u16 = u16::MAX;
+
+/// [`LatencyCoord::stub_domain`] of a transit node.
+const NO_STUB: u32 = u32::MAX;
+
+/// Where one physical node sits in the transit-stub hierarchy, resolved by
+/// [`LatencyOracle::coord`]: all a pair query reads about an endpoint, in
+/// 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyCoord {
+    /// The node's stub domain, or `NO_STUB` for a transit node.
+    stub_domain: u32,
+    /// The node's index inside its stub domain (0 for a transit node).
+    local: u32,
+    /// Core index of the parent transit node (its own for a transit node).
+    transit: u32,
+    /// Latency to the parent transit node, µs: intra-stub hops to the
+    /// gateway at the intra-stub latency, plus the uplink.
+    exit_us: u32,
+}
 
 /// Precomputed latency tables; answers any pair query in O(1).
 #[derive(Debug)]
@@ -81,6 +110,7 @@ impl LatencyOracle {
         self.transit_dist[a * self.n_transit + b]
     }
 
+    #[inline]
     fn stub_pair_hops(&self, domain: u32, len: usize, a: usize, b: usize) -> u64 {
         let h = self.stub_hops[domain as usize][a * len + b];
         debug_assert_ne!(h, UNREACHED_HOPS, "stub tables are validated complete in build()");
@@ -88,56 +118,58 @@ impl LatencyOracle {
     }
 
     /// Exact one-way shortest-path latency between two physical nodes, µs.
+    #[inline]
     pub fn latency_us(&self, g: &PhysGraph, a: PhysNodeId, b: PhysNodeId) -> u64 {
-        if a == b {
-            return 0;
-        }
-        match (g.kind(a), g.kind(b)) {
-            (NodeKind::Transit { .. }, NodeKind::Transit { .. }) => {
-                self.transit_pair(g.transit_core_index(a), g.transit_core_index(b))
-            }
-            (NodeKind::Transit { .. }, NodeKind::Stub { stub_domain }) => {
-                self.transit_to_stub(g, a, stub_domain, b)
-            }
-            (NodeKind::Stub { stub_domain }, NodeKind::Transit { .. }) => {
-                self.transit_to_stub(g, b, stub_domain, a)
-            }
-            (NodeKind::Stub { stub_domain: da }, NodeKind::Stub { stub_domain: db }) => {
-                if da == db {
-                    let sd = g.stub_domain(da);
-                    let hops =
-                        self.stub_pair_hops(da, sd.len(), sd.local_index(a), sd.local_index(b));
-                    hops * g.lat_intra_stub_us
-                } else {
-                    self.stub_exit(g, da, a)
-                        + self.transit_pair(
-                            g.transit_core_index(g.stub_domain(da).parent_transit),
-                            g.transit_core_index(g.stub_domain(db).parent_transit),
-                        )
-                        + self.stub_exit(g, db, b)
-                }
-            }
-        }
+        self.coord_latency_us(g, self.coord(g, a), self.coord(g, b))
     }
 
-    /// Latency from a stub node to its domain's parent transit node:
-    /// intra-domain hops to the gateway plus the 5 ms uplink.
-    fn stub_exit(&self, g: &PhysGraph, domain: u32, node: PhysNodeId) -> u64 {
-        let sd = g.stub_domain(domain);
-        let hops = self.stub_pair_hops(
-            domain,
-            sd.len(),
-            sd.local_index(node),
-            sd.local_index(sd.gateway),
+    /// Resolve where `node` sits in the hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node's exit latency does not fit a `u32` of µs (over
+    /// 71 minutes) — a construction-time check, so the pair formula never
+    /// narrows.
+    #[inline]
+    pub fn coord(&self, g: &PhysGraph, node: PhysNodeId) -> LatencyCoord {
+        let NodeKind::Stub { stub_domain } = g.kind(node) else {
+            return LatencyCoord {
+                stub_domain: NO_STUB,
+                local: 0,
+                transit: g.transit_core_index(node) as u32,
+                exit_us: 0,
+            };
+        };
+        let sd = g.stub_domain(stub_domain);
+        let local = sd.local_index(node);
+        let gateway = sd.local_index(sd.gateway);
+        let exit_us = self.stub_pair_hops(stub_domain, sd.len(), local, gateway)
+            * g.lat_intra_stub_us
+            + g.lat_transit_stub_us;
+        // lint: allow(release-assert, reason=construction-time validation; coordinates are resolved once per peer before any event dispatch)
+        assert!(
+            exit_us <= u64::from(u32::MAX),
+            "{node:?} sits {exit_us} µs from its transit node; coordinates hold u32 µs"
         );
-        hops * g.lat_intra_stub_us + g.lat_transit_stub_us
+        LatencyCoord {
+            stub_domain,
+            local: local as u32,
+            transit: g.transit_core_index(sd.parent_transit) as u32,
+            exit_us: exit_us as u32,
+        }
     }
 
-    fn transit_to_stub(&self, g: &PhysGraph, t: PhysNodeId, domain: u32, s: PhysNodeId) -> u64 {
-        self.transit_pair(
-            g.transit_core_index(t),
-            g.transit_core_index(g.stub_domain(domain).parent_transit),
-        ) + self.stub_exit(g, domain, s)
+    /// Exact one-way shortest-path latency between two resolved nodes, µs.
+    #[inline]
+    pub fn coord_latency_us(&self, g: &PhysGraph, a: LatencyCoord, b: LatencyCoord) -> u64 {
+        if a.stub_domain == b.stub_domain && a.stub_domain != NO_STUB {
+            let len = g.stub_domain(a.stub_domain).len();
+            let hops = self.stub_pair_hops(a.stub_domain, len, a.local as usize, b.local as usize);
+            return hops * g.lat_intra_stub_us;
+        }
+        u64::from(a.exit_us)
+            + self.transit_pair(a.transit as usize, b.transit as usize)
+            + u64::from(b.exit_us)
     }
 }
 
@@ -193,6 +225,109 @@ mod tests {
     use crate::gtitm::generate;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The per-pair walk of the hierarchy that per-node coordinates
+    /// replaced, kept as the reference the coordinate formula must equal.
+    impl LatencyOracle {
+        fn reference_latency_us(&self, g: &PhysGraph, a: PhysNodeId, b: PhysNodeId) -> u64 {
+            if a == b {
+                return 0;
+            }
+            match (g.kind(a), g.kind(b)) {
+                (NodeKind::Transit { .. }, NodeKind::Transit { .. }) => {
+                    self.transit_pair(g.transit_core_index(a), g.transit_core_index(b))
+                }
+                (NodeKind::Transit { .. }, NodeKind::Stub { stub_domain }) => {
+                    self.transit_to_stub(g, a, stub_domain, b)
+                }
+                (NodeKind::Stub { stub_domain }, NodeKind::Transit { .. }) => {
+                    self.transit_to_stub(g, b, stub_domain, a)
+                }
+                (NodeKind::Stub { stub_domain: da }, NodeKind::Stub { stub_domain: db }) => {
+                    if da == db {
+                        let sd = g.stub_domain(da);
+                        let hops =
+                            self.stub_pair_hops(da, sd.len(), sd.local_index(a), sd.local_index(b));
+                        hops * g.lat_intra_stub_us
+                    } else {
+                        self.stub_exit(g, da, a)
+                            + self.transit_pair(
+                                g.transit_core_index(g.stub_domain(da).parent_transit),
+                                g.transit_core_index(g.stub_domain(db).parent_transit),
+                            )
+                            + self.stub_exit(g, db, b)
+                    }
+                }
+            }
+        }
+
+        /// Latency from a stub node to its domain's parent transit node:
+        /// intra-domain hops to the gateway plus the 5 ms uplink.
+        fn stub_exit(&self, g: &PhysGraph, domain: u32, node: PhysNodeId) -> u64 {
+            let sd = g.stub_domain(domain);
+            let hops = self.stub_pair_hops(
+                domain,
+                sd.len(),
+                sd.local_index(node),
+                sd.local_index(sd.gateway),
+            );
+            hops * g.lat_intra_stub_us + g.lat_transit_stub_us
+        }
+
+        fn transit_to_stub(&self, g: &PhysGraph, t: PhysNodeId, domain: u32, s: PhysNodeId) -> u64 {
+            self.transit_pair(
+                g.transit_core_index(t),
+                g.transit_core_index(g.stub_domain(domain).parent_transit),
+            ) + self.stub_exit(g, domain, s)
+        }
+    }
+
+    /// Coordinates resolved once per node, then every listed pair through
+    /// the formula against the reference walk.
+    fn coords_match_reference(g: &PhysGraph, pairs: impl Iterator<Item = (u32, u32)>) -> usize {
+        let oracle = LatencyOracle::build(g);
+        let coords: Vec<LatencyCoord> = (0..g.num_nodes() as u32)
+            .map(|i| oracle.coord(g, PhysNodeId(i)))
+            .collect();
+        let mut checked = 0;
+        for (a, b) in pairs {
+            let (pa, pb) = (PhysNodeId(a), PhysNodeId(b));
+            let formula = oracle.coord_latency_us(g, coords[a as usize], coords[b as usize]);
+            assert_eq!(
+                formula,
+                oracle.reference_latency_us(g, pa, pb),
+                "coordinate formula differs from the reference for {pa:?}->{pb:?}"
+            );
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn coords_match_reference_on_every_reduced_pair() {
+        for seed in [1, 2, 3] {
+            let g = generate(&TransitStubConfig::reduced(seed));
+            let n = g.num_nodes() as u32;
+            let pairs = (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+            assert_eq!(coords_match_reference(&g, pairs), 300 * 300);
+        }
+    }
+
+    #[test]
+    fn coords_match_reference_on_sampled_medium_pairs() {
+        let g = generate(&TransitStubConfig::medium(4));
+        let n = g.num_nodes() as u32;
+        let mut rng = SmallRng::seed_from_u64(4);
+        let pairs: Vec<(u32, u32)> = (0..200_000)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .collect();
+        assert_eq!(coords_match_reference(&g, pairs.into_iter()), 200_000);
+    }
+
+    #[test]
+    fn coords_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<LatencyCoord>(), 16);
+    }
 
     fn oracle_matches_dijkstra(seed: u64) {
         let g = generate(&TransitStubConfig::reduced(seed));

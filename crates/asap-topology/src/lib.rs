@@ -11,7 +11,8 @@
 //! Because all-pairs shortest paths over 51,984 nodes is infeasible
 //! (~2.7 × 10⁹ entries), [`LatencyOracle`] exploits the hierarchy: exact APSP
 //! is precomputed only inside each (small) stub domain and over the
-//! transit-node core, and any pair query composes those segments in O(1).
+//! transit-node core, and any pair query composes those segments in O(1)
+//! from the two endpoints' [`LatencyCoord`]s.
 //! A reference Dijkstra ([`dijkstra`]) cross-validates the oracle in tests.
 
 pub mod config;
@@ -23,7 +24,7 @@ pub mod latency;
 pub use config::TransitStubConfig;
 pub use graph::{NodeKind, PhysGraph, PhysNodeId};
 pub use gtitm::generate;
-pub use latency::LatencyOracle;
+pub use latency::{LatencyCoord, LatencyOracle};
 
 /// A generated physical network: the explicit graph plus its latency oracle.
 #[derive(Debug)]
@@ -52,6 +53,18 @@ impl PhysicalNetwork {
     #[inline]
     pub fn latency_us(&self, a: PhysNodeId, b: PhysNodeId) -> u64 {
         self.oracle.latency_us(&self.graph, a, b)
+    }
+
+    /// Where `node` sits in the hierarchy (see [`LatencyOracle::coord`]):
+    /// resolve once, then query pairs with [`Self::coord_latency_us`].
+    pub fn coord(&self, node: PhysNodeId) -> LatencyCoord {
+        self.oracle.coord(&self.graph, node)
+    }
+
+    /// One-way latency between two resolved nodes, in microseconds.
+    #[inline]
+    pub fn coord_latency_us(&self, a: LatencyCoord, b: LatencyCoord) -> u64 {
+        self.oracle.coord_latency_us(&self.graph, a, b)
     }
 }
 

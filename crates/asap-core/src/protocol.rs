@@ -134,7 +134,7 @@ impl Asap {
             .map(|p| {
                 let mut filter = CountingBloom::new(config.bloom);
                 for &doc in &model.initial_holdings[p] {
-                    for &kw in &model.doc(doc).keywords {
+                    for &kw in model.doc(doc).keywords {
                         filter.insert_hash(&kw_hashes[kw.index()]);
                     }
                 }
@@ -195,7 +195,7 @@ impl Asap {
             for _ in 0..SPAM_POISON_DOCS {
                 let doc = model.doc(DocId(rng.gen_range(0..num_docs)));
                 claimed = claimed.union(InterestSet::singleton(doc.class));
-                for &kw in &doc.keywords {
+                for &kw in doc.keywords {
                     let h = asap.kw_hashes[kw.index()];
                     asap.nodes[p].filter.insert_hash(&h);
                 }
@@ -657,7 +657,7 @@ impl Protocol for Asap {
         let old_class = model.doc(doc).class;
         let st = &mut self.nodes[peer.index()];
         let old_snapshot = Rc::clone(&st.snapshot);
-        for kw in &model.doc(doc).keywords {
+        for kw in model.doc(doc).keywords {
             let h = self.kw_hashes[kw.index()];
             if added {
                 st.filter.insert_hash(&h);
@@ -758,7 +758,7 @@ mod tests {
         for p in 0..m.num_peers() {
             let st = &asap.nodes[p];
             for &doc in &m.initial_holdings[p] {
-                for &kw in &m.doc(doc).keywords {
+                for &kw in m.doc(doc).keywords {
                     assert!(
                         st.snapshot.contains_hash(&asap.kw_hashes[kw.index()]),
                         "peer {p}'s filter must cover its keywords"

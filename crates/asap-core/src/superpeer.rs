@@ -168,7 +168,7 @@ impl SuperAsap {
             .map(|p| {
                 let mut filter = CountingBloom::new(config.asap.bloom);
                 for &doc in &model.initial_holdings[p] {
-                    for &kw in &model.doc(doc).keywords {
+                    for &kw in model.doc(doc).keywords {
                         filter.insert_hash(&kw_hashes[kw.index()]);
                     }
                 }
@@ -696,7 +696,7 @@ impl Protocol for SuperAsap {
     ) {
         let model = ctx.model();
         let st = &mut self.nodes[peer.index()];
-        for kw in &model.doc(doc).keywords {
+        for kw in model.doc(doc).keywords {
             let h = self.kw_hashes[kw.index()];
             if added {
                 st.filter.insert_hash(&h);

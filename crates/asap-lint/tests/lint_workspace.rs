@@ -115,6 +115,22 @@ fn latency_path_is_in_the_panic_reachable_set() {
     ]);
 }
 
+/// Every content change of a run goes through `ContentState::add`/`remove`,
+/// and every match check through `peer_matches`; the holder rows they edit
+/// live in one flat arena whose row moves and in-span `swap_remove` are
+/// offset arithmetic. R4 must see that path, down to the arena, by name, so
+/// it stays free of new `unwrap`/`expect`.
+#[test]
+fn content_change_path_is_in_the_panic_reachable_set() {
+    assert_panic_reachable(&[
+        "ContentState::add",
+        "ContentState::remove",
+        "ContentState::peer_matches",
+        "HolderArena::push_holder",
+        "HolderArena::remove_holder",
+    ]);
+}
+
 /// Every next-hop draw for queries and for ads is made inside
 /// `asap_sim::spread`. A `.rng()` in a baseline or in ad delivery means a
 /// strategy is being hand-rolled beside the kernel again — the copies this

@@ -138,6 +138,7 @@ impl QueryLedger {
 
     /// Structural consistency check over every registered record:
     ///
+    /// * no query is issued after `end_time_us`;
     /// * a success implies a recorded response time not before the issue and
     ///   not after `end_time_us`;
     /// * the answer count and the first-answer time agree (one implies the
@@ -148,6 +149,12 @@ impl QueryLedger {
     pub fn check_consistency(&self, end_time_us: u64) -> Vec<String> {
         let mut violations = Vec::new();
         for (id, rec) in self.records_with_ids() {
+            if rec.issue_us > end_time_us {
+                violations.push(format!(
+                    "query {id}: issued at {} after end {end_time_us}",
+                    rec.issue_us
+                ));
+            }
             match rec.first_answer_us {
                 Some(t) => {
                     if t < rec.issue_us {
@@ -265,6 +272,15 @@ mod tests {
         let v = l.check_consistency(1_000);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("after end"));
+    }
+
+    #[test]
+    fn consistency_check_flags_issue_after_end() {
+        let mut l = QueryLedger::new();
+        l.register(0, 2_000);
+        let v = l.check_consistency(1_000);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("issued at 2000 after end"));
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl<'a, P: CheckpointProtocol, C: Carrier<P::Msg>> Daemon<'a, P, C> {
         let spec = QuerySpec {
             id,
             requester,
-            terms: ctx.model.doc(target).keywords.clone(),
+            terms: ctx.model.doc(target).keywords.to_vec(),
             target,
         };
         self.sim.apply_event(now_us, TraceEvent::Query(spec));

@@ -31,10 +31,11 @@
 //! the resume decoder carries the world's [`IdBounds`], so every peer,
 //! document and keyword id anywhere in the body — in-flight message
 //! payloads included — is range-checked by its own `Codec` impl. The
-//! overlay and content sections must also keep the invariants the run
-//! later relies on (undirected adjacency; sorted holdings whose transpose
-//! the holder lists are), so a checksummed-but-inconsistent checkpoint is a
-//! typed error at resume rather than a panic at the next churn event.
+//! overlay, content and query-ledger sections must also keep the invariants
+//! the run later relies on (undirected adjacency; sorted holdings whose
+//! transpose the holder lists are; no answer before its issue or after the
+//! clock), so a checksummed-but-inconsistent checkpoint is a typed error at
+//! resume rather than a panic at the next churn event or in the report.
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
 use crate::audit::SimAuditor;
@@ -323,10 +324,14 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
         for a in &ctx.alive {
             a.put(enc);
         }
-        // [4] Content: holdings sorted per peer, holders verbatim.
+        // [4] Content: holdings sorted per peer, holders verbatim, each row
+        // counted as a `Vec<PeerId>` is.
         let (holdings, holders) = ctx.content.parts();
         enc.put_seq(holdings);
-        enc.put_seq(holders);
+        enc.put_len(holders.len());
+        for row in holders {
+            enc.put_seq(row);
+        }
         // [5] Engine RNG stream.
         RngState(ctx.rng.state()).put(enc);
         // [6] Load recorder: buckets, message totals, alive steps, notes.
@@ -444,7 +449,9 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         let msg_totals = Codec::pull(&mut dec)?;
         let alive_steps = Codec::pull(&mut dec)?;
         let notes = Codec::pull(&mut dec)?;
-        // [7] Query ledger.
+        // [7] Query ledger, checked against the ledger's own invariants at
+        // the header's clock: an answer before its issue would underflow
+        // the response-time mean in the report.
         let raw_len = usize::pull(&mut dec)?;
         if raw_len > MAX_LEDGER_SLOTS {
             return Err(CodecError::Invalid("ledger slot count implausibly large"));
@@ -452,6 +459,14 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         let rows: Vec<LedgerRow> = Codec::pull(&mut dec)?;
         if rows.iter().any(|row| row.0 as usize >= raw_len) {
             return Err(CodecError::Invalid("query id past ledger length"));
+        }
+        let listed = rows.len();
+        let ledger = QueryLedger::from_parts(raw_len, rows);
+        if ledger.num_queries() != listed {
+            return Err(CodecError::Invalid("query id listed twice in the ledger"));
+        }
+        if !ledger.check_consistency(header.now_us).is_empty() {
+            return Err(CodecError::Invalid("query ledger breaks its invariants"));
         }
         // [8] Robustness counters, [9] send counter, [10] engine profile.
         let retry = RetryCounters::from_counts(Codec::pull(&mut dec)?);
@@ -490,7 +505,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         ctx.content = content;
         ctx.rng = SmallRng::from_state(rng_state);
         ctx.load = LoadRecorder::from_parts(buckets, msg_totals, alive_steps, notes);
-        ctx.ledger = QueryLedger::from_parts(raw_len, rows);
+        ctx.ledger = ledger;
         ctx.retry = retry;
         ctx.profile = profile;
         ctx.now_us = header.now_us;

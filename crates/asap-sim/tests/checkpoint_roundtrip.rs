@@ -20,7 +20,8 @@
 //!   typed error at resume, not an index panic in the run that follows (or
 //!   an allocation sized by the corrupt id); so are content and overlay
 //!   sections that break the invariants the run later `expect`s, and an
-//!   event-queue section that breaks the queue's own.
+//!   event-queue or query-ledger section that breaks the queue's or the
+//!   ledger's own.
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
@@ -675,6 +676,131 @@ fn queued_entry_before_the_clock_is_rejected() {
         Err(CodecError::Invalid(
             "queued entry scheduled before the clock"
         ))
+    );
+}
+
+/// Section [7]: the ledger's raw slot count, then its
+/// `(id, issue_us, first_answer_us, answers)` rows by ascending id.
+struct LedgerSection {
+    raw_len: usize,
+    rows: Vec<(u32, u64, Option<u64>, u32)>,
+}
+codec_struct!(LedgerSection { raw_len, rows });
+
+/// An edit of section [7], handed the clock of the split.
+type LedgerEdit<'e> = &'e dyn Fn(&mut LedgerSection, u64);
+
+/// A resume of `halfway(seed)`'s checkpoint with section [7] edited.
+fn ledger_patcher(seed: u64) -> impl Fn(LedgerEdit<'_>) -> Result<(), CodecError> {
+    let (bytes, resume) = halfway(seed);
+    let now_us = Checkpoint::from_bytes(bytes.clone())
+        .expect("sealed")
+        .now_us();
+    let [_, _, content] = overlay_and_content(&bytes);
+    let body_len = bytes.len() - 8;
+    let mut dec = Decoder::new(&bytes[content.end..body_len]);
+    <[u64; 4]>::pull(&mut dec).expect("section [5]");
+    Vec::<[u64; MsgClass::COUNT]>::pull(&mut dec).expect("load buckets");
+    <[u64; MsgClass::COUNT]>::pull(&mut dec).expect("message totals");
+    Vec::<(u64, usize)>::pull(&mut dec).expect("alive steps");
+    Vec::<String>::pull(&mut dec).expect("notes");
+    let start = body_len - dec.remaining();
+    LedgerSection::pull(&mut dec).expect("section [7]");
+    let at = start..body_len - dec.remaining();
+    move |edit: LedgerEdit<'_>| {
+        let mut ledger: LedgerSection = decode(&bytes[at.clone()]);
+        edit(&mut ledger, now_us);
+        resume(spliced(&bytes, &at, &ledger))
+    }
+}
+
+/// The first row with an answer.
+fn answered(l: &mut LedgerSection) -> &mut (u32, u64, Option<u64>, u32) {
+    l.rows
+        .iter_mut()
+        .find(|r| r.2.is_some())
+        .expect("an answered query at the split")
+}
+
+const LEDGER_BROKEN: Result<(), CodecError> =
+    Err(CodecError::Invalid("query ledger breaks its invariants"));
+
+/// An answer is never recorded before its query is issued. One 1 µs early
+/// resumed `Ok`, then underflowed the response-time mean: a panic in debug,
+/// a mean of about 10¹⁴ ms in release.
+#[test]
+fn ledger_answer_before_its_issue_is_rejected() {
+    let patched = ledger_patcher(82);
+    assert_eq!(patched(&|_, _| {}), Ok(()), "re-encoded as it was");
+    assert_eq!(
+        patched(&|l, _| {
+            let r = answered(l);
+            r.2 = Some(r.1);
+        }),
+        Ok(()),
+        "an answer at the issue itself"
+    );
+    assert_eq!(
+        patched(&|l, _| {
+            let r = answered(l);
+            r.2 = Some(r.1 - 1);
+        }),
+        LEDGER_BROKEN
+    );
+}
+
+/// Nothing in the ledger happened after the clock of the split: neither an
+/// issue nor a first answer.
+#[test]
+fn ledger_times_after_the_clock_are_rejected() {
+    let patched = ledger_patcher(83);
+    let issued_at = |t: u64| {
+        move |l: &mut LedgerSection| {
+            let r = &mut l.rows[0];
+            (r.1, r.2, r.3) = (t, None, 0);
+        }
+    };
+    assert_eq!(
+        patched(&|l, now| issued_at(now)(l)),
+        Ok(()),
+        "issued at the clock"
+    );
+    assert_eq!(patched(&|l, now| issued_at(now + 1)(l)), LEDGER_BROKEN);
+    assert_eq!(
+        patched(&|l, now| answered(l).2 = Some(now)),
+        Ok(()),
+        "answered at the clock"
+    );
+    assert_eq!(
+        patched(&|l, now| answered(l).2 = Some(now + 1)),
+        LEDGER_BROKEN
+    );
+}
+
+/// The answer count and the first-answer time imply each other.
+#[test]
+fn ledger_answer_count_disagreeing_with_the_first_answer_is_rejected() {
+    let patched = ledger_patcher(84);
+    assert_eq!(
+        patched(&|l, _| answered(l).3 = 0),
+        LEDGER_BROKEN,
+        "answered zero times"
+    );
+    assert_eq!(
+        patched(&|l, _| answered(l).2 = None),
+        LEDGER_BROKEN,
+        "answers, no time"
+    );
+}
+
+/// Every query id is registered once; a row listed twice would overwrite
+/// the first silently.
+#[test]
+fn ledger_query_listed_twice_is_rejected() {
+    let patched = ledger_patcher(85);
+    assert_eq!(
+        patched(&|l, _| l.rows.insert(1, l.rows[0])),
+        Err(CodecError::Invalid("query id listed twice in the ledger"))
     );
 }
 

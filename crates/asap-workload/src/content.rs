@@ -24,14 +24,15 @@ use asap_overlay::PeerId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// One document: its semantic class and sorted, distinct keyword set.
-#[derive(Debug, Clone)]
-pub struct Document {
+/// One document: its semantic class and sorted, distinct keyword set, as a
+/// view into the catalogue's arenas.
+#[derive(Debug, Clone, Copy)]
+pub struct Document<'a> {
     pub class: ClassId,
-    pub keywords: Vec<KeywordId>,
+    pub keywords: &'a [KeywordId],
 }
 
-impl Document {
+impl Document<'_> {
     /// The paper's match predicate: the document matches a request iff it
     /// contains **all** query terms.
     pub fn matches(&self, terms: &[KeywordId]) -> bool {
@@ -41,10 +42,17 @@ impl Document {
 
 /// The universal content set `D_all` plus per-peer initial holdings and
 /// interests.
+///
+/// The catalogue is three flat vectors rather than one heap block per
+/// document: document `d` has class `classes[d]` and keywords
+/// `keywords[starts[d]..starts[d + 1]]`.
 #[derive(Debug)]
 pub struct ContentModel {
     pub vocab: Vocabulary,
-    pub docs: Vec<Document>,
+    classes: Vec<ClassId>,
+    /// `num_docs + 1` offsets into `keywords`.
+    starts: Vec<u32>,
+    keywords: Vec<KeywordId>,
     /// Initial shared documents per peer, sorted; empty for free riders.
     pub initial_holdings: Vec<Vec<DocId>>,
     /// `I(p)` for every peer.
@@ -60,12 +68,17 @@ impl ContentModel {
     }
 
     pub fn num_docs(&self) -> usize {
-        self.docs.len()
+        self.classes.len()
     }
 
     #[inline]
-    pub fn doc(&self, id: DocId) -> &Document {
-        &self.docs[id.index()]
+    pub fn doc(&self, id: DocId) -> Document<'_> {
+        let d = id.index();
+        let (start, end) = (self.starts[d] as usize, self.starts[d + 1] as usize);
+        Document {
+            class: self.classes[d],
+            keywords: &self.keywords[start..end],
+        }
     }
 
     /// A peer that initially shares nothing.
@@ -103,7 +116,7 @@ impl ContentModel {
     /// `(mean copies per document, fraction of single-copy documents)` over
     /// the initial placement — the paper reports ≈ 1.28 and 89 %.
     pub fn copy_stats(&self) -> (f64, f64) {
-        let mut copies = vec![0usize; self.docs.len()];
+        let mut copies = vec![0usize; self.num_docs()];
         for holdings in &self.initial_holdings {
             for &d in holdings {
                 copies[d.index()] += 1;
@@ -158,7 +171,9 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
     // geometric tail with conditional mean ≈ 3.55, so the marginal mean is
     // 0.89·1 + 0.11·3.55 ≈ 1.28 (the eDonkey statistics the paper cites).
     // Replica placements then fill the open quotas of their class.
-    let mut docs: Vec<Document> = Vec::new();
+    let mut classes: Vec<ClassId> = Vec::new();
+    let mut starts: Vec<u32> = vec![0];
+    let mut keywords: Vec<KeywordId> = Vec::new();
     let mut class_docs: Vec<Vec<DocId>> = vec![Vec::new(); config.classes];
     // Per class: documents with unfilled copy quota (doc, copies remaining).
     let mut open_pool: Vec<Vec<(DocId, u32)>> = vec![Vec::new(); config.classes];
@@ -186,8 +201,10 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
                 }
                 id
             } else {
-                let id = DocId(docs.len() as u32);
-                docs.push(make_document(config, class, &word_rank, rng));
+                let id = DocId(classes.len() as u32);
+                classes.push(class);
+                make_document(config, class, &word_rank, rng, &mut keywords);
+                starts.push(keywords.len() as u32);
                 class_docs[class.index()].push(id);
                 let extra_copies = sample_extra_copies(rng);
                 if extra_copies > 0 {
@@ -202,7 +219,9 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
 
     ContentModel {
         vocab,
-        docs,
+        classes,
+        starts,
+        keywords,
         initial_holdings,
         interests,
         class_docs,
@@ -222,28 +241,29 @@ fn sample_extra_copies(rng: &mut SmallRng) -> u32 {
     }
 }
 
-/// Sample a fresh document of `class`: 3–8 distinct keywords, Zipf-weighted
-/// ranks within the class vocabulary.
-pub fn make_document(
+/// Sample the keywords of a fresh document of `class` onto the end of the
+/// keyword arena: 3–8 distinct keywords, Zipf-weighted ranks within the
+/// class vocabulary, sorted.
+fn make_document(
     config: &WorkloadConfig,
     class: ClassId,
     word_rank: &Zipf,
     rng: &mut SmallRng,
-) -> Document {
+    arena: &mut Vec<KeywordId>,
+) {
     let (lo, hi) = config.keywords_per_doc;
     let n = rng.gen_range(lo..=hi).min(config.vocab_per_class);
-    let mut keywords: Vec<KeywordId> = Vec::with_capacity(n);
+    let start = arena.len();
     let mut guard = 0;
-    while keywords.len() < n && guard < n * 50 {
+    while arena.len() - start < n && guard < n * 50 {
         guard += 1;
         let rank = word_rank.sample(rng);
         let kw = KeywordId((class.index() * config.vocab_per_class + rank) as u32);
-        if !keywords.contains(&kw) {
-            keywords.push(kw);
+        if !arena[start..].contains(&kw) {
+            arena.push(kw);
         }
     }
-    keywords.sort_unstable();
-    Document { class, keywords }
+    arena[start..].sort_unstable();
 }
 
 #[cfg(test)]
@@ -261,7 +281,7 @@ mod tests {
     fn document_match_predicate() {
         let d = Document {
             class: ClassId(0),
-            keywords: vec![KeywordId(2), KeywordId(5), KeywordId(9)],
+            keywords: &[KeywordId(2), KeywordId(5), KeywordId(9)],
         };
         assert!(d.matches(&[KeywordId(5)]));
         assert!(d.matches(&[KeywordId(2), KeywordId(9)]));
@@ -341,10 +361,13 @@ mod tests {
         let cfg = WorkloadConfig::reduced(500, 100, 7);
         let mut rng = SmallRng::seed_from_u64(7);
         let m = generate_model(&cfg, &mut rng);
-        for d in &m.docs {
+        assert_eq!(m.starts.len(), m.num_docs() + 1);
+        assert_eq!(*m.starts.last().unwrap() as usize, m.keywords.len());
+        for d in (0..m.num_docs() as u32).map(|d| m.doc(DocId(d))) {
+            assert!(!d.keywords.is_empty() && d.keywords.len() <= cfg.keywords_per_doc.1);
             assert!(d.keywords.windows(2).all(|w| w[0] < w[1]));
             let base = d.class.index() * cfg.vocab_per_class;
-            for kw in &d.keywords {
+            for kw in d.keywords {
                 let i = kw.index();
                 assert!(i >= base && i < base + cfg.vocab_per_class);
             }

@@ -10,6 +10,10 @@
 //! makes flooding-scale match checks affordable, and at 128 bytes a peer it
 //! costs 12.8 MB at the XL scale. Both start from the model in one bulk
 //! pass, O(copies) and O(copies × keywords).
+//!
+//! Holder lists live in one flat arena, not one heap block per document: at
+//! the XL scale there are 1.47 M documents and 89 % of them have a single
+//! holder.
 
 use crate::content::{ContentModel, Document};
 use crate::ids::{DocId, InterestSet, KeywordId};
@@ -22,17 +26,17 @@ pub struct Holdings {
     /// Sorted docs per peer.
     docs: Vec<Vec<DocId>>,
     /// Holders per doc (unsorted).
-    holders: Vec<Vec<PeerId>>,
+    holders: HolderArena,
 }
 
 impl Holdings {
     /// Initialize from the model's initial holdings: the lists are sorted
-    /// already, and visiting peers in ascending order pushes every holder
-    /// list in the order a per-document [`Holdings::add`] replay would.
+    /// already, and visiting peers in ascending order fills every holder
+    /// row in the order a per-document [`Holdings::add`] replay would.
     pub fn from_model(model: &ContentModel) -> Self {
         let docs = model.initial_holdings.clone();
         debug_assert!(docs.iter().all(|held| held.windows(2).all(|w| w[0] < w[1])));
-        let holders = transpose(&docs, model.num_docs());
+        let holders = HolderArena::transpose(&docs, model.num_docs());
         Self { docs, holders }
     }
 
@@ -43,7 +47,7 @@ impl Holdings {
             return false;
         };
         h.insert(pos, doc);
-        self.holders[doc.index()].push(peer);
+        self.holders.push_holder(doc, peer);
         true
     }
 
@@ -54,10 +58,8 @@ impl Holdings {
             return false;
         };
         h.remove(pos);
-        let hs = &mut self.holders[doc.index()];
         // lint: allow(unwrap, reason=holders mirrors holdings by construction; silent repair would hide corruption)
-        let i = hs.iter().position(|&p| p == peer).expect("holder invariant");
-        hs.swap_remove(i);
+        self.holders.remove_holder(doc, peer).expect("holder invariant");
         true
     }
 
@@ -68,7 +70,7 @@ impl Holdings {
 
     #[inline]
     pub fn holders(&self, doc: DocId) -> &[PeerId] {
-        &self.holders[doc.index()]
+        self.holders.row(doc.index())
     }
 
     pub fn peer_has_doc(&self, peer: PeerId, doc: DocId) -> bool {
@@ -76,17 +78,100 @@ impl Holdings {
     }
 }
 
-/// Holders per document in ascending peer order. Every id in `docs` must be
-/// below `num_docs`.
-fn transpose(docs: &[Vec<DocId>], num_docs: usize) -> Vec<Vec<PeerId>> {
-    let mut holders = vec![Vec::new(); num_docs];
-    for (p, held) in docs.iter().enumerate() {
-        for &d in held {
-            holders[d.index()].push(PeerId(p as u32));
-        }
-    }
-    holders
+/// Where one document's holder row sits in [`HolderArena::peers`]: `len`
+/// holders from `start`, with room for `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
 }
+
+/// Smallest capacity a row gets when it first outgrows its slot.
+const MIN_ROW_CAP: u32 = 4;
+
+/// Every document's holders in one vector, 12 bytes of [`Span`] per
+/// document plus 4 bytes per slot. A row that fills up moves to the end
+/// with double the capacity and leaves its old slots unused; rows never
+/// shrink. Two arenas are equal when every row is, whatever the layout.
+/// Offsets are `u32`: slots stay far below 2³² at any scale this runs.
+#[derive(Debug, Clone)]
+struct HolderArena {
+    peers: Vec<PeerId>,
+    spans: Vec<Span>,
+}
+
+impl HolderArena {
+    /// Holders per document in ascending peer order, each row exactly its
+    /// size: a counting sort of `docs` written straight into the arena.
+    /// Every id in `docs` must be below `num_docs`.
+    fn transpose(docs: &[Vec<DocId>], num_docs: usize) -> Self {
+        let mut spans = vec![Span::default(); num_docs];
+        for &d in docs.iter().flatten() {
+            spans[d.index()].cap += 1;
+        }
+        let mut end = 0;
+        for span in &mut spans {
+            span.start = end;
+            end += span.cap;
+        }
+        let mut peers = vec![PeerId(0); end as usize];
+        for (p, held) in docs.iter().enumerate() {
+            for &d in held {
+                let span = &mut spans[d.index()];
+                peers[(span.start + span.len) as usize] = PeerId(p as u32);
+                span.len += 1;
+            }
+        }
+        Self { peers, spans }
+    }
+
+    #[inline]
+    fn row(&self, doc: usize) -> &[PeerId] {
+        let span = self.spans[doc];
+        &self.peers[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    fn row_mut(&mut self, doc: usize) -> &mut [PeerId] {
+        let span = self.spans[doc];
+        &mut self.peers[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    /// Append `peer` to `doc`'s row, as `Vec::push` would.
+    fn push_holder(&mut self, doc: DocId, peer: PeerId) {
+        let span = &mut self.spans[doc.index()];
+        if span.len == span.cap {
+            let (from, to) = (span.start as usize, (span.start + span.len) as usize);
+            span.start = self.peers.len() as u32;
+            span.cap = (span.cap * 2).max(MIN_ROW_CAP);
+            self.peers.extend_from_within(from..to);
+            let end = self.peers.len() + (span.cap - span.len) as usize;
+            self.peers.resize(end, PeerId(0));
+        }
+        self.peers[(span.start + span.len) as usize] = peer;
+        span.len += 1;
+    }
+
+    /// Take `peer` out of `doc`'s row, as `Vec::swap_remove` would: the
+    /// row's last holder takes its place. `None` if `peer` is not in it.
+    fn remove_holder(&mut self, doc: DocId, peer: PeerId) -> Option<()> {
+        let row = self.row_mut(doc.index());
+        let i = row.iter().position(|&p| p == peer)?;
+        let last = row.len() - 1;
+        row.swap(i, last);
+        self.spans[doc.index()].len -= 1;
+        Some(())
+    }
+}
+
+impl PartialEq for HolderArena {
+    fn eq(&self, other: &Self) -> bool {
+        self.spans.len() == other.spans.len()
+            && (0..self.spans.len()).all(|d| self.row(d) == other.row(d))
+    }
+}
+
+impl Eq for HolderArena {}
 
 /// Width of a peer's keyword signature in bits, and how many of them each
 /// keyword sets. Constants, not options. On `rw.xl` (100,000 peers) the
@@ -112,8 +197,8 @@ impl Signature {
         sig
     }
 
-    fn add(&mut self, doc: &Document) {
-        for &kw in &doc.keywords {
+    fn add(&mut self, doc: Document<'_>) {
+        for &kw in doc.keywords {
             for bit in positions(kw) {
                 self.0[bit / 64] |= 1 << (bit % 64);
             }
@@ -236,12 +321,17 @@ impl ContentState {
             .collect()
     }
 
-    /// Raw `(holdings, holders)` views for checkpointing. `holdings` is
-    /// sorted per peer; `holders` order is history-dependent (`swap_remove`
-    /// on removal) and behavior-relevant, so both are serialized verbatim.
-    /// The signatures are derived state and are rebuilt on restore.
-    pub fn parts(&self) -> (&[Vec<DocId>], &[Vec<PeerId>]) {
-        (&self.holdings.docs, &self.holdings.holders)
+    /// Raw `(holdings, holders)` views for checkpointing: the holdings
+    /// sorted per peer, and one holder row per document in document order.
+    /// Row order is history-dependent (`swap_remove` on removal) and
+    /// behavior-relevant, so both are serialized verbatim. The signatures
+    /// are derived state and are rebuilt on restore.
+    pub fn parts(&self) -> (&[Vec<DocId>], impl ExactSizeIterator<Item = &[PeerId]>) {
+        let holders = &self.holdings.holders;
+        (
+            &self.holdings.docs,
+            (0..holders.spans.len()).map(|d| holders.row(d)),
+        )
     }
 
     /// Rebuild content state from [`ContentState::parts`] output, restoring
@@ -250,6 +340,7 @@ impl ContentState {
     /// what [`Holdings::remove`] would later trip over: holdings not strictly
     /// ascending per peer, or holder lists that are not exactly their
     /// transpose (in any order: holder order is history, not an invariant).
+    /// The rows are packed into the arena that transpose is built in.
     pub fn from_parts(
         model: &ContentModel,
         holdings: Vec<Vec<DocId>>,
@@ -273,21 +364,24 @@ impl ContentState {
         {
             return Err(CodecError::Invalid("held document out of range"));
         }
+        let mut arena = HolderArena::transpose(&holdings, holders.len());
         let mut sorted = Vec::new();
-        for (hs, expected) in holders.iter().zip(transpose(&holdings, holders.len())) {
+        for (d, hs) in holders.iter().enumerate() {
             sorted.clone_from(hs);
             sorted.sort_unstable();
-            if sorted != expected {
+            let row = arena.row_mut(d);
+            if sorted != row {
                 return Err(CodecError::Invalid(
                     "holders are not the transpose of holdings",
                 ));
             }
+            row.copy_from_slice(hs);
         }
         Ok(Self::over(
             model,
             Holdings {
                 docs: holdings,
-                holders,
+                holders: arena,
             },
         ))
     }
@@ -330,7 +424,7 @@ mod tests {
         let (model, _) = setup();
         let mut replayed = Holdings {
             docs: vec![Vec::new(); model.num_peers()],
-            holders: vec![Vec::new(); model.num_docs()],
+            holders: HolderArena::transpose(&[], model.num_docs()),
         };
         for (p, docs) in model.initial_holdings.iter().enumerate() {
             for &d in docs {
@@ -338,7 +432,7 @@ mod tests {
             }
         }
         assert!(
-            replayed.holders.iter().any(|hs| hs.len() > 2),
+            (0..model.num_docs()).any(|d| replayed.holders.row(d).len() > 2),
             "no replicated document: holder order is untested"
         );
         assert_eq!(Holdings::from_model(&model), replayed);

@@ -306,10 +306,10 @@ fn pick_terms(
     doc: DocId,
     rng: &mut SmallRng,
 ) -> Vec<KeywordId> {
-    let kws = &model.doc(doc).keywords;
+    let kws = model.doc(doc).keywords;
     let (lo, hi) = config.query_terms;
     let n = rng.gen_range(lo..=hi).min(kws.len()).max(1);
-    let mut picked: Vec<KeywordId> = kws.as_slice().to_vec();
+    let mut picked: Vec<KeywordId> = kws.to_vec();
     picked.shuffle(rng);
     picked.truncate(n);
     picked.sort_unstable();

@@ -5,11 +5,12 @@ use asap_workload::content::Document;
 use asap_workload::{ContentState, DocId, KeywordId, PeerId, TraceEvent, WorkloadConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// 1–4 distinct terms of `doc` (fewer if it has fewer keywords).
-fn terms_of(rng: &mut SmallRng, doc: &Document) -> Vec<KeywordId> {
-    let mut kws = doc.keywords.clone();
+fn terms_of(rng: &mut SmallRng, doc: Document<'_>) -> Vec<KeywordId> {
+    let mut kws = doc.keywords.to_vec();
     let n = rng.gen_range(1..=4usize).min(kws.len());
     for i in 0..n {
         let j = rng.gen_range(i..kws.len());
@@ -23,11 +24,15 @@ proptest! {
     // Each case replays a tape and probes every peer; a few dozen cover it.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// After any add/remove tape the kept signatures are the ones a fresh
-    /// `from_parts` derivation gives, and the signature prefilter never
+    /// After any add/remove tape every holder row equals, in order, a
+    /// `Vec<Vec<PeerId>>` replay of the same history (`push` on add,
+    /// `swap_remove` on remove); the kept signatures are the ones a fresh
+    /// `from_parts` derivation gives; and the signature prefilter never
     /// changes an answer: `peer_matches` and `matching_docs` equal the
     /// exhaustive scan on 1–4-term queries from a held document, from any
-    /// document, and across two held documents.
+    /// document, and across two held documents. The tape opens on a
+    /// single-holder document: nine holders move its row three times, then
+    /// it is emptied and refilled.
     #[test]
     fn signature_prefilter_never_changes_an_answer(seed in 0u64..10_000, changes in 500usize..3_000) {
         let w = asap_workload::generate(&WorkloadConfig::reduced(150, 10, seed));
@@ -35,20 +40,61 @@ proptest! {
         let mut state = ContentState::from_model(model);
         let mut rng = SmallRng::seed_from_u64(seed);
         let (peers, docs) = (model.num_peers() as u32, model.num_docs() as u32);
+        let mut replay: Vec<Vec<PeerId>> = vec![Vec::new(); docs as usize];
+        for (p, held) in model.initial_holdings.iter().enumerate() {
+            for &d in held {
+                replay[d.index()].push(PeerId(p as u32));
+            }
+        }
+        let mut apply = |state: &mut ContentState, add: bool, peer: PeerId, doc: DocId| {
+            let row = &mut replay[doc.index()];
+            if add && state.add(model, peer, doc) {
+                row.push(peer);
+            } else if !add && state.remove(model, peer, doc) {
+                let i = row.iter().position(|&p| p == peer).expect("replayed holder");
+                row.swap_remove(i);
+            } else {
+                return false;
+            }
+            true
+        };
+
+        let single = (0..docs).map(DocId).filter(|&d| state.holders(d).len() == 1);
+        let burst = single.clone().nth(rng.gen_range(0..single.count())).expect("a single-holder document");
+        let mut outsiders: Vec<PeerId> =
+            (0..peers).map(PeerId).filter(|&p| !state.peer_has_doc(p, burst)).collect();
+        outsiders.shuffle(&mut rng);
+        for &peer in &outsiders[..8] {
+            prop_assert!(apply(&mut state, true, peer, burst));
+        }
+        let mut held_by = state.holders(burst).to_vec();
+        held_by.shuffle(&mut rng);
+        for &peer in &held_by {
+            prop_assert!(apply(&mut state, false, peer, burst));
+        }
+        prop_assert!(state.holders(burst).is_empty());
+        for &peer in &outsiders[8..10] {
+            prop_assert!(apply(&mut state, true, peer, burst));
+        }
+
         let (mut added, mut removed) = (0, 0);
         for _ in 0..changes {
             let peer = PeerId(rng.gen_range(0..peers));
             let held = state.peer_docs(peer);
             if rng.gen_bool(0.5) || held.is_empty() {
-                added += usize::from(state.add(model, peer, DocId(rng.gen_range(0..docs))));
+                added += usize::from(apply(&mut state, true, peer, DocId(rng.gen_range(0..docs))));
             } else {
                 let doc = held[rng.gen_range(0..held.len())];
-                removed += usize::from(state.remove(model, peer, doc));
+                removed += usize::from(apply(&mut state, false, peer, doc));
             }
         }
         prop_assert!(added > 100 && removed > 100, "{} adds, {} removes", added, removed);
+        for (d, row) in replay.iter().enumerate() {
+            prop_assert_eq!(state.holders(DocId(d as u32)), row.as_slice(), "document {}", d);
+        }
         let (holdings, holders) = state.parts();
-        let fresh = ContentState::from_parts(model, holdings.to_vec(), holders.to_vec());
+        let holders = holders.map(<[PeerId]>::to_vec).collect();
+        let fresh = ContentState::from_parts(model, holdings.to_vec(), holders);
         prop_assert!(fresh == Ok(state.clone()), "kept state differs from a fresh derivation");
 
         let (mut hits, mut misses) = (0, 0);

@@ -12,12 +12,13 @@
 
 use asap_p2p::overlay::{OverlayConfig, OverlayKind};
 use asap_p2p::sim::{Codec, Encoder, Fnv64};
-use asap_p2p::workload::{generate, TraceEvent, WorkloadConfig};
+use asap_p2p::workload::{generate, DocId, TraceEvent, WorkloadConfig};
 
 const PEERS: usize = 10_000;
 const SEED: u64 = 42;
 
 const TRACE_FNV: u64 = 0xbbcc_4a3f_3bff_5971;
+const CATALOGUE_FNV: u64 = 0xd934_b044_a3ba_02eb;
 const OVERLAY_FNV: [(OverlayKind, usize, u64); 3] = [
     (OverlayKind::Random, 25_070, 0x01b4_90bd_bfa7_41ee),
     (OverlayKind::PowerLaw, 25_048, 0xe752_df36_23c0_f407),
@@ -53,6 +54,34 @@ fn trace_at_10k_peers_is_pinned() {
     );
     assert_eq!(w.trace.validate(&w.model, &w.initially_alive), 3_000);
     assert_eq!(h.finish(), TRACE_FNV, "trace drifted: {:#018x}", h.finish());
+}
+
+/// Every document's class, keyword count and keywords, then the document
+/// count: pins the catalogue's contents whatever layout stores them.
+#[test]
+fn catalogue_at_10k_peers_is_pinned() {
+    let model = generate(&WorkloadConfig::reduced(PEERS, 3_000, SEED)).model;
+    let mut h = Fnv64::new();
+    for d in 0..model.num_docs() {
+        let doc = model.doc(DocId(d as u32));
+        h.write_u64(doc.class.0.into());
+        h.write_u64(doc.keywords.len() as u64);
+        for kw in doc.keywords {
+            h.write_u64(kw.0.into());
+        }
+    }
+    h.write_u64(model.num_docs() as u64);
+    assert!(
+        model.num_docs() > 100_000,
+        "only {} documents",
+        model.num_docs()
+    );
+    assert_eq!(
+        h.finish(),
+        CATALOGUE_FNV,
+        "catalogue drifted: {:#018x}",
+        h.finish()
+    );
 }
 
 #[test]

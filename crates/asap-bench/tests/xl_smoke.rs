@@ -8,6 +8,7 @@
 use asap_bench::runner::{run_cell_spec, RunSpec, World};
 use asap_bench::{AlgoKind, Scale};
 use asap_overlay::{OverlayConfig, OverlayKind};
+use asap_sim::Fnv64;
 use asap_topology::{dijkstra, LatencyCoord, PhysNodeId, PhysicalNetwork, TransitStubConfig};
 
 #[test]
@@ -55,12 +56,16 @@ fn xl_overlays_build_connected_with_pinned_edge_counts() {
 #[test]
 #[ignore = "runs eight Dijkstra passes over the 103,872-node topology; release-only"]
 fn xl_latency_coordinates_match_dijkstra() {
-    let net = PhysicalNetwork::generate(&TransitStubConfig::xl(42));
-    let g = net.graph();
+    // The network keeps no adjacency; the generator is deterministic in
+    // the config, so this is the graph the network's oracle was built from.
+    let cfg = TransitStubConfig::xl(42);
+    let net = PhysicalNetwork::generate(&cfg);
+    let g = asap_topology::generate(&cfg);
     let coords: Vec<LatencyCoord> = (0..g.num_nodes() as u32)
         .map(|i| net.coord(PhysNodeId(i)))
         .collect();
-    let sd = &g.stub_domains()[g.stub_domains().len() / 2];
+    let stub_domains = g.hierarchy().stub_domains();
+    let sd = &stub_domains[stub_domains.len() / 2];
     let deep = (sd.members.start..sd.members.end)
         .map(PhysNodeId)
         .max_by_key(|&n| net.latency_us(n, sd.gateway))
@@ -68,10 +73,75 @@ fn xl_latency_coordinates_match_dijkstra() {
     let mut sources = vec![PhysNodeId(0), sd.gateway, deep];
     sources.extend((1..6).map(|k| PhysNodeId(k * 17_321 % g.num_nodes() as u32)));
     for src in sources {
-        let truth = dijkstra::sssp(g, src);
+        let truth = dijkstra::sssp(&g, src);
         for (b, &want) in truth.iter().enumerate() {
             let got = net.coord_latency_us(coords[src.index()], coords[b]);
             assert_eq!(got, want, "{src:?} -> {b}");
         }
     }
+}
+
+/// `(edges, latencies)` FNVs of one topology, as `tests/world_pin.rs`
+/// takes them: the node count and every `(a, b, w)` in `edges()` order,
+/// then 100,000 LCG-drawn pair latencies and every pair of stub domain 0.
+fn topology_fnvs(cfg: &TransitStubConfig) -> (u64, u64) {
+    let g = asap_topology::generate(cfg);
+    let mut h = Fnv64::new();
+    h.write_u64(g.num_nodes() as u64);
+    for (a, b, w) in g.edges() {
+        h.write_u64(a.0.into());
+        h.write_u64(b.0.into());
+        h.write_u64(w.into());
+    }
+    let edges = h.finish();
+
+    let net = PhysicalNetwork::generate(cfg);
+    let n = net.num_nodes() as u64;
+    let mut x = cfg.seed;
+    let mut draw = || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        PhysNodeId(((x >> 33) % n) as u32)
+    };
+    let mut h = Fnv64::new();
+    for _ in 0..100_000 {
+        let (a, b) = (draw(), draw());
+        h.write_u64(net.latency_us(a, b));
+    }
+    let first_stub = cfg.transit_domains * cfg.transit_nodes_per_domain;
+    let domain0 = first_stub..first_stub + cfg.stub_nodes_per_domain;
+    for a in domain0.clone() {
+        for b in domain0.clone() {
+            h.write_u64(net.latency_us(PhysNodeId(a), PhysNodeId(b)));
+        }
+    }
+    (edges, h.finish())
+}
+
+/// The streamed xl topology, pinned before the generator's adjacency went
+/// to CSR and the network stopped keeping it.
+#[test]
+#[ignore = "generates the 103,872-node topology twice; release-only"]
+fn xl_topology_is_pinned() {
+    let got = topology_fnvs(&TransitStubConfig::xl(42));
+    assert_eq!(
+        got,
+        (0xf170_c369_6220_32be, 0xe251_ad18_f73b_a1a8),
+        "xl topology drifted: ({:#018x}, {:#018x})",
+        got.0,
+        got.1
+    );
+}
+
+/// The xl network holds only its hierarchy and the oracle's tables:
+/// 1,728 stub domains × 60² × 2 B = 12.4 MB of hop tables, 103,872 kinds
+/// × 8 B = 0.8 MB, a 192² × 8 B = 0.3 MB transit table and 1,728 × 16 B of
+/// stub records ≈ 13.6 MB, under 16 MB. Keeping the 1.23 M-edge adjacency
+/// would add ≈ 20 MB as CSR (16 B per edge), ≈ 52 MB as per-node `Vec`s.
+#[test]
+#[ignore = "builds the 103,872-node topology; release-only"]
+fn xl_network_heap_is_bounded() {
+    let bytes = PhysicalNetwork::generate(&TransitStubConfig::xl(42)).heap_bytes();
+    assert!(bytes <= 16 << 20, "{bytes} B");
 }

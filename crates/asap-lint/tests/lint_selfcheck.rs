@@ -21,8 +21,8 @@ const PINNED: &[(&str, usize, usize)] = &[
     ("asap-net", 38, 269),
     ("asap-overlay", 109, 187),
     ("asap-search", 36, 171),
-    ("asap-sim", 226, 1110),
-    ("asap-topology", 46, 68),
+    ("asap-sim", 226, 1108),
+    ("asap-topology", 49, 82),
     ("asap-trace", 52, 85),
     ("asap-workload", 91, 364),
     ("xtask", 7, 6),

@@ -87,8 +87,9 @@ impl TransitStubConfig {
         }
     }
 
-    /// A mid-size instance (≈ 5,208 nodes) used by the default experiment
-    /// scale: 6 transit domains × 8 transit nodes, 5 stub domains × 21 nodes.
+    /// A mid-size instance used by the default experiment scale: 6 transit
+    /// domains × 8 transit nodes, 5 stub domains × 21 nodes per transit
+    /// node ⇒ 48 + 5,040 = 5,088 physical nodes.
     pub fn medium(seed: u64) -> Self {
         Self {
             transit_domains: 6,
@@ -99,14 +100,22 @@ impl TransitStubConfig {
         }
     }
 
-    /// Total number of physical nodes this configuration produces.
+    /// Total number of physical nodes this configuration produces, exact
+    /// up to `u64::MAX` (saturating beyond, which `validate` rejects).
     pub fn expected_nodes(&self) -> usize {
-        let transit = self.transit_domains * self.transit_nodes_per_domain;
-        let stubs = transit * self.stub_domains_per_transit_node * self.stub_nodes_per_domain;
-        (transit + stubs) as usize
+        self.node_count() as usize
     }
 
-    /// Panic with a clear message when a parameter is degenerate.
+    fn node_count(&self) -> u64 {
+        let transit = u64::from(self.transit_domains) * u64::from(self.transit_nodes_per_domain);
+        let per_transit =
+            u64::from(self.stub_domains_per_transit_node) * u64::from(self.stub_nodes_per_domain);
+        transit.saturating_mul(per_transit).saturating_add(transit)
+    }
+
+    /// Panic with a clear message when a parameter is degenerate, when the
+    /// node ids would not fit a `u32`, or when a link latency would not fit
+    /// the graph's `u32` µs weights.
     pub fn validate(&self) {
         assert!(self.transit_domains >= 1, "need at least one transit domain");
         assert!(
@@ -120,6 +129,23 @@ impl TransitStubConfig {
         assert!(
             (0.0..=1.0).contains(&self.p_transit_edge) && (0.0..=1.0).contains(&self.p_stub_edge),
             "edge probabilities must be in [0, 1]"
+        );
+        assert!(
+            self.node_count() <= u64::from(u32::MAX),
+            "{} physical nodes overflow the u32 node ids (at most {})",
+            self.node_count(),
+            u32::MAX
+        );
+        assert!(
+            [
+                self.lat_inter_transit_us,
+                self.lat_intra_transit_us,
+                self.lat_transit_stub_us,
+                self.lat_intra_stub_us,
+            ]
+            .iter()
+            .all(|&us| us <= u64::from(u32::MAX)),
+            "link latencies must fit u32 µs"
         );
     }
 }
@@ -158,6 +184,40 @@ mod tests {
     fn validate_rejects_zero_domains() {
         let mut c = TransitStubConfig::reduced(0);
         c.transit_domains = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 node ids")]
+    fn validate_rejects_node_id_overflow() {
+        // 70,000² transit nodes alone are 4.9 × 10⁹ > u32::MAX; a u32
+        // product wraps to 2,240,915,712 and would pass.
+        let mut c = TransitStubConfig::reduced(0);
+        c.transit_domains = 70_000;
+        c.transit_nodes_per_domain = 70_000;
+        c.validate();
+    }
+
+    #[test]
+    fn expected_nodes_is_exact_just_below_the_limit() {
+        // 65,535 transit nodes × (1 + 1 × 65,536) = 65,535 · 65,537
+        // = 2³² − 1 = u32::MAX exactly.
+        let mut c = TransitStubConfig::reduced(0);
+        c.transit_domains = 1;
+        c.transit_nodes_per_domain = 65_535;
+        c.stub_domains_per_transit_node = 1;
+        c.stub_nodes_per_domain = 65_536;
+        assert_eq!(c.expected_nodes(), u32::MAX as usize);
+        c.validate();
+        c.stub_nodes_per_domain += 1;
+        assert_eq!(c.expected_nodes(), u32::MAX as usize + 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "latencies must fit u32")]
+    fn validate_rejects_latency_beyond_u32() {
+        let mut c = TransitStubConfig::reduced(0);
+        c.lat_inter_transit_us = u64::from(u32::MAX) + 1;
         c.validate();
     }
 

@@ -19,7 +19,7 @@ pub fn sssp(g: &PhysGraph, src: PhysNodeId) -> Vec<u64> {
             continue;
         }
         for &(v, w) in g.neighbors(u) {
-            let nd = d + w;
+            let nd = d + u64::from(w);
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
                 heap.push(Reverse((nd, v)));

@@ -1,5 +1,7 @@
-//! The explicit physical graph produced by the generator.
+//! The explicit physical graph produced by the generator, and the
+//! hierarchy records that outlive it.
 
+use std::mem::size_of;
 use std::ops::Range;
 
 /// Index of a physical node. Transit nodes occupy the low ids
@@ -54,16 +56,18 @@ impl StubDomainInfo {
     }
 }
 
-/// Weighted undirected physical graph plus the hierarchy metadata the latency
-/// oracle needs.
+/// One undirected link `(a, b, latency µs)`.
+pub(crate) type Edge = (PhysNodeId, PhysNodeId, u32);
+
+/// Where every node sits in the transit-stub hierarchy: all the latency
+/// oracle reads about the network once its tables are built.
 #[derive(Debug)]
-pub struct PhysGraph {
-    kinds: Vec<NodeKind>,
-    adj: Vec<Vec<(PhysNodeId, u64)>>,
+pub struct Hierarchy {
+    pub(crate) kinds: Vec<NodeKind>,
     /// All transit node ids, domain-major. A transit node's position in this
     /// list is its "core index" used by the oracle's transit APSP.
-    transit_nodes: Vec<PhysNodeId>,
-    stub_domains: Vec<StubDomainInfo>,
+    pub(crate) transit_nodes: Vec<PhysNodeId>,
+    pub(crate) stub_domains: Vec<StubDomainInfo>,
     /// Intra-stub link latency (µs), uniform per the model — lets the oracle
     /// turn BFS hop counts into time.
     pub lat_intra_stub_us: u64,
@@ -71,57 +75,14 @@ pub struct PhysGraph {
     pub lat_transit_stub_us: u64,
 }
 
-impl PhysGraph {
-    pub(crate) fn new(
-        kinds: Vec<NodeKind>,
-        transit_nodes: Vec<PhysNodeId>,
-        stub_domains: Vec<StubDomainInfo>,
-        lat_intra_stub_us: u64,
-        lat_transit_stub_us: u64,
-    ) -> Self {
-        let n = kinds.len();
-        Self {
-            kinds,
-            adj: vec![Vec::new(); n],
-            transit_nodes,
-            stub_domains,
-            lat_intra_stub_us,
-            lat_transit_stub_us,
-        }
-    }
-
-    pub(crate) fn add_edge(&mut self, a: PhysNodeId, b: PhysNodeId, latency_us: u64) {
-        debug_assert_ne!(a, b, "no self loops");
-        self.adj[a.index()].push((b, latency_us));
-        self.adj[b.index()].push((a, latency_us));
-    }
-
-    /// True if an edge `a—b` already exists (used by the generator to avoid
-    /// duplicating repair edges).
-    pub(crate) fn has_edge(&self, a: PhysNodeId, b: PhysNodeId) -> bool {
-        self.adj[a.index()].iter().any(|&(n, _)| n == b)
-    }
-
-    pub(crate) fn set_gateway(&mut self, stub_domain: u32, gateway: PhysNodeId) {
-        self.stub_domains[stub_domain as usize].gateway = gateway;
-    }
-
+impl Hierarchy {
     pub fn num_nodes(&self) -> usize {
         self.kinds.len()
-    }
-
-    pub fn num_edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     #[inline]
     pub fn kind(&self, node: PhysNodeId) -> NodeKind {
         self.kinds[node.index()]
-    }
-
-    #[inline]
-    pub fn neighbors(&self, node: PhysNodeId) -> &[(PhysNodeId, u64)] {
-        &self.adj[node.index()]
     }
 
     pub fn transit_nodes(&self) -> &[PhysNodeId] {
@@ -145,12 +106,94 @@ impl PhysGraph {
         &self.stub_domains[id as usize]
     }
 
+    /// Heap bytes held (capacity × element size over the owned vectors).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.kinds.capacity() * size_of::<NodeKind>()
+            + self.transit_nodes.capacity() * size_of::<PhysNodeId>()
+            + self.stub_domains.capacity() * size_of::<StubDomainInfo>()
+    }
+}
+
+/// Weighted undirected physical graph: the [`Hierarchy`] plus a CSR
+/// adjacency. Node `i`'s neighbors are `nbrs[offsets[i]..offsets[i + 1]]`
+/// with their link latencies in µs, in the order the generator added the
+/// edges — 4 B per node plus 16 B per undirected edge.
+#[derive(Debug)]
+pub struct PhysGraph {
+    hierarchy: Hierarchy,
+    offsets: Vec<u32>,
+    nbrs: Vec<(PhysNodeId, u32)>,
+}
+
+impl PhysGraph {
+    /// Pack an edge list into CSR with one stable counting sort: each row
+    /// lists its neighbors in edge-list order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more directed entries than a `u32` offset
+    /// holds — a construction-time limit, checked before anything is built.
+    pub(crate) fn new(hierarchy: Hierarchy, edges: &[Edge]) -> Self {
+        assert!(
+            edges.len() <= (u32::MAX / 2) as usize,
+            "{} edges overflow the u32 CSR offsets",
+            edges.len()
+        );
+        let n = hierarchy.num_nodes();
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b, _) in edges {
+            debug_assert_ne!(a, b, "no self loops");
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut nbrs = vec![(PhysNodeId(0), 0); 2 * edges.len()];
+        for &(a, b, w) in edges {
+            nbrs[cursor[a.index()] as usize] = (b, w);
+            cursor[a.index()] += 1;
+            nbrs[cursor[b.index()] as usize] = (a, w);
+            cursor[b.index()] += 1;
+        }
+        Self {
+            hierarchy,
+            offsets,
+            nbrs,
+        }
+    }
+
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+
+    /// Keep the hierarchy, drop the adjacency.
+    pub fn into_hierarchy(self) -> Hierarchy {
+        self.hierarchy
+    }
+
+    pub fn num_nodes(&self) -> usize {
+        self.hierarchy.num_nodes()
+    }
+
+    pub fn num_edges(&self) -> usize {
+        self.nbrs.len() / 2
+    }
+
+    #[inline]
+    pub fn neighbors(&self, node: PhysNodeId) -> &[(PhysNodeId, u32)] {
+        let i = node.index();
+        &self.nbrs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// Iterate all undirected edges once.
-    pub fn edges(&self) -> impl Iterator<Item = (PhysNodeId, PhysNodeId, u64)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(i, nbrs)| {
-            nbrs.iter()
-                .filter(move |(j, _)| (i as u32) < j.0)
-                .map(move |&(j, w)| (PhysNodeId(i as u32), j, w))
+    pub fn edges(&self) -> impl Iterator<Item = (PhysNodeId, PhysNodeId, u32)> + '_ {
+        (0..self.num_nodes() as u32).flat_map(move |i| {
+            self.neighbors(PhysNodeId(i))
+                .iter()
+                .filter(move |(j, _)| i < j.0)
+                .map(move |&(j, w)| (PhysNodeId(i), j, w))
         })
     }
 }
@@ -170,10 +213,20 @@ mod tests {
             gateway: PhysNodeId(1),
             members: 1..3,
         };
-        let mut g = PhysGraph::new(kinds, vec![PhysNodeId(0)], vec![stub], 2_000, 5_000);
-        g.add_edge(PhysNodeId(0), PhysNodeId(1), 5_000);
-        g.add_edge(PhysNodeId(1), PhysNodeId(2), 2_000);
-        g
+        let h = Hierarchy {
+            kinds,
+            transit_nodes: vec![PhysNodeId(0)],
+            stub_domains: vec![stub],
+            lat_intra_stub_us: 2_000,
+            lat_transit_stub_us: 5_000,
+        };
+        PhysGraph::new(
+            h,
+            &[
+                (PhysNodeId(0), PhysNodeId(1), 5_000),
+                (PhysNodeId(1), PhysNodeId(2), 2_000),
+            ],
+        )
     }
 
     #[test]
@@ -181,24 +234,32 @@ mod tests {
         let g = tiny();
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert!(g.has_edge(PhysNodeId(0), PhysNodeId(1)));
-        assert!(g.has_edge(PhysNodeId(1), PhysNodeId(0)));
-        assert!(!g.has_edge(PhysNodeId(0), PhysNodeId(2)));
+        assert_eq!(g.neighbors(PhysNodeId(0)), &[(PhysNodeId(1), 5_000)]);
+        assert_eq!(
+            g.neighbors(PhysNodeId(1)),
+            &[(PhysNodeId(0), 5_000), (PhysNodeId(2), 2_000)],
+            "a row lists its neighbors in edge-list order"
+        );
+        assert_eq!(g.neighbors(PhysNodeId(2)), &[(PhysNodeId(1), 2_000)]);
     }
 
     #[test]
     fn edges_iterator_lists_each_edge_once() {
         let g = tiny();
         let edges: Vec<_> = g.edges().collect();
-        assert_eq!(edges.len(), 2);
-        assert!(edges.contains(&(PhysNodeId(0), PhysNodeId(1), 5_000)));
-        assert!(edges.contains(&(PhysNodeId(1), PhysNodeId(2), 2_000)));
+        assert_eq!(
+            edges,
+            [
+                (PhysNodeId(0), PhysNodeId(1), 5_000),
+                (PhysNodeId(1), PhysNodeId(2), 2_000)
+            ]
+        );
     }
 
     #[test]
     fn stub_domain_local_index() {
         let g = tiny();
-        let d = g.stub_domain(0);
+        let d = g.hierarchy().stub_domain(0);
         assert_eq!(d.len(), 2);
         assert_eq!(d.local_index(PhysNodeId(1)), 0);
         assert_eq!(d.local_index(PhysNodeId(2)), 1);

@@ -17,7 +17,7 @@
 //! edges are not used by the paper's description.
 
 use crate::config::TransitStubConfig;
-use crate::graph::{NodeKind, PhysGraph, PhysNodeId, StubDomainInfo};
+use crate::graph::{Edge, Hierarchy, NodeKind, PhysGraph, PhysNodeId, StubDomainInfo};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,10 +32,11 @@ const STUB_STREAM_SALT: u64 = 0x57B0_D0A1_17E5_EED5;
 pub fn generate(config: &TransitStubConfig) -> PhysGraph {
     config.validate();
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5EED_7090_1061);
+    let us = |lat: u64| u32::try_from(lat).expect("validate bounds every latency by u32::MAX");
 
     let n_transit = (config.transit_domains * config.transit_nodes_per_domain) as usize;
     let n_stub_domains = n_transit * config.stub_domains_per_transit_node as usize;
-    let n_total = n_transit + n_stub_domains * config.stub_nodes_per_domain as usize;
+    let n_total = config.expected_nodes();
 
     // --- node kinds & hierarchy records ---
     let mut kinds = Vec::with_capacity(n_total);
@@ -65,25 +66,16 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
     }
     debug_assert_eq!(kinds.len(), n_total);
 
-    let mut g = PhysGraph::new(
-        kinds,
-        transit_nodes,
-        stub_domains,
-        config.lat_intra_stub_us,
-        config.lat_transit_stub_us,
-    );
+    let mut edges = Vec::new();
 
     // --- intra-transit-domain edges ---
     for d in 0..config.transit_domains {
-        let base = d * config.transit_nodes_per_domain;
-        let ids: Vec<PhysNodeId> = (0..config.transit_nodes_per_domain)
-            .map(|i| PhysNodeId(base + i))
-            .collect();
         wire_domain(
-            &mut g,
-            &ids,
+            &mut edges,
+            d * config.transit_nodes_per_domain,
+            config.transit_nodes_per_domain as usize,
             config.p_transit_edge,
-            config.lat_intra_transit_us,
+            us(config.lat_intra_transit_us),
             &mut rng,
         );
     }
@@ -93,7 +85,7 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
         for d2 in (d1 + 1)..config.transit_domains {
             let a = random_transit_of_domain(config, d1, &mut rng);
             let b = random_transit_of_domain(config, d2, &mut rng);
-            g.add_edge(a, b, config.lat_inter_transit_us);
+            edges.push((a, b, us(config.lat_inter_transit_us)));
         }
     }
 
@@ -101,9 +93,7 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
     // Streamed mode gives every domain its own derived stream; sequential
     // mode threads the single topology stream through all domains in order
     // (the historical construction the pinned goldens were generated with).
-    for sd in 0..g.stub_domains().len() {
-        let info = g.stub_domain(sd as u32).clone();
-        let ids: Vec<PhysNodeId> = info.members.clone().map(PhysNodeId).collect();
+    for (sd, info) in stub_domains.iter_mut().enumerate() {
         let mut domain_rng;
         let r: &mut SmallRng = if config.stream_stub_domains {
             domain_rng =
@@ -112,13 +102,27 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
         } else {
             &mut rng
         };
-        wire_domain(&mut g, &ids, config.p_stub_edge, config.lat_intra_stub_us, r);
-        let gateway = ids[r.gen_range(0..ids.len())];
-        g.set_gateway(sd as u32, gateway);
-        g.add_edge(info.parent_transit, gateway, config.lat_transit_stub_us);
+        let len = info.len();
+        wire_domain(
+            &mut edges,
+            info.members.start,
+            len,
+            config.p_stub_edge,
+            us(config.lat_intra_stub_us),
+            r,
+        );
+        info.gateway = PhysNodeId(info.members.start + r.gen_range(0..len) as u32);
+        edges.push((info.parent_transit, info.gateway, us(config.lat_transit_stub_us)));
     }
 
-    g
+    let hierarchy = Hierarchy {
+        kinds,
+        transit_nodes,
+        stub_domains,
+        lat_intra_stub_us: config.lat_intra_stub_us,
+        lat_transit_stub_us: config.lat_transit_stub_us,
+    };
+    PhysGraph::new(hierarchy, &edges)
 }
 
 /// SplitMix64 finalizer: decorrelates consecutive domain indices into
@@ -135,21 +139,24 @@ fn random_transit_of_domain(config: &TransitStubConfig, domain: u32, rng: &mut S
     PhysNodeId(base + rng.gen_range(0..config.transit_nodes_per_domain))
 }
 
-/// Sample pairwise edges with probability `p` at weight `lat`, then repair
-/// connectivity: components found by union-find are chained together with
-/// extra edges between random representatives.
-fn wire_domain(g: &mut PhysGraph, ids: &[PhysNodeId], p: f64, lat: u64, rng: &mut SmallRng) {
-    let n = ids.len();
+/// Wire the `n` contiguous nodes from id `first`: sample pairwise edges
+/// with probability `p` at weight `lat`, then repair connectivity —
+/// components found by union-find are chained together with extra edges
+/// between random representatives.
+fn wire_domain(edges: &mut Vec<Edge>, first: u32, n: usize, p: f64, lat: u32, rng: &mut SmallRng) {
+    let id = |i: usize| PhysNodeId(first + i as u32);
     let mut dsu = Dsu::new(n);
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(p) {
-                g.add_edge(ids[i], ids[j], lat);
+                edges.push((id(i), id(j), lat));
                 dsu.union(i, j);
             }
         }
     }
-    // Repair: link every component to component(0).
+    // Repair: link every component to component(0). Every edge inside the
+    // domain joins its endpoints' components, so `i` and a `j` from another
+    // component are never linked yet: a repair edge is never a duplicate.
     for i in 1..n {
         if dsu.find(i) != dsu.find(0) {
             // Attach through a random already-connected member for variety.
@@ -157,9 +164,7 @@ fn wire_domain(g: &mut PhysGraph, ids: &[PhysNodeId], p: f64, lat: u64, rng: &mu
             while dsu.find(j) == dsu.find(i) {
                 j = rng.gen_range(0..n);
             }
-            if !g.has_edge(ids[i], ids[j]) {
-                g.add_edge(ids[i], ids[j], lat);
-            }
+            edges.push((id(i), id(j), lat));
             dsu.union(i, j);
         }
     }
@@ -233,7 +238,7 @@ mod tests {
         let g = generate(&cfg);
         assert_eq!(g.num_nodes(), cfg.expected_nodes());
         assert_eq!(
-            g.transit_nodes().len(),
+            g.hierarchy().transit_nodes().len(),
             (cfg.transit_domains * cfg.transit_nodes_per_domain) as usize
         );
     }
@@ -241,7 +246,7 @@ mod tests {
     #[test]
     fn stub_gateways_have_uplink() {
         let g = generate(&TransitStubConfig::reduced(9));
-        for sd in g.stub_domains() {
+        for sd in g.hierarchy().stub_domains() {
             assert!(
                 g.neighbors(sd.gateway)
                     .iter()
@@ -257,7 +262,7 @@ mod tests {
         let g = generate(&TransitStubConfig::reduced(13));
         for (a, b, _) in g.edges() {
             if let (NodeKind::Stub { stub_domain: da }, NodeKind::Stub { stub_domain: db }) =
-                (g.kind(a), g.kind(b))
+                (g.hierarchy().kind(a), g.hierarchy().kind(b))
             {
                 assert_eq!(da, db, "no edges between different stub domains");
             }
@@ -268,7 +273,7 @@ mod tests {
     fn edge_latencies_match_tiers() {
         let g = generate(&TransitStubConfig::reduced(17));
         for (a, b, w) in g.edges() {
-            let expected = match (g.kind(a), g.kind(b)) {
+            let expected = match (g.hierarchy().kind(a), g.hierarchy().kind(b)) {
                 (NodeKind::Transit { domain: d1 }, NodeKind::Transit { domain: d2 }) => {
                     if d1 == d2 {
                         20_000
@@ -310,7 +315,7 @@ mod tests {
         let ga = generate(&big);
         let gb = generate(&small);
         let domain_edges = |g: &PhysGraph| {
-            let sd = g.stub_domain(0).clone();
+            let sd = g.hierarchy().stub_domain(0).clone();
             let mut edges: Vec<(u32, u32)> = g
                 .edges()
                 .filter(|(a, b, _)| {
@@ -322,9 +327,13 @@ mod tests {
             edges
         };
         assert_eq!(domain_edges(&ga), domain_edges(&gb));
+        let gateway = |g: &PhysGraph| {
+            let sd = g.hierarchy().stub_domain(0);
+            sd.gateway.0 - sd.members.start
+        };
         assert_eq!(
-            ga.stub_domain(0).gateway.0 - ga.stub_domain(0).members.start,
-            gb.stub_domain(0).gateway.0 - gb.stub_domain(0).members.start,
+            gateway(&ga),
+            gateway(&gb),
             "gateway choice is also per-domain"
         );
     }

@@ -27,10 +27,11 @@
 //! otherwise:         exit(a) + transit_dist(parent(a), parent(b)) + exit(b)
 //! ```
 
-use crate::graph::{NodeKind, PhysGraph, PhysNodeId};
+use crate::graph::{Hierarchy, NodeKind, PhysGraph, PhysNodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
+use std::mem::size_of;
 
 const UNREACHED_HOPS: u16 = u16::MAX;
 
@@ -64,24 +65,27 @@ pub struct LatencyOracle {
 }
 
 impl LatencyOracle {
-    /// Build all tables. Cost: `O(T · E_T log T)` for the core plus
-    /// `O(Σ len·(len+edges))` BFS over stub domains — seconds at paper scale.
+    /// Build all tables from the graph's adjacency, which the oracle does not
+    /// keep: its queries read only the [`Hierarchy`]. Cost:
+    /// `O(T · E_T log T)` for the core plus `O(Σ len·(len+edges))` BFS over
+    /// stub domains — well under a second at paper scale.
     pub fn build(g: &PhysGraph) -> Self {
-        let n_transit = g.transit_nodes().len();
+        let h = g.hierarchy();
+        let n_transit = h.transit_nodes().len();
         let mut transit_dist = vec![u64::MAX; n_transit * n_transit];
-        for (i, &t) in g.transit_nodes().iter().enumerate() {
+        for (i, &t) in h.transit_nodes().iter().enumerate() {
             let row = transit_sssp(g, t, n_transit);
             transit_dist[i * n_transit..(i + 1) * n_transit].copy_from_slice(&row);
         }
-        let stub_hops = g
+        let mut queue = VecDeque::new();
+        let stub_hops = h
             .stub_domains()
             .iter()
             .map(|sd| {
                 let len = sd.len();
                 let mut hops = vec![UNREACHED_HOPS; len * len];
-                for local in 0..len {
-                    let row = stub_bfs(g, sd.members.start, len, local);
-                    hops[local * len..(local + 1) * len].copy_from_slice(&row);
+                for (local, row) in hops.chunks_exact_mut(len).enumerate() {
+                    stub_bfs(g, sd.members.start, local, row, &mut queue);
                 }
                 hops
             })
@@ -105,6 +109,17 @@ impl LatencyOracle {
         }
     }
 
+    /// Heap bytes held by the tables (capacity × element size).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.transit_dist.capacity() * size_of::<u64>()
+            + self.stub_hops.capacity() * size_of::<Vec<u16>>()
+            + self
+                .stub_hops
+                .iter()
+                .map(|hops| hops.capacity() * size_of::<u16>())
+                .sum::<usize>()
+    }
+
     #[inline]
     fn transit_pair(&self, a: usize, b: usize) -> u64 {
         self.transit_dist[a * self.n_transit + b]
@@ -119,8 +134,8 @@ impl LatencyOracle {
 
     /// Exact one-way shortest-path latency between two physical nodes, µs.
     #[inline]
-    pub fn latency_us(&self, g: &PhysGraph, a: PhysNodeId, b: PhysNodeId) -> u64 {
-        self.coord_latency_us(g, self.coord(g, a), self.coord(g, b))
+    pub fn latency_us(&self, h: &Hierarchy, a: PhysNodeId, b: PhysNodeId) -> u64 {
+        self.coord_latency_us(h, self.coord(h, a), self.coord(h, b))
     }
 
     /// Resolve where `node` sits in the hierarchy.
@@ -131,21 +146,21 @@ impl LatencyOracle {
     /// 71 minutes) — a construction-time check, so the pair formula never
     /// narrows.
     #[inline]
-    pub fn coord(&self, g: &PhysGraph, node: PhysNodeId) -> LatencyCoord {
-        let NodeKind::Stub { stub_domain } = g.kind(node) else {
+    pub fn coord(&self, h: &Hierarchy, node: PhysNodeId) -> LatencyCoord {
+        let NodeKind::Stub { stub_domain } = h.kind(node) else {
             return LatencyCoord {
                 stub_domain: NO_STUB,
                 local: 0,
-                transit: g.transit_core_index(node) as u32,
+                transit: h.transit_core_index(node) as u32,
                 exit_us: 0,
             };
         };
-        let sd = g.stub_domain(stub_domain);
+        let sd = h.stub_domain(stub_domain);
         let local = sd.local_index(node);
         let gateway = sd.local_index(sd.gateway);
         let exit_us = self.stub_pair_hops(stub_domain, sd.len(), local, gateway)
-            * g.lat_intra_stub_us
-            + g.lat_transit_stub_us;
+            * h.lat_intra_stub_us
+            + h.lat_transit_stub_us;
         // lint: allow(release-assert, reason=construction-time validation; coordinates are resolved once per peer before any event dispatch)
         assert!(
             exit_us <= u64::from(u32::MAX),
@@ -154,18 +169,18 @@ impl LatencyOracle {
         LatencyCoord {
             stub_domain,
             local: local as u32,
-            transit: g.transit_core_index(sd.parent_transit) as u32,
+            transit: h.transit_core_index(sd.parent_transit) as u32,
             exit_us: exit_us as u32,
         }
     }
 
     /// Exact one-way shortest-path latency between two resolved nodes, µs.
     #[inline]
-    pub fn coord_latency_us(&self, g: &PhysGraph, a: LatencyCoord, b: LatencyCoord) -> u64 {
+    pub fn coord_latency_us(&self, h: &Hierarchy, a: LatencyCoord, b: LatencyCoord) -> u64 {
         if a.stub_domain == b.stub_domain && a.stub_domain != NO_STUB {
-            let len = g.stub_domain(a.stub_domain).len();
+            let len = h.stub_domain(a.stub_domain).len();
             let hops = self.stub_pair_hops(a.stub_domain, len, a.local as usize, b.local as usize);
-            return hops * g.lat_intra_stub_us;
+            return hops * h.lat_intra_stub_us;
         }
         u64::from(a.exit_us)
             + self.transit_pair(a.transit as usize, b.transit as usize)
@@ -188,7 +203,7 @@ fn transit_sssp(g: &PhysGraph, src: PhysNodeId, n_transit: usize) -> Vec<u64> {
             if v.index() >= n_transit {
                 continue; // stub neighbor: never on a transit-transit shortest path
             }
-            let nd = d + w;
+            let nd = d + u64::from(w);
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
                 heap.push(Reverse((nd, v)));
@@ -198,23 +213,29 @@ fn transit_sssp(g: &PhysGraph, src: PhysNodeId, n_transit: usize) -> Vec<u64> {
     dist
 }
 
-/// BFS hop counts within one stub domain (uniform 2 ms edges).
-fn stub_bfs(g: &PhysGraph, base: u32, len: usize, src_local: usize) -> Vec<u16> {
-    let mut hops = vec![UNREACHED_HOPS; len];
-    let mut q = VecDeque::new();
+/// BFS hop counts within one stub domain (uniform 2 ms edges) into `hops`,
+/// the source's table row, all `UNREACHED_HOPS` on entry. `queue` is
+/// scratch shared across sources; every BFS leaves it empty.
+fn stub_bfs(
+    g: &PhysGraph,
+    base: u32,
+    src_local: usize,
+    hops: &mut [u16],
+    queue: &mut VecDeque<usize>,
+) {
+    let len = hops.len();
     hops[src_local] = 0;
-    q.push_back(src_local);
-    while let Some(u) = q.pop_front() {
+    queue.push_back(src_local);
+    while let Some(u) = queue.pop_front() {
         let hu = hops[u];
         for &(v, _) in g.neighbors(PhysNodeId(base + u as u32)) {
             let vi = v.0.wrapping_sub(base) as usize;
             if vi < len && hops[vi] == UNREACHED_HOPS {
                 hops[vi] = hu + 1;
-                q.push_back(vi);
+                queue.push_back(vi);
             }
         }
     }
-    hops
 }
 
 #[cfg(test)]
@@ -229,33 +250,33 @@ mod tests {
     /// The per-pair walk of the hierarchy that per-node coordinates
     /// replaced, kept as the reference the coordinate formula must equal.
     impl LatencyOracle {
-        fn reference_latency_us(&self, g: &PhysGraph, a: PhysNodeId, b: PhysNodeId) -> u64 {
+        fn reference_latency_us(&self, h: &Hierarchy, a: PhysNodeId, b: PhysNodeId) -> u64 {
             if a == b {
                 return 0;
             }
-            match (g.kind(a), g.kind(b)) {
+            match (h.kind(a), h.kind(b)) {
                 (NodeKind::Transit { .. }, NodeKind::Transit { .. }) => {
-                    self.transit_pair(g.transit_core_index(a), g.transit_core_index(b))
+                    self.transit_pair(h.transit_core_index(a), h.transit_core_index(b))
                 }
                 (NodeKind::Transit { .. }, NodeKind::Stub { stub_domain }) => {
-                    self.transit_to_stub(g, a, stub_domain, b)
+                    self.transit_to_stub(h, a, stub_domain, b)
                 }
                 (NodeKind::Stub { stub_domain }, NodeKind::Transit { .. }) => {
-                    self.transit_to_stub(g, b, stub_domain, a)
+                    self.transit_to_stub(h, b, stub_domain, a)
                 }
                 (NodeKind::Stub { stub_domain: da }, NodeKind::Stub { stub_domain: db }) => {
                     if da == db {
-                        let sd = g.stub_domain(da);
+                        let sd = h.stub_domain(da);
                         let hops =
                             self.stub_pair_hops(da, sd.len(), sd.local_index(a), sd.local_index(b));
-                        hops * g.lat_intra_stub_us
+                        hops * h.lat_intra_stub_us
                     } else {
-                        self.stub_exit(g, da, a)
+                        self.stub_exit(h, da, a)
                             + self.transit_pair(
-                                g.transit_core_index(g.stub_domain(da).parent_transit),
-                                g.transit_core_index(g.stub_domain(db).parent_transit),
+                                h.transit_core_index(h.stub_domain(da).parent_transit),
+                                h.transit_core_index(h.stub_domain(db).parent_transit),
                             )
-                            + self.stub_exit(g, db, b)
+                            + self.stub_exit(h, db, b)
                     }
                 }
             }
@@ -263,22 +284,22 @@ mod tests {
 
         /// Latency from a stub node to its domain's parent transit node:
         /// intra-domain hops to the gateway plus the 5 ms uplink.
-        fn stub_exit(&self, g: &PhysGraph, domain: u32, node: PhysNodeId) -> u64 {
-            let sd = g.stub_domain(domain);
+        fn stub_exit(&self, h: &Hierarchy, domain: u32, node: PhysNodeId) -> u64 {
+            let sd = h.stub_domain(domain);
             let hops = self.stub_pair_hops(
                 domain,
                 sd.len(),
                 sd.local_index(node),
                 sd.local_index(sd.gateway),
             );
-            hops * g.lat_intra_stub_us + g.lat_transit_stub_us
+            hops * h.lat_intra_stub_us + h.lat_transit_stub_us
         }
 
-        fn transit_to_stub(&self, g: &PhysGraph, t: PhysNodeId, domain: u32, s: PhysNodeId) -> u64 {
+        fn transit_to_stub(&self, h: &Hierarchy, t: PhysNodeId, domain: u32, s: PhysNodeId) -> u64 {
             self.transit_pair(
-                g.transit_core_index(t),
-                g.transit_core_index(g.stub_domain(domain).parent_transit),
-            ) + self.stub_exit(g, domain, s)
+                h.transit_core_index(t),
+                h.transit_core_index(h.stub_domain(domain).parent_transit),
+            ) + self.stub_exit(h, domain, s)
         }
     }
 
@@ -286,16 +307,17 @@ mod tests {
     /// the formula against the reference walk.
     fn coords_match_reference(g: &PhysGraph, pairs: impl Iterator<Item = (u32, u32)>) -> usize {
         let oracle = LatencyOracle::build(g);
+        let h = g.hierarchy();
         let coords: Vec<LatencyCoord> = (0..g.num_nodes() as u32)
-            .map(|i| oracle.coord(g, PhysNodeId(i)))
+            .map(|i| oracle.coord(h, PhysNodeId(i)))
             .collect();
         let mut checked = 0;
         for (a, b) in pairs {
             let (pa, pb) = (PhysNodeId(a), PhysNodeId(b));
-            let formula = oracle.coord_latency_us(g, coords[a as usize], coords[b as usize]);
+            let formula = oracle.coord_latency_us(h, coords[a as usize], coords[b as usize]);
             assert_eq!(
                 formula,
-                oracle.reference_latency_us(g, pa, pb),
+                oracle.reference_latency_us(h, pa, pb),
                 "coordinate formula differs from the reference for {pa:?}->{pb:?}"
             );
             checked += 1;
@@ -339,7 +361,7 @@ mod tests {
             for _ in 0..10 {
                 let b = PhysNodeId(rng.gen_range(0..g.num_nodes() as u32));
                 assert_eq!(
-                    oracle.latency_us(&g, a, b),
+                    oracle.latency_us(g.hierarchy(), a, b),
                     reference[b.index()],
                     "oracle mismatch for {a:?}->{b:?} (seed {seed})"
                 );
@@ -367,7 +389,10 @@ mod tests {
         let g = generate(&TransitStubConfig::reduced(4));
         let oracle = LatencyOracle::build(&g);
         for i in (0..g.num_nodes() as u32).step_by(17) {
-            assert_eq!(oracle.latency_us(&g, PhysNodeId(i), PhysNodeId(i)), 0);
+            assert_eq!(
+                oracle.latency_us(g.hierarchy(), PhysNodeId(i), PhysNodeId(i)),
+                0
+            );
         }
     }
 
@@ -379,7 +404,10 @@ mod tests {
         for _ in 0..200 {
             let a = PhysNodeId(rng.gen_range(0..g.num_nodes() as u32));
             let b = PhysNodeId(rng.gen_range(0..g.num_nodes() as u32));
-            assert_eq!(oracle.latency_us(&g, a, b), oracle.latency_us(&g, b, a));
+            assert_eq!(
+                oracle.latency_us(g.hierarchy(), a, b),
+                oracle.latency_us(g.hierarchy(), b, a)
+            );
         }
     }
 
@@ -404,10 +432,10 @@ mod tests {
     fn same_stub_domain_is_cheap() {
         let g = generate(&TransitStubConfig::reduced(6));
         let oracle = LatencyOracle::build(&g);
-        let sd = &g.stub_domains()[0];
+        let sd = &g.hierarchy().stub_domains()[0];
         let a = PhysNodeId(sd.members.start);
         let b = PhysNodeId(sd.members.start + 1);
-        let lat = oracle.latency_us(&g, a, b);
+        let lat = oracle.latency_us(g.hierarchy(), a, b);
         // Intra-stub paths cost 2 ms per hop; the domain has ≤ 8 nodes.
         assert!((2_000..=2_000 * 8).contains(&lat), "{lat}");
     }
@@ -417,10 +445,10 @@ mod tests {
         let g = generate(&TransitStubConfig::reduced(7));
         let oracle = LatencyOracle::build(&g);
         // Find stub nodes whose parents live in different transit domains.
-        let sds = g.stub_domains();
+        let sds = g.hierarchy().stub_domains();
         let (mut a, mut b) = (None, None);
         for sd in sds {
-            match g.kind(sd.parent_transit) {
+            match g.hierarchy().kind(sd.parent_transit) {
                 NodeKind::Transit { domain: 0 } if a.is_none() => {
                     a = Some(PhysNodeId(sd.members.start))
                 }
@@ -432,6 +460,6 @@ mod tests {
         }
         let (a, b) = (a.unwrap(), b.unwrap());
         // Must include two 5 ms uplinks and ≥ one 50 ms inter-domain hop.
-        assert!(oracle.latency_us(&g, a, b) >= 5_000 + 50_000 + 5_000);
+        assert!(oracle.latency_us(g.hierarchy(), a, b) >= 5_000 + 50_000 + 5_000);
     }
 }

@@ -22,14 +22,16 @@ pub mod gtitm;
 pub mod latency;
 
 pub use config::TransitStubConfig;
-pub use graph::{NodeKind, PhysGraph, PhysNodeId};
+pub use graph::{Hierarchy, NodeKind, PhysGraph, PhysNodeId};
 pub use gtitm::generate;
 pub use latency::{LatencyCoord, LatencyOracle};
 
-/// A generated physical network: the explicit graph plus its latency oracle.
+/// A generated physical network: the hierarchy records plus the latency
+/// oracle built from the graph. The graph's adjacency is dropped once the
+/// oracle's tables exist; [`generate`] rebuilds it from the same config.
 #[derive(Debug)]
 pub struct PhysicalNetwork {
-    graph: PhysGraph,
+    hierarchy: Hierarchy,
     oracle: LatencyOracle,
 }
 
@@ -38,33 +40,37 @@ impl PhysicalNetwork {
     pub fn generate(config: &TransitStubConfig) -> Self {
         let graph = gtitm::generate(config);
         let oracle = LatencyOracle::build(&graph);
-        Self { graph, oracle }
+        Self {
+            hierarchy: graph.into_hierarchy(),
+            oracle,
+        }
     }
 
     pub fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
+        self.hierarchy.num_nodes()
     }
 
-    pub fn graph(&self) -> &PhysGraph {
-        &self.graph
+    /// Heap bytes held: the hierarchy records and the oracle's tables.
+    pub fn heap_bytes(&self) -> usize {
+        self.hierarchy.heap_bytes() + self.oracle.heap_bytes()
     }
 
     /// One-way latency between two physical nodes, in microseconds.
     #[inline]
     pub fn latency_us(&self, a: PhysNodeId, b: PhysNodeId) -> u64 {
-        self.oracle.latency_us(&self.graph, a, b)
+        self.oracle.latency_us(&self.hierarchy, a, b)
     }
 
     /// Where `node` sits in the hierarchy (see [`LatencyOracle::coord`]):
     /// resolve once, then query pairs with [`Self::coord_latency_us`].
     pub fn coord(&self, node: PhysNodeId) -> LatencyCoord {
-        self.oracle.coord(&self.graph, node)
+        self.oracle.coord(&self.hierarchy, node)
     }
 
     /// One-way latency between two resolved nodes, in microseconds.
     #[inline]
     pub fn coord_latency_us(&self, a: LatencyCoord, b: LatencyCoord) -> u64 {
-        self.oracle.coord_latency_us(&self.graph, a, b)
+        self.oracle.coord_latency_us(&self.hierarchy, a, b)
     }
 }
 
@@ -89,5 +95,22 @@ mod tests {
         let ab = net.latency_us(a, b);
         assert_eq!(ab, net.latency_us(b, a), "latency must be symmetric");
         assert!(ab > 0);
+    }
+
+    /// The default-scale network holds its hierarchy and tables in well
+    /// under 512 KB. At `medium` (48 transit nodes, 240 stub domains of 21):
+    /// 5,088 kinds × 8 B = 40.7 KB, 240 stub records × 16 B = 3.8 KB, a
+    /// 48² × 8 B = 18.4 KB transit table and 240 × 21² × 2 B = 211.7 KB of
+    /// hop tables (+ 5.8 KB of `Vec` headers) ≈ 281 KB. Its ≈ 20.5 k edges
+    /// would add ≈ 350 KB as CSR, ≈ 780 KB as per-node `Vec`s.
+    #[test]
+    fn medium_network_heap_is_bounded() {
+        let net = PhysicalNetwork::generate(&TransitStubConfig::medium(42));
+        let bytes = net.heap_bytes();
+        assert!(bytes <= 512 * 1024, "{bytes} B");
+        assert!(
+            bytes >= 240 * 21 * 21 * 2,
+            "{bytes} B misses the hop tables"
+        );
     }
 }

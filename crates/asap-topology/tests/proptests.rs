@@ -18,7 +18,7 @@ proptest! {
         for d in (0..g.num_nodes()).step_by(7) {
             let dst = PhysNodeId(d as u32);
             prop_assert_eq!(
-                oracle.latency_us(&g, src, dst),
+                oracle.latency_us(g.hierarchy(), src, dst),
                 reference[d],
                 "mismatch {:?}->{:?} at seed {}", src, dst, seed
             );
@@ -33,8 +33,8 @@ proptest! {
             PhysNodeId((a % g.num_nodes()) as u32),
             PhysNodeId((b % g.num_nodes()) as u32),
         );
-        let ab = oracle.latency_us(&g, pa, pb);
-        prop_assert_eq!(ab, oracle.latency_us(&g, pb, pa));
+        let ab = oracle.latency_us(g.hierarchy(), pa, pb);
+        prop_assert_eq!(ab, oracle.latency_us(g.hierarchy(), pb, pa));
         if pa == pb {
             prop_assert_eq!(ab, 0);
         } else {
@@ -55,7 +55,7 @@ proptest! {
         for (d, &want) in reference.iter().enumerate() {
             let dst = PhysNodeId(d as u32);
             prop_assert_eq!(
-                oracle.latency_us(&g, src, dst),
+                oracle.latency_us(g.hierarchy(), src, dst),
                 want,
                 "mismatch {:?}->{:?} at seed {}", src, dst, seed
             );
@@ -79,9 +79,9 @@ proptest! {
             PhysNodeId((b % n) as u32),
             PhysNodeId((c % n) as u32),
         );
-        let ab = oracle.latency_us(&g, pa, pb);
-        let ac = oracle.latency_us(&g, pa, pc);
-        let cb = oracle.latency_us(&g, pc, pb);
+        let ab = oracle.latency_us(g.hierarchy(), pa, pb);
+        let ac = oracle.latency_us(g.hierarchy(), pa, pc);
+        let cb = oracle.latency_us(g.hierarchy(), pc, pb);
         prop_assert!(ab <= ac + cb, "{ab} > {ac} + {cb} via {:?}", pc);
     }
 

@@ -9,9 +9,12 @@
 //! construction shortcut that changes a single neighbor slot or trace
 //! event at scale turns `cargo test -q` red. The simulator's keyword
 //! signatures are built after the world, not in it, and cannot move these.
+//! The physical topology under it is pinned the same way, by its edge list
+//! and by the latencies the network answers.
 
 use asap_p2p::overlay::{OverlayConfig, OverlayKind};
 use asap_p2p::sim::{Codec, Encoder, Fnv64};
+use asap_p2p::topology::{self, PhysNodeId, PhysicalNetwork, TransitStubConfig};
 use asap_p2p::workload::{generate, DocId, TraceEvent, WorkloadConfig};
 
 const PEERS: usize = 10_000;
@@ -98,5 +101,69 @@ fn overlays_at_10k_peers_are_pinned() {
         }
         assert_eq!(ov.num_edges(), edges, "{kind:?} edge count drifted");
         assert_eq!(h.finish(), pinned, "{kind:?} drifted: {:#018x}", h.finish());
+    }
+}
+
+/// `(edges, latencies)` FNVs of one topology: the node count and every
+/// `(a, b, w)` of the generated graph in `edges()` order, then the latency
+/// of 100,000 LCG-drawn pairs and of every pair inside stub domain 0.
+fn topology_fnvs(cfg: &TransitStubConfig) -> (u64, u64) {
+    let g = topology::generate(cfg);
+    let mut h = Fnv64::new();
+    h.write_u64(g.num_nodes() as u64);
+    for (a, b, w) in g.edges() {
+        h.write_u64(a.0.into());
+        h.write_u64(b.0.into());
+        h.write_u64(w.into());
+    }
+    let edges = h.finish();
+
+    let net = PhysicalNetwork::generate(cfg);
+    let n = net.num_nodes() as u64;
+    let mut x = cfg.seed;
+    let mut draw = || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        PhysNodeId(((x >> 33) % n) as u32)
+    };
+    let mut h = Fnv64::new();
+    for _ in 0..100_000 {
+        let (a, b) = (draw(), draw());
+        h.write_u64(net.latency_us(a, b));
+    }
+    let first_stub = cfg.transit_domains * cfg.transit_nodes_per_domain;
+    let domain0 = first_stub..first_stub + cfg.stub_nodes_per_domain;
+    for a in domain0.clone() {
+        for b in domain0.clone() {
+            h.write_u64(net.latency_us(PhysNodeId(a), PhysNodeId(b)));
+        }
+    }
+    (edges, h.finish())
+}
+
+/// The default-scale and paper topologies, pinned before the generator's
+/// adjacency went to CSR and the network stopped keeping it.
+#[test]
+fn topology_is_pinned() {
+    for (cfg, pinned) in [
+        (
+            TransitStubConfig::medium(SEED),
+            (0xf342_d299_8757_98aa, 0x09f0_79b5_a38f_b1d7),
+        ),
+        (
+            TransitStubConfig::paper_default(SEED),
+            (0x0d24_c901_2c5e_5437, 0x75f1_58d4_1155_94da),
+        ),
+    ] {
+        let got = topology_fnvs(&cfg);
+        assert_eq!(
+            got,
+            pinned,
+            "{} nodes drifted: ({:#018x}, {:#018x})",
+            cfg.expected_nodes(),
+            got.0,
+            got.1
+        );
     }
 }

@@ -300,13 +300,14 @@ pub const CKPT_PIN_SPLIT: u64 = 2;
 
 /// Serialize the checkpoint-format fixture: one `overlay algo variant len
 /// fnv64` line per resume cell at split [`CKPT_PIN_SPLIT`]. The resume file
-/// pins what a resumed run computes; this one pins the `VERSION = 1` bytes
-/// themselves, so a codec change that reinterprets the format fails here
-/// even if it round-trips with itself.
+/// pins what a resumed run computes; this one pins the bytes of the current
+/// [`asap_sim::checkpoint::VERSION`] themselves, so a codec change that
+/// reinterprets the format fails here even if it round-trips with itself.
 pub fn ckpt_golden_lines(records: &[ResumeRecord]) -> String {
     let mut out = format!(
-        "# checkpoint bytes: scale=tiny seed={GOLDEN_SEED} split=s{CKPT_PIN_SPLIT} (format VERSION 1)\n\
-         # overlay algo variant len fnv64\n"
+        "# checkpoint bytes: scale=tiny seed={GOLDEN_SEED} split=s{CKPT_PIN_SPLIT} (format VERSION {})\n\
+         # overlay algo variant len fnv64\n",
+        asap_sim::checkpoint::VERSION
     );
     for r in records.iter().filter(|r| r.split_index == CKPT_PIN_SPLIT) {
         out.push_str(&format!(

@@ -2,7 +2,7 @@
 //! `asap-net` frame. Every filter carries its [`BloomParams`] inline, so it
 //! is self-describing and decodes without access to any protocol config.
 
-use crate::{BloomFilter, BloomParams, CountingBloom, FilterPatch};
+use crate::{BloomFilter, BloomParams, FilterPatch};
 use asap_overlay::codec::{checksum, Codec, CodecError, Decoder, Encoder, Interner};
 use asap_overlay::codec_struct;
 use std::rc::Rc;
@@ -26,8 +26,7 @@ impl Codec for BloomParams {
 // set bits past the end, and recounts the ones. Cached ads repeat a source's
 // filter at every cacher, so `Rc<BloomFilter>` decodes through the decoder's
 // interner when it carries one: equal filters come back as one allocation.
-// Only filters that were decoded are ever registered; a `CountingBloom`'s
-// live snapshot must not be (`Rc::make_mut` moves it under a `Weak`).
+// Only filters that were decoded are ever registered.
 impl Codec for BloomFilter {
     fn put(&self, enc: &mut Encoder) {
         self.params().put(enc);
@@ -89,19 +88,6 @@ fn intern_filter(
         },
         || build(params, image),
     )
-}
-
-// Hand-written: `from_counts` checks the slot count against `bits` and
-// re-derives the flat snapshot.
-impl Codec for CountingBloom {
-    fn put(&self, enc: &mut Encoder) {
-        self.params().put(enc);
-        enc.put_seq(self.counts());
-    }
-    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let (params, counts) = Codec::pull(dec)?;
-        Self::from_counts(params, counts).ok_or(CodecError::Invalid("counting bloom counts"))
-    }
 }
 
 codec_struct!(FilterPatch { set, cleared });

@@ -1,5 +1,11 @@
-//! The counting filter peers maintain locally and the flat snapshot that
-//! travels inside ads.
+//! The flat filter that travels inside ads, and the counting filter that is
+//! its reference model.
+//!
+//! A peer's own filter is a pure function of what it holds: every content
+//! change rebuilds it with [`BloomFilter::from_hashes`]. The paper's `(i, x)`
+//! counts (§III-B) are recomputable from the same holdings, so no peer keeps
+//! them; [`CountingBloom`] maintains them incrementally and is what tests
+//! check the rebuild against.
 
 use crate::hashing::KeyHash;
 use crate::params::BloomParams;
@@ -27,6 +33,21 @@ impl BloomFilter {
             ones: 0,
             params,
         }
+    }
+
+    /// Build a filter from precomputed keyword hashes: the OR of their bits.
+    /// A hash listed twice sets the same bits twice, so the result depends
+    /// only on the set of hashes — what a counting filter's nonzero cells
+    /// mark after the same insertions.
+    pub fn from_hashes<'a>(
+        params: BloomParams,
+        hashes: impl IntoIterator<Item = &'a KeyHash>,
+    ) -> Self {
+        let mut f = Self::empty(params);
+        for h in hashes {
+            f.insert_hash(h);
+        }
+        f
     }
 
     /// Build a filter directly from a keyword set.
@@ -214,10 +235,13 @@ impl ProbePlan {
     }
 }
 
-/// Counting Bloom filter a peer keeps for its **own** content so that
-/// document removals can clear bits (paper §III-B: "a collection of 2-tuples
-/// `(i, x)`, which means that the iᵗʰ bit is set for `x` times"; only the
-/// positions travel over the network).
+/// Counting Bloom filter: the paper's model of a peer's own content filter,
+/// under which document removals can clear bits (§III-B: "a collection of
+/// 2-tuples `(i, x)`, which means that the iᵗʰ bit is set for `x` times";
+/// only the positions travel over the network). No peer keeps one — its
+/// nonzero cells are exactly the bits of [`BloomFilter::from_hashes`] over
+/// the peer's holdings — so it serves as the reference model the rebuilt
+/// filters are tested against.
 #[derive(Debug, Clone)]
 pub struct CountingBloom {
     params: BloomParams,
@@ -231,8 +255,7 @@ pub struct CountingBloom {
     /// already at `u16::MAX`, plus decrements pinned on such a cell. Once a
     /// cell saturates its true count is unknowable, so it stays at `MAX`
     /// forever — a permanent possible-false-positive, never a false
-    /// negative. Diagnostic only: not checkpointed ([`Self::from_counts`]
-    /// restores it to zero) and never read by the simulation.
+    /// negative. Diagnostic only.
     saturation_events: u64,
 }
 
@@ -331,7 +354,7 @@ impl CountingBloom {
         &self.snapshot
     }
 
-    /// Raw per-bit occurrence counts (checkpointing).
+    /// Raw per-bit occurrence counts.
     pub fn counts(&self) -> &[u16] {
         &self.counts
     }
@@ -341,28 +364,6 @@ impl CountingBloom {
     /// bit position hit 65,535 times.
     pub fn saturation_events(&self) -> u64 {
         self.saturation_events
-    }
-
-    /// Rebuild a counting filter from [`CountingBloom::counts`] output. The
-    /// flat snapshot is re-derived (bit set iff count > 0), which is exactly
-    /// the invariant `insert_hash`/`remove_hash` maintain. Returns `None`
-    /// when the count vector length doesn't match `params.bits`.
-    pub fn from_counts(params: BloomParams, counts: Vec<u16>) -> Option<Self> {
-        if counts.len() != params.bits as usize {
-            return None;
-        }
-        let mut snapshot = BloomFilter::empty(params);
-        for (bit, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                snapshot.set_bit(bit as u32);
-            }
-        }
-        Some(Self {
-            params,
-            counts,
-            snapshot: Rc::new(snapshot),
-            saturation_events: 0,
-        })
     }
 }
 
@@ -479,6 +480,27 @@ mod tests {
     }
 
     #[test]
+    fn from_hashes_equals_the_counting_filters_nonzero_cells() {
+        let keys: Vec<String> = (0..60).map(|i| format!("k{}", i % 40)).collect();
+        let hashes: Vec<KeyHash> = keys.iter().map(|k| KeyHash::of(k)).collect();
+        let mut c = CountingBloom::new(params());
+        for h in &hashes {
+            c.insert_hash(h);
+        }
+        // Twenty keys occur twice; one removal each leaves them held.
+        for h in &hashes[40..] {
+            assert!(c.remove_hash(h));
+        }
+        let rebuilt = BloomFilter::from_hashes(params(), &hashes[..40]);
+        assert_eq!(&rebuilt, c.as_filter());
+        assert_eq!(
+            rebuilt,
+            BloomFilter::from_keys(params(), keys[..40].iter().map(String::as_str))
+        );
+        assert!(BloomFilter::from_hashes(params(), &[]).is_empty());
+    }
+
+    #[test]
     fn snapshot_rc_is_stable_under_copy_on_write() {
         let mut c = CountingBloom::new(params());
         c.insert("first");
@@ -563,23 +585,6 @@ mod tests {
             10 + u64::from(u16::MAX) + 10,
             "every pinned decrement is counted"
         );
-    }
-
-    #[test]
-    fn saturation_events_reset_by_from_counts() {
-        let p = BloomParams {
-            bits: 64,
-            hashes: 1,
-        };
-        let mut c = CountingBloom::new(p);
-        for _ in 0..u32::from(u16::MAX) + 1 {
-            c.insert("x");
-        }
-        assert!(c.saturation_events() > 0);
-        let restored = CountingBloom::from_counts(p, c.counts().to_vec())
-            .unwrap_or_else(|| unreachable!("lengths match"));
-        assert_eq!(restored.saturation_events(), 0, "diagnostic, not state");
-        assert_eq!(restored.counts(), c.counts());
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //!
 //! * [`BloomParams`] — sizing and false-positive math (`m = ⌈n·k/ln 2⌉`,
 //!   `p_min = (1/2)^k`),
-//! * [`CountingBloom`] — a counting filter a peer maintains locally so that
-//!   keyword *removals* are possible (the paper's `(i, x)` 2-tuples: bit `i`
-//!   is set `x` times),
-//! * [`BloomFilter`] — the flat bit-vector snapshot that travels inside a
-//!   *full ad*,
+//! * [`BloomFilter`] — the flat bit vector that travels inside a *full ad*;
+//!   a peer's own filter is rebuilt from what it holds on every content
+//!   change ([`BloomFilter::from_hashes`]),
+//! * [`CountingBloom`] — the paper's counting filter (the `(i, x)` 2-tuples:
+//!   bit `i` is set `x` times), kept as the reference model the rebuilt
+//!   filters are tested against. No peer keeps one: the counts are
+//!   recomputable from the peer's holdings,
 //! * [`FilterPatch`] — the list of changed bit positions that travels inside a
 //!   *patch ad*,
 //! * [`WireFilter`] — the wire encoding (raw bits vs. sparse positions) with a

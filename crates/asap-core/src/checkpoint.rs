@@ -4,10 +4,10 @@
 //! Static configuration ([`crate::AsapConfig`]) and the keyword hash table
 //! (derived from the content model) are never serialized — the resume caller
 //! reconstructs the protocol with the same configuration the original run
-//! used. Everything dynamic rides the checkpoint: per-node counting filters,
+//! used. Everything dynamic rides the checkpoint: per-node own filters,
 //! versions, ad repositories, fetch pacers and re-advertisement watchdogs,
-//! the pending-search table, the flood dedup window, claimed (spam) topics,
-//! the delivery-id counter and the aggregate stats.
+//! the pending-search table, the flood dedup window, claimed (spam) topics
+//! and poison documents, the delivery-id counter and the aggregate stats.
 //!
 //! Maps serialize in ascending key order and sets in ascending element
 //! order (the only exceptions are `PendingSearch::in_flight` / `backlog`,
@@ -15,7 +15,7 @@
 //! verbatim), so encode → decode → re-encode is byte-identical.
 //!
 //! Bloom filters carry their [`asap_bloom::BloomParams`] inline (`bits`,
-//! `hashes`, then the words or counts), making every filter
+//! `hashes`, then the words), making every filter
 //! self-describing: a message decodes without access to the protocol config.
 //!
 //! `Rc` aliasing is not *written*: a filter shared by fifty caches
@@ -31,10 +31,11 @@ use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
 use crate::repository::{AdRepository, CachedAd};
 use crate::search::{PendingSearch, Phase};
+use asap_bloom::{BloomFilter, BloomParams};
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::{codec_enum, codec_struct, NodeTable};
-use asap_workload::InterestSet;
+use asap_workload::{DocId, InterestSet};
 
 // --- messages ---------------------------------------------------------------
 
@@ -87,31 +88,34 @@ impl Codec for AdRepository {
     }
 }
 
-// Hand-written: `snapshot` is not serialized — it is invariantly the
-// filter's current snapshot (audit_invariants checks exactly this) and is
-// rebuilt via `CountingBloom::snapshot_rc`.
-impl Codec for NodeState {
-    fn put(&self, enc: &mut Encoder) {
-        self.filter.put(enc);
-        self.version.put(enc);
-        self.repo.put(enc);
-        self.fetching.put(enc);
-        self.fetch_backoff.put(enc);
-        self.fetches_served.put(enc);
-        self.readvert.put(enc);
-    }
-    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let filter = asap_bloom::CountingBloom::pull(dec)?;
-        Ok(Self {
-            snapshot: filter.snapshot_rc(),
-            filter,
-            version: Codec::pull(dec)?,
-            repo: Codec::pull(dec)?,
-            fetching: Codec::pull(dec)?,
-            fetch_backoff: Codec::pull(dec)?,
-            fetches_served: Codec::pull(dec)?,
-            readvert: Codec::pull(dec)?,
-        })
+codec_struct!(NodeState {
+    snapshot,
+    version,
+    repo,
+    fetching,
+    fetch_backoff,
+    fetches_served,
+    readvert,
+});
+
+/// One ad spammer as it rides the checkpoint: its claimed topics and the
+/// documents its filter is poisoned with.
+type SpamClaim = (PeerId, InterestSet, Vec<DocId>);
+
+/// Rejects a node filter built for other parameters than the configured
+/// ones. The node's next content change rebuilds with the configured
+/// parameters, and flat ASAP's [`asap_bloom::FilterPatch::diff`] between
+/// the two would panic mid-run.
+pub(crate) fn check_node_filter(
+    filter: &BloomFilter,
+    configured: BloomParams,
+) -> Result<(), CodecError> {
+    if filter.params() == configured {
+        Ok(())
+    } else {
+        Err(CodecError::Invalid(
+            "node filter parameters differ from the configuration",
+        ))
     }
 }
 
@@ -152,10 +156,14 @@ impl CheckpointProtocol for Asap {
         self.seen.put(enc);
         // Dense slots in index order == ascending peer order; EMPTY slots
         // are "no claim" (spam claims always union ≥1 class).
-        let claims = self.claimed_topics.iter().enumerate();
-        let claims: Vec<(PeerId, InterestSet)> = claims
-            .filter(|(_, topics)| !topics.is_empty())
-            .map(|(p, &topics)| (PeerId(p as u32), topics))
+        let claims = self
+            .claimed_topics
+            .iter()
+            .zip(self.poison.iter())
+            .enumerate();
+        let claims: Vec<SpamClaim> = claims
+            .filter(|(_, (topics, _))| !topics.is_empty())
+            .map(|(p, (&topics, poison))| (PeerId(p as u32), topics, poison.to_vec()))
             .collect();
         claims.put(enc);
         self.next_delivery.put(enc);
@@ -169,6 +177,7 @@ impl CheckpointProtocol for Asap {
             return Err(CodecError::Invalid("node count mismatch"));
         }
         for st in &mut nodes {
+            check_node_filter(&st.snapshot, self.config.bloom)?;
             st.repo.restore_capacity(self.config.cache_capacity)?;
         }
         let mut pending: asap_sim::collections::DetHashMap<u32, PendingSearch> = Codec::pull(dec)?;
@@ -176,10 +185,12 @@ impl CheckpointProtocol for Asap {
             p.term_hashes = p.terms.iter().map(|&k| self.hash_of(k)).collect();
         }
         let seen = Codec::pull(dec)?;
-        let claims: Vec<(PeerId, InterestSet)> = Codec::pull(dec)?;
+        let claims: Vec<SpamClaim> = Codec::pull(dec)?;
         let mut claimed_topics = NodeTable::from_vec(vec![InterestSet::EMPTY; num_peers]);
-        for (p, topics) in claims {
+        let mut poison = NodeTable::new(num_peers);
+        for (p, topics, docs) in claims {
             claimed_topics[p.index()] = topics;
+            poison[p.index()] = docs.into_boxed_slice();
         }
         self.next_delivery = Codec::pull(dec)?;
         self.stats = Codec::pull(dec)?;
@@ -187,6 +198,7 @@ impl CheckpointProtocol for Asap {
         self.pending = pending;
         self.seen = seen;
         self.claimed_topics = claimed_topics;
+        self.poison = poison;
         Ok(())
     }
 }
@@ -196,7 +208,7 @@ mod tests {
     use super::*;
     use crate::config::{AsapConfig, DeliveryKind};
     use crate::retry::RobustnessConfig;
-    use asap_bloom::{BloomFilter, BloomParams, CountingBloom, FilterPatch};
+    use asap_bloom::FilterPatch;
     use asap_overlay::{OverlayConfig, OverlayKind};
     use asap_sim::checkpoint::{assert_canonical, Checkpoint};
     use asap_sim::{AdversaryPlan, AuditConfig, FaultPlan, Simulation};
@@ -534,51 +546,156 @@ mod tests {
         );
     }
 
-    use proptest::prelude::*;
+    /// `bytes` with its protocol section — the last thing before the
+    /// checksum, `state` as the running protocol encoded it — decoded into
+    /// `fresh`, edited, re-encoded in place and resealed.
+    fn spliced_protocol<P: CheckpointProtocol>(
+        bytes: &[u8],
+        state: &[u8],
+        mut fresh: P,
+        edit: impl FnOnce(&mut P),
+    ) -> Vec<u8> {
+        let body = &bytes[..bytes.len() - 8];
+        assert!(
+            body.ends_with(state),
+            "the protocol section closes the body"
+        );
+        fresh
+            .decode_state(&mut Decoder::new(state))
+            .expect("the running protocol's own state decodes");
+        edit(&mut fresh);
+        let mut enc = Encoder::new();
+        fresh.encode_state(&mut enc);
+        let mut out = body[..body.len() - state.len()].to_vec();
+        out.extend_from_slice(&enc.into_bytes());
+        let mut sum = asap_sim::checkpoint::Fnv64::new();
+        sum.write_bytes(&out);
+        out.extend_from_slice(&sum.finish().to_le_bytes());
+        out
+    }
 
-    proptest! {
-        /// Counting filters reached through arbitrary insert/remove
-        /// interleavings (including removes of absent keys) decode to the
-        /// exact same counts and re-encode byte-identically. Deletes are
-        /// what distinguish a counting filter from a plain one — a state
-        /// the whole-sim tests above only reach via content churn.
-        #[test]
-        fn counting_bloom_roundtrips_after_deletes(
-            ops in proptest::collection::vec((0u32..48, 0u32..3), 0..160),
-        ) {
-            let mut filter = CountingBloom::new(BloomParams::for_capacity(64, 4));
-            for (key, action) in ops {
-                let key = format!("key-{key}");
-                if action == 2 {
-                    filter.remove(&key);
+    /// Resume `make`'s protocol halfway through the seed-`seed` run from a
+    /// checkpoint whose protocol section `edit` changed, after a control:
+    /// the unedited splice is the original bytes and resumes. `edit` is
+    /// handed a peer whose content changes after the split, so its filter
+    /// is rebuilt in the resumed half.
+    fn resume_with_edited_protocol<P: CheckpointProtocol>(
+        seed: u64,
+        make: impl Fn(&asap_workload::ContentModel) -> P,
+        edit: impl FnOnce(&mut P, usize),
+    ) -> Result<(), CodecError> {
+        let (phys, workload, overlay) = world(100, 120, seed);
+        let split = workload.trace.duration_us() / 2;
+        let mut late = workload.trace.events.iter().filter(|e| e.time_us > split);
+        let churner = late.find_map(|e| match e.event {
+            asap_workload::TraceEvent::AddDocument { peer, .. }
+            | asap_workload::TraceEvent::RemoveDocument { peer, .. } => Some(peer.index()),
+            _ => None,
+        });
+        let churner = churner.expect("the trace changes content after the split");
+        let kind = OverlayKind::Random;
+        let mut sim = Simulation::builder(
+            &phys,
+            &workload,
+            overlay.clone(),
+            kind,
+            make(&workload.model),
+            seed,
+        )
+        .build();
+        sim.run_until(split);
+        let bytes = sim.checkpoint().into_bytes();
+        let mut state = Encoder::new();
+        sim.protocol().encode_state(&mut state);
+        let state = state.into_bytes();
+        let resume = |bytes: Vec<u8>| {
+            let ckpt = Checkpoint::from_bytes(bytes)?;
+            let protocol = make(&workload.model);
+            Simulation::resume(&phys, &workload, overlay.clone(), kind, protocol, &ckpt).map(|_| ())
+        };
+        let unedited = spliced_protocol(&bytes, &state, make(&workload.model), |_| {});
+        assert_eq!(unedited, bytes, "decode → encode is byte-identical");
+        assert_eq!(resume(unedited), Ok(()));
+        let edited = spliced_protocol(&bytes, &state, make(&workload.model), |p| edit(p, churner));
+        resume(edited)
+    }
+
+    fn small_filter() -> Rc<BloomFilter> {
+        Rc::new(BloomFilter::from_keys(
+            BloomParams::for_capacity(64, 4),
+            ["rock"],
+        ))
+    }
+
+    const OTHER_PARAMS: Result<(), CodecError> = Err(CodecError::Invalid(
+        "node filter parameters differ from the configuration",
+    ));
+
+    /// A node filter built for other parameters than the configuration's
+    /// resumed `Ok`; the node's next content change rebuilt with the
+    /// configured parameters, and `FilterPatch::diff` panicked on the
+    /// mismatch in the middle of `Simulation::run`.
+    #[test]
+    fn flat_node_filter_with_other_params_is_rejected() {
+        let make = |model: &asap_workload::ContentModel| {
+            Asap::new(scaled(DeliveryKind::RandomWalk { walkers: 5 }), model)
+        };
+        let edit = |asap: &mut Asap, peer: usize| asap.nodes[peer].snapshot = small_filter();
+        assert_eq!(resume_with_edited_protocol(68, make, edit), OTHER_PARAMS);
+    }
+
+    /// The super-peer deployment rebuilds its own filters the same way, so
+    /// its checkpoint is held to the same parameters.
+    #[test]
+    fn superpeer_node_filter_with_other_params_is_rejected() {
+        use crate::superpeer::{SuperAsap, SuperPeerConfig};
+        let make = |model: &asap_workload::ContentModel| {
+            let asap = scaled(DeliveryKind::RandomWalk { walkers: 5 });
+            SuperAsap::new(SuperPeerConfig::new(asap), model)
+        };
+        let edit = |sp: &mut SuperAsap, peer: usize| sp.set_node_filter(peer, small_filter());
+        assert_eq!(resume_with_edited_protocol(69, make, edit), OTHER_PARAMS);
+    }
+
+    /// Each spammer's poison rides the checkpoint: a resume into a protocol
+    /// built without adversaries still rebuilds a spammer's filter with it.
+    #[test]
+    fn spam_poison_rides_the_checkpoint() {
+        let (_, workload, _) = world(100, 120, 70);
+        let model = &workload.model;
+        let roles: Vec<_> = (0..100)
+            .map(|p| {
+                if p % 10 == 3 {
+                    asap_sim::AdversaryRole::AdSpammer
                 } else {
-                    filter.insert(&key);
+                    asap_sim::AdversaryRole::Honest
                 }
-            }
-            assert_canonical(&filter);
-            let mut enc = Encoder::new();
-            filter.put(&mut enc);
-            let bytes = enc.into_bytes();
-            let back = CountingBloom::pull(&mut Decoder::new(&bytes)).unwrap();
-            prop_assert_eq!(back.counts(), filter.counts());
+            })
+            .collect();
+        let cfg = scaled(DeliveryKind::RandomWalk { walkers: 5 });
+        let spammy = Asap::new_with_adversaries(cfg.clone(), model, &roles, 70);
+        let mut enc = Encoder::new();
+        spammy.encode_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut plain = Asap::new(cfg, model);
+        plain.decode_state(&mut Decoder::new(&bytes)).unwrap();
+        for (p, &role) in roles.iter().enumerate() {
+            assert_eq!(plain.poison[p], spammy.poison[p], "peer {p}");
+            assert_eq!(
+                plain.claimed_topics[p], spammy.claimed_topics[p],
+                "peer {p}"
+            );
+            assert_eq!(
+                plain.nodes[p].snapshot, spammy.nodes[p].snapshot,
+                "peer {p}"
+            );
+            assert_eq!(
+                spammy.poison[p].is_empty(),
+                role != asap_sim::AdversaryRole::AdSpammer
+            );
         }
-
-        /// A corrupted count vector length is a typed error, not a panic:
-        /// `from_counts` demands exactly `bits` slots.
-        #[test]
-        fn counting_bloom_decode_rejects_wrong_slot_count(extra in 1u32..32) {
-            let params = BloomParams::for_capacity(64, 4);
-            let mut enc = Encoder::new();
-            enc.put_u32(params.bits);
-            enc.put_u32(params.hashes);
-            let n = params.bits + extra;
-            enc.put_len(n as usize);
-            for _ in 0..n {
-                enc.put_u16(0);
-            }
-            let bytes = enc.into_bytes();
-            let mut dec = Decoder::new(&bytes);
-            prop_assert!(matches!(CountingBloom::pull(&mut dec), Err(CodecError::Invalid(_))));
-        }
+        let mut again = Encoder::new();
+        plain.encode_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
     }
 }

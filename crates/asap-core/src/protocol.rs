@@ -8,7 +8,7 @@ use crate::repository::{AdRepository, ApplyOutcome};
 use crate::retry::Backoff;
 use crate::search::{self, PendingSearch};
 use asap_bloom::hashing::KeyHash;
-use asap_bloom::{BloomFilter, CountingBloom, FilterPatch};
+use asap_bloom::{BloomFilter, BloomParams, FilterPatch};
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::collections::{DetHashMap, DetHashSet};
@@ -35,7 +35,8 @@ pub(crate) const TAG_FETCH_BIT: u64 = 1 << 62;
 /// pass runs once at construction time — before the engine starts — so it
 /// never perturbs the engine, fault, adversary, or workload RNG streams;
 /// the salt only has to be distinct from theirs so a shared run seed can't
-/// correlate the draws.
+/// correlate the draws. Its result rides the checkpoint, so a resume never
+/// draws it again.
 const SPAM_POISON_SALT: u64 = 0x5BAD_AD00_F17E_D0C5;
 
 /// Documents whose keywords each ad-spam peer falsely claims to hold.
@@ -52,13 +53,35 @@ pub(crate) struct ReAdvert {
     pub(crate) backoff: Backoff,
 }
 
+/// A peer's own ad filter: the OR of the keyword hashes of the documents
+/// `docs` it holds and, for an ad spammer, of its `poison` documents.
+///
+/// The paper keeps a counting filter per peer so that removals can clear
+/// bits (§III-B). Its counts are a function of the same holdings, so no peer
+/// keeps them: every content change rebuilds the filter from what the peer
+/// now holds. The bits are exactly the counting filter's nonzero cells as
+/// long as no `u16` cell saturates, which would take over 1,000 documents
+/// at one peer (DESIGN.md §6e).
+pub(crate) fn own_filter(
+    params: BloomParams,
+    kw_hashes: &[KeyHash],
+    model: &ContentModel,
+    docs: &[DocId],
+    poison: &[DocId],
+) -> BloomFilter {
+    let keywords = docs
+        .iter()
+        .chain(poison)
+        .flat_map(|&d| model.doc(d).keywords);
+    BloomFilter::from_hashes(params, keywords.map(|kw| &kw_hashes[kw.index()]))
+}
+
 /// Per-node ASAP state.
 pub(crate) struct NodeState {
-    /// The node's own content filter (counting, so removals work).
-    pub filter: CountingBloom,
     /// Current ad version `v` (bumped on every content change).
     pub version: u16,
-    /// Shared snapshot of `filter` at `version`.
+    /// The node's own filter at `version` ([`own_filter`] of its holdings),
+    /// shared with every ad that carries it.
     pub snapshot: Rc<BloomFilter>,
     /// Foreign-ads cache ("$" in the paper's pseudo-code).
     pub repo: AdRepository,
@@ -117,6 +140,9 @@ pub struct Asap {
     /// served ads so a content-free spammer still advertises; ground-truth
     /// confirmation is what exposes the lie.
     pub(crate) claimed_topics: NodeTable<InterestSet>,
+    /// Documents whose keywords each ad spammer's filter falsely carries,
+    /// densely indexed by peer (empty = honest, no allocation).
+    pub(crate) poison: NodeTable<Box<[DocId]>>,
     pub(crate) next_delivery: u64,
     pub stats: AsapStats,
 }
@@ -132,17 +158,11 @@ impl Asap {
             .collect();
         let nodes: Vec<NodeState> = (0..model.num_peers())
             .map(|p| {
-                let mut filter = CountingBloom::new(config.bloom);
-                for &doc in &model.initial_holdings[p] {
-                    for &kw in model.doc(doc).keywords {
-                        filter.insert_hash(&kw_hashes[kw.index()]);
-                    }
-                }
-                let snapshot = filter.snapshot_rc();
+                let docs = &model.initial_holdings[p];
+                let filter = own_filter(config.bloom, &kw_hashes, model, docs, &[]);
                 NodeState {
-                    filter,
                     version: 0,
-                    snapshot,
+                    snapshot: Rc::new(filter),
                     repo: AdRepository::new(config.cache_capacity),
                     fetching: DetHashSet::default(),
                     fetch_backoff: DetHashMap::default(),
@@ -155,6 +175,7 @@ impl Asap {
             seen: SeenTracker::new(config.seen_window),
             kw_hashes,
             claimed_topics: NodeTable::from_vec(vec![InterestSet::EMPTY; nodes.len()]),
+            poison: NodeTable::new(nodes.len()),
             nodes: NodeTable::from_vec(nodes),
             pending: DetHashMap::default(),
             next_delivery: 0,
@@ -164,10 +185,11 @@ impl Asap {
     }
 
     /// [`Asap::new`] plus the adversary poison pass: every `AdSpammer` in
-    /// `roles` salts its content filter with the keywords of
-    /// `SPAM_POISON_DOCS` documents it does not hold and claims their
-    /// classes as advertised topics. An all-honest `roles` slice draws no
-    /// randomness and produces state identical to [`Asap::new`].
+    /// `roles` draws `SPAM_POISON_DOCS` documents, keeps them as its poison
+    /// (its filter carries their keywords from now on, whatever it holds)
+    /// and claims their classes as advertised topics. An all-honest `roles`
+    /// slice draws no randomness and produces state identical to
+    /// [`Asap::new`].
     ///
     /// Poisoning lives here — not in the simulator — because ad spam is a
     /// protocol-layer attack: the lie is in the Bloom filter the protocol
@@ -191,20 +213,15 @@ impl Asap {
             if *role != AdversaryRole::AdSpammer {
                 continue;
             }
-            let mut claimed = InterestSet::EMPTY;
-            for _ in 0..SPAM_POISON_DOCS {
-                let doc = model.doc(DocId(rng.gen_range(0..num_docs)));
-                claimed = claimed.union(InterestSet::singleton(doc.class));
-                for &kw in doc.keywords {
-                    let h = asap.kw_hashes[kw.index()];
-                    asap.nodes[p].filter.insert_hash(&h);
-                }
-            }
-            // Republish so `audit_invariants`' snapshot == filter check
-            // holds: the spammer's very first ad is already poisoned.
-            let snap = asap.nodes[p].filter.snapshot_rc();
-            asap.nodes[p].snapshot = snap;
+            let poison: Box<[DocId]> = (0..SPAM_POISON_DOCS)
+                .map(|_| DocId(rng.gen_range(0..num_docs)))
+                .collect();
+            let claimed = poison.iter().map(|&d| model.doc(d).class).collect();
+            let docs = &model.initial_holdings[p];
+            let filter = own_filter(asap.config.bloom, &asap.kw_hashes, model, docs, &poison);
+            asap.nodes[p].snapshot = Rc::new(filter);
             asap.claimed_topics[p] = claimed;
+            asap.poison[p] = poison;
         }
         asap
     }
@@ -649,41 +666,37 @@ impl Protocol for Asap {
         ctx: &mut C,
         peer: PeerId,
         doc: DocId,
-        added: bool,
+        _added: bool,
     ) {
-        // Borrow the `&ContentModel` out of `ctx` so the keyword list needn't
-        // be cloned while `self.nodes` is mutably borrowed.
+        // The engine has already applied the change: an addition and a
+        // removal both rebuild from what the peer holds now.
         let model = ctx.model();
-        let old_class = model.doc(doc).class;
+        let docs = ctx.content().peer_docs(peer);
+        let filter = own_filter(
+            self.config.bloom,
+            &self.kw_hashes,
+            model,
+            docs,
+            &self.poison[peer],
+        );
         let st = &mut self.nodes[peer.index()];
-        let old_snapshot = Rc::clone(&st.snapshot);
-        for kw in model.doc(doc).keywords {
-            let h = self.kw_hashes[kw.index()];
-            if added {
-                st.filter.insert_hash(&h);
-            } else {
-                let removed = st.filter.remove_hash(&h);
-                debug_assert!(removed, "removing keyword that was never inserted");
-            }
-        }
         st.version = st.version.wrapping_add(1);
-        // Copy-on-write: this is O(1); the filter already diverged from
-        // `old_snapshot` at the first bit flip above (or didn't change at
-        // all, in which case the two handles still alias).
-        let new_snapshot = st.filter.snapshot_rc();
-        st.snapshot = Rc::clone(&new_snapshot);
+        if *st.snapshot == filter {
+            // Duplicate keywords: nothing observable changed, and the
+            // published handle stays shared with the caches holding it.
+            return;
+        }
         let version = st.version;
+        let new_snapshot = Rc::new(filter);
+        let old_snapshot = std::mem::replace(&mut st.snapshot, Rc::clone(&new_snapshot));
 
         // Patch topics: union of old and new, so cachers from a dropped
         // class still hear about the removal. Claimed (spam) topics ride
         // along so cachers keyed on the false classes stay in sync too.
         let new_topics = self.advertised_topics(ctx, peer);
-        let topics = new_topics.union(InterestSet::singleton(old_class));
+        let topics = new_topics.union(InterestSet::singleton(model.doc(doc).class));
 
         let patch = Rc::new(FilterPatch::diff(&old_snapshot, &new_snapshot));
-        if patch.is_empty() && new_snapshot == old_snapshot {
-            return; // duplicate keywords: nothing observable changed
-        }
         self.deliver(
             ctx,
             peer,
@@ -704,7 +717,7 @@ impl Protocol for Asap {
     /// * every ad cache respects its configured capacity;
     /// * no node caches its own ad (`handle_ad` filters `source == node`);
     /// * cached-entry timestamps never run ahead of the clock;
-    /// * a node's own filter snapshot reflects its current version.
+    /// * a node's published filter is `own_filter` of what it holds now.
     fn audit_invariants<C: Transport<Msg = AsapMsg>>(&self, ctx: &C) -> Vec<String> {
         let mut violations = Vec::new();
         let now = ctx.now_us();
@@ -730,8 +743,18 @@ impl Protocol for Asap {
                     ));
                 }
             }
-            if st.snapshot.as_ref() != st.filter.as_filter() {
-                violations.push(format!("node {i}: published snapshot lags its filter"));
+            let docs = ctx.content().peer_docs(node);
+            let truth = own_filter(
+                self.config.bloom,
+                &self.kw_hashes,
+                ctx.model(),
+                docs,
+                &self.poison[node],
+            );
+            if *st.snapshot != truth {
+                violations.push(format!(
+                    "node {i}: published filter differs from its holdings"
+                ));
             }
         }
         violations
@@ -741,9 +764,15 @@ impl Protocol for Asap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asap_workload::WorkloadConfig;
+    use asap_bloom::CountingBloom;
+    use asap_overlay::{OverlayConfig, OverlayKind};
+    use asap_sim::Simulation;
+    use asap_topology::{PhysicalNetwork, TransitStubConfig};
+    use asap_workload::{TraceEvent, Workload, WorkloadConfig};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn model() -> ContentModel {
         let cfg = WorkloadConfig::reduced(120, 50, 3);
@@ -855,15 +884,18 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_snapshot_stays_consistent_with_filter() {
-        // `audit_invariants` flags any node whose published snapshot lags
-        // its filter; the poison pass must leave no such gap.
+    fn spammer_filters_are_their_holdings_plus_poison() {
         let m = model();
-        let asap =
-            Asap::new_with_adversaries(AsapConfig::rw().scaled_to(120), &m, &spam_roles(120), 7);
+        let cfg = AsapConfig::rw().scaled_to(120);
+        let asap = Asap::new_with_adversaries(cfg.clone(), &m, &spam_roles(120), 7);
         for p in 0..m.num_peers() {
-            let st = &asap.nodes[p];
-            assert_eq!(st.snapshot.as_ref(), st.filter.as_filter());
+            assert_eq!(
+                asap.poison[p].len(),
+                if p % 10 == 0 { SPAM_POISON_DOCS } else { 0 }
+            );
+            let docs = &m.initial_holdings[p];
+            let own = own_filter(cfg.bloom, &asap.kw_hashes, &m, docs, &asap.poison[p]);
+            assert_eq!(*asap.nodes[p].snapshot, own, "peer {p}");
         }
     }
 
@@ -883,5 +915,217 @@ mod tests {
             assert!(claimed.len() <= m.num_classes, "peer {p} claims too much");
         }
         assert_eq!(spammers, 120 / 10, "one spammer per 10 peers must claim");
+    }
+
+    /// A 60-peer world. The tests below apply their own events at time
+    /// zero, before its generated trace begins.
+    fn small_world(seed: u64) -> (PhysicalNetwork, Workload, asap_overlay::Overlay) {
+        let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
+        let workload = asap_workload::generate(&WorkloadConfig::reduced(60, 20, seed));
+        let overlay = OverlayConfig::new(OverlayKind::Random, 60, seed).build();
+        (phys, workload, overlay)
+    }
+
+    /// The audit's ground truth is the filter rebuilt from what each node
+    /// holds: a hand-corrupted published filter is reported, by node.
+    #[test]
+    fn audit_reports_a_filter_that_differs_from_the_holdings() {
+        let (phys, workload, overlay) = small_world(5);
+        let cfg = AsapConfig::rw().scaled_to(60);
+        let roles = spam_roles(60);
+        let build = |asap: Asap| {
+            Simulation::builder(
+                &phys,
+                &workload,
+                overlay.clone(),
+                OverlayKind::Random,
+                asap,
+                5,
+            )
+            .build()
+        };
+        let clean = build(Asap::new_with_adversaries(
+            cfg.clone(),
+            &workload.model,
+            &roles,
+            5,
+        ));
+        assert_eq!(
+            clean.protocol().audit_invariants(clean.ctx()),
+            Vec::<String>::new()
+        );
+
+        let honest_sharer = (0..60)
+            .find(|&p| p % 10 != 0 && !workload.model.initial_holdings[p].is_empty())
+            .unwrap();
+        for victim in [honest_sharer, 10] {
+            let mut asap = Asap::new_with_adversaries(cfg.clone(), &workload.model, &roles, 5);
+            let mut words = asap.nodes[victim].snapshot.words().to_vec();
+            words[0] ^= 1;
+            asap.nodes[victim].snapshot =
+                Rc::new(BloomFilter::from_words(cfg.bloom, words).unwrap());
+            let sim = build(asap);
+            assert_eq!(
+                sim.protocol().audit_invariants(sim.ctx()),
+                vec![format!(
+                    "node {victim}: published filter differs from its holdings"
+                )]
+            );
+        }
+    }
+
+    /// One peer a tape drives: the documents it holds now, the documents it
+    /// draws from, and the paper's counting filter replaying its changes.
+    struct Tracked {
+        peer: PeerId,
+        held: BTreeSet<DocId>,
+        pool: Vec<DocId>,
+        counting: CountingBloom,
+    }
+
+    impl Tracked {
+        fn new(asap: &Asap, model: &ContentModel, p: usize) -> Self {
+            let held: BTreeSet<DocId> = model.initial_holdings[p].iter().copied().collect();
+            let poison = &asap.poison[p];
+            let mut counting = CountingBloom::new(asap.config.bloom);
+            for &d in held.iter().chain(poison.iter()) {
+                for kw in model.doc(d).keywords {
+                    counting.insert_hash(&asap.kw_hashes[kw.index()]);
+                }
+            }
+            // Its own documents, its poison, and a shared slice of the
+            // catalogue that every tracked peer draws from.
+            let pool = held
+                .iter()
+                .chain(poison.iter())
+                .copied()
+                .chain((0..24).map(DocId))
+                .collect();
+            Self {
+                peer: PeerId(p as u32),
+                held,
+                pool,
+                counting,
+            }
+        }
+    }
+
+    /// What a tape saw, so that no case passes vacuously.
+    #[derive(Default)]
+    struct Coverage {
+        /// Removals whose document shared a keyword with one still held.
+        shared_keyword_kept: usize,
+        /// Changes made while the spammer held one of its poison documents.
+        poison_held: usize,
+    }
+
+    /// Apply one change through the engine (so through `on_content_change`),
+    /// replay it into the counting filter, and compare.
+    fn step(
+        sim: &mut Simulation<'_, Asap>,
+        t: &mut Tracked,
+        doc: DocId,
+        add: bool,
+        cov: &mut Coverage,
+    ) {
+        let model = sim.ctx().model;
+        let applied = if add {
+            t.held.insert(doc)
+        } else {
+            t.held.remove(&doc)
+        };
+        let event = if add {
+            TraceEvent::AddDocument { peer: t.peer, doc }
+        } else {
+            TraceEvent::RemoveDocument { peer: t.peer, doc }
+        };
+        sim.apply_event(0, event);
+        let asap = sim.protocol();
+        if applied {
+            for kw in model.doc(doc).keywords {
+                let h = asap.kw_hashes[kw.index()];
+                if add {
+                    t.counting.insert_hash(&h);
+                } else {
+                    assert!(
+                        t.counting.remove_hash(&h),
+                        "the replay removes what it inserted"
+                    );
+                }
+            }
+            if !add {
+                let still =
+                    |kw: &KeywordId| t.held.iter().any(|&d| model.doc(d).keywords.contains(kw));
+                cov.shared_keyword_kept += usize::from(model.doc(doc).keywords.iter().any(still));
+            }
+        }
+        let poison = &asap.poison[t.peer];
+        cov.poison_held += usize::from(t.held.iter().any(|d| poison.contains(d)));
+        let docs: Vec<DocId> = t.held.iter().copied().collect();
+        assert_eq!(sim.ctx().content().peer_docs(t.peer), docs.as_slice());
+        let published = &asap.nodes[t.peer].snapshot;
+        let reference = t.counting.as_filter();
+        assert_eq!(
+            published.words(),
+            reference.words(),
+            "peer {:?} after {doc:?} add={add}",
+            t.peer
+        );
+        assert_eq!(published.count_ones(), reference.count_ones());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A peer's filter rebuilt from its holdings on every content change
+        /// equals the paper's counting filter replaying the same changes,
+        /// over random add/remove tapes on four peers: a free rider, an ad
+        /// spammer (whose pool includes its own poison documents), and two
+        /// sharers. Every peer is then drained to empty — the free rider
+        /// after gaining content — and refilled.
+        #[test]
+        fn own_filter_equals_a_counting_bloom_replay(
+            seed in 1u64..1_000,
+            tape in prop::collection::vec((0usize..4, 0usize..1_000, any::<bool>()), 150..300),
+            refill in prop::collection::vec((0usize..4, 0usize..1_000), 4..24),
+        ) {
+            let (phys, workload, overlay) = small_world(seed);
+            let model = &workload.model;
+            let sharers: Vec<usize> = (0..60).filter(|&p| !model.initial_holdings[p].is_empty()).collect();
+            let free_rider = (0..60).find(|&p| model.initial_holdings[p].is_empty()).unwrap();
+            let slots = [free_rider, sharers[0], sharers[1], sharers[2]];
+            let roles: Vec<_> = (0..60)
+                .map(|p| if p == slots[1] { AdversaryRole::AdSpammer } else { AdversaryRole::Honest })
+                .collect();
+            let asap = Asap::new_with_adversaries(AsapConfig::rw().scaled_to(60), model, &roles, seed);
+            let mut tracked: Vec<Tracked> = slots.iter().map(|&p| Tracked::new(&asap, model, p)).collect();
+            let mut sim = Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, asap, seed).build();
+            let mut cov = Coverage::default();
+
+            // The free rider gains content first, so the drain below empties it.
+            for i in 0..3 {
+                let doc = tracked[0].pool[i];
+                step(&mut sim, &mut tracked[0], doc, true, &mut cov);
+            }
+            for (slot, pick, add) in tape {
+                let t = &mut tracked[slot];
+                let doc = t.pool[pick % t.pool.len()];
+                step(&mut sim, t, doc, add, &mut cov);
+            }
+            for t in &mut tracked {
+                while let Some(&doc) = t.held.iter().next() {
+                    step(&mut sim, t, doc, false, &mut cov);
+                }
+                let poison = &sim.protocol().poison[t.peer];
+                prop_assert_eq!(sim.protocol().nodes[t.peer].snapshot.is_empty(), poison.is_empty());
+            }
+            for (slot, pick) in refill {
+                let t = &mut tracked[slot];
+                let doc = t.pool[pick % t.pool.len()];
+                step(&mut sim, t, doc, true, &mut cov);
+            }
+            prop_assert!(cov.shared_keyword_kept > 0, "no removal kept a shared keyword");
+            prop_assert!(cov.poison_held > 0, "the spammer never held a poison document");
+        }
     }
 }

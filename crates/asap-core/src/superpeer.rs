@@ -25,10 +25,12 @@
 //! protocol.
 
 use crate::ad::AdSnapshot;
+use crate::checkpoint::check_node_filter;
 use crate::config::AsapConfig;
+use crate::protocol::own_filter;
 use crate::repository::AdRepository;
 use asap_bloom::hashing::KeyHash;
-use asap_bloom::{BloomFilter, CountingBloom, WireFilter};
+use asap_bloom::{BloomFilter, WireFilter};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
@@ -138,8 +140,8 @@ pub struct SuperStats {
 }
 
 struct NodeState {
-    filter: CountingBloom,
     version: u16,
+    /// The node's own filter at `version` ([`own_filter`] of its holdings).
     snapshot: Rc<BloomFilter>,
     /// Super peers only: the ads repository and registered dependents.
     repo: Option<AdRepository>,
@@ -166,17 +168,11 @@ impl SuperAsap {
             .collect();
         let nodes = (0..model.num_peers())
             .map(|p| {
-                let mut filter = CountingBloom::new(config.asap.bloom);
-                for &doc in &model.initial_holdings[p] {
-                    for &kw in model.doc(doc).keywords {
-                        filter.insert_hash(&kw_hashes[kw.index()]);
-                    }
-                }
-                let snapshot = filter.snapshot_rc();
+                let docs = &model.initial_holdings[p];
+                let filter = own_filter(config.asap.bloom, &kw_hashes, model, docs, &[]);
                 NodeState {
-                    filter,
                     version: 0,
-                    snapshot,
+                    snapshot: Rc::new(filter),
                     repo: None,
                     registered: BTreeMap::new(),
                 }
@@ -227,6 +223,12 @@ impl SuperAsap {
             .filter(|&s| self.is_super(s) && ctx.alive(s))
             .max_by_key(|&s| ctx.degree(s))
             .unwrap_or(node)
+    }
+
+    /// Overwrite `node`'s published filter (checkpoint decode tests).
+    #[cfg(test)]
+    pub(crate) fn set_node_filter(&mut self, node: usize, filter: Rc<BloomFilter>) {
+        self.nodes[node].snapshot = filter;
     }
 
     fn snapshot_of(&self, node: PeerId, topics: InterestSet) -> AdSnapshot {
@@ -691,21 +693,22 @@ impl Protocol for SuperAsap {
         &mut self,
         ctx: &mut C,
         peer: PeerId,
-        doc: DocId,
-        added: bool,
+        _doc: DocId,
+        _added: bool,
     ) {
-        let model = ctx.model();
+        let docs = ctx.content().peer_docs(peer);
+        let filter = own_filter(
+            self.config.asap.bloom,
+            &self.kw_hashes,
+            ctx.model(),
+            docs,
+            &[],
+        );
         let st = &mut self.nodes[peer.index()];
-        for kw in model.doc(doc).keywords {
-            let h = self.kw_hashes[kw.index()];
-            if added {
-                st.filter.insert_hash(&h);
-            } else {
-                st.filter.remove_hash(&h);
-            }
-        }
         st.version = st.version.wrapping_add(1);
-        st.snapshot = st.filter.snapshot_rc();
+        if *st.snapshot != filter {
+            st.snapshot = Rc::new(filter);
+        }
         self.register_with_home(ctx, peer);
     }
 }
@@ -732,21 +735,18 @@ codec_struct!(SuperStats {
 /// A super peer's registered dependents, ascending by source.
 type Registered = Vec<(PeerId, (InterestSet, u16))>;
 
-// Hand-written: `snapshot` is not serialized — it is the filter's current
-// snapshot, rebuilt via `CountingBloom::snapshot_rc` (as in flat ASAP).
+// Hand-written: `registered` rides as a list ascending by source.
 impl Codec for NodeState {
     fn put(&self, enc: &mut Encoder) {
-        self.filter.put(enc);
+        self.snapshot.put(enc);
         self.version.put(enc);
         self.repo.put(enc);
         let registered: Registered = self.registered.iter().map(|(&p, &e)| (p, e)).collect();
         registered.put(enc);
     }
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let filter = CountingBloom::pull(dec)?;
         Ok(Self {
-            snapshot: filter.snapshot_rc(),
-            filter,
+            snapshot: Codec::pull(dec)?,
             version: Codec::pull(dec)?,
             repo: Codec::pull(dec)?,
             registered: Registered::pull(dec)?.into_iter().collect(),
@@ -770,8 +770,11 @@ impl CheckpointProtocol for SuperAsap {
         if roles.len() != n || nodes.len() != n || unions.len() != n {
             return Err(CodecError::Invalid("node count mismatch"));
         }
-        for repo in nodes.iter_mut().filter_map(|st| st.repo.as_mut()) {
-            repo.restore_capacity(self.super_cache_capacity())?;
+        for st in &mut nodes {
+            check_node_filter(&st.snapshot, self.config.asap.bloom)?;
+            if let Some(repo) = st.repo.as_mut() {
+                repo.restore_capacity(self.super_cache_capacity())?;
+            }
         }
         (self.stats, self.initialized) = Codec::pull(dec)?;
         (self.roles, self.nodes, self.union_interests) = (roles, nodes, unions);

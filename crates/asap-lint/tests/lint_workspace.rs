@@ -118,8 +118,10 @@ fn latency_path_is_in_the_panic_reachable_set() {
 /// Every content change of a run goes through `ContentState::add`/`remove`,
 /// and every match check through `peer_matches`; the holder rows they edit
 /// live in one flat arena whose row moves and in-span `swap_remove` are
-/// offset arithmetic. R4 must see that path, down to the arena, by name, so
-/// it stays free of new `unwrap`/`expect`.
+/// offset arithmetic. ASAP then rebuilds the peer's own filter from what it
+/// holds (`Asap::on_content_change` → `own_filter`). R4 must see that path,
+/// down to the arena and the rebuild, by name, so it stays free of new
+/// `unwrap`/`expect`.
 #[test]
 fn content_change_path_is_in_the_panic_reachable_set() {
     assert_panic_reachable(&[
@@ -128,6 +130,8 @@ fn content_change_path_is_in_the_panic_reachable_set() {
         "ContentState::peer_matches",
         "HolderArena::push_holder",
         "HolderArena::remove_holder",
+        "Asap::on_content_change",
+        "own_filter",
     ]);
 }
 

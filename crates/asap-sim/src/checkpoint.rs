@@ -55,7 +55,7 @@ pub use asap_overlay::codec::{
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"ASAPCKPT";
 /// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Trailing checksum width (FNV-1a 64 over the body).
 const TRAILER: usize = 8;
 /// Upper bound on the ledger's raw slot vector accepted at decode time.
@@ -348,8 +348,8 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
             .collect();
         rows.put(enc);
         // [8] Robustness counters, [9] send counter, [10] engine profile.
-        // [9] repeats [10]'s `sends`, the engine's one send counter, so the
-        // layout stays VERSION 1; decode rejects a mismatch.
+        // [9] repeats [10]'s `sends`, the engine's one send counter; decode
+        // rejects a mismatch.
         ctx.retry.counts().put(enc);
         ctx.profile.sends.put(enc);
         ctx.profile.put(enc);

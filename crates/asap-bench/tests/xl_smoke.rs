@@ -10,6 +10,7 @@ use asap_bench::{AlgoKind, Scale};
 use asap_overlay::{OverlayConfig, OverlayKind};
 use asap_sim::Fnv64;
 use asap_topology::{dijkstra, LatencyCoord, PhysNodeId, PhysicalNetwork, TransitStubConfig};
+use asap_workload::{ContentState, TraceEvent};
 
 #[test]
 #[ignore = "builds a 103,872-node topology and runs a 100k-peer cell; release-only"]
@@ -144,4 +145,37 @@ fn xl_topology_is_pinned() {
 fn xl_network_heap_is_bounded() {
     let bytes = PhysicalNetwork::generate(&TransitStubConfig::xl(42)).heap_bytes();
     assert!(bytes <= 16 << 20, "{bytes} B");
+}
+
+/// The xl content state keeps each peer's sorted documents and keyword
+/// signature only: 100,000 × 24 B of list headers, plus 4 B per held
+/// document (1,875,258 copies), plus 100,000 × 128 B of signatures =
+/// 22,701,032 B ≈ 21.6 MiB, under 24 MiB before and after the trace's
+/// content changes. Keeping every document's holders as well cost ≈ 24 MiB
+/// more: a 4 B arena slot per holder and a 12 B span for each of 1.47 M
+/// documents.
+#[test]
+#[ignore = "generates the 100k-peer workload; release-only"]
+fn xl_content_state_heap_is_bounded() {
+    let w = asap_workload::generate(&Scale::Xl.workload(42));
+    let mut state = ContentState::from_model(&w.model);
+    let copies: usize = w.model.initial_holdings.iter().map(Vec::len).sum();
+    assert!(
+        state.heap_bytes() >= 100_000 * (24 + 128) + copies * 4,
+        "{} B misses the lists or the signatures",
+        state.heap_bytes()
+    );
+    assert!(state.heap_bytes() <= 24 << 20, "{} B", state.heap_bytes());
+    for te in &w.trace.events {
+        match te.event {
+            TraceEvent::AddDocument { peer, doc } => assert!(state.add(&w.model, peer, doc)),
+            TraceEvent::RemoveDocument { peer, doc } => assert!(state.remove(&w.model, peer, doc)),
+            _ => {}
+        }
+    }
+    assert!(
+        state.heap_bytes() <= 24 << 20,
+        "{} B after the trace",
+        state.heap_bytes()
+    );
 }

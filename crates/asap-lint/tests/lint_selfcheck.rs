@@ -17,14 +17,14 @@ const PINNED: &[(&str, usize, usize)] = &[
     ("asap-bloom", 61, 108),
     ("asap-core", 115, 1567),
     ("asap-lint", 93, 200),
-    ("asap-metrics", 70, 52),
-    ("asap-net", 38, 267),
+    ("asap-metrics", 71, 53),
+    ("asap-net", 38, 269),
     ("asap-overlay", 109, 187),
     ("asap-search", 36, 171),
-    ("asap-sim", 226, 1108),
+    ("asap-sim", 226, 1107),
     ("asap-topology", 49, 82),
     ("asap-trace", 52, 85),
-    ("asap-workload", 91, 364),
+    ("asap-workload", 95, 348),
     ("xtask", 7, 6),
 ];
 

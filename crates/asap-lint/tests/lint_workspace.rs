@@ -116,18 +116,28 @@ fn latency_path_is_in_the_panic_reachable_set() {
 }
 
 /// Every content change of a run goes through `ContentState::add`/`remove`,
-/// and every match check through `peer_matches`; the holder rows they edit
-/// live in one flat arena whose row moves and in-span `swap_remove` are
-/// offset arithmetic. ASAP then rebuilds the peer's own filter from what it
-/// holds (`Asap::on_content_change` → `own_filter`). R4 must see that path,
-/// down to the arena and the rebuild, by name, so it stays free of new
-/// `unwrap`/`expect`.
+/// and every match check through `peer_matches`: a binary-searched edit of
+/// the peer's sorted list (`PeerDocs::insert_doc`/`remove_doc`, shared with
+/// the trace generator's `Holdings`) and a signature update or rebuild.
+/// ASAP then rebuilds the peer's own filter from what it holds
+/// (`Asap::on_content_change` → `own_filter`). R4 must see that path, by
+/// name, so it stays free of new `unwrap`/`expect`. `ContentState` keeps no
+/// holder rows, but the by-name resolver still sends every `.add(`/
+/// `.remove(` in `Simulation::change_content`/`apply_trace` to
+/// `Holdings::add`/`remove` as well, so the holder arena's offset
+/// arithmetic stays pinned inside R4 too, and with it the `expect` in
+/// `Holdings::remove` (allowed by its pragma).
 #[test]
 fn content_change_path_is_in_the_panic_reachable_set() {
     assert_panic_reachable(&[
         "ContentState::add",
         "ContentState::remove",
         "ContentState::peer_matches",
+        "PeerDocs::insert_doc",
+        "PeerDocs::remove_doc",
+        "Signature::add",
+        "Signature::of",
+        "Signature::may_hold",
         "HolderArena::push_holder",
         "HolderArena::remove_holder",
         "Asap::on_content_change",

@@ -49,6 +49,11 @@ impl QueryLedger {
         }
     }
 
+    /// True iff query `id` has been registered, answered or not.
+    pub fn is_registered(&self, id: u32) -> bool {
+        self.records.get(id as usize).is_some_and(|r| r.registered)
+    }
+
     /// True iff query `id` is registered and already has an answer — the
     /// protocol-side signal that a retransmission is no longer needed.
     pub fn is_answered(&self, id: u32) -> bool {

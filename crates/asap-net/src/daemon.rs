@@ -206,6 +206,7 @@ impl<'a, P: CheckpointProtocol, C: Carrier<P::Msg>> Daemon<'a, P, C> {
             "advertise" => self.cmd_advertise(&args, now_us),
             "search" => self.cmd_search(&args, now_us),
             "query" => match args.first().and_then(|s| s.parse::<u32>().ok()) {
+                Some(id) if !ctx.ledger.is_registered(id) => Err(format!("unknown query id={id}")),
                 Some(id) => Ok(if ctx.ledger.is_answered(id) {
                     format!("ok answered id={id}")
                 } else {
@@ -284,21 +285,19 @@ impl<'a, P: CheckpointProtocol, C: Carrier<P::Msg>> Daemon<'a, P, C> {
     }
 
     /// `search <peer> [<doc>]` — issue a query for a target document
-    /// (default: the lowest-id document some *other* live peer holds),
+    /// (default: the lowest-id document some *other* live peer holds — the
+    /// least first document over those peers, each list being sorted),
     /// with the document's own keywords as the conjunctive terms.
     fn cmd_search(&mut self, args: &[&str], now_us: u64) -> Result<String, String> {
         let requester = self.parse_live_peer(args)?;
         let ctx = self.sim.ctx();
         let target = match args.get(1) {
             Some(raw) => self.parse_doc(raw)?,
-            None => (0..ctx.model.num_docs() as u32)
-                .map(DocId)
-                .find(|&d| {
-                    ctx.content
-                        .holders(d)
-                        .iter()
-                        .any(|&h| h != requester && ctx.alive(h))
-                })
+            None => (0..ctx.num_peers() as u32)
+                .map(PeerId)
+                .filter(|&p| p != requester && ctx.alive(p))
+                .filter_map(|p| ctx.content.peer_docs(p).first().copied())
+                .min()
                 .ok_or_else(|| "no live remote holder of any document".to_string())?,
         };
         let id = self.next_query_id;
@@ -329,6 +328,7 @@ mod tests {
     use asap_metrics::MsgClass;
     use asap_search::{BaselineMsg, Flooding, FloodingConfig};
     use asap_sim::SimBuilder;
+    use asap_workload::Workload;
 
     /// [`Framed`], except that every `NTH` frame has a body bit flipped on
     /// its way into the queue (none has for `NTH` = 0: the count starts at 1).
@@ -370,23 +370,38 @@ mod tests {
         }
     }
 
+    /// The world `run_daemon` builds for `peers` at seed 1: the topology
+    /// and a workload whose trace is dropped.
+    fn world(peers: usize) -> (PhysicalNetwork, Workload) {
+        let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(1));
+        let mut workload = asap_workload::generate(&WorkloadConfig::reduced(peers, 1, 1));
+        workload.trace.events.clear();
+        (phys, workload)
+    }
+
+    /// A flooding daemon over `world`'s output, on carrier `C`.
+    fn flooding_daemon<'a, C: Carrier<BaselineMsg>>(
+        phys: &'a PhysicalNetwork,
+        workload: &'a Workload,
+    ) -> Daemon<'a, Flooding, C> {
+        let peers = workload.model.num_peers();
+        let overlay = OverlayConfig::new(OverlayKind::Random, peers, 1).build();
+        let protocol = Flooding::new(FloodingConfig::default());
+        let sim = SimBuilder::new(phys, workload, overlay, OverlayKind::Random, protocol, 1)
+            .horizon_grace(u64::MAX)
+            .build();
+        Daemon {
+            sim,
+            next_query_id: 0,
+        }
+    }
+
     /// Search from the first live peer on a 12-peer flooding daemon whose
     /// carrier is `Flipping<NTH>`, let the flood settle, and return the
     /// `stats` reply with the engine's own count of dropped frames.
     fn stats_after_a_search<const NTH: u64>() -> (String, u64) {
-        let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(1));
-        let mut workload = asap_workload::generate(&WorkloadConfig::reduced(12, 1, 1));
-        workload.trace.events.clear();
-        let overlay = OverlayConfig::new(OverlayKind::Random, 12, 1).build();
-        let protocol = Flooding::new(FloodingConfig::default());
-        let sim: Simulation<'_, _, Flipping<NTH>> =
-            SimBuilder::new(&phys, &workload, overlay, OverlayKind::Random, protocol, 1)
-                .horizon_grace(u64::MAX)
-                .build();
-        let mut daemon = Daemon {
-            sim,
-            next_query_id: 0,
-        };
+        let (phys, workload) = world(12);
+        let mut daemon: Daemon<'_, Flooding, Flipping<NTH>> = flooding_daemon(&phys, &workload);
         let requester = daemon.sim.ctx().alive_peers()[0].0;
         let (reply, _) = daemon.handle_command(&format!("search {requester}"), 1_000);
         assert!(reply.starts_with("ok search id=0"), "{reply}");
@@ -394,6 +409,87 @@ mod tests {
         let (stats, quit) = daemon.handle_command("stats", 60_000_000);
         assert!(!quit);
         (stats, daemon.sim.ctx().wire_errors())
+    }
+
+    #[test]
+    fn query_tells_a_never_issued_id_from_a_pending_and_an_answered_one() {
+        let (phys, workload) = world(12);
+        let mut daemon: Daemon<'_, Flooding> = flooding_daemon(&phys, &workload);
+        let unknown = |d: &mut Daemon<'_, Flooding>, id: u32| {
+            let (reply, quit) = d.handle_command(&format!("query {id}"), 1_000);
+            assert!(!quit);
+            assert_eq!(reply, format!("err unknown query id={id}"));
+        };
+        unknown(&mut daemon, 0);
+        let requester = daemon.sim.ctx().alive_peers()[0].0;
+        let (reply, _) = daemon.handle_command(&format!("search {requester}"), 1_000);
+        assert!(reply.starts_with("ok search id=0"), "{reply}");
+        assert_eq!(daemon.handle_command("query 0", 1_000).0, "ok pending id=0");
+        unknown(&mut daemon, 1);
+        unknown(&mut daemon, u32::MAX);
+        daemon.sim.run_until(60_000_000);
+        assert_eq!(
+            daemon.handle_command("query 0", 60_000_000).0,
+            "ok answered id=0"
+        );
+        unknown(&mut daemon, 1);
+    }
+
+    /// The definition `search`'s default target stands in for: the lowest
+    /// document some live peer other than `requester` holds.
+    fn lowest_live_remote_document(
+        daemon: &Daemon<'_, Flooding>,
+        requester: PeerId,
+    ) -> Option<DocId> {
+        let ctx = daemon.sim.ctx();
+        (0..ctx.model.num_docs() as u32).map(DocId).find(|&d| {
+            (0..ctx.num_peers() as u32)
+                .map(PeerId)
+                .any(|h| h != requester && ctx.alive(h) && ctx.content.peer_has_doc(h, d))
+        })
+    }
+
+    /// The target a default `search` from `requester` picks.
+    fn default_target(daemon: &mut Daemon<'_, Flooding>, requester: PeerId) -> DocId {
+        let (reply, _) = daemon.handle_command(&format!("search {}", requester.0), 1_000);
+        let target = reply.rsplit_once(" target=").expect("an ok search reply").1;
+        DocId(target.parse().expect("a document id"))
+    }
+
+    #[test]
+    fn default_search_target_is_the_lowest_document_a_live_remote_peer_holds() {
+        let (phys, workload) = world(40);
+        let mut daemon: Daemon<'_, Flooding> = flooding_daemon(&phys, &workload);
+        let ctx = daemon.sim.ctx();
+        let lowest = (0..ctx.num_peers() as u32)
+            .map(PeerId)
+            .filter_map(|p| ctx.content.peer_docs(p).first().map(|&d| (d, p)))
+            .min()
+            .expect("some peer holds a document");
+        let (d0, owner) = lowest;
+        let holders = (0..ctx.num_peers() as u32)
+            .filter(|&p| ctx.content.peer_has_doc(PeerId(p), d0))
+            .count();
+        assert_eq!(holders, 1, "the lowest document must have one holder here");
+        assert!(ctx.alive(owner), "its holder must start online");
+        let other = *ctx
+            .alive_peers()
+            .iter()
+            .find(|&&p| p != owner)
+            .expect("a second live peer");
+
+        // The lowest holder is someone else, online: its document.
+        assert_eq!(default_target(&mut daemon, other), d0);
+        // The lowest holder is the requester: the next document.
+        let want = lowest_live_remote_document(&daemon, owner).expect("a remote holder");
+        assert!(want > d0);
+        assert_eq!(default_target(&mut daemon, owner), want);
+        // The lowest holder is offline.
+        let (reply, _) = daemon.handle_command(&format!("leave {}", owner.0), 1_000);
+        assert_eq!(reply, format!("ok leave peer={}", owner.0));
+        let want = lowest_live_remote_document(&daemon, other).expect("a remote holder");
+        assert!(want > d0);
+        assert_eq!(default_target(&mut daemon, other), want);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! here — so this module is the engine's field lists plus the section
 //! order of a checkpoint body. Everything behavior-relevant is captured:
 //! the event queue with uncollected tombstones, overlay adjacency verbatim
-//! (neighbor order is `swap_remove` history), content holdings and holders,
-//! every RNG stream's raw state, the auditor's running digest word and
-//! mirrors, fault/adversary layer state, metrics, and the protocol's own
-//! per-node state via [`CheckpointProtocol`]. A run split as
+//! (neighbor order is `swap_remove` history), the per-peer content
+//! holdings, every RNG stream's raw state, the auditor's running digest
+//! word and mirrors, fault/adversary layer state, metrics, and the
+//! protocol's own per-node state via [`CheckpointProtocol`]. A run split as
 //! `run_until(t)` → `checkpoint()` → resume → `run()` produces the same
 //! audit digest as the uninterrupted run, bit for bit.
 //!
@@ -32,10 +32,10 @@
 //! document and keyword id anywhere in the body — in-flight message
 //! payloads included — is range-checked by its own `Codec` impl. The
 //! overlay, content and query-ledger sections must also keep the invariants
-//! the run later relies on (undirected adjacency; sorted holdings whose
-//! transpose the holder lists are; no answer before its issue or after the
-//! clock), so a checksummed-but-inconsistent checkpoint is a typed error at
-//! resume rather than a panic at the next churn event or in the report.
+//! the run later relies on (undirected adjacency; strictly ascending
+//! holdings; no answer before its issue or after the clock), so a
+//! checksummed-but-inconsistent checkpoint is a typed error at resume
+//! rather than a panic at the next churn event or in the report.
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
 use crate::audit::SimAuditor;
@@ -55,7 +55,7 @@ pub use asap_overlay::codec::{
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"ASAPCKPT";
 /// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Trailing checksum width (FNV-1a 64 over the body).
 const TRAILER: usize = 8;
 /// Upper bound on the ledger's raw slot vector accepted at decode time.
@@ -324,14 +324,8 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
         for a in &ctx.alive {
             a.put(enc);
         }
-        // [4] Content: holdings sorted per peer, holders verbatim, each row
-        // counted as a `Vec<PeerId>` is.
-        let (holdings, holders) = ctx.content.parts();
-        enc.put_seq(holdings);
-        enc.put_len(holders.len());
-        for row in holders {
-            enc.put_seq(row);
-        }
+        // [4] Content: holdings sorted per peer.
+        enc.put_seq(ctx.content.parts());
         // [5] Engine RNG stream.
         RngState(ctx.rng.state()).put(enc);
         // [6] Load recorder: buckets, message totals, alive steps, notes.
@@ -440,8 +434,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         }
         // [4] Content, checked against the model and its own invariants.
         let holdings: Vec<Vec<DocId>> = Codec::pull(&mut dec)?;
-        let holders: Vec<Vec<PeerId>> = Codec::pull(&mut dec)?;
-        let content = ContentState::from_parts(sim.ctx.model, holdings, holders)?;
+        let content = ContentState::from_parts(sim.ctx.model, holdings)?;
         // [5] Engine RNG.
         let RngState(rng_state) = Codec::pull(&mut dec)?;
         // [6] Load recorder: buckets, message totals, alive steps, notes.

@@ -42,12 +42,9 @@ impl Protocol for Echo {
     type Msg = EchoMsg;
 
     fn on_query<C: Transport<Msg = EchoMsg>>(&mut self, ctx: &mut C, q: &QuerySpec) {
-        let holder = ctx
-            .content()
-            .holders(q.target)
-            .iter()
-            .copied()
-            .find(|&h| ctx.alive(h) && h != q.requester);
+        let holder = (0..ctx.model().num_peers() as u32)
+            .map(PeerId)
+            .find(|&h| h != q.requester && ctx.alive(h) && ctx.content().peer_has_doc(h, q.target));
         if let Some(h) = holder {
             ctx.send(
                 q.requester,

@@ -25,7 +25,7 @@
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
-use asap_sim::checkpoint::IdBounds;
+use asap_sim::checkpoint::{IdBounds, VERSION};
 use asap_sim::collections::DetHashMap;
 use asap_sim::event::Scheduled;
 use asap_sim::util::SeenTracker;
@@ -103,12 +103,9 @@ impl Codec for Pending {
 }
 
 fn ask<C: Transport<Msg = PingMsg>>(ctx: &mut C, requester: PeerId, target: DocId, query: u32, terms: &[KeywordId]) {
-    let holder = ctx
-        .content()
-        .holders(target)
-        .iter()
-        .copied()
-        .find(|&h| ctx.alive(h) && h != requester);
+    let holder = (0..ctx.model().num_peers() as u32)
+        .map(PeerId)
+        .find(|&h| h != requester && ctx.alive(h) && ctx.content().peer_has_doc(h, target));
     if let Some(h) = holder {
         ctx.send(
             requester,
@@ -416,8 +413,8 @@ fn halfway(seed: u64) -> (Vec<u8>, impl Fn(Vec<u8>) -> Result<(), CodecError>) {
     (bytes, resume)
 }
 
-/// Where sections [2] (adjacency), [4a] (holdings) and [4b] (holders) sit.
-fn overlay_and_content(bytes: &[u8]) -> [Range<usize>; 3] {
+/// Where sections [2] (adjacency) and [4] (holdings) sit.
+fn overlay_and_content(bytes: &[u8]) -> [Range<usize>; 2] {
     let body = &bytes[..bytes.len() - 8];
     let at = |dec: &Decoder<'_>| body.len() - dec.remaining();
     let mut dec = Decoder::new(body);
@@ -431,9 +428,7 @@ fn overlay_and_content(bytes: &[u8]) -> [Range<usize>; 3] {
     dec.get_bytes(PEERS).expect("liveness");
     let holdings = at(&dec);
     Vec::<Vec<DocId>>::pull(&mut dec).expect("holdings");
-    let holders = at(&dec);
-    Vec::<Vec<PeerId>>::pull(&mut dec).expect("holders");
-    [adjacency..liveness, holdings..holders, holders..at(&dec)]
+    [adjacency..liveness, holdings..at(&dec)]
 }
 
 fn decode<T: Codec>(bytes: &[u8]) -> T {
@@ -454,13 +449,13 @@ fn spliced<T: Codec>(bytes: &[u8], range: &Range<usize>, value: &T) -> Vec<u8> {
     out
 }
 
-/// Holdings must be strictly ascending per peer: `Holdings::remove` binary
-/// searches them, so an unsorted list resumed `Ok` and then hit its
-/// `expect("holder invariant")` at the next content change.
+/// Holdings must be strictly ascending per peer: every content change and
+/// `peer_has_doc` binary searches them, so an unsorted list would resume
+/// `Ok` and then miss or duplicate a held document.
 #[test]
 fn holdings_not_strictly_ascending_are_rejected() {
     let (bytes, resume) = halfway(75);
-    let [_, at, _] = overlay_and_content(&bytes);
+    let [_, at] = overlay_and_content(&bytes);
     let holdings: Vec<Vec<DocId>> = decode(&bytes[at.clone()]);
     let p = holdings
         .iter()
@@ -486,60 +481,13 @@ fn holdings_not_strictly_ascending_are_rejected() {
     }
 }
 
-/// `holders` must be exactly the transpose of the holdings; its order is
-/// history (`swap_remove`) and is not checked.
-#[test]
-fn holders_that_are_not_the_transpose_are_rejected() {
-    let (bytes, resume) = halfway(76);
-    let [_, _, at] = overlay_and_content(&bytes);
-    let holders: Vec<Vec<PeerId>> = decode(&bytes[at.clone()]);
-    let d = holders
-        .iter()
-        .position(|hs| hs.len() >= 2)
-        .expect("a replicated document");
-    let outsider = (0..PEERS as u32)
-        .map(PeerId)
-        .find(|p| !holders[d].contains(p))
-        .expect("a peer not holding it");
-    let patched = |edit: &dyn Fn(&mut Vec<PeerId>)| {
-        let mut bad = holders.clone();
-        edit(&mut bad[d]);
-        resume(spliced(&bytes, &at, &bad))
-    };
-    assert_eq!(patched(&|hs| hs.reverse()), Ok(()), "holder order is free");
-
-    let not_transpose = Err(CodecError::Invalid(
-        "holders are not the transpose of holdings",
-    ));
-    assert_eq!(
-        patched(&|hs| hs.truncate(hs.len() - 1)),
-        not_transpose,
-        "a holder dropped"
-    );
-    assert_eq!(
-        patched(&|hs| hs.push(outsider)),
-        not_transpose,
-        "a non-holder added"
-    );
-    assert_eq!(
-        patched(&|hs| hs[0] = outsider),
-        not_transpose,
-        "a holder replaced"
-    );
-    assert_eq!(
-        patched(&|hs| hs[1] = hs[0]),
-        not_transpose,
-        "a holder listed twice"
-    );
-}
-
 /// Adjacency must be undirected, with no self-loop and no neighbor listed
 /// twice: `Overlay::detach` `expect`s the reverse of every edge, so a
 /// one-sided edge resumed `Ok` and panicked when either end churned.
 #[test]
 fn adjacency_breaking_the_undirected_invariant_is_rejected() {
     let (bytes, resume) = halfway(77);
-    let [at, _, _] = overlay_and_content(&bytes);
+    let [at, _] = overlay_and_content(&bytes);
     let adj: Vec<Vec<PeerId>> = decode(&bytes[at.clone()]);
     let p = adj
         .iter()
@@ -696,7 +644,7 @@ fn ledger_patcher(seed: u64) -> impl Fn(LedgerEdit<'_>) -> Result<(), CodecError
     let now_us = Checkpoint::from_bytes(bytes.clone())
         .expect("sealed")
         .now_us();
-    let [_, _, content] = overlay_and_content(&bytes);
+    let [_, content] = overlay_and_content(&bytes);
     let body_len = bytes.len() - 8;
     let mut dec = Decoder::new(&bytes[content.end..body_len]);
     <[u64; 4]>::pull(&mut dec).expect("section [5]");
@@ -960,7 +908,7 @@ proptest! {
     #[test]
     fn wrong_version_is_typed(version in 0u16..=u16::MAX) {
         // The shim has no `prop_assume`; remap the one valid version.
-        let version = if version == 1 { 0 } else { version };
+        let version = if version == VERSION { 0 } else { version };
         let mut bytes = sample_bytes().to_vec();
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
         reseal(&mut bytes);
@@ -969,4 +917,17 @@ proptest! {
             CodecError::UnsupportedVersion(version)
         );
     }
+}
+
+/// The previous format, with a valid checksum over an otherwise valid body,
+/// is refused by version: no reader of it is kept.
+#[test]
+fn previous_version_is_typed() {
+    let mut bytes = sample_bytes().to_vec();
+    bytes[8..10].copy_from_slice(&(VERSION - 1).to_le_bytes());
+    reseal(&mut bytes);
+    assert_eq!(
+        Checkpoint::from_bytes(bytes).expect_err("previous version accepted"),
+        CodecError::UnsupportedVersion(2)
+    );
 }

@@ -1,15 +1,19 @@
 //! Runtime content state: per-peer holdings evolving under content changes.
 //!
-//! Two types, one per job. [`Holdings`] is who holds what — sorted documents
-//! per peer, holders per document — and is all the trace generator and
+//! Two types, one per job, over one shared core: each peer's documents in
+//! ascending order, with the one copy of the sorted insert and remove.
+//! [`Holdings`] adds the holders of every document — query synthesis picks
+//! a live holder of the target — and is all the trace generator and
 //! [`Trace::validate`](crate::Trace::validate) ever read, so they replay it
 //! alone. [`ContentState`] is what the simulator answers match checks from:
-//! the same `Holdings` plus a per-peer keyword signature, a fixed 128-byte
-//! Bloom filter over the keywords the peer holds that rules out most peers in
-//! a few bit tests before the exact per-document scan. That prefilter is what
-//! makes flooding-scale match checks affordable, and at 128 bytes a peer it
-//! costs 12.8 MB at the XL scale. Both start from the model in one bulk
-//! pass, O(copies) and O(copies × keywords).
+//! the per-peer documents plus a per-peer keyword signature, a fixed
+//! 128-byte Bloom filter over the keywords the peer holds that rules out
+//! most peers in a few bit tests before the exact per-document scan. That
+//! prefilter is what makes flooding-scale match checks affordable, and at
+//! 128 bytes a peer it costs 12.8 MB at the XL scale. No protocol, the
+//! engine or the auditor asks who holds a document, only what a given peer
+//! holds, so `ContentState` keeps no holders. Both start from the model in
+//! one bulk pass, O(copies) and O(copies × keywords).
 //!
 //! Holder lists live in one flat arena, not one heap block per document: at
 //! the XL scale there are 1.47 M documents and 89 % of them have a single
@@ -19,45 +23,83 @@ use crate::content::{ContentModel, Document};
 use crate::ids::{DocId, InterestSet, KeywordId};
 use asap_overlay::codec::CodecError;
 use asap_overlay::PeerId;
+use std::mem::size_of;
+
+/// Each peer's documents, strictly ascending: what [`Holdings`] and
+/// [`ContentState`] both keep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PeerDocs(Vec<Vec<DocId>>);
+
+impl PeerDocs {
+    /// The model's initial holdings, which are sorted already.
+    fn from_model(model: &ContentModel) -> Self {
+        let docs = model.initial_holdings.clone();
+        debug_assert!(docs.iter().all(|held| held.windows(2).all(|w| w[0] < w[1])));
+        Self(docs)
+    }
+
+    /// Insert `doc` into `peer`'s list. `false` if it is there already.
+    fn insert_doc(&mut self, peer: PeerId, doc: DocId) -> bool {
+        let held = &mut self.0[peer.index()];
+        let Err(pos) = held.binary_search(&doc) else {
+            return false;
+        };
+        held.insert(pos, doc);
+        true
+    }
+
+    /// Take `doc` out of `peer`'s list. `false` if it was not there.
+    fn remove_doc(&mut self, peer: PeerId, doc: DocId) -> bool {
+        let held = &mut self.0[peer.index()];
+        let Ok(pos) = held.binary_search(&doc) else {
+            return false;
+        };
+        held.remove(pos);
+        true
+    }
+
+    #[inline]
+    fn held_by(&self, peer: PeerId) -> &[DocId] {
+        &self.0[peer.index()]
+    }
+
+    fn holds(&self, peer: PeerId, doc: DocId) -> bool {
+        self.held_by(peer).binary_search(&doc).is_ok()
+    }
+}
 
 /// Who shares which document, evolving under content changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Holdings {
-    /// Sorted docs per peer.
-    docs: Vec<Vec<DocId>>,
+    docs: PeerDocs,
     /// Holders per doc (unsorted).
     holders: HolderArena,
 }
 
 impl Holdings {
-    /// Initialize from the model's initial holdings: the lists are sorted
-    /// already, and visiting peers in ascending order fills every holder
-    /// row in the order a per-document [`Holdings::add`] replay would.
+    /// Initialize from the model's initial holdings: visiting peers in
+    /// ascending order fills every holder row in the order a per-document
+    /// [`Holdings::add`] replay would.
     pub fn from_model(model: &ContentModel) -> Self {
-        let docs = model.initial_holdings.clone();
-        debug_assert!(docs.iter().all(|held| held.windows(2).all(|w| w[0] < w[1])));
-        let holders = HolderArena::transpose(&docs, model.num_docs());
+        let docs = PeerDocs::from_model(model);
+        let holders = HolderArena::transpose(&docs.0, model.num_docs());
         Self { docs, holders }
     }
 
     /// Peer starts sharing a document. Returns `false` if already held.
     pub fn add(&mut self, peer: PeerId, doc: DocId) -> bool {
-        let h = &mut self.docs[peer.index()];
-        let Err(pos) = h.binary_search(&doc) else {
+        if !self.docs.insert_doc(peer, doc) {
             return false;
-        };
-        h.insert(pos, doc);
+        }
         self.holders.push_holder(doc, peer);
         true
     }
 
     /// Peer stops sharing a document. Returns `false` if it wasn't held.
     pub fn remove(&mut self, peer: PeerId, doc: DocId) -> bool {
-        let h = &mut self.docs[peer.index()];
-        let Ok(pos) = h.binary_search(&doc) else {
+        if !self.docs.remove_doc(peer, doc) {
             return false;
-        };
-        h.remove(pos);
+        }
         // lint: allow(unwrap, reason=holders mirrors holdings by construction; silent repair would hide corruption)
         self.holders.remove_holder(doc, peer).expect("holder invariant");
         true
@@ -65,7 +107,7 @@ impl Holdings {
 
     #[inline]
     pub fn peer_docs(&self, peer: PeerId) -> &[DocId] {
-        &self.docs[peer.index()]
+        self.docs.held_by(peer)
     }
 
     #[inline]
@@ -74,7 +116,7 @@ impl Holdings {
     }
 
     pub fn peer_has_doc(&self, peer: PeerId, doc: DocId) -> bool {
-        self.docs[peer.index()].binary_search(&doc).is_ok()
+        self.docs.holds(peer, doc)
     }
 }
 
@@ -132,11 +174,6 @@ impl HolderArena {
         &self.peers[span.start as usize..(span.start + span.len) as usize]
     }
 
-    fn row_mut(&mut self, doc: usize) -> &mut [PeerId] {
-        let span = self.spans[doc];
-        &mut self.peers[span.start as usize..(span.start + span.len) as usize]
-    }
-
     /// Append `peer` to `doc`'s row, as `Vec::push` would.
     fn push_holder(&mut self, doc: DocId, peer: PeerId) {
         let span = &mut self.spans[doc.index()];
@@ -155,11 +192,11 @@ impl HolderArena {
     /// Take `peer` out of `doc`'s row, as `Vec::swap_remove` would: the
     /// row's last holder takes its place. `None` if `peer` is not in it.
     fn remove_holder(&mut self, doc: DocId, peer: PeerId) -> Option<()> {
-        let row = self.row_mut(doc.index());
+        let span = &mut self.spans[doc.index()];
+        let row = &mut self.peers[span.start as usize..(span.start + span.len) as usize];
         let i = row.iter().position(|&p| p == peer)?;
-        let last = row.len() - 1;
-        row.swap(i, last);
-        self.spans[doc.index()].len -= 1;
+        row.swap(i, row.len() - 1);
+        span.len -= 1;
         Some(())
     }
 }
@@ -229,7 +266,7 @@ fn positions(kw: KeywordId) -> [usize; SIGNATURE_HASHES] {
 /// Evolving shared-content state for every peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentState {
-    holdings: Holdings,
+    docs: PeerDocs,
     /// One per peer, over exactly the documents it holds now.
     signatures: Vec<Signature>,
 }
@@ -237,25 +274,22 @@ pub struct ContentState {
 impl ContentState {
     /// Initialize from the model's initial holdings.
     pub fn from_model(model: &ContentModel) -> Self {
-        Self::over(model, Holdings::from_model(model))
+        Self::over(model, PeerDocs::from_model(model))
     }
 
-    /// Derive the per-peer signatures for `holdings`.
-    fn over(model: &ContentModel, holdings: Holdings) -> Self {
-        let signatures = holdings
-            .docs
+    /// Derive the per-peer signatures for `docs`.
+    fn over(model: &ContentModel, docs: PeerDocs) -> Self {
+        let signatures = docs
+            .0
             .iter()
-            .map(|docs| Signature::of(model, docs))
+            .map(|held| Signature::of(model, held))
             .collect();
-        Self {
-            holdings,
-            signatures,
-        }
+        Self { docs, signatures }
     }
 
     /// Peer starts sharing a document. Returns `false` if already held.
     pub fn add(&mut self, model: &ContentModel, peer: PeerId, doc: DocId) -> bool {
-        if !self.holdings.add(peer, doc) {
+        if !self.docs.insert_doc(peer, doc) {
             return false;
         }
         self.signatures[peer.index()].add(model.doc(doc));
@@ -266,25 +300,20 @@ impl ContentState {
     /// A Bloom filter cannot forget a keyword, so the peer's signature is
     /// rebuilt from the documents it still holds.
     pub fn remove(&mut self, model: &ContentModel, peer: PeerId, doc: DocId) -> bool {
-        if !self.holdings.remove(peer, doc) {
+        if !self.docs.remove_doc(peer, doc) {
             return false;
         }
-        self.signatures[peer.index()] = Signature::of(model, self.holdings.peer_docs(peer));
+        self.signatures[peer.index()] = Signature::of(model, self.docs.held_by(peer));
         true
     }
 
     #[inline]
     pub fn peer_docs(&self, peer: PeerId) -> &[DocId] {
-        self.holdings.peer_docs(peer)
-    }
-
-    #[inline]
-    pub fn holders(&self, doc: DocId) -> &[PeerId] {
-        self.holdings.holders(doc)
+        self.docs.held_by(peer)
     }
 
     pub fn peer_has_doc(&self, peer: PeerId, doc: DocId) -> bool {
-        self.holdings.peer_has_doc(peer, doc)
+        self.docs.holds(peer, doc)
     }
 
     /// Does `peer` share at least one document containing **all** `terms`?
@@ -294,7 +323,8 @@ impl ContentState {
         if !terms.iter().all(|&t| sig.may_hold(t)) {
             return false; // cheap prefilter: some term held nowhere
         }
-        self.holdings.peer_docs(peer)
+        self.docs
+            .held_by(peer)
             .iter()
             .any(|&d| model.doc(d).matches(terms))
     }
@@ -306,7 +336,8 @@ impl ContentState {
         peer: PeerId,
         terms: &'a [KeywordId],
     ) -> impl Iterator<Item = DocId> + 'a {
-        self.holdings.peer_docs(peer)
+        self.docs
+            .held_by(peer)
             .iter()
             .copied()
             .filter(move |&d| model.doc(d).matches(terms))
@@ -315,42 +346,39 @@ impl ContentState {
     /// The classes of the peer's current shared content — the topics `T(a)`
     /// an ad from this peer carries.
     pub fn peer_topics(&self, model: &ContentModel, peer: PeerId) -> InterestSet {
-        self.holdings.peer_docs(peer)
+        self.docs
+            .held_by(peer)
             .iter()
             .map(|&d| model.doc(d).class)
             .collect()
     }
 
-    /// Raw `(holdings, holders)` views for checkpointing: the holdings
-    /// sorted per peer, and one holder row per document in document order.
-    /// Row order is history-dependent (`swap_remove` on removal) and
-    /// behavior-relevant, so both are serialized verbatim. The signatures
-    /// are derived state and are rebuilt on restore.
-    pub fn parts(&self) -> (&[Vec<DocId>], impl ExactSizeIterator<Item = &[PeerId]>) {
-        let holders = &self.holdings.holders;
-        (
-            &self.holdings.docs,
-            (0..holders.spans.len()).map(|d| holders.row(d)),
-        )
+    /// Heap bytes the state keeps: one list header per peer, each list's
+    /// capacity in documents, and one signature per peer.
+    pub fn heap_bytes(&self) -> usize {
+        let lists = &self.docs.0;
+        lists.capacity() * size_of::<Vec<DocId>>()
+            + lists
+                .iter()
+                .map(|held| held.capacity() * size_of::<DocId>())
+                .sum::<usize>()
+            + self.signatures.capacity() * size_of::<Signature>()
+    }
+
+    /// The holdings, sorted per peer, for checkpointing. The signatures are
+    /// derived state and are rebuilt on restore.
+    pub fn parts(&self) -> &[Vec<DocId>] {
+        &self.docs.0
     }
 
     /// Rebuild content state from [`ContentState::parts`] output, restoring
-    /// `holdings`/`holders` verbatim and re-deriving the signatures from the
-    /// holdings and the model. Rejects parts sized for another model, and
-    /// what [`Holdings::remove`] would later trip over: holdings not strictly
-    /// ascending per peer, or holder lists that are not exactly their
-    /// transpose (in any order: holder order is history, not an invariant).
-    /// The rows are packed into the arena that transpose is built in.
-    pub fn from_parts(
-        model: &ContentModel,
-        holdings: Vec<Vec<DocId>>,
-        holders: Vec<Vec<PeerId>>,
-    ) -> Result<Self, CodecError> {
+    /// the holdings verbatim and re-deriving the signatures from them and
+    /// the model. Rejects holdings sized for another model, lists not
+    /// strictly ascending (every add, remove and lookup binary searches
+    /// them), and documents the model does not have.
+    pub fn from_parts(model: &ContentModel, holdings: Vec<Vec<DocId>>) -> Result<Self, CodecError> {
         if holdings.len() != model.num_peers() {
             return Err(CodecError::Invalid("holdings size mismatch"));
-        }
-        if holders.len() != model.num_docs() {
-            return Err(CodecError::Invalid("holders size mismatch"));
         }
         if holdings
             .iter()
@@ -360,30 +388,11 @@ impl ContentState {
         }
         if holdings
             .iter()
-            .any(|docs| docs.last().is_some_and(|d| d.index() >= holders.len()))
+            .any(|docs| docs.last().is_some_and(|d| d.index() >= model.num_docs()))
         {
             return Err(CodecError::Invalid("held document out of range"));
         }
-        let mut arena = HolderArena::transpose(&holdings, holders.len());
-        let mut sorted = Vec::new();
-        for (d, hs) in holders.iter().enumerate() {
-            sorted.clone_from(hs);
-            sorted.sort_unstable();
-            let row = arena.row_mut(d);
-            if sorted != row {
-                return Err(CodecError::Invalid(
-                    "holders are not the transpose of holdings",
-                ));
-            }
-            row.copy_from_slice(hs);
-        }
-        Ok(Self::over(
-            model,
-            Holdings {
-                docs: holdings,
-                holders: arena,
-            },
-        ))
+        Ok(Self::over(model, PeerDocs(holdings)))
     }
 }
 
@@ -423,7 +432,7 @@ mod tests {
         // meets first, so the bulk build must reproduce it, not just the sets.
         let (model, _) = setup();
         let mut replayed = Holdings {
-            docs: vec![Vec::new(); model.num_peers()],
+            docs: PeerDocs(vec![Vec::new(); model.num_peers()]),
             holders: HolderArena::transpose(&[], model.num_docs()),
         };
         for (p, docs) in model.initial_holdings.iter().enumerate() {
@@ -440,35 +449,51 @@ mod tests {
 
     #[test]
     fn holders_are_consistent() {
-        let (model, state) = setup();
-        for d in 0..model.num_docs() {
-            for &h in state.holders(DocId(d as u32)) {
-                assert!(state.peer_has_doc(h, DocId(d as u32)));
+        let (model, _) = setup();
+        let holdings = Holdings::from_model(&model);
+        let mut listed = 0;
+        for d in (0..model.num_docs() as u32).map(DocId) {
+            for &h in holdings.holders(d) {
+                assert!(holdings.peer_has_doc(h, d));
+                listed += 1;
             }
         }
+        let held: usize = model.initial_holdings.iter().map(Vec::len).sum();
+        assert_eq!(listed, held, "every held copy has exactly one holder slot");
     }
 
     #[test]
     fn add_remove_roundtrip() {
         let (model, mut state) = setup();
-        // Find a doc some peer doesn't hold.
-        let peer = PeerId(0);
+        let mut holdings = Holdings::from_model(&model);
+        // A replicated document some peer doesn't hold, so the removal
+        // swaps within a row that has other holders.
         let doc = (0..model.num_docs() as u32)
             .map(DocId)
-            .find(|&d| !state.peer_has_doc(peer, d))
+            .find(|&d| holdings.holders(d).len() >= 2)
             .unwrap();
-        let before = state.clone();
+        let peer = (0..model.num_peers() as u32)
+            .map(PeerId)
+            .find(|&p| !holdings.peer_has_doc(p, doc))
+            .unwrap();
+        let (before, state_before) = (holdings.clone(), state.clone());
+        assert!(holdings.add(peer, doc));
+        assert!(!holdings.add(peer, doc), "double add rejected");
+        assert!(holdings.peer_has_doc(peer, doc));
+        assert_eq!(holdings.holders(doc).last(), Some(&peer));
         assert!(state.add(&model, peer, doc));
         assert!(!state.add(&model, peer, doc), "double add rejected");
-        assert!(state.peer_has_doc(peer, doc));
-        assert!(state.holders(doc).contains(&peer));
-        assert_ne!(state.signatures[peer.index()], before.signatures[peer.index()]);
+        assert_eq!(state.peer_docs(peer), holdings.peer_docs(peer));
+        assert_ne!(
+            state.signatures[peer.index()],
+            state_before.signatures[peer.index()]
+        );
+        assert!(holdings.remove(peer, doc));
+        assert!(!holdings.remove(peer, doc), "double remove rejected");
         assert!(state.remove(&model, peer, doc));
         assert!(!state.remove(&model, peer, doc), "double remove rejected");
-        assert_eq!(
-            state, before,
-            "holdings, holder order and signature restored"
-        );
+        assert_eq!(holdings, before, "holdings and holder order restored");
+        assert_eq!(state, state_before, "holdings and signature restored");
     }
 
     #[test]
@@ -625,6 +650,40 @@ mod tests {
         assert!(
             (measured / analytic - 1.0).abs() <= 0.20,
             "measured {measured:.5}, analytic {analytic:.5}"
+        );
+    }
+
+    /// `ContentState` keeps a list header and a signature per peer and one
+    /// `DocId` per held copy: at the 10,000-peer world that is 10,000 ×
+    /// 24 B + 10,000 × 128 B + 186,488 copies × 4 B = 2.27 MB, under 2.5 MB
+    /// before and after the trace's content changes (measured 2,265,952 and
+    /// 2,277,620 B). The XL twin is `xl_content_state_heap_is_bounded` in
+    /// asap-bench.
+    #[test]
+    fn content_state_heap_is_bounded() {
+        let w = ten_k();
+        let mut state = ContentState::from_model(&w.model);
+        let copies: usize = w.model.initial_holdings.iter().map(Vec::len).sum();
+        let peers = w.model.num_peers();
+        assert!(
+            state.heap_bytes() >= peers * (24 + 128) + copies * 4,
+            "{} B misses the lists or the signatures",
+            state.heap_bytes()
+        );
+        assert!(state.heap_bytes() <= 2_500_000, "{} B", state.heap_bytes());
+        for te in &w.trace.events {
+            match te.event {
+                TraceEvent::AddDocument { peer, doc } => assert!(state.add(&w.model, peer, doc)),
+                TraceEvent::RemoveDocument { peer, doc } => {
+                    assert!(state.remove(&w.model, peer, doc))
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            state.heap_bytes() <= 2_500_000,
+            "{} B after the trace",
+            state.heap_bytes()
         );
     }
 }

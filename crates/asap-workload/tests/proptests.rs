@@ -2,7 +2,7 @@
 //! that must hold for any seed and (sane) size.
 
 use asap_workload::content::Document;
-use asap_workload::{ContentState, DocId, KeywordId, PeerId, TraceEvent, WorkloadConfig};
+use asap_workload::{ContentState, DocId, Holdings, KeywordId, PeerId, TraceEvent, WorkloadConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -24,20 +24,23 @@ proptest! {
     // Each case replays a tape and probes every peer; a few dozen cover it.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// After any add/remove tape every holder row equals, in order, a
-    /// `Vec<Vec<PeerId>>` replay of the same history (`push` on add,
-    /// `swap_remove` on remove); the kept signatures are the ones a fresh
-    /// `from_parts` derivation gives; and the signature prefilter never
-    /// changes an answer: `peer_matches` and `matching_docs` equal the
-    /// exhaustive scan on 1–4-term queries from a held document, from any
-    /// document, and across two held documents. The tape opens on a
-    /// single-holder document: nine holders move its row three times, then
-    /// it is emptied and refilled.
+    /// The tape runs through `ContentState` and `Holdings` side by side:
+    /// after every step both hold the same documents per peer, and both
+    /// accept or refuse it alike. After the tape every `Holdings` row
+    /// equals, in order, a `Vec<Vec<PeerId>>` replay of the same history
+    /// (`push` on add, `swap_remove` on remove); the kept signatures are the
+    /// ones a fresh `from_parts` derivation gives; and the signature
+    /// prefilter never changes an answer: `peer_matches` and
+    /// `matching_docs` equal the exhaustive scan on 1–4-term queries from a
+    /// held document, from any document, and across two held documents.
+    /// The tape opens on a single-holder document: nine holders move its
+    /// row three times, then it is emptied and refilled.
     #[test]
     fn signature_prefilter_never_changes_an_answer(seed in 0u64..10_000, changes in 500usize..3_000) {
         let w = asap_workload::generate(&WorkloadConfig::reduced(150, 10, seed));
         let model = &w.model;
         let mut state = ContentState::from_model(model);
+        let mut holdings = Holdings::from_model(model);
         let mut rng = SmallRng::seed_from_u64(seed);
         let (peers, docs) = (model.num_peers() as u32, model.num_docs() as u32);
         let mut replay: Vec<Vec<PeerId>> = vec![Vec::new(); docs as usize];
@@ -46,35 +49,47 @@ proptest! {
                 replay[d.index()].push(PeerId(p as u32));
             }
         }
-        let mut apply = |state: &mut ContentState, add: bool, peer: PeerId, doc: DocId| {
+        let mut apply = |state: &mut ContentState, holdings: &mut Holdings, add: bool, peer: PeerId, doc: DocId| {
             let row = &mut replay[doc.index()];
-            if add && state.add(model, peer, doc) {
-                row.push(peer);
-            } else if !add && state.remove(model, peer, doc) {
-                let i = row.iter().position(|&p| p == peer).expect("replayed holder");
-                row.swap_remove(i);
+            let changed = if add {
+                let changed = state.add(model, peer, doc);
+                assert_eq!(holdings.add(peer, doc), changed, "add {:?} {:?}", peer, doc);
+                if changed {
+                    row.push(peer);
+                }
+                changed
             } else {
-                return false;
+                let changed = state.remove(model, peer, doc);
+                assert_eq!(holdings.remove(peer, doc), changed, "remove {:?} {:?}", peer, doc);
+                if changed {
+                    let i = row.iter().position(|&p| p == peer).expect("replayed holder");
+                    row.swap_remove(i);
+                }
+                changed
+            };
+            for p in (0..peers).map(PeerId) {
+                assert_eq!(state.peer_docs(p), holdings.peer_docs(p), "peer {:?}", p);
             }
-            true
+            changed
         };
 
-        let single = (0..docs).map(DocId).filter(|&d| state.holders(d).len() == 1);
+        let single = (0..docs).map(DocId).filter(|&d| holdings.holders(d).len() == 1);
         let burst = single.clone().nth(rng.gen_range(0..single.count())).expect("a single-holder document");
         let mut outsiders: Vec<PeerId> =
             (0..peers).map(PeerId).filter(|&p| !state.peer_has_doc(p, burst)).collect();
         outsiders.shuffle(&mut rng);
         for &peer in &outsiders[..8] {
-            prop_assert!(apply(&mut state, true, peer, burst));
+            prop_assert!(apply(&mut state, &mut holdings, true, peer, burst));
         }
-        let mut held_by = state.holders(burst).to_vec();
+        let mut held_by = holdings.holders(burst).to_vec();
         held_by.shuffle(&mut rng);
         for &peer in &held_by {
-            prop_assert!(apply(&mut state, false, peer, burst));
+            prop_assert!(apply(&mut state, &mut holdings, false, peer, burst));
         }
-        prop_assert!(state.holders(burst).is_empty());
+        prop_assert!(holdings.holders(burst).is_empty());
+        prop_assert!((0..peers).all(|p| !state.peer_has_doc(PeerId(p), burst)));
         for &peer in &outsiders[8..10] {
-            prop_assert!(apply(&mut state, true, peer, burst));
+            prop_assert!(apply(&mut state, &mut holdings, true, peer, burst));
         }
 
         let (mut added, mut removed) = (0, 0);
@@ -82,19 +97,18 @@ proptest! {
             let peer = PeerId(rng.gen_range(0..peers));
             let held = state.peer_docs(peer);
             if rng.gen_bool(0.5) || held.is_empty() {
-                added += usize::from(apply(&mut state, true, peer, DocId(rng.gen_range(0..docs))));
+                let doc = DocId(rng.gen_range(0..docs));
+                added += usize::from(apply(&mut state, &mut holdings, true, peer, doc));
             } else {
                 let doc = held[rng.gen_range(0..held.len())];
-                removed += usize::from(apply(&mut state, false, peer, doc));
+                removed += usize::from(apply(&mut state, &mut holdings, false, peer, doc));
             }
         }
         prop_assert!(added > 100 && removed > 100, "{} adds, {} removes", added, removed);
         for (d, row) in replay.iter().enumerate() {
-            prop_assert_eq!(state.holders(DocId(d as u32)), row.as_slice(), "document {}", d);
+            prop_assert_eq!(holdings.holders(DocId(d as u32)), row.as_slice(), "document {}", d);
         }
-        let (holdings, holders) = state.parts();
-        let holders = holders.map(<[PeerId]>::to_vec).collect();
-        let fresh = ContentState::from_parts(model, holdings.to_vec(), holders);
+        let fresh = ContentState::from_parts(model, state.parts().to_vec());
         prop_assert!(fresh == Ok(state.clone()), "kept state differs from a fresh derivation");
 
         let (mut hits, mut misses) = (0, 0);
@@ -141,33 +155,43 @@ proptest! {
     }
 
     /// Replaying the trace never corrupts the content state: removals only
-    /// remove held docs, adds only add absent docs, holder lists stay
-    /// consistent.
+    /// remove held docs, adds only add absent docs, `ContentState` and
+    /// `Holdings` hold the same documents, and the holder lists stay their
+    /// transpose.
     #[test]
     fn trace_replay_preserves_state_invariants(seed in 0u64..10_000) {
         let cfg = WorkloadConfig::reduced(150, 200, seed);
         let w = asap_workload::generate(&cfg);
         let mut state = ContentState::from_model(&w.model);
+        let mut holdings = Holdings::from_model(&w.model);
         for ev in &w.trace.events {
             match &ev.event {
                 TraceEvent::AddDocument { peer, doc } => {
                     prop_assert!(!state.peer_has_doc(*peer, *doc), "double add");
-                    state.add(&w.model, *peer, *doc);
+                    prop_assert!(state.add(&w.model, *peer, *doc));
+                    prop_assert!(holdings.add(*peer, *doc));
                 }
                 TraceEvent::RemoveDocument { peer, doc } => {
                     prop_assert!(state.peer_has_doc(*peer, *doc), "phantom remove");
-                    state.remove(&w.model, *peer, *doc);
+                    prop_assert!(state.remove(&w.model, *peer, *doc));
+                    prop_assert!(holdings.remove(*peer, *doc));
                 }
                 _ => {}
             }
         }
-        // Holder lists consistent with holdings.
+        let mut copies = 0;
         for p in 0..w.model.num_peers() {
-            let peer = asap_workload::PeerId(p as u32);
+            let peer = PeerId(p as u32);
+            prop_assert_eq!(state.peer_docs(peer), holdings.peer_docs(peer));
             for &d in state.peer_docs(peer) {
-                prop_assert!(state.holders(d).contains(&peer));
+                prop_assert!(holdings.holders(d).contains(&peer));
+                copies += 1;
             }
         }
+        let listed: usize = (0..w.model.num_docs() as u32)
+            .map(|d| holdings.holders(DocId(d)).len())
+            .sum();
+        prop_assert_eq!(listed, copies, "a holder listed for a document it does not hold");
     }
 
     /// Copy statistics stay near the eDonkey marginals across seeds.

@@ -10,7 +10,7 @@
 //! at three split points; `--check` additionally demands each resumed digest
 //! equal its uninterrupted run's digest bit-for-bit) and
 //! `golden/ckpt_tiny.txt` (the length and FNV-1a 64 of each of those cells'
-//! serialized s2 checkpoint: the `VERSION = 3` bytes, not only what a
+//! serialized s2 checkpoint: the `VERSION = 4` bytes, not only what a
 //! resumed run computes from them).
 //!
 //! * `cargo run -p asap-bench --bin golden` — replay both golden matrices

@@ -18,24 +18,38 @@
 //! `hashes`, then the words), making every filter
 //! self-describing: a message decodes without access to the protocol config.
 //!
-//! `Rc` aliasing is not *written*: a filter shared by fifty caches
-//! serializes fifty times. It is restored on the way in — the resume
-//! decoder and the `asap-net` carrier each hold an
-//! [`asap_sim::Interner`], through which equal filters decode to one
-//! allocation (content-checked, see `asap-bloom`'s codec), so a resumed or
-//! wire-crossing run holds as many filter allocations as the run it
-//! continues ([`Asap::distinct_cached_filters`]). Behavior only depends on
-//! filter values, so digests never see the difference.
+//! The ad caches' filters are written once: the protocol section opens
+//! with a filter table — every distinct filter the caches name, in order
+//! of first use (nodes in id order, each cache's entries in source order),
+//! content-equal filters under one number — and each cache entry carries a
+//! `u32` index into it. The numbering is a function of the cached values
+//! alone, so [`crate::repository::FilterStore`] slot ids never reach the
+//! bytes and decode → re-encode is byte-identical. The decoder accepts
+//! exactly that form: it rejects a table that repeats a filter or holds
+//! one no entry names, an index out of range or out of first-use order,
+//! cache sources that are not strictly ascending, and a flat node's entry
+//! for its own ad; it rebuilds one store whose slot *i* is table filter *i*.
+//!
+//! Other filters (a node's own, those in in-flight messages) are written
+//! per handle and shared again on the way in — the resume decoder and the
+//! `asap-net` carrier each hold an [`asap_sim::Interner`], through which
+//! equal filters decode to one allocation (content-checked, see
+//! `asap-bloom`'s codec). Behavior only depends on filter values, so
+//! digests never see the difference.
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
-use crate::repository::{AdRepository, CachedAd};
+use crate::repository::{AdRepository, Entry, FilterStore};
 use crate::search::{PendingSearch, Phase};
 use asap_bloom::{BloomFilter, BloomParams};
 use asap_overlay::PeerId;
-use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
+use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
+use asap_sim::collections::{DetHashMap, DetHashSet};
+use asap_sim::util::Backoff;
 use asap_sim::{codec_enum, codec_struct, NodeTable};
 use asap_workload::{DocId, InterestSet};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 // --- messages ---------------------------------------------------------------
 
@@ -62,7 +76,6 @@ codec_enum!(AsapMsg {
 
 // --- per-node and per-search state ------------------------------------------
 
-codec_struct!(CachedAd { topics, version, filter, last_used_us, last_refreshed_us, stale });
 codec_struct!(ReAdvert { baseline_fetches, backoff });
 codec_enum!(Phase { 0 => Confirming, 1 => Fallback });
 codec_struct!(AsapStats {
@@ -70,25 +83,226 @@ codec_struct!(AsapStats {
     repair_fetches, full_deliveries, patch_deliveries, refresh_deliveries,
 });
 
-// Hand-written: entries go back through `from_entries` (sorted, unique by
-// source). The capacity is configuration, not state: the decoded repository
-// is exactly full until `decode_state` calls `restore_capacity`.
-impl Codec for AdRepository {
-    fn put(&self, enc: &mut Encoder) {
-        enc.put_len(self.len());
-        for (source, ad) in self.iter() {
-            source.put(enc);
-            ad.put(enc);
+// --- ad caches: one filter table, one table index per entry ----------------
+
+/// One cache entry as a checkpoint writes it: its filter is an index into
+/// the protocol's filter table.
+pub(crate) struct EntryImage {
+    source: PeerId,
+    topics: InterestSet,
+    version: u16,
+    filter: u32,
+    last_used_us: u64,
+    last_refreshed_us: u64,
+    stale: bool,
+}
+codec_struct!(EntryImage {
+    source,
+    topics,
+    version,
+    filter,
+    last_used_us,
+    last_refreshed_us,
+    stale
+});
+
+/// Table indices by a hash of the filter's contents; the contents decide.
+#[derive(Default)]
+struct ByContent(DetHashMap<u64, Vec<u32>>);
+
+impl ByContent {
+    /// The index of the filter in `table` equal to `filter`, or `None`
+    /// after noting `filter` as the next index (the caller pushes it).
+    fn find_or_note(&mut self, table: &[Rc<BloomFilter>], filter: &BloomFilter) -> Option<u32> {
+        let mut h = Fnv64::new();
+        h.write_u64(u64::from(filter.params().bits) << 32 | u64::from(filter.params().hashes));
+        h.write_all(filter.words());
+        let same = self.0.entry(h.finish()).or_default();
+        if let Some(&i) = same.iter().find(|&&i| *table[i as usize] == *filter) {
+            return Some(i);
         }
-    }
-    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let entries: Vec<(PeerId, CachedAd)> = Codec::pull(dec)?;
-        Self::from_entries(entries.len().max(1), entries)
-            .ok_or(CodecError::Invalid("ad repository entries"))
+        same.push(table.len() as u32);
+        None
     }
 }
 
-codec_struct!(NodeState {
+/// The filters one protocol's caches name, numbered for one encode in
+/// order of first use — repositories in node order, entries in source
+/// order — with content-equal filters under one number. The numbering is a
+/// function of the cached values alone, so decode → re-encode reproduces
+/// it and no store slot id reaches the bytes.
+pub(crate) struct FilterTable {
+    /// Table index per store slot (`u32::MAX`: not numbered yet).
+    index: Vec<u32>,
+    filters: Vec<Rc<BloomFilter>>,
+}
+
+impl FilterTable {
+    pub(crate) fn number_filters<'a>(
+        store: &FilterStore,
+        repos: impl IntoIterator<Item = &'a AdRepository>,
+    ) -> Self {
+        let mut table = Self {
+            index: Vec::new(),
+            filters: Vec::new(),
+        };
+        let mut by_content = ByContent::default();
+        for repo in repos {
+            for (_, e) in repo.raw_entries() {
+                let slot = e.slot_id() as usize;
+                if table.index.len() <= slot {
+                    table.index.resize(slot + 1, u32::MAX);
+                }
+                let Some(filter) = store.filter_at(e.slot_id()) else {
+                    continue;
+                };
+                if table.index[slot] != u32::MAX {
+                    continue;
+                }
+                table.index[slot] = match by_content.find_or_note(&table.filters, filter) {
+                    Some(i) => i,
+                    None => {
+                        table.filters.push(Rc::clone(filter));
+                        table.filters.len() as u32 - 1
+                    }
+                };
+            }
+        }
+        table
+    }
+
+    /// The table itself, written once before every entry that indexes it.
+    pub(crate) fn put_table(&self, enc: &mut Encoder) {
+        self.filters.put(enc);
+    }
+
+    /// `repo`'s entries with their filters as table indices.
+    pub(crate) fn entry_images(&self, repo: &AdRepository) -> Vec<EntryImage> {
+        repo.raw_entries()
+            .map(|(source, e)| EntryImage {
+                source,
+                topics: e.topics,
+                version: e.version,
+                filter: self
+                    .index
+                    .get(e.slot_id() as usize)
+                    .copied()
+                    .unwrap_or(u32::MAX),
+                last_used_us: e.last_used_us,
+                last_refreshed_us: e.last_refreshed_us,
+                stale: e.is_stale(),
+            })
+            .collect()
+    }
+}
+
+/// A decoded filter table turning entry images back into repositories
+/// over one fresh store. It accepts exactly what [`FilterTable`] writes:
+/// a table of distinct filters, each named by some entry, numbered in
+/// order of first use.
+pub(crate) struct TableReader {
+    store: Rc<RefCell<FilterStore>>,
+    len: u32,
+    /// Table indices named so far; the next new index must be this one.
+    named: u32,
+}
+
+impl TableReader {
+    pub(crate) fn pull_table(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let filters: Vec<Rc<BloomFilter>> = Codec::pull(dec)?;
+        let len = u32::try_from(filters.len())
+            .ok()
+            .filter(|&n| n < 1 << 31)
+            .ok_or(CodecError::Invalid("filter table too long"))?;
+        let mut by_content = ByContent::default();
+        for (i, filter) in filters.iter().enumerate() {
+            if by_content.find_or_note(&filters[..i], filter).is_some() {
+                return Err(CodecError::Invalid("filter table repeats a filter"));
+            }
+        }
+        let store = Rc::new(RefCell::new(FilterStore::from_filters(filters)));
+        Ok(Self {
+            store,
+            len,
+            named: 0,
+        })
+    }
+
+    /// The repository of `owner` (`None`: one that may cache its owner's
+    /// own ad), holding at most `capacity` entries.
+    pub(crate) fn rebuild_repository(
+        &mut self,
+        images: Vec<EntryImage>,
+        owner: Option<PeerId>,
+        capacity: usize,
+    ) -> Result<AdRepository, CodecError> {
+        if images.len() > capacity {
+            return Err(CodecError::Invalid("ad cache over capacity"));
+        }
+        let mut sources = Vec::with_capacity(images.len());
+        let mut entries = Vec::with_capacity(images.len());
+        let mut store = self.store.borrow_mut();
+        for img in images {
+            if sources.last().is_some_and(|&last| img.source <= last) {
+                return Err(CodecError::Invalid(
+                    "ad cache sources not strictly ascending",
+                ));
+            }
+            if Some(img.source) == owner {
+                return Err(CodecError::Invalid("ad cache holds its owner's own ad"));
+            }
+            if img.filter >= self.len {
+                return Err(CodecError::Invalid("ad cache filter index out of range"));
+            }
+            if img.filter > self.named {
+                return Err(CodecError::Invalid(
+                    "filter table not in order of first use",
+                ));
+            }
+            self.named += u32::from(img.filter == self.named);
+            store.count_entry(img.filter);
+            sources.push(img.source);
+            entries.push(Entry::packed(
+                img.topics,
+                img.version,
+                img.filter,
+                img.last_used_us,
+                img.last_refreshed_us,
+                img.stale,
+            ));
+        }
+        drop(store);
+        Ok(AdRepository::from_decoded(
+            capacity,
+            &self.store,
+            sources,
+            entries,
+        ))
+    }
+
+    /// The store, once every table filter has been named.
+    pub(crate) fn into_store(self) -> Result<Rc<RefCell<FilterStore>>, CodecError> {
+        if self.named < self.len {
+            return Err(CodecError::Invalid(
+                "filter table holds a filter no entry names",
+            ));
+        }
+        Ok(self.store)
+    }
+}
+
+/// A flat node's state as it rides the checkpoint, its cache as entry
+/// images into the filter table written before the nodes.
+struct NodeImage {
+    snapshot: Rc<BloomFilter>,
+    version: u16,
+    repo: Vec<EntryImage>,
+    fetching: DetHashSet<PeerId>,
+    fetch_backoff: DetHashMap<PeerId, Backoff>,
+    fetches_served: u64,
+    readvert: Option<ReAdvert>,
+}
+codec_struct!(NodeImage {
     snapshot,
     version,
     repo,
@@ -97,6 +311,32 @@ codec_struct!(NodeState {
     fetches_served,
     readvert,
 });
+
+impl NodeImage {
+    fn of_node(st: &NodeState, table: &FilterTable) -> Self {
+        Self {
+            snapshot: Rc::clone(&st.snapshot),
+            version: st.version,
+            repo: table.entry_images(&st.repo),
+            fetching: st.fetching.clone(),
+            fetch_backoff: st.fetch_backoff.clone(),
+            fetches_served: st.fetches_served,
+            readvert: st.readvert.clone(),
+        }
+    }
+
+    fn into_state(self, repo: AdRepository) -> NodeState {
+        NodeState {
+            version: self.version,
+            snapshot: self.snapshot,
+            repo,
+            fetching: self.fetching,
+            fetch_backoff: self.fetch_backoff,
+            fetches_served: self.fetches_served,
+            readvert: self.readvert,
+        }
+    }
+}
 
 /// One ad spammer as it rides the checkpoint: its claimed topics and the
 /// documents its filter is poisoned with.
@@ -151,7 +391,15 @@ impl Codec for PendingSearch {
 
 impl CheckpointProtocol for Asap {
     fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_seq(&self.nodes);
+        let store = self.store.borrow();
+        let table = FilterTable::number_filters(&store, self.nodes.iter().map(|st| &st.repo));
+        table.put_table(enc);
+        let nodes: Vec<NodeImage> = self
+            .nodes
+            .iter()
+            .map(|st| NodeImage::of_node(st, &table))
+            .collect();
+        nodes.put(enc);
         self.pending.put(enc);
         self.seen.put(enc);
         // Dense slots in index order == ascending peer order; EMPTY slots
@@ -172,14 +420,20 @@ impl CheckpointProtocol for Asap {
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let num_peers = self.nodes.len();
-        let mut nodes: Vec<NodeState> = Codec::pull(dec)?;
-        if nodes.len() != num_peers {
+        let mut table = TableReader::pull_table(dec)?;
+        let images: Vec<NodeImage> = Codec::pull(dec)?;
+        if images.len() != num_peers {
             return Err(CodecError::Invalid("node count mismatch"));
         }
-        for st in &mut nodes {
-            check_node_filter(&st.snapshot, self.config.bloom)?;
-            st.repo.restore_capacity(self.config.cache_capacity)?;
+        let mut nodes = Vec::with_capacity(num_peers);
+        for (p, mut img) in images.into_iter().enumerate() {
+            check_node_filter(&img.snapshot, self.config.bloom)?;
+            let entries = std::mem::take(&mut img.repo);
+            let owner = Some(PeerId(p as u32));
+            let repo = table.rebuild_repository(entries, owner, self.config.cache_capacity)?;
+            nodes.push(img.into_state(repo));
         }
+        let store = table.into_store()?;
         let mut pending: asap_sim::collections::DetHashMap<u32, PendingSearch> = Codec::pull(dec)?;
         for p in pending.values_mut() {
             p.term_hashes = p.terms.iter().map(|&k| self.hash_of(k)).collect();
@@ -195,6 +449,7 @@ impl CheckpointProtocol for Asap {
         self.next_delivery = Codec::pull(dec)?;
         self.stats = Codec::pull(dec)?;
         self.nodes = NodeTable::from_vec(nodes);
+        self.store = store;
         self.pending = pending;
         self.seen = seen;
         self.claimed_topics = claimed_topics;
@@ -529,8 +784,8 @@ mod tests {
             ckpt2.as_bytes(),
             "checkpoint re-encode differs"
         );
-        // The bytes repeat a filter per cacher; the resumed caches share it
-        // again, exactly as far as the running ones did.
+        // The bytes write each cached filter once; the resumed caches share
+        // it exactly as far as the running ones did.
         let cached = |asap: &Asap| (0..100).map(|p| asap.cache_len(PeerId(p))).sum::<usize>();
         let (before, after) = (sim.protocol(), resumed.protocol());
         assert_eq!(cached(before), cached(after));

@@ -4,7 +4,7 @@
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::config::{AsapConfig, DeliveryKind};
 use crate::delivery::{ad_class, continue_delivery, start_delivery};
-use crate::repository::{AdRepository, ApplyOutcome};
+use crate::repository::{AdRepository, ApplyOutcome, FilterStore};
 use crate::retry::Backoff;
 use crate::search::{self, PendingSearch};
 use asap_bloom::hashing::KeyHash;
@@ -18,6 +18,7 @@ use asap_sim::AdversaryRole;
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Timer tags. Query tags grow upward from `TAG_QUERY_BASE` (two per query
@@ -47,6 +48,7 @@ const SPAM_POISON_DOCS: usize = 25;
 /// Pending re-advertisement state: the ad wave is considered acknowledged
 /// once *any* peer fetches our full ad (delivery demonstrably arrived);
 /// otherwise the announcement is repeated on a backoff schedule.
+#[derive(Clone)]
 pub(crate) struct ReAdvert {
     /// `fetches_served` level when the (re)announcement went out.
     pub(crate) baseline_fetches: u64,
@@ -128,6 +130,9 @@ pub struct Asap {
     /// Per-node protocol state, densely indexed by peer id (arena layout —
     /// delivery/timer handlers index straight into the slot, no map probe).
     pub(crate) nodes: NodeTable<NodeState>,
+    /// The filters behind every node's cache entries, shared by all of
+    /// `nodes`' repositories.
+    pub(crate) store: Rc<RefCell<FilterStore>>,
     /// Precomputed keyword hashes, indexed by `KeywordId`.
     pub(crate) kw_hashes: Vec<KeyHash>,
     /// Active searches by query id (requester-side state).
@@ -156,6 +161,7 @@ impl Asap {
         let kw_hashes: Vec<KeyHash> = (0..model.vocab.len())
             .map(|i| KeyHash::of(model.vocab.word(KeywordId(i as u32))))
             .collect();
+        let store = FilterStore::new_shared();
         let nodes: Vec<NodeState> = (0..model.num_peers())
             .map(|p| {
                 let docs = &model.initial_holdings[p];
@@ -163,7 +169,7 @@ impl Asap {
                 NodeState {
                     version: 0,
                     snapshot: Rc::new(filter),
-                    repo: AdRepository::new(config.cache_capacity),
+                    repo: AdRepository::sharing(config.cache_capacity, &store),
                     fetching: DetHashSet::default(),
                     fetch_backoff: DetHashMap::default(),
                     fetches_served: 0,
@@ -177,6 +183,7 @@ impl Asap {
             claimed_topics: NodeTable::from_vec(vec![InterestSet::EMPTY; nodes.len()]),
             poison: NodeTable::new(nodes.len()),
             nodes: NodeTable::from_vec(nodes),
+            store,
             pending: DetHashMap::default(),
             next_delivery: 0,
             stats: AsapStats::default(),
@@ -241,10 +248,7 @@ impl Asap {
     /// Inspect a node's ad cache: `(version, stale)` of the entry for
     /// `source`, if cached. Diagnostic / test API.
     pub fn cached_version(&self, node: PeerId, source: PeerId) -> Option<(u16, bool)> {
-        self.nodes[node.index()]
-            .repo
-            .get(source)
-            .map(|ad| (ad.version, ad.stale))
+        self.nodes[node.index()].repo.version_of(source)
     }
 
     /// Number of ads currently cached at `node`. Diagnostic / test API.
@@ -255,11 +259,20 @@ impl Asap {
     /// Distinct filter allocations behind every cached ad of every node:
     /// how far `Rc` sharing reaches (a cached-ad count of thousands over a
     /// few hundred allocations is the simulator's memory model working).
-    /// Diagnostic / test API.
+    /// The filter store holds each in one slot, so this is also its live
+    /// slot count. Diagnostic / test API.
     pub fn distinct_cached_filters(&self) -> usize {
         let cached = self.nodes.iter().flat_map(|st| st.repo.iter());
         let allocations: DetHashSet<_> = cached.map(|(_, ad)| Rc::as_ptr(&ad.filter)).collect();
         allocations.len()
+    }
+
+    /// Heap bytes of the ad caches: every repository's two vectors at
+    /// their capacities, plus the filter store's tables and live filters.
+    /// Diagnostic / test API.
+    pub fn cache_heap_bytes(&self) -> usize {
+        let repos: usize = self.nodes.iter().map(|st| st.repo.heap_bytes()).sum();
+        repos + self.store.borrow().heap_bytes()
     }
 
     /// The node's own current ad version. Diagnostic / test API.
@@ -971,6 +984,71 @@ mod tests {
                     "node {victim}: published filter differs from its holdings"
                 )]
             );
+        }
+    }
+
+    /// An audited run of a reduced-scale world, and its end state.
+    fn audited_run(peers: usize, seed: u64) -> Asap {
+        let topology = if peers <= 300 {
+            TransitStubConfig::reduced(seed)
+        } else {
+            TransitStubConfig::medium(seed)
+        };
+        let phys = PhysicalNetwork::generate(&topology);
+        let workload = asap_workload::generate(&WorkloadConfig::reduced(peers, peers, seed));
+        let overlay = OverlayConfig::new(OverlayKind::Random, peers, seed).build();
+        let asap = Asap::new(AsapConfig::rw().scaled_to(peers), &workload.model);
+        let report =
+            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, asap, seed)
+                .audit(asap_sim::AuditConfig::default())
+                .run();
+        let audit = report.audit.expect("audited run");
+        assert!(audit.is_clean(), "{:?}", audit.violations);
+        report.protocol
+    }
+
+    /// The store holds each cached filter allocation in exactly one slot.
+    #[test]
+    fn the_store_keeps_one_slot_per_cached_filter() {
+        let asap = audited_run(150, 21);
+        let live = asap.store.borrow().live_slots();
+        assert_eq!(asap.distinct_cached_filters(), live);
+        assert!(live > 0);
+    }
+
+    /// The ad caches' heap is what their entries and filters need.
+    ///
+    /// An entry is 28 B: a 4 B source in `sources` and a 24 B `Entry`. A
+    /// vector grows by max(4, len / 8), so from 32 entries on it holds at
+    /// most an eighth more than it uses, 1.125 × 28 B per entry; the bound
+    /// allows 1.15 ×. A live filter is 1,448 B of words (11,542 bits), a
+    /// 56 B `Rc` block, a 16 B slot and its address-table entry, ≈ 1,540 B
+    /// against the bound's 1,500 B. Caches under 32 entries keep up to 4
+    /// slots of slack; the entries' spare 2.5 % pays for both as long as a
+    /// filter is cached some 60 times or more (here 89 times: 71,130
+    /// entries over 803 filters, 3.34 MB against a 3.49 MB bound). Doubling
+    /// growth or a 36 B entry would each break it.
+    #[test]
+    fn ad_cache_heap_is_bounded_by_entries_and_filters() {
+        let peers = 1_000;
+        let asap = audited_run(peers, 22);
+        let entries: usize = (0..peers as u32).map(|p| asap.cache_len(PeerId(p))).sum();
+        let filters = asap.distinct_cached_filters();
+        let bound = entries * 28 * 115 / 100 + filters * 1_500;
+        let heap = asap.cache_heap_bytes();
+        assert!(
+            heap <= bound,
+            "{heap} B for {entries} entries over {filters} filters"
+        );
+        for st in asap.nodes.iter() {
+            let len = st.repo.len();
+            let (sources, entries) = st.repo.vector_capacities();
+            for cap in [sources, entries] {
+                assert!(
+                    cap <= len + (len / 8).max(4),
+                    "{cap} slots for {len} entries"
+                );
+            }
         }
     }
 

@@ -1,4 +1,5 @@
-//! The per-node ads repository ("$" in the paper's pseudo-code).
+//! The per-node ads repository ("$" in the paper's pseudo-code), and the
+//! [`FilterStore`] the repositories of one protocol keep their filters in.
 //!
 //! One entry per source peer, holding that source's latest known filter,
 //! topics, version and freshness. Capacity-bounded with LRU eviction (the
@@ -7,23 +8,44 @@
 //!
 //! Layout: two parallel vectors sorted by source `PeerId` — a dense key
 //! array (`sources`) binary-searched on the lookup/update hot path and a
-//! payload array (`ads`) indexed by the same position. This replaces the
-//! original `BTreeMap`: iteration order (ascending `PeerId`) and every
-//! observable behavior are identical — the simulator's replay digests and
-//! the checkpoint byte format depend on that order — but the key scan now
-//! touches one contiguous cache line per ~16 entries instead of chasing
-//! tree nodes. The invariant `sources.len() == ads.len()` with `sources`
-//! strictly ascending holds between all public calls.
+//! 24-byte entry array indexed by the same position. Iteration order
+//! (ascending `PeerId`) is what the simulator's replay digests and the
+//! checkpoint byte format depend on. The invariant `sources.len() ==
+//! entries.len()` with `sources` strictly ascending holds between all
+//! public calls.
+//!
+//! An entry names its filter by a `u32` slot of the protocol's
+//! [`FilterStore`] instead of holding an `Rc` (the slot's top bit is free
+//! for the `stale` flag): `{ last_used_us, last_refreshed_us, filter,
+//! version, topics }` is 24 bytes against the 32 of an inline `Rc` entry.
+//! The store keeps one `Rc<BloomFilter>` per slot and counts the entries
+//! that name it; a slot whose count drops to zero is freed and reused.
+//! Entries share a slot only when their filters are equal: the same
+//! allocation (found by address), or, when an entry is overwritten, a new
+//! filter whose contents equal the one it already names. The refresh path
+//! — most of an announcement walk's hops — never touches the store.
+//!
+//! Each vector grows by an eighth of its length (at least 4 entries) and
+//! never past the configured capacity, instead of doubling: a cache that
+//! fills to a few hundred entries keeps at most an eighth of them as slack.
+//!
+//! A repository made by [`AdRepository::new`] has a private store; the
+//! protocols make theirs with [`AdRepository::sharing`], so every cache of
+//! one simulation shares one store and a filter cached at many nodes is
+//! one slot.
 
 use crate::ad::AdSnapshot;
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, ProbePlan};
 use asap_overlay::PeerId;
-use asap_sim::CodecError;
+use asap_sim::collections::DetHashMap;
 use asap_workload::InterestSet;
+use std::cell::RefCell;
+use std::mem::size_of;
 use std::rc::Rc;
 
-/// One cached ad.
+/// A cached ad as [`AdRepository::get`] and [`AdRepository::iter`] hand it
+/// out: the entry's fields with its filter resolved from the store.
 #[derive(Debug, Clone)]
 pub struct CachedAd {
     pub topics: InterestSet,
@@ -51,22 +73,250 @@ pub enum ApplyOutcome {
     Outdated,
 }
 
+/// The `stale` flag's bit in [`Entry::filter`]; the slot is the rest.
+const STALE_BIT: u32 = 1 << 31;
+
+/// One cache entry: 24 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    /// Last time the entry was used by a lookup or updated (LRU key).
+    pub(crate) last_used_us: u64,
+    /// Last time the source proved liveness (any ad received).
+    pub(crate) last_refreshed_us: u64,
+    /// The filter's [`FilterStore`] slot, with [`STALE_BIT`] set while a
+    /// version gap makes the entry unusable.
+    filter: u32,
+    pub(crate) version: u16,
+    pub(crate) topics: InterestSet,
+}
+
+impl Entry {
+    pub(crate) fn packed(
+        topics: InterestSet,
+        version: u16,
+        slot: u32,
+        last_used_us: u64,
+        last_refreshed_us: u64,
+        stale: bool,
+    ) -> Self {
+        Self {
+            last_used_us,
+            last_refreshed_us,
+            filter: slot | if stale { STALE_BIT } else { 0 },
+            version,
+            topics,
+        }
+    }
+
+    pub(crate) fn slot_id(self) -> u32 {
+        self.filter & !STALE_BIT
+    }
+
+    pub(crate) fn is_stale(self) -> bool {
+        self.filter & STALE_BIT != 0
+    }
+
+    fn mark_stale(&mut self) {
+        self.filter |= STALE_BIT;
+    }
+}
+
+/// One store slot: a filter and the number of cache entries naming it
+/// (`None` and zero while the slot is on the free list).
+#[derive(Debug)]
+struct Slot {
+    filter: Option<Rc<BloomFilter>>,
+    refs: u32,
+}
+
+/// The filters behind the cache entries of one protocol instance: a slab of
+/// reference-counted slots with a free list, handed out as `u32` ids.
+///
+/// Each live slot holds a distinct filter allocation, found again by its
+/// address, so a filter announced to a thousand cachers is one slot with a
+/// count of a thousand. Slot ids are an artefact of allocation order and
+/// never reach a digest or a checkpoint (which renumbers them, see
+/// [`crate::checkpoint`]).
+#[derive(Debug, Default)]
+pub struct FilterStore {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Live slot by the address of its filter.
+    by_address: DetHashMap<usize, u32>,
+}
+
+impl FilterStore {
+    /// An empty store behind the handle repositories share it by.
+    pub fn new_shared() -> Rc<RefCell<Self>> {
+        Rc::default()
+    }
+
+    /// Slots currently named by at least one entry.
+    pub fn live_slots(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// The filter in `slot`, if the slot is live.
+    pub(crate) fn filter_at(&self, slot: u32) -> Option<&Rc<BloomFilter>> {
+        self.slots.get(slot as usize)?.filter.as_ref()
+    }
+
+    /// Heap bytes the store holds: its slot, free-list and address tables,
+    /// and every live filter (the `Rc` block and the filter's words).
+    pub fn heap_bytes(&self) -> usize {
+        let filter_block = 2 * size_of::<usize>() + size_of::<BloomFilter>();
+        let filters: usize = self
+            .slots
+            .iter()
+            .filter_map(|s| s.filter.as_ref())
+            .map(|f| filter_block + std::mem::size_of_val(f.words()))
+            .sum();
+        self.slots.capacity() * size_of::<Slot>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.by_address.capacity() * (size_of::<(usize, u32)>() + 1)
+            + filters
+    }
+
+    /// A store whose slot `i` holds `filters[i]`, every count zero: the
+    /// decoder's starting point, which counts the entries in as it reads
+    /// them ([`FilterStore::count_entry`]).
+    pub(crate) fn from_filters(filters: Vec<Rc<BloomFilter>>) -> Self {
+        let by_address = filters
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (filter_address(f), i as u32))
+            .collect();
+        let slots = filters
+            .into_iter()
+            .map(|f| Slot {
+                filter: Some(f),
+                refs: 0,
+            })
+            .collect();
+        Self {
+            slots,
+            free: Vec::new(),
+            by_address,
+        }
+    }
+
+    /// One more entry names `slot`.
+    pub(crate) fn count_entry(&mut self, slot: u32) {
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            s.refs += 1;
+        }
+    }
+
+    /// A slot for `filter`, counted once more: the slot already holding
+    /// this allocation, else a free or new one.
+    pub(crate) fn acquire(&mut self, filter: &Rc<BloomFilter>) -> u32 {
+        if let Some(&slot) = self.by_address.get(&filter_address(filter)) {
+            self.count_entry(slot);
+            return slot;
+        }
+        let fresh = Slot {
+            filter: Some(Rc::clone(filter)),
+            refs: 1,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.slots.push(fresh);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.by_address.insert(filter_address(filter), slot);
+        slot
+    }
+
+    /// One entry fewer names `slot`; the last one frees it.
+    pub(crate) fn release(&mut self, slot: u32) {
+        let Some(s) = self.slots.get_mut(slot as usize) else {
+            return;
+        };
+        s.refs = s.refs.saturating_sub(1);
+        if s.refs == 0 {
+            if let Some(filter) = s.filter.take() {
+                self.by_address.remove(&filter_address(&filter));
+                self.free.push(slot);
+            }
+        }
+    }
+
+    /// The slot an entry naming `held` names once its filter is `filter`:
+    /// `held` itself when the two are equal (the same allocation, or equal
+    /// contents), otherwise `held` released and `filter` acquired.
+    fn reassign(&mut self, held: u32, filter: &Rc<BloomFilter>) -> u32 {
+        if let Some(have) = self.filter_at(held) {
+            // Equal filters set equally many bits: the count turns most
+            // unequal pairs away before the word-by-word comparison.
+            let same_bits = have.count_ones() == filter.count_ones();
+            if Rc::ptr_eq(have, filter) || (same_bits && **have == **filter) {
+                return held;
+            }
+        }
+        self.release(held);
+        self.acquire(filter)
+    }
+}
+
+/// The key a live filter's slot is found by.
+fn filter_address(filter: &Rc<BloomFilter>) -> usize {
+    Rc::as_ptr(filter) as usize
+}
+
+/// Make room for one more element: grow by an eighth of the length (at
+/// least 4), never past `limit` elements.
+fn reserve_one<T>(v: &mut Vec<T>, limit: usize) {
+    if v.len() == v.capacity() {
+        let step = (v.len() / 8).max(4).min(limit.saturating_sub(v.len()));
+        v.reserve_exact(step.max(1));
+    }
+}
+
 /// Capacity-bounded ad cache over sorted parallel vectors (see module docs).
 #[derive(Debug)]
 pub struct AdRepository {
-    /// Source peers, strictly ascending; position `i` owns `ads[i]`.
+    /// Source peers, strictly ascending; position `i` owns `entries[i]`.
     sources: Vec<PeerId>,
-    ads: Vec<CachedAd>,
+    entries: Vec<Entry>,
     capacity: usize,
+    store: Rc<RefCell<FilterStore>>,
 }
 
 impl AdRepository {
+    /// An empty repository with a private [`FilterStore`].
     pub fn new(capacity: usize) -> Self {
+        Self::sharing(capacity, &FilterStore::new_shared())
+    }
+
+    /// An empty repository keeping its filters in `store`.
+    pub fn sharing(capacity: usize, store: &Rc<RefCell<FilterStore>>) -> Self {
         assert!(capacity >= 1, "capacity must be positive");
         Self {
             sources: Vec::new(),
-            ads: Vec::new(),
+            entries: Vec::new(),
             capacity,
+            store: Rc::clone(store),
+        }
+    }
+
+    /// A repository over decoded entries, sorted and unique by source,
+    /// whose slots `store` already counts.
+    pub(crate) fn from_decoded(
+        capacity: usize,
+        store: &Rc<RefCell<FilterStore>>,
+        sources: Vec<PeerId>,
+        entries: Vec<Entry>,
+    ) -> Self {
+        Self {
+            sources,
+            entries,
+            capacity,
+            store: Rc::clone(store),
         }
     }
 
@@ -82,84 +332,70 @@ impl AdRepository {
         self.capacity
     }
 
+    /// Heap bytes of the two vectors (their capacities, not their lengths).
+    pub fn heap_bytes(&self) -> usize {
+        self.sources.capacity() * size_of::<PeerId>() + self.entries.capacity() * size_of::<Entry>()
+    }
+
+    /// Capacities of the `sources` and `entries` vectors.
+    #[cfg(test)]
+    pub(crate) fn vector_capacities(&self) -> (usize, usize) {
+        (self.sources.capacity(), self.entries.capacity())
+    }
+
+    /// The raw entries, keyed by source, in `PeerId` order.
+    pub(crate) fn raw_entries(&self) -> impl Iterator<Item = (PeerId, Entry)> + '_ {
+        self.sources
+            .iter()
+            .copied()
+            .zip(self.entries.iter().copied())
+    }
+
     /// All cached entries, keyed by source, in `PeerId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (PeerId, &CachedAd)> {
-        self.sources.iter().copied().zip(self.ads.iter())
+    pub fn iter(&self) -> impl Iterator<Item = (PeerId, CachedAd)> + '_ {
+        let store = self.store.borrow();
+        self.raw_entries().filter_map(move |(source, e)| {
+            Some((source, cached_view(e, store.filter_at(e.slot_id())?)))
+        })
     }
 
     fn position(&self, source: PeerId) -> Result<usize, usize> {
         self.sources.binary_search(&source)
     }
 
-    pub fn get(&self, source: PeerId) -> Option<&CachedAd> {
-        self.position(source).ok().map(|i| &self.ads[i])
+    /// The cached ad of `source`, if any.
+    pub fn get(&self, source: PeerId) -> Option<CachedAd> {
+        let e = self.entries[self.position(source).ok()?];
+        let store = self.store.borrow();
+        Some(cached_view(e, store.filter_at(e.slot_id())?))
     }
 
-    /// Rebuild a repository from checkpointed entries. Returns `None` when
-    /// the entries exceed `capacity` (a valid repository never does).
-    /// Entries are sorted by source; a duplicated source keeps the later
-    /// entry (the `BTreeMap`-collect behavior this layout replaced).
-    pub fn from_entries(capacity: usize, entries: Vec<(PeerId, CachedAd)>) -> Option<Self> {
-        if capacity == 0 || entries.len() > capacity {
-            return None;
-        }
-        let mut entries = entries;
-        // Stable sort: duplicates stay in input order, so "keep last" below
-        // matches repeated-insert semantics.
-        entries.sort_by_key(|&(p, _)| p);
-        let mut sources: Vec<PeerId> = Vec::with_capacity(entries.len());
-        let mut ads: Vec<CachedAd> = Vec::with_capacity(entries.len());
-        for (p, ad) in entries {
-            if sources.last() == Some(&p) {
-                if let Some(slot) = ads.last_mut() {
-                    *slot = ad;
-                }
-            } else {
-                sources.push(p);
-                ads.push(ad);
-            }
-        }
-        Some(Self {
-            sources,
-            ads,
-            capacity,
-        })
-    }
-
-    /// Capacity is configuration, not state: a checkpoint restores only the
-    /// entries (the decoded repository is exactly full) and the resuming
-    /// protocol installs its configured capacity here.
-    pub(crate) fn restore_capacity(&mut self, capacity: usize) -> Result<(), CodecError> {
-        if self.len() > capacity {
-            return Err(CodecError::Invalid("ad cache over capacity"));
-        }
-        self.capacity = capacity;
-        Ok(())
+    /// `(version, stale)` of the entry for `source`, without the filter.
+    pub(crate) fn version_of(&self, source: PeerId) -> Option<(u16, bool)> {
+        let e = self.entries[self.position(source).ok()?];
+        Some((e.version, e.is_stale()))
     }
 
     /// Store/overwrite the full ad of `source`. Evicts the least-recently
     /// used entry when full. Overwrites with an *older* version are ignored
     /// (out-of-order delivery).
     pub fn insert_full(&mut self, snap: &AdSnapshot, now_us: u64) -> ApplyOutcome {
-        let fresh = CachedAd {
-            topics: snap.topics,
-            version: snap.version,
-            filter: Rc::clone(&snap.filter),
-            last_used_us: now_us,
-            last_refreshed_us: now_us,
-            stale: false,
-        };
         match self.position(snap.source) {
             Ok(i) => {
-                let existing = &mut self.ads[i];
-                if !existing.stale && version_not_newer(snap.version, existing.version) {
+                let existing = &mut self.entries[i];
+                if !existing.is_stale() && version_not_newer(snap.version, existing.version) {
                     existing.last_refreshed_us = now_us;
                     return ApplyOutcome::Outdated;
                 }
-                *existing = fresh;
+                let slot = self
+                    .store
+                    .borrow_mut()
+                    .reassign(existing.slot_id(), &snap.filter);
+                *existing = Entry::packed(snap.topics, snap.version, slot, now_us, now_us, false);
                 ApplyOutcome::Applied
             }
             Err(mut i) => {
+                let slot = self.store.borrow_mut().acquire(&snap.filter);
                 if self.sources.len() >= self.capacity {
                     let victim = self.evict_lru();
                     // Eviction shifts the insertion point when the victim
@@ -168,8 +404,11 @@ impl AdRepository {
                         i -= 1;
                     }
                 }
+                reserve_one(&mut self.sources, self.capacity);
+                reserve_one(&mut self.entries, self.capacity);
                 self.sources.insert(i, snap.source);
-                self.ads.insert(i, fresh);
+                let fresh = Entry::packed(snap.topics, snap.version, slot, now_us, now_us, false);
+                self.entries.insert(i, fresh);
                 ApplyOutcome::Applied
             }
         }
@@ -188,8 +427,8 @@ impl AdRepository {
         let Ok(i) = self.position(source) else {
             return ApplyOutcome::Unknown;
         };
-        let entry = &mut self.ads[i];
-        if entry.stale {
+        let entry = &mut self.entries[i];
+        if entry.is_stale() {
             return ApplyOutcome::VersionGap;
         }
         if version_not_newer(version, entry.version) {
@@ -197,14 +436,11 @@ impl AdRepository {
             return ApplyOutcome::Outdated;
         }
         if version != entry.version.wrapping_add(1) {
-            entry.stale = true;
+            entry.mark_stale();
             return ApplyOutcome::VersionGap;
         }
-        entry.version = version;
-        entry.topics = topics;
-        entry.filter = Rc::clone(result);
-        entry.last_used_us = now_us;
-        entry.last_refreshed_us = now_us;
+        let slot = self.store.borrow_mut().reassign(entry.slot_id(), result);
+        *entry = Entry::packed(topics, version, slot, now_us, now_us, false);
         ApplyOutcome::Applied
     }
 
@@ -214,8 +450,8 @@ impl AdRepository {
         let Ok(i) = self.position(source) else {
             return ApplyOutcome::Unknown;
         };
-        let entry = &mut self.ads[i];
-        if entry.stale {
+        let entry = &mut self.entries[i];
+        if entry.is_stale() {
             return ApplyOutcome::VersionGap;
         }
         if entry.version == version {
@@ -224,7 +460,7 @@ impl AdRepository {
         } else if version_not_newer(version, entry.version) {
             ApplyOutcome::Outdated
         } else {
-            entry.stale = true;
+            entry.mark_stale();
             ApplyOutcome::VersionGap
         }
     }
@@ -232,8 +468,7 @@ impl AdRepository {
     pub fn remove(&mut self, source: PeerId) -> bool {
         match self.position(source) {
             Ok(i) => {
-                self.sources.remove(i);
-                self.ads.remove(i);
+                self.remove_at(i);
                 true
             }
             Err(_) => false,
@@ -258,18 +493,22 @@ impl AdRepository {
     ) -> Vec<PeerId> {
         let mut hits = Vec::new();
         let mut plan: Option<ProbePlan> = None;
-        for (&source, ad) in self.sources.iter().zip(self.ads.iter_mut()) {
-            if ad.stale || ad.last_refreshed_us < expire_before_us {
+        let store = self.store.borrow();
+        for (&source, e) in self.sources.iter().zip(self.entries.iter_mut()) {
+            if e.is_stale() || e.last_refreshed_us < expire_before_us {
                 continue;
             }
-            let plan = plan.get_or_insert_with(|| ProbePlan::new(ad.filter.params(), term_hashes));
-            let matched = if ad.filter.params() == plan.params() {
-                ad.filter.contains_plan(plan)
+            let Some(filter) = store.filter_at(e.slot_id()) else {
+                continue;
+            };
+            let plan = plan.get_or_insert_with(|| ProbePlan::new(filter.params(), term_hashes));
+            let matched = if filter.params() == plan.params() {
+                filter.contains_plan(plan)
             } else {
-                term_hashes.iter().all(|h| ad.filter.contains_hash(h))
+                term_hashes.iter().all(|h| filter.contains_hash(h))
             };
             if matched {
-                ad.last_used_us = now_us;
+                e.last_used_us = now_us;
                 hits.push(source);
             }
         }
@@ -290,35 +529,29 @@ impl AdRepository {
         sources
             .into_iter()
             .take(max)
-            .filter_map(|source| {
-                self.get(source).map(|ad| AdSnapshot {
-                    source,
-                    topics: ad.topics,
-                    version: ad.version,
-                    filter: Rc::clone(&ad.filter),
-                })
-            })
+            .filter_map(|source| self.get(source).map(|ad| snapshot_from(source, ad)))
             .collect()
     }
 
     /// Cached ads with topic overlap, for an ads reply — freshest first,
     /// capped at `max`.
     pub fn ads_for_interests(&self, interests: InterestSet, max: usize) -> Vec<AdSnapshot> {
-        let mut matches: Vec<(PeerId, &CachedAd)> = self
-            .iter()
-            .filter(|(_, ad)| !ad.stale && ad.topics.intersects(interests))
+        let mut matches: Vec<(PeerId, Entry)> = self
+            .raw_entries()
+            .filter(|(_, e)| !e.is_stale() && e.topics.intersects(interests))
             .collect();
         // Stable sort: equal freshness keeps ascending-source order, as the
         // old map iteration did.
-        matches.sort_by_key(|(_, ad)| std::cmp::Reverse(ad.last_refreshed_us));
+        matches.sort_by_key(|(_, e)| std::cmp::Reverse(e.last_refreshed_us));
+        let store = self.store.borrow();
         matches
             .into_iter()
             .take(max)
-            .map(|(source, ad)| AdSnapshot {
-                source,
-                topics: ad.topics,
-                version: ad.version,
-                filter: Rc::clone(&ad.filter),
+            .filter_map(|(source, e)| {
+                Some(snapshot_from(
+                    source,
+                    cached_view(e, store.filter_at(e.slot_id())?),
+                ))
             })
             .collect()
     }
@@ -326,18 +559,54 @@ impl AdRepository {
     /// Remove the least-recently-used entry, returning its position.
     fn evict_lru(&mut self) -> usize {
         let mut victim = 0usize;
-        for (i, ad) in self.ads.iter().enumerate() {
+        for (i, e) in self.entries.iter().enumerate() {
             // Ties on last_used_us break toward the smaller source, which is
             // the smaller index in a sorted array — i.e. first wins.
-            if ad.last_used_us < self.ads[victim].last_used_us {
+            if e.last_used_us < self.entries[victim].last_used_us {
                 victim = i;
             }
         }
         if !self.sources.is_empty() {
-            self.sources.remove(victim);
-            self.ads.remove(victim);
+            self.remove_at(victim);
         }
         victim
+    }
+
+    /// Drop the entry at `i` and release its slot.
+    fn remove_at(&mut self, i: usize) {
+        self.sources.remove(i);
+        let gone = self.entries.remove(i);
+        self.store.borrow_mut().release(gone.slot_id());
+    }
+}
+
+impl Drop for AdRepository {
+    /// A dropped cache stops naming its filters.
+    fn drop(&mut self) {
+        let mut store = self.store.borrow_mut();
+        for e in &self.entries {
+            store.release(e.slot_id());
+        }
+    }
+}
+
+fn cached_view(e: Entry, filter: &Rc<BloomFilter>) -> CachedAd {
+    CachedAd {
+        topics: e.topics,
+        version: e.version,
+        filter: Rc::clone(filter),
+        last_used_us: e.last_used_us,
+        last_refreshed_us: e.last_refreshed_us,
+        stale: e.is_stale(),
+    }
+}
+
+fn snapshot_from(source: PeerId, ad: CachedAd) -> AdSnapshot {
+    AdSnapshot {
+        source,
+        topics: ad.topics,
+        version: ad.version,
+        filter: ad.filter,
     }
 }
 
@@ -424,28 +693,6 @@ mod tests {
         }
         let order: Vec<u32> = repo.iter().map(|(p, _)| p.0).collect();
         assert_eq!(order, vec![1, 2, 4, 7, 9]);
-    }
-
-    #[test]
-    fn from_entries_sorts_and_keeps_last_duplicate() {
-        let mk = |id: u32, version: u16| {
-            (
-                PeerId(id),
-                CachedAd {
-                    topics: InterestSet(0b1),
-                    version,
-                    filter: Rc::new(BloomFilter::empty(BloomParams::for_capacity(10, 4))),
-                    last_used_us: 0,
-                    last_refreshed_us: 0,
-                    stale: false,
-                },
-            )
-        };
-        let repo = AdRepository::from_entries(10, vec![mk(5, 0), mk(2, 1), mk(5, 9)])
-            .unwrap_or_else(|| unreachable!("fits capacity"));
-        let order: Vec<(u32, u16)> = repo.iter().map(|(p, ad)| (p.0, ad.version)).collect();
-        assert_eq!(order, vec![(2, 1), (5, 9)], "sorted; later duplicate wins");
-        assert!(AdRepository::from_entries(2, vec![mk(1, 0), mk(2, 0), mk(3, 0)]).is_none());
     }
 
     #[test]
@@ -582,5 +829,200 @@ mod tests {
         // Near the wrap point: 2 is newer than 65,534.
         assert!(!version_not_newer(2, u16::MAX - 1));
         assert!(version_not_newer(u16::MAX - 1, 2));
+    }
+
+    #[test]
+    fn an_entry_is_24_bytes() {
+        assert_eq!(size_of::<Entry>(), 24);
+    }
+
+    #[test]
+    fn vectors_grow_by_an_eighth_and_stop_at_capacity() {
+        let mut repo = AdRepository::new(100);
+        for id in 0..150 {
+            repo.insert_full(&snap(id, 0, &["k"]), u64::from(id));
+            let len = repo.len();
+            for cap in [repo.sources.capacity(), repo.entries.capacity()] {
+                assert!(
+                    cap <= len + (len / 8).max(4),
+                    "{cap} slots for {len} entries"
+                );
+                assert!(cap <= 100, "{cap} slots past the capacity");
+            }
+        }
+        assert_eq!(repo.entries.capacity(), 100);
+    }
+
+    #[test]
+    fn repositories_sharing_a_store_share_a_filter_slot() {
+        let store = FilterStore::new_shared();
+        let mut a = AdRepository::sharing(4, &store);
+        let mut b = AdRepository::sharing(4, &store);
+        let ad = snap(1, 0, &["a"]);
+        a.insert_full(&ad, 0);
+        b.insert_full(&ad, 0);
+        assert_eq!(store.borrow().live_slots(), 1);
+        assert_eq!(store.borrow().slots[0].refs, 2);
+        // Equal contents in another allocation: the entry keeps its slot.
+        assert_eq!(a.insert_full(&snap(1, 1, &["a"]), 1), ApplyOutcome::Applied);
+        assert_eq!(store.borrow().live_slots(), 1);
+        // Other contents take a second slot; dropping and removing free them.
+        b.insert_full(&snap(1, 1, &["b"]), 2);
+        assert_eq!(store.borrow().live_slots(), 2);
+        drop(b);
+        assert_eq!(store.borrow().live_slots(), 1);
+        assert!(a.remove(PeerId(1)));
+        assert_eq!(store.borrow().live_slots(), 0);
+        // A freed slot is reused.
+        a.insert_full(&snap(2, 0, &["c"]), 3);
+        assert_eq!(store.borrow().slots.len(), 2);
+    }
+
+    mod shared_store {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const REPOS: usize = 3;
+        const SOURCES: u32 = 8;
+        const CAPACITY: usize = 4;
+        const KEYWORDS: usize = 6;
+
+        /// One step on repository `repo`. A full or patch ad carries the
+        /// pool's filter for `kw`, or (`fresh`) an equal one in a new
+        /// allocation.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Full {
+                repo: usize,
+                source: u32,
+                version: u16,
+                kw: usize,
+                fresh: bool,
+            },
+            Patch {
+                repo: usize,
+                source: u32,
+                version: u16,
+                kw: usize,
+                fresh: bool,
+            },
+            Refresh {
+                repo: usize,
+                source: u32,
+                version: u16,
+            },
+            Remove {
+                repo: usize,
+                source: u32,
+            },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let ad = || (0..REPOS, 0..SOURCES, 0u16..6, 0..KEYWORDS, any::<bool>());
+            prop_oneof![
+                ad().prop_map(|(repo, source, version, kw, fresh)| Op::Full {
+                    repo,
+                    source,
+                    version,
+                    kw,
+                    fresh
+                }),
+                ad().prop_map(|(repo, source, version, kw, fresh)| Op::Patch {
+                    repo,
+                    source,
+                    version,
+                    kw,
+                    fresh
+                }),
+                (0..REPOS, 0..SOURCES, 0u16..6).prop_map(|(repo, source, version)| Op::Refresh {
+                    repo,
+                    source,
+                    version
+                }),
+                (0..REPOS, 0..SOURCES).prop_map(|(repo, source)| Op::Remove { repo, source }),
+            ]
+        }
+
+        /// The store's books against the entries, and every entry's filter
+        /// against the one the model last gave it.
+        fn check(
+            store: &FilterStore,
+            repos: &[AdRepository],
+            model: &[BTreeMap<PeerId, BloomFilter>],
+        ) {
+            let mut named: BTreeMap<u32, u32> = BTreeMap::new();
+            for (repo, expected) in repos.iter().zip(model) {
+                for (source, e) in repo.raw_entries() {
+                    *named.entry(e.slot_id()).or_default() += 1;
+                    let filter = store.filter_at(e.slot_id());
+                    prop_assert!(filter.is_some(), "{source:?} names a free slot");
+                    prop_assert_eq!(filter.map(|f| &**f), expected.get(&source));
+                }
+            }
+            for (slot, s) in store.slots.iter().enumerate() {
+                if s.filter.is_some() {
+                    prop_assert!(s.refs > 0, "live slot {} counts no entry", slot);
+                    prop_assert_eq!(s.refs, named.get(&(slot as u32)).copied().unwrap_or(0));
+                }
+            }
+            prop_assert_eq!(store.live_slots(), named.len());
+        }
+
+        proptest! {
+            /// Three repositories share one store through tapes of full,
+            /// patch, refresh and remove steps that overflow their
+            /// capacity: after every step each live slot counts exactly
+            /// the entries naming it (so none counts zero), and each entry
+            /// holds the filter its last applied ad carried.
+            #[test]
+            fn slot_counts_match_the_entries_naming_them(
+                ops in prop::collection::vec(op(), 1..200),
+            ) {
+                let params = BloomParams::for_capacity(32, 4);
+                let pool: Vec<Rc<BloomFilter>> = (0..KEYWORDS)
+                    .map(|kw| Rc::new(BloomFilter::from_keys(params, [format!("kw{kw}").as_str()])))
+                    .collect();
+                let filter = |kw: usize, fresh: bool| {
+                    if fresh { Rc::new((*pool[kw]).clone()) } else { Rc::clone(&pool[kw]) }
+                };
+                let store = FilterStore::new_shared();
+                let mut repos: Vec<AdRepository> =
+                    (0..REPOS).map(|_| AdRepository::sharing(CAPACITY, &store)).collect();
+                let mut model: Vec<BTreeMap<PeerId, BloomFilter>> = vec![BTreeMap::new(); REPOS];
+                for (clock, op) in (1u64..).zip(ops) {
+                    match op {
+                        Op::Full { repo, source, version, kw, fresh } => {
+                            let ad = AdSnapshot {
+                                source: PeerId(source),
+                                topics: InterestSet(0b1),
+                                version,
+                                filter: filter(kw, fresh),
+                            };
+                            if repos[repo].insert_full(&ad, clock) == ApplyOutcome::Applied {
+                                model[repo].insert(ad.source, (*ad.filter).clone());
+                            }
+                        }
+                        Op::Patch { repo, source, version, kw, fresh } => {
+                            let result = filter(kw, fresh);
+                            let outcome = repos[repo].apply_patch(
+                                PeerId(source), version, InterestSet(0b1), &result, clock,
+                            );
+                            if outcome == ApplyOutcome::Applied {
+                                model[repo].insert(PeerId(source), (*result).clone());
+                            }
+                        }
+                        Op::Refresh { repo, source, version } => {
+                            repos[repo].apply_refresh(PeerId(source), version, clock);
+                        }
+                        Op::Remove { repo, source } => {
+                            repos[repo].remove(PeerId(source));
+                        }
+                    }
+                    prop_assert!(repos.iter().all(|r| r.len() <= CAPACITY));
+                    check(&store.borrow(), &repos, &model);
+                }
+            }
+        }
     }
 }

@@ -25,10 +25,10 @@
 //! protocol.
 
 use crate::ad::AdSnapshot;
-use crate::checkpoint::check_node_filter;
+use crate::checkpoint::{check_node_filter, EntryImage, FilterTable, TableReader};
 use crate::config::AsapConfig;
 use crate::protocol::own_filter;
-use crate::repository::AdRepository;
+use crate::repository::{AdRepository, FilterStore};
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, WireFilter};
 use asap_metrics::MsgClass;
@@ -41,6 +41,7 @@ use asap_sim::{
 };
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::Rng;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -153,6 +154,8 @@ pub struct SuperAsap {
     pub config: SuperPeerConfig,
     roles: Vec<Role>,
     nodes: Vec<NodeState>,
+    /// The filters behind every super peer's cache entries.
+    store: Rc<RefCell<FilterStore>>,
     kw_hashes: Vec<KeyHash>,
     /// Union of a super peer's own and registered leaves' interests.
     union_interests: Vec<InterestSet>,
@@ -184,6 +187,7 @@ impl SuperAsap {
             union_interests: vec![InterestSet::EMPTY; n],
             kw_hashes,
             nodes,
+            store: FilterStore::new_shared(),
             stats: SuperStats::default(),
             initialized: false,
             config,
@@ -265,7 +269,8 @@ impl SuperAsap {
             let peer = PeerId(p as u32);
             if is_super[p] {
                 self.roles[p] = Role::Super;
-                self.nodes[p].repo = Some(AdRepository::new(self.super_cache_capacity()));
+                let repo = AdRepository::sharing(self.super_cache_capacity(), &self.store);
+                self.nodes[p].repo = Some(repo);
                 self.union_interests[p] = ctx.model().interests[p];
                 self.stats.supers += 1;
             } else {
@@ -385,9 +390,9 @@ impl SuperAsap {
                     if source == me || !topics.intersects(union) {
                         continue;
                     }
-                    let needs = match repo.get(source) {
+                    let needs = match repo.version_of(source) {
                         None => true,
-                        Some(ad) => ad.stale || ad.version != version,
+                        Some((held, stale)) => stale || held != version,
                     };
                     if needs {
                         fetches.push(source);
@@ -732,52 +737,77 @@ codec_struct!(SuperStats {
     super_local_hits, super_fallbacks,
 });
 
-/// A super peer's registered dependents, ascending by source.
-type Registered = Vec<(PeerId, (InterestSet, u16))>;
-
-// Hand-written: `registered` rides as a list ascending by source.
-impl Codec for NodeState {
-    fn put(&self, enc: &mut Encoder) {
-        self.snapshot.put(enc);
-        self.version.put(enc);
-        self.repo.put(enc);
-        let registered: Registered = self.registered.iter().map(|(&p, &e)| (p, e)).collect();
-        registered.put(enc);
-    }
-    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            snapshot: Codec::pull(dec)?,
-            version: Codec::pull(dec)?,
-            repo: Codec::pull(dec)?,
-            registered: Registered::pull(dec)?.into_iter().collect(),
-        })
-    }
+/// A node's state as it rides the checkpoint: a super peer's cache as entry
+/// images into the filter table written before the nodes, its registered
+/// dependents as a list ascending by source.
+struct NodeImage {
+    snapshot: Rc<BloomFilter>,
+    version: u16,
+    repo: Option<Vec<EntryImage>>,
+    registered: Vec<(PeerId, (InterestSet, u16))>,
 }
+codec_struct!(NodeImage {
+    snapshot,
+    version,
+    repo,
+    registered
+});
 
 impl CheckpointProtocol for SuperAsap {
     fn encode_state(&self, enc: &mut Encoder) {
         self.roles.put(enc);
-        self.nodes.put(enc);
+        let store = self.store.borrow();
+        let table = FilterTable::number_filters(
+            &store,
+            self.nodes.iter().filter_map(|st| st.repo.as_ref()),
+        );
+        table.put_table(enc);
+        let nodes: Vec<NodeImage> = self
+            .nodes
+            .iter()
+            .map(|st| NodeImage {
+                snapshot: Rc::clone(&st.snapshot),
+                version: st.version,
+                repo: st.repo.as_ref().map(|repo| table.entry_images(repo)),
+                registered: st.registered.iter().map(|(&p, &e)| (p, e)).collect(),
+            })
+            .collect();
+        nodes.put(enc);
         self.union_interests.put(enc);
         self.stats.put(enc);
         self.initialized.put(enc);
     }
 
+    /// A super peer caches its own registration, so its repository may
+    /// hold its own ad.
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let (roles, mut nodes, unions): (Vec<Role>, Vec<NodeState>, Vec<InterestSet>) =
-            Codec::pull(dec)?;
+        let roles: Vec<Role> = Codec::pull(dec)?;
+        let mut table = TableReader::pull_table(dec)?;
+        let (images, unions): (Vec<NodeImage>, Vec<InterestSet>) = Codec::pull(dec)?;
         let n = self.nodes.len();
-        if roles.len() != n || nodes.len() != n || unions.len() != n {
+        if roles.len() != n || images.len() != n || unions.len() != n {
             return Err(CodecError::Invalid("node count mismatch"));
         }
-        for st in &mut nodes {
-            check_node_filter(&st.snapshot, self.config.asap.bloom)?;
-            if let Some(repo) = st.repo.as_mut() {
-                repo.restore_capacity(self.super_cache_capacity())?;
-            }
+        let mut nodes = Vec::with_capacity(n);
+        for img in images {
+            check_node_filter(&img.snapshot, self.config.asap.bloom)?;
+            let repo = match img.repo {
+                Some(entries) => {
+                    Some(table.rebuild_repository(entries, None, self.super_cache_capacity())?)
+                }
+                None => None,
+            };
+            nodes.push(NodeState {
+                version: img.version,
+                snapshot: img.snapshot,
+                repo,
+                registered: img.registered.into_iter().collect(),
+            });
         }
+        let store = table.into_store()?;
         (self.stats, self.initialized) = Codec::pull(dec)?;
         (self.roles, self.nodes, self.union_interests) = (roles, nodes, unions);
+        self.store = store;
         Ok(())
     }
 }

@@ -15,10 +15,10 @@ use asap_lint::{lint_workspace, LintConfig};
 const PINNED: &[(&str, usize, usize)] = &[
     ("asap-bench", 148, 1217),
     ("asap-bloom", 61, 108),
-    ("asap-core", 115, 1567),
+    ("asap-core", 143, 1691),
     ("asap-lint", 93, 200),
     ("asap-metrics", 71, 53),
-    ("asap-net", 38, 269),
+    ("asap-net", 38, 267),
     ("asap-overlay", 109, 187),
     ("asap-search", 36, 171),
     ("asap-sim", 226, 1107),

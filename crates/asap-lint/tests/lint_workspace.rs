@@ -145,6 +145,25 @@ fn content_change_path_is_in_the_panic_reachable_set() {
     ]);
 }
 
+/// Every interested hop of an ad delivery updates a cache: a full or patch
+/// ad goes through `AdRepository::{insert_full, apply_patch}`, which take
+/// and give back filter slots in the protocol's `FilterStore`
+/// (`acquire`, `release`, and `reassign` for an overwrite) and grow the cache's
+/// vectors by an eighth (`reserve_one`). R4 must see that path, by name,
+/// so the slot arithmetic stays free of new `unwrap`/`expect`.
+#[test]
+fn ad_cache_path_is_in_the_panic_reachable_set() {
+    assert_panic_reachable(&[
+        "AdRepository::insert_full",
+        "AdRepository::apply_patch",
+        "AdRepository::remove_at",
+        "FilterStore::acquire",
+        "FilterStore::release",
+        "FilterStore::reassign",
+        "reserve_one",
+    ]);
+}
+
 /// Every next-hop draw for queries and for ads is made inside
 /// `asap_sim::spread`. A `.rng()` in a baseline or in ad delivery means a
 /// strategy is being hand-rolled beside the kernel again — the copies this

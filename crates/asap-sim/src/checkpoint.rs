@@ -55,7 +55,7 @@ pub use asap_overlay::codec::{
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"ASAPCKPT";
 /// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 /// Trailing checksum width (FNV-1a 64 over the body).
 const TRAILER: usize = 8;
 /// Upper bound on the ledger's raw slot vector accepted at decode time.

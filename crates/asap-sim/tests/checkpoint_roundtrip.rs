@@ -928,6 +928,6 @@ fn previous_version_is_typed() {
     reseal(&mut bytes);
     assert_eq!(
         Checkpoint::from_bytes(bytes).expect_err("previous version accepted"),
-        CodecError::UnsupportedVersion(2)
+        CodecError::UnsupportedVersion(3)
     );
 }

@@ -1,7 +1,7 @@
 //! Shared CLI argument handling for the bench binaries.
 //!
-//! The harness binaries (`experiments`, `warmstart`, `bisect`, `simnet`)
-//! parse flags from the same small vocabulary — `--scale`,
+//! The harness binaries (`experiments`, `warmstart`, `bisect`) parse
+//! flags from the same small vocabulary — `--scale`,
 //! `--seed`, `--algo`, `--overlay`, `--workers`, `--faults`, `--adversary`
 //! — but each used to hand-roll its own loop, with per-binary drift in
 //! error messages and accepted spellings. This module centralizes that

@@ -13,16 +13,24 @@
 //! serialized s2 checkpoint: the `VERSION = 4` bytes, not only what a
 //! resumed run computes from them).
 //!
-//! * `cargo run -p asap-bench --bin golden` — replay both golden matrices
-//!   and rewrite the files. Run after an *intentional* behavior change and
+//! The fault-free and lossy matrices are replayed a second time on
+//! `asap_net`'s wire carrier ([`run_cell_net`]), where every message is
+//! encoded into a frame at `send` and decoded at delivery. Each of those 36
+//! net records must equal its sim record (audit digest included) with zero
+//! frames that failed to decode: the net carrier reproduces the pinned sim
+//! record, which is the sim≡net witness. A divergence fails the run in
+//! either mode, as does an auditor violation in any cell.
+//!
+//! * `cargo run -p asap-bench --bin golden` — replay every matrix and
+//!   rewrite the files. Run after an *intentional* behavior change and
 //!   commit the diff.
 //! * `cargo run -p asap-bench --bin golden -- --check` — replay and compare
 //!   against the committed files without writing; exits nonzero on drift.
-//!   CI runs this next to `cargo lint`.
+//!   This is the one pin check.
 //! * `--trace` (composes with `--check`) — additionally replay the
 //!   fault-free matrix with the trace recorder attached and assert the
 //!   digests are bit-identical to the untraced run: observation must never
-//!   perturb the simulation.
+//!   perturb the simulation. CI runs `--check --trace`.
 
 use std::process::ExitCode;
 
@@ -32,18 +40,14 @@ use asap_bench::harness::{
     replay_spec, resume_golden_lines, resume_matrix_records, scenario_spec, ReplayRecord,
     ResumeRecord, CKPT_KEY_COLS, GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS, RESUME_KEY_COLS,
 };
-use asap_bench::runner::{RunSpec, World};
+use asap_bench::runner::{full_matrix, par_map, run_cell_net, RunSpec, World};
 use asap_bench::scenario::ScenarioPack;
 
-fn report_records(label: &str, records: &[ReplayRecord]) {
+/// Print one line per record; returns false (after printing an error line
+/// for each) if any record has auditor violations or wire errors.
+fn report_records(label: &str, records: &[ReplayRecord]) -> bool {
+    let mut ok = true;
     for r in records {
-        assert_eq!(
-            r.violations,
-            0,
-            "auditor found violations in {} / {} ({label}) — fix before pinning",
-            r.algo.label(),
-            r.overlay.label(),
-        );
         eprintln!(
             "  {} / {}: digest {:016x}, {}/{} queries answered",
             r.overlay.label(),
@@ -52,11 +56,23 @@ fn report_records(label: &str, records: &[ReplayRecord]) {
             r.succeeded,
             r.queries
         );
+        if r.violations != 0 || r.wire_errors != 0 {
+            eprintln!(
+                "error: {} / {} ({label}): {} auditor violation(s), {} wire error(s) — fix before pinning",
+                r.overlay.label(),
+                r.algo.label(),
+                r.violations,
+                r.wire_errors
+            );
+            ok = false;
+        }
     }
+    ok
 }
 
-/// Replay one 18-cell matrix (`tag` names it: `faults=…` / `scenario=…`).
-fn replay(world: &World, spec: &RunSpec, tag: &str) -> Vec<ReplayRecord> {
+/// Replay one 18-cell matrix (`tag` names it: `faults=…` / `scenario=…`);
+/// returns the records and whether every cell came out clean.
+fn replay(world: &World, spec: &RunSpec, tag: &str) -> (Vec<ReplayRecord>, bool) {
     // Fan across every core: `--check` passing from here *is* the proof that
     // the parallel sweep reproduces the pinned digests bit-for-bit.
     let workers = rayon::current_num_threads();
@@ -65,8 +81,42 @@ fn replay(world: &World, spec: &RunSpec, tag: &str) -> Vec<ReplayRecord> {
         .iter()
         .map(cell_to_record)
         .collect();
-    report_records(tag, &records);
-    records
+    let clean = report_records(tag, &records);
+    (records, clean)
+}
+
+/// Replay the matrix again on the net carrier and demand every record equal
+/// its sim record, wire errors zero. Returns true on pass.
+fn net_pass(world: &World, spec: &RunSpec, tag: &str, sim: &[ReplayRecord]) -> bool {
+    let workers = rayon::current_num_threads();
+    eprintln!("replaying the same 18 cells on the net carrier ({tag}, workers={workers})...");
+    let net = par_map(workers, full_matrix(), |(algo, overlay)| {
+        cell_to_record(&run_cell_net(world, algo, overlay, spec))
+    });
+    let mut ok = report_records(&format!("{tag}, net"), &net);
+    for (n, s) in net.iter().zip(sim) {
+        if n != s {
+            eprintln!(
+                "error: sim/net divergence in {} / {} ({tag}): net digest {:016x}, {} messages, \
+                 {} wire error(s) vs sim {:016x}, {} messages",
+                n.overlay.label(),
+                n.algo.label(),
+                n.digest,
+                n.messages_sent,
+                n.wire_errors,
+                s.digest,
+                s.messages_sent
+            );
+            ok = false;
+        }
+    }
+    if ok {
+        eprintln!(
+            "all {} net records equal their sim records ({tag})",
+            net.len()
+        );
+    }
+    ok
 }
 
 /// Write or check one golden file; returns true on success. In check mode
@@ -207,24 +257,27 @@ fn main() -> ExitCode {
         ),
     ] {
         let tag = format!("faults={}", faults.label());
-        let records = replay(&world, &replay_spec(faults, false), &tag);
+        let spec = replay_spec(faults, false);
+        let (records, clean) = replay(&world, &spec, &tag);
         // The fault-free file's header carries no tag.
         let fresh = golden_lines(&records, if faults.is_none() { "" } else { &tag });
-        ok &= pin(path, &fresh, check, REPLAY_KEY_COLS);
+        // A matrix with violations is never written, only diffed.
+        ok &= pin(path, &fresh, check || !clean, REPLAY_KEY_COLS) && clean;
+        ok &= net_pass(&world, &spec, &tag, &records);
         if trace && faults.is_none() {
             ok &= trace_pass(&world, &records);
         }
     }
     for pack in ScenarioPack::ALL {
         let tag = format!("scenario={}", pack.label());
-        let records = replay(&pack.world(), &scenario_spec(pack), &tag);
+        let (records, clean) = replay(&pack.world(), &scenario_spec(pack), &tag);
         let fresh = golden_lines(&records, &tag);
         let path = format!(
             "{}/golden/{}",
             env!("CARGO_MANIFEST_DIR"),
             pack.golden_file()
         );
-        ok &= pin(&path, &fresh, check, REPLAY_KEY_COLS);
+        ok &= pin(&path, &fresh, check || !clean, REPLAY_KEY_COLS) && clean;
     }
     {
         let (records, resume_ok) = replay_resume(&world);

@@ -52,6 +52,8 @@ pub struct ReplayRecord {
     pub alive_fingerprint: u64,
     /// Invariant violations (formatted + suppressed). Must be 0.
     pub violations: u64,
+    /// Frames the carrier failed to decode. Must be 0.
+    pub wire_errors: u64,
 }
 
 /// Build the replay world. Separate from [`replay_cell`] so callers amortize
@@ -107,6 +109,7 @@ pub fn cell_to_record(cell: &CellReport) -> ReplayRecord {
         issue_fingerprint: cell.issue_fingerprint,
         alive_fingerprint: cell.alive_fingerprint,
         violations: audit.violations.len() as u64 + audit.suppressed,
+        wire_errors: cell.wire_errors,
     }
 }
 
@@ -420,6 +423,7 @@ mod tests {
             issue_fingerprint: 1,
             alive_fingerprint: 2,
             violations: 0,
+            wire_errors: 0,
         }];
         let parsed = parse_golden(&golden_lines(&records, ""));
         assert_eq!(

@@ -22,7 +22,6 @@ pub mod harness;
 pub mod runner;
 pub mod scale;
 pub mod scenario;
-pub mod simnet;
 pub mod table;
 
 pub use adversary::AdversaryProfile;

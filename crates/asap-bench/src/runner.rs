@@ -6,12 +6,13 @@ use crate::faults::FaultProfile;
 use crate::scale::Scale;
 use rayon::prelude::*;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
+use asap_net::Framed;
 use asap_overlay::{OverlayConfig, OverlayKind};
 use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::trace::{Recorder, TraceConfig};
 use asap_sim::{
-    AdversaryStats, AuditConfig, AuditReport, Checkpoint, CheckpointProtocol, EngineProfile,
-    FaultStats, Fnv64, Protocol, SimBuilder, SimReport, Simulation,
+    AdversaryStats, AuditConfig, AuditReport, Carrier, Checkpoint, CheckpointProtocol,
+    EngineProfile, FaultStats, Fnv64, InMemory, Protocol, SimBuilder, SimReport, Simulation,
 };
 use asap_topology::PhysicalNetwork;
 use asap_workload::{HeterogeneityPack, Workload};
@@ -215,6 +216,9 @@ pub struct CellReport {
     /// `(length, FNV-1a 64)` of the checkpoint bytes a [`run_cell_split`]
     /// run resumed from; `None` for an uninterrupted run.
     pub checkpoint: Option<(usize, u64)>,
+    /// Frames the carrier failed to decode (always 0 on the sim's in-memory
+    /// carrier; nonzero after [`run_cell_net`] means the codec regressed).
+    pub wire_errors: u64,
 }
 
 /// Run one cell under a [`RunSpec`]: the single configuration point shared
@@ -225,7 +229,21 @@ pub fn run_cell_spec(
     overlay_kind: OverlayKind,
     spec: &RunSpec,
 ) -> CellReport {
-    run_cell_exec(world, algo, overlay_kind, spec, None)
+    run_cell_exec(world, algo, overlay_kind, spec, OnSim { split_us: None })
+}
+
+/// [`run_cell_spec`] on `asap_net`'s wire carrier ([`asap_net::Loopback`]):
+/// the same engine, protocol and layers, with every message encoded into a
+/// frame at `send` and decoded from it at delivery. A report equal to
+/// [`run_cell_spec`]'s with zero [`CellReport::wire_errors`] is the sim≡net
+/// witness.
+pub fn run_cell_net(
+    world: &World,
+    algo: AlgoKind,
+    overlay_kind: OverlayKind,
+    spec: &RunSpec,
+) -> CellReport {
+    run_cell_exec(world, algo, overlay_kind, spec, OnNet)
 }
 
 /// [`run_cell_spec`], split at `split_us`: run until every event at or
@@ -242,15 +260,29 @@ pub fn run_cell_split(
     spec: &RunSpec,
     split_us: u64,
 ) -> CellReport {
-    run_cell_exec(world, algo, overlay_kind, spec, Some(split_us))
+    let leg = OnSim {
+        split_us: Some(split_us),
+    };
+    run_cell_exec(world, algo, overlay_kind, spec, leg)
 }
 
-/// Attach the spec's optional engine layers to a builder.
-fn apply_spec<'a, P: Protocol>(
-    mut b: SimBuilder<'a, P>,
+/// A builder for the cell's world on carrier `C`, with the spec's optional
+/// engine layers attached.
+fn apply_spec<'a, P: Protocol, C: Carrier<P::Msg>>(
+    world: &'a World,
+    overlay_kind: OverlayKind,
     spec: &RunSpec,
-    peers: usize,
-) -> SimBuilder<'a, P> {
+    protocol: P,
+) -> SimBuilder<'a, P, C> {
+    let peers = world.scale.peers();
+    let mut b = SimBuilder::new(
+        &world.phys,
+        &world.workload,
+        world.overlay(overlay_kind),
+        overlay_kind,
+        protocol,
+        world.seed,
+    );
     if let Some(cfg) = spec.audit.clone() {
         b = b.audit(cfg);
     }
@@ -266,62 +298,87 @@ fn apply_spec<'a, P: Protocol>(
     b
 }
 
-/// Drive one protocol through a cell, either uninterrupted or split at
-/// `split_us` via checkpoint/resume. `make` must construct the protocol
-/// deterministically — the split path calls it once per half and relies on
-/// `decode_state` overwriting the second instance's dynamic state.
-fn drive<P: CheckpointProtocol>(
-    world: &World,
-    overlay_kind: OverlayKind,
-    spec: &RunSpec,
+/// The carrier [`run_cell_exec`] runs the protocol it builds on. A type
+/// rather than a value, so a binary that never runs a cell on the net
+/// carrier compiles no net path.
+trait Leg {
+    /// Drive one protocol through the cell. `make` must construct the
+    /// protocol deterministically — the split path calls it once per half
+    /// and relies on `decode_state` overwriting the second instance's
+    /// dynamic state.
+    fn drive<P: CheckpointProtocol>(
+        self,
+        world: &World,
+        overlay_kind: OverlayKind,
+        spec: &RunSpec,
+        make: impl Fn() -> P,
+    ) -> (SimReport<P>, Option<(usize, u64)>);
+}
+
+/// The in-memory carrier: uninterrupted, or checkpointed at `split_us` and
+/// resumed.
+struct OnSim {
     split_us: Option<u64>,
-    make: impl Fn() -> P,
-) -> (SimReport<P>, Option<(usize, u64)>) {
-    let peers = world.scale.peers();
-    let b = apply_spec(
-        Simulation::builder(
+}
+
+/// The wire carrier, uninterrupted.
+struct OnNet;
+
+impl Leg for OnNet {
+    fn drive<P: CheckpointProtocol>(
+        self,
+        world: &World,
+        overlay_kind: OverlayKind,
+        spec: &RunSpec,
+        make: impl Fn() -> P,
+    ) -> (SimReport<P>, Option<(usize, u64)>) {
+        let b = apply_spec::<P, Framed<P>>(world, overlay_kind, spec, make());
+        (b.run(), None)
+    }
+}
+
+impl Leg for OnSim {
+    fn drive<P: CheckpointProtocol>(
+        self,
+        world: &World,
+        overlay_kind: OverlayKind,
+        spec: &RunSpec,
+        make: impl Fn() -> P,
+    ) -> (SimReport<P>, Option<(usize, u64)>) {
+        let b = apply_spec::<P, InMemory>(world, overlay_kind, spec, make());
+        let Some(split_us) = self.split_us else {
+            return (b.run(), None);
+        };
+        let mut sim = b.build();
+        sim.run_until(split_us);
+        // Round-trip through the serialized form: the resumed half starts from
+        // exactly the bytes a checkpoint file would hold.
+        let ckpt = Checkpoint::from_bytes(sim.checkpoint().into_bytes())
+            .expect("a freshly taken checkpoint always re-parses");
+        drop(sim);
+        let mut sum = Fnv64::new();
+        sum.write_bytes(ckpt.as_bytes());
+        let pin = (ckpt.as_bytes().len(), sum.finish());
+        let mut fresh = Simulation::builder(
             &world.phys,
             &world.workload,
             world.overlay(overlay_kind),
             overlay_kind,
             make(),
             world.seed,
-        ),
-        spec,
-        peers,
-    );
-    let Some(split_us) = split_us else {
-        return (b.run(), None);
-    };
-    let mut sim = b.build();
-    sim.run_until(split_us);
-    // Round-trip through the serialized form: the resumed half starts from
-    // exactly the bytes a checkpoint file would hold.
-    let ckpt = Checkpoint::from_bytes(sim.checkpoint().into_bytes())
-        .expect("a freshly taken checkpoint always re-parses");
-    drop(sim);
-    let mut sum = Fnv64::new();
-    sum.write_bytes(ckpt.as_bytes());
-    let pin = (ckpt.as_bytes().len(), sum.finish());
-    let mut fresh = Simulation::builder(
-        &world.phys,
-        &world.workload,
-        world.overlay(overlay_kind),
-        overlay_kind,
-        make(),
-        world.seed,
-    );
-    // Only the trace sink is re-attached: it lives outside checkpointed
-    // state (so the recorder holds post-split events only). Audit, faults,
-    // and adversary come from the checkpoint.
-    if let Some(tc) = spec.trace {
-        fresh = fresh.trace(Box::new(Recorder::new(tc)));
+        );
+        // Only the trace sink is re-attached: it lives outside checkpointed
+        // state (so the recorder holds post-split events only). Audit, faults,
+        // and adversary come from the checkpoint.
+        if let Some(tc) = spec.trace {
+            fresh = fresh.trace(Box::new(Recorder::new(tc)));
+        }
+        let report = fresh
+            .from_checkpoint(&ckpt)
+            .expect("resume world matches the checkpointed world")
+            .run();
+        (report, Some(pin))
     }
-    let report = fresh
-        .from_checkpoint(&ckpt)
-        .expect("resume world matches the checkpointed world")
-        .run();
-    (report, Some(pin))
 }
 
 fn run_cell_exec(
@@ -329,7 +386,7 @@ fn run_cell_exec(
     algo: AlgoKind,
     overlay_kind: OverlayKind,
     spec: &RunSpec,
-    split_us: Option<u64>,
+    leg: impl Leg,
 ) -> CellReport {
     let scale = world.scale;
     let seed = world.seed;
@@ -340,7 +397,7 @@ fn run_cell_exec(
             algo,
             overlay_kind,
             scale,
-            drive(world, overlay_kind, spec, split_us, || {
+            leg.drive(world, overlay_kind, spec, || {
                 Flooding::new(FloodingConfig {
                     retransmit: faults.retransmit(),
                     ..FloodingConfig::default()
@@ -352,7 +409,7 @@ fn run_cell_exec(
             algo,
             overlay_kind,
             scale,
-            drive(world, overlay_kind, spec, split_us, || {
+            leg.drive(world, overlay_kind, spec, || {
                 RandomWalk::new(scale.random_walk_config(faults.retransmit()))
             }),
             None,
@@ -361,7 +418,7 @@ fn run_cell_exec(
             algo,
             overlay_kind,
             scale,
-            drive(world, overlay_kind, spec, split_us, || Gsa::new(scale.gsa_config())),
+            leg.drive(world, overlay_kind, spec, || Gsa::new(scale.gsa_config())),
             None,
         ),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
@@ -369,7 +426,7 @@ fn run_cell_exec(
             // same (plan, peers, seed) role assignment the engine derives,
             // so protocol-layer and engine-layer adversaries are one peer
             // set. A `None` profile takes the plain constructor.
-            let report = drive(world, overlay_kind, spec, split_us, || {
+            let report = leg.drive(world, overlay_kind, spec, || {
                 if spec.adversary.is_none() {
                     algo.build_asap_with(scale, &world.workload.model, faults.robustness())
                 } else {
@@ -443,6 +500,7 @@ fn finish<P>(
         trace,
         profile: report.profile,
         checkpoint,
+        wire_errors: report.wire_errors,
     }
 }
 

@@ -10,11 +10,11 @@
 //! * [`loopback`] — the [`Framed`] message carrier and [`Loopback`], the
 //!   sim engine's own builder on that carrier: the event queue holds
 //!   encoded frames, `send` encodes, dispatch decodes, and everything
-//!   else *is* `asap_sim::Simulation`. Replaying a pinned workload on
-//!   both carriers and comparing backend-tagged lifecycle digests
-//!   ([`asap_trace::LifecycleDigest`]) proves protocol behavior survives
-//!   serialization; the audit, fault and adversary layers work on the
-//!   net carrier because it is the same code.
+//!   else *is* `asap_sim::Simulation`. An audited replay on this carrier
+//!   that reproduces the pinned sim audit digest, with no frame failing
+//!   to decode, proves protocol behavior survives serialization; the
+//!   audit, fault and adversary layers work on the net carrier because it
+//!   is the same code.
 //! * [`clock`] — the monotonic wall→virtual clock mapping.
 //! * [`daemon`] — the `asapd` runtime: the same engine paced by the wall
 //!   clock and driven over a Unix-socket control protocol whose commands

@@ -9,9 +9,11 @@
 //! `(time, seq)` event order, join/leave/content bookkeeping, RNG streams,
 //! and the audit, fault, adversary and profile layers are the engine's own
 //! code, so a [`Loopback`] run makes the identical decision sequence as a
-//! `Simulation::builder` run with the wire format load-bearing in between;
-//! equal backend-tagged lifecycle digests
-//! ([`asap_trace::LifecycleDigest`]) are the checked sim≡net witness.
+//! `Simulation::builder` run with the wire format load-bearing in between.
+//! The checked sim≡net witness: on every cell of `asap-bench`'s fault-free
+//! and lossy golden matrices, an audited run on this carrier reproduces the
+//! sim's pinned audit digest (ordered and timestamped, over the whole trace
+//! stream) with zero wire errors.
 //!
 //! The carrier keeps two things between messages, both owned by the
 //! engine's `Ctx` and gone with it: the buffer every frame is encoded in,
@@ -25,7 +27,9 @@
 //! does not, the engine drops the message and counts it in
 //! [`SimReport::wire_errors`](asap_sim::SimReport::wire_errors) rather
 //! than panicking (lint rule R4), so a codec regression surfaces as a
-//! digest mismatch plus a nonzero error count, never an abort.
+//! nonzero error count, never an abort. The count is half of the witness:
+//! the engine traces a delivery before it unpacks the frame, so a dropped
+//! message moves the digest only when its loss changes what happens next.
 
 use crate::wire::{self, Frame};
 use asap_metrics::MsgClass;

@@ -1,25 +1,29 @@
 //! Sim≡net: the engine on the framed carrier replays a workload to the
-//! same lifecycle digest as on the in-memory carrier, for every protocol
-//! family.
+//! same audit digest as on the in-memory carrier, for every protocol
+//! family, with no frame failing to decode.
 //!
-//! Both runs are `asap_sim::Simulation`; only what the event queue holds
-//! for a message in flight differs. Equal backend-tagged
-//! [`LifecycleDigest`]s over a full replay prove encode→decode on every
-//! single delivered message is behaviorally invisible, and the faulted,
-//! audited cases prove the engine layers (audit, fault injection, profile)
-//! see the identical event stream on the net carrier: lost, duplicated and
-//! delivered frames alike.
+//! Both runs are `asap_sim::Simulation`, audited; only what the event
+//! queue holds for a message in flight differs. The auditor folds the
+//! whole trace stream, ordered and timestamped, so equal digests over a
+//! full replay prove encode→decode on every delivered message is
+//! behaviorally invisible, and the faulted cases prove the engine layers
+//! (audit, fault injection, profile) see the identical event stream on the
+//! net carrier: lost, duplicated and delivered frames alike.
 //!
-//! The tiny-scale pinned matrix lives in `asap-bench` (`simnet` bin,
-//! `golden/simnet_tiny.txt`); this tier keeps a fast in-tree witness.
+//! The golden matrices are replayed on the net carrier by `asap-bench`'s
+//! `golden` bin, against the same pinned records as the sim; this tier
+//! keeps a fast in-tree witness and proves that the witness bites.
 
 use asap_core::{Asap, AsapConfig, SuperAsap, SuperPeerConfig};
-use asap_net::Loopback;
+use asap_metrics::MsgClass;
+use asap_net::{Framed, Loopback};
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
 use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
-use asap_sim::{AuditConfig, CheckpointProtocol, FaultPlan, Simulation};
+use asap_sim::{
+    AuditConfig, Carrier, CheckpointProtocol, FaultPlan, InMemory, SimBuilder, SimReport,
+    Simulation,
+};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
-use asap_trace::{Backend, DigestSink, LifecycleDigest, TraceSink};
 use asap_workload::{Workload, WorkloadConfig};
 
 const PEERS: usize = 120;
@@ -36,13 +40,6 @@ fn overlay() -> asap_overlay::Overlay {
     OverlayConfig::new(OverlayKind::Random, PEERS, SEED).build()
 }
 
-fn digest_of(sink: Box<dyn TraceSink>) -> LifecycleDigest {
-    sink.into_any()
-        .downcast::<DigestSink>()
-        .expect("digest sink comes back out")
-        .digest()
-}
-
 /// 10 % loss and 2 % duplication: every fault decision path the carrier
 /// sits under (dropped before packing, packed once, packed twice).
 fn lossy_duplicating() -> FaultPlan {
@@ -53,48 +50,63 @@ fn lossy_duplicating() -> FaultPlan {
     }
 }
 
-/// Run one protocol on both carriers; assert digest and metric equality.
-/// With `faulted`, both runs are audited under [`lossy_duplicating`] and
-/// the engine layers must agree too.
-fn assert_equivalent<P: CheckpointProtocol>(label: &str, make: impl Fn() -> P, faulted: bool) {
-    let (phys, workload) = world();
-
-    let mut sim = Simulation::builder(&phys, &workload, overlay(), OverlayKind::Random, make(), SEED)
-        .trace(Box::new(DigestSink::new(Backend::Sim)));
-    let mut net = Loopback::new(&phys, &workload, overlay(), OverlayKind::Random, make(), SEED)
-        .trace(Box::new(DigestSink::new(Backend::Net)));
+/// One audited run on carrier `C`, under [`lossy_duplicating`] if `faulted`.
+fn run<P: CheckpointProtocol, C: Carrier<P::Msg>>(
+    (phys, workload): &(PhysicalNetwork, Workload),
+    protocol: P,
+    faulted: bool,
+) -> SimReport<P> {
+    let mut b = SimBuilder::<P, C>::new(
+        phys,
+        workload,
+        overlay(),
+        OverlayKind::Random,
+        protocol,
+        SEED,
+    )
+    .audit(AuditConfig::default());
     if faulted {
-        sim = sim.audit(AuditConfig::default()).faults(lossy_duplicating());
-        net = net.audit(AuditConfig::default()).faults(lossy_duplicating());
+        b = b.faults(lossy_duplicating());
     }
-    let (sim, net) = (sim.run(), net.run());
+    b.run()
+}
+
+fn digest<P>(report: &SimReport<P>) -> u64 {
+    report.audit.as_ref().expect("audited").digest
+}
+
+/// The sim≡net witness: equal audit digests and no frame that failed to
+/// decode. Both halves are needed (see [`a_corrupted_frame_fails_the_witness`]).
+fn witness_holds<P>(sim: &SimReport<P>, net: &SimReport<P>) -> bool {
+    digest(sim) == digest(net) && net.wire_errors == 0
+}
+
+/// Run one protocol on both carriers; assert the witness plus metric
+/// equality. With `faulted`, both runs are under [`lossy_duplicating`] and
+/// the fault layers must agree too.
+fn assert_equivalent<P: CheckpointProtocol>(label: &str, make: impl Fn() -> P, faulted: bool) {
+    let world = world();
+    let sim = run::<P, InMemory>(&world, make(), faulted);
+    let net = run::<P, Framed<P>>(&world, make(), faulted);
 
     assert_eq!(net.wire_errors, 0, "{label}: frames failed to decode");
-    assert_eq!(sim.wire_errors, 0, "{label}: the identity carrier cannot fail");
+    assert_eq!(
+        sim.wire_errors, 0,
+        "{label}: the identity carrier cannot fail"
+    );
+    let (sa, na) = (sim.audit.as_ref().unwrap(), net.audit.as_ref().unwrap());
+    assert!(sa.is_clean(), "{label}: sim audit {:?}", sa.violations);
+    assert!(na.is_clean(), "{label}: net audit {:?}", na.violations);
+    assert_eq!(sa.digest, na.digest, "{label}: audit digests diverge");
     assert_eq!(sim.profile, net.profile, "{label}: engine profiles diverge");
     if faulted {
-        let (sa, na) = (sim.audit.expect("audited"), net.audit.expect("audited"));
-        assert!(sa.is_clean(), "{label}: sim audit {:?}", sa.violations);
-        assert!(na.is_clean(), "{label}: net audit {:?}", na.violations);
-        assert_eq!(sa.digest, na.digest, "{label}: audit digests diverge");
         let stats = sim.faults.expect("faulted");
-        assert!(stats.dropped > 0 && stats.duplicated > 0, "{label}: plan was inert");
+        assert!(
+            stats.dropped > 0 && stats.duplicated > 0,
+            "{label}: plan was inert"
+        );
         assert_eq!(Some(stats), net.faults, "{label}: fault stats diverge");
     }
-    let ds = digest_of(sim.trace.expect("sim sink"));
-    let dn = digest_of(net.trace.expect("net sink"));
-    assert_eq!(ds.backend(), Backend::Sim);
-    assert_eq!(dn.backend(), Backend::Net);
-    assert_eq!(
-        ds.count(),
-        dn.count(),
-        "{label}: lifecycle event counts diverge"
-    );
-    assert_eq!(
-        ds.value(),
-        dn.value(),
-        "{label}: sim and net lifecycle digests diverge"
-    );
     // The digest already covers sends/deliveries/answers; cross-check the
     // headline metrics directly for a readable failure mode.
     assert_eq!(sim.messages_sent, net.messages_sent, "{label}");
@@ -120,7 +132,9 @@ fn flooding_replays_identically_on_both_backends() {
 
 #[test]
 fn random_walk_replays_identically_on_both_backends() {
-    both_ways("random-walk", || RandomWalk::new(RandomWalkConfig::default()));
+    both_ways("random-walk", || {
+        RandomWalk::new(RandomWalkConfig::default())
+    });
 }
 
 #[test]
@@ -140,6 +154,108 @@ fn super_asap_replays_identically_on_both_backends() {
     both_ways("super-asap", || {
         SuperAsap::new(SuperPeerConfig::new(AsapConfig::rw()), &workload.model)
     });
+}
+
+/// Which frame [`FlipOne`] corrupts: far enough in that every protocol has
+/// warmed up, early enough that every protocol sends it.
+const FLIPPED_FRAME: u64 = 500;
+
+/// [`Framed`] with one planted codec bug: the [`FLIPPED_FRAME`]th frame
+/// unpacked has one payload byte flipped before it is decoded.
+struct FlipOne<P> {
+    framed: Framed<P>,
+    unpacked: u64,
+}
+
+impl<P> Default for FlipOne<P> {
+    fn default() -> Self {
+        Self {
+            framed: Framed::default(),
+            unpacked: 0,
+        }
+    }
+}
+
+impl<P: CheckpointProtocol> Carrier<P::Msg> for FlipOne<P> {
+    type Packed = Vec<u8>;
+
+    fn pack(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        class: MsgClass,
+        bytes: usize,
+        msg: P::Msg,
+    ) -> Vec<u8> {
+        self.framed.pack(from, to, class, bytes, msg)
+    }
+
+    fn unpack(&mut self, mut packed: Vec<u8>) -> Option<P::Msg> {
+        self.unpacked += 1;
+        if self.unpacked == FLIPPED_FRAME {
+            let mid = packed.len() / 2;
+            packed[mid] ^= 0x01;
+        }
+        self.framed.unpack(packed)
+    }
+}
+
+/// Run one protocol on the sim and on [`FlipOne`]; the witness must fail.
+/// Returns whether the audit digest moved (the other half is the one
+/// wire error the flipped frame must leave).
+fn corrupted_digest_moves<P: CheckpointProtocol>(label: &str, make: impl Fn() -> P) -> bool {
+    let world = world();
+    let sim = run::<P, InMemory>(&world, make(), false);
+    let bad = run::<P, FlipOne<P>>(&world, make(), false);
+    assert!(
+        sim.messages_sent >= FLIPPED_FRAME,
+        "{label}: too few frames to corrupt one"
+    );
+    assert_eq!(
+        bad.wire_errors, 1,
+        "{label}: the flipped frame must fail to decode"
+    );
+    assert!(
+        !witness_holds(&sim, &bad),
+        "{label}: the witness missed a corrupt frame"
+    );
+    digest(&sim) != digest(&bad)
+}
+
+/// The witness bites for every protocol family, and it needs both halves.
+///
+/// A flipped byte fails the frame checksum, so the engine drops that one
+/// message and counts a wire error. But the engine emits `Deliver` to the
+/// trace stream (and so to the auditor) *before* it unpacks the frame, so
+/// a dropped frame moves the audit digest only if losing the message
+/// changes what happens next. On flooding, a lost copy is usually
+/// redundant: another copy of the same query reaches the same peer. On a
+/// random walk the walker dies with it. So the digest alone would miss
+/// this bug on some families, which is why `wire_errors == 0` stays in the
+/// witness. Here, flipping frame [`FLIPPED_FRAME`] moves the digest of
+/// every family but flooding. On `golden`'s 36 net cells, flipping frame
+/// 1000 left 9 digests equal to their pins (flooding and ASAP(FLD) on
+/// most overlays, GSA on one), while every random walk, ASAP(RW) and
+/// ASAP(GSA) digest moved.
+#[test]
+fn a_corrupted_frame_fails_the_witness() {
+    let (_, workload) = world();
+    let moved = [
+        corrupted_digest_moves("flooding", || Flooding::new(FloodingConfig::default())),
+        corrupted_digest_moves("random-walk", || {
+            RandomWalk::new(RandomWalkConfig::default())
+        }),
+        corrupted_digest_moves("gsa", || Gsa::new(GsaConfig::default())),
+        corrupted_digest_moves("asap-rw", || Asap::new(AsapConfig::rw(), &workload.model)),
+        corrupted_digest_moves("super-asap", || {
+            SuperAsap::new(SuperPeerConfig::new(AsapConfig::rw()), &workload.model)
+        }),
+    ];
+    assert_eq!(
+        moved,
+        [false, true, true, true, true],
+        "which digests a lost frame moves (flooding, random-walk, gsa, asap-rw, super-asap)"
+    );
 }
 
 /// The memory half of sim≡net, as a count a test can gate: filters that

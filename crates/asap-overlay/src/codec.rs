@@ -97,8 +97,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Streaming FNV-1a 64-bit hash: the workspace's one byte-at-a-time hash —
-/// the checkpoint trailer, the audit and lifecycle digests, Bloom keyword
-/// hashing. Stable, dependency-free, and fast enough to run per event;
+/// the checkpoint trailer, the audit digest, Bloom keyword hashing. Stable, dependency-free, and fast enough to run per event;
 /// collisions are irrelevant for a regression digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv64(u64);

@@ -21,14 +21,12 @@
 //! [`asap_metrics::LogHistogram`]s; file I/O stays in `asap-bench`.
 
 pub mod chrome;
-pub mod digest;
 pub mod event;
 pub mod recorder;
 pub mod sink;
 pub mod stats;
 
 pub use chrome::to_chrome_trace;
-pub use digest::{Backend, DigestSink, LifecycleDigest};
 pub use event::{Event, Record};
 pub use recorder::{Recorder, TraceConfig};
 pub use sink::TraceSink;

@@ -160,8 +160,8 @@ impl CommonArgs {
             }
             "--adversary" if self.axes.adversary => {
                 let v = next_value(flag, args)?;
-                self.adversary =
-                    AdversaryProfile::parse(&v).ok_or(format!("unknown adversary profile '{v}'"))?;
+                self.adversary = AdversaryProfile::parse(&v)
+                    .ok_or(format!("unknown adversary profile '{v}'"))?;
             }
             _ => return Ok(false),
         }

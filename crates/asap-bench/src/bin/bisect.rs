@@ -151,7 +151,10 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if !saw_b {
-        return Err(format!("--b SPEC is required (and usually --a too)\n{}", usage()));
+        return Err(format!(
+            "--b SPEC is required (and usually --a too)\n{}",
+            usage()
+        ));
     }
     Ok(parsed)
 }
@@ -347,11 +350,7 @@ fn search<P: CheckpointProtocol>(
 
 /// Dispatch [`search`] over the algorithm axis, constructing each side's
 /// protocol exactly as [`run_cell_spec`]'s cold path does.
-fn search_cell(
-    args: &Args,
-    world: &World,
-    hi_us: u64,
-) -> (Option<Divergence>, u64) {
+fn search_cell(args: &Args, world: &World, hi_us: u64) -> (Option<Divergence>, u64) {
     let scale = world.scale;
     let seed = world.seed;
     let peers = scale.peers();
@@ -366,17 +365,44 @@ fn search_cell(
                     })
                 }
             };
-            search(world, args.common.overlay, a, b, hi_us, args.capacity, mk(a), mk(b))
+            search(
+                world,
+                args.common.overlay,
+                a,
+                b,
+                hi_us,
+                args.capacity,
+                mk(a),
+                mk(b),
+            )
         }
         AlgoKind::RandomWalk => {
             let mk = |side: SideSpec| {
                 move || RandomWalk::new(scale.random_walk_config(side.faults.retransmit()))
             };
-            search(world, args.common.overlay, a, b, hi_us, args.capacity, mk(a), mk(b))
+            search(
+                world,
+                args.common.overlay,
+                a,
+                b,
+                hi_us,
+                args.capacity,
+                mk(a),
+                mk(b),
+            )
         }
         AlgoKind::Gsa => {
             let mk = |_: SideSpec| move || Gsa::new(scale.gsa_config());
-            search(world, args.common.overlay, a, b, hi_us, args.capacity, mk(a), mk(b))
+            search(
+                world,
+                args.common.overlay,
+                a,
+                b,
+                hi_us,
+                args.capacity,
+                mk(a),
+                mk(b),
+            )
         }
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
             let algo = args.common.algo;
@@ -396,7 +422,16 @@ fn search_cell(
                     }
                 }
             };
-            search(world, args.common.overlay, a, b, hi_us, args.capacity, mk(a), mk(b))
+            search(
+                world,
+                args.common.overlay,
+                a,
+                b,
+                hi_us,
+                args.capacity,
+                mk(a),
+                mk(b),
+            )
         }
     }
 }
@@ -421,8 +456,7 @@ fn render_report(
     push_kv_str(&mut out, "scale", args.common.scale.label());
     let _ = write!(out, "\"seed\":{},", args.common.seed);
     let _ = write!(out, "\"trace_capacity\":{},", args.capacity);
-    for (name, (side, digest, end_time_us, messages)) in
-        ["side_a", "side_b"].into_iter().zip(sides)
+    for (name, (side, digest, end_time_us, messages)) in ["side_a", "side_b"].into_iter().zip(sides)
     {
         let _ = write!(out, "\"{name}\":{{");
         push_kv_str(&mut out, "faults", side.faults.label());
@@ -481,8 +515,18 @@ fn main() -> ExitCode {
         args.b.faults.label(),
         args.b.adversary.label()
     );
-    let cold_a = run_cell_spec(&world, args.common.algo, args.common.overlay, &args.a.spec());
-    let cold_b = run_cell_spec(&world, args.common.algo, args.common.overlay, &args.b.spec());
+    let cold_a = run_cell_spec(
+        &world,
+        args.common.algo,
+        args.common.overlay,
+        &args.a.spec(),
+    );
+    let cold_b = run_cell_spec(
+        &world,
+        args.common.algo,
+        args.common.overlay,
+        &args.b.spec(),
+    );
     let digest_a = cold_a.audit.as_ref().expect("audited side").digest;
     let digest_b = cold_b.audit.as_ref().expect("audited side").digest;
     let identical = digest_a == digest_b;
@@ -502,8 +546,18 @@ fn main() -> ExitCode {
     let report = render_report(
         &args,
         [
-            (&args.a, digest_a, cold_a.end_time_us, cold_a.summary.messages_sent),
-            (&args.b, digest_b, cold_b.end_time_us, cold_b.summary.messages_sent),
+            (
+                &args.a,
+                digest_a,
+                cold_a.end_time_us,
+                cold_a.summary.messages_sent,
+            ),
+            (
+                &args.b,
+                digest_b,
+                cold_b.end_time_us,
+                cold_b.summary.messages_sent,
+            ),
         ],
         identical,
         probes,
@@ -529,10 +583,20 @@ fn main() -> ExitCode {
                 d.window_lo_us,
                 d.window_hi_us,
                 probes,
-                if d.truncated { ", TRUNCATED window" } else { "" }
+                if d.truncated {
+                    ", TRUNCATED window"
+                } else {
+                    ""
+                }
             );
-            println!("  side A: {}", d.a_event.as_deref().unwrap_or("(history ended)"));
-            println!("  side B: {}", d.b_event.as_deref().unwrap_or("(history ended)"));
+            println!(
+                "  side A: {}",
+                d.a_event.as_deref().unwrap_or("(history ended)")
+            );
+            println!(
+                "  side B: {}",
+                d.b_event.as_deref().unwrap_or("(history ended)")
+            );
         }
         (None, false) => {
             println!(

@@ -199,7 +199,10 @@ fn main() -> ExitCode {
                     &args.out,
                     "fig7.tsv",
                     "Fig 7: ASAP(RW) system-load breakdown (crawled overlay)",
-                    &figures::fig7_breakdown(&runs[0], figures::fig7_skip_seconds(args.common.scale)),
+                    &figures::fig7_breakdown(
+                        &runs[0],
+                        figures::fig7_skip_seconds(args.common.scale),
+                    ),
                 );
             } else {
                 let cells: Vec<_> = AlgoKind::ALL
@@ -241,7 +244,11 @@ fn run_matrix(args: &Args, cells: Vec<(AlgoKind, OverlayKind)>) -> Vec<RunSummar
 
 /// Write each traced cell's JSONL timeline and Chrome-trace document next to
 /// `stem`, suffixed `-algo-overlay`.
-fn export_traces(stem: &std::path::Path, query: Option<u32>, reports: &[asap_bench::runner::CellReport]) {
+fn export_traces(
+    stem: &std::path::Path,
+    query: Option<u32>,
+    reports: &[asap_bench::runner::CellReport],
+) {
     if let Some(dir) = stem.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create trace output dir");
@@ -250,7 +257,13 @@ fn export_traces(stem: &std::path::Path, query: Option<u32>, reports: &[asap_ben
     let base = stem.to_string_lossy();
     for cell in reports {
         let Some(rec) = &cell.trace else { continue };
-        let algo = cell.summary.algo.label().to_lowercase().replace('(', "-").replace(')', "");
+        let algo = cell
+            .summary
+            .algo
+            .label()
+            .to_lowercase()
+            .replace('(', "-")
+            .replace(')', "");
         let tag = format!("{algo}-{}", cell.summary.overlay.label());
         let jsonl = match query {
             Some(id) => rec.write_jsonl_for_query(id),

@@ -141,10 +141,7 @@ fn pin(path: &str, fresh: &str, check: bool, key_cols: usize) -> bool {
         eprintln!("golden file matches ({path})");
         return true;
     }
-    eprintln!(
-        "golden drift: {} cell(s) differ from {path}",
-        drifts.len()
-    );
+    eprintln!("golden drift: {} cell(s) differ from {path}", drifts.len());
     for d in &drifts {
         eprintln!("  cell [{}]", d.key);
         match &d.committed {
@@ -189,7 +186,10 @@ fn replay_resume(world: &World) -> (Vec<ResumeRecord>, bool) {
         }
     }
     if ok {
-        eprintln!("all {} resumed digests are bit-identical to their uninterrupted runs", records.len());
+        eprintln!(
+            "all {} resumed digests are bit-identical to their uninterrupted runs",
+            records.len()
+        );
     }
     (records, ok)
 }
@@ -203,7 +203,10 @@ fn trace_pass(world: &World, untraced: &[ReplayRecord]) -> bool {
     let mut ok = true;
     for (cell, want) in traced.iter().zip(untraced) {
         let rec = &cell_to_record(cell);
-        let recorder = cell.trace.as_ref().expect("traced replay keeps its recorder");
+        let recorder = cell
+            .trace
+            .as_ref()
+            .expect("traced replay keeps its recorder");
         if rec != want {
             eprintln!(
                 "error: tracing perturbed {} / {}: digest {:016x} vs untraced {:016x}",

@@ -234,7 +234,10 @@ fn checkpoint_cell(args: &Args, world: &World, split_us: u64) -> Checkpoint {
         AlgoKind::RandomWalk => go!(RandomWalk::new(world.scale.random_walk_config(None))),
         AlgoKind::Gsa => go!(Gsa::new(world.scale.gsa_config())),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
-            go!(args.common.algo.build_asap(world.scale, &world.workload.model))
+            go!(args
+                .common
+                .algo
+                .build_asap(world.scale, &world.workload.model))
         }
     }
 }
@@ -250,7 +253,10 @@ fn warm(args: &Args, world: &World) -> ExitCode {
     let ckpt = match Checkpoint::from_bytes(bytes) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {} is not a valid checkpoint: {e}", args.checkpoint.display());
+            eprintln!(
+                "error: {} is not a valid checkpoint: {e}",
+                args.checkpoint.display()
+            );
             return ExitCode::FAILURE;
         }
     };
@@ -275,15 +281,30 @@ fn warm(args: &Args, world: &World) -> ExitCode {
 
     let baseline_only = vec![("baseline".to_string(), ())];
     let results = match args.common.algo {
-        AlgoKind::Flooding => warm_sweep(world, args.common.overlay, &ckpt, baseline_only, args.common.workers, |_| {
-            Flooding::new(FloodingConfig::default())
-        }),
-        AlgoKind::RandomWalk => warm_sweep(world, args.common.overlay, &ckpt, baseline_only, args.common.workers, |_| {
-            RandomWalk::new(world.scale.random_walk_config(None))
-        }),
-        AlgoKind::Gsa => warm_sweep(world, args.common.overlay, &ckpt, baseline_only, args.common.workers, |_| {
-            Gsa::new(world.scale.gsa_config())
-        }),
+        AlgoKind::Flooding => warm_sweep(
+            world,
+            args.common.overlay,
+            &ckpt,
+            baseline_only,
+            args.common.workers,
+            |_| Flooding::new(FloodingConfig::default()),
+        ),
+        AlgoKind::RandomWalk => warm_sweep(
+            world,
+            args.common.overlay,
+            &ckpt,
+            baseline_only,
+            args.common.workers,
+            |_| RandomWalk::new(world.scale.random_walk_config(None)),
+        ),
+        AlgoKind::Gsa => warm_sweep(
+            world,
+            args.common.overlay,
+            &ckpt,
+            baseline_only,
+            args.common.workers,
+            |_| Gsa::new(world.scale.gsa_config()),
+        ),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => warm_sweep(
             world,
             args.common.overlay,

@@ -53,9 +53,9 @@ impl FaultProfile {
                 ..FaultPlan::none()
             },
             Self::Chaos => FaultPlan {
-                loss_ppm: 100_000,       // 10 %
-                jitter_max_us: 50_000,   // up to 50 ms extra latency
-                duplicate_ppm: 20_000,   // 2 %
+                loss_ppm: 100_000,     // 10 %
+                jitter_max_us: 50_000, // up to 50 ms extra latency
+                duplicate_ppm: 20_000, // 2 %
                 // An eighth of the population is cut off for five seconds
                 // early in the trace (after the warm-up wave has begun).
                 partitions: vec![PartitionWindow {

@@ -72,7 +72,11 @@ pub fn fig6_search_cost(runs: &[RunSummary]) -> Table {
 /// dominate"), so the first `skip_seconds` of the run — the initial full-ad
 /// wave — are excluded.
 pub fn fig7_breakdown(run: &RunSummary, skip_seconds: usize) -> Table {
-    assert_eq!(run.algo, AlgoKind::AsapRw, "Fig. 7 is the ASAP(RW) breakdown");
+    assert_eq!(
+        run.algo,
+        AlgoKind::AsapRw,
+        "Fig. 7 is the ASAP(RW) breakdown"
+    );
     let post = |class: MsgClass| -> f64 {
         run.class_series
             .iter()
@@ -132,7 +136,10 @@ pub fn fig9_load_stddev(runs: &[RunSummary]) -> Table {
 pub fn fig10_load_series(runs: &[RunSummary], start_s: usize, window: usize) -> Table {
     let algos: Vec<&RunSummary> = AlgoKind::ALL
         .iter()
-        .filter_map(|&a| runs.iter().find(|r| r.algo == a && r.overlay == OverlayKind::Crawled))
+        .filter_map(|&a| {
+            runs.iter()
+                .find(|r| r.algo == a && r.overlay == OverlayKind::Crawled)
+        })
         .collect();
     let mut header: Vec<String> = vec!["second".into()];
     header.extend(algos.iter().map(|r| r.algo.label().to_string()));
@@ -214,7 +221,10 @@ mod tests {
     #[should_panic(expected = "ASAP(RW)")]
     fn fig7_rejects_non_asap_runs() {
         let runs = mini_runs();
-        let walk = runs.iter().find(|r| r.algo == AlgoKind::RandomWalk).unwrap();
+        let walk = runs
+            .iter()
+            .find(|r| r.algo == AlgoKind::RandomWalk)
+            .unwrap();
         fig7_breakdown(walk, 0);
     }
 }

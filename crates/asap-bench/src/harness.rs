@@ -98,7 +98,10 @@ pub fn scenario_spec(pack: ScenarioPack) -> RunSpec {
 
 /// Reduce an audited [`CellReport`] to the fields the golden file pins.
 pub fn cell_to_record(cell: &CellReport) -> ReplayRecord {
-    let audit = cell.audit.as_ref().expect("replay cells always run audited");
+    let audit = cell
+        .audit
+        .as_ref()
+        .expect("replay cells always run audited");
     ReplayRecord {
         algo: cell.summary.algo,
         overlay: cell.summary.overlay,
@@ -257,7 +260,9 @@ pub fn replay_resume_cell(world: &World, cell: ResumeCell) -> Vec<ResumeRecord> 
                 split_us,
                 digest: cell_to_record(&resumed).digest,
                 cold_digest,
-                checkpoint: resumed.checkpoint.expect("split runs resume from a checkpoint"),
+                checkpoint: resumed
+                    .checkpoint
+                    .expect("split runs resume from a checkpoint"),
             }
         })
         .collect()
@@ -267,10 +272,12 @@ pub fn replay_resume_cell(world: &World, cell: ResumeCell) -> Vec<ResumeRecord> 
 /// grain (each cell's four runs stay serial on one worker). Records come
 /// back in cell-then-split order regardless of the worker count.
 pub fn resume_matrix_records(world: &World, workers: usize) -> Vec<ResumeRecord> {
-    par_map(workers, resume_matrix_cells(), |c| replay_resume_cell(world, c))
-        .into_iter()
-        .flatten()
-        .collect()
+    par_map(workers, resume_matrix_cells(), |c| {
+        replay_resume_cell(world, c)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Serialize resume records in the tier-9 golden-file format. The line key
@@ -400,8 +407,8 @@ pub fn parse_golden(text: &str) -> Vec<(String, String, u64)> {
             let mut parts = l.split_whitespace();
             let overlay = parts.next().expect("overlay column").to_string();
             let algo = parts.next().expect("algo column").to_string();
-            let digest = u64::from_str_radix(parts.next().expect("digest column"), 16)
-                .expect("hex digest");
+            let digest =
+                u64::from_str_radix(parts.next().expect("digest column"), 16).expect("hex digest");
             (overlay, algo, digest)
         })
         .collect()
@@ -484,10 +491,21 @@ random ASAP(FLD) 000000000000eeee 300 260 6666
         assert_eq!(drifts.len(), 4, "drifts: {drifts:#?}");
         let by_key = |k: &str| drifts.iter().find(|d| d.key == k).expect(k);
         let gsa = by_key("random GSA");
-        assert!(gsa.committed.as_deref().unwrap().contains("000000000000bbbb"));
-        assert!(gsa.computed.as_deref().unwrap().contains("111111111111bbbb"));
+        assert!(gsa
+            .committed
+            .as_deref()
+            .unwrap()
+            .contains("000000000000bbbb"));
+        assert!(gsa
+            .computed
+            .as_deref()
+            .unwrap()
+            .contains("111111111111bbbb"));
         assert!(by_key("random random-walk").computed.is_some());
-        assert!(by_key("random ASAP(RW)").computed.is_none(), "vanished cell");
+        assert!(
+            by_key("random ASAP(RW)").computed.is_none(),
+            "vanished cell"
+        );
         assert!(by_key("random ASAP(FLD)").committed.is_none(), "new cell");
         assert!(!drifts.iter().any(|d| d.key == "random flooding"));
     }

@@ -27,7 +27,7 @@ pub mod table;
 pub use adversary::AdversaryProfile;
 pub use algo::AlgoKind;
 pub use faults::FaultProfile;
-pub use scenario::ScenarioPack;
 pub use harness::{replay_cell, replay_matrix, ReplayRecord};
 pub use runner::{CellReport, RunSummary};
 pub use scale::Scale;
+pub use scenario::ScenarioPack;

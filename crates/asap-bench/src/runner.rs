@@ -4,7 +4,6 @@ use crate::adversary::AdversaryProfile;
 use crate::algo::AlgoKind;
 use crate::faults::FaultProfile;
 use crate::scale::Scale;
-use rayon::prelude::*;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
 use asap_net::Framed;
 use asap_overlay::{OverlayConfig, OverlayKind};
@@ -16,6 +15,7 @@ use asap_sim::{
 };
 use asap_topology::PhysicalNetwork;
 use asap_workload::{HeterogeneityPack, Workload};
+use rayon::prelude::*;
 
 /// Everything the figures need from one run.
 #[derive(Debug)]
@@ -538,15 +538,26 @@ pub fn sweep_cells_spec(
     spec: &RunSpec,
 ) -> Vec<CellReport> {
     let total = cells.len();
-    par_map(workers, cells.iter().copied().enumerate().collect(), |(i, (a, o))| {
-        let off_table = if a.clamp_notes(world.scale).is_empty() {
-            ""
-        } else {
-            " [off-table: clamped knobs]"
-        };
-        eprintln!("[run {}/{}] {} / {}{}", i + 1, total, a.label(), o.label(), off_table);
-        run_cell_spec(world, a, o, spec)
-    })
+    par_map(
+        workers,
+        cells.iter().copied().enumerate().collect(),
+        |(i, (a, o))| {
+            let off_table = if a.clamp_notes(world.scale).is_empty() {
+                ""
+            } else {
+                " [off-table: clamped knobs]"
+            };
+            eprintln!(
+                "[run {}/{}] {} / {}{}",
+                i + 1,
+                total,
+                a.label(),
+                o.label(),
+                off_table
+            );
+            run_cell_spec(world, a, o, spec)
+        },
+    )
 }
 
 /// The full 6 × 3 matrix, overlay-major (the golden files' line order).

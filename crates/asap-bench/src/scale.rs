@@ -278,7 +278,10 @@ mod tests {
         assert_eq!((paper.rw_ttl_raw, paper.rw_ttl), (1_024, 1_024));
         assert_eq!((paper.gsa_budget_raw, paper.gsa_budget), (8_000, 8_000));
         assert_eq!((paper.budget_unit_raw, paper.budget_unit), (3_000, 3_000));
-        assert_eq!((paper.cache_capacity_raw, paper.cache_capacity), (4_096, 4_096));
+        assert_eq!(
+            (paper.cache_capacity_raw, paper.cache_capacity),
+            (4_096, 4_096)
+        );
     }
 
     /// Only tiny runs off-table, and only on the two knobs whose floors

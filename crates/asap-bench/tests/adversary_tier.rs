@@ -57,7 +57,8 @@ fn scenario_goldens_spot_check() {
                 .find(|(o, a, _)| *o == overlay.label() && *a == algo.label())
                 .unwrap_or_else(|| panic!("cell present in {} golden", pack.label()));
             assert_eq!(
-                r.digest, *want,
+                r.digest,
+                *want,
                 "scenario digest drift in {} / {} / {} — if intentional, \
                  regenerate with `cargo run -p asap-bench --bin golden`",
                 pack.label(),
@@ -86,8 +87,16 @@ fn none_profile_reproduces_the_honest_golden() {
         (AlgoKind::AsapRw, OverlayKind::Crawled),
     ] {
         let cell = run_cell_spec(&world, algo, overlay, &spec);
-        assert!(cell.adversary.is_none(), "no layer attached for profile=none");
-        let direct = replay_cell(&world, algo, overlay, &replay_spec(FaultProfile::None, false));
+        assert!(
+            cell.adversary.is_none(),
+            "no layer attached for profile=none"
+        );
+        let direct = replay_cell(
+            &world,
+            algo,
+            overlay,
+            &replay_spec(FaultProfile::None, false),
+        );
         assert_eq!(
             direct.digest,
             cell.audit.as_ref().expect("audited").digest,
@@ -122,7 +131,10 @@ fn freerider_pack_absorbs_traffic() {
         .iter()
         .filter(|r| **r == asap_sim::AdversaryRole::FreeRider)
         .count();
-    assert_eq!(stats.free_riders as usize, free, "census matches assignment");
+    assert_eq!(
+        stats.free_riders as usize, free,
+        "census matches assignment"
+    );
     assert_eq!(stats.spam_peers, 0);
 }
 

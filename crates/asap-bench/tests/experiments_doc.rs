@@ -58,8 +58,16 @@ fn table_row(doc: &str, knob: &str) -> [Cell; 3] {
         })
         .unwrap_or_else(|| panic!("EXPERIMENTS.md has no scale-table row for {knob:?}"));
     let cols: Vec<&str> = row.split('|').map(str::trim).collect();
-    assert_eq!(cols.len(), 6, "row shape |{knob}|paper|default|tiny|: {row:?}");
-    [parse_cell(cols[2]), parse_cell(cols[3]), parse_cell(cols[4])]
+    assert_eq!(
+        cols.len(),
+        6,
+        "row shape |{knob}|paper|default|tiny|: {row:?}"
+    );
+    [
+        parse_cell(cols[2]),
+        parse_cell(cols[3]),
+        parse_cell(cols[4]),
+    ]
 }
 
 fn read_from_root(path: &str) -> String {
@@ -116,7 +124,10 @@ fn experiments_table_matches_scale_knobs() {
 #[test]
 fn clamp_annotations_match_run_notes() {
     let doc = read_from_root("EXPERIMENTS.md");
-    for (i, scale) in [Scale::Paper, Scale::Default, Scale::Tiny].iter().enumerate() {
+    for (i, scale) in [Scale::Paper, Scale::Default, Scale::Tiny]
+        .iter()
+        .enumerate()
+    {
         let clamped_knobs: Vec<&str> = [
             "random-walk TTL",
             "GSA budget",
@@ -153,5 +164,8 @@ fn fig4_table_matches_results_tsv() {
     let tsv = read_from_root("results/fig4.tsv");
     let rows: Vec<Vec<&str>> = tsv.lines().map(|l| l.split('\t').collect()).collect();
     assert_eq!(rows.len(), 7, "header + six algorithms in results/fig4.tsv");
-    assert_eq!(table, rows, "EXPERIMENTS.md Fig. 4 table vs results/fig4.tsv");
+    assert_eq!(
+        table, rows,
+        "EXPERIMENTS.md Fig. 4 table vs results/fig4.tsv"
+    );
 }

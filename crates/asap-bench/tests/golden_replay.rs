@@ -133,7 +133,8 @@ fn lossy_golden_spot_check() {
             .find(|(o, a, _)| *o == overlay.label() && *a == algo.label())
             .expect("cell present in lossy golden");
         assert_eq!(
-            r.digest, *want,
+            r.digest,
+            *want,
             "lossy digest drift in {} / {} — if intentional, regenerate with \
              `cargo run -p asap-bench --bin golden`",
             algo.label(),

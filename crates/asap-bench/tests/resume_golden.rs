@@ -32,7 +32,11 @@ fn parse_resume(text: &str) -> Vec<(String, String, String, u64, u64, u64)> {
                 .expect("sK split column")
                 .parse()
                 .expect("split index number");
-            let split_us: u64 = p.next().expect("split_us").parse().expect("split_us number");
+            let split_us: u64 = p
+                .next()
+                .expect("split_us")
+                .parse()
+                .expect("split_us number");
             let digest = u64::from_str_radix(p.next().expect("digest"), 16).expect("hex digest");
             (overlay, algo, variant, split, split_us, digest)
         })
@@ -74,7 +78,9 @@ fn spot_check(world: &World, cell: ResumeCell) {
          `cargo run -p asap-bench --bin golden`"
     );
     // The bytes, not only what resuming from them computes.
-    let (len, fnv) = resumed.checkpoint.expect("split runs resume from a checkpoint");
+    let (len, fnv) = resumed
+        .checkpoint
+        .expect("split runs resume from a checkpoint");
     let pinned = format!(
         "{} {} {} {len} {fnv:016x}",
         cell.overlay.label(),
@@ -96,7 +102,9 @@ fn resume_golden_covers_full_matrix() {
     assert_eq!(golden.iter().filter(|r| r.2 == "lossy").count(), 3);
     assert_eq!(golden.iter().filter(|r| r.2 == "spam10").count(), 3);
     // One checkpoint-bytes line per cell.
-    let pinned = CKPT_GOLDEN.lines().filter(|l| !l.starts_with('#') && !l.is_empty());
+    let pinned = CKPT_GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty());
     assert_eq!(pinned.count(), 20);
 }
 

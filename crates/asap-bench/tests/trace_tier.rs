@@ -36,8 +36,18 @@ const CELLS: [(AlgoKind, OverlayKind); 3] = [
 fn tracing_leaves_replay_digests_bit_identical() {
     let world = tiny_world();
     for (algo, overlay) in CELLS {
-        let plain = run_cell_spec(&world, algo, overlay, &replay_spec(FaultProfile::None, false));
-        let traced = run_cell_spec(&world, algo, overlay, &replay_spec(FaultProfile::None, true));
+        let plain = run_cell_spec(
+            &world,
+            algo,
+            overlay,
+            &replay_spec(FaultProfile::None, false),
+        );
+        let traced = run_cell_spec(
+            &world,
+            algo,
+            overlay,
+            &replay_spec(FaultProfile::None, true),
+        );
         assert_eq!(
             cell_to_record(&plain),
             cell_to_record(&traced),
@@ -45,7 +55,10 @@ fn tracing_leaves_replay_digests_bit_identical() {
             algo.label(),
             overlay.label()
         );
-        let rec = traced.trace.as_ref().expect("traced cell keeps its recorder");
+        let rec = traced
+            .trace
+            .as_ref()
+            .expect("traced cell keeps its recorder");
         assert!(rec.total() > 0, "recorder captured nothing");
         assert_eq!(
             rec.total(),
@@ -63,12 +76,17 @@ fn same_seed_replays_to_byte_identical_jsonl() {
     let spec = replay_spec(FaultProfile::Lossy, true);
     let run = || {
         let cell = run_cell_spec(&world, AlgoKind::AsapRw, OverlayKind::Random, &spec);
-        cell.trace.expect("traced cell keeps its recorder").write_jsonl()
+        cell.trace
+            .expect("traced cell keeps its recorder")
+            .write_jsonl()
     };
     let first = run();
     let second = run();
     assert!(!first.is_empty());
-    assert_eq!(first, second, "same seed must replay to byte-identical JSONL");
+    assert_eq!(
+        first, second,
+        "same seed must replay to byte-identical JSONL"
+    );
 }
 
 #[test]
@@ -91,9 +109,7 @@ fn builder_replays_to_identical_audit_digests() {
     };
     let first = build();
     let second = build();
-    let digest = |r: &asap_sim::SimReport<Flooding>| {
-        r.audit.as_ref().expect("audited run").digest
-    };
+    let digest = |r: &asap_sim::SimReport<Flooding>| r.audit.as_ref().expect("audited run").digest;
     assert_eq!(digest(&first), digest(&second), "builder replay diverged");
     assert_eq!(first.messages_sent, second.messages_sent);
     assert_eq!(first.end_time_us, second.end_time_us);
@@ -123,9 +139,17 @@ fn jsonl_lines_obey_the_schema() {
         assert!(line.ends_with('}'), "line must be one JSON object: {line}");
         lines += 1;
     }
-    assert_eq!(lines as usize, rec.len() + 1, "one line per record plus the stats trailer");
+    assert_eq!(
+        lines as usize,
+        rec.len() + 1,
+        "one line per record plus the stats trailer"
+    );
     assert!(
-        jsonl.lines().last().unwrap_or_default().contains("\"ev\":\"stats\""),
+        jsonl
+            .lines()
+            .last()
+            .unwrap_or_default()
+            .contains("\"ev\":\"stats\""),
         "the trailer aggregates the run"
     );
 

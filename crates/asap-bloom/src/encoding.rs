@@ -92,7 +92,10 @@ mod tests {
         let keys: Vec<String> = (0..1_000).map(|i| format!("kw{i}")).collect();
         let f = BloomFilter::from_keys(p, keys.iter().map(String::as_str));
         let size = WireFilter::size_of(&f) as f64 / 1024.0;
-        assert!(size <= 1.45, "full ad filter should be ≤ ~1.43 KB, got {size}");
+        assert!(
+            size <= 1.45,
+            "full ad filter should be ≤ ~1.43 KB, got {size}"
+        );
     }
 
     #[test]

@@ -204,8 +204,7 @@ impl ProbePlan {
     /// Build the merged probe set for `hashes` (conjunctive: a filter
     /// matches when **all** hashes test positive, the ad-match predicate).
     pub fn new(params: BloomParams, hashes: &[KeyHash]) -> Self {
-        let mut probes: Vec<(u32, u64)> =
-            Vec::with_capacity(hashes.len() * params.hashes as usize);
+        let mut probes: Vec<(u32, u64)> = Vec::with_capacity(hashes.len() * params.hashes as usize);
         for h in hashes {
             for bit in h.bits(params.bits, params.hashes) {
                 probes.push((bit / 64, 1u64 << (bit % 64)));

@@ -91,7 +91,11 @@ mod tests {
             ("", 0xf52a_15e9_a9b5_e89b, 0xfe53_61af_3ba5_1715),
             ("a", 0x02c0_bdbf_4814_20f8, 0xa4e6_26d0_7eda_00bd),
             ("metallica", 0xdb33_a7b9_2cf3_34f6, 0x68d1_c755_1e10_bf4b),
-            ("rock and roll", 0x43ab_1054_3671_f8b6, 0x75a2_c155_7497_0d9d),
+            (
+                "rock and roll",
+                0x43ab_1054_3671_f8b6,
+                0x75a2_c155_7497_0d9d,
+            ),
             ("key-9999", 0x7b4c_0cd0_b067_d976, 0xf31d_fa83_1d3f_d3a5),
         ];
         for (key, h1, h2) in pins {

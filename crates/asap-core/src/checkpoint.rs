@@ -53,7 +53,12 @@ use std::rc::Rc;
 
 // --- messages ---------------------------------------------------------------
 
-codec_struct!(AdSnapshot { source, topics, version, filter });
+codec_struct!(AdSnapshot {
+    source,
+    topics,
+    version,
+    filter
+});
 codec_enum!(Forwarding {
     0 => Direct,
     1 => Flood { ttl },
@@ -76,11 +81,21 @@ codec_enum!(AsapMsg {
 
 // --- per-node and per-search state ------------------------------------------
 
-codec_struct!(ReAdvert { baseline_fetches, backoff });
+codec_struct!(ReAdvert {
+    baseline_fetches,
+    backoff
+});
 codec_enum!(Phase { 0 => Confirming, 1 => Fallback });
 codec_struct!(AsapStats {
-    local_lookup_hits, fallback_rounds, confirms_sent, confirms_positive, confirms_negative,
-    repair_fetches, full_deliveries, patch_deliveries, refresh_deliveries,
+    local_lookup_hits,
+    fallback_rounds,
+    confirms_sent,
+    confirms_positive,
+    confirms_negative,
+    repair_fetches,
+    full_deliveries,
+    patch_deliveries,
+    refresh_deliveries,
 });
 
 // --- ad caches: one filter table, one table index per entry ----------------
@@ -471,7 +486,11 @@ mod tests {
     use asap_workload::{KeywordId, Workload, WorkloadConfig};
     use std::rc::Rc;
 
-    fn world(peers: usize, queries: usize, seed: u64) -> (PhysicalNetwork, Workload, asap_overlay::Overlay) {
+    fn world(
+        peers: usize,
+        queries: usize,
+        seed: u64,
+    ) -> (PhysicalNetwork, Workload, asap_overlay::Overlay) {
         let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
         let workload = asap_workload::generate(&WorkloadConfig::reduced(peers, queries, seed));
         let overlay = OverlayConfig::new(OverlayKind::Random, peers, seed).build();
@@ -571,7 +590,10 @@ mod tests {
         enc.put_len(0);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        assert!(matches!(BloomFilter::pull(&mut dec), Err(CodecError::Invalid(_))));
+        assert!(matches!(
+            BloomFilter::pull(&mut dec),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     /// Run `make()` twice over the same world: once uninterrupted, once
@@ -592,8 +614,9 @@ mod tests {
             .map(|plan| asap_sim::assign_roles(plan, workload.model.num_peers(), seed))
             .unwrap_or_else(|| vec![asap_sim::AdversaryRole::Honest; workload.model.num_peers()]);
         let build = |protocol: P, ov: asap_overlay::Overlay| {
-            let mut b = Simulation::builder(&phys, &workload, ov, OverlayKind::Random, protocol, seed)
-                .audit(AuditConfig::default());
+            let mut b =
+                Simulation::builder(&phys, &workload, ov, OverlayKind::Random, protocol, seed)
+                    .audit(AuditConfig::default());
             if let Some(f) = faults.clone() {
                 b = b.faults(f);
             }
@@ -693,17 +716,33 @@ mod tests {
         use crate::superpeer::SuperMsg;
         let terms: Rc<[KeywordId]> = vec![KeywordId(1), KeywordId(44)].into();
         let (query, requester) = (17, PeerId(3));
-        assert_canonical(&SuperMsg::Register { snap: sample_snapshot() });
+        assert_canonical(&SuperMsg::Register {
+            snap: sample_snapshot(),
+        });
         assert_canonical(&SuperMsg::Digest {
             entries: vec![(PeerId(7), InterestSet(0b101), 3)].into(),
             budget: 40,
         });
         assert_canonical(&SuperMsg::Fetch);
-        assert_canonical(&SuperMsg::FetchReply { snap: sample_snapshot() });
-        assert_canonical(&SuperMsg::QueryAsk { query, requester, terms: Rc::clone(&terms) });
-        assert_canonical(&SuperMsg::Confirm { query, requester, terms: Rc::clone(&terms) });
+        assert_canonical(&SuperMsg::FetchReply {
+            snap: sample_snapshot(),
+        });
+        assert_canonical(&SuperMsg::QueryAsk {
+            query,
+            requester,
+            terms: Rc::clone(&terms),
+        });
+        assert_canonical(&SuperMsg::Confirm {
+            query,
+            requester,
+            terms: Rc::clone(&terms),
+        });
         assert_canonical(&SuperMsg::ConfirmReply { query, results: 2 });
-        assert_canonical(&SuperMsg::AdsRequest { query, requester, terms: Rc::clone(&terms) });
+        assert_canonical(&SuperMsg::AdsRequest {
+            query,
+            requester,
+            terms: Rc::clone(&terms),
+        });
         assert_canonical(&SuperMsg::AdsReply {
             query,
             requester,

@@ -129,9 +129,15 @@ impl AsapConfig {
     pub fn validate(&self) {
         assert!(self.budget_unit >= 1, "budget unit must be positive");
         assert!(self.cache_capacity >= 1, "cache capacity must be positive");
-        assert!(self.refresh_interval_us > 0, "refresh interval must be positive");
+        assert!(
+            self.refresh_interval_us > 0,
+            "refresh interval must be positive"
+        );
         assert!(self.expiry_periods >= 1, "expiry periods must be positive");
-        assert!(self.max_confirm_fanout >= 1, "confirm fanout must be positive");
+        assert!(
+            self.max_confirm_fanout >= 1,
+            "confirm fanout must be positive"
+        );
         assert!(
             self.refresh_budget_factor > 0.0 && self.refresh_budget_factor <= 1.0,
             "refresh budget factor must be in (0, 1]"

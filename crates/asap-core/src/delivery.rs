@@ -35,13 +35,27 @@ pub(crate) fn start_delivery<C: Transport<Msg = AsapMsg>>(
     let budget = ((topics * budget_unit) as f64 * budget_factor).round() as u32;
     let budget = budget.max(1);
     let class = ad_class(&payload);
-    ctx.trace(|| asap_sim::trace::Event::AdPublished { node: source, class });
+    ctx.trace(|| asap_sim::trace::Event::AdPublished {
+        node: source,
+        class,
+    });
     match kind {
         DeliveryKind::Flooding { ttl } => {
             // Flooding's envelope is its TTL; the budget factor shaves hops
             // off periodic beacons (factor < 1 drops the TTL by one).
-            let ttl = if budget_factor < 1.0 { ttl.saturating_sub(1).max(1) } else { ttl };
-            fan_to_all(ctx, source, None, payload, delivery, Forwarding::Flood { ttl });
+            let ttl = if budget_factor < 1.0 {
+                ttl.saturating_sub(1).max(1)
+            } else {
+                ttl
+            };
+            fan_to_all(
+                ctx,
+                source,
+                None,
+                payload,
+                delivery,
+                Forwarding::Flood { ttl },
+            );
         }
         DeliveryKind::RandomWalk { walkers } => {
             let per_walker = (budget / walkers).max(1);
@@ -85,7 +99,15 @@ pub(crate) fn continue_delivery<C: Transport<Msg = AsapMsg>>(
             }
         }
         Forwarding::Gsa { budget } => {
-            gsa_disperse(ctx, node, Some(came_from), payload, delivery, budget, branch);
+            gsa_disperse(
+                ctx,
+                node,
+                Some(came_from),
+                payload,
+                delivery,
+                budget,
+                branch,
+            );
         }
     }
 }
@@ -158,6 +180,13 @@ fn gsa_disperse<C: Transport<Msg = AsapMsg>>(
         return;
     };
     for (n, b) in hops.shares() {
-        send_ad(ctx, node, n, payload.clone(), delivery, Forwarding::Gsa { budget: b });
+        send_ad(
+            ctx,
+            node,
+            n,
+            payload.clone(),
+            delivery,
+            Forwarding::Gsa { budget: b },
+        );
     }
 }

@@ -36,6 +36,6 @@ pub mod superpeer;
 pub use ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 pub use config::{AsapConfig, DeliveryKind};
 pub use protocol::Asap;
-pub use retry::{Backoff, RobustnessConfig};
 pub use repository::AdRepository;
+pub use retry::{Backoff, RobustnessConfig};
 pub use superpeer::{SuperAsap, SuperPeerConfig};

@@ -13,8 +13,8 @@ use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::collections::{DetHashMap, DetHashSet};
 use asap_sim::util::SeenTracker;
-use asap_sim::{NodeTable, Protocol, Transport};
 use asap_sim::AdversaryRole;
+use asap_sim::{NodeTable, Protocol, Transport};
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -356,14 +356,18 @@ impl Asap {
 
     /// Oldest acceptable refresh stamp for lookups at `now`.
     pub(crate) fn expire_before(&self, now_us: u64) -> u64 {
-        now_us.saturating_sub(
-            self.config.refresh_interval_us * u64::from(self.config.expiry_periods),
-        )
+        now_us
+            .saturating_sub(self.config.refresh_interval_us * u64::from(self.config.expiry_periods))
     }
 
     /// Direct full-ad fetch from `source` to repair a gap or warm a miss.
     /// At most one fetch per (node, source) is in flight at a time.
-    fn repair_fetch<C: Transport<Msg = AsapMsg>>(&mut self, ctx: &mut C, node: PeerId, source: PeerId) {
+    fn repair_fetch<C: Transport<Msg = AsapMsg>>(
+        &mut self,
+        ctx: &mut C,
+        node: PeerId,
+        source: PeerId,
+    ) {
         if node == source || !self.nodes[node.index()].fetching.insert(source) {
             return;
         }
@@ -380,7 +384,11 @@ impl Asap {
             self.nodes[node.index()]
                 .fetch_backoff
                 .insert(source, rb.fetch_backoff());
-            ctx.set_timer(node, rb.backoff_base_us, TAG_FETCH_BIT | u64::from(source.0));
+            ctx.set_timer(
+                node,
+                rb.backoff_base_us,
+                TAG_FETCH_BIT | u64::from(source.0),
+            );
         }
     }
 
@@ -497,8 +505,10 @@ impl Asap {
         }
 
         let source = payload.source();
-        let interested =
-            source != node && payload.topics().intersects(ctx.model().interests[node.index()]);
+        let interested = source != node
+            && payload
+                .topics()
+                .intersects(ctx.model().interests[node.index()]);
         if interested {
             let now = ctx.now_us();
             let st = &mut self.nodes[node.index()];
@@ -608,9 +618,7 @@ impl Protocol for Asap {
             } => search::handle_ads_request(
                 self, ctx, to, from, requester, interests, hops, query, terms,
             ),
-            AsapMsg::AdsReply { ads, query } => {
-                search::handle_ads_reply(self, ctx, to, ads, query)
-            }
+            AsapMsg::AdsReply { ads, query } => search::handle_ads_reply(self, ctx, to, ads, query),
             AsapMsg::Confirm {
                 query,
                 requester,
@@ -638,7 +646,9 @@ impl Protocol for Asap {
                     self.arm_readvert(ctx, node);
                 }
                 // First refresh lands one period (plus jitter) later.
-                let jitter = ctx.rng().gen_range(0..self.config.refresh_interval_us / 4 + 1);
+                let jitter = ctx
+                    .rng()
+                    .gen_range(0..self.config.refresh_interval_us / 4 + 1);
                 ctx.set_timer(node, self.config.refresh_interval_us + jitter, TAG_REFRESH);
             }
             TAG_REFRESH => {
@@ -665,7 +675,9 @@ impl Protocol for Asap {
         if self.deliver_announce(ctx, node, 1.0) {
             self.arm_readvert(ctx, node);
         }
-        let jitter = ctx.rng().gen_range(0..self.config.refresh_interval_us / 4 + 1);
+        let jitter = ctx
+            .rng()
+            .gen_range(0..self.config.refresh_interval_us / 4 + 1);
         ctx.set_timer(node, self.config.refresh_interval_us + jitter, TAG_REFRESH);
     }
 

@@ -64,12 +64,20 @@ impl RobustnessConfig {
 
     /// Backoff for repair-fetch retransmits.
     pub fn fetch_backoff(&self) -> Backoff {
-        Backoff::new(self.backoff_base_us, self.backoff_cap_us, self.fetch_retries)
+        Backoff::new(
+            self.backoff_base_us,
+            self.backoff_cap_us,
+            self.fetch_retries,
+        )
     }
 
     /// Backoff for ad re-advertisements.
     pub fn readvert_backoff(&self) -> Backoff {
-        Backoff::new(self.backoff_base_us, self.backoff_cap_us, self.readvert_retries)
+        Backoff::new(
+            self.backoff_base_us,
+            self.backoff_cap_us,
+            self.readvert_retries,
+        )
     }
 
     /// Backoff for confirmation retries: the first retry waits twice the

@@ -58,14 +58,19 @@ fn timeout_tag(query: u32, phase: Phase) -> u64 {
 }
 
 /// Entry point: a query was issued at its requester.
-pub(crate) fn start_query<C: Transport<Msg = AsapMsg>>(asap: &mut Asap, ctx: &mut C, q: &QuerySpec) {
+pub(crate) fn start_query<C: Transport<Msg = AsapMsg>>(
+    asap: &mut Asap,
+    ctx: &mut C,
+    q: &QuerySpec,
+) {
     let terms: Rc<[KeywordId]> = q.terms.clone().into();
     let term_hashes: Vec<KeyHash> = q.terms.iter().map(|&k| asap.hash_of(k)).collect();
 
     let expire = asap.expire_before(ctx.now_us());
-    let candidates = asap.nodes[q.requester.index()]
-        .repo
-        .lookup(&term_hashes, ctx.now_us(), expire);
+    let candidates =
+        asap.nodes[q.requester.index()]
+            .repo
+            .lookup(&term_hashes, ctx.now_us(), expire);
 
     let mut pending = PendingSearch {
         requester: q.requester,
@@ -160,7 +165,9 @@ pub(crate) fn send_ads_request<C: Transport<Msg = AsapMsg>>(
     let interests = ctx.model().interests[node.index()];
     let hops = asap.config.ads_request_hops;
     let bytes = ads_request_size(interests.len())
-        + terms.as_ref().map_or(0, |t| t.len() * asap_sim::KEYWORD_WIRE_BYTES);
+        + terms
+            .as_ref()
+            .map_or(0, |t| t.len() * asap_sim::KEYWORD_WIRE_BYTES);
     let msg = AsapMsg::AdsRequest {
         requester: node,
         interests,
@@ -221,7 +228,10 @@ pub(crate) fn handle_ads_request<C: Transport<Msg = AsapMsg>>(
         // candidates (each ≈ a full filter!); join warm-ups ship the larger
         // interest-filtered batch. `max_ads_per_reply = 0` mutes replies
         // entirely (the no-fallback ablation).
-        let query_cap = asap.config.max_confirm_fanout.min(asap.config.max_ads_per_reply);
+        let query_cap = asap
+            .config
+            .max_confirm_fanout
+            .min(asap.config.max_ads_per_reply);
         let warmup_cap = asap.config.max_ads_per_reply;
         let repo = &mut asap.nodes[node.index()].repo;
         let ads = match &hashes {
@@ -287,7 +297,9 @@ pub(crate) fn handle_ads_reply<C: Transport<Msg = AsapMsg>>(
         return;
     }
     let expire = asap.expire_before(now);
-    let candidates = asap.nodes[node.index()].repo.lookup(&p.term_hashes, now, expire);
+    let candidates = asap.nodes[node.index()]
+        .repo
+        .lookup(&p.term_hashes, now, expire);
     send_confirms(asap, ctx, &mut p, qid, &candidates);
     asap.pending.insert(qid, p);
 }
@@ -303,7 +315,10 @@ pub(crate) fn handle_confirm<C: Transport<Msg = AsapMsg>>(
     terms: &Rc<[KeywordId]>,
 ) {
     let _ = asap;
-    let results = ctx.content().matching_docs(ctx.model(), node, terms).count() as u32;
+    let results = ctx
+        .content()
+        .matching_docs(ctx.model(), node, terms)
+        .count() as u32;
     ctx.send(
         node,
         requester,
@@ -378,7 +393,12 @@ pub(crate) fn handle_confirm_reply<C: Transport<Msg = AsapMsg>>(
 }
 
 /// A query timer fired at the requester.
-pub(crate) fn handle_timeout<C: Transport<Msg = AsapMsg>>(asap: &mut Asap, ctx: &mut C, node: PeerId, tag: u64) {
+pub(crate) fn handle_timeout<C: Transport<Msg = AsapMsg>>(
+    asap: &mut Asap,
+    ctx: &mut C,
+    node: PeerId,
+    tag: u64,
+) {
     debug_assert!(tag >= TAG_QUERY_BASE);
     let rel = tag - TAG_QUERY_BASE;
     let query = (rel / 2) as u32;

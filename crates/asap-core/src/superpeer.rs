@@ -34,11 +34,11 @@ use asap_bloom::{BloomFilter, WireFilter};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
-use asap_sim::{codec_enum, codec_struct};
 use asap_sim::{
     ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_size, spread,
     Protocol, Transport, HEADER_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
 };
+use asap_sim::{codec_enum, codec_struct};
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::Rng;
 use std::cell::RefCell;
@@ -80,7 +80,9 @@ impl SuperPeerConfig {
 pub enum Role {
     Super,
     /// Leaf registered with `home`.
-    Leaf { home: PeerId },
+    Leaf {
+        home: PeerId,
+    },
 }
 
 /// Wire messages of the super-peer deployment.
@@ -304,12 +306,23 @@ impl SuperAsap {
                 + WireFilter::size_of(&snap.filter)
                 + snap.topics.len() * TOPIC_WIRE_BYTES
                 + VERSION_WIRE_BYTES;
-            ctx.send(node, home, MsgClass::FullAd, bytes, SuperMsg::Register { snap });
+            ctx.send(
+                node,
+                home,
+                MsgClass::FullAd,
+                bytes,
+                SuperMsg::Register { snap },
+            );
         }
     }
 
     /// A super peer takes responsibility for a source and gossips a digest.
-    fn accept_registration<C: Transport<Msg = SuperMsg>>(&mut self, ctx: &mut C, me: PeerId, snap: AdSnapshot) {
+    fn accept_registration<C: Transport<Msg = SuperMsg>>(
+        &mut self,
+        ctx: &mut C,
+        me: PeerId,
+        snap: AdSnapshot,
+    ) {
         let entry = (snap.source, snap.topics, snap.version);
         self.union_interests[me.index()] =
             self.union_interests[me.index()].union(ctx.model().interests[snap.source.index()]);
@@ -573,7 +586,13 @@ impl Protocol for SuperAsap {
         }
     }
 
-    fn on_message<C: Transport<Msg = SuperMsg>>(&mut self, ctx: &mut C, to: PeerId, from: PeerId, msg: SuperMsg) {
+    fn on_message<C: Transport<Msg = SuperMsg>>(
+        &mut self,
+        ctx: &mut C,
+        to: PeerId,
+        from: PeerId,
+        msg: SuperMsg,
+    ) {
         match msg {
             SuperMsg::Register { snap } => self.accept_registration(ctx, to, snap),
             SuperMsg::Digest { entries, budget } => {
@@ -589,7 +608,13 @@ impl Protocol for SuperAsap {
                     + WireFilter::size_of(&snap.filter)
                     + snap.topics.len() * TOPIC_WIRE_BYTES
                     + VERSION_WIRE_BYTES;
-                ctx.send(to, from, MsgClass::FullAd, bytes, SuperMsg::FetchReply { snap });
+                ctx.send(
+                    to,
+                    from,
+                    MsgClass::FullAd,
+                    bytes,
+                    SuperMsg::FetchReply { snap },
+                );
             }
             SuperMsg::FetchReply { snap } => {
                 let now = ctx.now_us();
@@ -733,8 +758,14 @@ codec_enum!(SuperMsg {
     8 => AdsReply { query, requester, terms, ads },
 });
 codec_struct!(SuperStats {
-    supers, leaves, registrations, digests_sent, fetches, leaf_queries_forwarded,
-    super_local_hits, super_fallbacks,
+    supers,
+    leaves,
+    registrations,
+    digests_sent,
+    fetches,
+    leaf_queries_forwarded,
+    super_local_hits,
+    super_fallbacks,
 });
 
 /// A node's state as it rides the checkpoint: a super peer's cache as entry

@@ -27,7 +27,15 @@ fn run_asap(config: AsapConfig, seed: u64) -> SimReport<Asap> {
     // this 50 s trace gets a refresh round every 8 s.
     config.refresh_interval_us = 8_000_000;
     let protocol = Asap::new(config, &workload.model);
-    Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, protocol, seed).run()
+    Simulation::builder(
+        &phys,
+        &workload,
+        overlay,
+        OverlayKind::Random,
+        protocol,
+        seed,
+    )
+    .run()
 }
 
 #[test]
@@ -64,7 +72,11 @@ fn search_cost_is_orders_below_ad_free_query_traffic() {
         per_search < 5_000.0,
         "per-search cost {per_search} bytes is too high"
     );
-    assert_eq!(totals[MsgClass::Query.index()], 0, "ASAP never floods queries");
+    assert_eq!(
+        totals[MsgClass::Query.index()],
+        0,
+        "ASAP never floods queries"
+    );
     assert!(totals[MsgClass::Confirm.index()] > 0);
 }
 
@@ -89,7 +101,8 @@ fn ad_traffic_is_dominated_by_patch_and_refresh_after_warmup() {
     let mut config = AsapConfig::rw().scaled_to(PEERS);
     config.refresh_interval_us = 30_000_000; // 30 s so several rounds fit
     let protocol = Asap::new(config, &workload.model);
-    let report = Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, protocol, 5).run();
+    let report =
+        Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, protocol, 5).run();
     let stats = &report.protocol.stats;
     assert!(stats.refresh_deliveries > 0, "refresh ads must flow");
     assert!(stats.patch_deliveries > 0, "patch ads must flow");
@@ -110,7 +123,10 @@ fn deterministic_replay() {
     assert_eq!(a.messages_sent, b.messages_sent);
     assert_eq!(a.load.total_bytes(), b.load.total_bytes());
     assert_eq!(a.ledger.success_rate(), b.ledger.success_rate());
-    assert_eq!(a.ledger.avg_response_time_ms(), b.ledger.avg_response_time_ms());
+    assert_eq!(
+        a.ledger.avg_response_time_ms(),
+        b.ledger.avg_response_time_ms()
+    );
 }
 
 #[test]

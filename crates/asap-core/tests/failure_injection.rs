@@ -24,7 +24,15 @@ fn run(workload: &Workload, seed: u64) -> SimReport<Asap> {
     let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
     let overlay = OverlayConfig::new(OverlayKind::Random, PEERS, seed).build();
     let protocol = Asap::new(config(), &workload.model);
-    Simulation::builder(&phys, workload, overlay, OverlayKind::Random, protocol, seed).run()
+    Simulation::builder(
+        &phys,
+        workload,
+        overlay,
+        OverlayKind::Random,
+        protocol,
+        seed,
+    )
+    .run()
 }
 
 /// A trace whose churn rate is pushed to the generator's drain limit:
@@ -45,7 +53,10 @@ fn survives_mass_churn() {
         .iter()
         .filter(|e| matches!(e.event, asap_workload::TraceEvent::Leave(_)))
         .count();
-    assert!(leaves >= PEERS / 5, "churn not heavy enough ({leaves} leaves)");
+    assert!(
+        leaves >= PEERS / 5,
+        "churn not heavy enough ({leaves} leaves)"
+    );
     let report = run(&workload, 41);
     // Queries still mostly succeed — stale cached ads fail confirmation and
     // the fallback recovers.

@@ -33,8 +33,15 @@ fn run(seed: u64, robustness: RobustnessConfig, loss_ppm: u32) -> SimReport<Asap
         asap_workload::generate(&WorkloadConfig::reduced(PEERS, QUERIES, seed));
     let overlay = OverlayConfig::new(OverlayKind::Random, PEERS, seed).build();
     let protocol = Asap::new(config(robustness), &workload.model);
-    let sim = Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, protocol, seed)
-        .audit(AuditConfig::default());
+    let sim = Simulation::builder(
+        &phys,
+        &workload,
+        overlay,
+        OverlayKind::Random,
+        protocol,
+        seed,
+    )
+    .audit(AuditConfig::default());
     let sim = if loss_ppm > 0 {
         sim.faults(FaultPlan {
             loss_ppm,

@@ -20,14 +20,25 @@ fn run(seed: u64, super_fraction: f64) -> SimReport<SuperAsap> {
     let mut config = SuperPeerConfig::new(asap);
     config.super_fraction = super_fraction;
     let protocol = SuperAsap::new(config, &workload.model);
-    Simulation::builder(&phys, &workload, overlay, OverlayKind::PowerLaw, protocol, seed).run()
+    Simulation::builder(
+        &phys,
+        &workload,
+        overlay,
+        OverlayKind::PowerLaw,
+        protocol,
+        seed,
+    )
+    .run()
 }
 
 #[test]
 fn hierarchy_forms_and_answers_queries() {
     let report = run(1, 0.2);
     let stats = &report.protocol.stats;
-    assert!(stats.supers > 0 && stats.leaves > 0, "both roles must exist");
+    assert!(
+        stats.supers > 0 && stats.leaves > 0,
+        "both roles must exist"
+    );
     assert!(
         stats.supers < PEERS / 2,
         "super peers should be a minority ({})",
@@ -44,7 +55,10 @@ fn hierarchy_forms_and_answers_queries() {
 fn leaves_route_queries_through_their_home() {
     let report = run(2, 0.2);
     let stats = &report.protocol.stats;
-    assert!(stats.leaf_queries_forwarded > 0, "leaves must forward queries");
+    assert!(
+        stats.leaf_queries_forwarded > 0,
+        "leaves must forward queries"
+    );
     assert!(
         stats.super_local_hits > 0,
         "super-peer repositories must answer lookups"

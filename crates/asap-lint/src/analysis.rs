@@ -176,7 +176,10 @@ fn digest_taint(
             continue;
         }
         let note = if is_sink(ix) {
-            Some(format!("`{}` is a configured digest sink", node.def.qual_name()))
+            Some(format!(
+                "`{}` is a configured digest sink",
+                node.def.qual_name()
+            ))
         } else {
             graph
                 .example_path(&sinks, ix)
@@ -204,9 +207,8 @@ fn stream_discipline(
         return;
     };
     // Per-stream boundary-stopped reachability.
-    let owned_by_other = |stream: &str, file: &str| {
-        cfg.stream_of(file).is_some_and(|s| s.name != stream)
-    };
+    let owned_by_other =
+        |stream: &str, file: &str| cfg.stream_of(file).is_some_and(|s| s.name != stream);
     let stream_reach: Vec<(&str, Vec<bool>)> = cfg
         .streams
         .iter()
@@ -293,8 +295,14 @@ mod tests {
                     "a.rs",
                     "pub struct Sim; impl Sim { pub fn run(&mut self) { helper(); } }",
                 ),
-                ("b.rs", "pub fn helper() { maybe().unwrap(); }\nfn maybe() -> Option<u32> { None }"),
-                ("c.rs", "pub fn island() { nothing().unwrap(); }\nfn nothing() -> Option<u32> { None }"),
+                (
+                    "b.rs",
+                    "pub fn helper() { maybe().unwrap(); }\nfn maybe() -> Option<u32> { None }",
+                ),
+                (
+                    "c.rs",
+                    "pub fn island() { nothing().unwrap(); }\nfn nothing() -> Option<u32> { None }",
+                ),
             ],
             "[rules.panic_reachability]\nroots = [\"Sim::run\"]\n",
         );
@@ -321,7 +329,11 @@ mod tests {
         );
         let v = graph_violations(&files, &graph, &cfg);
         let flagged: Vec<&str> = v.iter().map(|(fix, _)| files[*fix].rel.as_str()).collect();
-        assert_eq!(flagged, vec!["mixer.rs"], "sink callee flagged, off-path float ignored");
+        assert_eq!(
+            flagged,
+            vec!["mixer.rs"],
+            "sink callee flagged, off-path float ignored"
+        );
         let note = v[0].1.note.as_deref().expect("has a path note");
         assert!(note.contains("Fnv64::write"), "note names the sink: {note}");
     }

@@ -135,9 +135,7 @@ impl CallGraph {
             let Some(deps) = deps else { return true };
             let from = &g.nodes[caller].krate;
             let to = &g.nodes[callee].krate;
-            from == to
-                || from == "(unit)"
-                || deps.get(from).is_some_and(|set| set.contains(to))
+            from == to || from == "(unit)" || deps.get(from).is_some_and(|set| set.contains(to))
         };
 
         g.edges = vec![Vec::new(); g.nodes.len()];
@@ -400,7 +398,10 @@ mod tests {
     fn cross_file_edges_and_reachability() {
         let g = build_unit(&[
             ("a.rs", "pub fn entry() { helper(); }"),
-            ("b.rs", "pub fn helper() { leaf(); } pub fn leaf() {} pub fn island() {}"),
+            (
+                "b.rs",
+                "pub fn helper() { leaf(); } pub fn leaf() {} pub fn island() {}",
+            ),
         ]);
         let entry = g.match_pattern("entry")[0];
         let island = g.match_pattern("island")[0];
@@ -449,7 +450,10 @@ mod tests {
     #[test]
     fn tests_and_test_dirs_contribute_no_nodes() {
         let g = build_unit(&[
-            ("src/a.rs", "#[cfg(test)] mod t { fn phantom() {} } fn real() {}"),
+            (
+                "src/a.rs",
+                "#[cfg(test)] mod t { fn phantom() {} } fn real() {}",
+            ),
             ("crates/x/tests/it.rs", "fn integration_only() {}"),
         ]);
         let names: Vec<String> = g.nodes.iter().map(|n| n.def.qual_name()).collect();
@@ -463,8 +467,14 @@ mod tests {
             "asap-sim".into(),
             ["asap-sim", "asap-overlay"].map(String::from).into(),
         );
-        deps.insert("asap-bench".into(), ["asap-bench", "asap-sim"].map(String::from).into());
-        deps.insert("asap-overlay".into(), ["asap-overlay"].map(String::from).into());
+        deps.insert(
+            "asap-bench".into(),
+            ["asap-bench", "asap-sim"].map(String::from).into(),
+        );
+        deps.insert(
+            "asap-overlay".into(),
+            ["asap-overlay"].map(String::from).into(),
+        );
         let files = [
             ("crates/asap-sim/src/lib.rs", "pub fn tick() { shared(); }"),
             ("crates/asap-overlay/src/lib.rs", "pub fn shared() {}"),

@@ -28,12 +28,12 @@ pub struct RuleScope {
 
 impl RuleScope {
     pub fn covers(&self, rel_path: &str) -> bool {
-        self.crates
-            .iter()
-            .any(|c| rel_path.strip_prefix("crates/").is_some_and(|r| {
-                r.strip_prefix(c.as_str()).is_some_and(|r| r.starts_with('/'))
-            }))
-            || self.paths.iter().any(|p| rel_path.starts_with(p.as_str()))
+        self.crates.iter().any(|c| {
+            rel_path.strip_prefix("crates/").is_some_and(|r| {
+                r.strip_prefix(c.as_str())
+                    .is_some_and(|r| r.starts_with('/'))
+            })
+        }) || self.paths.iter().any(|p| rel_path.starts_with(p.as_str()))
     }
 
     /// Scope matching every file — used by the fixture tests.
@@ -148,8 +148,8 @@ impl LintConfig {
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 let header = header.trim();
                 if let Some(name) = header.strip_prefix("rules.") {
-                    let id = RuleId::from_alias(name.trim())
-                        .ok_or_else(|| err("unknown rule name"))?;
+                    let id =
+                        RuleId::from_alias(name.trim()).ok_or_else(|| err("unknown rule name"))?;
                     cfg.scopes.entry(id).or_default();
                     target = Target::Rule(id);
                 } else if let Some(name) = header.strip_prefix("streams.") {
@@ -212,11 +212,7 @@ impl LintConfig {
                         }
                         "consts" => stream.consts = parse_string_array(value).map_err(&err)?,
                         "owners" => stream.owners = parse_string_array(value).map_err(&err)?,
-                        _ => {
-                            return Err(err(
-                                "unknown stream key (want salt/salts/consts/owners)",
-                            ))
-                        }
+                        _ => return Err(err("unknown stream key (want salt/salts/consts/owners)")),
                     }
                 }
                 Target::Allow => {
@@ -224,8 +220,8 @@ impl LintConfig {
                     let s = parse_string(value).map_err(&err)?;
                     match key {
                         "rule" => {
-                            entry.rule = RuleId::from_alias(&s)
-                                .ok_or_else(|| err("unknown rule name"))?;
+                            entry.rule =
+                                RuleId::from_alias(&s).ok_or_else(|| err("unknown rule name"))?;
                         }
                         "path" => entry.path = s,
                         "reason" => entry.reason = s,
@@ -281,7 +277,9 @@ fn logical_lines(text: &str) -> Result<Vec<(usize, String)>, String> {
         }
     }
     if depth != 0 {
-        return Err(format!("lint.toml:{start}: unterminated `[` (array value never closed)"));
+        return Err(format!(
+            "lint.toml:{start}: unterminated `[` (array value never closed)"
+        ));
     }
     Ok(out)
 }
@@ -373,7 +371,10 @@ mod tests {
         .expect("parses");
         let r1 = cfg.scope(RuleId::R1).expect("configured");
         assert!(r1.covers("crates/asap-sim/src/util.rs"));
-        assert!(!r1.covers("crates/asap-simx/src/util.rs"), "no prefix bleed");
+        assert!(
+            !r1.covers("crates/asap-simx/src/util.rs"),
+            "no prefix bleed"
+        );
         assert!(!r1.covers("crates/asap-metrics/src/load.rs"));
         let r3 = cfg.scope(RuleId::R3).expect("configured");
         assert!(r3.covers("crates/asap-sim/src/event.rs"));

@@ -24,7 +24,10 @@ pub enum TokKind {
     /// `raw` is the literal text normalized for comparison: lower-cased with
     /// `_` separators stripped (so `0xFA17_0B5E` matches `0xfa170b5e`) — the
     /// RNG stream-salt registry (rule R6) matches against it.
-    Num { float: bool, raw: String },
+    Num {
+        float: bool,
+        raw: String,
+    },
     Punct(char),
 }
 
@@ -474,7 +477,17 @@ mod tests {
         "##;
         assert_eq!(
             idents(src),
-            vec!["let", "s", "let", "r", "let", "c", "let", "real", "HashBrown"]
+            vec![
+                "let",
+                "s",
+                "let",
+                "r",
+                "let",
+                "c",
+                "let",
+                "real",
+                "HashBrown"
+            ]
         );
     }
 

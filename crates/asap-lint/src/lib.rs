@@ -146,7 +146,9 @@ impl Diagnostic {
 
 /// Escape a GitHub workflow-command message (data portion).
 fn gh_message(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    s.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }
 
 /// Escape a GitHub workflow-command property (before the `::`).
@@ -201,8 +203,7 @@ pub fn lint_unit(
     let mut violations: Vec<(usize, rules::Violation)> = Vec::new();
     for (fix, f) in files.iter().enumerate() {
         for rule in ALL_RULES {
-            if cfg.scope(rule).is_some_and(|s| s.covers(&f.rel))
-                && !cfg.file_allowed(rule, &f.rel)
+            if cfg.scope(rule).is_some_and(|s| s.covers(&f.rel)) && !cfg.file_allowed(rule, &f.rel)
             {
                 violations.extend(
                     rules::check(rule, &f.lexed, &f.in_test)
@@ -251,7 +252,12 @@ pub fn lint_unit(
         }
     }
     diagnostics.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule_id).cmp(&(b.path.as_str(), b.line, b.col, b.rule_id))
+        (a.path.as_str(), a.line, a.col, a.rule_id).cmp(&(
+            b.path.as_str(),
+            b.line,
+            b.col,
+            b.rule_id,
+        ))
     });
     diagnostics.dedup_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule_id) == (b.path.as_str(), b.line, b.col, b.rule_id)

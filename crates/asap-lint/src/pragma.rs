@@ -139,7 +139,11 @@ pub fn problems(pragmas: &[Pragma]) -> Vec<(u32, u32, String)> {
         }
         for r in &p.rules {
             if RuleId::from_alias(r).is_none() {
-                out.push((p.line, p.col, format!("lint pragma names unknown rule `{r}`")));
+                out.push((
+                    p.line,
+                    p.col,
+                    format!("lint pragma names unknown rule `{r}`"),
+                ));
             }
         }
         if p.reason.as_deref().unwrap_or("").is_empty() {

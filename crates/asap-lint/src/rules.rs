@@ -319,7 +319,10 @@ pub fn check_streams(
                     ..violation(
                         RuleId::R6,
                         tok,
-                        &format!("`{what}` is the salt of stream `{}`, used outside its owner", stream.name),
+                        &format!(
+                            "`{what}` is the salt of stream `{}`, used outside its owner",
+                            stream.name
+                        ),
                     )
                 });
             }
@@ -379,7 +382,11 @@ mod tests {
         let owner = check_streams(&lexed, &in_test, "crates/asap-sim/src/fault.rs", &cfg);
         assert!(owner.is_empty(), "owner file may mention its salt");
         let outsider = check_streams(&lexed, &in_test, "crates/asap-sim/src/engine.rs", &cfg);
-        assert_eq!(outsider.len(), 2, "literal + const both flagged: {outsider:?}");
+        assert_eq!(
+            outsider.len(),
+            2,
+            "literal + const both flagged: {outsider:?}"
+        );
     }
 
     #[test]
@@ -412,6 +419,9 @@ mod tests {
         assert_eq!(panics.len(), 1, "test unwrap exempt: {panics:?}");
         let taints = taint_sites(&lexed, &in_test, whole);
         assert_eq!(taints.len(), 1, "test float exempt: {taints:?}");
-        assert!(panic_sites(&lexed, &in_test, (0, 0)).is_empty(), "empty range");
+        assert!(
+            panic_sites(&lexed, &in_test, (0, 0)).is_empty(),
+            "empty range"
+        );
     }
 }

@@ -190,7 +190,13 @@ fn parse_impl_header(tokens: &[Tok], mut i: usize, end: usize) -> Option<(ImplCt
             } else {
                 (None, first_path_last)
             };
-            return Some((ImplCtx { self_ty, trait_name }, i));
+            return Some((
+                ImplCtx {
+                    self_ty,
+                    trait_name,
+                },
+                i,
+            ));
         }
         if t.is_punct(';') {
             return None;
@@ -211,7 +217,13 @@ fn parse_impl_header(tokens: &[Tok], mut i: usize, end: usize) -> Option<(ImplCt
                     } else {
                         (None, first_path_last)
                     };
-                    return Some((ImplCtx { self_ty, trait_name }, open));
+                    return Some((
+                        ImplCtx {
+                            self_ty,
+                            trait_name,
+                        },
+                        open,
+                    ));
                 }
                 "dyn" | "mut" | "const" => {}
                 _ => {
@@ -321,10 +333,7 @@ pub fn calls_in(tokens: &[Tok], body: (usize, usize)) -> Vec<Call> {
         }
         if prev.is_some_and(|t| t.is_punct('.')) {
             out.push(Call::Method(name.to_string()));
-        } else if prev.is_some_and(|t| t.is_punct(':'))
-            && i >= 2
-            && tokens[i - 2].is_punct(':')
-        {
+        } else if prev.is_some_and(|t| t.is_punct(':')) && i >= 2 && tokens[i - 2].is_punct(':') {
             // `Qual::name(`. Walk back over `::` to the qualifier segment
             // (skipping turbofish generics is not needed: `::<…>::` keeps
             // the qualifier one more hop back, which the loop handles).
@@ -489,9 +498,8 @@ mod tests {
 
     #[test]
     fn test_regions_mark_fns() {
-        let s = parse_src(
-            "fn live() {}\n#[cfg(test)]\nmod tests { fn helper() {} #[test] fn t() {} }",
-        );
+        let s =
+            parse_src("fn live() {}\n#[cfg(test)]\nmod tests { fn helper() {} #[test] fn t() {} }");
         let flags: Vec<(String, bool)> =
             s.fns.iter().map(|f| (f.name.clone(), f.is_test)).collect();
         assert_eq!(

@@ -79,7 +79,10 @@ fn r3_taint_notes_name_the_digest_path() {
     let cfg = LintConfig::parse(TAINT_TOML).expect("test config parses");
     let diags = lint_source("taint_sink.rs", &fixture("taint_sink.rs"), &cfg);
     let note = diags[0].note.as_deref().expect("taint finding has a note");
-    assert!(note.contains("Digest::write_u64"), "note names the sink: {note}");
+    assert!(
+        note.contains("Digest::write_u64"),
+        "note names the sink: {note}"
+    );
 }
 
 #[test]
@@ -95,10 +98,8 @@ fn r3_taint_respects_pragmas() {
 /// violation only because a `Protocol` impl in *another* file reaches it.
 #[test]
 fn r4_crosses_files_from_protocol_impls() {
-    let cfg = LintConfig::parse(
-        "[rules.panic_reachability]\nroot_traits = [\"Protocol\"]\n",
-    )
-    .expect("test config parses");
+    let cfg = LintConfig::parse("[rules.panic_reachability]\nroot_traits = [\"Protocol\"]\n")
+        .expect("test config parses");
     let out = lint_unit(
         vec![
             ("reach_entry.rs".to_string(), fixture("reach_entry.rs")),

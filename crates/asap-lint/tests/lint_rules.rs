@@ -118,7 +118,10 @@ fn scoping_gates_rules_per_file() {
     cfg.scopes
         .insert(asap_lint::RuleId::R4, RuleScope::default());
     let diags = lint_source("r4_unwrap.rs", &fixture("r4_unwrap.rs"), &cfg);
-    assert!(diags.is_empty(), "out-of-scope files produce no diagnostics");
+    assert!(
+        diags.is_empty(),
+        "out-of-scope files produce no diagnostics"
+    );
 }
 
 #[test]
@@ -181,9 +184,18 @@ fn diagnostics_render_with_span_and_caret() {
         "workflow-command annotation well-formed: {annotation}"
     );
     let rendered = diags[0].render(Some(&src));
-    assert!(rendered.contains("error[R4/panic-reachability]"), "{rendered}");
-    assert!(rendered.contains("--> crates/x/src/lib.rs:7:"), "{rendered}");
-    assert!(rendered.contains("^^^^^^"), "caret line present: {rendered}");
+    assert!(
+        rendered.contains("error[R4/panic-reachability]"),
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains("--> crates/x/src/lib.rs:7:"),
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains("^^^^^^"),
+        "caret line present: {rendered}"
+    );
     assert!(rendered.contains("= note: reachable via"), "{rendered}");
     assert!(rendered.contains("= help:"), "{rendered}");
 }

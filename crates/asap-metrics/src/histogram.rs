@@ -213,10 +213,7 @@ mod tests {
         h.record(4);
         assert_eq!(h.count(), 5);
         // 0 | 1 | 2..3 | 4..7
-        assert_eq!(
-            h.nonzero_buckets(),
-            vec![(0, 1), (1, 1), (3, 2), (7, 1)]
-        );
+        assert_eq!(h.nonzero_buckets(), vec![(0, 1), (1, 1), (3, 2), (7, 1)]);
     }
 
     #[test]

@@ -327,7 +327,10 @@ mod tests {
         assert!(MsgClass::Query.is_search_cost());
         assert!(MsgClass::Confirm.is_search_cost());
         assert!(MsgClass::AdsRequest.is_search_cost());
-        assert!(!MsgClass::FullAd.is_search_cost(), "ad delivery is load, not cost");
+        assert!(
+            !MsgClass::FullAd.is_search_cost(),
+            "ad delivery is load, not cost"
+        );
         assert!(!MsgClass::PatchAd.is_search_cost());
         assert!(!MsgClass::RefreshAd.is_search_cost());
         // Hits flow back in both designs but the paper's baseline cost counts

@@ -163,14 +163,20 @@ impl QueryLedger {
             match rec.first_answer_us {
                 Some(t) => {
                     if t < rec.issue_us {
-                        violations
-                            .push(format!("query {id}: answered at {t} before issue {}", rec.issue_us));
+                        violations.push(format!(
+                            "query {id}: answered at {t} before issue {}",
+                            rec.issue_us
+                        ));
                     }
                     if t > end_time_us {
-                        violations.push(format!("query {id}: answered at {t} after end {end_time_us}"));
+                        violations.push(format!(
+                            "query {id}: answered at {t} after end {end_time_us}"
+                        ));
                     }
                     if rec.answers == 0 {
-                        violations.push(format!("query {id}: first answer set but answer count is 0"));
+                        violations.push(format!(
+                            "query {id}: first answer set but answer count is 0"
+                        ));
                     }
                 }
                 None => {

@@ -268,7 +268,9 @@ mod tests {
             let r = decode_frame::<Flooding>(&bytes[..cut]).expect("prefix is not an error");
             assert!(r.is_none(), "cut at {cut} produced a frame");
         }
-        let (f, consumed) = decode_frame::<Flooding>(&bytes).expect("ok").expect("complete");
+        let (f, consumed) = decode_frame::<Flooding>(&bytes)
+            .expect("ok")
+            .expect("complete");
         assert_eq!(consumed, bytes.len());
         assert_eq!(encode_frame::<Flooding>(&f), bytes);
     }

@@ -36,7 +36,9 @@ fn keywords(seed: u32, n: usize) -> Rc<[KeywordId]> {
 
 /// Bloom-backed snapshot from a seed, as ASAP ads replies carry them.
 fn snapshot(seed: u32) -> AdSnapshot {
-    let keys: Vec<String> = (0..(seed % 5) + 1).map(|i| format!("k{seed}-{i}")).collect();
+    let keys: Vec<String> = (0..(seed % 5) + 1)
+        .map(|i| format!("k{seed}-{i}"))
+        .collect();
     AdSnapshot {
         source: PeerId(seed % 10_000),
         topics: InterestSet((seed % 0xFFFF) as u16),
@@ -84,7 +86,9 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
     match kind % 7 {
         0 => AsapMsg::Ad {
             payload: AdPayload::Full(snapshot(query)),
-            fwd: Forwarding::Flood { ttl: (ttl % 32) as u8 },
+            fwd: Forwarding::Flood {
+                ttl: (ttl % 32) as u8,
+            },
             delivery: u64::from(query) << 16 | u64::from(ttl),
         },
         1 => AsapMsg::Ad {
@@ -115,8 +119,14 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
             terms: None,
         },
         5 => AsapMsg::AdsReply {
-            ads: (0..nterms % 4).map(|i| snapshot(query.wrapping_add(i as u32))).collect(),
-            query: if ttl.is_multiple_of(2) { Some(query) } else { None },
+            ads: (0..nterms % 4)
+                .map(|i| snapshot(query.wrapping_add(i as u32)))
+                .collect(),
+            query: if ttl.is_multiple_of(2) {
+                Some(query)
+            } else {
+                None
+            },
         },
         6 => AsapMsg::Confirm {
             query,
@@ -144,7 +154,11 @@ fn frame<M>(msg: M, peer: u32, class_idx: usize, billed: u32) -> Frame<M> {
 /// canonical, so byte identity proves every field survived.
 fn assert_roundtrip<P: CheckpointProtocol>(bytes: &[u8]) {
     let back = decode_frame_exact::<P>(bytes).expect("clean frame decodes");
-    assert_eq!(encode_frame::<P>(&back), bytes, "re-encode is not byte-identical");
+    assert_eq!(
+        encode_frame::<P>(&back),
+        bytes,
+        "re-encode is not byte-identical"
+    );
     // The streaming decoder must agree with the exact one and consume all.
     let (stream, consumed) = decode_frame::<P>(bytes)
         .expect("streaming decode of a clean frame")

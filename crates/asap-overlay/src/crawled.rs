@@ -61,6 +61,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let g = generate(2_000, &mut rng);
         let max = g.degree_histogram().len() - 1;
-        assert!(max >= 12, "crawled overlay should have hubs, max degree {max}");
+        assert!(
+            max >= 12,
+            "crawled overlay should have hubs, max degree {max}"
+        );
     }
 }

@@ -42,10 +42,7 @@ impl TruncatedPowerLaw {
     pub fn sample(&self, rng: &mut SmallRng) -> usize {
         let u: f64 = rng.gen();
         // First index whose cdf ≥ u.
-        match self
-            .cdf
-            .binary_search_by(|c| c.total_cmp(&u))
-        {
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) | Err(i) => (i + 1).min(self.cdf.len()),
         }
     }
@@ -129,7 +126,10 @@ mod tests {
     fn fit_cutoff_hits_target_mean() {
         let cutoff = TruncatedPowerLaw::fit_cutoff(-0.74, 5.0, 10_000);
         let mean = TruncatedPowerLaw::new(-0.74, cutoff).mean();
-        assert!((mean - 5.0).abs() < 0.5, "cutoff {cutoff} gives mean {mean}");
+        assert!(
+            (mean - 5.0).abs() < 0.5,
+            "cutoff {cutoff} gives mean {mean}"
+        );
     }
 
     #[test]

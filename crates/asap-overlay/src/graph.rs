@@ -277,7 +277,10 @@ mod tests {
         let mut g = Overlay::with_peers(3);
         assert!(g.add_edge(PeerId(0), PeerId(1)));
         assert!(!g.add_edge(PeerId(0), PeerId(1)), "duplicate rejected");
-        assert!(!g.add_edge(PeerId(1), PeerId(0)), "reverse duplicate rejected");
+        assert!(
+            !g.add_edge(PeerId(1), PeerId(0)),
+            "reverse duplicate rejected"
+        );
         assert!(!g.add_edge(PeerId(2), PeerId(2)), "self loop rejected");
         assert_eq!(g.num_edges(), 1);
         assert!(g.remove_edge(PeerId(1), PeerId(0)));

@@ -54,7 +54,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = generate(2_000, 5.0, &mut rng);
         let max = g.degree_histogram().len() - 1;
-        assert!(max < 25, "random overlay should have no big hubs, max {max}");
+        assert!(
+            max < 25,
+            "random overlay should have no big hubs, max {max}"
+        );
     }
 
     #[test]

@@ -21,7 +21,11 @@ codec_enum!(BaselineMsg {
     2 => Gsa { query, requester, terms, budget },
     3 => Hit { query, results },
 });
-codec_struct!(RetransmitState { requester, terms, backoff });
+codec_struct!(RetransmitState {
+    requester,
+    terms,
+    backoff
+});
 
 impl CheckpointProtocol for Flooding {
     fn encode_state(&self, enc: &mut Encoder) {
@@ -101,7 +105,10 @@ mod tests {
     fn baseline_msg_decode_rejects_bad_tag() {
         let bytes = [9u8];
         let mut dec = Decoder::new(&bytes);
-        assert!(matches!(BaselineMsg::pull(&mut dec), Err(CodecError::BadTag)));
+        assert!(matches!(
+            BaselineMsg::pull(&mut dec),
+            Err(CodecError::BadTag)
+        ));
     }
 
     /// Run `make()` twice over the same world: once uninterrupted, once

@@ -91,7 +91,15 @@ impl Protocol for Flooding {
         let terms: Rc<[KeywordId]> = q.terms.clone().into();
         // The requester is marked visited so reflected floods die instantly.
         self.seen.first_visit(q.id, q.requester);
-        Self::fan_out(ctx, q.requester, None, q.id, q.requester, &terms, self.config.ttl);
+        Self::fan_out(
+            ctx,
+            q.requester,
+            None,
+            q.id,
+            q.requester,
+            &terms,
+            self.config.ttl,
+        );
         arm_retransmit(&mut self.retrans, ctx, self.config.retransmit, q, terms);
     }
 
@@ -250,7 +258,11 @@ mod tests {
         .run();
         let sent = report.load.class_message_totals()[MsgClass::Query.index()];
         let searches = report.ledger.num_queries() as u64;
-        assert_eq!(sent % searches, 0, "{sent} messages over {searches} searches");
+        assert_eq!(
+            sent % searches,
+            0,
+            "{sent} messages over {searches} searches"
+        );
         sent / searches
     }
 

@@ -99,7 +99,15 @@ impl Protocol for Gsa {
     fn on_query<C: Transport<Msg = BaselineMsg>>(&mut self, ctx: &mut C, q: &QuerySpec) {
         let terms: Rc<[KeywordId]> = q.terms.clone().into();
         // The initial dispersal pays for itself out of the query budget.
-        self.disperse(ctx, q.requester, None, q.id, q.requester, &terms, self.config.budget);
+        self.disperse(
+            ctx,
+            q.requester,
+            None,
+            q.id,
+            q.requester,
+            &terms,
+            self.config.budget,
+        );
     }
 
     fn on_message<C: Transport<Msg = BaselineMsg>>(

@@ -97,7 +97,15 @@ impl Protocol for RandomWalk {
     fn on_query<C: Transport<Msg = BaselineMsg>>(&mut self, ctx: &mut C, q: &QuerySpec) {
         let terms: Rc<[KeywordId]> = q.terms.clone().into();
         for _ in 0..self.config.walkers {
-            Self::step(ctx, q.requester, None, q.id, q.requester, &terms, self.config.ttl);
+            Self::step(
+                ctx,
+                q.requester,
+                None,
+                q.id,
+                q.requester,
+                &terms,
+                self.config.ttl,
+            );
         }
         arm_retransmit(&mut self.retrans, ctx, self.config.retransmit, q, terms);
     }
@@ -156,7 +164,11 @@ mod tests {
             &workload,
             overlay,
             OverlayKind::Random,
-            RandomWalk::new(RandomWalkConfig { walkers, ttl, retransmit: None }),
+            RandomWalk::new(RandomWalkConfig {
+                walkers,
+                ttl,
+                retransmit: None,
+            }),
             seed,
         )
         .run()

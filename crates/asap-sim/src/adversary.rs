@@ -96,10 +96,7 @@ impl AdversaryPlan {
         }
         for t in &self.eclipse {
             if t.captured_links == 0 {
-                return Err(format!(
-                    "eclipse target {:?} captures zero links",
-                    t.victim
-                ));
+                return Err(format!("eclipse target {:?} captures zero links", t.victim));
             }
         }
         Ok(())

@@ -145,7 +145,11 @@ pub struct SimAuditor {
     adversary_absorbed: u64,
 }
 
-codec_struct!(AuditConfig { check_invariants, digest_events, max_violations });
+codec_struct!(AuditConfig {
+    check_invariants,
+    digest_events,
+    max_violations
+});
 
 // Hand-written: the digest travels as its raw state word and `retry_mirror`
 // is an `asap-metrics` type, restored through `RetryCounters::from_counts`.
@@ -269,21 +273,50 @@ impl SimAuditor {
     /// module docs list what each kind drives).
     pub fn observe(&mut self, now_us: u64, seq: u64, ev: &Event) {
         match *ev {
-            Event::Send { from, to, class, bytes, .. } => self.sent(now_us, from, to, class, bytes),
-            Event::FaultDrop { from, to, class, bytes, partition } => {
+            Event::Send {
+                from,
+                to,
+                class,
+                bytes,
+                ..
+            } => self.sent(now_us, from, to, class, bytes),
+            Event::FaultDrop {
+                from,
+                to,
+                class,
+                bytes,
+                partition,
+            } => {
                 self.sent(now_us, from, to, class, bytes);
                 if partition {
                     self.fault_partition_drops += 1;
                 } else {
                     self.fault_drops += 1;
                 }
-                self.fold(&[TAG_FAULT_DROP, now_us, from.0 as u64, to.0 as u64, partition as u64]);
+                self.fold(&[
+                    TAG_FAULT_DROP,
+                    now_us,
+                    from.0 as u64,
+                    to.0 as u64,
+                    partition as u64,
+                ]);
             }
-            Event::AdversaryAbsorb { from, to, class, bytes } => {
+            Event::AdversaryAbsorb {
+                from,
+                to,
+                class,
+                bytes,
+            } => {
                 self.sent(now_us, from, to, class, bytes);
                 self.adversary_absorbed += 1;
                 let class = class.index() as u64;
-                self.fold(&[TAG_ADVERSARY_ABSORB, now_us, from.0 as u64, to.0 as u64, class]);
+                self.fold(&[
+                    TAG_ADVERSARY_ABSORB,
+                    now_us,
+                    from.0 as u64,
+                    to.0 as u64,
+                    class,
+                ]);
             }
             Event::FaultDuplicate { from, to } => {
                 self.fault_dups_announced += 1;
@@ -297,12 +330,21 @@ impl SimAuditor {
             // `dup` is deliberately **not** folded: fault-free records keep
             // their exact historical shape, and a duplicate is already
             // visible in the stream as an extra record.
-            Event::Deliver { to, from, delivered, dup } => {
+            Event::Deliver {
+                to,
+                from,
+                delivered,
+                dup,
+            } => {
                 self.observe_key(now_us, seq);
                 self.fault_dups_seen += dup as u64;
                 if self.cfg.check_invariants {
                     self.check(delivered == self.alive[to.index()], || {
-                        let fate = if delivered { "delivered to dead" } else { "dropped at live" };
+                        let fate = if delivered {
+                            "delivered to dead"
+                        } else {
+                            "dropped at live"
+                        };
                         format!("message from {from:?} {fate} node {to:?} at {now_us}")
                     });
                     if dup {
@@ -322,7 +364,9 @@ impl SimAuditor {
                 if self.cfg.check_invariants {
                     let mirror = self.alive[node.index()];
                     self.check(fired == mirror, || {
-                        format!("timer tag {tag} at {node:?}: fired={fired} but mirror alive={mirror}")
+                        format!(
+                            "timer tag {tag} at {node:?}: fired={fired} but mirror alive={mirror}"
+                        )
                     });
                 }
                 self.fold(&[TAG_TIMER, now_us, seq, node.0 as u64, tag, fired as u64]);
@@ -336,10 +380,23 @@ impl SimAuditor {
                 }
                 self.fold(&[TAG_QUERY, now_us, seq, id as u64, requester.0 as u64]);
             }
-            Event::ContentChanged { peer, doc, added, applied } => {
+            Event::ContentChanged {
+                peer,
+                doc,
+                added,
+                applied,
+            } => {
                 self.observe_key(now_us, seq);
                 let (peer, doc) = (peer.0 as u64, doc as u64);
-                self.fold(&[TAG_CONTENT, now_us, seq, peer, doc, added as u64, applied as u64]);
+                self.fold(&[
+                    TAG_CONTENT,
+                    now_us,
+                    seq,
+                    peer,
+                    doc,
+                    added as u64,
+                    applied as u64,
+                ]);
             }
             Event::Join { peer } => {
                 self.flip(now_us, seq, peer, true);
@@ -384,7 +441,11 @@ impl SimAuditor {
         self.observe_key(time_us, seq);
         let legal = self.alive[p.index()] != alive;
         if self.cfg.check_invariants {
-            let what = if alive { "join of already-live" } else { "leave of already-dead" };
+            let what = if alive {
+                "join of already-live"
+            } else {
+                "leave of already-dead"
+            };
             self.check(legal, || format!("{what} node {p:?} at {time_us}"));
         }
         if legal {
@@ -499,10 +560,18 @@ impl SimAuditor {
                 let i = c.index();
                 let (sb, sm) = (self.sent_bytes[i], self.sent_msgs[i]);
                 self.check(bytes[i] == sb, || {
-                    format!("{} bytes: recorder {} != audited sends {sb}", c.label(), bytes[i])
+                    format!(
+                        "{} bytes: recorder {} != audited sends {sb}",
+                        c.label(),
+                        bytes[i]
+                    )
                 });
                 self.check(msgs[i] == sm, || {
-                    format!("{} messages: recorder {} != audited sends {sm}", c.label(), msgs[i])
+                    format!(
+                        "{} messages: recorder {} != audited sends {sm}",
+                        c.label(),
+                        msgs[i]
+                    )
                 });
             }
             let total_msgs: u64 = self.sent_msgs.iter().sum();
@@ -529,7 +598,8 @@ impl SimAuditor {
 
         if self.cfg.digest_events {
             // Final metrics: everything integral the replay harness pins.
-            self.digest.write_all(&[TAG_FINAL, end_time_us, messages_sent]);
+            self.digest
+                .write_all(&[TAG_FINAL, end_time_us, messages_sent]);
             self.digest.write_all(&load.class_totals());
             self.digest.write_all(&load.class_message_totals());
             self.digest.write_all(&[
@@ -581,13 +651,28 @@ mod tests {
 
     // A 40-byte query from peer 0 to peer 1, by each of its three fates.
     const Q: MsgClass = MsgClass::Query;
-    const SEND: Event =
-        Event::Send { from: PeerId(0), to: PeerId(1), class: Q, bytes: 40, delay_us: 4_000 };
-    const ABSORB: Event =
-        Event::AdversaryAbsorb { from: PeerId(0), to: PeerId(1), class: Q, bytes: 40 };
+    const SEND: Event = Event::Send {
+        from: PeerId(0),
+        to: PeerId(1),
+        class: Q,
+        bytes: 40,
+        delay_us: 4_000,
+    };
+    const ABSORB: Event = Event::AdversaryAbsorb {
+        from: PeerId(0),
+        to: PeerId(1),
+        class: Q,
+        bytes: 40,
+    };
 
     fn fault_drop(partition: bool) -> Event {
-        Event::FaultDrop { from: PeerId(0), to: PeerId(1), class: Q, bytes: 40, partition }
+        Event::FaultDrop {
+            from: PeerId(0),
+            to: PeerId(1),
+            class: Q,
+            bytes: 40,
+            partition,
+        }
     }
 
     /// Finish a four-peer run in which the engine charged `sends` copies of
@@ -703,7 +788,14 @@ mod tests {
     #[test]
     fn announced_duplicate_delivery_is_clean() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
-        a.observe(5, 0, &Event::FaultDuplicate { from: PeerId(0), to: PeerId(1) });
+        a.observe(
+            5,
+            0,
+            &Event::FaultDuplicate {
+                from: PeerId(0),
+                to: PeerId(1),
+            },
+        );
         a.observe(10, 0, &deliver(1, 0, true, false));
         a.observe(11, 1, &deliver(1, 0, true, true));
         assert!(a.violations.is_empty(), "{:?}", a.violations);
@@ -739,7 +831,10 @@ mod tests {
             assert_eq!(mirrors, (!partition as u64, partition as u64));
         }
         let a = observed(ABSORB);
-        assert_eq!(a.digest, by_hand(&[TAG_ADVERSARY_ABSORB, 5, 0, 1, Q.index() as u64]));
+        assert_eq!(
+            a.digest,
+            by_hand(&[TAG_ADVERSARY_ABSORB, 5, 0, 1, Q.index() as u64])
+        );
         assert_eq!(a.adversary_absorbed, 1);
         // A delivered send folds the same record and nothing more.
         assert_eq!(observed(SEND).digest, by_hand(&[]));
@@ -749,10 +844,17 @@ mod tests {
     fn ignored_events_change_nothing() {
         let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
         for ev in [
-            Event::TimerSet { node: PeerId(0), delay_us: 5, tag: 1 },
+            Event::TimerSet {
+                node: PeerId(0),
+                delay_us: 5,
+                tag: 1,
+            },
             Event::TimerCancelled { cancelled: true },
             Event::QueryAnswered { id: 3 },
-            Event::QueryFallback { id: 3, node: PeerId(0) },
+            Event::QueryFallback {
+                id: 3,
+                node: PeerId(0),
+            },
         ] {
             a.observe(9, 9, &ev);
         }
@@ -781,7 +883,13 @@ mod tests {
         let finish_with = |mirror_hits: u32, engine_hits: u32| {
             let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
             for _ in 0..mirror_hits {
-                a.observe(0, 0, &Event::Counter { stat: RetryStat::Retries });
+                a.observe(
+                    0,
+                    0,
+                    &Event::Counter {
+                        stat: RetryStat::Retries,
+                    },
+                );
             }
             let mut retry = RetryCounters::new();
             for _ in 0..engine_hits {
@@ -831,7 +939,10 @@ mod tests {
         };
         assert!(finish_with(true).is_clean());
         let bad = finish_with(false);
-        assert!(bad.violations.iter().any(|v| v.contains("adversary absorbs")));
+        assert!(bad
+            .violations
+            .iter()
+            .any(|v| v.contains("adversary absorbs")));
     }
 
     #[test]

@@ -95,13 +95,37 @@ codec_enum!(EngineEvent<M> {
 });
 codec_struct!(Scheduled<M> { time_us, seq, event });
 codec_struct!(EngineProfile {
-    sends, delivers, timers_fired, timers_set, trace_events, trace_records, queue_hwm,
+    sends,
+    delivers,
+    timers_fired,
+    timers_set,
+    trace_events,
+    trace_records,
+    queue_hwm,
     past_horizon,
 });
-codec_struct!(PartitionWindow { start_us, end_us, cut_index });
-codec_struct!(FaultStats { dropped, partitioned, duplicated, jittered, decisions });
-codec_struct!(EclipseTarget { victim, captured_links });
-codec_struct!(AdversaryStats { absorbed, spam_peers, free_riders, eclipsed_edges });
+codec_struct!(PartitionWindow {
+    start_us,
+    end_us,
+    cut_index
+});
+codec_struct!(FaultStats {
+    dropped,
+    partitioned,
+    duplicated,
+    jittered,
+    decisions
+});
+codec_struct!(EclipseTarget {
+    victim,
+    captured_links
+});
+codec_struct!(AdversaryStats {
+    absorbed,
+    spam_peers,
+    free_riders,
+    eclipsed_edges
+});
 
 /// The raw state words of one RNG stream.
 struct RngState([u64; 4]);
@@ -262,7 +286,14 @@ struct Header {
     started: bool,
     halted: bool,
 }
-codec_struct!(Header { run_seed, num_peers, overlay_kind, now_us, started, halted });
+codec_struct!(Header {
+    run_seed,
+    num_peers,
+    overlay_kind,
+    now_us,
+    started,
+    halted
+});
 
 /// The magic and the version word every checkpoint opens with.
 fn preamble(dec: &mut Decoder<'_>) -> Result<(), CodecError> {
@@ -367,8 +398,15 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
         protocol: P,
         ckpt: &Checkpoint,
     ) -> Result<Self, CodecError> {
-        Simulation::builder(phys, workload, overlay, overlay_kind, protocol, ckpt.run_seed())
-            .from_checkpoint(ckpt)
+        Simulation::builder(
+            phys,
+            workload,
+            overlay,
+            overlay_kind,
+            protocol,
+            ckpt.run_seed(),
+        )
+        .from_checkpoint(ckpt)
     }
 }
 
@@ -393,10 +431,14 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
             return Err(CodecError::Invalid("checkpoint seed differs from builder"));
         }
         if ckpt.num_peers != num_peers {
-            return Err(CodecError::Invalid("checkpoint peer count differs from builder"));
+            return Err(CodecError::Invalid(
+                "checkpoint peer count differs from builder",
+            ));
         }
         if ckpt.overlay_kind != sim.ctx.overlay_kind {
-            return Err(CodecError::Invalid("checkpoint overlay kind differs from builder"));
+            return Err(CodecError::Invalid(
+                "checkpoint overlay kind differs from builder",
+            ));
         }
 
         // Every id decoded below — wherever it sits, message payloads
@@ -466,7 +508,9 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         let messages_sent = u64::pull(&mut dec)?;
         let profile = EngineProfile::pull(&mut dec)?;
         if messages_sent != profile.sends {
-            return Err(CodecError::Invalid("send counter disagrees with engine profile"));
+            return Err(CodecError::Invalid(
+                "send counter disagrees with engine profile",
+            ));
         }
         // [11] Auditor.
         let audit: Option<Box<SimAuditor>> = Codec::pull(&mut dec)?;
@@ -607,7 +651,10 @@ mod tests {
         }
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        assert!(matches!(RngState::pull(&mut dec), Err(CodecError::Invalid(_))));
+        assert!(matches!(
+            RngState::pull(&mut dec),
+            Err(CodecError::Invalid(_))
+        ));
     }
 
     #[test]
@@ -643,6 +690,9 @@ mod tests {
             keywords: 1,
         };
         let mut dec = Decoder::new(&bytes).with_bounds(bounds);
-        assert!(matches!(TraceEvent::pull(&mut dec), Err(CodecError::Invalid(_))));
+        assert!(matches!(
+            TraceEvent::pull(&mut dec),
+            Err(CodecError::Invalid(_))
+        ));
     }
 }

@@ -227,7 +227,12 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         // no randomness, so the fault stream below stays untouched.
         if let Some(adv) = self.adversary.as_deref_mut() {
             if adv.absorb(to, class) {
-                self.trace(|| TraceEvt::AdversaryAbsorb { from, to, class, bytes: billed });
+                self.trace(|| TraceEvt::AdversaryAbsorb {
+                    from,
+                    to,
+                    class,
+                    bytes: billed,
+                });
                 return;
             }
         }
@@ -238,7 +243,13 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         let base = self.now_us.saturating_add(self.latency_us(from, to));
         match decision {
             FaultDecision::Drop { partition } => {
-                self.trace(|| TraceEvt::FaultDrop { from, to, class, bytes: billed, partition });
+                self.trace(|| TraceEvt::FaultDrop {
+                    from,
+                    to,
+                    class,
+                    bytes: billed,
+                    partition,
+                });
             }
             FaultDecision::Deliver {
                 jitter_us,
@@ -284,7 +295,11 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
 
     fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
         self.profile.timers_set += 1;
-        self.trace(|| TraceEvt::TimerSet { node, delay_us, tag });
+        self.trace(|| TraceEvt::TimerSet {
+            node,
+            delay_us,
+            tag,
+        });
         // Saturating: a delay near `u64::MAX` means "never" (it lands past
         // any horizon), not a wrap into the past that fires at once.
         let fire_at = self.now_us.saturating_add(delay_us);
@@ -803,7 +818,12 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             EngineEvent::Deliver { to, from, msg, dup } => {
                 self.ctx.profile.delivers += 1;
                 let delivered = self.ctx.alive[to.index()];
-                self.ctx.trace(|| TraceEvt::Deliver { to, from, delivered, dup });
+                self.ctx.trace(|| TraceEvt::Deliver {
+                    to,
+                    from,
+                    delivered,
+                    dup,
+                });
                 if delivered {
                     match self.ctx.carrier.unpack(msg) {
                         Some(msg) => self.protocol.on_message(&mut self.ctx, to, from, msg),
@@ -871,7 +891,10 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         match ev {
             TraceEvent::Query(q) => {
                 debug_assert!(ctx.alive[q.requester.index()], "trace guarantees liveness");
-                ctx.trace(|| TraceEvt::QueryIssued { id: q.id, requester: q.requester });
+                ctx.trace(|| TraceEvt::QueryIssued {
+                    id: q.id,
+                    requester: q.requester,
+                });
                 ctx.ledger.register(q.id, ctx.now_us);
                 self.protocol.on_query(ctx, &q);
             }
@@ -893,7 +916,8 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
                 let mut rng = SmallRng::seed_from_u64(ctx.rng.gen());
                 match ctx.overlay_kind {
                     OverlayKind::Random => {
-                        ctx.overlay.attach_uniform(p, &ctx.alive_list, degree, &mut rng)
+                        ctx.overlay
+                            .attach_uniform(p, &ctx.alive_list, degree, &mut rng)
                     }
                     OverlayKind::PowerLaw | OverlayKind::Crawled => ctx
                         .overlay
@@ -928,7 +952,12 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         } else {
             ctx.content.remove(ctx.model, peer, doc)
         };
-        ctx.trace(|| TraceEvt::ContentChanged { peer, doc: doc.0, added, applied });
+        ctx.trace(|| TraceEvt::ContentChanged {
+            peer,
+            doc: doc.0,
+            added,
+            applied,
+        });
         if applied {
             self.protocol.on_content_change(ctx, peer, doc, added);
         }
@@ -948,8 +977,13 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum OracleMsg {
-        Ask { query: u32, terms: Vec<asap_workload::KeywordId> },
-        Reply { query: u32 },
+        Ask {
+            query: u32,
+            terms: Vec<asap_workload::KeywordId>,
+        },
+        Reply {
+            query: u32,
+        },
     }
 
     impl Protocol for OracleProtocol {
@@ -973,7 +1007,13 @@ mod tests {
             }
         }
 
-        fn on_message<C: Transport<Msg = OracleMsg>>(&mut self, ctx: &mut C, to: PeerId, from: PeerId, msg: OracleMsg) {
+        fn on_message<C: Transport<Msg = OracleMsg>>(
+            &mut self,
+            ctx: &mut C,
+            to: PeerId,
+            from: PeerId,
+            msg: OracleMsg,
+        ) {
             match msg {
                 OracleMsg::Ask { query, terms } => {
                     if ctx.content().peer_matches(ctx.model(), to, &terms) {
@@ -1003,9 +1043,15 @@ mod tests {
     #[test]
     fn oracle_protocol_answers_most_queries() {
         let (phys, workload, overlay) = small_world(1);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 1)
-                .run();
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            1,
+        )
+        .run();
         // Every query had a live holder at issue; holders can only die
         // between issue and delivery (rare at this scale).
         assert!(
@@ -1020,9 +1066,15 @@ mod tests {
     #[test]
     fn response_time_is_two_one_way_latencies() {
         let (phys, workload, overlay) = small_world(2);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 2)
-                .run();
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            2,
+        )
+        .run();
         let rt = report.ledger.avg_response_time_ms();
         // One-way latencies in the reduced transit-stub span 2–~150 ms, so a
         // round trip must land within [4, 400] ms.
@@ -1033,8 +1085,15 @@ mod tests {
     fn deterministic_replay() {
         let run = |seed| {
             let (phys, workload, overlay) = small_world(7);
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, seed)
-                .run()
+            Simulation::builder(
+                &phys,
+                &workload,
+                overlay,
+                OverlayKind::Random,
+                OracleProtocol,
+                seed,
+            )
+            .run()
         };
         let (a, b) = (run(42), run(42));
         assert_eq!(a.messages_sent, b.messages_sent);
@@ -1046,9 +1105,15 @@ mod tests {
     #[test]
     fn load_is_accounted() {
         let (phys, workload, overlay) = small_world(3);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 3)
-                .run();
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            3,
+        )
+        .run();
         assert!(report.load.total_bytes() > 0);
         assert!(report.load.mean_load() > 0.0);
         let totals = report.load.class_totals();
@@ -1060,9 +1125,15 @@ mod tests {
     #[test]
     fn churn_detaches_dead_peers_and_wires_joiners() {
         let (phys, workload, overlay) = small_world(4);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 4)
-                .run();
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            4,
+        )
+        .run();
         let mut dead = 0;
         let mut isolated_alive = 0;
         for p in 0..report.alive.len() {
@@ -1089,9 +1160,16 @@ mod tests {
     fn audited_oracle_run_is_clean_and_digest_is_stable() {
         let run = || {
             let (phys, workload, overlay) = small_world(9);
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 9)
-                .audit(AuditConfig::default())
-                .run()
+            Simulation::builder(
+                &phys,
+                &workload,
+                overlay,
+                OverlayKind::Random,
+                OracleProtocol,
+                9,
+            )
+            .audit(AuditConfig::default())
+            .run()
         };
         let a = run();
         let audit = a.audit.as_ref().expect("audited run carries a report");
@@ -1104,15 +1182,25 @@ mod tests {
         assert!(audit.events > 0);
         assert!(audit.checks > audit.events, "several checks per event");
         let b = run();
-        assert_eq!(audit.digest, b.audit.unwrap().digest, "replay digest differs");
+        assert_eq!(
+            audit.digest,
+            b.audit.unwrap().digest,
+            "replay digest differs"
+        );
     }
 
     #[test]
     fn unaudited_run_reports_no_audit() {
         let (phys, workload, overlay) = small_world(9);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 9)
-                .run();
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            9,
+        )
+        .run();
         assert!(report.audit.is_none());
         assert!(report.trace.is_none());
     }
@@ -1123,7 +1211,14 @@ mod tests {
         impl Protocol for Grumpy {
             type Msg = ();
             fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
-            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
             fn audit_invariants<C: Transport<Msg = ()>>(&self, _: &C) -> Vec<String> {
                 vec!["cache over capacity".into()]
             }
@@ -1153,7 +1248,14 @@ mod tests {
                 ctx.set_timer(PeerId(0), 3_000, 3);
             }
             fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
-            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
             fn on_timer<C: Transport<Msg = ()>>(&mut self, ctx: &mut C, _: PeerId, tag: u64) {
                 if tag == 1 {
                     assert!(ctx.cancel_timer(self.handle.take().unwrap()));
@@ -1203,7 +1305,14 @@ mod tests {
         impl Protocol for ChurnWatcher {
             type Msg = ();
             fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
-            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
             fn on_join<C: Transport<Msg = ()>>(&mut self, ctx: &mut C, _: PeerId) {
                 self.check(ctx);
             }
@@ -1237,7 +1346,14 @@ mod tests {
                 ctx.set_timer(PeerId(0), 2_000, 2);
             }
             fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
-            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
             fn on_timer<C: Transport<Msg = ()>>(&mut self, ctx: &mut C, _: PeerId, tag: u64) {
                 self.fired.push(tag);
                 let _ = ctx.now_us();
@@ -1272,7 +1388,14 @@ mod tests {
                 ctx.set_timer(PeerId(0), 1_000, 1);
             }
             fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
-            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
             fn on_timer<C: Transport<Msg = ()>>(&mut self, ctx: &mut C, node: PeerId, tag: u64) {
                 self.fired.push(tag);
                 if tag == 1 {
@@ -1292,8 +1415,15 @@ mod tests {
             5,
         )
         .run();
-        assert_eq!(report.protocol.fired, vec![1], "the saturated timers never fire");
-        assert_eq!(report.profile.past_horizon, 2, "both are left past the horizon");
+        assert_eq!(
+            report.protocol.fired,
+            vec![1],
+            "the saturated timers never fire"
+        );
+        assert_eq!(
+            report.profile.past_horizon, 2,
+            "both are left past the horizon"
+        );
         assert!(report.end_time_us <= workload.trace.duration_us() + 30_000_000);
     }
 
@@ -1344,21 +1474,32 @@ mod tests {
         use crate::{AdversaryPlan, FaultPlan};
         use asap_trace::Recorder;
         let (phys, workload, overlay) = small_world(10);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 10)
-                .faults(FaultPlan {
-                    loss_ppm: 100_000,
-                    duplicate_ppm: 100_000,
-                    ..FaultPlan::none()
-                })
-                .adversary(AdversaryPlan {
-                    free_rider_ppm: 200_000,
-                    ..AdversaryPlan::none()
-                })
-                .audit(AuditConfig::default())
-                .trace(Box::new(Recorder::default()))
-                .run();
-        let Ok(rec) = report.trace.expect("traced").into_any().downcast::<Recorder>() else {
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            10,
+        )
+        .faults(FaultPlan {
+            loss_ppm: 100_000,
+            duplicate_ppm: 100_000,
+            ..FaultPlan::none()
+        })
+        .adversary(AdversaryPlan {
+            free_rider_ppm: 200_000,
+            ..AdversaryPlan::none()
+        })
+        .audit(AuditConfig::default())
+        .trace(Box::new(Recorder::default()))
+        .run();
+        let Ok(rec) = report
+            .trace
+            .expect("traced")
+            .into_any()
+            .downcast::<Recorder>()
+        else {
             panic!("recorder downcasts back");
         };
         let n = |name: &str| rec.stats().counts().get(name).copied().unwrap_or(0);
@@ -1380,9 +1521,15 @@ mod tests {
     #[test]
     fn profile_counts_event_loop_phases() {
         let (phys, workload, overlay) = small_world(1);
-        let report =
-            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, OracleProtocol, 1)
-                .run();
+        let report = Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            OracleProtocol,
+            1,
+        )
+        .run();
         let p = report.profile;
         assert_eq!(p.sends, report.messages_sent);
         assert!(p.delivers > 0 && p.delivers <= p.sends);
@@ -1409,9 +1556,24 @@ mod tests {
                 assert!(buf.is_empty(), "next lease starts cleared");
                 assert!(buf.capacity() >= 1024, "capacity was recycled");
             }
-            fn on_message<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: PeerId, _: ()) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
         }
         let (phys, workload, overlay) = small_world(2);
-        Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, ScratchProto, 2).run();
+        Simulation::builder(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            ScratchProto,
+            2,
+        )
+        .run();
     }
 }

@@ -649,10 +649,7 @@ mod tests {
         loop {
             match (q.pop(), rebuilt.pop()) {
                 (None, None) => break,
-                (a, b) => assert_eq!(
-                    a.map(|s| (s.time_us, s.seq)),
-                    b.map(|s| (s.time_us, s.seq))
-                ),
+                (a, b) => assert_eq!(a.map(|s| (s.time_us, s.seq)), b.map(|s| (s.time_us, s.seq))),
             }
         }
     }
@@ -693,7 +690,11 @@ mod tests {
         assert!(!q.run.is_empty() && !q.overflow.is_empty());
         assert!(q.occupied.iter().any(|&w| w != 0));
         let mut rebuilt = rebuilt_from_parts(&q);
-        assert_eq!(rebuilt.overflow.len(), rebuilt.len(), "all beyond the horizon");
+        assert_eq!(
+            rebuilt.overflow.len(),
+            rebuilt.len(),
+            "all beyond the horizon"
+        );
         // The first advance lands on 250 s and migrates the window's share.
         assert_eq!(rebuilt.peek_time(), q.peek_time());
         assert_eq!(rebuilt.cursor, q.cursor);
@@ -861,7 +862,11 @@ mod tests {
         let entries_before = q.entries_sorted().len();
         assert_eq!(q.cancelled_sorted().len(), 203);
         q.purge_cancelled();
-        assert_eq!(q.entries_sorted().len(), entries_before, "entries untouched");
+        assert_eq!(
+            q.entries_sorted().len(),
+            entries_before,
+            "entries untouched"
+        );
         let kept = q.cancelled_sorted();
         assert_eq!(kept.len(), 3, "only live tombstones survive");
         let mut want: Vec<u64> = live.iter().map(|h| h.raw()).collect();

@@ -294,7 +294,13 @@ mod tests {
         let run = || {
             let mut f = FaultState::new(lossy_plan(), 42);
             (0..2_000u64)
-                .map(|i| f.decide(i * 10, PeerId((i % 20) as u32), PeerId(((i + 1) % 20) as u32)))
+                .map(|i| {
+                    f.decide(
+                        i * 10,
+                        PeerId((i % 20) as u32),
+                        PeerId(((i + 1) % 20) as u32),
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());

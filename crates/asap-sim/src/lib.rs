@@ -47,10 +47,9 @@ pub use checkpoint::{
 };
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};
-pub use transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};
 pub use fault::{FaultDecision, FaultPlan, FaultState, FaultStats, PartitionWindow};
 pub use message::{
-    ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_hit_size,
-    query_size, HEADER_BYTES, KEYWORD_WIRE_BYTES, RESULT_WIRE_BYTES, TOPIC_WIRE_BYTES,
-    VERSION_WIRE_BYTES,
+    ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_hit_size, query_size,
+    HEADER_BYTES, KEYWORD_WIRE_BYTES, RESULT_WIRE_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
 };
+pub use transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};

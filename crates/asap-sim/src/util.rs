@@ -160,7 +160,11 @@ impl Backoff {
     }
 }
 
-codec_struct!(Backoff { delay_us, cap_us, remaining });
+codec_struct!(Backoff {
+    delay_us,
+    cap_us,
+    remaining
+});
 
 /// The delay before each retry, one item per attempt in the budget.
 impl Iterator for Backoff {

@@ -15,8 +15,8 @@
 //! * absorption and eclipse capture run auditor-clean, with the layer's own
 //!   statistics reconciled exactly against the auditor's mirrors.
 
-use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_metrics::MsgClass;
+use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_sim::{
     assign_roles, query_hit_size, query_size, AdversaryPlan, AdversaryRole, AuditConfig,
     EclipseTarget, FaultPlan, Protocol, SimReport, Simulation, Transport,
@@ -34,8 +34,13 @@ struct Echo;
 
 #[derive(Debug, Clone)]
 enum EchoMsg {
-    Ask { query: u32, terms: Vec<asap_workload::KeywordId> },
-    Reply { query: u32 },
+    Ask {
+        query: u32,
+        terms: Vec<asap_workload::KeywordId>,
+    },
+    Reply {
+        query: u32,
+    },
 }
 
 impl Protocol for Echo {
@@ -59,7 +64,13 @@ impl Protocol for Echo {
         }
     }
 
-    fn on_message<C: Transport<Msg = EchoMsg>>(&mut self, ctx: &mut C, to: PeerId, from: PeerId, msg: EchoMsg) {
+    fn on_message<C: Transport<Msg = EchoMsg>>(
+        &mut self,
+        ctx: &mut C,
+        to: PeerId,
+        from: PeerId,
+        msg: EchoMsg,
+    ) {
         match msg {
             EchoMsg::Ask { query, terms } => {
                 if ctx.content().peer_matches(ctx.model(), to, &terms) {
@@ -84,11 +95,7 @@ fn world(seed: u64) -> (PhysicalNetwork, Workload, Overlay) {
     (phys, workload, overlay)
 }
 
-fn run(
-    seed: u64,
-    faults: Option<FaultPlan>,
-    adversary: Option<AdversaryPlan>,
-) -> SimReport<Echo> {
+fn run(seed: u64, faults: Option<FaultPlan>, adversary: Option<AdversaryPlan>) -> SimReport<Echo> {
     let (phys, workload, overlay) = world(seed);
     let mut sim = Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, Echo, seed)
         .audit(AuditConfig::default());
@@ -182,13 +189,19 @@ fn fault_toggle_never_changes_the_adversarial_peer_set() {
     let noisy = run(19, Some(lossy), Some(plan.clone()));
     let a = quiet.adversary.expect("stats");
     let b = noisy.adversary.expect("stats");
-    assert_eq!(a.free_riders, b.free_riders, "fault toggle re-dealt the roles");
+    assert_eq!(
+        a.free_riders, b.free_riders,
+        "fault toggle re-dealt the roles"
+    );
     assert_eq!(a.spam_peers, b.spam_peers);
     assert_clean(&quiet, "adversary-only run");
     assert_clean(&noisy, "adversary+faults run");
     // And the pure assignment agrees with what both runs used.
     let roles = assign_roles(&plan, PEERS, 19);
-    let free = roles.iter().filter(|r| **r == AdversaryRole::FreeRider).count();
+    let free = roles
+        .iter()
+        .filter(|r| **r == AdversaryRole::FreeRider)
+        .count();
     assert_eq!(a.free_riders as usize, free);
 }
 
@@ -219,7 +232,10 @@ fn free_riders_absorb_and_stay_auditor_clean() {
     );
     let stats = rich.adversary.expect("stats");
     assert!(stats.free_riders > 0, "25% of 200 peers fires");
-    assert!(stats.absorbed > 0, "free riders hold content too, so they get asked");
+    assert!(
+        stats.absorbed > 0,
+        "free riders hold content too, so they get asked"
+    );
     // Absorption can only hurt this oracle protocol: no retries exist.
     assert!(rich.ledger.num_succeeded() <= honest.ledger.num_succeeded());
     // Replay is bit-exact.
@@ -244,9 +260,16 @@ fn eclipse_capture_rewires_and_replays() {
     let a = run(31, None, Some(plan.clone()));
     let b = run(31, None, Some(plan));
     let da = assert_clean(&a, "eclipse run");
-    assert_eq!(da, assert_clean(&b, "eclipse replay"), "rewiring must replay");
+    assert_eq!(
+        da,
+        assert_clean(&b, "eclipse replay"),
+        "rewiring must replay"
+    );
     let stats = a.adversary.expect("stats");
-    assert!(stats.eclipsed_edges > 0, "colluders exist, so edges were captured");
+    assert!(
+        stats.eclipsed_edges > 0,
+        "colluders exist, so edges were captured"
+    );
     assert!(stats.free_riders > 0);
     assert_eq!(a.adversary, b.adversary);
 }

@@ -75,8 +75,14 @@ struct Pinger {
 /// so a queued `Ask` carries a peer id the engine's envelope does not.
 #[derive(Debug, Clone)]
 enum PingMsg {
-    Ask { origin: PeerId, query: u32, terms: Vec<KeywordId> },
-    Reply { query: u32 },
+    Ask {
+        origin: PeerId,
+        query: u32,
+        terms: Vec<KeywordId>,
+    },
+    Reply {
+        query: u32,
+    },
 }
 
 codec_enum!(PingMsg { 0 => Ask { origin, query, terms }, 1 => Reply { query } });
@@ -102,7 +108,13 @@ impl Codec for Pending {
     }
 }
 
-fn ask<C: Transport<Msg = PingMsg>>(ctx: &mut C, requester: PeerId, target: DocId, query: u32, terms: &[KeywordId]) {
+fn ask<C: Transport<Msg = PingMsg>>(
+    ctx: &mut C,
+    requester: PeerId,
+    target: DocId,
+    query: u32,
+    terms: &[KeywordId],
+) {
     let holder = (0..ctx.model().num_peers() as u32)
         .map(PeerId)
         .find(|&h| h != requester && ctx.alive(h) && ctx.content().peer_has_doc(h, target));
@@ -139,9 +151,19 @@ impl Protocol for Pinger {
         );
     }
 
-    fn on_message<C: Transport<Msg = PingMsg>>(&mut self, ctx: &mut C, to: PeerId, from: PeerId, msg: PingMsg) {
+    fn on_message<C: Transport<Msg = PingMsg>>(
+        &mut self,
+        ctx: &mut C,
+        to: PeerId,
+        from: PeerId,
+        msg: PingMsg,
+    ) {
         match msg {
-            PingMsg::Ask { origin, query, terms } => {
+            PingMsg::Ask {
+                origin,
+                query,
+                terms,
+            } => {
                 debug_assert_eq!(origin, from);
                 if ctx.content().peer_matches(ctx.model(), to, &terms) {
                     ctx.send(
@@ -780,7 +802,10 @@ fn out_of_range_peer_inside_a_queued_message_is_rejected() {
             let entry = Scheduled::<PingMsg>::pull(&mut dec).expect("own entry");
             let ask = matches!(
                 entry.event,
-                EngineEvent::Deliver { msg: PingMsg::Ask { .. }, .. }
+                EngineEvent::Deliver {
+                    msg: PingMsg::Ask { .. },
+                    ..
+                }
             );
             ask.then_some(at + ORIGIN_AT)
         })
@@ -795,7 +820,11 @@ fn out_of_range_peer_inside_a_queued_message_is_rejected() {
             .from_checkpoint(&ckpt)
             .map(|_| ())
     };
-    assert_eq!(resume_with(PEERS as u32 - 1), Ok(()), "the last peer is in range");
+    assert_eq!(
+        resume_with(PEERS as u32 - 1),
+        Ok(()),
+        "the last peer is in range"
+    );
     for past in [PEERS as u32, u32::MAX] {
         assert_eq!(
             resume_with(past),
@@ -821,7 +850,9 @@ fn send_counter_disagreeing_with_the_profile_is_rejected() {
     // [9] and the `sends` that opens [10]: the same word twice in a row.
     let pair = [sends.to_le_bytes(), sends.to_le_bytes()].concat();
     let body = &bytes[..bytes.len() - 8];
-    let at: Vec<usize> = (0..body.len() - 15).filter(|&i| body[i..i + 16] == pair[..]).collect();
+    let at: Vec<usize> = (0..body.len() - 15)
+        .filter(|&i| body[i..i + 16] == pair[..])
+        .collect();
     assert_eq!(at.len(), 1, "the send counter pair is found once");
 
     let resume_with = |counter: u64| {
@@ -837,7 +868,9 @@ fn send_counter_disagreeing_with_the_profile_is_rejected() {
     for wrong in [sends - 1, sends + 1] {
         assert_eq!(
             resume_with(wrong),
-            Err(CodecError::Invalid("send counter disagrees with engine profile")),
+            Err(CodecError::Invalid(
+                "send counter disagrees with engine profile"
+            )),
             "counter {wrong} resumed against sends {sends}"
         );
     }

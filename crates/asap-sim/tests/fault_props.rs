@@ -14,11 +14,11 @@
 //!   with the layer's own statistics reconciled exactly against the
 //!   auditor's independent event mirrors.
 
-use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_metrics::MsgClass;
+use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_sim::{
-    query_hit_size, query_size, AuditConfig, FaultDecision, FaultPlan, FaultState,
-    PartitionWindow, Protocol, SimReport, Simulation, Transport,
+    query_hit_size, query_size, AuditConfig, FaultDecision, FaultPlan, FaultState, PartitionWindow,
+    Protocol, SimReport, Simulation, Transport,
 };
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{QuerySpec, Workload, WorkloadConfig};
@@ -33,8 +33,13 @@ struct Echo;
 
 #[derive(Debug, Clone)]
 enum EchoMsg {
-    Ask { query: u32, terms: Vec<asap_workload::KeywordId> },
-    Reply { query: u32 },
+    Ask {
+        query: u32,
+        terms: Vec<asap_workload::KeywordId>,
+    },
+    Reply {
+        query: u32,
+    },
 }
 
 impl Protocol for Echo {
@@ -58,7 +63,13 @@ impl Protocol for Echo {
         }
     }
 
-    fn on_message<C: Transport<Msg = EchoMsg>>(&mut self, ctx: &mut C, to: PeerId, from: PeerId, msg: EchoMsg) {
+    fn on_message<C: Transport<Msg = EchoMsg>>(
+        &mut self,
+        ctx: &mut C,
+        to: PeerId,
+        from: PeerId,
+        msg: EchoMsg,
+    ) {
         match msg {
             EchoMsg::Ask { query, terms } => {
                 if ctx.content().peer_matches(ctx.model(), to, &terms) {
@@ -174,7 +185,11 @@ fn jitter_never_breaks_dispatch_order() {
     let a = run(19, Some(plan.clone()));
     let b = run(19, Some(plan));
     let da = assert_clean(&a, "jittered run");
-    assert_eq!(da, assert_clean(&b, "jittered replay"), "jitter must replay");
+    assert_eq!(
+        da,
+        assert_clean(&b, "jittered replay"),
+        "jitter must replay"
+    );
     let stats = a.faults.expect("stats");
     assert!(stats.jittered > 0, "jitter actually fired");
     assert_eq!(stats.total_dropped(), 0);
@@ -212,7 +227,10 @@ fn duplication_runs_clean_and_is_announced() {
     let report = run(29, Some(plan));
     assert_clean(&report, "duplicating run");
     let stats = report.faults.expect("stats");
-    assert!(stats.duplicated > 0, "20% duplication over a full trace fires");
+    assert!(
+        stats.duplicated > 0,
+        "20% duplication over a full trace fires"
+    );
     assert_eq!(stats.total_dropped(), 0);
 }
 
@@ -231,7 +249,10 @@ fn partition_window_severs_crossing_traffic() {
     let report = run(31, Some(plan));
     assert_clean(&report, "partitioned run");
     let stats = report.faults.expect("stats");
-    assert!(stats.partitioned > 0, "cross-cut traffic exists in any trace");
+    assert!(
+        stats.partitioned > 0,
+        "cross-cut traffic exists in any trace"
+    );
     assert_eq!(stats.dropped, 0, "no loss coin configured");
 }
 

@@ -117,7 +117,10 @@ impl TransitStubConfig {
     /// node ids would not fit a `u32`, or when a link latency would not fit
     /// the graph's `u32` µs weights.
     pub fn validate(&self) {
-        assert!(self.transit_domains >= 1, "need at least one transit domain");
+        assert!(
+            self.transit_domains >= 1,
+            "need at least one transit domain"
+        );
         assert!(
             self.transit_nodes_per_domain >= 1,
             "need at least one transit node per domain"
@@ -161,7 +164,10 @@ mod tests {
 
     #[test]
     fn medium_counts() {
-        assert_eq!(TransitStubConfig::medium(0).expected_nodes(), 48 + 48 * 5 * 21);
+        assert_eq!(
+            TransitStubConfig::medium(0).expected_nodes(),
+            48 + 48 * 5 * 21
+        );
     }
 
     #[test]

@@ -112,7 +112,11 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
             r,
         );
         info.gateway = PhysNodeId(info.members.start + r.gen_range(0..len) as u32);
-        edges.push((info.parent_transit, info.gateway, us(config.lat_transit_stub_us)));
+        edges.push((
+            info.parent_transit,
+            info.gateway,
+            us(config.lat_transit_stub_us),
+        ));
     }
 
     let hierarchy = Hierarchy {
@@ -134,7 +138,11 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn random_transit_of_domain(config: &TransitStubConfig, domain: u32, rng: &mut SmallRng) -> PhysNodeId {
+fn random_transit_of_domain(
+    config: &TransitStubConfig,
+    domain: u32,
+    rng: &mut SmallRng,
+) -> PhysNodeId {
     let base = domain * config.transit_nodes_per_domain;
     PhysNodeId(base + rng.gen_range(0..config.transit_nodes_per_domain))
 }
@@ -219,10 +227,7 @@ mod tests {
         let a = generate(&TransitStubConfig::reduced(5));
         let b = generate(&TransitStubConfig::reduced(5));
         assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(
-            a.edges().collect::<Vec<_>>(),
-            b.edges().collect::<Vec<_>>()
-        );
+        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
     }
 
     #[test]
@@ -296,10 +301,16 @@ mod tests {
         let b = generate(&cfg);
         assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
         let dist = dijkstra::sssp(&a, PhysNodeId(0));
-        assert!(dist.iter().all(|&d| d != u64::MAX), "streamed graph connected");
+        assert!(
+            dist.iter().all(|&d| d != u64::MAX),
+            "streamed graph connected"
+        );
         // A different stream per domain: the sample differs from sequential.
         let seq = generate(&TransitStubConfig::reduced(21));
-        assert_ne!(a.edges().collect::<Vec<_>>(), seq.edges().collect::<Vec<_>>());
+        assert_ne!(
+            a.edges().collect::<Vec<_>>(),
+            seq.edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -318,9 +329,7 @@ mod tests {
             let sd = g.hierarchy().stub_domain(0).clone();
             let mut edges: Vec<(u32, u32)> = g
                 .edges()
-                .filter(|(a, b, _)| {
-                    sd.members.contains(&a.0) && sd.members.contains(&b.0)
-                })
+                .filter(|(a, b, _)| sd.members.contains(&a.0) && sd.members.contains(&b.0))
                 .map(|(a, b, _)| (a.0 - sd.members.start, b.0 - sd.members.start))
                 .collect();
             edges.sort_unstable();

@@ -128,7 +128,10 @@ impl LatencyOracle {
     #[inline]
     fn stub_pair_hops(&self, domain: u32, len: usize, a: usize, b: usize) -> u64 {
         let h = self.stub_hops[domain as usize][a * len + b];
-        debug_assert_ne!(h, UNREACHED_HOPS, "stub tables are validated complete in build()");
+        debug_assert_ne!(
+            h, UNREACHED_HOPS,
+            "stub tables are validated complete in build()"
+        );
         u64::from(h)
     }
 

@@ -51,7 +51,11 @@ pub enum Event {
         bytes: u32,
     },
     /// A protocol timer was armed.
-    TimerSet { node: PeerId, delay_us: u64, tag: u64 },
+    TimerSet {
+        node: PeerId,
+        delay_us: u64,
+        tag: u64,
+    },
     /// A timer reached dispatch; `fired` is the liveness gate's verdict.
     TimerFired { node: PeerId, tag: u64, fired: bool },
     /// A timer was cancelled (`cancelled` false: the handle was already
@@ -87,7 +91,11 @@ pub enum Event {
     ConfirmSent { id: u32, node: PeerId, targets: u32 },
     /// A confirmation reply for query `id` came back (`positive`: the source
     /// still holds matching content).
-    ConfirmResult { id: u32, node: PeerId, positive: bool },
+    ConfirmResult {
+        id: u32,
+        node: PeerId,
+        positive: bool,
+    },
     /// A flooding fan-out for query `id`: `fanout` copies at `ttl` hops left.
     FloodFanout {
         id: u32,
@@ -241,7 +249,13 @@ impl Record {
                 push_bool(&mut out, "delivered", delivered);
                 push_bool(&mut out, "dup", dup);
             }
-            Event::FaultDrop { from, to, class, bytes, partition } => {
+            Event::FaultDrop {
+                from,
+                to,
+                class,
+                bytes,
+                partition,
+            } => {
                 push_u64(&mut out, "from", from.0 as u64);
                 push_u64(&mut out, "to", to.0 as u64);
                 push_label(&mut out, "class", class.label());
@@ -252,13 +266,22 @@ impl Record {
                 push_u64(&mut out, "from", from.0 as u64);
                 push_u64(&mut out, "to", to.0 as u64);
             }
-            Event::AdversaryAbsorb { from, to, class, bytes } => {
+            Event::AdversaryAbsorb {
+                from,
+                to,
+                class,
+                bytes,
+            } => {
                 push_u64(&mut out, "from", from.0 as u64);
                 push_u64(&mut out, "to", to.0 as u64);
                 push_label(&mut out, "class", class.label());
                 push_u64(&mut out, "bytes", bytes as u64);
             }
-            Event::TimerSet { node, delay_us, tag } => {
+            Event::TimerSet {
+                node,
+                delay_us,
+                tag,
+            } => {
                 push_u64(&mut out, "node", node.0 as u64);
                 push_u64(&mut out, "delay_us", delay_us);
                 push_u64(&mut out, "tag", tag);
@@ -504,7 +527,11 @@ mod tests {
             },
         ];
         for ev in samples {
-            let line = Record { now_us: 1, event: ev }.to_jsonl();
+            let line = Record {
+                now_us: 1,
+                event: ev,
+            }
+            .to_jsonl();
             assert!(line.starts_with("{\"t\":1,\"ev\":\""), "{line}");
             assert!(line.contains(ev.name()), "{line}");
             assert!(line.ends_with('}'), "{line}");

@@ -130,10 +130,7 @@ impl TraceSink for Recorder {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(Record {
-            now_us,
-            event: *ev,
-        });
+        self.ring.push_back(Record { now_us, event: *ev });
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -36,7 +36,12 @@ impl Codec for InterestSet {
     }
 }
 
-codec_struct!(QuerySpec { id, requester, terms, target });
+codec_struct!(QuerySpec {
+    id,
+    requester,
+    terms,
+    target
+});
 codec_enum!(TraceEvent {
     0 => Query(q),
     1 => AddDocument { peer, doc },

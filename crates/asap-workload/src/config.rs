@@ -87,7 +87,10 @@ impl HeterogeneityPack {
     }
 
     pub fn validate(&self) {
-        assert!(self.flash_boost >= 1.0, "flash_boost < 1 would thin the crowd");
+        assert!(
+            self.flash_boost >= 1.0,
+            "flash_boost < 1 would thin the crowd"
+        );
         assert!(
             (0.0..=1.0).contains(&self.flash_center)
                 && (0.0..=1.0).contains(&self.flash_width)

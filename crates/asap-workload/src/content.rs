@@ -91,10 +91,7 @@ impl ContentModel {
     pub fn class_node_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
         for holdings in &self.initial_holdings {
-            let classes: InterestSet = holdings
-                .iter()
-                .map(|&d| self.doc(d).class)
-                .collect();
+            let classes: InterestSet = holdings.iter().map(|&d| self.doc(d).class).collect();
             for c in classes.iter() {
                 counts[c.index()] += 1;
             }

@@ -100,8 +100,10 @@ impl Holdings {
         if !self.docs.remove_doc(peer, doc) {
             return false;
         }
-        // lint: allow(unwrap, reason=holders mirrors holdings by construction; silent repair would hide corruption)
-        self.holders.remove_holder(doc, peer).expect("holder invariant");
+        self.holders
+            .remove_holder(doc, peer)
+            // lint: allow(unwrap, reason=holders mirrors holdings by construction; silent repair would hide corruption)
+            .expect("holder invariant");
         true
     }
 
@@ -504,8 +506,7 @@ mod tests {
             let peer = PeerId(p as u32);
             for &d in state.peer_docs(peer).iter().take(3) {
                 let doc = model.doc(d);
-                let terms: Vec<KeywordId> =
-                    doc.keywords.iter().copied().take(2).collect();
+                let terms: Vec<KeywordId> = doc.keywords.iter().copied().take(2).collect();
                 assert!(state.peer_matches(&model, peer, &terms));
                 checked += 1;
             }
@@ -530,9 +531,7 @@ mod tests {
                     let kb = b.keywords.iter().find(|k| !a.keywords.contains(k));
                     if let (Some(&ka), Some(&kb)) = (ka, kb) {
                         let terms = [ka, kb];
-                        let exhaustive = docs
-                            .iter()
-                            .any(|&d| model.doc(d).matches(&terms));
+                        let exhaustive = docs.iter().any(|&d| model.doc(d).matches(&terms));
                         assert_eq!(state.peer_matches(&model, peer, &terms), exhaustive);
                         if !exhaustive {
                             break 'outer; // found and verified a negative case

@@ -31,9 +31,15 @@ pub struct QuerySpec {
 pub enum TraceEvent {
     Query(QuerySpec),
     /// Content change: a peer starts sharing (a replica of) a document.
-    AddDocument { peer: PeerId, doc: DocId },
+    AddDocument {
+        peer: PeerId,
+        doc: DocId,
+    },
     /// Content change: a peer stops sharing a document.
-    RemoveDocument { peer: PeerId, doc: DocId },
+    RemoveDocument {
+        peer: PeerId,
+        doc: DocId,
+    },
     /// A peer joins the overlay.
     Join(PeerId),
     /// A peer departs.
@@ -204,7 +210,14 @@ pub fn generate_trace(
             Slot::Query => {
                 let progress = f64::from(query_id) / config.queries.max(1) as f64;
                 let Some(q) = synthesize_query(
-                    config, model, &state, &alive, alive_count, query_id, progress, rng,
+                    config,
+                    model,
+                    &state,
+                    &alive,
+                    alive_count,
+                    query_id,
+                    progress,
+                    rng,
                 ) else {
                     continue; // no answerable target right now (vanishingly rare)
                 };
@@ -383,7 +396,10 @@ mod tests {
     #[test]
     fn events_are_time_sorted() {
         let (_, trace, _) = workload(300, 500, 22);
-        assert!(trace.events.windows(2).all(|w| w[0].time_us <= w[1].time_us));
+        assert!(trace
+            .events
+            .windows(2)
+            .all(|w| w[0].time_us <= w[1].time_us));
     }
 
     #[test]
@@ -402,7 +418,10 @@ mod tests {
         assert!(joins >= 20, "joins {joins}");
         assert!(leaves >= 40, "leaves {leaves}");
         assert!(joins <= leaves, "every join revives an earlier departure");
-        assert!(alive.iter().all(|&a| a), "rejoin churn: everyone starts online");
+        assert!(
+            alive.iter().all(|&a| a),
+            "rejoin churn: everyone starts online"
+        );
     }
 
     #[test]

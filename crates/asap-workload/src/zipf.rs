@@ -36,10 +36,7 @@ impl Zipf {
     /// Draw one rank in `0..n`.
     pub fn sample(&self, rng: &mut SmallRng) -> usize {
         let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|c| c.total_cmp(&u))
-        {
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
     }

@@ -107,9 +107,27 @@ fn main() {
                 branch: 4,
             }),
         ),
-        run(&phys, &workload, kind, "ASAP(FLD)", asap(AsapConfig::fld(), &workload)),
-        run(&phys, &workload, kind, "ASAP(RW)", asap(AsapConfig::rw(), &workload)),
-        run(&phys, &workload, kind, "ASAP(GSA)", asap(AsapConfig::gsa(), &workload)),
+        run(
+            &phys,
+            &workload,
+            kind,
+            "ASAP(FLD)",
+            asap(AsapConfig::fld(), &workload),
+        ),
+        run(
+            &phys,
+            &workload,
+            kind,
+            "ASAP(RW)",
+            asap(AsapConfig::rw(), &workload),
+        ),
+        run(
+            &phys,
+            &workload,
+            kind,
+            "ASAP(GSA)",
+            asap(AsapConfig::gsa(), &workload),
+        ),
     ];
 
     println!(

@@ -50,8 +50,15 @@ fn main() {
     let protocol = Asap::new(config, &workload.model);
 
     // 5. Replay the trace.
-    let report =
-        Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, protocol, seed).run();
+    let report = Simulation::builder(
+        &phys,
+        &workload,
+        overlay,
+        OverlayKind::Random,
+        protocol,
+        seed,
+    )
+    .run();
 
     // 6. Read the results.
     println!("\n== results ==");

@@ -27,11 +27,7 @@ fn asap_config() -> AsapConfig {
     c
 }
 
-fn run_asap(
-    phys: &PhysicalNetwork,
-    workload: &Workload,
-    kind: OverlayKind,
-) -> SimReport<Asap> {
+fn run_asap(phys: &PhysicalNetwork, workload: &Workload, kind: OverlayKind) -> SimReport<Asap> {
     let overlay = OverlayConfig::new(kind, PEERS, SEED).build();
     let protocol = Asap::new(asap_config(), &workload.model);
     Simulation::builder(phys, workload, overlay, kind, protocol, SEED).run()
@@ -107,7 +103,11 @@ fn all_baselines_complete_and_account_load() {
         &workload,
         mk_overlay(),
         OverlayKind::Crawled,
-        RandomWalk::new(RandomWalkConfig { walkers: 5, ttl: 64, retransmit: None }),
+        RandomWalk::new(RandomWalkConfig {
+            walkers: 5,
+            ttl: 64,
+            retransmit: None,
+        }),
         SEED,
     )
     .run();
@@ -116,7 +116,10 @@ fn all_baselines_complete_and_account_load() {
         &workload,
         mk_overlay(),
         OverlayKind::Crawled,
-        Gsa::new(GsaConfig { budget: 300, branch: 4 }),
+        Gsa::new(GsaConfig {
+            budget: 300,
+            branch: 4,
+        }),
         SEED,
     )
     .run();
@@ -195,9 +198,16 @@ fn audited_full_stack_run_is_clean() {
     let (phys, workload) = world();
     let overlay = OverlayConfig::new(OverlayKind::Crawled, PEERS, SEED).build();
     let protocol = Asap::new(asap_config(), &workload.model);
-    let report = Simulation::builder(&phys, &workload, overlay, OverlayKind::Crawled, protocol, SEED)
-        .audit(asap_p2p::sim::AuditConfig::default())
-        .run();
+    let report = Simulation::builder(
+        &phys,
+        &workload,
+        overlay,
+        OverlayKind::Crawled,
+        protocol,
+        SEED,
+    )
+    .audit(asap_p2p::sim::AuditConfig::default())
+    .run();
     let audit = report.audit.expect("audited run");
     assert!(
         audit.is_clean(),

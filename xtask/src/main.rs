@@ -58,7 +58,10 @@ fn usage(msg: &str) -> ExitCode {
 
 fn sanitize(strict: bool, only: Option<&str>) -> ExitCode {
     let Some(nightly) = nightly_host() else {
-        return skip_all(strict, "no nightly toolchain installed (rustup toolchain install nightly)");
+        return skip_all(
+            strict,
+            "no nightly toolchain installed (rustup toolchain install nightly)",
+        );
     };
     let components = installed_components();
     let mut failed = false;
@@ -128,7 +131,10 @@ fn skip_all(strict: bool, why: &str) -> ExitCode {
 /// so `-Zsanitizer=thread` only applies to locally-built code), or `None`
 /// when nightly is not installed at all.
 fn nightly_host() -> Option<String> {
-    let out = Command::new("rustc").args(["+nightly", "-vV"]).output().ok()?;
+    let out = Command::new("rustc")
+        .args(["+nightly", "-vV"])
+        .output()
+        .ok()?;
     if !out.status.success() {
         return None;
     }

@@ -149,13 +149,17 @@ fn content_change_path_is_in_the_panic_reachable_set() {
 /// ad goes through `AdRepository::{insert_full, apply_patch}`, which take
 /// and give back filter slots in the protocol's `FilterStore`
 /// (`acquire`, `release`, and `reassign` for an overwrite) and grow the cache's
-/// vectors by an eighth (`reserve_one`). R4 must see that path, by name,
-/// so the slot arithmetic stays free of new `unwrap`/`expect`.
+/// vectors by an eighth (`reserve_one`); a refresh ad, most hops of all,
+/// goes through `apply_refresh`; each finds its entry with the interpolated
+/// search `position`. R4 must see that path, by name, so the slot and
+/// search arithmetic stay free of new `unwrap`/`expect`.
 #[test]
 fn ad_cache_path_is_in_the_panic_reachable_set() {
     assert_panic_reachable(&[
         "AdRepository::insert_full",
         "AdRepository::apply_patch",
+        "AdRepository::apply_refresh",
+        "AdRepository::position",
         "AdRepository::remove_at",
         "FilterStore::acquire",
         "FilterStore::release",

@@ -72,6 +72,7 @@ impl std::error::Error for CodecError {}
 /// multiplies in flight instead of one; the lanes meet in an xor of
 /// rotations, a bijection of each lane as well. It catches codec and queue
 /// bugs, not an attacker.
+#[inline]
 pub fn checksum(bytes: &[u8]) -> u64 {
     /// The odd FxHash multiplier; only its mixing quality matters.
     const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -377,6 +378,7 @@ impl<'b> Decoder<'b> {
     }
 
     /// Raw byte slice of exactly `n` bytes.
+    #[inline]
     pub fn get_bytes(&mut self, n: usize) -> Result<&'b [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);

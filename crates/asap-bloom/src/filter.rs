@@ -187,6 +187,22 @@ impl BloomFilter {
     }
 }
 
+/// O(1) and consistent with `Eq`: the set-bit count and eight evenly spaced
+/// words, not all 181 of a paper-sized filter. An ad cache hashes a filter
+/// on every slot lookup and equality makes the final decision, so a
+/// cheaper, coarser key is the better trade.
+impl std::hash::Hash for BloomFilter {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u32(self.ones);
+        let n = self.words.len();
+        for i in 0..8 {
+            if let Some(&w) = self.words.get(i * n / 8) {
+                state.write_u64(w);
+            }
+        }
+    }
+}
+
 /// Precomputed probe set for a fixed term list under fixed [`BloomParams`]:
 /// every `(word, bit)` position the terms hash to, merged into one required
 /// mask per distinct word and sorted ascending by word index (cache-friendly

@@ -20,22 +20,24 @@
 //!
 //! The ad caches' filters are written once: the protocol section opens
 //! with a filter table — every distinct filter the caches name, in order
-//! of first use (nodes in id order, each cache's entries in source order),
-//! content-equal filters under one number — and each cache entry carries a
-//! `u32` index into it. The numbering is a function of the cached values
-//! alone, so [`crate::repository::FilterStore`] slot ids never reach the
-//! bytes and decode → re-encode is byte-identical. The decoder accepts
-//! exactly that form: it rejects a table that repeats a filter or holds
-//! one no entry names, an index out of range or out of first-use order,
-//! cache sources that are not strictly ascending, and a flat node's entry
-//! for its own ad; it rebuilds one store whose slot *i* is table filter *i*.
+//! of first use (nodes in id order, each cache's entries in source order)
+//! — and each cache entry carries a `u32` index into it. The
+//! [`crate::repository::FilterStore`] keeps one slot per distinct filter,
+//! so the table numbers slots; the numbering is a function of the cached
+//! values alone, slot ids never reach the bytes, and decode → re-encode is
+//! byte-identical. The decoder accepts exactly that form: it rejects a
+//! table that repeats a filter, holds one no entry names or one of another
+//! geometry than the configuration's, an index out of range or out of
+//! first-use order, cache sources that are not strictly ascending, and a
+//! flat node's entry for its own ad; it rebuilds one store whose slot *i*
+//! is table filter *i*.
 //!
 //! Other filters (a node's own, those in in-flight messages) are written
-//! per handle and shared again on the way in — the resume decoder and the
-//! `asap-net` carrier each hold an [`asap_sim::Interner`], through which
-//! equal filters decode to one allocation (content-checked, see
-//! `asap-bloom`'s codec). Behavior only depends on filter values, so
-//! digests never see the difference.
+//! per handle and decode into allocations of their own. A node's own
+//! filter is then swapped for the store's equal one, so it shares its
+//! allocation with the caches again; a message's filter finds its equal
+//! in the store when it is delivered. Behavior only depends on filter
+//! values, so digests never see the difference.
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
@@ -43,7 +45,7 @@ use crate::repository::{AdRepository, Entry, FilterStore};
 use crate::search::{PendingSearch, Phase};
 use asap_bloom::{BloomFilter, BloomParams};
 use asap_overlay::PeerId;
-use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
+use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::collections::{DetHashMap, DetHashSet};
 use asap_sim::util::Backoff;
 use asap_sim::{codec_enum, codec_struct, NodeTable};
@@ -121,31 +123,12 @@ codec_struct!(EntryImage {
     stale
 });
 
-/// Table indices by a hash of the filter's contents; the contents decide.
-#[derive(Default)]
-struct ByContent(DetHashMap<u64, Vec<u32>>);
-
-impl ByContent {
-    /// The index of the filter in `table` equal to `filter`, or `None`
-    /// after noting `filter` as the next index (the caller pushes it).
-    fn find_or_note(&mut self, table: &[Rc<BloomFilter>], filter: &BloomFilter) -> Option<u32> {
-        let mut h = Fnv64::new();
-        h.write_u64(u64::from(filter.params().bits) << 32 | u64::from(filter.params().hashes));
-        h.write_all(filter.words());
-        let same = self.0.entry(h.finish()).or_default();
-        if let Some(&i) = same.iter().find(|&&i| *table[i as usize] == *filter) {
-            return Some(i);
-        }
-        same.push(table.len() as u32);
-        None
-    }
-}
-
 /// The filters one protocol's caches name, numbered for one encode in
 /// order of first use — repositories in node order, entries in source
-/// order — with content-equal filters under one number. The numbering is a
-/// function of the cached values alone, so decode → re-encode reproduces
-/// it and no store slot id reaches the bytes.
+/// order. Live store slots hold distinct filters, so numbering slots
+/// numbers contents: the table is a function of the cached values alone,
+/// decode → re-encode reproduces it, and no store slot id reaches the
+/// bytes.
 pub(crate) struct FilterTable {
     /// Table index per store slot (`u32::MAX`: not numbered yet).
     index: Vec<u32>,
@@ -161,7 +144,6 @@ impl FilterTable {
             index: Vec::new(),
             filters: Vec::new(),
         };
-        let mut by_content = ByContent::default();
         for repo in repos {
             for (_, e) in repo.raw_entries() {
                 let slot = e.slot_id() as usize;
@@ -171,16 +153,10 @@ impl FilterTable {
                 let Some(filter) = store.filter_at(e.slot_id()) else {
                     continue;
                 };
-                if table.index[slot] != u32::MAX {
-                    continue;
+                if table.index[slot] == u32::MAX {
+                    table.index[slot] = table.filters.len() as u32;
+                    table.filters.push(Rc::clone(filter));
                 }
-                table.index[slot] = match by_content.find_or_note(&table.filters, filter) {
-                    Some(i) => i,
-                    None => {
-                        table.filters.push(Rc::clone(filter));
-                        table.filters.len() as u32 - 1
-                    }
-                };
             }
         }
         table
@@ -213,34 +189,46 @@ impl FilterTable {
 
 /// A decoded filter table turning entry images back into repositories
 /// over one fresh store. It accepts exactly what [`FilterTable`] writes:
-/// a table of distinct filters, each named by some entry, numbered in
-/// order of first use.
+/// a table of distinct filters of the configured geometry, each named by
+/// some entry, numbered in order of first use.
 pub(crate) struct TableReader {
     store: Rc<RefCell<FilterStore>>,
+    configured: BloomParams,
     len: u32,
     /// Table indices named so far; the next new index must be this one.
     named: u32,
 }
 
 impl TableReader {
-    pub(crate) fn pull_table(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+    pub(crate) fn pull_table(
+        dec: &mut Decoder<'_>,
+        configured: BloomParams,
+    ) -> Result<Self, CodecError> {
         let filters: Vec<Rc<BloomFilter>> = Codec::pull(dec)?;
         let len = u32::try_from(filters.len())
             .ok()
             .filter(|&n| n < 1 << 31)
             .ok_or(CodecError::Invalid("filter table too long"))?;
-        let mut by_content = ByContent::default();
-        for (i, filter) in filters.iter().enumerate() {
-            if by_content.find_or_note(&filters[..i], filter).is_some() {
-                return Err(CodecError::Invalid("filter table repeats a filter"));
-            }
+        for filter in &filters {
+            check_node_filter(filter, configured)?;
         }
-        let store = Rc::new(RefCell::new(FilterStore::from_filters(filters)));
         Ok(Self {
-            store,
+            store: Rc::new(RefCell::new(FilterStore::from_filters(filters)?)),
+            configured,
             len,
             named: 0,
         })
+    }
+
+    /// A decoded node's own filter, checked against the configuration and
+    /// sharing the allocation of the equal table filter, if there is one,
+    /// as it did before the checkpoint.
+    pub(crate) fn node_filter(
+        &self,
+        filter: Rc<BloomFilter>,
+    ) -> Result<Rc<BloomFilter>, CodecError> {
+        check_node_filter(&filter, self.configured)?;
+        Ok(self.store.borrow().shared(filter))
     }
 
     /// The repository of `owner` (`None`: one that may cache its owner's
@@ -357,14 +345,11 @@ impl NodeImage {
 /// documents its filter is poisoned with.
 type SpamClaim = (PeerId, InterestSet, Vec<DocId>);
 
-/// Rejects a node filter built for other parameters than the configured
-/// ones. The node's next content change rebuilds with the configured
+/// Rejects a filter built for other parameters than the configured ones.
+/// A node's next content change rebuilds its own with the configured
 /// parameters, and flat ASAP's [`asap_bloom::FilterPatch::diff`] between
-/// the two would panic mid-run.
-pub(crate) fn check_node_filter(
-    filter: &BloomFilter,
-    configured: BloomParams,
-) -> Result<(), CodecError> {
+/// the two would panic mid-run; a cached one no peer could have announced.
+fn check_node_filter(filter: &BloomFilter, configured: BloomParams) -> Result<(), CodecError> {
     if filter.params() == configured {
         Ok(())
     } else {
@@ -435,14 +420,14 @@ impl CheckpointProtocol for Asap {
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let num_peers = self.nodes.len();
-        let mut table = TableReader::pull_table(dec)?;
+        let mut table = TableReader::pull_table(dec, self.config.bloom)?;
         let images: Vec<NodeImage> = Codec::pull(dec)?;
         if images.len() != num_peers {
             return Err(CodecError::Invalid("node count mismatch"));
         }
         let mut nodes = Vec::with_capacity(num_peers);
         for (p, mut img) in images.into_iter().enumerate() {
-            check_node_filter(&img.snapshot, self.config.bloom)?;
+            img.snapshot = table.node_filter(img.snapshot)?;
             let entries = std::mem::take(&mut img.repo);
             let owner = Some(PeerId(p as u32));
             let repo = table.rebuild_repository(entries, owner, self.config.cache_capacity)?;
@@ -837,6 +822,20 @@ mod tests {
             "{} allocations behind {} cached ads",
             after.distinct_cached_filters(),
             cached(after)
+        );
+        // A node's own filter decodes on its own, then shares the store's
+        // equal one again: no more allocations than before the split.
+        let allocations = |asap: &Asap| {
+            let cached = asap.nodes.iter().flat_map(|st| st.repo.iter());
+            let mut all: DetHashSet<_> = cached.map(|(_, ad)| Rc::as_ptr(&ad.filter)).collect();
+            all.extend(asap.nodes.iter().map(|st| Rc::as_ptr(&st.snapshot)));
+            all.len()
+        };
+        assert!(
+            allocations(after) <= allocations(before),
+            "{} filter allocations after the resume, {} before",
+            allocations(after),
+            allocations(before)
         );
     }
 

@@ -1034,7 +1034,7 @@ mod tests {
     /// vector grows by max(4, len / 8), so from 32 entries on it holds at
     /// most an eighth more than it uses, 1.125 × 28 B per entry; the bound
     /// allows 1.15 ×. A live filter is 1,448 B of words (11,542 bits), a
-    /// 56 B `Rc` block, a 16 B slot and its address-table entry, ≈ 1,540 B
+    /// 56 B `Rc` block, a 16 B slot and its content-table entry, ≈ 1,540 B
     /// against the bound's 1,500 B. Caches under 32 entries keep up to 4
     /// slots of slack; the entries' spare 2.5 % pays for both as long as a
     /// filter is cached some 60 times or more (here 89 times: 71,130

@@ -24,10 +24,12 @@
 //! version, topics }` is 24 bytes against the 32 of an inline `Rc` entry.
 //! The store keeps one `Rc<BloomFilter>` per slot and counts the entries
 //! that name it; a slot whose count drops to zero is freed and reused.
-//! Entries share a slot only when their filters are equal: the same
-//! allocation (found by address), or, when an entry is overwritten, a new
-//! filter whose contents equal the one it already names. The refresh path
-//! — most of an announcement walk's hops — never touches the store.
+//! A slot is found by its filter's contents, so live slots are pairwise
+//! distinct and entries share a slot exactly when their filters are equal,
+//! whichever allocation each arrived in. The usual hit, the very allocation
+//! the slot holds, is decided by address before any word is compared. The
+//! refresh path — most of an announcement walk's hops — never touches the
+//! store.
 //!
 //! Each vector grows by an eighth of its length (at least 4 entries) and
 //! never past the configured capacity, instead of doubling: a cache that
@@ -42,6 +44,7 @@ use crate::ad::AdSnapshot;
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, ProbePlan};
 use asap_overlay::PeerId;
+use asap_sim::checkpoint::CodecError;
 use asap_sim::collections::DetHashMap;
 use asap_workload::InterestSet;
 use std::cell::RefCell;
@@ -136,17 +139,18 @@ struct Slot {
 /// The filters behind the cache entries of one protocol instance: a slab of
 /// reference-counted slots with a free list, handed out as `u32` ids.
 ///
-/// Each live slot holds a distinct filter allocation, found again by its
-/// address, so a filter announced to a thousand cachers is one slot with a
-/// count of a thousand. Slot ids are an artefact of allocation order and
-/// never reach a digest or a checkpoint (which renumbers them, see
-/// [`crate::checkpoint`]).
+/// Each live slot holds a distinct filter, found again by its contents, so
+/// a filter announced to a thousand cachers is one slot with a count of a
+/// thousand, however many copies of it were decoded on the way. Slot ids
+/// are an artefact of allocation order and never reach a digest or a
+/// checkpoint (which renumbers them, see [`crate::checkpoint`]).
 #[derive(Debug, Default)]
 pub struct FilterStore {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Live slot by the address of its filter.
-    by_address: DetHashMap<usize, u32>,
+    /// Live slot by its filter. `Rc`'s equality checks the address before
+    /// the contents, and `BloomFilter`'s hash reads a few words only.
+    by_content: DetHashMap<Rc<BloomFilter>, u32>,
 }
 
 impl FilterStore {
@@ -160,12 +164,26 @@ impl FilterStore {
         self.slots.len() - self.free.len()
     }
 
+    /// Entries naming a live slot, summed over the slots. Diagnostic /
+    /// test API.
+    pub fn counted_entries(&self) -> u64 {
+        self.slots.iter().map(|s| u64::from(s.refs)).sum()
+    }
+
     /// The filter in `slot`, if the slot is live.
     pub(crate) fn filter_at(&self, slot: u32) -> Option<&Rc<BloomFilter>> {
         self.slots.get(slot as usize)?.filter.as_ref()
     }
 
-    /// Heap bytes the store holds: its slot, free-list and address tables,
+    /// The store's filter equal to `filter` if one is live, else `filter`.
+    pub(crate) fn shared(&self, filter: Rc<BloomFilter>) -> Rc<BloomFilter> {
+        match self.by_content.get_key_value(&filter) {
+            Some((held, _)) => Rc::clone(held),
+            None => filter,
+        }
+    }
+
+    /// Heap bytes the store holds: its slot, free-list and content tables,
     /// and every live filter (the `Rc` block and the filter's words).
     pub fn heap_bytes(&self) -> usize {
         let filter_block = 2 * size_of::<usize>() + size_of::<BloomFilter>();
@@ -177,31 +195,27 @@ impl FilterStore {
             .sum();
         self.slots.capacity() * size_of::<Slot>()
             + self.free.capacity() * size_of::<u32>()
-            + self.by_address.capacity() * (size_of::<(usize, u32)>() + 1)
+            + self.by_content.capacity() * (size_of::<(Rc<BloomFilter>, u32)>() + 1)
             + filters
     }
 
     /// A store whose slot `i` holds `filters[i]`, every count zero: the
     /// decoder's starting point, which counts the entries in as it reads
-    /// them ([`FilterStore::count_entry`]).
-    pub(crate) fn from_filters(filters: Vec<Rc<BloomFilter>>) -> Self {
-        let by_address = filters
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (filter_address(f), i as u32))
-            .collect();
-        let slots = filters
-            .into_iter()
-            .map(|f| Slot {
-                filter: Some(f),
+    /// them ([`FilterStore::count_entry`]). Two equal filters would be two
+    /// live slots of one content, so they are an error.
+    pub(crate) fn from_filters(filters: Vec<Rc<BloomFilter>>) -> Result<Self, CodecError> {
+        let mut store = Self::default();
+        for filter in filters {
+            let slot = store.slots.len() as u32;
+            if store.by_content.insert(Rc::clone(&filter), slot).is_some() {
+                return Err(CodecError::Invalid("filter table repeats a filter"));
+            }
+            store.slots.push(Slot {
+                filter: Some(filter),
                 refs: 0,
-            })
-            .collect();
-        Self {
-            slots,
-            free: Vec::new(),
-            by_address,
+            });
         }
+        Ok(store)
     }
 
     /// One more entry names `slot`.
@@ -211,10 +225,10 @@ impl FilterStore {
         }
     }
 
-    /// A slot for `filter`, counted once more: the slot already holding
-    /// this allocation, else a free or new one.
+    /// A slot for `filter`, counted once more: the live slot holding equal
+    /// contents, else a free or new one.
     pub(crate) fn acquire(&mut self, filter: &Rc<BloomFilter>) -> u32 {
-        if let Some(&slot) = self.by_address.get(&filter_address(filter)) {
+        if let Some(&slot) = self.by_content.get(filter) {
             self.count_entry(slot);
             return slot;
         }
@@ -232,7 +246,7 @@ impl FilterStore {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.by_address.insert(filter_address(filter), slot);
+        self.by_content.insert(Rc::clone(filter), slot);
         slot
     }
 
@@ -244,32 +258,19 @@ impl FilterStore {
         s.refs = s.refs.saturating_sub(1);
         if s.refs == 0 {
             if let Some(filter) = s.filter.take() {
-                self.by_address.remove(&filter_address(&filter));
+                self.by_content.remove(&filter);
                 self.free.push(slot);
             }
         }
     }
 
-    /// The slot an entry naming `held` names once its filter is `filter`:
-    /// `held` itself when the two are equal (the same allocation, or equal
-    /// contents), otherwise `held` released and `filter` acquired.
+    /// The slot an entry naming `held` names once its filter is `filter`.
+    /// Acquiring first keeps `held` when the two are equal.
     fn reassign(&mut self, held: u32, filter: &Rc<BloomFilter>) -> u32 {
-        if let Some(have) = self.filter_at(held) {
-            // Equal filters set equally many bits: the count turns most
-            // unequal pairs away before the word-by-word comparison.
-            let same_bits = have.count_ones() == filter.count_ones();
-            if Rc::ptr_eq(have, filter) || (same_bits && **have == **filter) {
-                return held;
-            }
-        }
+        let slot = self.acquire(filter);
         self.release(held);
-        self.acquire(filter)
+        slot
     }
-}
-
-/// The key a live filter's slot is found by.
-fn filter_address(filter: &Rc<BloomFilter>) -> usize {
-    Rc::as_ptr(filter) as usize
 }
 
 /// Make room for one more element: grow by an eighth of the length (at

@@ -25,7 +25,7 @@
 //! protocol.
 
 use crate::ad::AdSnapshot;
-use crate::checkpoint::{check_node_filter, EntryImage, FilterTable, TableReader};
+use crate::checkpoint::{EntryImage, FilterTable, TableReader};
 use crate::config::AsapConfig;
 use crate::protocol::own_filter;
 use crate::repository::{AdRepository, FilterStore};
@@ -813,7 +813,7 @@ impl CheckpointProtocol for SuperAsap {
     /// hold its own ad.
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let roles: Vec<Role> = Codec::pull(dec)?;
-        let mut table = TableReader::pull_table(dec)?;
+        let mut table = TableReader::pull_table(dec, self.config.asap.bloom)?;
         let (images, unions): (Vec<NodeImage>, Vec<InterestSet>) = Codec::pull(dec)?;
         let n = self.nodes.len();
         if roles.len() != n || images.len() != n || unions.len() != n {
@@ -821,7 +821,7 @@ impl CheckpointProtocol for SuperAsap {
         }
         let mut nodes = Vec::with_capacity(n);
         for img in images {
-            check_node_filter(&img.snapshot, self.config.asap.bloom)?;
+            let snapshot = table.node_filter(img.snapshot)?;
             let repo = match img.repo {
                 Some(entries) => {
                     Some(table.rebuild_repository(entries, None, self.super_cache_capacity())?)
@@ -830,7 +830,7 @@ impl CheckpointProtocol for SuperAsap {
             };
             nodes.push(NodeState {
                 version: img.version,
-                snapshot: img.snapshot,
+                snapshot,
                 repo,
                 registered: img.registered.into_iter().collect(),
             });

@@ -9,7 +9,7 @@
 //! by an entry in order of first use. Unsorted or repeated sources and a
 //! node's own ad used to resume, then re-encode to other bytes or send a
 //! confirmation from a node to itself mid-run; the table checks hold the
-//! rest of that form. The control case resumes the unedited splice and
+//! rest of that form, and every table filter to the configured geometry. The control case resumes the unedited splice and
 //! re-encodes it byte for byte.
 
 use asap_core::{Asap, AsapConfig};
@@ -307,6 +307,24 @@ fn asap_filter_table_out_of_canonical_form_is_rejected() {
         s.resume(renumbered),
         Err(CodecError::Invalid(
             "filter table not in order of first use"
+        ))
+    );
+}
+
+/// A cached filter of another geometry than the configuration's is one no
+/// peer could have announced. It used to resume, and every lookup then
+/// took the repository's per-hash fallback for it.
+#[test]
+fn asap_filter_table_entry_of_another_geometry_is_rejected() {
+    let s = AsapSplice::halfway(88);
+    let edited = s.spliced(|c| {
+        let ((_, hashes), _) = &mut c.table[0];
+        *hashes += 1;
+    });
+    assert_eq!(
+        s.resume(edited),
+        Err(CodecError::Invalid(
+            "node filter parameters differ from the configuration"
         ))
     );
 }

@@ -1,11 +1,13 @@
 //! Property-based tests for the ad repository: arbitrary interleavings of
-//! full / patch / refresh / lookup operations preserve its invariants.
+//! full / patch / refresh / lookup operations preserve its invariants, and
+//! repositories sharing a filter store keep one slot per filter content.
 
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, BloomParams};
-use asap_core::repository::{AdRepository, ApplyOutcome};
+use asap_core::repository::{AdRepository, ApplyOutcome, FilterStore};
 use asap_core::AdSnapshot;
 use asap_overlay::PeerId;
+use asap_sim::collections::DetHashSet;
 use asap_workload::InterestSet;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -135,6 +137,87 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// One step on one of three repositories sharing a store: every filter it
+/// carries is a fresh allocation of one of a few contents.
+#[derive(Debug, Clone)]
+enum SharedOp {
+    Full {
+        repo: usize,
+        source: u32,
+        version: u16,
+        kw: u8,
+    },
+    Patch {
+        repo: usize,
+        source: u32,
+        version: u16,
+        kw: u8,
+    },
+    Remove {
+        repo: usize,
+        source: u32,
+    },
+}
+
+fn shared_op() -> impl Strategy<Value = SharedOp> {
+    let ad = || (0..3usize, 0u32..6, 0u16..4, 0u8..4);
+    prop_oneof![
+        ad().prop_map(|(repo, source, version, kw)| SharedOp::Full {
+            repo,
+            source,
+            version,
+            kw
+        }),
+        ad().prop_map(|(repo, source, version, kw)| SharedOp::Patch {
+            repo,
+            source,
+            version,
+            kw
+        }),
+        (0..3usize, 0u32..6).prop_map(|(repo, source)| SharedOp::Remove { repo, source }),
+    ]
+}
+
+proptest! {
+    /// Equal contents arriving in fresh allocations — a full ad from
+    /// another source, or a patch's result — share one slot: after every
+    /// step the live slots are as many as the distinct contents the
+    /// entries name, each content is one allocation, and the slots count
+    /// every entry once.
+    #[test]
+    fn the_store_keeps_one_slot_per_content(ops in prop::collection::vec(shared_op(), 1..150)) {
+        let fresh = |kw: u8| Rc::new((*snap(0, 0, kw).filter).clone());
+        let store = FilterStore::new_shared();
+        let mut repos: Vec<AdRepository> =
+            (0..3).map(|_| AdRepository::sharing(4, &store)).collect();
+        for (clock, op) in (1u64..).zip(ops) {
+            match op {
+                SharedOp::Full { repo, source, version, kw } => {
+                    let ad = AdSnapshot { filter: fresh(kw), ..snap(source, version, kw) };
+                    repos[repo].insert_full(&ad, clock);
+                }
+                SharedOp::Patch { repo, source, version, kw } => {
+                    let (topics, result) = (InterestSet(0b1), fresh(kw));
+                    repos[repo].apply_patch(PeerId(source), version, topics, &result, clock);
+                }
+                SharedOp::Remove { repo, source } => {
+                    repos[repo].remove(PeerId(source));
+                }
+            }
+            let named: Vec<Rc<BloomFilter>> = repos
+                .iter()
+                .flat_map(|r| r.iter().map(|(_, ad)| ad.filter))
+                .collect();
+            let contents: DetHashSet<&BloomFilter> = named.iter().map(|f| &**f).collect();
+            let allocations: DetHashSet<*const BloomFilter> = named.iter().map(Rc::as_ptr).collect();
+            let store = store.borrow();
+            prop_assert_eq!(store.live_slots(), contents.len());
+            prop_assert_eq!(allocations.len(), contents.len());
+            prop_assert_eq!(store.counted_entries(), named.len() as u64);
         }
     }
 }

@@ -41,21 +41,16 @@ fn workspace_is_lint_clean_under_committed_config() {
 /// R4's scope because `Carrier` is a root trait. If that ever stops being
 /// true (trait renamed, root dropped, unpack no longer calling the
 /// decoder) the decoder would silently leave panic-reachability; this pins
-/// it inside, down to the interner lookup a filter-bearing frame goes
-/// through (reached from `BloomFilter`'s `Codec` impl, a root as well) and
-/// the public interner-less entry points (roots by name in `lint.toml`).
+/// it inside, down to the checksum and the filter decode a filter-bearing
+/// frame goes through (`BloomFilter`'s `Codec` impl, a root as well).
 #[test]
 fn wire_decoder_is_in_the_panic_reachable_set() {
     assert_panic_reachable(&[
         "Framed::unpack",
-        "decode_exact_sharing",
-        "decode_sharing",
-        "checksum",
-        "BloomFilter::pull_shared",
-        "intern_filter",
-        "Interner::intern",
         "decode_frame_exact",
         "decode_frame",
+        "checksum",
+        "BloomFilter::pull",
     ]);
 }
 
@@ -151,8 +146,10 @@ fn content_change_path_is_in_the_panic_reachable_set() {
 /// (`acquire`, `release`, and `reassign` for an overwrite) and grow the cache's
 /// vectors by an eighth (`reserve_one`); a refresh ad, most hops of all,
 /// goes through `apply_refresh`; each finds its entry with the interpolated
-/// search `position`. R4 must see that path, by name, so the slot and
-/// search arithmetic stay free of new `unwrap`/`expect`.
+/// search `position`. A resume rebuilds the store from the checkpoint's
+/// filter table (`from_filters`) and hands each node's own filter the
+/// store's equal one (`shared`). R4 must see that path, by name, so the
+/// slot and search arithmetic stay free of new `unwrap`/`expect`.
 #[test]
 fn ad_cache_path_is_in_the_panic_reachable_set() {
     assert_panic_reachable(&[
@@ -164,6 +161,8 @@ fn ad_cache_path_is_in_the_panic_reachable_set() {
         "FilterStore::acquire",
         "FilterStore::release",
         "FilterStore::reassign",
+        "FilterStore::shared",
+        "FilterStore::from_filters",
         "reserve_one",
     ]);
 }

@@ -15,13 +15,14 @@
 //! sim's pinned audit digest (ordered and timestamped, over the whole trace
 //! stream) with zero wire errors.
 //!
-//! The carrier keeps two things between messages, both owned by the
-//! engine's `Ctx` and gone with it: the buffer every frame is encoded in,
-//! and an [`Interner`] every frame is decoded with. An ad's filter is
-//! cached by many peers at once (that is the paper's point, §III-B); the
-//! interner makes those peers share one allocation, as they do on the sim,
-//! instead of holding one private copy per delivery. Neither changes a
-//! byte of any frame or a field of any decoded message.
+//! The carrier keeps one thing between messages, owned by the engine's
+//! `Ctx` and gone with it: the buffer every frame is encoded in. Every
+//! frame decodes into allocations of its own. An ad's filter is cached by
+//! many peers at once (that is the paper's point, §III-B); the protocol's
+//! ad caches find an arriving filter's equal by its contents
+//! (`asap_core::repository::FilterStore`), so its cachers share one
+//! allocation, as they do on the sim, and the decoded copy is dropped with
+//! the message.
 //!
 //! Locally produced frames decode cleanly by construction; if one ever
 //! does not, the engine drops the message and counts it in
@@ -34,7 +35,7 @@
 use crate::wire::{self, Frame};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::{Carrier, CheckpointProtocol, Interner, SimBuilder};
+use asap_sim::{Carrier, CheckpointProtocol, SimBuilder};
 use std::marker::PhantomData;
 
 /// The wire carrier: the event queue holds encoded frames of protocol `P`.
@@ -42,9 +43,6 @@ pub struct Framed<P> {
     /// Every frame is encoded here first, so the queued copy is one
     /// allocation of exactly the frame's size.
     scratch: Vec<u8>,
-    /// Shared values already decoded and still alive somewhere: a filter
-    /// that arrives again decodes to the allocation its cachers hold.
-    decoded: Interner,
     protocol: PhantomData<P>,
 }
 
@@ -52,7 +50,6 @@ impl<P> Default for Framed<P> {
     fn default() -> Self {
         Self {
             scratch: Vec::new(),
-            decoded: Interner::default(),
             protocol: PhantomData,
         }
     }
@@ -82,9 +79,7 @@ impl<P: CheckpointProtocol> Carrier<P::Msg> for Framed<P> {
     }
 
     fn unpack(&mut self, packed: Vec<u8>) -> Option<P::Msg> {
-        wire::decode_exact_sharing::<P>(&packed, Some(&mut self.decoded))
-            .ok()
-            .map(|f| f.msg)
+        wire::decode_frame_exact::<P>(&packed).ok().map(|f| f.msg)
     }
 }
 

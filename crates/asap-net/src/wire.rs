@@ -33,10 +33,9 @@
 
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
-use asap_sim::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Interner};
+use asap_sim::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 
-/// The frame checksum: the codec's 64-bit word-wide fold, the same function
-/// decoded filters are interned under.
+/// The frame checksum: the codec's 64-bit word-wide fold.
 pub use asap_overlay::codec::checksum;
 
 /// Hard upper bound on `len` (bytes after the length prefix). Far above any
@@ -154,15 +153,6 @@ pub type Decoded<M> = Option<(Frame<M>, usize)>;
 ///   caller's discretion — see [`decode_frame_exact`].)
 /// * `Err(_)` — the prefix can never become a valid frame.
 pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>, WireError> {
-    decode_sharing::<P>(buf, None)
-}
-
-/// [`decode_frame`], with the payload's shared values going through
-/// `shared` when there is one (see [`Interner`]).
-fn decode_sharing<P: CheckpointProtocol>(
-    buf: &[u8],
-    shared: Option<&mut Interner>,
-) -> Result<Decoded<P::Msg>, WireError> {
     let Some(len_bytes) = buf.first_chunk::<4>() else {
         return Ok(None);
     };
@@ -185,9 +175,6 @@ fn decode_sharing<P: CheckpointProtocol>(
     }
     // Unbounded id spaces: frames are produced in-process by this engine.
     let mut dec = Decoder::new(body);
-    if let Some(table) = shared {
-        dec = dec.with_interner(table);
-    }
     let from = PeerId(dec.get_u32()?);
     let to = PeerId(dec.get_u32()?);
     let class = class_from_tag(dec.get_u8()?)?;
@@ -209,17 +196,9 @@ fn decode_sharing<P: CheckpointProtocol>(
 /// Decode a buffer that must hold exactly one whole frame. Incomplete input
 /// is [`WireError::Truncated`]; leftover bytes after the frame are
 /// [`WireError::TrailingPayload`]. Every `Rc` in the message is an
-/// allocation of its own; [`Framed::unpack`](crate::Framed) is this with
-/// the carrier's interner.
+/// allocation of its own.
 pub fn decode_frame_exact<P: CheckpointProtocol>(buf: &[u8]) -> Result<Frame<P::Msg>, WireError> {
-    decode_exact_sharing::<P>(buf, None)
-}
-
-pub(crate) fn decode_exact_sharing<P: CheckpointProtocol>(
-    buf: &[u8],
-    shared: Option<&mut Interner>,
-) -> Result<Frame<P::Msg>, WireError> {
-    match decode_sharing::<P>(buf, shared)? {
+    match decode_frame::<P>(buf)? {
         Some((frame, consumed)) if consumed == buf.len() => Ok(frame),
         Some(_) => Err(WireError::TrailingPayload),
         None => Err(WireError::Truncated),
@@ -259,6 +238,9 @@ mod tests {
         // The message codec is canonical, so decode → re-encode being
         // byte-identical proves the payload survived unchanged.
         assert_eq!(encode_frame::<Flooding>(&back), bytes);
+        let ad = encode_frame::<asap_core::Asap>(&ad_frame());
+        let back = decode_frame_exact::<asap_core::Asap>(&ad).expect("clean decode");
+        assert_eq!(encode_frame::<asap_core::Asap>(&back), ad);
     }
 
     #[test]
@@ -362,29 +344,5 @@ mod tests {
         assert_eq!(buf[..3], [0xEE; 3], "what the buffer held is kept");
         assert_eq!(buf[3..one], encode_frame::<Flooding>(&frame()));
         assert_eq!(buf[one..], encode_frame::<asap_core::Asap>(&ad_frame()));
-    }
-
-    #[test]
-    fn an_interner_shares_filters_across_frames_and_changes_nothing_else() {
-        let bytes = encode_frame::<asap_core::Asap>(&ad_frame());
-        let filter_of = |f: Frame<asap_core::AsapMsg>| match f.msg {
-            asap_core::AsapMsg::Ad {
-                payload: asap_core::AdPayload::Full(snap),
-                ..
-            } => snap.filter,
-            other => panic!("not a full ad: {other:?}"),
-        };
-        let mut table = Interner::default();
-        let mut shared = || {
-            let frame = decode_exact_sharing::<asap_core::Asap>(&bytes, Some(&mut table));
-            let frame = frame.expect("clean decode");
-            assert_eq!(encode_frame::<asap_core::Asap>(&frame), bytes);
-            filter_of(frame)
-        };
-        let (a, b) = (shared(), shared());
-        assert!(std::rc::Rc::ptr_eq(&a, &b));
-        let private = filter_of(decode_frame_exact::<asap_core::Asap>(&bytes).expect("clean"));
-        assert!(!std::rc::Rc::ptr_eq(&a, &private));
-        assert_eq!(a, private);
     }
 }

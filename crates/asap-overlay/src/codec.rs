@@ -19,10 +19,9 @@
 
 use crate::collections::{DetHashMap, DetHashSet};
 use crate::{OverlayKind, PeerId};
-use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Typed decode failure. Every malformed input maps to one of these —
 /// decoding never panics.
@@ -62,8 +61,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// A 64-bit checksum of `bytes`, folded one little-endian `u64` per step:
-/// what guards an `asap-net` frame, and the key a decoded value is interned
-/// under. The tail is zero-padded to a whole word and the length folded in
+/// what guards an `asap-net` frame. The tail is zero-padded to a whole word and the length folded in
 /// last, so an image and the same image with zero bytes appended differ.
 /// Each step is a bijection of the running state (rotate, xor, multiply by
 /// an odd constant) and, for a given state, of the word folded in, so
@@ -274,68 +272,12 @@ impl IdBounds {
     };
 }
 
-/// Decode-side sharing table: values that decode equal become one `Rc`
-/// (see [`Codec::pull_shared`]). A [`Decoder`] carries one only when its
-/// owner attaches it ([`Decoder::with_interner`]); whoever owns the table
-/// decides how far sharing reaches — one checkpoint resume, or every frame
-/// a carrier unpacks.
-///
-/// The table holds [`Weak`] handles only, so it never keeps a value alive,
-/// and it sweeps the dead ones each time it has doubled since the last
-/// sweep, so it stays within twice the values that were live then. Entries
-/// are type-erased because the types worth interning live in crates above
-/// this one.
-#[derive(Debug, Default)]
-pub struct Interner {
-    table: DetHashMap<u64, Weak<dyn Any>>,
-    /// Table size at which the next insert sweeps first.
-    sweep_at: usize,
-}
-
-impl Interner {
-    /// Below this size a sweep is not worth its scan.
-    const MIN_SWEEP: usize = 16;
-
-    /// The shared value for `key`: the registered one if it is still alive
-    /// and `same` accepts it, otherwise `make()`'s, which is registered in
-    /// its place. `key` may be any deterministic function of the value's
-    /// encoded image; a hit is decided by `same`, never by the key, so two
-    /// values that collide on a key are never merged.
-    pub fn intern<T: Any>(
-        &mut self,
-        key: u64,
-        same: impl FnOnce(&T) -> bool,
-        make: impl FnOnce() -> Result<T, CodecError>,
-    ) -> Result<Rc<T>, CodecError> {
-        let live = self.table.get(&key).and_then(Weak::upgrade);
-        if let Some(hit) = live.and_then(|rc| rc.downcast::<T>().ok()) {
-            if same(&hit) {
-                return Ok(hit);
-            }
-        }
-        let fresh = Rc::new(make()?);
-        if self.table.len() >= self.sweep_at {
-            self.table.retain(|_, w| w.strong_count() > 0);
-            self.sweep_at = (2 * self.table.len()).max(Self::MIN_SWEEP);
-        }
-        let handle: Weak<T> = Rc::downgrade(&fresh);
-        self.table.insert(key, handle);
-        Ok(fresh)
-    }
-
-    /// Entries in the table, dead ones not yet swept included.
-    pub fn entries(&self) -> usize {
-        self.table.len()
-    }
-}
-
 /// Bounds-checked little-endian reader.
 #[derive(Debug)]
 pub struct Decoder<'b> {
     buf: &'b [u8],
     pos: usize,
     bounds: IdBounds,
-    interner: Option<&'b mut Interner>,
 }
 
 impl<'b> Decoder<'b> {
@@ -345,7 +287,6 @@ impl<'b> Decoder<'b> {
             buf,
             pos: 0,
             bounds: IdBounds::NONE,
-            interner: None,
         }
     }
 
@@ -358,18 +299,6 @@ impl<'b> Decoder<'b> {
 
     pub fn bounds(&self) -> IdBounds {
         self.bounds
-    }
-
-    /// Share equal decoded values through `table` (see [`Interner`]).
-    /// Without one every `Rc` decodes into an allocation of its own.
-    pub fn with_interner(mut self, table: &'b mut Interner) -> Self {
-        self.interner = Some(table);
-        self
-    }
-
-    /// The attached sharing table, if any.
-    pub fn interner(&mut self) -> Option<&mut Interner> {
-        self.interner.as_deref_mut()
     }
 
     #[inline]
@@ -479,13 +408,6 @@ pub trait Codec: Sized {
 
     /// Read one value back.
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError>;
-
-    /// Read one value back into an `Rc` (what `Rc<Self>` decodes through).
-    /// A type whose decoded values are immutable and repeat across the
-    /// input overrides this to go through [`Decoder::interner`].
-    fn pull_shared(dec: &mut Decoder<'_>) -> Result<Rc<Self>, CodecError> {
-        Self::pull(dec).map(Rc::new)
-    }
 }
 
 macro_rules! scalar_codec {
@@ -568,15 +490,14 @@ impl<T: Codec> Codec for Rc<[T]> {
     }
 }
 
-/// Transparent on the way out: every handle writes the whole value. On the
-/// way in `T` decides ([`Codec::pull_shared`]): a fresh allocation per
-/// handle by default, one per distinct value for a type that interns.
+/// Transparent: every handle writes the whole value and decodes into an
+/// allocation of its own.
 impl<T: Codec> Codec for Rc<T> {
     fn put(&self, enc: &mut Encoder) {
         (**self).put(enc);
     }
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        T::pull_shared(dec)
+        T::pull(dec).map(Rc::new)
     }
 }
 
@@ -832,30 +753,6 @@ mod tests {
         let mut b = Fnv64::new();
         b.write_all(&[2, 1]);
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn interner_shares_by_content_and_registers_only_what_decoded() {
-        let mut table = Interner::default();
-        let ok = |v: u32| move || Ok(v);
-        let a = table.intern(1, |&have: &u32| have == 10, ok(10)).unwrap();
-        let b = table.intern(1, |&have: &u32| have == 10, ok(10)).unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
-        // Same key, other content: not merged, and the slot changes hands.
-        let c = table.intern(1, |&have: &u32| have == 11, ok(11)).unwrap();
-        assert_eq!((*a, *c), (10, 11));
-        assert_eq!(table.entries(), 1);
-        // Same key, other type: a miss, never a cast.
-        let d = table.intern(1, |_: &u64| true, || Ok(12u64)).unwrap();
-        assert_eq!(*d, 12);
-        // A value that fails to decode is an error and leaves no entry.
-        let bad = table.intern(2, |_: &u32| true, || Err(CodecError::BadTag));
-        assert_eq!(bad, Err(CodecError::BadTag));
-        assert_eq!(table.entries(), 1);
-        // Once the last handle is gone the entry no longer resolves.
-        drop(d);
-        let e = table.intern(1, |_: &u64| true, || Ok(13u64)).unwrap();
-        assert_eq!(*e, 13);
     }
 
     #[derive(Debug, PartialEq)]

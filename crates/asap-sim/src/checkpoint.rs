@@ -49,7 +49,7 @@ use asap_workload::{ContentState, DocId, Workload};
 use rand::rngs::SmallRng;
 
 pub use asap_overlay::codec::{
-    assert_canonical, Codec, CodecError, Decoder, Encoder, Fnv64, IdBounds, Interner,
+    assert_canonical, Codec, CodecError, Decoder, Encoder, Fnv64, IdBounds,
 };
 
 /// File magic: the first eight bytes of every checkpoint.
@@ -443,17 +443,12 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
 
         // Every id decoded below — wherever it sits, message payloads
         // included — is checked against this world by its own `Codec`.
-        // The bytes repeat a shared value once per holder; the interner
-        // makes the holders share again (it holds no value alive itself).
         let body = &ckpt.bytes[..ckpt.bytes.len() - TRAILER];
-        let mut shared = Interner::default();
-        let mut dec = Decoder::new(body)
-            .with_bounds(IdBounds {
-                peers: num_peers,
-                docs: num_docs,
-                keywords: sim.ctx.model.vocab.len(),
-            })
-            .with_interner(&mut shared);
+        let mut dec = Decoder::new(body).with_bounds(IdBounds {
+            peers: num_peers,
+            docs: num_docs,
+            keywords: sim.ctx.model.vocab.len(),
+        });
         preamble(&mut dec)?;
         let header = Header::pull(&mut dec)?;
 

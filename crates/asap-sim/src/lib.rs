@@ -42,9 +42,7 @@ pub use adversary::{
 };
 pub use arena::{NodeIdx, NodeTable};
 pub use audit::{AuditConfig, AuditReport};
-pub use checkpoint::{
-    Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64, Interner,
-};
+pub use checkpoint::{Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};
 pub use fault::{FaultDecision, FaultPlan, FaultState, FaultStats, PartitionWindow};

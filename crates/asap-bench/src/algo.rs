@@ -1,7 +1,7 @@
 //! The six algorithms of the evaluation matrix.
 
 use crate::scale::Scale;
-use asap_core::{Asap, AsapConfig, RobustnessConfig};
+use asap_core::{Asap, AsapConfig};
 
 /// One column of the paper's comparison plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,39 +96,41 @@ impl AlgoKind {
 
     /// Build the ASAP protocol object (ASAP variants only).
     pub fn build_asap(self, scale: Scale, model: &asap_workload::ContentModel) -> Asap {
-        self.build_asap_with(scale, model, RobustnessConfig::default())
+        Asap::new(self.asap_config(scale), model)
     }
 
-    /// Build the ASAP protocol with explicit retry/backoff budgets (used by
-    /// the lossy fault profiles; the default budgets are inert).
-    pub fn build_asap_with(
-        self,
-        scale: Scale,
-        model: &asap_workload::ContentModel,
-        robustness: RobustnessConfig,
-    ) -> Asap {
-        Asap::new(self.asap_config(scale).with_robustness(robustness), model)
-    }
-
-    /// [`Self::build_asap_with`] plus protocol-layer adversaries: every
-    /// `AdSpammer` in `roles` starts with a poisoned filter and falsely
-    /// claimed topics. `roles` and `seed` must match the engine-side plan so
-    /// the poisoned peers are exactly the peers the engine treats as
-    /// adversarial (see [`crate::adversary::AdversaryProfile::roles`]).
-    pub fn build_asap_adversarial(
-        self,
-        scale: Scale,
-        model: &asap_workload::ContentModel,
-        robustness: RobustnessConfig,
-        roles: &[asap_sim::AdversaryRole],
-        seed: u64,
-    ) -> Asap {
-        Asap::new_with_adversaries(
-            self.asap_config(scale).with_robustness(robustness),
-            model,
-            roles,
-            seed,
-        )
+    /// The ablation rows over the design knobs DESIGN.md calls out, each a
+    /// labelled edit of [`Self::asap_config`] (ASAP variants only): cache
+    /// capacity, the ads-request fallback, budget unit M₀, refresh period.
+    /// The unedited baseline is not a row.
+    pub fn ablations(self, scale: Scale) -> Vec<(String, AsapConfig)> {
+        let base = self.asap_config(scale);
+        let row = |label: String, edit: &dyn Fn(&mut AsapConfig)| {
+            let mut c = base.clone();
+            edit(&mut c);
+            (label, c)
+        };
+        let mut rows = Vec::new();
+        for factor in [0.25, 0.5, 2.0] {
+            rows.push(row(format!("cache-x{factor}"), &|c| {
+                c.cache_capacity = ((c.cache_capacity as f64 * factor) as usize).max(8)
+            }));
+        }
+        // Emulate h = 0 (no fallback) by muting ads replies.
+        rows.push(row("no-fallback-ads".into(), &|c| c.max_ads_per_reply = 0));
+        rows.push(row("ads-request-h2".into(), &|c| c.ads_request_hops = 2));
+        for factor in [0.5, 2.0] {
+            rows.push(row(format!("M0-x{factor}"), &|c| {
+                c.budget_unit = ((c.budget_unit as f64 * factor) as u32).max(8)
+            }));
+        }
+        for factor in [0.25, 4.0] {
+            rows.push(row(format!("refresh-x{factor}"), &|c| {
+                c.refresh_interval_us =
+                    ((c.refresh_interval_us as f64 * factor) as u64).max(1_000_000)
+            }));
+        }
+        rows
     }
 }
 

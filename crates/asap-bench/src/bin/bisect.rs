@@ -35,62 +35,44 @@ use std::process::ExitCode;
 use asap_bench::adversary::AdversaryProfile;
 use asap_bench::args::{next_value, Axes, CommonArgs};
 use asap_bench::faults::FaultProfile;
-use asap_bench::runner::{run_cell_spec, RunSpec, World};
-use asap_bench::AlgoKind;
+use asap_bench::runner::{
+    cell_builder, resume_cell, run_cell_spec, with_protocol, CellVisitor, RunSpec, World,
+};
+use asap_core::protocol::AsapStats;
 use asap_overlay::OverlayKind;
-use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::trace::{Record, Recorder, TraceConfig};
-use asap_sim::{AuditConfig, Checkpoint, CheckpointProtocol, SimBuilder, Simulation};
+use asap_sim::{AuditConfig, Checkpoint, CheckpointProtocol, InMemory};
 
-/// One side of the comparison: the layer axes a cell can differ on while
-/// still sharing a world (same scale, seed, trace, overlay).
-#[derive(Clone, Copy)]
-struct SideSpec {
-    faults: FaultProfile,
-    adversary: AdversaryProfile,
-}
-
-impl SideSpec {
-    /// Parse `faults=<none|lossy|chaos>,adversary=<none|spamN|freerideN|eclipseN>`
-    /// (either key may be omitted; an empty spec is the honest run).
-    fn parse(s: &str) -> Result<Self, String> {
-        let mut side = Self {
-            faults: FaultProfile::None,
-            adversary: AdversaryProfile::None,
-        };
-        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or(format!("expected key=value, got '{part}'"))?;
-            match key {
-                "faults" => {
-                    side.faults = FaultProfile::parse(value)
-                        .ok_or(format!("unknown fault profile '{value}'"))?
-                }
-                "adversary" => {
-                    side.adversary = AdversaryProfile::parse(value)
-                        .ok_or(format!("unknown adversary profile '{value}'"))?
-                }
-                other => return Err(format!("unknown side key '{other}'")),
+/// Parse one side of the comparison,
+/// `faults=<none|lossy|chaos>,adversary=<none|spamN|freerideN|eclipseN>`
+/// (either key may be omitted; an empty spec is the honest run), into the
+/// audited [`RunSpec`] of that side. The sides differ only in layers, so
+/// they share a world (same scale, seed, trace, overlay).
+fn parse_side(s: &str) -> Result<RunSpec, String> {
+    let mut side = RunSpec::figures().audited(AuditConfig::default());
+    for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (key, value) = part
+            .split_once('=')
+            .ok_or(format!("expected key=value, got '{part}'"))?;
+        match key {
+            "faults" => {
+                side.faults =
+                    FaultProfile::parse(value).ok_or(format!("unknown fault profile '{value}'"))?
             }
-        }
-        Ok(side)
-    }
-
-    fn spec(self) -> RunSpec {
-        RunSpec {
-            audit: Some(AuditConfig::default()),
-            faults: self.faults,
-            adversary: self.adversary,
-            ..RunSpec::default()
+            "adversary" => {
+                side.adversary = AdversaryProfile::parse(value)
+                    .ok_or(format!("unknown adversary profile '{value}'"))?
+            }
+            other => return Err(format!("unknown side key '{other}'")),
         }
     }
+    Ok(side)
 }
 
 struct Args {
     common: CommonArgs,
-    a: SideSpec,
-    b: SideSpec,
+    a: RunSpec,
+    b: RunSpec,
     out: PathBuf,
     capacity: usize,
 }
@@ -115,14 +97,8 @@ fn usage() -> String {
 fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
         common: common_defaults(),
-        a: SideSpec {
-            faults: FaultProfile::None,
-            adversary: AdversaryProfile::None,
-        },
-        b: SideSpec {
-            faults: FaultProfile::None,
-            adversary: AdversaryProfile::None,
-        },
+        a: parse_side("")?,
+        b: parse_side("")?,
         out: PathBuf::from("results/bisect.json"),
         capacity: 1 << 16,
     };
@@ -133,9 +109,9 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match flag.as_str() {
-            "--a" => parsed.a = SideSpec::parse(&next_value(&flag, &mut args)?)?,
+            "--a" => parsed.a = parse_side(&next_value(&flag, &mut args)?)?,
             "--b" => {
-                parsed.b = SideSpec::parse(&next_value(&flag, &mut args)?)?;
+                parsed.b = parse_side(&next_value(&flag, &mut args)?)?;
                 saw_b = true;
             }
             "--out" => parsed.out = PathBuf::from(next_value(&flag, &mut args)?),
@@ -218,19 +194,10 @@ fn probe_side<P: CheckpointProtocol>(
     lo: &Checkpoint,
     t_us: u64,
     capacity: usize,
-    make: &impl Fn() -> P,
+    protocol: P,
 ) -> Probe {
-    let mut sim = Simulation::builder(
-        &world.phys,
-        &world.workload,
-        world.overlay(overlay),
-        overlay,
-        make(),
-        world.seed,
-    )
-    .trace(Box::new(Recorder::new(TraceConfig { capacity })))
-    .from_checkpoint(lo)
-    .expect("probe world matches the checkpointed world");
+    let mut sim = resume_cell(world, overlay, protocol, lo, Some(TraceConfig { capacity }))
+        .expect("probe world matches the checkpointed world");
     sim.run_until(t_us);
     let rec = sim
         .trace_sink()
@@ -243,195 +210,83 @@ fn probe_side<P: CheckpointProtocol>(
     }
 }
 
-/// Attach a side's layers to a builder (the probe path adds the recorder
-/// itself, and resumed probes carry the layers in their checkpoints).
-fn apply_side<'a, P: CheckpointProtocol>(
-    mut b: SimBuilder<'a, P>,
-    side: SideSpec,
-    peers: usize,
-) -> SimBuilder<'a, P> {
-    b = b.audit(AuditConfig::default());
-    if !side.faults.is_none() {
-        b = b.faults(side.faults.plan(peers));
-    }
-    if !side.adversary.is_none() {
-        b = b.adversary(side.adversary.plan(peers));
-    }
-    b
-}
-
-/// Search `(0, hi_us]` for the first divergent event. Generic over the
-/// protocol; the factories must construct each side's protocol exactly as
-/// its cold run did.
-#[allow(clippy::too_many_arguments)]
-fn search<P: CheckpointProtocol>(
-    world: &World,
+/// Search `(0, hi_us]` for the first divergent event between the two sides
+/// of one cell; [`with_protocol`] supplies the cell's protocol factory.
+struct Search<'a> {
+    world: &'a World,
     overlay: OverlayKind,
-    side_a: SideSpec,
-    side_b: SideSpec,
+    a: &'a RunSpec,
+    b: &'a RunSpec,
     hi_us: u64,
     capacity: usize,
-    make_a: impl Fn() -> P,
-    make_b: impl Fn() -> P,
-) -> (Option<Divergence>, u64) {
-    let peers = world.scale.peers();
-    // The t=0 checkpoints: layers attached, nothing dispatched yet — the
-    // first probe window therefore covers the very first event.
-    let mut ckpt_a = apply_side(
-        Simulation::builder(
-            &world.phys,
-            &world.workload,
-            world.overlay(overlay),
-            overlay,
-            make_a(),
-            world.seed,
-        ),
-        side_a,
-        peers,
-    )
-    .build()
-    .checkpoint();
-    let mut ckpt_b = apply_side(
-        Simulation::builder(
-            &world.phys,
-            &world.workload,
-            world.overlay(overlay),
-            overlay,
-            make_b(),
-            world.seed,
-        ),
-        side_b,
-        peers,
-    )
-    .build()
-    .checkpoint();
-
-    let mut probes = 0u64;
-    let mut lo = 0u64;
-    let mut hi = hi_us;
-    // Right window boundaries still owed once the current window compares
-    // clean (pushed when an overflowing window is halved).
-    let mut pending: Vec<u64> = Vec::new();
-    loop {
-        probes += 1;
-        let pa = probe_side(world, overlay, &ckpt_a, hi, capacity, &make_a);
-        let pb = probe_side(world, overlay, &ckpt_b, hi, capacity, &make_b);
-        let overflowed = pa.dropped > 0 || pb.dropped > 0;
-        if overflowed {
-            let mid = lo + (hi - lo) / 2;
-            if mid > lo {
-                // Narrow: retry the left half of this window first.
-                pending.push(hi);
-                hi = mid;
-                continue;
-            }
-            // A 1 µs window still overflows the ring: report best-effort
-            // from the retained tails rather than looping forever.
-            eprintln!(
-                "warning: recorder ring ({capacity}) overflowed within [{lo}, {hi}] us; \
-                 the reported event is the first difference of the retained records"
-            );
-            return (first_diff(&pa.recs, &pb.recs, lo, hi, true), probes);
-        }
-        if let Some(d) = first_diff(&pa.recs, &pb.recs, lo, hi, false) {
-            return (Some(d), probes);
-        }
-        // Window clean and equal: advance lo onto it and resume the next
-        // pending window from the probes' own end-of-window checkpoints.
-        let Some(next_hi) = pending.pop() else {
-            return (None, probes);
-        };
-        ckpt_a = pa.ckpt;
-        ckpt_b = pb.ckpt;
-        lo = hi;
-        hi = next_hi;
-    }
 }
 
-/// Dispatch [`search`] over the algorithm axis, constructing each side's
-/// protocol exactly as [`run_cell_spec`]'s cold path does.
-fn search_cell(args: &Args, world: &World, hi_us: u64) -> (Option<Divergence>, u64) {
-    let scale = world.scale;
-    let seed = world.seed;
-    let peers = scale.peers();
-    let (a, b) = (args.a, args.b);
-    match args.common.algo {
-        AlgoKind::Flooding => {
-            let mk = |side: SideSpec| {
-                move || {
-                    Flooding::new(FloodingConfig {
-                        retransmit: side.faults.retransmit(),
-                        ..FloodingConfig::default()
-                    })
+impl CellVisitor for Search<'_> {
+    /// The first divergence, if any, and the probe count.
+    type Out = (Option<Divergence>, u64);
+
+    fn visit<P: CheckpointProtocol>(
+        self,
+        make: impl Fn(&RunSpec) -> P + Sync,
+        _stats: fn(&P) -> Option<AsapStats>,
+    ) -> Self::Out {
+        let Self {
+            world,
+            overlay,
+            a,
+            b,
+            hi_us,
+            capacity,
+        } = self;
+        // The t=0 checkpoints: layers attached, nothing dispatched yet — the
+        // first probe window therefore covers the very first event.
+        let start = |side: &RunSpec| {
+            cell_builder::<P, InMemory>(world, overlay, side, make(side))
+                .build()
+                .checkpoint()
+        };
+        let mut ckpt_a = start(a);
+        let mut ckpt_b = start(b);
+
+        let mut probes = 0u64;
+        let mut lo = 0u64;
+        let mut hi = hi_us;
+        // Right window boundaries still owed once the current window compares
+        // clean (pushed when an overflowing window is halved).
+        let mut pending: Vec<u64> = Vec::new();
+        loop {
+            probes += 1;
+            let pa = probe_side(world, overlay, &ckpt_a, hi, capacity, make(a));
+            let pb = probe_side(world, overlay, &ckpt_b, hi, capacity, make(b));
+            let overflowed = pa.dropped > 0 || pb.dropped > 0;
+            if overflowed {
+                let mid = lo + (hi - lo) / 2;
+                if mid > lo {
+                    // Narrow: retry the left half of this window first.
+                    pending.push(hi);
+                    hi = mid;
+                    continue;
                 }
+                // A 1 µs window still overflows the ring: report best-effort
+                // from the retained tails rather than looping forever.
+                eprintln!(
+                    "warning: recorder ring ({capacity}) overflowed within [{lo}, {hi}] us; \
+                     the reported event is the first difference of the retained records"
+                );
+                return (first_diff(&pa.recs, &pb.recs, lo, hi, true), probes);
+            }
+            if let Some(d) = first_diff(&pa.recs, &pb.recs, lo, hi, false) {
+                return (Some(d), probes);
+            }
+            // Window clean and equal: advance lo onto it and resume the next
+            // pending window from the probes' own end-of-window checkpoints.
+            let Some(next_hi) = pending.pop() else {
+                return (None, probes);
             };
-            search(
-                world,
-                args.common.overlay,
-                a,
-                b,
-                hi_us,
-                args.capacity,
-                mk(a),
-                mk(b),
-            )
-        }
-        AlgoKind::RandomWalk => {
-            let mk = |side: SideSpec| {
-                move || RandomWalk::new(scale.random_walk_config(side.faults.retransmit()))
-            };
-            search(
-                world,
-                args.common.overlay,
-                a,
-                b,
-                hi_us,
-                args.capacity,
-                mk(a),
-                mk(b),
-            )
-        }
-        AlgoKind::Gsa => {
-            let mk = |_: SideSpec| move || Gsa::new(scale.gsa_config());
-            search(
-                world,
-                args.common.overlay,
-                a,
-                b,
-                hi_us,
-                args.capacity,
-                mk(a),
-                mk(b),
-            )
-        }
-        AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
-            let algo = args.common.algo;
-            let model = &world.workload.model;
-            let mk = |side: SideSpec| {
-                move || {
-                    if side.adversary.is_none() {
-                        algo.build_asap_with(scale, model, side.faults.robustness())
-                    } else {
-                        algo.build_asap_adversarial(
-                            scale,
-                            model,
-                            side.faults.robustness(),
-                            &side.adversary.roles(peers, seed),
-                            seed,
-                        )
-                    }
-                }
-            };
-            search(
-                world,
-                args.common.overlay,
-                a,
-                b,
-                hi_us,
-                args.capacity,
-                mk(a),
-                mk(b),
-            )
+            ckpt_a = pa.ckpt;
+            ckpt_b = pb.ckpt;
+            lo = hi;
+            hi = next_hi;
         }
     }
 }
@@ -442,10 +297,9 @@ fn push_kv_str(out: &mut String, key: &str, v: &str) {
 
 /// Render the report. Divergent events embed as raw JSON objects — the
 /// recorder's JSONL lines are already valid JSON.
-#[allow(clippy::too_many_arguments)]
 fn render_report(
     args: &Args,
-    sides: [(&SideSpec, u64, u64, u64); 2],
+    sides: [(&RunSpec, u64, u64, u64); 2],
     identical: bool,
     probes: u64,
     divergence: Option<&Divergence>,
@@ -515,18 +369,8 @@ fn main() -> ExitCode {
         args.b.faults.label(),
         args.b.adversary.label()
     );
-    let cold_a = run_cell_spec(
-        &world,
-        args.common.algo,
-        args.common.overlay,
-        &args.a.spec(),
-    );
-    let cold_b = run_cell_spec(
-        &world,
-        args.common.algo,
-        args.common.overlay,
-        &args.b.spec(),
-    );
+    let cold_a = run_cell_spec(&world, args.common.algo, args.common.overlay, &args.a);
+    let cold_b = run_cell_spec(&world, args.common.algo, args.common.overlay, &args.b);
     let digest_a = cold_a.audit.as_ref().expect("audited side").digest;
     let digest_b = cold_b.audit.as_ref().expect("audited side").digest;
     let identical = digest_a == digest_b;
@@ -540,7 +384,15 @@ fn main() -> ExitCode {
             "[bisect] digests differ ({digest_a:016x} vs {digest_b:016x}); \
              searching (0, {hi_us}] us..."
         );
-        search_cell(&args, &world, hi_us)
+        let search = Search {
+            world: &world,
+            overlay: args.common.overlay,
+            a: &args.a,
+            b: &args.b,
+            hi_us,
+            capacity: args.capacity,
+        };
+        with_protocol(&world, args.common.algo, search)
     };
 
     let report = render_report(

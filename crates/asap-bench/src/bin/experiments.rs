@@ -30,7 +30,7 @@
 
 use asap_bench::args::{next_value, Axes, CommonArgs};
 use asap_bench::figures;
-use asap_bench::runner::{sweep_cells_spec, RunSummary, World};
+use asap_bench::runner::{run_cell_spec, sweep_cells_spec, RunSpec, RunSummary, World};
 use asap_bench::scale::Scale;
 use asap_bench::table::{fnum, Table};
 use asap_bench::{AdversaryProfile, AlgoKind};
@@ -406,39 +406,15 @@ fn robustness(args: &Args) {
     );
 }
 
-/// Ablations over the design knobs DESIGN.md calls out: cache capacity,
-/// ads-request fallback, budget unit M₀, refresh period. ASAP(RW) on the
-/// crawled overlay, matching the paper's default presentation.
+/// Ablations over the design knobs DESIGN.md calls out
+/// ([`AlgoKind::ablations`]). ASAP(RW) on the crawled overlay, matching the
+/// paper's default presentation.
 fn ablations(args: &Args) {
-    use asap_bench::runner::World;
-    use asap_core::Asap;
-    use asap_sim::Simulation;
-
     let world = World::build(args.common.scale, args.common.seed);
-    let base = AlgoKind::AsapRw.asap_config(args.common.scale);
-
-    let run_with = |name: &str, cfg: asap_core::AsapConfig| -> Vec<String> {
-        eprintln!("[ablate] {name}");
-        let overlay = world.overlay(OverlayKind::Crawled);
-        let protocol = Asap::new(cfg, &world.workload.model);
-        let report = Simulation::builder(
-            &world.phys,
-            &world.workload,
-            overlay,
-            OverlayKind::Crawled,
-            protocol,
-            args.common.seed,
-        )
-        .run();
-        vec![
-            name.to_string(),
-            fnum(report.ledger.success_rate()),
-            fnum(report.ledger.avg_response_time_ms()),
-            fnum(report.load.search_cost_bytes() as f64 / report.ledger.num_queries() as f64),
-            fnum(report.load.mean_load()),
-        ]
-    };
-
+    let algo = AlgoKind::AsapRw;
+    let base = algo.asap_config(args.common.scale);
+    let rows = std::iter::once(("baseline(RW)".to_string(), base))
+        .chain(algo.ablations(args.common.scale));
     let mut t = Table::new(&[
         "variant",
         "success",
@@ -446,32 +422,17 @@ fn ablations(args: &Args) {
         "bytes/search",
         "mean-load",
     ]);
-    t.row(run_with("baseline(RW)", base.clone()));
-    for factor in [0.25, 0.5, 2.0] {
-        let mut c = base.clone();
-        c.cache_capacity = ((c.cache_capacity as f64 * factor) as usize).max(8);
-        t.row(run_with(&format!("cache-x{factor}"), c));
-    }
-    {
-        // Emulate h = 0 (no fallback) by muting ads replies.
-        let mut c = base.clone();
-        c.max_ads_per_reply = 0;
-        t.row(run_with("no-fallback-ads", c));
-    }
-    {
-        let mut c = base.clone();
-        c.ads_request_hops = 2;
-        t.row(run_with("ads-request-h2", c));
-    }
-    for factor in [0.5, 2.0] {
-        let mut c = base.clone();
-        c.budget_unit = ((c.budget_unit as f64 * factor) as u32).max(8);
-        t.row(run_with(&format!("M0-x{factor}"), c));
-    }
-    for factor in [0.25, 4.0] {
-        let mut c = base.clone();
-        c.refresh_interval_us = ((c.refresh_interval_us as f64 * factor) as u64).max(1_000_000);
-        t.row(run_with(&format!("refresh-x{factor}"), c));
+    for (name, config) in rows {
+        eprintln!("[ablate] {name}");
+        let spec = RunSpec::figures().with_asap(config);
+        let s = run_cell_spec(&world, algo, OverlayKind::Crawled, &spec).summary;
+        t.row(vec![
+            name,
+            fnum(s.success_rate),
+            fnum(s.avg_response_ms),
+            fnum(s.per_search_cost_bytes),
+            fnum(s.mean_load),
+        ]);
     }
     figures::emit(
         &args.out,

@@ -13,17 +13,19 @@
 //! ```
 //!
 //! The warm-start sweep resumes one shared checkpoint into several
-//! continuation variants (the DESIGN.md ablation knobs that leave the
-//! checkpointed structure intact — budget unit, refresh period, ads-request
-//! hops) under rayon, plus the unmodified `baseline` variant. The baseline
+//! continuation variants (the `experiments ablate` rows that leave the
+//! checkpointed structure intact — every row but the cache capacities)
+//! under rayon, plus the unmodified `baseline` variant. The baseline
 //! continuation must reproduce the cold uninterrupted run's digest
 //! **bit-identically** — verified on every `--warm-start` invocation, with
 //! the measured ramp-up savings printed next to it. Baseline algorithms
 //! (flooding / random-walk / GSA) have no config variants and sweep the
 //! baseline continuation only.
 //!
-//! Checkpoints pin (seed, peer count, overlay kind); `--scale`/`--seed`
-//! must match between the save and warm-start invocations.
+//! Checkpoints pin (seed, peer count, overlay kind); `--scale`/`--seed`/
+//! `--overlay` must match between the save and warm-start invocations, and
+//! a mismatch, like a checkpoint that does not decode onto `--algo`, is an
+//! `error:` line and exit 1.
 
 // This binary IS the CLI; its tables go to stdout by design.
 #![allow(clippy::print_stdout)]
@@ -33,14 +35,15 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use asap_bench::args::{next_value, Axes, CommonArgs};
-use asap_bench::runner::{par_map, run_cell_spec, RunSpec, World};
+use asap_bench::runner::{
+    cell_builder, par_map, resume_cell, run_cell_spec, with_protocol, CellVisitor, RunSpec, World,
+};
 use asap_bench::scale::Scale;
 use asap_bench::table::{fnum, Table};
 use asap_bench::AlgoKind;
-use asap_core::{Asap, AsapConfig};
+use asap_core::protocol::AsapStats;
 use asap_overlay::OverlayKind;
-use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
-use asap_sim::{AuditConfig, Checkpoint, CheckpointProtocol, Simulation};
+use asap_sim::{AuditConfig, Checkpoint, CheckpointProtocol, CodecError, InMemory};
 
 struct Args {
     checkpoint: PathBuf,
@@ -99,84 +102,80 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-/// The continuation sweep for an ASAP variant: the baseline plus the
-/// ablation knobs that only steer *future* behavior (shrinking structural
-/// capacity, e.g. the ad cache, would be rejected by the decoder's
-/// capacity validation — deliberately excluded).
-fn asap_variants(algo: AlgoKind, scale: Scale) -> Vec<(String, AsapConfig)> {
-    let base = algo.asap_config(scale);
-    let mut variants = vec![("baseline".to_string(), base.clone())];
-    for factor in [0.5, 2.0] {
-        let mut c = base.clone();
-        c.budget_unit = ((c.budget_unit as f64 * factor) as u32).max(8);
-        variants.push((format!("M0-x{factor}"), c));
-    }
-    for factor in [0.25, 4.0] {
-        let mut c = base.clone();
-        c.refresh_interval_us = ((c.refresh_interval_us as f64 * factor) as u64).max(1_000_000);
-        variants.push((format!("refresh-x{factor}"), c));
-    }
-    {
-        let mut c = base.clone();
-        c.ads_request_hops = 2;
-        variants.push(("ads-request-h2".to_string(), c));
+/// The continuation sweep: the unmodified `baseline` plus, for an ASAP
+/// variant, every ablation row ([`AlgoKind::ablations`]) that only steers
+/// *future* behavior. A changed cache capacity is left out: the decoder's
+/// capacity validation rejects it by design.
+fn variants(algo: AlgoKind, scale: Scale) -> Vec<(String, RunSpec)> {
+    let mut variants = vec![("baseline".to_string(), spec())];
+    if algo.is_asap() {
+        let cache = algo.asap_config(scale).cache_capacity;
+        let rows = algo.ablations(scale).into_iter();
+        let rows = rows.filter(|(_, c)| c.cache_capacity == cache);
+        variants.extend(rows.map(|(label, c)| (label, spec().with_asap(c))));
     }
     variants
 }
 
-/// Resume every variant from the shared checkpoint under rayon and reduce
-/// each continuation to a result row, `(label, digest, row, wall_secs)`.
-///
-/// Protocols are **not** `Send` (ASAP's pending searches share `Rc`s), so
-/// each worker builds its own from the variant's `Send` config via `make` —
-/// the same grain the matrix sweeps parallelize at.
-fn warm_sweep<P: CheckpointProtocol, C: Send>(
-    world: &World,
+/// Resume every variant from the shared checkpoint and reduce each
+/// continuation to a result row, `(label, digest, row, wall_secs)`.
+struct WarmSweep<'a> {
+    world: &'a World,
     overlay_kind: OverlayKind,
-    ckpt: &Checkpoint,
-    variants: Vec<(String, C)>,
+    ckpt: &'a Checkpoint,
+    variants: Vec<(String, RunSpec)>,
     workers: usize,
-    make: impl Fn(&C) -> P + Sync,
-) -> Vec<(String, u64, Vec<String>, f64)> {
-    par_map(workers, variants, |(label, cfg): (String, C)| {
-        let start = Instant::now();
-        let report = Simulation::builder(
-            &world.phys,
-            &world.workload,
-            world.overlay(overlay_kind),
+}
+
+impl CellVisitor for WarmSweep<'_> {
+    type Out = Result<Vec<(String, u64, Vec<String>, f64)>, CodecError>;
+
+    /// Protocols are **not** `Send` (ASAP's pending searches share `Rc`s), so
+    /// each worker builds its own from the variant's spec via `make` — the
+    /// same grain the matrix sweeps parallelize at. A checkpoint that does
+    /// not fit the cell fails every variant's resume; the first failure in
+    /// variant order is the sweep's error.
+    fn visit<P: CheckpointProtocol>(
+        self,
+        make: impl Fn(&RunSpec) -> P + Sync,
+        _stats: fn(&P) -> Option<AsapStats>,
+    ) -> Self::Out {
+        let Self {
+            world,
             overlay_kind,
-            make(&cfg),
-            world.seed,
-        )
-        .from_checkpoint(ckpt)
-        .unwrap_or_else(|e| panic!("resume of variant '{label}' failed: {e}"))
-        .run();
-        let secs = start.elapsed().as_secs_f64();
-        let digest = report
-            .audit
-            .as_ref()
-            .expect("warm-start checkpoints are always audited")
-            .digest;
-        let row = vec![
-            label.clone(),
-            fnum(report.ledger.success_rate()),
-            fnum(report.ledger.avg_response_time_ms()),
-            format!("{}", report.messages_sent),
-            format!("{digest:016x}"),
-            format!("{secs:.2}s"),
-        ];
-        (label, digest, row, secs)
-    })
+            ckpt,
+            variants,
+            workers,
+        } = self;
+        par_map(workers, variants, |(label, spec)| {
+            let start = Instant::now();
+            let report = resume_cell(world, overlay_kind, make(&spec), ckpt, None)?.run();
+            let secs = start.elapsed().as_secs_f64();
+            let digest = report
+                .audit
+                .as_ref()
+                .expect("warm-start checkpoints are always audited")
+                .digest;
+            let row = vec![
+                label.clone(),
+                fnum(report.ledger.success_rate()),
+                fnum(report.ledger.avg_response_time_ms()),
+                format!("{}", report.messages_sent),
+                format!("{digest:016x}"),
+                format!("{secs:.2}s"),
+            ];
+            Ok((label, digest, row, secs))
+        })
+        .into_iter()
+        .collect()
+    }
 }
 
 /// The audited spec every warmstart run uses: the auditor's digest is the
 /// bit-identity witness, and it rides the checkpoint into every resumed
 /// continuation.
 fn spec() -> RunSpec {
-    RunSpec {
-        audit: Some(AuditConfig::default()),
-        ..RunSpec::default()
-    }
+    RunSpec::figures().audited(AuditConfig::default())
 }
 
 fn save(args: &Args, world: &World) -> ExitCode {
@@ -191,7 +190,12 @@ fn save(args: &Args, world: &World) -> ExitCode {
     // the paper's perfect-network sweeps. The resume goldens cover layered
     // checkpoints.
     let start = Instant::now();
-    let ckpt = checkpoint_cell(args, world, split_us);
+    let cell = CheckpointCell {
+        world,
+        overlay_kind: args.common.overlay,
+        split_us,
+    };
+    let ckpt = with_protocol(world, args.common.algo, cell);
     let ramp_secs = start.elapsed().as_secs_f64();
     let bytes = ckpt.into_bytes();
     std::fs::write(&args.checkpoint, &bytes).expect("write checkpoint file");
@@ -211,34 +215,26 @@ fn save(args: &Args, world: &World) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Build the audited cell, run it to `split_us`, and take the checkpoint.
-fn checkpoint_cell(args: &Args, world: &World, split_us: u64) -> Checkpoint {
-    macro_rules! go {
-        ($protocol:expr) => {{
-            let mut sim = Simulation::builder(
-                &world.phys,
-                &world.workload,
-                world.overlay(args.common.overlay),
-                args.common.overlay,
-                $protocol,
-                world.seed,
-            )
-            .audit(AuditConfig::default())
-            .build();
-            sim.run_until(split_us);
-            sim.checkpoint()
-        }};
-    }
-    match args.common.algo {
-        AlgoKind::Flooding => go!(Flooding::new(FloodingConfig::default())),
-        AlgoKind::RandomWalk => go!(RandomWalk::new(world.scale.random_walk_config(None))),
-        AlgoKind::Gsa => go!(Gsa::new(world.scale.gsa_config())),
-        AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
-            go!(args
-                .common
-                .algo
-                .build_asap(world.scale, &world.workload.model))
-        }
+/// Build the audited cell, run it to a split point, and take the checkpoint.
+struct CheckpointCell<'a> {
+    world: &'a World,
+    overlay_kind: OverlayKind,
+    split_us: u64,
+}
+
+impl CellVisitor for CheckpointCell<'_> {
+    type Out = Checkpoint;
+
+    fn visit<P: CheckpointProtocol>(
+        self,
+        make: impl Fn(&RunSpec) -> P + Sync,
+        _stats: fn(&P) -> Option<AsapStats>,
+    ) -> Checkpoint {
+        let spec = spec();
+        let b = cell_builder::<P, InMemory>(self.world, self.overlay_kind, &spec, make(&spec));
+        let mut sim = b.build();
+        sim.run_until(self.split_us);
+        sim.checkpoint()
     }
 }
 
@@ -260,13 +256,22 @@ fn warm(args: &Args, world: &World) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if ckpt.run_seed() != args.common.seed || ckpt.num_peers() != args.common.scale.peers() {
+    let pinned = (ckpt.run_seed(), ckpt.num_peers(), ckpt.overlay_kind());
+    let asked = (
+        args.common.seed,
+        args.common.scale.peers(),
+        args.common.overlay,
+    );
+    if pinned != asked {
         eprintln!(
-            "error: checkpoint pins seed={} peers={}, but this invocation asks for seed={} peers={}",
-            ckpt.run_seed(),
-            ckpt.num_peers(),
-            args.common.seed,
-            args.common.scale.peers()
+            "error: checkpoint pins seed={} peers={} overlay={}, but this invocation asks for \
+             seed={} peers={} overlay={}",
+            pinned.0,
+            pinned.1,
+            pinned.2.label(),
+            asked.0,
+            asked.1,
+            asked.2.label()
         );
         return ExitCode::FAILURE;
     }
@@ -279,40 +284,24 @@ fn warm(args: &Args, world: &World) -> ExitCode {
         args.common.workers
     );
 
-    let baseline_only = vec![("baseline".to_string(), ())];
-    let results = match args.common.algo {
-        AlgoKind::Flooding => warm_sweep(
-            world,
-            args.common.overlay,
-            &ckpt,
-            baseline_only,
-            args.common.workers,
-            |_| Flooding::new(FloodingConfig::default()),
-        ),
-        AlgoKind::RandomWalk => warm_sweep(
-            world,
-            args.common.overlay,
-            &ckpt,
-            baseline_only,
-            args.common.workers,
-            |_| RandomWalk::new(world.scale.random_walk_config(None)),
-        ),
-        AlgoKind::Gsa => warm_sweep(
-            world,
-            args.common.overlay,
-            &ckpt,
-            baseline_only,
-            args.common.workers,
-            |_| Gsa::new(world.scale.gsa_config()),
-        ),
-        AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => warm_sweep(
-            world,
-            args.common.overlay,
-            &ckpt,
-            asap_variants(args.common.algo, world.scale),
-            args.common.workers,
-            |cfg| Asap::new(cfg.clone(), &world.workload.model),
-        ),
+    let sweep = WarmSweep {
+        world,
+        overlay_kind: args.common.overlay,
+        ckpt: &ckpt,
+        variants: variants(args.common.algo, world.scale),
+        workers: args.common.workers,
+    };
+    let results = match with_protocol(world, args.common.algo, sweep) {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!(
+                "error: {} does not resume as {} / {}: {e}",
+                args.checkpoint.display(),
+                args.common.algo.label(),
+                args.common.overlay.label()
+            );
+            return ExitCode::FAILURE;
+        }
     };
 
     // The acceptance gate: the unmodified continuation must land on the

@@ -4,13 +4,15 @@ use crate::adversary::AdversaryProfile;
 use crate::algo::AlgoKind;
 use crate::faults::FaultProfile;
 use crate::scale::Scale;
+use asap_core::protocol::AsapStats;
+use asap_core::{Asap, AsapConfig};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
 use asap_net::Framed;
 use asap_overlay::{OverlayConfig, OverlayKind};
 use asap_search::{Flooding, FloodingConfig, Gsa, RandomWalk};
 use asap_sim::trace::{Recorder, TraceConfig};
 use asap_sim::{
-    AdversaryStats, AuditConfig, AuditReport, Carrier, Checkpoint, CheckpointProtocol,
+    AdversaryStats, AuditConfig, AuditReport, Carrier, Checkpoint, CheckpointProtocol, CodecError,
     EngineProfile, FaultStats, Fnv64, InMemory, Protocol, SimBuilder, SimReport, Simulation,
 };
 use asap_topology::PhysicalNetwork;
@@ -38,7 +40,7 @@ pub struct RunSummary {
     pub class_series: Vec<(MsgClass, Vec<f64>)>,
     pub messages_sent: u64,
     /// ASAP-only protocol statistics.
-    pub asap_stats: Option<asap_core::protocol::AsapStats>,
+    pub asap_stats: Option<AsapStats>,
     /// Run metadata (e.g. clamped scale knobs); empty when the cell ran
     /// exactly on the EXPERIMENTS.md scale table.
     pub notes: Vec<String>,
@@ -51,7 +53,7 @@ impl RunSummary {
         load: &LoadRecorder,
         ledger: &QueryLedger,
         messages_sent: u64,
-        asap_stats: Option<asap_core::protocol::AsapStats>,
+        asap_stats: Option<AsapStats>,
     ) -> Self {
         let queries = ledger.num_queries();
         Self {
@@ -134,9 +136,9 @@ impl World {
 
 /// Per-cell run configuration, shared by the serial and parallel sweep
 /// paths: which optional engine layers (auditor, fault profile, trace
-/// recorder) a cell runs with. One `RunSpec` describes every cell of a
-/// sweep; the per-cell fault plan is derived from the profile and the
-/// world's peer count at run time.
+/// recorder) a cell runs with, and which ASAP configuration. One `RunSpec`
+/// describes every cell of a sweep; the per-cell fault plan is derived from
+/// the profile and the world's peer count at run time.
 #[derive(Debug, Clone, Default)]
 pub struct RunSpec {
     /// Attach the engine's invariant auditor.
@@ -148,6 +150,12 @@ pub struct RunSpec {
     /// Adversary profile (also poisons ASAP's protocol state for spam
     /// peers). The default `None` attaches no adversary layer at all.
     pub adversary: AdversaryProfile,
+    /// The ASAP configuration in place of the scale table's
+    /// ([`AlgoKind::asap_config`]), e.g. an ablation row
+    /// ([`AlgoKind::ablations`]). Its `robustness` is replaced by the fault
+    /// profile's ([`FaultProfile::robustness`]), as the table's is. Baseline
+    /// cells ignore it.
+    pub asap: Option<AsapConfig>,
 }
 
 impl RunSpec {
@@ -177,6 +185,13 @@ impl RunSpec {
     /// Run under an adversary profile.
     pub fn with_adversary(mut self, adversary: AdversaryProfile) -> Self {
         self.adversary = adversary;
+        self
+    }
+
+    /// Run ASAP cells on this configuration; its `robustness` is replaced
+    /// by the fault profile's.
+    pub fn with_asap(mut self, config: AsapConfig) -> Self {
+        self.asap = Some(config);
         self
     }
 }
@@ -229,7 +244,7 @@ pub fn run_cell_spec(
     overlay_kind: OverlayKind,
     spec: &RunSpec,
 ) -> CellReport {
-    run_cell_exec(world, algo, overlay_kind, spec, OnSim { split_us: None })
+    run_cell(world, algo, overlay_kind, spec, Sim)
 }
 
 /// [`run_cell_spec`] on `asap_net`'s wire carrier ([`asap_net::Loopback`]):
@@ -243,16 +258,17 @@ pub fn run_cell_net(
     overlay_kind: OverlayKind,
     spec: &RunSpec,
 ) -> CellReport {
-    run_cell_exec(world, algo, overlay_kind, spec, OnNet)
+    run_cell(world, algo, overlay_kind, spec, Net)
 }
 
 /// [`run_cell_spec`], split at `split_us`: run until every event at or
 /// before the split has dispatched, checkpoint, round-trip the checkpoint
-/// through its serialized bytes, resume onto a **fresh** builder, and run to
-/// completion. The resumed builder re-attaches none of the spec's audit /
-/// fault / adversary layers — they ride the checkpoint — so a report equal
-/// to the uninterrupted [`run_cell_spec`] proves the full state (layers
-/// included) survives serialization bit-identically.
+/// through its serialized bytes, resume onto a **fresh** builder
+/// ([`resume_cell`]), and run to completion. The resumed builder
+/// re-attaches none of the spec's audit / fault / adversary layers — they
+/// ride the checkpoint — so a report equal to the uninterrupted
+/// [`run_cell_spec`] proves the full state (layers included) survives
+/// serialization bit-identically.
 pub fn run_cell_split(
     world: &World,
     algo: AlgoKind,
@@ -260,15 +276,70 @@ pub fn run_cell_split(
     spec: &RunSpec,
     split_us: u64,
 ) -> CellReport {
-    let leg = OnSim {
-        split_us: Some(split_us),
-    };
-    run_cell_exec(world, algo, overlay_kind, spec, leg)
+    run_cell(world, algo, overlay_kind, spec, Split(split_us))
 }
 
-/// A builder for the cell's world on carrier `C`, with the spec's optional
-/// engine layers attached.
-fn apply_spec<'a, P: Protocol, C: Carrier<P::Msg>>(
+/// What a tool does with one cell's protocol, whatever its type.
+/// [`with_protocol`] hands the visitor the cell's protocol factory, so every
+/// tool builds a cell's protocol exactly as the cold run does.
+pub trait CellVisitor {
+    type Out;
+
+    /// `make` builds the cell's protocol under a spec. It is deterministic:
+    /// a second call with the same spec yields a protocol that a checkpoint
+    /// of the first resumes onto (`decode_state` overwrites its dynamic
+    /// state). `stats` reads ASAP's protocol statistics, `None` on the
+    /// baselines.
+    fn visit<P: CheckpointProtocol>(
+        self,
+        make: impl Fn(&RunSpec) -> P + Sync,
+        stats: fn(&P) -> Option<AsapStats>,
+    ) -> Self::Out;
+}
+
+/// The one map from an [`AlgoKind`] to the protocol a cell of `world` runs.
+/// The spec supplies the baselines' retransmission, ASAP's retry budgets,
+/// its configuration override ([`RunSpec::asap`]) and its spam roles.
+pub fn with_protocol<V: CellVisitor>(world: &World, algo: AlgoKind, visitor: V) -> V::Out {
+    let scale = world.scale;
+    match algo {
+        AlgoKind::Flooding => visitor.visit(
+            |spec| {
+                Flooding::new(FloodingConfig {
+                    retransmit: spec.faults.retransmit(),
+                    ..FloodingConfig::default()
+                })
+            },
+            |_| None,
+        ),
+        AlgoKind::RandomWalk => visitor.visit(
+            |spec| RandomWalk::new(scale.random_walk_config(spec.faults.retransmit())),
+            |_| None,
+        ),
+        AlgoKind::Gsa => visitor.visit(|_| Gsa::new(scale.gsa_config()), |_| None),
+        AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => visitor.visit(
+            |spec| {
+                let config = spec.asap.clone().unwrap_or_else(|| algo.asap_config(scale));
+                // Spam poisoning happens at protocol construction, keyed on
+                // the same (plan, peers, seed) role assignment the engine
+                // derives, so protocol-layer and engine-layer adversaries
+                // are one peer set. All-honest roles poison nothing.
+                Asap::new_with_adversaries(
+                    config.with_robustness(spec.faults.robustness()),
+                    &world.workload.model,
+                    &spec.adversary.roles(scale.peers(), world.seed),
+                    world.seed,
+                )
+            },
+            |asap| Some(asap.stats.clone()),
+        ),
+    }
+}
+
+/// A builder for `world`'s cell on `overlay_kind` and carrier `C`, with the
+/// spec's engine layers (auditor, faults, adversary, trace recorder)
+/// attached.
+pub fn cell_builder<'a, P: Protocol, C: Carrier<P::Msg>>(
     world: &'a World,
     overlay_kind: OverlayKind,
     spec: &RunSpec,
@@ -298,150 +369,151 @@ fn apply_spec<'a, P: Protocol, C: Carrier<P::Msg>>(
     b
 }
 
-/// The carrier [`run_cell_exec`] runs the protocol it builds on. A type
-/// rather than a value, so a binary that never runs a cell on the net
-/// carrier compiles no net path.
-trait Leg {
-    /// Drive one protocol through the cell. `make` must construct the
-    /// protocol deterministically — the split path calls it once per half
-    /// and relies on `decode_state` overwriting the second instance's
-    /// dynamic state.
+/// Resume `ckpt` onto a fresh builder of `world`'s cell. Only the trace
+/// recorder is attached: it lives outside checkpointed state, so it holds
+/// post-resume events only. Audit, faults and adversary come from the
+/// checkpoint. Fails when the checkpoint was taken in another world (seed,
+/// peer count, overlay kind) or does not decode onto `protocol`.
+pub fn resume_cell<'a, P: CheckpointProtocol>(
+    world: &'a World,
+    overlay_kind: OverlayKind,
+    protocol: P,
+    ckpt: &Checkpoint,
+    trace: Option<TraceConfig>,
+) -> Result<Simulation<'a, P>, CodecError> {
+    let spec = RunSpec {
+        trace,
+        ..RunSpec::default()
+    };
+    cell_builder(world, overlay_kind, &spec, protocol).from_checkpoint(ckpt)
+}
+
+/// How [`RunCell`] drives its protocol. A type, not a runtime value: each
+/// `run_cell_*` entry point instantiates only its own path, so a caller of
+/// [`run_cell_spec`] alone compiles neither the wire-carrier path nor the
+/// checkpoint round trip for the six protocols.
+trait Drive {
     fn drive<P: CheckpointProtocol>(
         self,
         world: &World,
         overlay_kind: OverlayKind,
         spec: &RunSpec,
-        make: impl Fn() -> P,
+        make: impl Fn(&RunSpec) -> P,
     ) -> (SimReport<P>, Option<(usize, u64)>);
 }
 
-/// The in-memory carrier: uninterrupted, or checkpointed at `split_us` and
-/// resumed.
-struct OnSim {
-    split_us: Option<u64>,
-}
+/// Uninterrupted, on the in-memory carrier.
+struct Sim;
 
-/// The wire carrier, uninterrupted.
-struct OnNet;
+/// Uninterrupted, on the wire carrier.
+struct Net;
 
-impl Leg for OnNet {
+/// Checkpointed at this virtual time and resumed.
+struct Split(u64);
+
+impl Drive for Sim {
     fn drive<P: CheckpointProtocol>(
         self,
         world: &World,
         overlay_kind: OverlayKind,
         spec: &RunSpec,
-        make: impl Fn() -> P,
+        make: impl Fn(&RunSpec) -> P,
     ) -> (SimReport<P>, Option<(usize, u64)>) {
-        let b = apply_spec::<P, Framed<P>>(world, overlay_kind, spec, make());
+        let b = cell_builder::<P, InMemory>(world, overlay_kind, spec, make(spec));
         (b.run(), None)
     }
 }
 
-impl Leg for OnSim {
+impl Drive for Net {
     fn drive<P: CheckpointProtocol>(
         self,
         world: &World,
         overlay_kind: OverlayKind,
         spec: &RunSpec,
-        make: impl Fn() -> P,
+        make: impl Fn(&RunSpec) -> P,
     ) -> (SimReport<P>, Option<(usize, u64)>) {
-        let b = apply_spec::<P, InMemory>(world, overlay_kind, spec, make());
-        let Some(split_us) = self.split_us else {
-            return (b.run(), None);
-        };
+        let b = cell_builder::<P, Framed<P>>(world, overlay_kind, spec, make(spec));
+        (b.run(), None)
+    }
+}
+
+impl Drive for Split {
+    fn drive<P: CheckpointProtocol>(
+        self,
+        world: &World,
+        overlay_kind: OverlayKind,
+        spec: &RunSpec,
+        make: impl Fn(&RunSpec) -> P,
+    ) -> (SimReport<P>, Option<(usize, u64)>) {
+        let b = cell_builder::<P, InMemory>(world, overlay_kind, spec, make(spec));
         let mut sim = b.build();
-        sim.run_until(split_us);
-        // Round-trip through the serialized form: the resumed half starts from
-        // exactly the bytes a checkpoint file would hold.
+        sim.run_until(self.0);
+        // Round-trip through the serialized form: the resumed half starts
+        // from exactly the bytes a checkpoint file would hold.
         let ckpt = Checkpoint::from_bytes(sim.checkpoint().into_bytes())
             .expect("a freshly taken checkpoint always re-parses");
         drop(sim);
         let mut sum = Fnv64::new();
         sum.write_bytes(ckpt.as_bytes());
         let pin = (ckpt.as_bytes().len(), sum.finish());
-        let mut fresh = Simulation::builder(
-            &world.phys,
-            &world.workload,
-            world.overlay(overlay_kind),
-            overlay_kind,
-            make(),
-            world.seed,
-        );
-        // Only the trace sink is re-attached: it lives outside checkpointed
-        // state (so the recorder holds post-split events only). Audit, faults,
-        // and adversary come from the checkpoint.
-        if let Some(tc) = spec.trace {
-            fresh = fresh.trace(Box::new(Recorder::new(tc)));
-        }
-        let report = fresh
-            .from_checkpoint(&ckpt)
+        let report = resume_cell(world, overlay_kind, make(spec), &ckpt, spec.trace)
             .expect("resume world matches the checkpointed world")
             .run();
         (report, Some(pin))
     }
 }
 
-fn run_cell_exec(
+/// The visitor behind the `run_cell_*` entry points.
+struct RunCell<'a, D> {
+    world: &'a World,
+    algo: AlgoKind,
+    overlay_kind: OverlayKind,
+    spec: &'a RunSpec,
+    drive: D,
+}
+
+fn run_cell(
     world: &World,
     algo: AlgoKind,
     overlay_kind: OverlayKind,
     spec: &RunSpec,
-    leg: impl Leg,
+    drive: impl Drive,
 ) -> CellReport {
-    let scale = world.scale;
-    let seed = world.seed;
-    let peers = scale.peers();
-    let faults = spec.faults;
-    match algo {
-        AlgoKind::Flooding => finish(
+    let cell = RunCell {
+        world,
+        algo,
+        overlay_kind,
+        spec,
+        drive,
+    };
+    with_protocol(world, algo, cell)
+}
+
+impl<D: Drive> CellVisitor for RunCell<'_, D> {
+    type Out = CellReport;
+
+    fn visit<P: CheckpointProtocol>(
+        self,
+        make: impl Fn(&RunSpec) -> P + Sync,
+        stats: fn(&P) -> Option<AsapStats>,
+    ) -> CellReport {
+        let Self {
+            world,
             algo,
             overlay_kind,
-            scale,
-            leg.drive(world, overlay_kind, spec, || {
-                Flooding::new(FloodingConfig {
-                    retransmit: faults.retransmit(),
-                    ..FloodingConfig::default()
-                })
-            }),
-            None,
-        ),
-        AlgoKind::RandomWalk => finish(
+            spec,
+            drive,
+        } = self;
+        let (report, checkpoint) = drive.drive(world, overlay_kind, spec, make);
+        let asap_stats = stats(&report.protocol);
+        finish(
             algo,
             overlay_kind,
-            scale,
-            leg.drive(world, overlay_kind, spec, || {
-                RandomWalk::new(scale.random_walk_config(faults.retransmit()))
-            }),
-            None,
-        ),
-        AlgoKind::Gsa => finish(
-            algo,
-            overlay_kind,
-            scale,
-            leg.drive(world, overlay_kind, spec, || Gsa::new(scale.gsa_config())),
-            None,
-        ),
-        AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => {
-            // Spam poisoning happens at protocol construction, keyed on the
-            // same (plan, peers, seed) role assignment the engine derives,
-            // so protocol-layer and engine-layer adversaries are one peer
-            // set. A `None` profile takes the plain constructor.
-            let report = leg.drive(world, overlay_kind, spec, || {
-                if spec.adversary.is_none() {
-                    algo.build_asap_with(scale, &world.workload.model, faults.robustness())
-                } else {
-                    algo.build_asap_adversarial(
-                        scale,
-                        &world.workload.model,
-                        faults.robustness(),
-                        &spec.adversary.roles(peers, seed),
-                        seed,
-                    )
-                }
-            });
-            let stats = report.0.protocol.stats.clone();
-            finish(algo, overlay_kind, scale, report, Some(stats))
-        }
+            world.scale,
+            report,
+            checkpoint,
+            asap_stats,
+        )
     }
 }
 
@@ -449,8 +521,9 @@ fn finish<P>(
     algo: AlgoKind,
     overlay: OverlayKind,
     scale: Scale,
-    (mut report, checkpoint): (SimReport<P>, Option<(usize, u64)>),
-    asap_stats: Option<asap_core::protocol::AsapStats>,
+    mut report: SimReport<P>,
+    checkpoint: Option<(usize, u64)>,
+    asap_stats: Option<AsapStats>,
 ) -> CellReport {
     // Surface clamped scale knobs as run metadata so the summary (and any
     // sweep log printing it) states when this cell ran off the scale table.

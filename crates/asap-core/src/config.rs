@@ -58,12 +58,6 @@ pub struct AsapConfig {
     pub confirm_timeout_us: u64,
     /// Window over which initial ad deliveries are staggered at start-up, µs.
     pub warmup_stagger_us: u64,
-    /// Fraction of the delivery budget spent by *periodic* refresh
-    /// announcements (the initial/join waves use the full budget). Periodic
-    /// beacons only need to keep entries fresh and let stragglers discover
-    /// sources over several rounds, so a fraction suffices and keeps the
-    /// steady-state ad load low.
-    pub refresh_budget_factor: f64,
     /// Duplicate-suppression window for flooded ads (deliveries).
     pub seen_window: usize,
     /// Retry/backoff budgets for lossy networks. The default is inert —
@@ -87,7 +81,6 @@ impl AsapConfig {
             max_confirm_fanout: 8,
             confirm_timeout_us: 2_000_000,
             warmup_stagger_us: 60_000_000,
-            refresh_budget_factor: 1.0,
             seen_window: 1_024,
             robustness: RobustnessConfig::default(),
         }
@@ -137,10 +130,6 @@ impl AsapConfig {
         assert!(
             self.max_confirm_fanout >= 1,
             "confirm fanout must be positive"
-        );
-        assert!(
-            self.refresh_budget_factor > 0.0 && self.refresh_budget_factor <= 1.0,
-            "refresh budget factor must be in (0, 1]"
         );
         self.robustness.validate();
         match self.delivery {

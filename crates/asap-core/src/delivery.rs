@@ -26,14 +26,12 @@ pub(crate) fn start_delivery<C: Transport<Msg = AsapMsg>>(
     ctx: &mut C,
     kind: DeliveryKind,
     budget_unit: u32,
-    budget_factor: f64,
     source: PeerId,
     payload: AdPayload,
     delivery: u64,
 ) {
     let topics = payload.topics().len().max(1) as u32;
-    let budget = ((topics * budget_unit) as f64 * budget_factor).round() as u32;
-    let budget = budget.max(1);
+    let budget = (topics * budget_unit).max(1);
     let class = ad_class(&payload);
     ctx.trace(|| asap_sim::trace::Event::AdPublished {
         node: source,
@@ -41,13 +39,7 @@ pub(crate) fn start_delivery<C: Transport<Msg = AsapMsg>>(
     });
     match kind {
         DeliveryKind::Flooding { ttl } => {
-            // Flooding's envelope is its TTL; the budget factor shaves hops
-            // off periodic beacons (factor < 1 drops the TTL by one).
-            let ttl = if budget_factor < 1.0 {
-                ttl.saturating_sub(1).max(1)
-            } else {
-                ttl
-            };
+            // Flooding's envelope is its TTL, not the budget.
             fan_to_all(
                 ctx,
                 source,

@@ -297,15 +297,13 @@ impl Asap {
         }
     }
 
-    /// Launch one ad delivery from `node`. `budget_factor` scales the
-    /// paper's `topics × M₀` envelope (1.0 for initial/join announcements
-    /// and patches, `refresh_budget_factor` for periodic beacons).
+    /// Launch one ad delivery from `node` within the paper's `topics × M₀`
+    /// envelope.
     fn deliver<C: Transport<Msg = AsapMsg>>(
         &mut self,
         ctx: &mut C,
         node: PeerId,
         payload: AdPayload,
-        budget_factor: f64,
     ) {
         match payload {
             AdPayload::Full(_) => self.stats.full_deliveries += 1,
@@ -317,7 +315,6 @@ impl Asap {
             ctx,
             self.config.delivery,
             self.config.budget_unit,
-            budget_factor,
             node,
             payload,
             id,
@@ -330,12 +327,7 @@ impl Asap {
     /// (one hop, once per interested pair) — shipping kilobyte filters on
     /// every hop of a thousands-of-messages walk would dwarf every other
     /// load in the system (see DESIGN.md §6).
-    fn deliver_announce<C: Transport<Msg = AsapMsg>>(
-        &mut self,
-        ctx: &mut C,
-        node: PeerId,
-        budget_factor: f64,
-    ) -> bool {
+    fn deliver_announce<C: Transport<Msg = AsapMsg>>(&mut self, ctx: &mut C, node: PeerId) -> bool {
         let topics = self.advertised_topics(ctx, node);
         if topics.is_empty() {
             return false; // free riders have "nothing to advertise"
@@ -349,7 +341,6 @@ impl Asap {
                 topics,
                 version,
             },
-            budget_factor,
         );
         true
     }
@@ -471,7 +462,7 @@ impl Asap {
         match next {
             Some(delay) => {
                 ctx.count(RetryStat::Retries);
-                self.deliver_announce(ctx, node, 1.0);
+                self.deliver_announce(ctx, node);
                 let st = &mut self.nodes[node.index()];
                 let served = st.fetches_served;
                 if let Some(ra) = st.readvert.as_mut() {
@@ -642,7 +633,7 @@ impl Protocol for Asap {
         }
         match tag {
             TAG_INIT_AD => {
-                if self.deliver_announce(ctx, node, 1.0) {
+                if self.deliver_announce(ctx, node) {
                     self.arm_readvert(ctx, node);
                 }
                 // First refresh lands one period (plus jitter) later.
@@ -652,8 +643,7 @@ impl Protocol for Asap {
                 ctx.set_timer(node, self.config.refresh_interval_us + jitter, TAG_REFRESH);
             }
             TAG_REFRESH => {
-                let factor = self.config.refresh_budget_factor;
-                self.deliver_announce(ctx, node, factor);
+                self.deliver_announce(ctx, node);
                 // Re-jitter every period (±25 %) so refresh beacons never
                 // phase-lock across the population — synchronized waves
                 // would turn the load series into a square wave.
@@ -672,7 +662,7 @@ impl Protocol for Asap {
         // A rejoining node's content (and hence version) is unchanged, so a
         // cheap announcement suffices: peers still caching the ad revive it,
         // and interested peers that lost it fetch the filter directly.
-        if self.deliver_announce(ctx, node, 1.0) {
+        if self.deliver_announce(ctx, node) {
             self.arm_readvert(ctx, node);
         }
         let jitter = ctx
@@ -732,7 +722,6 @@ impl Protocol for Asap {
                 patch,
                 result: new_snapshot,
             },
-            1.0,
         );
     }
 

@@ -1,8 +1,9 @@
 //! XL-scale smoke: the 100,000-peer tier actually runs end to end.
 //!
 //! Ignored by default — building the 103,872-node streamed topology plus a
-//! 100k-peer cell takes ~3 s in release, the three 100k-peer overlays 0.1 s
-//! more (minutes in debug). CI's bench-smoke job and local deep runs opt in
+//! 100k-peer cell takes ~4 s in release on a 2-core x86-64 host (set-up
+//! ≈0.8 s of it), the three 100k-peer overlays 0.1 s more (minutes in
+//! debug). CI's bench-smoke job and local deep runs opt in
 //! with `cargo test --release -- --ignored`.
 
 use asap_bench::runner::{run_cell_spec, RunSpec, World};

@@ -114,7 +114,8 @@ impl TransitStubConfig {
     }
 
     /// Panic with a clear message when a parameter is degenerate, when the
-    /// node ids would not fit a `u32`, or when a link latency would not fit
+    /// node ids would not fit a `u32`, when a stub domain is too large for
+    /// the oracle's `u16` hop tables, or when a link latency would not fit
     /// the graph's `u32` µs weights.
     pub fn validate(&self) {
         assert!(
@@ -128,6 +129,14 @@ impl TransitStubConfig {
         assert!(
             self.stub_nodes_per_domain >= 1,
             "need at least one stub node per stub domain"
+        );
+        // Hop counts are u16 and u16::MAX marks an unreached pair: at most
+        // u16::MAX nodes keep the longest path at 65,534 hops.
+        assert!(
+            self.stub_nodes_per_domain <= u32::from(u16::MAX),
+            "{} stub nodes per domain overflow the u16 hop tables (at most {})",
+            self.stub_nodes_per_domain,
+            u16::MAX
         );
         assert!(
             (0.0..=1.0).contains(&self.p_transit_edge) && (0.0..=1.0).contains(&self.p_stub_edge),
@@ -206,17 +215,34 @@ mod tests {
 
     #[test]
     fn expected_nodes_is_exact_just_below_the_limit() {
-        // 65,535 transit nodes × (1 + 1 × 65,536) = 65,535 · 65,537
+        // 65,535 transit nodes × (1 + 2 × 32,768) = 65,535 · 65,537
         // = 2³² − 1 = u32::MAX exactly.
         let mut c = TransitStubConfig::reduced(0);
         c.transit_domains = 1;
         c.transit_nodes_per_domain = 65_535;
-        c.stub_domains_per_transit_node = 1;
-        c.stub_nodes_per_domain = 65_536;
+        c.stub_domains_per_transit_node = 2;
+        c.stub_nodes_per_domain = 32_768;
         assert_eq!(c.expected_nodes(), u32::MAX as usize);
         c.validate();
         c.stub_nodes_per_domain += 1;
-        assert_eq!(c.expected_nodes(), u32::MAX as usize + 65_535);
+        assert_eq!(c.expected_nodes(), u32::MAX as usize + 2 * 65_535);
+    }
+
+    #[test]
+    fn validate_accepts_the_largest_stub_domain() {
+        let mut c = TransitStubConfig::reduced(0);
+        c.stub_nodes_per_domain = u32::from(u16::MAX);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u16 hop tables")]
+    fn validate_rejects_stub_domain_beyond_u16_hops() {
+        // A 65,536-node path would put its ends 65,535 = UNREACHED_HOPS
+        // hops apart.
+        let mut c = TransitStubConfig::reduced(0);
+        c.stub_nodes_per_domain = u32::from(u16::MAX) + 1;
+        c.validate();
     }
 
     #[test]

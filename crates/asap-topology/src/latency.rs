@@ -15,7 +15,8 @@
 //! triangle inequality (leaving and re-entering costs ≥ 10 ms through the
 //! same gateway). So exact APSP is only needed (a) over the transit core
 //! (144 nodes at paper scale) and (b) inside each ≤ ~40-node stub domain,
-//! where uniform 2 ms edges reduce it to BFS hop counts.
+//! where uniform 2 ms edges reduce it to BFS hop counts, computed a word of
+//! 64 nodes at a time.
 //!
 //! Everything a query needs to know about one endpoint — its stub domain,
 //! its index there, its parent transit node and its latency to that node —
@@ -27,12 +28,14 @@
 //! otherwise:         exit(a) + transit_dist(parent(a), parent(b)) + exit(b)
 //! ```
 
-use crate::graph::{Hierarchy, NodeKind, PhysGraph, PhysNodeId};
+use crate::graph::{Hierarchy, NodeKind, PhysGraph, PhysNodeId, StubDomainInfo};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 use std::mem::size_of;
 
+/// Hop-table cell of a pair with no intra-domain path. Never a real hop
+/// count: `TransitStubConfig::validate` bounds a domain by `u16::MAX`
+/// nodes, so the longest path has 65,534 hops.
 const UNREACHED_HOPS: u16 = u16::MAX;
 
 /// [`LatencyCoord::stub_domain`] of a transit node.
@@ -67,8 +70,9 @@ pub struct LatencyOracle {
 impl LatencyOracle {
     /// Build all tables from the graph's adjacency, which the oracle does not
     /// keep: its queries read only the [`Hierarchy`]. Cost:
-    /// `O(T · E_T log T)` for the core plus `O(Σ len·(len+edges))` BFS over
-    /// stub domains — well under a second at paper scale.
+    /// `O(T · E_T log T)` for the core plus `O(Σ len² · ⌈len/64⌉)` word
+    /// operations of BFS over stub domains — well under a second at paper
+    /// scale.
     pub fn build(g: &PhysGraph) -> Self {
         let h = g.hierarchy();
         let n_transit = h.transit_nodes().len();
@@ -77,18 +81,11 @@ impl LatencyOracle {
             let row = transit_sssp(g, t, n_transit);
             transit_dist[i * n_transit..(i + 1) * n_transit].copy_from_slice(&row);
         }
-        let mut queue = VecDeque::new();
+        let mut scratch = Vec::new();
         let stub_hops = h
             .stub_domains()
             .iter()
-            .map(|sd| {
-                let len = sd.len();
-                let mut hops = vec![UNREACHED_HOPS; len * len];
-                for (local, row) in hops.chunks_exact_mut(len).enumerate() {
-                    stub_bfs(g, sd.members.start, local, row, &mut queue);
-                }
-                hops
-            })
+            .map(|sd| stub_hops(g, sd, &mut scratch))
             .collect::<Vec<Vec<u16>>>();
         // Construction-time guarantee: the generator connectivity-repairs
         // every stub domain, so each intra-domain table must be complete.
@@ -216,29 +213,81 @@ fn transit_sssp(g: &PhysGraph, src: PhysNodeId, n_transit: usize) -> Vec<u64> {
     dist
 }
 
-/// BFS hop counts within one stub domain (uniform 2 ms edges) into `hops`,
-/// the source's table row, all `UNREACHED_HOPS` on entry. `queue` is
-/// scratch shared across sources; every BFS leaves it empty.
-fn stub_bfs(
-    g: &PhysGraph,
-    base: u32,
-    src_local: usize,
-    hops: &mut [u16],
-    queue: &mut VecDeque<usize>,
-) {
-    let len = hops.len();
-    hops[src_local] = 0;
-    queue.push_back(src_local);
-    while let Some(u) = queue.pop_front() {
-        let hu = hops[u];
+/// One stub domain's flattened `len × len` hop table (uniform 2 ms edges,
+/// so hops are BFS levels), by a word-parallel BFS per source.
+///
+/// Row `u` of the domain's adjacency is a bitset of `⌈len/64⌉` words. One
+/// BFS level ORs together the rows of the frontier, masks out the visited
+/// set, and writes the level into the newly reached columns. A node enters
+/// the visited set at its BFS level and never again, so each cell gets the
+/// level the per-source queue BFS gives it, and unreached cells keep
+/// `UNREACHED_HOPS`. The level counter ends one past the longest hop, at
+/// most `len`, which `TransitStubConfig::validate` bounds by `u16::MAX`, so
+/// it never wraps. `scratch` holds the bit rows
+/// and the three level sets; it is shared across domains, so the table is
+/// the only allocation per domain.
+fn stub_hops(g: &PhysGraph, sd: &StubDomainInfo, scratch: &mut Vec<u64>) -> Vec<u16> {
+    let (base, len) = (sd.members.start, sd.len());
+    let words = len.div_ceil(64);
+    scratch.clear();
+    scratch.resize((len + 3) * words, 0);
+    let (adjacency, sets) = scratch.split_at_mut(len * words);
+    let (visited, sets) = sets.split_at_mut(words);
+    let (mut frontier, mut next) = sets.split_at_mut(words);
+    for (u, row) in adjacency.chunks_exact_mut(words).enumerate() {
         for &(v, _) in g.neighbors(PhysNodeId(base + u as u32)) {
             let vi = v.0.wrapping_sub(base) as usize;
-            if vi < len && hops[vi] == UNREACHED_HOPS {
-                hops[vi] = hu + 1;
-                queue.push_back(vi);
+            if vi < len {
+                row[vi / 64] |= 1 << (vi % 64);
             }
         }
     }
+    let mut hops = vec![UNREACHED_HOPS; len * len];
+    for (src, row) in hops.chunks_exact_mut(len).enumerate() {
+        visited.fill(0);
+        visited[src / 64] = 1 << (src % 64);
+        frontier.copy_from_slice(visited);
+        row[src] = 0;
+        let mut level: u16 = 0;
+        loop {
+            next.fill(0);
+            for (w, &word) in frontier.iter().enumerate() {
+                for u in set_bits(word) {
+                    let adj = &adjacency[(w * 64 + u) * words..][..words];
+                    for (n, &a) in next.iter_mut().zip(adj) {
+                        *n |= a;
+                    }
+                }
+            }
+            level += 1;
+            let mut reached = false;
+            for (w, (n, seen)) in next.iter_mut().zip(visited.iter_mut()).enumerate() {
+                *n &= !*seen;
+                *seen |= *n;
+                reached |= *n != 0;
+                for v in set_bits(*n) {
+                    row[w * 64 + v] = level;
+                }
+            }
+            if !reached {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+    }
+    hops
+}
+
+/// Indices of the set bits of `word`, lowest first.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 #[cfg(test)]
@@ -247,8 +296,126 @@ mod tests {
     use crate::config::TransitStubConfig;
     use crate::dijkstra;
     use crate::gtitm::generate;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// BFS hop counts within one stub domain (uniform 2 ms edges) into
+    /// `hops`, the source's table row, all `UNREACHED_HOPS` on entry. The
+    /// per-source queue BFS the word-parallel kernel replaced, kept as its
+    /// reference. `queue` is scratch shared across sources; every BFS leaves
+    /// it empty.
+    fn stub_bfs(
+        g: &PhysGraph,
+        base: u32,
+        src_local: usize,
+        hops: &mut [u16],
+        queue: &mut VecDeque<usize>,
+    ) {
+        let len = hops.len();
+        hops[src_local] = 0;
+        queue.push_back(src_local);
+        while let Some(u) = queue.pop_front() {
+            let hu = hops[u];
+            for &(v, _) in g.neighbors(PhysNodeId(base + u as u32)) {
+                let vi = v.0.wrapping_sub(base) as usize;
+                if vi < len && hops[vi] == UNREACHED_HOPS {
+                    hops[vi] = hu + 1;
+                    queue.push_back(vi);
+                }
+            }
+        }
+    }
+
+    /// One stub domain's hop table by the reference queue BFS.
+    fn queue_bfs_hops(g: &PhysGraph, sd: &StubDomainInfo) -> Vec<u16> {
+        let len = sd.len();
+        let mut hops = vec![UNREACHED_HOPS; len * len];
+        let mut queue = VecDeque::new();
+        for (local, row) in hops.chunks_exact_mut(len).enumerate() {
+            stub_bfs(g, sd.members.start, local, row, &mut queue);
+        }
+        hops
+    }
+
+    /// The word-parallel table equals the queue BFS on every stub domain
+    /// of the reduced, medium and paper-default networks (8-, 21- and
+    /// 40-node domains) at three seeds.
+    #[test]
+    fn word_parallel_tables_match_queue_bfs_on_every_domain() {
+        let configs: [fn(u64) -> TransitStubConfig; 3] = [
+            TransitStubConfig::reduced,
+            TransitStubConfig::medium,
+            TransitStubConfig::paper_default,
+        ];
+        for config in configs {
+            for seed in [1, 2, 3] {
+                let g = generate(&config(seed));
+                for (domain, sd) in g.hierarchy().stub_domains().iter().enumerate() {
+                    assert_eq!(
+                        stub_hops(&g, sd, &mut Vec::new()),
+                        queue_bfs_hops(&g, sd),
+                        "domain {domain}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A network of one transit node and one stub domain of `len` nodes,
+    /// the pair `(a, b)` linked with probability `p_milli / 1000` unless
+    /// `cut` separates them (`a < cut <= b`), so a cut inside the domain
+    /// disconnects it.
+    fn random_domain(len: usize, p_milli: u32, cut: usize, seed: u64) -> PhysGraph {
+        let mut kinds = vec![NodeKind::Transit { domain: 0 }];
+        kinds.extend((0..len).map(|_| NodeKind::Stub { stub_domain: 0 }));
+        let h = Hierarchy {
+            kinds,
+            transit_nodes: vec![PhysNodeId(0)],
+            stub_domains: vec![StubDomainInfo {
+                parent_transit: PhysNodeId(0),
+                gateway: PhysNodeId(1),
+                members: 1..1 + len as u32,
+            }],
+            lat_intra_stub_us: 2_000,
+            lat_transit_stub_us: 5_000,
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = vec![(PhysNodeId(0), PhysNodeId(1), 5_000)];
+        for a in 0..len {
+            for b in a + 1..len {
+                if !(a < cut && cut <= b) && rng.gen_range(0..1_000u32) < p_milli {
+                    edges.push((PhysNodeId(1 + a as u32), PhysNodeId(1 + b as u32), 2_000));
+                }
+            }
+        }
+        PhysGraph::new(h, &edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 64 }))]
+
+        /// Random domain graphs of 1..=130 nodes cross the 64- and 128-bit
+        /// word boundaries; sparse or cut ones are disconnected, and their
+        /// unreached cells must stay `UNREACHED_HOPS`.
+        #[test]
+        fn word_parallel_tables_match_queue_bfs_on_random_domains(
+            len in 1usize..=130,
+            p_milli in 0u32..=1_000,
+            cut in 0usize..=130,
+            seed in any::<u64>(),
+        ) {
+            // Square the density so a third of the cases sit below 10 %.
+            let g = random_domain(len, p_milli * p_milli / 1_000, cut, seed);
+            let sd = &g.hierarchy().stub_domains()[0];
+            let hops = stub_hops(&g, sd, &mut Vec::new());
+            prop_assert_eq!(&hops, &queue_bfs_hops(&g, sd), "len {}, cut {}", len, cut);
+            if (1..len).contains(&cut) {
+                prop_assert_eq!(hops[len - 1], UNREACHED_HOPS, "cut {} of {}", cut, len);
+            }
+        }
+    }
 
     /// The per-pair walk of the hierarchy that per-node coordinates
     /// replaced, kept as the reference the coordinate formula must equal.

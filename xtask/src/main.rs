@@ -14,7 +14,12 @@
 //! * **Miri** over `asap-bloom`, `asap-overlay`, and `asap-metrics`: the
 //!   bit-twiddling (bloom filters, FNV mixing) and index juggling
 //!   (overlay graphs, percentile ledgers) where UB would silently skew
-//!   results rather than crash.
+//!   results rather than crash. A second Miri pass runs only the two
+//!   exactness tests of the world-construction kernels in `asap-topology`
+//!   and `asap-workload` (the word-parallel stub-domain BFS against the
+//!   queue BFS, the Zipf guide-table search against the binary search),
+//!   filtered by name so the rest of those crates' suites, which build
+//!   whole topologies, stays out of the nightly job.
 //!
 //! Both need nightly components (`rust-src` for `-Zbuild-std`, `miri`).
 //! When a component is missing the step is SKIPPED with a note and the
@@ -27,6 +32,18 @@
 use std::process::{Command, ExitCode};
 
 const MIRI_CRATES: &[&str] = &["asap-bloom", "asap-overlay", "asap-metrics"];
+
+/// `(crate, unit test)` pairs run under Miri on their own, by exact name.
+const MIRI_EXACTNESS_TESTS: &[(&str, &str)] = &[
+    (
+        "asap-topology",
+        "latency::tests::word_parallel_tables_match_queue_bfs_on_random_domains",
+    ),
+    (
+        "asap-workload",
+        "zipf::tests::rank_of_matches_binary_search_at_every_edge",
+    ),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,6 +115,16 @@ fn sanitize(strict: bool, only: Option<&str>) -> ExitCode {
                 cmd.args(["-p", krate]);
             }
             println!("xtask sanitize: Miri over {}", MIRI_CRATES.join(", "));
+            failed |= !run(cmd.env("MIRIFLAGS", "-Zmiri-strict-provenance"));
+
+            let mut cmd = Command::new("cargo");
+            cmd.args(["+nightly", "miri", "test", "--lib"]);
+            for (krate, _) in MIRI_EXACTNESS_TESTS {
+                cmd.args(["-p", krate]);
+            }
+            cmd.args(["--", "--exact"]);
+            cmd.args(MIRI_EXACTNESS_TESTS.iter().map(|(_, test)| test));
+            println!("xtask sanitize: Miri over the world-construction exactness tests");
             failed |= !run(cmd.env("MIRIFLAGS", "-Zmiri-strict-provenance"));
         } else {
             skipped.push("miri (missing nightly `miri` component)");

@@ -75,8 +75,9 @@ impl AlgoKind {
     /// ASAP configuration for this variant at `scale` (panics for
     /// baselines).
     ///
-    /// Besides the population-proportional knobs handled by
-    /// [`AsapConfig::scaled_to`], the time constants shrink with the trace:
+    /// The population-proportional knobs are the scale table's
+    /// ([`Scale::knobs`]); besides them, the time constants shrink with the
+    /// trace:
     /// the refresh period keeps the paper's ~12.5 rounds per trace and the
     /// warm-up stagger its 1.6 % of the duration, so at `Scale::Paper` these
     /// are exactly the published 300 s and 60 s.
@@ -87,7 +88,12 @@ impl AlgoKind {
             Self::AsapGsa => AsapConfig::gsa(),
             _ => panic!("{self:?} is not an ASAP variant"),
         };
-        let mut cfg = base.scaled_to(scale.peers());
+        let knobs = scale.knobs();
+        let mut cfg = AsapConfig {
+            budget_unit: knobs.budget_unit,
+            cache_capacity: knobs.cache_capacity,
+            ..base
+        };
         let trace_secs = scale.queries() as f64 / 8.0;
         cfg.refresh_interval_us = ((trace_secs / 12.5) * 1e6) as u64;
         cfg.warmup_stagger_us = ((trace_secs * 0.016) * 1e6) as u64;
@@ -161,6 +167,24 @@ mod tests {
     #[should_panic(expected = "not an ASAP variant")]
     fn baseline_has_no_asap_config() {
         AlgoKind::Flooding.asap_config(Scale::Tiny);
+    }
+
+    /// The scale table is the one formula that runs: every ASAP variant's
+    /// budget unit and cache capacity are the scale's knobs, at xl too.
+    #[test]
+    fn asap_config_runs_the_scale_knobs() {
+        for scale in [Scale::Tiny, Scale::Default, Scale::Paper, Scale::Xl] {
+            let knobs = scale.knobs();
+            for a in AlgoKind::ASAP {
+                let cfg = a.asap_config(scale);
+                assert_eq!(
+                    (cfg.budget_unit, cfg.cache_capacity),
+                    (knobs.budget_unit, knobs.cache_capacity),
+                    "{a:?} at {}",
+                    scale.label()
+                );
+            }
+        }
     }
 
     #[test]

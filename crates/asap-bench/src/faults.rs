@@ -80,7 +80,7 @@ impl FaultProfile {
     pub fn retransmit(self) -> Option<Retransmit> {
         match self {
             Self::None => None,
-            Self::Lossy | Self::Chaos => Some(Retransmit::lossy()),
+            Self::Lossy | Self::Chaos => Some(Retransmit),
         }
     }
 }

@@ -307,7 +307,6 @@ pub fn with_protocol<V: CellVisitor>(world: &World, algo: AlgoKind, visitor: V) 
             |spec| {
                 Flooding::new(FloodingConfig {
                     retransmit: spec.faults.retransmit(),
-                    ..FloodingConfig::default()
                 })
             },
             |_| None,

@@ -107,11 +107,10 @@ impl Scale {
         }
     }
 
-    /// The paper's GSA baseline at this scale (§IV: fan-out 4).
+    /// The paper's GSA baseline at this scale.
     pub fn gsa_config(self) -> GsaConfig {
         GsaConfig {
             budget: self.gsa_budget(),
-            branch: 4,
         }
     }
 
@@ -136,11 +135,13 @@ pub struct ScaleKnobs {
     pub gsa_budget_raw: u32,
     /// GSA budget in effect.
     pub gsa_budget: u32,
-    /// Proportional ASAP budget unit M₀ before the floor of 16.
+    /// Proportional ASAP budget unit M₀ before the floor of 16 and the
+    /// cap of 3,000.
     pub budget_unit_raw: u32,
     /// ASAP budget unit M₀ in effect.
     pub budget_unit: u32,
-    /// Proportional ASAP cache capacity before the floor of 64.
+    /// Proportional ASAP cache capacity before the floor of 64 and the cap
+    /// of 4,096.
     pub cache_capacity_raw: usize,
     /// ASAP cache capacity in effect.
     pub cache_capacity: usize,
@@ -148,8 +149,10 @@ pub struct ScaleKnobs {
 
 impl ScaleKnobs {
     /// Paper values at ratio 1.0; reduced scales round (not truncate) the
-    /// proportional value, then apply the floor. Mirrors
-    /// `AsapConfig::scaled_to` for the ASAP knobs.
+    /// proportional value, then apply the floor. The ASAP knobs never grow
+    /// past the paper's values (uncapped, an xl cache of 40,960 entries per
+    /// peer would hold ~98 GB of filters); `AlgoKind::asap_config` runs
+    /// exactly these.
     pub fn for_ratio(ratio: f64) -> Self {
         let rw_ttl_raw = (1_024.0 * ratio).round() as u16;
         let gsa_budget_raw = (8_000.0 * ratio).round() as u32;
@@ -164,9 +167,9 @@ impl ScaleKnobs {
             gsa_budget_raw,
             gsa_budget: gsa_budget_raw.max(100),
             budget_unit_raw,
-            budget_unit: budget_unit_raw.max(16),
+            budget_unit: budget_unit_raw.clamp(16, 3_000),
             cache_capacity_raw,
-            cache_capacity: cache_capacity_raw.max(64),
+            cache_capacity: cache_capacity_raw.clamp(64, 4_096),
         }
     }
 
@@ -195,18 +198,29 @@ impl ScaleKnobs {
         })
     }
 
-    /// Notes for the ASAP-only knobs whose floors bound (ASAP cells).
+    /// Notes for the ASAP-only knobs whose floors or caps bound (ASAP
+    /// cells).
     pub fn asap_clamp_notes(&self) -> Vec<String> {
         let mut notes = Vec::new();
         if self.budget_unit != self.budget_unit_raw {
+            let bound = if self.budget_unit > self.budget_unit_raw {
+                "floor 16"
+            } else {
+                "cap 3000"
+            };
             notes.push(format!(
-                "ASAP budget unit M0 clamped {} -> {} (floor 16)",
+                "ASAP budget unit M0 clamped {} -> {} ({bound})",
                 self.budget_unit_raw, self.budget_unit
             ));
         }
         if self.cache_capacity != self.cache_capacity_raw {
+            let bound = if self.cache_capacity > self.cache_capacity_raw {
+                "floor 64"
+            } else {
+                "cap 4096"
+            };
             notes.push(format!(
-                "ASAP cache capacity clamped {} -> {} (floor 64)",
+                "ASAP cache capacity clamped {} -> {} ({bound})",
                 self.cache_capacity_raw, self.cache_capacity
             ));
         }
@@ -315,8 +329,21 @@ mod tests {
         assert_eq!((knobs.rw_ttl_raw, knobs.rw_ttl), (10_240, 2_048));
         let note = knobs.rw_ttl_clamp_note().expect("cap binds at xl");
         assert!(note.contains("clamped 10240 -> 2048 (cap 2048)"), "{note}");
-        // The floor-side knobs are all comfortably above their floors.
         assert_eq!(knobs.gsa_budget, 80_000);
-        assert_eq!(knobs.cache_capacity, 40_960);
+        // The ASAP knobs stop at the paper's values, and say so.
+        assert_eq!((knobs.budget_unit_raw, knobs.budget_unit), (30_000, 3_000));
+        assert_eq!(
+            (knobs.cache_capacity_raw, knobs.cache_capacity),
+            (40_960, 4_096)
+        );
+        let notes = knobs.asap_clamp_notes();
+        assert!(
+            notes[0].contains("clamped 30000 -> 3000 (cap 3000)"),
+            "{notes:?}"
+        );
+        assert!(
+            notes[1].contains("clamped 40960 -> 4096 (cap 4096)"),
+            "{notes:?}"
+        );
     }
 }

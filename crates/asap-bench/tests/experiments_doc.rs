@@ -6,8 +6,8 @@
 
 use asap_bench::Scale;
 
-/// One parsed table cell: the proportional (pre-floor) value and the value
-/// in effect. Plain cells have both equal; `raw→floor (clamped)` cells
+/// One parsed table cell: the proportional (pre-clamp) value and the value
+/// in effect. Plain cells have both equal; `raw→bound (clamped)` cells
 /// differ.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 struct Cell {
@@ -36,7 +36,7 @@ fn parse_cell(s: &str) -> Cell {
             }
         }
         None => {
-            assert!(!clamped, "clamped cells must show raw→floor: {s:?}");
+            assert!(!clamped, "clamped cells must show raw→bound: {s:?}");
             let v = parse_number(s);
             Cell {
                 raw: v,
@@ -47,9 +47,9 @@ fn parse_cell(s: &str) -> Cell {
     }
 }
 
-/// Extract `[paper, default, tiny]` cells from the row whose first column
-/// is `knob`.
-fn table_row(doc: &str, knob: &str) -> [Cell; 3] {
+/// Extract `[paper, default, tiny, xl]` cells from the row whose first
+/// column is `knob`.
+fn table_row(doc: &str, knob: &str) -> [Cell; 4] {
     let row = doc
         .lines()
         .find(|l| {
@@ -60,13 +60,14 @@ fn table_row(doc: &str, knob: &str) -> [Cell; 3] {
     let cols: Vec<&str> = row.split('|').map(str::trim).collect();
     assert_eq!(
         cols.len(),
-        6,
-        "row shape |{knob}|paper|default|tiny|: {row:?}"
+        7,
+        "row shape |{knob}|paper|default|tiny|xl|: {row:?}"
     );
     [
         parse_cell(cols[2]),
         parse_cell(cols[3]),
         parse_cell(cols[4]),
+        parse_cell(cols[5]),
     ]
 }
 
@@ -81,7 +82,7 @@ fn experiments_table_matches_scale_knobs() {
     let doc = read_from_root("EXPERIMENTS.md");
 
     type Derive = fn(Scale) -> (u64, u64);
-    let scales = [Scale::Paper, Scale::Default, Scale::Tiny];
+    let scales = [Scale::Paper, Scale::Default, Scale::Tiny, Scale::Xl];
     let checks: [(&str, Derive); 4] = [
         ("random-walk TTL", |s| {
             let k = s.knobs();
@@ -119,12 +120,12 @@ fn experiments_table_matches_scale_knobs() {
 }
 
 /// The clamp annotations in the table are exactly the knobs that emit run
-/// notes: every `(clamped)` cell has a note naming its floor, every plain
-/// cell has none.
+/// notes: every `(clamped)` cell has a note naming its floor or cap, every
+/// plain cell has none.
 #[test]
 fn clamp_annotations_match_run_notes() {
     let doc = read_from_root("EXPERIMENTS.md");
-    for (i, scale) in [Scale::Paper, Scale::Default, Scale::Tiny]
+    for (i, scale) in [Scale::Paper, Scale::Default, Scale::Tiny, Scale::Xl]
         .iter()
         .enumerate()
     {

@@ -40,14 +40,14 @@
 //! values, so digests never see the difference.
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
-use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
+use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert, SEEN_WINDOW};
 use crate::repository::{AdRepository, Entry, FilterStore};
 use crate::search::{PendingSearch, Phase};
 use asap_bloom::{BloomFilter, BloomParams};
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::collections::{DetHashMap, DetHashSet};
-use asap_sim::util::Backoff;
+use asap_sim::util::{Backoff, SeenTracker};
 use asap_sim::{codec_enum, codec_struct, NodeTable};
 use asap_workload::{DocId, InterestSet};
 use std::cell::RefCell;
@@ -438,7 +438,7 @@ impl CheckpointProtocol for Asap {
         for p in pending.values_mut() {
             p.term_hashes = p.terms.iter().map(|&k| self.hash_of(k)).collect();
         }
-        let seen = Codec::pull(dec)?;
+        let seen = SeenTracker::pull_window(dec, SEEN_WINDOW)?;
         let claims: Vec<SpamClaim> = Codec::pull(dec)?;
         let mut claimed_topics = NodeTable::from_vec(vec![InterestSet::EMPTY; num_peers]);
         let mut poison = NodeTable::new(num_peers);
@@ -653,7 +653,7 @@ mod tests {
     #[test]
     fn asap_fld_split_run_is_bit_identical() {
         assert_split_run_identical(
-            |model, _| Asap::new(scaled(DeliveryKind::Flooding { ttl: 6 }), model),
+            |model, _| Asap::new(scaled(DeliveryKind::Flooding), model),
             61,
             None,
             None,
@@ -663,7 +663,7 @@ mod tests {
     #[test]
     fn asap_rw_split_run_is_bit_identical() {
         assert_split_run_identical(
-            |model, _| Asap::new(scaled(DeliveryKind::RandomWalk { walkers: 5 }), model),
+            |model, _| Asap::new(scaled(DeliveryKind::RandomWalk), model),
             62,
             None,
             None,
@@ -673,7 +673,7 @@ mod tests {
     #[test]
     fn asap_gsa_split_run_is_bit_identical() {
         assert_split_run_identical(
-            |model, _| Asap::new(scaled(DeliveryKind::Gsa { branch: 4 }), model),
+            |model, _| Asap::new(scaled(DeliveryKind::Gsa), model),
             63,
             None,
             None,
@@ -684,11 +684,11 @@ mod tests {
     /// peers' repositories and registrations, union interests, stats.
     #[test]
     fn superpeer_split_run_is_bit_identical() {
-        use crate::superpeer::{SuperAsap, SuperPeerConfig};
+        use crate::superpeer::SuperAsap;
         assert_split_run_identical(
             |model, _| {
-                let asap = scaled(DeliveryKind::RandomWalk { walkers: 5 });
-                SuperAsap::new(SuperPeerConfig::new(asap), model)
+                let asap = scaled(DeliveryKind::RandomWalk);
+                SuperAsap::new(asap, model)
             },
             67,
             None,
@@ -741,8 +741,7 @@ mod tests {
         assert_split_run_identical(
             |model, _| {
                 Asap::new(
-                    scaled(DeliveryKind::RandomWalk { walkers: 5 })
-                        .with_robustness(RobustnessConfig::lossy()),
+                    scaled(DeliveryKind::RandomWalk).with_robustness(RobustnessConfig::lossy()),
                     model,
                 )
             },
@@ -761,12 +760,7 @@ mod tests {
         let seed = 65;
         assert_split_run_identical(
             move |model, roles| {
-                Asap::new_with_adversaries(
-                    scaled(DeliveryKind::RandomWalk { walkers: 5 }),
-                    model,
-                    roles,
-                    seed,
-                )
+                Asap::new_with_adversaries(scaled(DeliveryKind::RandomWalk), model, roles, seed)
             },
             seed,
             None,
@@ -781,7 +775,7 @@ mod tests {
     fn asap_state_reencode_is_byte_identical() {
         let seed = 66;
         let (phys, workload, overlay) = world(100, 120, seed);
-        let make = || Asap::new(scaled(DeliveryKind::Flooding { ttl: 6 }), &workload.model);
+        let make = || Asap::new(scaled(DeliveryKind::Flooding), &workload.model);
         let mut sim = Simulation::builder(
             &phys,
             &workload,
@@ -931,20 +925,33 @@ mod tests {
     #[test]
     fn flat_node_filter_with_other_params_is_rejected() {
         let make = |model: &asap_workload::ContentModel| {
-            Asap::new(scaled(DeliveryKind::RandomWalk { walkers: 5 }), model)
+            Asap::new(scaled(DeliveryKind::RandomWalk), model)
         };
         let edit = |asap: &mut Asap, peer: usize| asap.nodes[peer].snapshot = small_filter();
         assert_eq!(resume_with_edited_protocol(68, make, edit), OTHER_PARAMS);
+    }
+
+    /// A flood dedup window other than [`SEEN_WINDOW`] resumed `Ok` and ran
+    /// the rest of the delivery waves under another eviction policy.
+    #[test]
+    fn seen_window_other_than_the_protocols_is_rejected() {
+        let make =
+            |model: &asap_workload::ContentModel| Asap::new(scaled(DeliveryKind::Flooding), model);
+        let edit = |asap: &mut Asap, _| asap.seen = SeenTracker::new(100_000);
+        assert_eq!(
+            resume_with_edited_protocol(71, make, edit),
+            Err(CodecError::Invalid("seen window is not the protocol's"))
+        );
     }
 
     /// The super-peer deployment rebuilds its own filters the same way, so
     /// its checkpoint is held to the same parameters.
     #[test]
     fn superpeer_node_filter_with_other_params_is_rejected() {
-        use crate::superpeer::{SuperAsap, SuperPeerConfig};
+        use crate::superpeer::SuperAsap;
         let make = |model: &asap_workload::ContentModel| {
-            let asap = scaled(DeliveryKind::RandomWalk { walkers: 5 });
-            SuperAsap::new(SuperPeerConfig::new(asap), model)
+            let asap = scaled(DeliveryKind::RandomWalk);
+            SuperAsap::new(asap, model)
         };
         let edit = |sp: &mut SuperAsap, peer: usize| sp.set_node_filter(peer, small_filter());
         assert_eq!(resume_with_edited_protocol(69, make, edit), OTHER_PARAMS);
@@ -965,7 +972,7 @@ mod tests {
                 }
             })
             .collect();
-        let cfg = scaled(DeliveryKind::RandomWalk { walkers: 5 });
+        let cfg = scaled(DeliveryKind::RandomWalk);
         let spammy = Asap::new_with_adversaries(cfg.clone(), model, &roles, 70);
         let mut enc = Encoder::new();
         spammy.encode_state(&mut enc);

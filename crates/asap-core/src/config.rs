@@ -5,25 +5,26 @@ use asap_bloom::BloomParams;
 
 /// How ads are forwarded through the overlay (paper §IV-A: "By adopting
 /// different ad forwarding algorithms … we develop and examine three ASAP
-/// schemes: ASAP(FLD), ASAP(RW) and ASAP(GSA)").
+/// schemes: ASAP(FLD), ASAP(RW) and ASAP(GSA)"). Each scheme's fan-out is
+/// the paper's constant in [`crate::delivery`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeliveryKind {
-    /// Flood ads with a hop limit ("Ad flooding in ASAP(FLD) also sets TTL
-    /// equal to 6").
-    Flooding { ttl: u8 },
-    /// Random-walk delivery ("5 walkers are used in ASAP(RW)"); the total
-    /// budget is split evenly among the walkers.
-    RandomWalk { walkers: u32 },
-    /// GSA-style budgeted dispersal.
-    Gsa { branch: u32 },
+    /// Flood ads with a hop limit of [`AD_FLOOD_TTL`](crate::delivery::AD_FLOOD_TTL).
+    Flooding,
+    /// Random-walk delivery by [`AD_WALKERS`](crate::delivery::AD_WALKERS)
+    /// walkers; the total budget is split evenly among them.
+    RandomWalk,
+    /// GSA-style budgeted dispersal, fanning out to
+    /// [`AD_BRANCH`](crate::delivery::AD_BRANCH) neighbors.
+    Gsa,
 }
 
 impl DeliveryKind {
     pub fn label(self) -> &'static str {
         match self {
-            Self::Flooding { .. } => "FLD",
-            Self::RandomWalk { .. } => "RW",
-            Self::Gsa { .. } => "GSA",
+            Self::Flooding => "FLD",
+            Self::RandomWalk => "RW",
+            Self::Gsa => "GSA",
         }
     }
 }
@@ -42,24 +43,14 @@ pub struct AsapConfig {
     pub cache_capacity: usize,
     /// Period of refresh-ad deliveries, µs.
     pub refresh_interval_us: u64,
-    /// Cached ads older than this many refresh periods (without any update)
-    /// are treated as dead and skipped by lookups.
-    pub expiry_periods: u32,
     /// Hop distance `h` of the ads-request fallback (paper: "we limit the
     /// ads request scope by setting the distance h to a small value, e.g.,
     /// 1 by default").
     pub ads_request_hops: u8,
     /// Most cached ads shipped in one ads reply.
     pub max_ads_per_reply: usize,
-    /// Most confirmations sent per lookup round.
-    pub max_confirm_fanout: usize,
-    /// How long the requester waits for confirmations before falling back
-    /// to the ads-request round, µs.
-    pub confirm_timeout_us: u64,
     /// Window over which initial ad deliveries are staggered at start-up, µs.
     pub warmup_stagger_us: u64,
-    /// Duplicate-suppression window for flooded ads (deliveries).
-    pub seen_window: usize,
     /// Retry/backoff budgets for lossy networks. The default is inert —
     /// no retries, no extra timers — so the paper's behavior (and the
     /// fault-free golden digests) is unchanged unless explicitly enabled.
@@ -75,13 +66,9 @@ impl AsapConfig {
             bloom: BloomParams::paper_default(),
             cache_capacity: 4_096,
             refresh_interval_us: 300_000_000, // 5 min
-            expiry_periods: 8,
             ads_request_hops: 1,
             max_ads_per_reply: 64,
-            max_confirm_fanout: 8,
-            confirm_timeout_us: 2_000_000,
             warmup_stagger_us: 60_000_000,
-            seen_window: 1_024,
             robustness: RobustnessConfig::default(),
         }
     }
@@ -94,15 +81,15 @@ impl AsapConfig {
 
     /// The paper's three variants with their published knobs.
     pub fn fld() -> Self {
-        Self::paper_default(DeliveryKind::Flooding { ttl: 6 })
+        Self::paper_default(DeliveryKind::Flooding)
     }
 
     pub fn rw() -> Self {
-        Self::paper_default(DeliveryKind::RandomWalk { walkers: 5 })
+        Self::paper_default(DeliveryKind::RandomWalk)
     }
 
     pub fn gsa() -> Self {
-        Self::paper_default(DeliveryKind::Gsa { branch: 4 })
+        Self::paper_default(DeliveryKind::Gsa)
     }
 
     /// Scale population-proportional knobs for a reduced experiment of
@@ -126,19 +113,7 @@ impl AsapConfig {
             self.refresh_interval_us > 0,
             "refresh interval must be positive"
         );
-        assert!(self.expiry_periods >= 1, "expiry periods must be positive");
-        assert!(
-            self.max_confirm_fanout >= 1,
-            "confirm fanout must be positive"
-        );
         self.robustness.validate();
-        match self.delivery {
-            DeliveryKind::Flooding { ttl } => assert!(ttl >= 1, "flooding TTL must be positive"),
-            DeliveryKind::RandomWalk { walkers } => {
-                assert!(walkers >= 1, "need at least one walker")
-            }
-            DeliveryKind::Gsa { branch } => assert!(branch >= 1, "branch must be positive"),
-        }
     }
 }
 
@@ -176,13 +151,5 @@ mod tests {
         c.validate();
         assert!(c.budget_unit >= 16);
         assert!(c.cache_capacity >= 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "TTL")]
-    fn zero_ttl_rejected() {
-        let mut c = AsapConfig::fld();
-        c.delivery = DeliveryKind::Flooding { ttl: 0 };
-        c.validate();
     }
 }

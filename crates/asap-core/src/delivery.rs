@@ -11,6 +11,14 @@ use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
 use asap_sim::{spread, Transport};
 
+/// Hop limit of ASAP(FLD) ("Ad flooding in ASAP(FLD) also sets TTL equal to
+/// 6").
+pub const AD_FLOOD_TTL: u8 = 6;
+/// Walkers of an ASAP(RW) delivery ("5 walkers are used in ASAP(RW)").
+pub const AD_WALKERS: u32 = 5;
+/// Fan-out of an ASAP(GSA) dispersal while the budget is plentiful.
+pub const AD_BRANCH: u32 = 4;
+
 /// Load-accounting class of an ad payload.
 pub(crate) fn ad_class(payload: &AdPayload) -> MsgClass {
     match payload {
@@ -38,26 +46,18 @@ pub(crate) fn start_delivery<C: Transport<Msg = AsapMsg>>(
         class,
     });
     match kind {
-        DeliveryKind::Flooding { ttl } => {
+        DeliveryKind::Flooding => {
             // Flooding's envelope is its TTL, not the budget.
-            fan_to_all(
-                ctx,
-                source,
-                None,
-                payload,
-                delivery,
-                Forwarding::Flood { ttl },
-            );
+            let fwd = Forwarding::Flood { ttl: AD_FLOOD_TTL };
+            fan_to_all(ctx, source, None, payload, delivery, fwd);
         }
-        DeliveryKind::RandomWalk { walkers } => {
-            let per_walker = (budget / walkers).max(1);
-            for _ in 0..walkers {
+        DeliveryKind::RandomWalk => {
+            let per_walker = (budget / AD_WALKERS).max(1);
+            for _ in 0..AD_WALKERS {
                 walk_step(ctx, source, None, payload.clone(), delivery, per_walker);
             }
         }
-        DeliveryKind::Gsa { branch } => {
-            gsa_disperse(ctx, source, None, payload, delivery, budget, branch);
-        }
+        DeliveryKind::Gsa => gsa_disperse(ctx, source, None, payload, delivery, budget),
     }
 }
 
@@ -69,7 +69,6 @@ pub(crate) fn continue_delivery<C: Transport<Msg = AsapMsg>>(
     payload: AdPayload,
     delivery: u64,
     fwd: Forwarding,
-    branch: u32,
 ) {
     match fwd {
         Forwarding::Direct => {}
@@ -91,15 +90,7 @@ pub(crate) fn continue_delivery<C: Transport<Msg = AsapMsg>>(
             }
         }
         Forwarding::Gsa { budget } => {
-            gsa_disperse(
-                ctx,
-                node,
-                Some(came_from),
-                payload,
-                delivery,
-                budget,
-                branch,
-            );
+            gsa_disperse(ctx, node, Some(came_from), payload, delivery, budget);
         }
     }
 }
@@ -155,7 +146,7 @@ fn walk_step<C: Transport<Msg = AsapMsg>>(
     }
 }
 
-/// GSA-style dispersal: fan to up to `branch` random neighbors while the
+/// GSA-style dispersal: fan to up to [`AD_BRANCH`] random neighbors while the
 /// budget is plentiful, degenerate to a walk once it is not.
 fn gsa_disperse<C: Transport<Msg = AsapMsg>>(
     ctx: &mut C,
@@ -164,10 +155,9 @@ fn gsa_disperse<C: Transport<Msg = AsapMsg>>(
     payload: AdPayload,
     delivery: u64,
     budget: u32,
-    branch: u32,
 ) {
     // `pick_front` is this side's arrangement (see `spread`'s module docs).
-    let Some(hops) = spread::disperse(ctx, node, exclude, budget, branch, spread::pick_front)
+    let Some(hops) = spread::disperse(ctx, node, exclude, budget, AD_BRANCH, spread::pick_front)
     else {
         return;
     };

@@ -38,4 +38,4 @@ pub use config::{AsapConfig, DeliveryKind};
 pub use protocol::Asap;
 pub use repository::AdRepository;
 pub use retry::{Backoff, RobustnessConfig};
-pub use superpeer::{SuperAsap, SuperPeerConfig};
+pub use superpeer::SuperAsap;

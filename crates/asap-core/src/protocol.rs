@@ -2,10 +2,10 @@
 //! and event dispatch. The search-side handlers live in [`crate::search`].
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
-use crate::config::{AsapConfig, DeliveryKind};
+use crate::config::AsapConfig;
 use crate::delivery::{ad_class, continue_delivery, start_delivery};
 use crate::repository::{AdRepository, ApplyOutcome, FilterStore};
-use crate::retry::Backoff;
+use crate::retry::{Backoff, BACKOFF_BASE_US};
 use crate::search::{self, PendingSearch};
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, BloomParams, FilterPatch};
@@ -31,6 +31,12 @@ pub(crate) const TAG_QUERY_BASE: u64 = 2;
 pub(crate) const TAG_READVERT: u64 = 1 << 61;
 /// Repair-fetch retransmit; the low bits carry the fetch's source peer.
 pub(crate) const TAG_FETCH_BIT: u64 = 1 << 62;
+
+/// Cached ads older than this many refresh periods (without any update) are
+/// treated as dead and skipped by lookups.
+pub const EXPIRY_PERIODS: u32 = 8;
+/// Duplicate-suppression window for flooded ads (deliveries).
+pub const SEEN_WINDOW: usize = 1_024;
 
 /// Stream salt for the ad-spam poison pass, XORed into the run seed. The
 /// pass runs once at construction time — before the engine starts — so it
@@ -178,7 +184,7 @@ impl Asap {
             })
             .collect();
         Self {
-            seen: SeenTracker::new(config.seen_window),
+            seen: SeenTracker::new(SEEN_WINDOW),
             kw_hashes,
             claimed_topics: NodeTable::from_vec(vec![InterestSet::EMPTY; nodes.len()]),
             poison: NodeTable::new(nodes.len()),
@@ -347,8 +353,7 @@ impl Asap {
 
     /// Oldest acceptable refresh stamp for lookups at `now`.
     pub(crate) fn expire_before(&self, now_us: u64) -> u64 {
-        now_us
-            .saturating_sub(self.config.refresh_interval_us * u64::from(self.config.expiry_periods))
+        now_us.saturating_sub(self.config.refresh_interval_us * u64::from(EXPIRY_PERIODS))
     }
 
     /// Direct full-ad fetch from `source` to repair a gap or warm a miss.
@@ -375,11 +380,7 @@ impl Asap {
             self.nodes[node.index()]
                 .fetch_backoff
                 .insert(source, rb.fetch_backoff());
-            ctx.set_timer(
-                node,
-                rb.backoff_base_us,
-                TAG_FETCH_BIT | u64::from(source.0),
-            );
+            ctx.set_timer(node, BACKOFF_BASE_US, TAG_FETCH_BIT | u64::from(source.0));
         }
     }
 
@@ -439,7 +440,7 @@ impl Asap {
             baseline_fetches: st.fetches_served,
             backoff: rb.readvert_backoff(),
         });
-        ctx.set_timer(node, rb.backoff_base_us, TAG_READVERT);
+        ctx.set_timer(node, BACKOFF_BASE_US, TAG_READVERT);
     }
 
     /// The re-advertisement watchdog fired: if nobody fetched our full ad
@@ -535,11 +536,7 @@ impl Asap {
             }
         }
 
-        let branch = match self.config.delivery {
-            DeliveryKind::Gsa { branch } => branch,
-            _ => 4,
-        };
-        continue_delivery(ctx, node, from, payload, delivery, fwd, branch);
+        continue_delivery(ctx, node, from, payload, delivery, fwd);
     }
 }
 

@@ -10,7 +10,11 @@
 //! The actual backoff state machine is [`asap_sim::util::Backoff`], shared
 //! with the baseline protocols in `asap-search`.
 
+use crate::search::CONFIRM_TIMEOUT_US;
 pub use asap_sim::util::Backoff;
+
+/// First retransmit delay for fetches and re-advertisements, µs.
+pub const BACKOFF_BASE_US: u64 = 1_000_000;
 
 /// Retry budgets and backoff pacing for ASAP's three robustness paths:
 /// content-confirmation retry, repair-fetch retransmit, and ad
@@ -25,8 +29,6 @@ pub struct RobustnessConfig {
     /// Re-announcements of an initial/join ad wave that attracted no
     /// full-ad fetch (the delivery went unacknowledged).
     pub readvert_retries: u32,
-    /// First retransmit delay for fetches and re-advertisements, µs.
-    pub backoff_base_us: u64,
     /// Ceiling for the doubled backoff delays, µs.
     pub backoff_cap_us: u64,
 }
@@ -38,7 +40,6 @@ impl Default for RobustnessConfig {
             confirm_retries: 0,
             fetch_retries: 0,
             readvert_retries: 0,
-            backoff_base_us: 1_000_000,
             backoff_cap_us: 16_000_000,
         }
     }
@@ -52,7 +53,6 @@ impl RobustnessConfig {
             confirm_retries: 2,
             fetch_retries: 3,
             readvert_retries: 2,
-            backoff_base_us: 1_000_000,
             backoff_cap_us: 8_000_000,
         }
     }
@@ -64,36 +64,27 @@ impl RobustnessConfig {
 
     /// Backoff for repair-fetch retransmits.
     pub fn fetch_backoff(&self) -> Backoff {
-        Backoff::new(
-            self.backoff_base_us,
-            self.backoff_cap_us,
-            self.fetch_retries,
-        )
+        Backoff::new(BACKOFF_BASE_US, self.backoff_cap_us, self.fetch_retries)
     }
 
     /// Backoff for ad re-advertisements.
     pub fn readvert_backoff(&self) -> Backoff {
-        Backoff::new(
-            self.backoff_base_us,
-            self.backoff_cap_us,
-            self.readvert_retries,
-        )
+        Backoff::new(BACKOFF_BASE_US, self.backoff_cap_us, self.readvert_retries)
     }
 
     /// Backoff for confirmation retries: the first retry waits twice the
-    /// configured confirm timeout, then doubles up to the cap.
-    pub fn confirm_backoff(&self, confirm_timeout_us: u64) -> Backoff {
+    /// confirm timeout, then doubles up to the cap.
+    pub fn confirm_backoff(&self) -> Backoff {
         Backoff::new(
-            confirm_timeout_us.saturating_mul(2),
-            self.backoff_cap_us.max(confirm_timeout_us),
+            CONFIRM_TIMEOUT_US.saturating_mul(2),
+            self.backoff_cap_us.max(CONFIRM_TIMEOUT_US),
             self.confirm_retries,
         )
     }
 
     pub fn validate(&self) {
-        assert!(self.backoff_base_us > 0, "backoff base must be positive");
         assert!(
-            self.backoff_cap_us >= self.backoff_base_us,
+            self.backoff_cap_us >= BACKOFF_BASE_US,
             "backoff cap below base"
         );
     }
@@ -110,7 +101,7 @@ mod tests {
         assert!(!r.enabled());
         assert!(r.fetch_backoff().exhausted());
         assert!(r.readvert_backoff().exhausted());
-        assert!(r.confirm_backoff(2_000_000).exhausted());
+        assert!(r.confirm_backoff().exhausted());
     }
 
     #[test]
@@ -118,7 +109,7 @@ mod tests {
         let r = RobustnessConfig::lossy();
         r.validate();
         assert!(r.enabled());
-        let mut b = r.confirm_backoff(2_000_000);
+        let mut b = r.confirm_backoff();
         assert_eq!(b.next(), Some(4_000_000), "first retry at 2x the timeout");
         assert_eq!(b.next(), Some(8_000_000));
         assert_eq!(b.next(), None);
@@ -128,8 +119,7 @@ mod tests {
     #[should_panic(expected = "cap below base")]
     fn inverted_backoff_rejected() {
         RobustnessConfig {
-            backoff_base_us: 10,
-            backoff_cap_us: 5,
+            backoff_cap_us: BACKOFF_BASE_US - 1,
             ..RobustnessConfig::default()
         }
         .validate();

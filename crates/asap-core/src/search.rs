@@ -23,6 +23,12 @@ use asap_sim::{
 use asap_workload::{InterestSet, KeywordId, QuerySpec};
 use std::rc::Rc;
 
+/// Most confirmations sent per lookup round.
+pub const MAX_CONFIRM_FANOUT: usize = 8;
+/// How long the requester waits for confirmations before falling back to
+/// the ads-request round, µs.
+pub const CONFIRM_TIMEOUT_US: u64 = 2_000_000;
+
 /// Search phase of a pending query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
@@ -81,10 +87,7 @@ pub(crate) fn start_query<C: Transport<Msg = AsapMsg>>(
         in_flight: Vec::new(),
         confirmed: DetHashSet::default(),
         backlog: Vec::new(),
-        backoff: asap
-            .config
-            .robustness
-            .confirm_backoff(asap.config.confirm_timeout_us),
+        backoff: asap.config.robustness.confirm_backoff(),
     };
 
     if candidates.is_empty() {
@@ -102,12 +105,12 @@ pub(crate) fn start_query<C: Transport<Msg = AsapMsg>>(
     asap.pending.insert(q.id, pending);
     ctx.set_timer(
         q.requester,
-        asap.config.confirm_timeout_us,
+        CONFIRM_TIMEOUT_US,
         timeout_tag(q.id, Phase::Confirming),
     );
 }
 
-/// Confirm up to `max_confirm_fanout` fresh candidates; the rest queue on
+/// Confirm up to [`MAX_CONFIRM_FANOUT`] fresh candidates; the rest queue on
 /// the backlog for the next round. Returns how many confirmations went out.
 fn send_confirms<C: Transport<Msg = AsapMsg>>(
     asap: &mut Asap,
@@ -118,7 +121,7 @@ fn send_confirms<C: Transport<Msg = AsapMsg>>(
 ) -> usize {
     let mut sent = 0;
     for &source in candidates {
-        if sent >= asap.config.max_confirm_fanout {
+        if sent >= MAX_CONFIRM_FANOUT {
             if source != pending.requester && !pending.confirmed.contains(&source) {
                 pending.backlog.push(source);
             }
@@ -200,7 +203,7 @@ fn begin_fallback<C: Transport<Msg = AsapMsg>>(asap: &mut Asap, ctx: &mut C, que
     }
     ctx.set_timer(
         requester,
-        asap.config.confirm_timeout_us,
+        CONFIRM_TIMEOUT_US,
         timeout_tag(query, Phase::Fallback),
     );
 }
@@ -228,10 +231,7 @@ pub(crate) fn handle_ads_request<C: Transport<Msg = AsapMsg>>(
         // candidates (each ≈ a full filter!); join warm-ups ship the larger
         // interest-filtered batch. `max_ads_per_reply = 0` mutes replies
         // entirely (the no-fallback ablation).
-        let query_cap = asap
-            .config
-            .max_confirm_fanout
-            .min(asap.config.max_ads_per_reply);
+        let query_cap = MAX_CONFIRM_FANOUT.min(asap.config.max_ads_per_reply);
         let warmup_cap = asap.config.max_ads_per_reply;
         let repo = &mut asap.nodes[node.index()].repo;
         let ads = match &hashes {

@@ -4,7 +4,7 @@
 //! only super peers are responsible for ad representation, delivery, caching
 //! and processing." This module implements that deployment:
 //!
-//! * the top fraction of peers **by overlay degree** act as *super peers*;
+//! * the top [`SUPER_FRACTION`] of peers **by overlay degree** act as *super peers*;
 //!   every leaf registers its content snapshot with a super-peer neighbor
 //!   (its *home*), promoting itself if it has none;
 //! * ads live **only on super peers**: announcements travel by random walk
@@ -29,6 +29,7 @@ use crate::checkpoint::{EntryImage, FilterTable, TableReader};
 use crate::config::AsapConfig;
 use crate::protocol::own_filter;
 use crate::repository::{AdRepository, FilterStore};
+use crate::search::MAX_CONFIRM_FANOUT;
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, WireFilter};
 use asap_metrics::MsgClass;
@@ -48,32 +49,8 @@ use std::rc::Rc;
 /// Wire size of one digest entry: source id + topics + version.
 const DIGEST_ENTRY_BYTES: usize = 4 + VERSION_WIRE_BYTES;
 
-/// Super-peer deployment parameters.
-#[derive(Debug, Clone)]
-pub struct SuperPeerConfig {
-    /// Fraction of peers (highest degree first) promoted to super peers.
-    pub super_fraction: f64,
-    /// Underlying ASAP knobs (budget unit, cache capacity, Bloom geometry,
-    /// fan-outs). Timers are unused by this lean variant.
-    pub asap: AsapConfig,
-}
-
-impl SuperPeerConfig {
-    pub fn new(asap: AsapConfig) -> Self {
-        Self {
-            super_fraction: 0.2,
-            asap,
-        }
-    }
-
-    pub fn validate(&self) {
-        assert!(
-            self.super_fraction > 0.0 && self.super_fraction <= 1.0,
-            "super fraction must be in (0, 1]"
-        );
-        self.asap.validate();
-    }
-}
+/// Fraction of peers (highest degree first) promoted to super peers.
+pub const SUPER_FRACTION: f64 = 0.2;
 
 /// A peer's role in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +130,9 @@ struct NodeState {
 
 /// The hierarchical ASAP protocol.
 pub struct SuperAsap {
-    pub config: SuperPeerConfig,
+    /// Underlying ASAP knobs (budget unit, cache capacity, Bloom geometry).
+    /// Timers are unused by this lean variant.
+    pub config: AsapConfig,
     roles: Vec<Role>,
     nodes: Vec<NodeState>,
     /// The filters behind every super peer's cache entries.
@@ -166,7 +145,7 @@ pub struct SuperAsap {
 }
 
 impl SuperAsap {
-    pub fn new(config: SuperPeerConfig, model: &ContentModel) -> Self {
+    pub fn new(config: AsapConfig, model: &ContentModel) -> Self {
         config.validate();
         let kw_hashes: Vec<KeyHash> = (0..model.vocab.len())
             .map(|i| KeyHash::of(model.vocab.word(KeywordId(i as u32))))
@@ -174,7 +153,7 @@ impl SuperAsap {
         let nodes = (0..model.num_peers())
             .map(|p| {
                 let docs = &model.initial_holdings[p];
-                let filter = own_filter(config.asap.bloom, &kw_hashes, model, docs, &[]);
+                let filter = own_filter(config.bloom, &kw_hashes, model, docs, &[]);
                 NodeState {
                     version: 0,
                     snapshot: Rc::new(filter),
@@ -200,7 +179,7 @@ impl SuperAsap {
     /// they carry a multiple of the flat cache budget because they cache on
     /// behalf of all their leaves.
     fn super_cache_capacity(&self) -> usize {
-        self.config.asap.cache_capacity * 4
+        self.config.cache_capacity * 4
     }
 
     pub fn role(&self, p: PeerId) -> Role {
@@ -252,7 +231,7 @@ impl SuperAsap {
         let n = ctx.num_peers();
         let mut by_degree: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
         by_degree.sort_by_key(|&p| std::cmp::Reverse(ctx.degree(p)));
-        let quota = ((n as f64 * self.config.super_fraction).ceil() as usize).max(1);
+        let quota = ((n as f64 * SUPER_FRACTION).ceil() as usize).max(1);
         let mut is_super = vec![false; n];
         for &p in by_degree.iter().take(quota) {
             is_super[p.index()] = true;
@@ -345,7 +324,7 @@ impl SuperAsap {
     ) {
         // Same envelope as flat ASAP: M₀ per topic advertised.
         let topics: u32 = entries.iter().map(|e| e.1.len().max(1) as u32).sum();
-        let budget = self.config.asap.budget_unit * topics;
+        let budget = self.config.budget_unit * topics;
         self.stats.digests_sent += 1;
         self.forward_digest(ctx, from, None, entries, budget);
     }
@@ -439,7 +418,7 @@ impl SuperAsap {
         // Without timers there is no second confirm round, so supers confirm
         // a triple-width batch up front — they are the capable nodes, and a
         // confirmation is ~50 B.
-        let fanout = self.config.asap.max_confirm_fanout * 3;
+        let fanout = MAX_CONFIRM_FANOUT * 3;
         let candidates = match self.nodes[me.index()].repo.as_mut() {
             Some(repo) => repo.lookup(&hashes, now, 0),
             None => Vec::new(),
@@ -527,7 +506,7 @@ impl Protocol for SuperAsap {
         self.assign_roles(ctx);
         self.initialized = true;
         // Stagger registrations like flat ASAP's warm-up wave.
-        let stagger = self.config.asap.warmup_stagger_us.max(1);
+        let stagger = self.config.warmup_stagger_us.max(1);
         for p in 0..ctx.num_peers() as u32 {
             let peer = PeerId(p);
             if ctx.alive(peer) {
@@ -544,7 +523,7 @@ impl Protocol for SuperAsap {
                 // Supers gossip their whole registered set periodically —
                 // the hierarchy's analogue of flat ASAP's refresh rounds.
                 if self.is_super(node) {
-                    let base = self.config.asap.refresh_interval_us;
+                    let base = self.config.refresh_interval_us;
                     let jitter = ctx.rng().gen_range(0..base / 4 + 1);
                     ctx.set_timer(node, base + jitter, 1);
                 }
@@ -558,7 +537,7 @@ impl Protocol for SuperAsap {
                 if !entries.is_empty() {
                     self.send_digest(ctx, node, Rc::from(entries.into_boxed_slice()));
                 }
-                let base = self.config.asap.refresh_interval_us;
+                let base = self.config.refresh_interval_us;
                 let next = ctx.rng().gen_range(base - base / 4..=base + base / 4);
                 ctx.set_timer(node, next, 1);
             }
@@ -687,7 +666,7 @@ impl Protocol for SuperAsap {
                 // requester — the reply was term-filtered, so every ad is a
                 // candidate.
                 let now = ctx.now_us();
-                let fanout = self.config.asap.max_confirm_fanout;
+                let fanout = MAX_CONFIRM_FANOUT;
                 if let Some(repo) = self.nodes[to.index()].repo.as_mut() {
                     for snap in &ads {
                         repo.insert_full(snap, now);
@@ -727,13 +706,7 @@ impl Protocol for SuperAsap {
         _added: bool,
     ) {
         let docs = ctx.content().peer_docs(peer);
-        let filter = own_filter(
-            self.config.asap.bloom,
-            &self.kw_hashes,
-            ctx.model(),
-            docs,
-            &[],
-        );
+        let filter = own_filter(self.config.bloom, &self.kw_hashes, ctx.model(), docs, &[]);
         let st = &mut self.nodes[peer.index()];
         st.version = st.version.wrapping_add(1);
         if *st.snapshot != filter {
@@ -813,7 +786,7 @@ impl CheckpointProtocol for SuperAsap {
     /// hold its own ad.
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let roles: Vec<Role> = Codec::pull(dec)?;
-        let mut table = TableReader::pull_table(dec, self.config.asap.bloom)?;
+        let mut table = TableReader::pull_table(dec, self.config.bloom)?;
         let (images, unions): (Vec<NodeImage>, Vec<InterestSet>) = Codec::pull(dec)?;
         let n = self.nodes.len();
         if roles.len() != n || images.len() != n || unions.len() != n {

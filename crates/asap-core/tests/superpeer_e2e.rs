@@ -1,6 +1,6 @@
 //! End-to-end tests for the hierarchical (super-peer) ASAP deployment.
 
-use asap_core::superpeer::{SuperAsap, SuperPeerConfig};
+use asap_core::superpeer::SuperAsap;
 use asap_core::AsapConfig;
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
 use asap_sim::{SimReport, Simulation};
@@ -10,16 +10,14 @@ use asap_workload::WorkloadConfig;
 const PEERS: usize = 250;
 const QUERIES: usize = 400;
 
-fn run(seed: u64, super_fraction: f64) -> SimReport<SuperAsap> {
+fn run(seed: u64) -> SimReport<SuperAsap> {
     let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
     let workload = asap_workload::generate(&WorkloadConfig::reduced(PEERS, QUERIES, seed));
     // Power-law overlay: hubs make natural super peers.
     let overlay = OverlayConfig::new(OverlayKind::PowerLaw, PEERS, seed).build();
     let mut asap = AsapConfig::rw().scaled_to(PEERS);
     asap.warmup_stagger_us = 5_000_000;
-    let mut config = SuperPeerConfig::new(asap);
-    config.super_fraction = super_fraction;
-    let protocol = SuperAsap::new(config, &workload.model);
+    let protocol = SuperAsap::new(asap, &workload.model);
     Simulation::builder(
         &phys,
         &workload,
@@ -33,7 +31,7 @@ fn run(seed: u64, super_fraction: f64) -> SimReport<SuperAsap> {
 
 #[test]
 fn hierarchy_forms_and_answers_queries() {
-    let report = run(1, 0.2);
+    let report = run(1);
     let stats = &report.protocol.stats;
     assert!(
         stats.supers > 0 && stats.leaves > 0,
@@ -53,7 +51,7 @@ fn hierarchy_forms_and_answers_queries() {
 
 #[test]
 fn leaves_route_queries_through_their_home() {
-    let report = run(2, 0.2);
+    let report = run(2);
     let stats = &report.protocol.stats;
     assert!(
         stats.leaf_queries_forwarded > 0,
@@ -67,7 +65,7 @@ fn leaves_route_queries_through_their_home() {
 
 #[test]
 fn supers_are_high_degree_peers() {
-    let report = run(3, 0.2);
+    let report = run(3);
     let proto = &report.protocol;
     let mut super_degrees = Vec::new();
     let mut leaf_degrees = Vec::new();
@@ -91,7 +89,7 @@ fn supers_are_high_degree_peers() {
 
 #[test]
 fn digests_and_fetches_flow() {
-    let report = run(4, 0.2);
+    let report = run(4);
     let stats = &report.protocol.stats;
     assert!(stats.registrations > 0);
     assert!(stats.digests_sent > 0);
@@ -99,19 +97,9 @@ fn digests_and_fetches_flow() {
 }
 
 #[test]
-fn all_super_mode_degenerates_gracefully() {
-    // fraction = 1.0 ⇒ every node is its own home; still functional.
-    let report = run(5, 1.0);
-    assert_eq!(report.protocol.stats.leaves, 0);
-    // Degenerate deployment: tiny single-entry digest walks cover little of
-    // an all-super graph, so success leans on the one fallback round.
-    assert!(report.ledger.success_rate() > 0.2);
-}
-
-#[test]
 fn deterministic() {
-    let a = run(6, 0.2);
-    let b = run(6, 0.2);
+    let a = run(6);
+    let b = run(6);
     assert_eq!(a.messages_sent, b.messages_sent);
     assert_eq!(a.ledger.success_rate(), b.ledger.success_rate());
 }

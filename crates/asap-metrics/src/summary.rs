@@ -17,22 +17,6 @@ pub fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Maximum; 0 for an empty slice.
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(0.0, f64::max)
-}
-
-/// `p`-th percentile (0–100) by nearest-rank; 0 for an empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,23 +32,11 @@ mod tests {
     fn empty_slices() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(stddev(&[]), 0.0);
-        assert_eq!(max(&[]), 0.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn max_and_percentile() {
-        let xs = [1.0, 9.0, 5.0, 3.0];
-        assert_eq!(max(&xs), 9.0);
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 9.0);
-        assert_eq!(percentile(&xs, 50.0), 5.0); // nearest rank of 1.5 rounds up
     }
 
     #[test]
     fn single_element() {
         assert_eq!(mean(&[42.0]), 42.0);
         assert_eq!(stddev(&[42.0]), 0.0);
-        assert_eq!(percentile(&[42.0], 99.0), 42.0);
     }
 }

@@ -14,7 +14,7 @@
 //! `golden` bin, against the same pinned records as the sim; this tier
 //! keeps a fast in-tree witness and proves that the witness bites.
 
-use asap_core::{Asap, AsapConfig, SuperAsap, SuperPeerConfig};
+use asap_core::{Asap, AsapConfig, SuperAsap};
 use asap_metrics::MsgClass;
 use asap_net::{Framed, Loopback};
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
@@ -152,7 +152,7 @@ fn asap_rw_replays_identically_on_both_backends() {
 fn super_asap_replays_identically_on_both_backends() {
     let (_, workload) = world();
     both_ways("super-asap", || {
-        SuperAsap::new(SuperPeerConfig::new(AsapConfig::rw()), &workload.model)
+        SuperAsap::new(AsapConfig::rw(), &workload.model)
     });
 }
 
@@ -248,7 +248,7 @@ fn a_corrupted_frame_fails_the_witness() {
         corrupted_digest_moves("gsa", || Gsa::new(GsaConfig::default())),
         corrupted_digest_moves("asap-rw", || Asap::new(AsapConfig::rw(), &workload.model)),
         corrupted_digest_moves("super-asap", || {
-            SuperAsap::new(SuperPeerConfig::new(AsapConfig::rw()), &workload.model)
+            SuperAsap::new(AsapConfig::rw(), &workload.model)
         }),
     ];
     assert_eq!(

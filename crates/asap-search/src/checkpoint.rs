@@ -1,6 +1,6 @@
 //! Checkpoint codecs for the baseline protocols ([`CheckpointProtocol`]).
 //!
-//! Static configuration (TTL, walker counts, budgets, retransmit policy) is
+//! Static configuration (walker counts, budgets, retransmit policy) is
 //! never serialized — the resume caller reconstructs each protocol with the
 //! same configuration the original run used. Only dynamic cross-event state
 //! rides the checkpoint: the flooding dedup window and the per-query
@@ -8,8 +8,8 @@
 //! encode → decode → re-encode is byte-identical). [`BaselineMsg`]'s field
 //! list below is also its `asap-net` wire payload.
 
-use crate::common::{BaselineMsg, RetransmitState};
-use crate::flooding::Flooding;
+use crate::common::{BaselineMsg, RetransmitState, SeenTracker};
+use crate::flooding::{Flooding, SEEN_WINDOW};
 use crate::gsa::Gsa;
 use crate::random_walk::RandomWalk;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
@@ -34,7 +34,8 @@ impl CheckpointProtocol for Flooding {
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        (self.seen, self.retrans) = Codec::pull(dec)?;
+        self.seen = SeenTracker::pull_window(dec, SEEN_WINDOW)?;
+        self.retrans = Codec::pull(dec)?;
         Ok(())
     }
 }
@@ -183,8 +184,7 @@ mod tests {
         assert_split_run_identical(
             || {
                 Flooding::new(FloodingConfig {
-                    retransmit: Some(Retransmit::lossy()),
-                    ..Default::default()
+                    retransmit: Some(Retransmit),
                 })
             },
             52,
@@ -278,6 +278,63 @@ mod tests {
         assert!(matches!(err, CodecError::Invalid(_)));
     }
 
+    /// A flooding checkpoint whose seen tracker carries another window than
+    /// [`SEEN_WINDOW`] resumed `Ok` and ran under a different eviction
+    /// policy; it is refused at decode.
+    #[test]
+    fn seen_window_other_than_the_protocols_is_rejected() {
+        let seed = 58;
+        let (phys, workload, overlay) = world(80, 60, seed);
+        let mut sim = Simulation::builder(
+            &phys,
+            &workload,
+            overlay.clone(),
+            OverlayKind::Random,
+            Flooding::new(FloodingConfig::default()),
+            seed,
+        )
+        .build();
+        sim.run_until(workload.trace.duration_us() / 2);
+        let bytes = sim.checkpoint().into_bytes();
+        let mut state = Encoder::new();
+        sim.protocol().encode_state(&mut state);
+        let state = state.into_bytes();
+        drop(sim);
+        // The protocol section closes the body, ahead of the 8-byte checksum.
+        let body = &bytes[..bytes.len() - 8];
+        assert!(
+            body.ends_with(&state),
+            "the protocol section closes the body"
+        );
+        let mut flooding = Flooding::new(FloodingConfig::default());
+        flooding
+            .decode_state(&mut Decoder::new(&state))
+            .expect("own state decodes");
+        flooding.seen = SeenTracker::new(100_000);
+        let mut enc = Encoder::new();
+        flooding.encode_state(&mut enc);
+        let mut spliced = body[..body.len() - state.len()].to_vec();
+        spliced.extend_from_slice(&enc.into_bytes());
+        let mut sum = asap_sim::checkpoint::Fnv64::new();
+        sum.write_bytes(&spliced);
+        spliced.extend_from_slice(&sum.finish().to_le_bytes());
+        let ckpt = Checkpoint::from_bytes(spliced).expect("resealed bytes parse");
+        let err = Simulation::resume(
+            &phys,
+            &workload,
+            overlay,
+            OverlayKind::Random,
+            Flooding::new(FloodingConfig::default()),
+            &ckpt,
+        )
+        .err()
+        .expect("a foreign seen window must be rejected");
+        assert_eq!(
+            err,
+            CodecError::Invalid("seen window is not the protocol's")
+        );
+    }
+
     #[test]
     fn state_reencode_is_byte_identical() {
         // Drive a flooding run halfway, then encode → decode → re-encode
@@ -290,8 +347,7 @@ mod tests {
             overlay,
             OverlayKind::Random,
             Flooding::new(FloodingConfig {
-                retransmit: Some(Retransmit::lossy()),
-                ..Default::default()
+                retransmit: Some(Retransmit),
             }),
             seed,
         )
@@ -307,8 +363,7 @@ mod tests {
             overlay2,
             OverlayKind::Random,
             Flooding::new(FloodingConfig {
-                retransmit: Some(Retransmit::lossy()),
-                ..Default::default()
+                retransmit: Some(Retransmit),
             }),
             &ckpt1,
         )

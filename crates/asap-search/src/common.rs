@@ -2,6 +2,7 @@
 
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
+use asap_sim::checkpoint::{CodecError, Decoder};
 use asap_sim::collections::DetHashMap;
 use asap_sim::util::Backoff;
 use asap_sim::{query_hit_size, Transport};
@@ -69,41 +70,29 @@ pub fn absorb_hit<C: Transport<Msg = BaselineMsg>>(ctx: &mut C, query: u32) {
     ctx.report_answer(query);
 }
 
+/// Delay before the first retransmission, µs.
+const RETRANSMIT_TIMEOUT_US: u64 = 4_000_000;
+/// Retransmissions per query (total probes ≤ 1 + retries).
+const RETRANSMIT_RETRIES: u32 = 2;
+/// Ceiling for the doubled backoff delays, µs.
+const RETRANSMIT_BACKOFF_CAP_US: u64 = 16_000_000;
+
 /// TTL-respecting retransmission policy for the walk/flood baselines: if a
 /// query is still unanswered when the timer fires, the requester re-launches
 /// the probe wave (with the configured TTL, never more) on a capped
 /// exponential backoff. `None` on the protocol config (the default) arms no
-/// timer at all, so fault-free replay digests are unchanged.
+/// timer at all, so fault-free replay digests are unchanged; `Some` is what
+/// the lossy bench profiles run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retransmit {
-    /// Delay before the first retransmission, µs.
-    pub timeout_us: u64,
-    /// Retransmissions per query (total probes ≤ 1 + retries).
-    pub retries: u32,
-    /// Ceiling for the doubled backoff delays, µs.
-    pub backoff_cap_us: u64,
-}
+pub struct Retransmit;
 
 impl Retransmit {
-    /// The preset used by the lossy bench profiles.
-    pub fn lossy() -> Self {
-        Self {
-            timeout_us: 4_000_000,
-            retries: 2,
-            backoff_cap_us: 16_000_000,
-        }
-    }
-
-    pub fn backoff(&self) -> Backoff {
-        Backoff::new(self.timeout_us, self.backoff_cap_us, self.retries)
-    }
-
-    pub fn validate(&self) {
-        assert!(self.timeout_us > 0, "retransmit timeout must be positive");
-        assert!(
-            self.backoff_cap_us >= self.timeout_us,
-            "retransmit backoff cap below timeout"
-        );
+    pub fn backoff(self) -> Backoff {
+        Backoff::new(
+            RETRANSMIT_TIMEOUT_US,
+            RETRANSMIT_BACKOFF_CAP_US,
+            RETRANSMIT_RETRIES,
+        )
     }
 }
 
@@ -137,7 +126,7 @@ pub fn arm_retransmit<C: Transport<Msg = BaselineMsg>>(
                 backoff: rt.backoff(),
             },
         );
-        ctx.set_timer(q.requester, rt.timeout_us, u64::from(q.id));
+        ctx.set_timer(q.requester, RETRANSMIT_TIMEOUT_US, u64::from(q.id));
     }
 }
 
@@ -174,8 +163,8 @@ pub fn retransmit_due<C: Transport<Msg = BaselineMsg>>(
 }
 
 /// Per-query duplicate suppression with a bounded window of recent queries,
-/// so memory stays flat over a 30,000-query trace. The window (default 256
-/// queries ≈ 32 s at λ = 8/s) comfortably outlives a TTL-6 flood.
+/// so memory stays flat over a 30,000-query trace. Flooding runs it with
+/// [`crate::flooding::SEEN_WINDOW`].
 #[derive(Debug)]
 pub struct SeenTracker {
     inner: asap_sim::util::SeenTracker<u32>,
@@ -196,6 +185,14 @@ impl SeenTracker {
 
     pub fn tracked_queries(&self) -> usize {
         self.inner.tracked_keys()
+    }
+
+    /// Decode a tracker that must run with `window` (see
+    /// [`asap_sim::util::SeenTracker::pull_window`]).
+    pub fn pull_window(dec: &mut Decoder<'_>, window: usize) -> Result<Self, CodecError> {
+        Ok(Self {
+            inner: asap_sim::util::SeenTracker::pull_window(dec, window)?,
+        })
     }
 }
 

@@ -14,26 +14,18 @@ use asap_sim::{query_size, spread, Protocol, Transport};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;
 
+/// Hop limit (paper: "The TTL for flooding is set to 6").
+pub const FLOOD_TTL: u8 = 6;
+/// Duplicate-suppression window in queries: 256 queries ≈ 32 s at λ = 8/s
+/// comfortably outlives a TTL-6 flood.
+pub const SEEN_WINDOW: usize = 256;
+
 /// Flooding parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FloodingConfig {
-    /// Hop limit (paper: 6).
-    pub ttl: u8,
-    /// Duplicate-suppression window in queries.
-    pub seen_window: usize,
     /// Optional TTL-respecting retransmission of unanswered queries
     /// (`None`, the default, arms no timers — the paper's behavior).
     pub retransmit: Option<Retransmit>,
-}
-
-impl Default for FloodingConfig {
-    fn default() -> Self {
-        Self {
-            ttl: 6,
-            seen_window: 256,
-            retransmit: None,
-        }
-    }
 }
 
 /// The flooding baseline protocol.
@@ -46,12 +38,8 @@ pub struct Flooding {
 
 impl Flooding {
     pub fn new(config: FloodingConfig) -> Self {
-        assert!(config.ttl >= 1, "flooding needs a positive TTL");
-        if let Some(rt) = &config.retransmit {
-            rt.validate();
-        }
         Self {
-            seen: SeenTracker::new(config.seen_window),
+            seen: SeenTracker::new(SEEN_WINDOW),
             retrans: RetransmitTable::default(),
             config,
         }
@@ -91,15 +79,7 @@ impl Protocol for Flooding {
         let terms: Rc<[KeywordId]> = q.terms.clone().into();
         // The requester is marked visited so reflected floods die instantly.
         self.seen.first_visit(q.id, q.requester);
-        Self::fan_out(
-            ctx,
-            q.requester,
-            None,
-            q.id,
-            q.requester,
-            &terms,
-            self.config.ttl,
-        );
+        Self::fan_out(ctx, q.requester, None, q.id, q.requester, &terms, FLOOD_TTL);
         arm_retransmit(&mut self.retrans, ctx, self.config.retransmit, q, terms);
     }
 
@@ -136,7 +116,7 @@ impl Protocol for Flooding {
         // so the re-flood only probes the subtrees the lost copies never
         // covered.
         retransmit_due(&mut self.retrans, ctx, node, tag, |ctx, query, terms| {
-            Self::fan_out(ctx, node, None, query, node, terms, self.config.ttl)
+            Self::fan_out(ctx, node, None, query, node, terms, FLOOD_TTL)
         });
     }
 
@@ -146,14 +126,13 @@ impl Protocol for Flooding {
     }
 
     /// Flooding's only cross-event state is the duplicate-suppression
-    /// tracker, whose live-key count must respect its configured window.
+    /// tracker, whose live-key count must respect its window.
     fn audit_invariants<C: Transport<Msg = BaselineMsg>>(&self, _ctx: &C) -> Vec<String> {
         let mut violations = Vec::new();
-        if self.seen.tracked_queries() > self.config.seen_window {
+        if self.seen.tracked_queries() > SEEN_WINDOW {
             violations.push(format!(
-                "seen tracker holds {} queries, window is {}",
+                "seen tracker holds {} queries, window is {SEEN_WINDOW}",
                 self.seen.tracked_queries(),
-                self.config.seen_window
             ));
         }
         violations
@@ -209,32 +188,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ttl_one_reaches_only_neighbors() {
-        let (phys, workload, overlay) = world(150, 100, 33);
-        let cfg = FloodingConfig {
-            ttl: 1,
-            ..Default::default()
-        };
-        let report = Simulation::builder(
-            &phys,
-            &workload,
-            overlay,
-            OverlayKind::Random,
-            Flooding::new(cfg),
-            33,
-        )
-        .run();
-        // Success collapses: only direct neighbors are probed.
-        assert!(
-            report.ledger.success_rate() < 0.5,
-            "success {}",
-            report.ledger.success_rate()
-        );
-    }
-
     /// Query-class messages per search on a hand-built, churn-free overlay.
-    fn query_messages_per_search(adj: Vec<Vec<PeerId>>, ttl: u8) -> u64 {
+    fn query_messages_per_search(adj: Vec<Vec<PeerId>>) -> u64 {
         use asap_topology::{PhysicalNetwork, TransitStubConfig};
         use asap_workload::WorkloadConfig;
         let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(34));
@@ -243,16 +198,12 @@ mod tests {
             leaves: 0,
             ..WorkloadConfig::reduced(adj.len(), 40, 34)
         });
-        let cfg = FloodingConfig {
-            ttl,
-            ..Default::default()
-        };
         let report = Simulation::builder(
             &phys,
             &workload,
             asap_overlay::Overlay::from_adjacency(adj).expect("an undirected graph"),
             OverlayKind::Random,
-            Flooding::new(cfg),
+            Flooding::new(FloodingConfig::default()),
             34,
         )
         .run();
@@ -272,31 +223,23 @@ mod tests {
     /// send order — every node forwards exactly once, to all but the sender.
     #[test]
     fn message_count_matches_the_closed_form_on_ring_and_clique() {
-        let ring: Vec<_> = (0..16)
-            .map(|i| vec![PeerId((i + 15) % 16), PeerId((i + 1) % 16)])
-            .collect();
-        // Two arms of `t` hops each, which on n > 2t peers never meet.
-        for t in [1u8, 3, 6, 7] {
-            let sent = query_messages_per_search(ring.clone(), t);
-            assert_eq!(sent, 2 * u64::from(t), "ring TTL {t}");
+        // Two arms of `FLOOD_TTL` hops each, which on n > 2 · TTL peers
+        // never meet.
+        for n in [13u32, 16, 24] {
+            let ring = (0..n)
+                .map(|i| vec![PeerId((i + n - 1) % n), PeerId((i + 1) % n)])
+                .collect();
+            let sent = query_messages_per_search(ring);
+            assert_eq!(sent, 2 * u64::from(FLOOD_TTL), "ring of {n}");
         }
-        // K_n, TTL 2: n − 1 first-wave sends, then each receiver forwards to
-        // the other n − 2, all suppressed as duplicates on arrival.
+        // K_n: n − 1 first-wave sends, then each receiver forwards to the
+        // other n − 2, all suppressed as duplicates on arrival.
         for n in [4u32, 6, 9] {
             let clique = (0..n)
                 .map(|i| (0..n).filter(|&j| j != i).map(PeerId).collect())
                 .collect();
-            let sent = query_messages_per_search(clique, 2);
+            let sent = query_messages_per_search(clique);
             assert_eq!(sent, u64::from((n - 1) * (n - 1)), "K_{n}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive TTL")]
-    fn zero_ttl_rejected() {
-        Flooding::new(FloodingConfig {
-            ttl: 0,
-            ..Default::default()
-        });
     }
 }

@@ -4,7 +4,7 @@
 //! hybrid search schemes \[12\] and assigns "a budget of 8,000, which limits
 //! the total number of messages during a search process". We implement the
 //! family's canonical shape: a probe carries a message budget; while the
-//! budget is plentiful the node forwards to up to `branch` random neighbors,
+//! budget is plentiful the node forwards to up to [`BRANCH`] random neighbors,
 //! dividing the remainder among them (normalized flooding); once a branch's
 //! budget drops below the branching factor it degenerates into a random
 //! walk. Total query messages per search never exceed the budget.
@@ -18,21 +18,19 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use std::rc::Rc;
 
+/// Fan-out while the budget is plentiful.
+pub const BRANCH: u32 = 4;
+
 /// GSA parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GsaConfig {
     /// Total message budget per query (paper: 8,000).
     pub budget: u32,
-    /// Fan-out while the budget is plentiful.
-    pub branch: usize,
 }
 
 impl Default for GsaConfig {
     fn default() -> Self {
-        Self {
-            budget: 8_000,
-            branch: 4,
-        }
+        Self { budget: 8_000 }
     }
 }
 
@@ -45,11 +43,10 @@ pub struct Gsa {
 impl Gsa {
     pub fn new(config: GsaConfig) -> Self {
         assert!(config.budget >= 1, "GSA needs a positive budget");
-        assert!(config.branch >= 1, "GSA needs a positive branching factor");
         Self { config }
     }
 
-    /// Spend `budget` messages from `node`: pick up to `branch` random
+    /// Spend `budget` messages from `node`: pick up to [`BRANCH`] random
     /// neighbors (one, once the budget is walk-sized), sending each probe
     /// with an equal share of what remains after paying for the sends.
     #[allow(clippy::too_many_arguments)]
@@ -63,10 +60,9 @@ impl Gsa {
         terms: &Rc<[KeywordId]>,
         budget: u32,
     ) {
-        let branch = self.config.branch as u32;
         // The full shuffle is this side's arrangement (see `spread`'s docs).
         let shuffle = |rng: &mut SmallRng, nbrs: &mut [PeerId], _fan| nbrs.shuffle(rng);
-        let Some(hops) = spread::disperse(ctx, node, exclude, budget, branch, shuffle) else {
+        let Some(hops) = spread::disperse(ctx, node, exclude, budget, BRANCH, shuffle) else {
             return;
         };
         ctx.trace(|| asap_sim::trace::Event::GsaDisperse {
@@ -147,7 +143,7 @@ mod tests {
             &workload,
             overlay,
             OverlayKind::Random,
-            Gsa::new(GsaConfig { budget, branch: 4 }),
+            Gsa::new(GsaConfig { budget }),
             seed,
         )
         .run()
@@ -211,9 +207,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget")]
     fn zero_budget_rejected() {
-        Gsa::new(GsaConfig {
-            budget: 0,
-            branch: 4,
-        });
+        Gsa::new(GsaConfig { budget: 0 });
     }
 }

@@ -48,9 +48,6 @@ impl RandomWalk {
     pub fn new(config: RandomWalkConfig) -> Self {
         assert!(config.walkers >= 1, "need at least one walker");
         assert!(config.ttl >= 1, "walkers need a positive TTL");
-        if let Some(rt) = &config.retransmit {
-            rt.validate();
-        }
         Self {
             config,
             retrans: RetransmitTable::default(),

@@ -1,4 +1,4 @@
-//! Toggleable invariant auditing and event-stream digesting for the engine.
+//! Invariant auditing and event-stream digesting for the engine.
 //!
 //! The auditor is a passive consumer of the engine's one event stream: the
 //! engine's tap builds each [`asap_trace::Event`] once and hands it to
@@ -43,37 +43,24 @@ use crate::adversary::AdversaryStats;
 use crate::fault::FaultStats;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
 use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder, Fnv64};
-use asap_overlay::{codec_struct, Overlay, PeerId};
+use asap_overlay::{Overlay, PeerId};
 use asap_trace::Event;
 
-/// What the auditor does. Both halves are independent: digesting without
-/// invariant checks gives the cheapest replay fingerprint; checks without
-/// digesting gives a pure tripwire.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Run structural invariant checks on every event.
-    pub check_invariants: bool,
-    /// Fold events and sends into the replay digest.
-    pub digest_events: bool,
-    /// Keep at most this many violation messages; further ones are counted
-    /// but not formatted (a broken invariant usually fires per-event).
-    pub max_violations: usize,
-}
+/// The argument of [`SimBuilder::audit`](crate::SimBuilder::audit). It
+/// holds no settings: an attached auditor always checks every invariant and
+/// always digests.
+#[derive(Debug, Clone, Default)]
+pub struct AuditConfig {}
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            check_invariants: true,
-            digest_events: true,
-            max_violations: 64,
-        }
-    }
-}
+/// Most violation messages kept; further ones are counted but not
+/// formatted (a broken invariant usually fires per-event, and the cap
+/// bounds the report's memory).
+pub const MAX_VIOLATIONS: usize = 64;
 
 /// Outcome of an audited run.
 #[derive(Debug, Clone)]
 pub struct AuditReport {
-    /// Formatted violations, capped at `max_violations`.
+    /// Formatted violations, capped at [`MAX_VIOLATIONS`].
     pub violations: Vec<String>,
     /// Violations beyond the cap (count only).
     pub suppressed: u64,
@@ -81,8 +68,7 @@ pub struct AuditReport {
     pub checks: u64,
     /// Events observed at dispatch (delivers + timers + trace events).
     pub events: u64,
-    /// FNV-1a digest over the event stream, sends, and final metrics;
-    /// 0 if `digest_events` was off.
+    /// FNV-1a digest over the event stream, sends, and final metrics.
     pub digest: u64,
 }
 
@@ -116,7 +102,6 @@ const TAG_ADVERSARY_ABSORB: u64 = 11;
 /// docs for the invariant list.
 #[derive(Debug)]
 pub struct SimAuditor {
-    cfg: AuditConfig,
     violations: Vec<String>,
     suppressed: u64,
     checks: u64,
@@ -145,18 +130,11 @@ pub struct SimAuditor {
     adversary_absorbed: u64,
 }
 
-codec_struct!(AuditConfig {
-    check_invariants,
-    digest_events,
-    max_violations
-});
-
 // Hand-written: the digest travels as its raw state word and `retry_mirror`
 // is an `asap-metrics` type, restored through `RetryCounters::from_counts`.
-// Checkpoint section [11] (DESIGN.md §6d).
+// Checkpoint section [10] (DESIGN.md §6d).
 impl Codec for SimAuditor {
     fn put(&self, enc: &mut Encoder) {
-        self.cfg.put(enc);
         self.violations.put(enc);
         self.suppressed.put(enc);
         self.checks.put(enc);
@@ -176,7 +154,6 @@ impl Codec for SimAuditor {
     }
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            cfg: Codec::pull(dec)?,
             violations: Codec::pull(dec)?,
             suppressed: Codec::pull(dec)?,
             checks: Codec::pull(dec)?,
@@ -200,9 +177,8 @@ impl Codec for SimAuditor {
 impl SimAuditor {
     /// Build an auditor whose liveness mirror starts from `alive` (the
     /// engine's initial map, before any event runs).
-    pub fn new(cfg: AuditConfig, alive: &[bool]) -> Self {
+    pub fn new(alive: &[bool]) -> Self {
         Self {
-            cfg,
             violations: Vec::new(),
             suppressed: 0,
             checks: 0,
@@ -226,7 +202,7 @@ impl SimAuditor {
     fn check(&mut self, ok: bool, msg: impl FnOnce() -> String) {
         self.checks += 1;
         if !ok {
-            if self.violations.len() < self.cfg.max_violations {
+            if self.violations.len() < MAX_VIOLATIONS {
                 self.violations.push(msg());
             } else {
                 self.suppressed += 1;
@@ -249,23 +225,19 @@ impl SimAuditor {
     /// `(time, seq)` key to strictly increase.
     fn observe_key(&mut self, time_us: u64, seq: u64) {
         self.events += 1;
-        if self.cfg.check_invariants {
-            let key = (time_us, seq);
-            if let Some(last) = self.last_key {
-                self.check(key > last, || {
-                    format!("event key {key:?} not after previous {last:?}")
-                });
-            }
-            self.last_key = Some(key);
+        let key = (time_us, seq);
+        if let Some(last) = self.last_key {
+            self.check(key > last, || {
+                format!("event key {key:?} not after previous {last:?}")
+            });
         }
+        self.last_key = Some(key);
     }
 
-    /// Fold `record` into the digest, if digesting.
+    /// Fold `record` into the digest.
     #[inline]
     fn fold(&mut self, record: &[u64]) {
-        if self.cfg.digest_events {
-            self.digest.write_all(record);
-        }
+        self.digest.write_all(record);
     }
 
     /// Consume one engine event. `(now_us, seq)` is the key of the event
@@ -338,46 +310,38 @@ impl SimAuditor {
             } => {
                 self.observe_key(now_us, seq);
                 self.fault_dups_seen += dup as u64;
-                if self.cfg.check_invariants {
-                    self.check(delivered == self.alive[to.index()], || {
-                        let fate = if delivered {
-                            "delivered to dead"
-                        } else {
-                            "dropped at live"
-                        };
-                        format!("message from {from:?} {fate} node {to:?} at {now_us}")
+                self.check(delivered == self.alive[to.index()], || {
+                    let fate = if delivered {
+                        "delivered to dead"
+                    } else {
+                        "dropped at live"
+                    };
+                    format!("message from {from:?} {fate} node {to:?} at {now_us}")
+                });
+                if dup {
+                    self.check(self.fault_dups_seen <= self.fault_dups_announced, || {
+                        format!(
+                            "duplicate delivery from {from:?} to {to:?} at {now_us} \
+                             without a matching fault-layer duplication event"
+                        )
                     });
-                    if dup {
-                        self.check(self.fault_dups_seen <= self.fault_dups_announced, || {
-                            format!(
-                                "duplicate delivery from {from:?} to {to:?} at {now_us} \
-                                 without a matching fault-layer duplication event"
-                            )
-                        });
-                    }
                 }
                 let (to, from) = (to.0 as u64, from.0 as u64);
                 self.fold(&[TAG_DELIVER, now_us, seq, to, from, delivered as u64]);
             }
             Event::TimerFired { node, tag, fired } => {
                 self.observe_key(now_us, seq);
-                if self.cfg.check_invariants {
-                    let mirror = self.alive[node.index()];
-                    self.check(fired == mirror, || {
-                        format!(
-                            "timer tag {tag} at {node:?}: fired={fired} but mirror alive={mirror}"
-                        )
-                    });
-                }
+                let mirror = self.alive[node.index()];
+                self.check(fired == mirror, || {
+                    format!("timer tag {tag} at {node:?}: fired={fired} but mirror alive={mirror}")
+                });
                 self.fold(&[TAG_TIMER, now_us, seq, node.0 as u64, tag, fired as u64]);
             }
             Event::QueryIssued { id, requester } => {
                 self.observe_key(now_us, seq);
-                if self.cfg.check_invariants {
-                    self.check(self.alive[requester.index()], || {
-                        format!("query {id} issued by dead node {requester:?} at {now_us}")
-                    });
-                }
+                self.check(self.alive[requester.index()], || {
+                    format!("query {id} issued by dead node {requester:?} at {now_us}")
+                });
                 self.fold(&[TAG_QUERY, now_us, seq, id as u64, requester.0 as u64]);
             }
             Event::ContentChanged {
@@ -425,12 +389,10 @@ impl SimAuditor {
     fn sent(&mut self, now_us: u64, from: PeerId, to: PeerId, class: MsgClass, bytes: u32) {
         self.sent_bytes[class.index()] += bytes as u64;
         self.sent_msgs[class.index()] += 1;
-        if self.cfg.check_invariants {
-            self.check(from != to, || format!("self-send at {from:?}"));
-            self.check(self.alive[from.index()], || {
-                format!("dead node {from:?} sent {class:?} at {now_us}")
-            });
-        }
+        self.check(from != to, || format!("self-send at {from:?}"));
+        self.check(self.alive[from.index()], || {
+            format!("dead node {from:?} sent {class:?} at {now_us}")
+        });
         let (from, to, class) = (from.0 as u64, to.0 as u64, class.index() as u64);
         self.fold(&[TAG_SEND, now_us, from, to, class, bytes as u64]);
     }
@@ -440,14 +402,12 @@ impl SimAuditor {
     fn flip(&mut self, time_us: u64, seq: u64, p: PeerId, alive: bool) {
         self.observe_key(time_us, seq);
         let legal = self.alive[p.index()] != alive;
-        if self.cfg.check_invariants {
-            let what = if alive {
-                "join of already-live"
-            } else {
-                "leave of already-dead"
-            };
-            self.check(legal, || format!("{what} node {p:?} at {time_us}"));
-        }
+        let what = if alive {
+            "join of already-live"
+        } else {
+            "leave of already-dead"
+        };
+        self.check(legal, || format!("{what} node {p:?} at {time_us}"));
         if legal {
             self.alive[p.index()] = alive;
             if alive {
@@ -462,9 +422,6 @@ impl SimAuditor {
     /// dead ⇒ degree 0, adjacency symmetric and self-loop-free, engine
     /// liveness identical to the mirror.
     pub fn check_overlay(&mut self, overlay: &Overlay, engine_alive: &[bool], engine_count: usize) {
-        if !self.cfg.check_invariants {
-            return;
-        }
         self.check(engine_alive == self.alive.as_slice(), || {
             "engine liveness map diverged from audit mirror".to_string()
         });
@@ -510,115 +467,111 @@ impl SimAuditor {
         faults: Option<&FaultStats>,
         adversary: Option<&AdversaryStats>,
     ) -> AuditReport {
-        if self.cfg.check_invariants {
-            // Robustness counters: the engine's ledger and the mirror saw
-            // the same `Ctx::count` calls and nothing else.
-            for s in RetryStat::ALL {
-                let (eng, mir) = (retry.get(s), self.retry_mirror.get(s));
-                self.check(eng == mir, || {
-                    format!("{} counter: engine {eng} != audit mirror {mir}", s.label())
-                });
-            }
-
-            // Fault statistics: every drop and duplication the layer counted
-            // must have been announced to the auditor, and none invented.
-            let (drops, partitioned, duplicated) = match faults {
-                Some(f) => (f.dropped, f.partitioned, f.duplicated),
-                None => (0, 0, 0),
-            };
-            let (md, mp, ma) = (
-                self.fault_drops,
-                self.fault_partition_drops,
-                self.fault_dups_announced,
-            );
-            self.check(drops == md, || {
-                format!("fault drops: layer {drops} != audit mirror {md}")
+        // Robustness counters: the engine's ledger and the mirror saw
+        // the same `Ctx::count` calls and nothing else.
+        for s in RetryStat::ALL {
+            let (eng, mir) = (retry.get(s), self.retry_mirror.get(s));
+            self.check(eng == mir, || {
+                format!("{} counter: engine {eng} != audit mirror {mir}", s.label())
             });
-            self.check(partitioned == mp, || {
-                format!("partition drops: layer {partitioned} != audit mirror {mp}")
-            });
-            self.check(duplicated == ma, || {
-                format!("duplications: layer {duplicated} != audit mirror {ma}")
-            });
-            // Stragglers past the horizon make "fewer seen" legal, never more.
-            let seen = self.fault_dups_seen;
-            self.check(seen <= ma, || {
-                format!("duplicate deliveries seen {seen} > announced {ma}")
-            });
-            // Adversary statistics: every absorption the layer counted must
-            // have been announced to the auditor, and none invented.
-            let absorbed = adversary.map_or(0, |a| a.absorbed);
-            let mirror_absorbed = self.adversary_absorbed;
-            self.check(absorbed == mirror_absorbed, || {
-                format!("adversary absorbs: layer {absorbed} != audit mirror {mirror_absorbed}")
-            });
-            // Per-class bytes and message counts must reconcile *exactly*:
-            // both sides saw the same `send` calls and nothing else.
-            let bytes = load.class_totals();
-            let msgs = load.class_message_totals();
-            for c in MsgClass::ALL {
-                let i = c.index();
-                let (sb, sm) = (self.sent_bytes[i], self.sent_msgs[i]);
-                self.check(bytes[i] == sb, || {
-                    format!(
-                        "{} bytes: recorder {} != audited sends {sb}",
-                        c.label(),
-                        bytes[i]
-                    )
-                });
-                self.check(msgs[i] == sm, || {
-                    format!(
-                        "{} messages: recorder {} != audited sends {sm}",
-                        c.label(),
-                        msgs[i]
-                    )
-                });
-            }
-            let total_msgs: u64 = self.sent_msgs.iter().sum();
-            self.check(messages_sent == total_msgs, || {
-                format!("engine messages_sent {messages_sent} != audited sends {total_msgs}")
-            });
-
-            // Ledger outcome consistency (success ⇒ in-range response time,
-            // issued = resolved + unanswered).
-            for v in ledger.check_consistency(end_time_us) {
-                self.push_violation(v);
-            }
-
-            // The live-peer step timeline must be monotone in time.
-            let steps = load.alive_steps();
-            for w in steps.windows(2) {
-                self.check(w[0].0 <= w[1].0, || {
-                    format!("alive timeline goes backwards: {:?} then {:?}", w[0], w[1])
-                });
-            }
-
-            self.check_overlay(overlay, engine_alive, engine_count);
         }
 
-        if self.cfg.digest_events {
-            // Final metrics: everything integral the replay harness pins.
-            self.digest
-                .write_all(&[TAG_FINAL, end_time_us, messages_sent]);
-            self.digest.write_all(&load.class_totals());
-            self.digest.write_all(&load.class_message_totals());
+        // Fault statistics: every drop and duplication the layer counted
+        // must have been announced to the auditor, and none invented.
+        let (drops, partitioned, duplicated) = match faults {
+            Some(f) => (f.dropped, f.partitioned, f.duplicated),
+            None => (0, 0, 0),
+        };
+        let (md, mp, ma) = (
+            self.fault_drops,
+            self.fault_partition_drops,
+            self.fault_dups_announced,
+        );
+        self.check(drops == md, || {
+            format!("fault drops: layer {drops} != audit mirror {md}")
+        });
+        self.check(partitioned == mp, || {
+            format!("partition drops: layer {partitioned} != audit mirror {mp}")
+        });
+        self.check(duplicated == ma, || {
+            format!("duplications: layer {duplicated} != audit mirror {ma}")
+        });
+        // Stragglers past the horizon make "fewer seen" legal, never more.
+        let seen = self.fault_dups_seen;
+        self.check(seen <= ma, || {
+            format!("duplicate deliveries seen {seen} > announced {ma}")
+        });
+        // Adversary statistics: every absorption the layer counted must
+        // have been announced to the auditor, and none invented.
+        let absorbed = adversary.map_or(0, |a| a.absorbed);
+        let mirror_absorbed = self.adversary_absorbed;
+        self.check(absorbed == mirror_absorbed, || {
+            format!("adversary absorbs: layer {absorbed} != audit mirror {mirror_absorbed}")
+        });
+        // Per-class bytes and message counts must reconcile *exactly*:
+        // both sides saw the same `send` calls and nothing else.
+        let bytes = load.class_totals();
+        let msgs = load.class_message_totals();
+        for c in MsgClass::ALL {
+            let i = c.index();
+            let (sb, sm) = (self.sent_bytes[i], self.sent_msgs[i]);
+            self.check(bytes[i] == sb, || {
+                format!(
+                    "{} bytes: recorder {} != audited sends {sb}",
+                    c.label(),
+                    bytes[i]
+                )
+            });
+            self.check(msgs[i] == sm, || {
+                format!(
+                    "{} messages: recorder {} != audited sends {sm}",
+                    c.label(),
+                    msgs[i]
+                )
+            });
+        }
+        let total_msgs: u64 = self.sent_msgs.iter().sum();
+        self.check(messages_sent == total_msgs, || {
+            format!("engine messages_sent {messages_sent} != audited sends {total_msgs}")
+        });
+
+        // Ledger outcome consistency (success ⇒ in-range response time,
+        // issued = resolved + unanswered).
+        for v in ledger.check_consistency(end_time_us) {
+            self.push_violation(v);
+        }
+
+        // The live-peer step timeline must be monotone in time.
+        let steps = load.alive_steps();
+        for w in steps.windows(2) {
+            self.check(w[0].0 <= w[1].0, || {
+                format!("alive timeline goes backwards: {:?} then {:?}", w[0], w[1])
+            });
+        }
+
+        self.check_overlay(overlay, engine_alive, engine_count);
+
+        // Final metrics: everything integral the replay harness pins.
+        self.digest
+            .write_all(&[TAG_FINAL, end_time_us, messages_sent]);
+        self.digest.write_all(&load.class_totals());
+        self.digest.write_all(&load.class_message_totals());
+        self.digest.write_all(&[
+            ledger.num_queries() as u64,
+            ledger.num_succeeded() as u64,
+            ledger.num_unanswered() as u64,
+        ]);
+        for (id, rec) in ledger.records_with_ids() {
             self.digest.write_all(&[
-                ledger.num_queries() as u64,
-                ledger.num_succeeded() as u64,
-                ledger.num_unanswered() as u64,
+                id as u64,
+                rec.issue_us,
+                rec.first_answer_us.map_or(u64::MAX, |t| t),
+                rec.answers as u64,
             ]);
-            for (id, rec) in ledger.records_with_ids() {
-                self.digest.write_all(&[
-                    id as u64,
-                    rec.issue_us,
-                    rec.first_answer_us.map_or(u64::MAX, |t| t),
-                    rec.answers as u64,
-                ]);
-            }
-            for (i, &a) in engine_alive.iter().enumerate() {
-                if a {
-                    self.digest.write_u64(i as u64);
-                }
+        }
+        for (i, &a) in engine_alive.iter().enumerate() {
+            if a {
+                self.digest.write_u64(i as u64);
             }
         }
 
@@ -627,11 +580,7 @@ impl SimAuditor {
             suppressed: self.suppressed,
             checks: self.checks,
             events: self.events,
-            digest: if self.cfg.digest_events {
-                self.digest.finish()
-            } else {
-                0
-            },
+            digest: self.digest.finish(),
         }
     }
 }
@@ -707,7 +656,7 @@ mod tests {
 
     #[test]
     fn delivery_to_dead_node_is_flagged() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, false]);
+        let mut a = SimAuditor::new(&[true, false]);
         a.observe(10, 0, &deliver(1, 0, true, false));
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("dead node"));
@@ -715,7 +664,7 @@ mod tests {
 
     #[test]
     fn drop_at_live_node_is_flagged() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        let mut a = SimAuditor::new(&[true, true]);
         a.observe(10, 0, &deliver(1, 0, false, false));
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("dropped at live node"));
@@ -723,13 +672,13 @@ mod tests {
 
     #[test]
     fn non_monotone_keys_are_flagged() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        let mut a = SimAuditor::new(&[true, true]);
         a.observe(10, 5, &deliver(1, 0, true, false));
         a.observe(10, 4, &deliver(0, 1, true, false)); // same time, seq back
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("not after"));
         // Equal times with increasing seq are fine.
-        let mut b = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        let mut b = SimAuditor::new(&[true, true]);
         b.observe(10, 5, &deliver(1, 0, true, false));
         b.observe(10, 6, &deliver(0, 1, true, false));
         assert!(b.violations.is_empty());
@@ -737,7 +686,7 @@ mod tests {
 
     #[test]
     fn join_leave_mirror_tracks_and_flags_illegal_flips() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, false]);
+        let mut a = SimAuditor::new(&[true, false]);
         a.observe(5, 0, &Event::Join { peer: PeerId(1) });
         assert!(a.violations.is_empty());
         a.observe(6, 1, &Event::Join { peer: PeerId(1) }); // already live
@@ -752,34 +701,18 @@ mod tests {
 
     #[test]
     fn violation_cap_suppresses_formatting() {
-        let cfg = AuditConfig {
-            max_violations: 2,
-            ..AuditConfig::default()
-        };
-        let mut a = SimAuditor::new(cfg, &[false]);
-        for i in 0..5 {
+        let mut a = SimAuditor::new(&[false]);
+        let over = MAX_VIOLATIONS as u64 + 3;
+        for i in 0..over {
             a.observe(i, i, &deliver(0, 0, true, false));
         }
-        assert_eq!(a.violations.len(), 2);
+        assert_eq!(a.violations.len(), MAX_VIOLATIONS);
         assert_eq!(a.suppressed, 3);
     }
 
     #[test]
-    fn disabled_checks_still_digest() {
-        let cfg = AuditConfig {
-            check_invariants: false,
-            ..AuditConfig::default()
-        };
-        let mut a = SimAuditor::new(cfg, &[false]);
-        a.observe(1, 0, &deliver(0, 0, true, false)); // would violate
-        assert!(a.violations.is_empty());
-        assert_eq!(a.events, 1);
-        assert_ne!(a.digest, Fnv64::new());
-    }
-
-    #[test]
     fn unannounced_duplicate_delivery_is_flagged() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        let mut a = SimAuditor::new(&[true, true]);
         a.observe(10, 0, &deliver(1, 0, true, true));
         assert_eq!(a.violations.len(), 1);
         assert!(a.violations[0].contains("without a matching fault-layer duplication event"));
@@ -787,7 +720,7 @@ mod tests {
 
     #[test]
     fn announced_duplicate_delivery_is_clean() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        let mut a = SimAuditor::new(&[true, true]);
         a.observe(
             5,
             0,
@@ -816,7 +749,7 @@ mod tests {
             h
         };
         let observed = |ev: Event| {
-            let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+            let mut a = SimAuditor::new(&[true, true]);
             a.observe(5, 0, &ev);
             assert!(a.violations.is_empty(), "{:?}", a.violations);
             assert_eq!((a.sent_msgs[Q.index()], a.sent_bytes[Q.index()]), (1, 40));
@@ -842,7 +775,7 @@ mod tests {
 
     #[test]
     fn ignored_events_change_nothing() {
-        let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+        let mut a = SimAuditor::new(&[true, true]);
         for ev in [
             Event::TimerSet {
                 node: PeerId(0),
@@ -865,7 +798,7 @@ mod tests {
     #[test]
     fn fault_records_change_the_digest_only_when_faults_fire() {
         let stream = |fault: bool| {
-            let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+            let mut a = SimAuditor::new(&[true, true]);
             if fault {
                 a.observe(5, 0, &fault_drop(false));
             } else {
@@ -881,7 +814,7 @@ mod tests {
     #[test]
     fn counter_mirror_reconciles_in_finish() {
         let finish_with = |mirror_hits: u32, engine_hits: u32| {
-            let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
+            let mut a = SimAuditor::new(&[true; 4]);
             for _ in 0..mirror_hits {
                 a.observe(
                     0,
@@ -906,7 +839,7 @@ mod tests {
     #[test]
     fn fault_stats_mirror_reconciles_in_finish() {
         let finish_with = |announce: bool| {
-            let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
+            let mut a = SimAuditor::new(&[true; 4]);
             if announce {
                 a.observe(5, 0, &fault_drop(false));
             }
@@ -925,7 +858,7 @@ mod tests {
     #[test]
     fn adversary_stats_mirror_reconciles_in_finish() {
         let finish_with = |announce: bool| {
-            let mut a = SimAuditor::new(AuditConfig::default(), &[true; 4]);
+            let mut a = SimAuditor::new(&[true; 4]);
             if announce {
                 a.observe(5, 0, &ABSORB);
             }
@@ -948,7 +881,7 @@ mod tests {
     #[test]
     fn absorb_records_change_the_digest_only_when_they_fire() {
         let stream = |absorbed: bool| {
-            let mut a = SimAuditor::new(AuditConfig::default(), &[true, true]);
+            let mut a = SimAuditor::new(&[true, true]);
             if absorbed {
                 a.observe(5, 0, &ABSORB);
             } else {

@@ -55,7 +55,7 @@ pub use asap_overlay::codec::{
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"ASAPCKPT";
 /// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 /// Trailing checksum width (FNV-1a 64 over the body).
 const TRAILER: usize = 8;
 /// Upper bound on the ledger's raw slot vector accepted at decode time.
@@ -205,7 +205,7 @@ impl Codec for FaultState {
 /// [`QueryLedger::from_parts`] takes.
 type LedgerRow = (u32, u64, Option<u64>, u32);
 
-/// What section [13] holds for an attached adversary layer; the role map is
+/// What section [12] holds for an attached adversary layer; the role map is
 /// re-derived from `(plan, num_peers, run_seed)` at decode.
 type AdversaryParts = (AdversaryPlan, AdversaryStats);
 
@@ -329,7 +329,7 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
     }
 
     /// Everything the trailing checksum covers: preamble, header, sections
-    /// [1]–[14].
+    /// [1]–[13].
     fn encode_body(&self, enc: &mut Encoder) {
         let ctx = &self.ctx;
         enc.put_bytes(&MAGIC);
@@ -372,19 +372,17 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
             .map(|(id, r)| (id, r.issue_us, r.first_answer_us, r.answers))
             .collect();
         rows.put(enc);
-        // [8] Robustness counters, [9] send counter, [10] engine profile.
-        // [9] repeats [10]'s `sends`, the engine's one send counter; decode
-        // rejects a mismatch.
+        // [8] Robustness counters, [9] engine profile (whose `sends` is the
+        // engine's one send counter).
         ctx.retry.counts().put(enc);
-        ctx.profile.sends.put(enc);
         ctx.profile.put(enc);
-        // [11] Auditor, [12] fault layer, [13] adversary layer (all optional).
+        // [10] Auditor, [11] fault layer, [12] adversary layer (all optional).
         ctx.audit.put(enc);
         ctx.faults.put(enc);
         let adversary = ctx.adversary.as_deref();
         let adversary: Option<AdversaryParts> = adversary.map(|a| (a.plan().clone(), *a.stats()));
         adversary.put(enc);
-        // [14] Protocol dynamic state.
+        // [13] Protocol dynamic state.
         self.protocol.encode_state(enc);
     }
 
@@ -498,24 +496,18 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         if !ledger.check_consistency(header.now_us).is_empty() {
             return Err(CodecError::Invalid("query ledger breaks its invariants"));
         }
-        // [8] Robustness counters, [9] send counter, [10] engine profile.
+        // [8] Robustness counters, [9] engine profile.
         let retry = RetryCounters::from_counts(Codec::pull(&mut dec)?);
-        let messages_sent = u64::pull(&mut dec)?;
         let profile = EngineProfile::pull(&mut dec)?;
-        if messages_sent != profile.sends {
-            return Err(CodecError::Invalid(
-                "send counter disagrees with engine profile",
-            ));
-        }
-        // [11] Auditor.
+        // [10] Auditor.
         let audit: Option<Box<SimAuditor>> = Codec::pull(&mut dec)?;
         if audit.as_ref().is_some_and(|a| a.mirror_len() != num_peers) {
             return Err(CodecError::Invalid("auditor liveness mirror size mismatch"));
         }
-        // [12] Fault layer, [13] adversary layer.
+        // [11] Fault layer, [12] adversary layer.
         let faults: Option<Box<FaultState>> = Codec::pull(&mut dec)?;
         let adversary: Option<AdversaryParts> = Codec::pull(&mut dec)?;
-        // [14] Protocol dynamic state.
+        // [13] Protocol dynamic state.
         sim.protocol.decode_state(&mut dec)?;
         dec.finish()?;
 

@@ -474,8 +474,8 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> SimBuilder<'a, P, C> {
     /// Enable the invariant auditor for this run; the resulting
     /// [`SimReport::audit`] carries violations, check counts, and the
     /// event-stream digest. See [`crate::audit`] for what is checked.
-    pub fn audit(mut self, cfg: AuditConfig) -> Self {
-        self.sim.attach_audit(cfg);
+    pub fn audit(mut self, _: AuditConfig) -> Self {
+        self.sim.attach_audit();
         self
     }
 
@@ -644,8 +644,8 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         }
     }
 
-    fn attach_audit(&mut self, cfg: AuditConfig) {
-        self.ctx.audit = Some(Box::new(SimAuditor::new(cfg, &self.ctx.alive)));
+    fn attach_audit(&mut self) {
+        self.ctx.audit = Some(Box::new(SimAuditor::new(&self.ctx.alive)));
     }
 
     fn attach_faults(&mut self, plan: FaultPlan) {

@@ -123,6 +123,19 @@ impl<K: Hash + Eq + Copy + Codec> Codec for SeenTracker<K> {
     }
 }
 
+impl<K: Hash + Eq + Copy + Codec> SeenTracker<K> {
+    /// Decode a tracker its owner runs with `window`: the window is the
+    /// protocol's constant, so a checkpoint carrying another one is refused
+    /// rather than resumed under a different eviction policy.
+    pub fn pull_window(dec: &mut Decoder<'_>, window: usize) -> Result<Self, CodecError> {
+        let tracker = Self::pull(dec)?;
+        if tracker.window != window {
+            return Err(CodecError::Invalid("seen window is not the protocol's"));
+        }
+        Ok(tracker)
+    }
+}
+
 /// Capped exponential backoff with a bounded retry budget: the universal
 /// retransmission pacer for protocol robustness under loss. Pure integer
 /// arithmetic (this module is inside lint rule R3's no-float scope).

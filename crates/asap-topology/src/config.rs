@@ -3,9 +3,9 @@
 /// Parameters of the GT-ITM transit-stub construction.
 ///
 /// The paper's instance: 9 transit domains averaging 16 transit nodes each;
-/// every transit node hangs 9 stub domains averaging 40 stub nodes; edge
-/// probabilities 0.6 (intra-transit) and 0.4 (intra-stub); latencies 50 / 20 /
-/// 5 / 2 ms by tier. That yields 144 + 51,840 = 51,984 physical nodes.
+/// every transit node hangs 9 stub domains averaging 40 stub nodes. That
+/// yields 144 + 51,840 = 51,984 physical nodes. Edge probabilities and link
+/// latencies are the paper's at every size: constants in [`crate::gtitm`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitStubConfig {
     /// Number of transit domains (fully connected at the top level).
@@ -16,18 +16,6 @@ pub struct TransitStubConfig {
     pub stub_domains_per_transit_node: u32,
     /// Stub nodes per stub domain.
     pub stub_nodes_per_domain: u32,
-    /// Probability of an edge between two transit nodes of one domain.
-    pub p_transit_edge: f64,
-    /// Probability of an edge between two stub nodes of one stub domain.
-    pub p_stub_edge: f64,
-    /// Latency of an inter-transit-domain link, µs (paper: 50 ms).
-    pub lat_inter_transit_us: u64,
-    /// Latency of a link between two transit nodes in one domain, µs (20 ms).
-    pub lat_intra_transit_us: u64,
-    /// Latency of a transit-node → stub-node link, µs (5 ms).
-    pub lat_transit_stub_us: u64,
-    /// Latency of a link between two stub nodes in one domain, µs (2 ms).
-    pub lat_intra_stub_us: u64,
     /// RNG seed for edge sampling.
     pub seed: u64,
     /// Wire each stub domain from its own derived RNG stream (seeded from
@@ -49,12 +37,6 @@ impl TransitStubConfig {
             transit_nodes_per_domain: 16,
             stub_domains_per_transit_node: 9,
             stub_nodes_per_domain: 40,
-            p_transit_edge: 0.6,
-            p_stub_edge: 0.4,
-            lat_inter_transit_us: 50_000,
-            lat_intra_transit_us: 20_000,
-            lat_transit_stub_us: 5_000,
-            lat_intra_stub_us: 2_000,
             seed,
             stream_stub_domains: false,
         }
@@ -114,9 +96,8 @@ impl TransitStubConfig {
     }
 
     /// Panic with a clear message when a parameter is degenerate, when the
-    /// node ids would not fit a `u32`, when a stub domain is too large for
-    /// the oracle's `u16` hop tables, or when a link latency would not fit
-    /// the graph's `u32` µs weights.
+    /// node ids would not fit a `u32`, or when a stub domain is too large for
+    /// the oracle's `u16` hop tables.
     pub fn validate(&self) {
         assert!(
             self.transit_domains >= 1,
@@ -139,25 +120,10 @@ impl TransitStubConfig {
             u16::MAX
         );
         assert!(
-            (0.0..=1.0).contains(&self.p_transit_edge) && (0.0..=1.0).contains(&self.p_stub_edge),
-            "edge probabilities must be in [0, 1]"
-        );
-        assert!(
             self.node_count() <= u64::from(u32::MAX),
             "{} physical nodes overflow the u32 node ids (at most {})",
             self.node_count(),
             u32::MAX
-        );
-        assert!(
-            [
-                self.lat_inter_transit_us,
-                self.lat_intra_transit_us,
-                self.lat_transit_stub_us,
-                self.lat_intra_stub_us,
-            ]
-            .iter()
-            .all(|&us| us <= u64::from(u32::MAX)),
-            "link latencies must fit u32 µs"
         );
     }
 }
@@ -242,22 +208,6 @@ mod tests {
         // hops apart.
         let mut c = TransitStubConfig::reduced(0);
         c.stub_nodes_per_domain = u32::from(u16::MAX) + 1;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "latencies must fit u32")]
-    fn validate_rejects_latency_beyond_u32() {
-        let mut c = TransitStubConfig::reduced(0);
-        c.lat_inter_transit_us = u64::from(u32::MAX) + 1;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "probabilities")]
-    fn validate_rejects_bad_probability() {
-        let mut c = TransitStubConfig::reduced(0);
-        c.p_stub_edge = 1.5;
         c.validate();
     }
 }

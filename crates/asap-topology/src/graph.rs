@@ -68,11 +68,6 @@ pub struct Hierarchy {
     /// list is its "core index" used by the oracle's transit APSP.
     pub(crate) transit_nodes: Vec<PhysNodeId>,
     pub(crate) stub_domains: Vec<StubDomainInfo>,
-    /// Intra-stub link latency (µs), uniform per the model — lets the oracle
-    /// turn BFS hop counts into time.
-    pub lat_intra_stub_us: u64,
-    /// Transit→stub uplink latency (µs).
-    pub lat_transit_stub_us: u64,
 }
 
 impl Hierarchy {
@@ -217,8 +212,6 @@ mod tests {
             kinds,
             transit_nodes: vec![PhysNodeId(0)],
             stub_domains: vec![stub],
-            lat_intra_stub_us: 2_000,
-            lat_transit_stub_us: 5_000,
         };
         PhysGraph::new(
             h,

@@ -3,12 +3,12 @@
 //!
 //! Construction, in id order:
 //! 1. Transit nodes, domain-major. Inside each domain every pair is linked
-//!    with probability `p_transit_edge` at 20 ms; domains left disconnected
+//!    with probability [`P_TRANSIT_EDGE`] at 20 ms; domains left disconnected
 //!    by sampling are repaired with extra intra-domain edges.
 //! 2. The transit domains form a complete graph at the top level: for every
 //!    domain pair one 50 ms edge between a random transit node of each.
 //! 3. Per transit node, `stub_domains_per_transit_node` stub domains. Inside
-//!    each, pairs link with probability `p_stub_edge` at 2 ms (repaired to
+//!    each, pairs link with probability [`P_STUB_EDGE`] at 2 ms (repaired to
 //!    connectivity), and one random member (the *gateway*) gets the 5 ms
 //!    uplink to the parent transit node.
 //!
@@ -21,6 +21,22 @@ use crate::graph::{Edge, Hierarchy, NodeKind, PhysGraph, PhysNodeId, StubDomainI
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Probability of an edge between two transit nodes of one domain (paper
+/// §IV-A: 0.6).
+pub const P_TRANSIT_EDGE: f64 = 0.6;
+/// Probability of an edge between two stub nodes of one stub domain (paper
+/// §IV-A: 0.4).
+pub const P_STUB_EDGE: f64 = 0.4;
+/// Latency of an inter-transit-domain link, µs (paper §IV-A: 50 ms).
+pub const LAT_INTER_TRANSIT_US: u32 = 50_000;
+/// Latency of a link between two transit nodes in one domain, µs (20 ms).
+pub const LAT_INTRA_TRANSIT_US: u32 = 20_000;
+/// Latency of a transit-node → stub-node link, µs (5 ms).
+pub const LAT_TRANSIT_STUB_US: u32 = 5_000;
+/// Latency of a link between two stub nodes in one domain, µs (2 ms). The
+/// oracle turns intra-stub hop counts into time with it.
+pub const LAT_INTRA_STUB_US: u32 = 2_000;
+
 /// Salt of the per-stub-domain child streams used by the streamed generator
 /// (`TransitStubConfig::stream_stub_domains`). Each domain `sd` draws from
 /// `seed ^ SALT ^ splitmix64(sd)`, so domains are mutually independent and
@@ -32,7 +48,6 @@ const STUB_STREAM_SALT: u64 = 0x57B0_D0A1_17E5_EED5;
 pub fn generate(config: &TransitStubConfig) -> PhysGraph {
     config.validate();
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5EED_7090_1061);
-    let us = |lat: u64| u32::try_from(lat).expect("validate bounds every latency by u32::MAX");
 
     let n_transit = (config.transit_domains * config.transit_nodes_per_domain) as usize;
     let n_stub_domains = n_transit * config.stub_domains_per_transit_node as usize;
@@ -74,8 +89,8 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
             &mut edges,
             d * config.transit_nodes_per_domain,
             config.transit_nodes_per_domain as usize,
-            config.p_transit_edge,
-            us(config.lat_intra_transit_us),
+            P_TRANSIT_EDGE,
+            LAT_INTRA_TRANSIT_US,
             &mut rng,
         );
     }
@@ -85,7 +100,7 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
         for d2 in (d1 + 1)..config.transit_domains {
             let a = random_transit_of_domain(config, d1, &mut rng);
             let b = random_transit_of_domain(config, d2, &mut rng);
-            edges.push((a, b, us(config.lat_inter_transit_us)));
+            edges.push((a, b, LAT_INTER_TRANSIT_US));
         }
     }
 
@@ -107,24 +122,18 @@ pub fn generate(config: &TransitStubConfig) -> PhysGraph {
             &mut edges,
             info.members.start,
             len,
-            config.p_stub_edge,
-            us(config.lat_intra_stub_us),
+            P_STUB_EDGE,
+            LAT_INTRA_STUB_US,
             r,
         );
         info.gateway = PhysNodeId(info.members.start + r.gen_range(0..len) as u32);
-        edges.push((
-            info.parent_transit,
-            info.gateway,
-            us(config.lat_transit_stub_us),
-        ));
+        edges.push((info.parent_transit, info.gateway, LAT_TRANSIT_STUB_US));
     }
 
     let hierarchy = Hierarchy {
         kinds,
         transit_nodes,
         stub_domains,
-        lat_intra_stub_us: config.lat_intra_stub_us,
-        lat_transit_stub_us: config.lat_transit_stub_us,
     };
     PhysGraph::new(hierarchy, &edges)
 }

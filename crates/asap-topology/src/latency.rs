@@ -29,6 +29,7 @@
 //! ```
 
 use crate::graph::{Hierarchy, NodeKind, PhysGraph, PhysNodeId, StubDomainInfo};
+use crate::gtitm::{LAT_INTRA_STUB_US, LAT_TRANSIT_STUB_US};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
@@ -159,8 +160,8 @@ impl LatencyOracle {
         let local = sd.local_index(node);
         let gateway = sd.local_index(sd.gateway);
         let exit_us = self.stub_pair_hops(stub_domain, sd.len(), local, gateway)
-            * h.lat_intra_stub_us
-            + h.lat_transit_stub_us;
+            * u64::from(LAT_INTRA_STUB_US)
+            + u64::from(LAT_TRANSIT_STUB_US);
         // lint: allow(release-assert, reason=construction-time validation; coordinates are resolved once per peer before any event dispatch)
         assert!(
             exit_us <= u64::from(u32::MAX),
@@ -180,7 +181,7 @@ impl LatencyOracle {
         if a.stub_domain == b.stub_domain && a.stub_domain != NO_STUB {
             let len = h.stub_domain(a.stub_domain).len();
             let hops = self.stub_pair_hops(a.stub_domain, len, a.local as usize, b.local as usize);
-            return hops * h.lat_intra_stub_us;
+            return hops * u64::from(LAT_INTRA_STUB_US);
         }
         u64::from(a.exit_us)
             + self.transit_pair(a.transit as usize, b.transit as usize)
@@ -378,8 +379,6 @@ mod tests {
                 gateway: PhysNodeId(1),
                 members: 1..1 + len as u32,
             }],
-            lat_intra_stub_us: 2_000,
-            lat_transit_stub_us: 5_000,
         };
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut edges = vec![(PhysNodeId(0), PhysNodeId(1), 5_000)];
@@ -439,7 +438,7 @@ mod tests {
                         let sd = h.stub_domain(da);
                         let hops =
                             self.stub_pair_hops(da, sd.len(), sd.local_index(a), sd.local_index(b));
-                        hops * h.lat_intra_stub_us
+                        hops * u64::from(LAT_INTRA_STUB_US)
                     } else {
                         self.stub_exit(h, da, a)
                             + self.transit_pair(
@@ -462,7 +461,7 @@ mod tests {
                 sd.local_index(node),
                 sd.local_index(sd.gateway),
             );
-            hops * h.lat_intra_stub_us + h.lat_transit_stub_us
+            hops * u64::from(LAT_INTRA_STUB_US) + u64::from(LAT_TRANSIT_STUB_US)
         }
 
         fn transit_to_stub(&self, h: &Hierarchy, t: PhysNodeId, domain: u32, s: PhysNodeId) -> u64 {

@@ -102,7 +102,10 @@ impl HeterogeneityPack {
     }
 }
 
-/// Parameters of the synthetic eDonkey-like workload.
+/// Parameters of the synthetic eDonkey-like workload. The parameters every
+/// scale shares are constants beside their readers: the class, sharing and
+/// keyword shape in [`crate::content`], the arrival rate and query length
+/// in [`crate::trace`].
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of P2P peers (paper: 10,000).
@@ -116,26 +119,6 @@ pub struct WorkloadConfig {
     pub joins: usize,
     /// Node departure events (paper: 1,000).
     pub leaves: usize,
-    /// Poisson request arrival rate, requests per second (paper: λ = 8).
-    pub arrival_rate_hz: f64,
-    /// Fraction of peers sharing nothing (free riders). Saroiu et al.'s
-    /// measurements motivate ~¼.
-    pub free_rider_fraction: f64,
-    /// Mean shared documents per sharing peer (eDonkey: 923k files / 37k
-    /// peers ≈ 25).
-    pub mean_docs_per_sharer: f64,
-    /// Probability a placed document replicates an existing one rather than
-    /// being new. 0.22 yields the paper's ≈ 1.28 copies/doc with ≈ 89 %
-    /// singletons (validated in tests).
-    pub replica_prob: f64,
-    /// Number of semantic classes (paper: 14).
-    pub classes: usize,
-    /// Zipf exponent for class popularity (shapes Fig. 2/3's skew).
-    pub class_zipf_s: f64,
-    /// Keywords per document, inclusive range.
-    pub keywords_per_doc: (usize, usize),
-    /// Query terms drawn from the target document, inclusive range.
-    pub query_terms: (usize, usize),
     /// Distinct keywords in each class's vocabulary.
     pub vocab_per_class: usize,
     /// Heterogeneity knobs (inert by default; see [`HeterogeneityPack`]).
@@ -153,14 +136,6 @@ impl WorkloadConfig {
             content_change_fraction: 0.10,
             joins: 1_000,
             leaves: 1_000,
-            arrival_rate_hz: 8.0,
-            free_rider_fraction: 0.25,
-            mean_docs_per_sharer: 25.0,
-            replica_prob: 0.22,
-            classes: 14,
-            class_zipf_s: 0.95,
-            keywords_per_doc: (3, 8),
-            query_terms: (2, 4),
             vocab_per_class: 2_000,
             pack: HeterogeneityPack::inert(),
             seed,
@@ -190,23 +165,8 @@ impl WorkloadConfig {
             "joiners are drawn from the peer population"
         );
         assert!(
-            (0.0..=1.0).contains(&self.content_change_fraction)
-                && (0.0..=1.0).contains(&self.free_rider_fraction)
-                && (0.0..=1.0).contains(&self.replica_prob),
-            "fractions must be in [0, 1]"
-        );
-        assert!(self.arrival_rate_hz > 0.0, "arrival rate must be positive");
-        assert!(
-            self.classes >= 1 && self.classes <= 16,
-            "classes must fit the InterestSet bitmask"
-        );
-        assert!(
-            self.keywords_per_doc.0 >= 1 && self.keywords_per_doc.0 <= self.keywords_per_doc.1,
-            "bad keywords_per_doc range"
-        );
-        assert!(
-            self.query_terms.0 >= 1 && self.query_terms.0 <= self.query_terms.1,
-            "bad query_terms range"
+            (0.0..=1.0).contains(&self.content_change_fraction),
+            "content_change_fraction must be in [0, 1]"
         );
         self.pack.validate();
     }
@@ -236,14 +196,6 @@ mod tests {
         c.validate();
         assert!(c.joins >= 2);
         assert!(c.vocab_per_class >= 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "classes")]
-    fn too_many_classes_rejected() {
-        let mut c = WorkloadConfig::paper_default(1);
-        c.classes = 17;
-        c.validate();
     }
 
     #[test]

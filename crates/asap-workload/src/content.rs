@@ -4,16 +4,16 @@
 //! tests):
 //!
 //! 1. Class popularity is Zipf-skewed over the 14 classes (Fig. 2/3 shape).
-//! 2. Each peer is a free rider with probability `free_rider_fraction`;
+//! 2. Each peer is a free rider with probability [`FREE_RIDER_FRACTION`];
 //!    sharers draw 1–3 interest classes (primary from the Zipf, extras
 //!    uniform) — the paper's *interest clustering* assumption. Free riders
 //!    get 1–3 random interests ("assigned randomly").
 //! 3. Each sharer places `1 + Geometric` documents. A placement is a
 //!    *replica* of an existing document from the peer's interest classes
-//!    with probability `replica_prob` (chosen from the class placement pool,
+//!    with probability [`REPLICA_PROB`] (chosen from the class placement pool,
 //!    i.e. preferentially by current copy count), otherwise a fresh document
 //!    whose keywords come from its class vocabulary (Zipf-weighted ranks).
-//!    `replica_prob = 0.22` reproduces the eDonkey trace statistics the
+//!    `REPLICA_PROB = 0.22` reproduces the eDonkey trace statistics the
 //!    paper cites: ≈ 1.28 copies per document, ≈ 89 % singletons.
 
 use crate::config::WorkloadConfig;
@@ -23,6 +23,27 @@ use crate::zipf::{geometric, Zipf};
 use asap_overlay::PeerId;
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// Number of semantic classes (paper: 14).
+pub const CLASSES: usize = 14;
+const _: () = assert!(
+    CLASSES >= 1 && CLASSES <= 16,
+    "classes must fit the InterestSet bitmask"
+);
+/// Zipf exponent for class popularity (shapes Fig. 2/3's skew).
+pub const CLASS_ZIPF_S: f64 = 0.95;
+/// Fraction of peers sharing nothing (free riders). Saroiu et al.'s
+/// measurements motivate ~¼.
+pub const FREE_RIDER_FRACTION: f64 = 0.25;
+/// Mean shared documents per sharing peer (eDonkey: 923k files / 37k peers
+/// ≈ 25).
+pub const MEAN_DOCS_PER_SHARER: f64 = 25.0;
+/// Probability a placed document replicates an existing one rather than
+/// being new. 0.22 yields the paper's ≈ 1.28 copies/doc with ≈ 89 %
+/// singletons (validated in tests).
+pub const REPLICA_PROB: f64 = 0.22;
+/// Keywords per document, inclusive range.
+pub const KEYWORDS_PER_DOC: (usize, usize) = (3, 8);
 
 /// One document: its semantic class and sorted, distinct keyword set, as a
 /// view into the catalogue's arenas.
@@ -134,30 +155,30 @@ impl ContentModel {
 
 /// Generate the content model.
 pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentModel {
-    let class_pop = Zipf::new(config.classes, config.class_zipf_s);
+    let class_pop = Zipf::new(CLASSES, CLASS_ZIPF_S);
     let word_rank = Zipf::new(config.vocab_per_class, 1.0);
-    let vocab = Vocabulary::for_classes(config.classes, config.vocab_per_class);
+    let vocab = Vocabulary::for_classes(CLASSES, config.vocab_per_class);
 
     // Interests.
     let mut interests = Vec::with_capacity(config.peers);
     let mut free_rider = Vec::with_capacity(config.peers);
     for _ in 0..config.peers {
-        let is_fr = rng.gen_bool(config.free_rider_fraction);
+        let is_fr = rng.gen_bool(FREE_RIDER_FRACTION);
         free_rider.push(is_fr);
         let mut set = InterestSet::EMPTY;
         if is_fr {
             // "The interests of free-riding nodes are assigned randomly."
             let n = rng.gen_range(1..=3);
             while set.len() < n {
-                set.insert(ClassId(rng.gen_range(0..config.classes as u8)));
+                set.insert(ClassId(rng.gen_range(0..CLASSES as u8)));
             }
         } else {
             set.insert(ClassId(class_pop.sample(rng) as u8));
             if rng.gen_bool(0.5) {
-                set.insert(ClassId(rng.gen_range(0..config.classes as u8)));
+                set.insert(ClassId(rng.gen_range(0..CLASSES as u8)));
             }
             if rng.gen_bool(0.15) {
-                set.insert(ClassId(rng.gen_range(0..config.classes as u8)));
+                set.insert(ClassId(rng.gen_range(0..CLASSES as u8)));
             }
         }
         interests.push(set);
@@ -171,9 +192,9 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
     let mut classes: Vec<ClassId> = Vec::new();
     let mut starts: Vec<u32> = vec![0];
     let mut keywords: Vec<KeywordId> = Vec::new();
-    let mut class_docs: Vec<Vec<DocId>> = vec![Vec::new(); config.classes];
+    let mut class_docs: Vec<Vec<DocId>> = vec![Vec::new(); CLASSES];
     // Per class: documents with unfilled copy quota (doc, copies remaining).
-    let mut open_pool: Vec<Vec<(DocId, u32)>> = vec![Vec::new(); config.classes];
+    let mut open_pool: Vec<Vec<(DocId, u32)>> = vec![Vec::new(); CLASSES];
     let mut initial_holdings: Vec<Vec<DocId>> = vec![Vec::new(); config.peers];
 
     for p in 0..config.peers {
@@ -181,11 +202,11 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
             continue;
         }
         let my_interests: Vec<ClassId> = interests[p].iter().collect();
-        let n_docs = 1 + geometric(config.mean_docs_per_sharer - 1.0, rng);
+        let n_docs = 1 + geometric(MEAN_DOCS_PER_SHARER - 1.0, rng);
         for _ in 0..n_docs {
             let class = my_interests[rng.gen_range(0..my_interests.len())];
             let pool = &mut open_pool[class.index()];
-            let doc_id = if rng.gen_bool(config.replica_prob) && !pool.is_empty() {
+            let doc_id = if rng.gen_bool(REPLICA_PROB) && !pool.is_empty() {
                 // Replica: fill a random open quota of this class.
                 let slot = rng.gen_range(0..pool.len());
                 let (id, _) = pool[slot];
@@ -222,7 +243,7 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
         initial_holdings,
         interests,
         class_docs,
-        num_classes: config.classes,
+        num_classes: CLASSES,
     }
 }
 
@@ -248,7 +269,7 @@ fn make_document(
     rng: &mut SmallRng,
     arena: &mut Vec<KeywordId>,
 ) {
-    let (lo, hi) = config.keywords_per_doc;
+    let (lo, hi) = KEYWORDS_PER_DOC;
     let n = rng.gen_range(lo..=hi).min(config.vocab_per_class);
     let start = arena.len();
     let mut guard = 0;
@@ -361,7 +382,7 @@ mod tests {
         assert_eq!(m.starts.len(), m.num_docs() + 1);
         assert_eq!(*m.starts.last().unwrap() as usize, m.keywords.len());
         for d in (0..m.num_docs() as u32).map(|d| m.doc(DocId(d))) {
-            assert!(!d.keywords.is_empty() && d.keywords.len() <= cfg.keywords_per_doc.1);
+            assert!(!d.keywords.is_empty() && d.keywords.len() <= KEYWORDS_PER_DOC.1);
             assert!(d.keywords.windows(2).all(|w| w[0] < w[1]));
             let base = d.class.index() * cfg.vocab_per_class;
             for kw in d.keywords {

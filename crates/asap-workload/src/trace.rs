@@ -14,6 +14,11 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// Poisson request arrival rate, requests per second (paper: λ = 8).
+pub const ARRIVAL_RATE_HZ: f64 = 8.0;
+/// Query terms drawn from the target document, inclusive range.
+pub const QUERY_TERMS: (usize, usize) = (2, 4);
+
 /// One search request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpec {
@@ -116,7 +121,7 @@ pub fn generate_trace(
     let mut query_times = Vec::with_capacity(config.queries);
     let mut t = 0u64;
     for i in 0..config.queries {
-        let mut gap = exp_gap_us(config.arrival_rate_hz, rng);
+        let mut gap = exp_gap_us(ARRIVAL_RATE_HZ, rng);
         // Flash crowd: same exponential draw, compressed — the knob scales
         // the gap rather than drawing again, so an inert pack consumes the
         // exact RNG sequence of the unperturbed generator.
@@ -299,7 +304,7 @@ fn synthesize_query(
             {
                 continue; // no live copy
             }
-            let terms = pick_terms(config, model, doc, rng);
+            let terms = pick_terms(model, doc, rng);
             return Some(QuerySpec {
                 id,
                 requester,
@@ -313,14 +318,9 @@ fn synthesize_query(
 
 /// Random distinct subset of the target document's keywords — so the target
 /// matches by construction.
-fn pick_terms(
-    config: &WorkloadConfig,
-    model: &ContentModel,
-    doc: DocId,
-    rng: &mut SmallRng,
-) -> Vec<KeywordId> {
+fn pick_terms(model: &ContentModel, doc: DocId, rng: &mut SmallRng) -> Vec<KeywordId> {
     let kws = model.doc(doc).keywords;
-    let (lo, hi) = config.query_terms;
+    let (lo, hi) = QUERY_TERMS;
     let n = rng.gen_range(lo..=hi).min(kws.len()).max(1);
     let mut picked: Vec<KeywordId> = kws.to_vec();
     picked.shuffle(rng);
@@ -638,7 +638,7 @@ mod tests {
         for te in &trace.events {
             if let TraceEvent::Query(q) = &te.event {
                 assert!(!q.terms.is_empty());
-                assert!(q.terms.len() <= cfg.query_terms.1);
+                assert!(q.terms.len() <= QUERY_TERMS.1);
                 assert!(model.doc(q.target).matches(&q.terms));
             }
         }

@@ -104,7 +104,6 @@ fn main() {
             "GSA",
             Gsa::new(GsaConfig {
                 budget: 320, // 8,000 × (400 / 10,000)
-                branch: 4,
             }),
         ),
         run(

@@ -10,7 +10,7 @@
 // Examples print their results to stdout by design.
 #![allow(clippy::print_stdout)]
 
-use asap_p2p::asap::superpeer::{SuperAsap, SuperPeerConfig};
+use asap_p2p::asap::superpeer::SuperAsap;
 use asap_p2p::asap::{Asap, AsapConfig};
 use asap_p2p::overlay::{OverlayConfig, OverlayKind};
 use asap_p2p::sim::Simulation;
@@ -53,7 +53,7 @@ fn main() {
         &workload,
         overlay,
         kind,
-        SuperAsap::new(SuperPeerConfig::new(asap_config()), &workload.model),
+        SuperAsap::new(asap_config(), &workload.model),
         SEED,
     )
     .run();

@@ -116,10 +116,7 @@ fn all_baselines_complete_and_account_load() {
         &workload,
         mk_overlay(),
         OverlayKind::Crawled,
-        Gsa::new(GsaConfig {
-            budget: 300,
-            branch: 4,
-        }),
+        Gsa::new(GsaConfig { budget: 300 }),
         SEED,
     )
     .run();

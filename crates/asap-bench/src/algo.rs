@@ -1,4 +1,4 @@
-//! The six algorithms of the evaluation matrix.
+//! The six algorithms of the evaluation matrix, and super-peer ASAP beside it.
 
 use crate::scale::Scale;
 use asap_core::{Asap, AsapConfig};
@@ -12,6 +12,10 @@ pub enum AlgoKind {
     AsapFld,
     AsapRw,
     AsapGsa,
+    /// The hierarchical deployment of the paper's footnote 3
+    /// ([`asap_core::SuperAsap`]) on ASAP(RW)'s configuration. It is not
+    /// in [`Self::ALL`], so no figure matrix runs it.
+    SuperAsap,
 }
 
 impl AlgoKind {
@@ -39,6 +43,7 @@ impl AlgoKind {
             Self::AsapFld => "ASAP(FLD)",
             Self::AsapRw => "ASAP(RW)",
             Self::AsapGsa => "ASAP(GSA)",
+            Self::SuperAsap => "super-ASAP",
         }
     }
 
@@ -50,6 +55,7 @@ impl AlgoKind {
             "asap-fld" | "asap(fld)" => Some(Self::AsapFld),
             "asap-rw" | "asap(rw)" | "asap" => Some(Self::AsapRw),
             "asap-gsa" | "asap(gsa)" => Some(Self::AsapGsa),
+            "super-asap" => Some(Self::SuperAsap),
             _ => None,
         }
     }
@@ -68,12 +74,14 @@ impl AlgoKind {
             Self::Flooding => Vec::new(),
             Self::RandomWalk => knobs.rw_ttl_clamp_note().into_iter().collect(),
             Self::Gsa => knobs.gsa_budget_clamp_note().into_iter().collect(),
-            Self::AsapFld | Self::AsapRw | Self::AsapGsa => knobs.asap_clamp_notes(),
+            Self::AsapFld | Self::AsapRw | Self::AsapGsa | Self::SuperAsap => {
+                knobs.asap_clamp_notes()
+            }
         }
     }
 
     /// ASAP configuration for this variant at `scale` (panics for
-    /// baselines).
+    /// baselines). Super-peer ASAP runs ASAP(RW)'s.
     ///
     /// The population-proportional knobs are the scale table's
     /// ([`Scale::knobs`]); besides them, the time constants shrink with the
@@ -84,7 +92,7 @@ impl AlgoKind {
     pub fn asap_config(self, scale: Scale) -> AsapConfig {
         let base = match self {
             Self::AsapFld => AsapConfig::fld(),
-            Self::AsapRw => AsapConfig::rw(),
+            Self::AsapRw | Self::SuperAsap => AsapConfig::rw(),
             Self::AsapGsa => AsapConfig::gsa(),
             _ => panic!("{self:?} is not an ASAP variant"),
         };
@@ -149,11 +157,13 @@ mod tests {
         assert_eq!(AlgoKind::parse("FLD"), Some(AlgoKind::Flooding));
         assert_eq!(AlgoKind::parse("asap(rw)"), Some(AlgoKind::AsapRw));
         assert_eq!(AlgoKind::parse("GSA"), Some(AlgoKind::Gsa));
+        assert_eq!(AlgoKind::parse("super-ASAP"), Some(AlgoKind::SuperAsap));
         assert_eq!(AlgoKind::parse("nope"), None);
     }
 
     #[test]
     fn partitions_are_consistent() {
+        assert!(!AlgoKind::ALL.contains(&AlgoKind::SuperAsap));
         for a in AlgoKind::ALL {
             assert_eq!(a.is_asap(), AlgoKind::ASAP.contains(&a));
             assert_ne!(

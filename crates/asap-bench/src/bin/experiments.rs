@@ -1,8 +1,9 @@
 //! `experiments` — regenerate the ASAP paper's figures.
 //!
 //! ```text
-//! experiments <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|all|ablate|robustness>
-//!             [--scale tiny|default|paper] [--seed N] [--workers N]
+//! experiments <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|all
+//!              |ablate|robustness|churn|superpeer>
+//!             [--scale tiny|default|paper|xl] [--seed N] [--workers N]
 //!             [--out DIR] [--faults none|lossy|chaos]
 //!             [--adversary none|spam<pct>|freeride<pct>|eclipse<pct>]
 //!             [--trace PATH] [--trace-query ID]
@@ -24,6 +25,12 @@
 //! `asap_bench::adversary`). The `robustness` subcommand sweeps three
 //! fractions of each attack type and tabulates the success-rate degradation
 //! of ASAP against the random-walk baseline (EXPERIMENTS.md §robustness).
+//!
+//! Two subcommands test claims the figures do not: `churn` runs the six
+//! algorithms on the crawled overlay at ×0, ×1, ×2, ×4 and ×8 the scale's
+//! joins and departures (§V: "ASAP works well under node churn"), and
+//! `superpeer` runs flat ASAP(RW) against super-peer ASAP on all three
+//! overlays (footnote 3). Both write their table under `--out` as well.
 
 // This binary IS the CLI; its tables go to stdout by design.
 #![allow(clippy::print_stdout)]
@@ -34,8 +41,10 @@ use asap_bench::runner::{run_cell_spec, sweep_cells_spec, RunSpec, RunSummary, W
 use asap_bench::scale::Scale;
 use asap_bench::table::{fnum, Table};
 use asap_bench::{AdversaryProfile, AlgoKind};
+use asap_metrics::MsgClass;
 use asap_overlay::OverlayKind;
 use asap_sim::trace::{to_chrome_trace, TraceConfig};
+use asap_workload::TraceEvent;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -53,9 +62,30 @@ fn common_defaults() -> CommonArgs {
     common
 }
 
+/// Every subcommand, in usage order.
+const COMMANDS: [&str; 14] = [
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "all",
+    "ablate",
+    "robustness",
+    "churn",
+    "superpeer",
+];
+
 fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or_else(usage)?;
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command '{command}'\n{}", usage()));
+    }
     let mut parsed = Args {
         command,
         common: common_defaults(),
@@ -88,8 +118,8 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     format!(
-        "usage: experiments <fig2..fig10|all|ablate|robustness> {} \
-         [--out DIR] [--trace PATH] [--trace-query ID]",
+        "usage: experiments <{}> {} [--out DIR] [--trace PATH] [--trace-query ID]",
+        COMMANDS.join("|"),
         common_defaults().usage()
     )
 }
@@ -221,10 +251,9 @@ fn main() -> ExitCode {
         }
         "ablate" => ablations(&args),
         "robustness" => robustness(&args),
-        other => {
-            eprintln!("unknown command '{other}'\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+        "churn" => churn(&args),
+        "superpeer" => superpeer(&args),
+        other => unreachable!("parse_args admits no command '{other}'"),
     }
     ExitCode::SUCCESS
 }
@@ -438,6 +467,115 @@ fn ablations(args: &Args) {
         &args.out,
         "ablations.tsv",
         "Ablations: ASAP(RW), crawled overlay",
+        &t,
+    );
+}
+
+/// The churn multipliers of `experiments churn`: ×0 is a static network,
+/// ×1 the scale's own joins and departures.
+const CHURN_MULTIPLIERS: [usize; 5] = [0, 1, 2, 4, 8];
+
+/// Churn sweep: the six algorithms on the crawled overlay of a world whose
+/// joins and departures are the scale's times each multiplier, each capped
+/// at half the peers. `events` counts the joins and departures the trace
+/// holds (a join with nobody offline is dropped); `repair-fetches` counts
+/// ASAP's full-ad fetches after a version gap or a refresh miss (`-` for
+/// the baselines); `ad-bytes` sums full, patch and refresh ads.
+fn churn(args: &Args) {
+    let scale = args.common.scale;
+    let spec = args.common.run_spec();
+    let cells: Vec<(AlgoKind, OverlayKind)> = AlgoKind::ALL
+        .iter()
+        .map(|&a| (a, OverlayKind::Crawled))
+        .collect();
+    let mut t = Table::new(&[
+        "churn",
+        "algo",
+        "events",
+        "success",
+        "response-ms",
+        "bytes/search",
+        "mean-load",
+        "repair-fetches",
+        "ad-bytes",
+    ]);
+    for m in CHURN_MULTIPLIERS {
+        eprintln!("[churn] x{m}");
+        let world = World::build_with(scale, args.common.seed, |wl| {
+            let cap = wl.peers / 2;
+            wl.joins = (wl.joins * m).min(cap);
+            wl.leaves = (wl.leaves * m).min(cap);
+        });
+        let events = world
+            .workload
+            .trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Join(_) | TraceEvent::Leave(_)))
+            .count();
+        for cell in sweep_cells_spec(&world, &cells, args.common.workers, &spec) {
+            let s = cell.summary;
+            let ad_bytes: u64 = [MsgClass::FullAd, MsgClass::PatchAd, MsgClass::RefreshAd]
+                .iter()
+                .map(|c| s.class_totals[c.index()])
+                .sum();
+            t.row(vec![
+                format!("x{m}"),
+                s.algo.label().to_string(),
+                events.to_string(),
+                fnum(s.success_rate),
+                fnum(s.avg_response_ms),
+                fnum(s.per_search_cost_bytes),
+                fnum(s.mean_load),
+                s.asap_stats
+                    .as_ref()
+                    .map_or_else(|| "-".to_string(), |a| a.repair_fetches.to_string()),
+                ad_bytes.to_string(),
+            ]);
+        }
+    }
+    figures::emit(
+        &args.out,
+        "churn.tsv",
+        "Churn: joins and departures x0..x8 (crawled overlay)",
+        &t,
+    );
+}
+
+/// The super-peer deployment of footnote 3 against flat ASAP(RW), on the
+/// same configuration and world, on every overlay.
+fn superpeer(args: &Args) {
+    let world = World::build(args.common.scale, args.common.seed);
+    let cells: Vec<(AlgoKind, OverlayKind)> = OverlayKind::ALL
+        .iter()
+        .flat_map(|&o| [(AlgoKind::AsapRw, o), (AlgoKind::SuperAsap, o)])
+        .collect();
+    let mut t = Table::new(&[
+        "overlay",
+        "algo",
+        "success",
+        "response-ms",
+        "bytes/search",
+        "mean-load",
+        "load-stddev",
+    ]);
+    let spec = args.common.run_spec();
+    for cell in sweep_cells_spec(&world, &cells, args.common.workers, &spec) {
+        let s = cell.summary;
+        t.row(vec![
+            s.overlay.label().to_string(),
+            s.algo.label().to_string(),
+            fnum(s.success_rate),
+            fnum(s.avg_response_ms),
+            fnum(s.per_search_cost_bytes),
+            fnum(s.mean_load),
+            fnum(s.stddev_load),
+        ]);
+    }
+    figures::emit(
+        &args.out,
+        "superpeer.tsv",
+        "Super-peer ASAP vs flat ASAP(RW)",
         &t,
     );
 }

@@ -1,10 +1,11 @@
 //! Regenerate or verify the committed replay-digest golden files.
 //!
-//! Seven files are pinned: `golden/replay_tiny.txt` (the fault-free matrix —
+//! Eight files are pinned: `golden/replay_tiny.txt` (the fault-free matrix —
 //! the paper's perfect network), `golden/replay_tiny_lossy.txt` (the same
 //! matrix under the `lossy` fault profile with protocol retries enabled),
-//! one `golden/replay_tiny_<scenario>.txt` per robustness scenario pack
-//! (ad spam, adversarial free-riders, flash crowd — see
+//! `golden/replay_tiny_superpeer.txt` (super-peer ASAP, fault-free, on the
+//! three overlays), one `golden/replay_tiny_<scenario>.txt` per robustness
+//! scenario pack (ad spam, adversarial free-riders, flash crowd — see
 //! `asap_bench::scenario`), and `golden/resume_tiny.txt` (tier 9: every
 //! honest cell plus one lossy and one spam10 cell checkpointed and resumed
 //! at three split points; `--check` additionally demands each resumed digest
@@ -13,13 +14,14 @@
 //! serialized s2 checkpoint: the `VERSION = 4` bytes, not only what a
 //! resumed run computes from them).
 //!
-//! The fault-free and lossy matrices are replayed a second time on
-//! `asap_net`'s wire carrier ([`run_cell_net`]), where every message is
-//! encoded into a frame at `send` and decoded at delivery. Each of those 36
-//! net records must equal its sim record (audit digest included) with zero
-//! frames that failed to decode: the net carrier reproduces the pinned sim
-//! record, which is the sim≡net witness. A divergence fails the run in
-//! either mode, as does an auditor violation in any cell.
+//! The fault-free and lossy matrices and the super-peer cells are replayed
+//! a second time on `asap_net`'s wire carrier ([`run_cell_net`]), where
+//! every message is encoded into a frame at `send` and decoded at delivery.
+//! Each of those 39 net records must equal its sim record (audit digest
+//! included) with zero frames that failed to decode: the net carrier
+//! reproduces the pinned sim record, which is the sim≡net witness. A
+//! divergence fails the run in either mode, as does an auditor violation in
+//! any cell.
 //!
 //! * `cargo run -p asap-bench --bin golden` — replay every matrix and
 //!   rewrite the files. Run after an *intentional* behavior change and
@@ -37,11 +39,14 @@ use std::process::ExitCode;
 use asap_bench::faults::FaultProfile;
 use asap_bench::harness::{
     cell_to_record, ckpt_golden_lines, diff_golden, golden_lines, golden_world, replay_matrix,
-    replay_spec, resume_golden_lines, resume_matrix_records, scenario_spec, ReplayRecord,
-    ResumeRecord, CKPT_KEY_COLS, GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS, RESUME_KEY_COLS,
+    replay_spec, resume_golden_lines, resume_matrix_records, scenario_spec, superpeer_cells,
+    ReplayRecord, ResumeRecord, CKPT_KEY_COLS, GOLDEN_LOSSY_PROFILE, REPLAY_KEY_COLS,
+    RESUME_KEY_COLS,
 };
-use asap_bench::runner::{full_matrix, par_map, run_cell_net, RunSpec, World};
+use asap_bench::runner::{full_matrix, par_map, run_cell_net, sweep_cells_spec, RunSpec, World};
 use asap_bench::scenario::ScenarioPack;
+use asap_bench::AlgoKind;
+use asap_overlay::OverlayKind;
 
 /// Print one line per record; returns false (after printing an error line
 /// for each) if any record has auditor violations or wire errors.
@@ -70,14 +75,20 @@ fn report_records(label: &str, records: &[ReplayRecord]) -> bool {
     ok
 }
 
-/// Replay one 18-cell matrix (`tag` names it: `faults=…` / `scenario=…`);
-/// returns the records and whether every cell came out clean.
-fn replay(world: &World, spec: &RunSpec, tag: &str) -> (Vec<ReplayRecord>, bool) {
+type Cells = [(AlgoKind, OverlayKind)];
+
+/// Replay one golden file's cells (`tag` names them: `faults=…` /
+/// `scenario=…` / `deployment=…`); returns the records and whether every
+/// cell came out clean.
+fn replay(world: &World, cells: &Cells, spec: &RunSpec, tag: &str) -> (Vec<ReplayRecord>, bool) {
     // Fan across every core: `--check` passing from here *is* the proof that
     // the parallel sweep reproduces the pinned digests bit-for-bit.
     let workers = rayon::current_num_threads();
-    eprintln!("replaying the golden matrix (18 audited cells, {tag}, workers={workers})...");
-    let records: Vec<ReplayRecord> = replay_matrix(world, spec, workers)
+    eprintln!(
+        "replaying {} audited golden cells ({tag}, workers={workers})...",
+        cells.len()
+    );
+    let records: Vec<ReplayRecord> = sweep_cells_spec(world, cells, workers, spec)
         .iter()
         .map(cell_to_record)
         .collect();
@@ -85,12 +96,15 @@ fn replay(world: &World, spec: &RunSpec, tag: &str) -> (Vec<ReplayRecord>, bool)
     (records, clean)
 }
 
-/// Replay the matrix again on the net carrier and demand every record equal
+/// Replay the cells again on the net carrier and demand every record equal
 /// its sim record, wire errors zero. Returns true on pass.
-fn net_pass(world: &World, spec: &RunSpec, tag: &str, sim: &[ReplayRecord]) -> bool {
+fn net_pass(world: &World, cells: &Cells, spec: &RunSpec, tag: &str, sim: &[ReplayRecord]) -> bool {
     let workers = rayon::current_num_threads();
-    eprintln!("replaying the same 18 cells on the net carrier ({tag}, workers={workers})...");
-    let net = par_map(workers, full_matrix(), |(algo, overlay)| {
+    eprintln!(
+        "replaying the same {} cells on the net carrier ({tag}, workers={workers})...",
+        cells.len()
+    );
+    let net = par_map(workers, cells.to_vec(), |(algo, overlay)| {
         cell_to_record(&run_cell_net(world, algo, overlay, spec))
     });
     let mut ok = report_records(&format!("{tag}, net"), &net);
@@ -248,6 +262,7 @@ fn main() -> ExitCode {
         }
     }
     let world = golden_world();
+    let matrix = full_matrix();
     let mut ok = true;
     for (faults, path) in [
         (
@@ -261,19 +276,32 @@ fn main() -> ExitCode {
     ] {
         let tag = format!("faults={}", faults.label());
         let spec = replay_spec(faults, false);
-        let (records, clean) = replay(&world, &spec, &tag);
+        let (records, clean) = replay(&world, &matrix, &spec, &tag);
         // The fault-free file's header carries no tag.
         let fresh = golden_lines(&records, if faults.is_none() { "" } else { &tag });
         // A matrix with violations is never written, only diffed.
         ok &= pin(path, &fresh, check || !clean, REPLAY_KEY_COLS) && clean;
-        ok &= net_pass(&world, &spec, &tag, &records);
+        ok &= net_pass(&world, &matrix, &spec, &tag, &records);
         if trace && faults.is_none() {
             ok &= trace_pass(&world, &records);
         }
     }
+    {
+        let tag = "deployment=superpeer";
+        let cells = superpeer_cells();
+        let spec = replay_spec(FaultProfile::None, false);
+        let (records, clean) = replay(&world, &cells, &spec, tag);
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/golden/replay_tiny_superpeer.txt"
+        );
+        let fresh = golden_lines(&records, tag);
+        ok &= pin(path, &fresh, check || !clean, REPLAY_KEY_COLS) && clean;
+        ok &= net_pass(&world, &cells, &spec, tag, &records);
+    }
     for pack in ScenarioPack::ALL {
         let tag = format!("scenario={}", pack.label());
-        let (records, clean) = replay(&pack.world(), &scenario_spec(pack), &tag);
+        let (records, clean) = replay(&pack.world(), &matrix, &scenario_spec(pack), &tag);
         let fresh = golden_lines(&records, &tag);
         let path = format!(
             "{}/golden/{}",

@@ -56,6 +56,15 @@ pub struct ReplayRecord {
     pub wire_errors: u64,
 }
 
+/// The cells of `golden/replay_tiny_superpeer.txt`: super-peer ASAP, which
+/// no figure matrix runs, on every overlay of the replay world.
+pub fn superpeer_cells() -> Vec<(AlgoKind, OverlayKind)> {
+    GOLDEN_OVERLAYS
+        .iter()
+        .map(|&o| (AlgoKind::SuperAsap, o))
+        .collect()
+}
+
 /// Build the replay world. Separate from [`replay_cell`] so callers amortize
 /// world construction across the matrix.
 pub fn golden_world() -> World {

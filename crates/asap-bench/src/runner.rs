@@ -5,7 +5,7 @@ use crate::algo::AlgoKind;
 use crate::faults::FaultProfile;
 use crate::scale::Scale;
 use asap_core::protocol::AsapStats;
-use asap_core::{Asap, AsapConfig};
+use asap_core::{Asap, AsapConfig, SuperAsap};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
 use asap_net::Framed;
 use asap_overlay::{OverlayConfig, OverlayKind};
@@ -16,7 +16,7 @@ use asap_sim::{
     EngineProfile, FaultStats, Fnv64, InMemory, Protocol, SimBuilder, SimReport, Simulation,
 };
 use asap_topology::PhysicalNetwork;
-use asap_workload::{HeterogeneityPack, Workload};
+use asap_workload::{Workload, WorkloadConfig};
 use rayon::prelude::*;
 
 /// Everything the figures need from one run.
@@ -99,17 +99,20 @@ pub struct World {
 
 impl World {
     pub fn build(scale: Scale, seed: u64) -> Self {
-        Self::build_with_pack(scale, seed, HeterogeneityPack::inert())
+        Self::build_with(scale, seed, |_| {})
     }
 
-    /// [`Self::build`] under a heterogeneity pack: the pack perturbs the
-    /// generated trace itself (arrival spikes, interest drift, hotspots,
-    /// session tails), so two worlds differing only in pack share a model
-    /// but not a trace. An inert pack reproduces [`Self::build`] exactly.
-    pub fn build_with_pack(scale: Scale, seed: u64, pack: HeterogeneityPack) -> Self {
+    /// [`Self::build`] on an edited workload configuration: `edit` changes
+    /// the scale's [`WorkloadConfig`] before the workload is generated, e.g.
+    /// a heterogeneity pack (arrival spikes, interest drift, hotspots,
+    /// session tails) or a churn multiplier. Both perturb the generated
+    /// trace, so two worlds differing only in such an edit share a
+    /// topology but not a trace. An edit that changes nothing reproduces
+    /// [`Self::build`] exactly.
+    pub fn build_with(scale: Scale, seed: u64, edit: impl FnOnce(&mut WorkloadConfig)) -> Self {
         let phys = PhysicalNetwork::generate(&scale.topology(seed));
         let mut wl = scale.workload(seed);
-        wl.pack = pack;
+        edit(&mut wl);
         let workload = asap_workload::generate(&wl);
         Self {
             phys,
@@ -300,8 +303,13 @@ pub trait CellVisitor {
 /// The one map from an [`AlgoKind`] to the protocol a cell of `world` runs.
 /// The spec supplies the baselines' retransmission, ASAP's retry budgets,
 /// its configuration override ([`RunSpec::asap`]) and its spam roles.
+/// Super-peer ASAP takes the same configuration; it has no spam poisoning.
 pub fn with_protocol<V: CellVisitor>(world: &World, algo: AlgoKind, visitor: V) -> V::Out {
     let scale = world.scale;
+    let asap_config = |spec: &RunSpec| {
+        let config = spec.asap.clone().unwrap_or_else(|| algo.asap_config(scale));
+        config.with_robustness(spec.faults.robustness())
+    };
     match algo {
         AlgoKind::Flooding => visitor.visit(
             |spec| {
@@ -318,19 +326,22 @@ pub fn with_protocol<V: CellVisitor>(world: &World, algo: AlgoKind, visitor: V) 
         AlgoKind::Gsa => visitor.visit(|_| Gsa::new(scale.gsa_config()), |_| None),
         AlgoKind::AsapFld | AlgoKind::AsapRw | AlgoKind::AsapGsa => visitor.visit(
             |spec| {
-                let config = spec.asap.clone().unwrap_or_else(|| algo.asap_config(scale));
                 // Spam poisoning happens at protocol construction, keyed on
                 // the same (plan, peers, seed) role assignment the engine
                 // derives, so protocol-layer and engine-layer adversaries
                 // are one peer set. All-honest roles poison nothing.
                 Asap::new_with_adversaries(
-                    config.with_robustness(spec.faults.robustness()),
+                    asap_config(spec),
                     &world.workload.model,
                     &spec.adversary.roles(scale.peers(), world.seed),
                     world.seed,
                 )
             },
             |asap| Some(asap.stats.clone()),
+        ),
+        AlgoKind::SuperAsap => visitor.visit(
+            |spec| SuperAsap::new(asap_config(spec), &world.workload.model),
+            |_| None,
         ),
     }
 }

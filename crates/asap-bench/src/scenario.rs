@@ -76,7 +76,9 @@ impl ScenarioPack {
     /// workload pack perturbs the trace, so packs with a non-inert workload
     /// axis get their own world).
     pub fn world(self) -> World {
-        World::build_with_pack(GOLDEN_SCALE, GOLDEN_SEED, self.workload_pack())
+        World::build_with(GOLDEN_SCALE, GOLDEN_SEED, |wl| {
+            wl.pack = self.workload_pack()
+        })
     }
 }
 

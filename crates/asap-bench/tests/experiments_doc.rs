@@ -1,8 +1,9 @@
 //! EXPERIMENTS.md ↔ code cross-checks: the scale-knob table in the doc is
 //! load-bearing (readers size runs off it, and clamp notes cite it), so this
 //! test parses the markdown and fails if any cell drifts from
-//! `Scale::knobs()`. The Fig. 4 table cites `results/fig4.tsv` and is diffed
-//! against it the same way.
+//! `Scale::knobs()`. The Fig. 4, churn and super-peer tables cite their
+//! `results/*.tsv` and are diffed against them the same way, and every
+//! number the churn and super-peer sections quote is a cell of their TSV.
 
 use asap_bench::Scale;
 
@@ -148,25 +149,95 @@ fn clamp_annotations_match_run_notes() {
     }
 }
 
+/// The section of `doc` whose heading (any level) starts with `heading`,
+/// up to the next heading.
+fn section<'a>(doc: &'a str, heading: &str) -> &'a str {
+    doc.split("\n#")
+        .map(|s| s.trim_start_matches('#').trim_start())
+        .find(|s| s.starts_with(heading))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has a {heading:?} section"))
+}
+
+/// The cells of every markdown table row in `section`, rule rows skipped.
+fn table_rows(section: &str) -> Vec<Vec<&str>> {
+    section
+        .lines()
+        .filter(|l| l.starts_with('|') && !l.starts_with("|-"))
+        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+        .collect()
+}
+
+/// Assert that the table in the `heading` section is a copy of the TSV at
+/// `path` with `rows` data rows, and return the section.
+fn assert_table_is_tsv<'a>(doc: &'a str, heading: &str, path: &str, rows: usize) -> &'a str {
+    let section = section(doc, heading);
+    let tsv = read_from_root(path);
+    let want: Vec<Vec<&str>> = tsv.lines().map(|l| l.split('\t').collect()).collect();
+    assert_eq!(want.len(), rows + 1, "header + {rows} rows in {path}");
+    assert_eq!(
+        table_rows(section),
+        want,
+        "EXPERIMENTS.md {heading} vs {path}"
+    );
+    section
+}
+
+/// Every number in the prose of `section` (its table aside) is one of the
+/// table's cells, a multiplier `×n` whose label `xn` is a cell, or one of
+/// `structural` (a seed, a footnote). A number that appears in none of
+/// them was not read off the committed table.
+fn assert_prose_quotes_cells(section: &str, structural: &[&str]) {
+    let cells: Vec<&str> = table_rows(section).into_iter().flatten().collect();
+    for line in section.lines().filter(|l| !l.starts_with('|')) {
+        let mut rest = line;
+        while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+            let after_word = rest[..start]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+            let tail = &rest[start..];
+            let len = tail
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(tail.len());
+            let number = tail[..len].trim_end_matches('.');
+            rest = &tail[len..];
+            if after_word {
+                continue;
+            }
+            let label = format!("x{number}");
+            assert!(
+                cells.contains(&number)
+                    || cells.contains(&label.as_str())
+                    || structural.contains(&number),
+                "EXPERIMENTS.md quotes {number} in {line:?}, which is no cell of its table"
+            );
+        }
+    }
+}
+
+#[test]
+fn churn_section_matches_results_tsv() {
+    let doc = read_from_root("EXPERIMENTS.md");
+    let section = assert_table_is_tsv(&doc, "Churn", "results/churn.tsv", 30);
+    assert_prose_quotes_cells(section, &["42"]);
+}
+
+#[test]
+fn superpeer_section_matches_results_tsv() {
+    let doc = read_from_root("EXPERIMENTS.md");
+    let section = assert_table_is_tsv(
+        &doc,
+        "Beyond the paper: the super-peer deployment",
+        "results/superpeer.tsv",
+        6,
+    );
+    assert_prose_quotes_cells(section, &["3", "42"]);
+}
+
 /// The Fig. 4 table is a copy of `results/fig4.tsv`; a smoke run that
 /// overwrote the TSV at another scale once left the two disagreeing.
 #[test]
 fn fig4_table_matches_results_tsv() {
     let doc = read_from_root("EXPERIMENTS.md");
-    let section = doc
-        .split("\n### ")
-        .find(|s| s.starts_with("Fig. 4"))
-        .expect("EXPERIMENTS.md has a '### Fig. 4' section");
-    let table: Vec<Vec<&str>> = section
-        .lines()
-        .filter(|l| l.starts_with('|') && !l.starts_with("|-"))
-        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
-        .collect();
-    let tsv = read_from_root("results/fig4.tsv");
-    let rows: Vec<Vec<&str>> = tsv.lines().map(|l| l.split('\t').collect()).collect();
-    assert_eq!(rows.len(), 7, "header + six algorithms in results/fig4.tsv");
-    assert_eq!(
-        table, rows,
-        "EXPERIMENTS.md Fig. 4 table vs results/fig4.tsv"
-    );
+    assert_table_is_tsv(&doc, "Fig. 4", "results/fig4.tsv", 6);
 }

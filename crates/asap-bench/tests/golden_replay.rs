@@ -6,12 +6,14 @@
 use asap_bench::faults::FaultProfile;
 use asap_bench::harness::{
     cell_to_record, golden_world, parse_golden, replay_cell, replay_matrix, replay_spec,
-    ReplayRecord, GOLDEN_LOSSY_PROFILE, GOLDEN_OVERLAYS,
+    superpeer_cells, ReplayRecord, GOLDEN_LOSSY_PROFILE, GOLDEN_OVERLAYS,
 };
+use asap_bench::runner::run_cell_net;
 use asap_bench::AlgoKind;
 
 const GOLDEN: &str = include_str!("../golden/replay_tiny.txt");
 const GOLDEN_LOSSY: &str = include_str!("../golden/replay_tiny_lossy.txt");
+const GOLDEN_SUPERPEER: &str = include_str!("../golden/replay_tiny_superpeer.txt");
 
 /// The full matrix replays clean, matches the committed digests, and the
 /// world-determined fingerprints agree across algorithms. One test so the
@@ -140,5 +142,25 @@ fn lossy_golden_spot_check() {
             algo.label(),
             overlay.label()
         );
+    }
+}
+
+/// Super-peer ASAP's three pinned cells replay clean to their committed
+/// digests on both carriers, with no frame failing to decode.
+#[test]
+fn superpeer_golden_replays_on_both_carriers() {
+    let golden = parse_golden(GOLDEN_SUPERPEER);
+    let cells = superpeer_cells();
+    assert_eq!(golden.len(), cells.len(), "one line per overlay");
+    let world = golden_world();
+    let spec = replay_spec(FaultProfile::None, false);
+    for ((algo, overlay), (o, a, want)) in cells.into_iter().zip(golden) {
+        assert_eq!((o.as_str(), a.as_str()), (overlay.label(), algo.label()));
+        let sim = replay_cell(&world, algo, overlay, &spec);
+        let net = cell_to_record(&run_cell_net(&world, algo, overlay, &spec));
+        assert_eq!(sim.violations, 0, "auditor violations on {o}");
+        assert_eq!(net.wire_errors, 0, "frames failed to decode on {o}");
+        assert_eq!(sim.digest, want, "super-peer digest drift on {o}");
+        assert_eq!(net, sim, "sim/net divergence on {o}");
     }
 }

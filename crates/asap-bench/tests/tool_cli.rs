@@ -1,7 +1,9 @@
-//! The `warmstart` and `bisect` binaries end to end at `--scale tiny`
-//! (see TESTING.md): a warm-start resume is bit-identical to the cold run,
-//! a checkpoint that does not fit the cell is an `error:` line and exit 1,
-//! and `bisect` finds the forks EXPERIMENTS.md quotes.
+//! The `warmstart`, `bisect` and `experiments` binaries end to end at
+//! `--scale tiny` (see TESTING.md): a warm-start resume is bit-identical to
+//! the cold run, a checkpoint that does not fit the cell is an `error:`
+//! line and exit 1, `bisect` finds the forks EXPERIMENTS.md quotes, and
+//! `experiments churn` / `superpeer` write the same table whatever the
+//! worker count.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -25,6 +27,7 @@ fn text(bytes: &[u8]) -> String {
 
 const WARMSTART: &str = env!("CARGO_BIN_EXE_warmstart");
 const BISECT: &str = env!("CARGO_BIN_EXE_bisect");
+const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 
 /// Save an audited ASAP(RW) checkpoint of the crawled-overlay tiny cell.
 fn save_checkpoint(name: &str) -> String {
@@ -125,4 +128,68 @@ fn bisect_finds_the_lossy_fork() {
 #[test]
 fn bisect_finds_the_spam10_fork() {
     assert_fork("adversary=spam10", 23_775);
+}
+
+/// Run `experiments <command> --scale tiny` on one and on two workers and
+/// return the TSV both wrote, after checking that they are byte-identical.
+fn tiny_table(command: &str, tsv: &str) -> String {
+    let tables = ["1", "2"].map(|workers| {
+        let dir = scratch(&format!("{command}-w{workers}"));
+        let out = run(
+            EXPERIMENTS,
+            &[
+                command,
+                "--scale",
+                "tiny",
+                "--workers",
+                workers,
+                "--out",
+                &dir.to_string_lossy(),
+            ],
+        );
+        assert!(out.status.success(), "{command}: {}", text(&out.stderr));
+        let table = std::fs::read_to_string(dir.join(tsv)).expect("read the written table");
+        let _ = std::fs::remove_dir_all(&dir);
+        table
+    });
+    assert_eq!(
+        tables[0], tables[1],
+        "{command}: --workers 1 vs --workers 2"
+    );
+    tables[0].clone()
+}
+
+#[test]
+fn experiments_churn_writes_thirty_rows() {
+    let table = tiny_table("churn", "churn.tsv");
+    let mut lines = table.lines();
+    assert_eq!(
+        lines.next(),
+        Some(
+            "churn\talgo\tevents\tsuccess\tresponse-ms\tbytes/search\tmean-load\t\
+             repair-fetches\tad-bytes"
+        )
+    );
+    assert_eq!(lines.count(), 30, "5 churn multipliers x 6 algorithms");
+}
+
+#[test]
+fn experiments_superpeer_writes_six_rows() {
+    let table = tiny_table("superpeer", "superpeer.tsv");
+    let mut lines = table.lines();
+    assert_eq!(
+        lines.next(),
+        Some("overlay\talgo\tsuccess\tresponse-ms\tbytes/search\tmean-load\tload-stddev")
+    );
+    assert_eq!(lines.count(), 6, "3 overlays x (flat, super-peer)");
+}
+
+#[test]
+fn unknown_experiment_prints_nothing_on_stdout() {
+    let out = run(EXPERIMENTS, &["fig11", "--scale", "tiny"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "stdout: {}", text(&out.stdout));
+    let stderr = text(&out.stderr);
+    assert!(stderr.contains("unknown command 'fig11'"), "{stderr}");
+    assert!(stderr.contains("usage: experiments"), "{stderr}");
 }

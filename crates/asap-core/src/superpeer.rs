@@ -19,10 +19,10 @@
 //!   the one-hop regime; a lookup miss triggers a term-filtered ads request
 //!   to neighboring super peers.
 //!
-//! Relative to flat ASAP this variant is deliberately lean (no timers, no
-//! iterative confirm rounds): it exists to demonstrate the claim and to let
-//! the harness compare the two deployments, not to replace the flat
-//! protocol.
+//! Relative to flat ASAP this variant is deliberately lean (no retry
+//! timers, no iterative confirm rounds): it exists to demonstrate the claim
+//! and to let the harness compare the two deployments, not to replace the
+//! flat protocol.
 
 use crate::ad::AdSnapshot;
 use crate::checkpoint::{EntryImage, FilterTable, TableReader};
@@ -130,8 +130,10 @@ struct NodeState {
 
 /// The hierarchical ASAP protocol.
 pub struct SuperAsap {
-    /// Underlying ASAP knobs (budget unit, cache capacity, Bloom geometry).
-    /// Timers are unused by this lean variant.
+    /// Underlying ASAP knobs (budget unit, cache capacity, Bloom geometry;
+    /// the warm-up stagger and refresh period pace registrations and digest
+    /// rounds). `ads_request_hops`, `max_ads_per_reply` and the retry
+    /// budgets are unused.
     pub config: AsapConfig,
     roles: Vec<Role>,
     nodes: Vec<NodeState>,

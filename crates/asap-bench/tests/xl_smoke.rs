@@ -9,9 +9,16 @@
 use asap_bench::runner::{run_cell_spec, RunSpec, World};
 use asap_bench::{AlgoKind, Scale};
 use asap_overlay::{OverlayConfig, OverlayKind};
-use asap_sim::Fnv64;
+use asap_sim::{Codec, Encoder, Fnv64};
 use asap_topology::{dijkstra, LatencyCoord, PhysNodeId, PhysicalNetwork, TransitStubConfig};
-use asap_workload::{ContentState, TraceEvent};
+use asap_workload::{ContentState, DocId, PeerId, TraceEvent, Workload};
+use std::sync::OnceLock;
+
+/// The xl workload at seed 42, generated once for the tests that read it.
+fn xl_workload() -> &'static Workload {
+    static W: OnceLock<Workload> = OnceLock::new();
+    W.get_or_init(|| asap_workload::generate(&Scale::Xl.workload(42)))
+}
 
 #[test]
 #[ignore = "builds a 103,872-node topology and runs a 100k-peer cell; release-only"]
@@ -158,9 +165,11 @@ fn xl_network_heap_is_bounded() {
 #[test]
 #[ignore = "generates the 100k-peer workload; release-only"]
 fn xl_content_state_heap_is_bounded() {
-    let w = asap_workload::generate(&Scale::Xl.workload(42));
+    let w = xl_workload();
     let mut state = ContentState::from_model(&w.model);
-    let copies: usize = w.model.initial_holdings.iter().map(Vec::len).sum();
+    let copies: usize = (0..100_000)
+        .map(|p| w.model.initial_holdings(PeerId(p)).len())
+        .sum();
     assert!(
         state.heap_bytes() >= 100_000 * (24 + 128) + copies * 4,
         "{} B misses the lists or the signatures",
@@ -179,4 +188,89 @@ fn xl_content_state_heap_is_bounded() {
         "{} B after the trace",
         state.heap_bytes()
     );
+}
+
+/// `(catalogue, holdings, trace)` FNVs of the xl workload at seed 42: every
+/// document's class, keyword count and keywords then the document count,
+/// as `tests/world_pin.rs` folds the catalogue; every peer's initial
+/// holdings, count first; and every trace event in its checkpoint encoding.
+/// Pinned before keyword ids went to 16 bits, the initial holdings to one
+/// flat arena and the class pools out of the model.
+#[test]
+#[ignore = "generates the 100k-peer workload; release-only"]
+fn xl_world_content_is_pinned() {
+    let w = xl_workload();
+    let model = &w.model;
+    let mut h = Fnv64::new();
+    for d in 0..model.num_docs() {
+        let doc = model.doc(DocId(d as u32));
+        h.write_u64(doc.class.0.into());
+        h.write_u64(doc.keywords.len() as u64);
+        for kw in doc.keywords {
+            h.write_u64(kw.0.into());
+        }
+    }
+    h.write_u64(model.num_docs() as u64);
+    let catalogue = h.finish();
+
+    let mut h = Fnv64::new();
+    for p in 0..model.num_peers() {
+        let held = model.initial_holdings(PeerId(p as u32));
+        h.write_u64(held.len() as u64);
+        for d in held {
+            h.write_u64(d.0.into());
+        }
+    }
+    let holdings = h.finish();
+
+    let mut enc = Encoder::new();
+    for te in &w.trace.events {
+        enc.put_u64(te.time_us);
+        te.event.put(&mut enc);
+    }
+    let mut h = Fnv64::new();
+    h.write_bytes(&enc.into_bytes());
+    let trace = h.finish();
+
+    assert_eq!(
+        (model.num_peers(), model.num_docs(), w.trace.events.len()),
+        (100_000, 1_471_682, 21_010)
+    );
+    assert_eq!(
+        (catalogue, holdings, trace),
+        (
+            0x8afb_b8ff_67c4_4298,
+            0xae9b_24c0_d30f_d59b,
+            0xf21a_d44a_f9ea_bdcd
+        ),
+        "xl content drifted: ({catalogue:#018x}, {holdings:#018x}, {trace:#018x})"
+    );
+}
+
+/// The xl content model keeps only what a run reads, each array exactly
+/// its length: 1,471,682 documents × (1 B class + 4 B offset) + 4 B, and
+/// 8,094,993 keywords × 2 B, = 23.5 MB of catalogue; 100,001 offsets and
+/// 1,875,258 held copies × 4 B = 7.9 MB of initial holdings; 100,000 × 2 B
+/// of interests; 28,000 × 24 B of word headers and 364,800 B of word text.
+/// That is 32,686,236 B ≈ 31.2 MiB, under 32 MiB. With `u32` keyword ids,
+/// a `Vec` per peer for the initial holdings and the class pools kept
+/// beside them, the same count read 67.1 MB.
+#[test]
+#[ignore = "generates the 100k-peer workload; release-only"]
+fn xl_content_model_heap_is_bounded() {
+    let w = xl_workload();
+    let model = &w.model;
+    let copies: usize = (0..100_000)
+        .map(|p| model.initial_holdings(PeerId(p)).len())
+        .sum();
+    let keywords: usize = (0..model.num_docs() as u32)
+        .map(|d| model.doc(DocId(d)).keywords.len())
+        .sum();
+    let floor = model.num_docs() * 5 + keywords * 2 + 100_000 * (4 + 2) + copies * 4;
+    assert!(
+        model.heap_bytes() >= floor,
+        "{} B misses the catalogue, the holdings or the interests",
+        model.heap_bytes()
+    );
+    assert!(model.heap_bytes() <= 32 << 20, "{} B", model.heap_bytes());
 }

@@ -165,12 +165,12 @@ impl Asap {
     pub fn new(config: AsapConfig, model: &ContentModel) -> Self {
         config.validate();
         let kw_hashes: Vec<KeyHash> = (0..model.vocab.len())
-            .map(|i| KeyHash::of(model.vocab.word(KeywordId(i as u32))))
+            .map(|i| KeyHash::of(model.vocab.word(KeywordId(i as u16))))
             .collect();
         let store = FilterStore::new_shared();
-        let nodes: Vec<NodeState> = (0..model.num_peers())
+        let nodes: Vec<NodeState> = (0..model.num_peers() as u32)
             .map(|p| {
-                let docs = &model.initial_holdings[p];
+                let docs = model.initial_holdings(PeerId(p));
                 let filter = own_filter(config.bloom, &kw_hashes, model, docs, &[]);
                 NodeState {
                     version: 0,
@@ -230,7 +230,7 @@ impl Asap {
                 .map(|_| DocId(rng.gen_range(0..num_docs)))
                 .collect();
             let claimed = poison.iter().map(|&d| model.doc(d).class).collect();
-            let docs = &model.initial_holdings[p];
+            let docs = model.initial_holdings(PeerId(p as u32));
             let filter = own_filter(asap.config.bloom, &asap.kw_hashes, model, docs, &poison);
             asap.nodes[p].snapshot = Rc::new(filter);
             asap.claimed_topics[p] = claimed;
@@ -797,7 +797,7 @@ mod tests {
         let asap = Asap::new(AsapConfig::rw().scaled_to(120), &m);
         for p in 0..m.num_peers() {
             let st = &asap.nodes[p];
-            for &doc in &m.initial_holdings[p] {
+            for &doc in m.initial_holdings(PeerId(p as u32)) {
                 for &kw in m.doc(doc).keywords {
                     assert!(
                         st.snapshot.contains_hash(&asap.kw_hashes[kw.index()]),
@@ -805,7 +805,7 @@ mod tests {
                     );
                 }
             }
-            if m.initial_holdings[p].is_empty() {
+            if m.is_free_rider(PeerId(p as u32)) {
                 assert!(st.snapshot.is_empty(), "free riders have null filters");
             }
         }
@@ -816,7 +816,7 @@ mod tests {
         let m = model();
         let asap = Asap::new(AsapConfig::rw().scaled_to(120), &m);
         for i in (0..m.vocab.len()).step_by(37) {
-            let kw = KeywordId(i as u32);
+            let kw = KeywordId(i as u16);
             assert_eq!(asap.hash_of(kw), KeyHash::of(m.vocab.word(kw)));
         }
     }
@@ -904,7 +904,7 @@ mod tests {
                 asap.poison[p].len(),
                 if p % 10 == 0 { SPAM_POISON_DOCS } else { 0 }
             );
-            let docs = &m.initial_holdings[p];
+            let docs = m.initial_holdings(PeerId(p as u32));
             let own = own_filter(cfg.bloom, &asap.kw_hashes, &m, docs, &asap.poison[p]);
             assert_eq!(*asap.nodes[p].snapshot, own, "peer {p}");
         }
@@ -967,7 +967,7 @@ mod tests {
         );
 
         let honest_sharer = (0..60)
-            .find(|&p| p % 10 != 0 && !workload.model.initial_holdings[p].is_empty())
+            .find(|&p| p % 10 != 0 && !workload.model.is_free_rider(PeerId(p as u32)))
             .unwrap();
         for victim in [honest_sharer, 10] {
             let mut asap = Asap::new_with_adversaries(cfg.clone(), &workload.model, &roles, 5);
@@ -1061,7 +1061,11 @@ mod tests {
 
     impl Tracked {
         fn new(asap: &Asap, model: &ContentModel, p: usize) -> Self {
-            let held: BTreeSet<DocId> = model.initial_holdings[p].iter().copied().collect();
+            let held: BTreeSet<DocId> = model
+                .initial_holdings(PeerId(p as u32))
+                .iter()
+                .copied()
+                .collect();
             let poison = &asap.poison[p];
             let mut counting = CountingBloom::new(asap.config.bloom);
             for &d in held.iter().chain(poison.iter()) {
@@ -1167,8 +1171,8 @@ mod tests {
         ) {
             let (phys, workload, overlay) = small_world(seed);
             let model = &workload.model;
-            let sharers: Vec<usize> = (0..60).filter(|&p| !model.initial_holdings[p].is_empty()).collect();
-            let free_rider = (0..60).find(|&p| model.initial_holdings[p].is_empty()).unwrap();
+            let sharers: Vec<usize> = (0..60).filter(|&p| !model.is_free_rider(PeerId(p as u32))).collect();
+            let free_rider = (0..60).find(|&p| model.is_free_rider(PeerId(p as u32))).unwrap();
             let slots = [free_rider, sharers[0], sharers[1], sharers[2]];
             let roles: Vec<_> = (0..60)
                 .map(|p| if p == slots[1] { AdversaryRole::AdSpammer } else { AdversaryRole::Honest })

@@ -150,11 +150,11 @@ impl SuperAsap {
     pub fn new(config: AsapConfig, model: &ContentModel) -> Self {
         config.validate();
         let kw_hashes: Vec<KeyHash> = (0..model.vocab.len())
-            .map(|i| KeyHash::of(model.vocab.word(KeywordId(i as u32))))
+            .map(|i| KeyHash::of(model.vocab.word(KeywordId(i as u16))))
             .collect();
-        let nodes = (0..model.num_peers())
+        let nodes = (0..model.num_peers() as u32)
             .map(|p| {
-                let docs = &model.initial_holdings[p];
+                let docs = model.initial_holdings(PeerId(p));
                 let filter = own_filter(config.bloom, &kw_hashes, model, docs, &[]);
                 NodeState {
                     version: 0,

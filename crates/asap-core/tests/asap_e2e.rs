@@ -5,7 +5,7 @@ use asap_metrics::MsgClass;
 use asap_overlay::{OverlayConfig, OverlayKind};
 use asap_sim::{SimReport, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
-use asap_workload::{Workload, WorkloadConfig};
+use asap_workload::{PeerId, Workload, WorkloadConfig};
 
 const PEERS: usize = 250;
 const QUERIES: usize = 400;
@@ -147,7 +147,7 @@ fn free_riders_never_advertise() {
     // exclude free riders. Indirect check: full deliveries ≤ sharers + joins.
     let (_, workload) = world(8);
     let sharers = (0..PEERS)
-        .filter(|&p| !workload.model.initial_holdings[p].is_empty())
+        .filter(|&p| !workload.model.is_free_rider(PeerId(p as u32)))
         .count() as u64;
     assert!(
         stats.full_deliveries <= sharers + 200,

@@ -7,14 +7,17 @@
 //! Messages are built deterministically from proptest-generated integers
 //! rather than via `Arbitrary` impls: the vendored shim has no shrinking, so
 //! small seed tuples keep failing cases readable. The same construction
-//! covers all four `BaselineMsg` variants and seven `AsapMsg` shapes
-//! (full/refresh ads, fetches, warm-up and query-driven ads requests,
-//! replies with Bloom-backed snapshots, confirm round trips).
+//! covers all four `BaselineMsg` variants, nine `AsapMsg` shapes (full,
+//! patch and refresh ads, fetches, warm-up and query-driven ads requests,
+//! replies with Bloom-backed snapshots, confirms and their replies) and all
+//! nine `SuperMsg` variants of the super-peer deployment. A patch ad is the
+//! one frame that carries both a `FilterPatch` and a whole 1,443 B filter.
 
 use std::rc::Rc;
 
-use asap_bloom::{BloomFilter, BloomParams};
-use asap_core::{AdPayload, AdSnapshot, Asap, AsapMsg, Forwarding};
+use asap_bloom::{BloomFilter, BloomParams, FilterPatch};
+use asap_core::superpeer::SuperMsg;
+use asap_core::{AdPayload, AdSnapshot, Asap, AsapMsg, Forwarding, SuperAsap};
 use asap_metrics::MsgClass;
 use asap_net::wire::{
     checksum, decode_frame, decode_frame_exact, encode_frame, Frame, WireError, ENVELOPE, MAX_FRAME,
@@ -29,16 +32,24 @@ use proptest::prelude::*;
 /// Deterministic keyword list: distinct ids derived from a seed.
 fn keywords(seed: u32, n: usize) -> Rc<[KeywordId]> {
     (0..n as u32)
-        .map(|i| KeywordId(seed.wrapping_mul(2_654_435_761).wrapping_add(i * 7919) % 50_000))
+        .map(|i| {
+            let id = seed.wrapping_mul(2_654_435_761).wrapping_add(i * 7919) % 50_000;
+            KeywordId(id as u16)
+        })
         .collect::<Vec<_>>()
         .into()
 }
 
+/// One to five keys derived from a seed.
+fn filter_keys(seed: u32) -> Vec<String> {
+    (0..(seed % 5) + 1)
+        .map(|i| format!("k{seed}-{i}"))
+        .collect()
+}
+
 /// Bloom-backed snapshot from a seed, as ASAP ads replies carry them.
 fn snapshot(seed: u32) -> AdSnapshot {
-    let keys: Vec<String> = (0..(seed % 5) + 1)
-        .map(|i| format!("k{seed}-{i}"))
-        .collect();
+    let keys = filter_keys(seed);
     AdSnapshot {
         source: PeerId(seed % 10_000),
         topics: InterestSet((seed % 0xFFFF) as u16),
@@ -47,6 +58,26 @@ fn snapshot(seed: u32) -> AdSnapshot {
             BloomParams::paper_default(),
             keys.iter().map(String::as_str),
         )),
+    }
+}
+
+/// A patch ad's payload from a seed: the diff from [`snapshot`]'s filter
+/// to that filter with up to seven more keys, and the paper-sized filter it
+/// yields.
+fn patch_payload(seed: u32, source: PeerId, version: u16) -> AdPayload {
+    let old = snapshot(seed).filter;
+    let mut keys = filter_keys(seed);
+    keys.extend((0..=seed % 7).map(|i| format!("p{seed}-{i}")));
+    let new = BloomFilter::from_keys(
+        BloomParams::paper_default(),
+        keys.iter().map(String::as_str),
+    );
+    AdPayload::Patch {
+        source,
+        topics: InterestSet((seed % 0xFFFF) as u16),
+        version,
+        patch: Rc::new(FilterPatch::diff(&old, &new)),
+        result: Rc::new(new),
     }
 }
 
@@ -80,10 +111,13 @@ fn baseline_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> Bas
     }
 }
 
-/// One of seven ASAP wire message shapes, selected by `kind`.
+/// How many `AsapMsg` shapes [`asap_msg`] builds.
+const ASAP_SHAPES: u8 = 9;
+
+/// One of the nine ASAP wire message shapes, selected by `kind`.
 fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg {
     let requester = PeerId(peer % 10_000);
-    match kind % 7 {
+    match kind % ASAP_SHAPES {
         0 => AsapMsg::Ad {
             payload: AdPayload::Full(snapshot(query)),
             fwd: Forwarding::Flood {
@@ -92,6 +126,13 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
             delivery: u64::from(query) << 16 | u64::from(ttl),
         },
         1 => AsapMsg::Ad {
+            payload: patch_payload(query, requester, ttl % 900),
+            fwd: Forwarding::Gsa {
+                budget: u32::from(ttl) + 1,
+            },
+            delivery: u64::from(peer) << 16 | u64::from(ttl),
+        },
+        2 => AsapMsg::Ad {
             payload: AdPayload::Refresh {
                 source: requester,
                 topics: InterestSet((query % 0xFFFF) as u16),
@@ -102,8 +143,8 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
             },
             delivery: u64::from(query),
         },
-        2 => AsapMsg::FullAdFetch,
-        3 => AsapMsg::AdsRequest {
+        3 => AsapMsg::FullAdFetch,
+        4 => AsapMsg::AdsRequest {
             requester,
             interests: InterestSet((query % 0xFFFF) as u16),
             hops: (ttl % 8) as u8,
@@ -111,14 +152,14 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
             terms: Some(keywords(query, nterms)),
         },
         // Join-time warm-up shape: no live query attached.
-        4 => AsapMsg::AdsRequest {
+        5 => AsapMsg::AdsRequest {
             requester,
             interests: InterestSet((query % 0xFFFF) as u16),
             hops: (ttl % 8) as u8,
             query: None,
             terms: None,
         },
-        5 => AsapMsg::AdsReply {
+        6 => AsapMsg::AdsReply {
             ads: (0..nterms % 4)
                 .map(|i| snapshot(query.wrapping_add(i as u32)))
                 .collect(),
@@ -128,7 +169,7 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
                 None
             },
         },
-        6 => AsapMsg::Confirm {
+        7 => AsapMsg::Confirm {
             query,
             requester,
             terms: keywords(query, nterms.max(1)),
@@ -136,6 +177,61 @@ fn asap_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> AsapMsg
         _ => AsapMsg::ConfirmReply {
             query,
             results: u32::from(ttl),
+        },
+    }
+}
+
+/// How many `SuperMsg` variants [`super_msg`] builds.
+const SUPER_SHAPES: u8 = 9;
+
+/// One of the nine super-peer ASAP wire messages, selected by `kind`.
+fn super_msg(kind: u8, query: u32, peer: u32, ttl: u16, nterms: usize) -> SuperMsg {
+    let requester = PeerId(peer % 10_000);
+    let terms = keywords(query, nterms.max(1));
+    match kind % SUPER_SHAPES {
+        0 => SuperMsg::Register {
+            snap: snapshot(query),
+        },
+        1 => SuperMsg::Digest {
+            entries: (0..nterms as u32)
+                .map(|i| {
+                    let p = query.wrapping_add(i) % 10_000;
+                    (PeerId(p), InterestSet((p % 0xFFFF) as u16), ttl % 900)
+                })
+                .collect::<Vec<_>>()
+                .into(),
+            budget: u32::from(ttl) + 1,
+        },
+        2 => SuperMsg::Fetch,
+        3 => SuperMsg::FetchReply {
+            snap: snapshot(query ^ peer),
+        },
+        4 => SuperMsg::QueryAsk {
+            query,
+            requester,
+            terms,
+        },
+        5 => SuperMsg::Confirm {
+            query,
+            requester,
+            terms,
+        },
+        6 => SuperMsg::ConfirmReply {
+            query,
+            results: u32::from(ttl),
+        },
+        7 => SuperMsg::AdsRequest {
+            query,
+            requester,
+            terms,
+        },
+        _ => SuperMsg::AdsReply {
+            query,
+            requester,
+            terms,
+            ads: (0..nterms % 4)
+                .map(|i| snapshot(query.wrapping_add(i as u32)))
+                .collect(),
         },
     }
 }
@@ -196,6 +292,26 @@ where
     );
 }
 
+/// A patch ad's frame holds the patch and the whole paper-sized filter
+/// beside it, and both survive the round trip.
+#[test]
+fn patch_frames_carry_the_patch_and_the_whole_filter() {
+    let f = frame(asap_msg(1, 40_321, 77, 12, 3), 77, 0, 9);
+    let AsapMsg::Ad {
+        payload: AdPayload::Patch { patch, result, .. },
+        ..
+    } = &f.msg
+    else {
+        panic!("shape 1 is a patch ad");
+    };
+    assert!(!patch.is_empty());
+    let filter_bytes = result.params().raw_bytes();
+    assert_eq!(filter_bytes, 1_443);
+    let bytes = encode_frame::<Asap>(&f);
+    assert!(bytes.len() > ENVELOPE + filter_bytes + patch.encoded_size());
+    assert_roundtrip::<Asap>(&bytes);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -214,7 +330,7 @@ proptest! {
 
     #[test]
     fn asap_frames_roundtrip_byte_identically(
-        ids in (0u8..8, 0u32..1_000_000, 0u32..1_000_000),
+        ids in (0u8..ASAP_SHAPES, 0u32..1_000_000, 0u32..1_000_000),
         shape in (0u16..2_000, 0usize..8, 0usize..16, 0u32..1_000_000),
     ) {
         let (kind, query, peer) = ids;
@@ -226,31 +342,55 @@ proptest! {
     }
 
     #[test]
+    fn super_peer_frames_roundtrip_byte_identically(
+        ids in (0u8..SUPER_SHAPES, 0u32..1_000_000, 0u32..1_000_000),
+        shape in (0u16..2_000, 0usize..8, 0usize..16, 0u32..1_000_000),
+    ) {
+        let (kind, query, peer) = ids;
+        let (ttl, nterms, class_idx, billed) = shape;
+        let f = frame(super_msg(kind, query, peer, ttl, nterms), peer, class_idx, billed);
+        let bytes = encode_frame::<SuperAsap>(&f);
+        assert_payload_is_codec(&f.msg, &bytes);
+        assert_roundtrip::<SuperAsap>(&bytes);
+    }
+
+    #[test]
     fn truncation_is_incomplete_or_typed_never_panics(
-        ids in (0u8..8, 0u32..1_000_000, 0u32..1_000_000, 0u16..2_000),
+        ids in (0u8..ASAP_SHAPES, 0u32..1_000_000, 0u32..1_000_000, 0u16..2_000),
         cut_ppm in 0u32..1_000_000,
     ) {
         let (kind, query, peer, ttl) = ids;
-        let f = frame(asap_msg(kind, query, peer, ttl, 3), peer, kind as usize, query);
-        let bytes = encode_frame::<Asap>(&f);
         // ppm-scaled cut point so every length of prefix gets exercised
         // across cases regardless of how large the frame came out.
-        let cut = (cut_ppm as usize * bytes.len() / 1_000_000).min(bytes.len() - 1);
-        assert_prefixes_truncate::<Asap>(&bytes, cut);
+        let cut = |len: usize| (cut_ppm as usize * len / 1_000_000).min(len - 1);
+        let f = frame(asap_msg(kind, query, peer, ttl, 3), peer, kind as usize, query);
+        let bytes = encode_frame::<Asap>(&f);
+        assert_prefixes_truncate::<Asap>(&bytes, cut(bytes.len()));
+        let f = frame(super_msg(kind, query, peer, ttl, 3), peer, kind as usize, query);
+        let bytes = encode_frame::<SuperAsap>(&f);
+        assert_prefixes_truncate::<SuperAsap>(&bytes, cut(bytes.len()));
     }
 
     #[test]
     fn bit_flips_yield_typed_errors_never_panics(
-        ids in (0u8..8, 0u32..1_000_000, 0u32..1_000_000, 0u16..2_000),
+        ids in (0u8..ASAP_SHAPES, 0u32..1_000_000, 0u32..1_000_000, 0u16..2_000),
         flip in (0u32..1_000_000, 0u8..8),
     ) {
         let (kind, query, peer, ttl) = ids;
         let (pos_ppm, bit) = flip;
+        let flipped = |mut bad: Vec<u8>| {
+            let pos = (pos_ppm as usize * bad.len() / 1_000_000).min(bad.len() - 1);
+            bad[pos] ^= 1 << bit;
+            (bad, pos)
+        };
+        let f = frame(super_msg(kind, query, peer, ttl, 3), peer, kind as usize, query);
+        let (bad, pos) = flipped(encode_frame::<SuperAsap>(&f));
+        prop_assert!(
+            decode_frame_exact::<SuperAsap>(&bad).is_err(),
+            "single-bit flip at byte {pos} bit {bit} of a super-peer frame decoded cleanly"
+        );
         let f = frame(asap_msg(kind, query, peer, ttl, 3), peer, kind as usize, query);
-        let bytes = encode_frame::<Asap>(&f);
-        let mut bad = bytes.clone();
-        let pos = (pos_ppm as usize * bad.len() / 1_000_000).min(bad.len() - 1);
-        bad[pos] ^= 1 << bit;
+        let (bad, pos) = flipped(encode_frame::<Asap>(&f));
         // A flip in the body fails the checksum; a flip in the length prefix
         // or trailing checksum surfaces as whatever typed error the shifted
         // interpretation hits (Truncated / Oversized / TrailingPayload /

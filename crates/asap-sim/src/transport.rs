@@ -19,8 +19,9 @@
 //!   and the `asapd` daemon are this same engine on that carrier.
 //!
 //! The engine's `Ctx` owns one carrier value per run, so a carrier can keep
-//! state across messages (the framed one reuses its encode buffer and
-//! interns the filters it decodes) without any global.
+//! state across messages without any global. The framed one keeps a
+//! single encode buffer, which every frame is written into before the
+//! queued copy is taken.
 //!
 //! The trait is deliberately *not* object-safe ([`Transport::trace`] is
 //! generic so an unobserved run never constructs the event); protocols

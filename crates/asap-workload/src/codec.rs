@@ -16,14 +16,18 @@ impl Codec for DocId {
     }
 }
 
-// Hand-written: the id must lie inside the decoder's vocabulary.
+// Hand-written: the id must lie inside the decoder's vocabulary, and
+// inside the 16-bit keyword space under any bounds, the wire's included.
+// It takes four bytes, so checkpoint and frame formats keep their widths.
 impl Codec for KeywordId {
     fn put(&self, enc: &mut Encoder) {
-        enc.put_u32(self.0);
+        enc.put_u32(self.0.into());
     }
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        dec.get_id(dec.bounds().keywords, "keyword id out of range")
-            .map(KeywordId)
+        let bound = dec.bounds().keywords.min(KeywordId::SPACE);
+        // In range, so the cast is exact.
+        dec.get_id(bound, "keyword id out of range")
+            .map(|id| KeywordId(id as u16))
     }
 }
 
@@ -78,6 +82,31 @@ mod tests {
             DocId::pull(&mut Decoder::new(&[255; 4])),
             Ok(DocId(u32::MAX))
         );
+    }
+
+    #[test]
+    fn keyword_ids_past_sixteen_bits_are_rejected_under_any_bounds() {
+        let wide = IdBounds {
+            keywords: 1 << 20,
+            ..IdBounds::NONE
+        };
+        for bounds in [IdBounds::NONE, wide] {
+            let pull =
+                |id: u32| KeywordId::pull(&mut Decoder::new(&id.to_le_bytes()).with_bounds(bounds));
+            assert_eq!(pull(65_535), Ok(KeywordId(u16::MAX)));
+            assert_eq!(
+                pull(65_536),
+                Err(CodecError::Invalid("keyword id out of range"))
+            );
+            assert_eq!(
+                pull(u32::MAX),
+                Err(CodecError::Invalid("keyword id out of range"))
+            );
+        }
+        // Still four bytes on the wire.
+        let mut enc = Encoder::new();
+        KeywordId(u16::MAX).put(&mut enc);
+        assert_eq!(enc.into_bytes(), vec![255, 255, 0, 0]);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Workload generation parameters (paper §IV-B).
 
+use crate::content::CLASSES;
+use crate::ids::KeywordId;
+
 /// Heterogeneous-workload knobs layered over the paper's homogeneous trace.
 ///
 /// The paper evaluates one steady-state workload; real deployments are
@@ -168,6 +171,11 @@ impl WorkloadConfig {
             (0.0..=1.0).contains(&self.content_change_fraction),
             "content_change_fraction must be in [0, 1]"
         );
+        assert!(
+            CLASSES * self.vocab_per_class <= KeywordId::SPACE,
+            "{CLASSES} classes × {} words overflow the 16-bit keyword space",
+            self.vocab_per_class
+        );
         self.pack.validate();
     }
 }
@@ -203,6 +211,23 @@ mod tests {
     fn joins_bounded_by_peers() {
         let mut c = WorkloadConfig::reduced(100, 100, 1);
         c.joins = 100;
+        c.validate();
+    }
+
+    /// 14 × 4,681 = 65,534 keyword ids fit in 16 bits; 14 × 4,682 =
+    /// 65,548 do not.
+    #[test]
+    fn largest_vocabulary_that_fits_sixteen_bits_validates() {
+        let mut c = WorkloadConfig::paper_default(1);
+        c.vocab_per_class = 4_681;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "14 classes × 4682 words overflow the 16-bit keyword space")]
+    fn vocabulary_past_sixteen_bits_rejected() {
+        let mut c = WorkloadConfig::paper_default(1);
+        c.vocab_per_class = 4_682;
         c.validate();
     }
 

@@ -23,6 +23,7 @@ use crate::zipf::{geometric, Zipf};
 use asap_overlay::PeerId;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::mem::size_of;
 
 /// Number of semantic classes (paper: 14).
 pub const CLASSES: usize = 14;
@@ -66,7 +67,8 @@ impl Document<'_> {
 ///
 /// The catalogue is three flat vectors rather than one heap block per
 /// document: document `d` has class `classes[d]` and keywords
-/// `keywords[starts[d]..starts[d + 1]]`.
+/// `keywords[starts[d]..starts[d + 1]]`. The initial holdings are one more
+/// such pair: peer `p` shares `held[held_starts[p]..held_starts[p + 1]]`.
 #[derive(Debug)]
 pub struct ContentModel {
     pub vocab: Vocabulary,
@@ -74,18 +76,19 @@ pub struct ContentModel {
     /// `num_docs + 1` offsets into `keywords`.
     starts: Vec<u32>,
     keywords: Vec<KeywordId>,
-    /// Initial shared documents per peer, sorted; empty for free riders.
-    pub initial_holdings: Vec<Vec<DocId>>,
+    /// `num_peers + 1` offsets into `held`.
+    held_starts: Vec<u32>,
+    /// Every peer's initial shared documents, each peer's sorted; free
+    /// riders' runs are empty.
+    held: Vec<DocId>,
     /// `I(p)` for every peer.
     pub interests: Vec<InterestSet>,
-    /// Documents grouped by class (query-target lookup).
-    pub class_docs: Vec<Vec<DocId>>,
     pub num_classes: usize,
 }
 
 impl ContentModel {
     pub fn num_peers(&self) -> usize {
-        self.initial_holdings.len()
+        self.held_starts.len() - 1
     }
 
     pub fn num_docs(&self) -> usize {
@@ -102,16 +105,30 @@ impl ContentModel {
         }
     }
 
+    /// The documents `p` shares at the start, ascending.
+    #[inline]
+    pub fn initial_holdings(&self, p: PeerId) -> &[DocId] {
+        let i = p.index();
+        &self.held[self.held_starts[i] as usize..self.held_starts[i + 1] as usize]
+    }
+
+    /// Every peer's initial holdings, in peer order.
+    fn all_initial_holdings(&self) -> impl Iterator<Item = &[DocId]> + '_ {
+        self.held_starts
+            .windows(2)
+            .map(|w| &self.held[w[0] as usize..w[1] as usize])
+    }
+
     /// A peer that initially shares nothing.
     pub fn is_free_rider(&self, p: PeerId) -> bool {
-        self.initial_holdings[p.index()].is_empty()
+        self.initial_holdings(p).is_empty()
     }
 
     /// Fig. 2: for each class, the number of peers whose shared content
     /// includes at least one document of that class.
     pub fn class_node_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
-        for holdings in &self.initial_holdings {
+        for holdings in self.all_initial_holdings() {
             let classes: InterestSet = holdings.iter().map(|&d| self.doc(d).class).collect();
             for c in classes.iter() {
                 counts[c.index()] += 1;
@@ -135,10 +152,8 @@ impl ContentModel {
     /// the initial placement — the paper reports ≈ 1.28 and 89 %.
     pub fn copy_stats(&self) -> (f64, f64) {
         let mut copies = vec![0usize; self.num_docs()];
-        for holdings in &self.initial_holdings {
-            for &d in holdings {
-                copies[d.index()] += 1;
-            }
+        for &d in &self.held {
+            copies[d.index()] += 1;
         }
         let placed: Vec<usize> = copies.into_iter().filter(|&c| c > 0).collect();
         if placed.is_empty() {
@@ -150,6 +165,21 @@ impl ContentModel {
             total as f64 / placed.len() as f64,
             singles as f64 / placed.len() as f64,
         )
+    }
+
+    /// Heap bytes the model keeps: the vocabulary's words, the catalogue,
+    /// the holdings arena and the interests, each at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        self.vocab.heap_bytes()
+            + bytes(&self.classes)
+            + bytes(&self.starts)
+            + bytes(&self.keywords)
+            + bytes(&self.held_starts)
+            + bytes(&self.held)
+            + bytes(&self.interests)
     }
 }
 
@@ -192,12 +222,15 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
     let mut classes: Vec<ClassId> = Vec::new();
     let mut starts: Vec<u32> = vec![0];
     let mut keywords: Vec<KeywordId> = Vec::new();
-    let mut class_docs: Vec<Vec<DocId>> = vec![Vec::new(); CLASSES];
     // Per class: documents with unfilled copy quota (doc, copies remaining).
     let mut open_pool: Vec<Vec<(DocId, u32)>> = vec![Vec::new(); CLASSES];
-    let mut initial_holdings: Vec<Vec<DocId>> = vec![Vec::new(); config.peers];
+    let mut held_starts: Vec<u32> = Vec::with_capacity(config.peers + 1);
+    let mut held: Vec<DocId> = Vec::new();
+    // One peer's documents while they are placed, reused across peers.
+    let mut mine: Vec<DocId> = Vec::new();
 
     for p in 0..config.peers {
+        held_starts.push(held.len() as u32);
         if free_rider[p] {
             continue;
         }
@@ -210,7 +243,7 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
                 // Replica: fill a random open quota of this class.
                 let slot = rng.gen_range(0..pool.len());
                 let (id, _) = pool[slot];
-                if initial_holdings[p].contains(&id) {
+                if mine.contains(&id) {
                     continue; // a peer holds at most one copy
                 }
                 pool[slot].1 -= 1;
@@ -223,26 +256,32 @@ pub fn generate_model(config: &WorkloadConfig, rng: &mut SmallRng) -> ContentMod
                 classes.push(class);
                 make_document(config, class, &word_rank, rng, &mut keywords);
                 starts.push(keywords.len() as u32);
-                class_docs[class.index()].push(id);
                 let extra_copies = sample_extra_copies(rng);
                 if extra_copies > 0 {
                     pool.push((id, extra_copies));
                 }
                 id
             };
-            initial_holdings[p].push(doc_id);
+            mine.push(doc_id);
         }
-        initial_holdings[p].sort_unstable();
+        mine.sort_unstable();
+        held.append(&mut mine);
     }
+    held_starts.push(held.len() as u32);
+    // The arenas grew by doubling; the model keeps them for the whole run.
+    classes.shrink_to_fit();
+    starts.shrink_to_fit();
+    keywords.shrink_to_fit();
+    held.shrink_to_fit();
 
     ContentModel {
         vocab,
         classes,
         starts,
         keywords,
-        initial_holdings,
+        held_starts,
+        held,
         interests,
-        class_docs,
         num_classes: CLASSES,
     }
 }
@@ -276,7 +315,9 @@ fn make_document(
     while arena.len() - start < n && guard < n * 50 {
         guard += 1;
         let rank = word_rank.sample(rng);
-        let kw = KeywordId((class.index() * config.vocab_per_class + rank) as u32);
+        // Below `CLASSES × vocab_per_class`, which `validate` keeps within
+        // the keyword space.
+        let kw = KeywordId((class.index() * config.vocab_per_class + rank) as u16);
         if !arena[start..].contains(&kw) {
             arena.push(kw);
         }
@@ -335,7 +376,7 @@ mod tests {
     fn sharer_interests_cover_their_content() {
         let m = model(1_000, 3);
         for p in 0..1_000u32 {
-            for &d in &m.initial_holdings[p as usize] {
+            for &d in m.initial_holdings(PeerId(p)) {
                 assert!(
                     m.interests[p as usize].contains(m.doc(d).class),
                     "peer {p} shares a document outside its interests"
@@ -395,7 +436,8 @@ mod tests {
     #[test]
     fn holdings_sorted_and_deduplicated() {
         let m = model(1_000, 8);
-        for h in &m.initial_holdings {
+        assert_eq!(m.all_initial_holdings().count(), 1_000);
+        for h in m.all_initial_holdings() {
             assert!(h.windows(2).all(|w| w[0] < w[1]));
         }
     }

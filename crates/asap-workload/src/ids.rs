@@ -13,11 +13,17 @@ impl ClassId {
     }
 }
 
-/// Interned keyword (index into the [`crate::Vocabulary`]).
+/// Interned keyword (index into the [`crate::Vocabulary`]). Sixteen bits:
+/// 14 classes of at most a few thousand words each need no more, and the
+/// catalogue stores one per keyword of every document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct KeywordId(pub u32);
+pub struct KeywordId(pub u16);
 
 impl KeywordId {
+    /// How many distinct keyword ids there are: the largest vocabulary a
+    /// workload may have.
+    pub const SPACE: usize = 1 << 16;
+
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize

@@ -33,7 +33,9 @@ struct PeerDocs(Vec<Vec<DocId>>);
 impl PeerDocs {
     /// The model's initial holdings, which are sorted already.
     fn from_model(model: &ContentModel) -> Self {
-        let docs = model.initial_holdings.clone();
+        let docs: Vec<Vec<DocId>> = (0..model.num_peers() as u32)
+            .map(|p| model.initial_holdings(PeerId(p)).to_vec())
+            .collect();
         debug_assert!(docs.iter().all(|held| held.windows(2).all(|w| w[0] < w[1])));
         Self(docs)
     }
@@ -421,10 +423,8 @@ mod tests {
     fn initial_state_mirrors_model() {
         let (model, state) = setup();
         for p in 0..model.num_peers() {
-            assert_eq!(
-                state.peer_docs(PeerId(p as u32)),
-                model.initial_holdings[p].as_slice()
-            );
+            let peer = PeerId(p as u32);
+            assert_eq!(state.peer_docs(peer), model.initial_holdings(peer));
         }
     }
 
@@ -437,9 +437,9 @@ mod tests {
             docs: PeerDocs(vec![Vec::new(); model.num_peers()]),
             holders: HolderArena::transpose(&[], model.num_docs()),
         };
-        for (p, docs) in model.initial_holdings.iter().enumerate() {
-            for &d in docs {
-                assert!(replayed.add(PeerId(p as u32), d));
+        for p in (0..model.num_peers() as u32).map(PeerId) {
+            for &d in model.initial_holdings(p) {
+                assert!(replayed.add(p, d));
             }
         }
         assert!(
@@ -460,7 +460,9 @@ mod tests {
                 listed += 1;
             }
         }
-        let held: usize = model.initial_holdings.iter().map(Vec::len).sum();
+        let held: usize = (0..model.num_peers() as u32)
+            .map(|p| model.initial_holdings(PeerId(p)).len())
+            .sum();
         assert_eq!(listed, held, "every held copy has exactly one holder slot");
     }
 
@@ -636,7 +638,7 @@ mod tests {
             analytic += (1.0 - (-k * held.len() as f64 / m).exp()).powf(k);
             let mut probed = 0;
             while probed < PROBES_PER_PEER {
-                let kw = KeywordId(rng.gen_range(0..vocab));
+                let kw = KeywordId(rng.gen_range(0..vocab) as u16);
                 if !held.contains(&kw) {
                     probed += 1;
                     false_passes += u64::from(state.signatures[p].may_hold(kw));
@@ -662,8 +664,10 @@ mod tests {
     fn content_state_heap_is_bounded() {
         let w = ten_k();
         let mut state = ContentState::from_model(&w.model);
-        let copies: usize = w.model.initial_holdings.iter().map(Vec::len).sum();
         let peers = w.model.num_peers();
+        let copies: usize = (0..peers as u32)
+            .map(|p| w.model.initial_holdings(PeerId(p)).len())
+            .sum();
         assert!(
             state.heap_bytes() >= peers * (24 + 128) + copies * 4,
             "{} B misses the lists or the signatures",

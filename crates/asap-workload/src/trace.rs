@@ -163,6 +163,7 @@ pub fn generate_trace(
     // --- chronological generation ------------------------------------------
     // Who holds what is all the generator reads; no keyword multiset here.
     let mut state = Holdings::from_model(model);
+    let pools = class_pools(model);
     let mut events = Vec::with_capacity(slots.len() + config.queries / 8);
     let mut query_id = 0u32;
 
@@ -217,6 +218,7 @@ pub fn generate_trace(
                 let Some(q) = synthesize_query(
                     config,
                     model,
+                    &pools,
                     &state,
                     &alive,
                     alive_count,
@@ -233,7 +235,8 @@ pub fn generate_trace(
                 });
                 // 10 % of requests are followed by a content change.
                 if rng.gen_bool(config.content_change_fraction) {
-                    if let Some(ev) = synthesize_change(model, &mut state, &alive, alive_count, rng)
+                    if let Some(ev) =
+                        synthesize_change(model, &pools, &mut state, &alive, alive_count, rng)
                     {
                         events.push(TimedEvent { time_us, event: ev });
                     }
@@ -243,6 +246,24 @@ pub fn generate_trace(
     }
 
     (Trace { events }, initially_alive)
+}
+
+/// Every document grouped by class, each class's in ascending id order:
+/// the pools query targets and added replicas are drawn from. Only the
+/// generator needs them, so the model does not keep them. Each pool is
+/// sized by a first counting pass: generation sets `rw.xl`'s peak
+/// resident memory, and pools grown by doubling put 3 MB on it.
+fn class_pools(model: &ContentModel) -> Vec<Vec<DocId>> {
+    let docs = (0..model.num_docs() as u32).map(DocId);
+    let mut sizes = vec![0; model.num_classes];
+    for d in docs.clone() {
+        sizes[model.doc(d).class.index()] += 1;
+    }
+    let mut pools: Vec<Vec<DocId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for d in docs {
+        pools[model.doc(d).class.index()].push(d);
+    }
+    pools
 }
 
 fn random_alive(alive: &[bool], alive_count: usize, rng: &mut SmallRng) -> PeerId {
@@ -261,6 +282,7 @@ fn random_alive(alive: &[bool], alive_count: usize, rng: &mut SmallRng) -> PeerI
 fn synthesize_query(
     config: &WorkloadConfig,
     model: &ContentModel,
+    pools: &[Vec<DocId>],
     state: &Holdings,
     alive: &[bool],
     alive_count: usize,
@@ -282,7 +304,7 @@ fn synthesize_query(
                 let shift = 1 + (progress * (model.num_classes - 1) as f64) as usize;
                 class = ClassId(((class.index() + shift) % model.num_classes) as u8);
             }
-            let pool = &model.class_docs[class.index()];
+            let pool = &pools[class.index()];
             if pool.is_empty() {
                 continue;
             }
@@ -335,6 +357,7 @@ fn pick_terms(model: &ContentModel, doc: DocId, rng: &mut SmallRng) -> Vec<Keywo
 /// from the snapshot.
 fn synthesize_change(
     model: &ContentModel,
+    pools: &[Vec<DocId>],
     state: &mut Holdings,
     alive: &[bool],
     alive_count: usize,
@@ -346,7 +369,7 @@ fn synthesize_change(
             let peer = random_alive(alive, alive_count, rng);
             let classes: Vec<ClassId> = model.interests[peer.index()].iter().collect();
             let class = classes[rng.gen_range(0..classes.len())];
-            let pool = &model.class_docs[class.index()];
+            let pool = &pools[class.index()];
             if pool.is_empty() {
                 continue;
             }

@@ -16,9 +16,12 @@ impl Vocabulary {
         Self::default()
     }
 
-    /// Intern a new keyword, returning its id.
+    /// Intern a new keyword, returning its id. Panics past
+    /// [`KeywordId::SPACE`] words.
     pub fn intern(&mut self, word: String) -> KeywordId {
-        let id = KeywordId(self.words.len() as u32);
+        let id = u16::try_from(self.words.len())
+            .map(KeywordId)
+            .expect("vocabulary exceeds the 16-bit keyword space");
         self.words.push(word);
         id
     }
@@ -27,7 +30,9 @@ impl Vocabulary {
     /// are deterministic (`c<class>.kw<rank>`), so filters built from them
     /// are reproducible across runs.
     pub fn for_classes(classes: usize, per_class: usize) -> Self {
-        let mut v = Self::new();
+        let mut v = Self {
+            words: Vec::with_capacity(classes * per_class),
+        };
         for c in 0..classes {
             for r in 0..per_class {
                 v.intern(format!("c{c}.kw{r}"));
@@ -40,7 +45,7 @@ impl Vocabulary {
     pub fn class_word(&self, class: ClassId, per_class: usize, rank: usize) -> KeywordId {
         let id = class.index() * per_class + rank;
         debug_assert!(id < self.words.len());
-        KeywordId(id as u32)
+        KeywordId(id as u16)
     }
 
     #[inline]
@@ -54,6 +59,13 @@ impl Vocabulary {
 
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
+    }
+
+    /// Heap bytes the table keeps: one `String` header per slot and each
+    /// word's capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<String>()
+            + self.words.iter().map(String::capacity).sum::<usize>()
     }
 }
 
@@ -83,7 +95,7 @@ mod tests {
     fn words_are_distinct() {
         let v = Vocabulary::for_classes(14, 100);
         let set: std::collections::BTreeSet<&str> =
-            (0..v.len()).map(|i| v.word(KeywordId(i as u32))).collect();
+            (0..v.len()).map(|i| v.word(KeywordId(i as u16))).collect();
         assert_eq!(set.len(), v.len());
     }
 }

@@ -44,9 +44,9 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (peers, docs) = (model.num_peers() as u32, model.num_docs() as u32);
         let mut replay: Vec<Vec<PeerId>> = vec![Vec::new(); docs as usize];
-        for (p, held) in model.initial_holdings.iter().enumerate() {
-            for &d in held {
-                replay[d.index()].push(PeerId(p as u32));
+        for p in (0..peers).map(PeerId) {
+            for &d in model.initial_holdings(p) {
+                replay[d.index()].push(p);
             }
         }
         let mut apply = |state: &mut ContentState, holdings: &mut Holdings, add: bool, peer: PeerId, doc: DocId| {

@@ -243,7 +243,7 @@ impl Asap {
     /// falsely claimed ones. Honest nodes union with `EMPTY` (a no-op), so
     /// this is one indexed load over [`Asap::new`]'s behavior.
     fn advertised_topics<C: Transport<Msg = AsapMsg>>(&self, ctx: &C, node: PeerId) -> InterestSet {
-        let real = ctx.content().peer_topics(ctx.model(), node);
+        let real = ctx.content().peer_topics(node);
         real.union(self.claimed_topics[node])
     }
 

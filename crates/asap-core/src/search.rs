@@ -315,10 +315,7 @@ pub(crate) fn handle_confirm<C: Transport<Msg = AsapMsg>>(
     terms: &Rc<[KeywordId]>,
 ) {
     let _ = asap;
-    let results = ctx
-        .content()
-        .matching_docs(ctx.model(), node, terms)
-        .count() as u32;
+    let results = ctx.content().matching_docs(node, terms).count() as u32;
     ctx.send(
         node,
         requester,

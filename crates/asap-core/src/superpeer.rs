@@ -273,7 +273,7 @@ impl SuperAsap {
 
     /// Leaf (or super, to itself) registers its snapshot with its home.
     fn register_with_home<C: Transport<Msg = SuperMsg>>(&mut self, ctx: &mut C, node: PeerId) {
-        let topics = ctx.content().peer_topics(ctx.model(), node);
+        let topics = ctx.content().peer_topics(node);
         if topics.is_empty() {
             return; // free riders: nothing to advertise
         }
@@ -436,7 +436,7 @@ impl SuperAsap {
             if source == me {
                 // Our own content matched: verdict without a network hop
                 // (the reply to the requester still travels).
-                let results = ctx.content().matching_docs(ctx.model(), me, terms).count() as u32;
+                let results = ctx.content().matching_docs(me, terms).count() as u32;
                 if results > 0 && requester != me {
                     ctx.send(
                         me,
@@ -580,7 +580,7 @@ impl Protocol for SuperAsap {
                 self.handle_digest(ctx, to, from, entries, budget)
             }
             SuperMsg::Fetch => {
-                let topics = ctx.content().peer_topics(ctx.model(), to);
+                let topics = ctx.content().peer_topics(to);
                 if topics.is_empty() {
                     return;
                 }
@@ -613,7 +613,7 @@ impl Protocol for SuperAsap {
                 requester,
                 terms,
             } => {
-                let results = ctx.content().matching_docs(ctx.model(), to, &terms).count() as u32;
+                let results = ctx.content().matching_docs(to, &terms).count() as u32;
                 ctx.send(
                     to,
                     requester,

@@ -112,15 +112,17 @@ fn latency_path_is_in_the_panic_reachable_set() {
 
 /// Every content change of a run goes through `ContentState::add`/`remove`,
 /// and every match check through `peer_matches`: a binary-searched edit of
-/// the peer's sorted list (`PeerDocs::insert_doc`/`remove_doc`, shared with
-/// the trace generator's `Holdings`) and a signature update or rebuild.
-/// ASAP then rebuilds the peer's own filter from what it holds
-/// (`Asap::on_content_change` → `own_filter`). R4 must see that path, by
-/// name, so it stays free of new `unwrap`/`expect`. `ContentState` keeps no
-/// holder rows, but the by-name resolver still sends every `.add(`/
+/// the peer's sorted list (`Edits::insert_held`/`remove_held`, shared with
+/// the trace generator's `Holdings`), which copies the model's initial list
+/// on the peer's first edit (`Edits::copy_on_write`), and a signature
+/// update or rebuild. ASAP then rebuilds the peer's own filter from what it
+/// holds (`Asap::on_content_change` → `own_filter`). R4 must see that path,
+/// by name, so it stays free of new `unwrap`/`expect`. `ContentState` keeps
+/// no holder rows, but the by-name resolver still sends every `.add(`/
 /// `.remove(` in `Simulation::change_content`/`apply_trace` to
-/// `Holdings::add`/`remove` as well, so the holder arena's offset
-/// arithmetic stays pinned inside R4 too, and with it the `expect` in
+/// `Holdings::add`/`remove` as well, so the holder rows' copy-on-write edit
+/// and the CSR row lookup of the initial holders (`InitialHolders::row`)
+/// stay pinned inside R4 too, and with them the `expect` in
 /// `Holdings::remove` (allowed by its pragma).
 #[test]
 fn content_change_path_is_in_the_panic_reachable_set() {
@@ -128,13 +130,15 @@ fn content_change_path_is_in_the_panic_reachable_set() {
         "ContentState::add",
         "ContentState::remove",
         "ContentState::peer_matches",
-        "PeerDocs::insert_doc",
-        "PeerDocs::remove_doc",
+        "Edits::insert_held",
+        "Edits::remove_held",
+        "Edits::copy_on_write",
         "Signature::add",
         "Signature::of",
         "Signature::may_hold",
-        "HolderArena::push_holder",
-        "HolderArena::remove_holder",
+        "Holdings::add",
+        "Holdings::remove",
+        "InitialHolders::row",
         "Asap::on_content_change",
         "own_filter",
     ]);

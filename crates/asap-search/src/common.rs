@@ -47,14 +47,10 @@ pub fn reply_if_match<C: Transport<Msg = BaselineMsg>>(
     query: u32,
     terms: &[KeywordId],
 ) -> bool {
-    if node == requester || !ctx.content().peer_matches(ctx.model(), node, terms) {
+    if node == requester || !ctx.content().peer_matches(node, terms) {
         return false;
     }
-    let results = ctx
-        .content()
-        .matching_docs(ctx.model(), node, terms)
-        .count()
-        .max(1) as u32;
+    let results = ctx.content().matching_docs(node, terms).count().max(1) as u32;
     ctx.send(
         node,
         requester,

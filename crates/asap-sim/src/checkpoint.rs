@@ -355,8 +355,13 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
         for a in &ctx.alive {
             a.put(enc);
         }
-        // [4] Content: holdings sorted per peer.
-        enc.put_seq(ctx.content.parts());
+        // [4] Content: holdings sorted per peer, as a `Vec<Vec<DocId>>`
+        // encodes, written from the state's view of each list.
+        let peers = ctx.model.num_peers();
+        enc.put_len(peers);
+        for p in 0..peers as u32 {
+            enc.put_seq(ctx.content.peer_docs(PeerId(p)));
+        }
         // [5] Engine RNG stream.
         RngState(ctx.rng.state()).put(enc);
         // [6] Load recorder: buckets, message totals, alive steps, notes.

@@ -101,7 +101,7 @@ pub struct Ctx<'a, M, C: Carrier<M> = InMemory> {
     /// drop while the protocol keeps using `ctx`.
     pub(crate) scratch: ScratchSlot,
     /// Evolving shared-content state.
-    pub content: ContentState,
+    pub content: ContentState<'a>,
     /// The static content model (documents, interests, vocabulary).
     pub model: &'a ContentModel,
     pub(crate) phys: &'a PhysicalNetwork,
@@ -319,7 +319,7 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
     }
 
     #[inline]
-    fn content(&self) -> &ContentState {
+    fn content(&self) -> &ContentState<'_> {
         &self.content
     }
 
@@ -948,9 +948,9 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
     fn change_content(&mut self, peer: PeerId, doc: DocId, added: bool) {
         let ctx = &mut self.ctx;
         let applied = if added {
-            ctx.content.add(ctx.model, peer, doc)
+            ctx.content.add(peer, doc)
         } else {
-            ctx.content.remove(ctx.model, peer, doc)
+            ctx.content.remove(peer, doc)
         };
         ctx.trace(|| TraceEvt::ContentChanged {
             peer,
@@ -1016,7 +1016,7 @@ mod tests {
         ) {
             match msg {
                 OracleMsg::Ask { query, terms } => {
-                    if ctx.content().peer_matches(ctx.model(), to, &terms) {
+                    if ctx.content().peer_matches(to, &terms) {
                         ctx.send(
                             to,
                             from,

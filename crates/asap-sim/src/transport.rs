@@ -90,7 +90,7 @@ pub trait Transport {
     fn scratch(&mut self) -> ScratchGuard;
 
     /// Evolving shared-content state.
-    fn content(&self) -> &ContentState;
+    fn content(&self) -> &ContentState<'_>;
 
     /// The static content model (documents, interests, vocabulary).
     fn model(&self) -> &ContentModel;

@@ -35,7 +35,10 @@ use asap_sim::{
     Fnv64, PartitionWindow, Protocol, SimReport, Simulation, Transport,
 };
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
-use asap_workload::{DocId, KeywordId, QuerySpec, Workload, WorkloadConfig};
+use asap_workload::trace::TimedEvent;
+use asap_workload::{
+    ContentState, DocId, KeywordId, QuerySpec, TraceEvent, Workload, WorkloadConfig,
+};
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -165,7 +168,7 @@ impl Protocol for Pinger {
                 terms,
             } => {
                 debug_assert_eq!(origin, from);
-                if ctx.content().peer_matches(ctx.model(), to, &terms) {
+                if ctx.content().peer_matches(to, &terms) {
                     ctx.send(
                         to,
                         origin,
@@ -501,6 +504,122 @@ fn holdings_not_strictly_ascending_are_rejected() {
             bad[p]
         );
     }
+}
+
+/// A checkpoint taken after content changes, one of them a peer removing a
+/// document and adding it back, resumes to content state equal to the
+/// uninterrupted run's, re-encodes to the same bytes and finishes with the
+/// uninterrupted digest. The live state keeps that peer's list as an edit
+/// equal to its initial list; the resumed one, read back by
+/// `ContentState::from_parts`, keeps no edit for it. Resuming the same
+/// checkpoint still rejects an edited peer's holdings out of order and a
+/// document the model lacks, and so does `from_parts` itself.
+#[test]
+fn content_changes_with_a_re_add_resume_byte_identically() {
+    let seed = 79;
+    let (phys, mut workload, overlay) = world(seed);
+    let t_split = workload.trace.duration_us() / 2;
+    let model = &workload.model;
+    let peer = (0..PEERS as u32)
+        .map(PeerId)
+        .find(|&p| model.initial_holdings(p).len() >= 2)
+        .expect("a peer sharing two documents");
+    let doc = model.initial_holdings(peer)[1];
+    let events = &mut workload.trace.events;
+    let at = events.partition_point(|e| e.time_us < t_split / 2);
+    let t = t_split / 2;
+    events.splice(
+        at..at,
+        [
+            TimedEvent {
+                time_us: t,
+                event: TraceEvent::RemoveDocument { peer, doc },
+            },
+            TimedEvent {
+                time_us: t,
+                event: TraceEvent::AddDocument { peer, doc },
+            },
+        ],
+    );
+    let changes = events
+        .iter()
+        .filter(|e| e.time_us < t_split)
+        .filter(|e| {
+            matches!(
+                e.event,
+                TraceEvent::AddDocument { .. } | TraceEvent::RemoveDocument { .. }
+            )
+        })
+        .count();
+    assert!(
+        changes > 3,
+        "only the re-add changes content before the split"
+    );
+    let workload = workload;
+
+    let cold_digest = digest(
+        &builder(&phys, &workload, overlay.clone(), seed, None, None).run(),
+        "cold",
+    );
+    let mut first = builder(&phys, &workload, overlay.clone(), seed, None, None).build();
+    first.run_until(t_split);
+    let live = &first.ctx().content;
+    assert_eq!(live.peer_docs(peer), workload.model.initial_holdings(peer));
+    assert!(
+        live.edited_peers().any(|p| p == peer),
+        "the re-added list is not stored as an edit"
+    );
+    assert!(
+        live.edited_peers().count() > 1,
+        "no other content change before the split"
+    );
+    let bytes = first.checkpoint().into_bytes();
+
+    let ckpt = Checkpoint::from_bytes(bytes.clone()).expect("self-produced bytes");
+    let resumed = builder(&phys, &workload, overlay.clone(), seed, None, None)
+        .from_checkpoint(&ckpt)
+        .expect("resume");
+    let content = &resumed.ctx().content;
+    assert!(*content == *live, "resumed content state differs");
+    assert!(
+        content.edited_peers().all(|p| p != peer),
+        "from_parts stored an edit equal to the initial list"
+    );
+    assert_eq!(
+        resumed.checkpoint().into_bytes(),
+        bytes,
+        "re-encode differs"
+    );
+    drop(first);
+    assert_eq!(digest(&resumed.run(), "warm"), cold_digest);
+
+    let [_, at] = overlay_and_content(&bytes);
+    let holdings: Vec<Vec<DocId>> = decode(&bytes[at.clone()]);
+    let resume = |bad: &Vec<Vec<DocId>>| {
+        let ckpt = Checkpoint::from_bytes(spliced(&bytes, &at, bad)).expect("resealed");
+        builder(&phys, &workload, overlay.clone(), seed, None, None)
+            .from_checkpoint(&ckpt)
+            .map(|_| ())
+    };
+    assert_eq!(resume(&holdings), Ok(()), "re-encoded as it was");
+    let mut swapped = holdings.clone();
+    swapped[peer.index()].swap(0, 1);
+    assert_eq!(
+        resume(&swapped),
+        Err(CodecError::Invalid("holdings not strictly ascending"))
+    );
+    // The section decoder bounds document ids first; `from_parts` checks
+    // them again for callers that do not decode.
+    let mut beyond = holdings;
+    beyond[peer.index()].push(DocId(workload.model.num_docs() as u32));
+    assert_eq!(
+        resume(&beyond),
+        Err(CodecError::Invalid("doc id out of range"))
+    );
+    assert_eq!(
+        ContentState::from_parts(&workload.model, beyond).map(|_| ()),
+        Err(CodecError::Invalid("held document out of range"))
+    );
 }
 
 /// Adjacency must be undirected, with no self-loop and no neighbor listed

@@ -72,7 +72,7 @@ impl Protocol for Echo {
     ) {
         match msg {
             EchoMsg::Ask { query, terms } => {
-                if ctx.content().peer_matches(ctx.model(), to, &terms) {
+                if ctx.content().peer_matches(to, &terms) {
                     ctx.send(
                         to,
                         from,

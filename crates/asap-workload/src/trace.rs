@@ -283,7 +283,7 @@ fn synthesize_query(
     config: &WorkloadConfig,
     model: &ContentModel,
     pools: &[Vec<DocId>],
-    state: &Holdings,
+    state: &Holdings<'_>,
     alive: &[bool],
     alive_count: usize,
     id: u32,
@@ -358,7 +358,7 @@ fn pick_terms(model: &ContentModel, doc: DocId, rng: &mut SmallRng) -> Vec<Keywo
 fn synthesize_change(
     model: &ContentModel,
     pools: &[Vec<DocId>],
-    state: &mut Holdings,
+    state: &mut Holdings<'_>,
     alive: &[bool],
     alive_count: usize,
     rng: &mut SmallRng,

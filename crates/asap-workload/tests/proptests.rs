@@ -1,7 +1,7 @@
 //! Property-based tests for the workload generator: structural invariants
 //! that must hold for any seed and (sane) size.
 
-use asap_workload::content::Document;
+use asap_workload::content::{ContentModel, Document};
 use asap_workload::{ContentState, DocId, Holdings, KeywordId, PeerId, TraceEvent, WorkloadConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,6 +18,77 @@ fn terms_of(rng: &mut SmallRng, doc: Document<'_>) -> Vec<KeywordId> {
     }
     kws.truncate(n);
     kws
+}
+
+/// The content state as plain vectors, changed the way the two
+/// copy-on-write types promise to change: each peer's documents kept sorted
+/// by `insert`, each document's holders by `push` and `swap_remove`.
+struct PlainReplay {
+    lists: Vec<Vec<DocId>>,
+    rows: Vec<Vec<PeerId>>,
+}
+
+impl PlainReplay {
+    fn new(model: &ContentModel) -> Self {
+        let lists: Vec<Vec<DocId>> = (0..model.num_peers() as u32)
+            .map(|p| model.initial_holdings(PeerId(p)).to_vec())
+            .collect();
+        let mut rows = vec![Vec::new(); model.num_docs()];
+        for (p, held) in lists.iter().enumerate() {
+            for d in held {
+                rows[d.index()].push(PeerId(p as u32));
+            }
+        }
+        Self { lists, rows }
+    }
+
+    /// Apply one change to the replay, `state` and `holdings` alike, and
+    /// assert that both types accept or refuse it as the replay does and
+    /// then read as it does for `peer` and `doc`. `true` if the change was
+    /// not a no-op.
+    fn drive(
+        &mut self,
+        state: &mut ContentState<'_>,
+        holdings: &mut Holdings<'_>,
+        add: bool,
+        peer: PeerId,
+        doc: DocId,
+    ) -> bool {
+        let (list, row) = (&mut self.lists[peer.index()], &mut self.rows[doc.index()]);
+        let changed = match (add, list.binary_search(&doc)) {
+            (true, Err(pos)) => {
+                list.insert(pos, doc);
+                row.push(peer);
+                true
+            }
+            (false, Ok(pos)) => {
+                list.remove(pos);
+                let i = row
+                    .iter()
+                    .position(|&p| p == peer)
+                    .expect("replayed holder");
+                row.swap_remove(i);
+                true
+            }
+            _ => false,
+        };
+        let accepted = if add {
+            (state.add(peer, doc), holdings.add(peer, doc))
+        } else {
+            (state.remove(peer, doc), holdings.remove(peer, doc))
+        };
+        let step = format!("{} {peer:?} {doc:?}", if add { "add" } else { "remove" });
+        assert_eq!(accepted, (changed, changed), "{step}: accepted");
+        assert_eq!(state.peer_docs(peer), list.as_slice(), "{step}: state");
+        assert_eq!(
+            holdings.peer_docs(peer),
+            list.as_slice(),
+            "{step}: holdings"
+        );
+        assert_eq!(state.peer_has_doc(peer, doc), add, "{step}: peer_has_doc");
+        assert_eq!(holdings.holders(doc), row.as_slice(), "{step}: holders");
+        changed
+    }
 }
 
 proptest! {
@@ -43,30 +114,9 @@ proptest! {
         let mut holdings = Holdings::from_model(model);
         let mut rng = SmallRng::seed_from_u64(seed);
         let (peers, docs) = (model.num_peers() as u32, model.num_docs() as u32);
-        let mut replay: Vec<Vec<PeerId>> = vec![Vec::new(); docs as usize];
-        for p in (0..peers).map(PeerId) {
-            for &d in model.initial_holdings(p) {
-                replay[d.index()].push(p);
-            }
-        }
-        let mut apply = |state: &mut ContentState, holdings: &mut Holdings, add: bool, peer: PeerId, doc: DocId| {
-            let row = &mut replay[doc.index()];
-            let changed = if add {
-                let changed = state.add(model, peer, doc);
-                assert_eq!(holdings.add(peer, doc), changed, "add {:?} {:?}", peer, doc);
-                if changed {
-                    row.push(peer);
-                }
-                changed
-            } else {
-                let changed = state.remove(model, peer, doc);
-                assert_eq!(holdings.remove(peer, doc), changed, "remove {:?} {:?}", peer, doc);
-                if changed {
-                    let i = row.iter().position(|&p| p == peer).expect("replayed holder");
-                    row.swap_remove(i);
-                }
-                changed
-            };
+        let mut plain = PlainReplay::new(model);
+        let mut apply = |state: &mut ContentState<'_>, holdings: &mut Holdings<'_>, add: bool, peer: PeerId, doc: DocId| {
+            let changed = plain.drive(state, holdings, add, peer, doc);
             for p in (0..peers).map(PeerId) {
                 assert_eq!(state.peer_docs(p), holdings.peer_docs(p), "peer {:?}", p);
             }
@@ -105,10 +155,11 @@ proptest! {
             }
         }
         prop_assert!(added > 100 && removed > 100, "{} adds, {} removes", added, removed);
-        for (d, row) in replay.iter().enumerate() {
+        for (d, row) in plain.rows.iter().enumerate() {
             prop_assert_eq!(holdings.holders(DocId(d as u32)), row.as_slice(), "document {}", d);
         }
-        let fresh = ContentState::from_parts(model, state.parts().to_vec());
+        let lists = (0..peers).map(|p| state.peer_docs(PeerId(p)).to_vec()).collect();
+        let fresh = ContentState::from_parts(model, lists);
         prop_assert!(fresh == Ok(state.clone()), "kept state differs from a fresh derivation");
 
         let (mut hits, mut misses) = (0, 0);
@@ -131,13 +182,100 @@ proptest! {
                 for terms in &queries {
                     let exhaustive: Vec<DocId> =
                         held.iter().copied().filter(|&d| model.doc(d).matches(terms)).collect();
-                    prop_assert_eq!(state.peer_matches(model, peer, terms), !exhaustive.is_empty());
-                    prop_assert_eq!(state.matching_docs(model, peer, terms).collect::<Vec<_>>(), exhaustive.clone());
+                    prop_assert_eq!(state.peer_matches(peer, terms), !exhaustive.is_empty());
+                    prop_assert_eq!(state.matching_docs(peer, terms).collect::<Vec<_>>(), exhaustive.clone());
                     if exhaustive.is_empty() { misses += 1 } else { hits += 1 }
                 }
             }
         }
         prop_assert!(hits > 200 && misses > 200, "{} hits, {} misses", hits, misses);
+    }
+
+    /// An oracle independent of both types: a random add/remove tape runs
+    /// through `ContentState`, `Holdings` and a [`PlainReplay`], and after
+    /// every step both types accept or refuse it as the replay does and
+    /// read as it does: the peer's documents, the document's holder row in
+    /// order. The tape grows one document's row to seven or more holders and
+    /// takes three of them out (a `remove` in place of `swap_remove` shows
+    /// there), tries no-op adds and removes, and ends by removing a document
+    /// from a peer it left alone and adding it back, so its list returns
+    /// to its initial value. After the tape every list and row equals the
+    /// replay's, and `from_parts` of the state's lists equals the state and
+    /// stores an edit for exactly the lists that differ from their initial
+    /// ones.
+    #[test]
+    fn copy_on_write_state_equals_a_plain_replay(seed in 0u64..10_000, changes in 200usize..1_500) {
+        let w = asap_workload::generate(&WorkloadConfig::reduced(120, 10, seed));
+        let model = &w.model;
+        let (peers, docs) = (model.num_peers() as u32, model.num_docs() as u32);
+        let mut state = ContentState::from_model(model);
+        let mut holdings = Holdings::from_model(model);
+        let mut plain = PlainReplay::new(model);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let burst = DocId(rng.gen_range(0..docs));
+        // The tape leaves one sharer alone until its last two steps.
+        let back = (0..peers)
+            .map(PeerId)
+            .find(|&p| !model.initial_holdings(p).is_empty() && !state.peer_has_doc(p, burst))
+            .expect("a sharer without the burst document");
+        let mut outsiders: Vec<PeerId> = (0..peers)
+            .map(PeerId)
+            .filter(|&p| p != back && !state.peer_has_doc(p, burst))
+            .collect();
+        outsiders.shuffle(&mut rng);
+        for &peer in &outsiders[..6] {
+            prop_assert!(plain.drive(&mut state, &mut holdings, true, peer, burst));
+        }
+        let mut held_by = holdings.holders(burst).to_vec();
+        prop_assert!(held_by.len() >= 7);
+        held_by.shuffle(&mut rng);
+        for &peer in &held_by[..3] {
+            prop_assert!(plain.drive(&mut state, &mut holdings, false, peer, burst));
+        }
+
+        let (mut applied, mut refused) = (0, 0);
+        for _ in 0..changes {
+            let peer = PeerId(rng.gen_range(0..peers));
+            if peer == back {
+                continue;
+            }
+            let held = state.peer_docs(peer);
+            let (add, doc) = match rng.gen_range(0..10) {
+                0..=4 => (true, DocId(rng.gen_range(0..docs))),
+                5 if !held.is_empty() => (true, held[rng.gen_range(0..held.len())]),
+                6 => (false, DocId(rng.gen_range(0..docs))),
+                _ if !held.is_empty() => (false, held[rng.gen_range(0..held.len())]),
+                _ => (true, DocId(rng.gen_range(0..docs))),
+            };
+            if plain.drive(&mut state, &mut holdings, add, peer, doc) {
+                applied += 1;
+            } else {
+                refused += 1;
+            }
+        }
+        prop_assert!(applied > 100 && refused > 20, "{} applied, {} refused", applied, refused);
+
+        prop_assert!(state.edited_peers().all(|p| p != back));
+        let doc = state.peer_docs(back)[0];
+        prop_assert!(plain.drive(&mut state, &mut holdings, false, back, doc));
+        prop_assert!(plain.drive(&mut state, &mut holdings, true, back, doc));
+        prop_assert_eq!(state.peer_docs(back), model.initial_holdings(back));
+
+        for p in (0..peers).map(PeerId) {
+            prop_assert_eq!(state.peer_docs(p), plain.lists[p.index()].as_slice());
+            prop_assert_eq!(holdings.peer_docs(p), plain.lists[p.index()].as_slice());
+        }
+        for d in (0..docs).map(DocId) {
+            prop_assert_eq!(holdings.holders(d), plain.rows[d.index()].as_slice());
+        }
+        let fresh = ContentState::from_parts(model, plain.lists.clone()).expect("valid lists");
+        prop_assert!(fresh == state, "from_parts differs from the state it was read from");
+        let differing: Vec<PeerId> = (0..peers)
+            .map(PeerId)
+            .filter(|&p| plain.lists[p.index()] != model.initial_holdings(p))
+            .collect();
+        prop_assert_eq!(fresh.edited_peers().collect::<Vec<_>>(), differing.clone());
+        prop_assert!(state.edited_peers().any(|p| p == back) && !differing.contains(&back));
     }
 }
 
@@ -168,12 +306,12 @@ proptest! {
             match &ev.event {
                 TraceEvent::AddDocument { peer, doc } => {
                     prop_assert!(!state.peer_has_doc(*peer, *doc), "double add");
-                    prop_assert!(state.add(&w.model, *peer, *doc));
+                    prop_assert!(state.add(*peer, *doc));
                     prop_assert!(holdings.add(*peer, *doc));
                 }
                 TraceEvent::RemoveDocument { peer, doc } => {
                     prop_assert!(state.peer_has_doc(*peer, *doc), "phantom remove");
-                    prop_assert!(state.remove(&w.model, *peer, *doc));
+                    prop_assert!(state.remove(*peer, *doc));
                     prop_assert!(holdings.remove(*peer, *doc));
                 }
                 _ => {}

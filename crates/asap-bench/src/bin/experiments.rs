@@ -44,7 +44,7 @@ use asap_bench::{AdversaryProfile, AlgoKind};
 use asap_metrics::MsgClass;
 use asap_overlay::OverlayKind;
 use asap_sim::trace::{to_chrome_trace, TraceConfig};
-use asap_workload::TraceEvent;
+use asap_workload::{TraceEvent, Workload};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -132,12 +132,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let needs_matrix = matches!(
-        args.command.as_str(),
-        "fig4" | "fig5" | "fig6" | "fig8" | "fig9" | "all"
-    );
-    let needs_crawled_only = matches!(args.command.as_str(), "fig7" | "fig10");
-
     println!(
         "# scale={} peers={} queries={} seed={} faults={} adversary={}",
         args.common.scale.label(),
@@ -151,103 +145,34 @@ fn main() -> ExitCode {
     match args.command.as_str() {
         "fig2" | "fig3" => {
             let workload = asap_workload::generate(&args.common.scale.workload(args.common.seed));
-            if args.command == "fig2" {
-                figures::emit(
-                    &args.out,
-                    "fig2.tsv",
-                    "Fig 2: semantic-class distribution (nodes sharing content per class)",
-                    &figures::fig2_class_distribution(&workload),
-                );
-            } else {
-                figures::emit(
-                    &args.out,
-                    "fig3.tsv",
-                    "Fig 3: interest distribution (nodes per interest)",
-                    &figures::fig3_interest_distribution(&workload),
-                );
-            }
+            emit_figure(&args, &args.command, Source::Workload(&workload));
         }
         "all" => {
             let workload = asap_workload::generate(&args.common.scale.workload(args.common.seed));
-            figures::emit(
-                &args.out,
-                "fig2.tsv",
-                "Fig 2: semantic-class distribution",
-                &figures::fig2_class_distribution(&workload),
-            );
-            figures::emit(
-                &args.out,
-                "fig3.tsv",
-                "Fig 3: interest distribution",
-                &figures::fig3_interest_distribution(&workload),
-            );
+            for name in ["fig2", "fig3"] {
+                emit_figure(&args, name, Source::Workload(&workload));
+            }
             drop(workload);
             let runs = run_matrix(&args, asap_bench::runner::full_matrix());
-            emit_matrix_figures(&args, &runs);
+            for name in MATRIX_FIGURES {
+                emit_figure(&args, name, Source::Runs(&runs));
+            }
         }
-        _ if needs_matrix => {
+        "fig7" => {
+            let runs = run_matrix(&args, vec![(AlgoKind::AsapRw, OverlayKind::Crawled)]);
+            emit_figure(&args, "fig7", Source::Runs(&runs));
+        }
+        "fig10" => {
+            let cells = AlgoKind::ALL
+                .iter()
+                .map(|&a| (a, OverlayKind::Crawled))
+                .collect();
+            let runs = run_matrix(&args, cells);
+            emit_figure(&args, "fig10", Source::Runs(&runs));
+        }
+        name @ ("fig4" | "fig5" | "fig6" | "fig8" | "fig9") => {
             let runs = run_matrix(&args, asap_bench::runner::full_matrix());
-            match args.command.as_str() {
-                "fig4" => figures::emit(
-                    &args.out,
-                    "fig4.tsv",
-                    "Fig 4: search success rate",
-                    &figures::fig4_success_rate(&runs),
-                ),
-                "fig5" => figures::emit(
-                    &args.out,
-                    "fig5.tsv",
-                    "Fig 5: average response time (ms)",
-                    &figures::fig5_response_time(&runs),
-                ),
-                "fig6" => figures::emit(
-                    &args.out,
-                    "fig6.tsv",
-                    "Fig 6: search cost (bytes per search)",
-                    &figures::fig6_search_cost(&runs),
-                ),
-                "fig8" => figures::emit(
-                    &args.out,
-                    "fig8.tsv",
-                    "Fig 8: average system load (bytes/node/s)",
-                    &figures::fig8_mean_load(&runs),
-                ),
-                "fig9" => figures::emit(
-                    &args.out,
-                    "fig9.tsv",
-                    "Fig 9: system-load standard deviation",
-                    &figures::fig9_load_stddev(&runs),
-                ),
-                _ => unreachable!(),
-            }
-        }
-        _ if needs_crawled_only => {
-            if args.command == "fig7" {
-                let cells = vec![(AlgoKind::AsapRw, OverlayKind::Crawled)];
-                let runs = run_matrix(&args, cells);
-                figures::emit(
-                    &args.out,
-                    "fig7.tsv",
-                    "Fig 7: ASAP(RW) system-load breakdown (crawled overlay)",
-                    &figures::fig7_breakdown(
-                        &runs[0],
-                        figures::fig7_skip_seconds(args.common.scale),
-                    ),
-                );
-            } else {
-                let cells: Vec<_> = AlgoKind::ALL
-                    .iter()
-                    .map(|&a| (a, OverlayKind::Crawled))
-                    .collect();
-                let runs = run_matrix(&args, cells);
-                let start = figures::fig10_start_second(args.common.scale);
-                figures::emit(
-                    &args.out,
-                    "fig10.tsv",
-                    "Fig 10: real-time system load, 100 s snapshot (crawled overlay)",
-                    &figures::fig10_load_series(&runs, start, 100),
-                );
-            }
+            emit_figure(&args, name, Source::Runs(&runs));
         }
         "ablate" => ablations(&args),
         "robustness" => robustness(&args),
@@ -311,55 +236,69 @@ fn export_traces(
     }
 }
 
-fn emit_matrix_figures(args: &Args, runs: &[RunSummary]) {
-    figures::emit(
-        &args.out,
-        "fig4.tsv",
-        "Fig 4: search success rate",
-        &figures::fig4_success_rate(runs),
-    );
-    figures::emit(
-        &args.out,
-        "fig5.tsv",
-        "Fig 5: average response time (ms)",
-        &figures::fig5_response_time(runs),
-    );
-    figures::emit(
-        &args.out,
-        "fig6.tsv",
-        "Fig 6: search cost (bytes per search)",
-        &figures::fig6_search_cost(runs),
-    );
-    if let Some(asap_rw) = runs
-        .iter()
-        .find(|r| r.algo == AlgoKind::AsapRw && r.overlay == OverlayKind::Crawled)
-    {
-        figures::emit(
-            &args.out,
-            "fig7.tsv",
-            "Fig 7: ASAP(RW) system-load breakdown (crawled overlay)",
-            &figures::fig7_breakdown(asap_rw, figures::fig7_skip_seconds(args.common.scale)),
-        );
-    }
-    figures::emit(
-        &args.out,
-        "fig8.tsv",
-        "Fig 8: average system load (bytes/node/s)",
-        &figures::fig8_mean_load(runs),
-    );
-    figures::emit(
-        &args.out,
-        "fig9.tsv",
-        "Fig 9: system-load standard deviation",
-        &figures::fig9_load_stddev(runs),
-    );
-    let start = figures::fig10_start_second(args.common.scale);
-    figures::emit(
-        &args.out,
-        "fig10.tsv",
-        "Fig 10: real-time system load, 100 s snapshot (crawled overlay)",
-        &figures::fig10_load_series(runs, start, 100),
-    );
+/// The figures drawn from matrix runs, in the order `all` writes them.
+const MATRIX_FIGURES: [&str; 7] = ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"];
+
+/// What a figure is drawn from.
+enum Source<'a> {
+    /// The generated workload (Figs. 2–3).
+    Workload(&'a Workload),
+    /// Matrix cells (Figs. 4–10): Fig. 7 reads the crawled ASAP(RW) cell,
+    /// Fig. 10 the crawled ones.
+    Runs(&'a [RunSummary]),
+}
+
+/// Write figure `name` under `--out` and echo it with its caption: the one
+/// place a figure's caption and table are named, for its own command and
+/// for `all`.
+fn emit_figure(args: &Args, name: &str, source: Source<'_>) {
+    let scale = args.common.scale;
+    let (caption, table) = match (name, source) {
+        ("fig2", Source::Workload(w)) => (
+            "Fig 2: semantic-class distribution (nodes sharing content per class)",
+            figures::fig2_class_distribution(w),
+        ),
+        ("fig3", Source::Workload(w)) => (
+            "Fig 3: interest distribution (nodes per interest)",
+            figures::fig3_interest_distribution(w),
+        ),
+        ("fig4", Source::Runs(runs)) => (
+            "Fig 4: search success rate",
+            figures::fig4_success_rate(runs),
+        ),
+        ("fig5", Source::Runs(runs)) => (
+            "Fig 5: average response time (ms)",
+            figures::fig5_response_time(runs),
+        ),
+        ("fig6", Source::Runs(runs)) => (
+            "Fig 6: search cost (bytes per search)",
+            figures::fig6_search_cost(runs),
+        ),
+        ("fig7", Source::Runs(runs)) => {
+            let asap_rw = runs
+                .iter()
+                .find(|r| r.algo == AlgoKind::AsapRw && r.overlay == OverlayKind::Crawled)
+                .expect("Fig 7 needs the crawled ASAP(RW) cell");
+            (
+                "Fig 7: ASAP(RW) system-load breakdown (crawled overlay)",
+                figures::fig7_breakdown(asap_rw, figures::fig7_skip_seconds(scale)),
+            )
+        }
+        ("fig8", Source::Runs(runs)) => (
+            "Fig 8: average system load (bytes/node/s)",
+            figures::fig8_mean_load(runs),
+        ),
+        ("fig9", Source::Runs(runs)) => (
+            "Fig 9: system-load standard deviation",
+            figures::fig9_load_stddev(runs),
+        ),
+        ("fig10", Source::Runs(runs)) => (
+            "Fig 10: real-time system load, 100 s snapshot (crawled overlay)",
+            figures::fig10_load_series(runs, figures::fig10_start_second(scale), 100),
+        ),
+        (other, _) => unreachable!("no figure '{other}' from this source"),
+    };
+    figures::emit(&args.out, &format!("{name}.tsv"), caption, &table);
 }
 
 /// Robustness sweep: success-rate degradation vs adversary fraction, three

@@ -1,10 +1,10 @@
 //! Named fault profiles: one `--faults <profile>` axis that configures the
-//! engine's fault-injection layer (`asap_sim::fault`) *and* the matching
-//! protocol robustness knobs in one place, so every cell of a lossy sweep
-//! runs with both the adversity and the countermeasures enabled.
+//! engine's fault-injection layer (`asap_sim::fault`) *and* the protocols'
+//! loss-recovery switch (`Option<Retransmit>`) in one place, so every cell
+//! of a lossy sweep runs with both the adversity and the countermeasures
+//! enabled.
 
-use asap_core::RobustnessConfig;
-use asap_search::Retransmit;
+use asap_sim::util::Retransmit;
 use asap_sim::{FaultPlan, PartitionWindow};
 
 /// A named fault scenario for bench runs and the chaos test tier.
@@ -67,16 +67,9 @@ impl FaultProfile {
         }
     }
 
-    /// ASAP retry/backoff knobs matching the profile (inert when fault-free,
-    /// so the paper's behavior — and the golden digests — are unchanged).
-    pub fn robustness(self) -> RobustnessConfig {
-        match self {
-            Self::None => RobustnessConfig::default(),
-            Self::Lossy | Self::Chaos => RobustnessConfig::lossy(),
-        }
-    }
-
-    /// Walk/flood baseline retransmission matching the profile.
+    /// Loss recovery matching the profile, for ASAP and the walk/flood
+    /// baselines alike (`None` when fault-free, so the paper's behavior —
+    /// and the golden digests — are unchanged).
     pub fn retransmit(self) -> Option<Retransmit> {
         match self {
             Self::None => None,
@@ -101,7 +94,6 @@ mod tests {
     fn none_profile_is_fully_inert() {
         let p = FaultProfile::None;
         assert!(p.plan(150).is_inert());
-        assert!(!p.robustness().enabled());
         assert!(p.retransmit().is_none());
     }
 
@@ -109,7 +101,6 @@ mod tests {
     fn lossy_and_chaos_validate_and_enable_retries() {
         for p in [FaultProfile::Lossy, FaultProfile::Chaos] {
             p.plan(150).validate().expect("plan must be valid");
-            assert!(p.robustness().enabled());
             assert!(p.retransmit().is_some());
         }
         assert!(

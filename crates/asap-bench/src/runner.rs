@@ -155,8 +155,8 @@ pub struct RunSpec {
     pub adversary: AdversaryProfile,
     /// The ASAP configuration in place of the scale table's
     /// ([`AlgoKind::asap_config`]), e.g. an ablation row
-    /// ([`AlgoKind::ablations`]). Its `robustness` is replaced by the fault
-    /// profile's ([`FaultProfile::robustness`]), as the table's is. Baseline
+    /// ([`AlgoKind::ablations`]). Its `retransmit` is replaced by the fault
+    /// profile's ([`FaultProfile::retransmit`]), as the table's is. Baseline
     /// cells ignore it.
     pub asap: Option<AsapConfig>,
 }
@@ -191,7 +191,7 @@ impl RunSpec {
         self
     }
 
-    /// Run ASAP cells on this configuration; its `robustness` is replaced
+    /// Run ASAP cells on this configuration; its `retransmit` is replaced
     /// by the fault profile's.
     pub fn with_asap(mut self, config: AsapConfig) -> Self {
         self.asap = Some(config);
@@ -301,14 +301,17 @@ pub trait CellVisitor {
 }
 
 /// The one map from an [`AlgoKind`] to the protocol a cell of `world` runs.
-/// The spec supplies the baselines' retransmission, ASAP's retry budgets,
-/// its configuration override ([`RunSpec::asap`]) and its spam roles.
+/// The spec supplies every protocol's loss recovery, ASAP's configuration
+/// override ([`RunSpec::asap`]) and its spam roles.
 /// Super-peer ASAP takes the same configuration; it has no spam poisoning.
 pub fn with_protocol<V: CellVisitor>(world: &World, algo: AlgoKind, visitor: V) -> V::Out {
     let scale = world.scale;
     let asap_config = |spec: &RunSpec| {
         let config = spec.asap.clone().unwrap_or_else(|| algo.asap_config(scale));
-        config.with_robustness(spec.faults.robustness())
+        AsapConfig {
+            retransmit: spec.faults.retransmit(),
+            ..config
+        }
     };
     match algo {
         AlgoKind::Flooding => visitor.visit(

@@ -6,7 +6,8 @@
 //! shapes — are preserved; time constants and flooding TTL stay as
 //! published. EXPERIMENTS.md discusses the fidelity of each scale.
 
-use asap_search::{GsaConfig, RandomWalkConfig, Retransmit};
+use asap_search::{GsaConfig, RandomWalkConfig};
+use asap_sim::util::Retransmit;
 use asap_topology::TransitStubConfig;
 use asap_workload::WorkloadConfig;
 

@@ -48,7 +48,7 @@ use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::collections::{DetHashMap, DetHashSet};
 use asap_sim::util::{Backoff, SeenTracker};
-use asap_sim::{codec_enum, codec_struct, NodeTable};
+use asap_sim::{codec_enum, codec_struct};
 use asap_workload::{DocId, InterestSet};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -440,15 +440,15 @@ impl CheckpointProtocol for Asap {
         }
         let seen = SeenTracker::pull_window(dec, SEEN_WINDOW)?;
         let claims: Vec<SpamClaim> = Codec::pull(dec)?;
-        let mut claimed_topics = NodeTable::from_vec(vec![InterestSet::EMPTY; num_peers]);
-        let mut poison = NodeTable::new(num_peers);
+        let mut claimed_topics = vec![InterestSet::EMPTY; num_peers];
+        let mut poison = vec![Box::default(); num_peers];
         for (p, topics, docs) in claims {
             claimed_topics[p.index()] = topics;
             poison[p.index()] = docs.into_boxed_slice();
         }
         self.next_delivery = Codec::pull(dec)?;
         self.stats = Codec::pull(dec)?;
-        self.nodes = NodeTable::from_vec(nodes);
+        self.nodes = nodes;
         self.store = store;
         self.pending = pending;
         self.seen = seen;
@@ -462,10 +462,10 @@ impl CheckpointProtocol for Asap {
 mod tests {
     use super::*;
     use crate::config::{AsapConfig, DeliveryKind};
-    use crate::retry::RobustnessConfig;
     use asap_bloom::FilterPatch;
     use asap_overlay::{OverlayConfig, OverlayKind};
     use asap_sim::checkpoint::{assert_canonical, Checkpoint};
+    use asap_sim::util::Retransmit;
     use asap_sim::{AdversaryPlan, AuditConfig, FaultPlan, Simulation};
     use asap_topology::{PhysicalNetwork, TransitStubConfig};
     use asap_workload::{KeywordId, Workload, WorkloadConfig};
@@ -740,10 +740,11 @@ mod tests {
     fn asap_lossy_split_run_is_bit_identical() {
         assert_split_run_identical(
             |model, _| {
-                Asap::new(
-                    scaled(DeliveryKind::RandomWalk).with_robustness(RobustnessConfig::lossy()),
-                    model,
-                )
+                let config = AsapConfig {
+                    retransmit: Some(Retransmit),
+                    ..scaled(DeliveryKind::RandomWalk)
+                };
+                Asap::new(config, model)
             },
             64,
             Some(FaultPlan {

@@ -1,7 +1,7 @@
 //! ASAP protocol parameters.
 
-use crate::retry::RobustnessConfig;
 use asap_bloom::BloomParams;
+use asap_sim::util::Retransmit;
 
 /// How ads are forwarded through the overlay (paper §IV-A: "By adopting
 /// different ad forwarding algorithms … we develop and examine three ASAP
@@ -51,10 +51,11 @@ pub struct AsapConfig {
     pub max_ads_per_reply: usize,
     /// Window over which initial ad deliveries are staggered at start-up, µs.
     pub warmup_stagger_us: u64,
-    /// Retry/backoff budgets for lossy networks. The default is inert —
-    /// no retries, no extra timers — so the paper's behavior (and the
-    /// fault-free golden digests) is unchanged unless explicitly enabled.
-    pub robustness: RobustnessConfig,
+    /// Loss recovery: confirmation retries, repair-fetch retransmits and
+    /// re-advertisement of unacknowledged ads. `None`, the paper's
+    /// behavior, arms no extra timer, so fault-free golden digests are
+    /// unchanged; the budgets are constants in `protocol` and `search`.
+    pub retransmit: Option<Retransmit>,
 }
 
 impl AsapConfig {
@@ -69,14 +70,8 @@ impl AsapConfig {
             ads_request_hops: 1,
             max_ads_per_reply: 64,
             warmup_stagger_us: 60_000_000,
-            robustness: RobustnessConfig::default(),
+            retransmit: None,
         }
-    }
-
-    /// Enable the given retry/backoff budgets (builder-style).
-    pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
-        self.robustness = robustness;
-        self
     }
 
     /// The paper's three variants with their published knobs.
@@ -113,7 +108,6 @@ impl AsapConfig {
             self.refresh_interval_us > 0,
             "refresh interval must be positive"
         );
-        self.robustness.validate();
     }
 }
 

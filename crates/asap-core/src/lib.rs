@@ -29,7 +29,6 @@ pub mod config;
 pub mod delivery;
 pub mod protocol;
 pub mod repository;
-pub mod retry;
 pub mod search;
 pub mod superpeer;
 
@@ -37,5 +36,4 @@ pub use ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 pub use config::{AsapConfig, DeliveryKind};
 pub use protocol::Asap;
 pub use repository::AdRepository;
-pub use retry::{Backoff, RobustnessConfig};
 pub use superpeer::SuperAsap;

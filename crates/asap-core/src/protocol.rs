@@ -5,16 +5,15 @@ use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::config::AsapConfig;
 use crate::delivery::{ad_class, continue_delivery, start_delivery};
 use crate::repository::{AdRepository, ApplyOutcome, FilterStore};
-use crate::retry::{Backoff, BACKOFF_BASE_US};
 use crate::search::{self, PendingSearch};
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, BloomParams, FilterPatch};
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::collections::{DetHashMap, DetHashSet};
-use asap_sim::util::SeenTracker;
+use asap_sim::util::{Backoff, SeenTracker};
 use asap_sim::AdversaryRole;
-use asap_sim::{NodeTable, Protocol, Transport};
+use asap_sim::{Protocol, Transport};
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +36,19 @@ pub(crate) const TAG_FETCH_BIT: u64 = 1 << 62;
 pub const EXPIRY_PERIODS: u32 = 8;
 /// Duplicate-suppression window for flooded ads (deliveries).
 pub const SEEN_WINDOW: usize = 1_024;
+
+/// Under `Some(Retransmit)`, the delay before the first retransmit of a
+/// repair fetch or a re-advertisement, µs.
+const BACKOFF_BASE_US: u64 = 1_000_000;
+/// Ceiling of the doubled retry delays (fetches, re-advertisements and
+/// confirmation retries), µs: well under the simulation's 30 s post-trace
+/// grace window.
+pub(crate) const BACKOFF_CAP_US: u64 = 8_000_000;
+/// Retransmissions of an unanswered direct full-ad fetch.
+const FETCH_RETRIES: u32 = 3;
+/// Re-announcements of an initial/join ad wave that attracted no full-ad
+/// fetch (the delivery went unacknowledged).
+const READVERT_RETRIES: u32 = 2;
 
 /// Stream salt for the ad-spam poison pass, XORed into the run seed. The
 /// pass runs once at construction time — before the engine starts — so it
@@ -96,8 +108,8 @@ pub(crate) struct NodeState {
     /// Sources with an un-answered direct full-ad fetch in flight, so a
     /// burst of announcements triggers one fetch, not one per walker.
     pub fetching: DetHashSet<PeerId>,
-    /// Retransmission pacers for in-flight fetches (populated only when
-    /// `robustness.fetch_retries > 0`; without retries a fetch whose request
+    /// Retransmission pacers for in-flight fetches (populated only under
+    /// `Some(Retransmit)`; without retries a fetch whose request
     /// or reply is dropped would leave its `fetching` entry stuck forever).
     pub fetch_backoff: DetHashMap<PeerId, Backoff>,
     /// Full-ad fetches this node has served — the acknowledgment signal for
@@ -133,9 +145,9 @@ pub struct AsapStats {
 /// The ASAP protocol under simulation.
 pub struct Asap {
     pub config: AsapConfig,
-    /// Per-node protocol state, densely indexed by peer id (arena layout —
-    /// delivery/timer handlers index straight into the slot, no map probe).
-    pub(crate) nodes: NodeTable<NodeState>,
+    /// Per-node protocol state, indexed by [`PeerId::index`] — delivery
+    /// and timer handlers index straight into the slot, no map probe.
+    pub(crate) nodes: Vec<NodeState>,
     /// The filters behind every node's cache entries, shared by all of
     /// `nodes`' repositories.
     pub(crate) store: Rc<RefCell<FilterStore>>,
@@ -145,15 +157,15 @@ pub struct Asap {
     pub(crate) pending: DetHashMap<u32, PendingSearch>,
     /// Duplicate suppression for flooded deliveries.
     pub(crate) seen: SeenTracker<u64>,
-    /// Topics ad-spam adversaries falsely claim, densely indexed by peer
+    /// Topics ad-spam adversaries falsely claim, indexed by peer
     /// ([`InterestSet::EMPTY`] = honest — a real claim is never empty, it
     /// unions at least one document class). Unioned into announcements and
     /// served ads so a content-free spammer still advertises; ground-truth
     /// confirmation is what exposes the lie.
-    pub(crate) claimed_topics: NodeTable<InterestSet>,
+    pub(crate) claimed_topics: Vec<InterestSet>,
     /// Documents whose keywords each ad spammer's filter falsely carries,
-    /// densely indexed by peer (empty = honest, no allocation).
-    pub(crate) poison: NodeTable<Box<[DocId]>>,
+    /// indexed by peer (empty = honest, no allocation).
+    pub(crate) poison: Vec<Box<[DocId]>>,
     pub(crate) next_delivery: u64,
     pub stats: AsapStats,
 }
@@ -186,9 +198,9 @@ impl Asap {
         Self {
             seen: SeenTracker::new(SEEN_WINDOW),
             kw_hashes,
-            claimed_topics: NodeTable::from_vec(vec![InterestSet::EMPTY; nodes.len()]),
-            poison: NodeTable::new(nodes.len()),
-            nodes: NodeTable::from_vec(nodes),
+            claimed_topics: vec![InterestSet::EMPTY; nodes.len()],
+            poison: vec![Box::default(); nodes.len()],
+            nodes,
             store,
             pending: DetHashMap::default(),
             next_delivery: 0,
@@ -244,7 +256,7 @@ impl Asap {
     /// this is one indexed load over [`Asap::new`]'s behavior.
     fn advertised_topics<C: Transport<Msg = AsapMsg>>(&self, ctx: &C, node: PeerId) -> InterestSet {
         let real = ctx.content().peer_topics(node);
-        real.union(self.claimed_topics[node])
+        real.union(self.claimed_topics[node.index()])
     }
 
     pub(crate) fn hash_of(&self, kw: KeywordId) -> KeyHash {
@@ -375,11 +387,11 @@ impl Asap {
             asap_sim::HEADER_BYTES,
             AsapMsg::FullAdFetch,
         );
-        let rb = self.config.robustness;
-        if rb.fetch_retries > 0 {
+        if self.config.retransmit.is_some() {
+            let backoff = Backoff::new(BACKOFF_BASE_US, BACKOFF_CAP_US, FETCH_RETRIES);
             self.nodes[node.index()]
                 .fetch_backoff
-                .insert(source, rb.fetch_backoff());
+                .insert(source, backoff);
             ctx.set_timer(node, BACKOFF_BASE_US, TAG_FETCH_BIT | u64::from(source.0));
         }
     }
@@ -428,17 +440,16 @@ impl Asap {
     }
 
     /// Arm the re-advertisement watchdog after an initial/join announcement
-    /// (only when `robustness.readvert_retries > 0` — the inert default arms
-    /// no timer, keeping fault-free digests unchanged).
+    /// (only under `Some(Retransmit)` — `None` arms no timer, keeping
+    /// fault-free digests unchanged).
     fn arm_readvert<C: Transport<Msg = AsapMsg>>(&mut self, ctx: &mut C, node: PeerId) {
-        let rb = self.config.robustness;
-        if rb.readvert_retries == 0 {
+        if self.config.retransmit.is_none() {
             return;
         }
         let st = &mut self.nodes[node.index()];
         st.readvert = Some(ReAdvert {
             baseline_fetches: st.fetches_served,
-            backoff: rb.readvert_backoff(),
+            backoff: Backoff::new(BACKOFF_BASE_US, BACKOFF_CAP_US, READVERT_RETRIES),
         });
         ctx.set_timer(node, BACKOFF_BASE_US, TAG_READVERT);
     }
@@ -689,7 +700,7 @@ impl Protocol for Asap {
             &self.kw_hashes,
             model,
             docs,
-            &self.poison[peer],
+            &self.poison[peer.index()],
         );
         let st = &mut self.nodes[peer.index()];
         st.version = st.version.wrapping_add(1);
@@ -760,7 +771,7 @@ impl Protocol for Asap {
                 &self.kw_hashes,
                 ctx.model(),
                 docs,
-                &self.poison[node],
+                &self.poison[node.index()],
             );
             if *st.snapshot != truth {
                 violations.push(format!(
@@ -1139,11 +1150,11 @@ mod tests {
                 cov.shared_keyword_kept += usize::from(model.doc(doc).keywords.iter().any(still));
             }
         }
-        let poison = &asap.poison[t.peer];
+        let poison = &asap.poison[t.peer.index()];
         cov.poison_held += usize::from(t.held.iter().any(|d| poison.contains(d)));
         let docs: Vec<DocId> = t.held.iter().copied().collect();
         assert_eq!(sim.ctx().content().peer_docs(t.peer), docs.as_slice());
-        let published = &asap.nodes[t.peer].snapshot;
+        let published = &asap.nodes[t.peer.index()].snapshot;
         let reference = t.counting.as_filter();
         assert_eq!(
             published.words(),
@@ -1196,8 +1207,8 @@ mod tests {
                 while let Some(&doc) = t.held.iter().next() {
                     step(&mut sim, t, doc, false, &mut cov);
                 }
-                let poison = &sim.protocol().poison[t.peer];
-                prop_assert_eq!(sim.protocol().nodes[t.peer].snapshot.is_empty(), poison.is_empty());
+                let poison = &sim.protocol().poison[t.peer.index()];
+                prop_assert_eq!(sim.protocol().nodes[t.peer.index()].snapshot.is_empty(), poison.is_empty());
             }
             for (slot, pick) in refill {
                 let t = &mut tracked[slot];

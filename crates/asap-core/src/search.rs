@@ -11,12 +11,12 @@
 //! The same ads-request mechanism warms the cache of a (re)joining node.
 
 use crate::ad::{AdSnapshot, AsapMsg};
-use crate::protocol::{Asap, TAG_QUERY_BASE};
-use crate::retry::Backoff;
+use crate::protocol::{Asap, BACKOFF_CAP_US, TAG_QUERY_BASE};
 use asap_bloom::hashing::KeyHash;
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::collections::DetHashSet;
+use asap_sim::util::{Backoff, Retransmit};
 use asap_sim::{
     ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, spread, Transport,
 };
@@ -28,6 +28,21 @@ pub const MAX_CONFIRM_FANOUT: usize = 8;
 /// How long the requester waits for confirmations before falling back to
 /// the ads-request round, µs.
 pub const CONFIRM_TIMEOUT_US: u64 = 2_000_000;
+/// Extra confirmation rounds after the first confirm timeout expires,
+/// under `Some(Retransmit)` (`None` falls back at once, as the paper does).
+const CONFIRM_RETRIES: u32 = 2;
+
+/// The confirm-retry pacer of a new search: the first retry waits twice
+/// the confirm timeout, then doubles up to the cap.
+fn confirm_backoff(retransmit: Option<Retransmit>) -> Backoff {
+    let first = CONFIRM_TIMEOUT_US * 2;
+    match retransmit {
+        Some(Retransmit) => Backoff::new(first, BACKOFF_CAP_US, CONFIRM_RETRIES),
+        // Never yields a delay, but every pending search writes it into a
+        // checkpoint, so its 16 s cap is part of the pinned byte format.
+        None => Backoff::new(first, 16_000_000, 0),
+    }
+}
 
 /// Search phase of a pending query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +69,8 @@ pub(crate) struct PendingSearch {
     /// Matching candidates not yet confirmed (next batches; the paper
     /// confirms every matching ad, we pace them in fan-out-sized rounds).
     pub backlog: Vec<PeerId>,
-    /// Confirm-retransmission budget (inert unless
-    /// `config.robustness.confirm_retries > 0`).
+    /// Confirm-retransmission budget (inert unless `config.retransmit` is
+    /// `Some`).
     pub backoff: Backoff,
 }
 
@@ -87,7 +102,7 @@ pub(crate) fn start_query<C: Transport<Msg = AsapMsg>>(
         in_flight: Vec::new(),
         confirmed: DetHashSet::default(),
         backlog: Vec::new(),
-        backoff: asap.config.robustness.confirm_backoff(),
+        backoff: confirm_backoff(asap.config.retransmit),
     };
 
     if candidates.is_empty() {
@@ -453,5 +468,27 @@ fn close_search<C: Transport<Msg = AsapMsg>>(asap: &mut Asap, ctx: &mut C, query
         for _ in &p.in_flight {
             ctx.count(RetryStat::ConfirmationsLost);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn confirm_backoff_retries_twice_from_twice_the_timeout() {
+        let mut b = confirm_backoff(Some(Retransmit));
+        assert_eq!(b.next(), Some(4_000_000), "first retry at 2x the timeout");
+        assert_eq!(b.next(), Some(8_000_000));
+        assert_eq!(b.next(), None);
+    }
+
+    #[test]
+    fn confirm_backoff_without_retransmit_is_inert() {
+        let b = confirm_backoff(None);
+        assert!(b.exhausted());
+        // Every pending search checkpoints its backoff: ckpt_tiny.txt pins
+        // this 16 s cap, byte for byte.
+        assert_eq!(b, Backoff::new(4_000_000, 16_000_000, 0));
     }
 }

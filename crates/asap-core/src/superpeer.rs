@@ -132,8 +132,8 @@ struct NodeState {
 pub struct SuperAsap {
     /// Underlying ASAP knobs (budget unit, cache capacity, Bloom geometry;
     /// the warm-up stagger and refresh period pace registrations and digest
-    /// rounds). `ads_request_hops`, `max_ads_per_reply` and the retry
-    /// budgets are unused.
+    /// rounds). `ads_request_hops` and `max_ads_per_reply` are unused, and
+    /// so is `retransmit`: super-peer ASAP has no retry path.
     pub config: AsapConfig,
     roles: Vec<Role>,
     nodes: Vec<NodeState>,

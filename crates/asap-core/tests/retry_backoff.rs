@@ -10,9 +10,10 @@
 //! exhausted retry budgets land in the abandoned/lost counters instead of
 //! leaking state.
 
-use asap_core::{Asap, AsapConfig, RobustnessConfig};
+use asap_core::{Asap, AsapConfig};
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::{OverlayConfig, OverlayKind};
+use asap_sim::util::Retransmit;
 use asap_sim::{AuditConfig, FaultPlan, SimReport, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{Workload, WorkloadConfig};
@@ -20,19 +21,20 @@ use asap_workload::{Workload, WorkloadConfig};
 const PEERS: usize = 200;
 const QUERIES: usize = 300;
 
-fn config(robustness: RobustnessConfig) -> AsapConfig {
+fn config(retransmit: Option<Retransmit>) -> AsapConfig {
     let mut c = AsapConfig::rw().scaled_to(PEERS);
     c.warmup_stagger_us = 4_000_000;
     c.refresh_interval_us = 8_000_000;
-    c.with_robustness(robustness)
+    c.retransmit = retransmit;
+    c
 }
 
-fn run(seed: u64, robustness: RobustnessConfig, loss_ppm: u32) -> SimReport<Asap> {
+fn run(seed: u64, retransmit: Option<Retransmit>, loss_ppm: u32) -> SimReport<Asap> {
     let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
     let workload: Workload =
         asap_workload::generate(&WorkloadConfig::reduced(PEERS, QUERIES, seed));
     let overlay = OverlayConfig::new(OverlayKind::Random, PEERS, seed).build();
-    let protocol = Asap::new(config(robustness), &workload.model);
+    let protocol = Asap::new(config(retransmit), &workload.model);
     let sim = Simulation::builder(
         &phys,
         &workload,
@@ -67,11 +69,8 @@ fn assert_clean(report: &SimReport<Asap>, what: &str) {
 fn confirms_on_the_wire_reconcile_with_stats_across_retries() {
     // The identity must hold in both regimes: without retries (every confirm
     // sent once) and under loss with retries (each retransmit counted).
-    for (seed, robustness, loss) in [
-        (71, RobustnessConfig::default(), 0),
-        (71, RobustnessConfig::lossy(), 100_000),
-    ] {
-        let report = run(seed, robustness, loss);
+    for (seed, retransmit, loss) in [(71, None, 0), (71, Some(Retransmit), 100_000)] {
+        let report = run(seed, retransmit, loss);
         assert_clean(&report, "confirm reconciliation run");
         let wire = report.load.class_message_totals()[MsgClass::Confirm.index()];
         assert_eq!(
@@ -83,7 +82,7 @@ fn confirms_on_the_wire_reconcile_with_stats_across_retries() {
 
 #[test]
 fn retries_fire_under_loss_and_stay_reconciled() {
-    let report = run(73, RobustnessConfig::lossy(), 100_000);
+    let report = run(73, Some(Retransmit), 100_000);
     // Clean audit ⇒ the engine's RetryCounters matched the auditor's
     // independent mirror of every Ctx::count call, exactly.
     assert_clean(&report, "lossy retry run");
@@ -109,7 +108,7 @@ fn inert_robustness_counts_no_retries_or_abandons() {
     // Without retry budgets the protocol never retransmits and never gives
     // up on a tracked delivery — even under loss. (ConfirmationsLost may
     // legitimately fire: sources die or their replies are dropped.)
-    let report = run(79, RobustnessConfig::default(), 100_000);
+    let report = run(79, None, 100_000);
     assert_clean(&report, "inert-robustness lossy run");
     assert_eq!(report.retry.get(RetryStat::Retries), 0);
     assert_eq!(report.retry.get(RetryStat::DeliveriesAbandoned), 0);
@@ -120,7 +119,7 @@ fn exhausted_budgets_land_in_abandoned_and_lost_counters() {
     // Heavy loss exhausts fetch/readvert budgets (abandoned) and eats
     // confirmation replies (lost). Both counters must move, and a clean
     // audit certifies they reconcile exactly with the mirror.
-    let report = run(83, RobustnessConfig::lossy(), 350_000);
+    let report = run(83, Some(Retransmit), 350_000);
     assert_clean(&report, "heavy-loss run");
     assert!(
         report.retry.get(RetryStat::DeliveriesAbandoned) > 0,
@@ -139,7 +138,7 @@ fn exhausted_budgets_land_in_abandoned_and_lost_counters() {
 #[test]
 fn lossy_runs_replay_deterministically_with_retries() {
     let digest = |seed| {
-        let report = run(seed, RobustnessConfig::lossy(), 100_000);
+        let report = run(seed, Some(Retransmit), 100_000);
         assert_clean(&report, "replay run");
         (
             report.audit.expect("audited").digest,

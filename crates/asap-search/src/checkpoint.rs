@@ -67,10 +67,10 @@ mod tests {
     use crate::gsa::GsaConfig;
     use crate::random_walk::RandomWalkConfig;
     use crate::testutil::world;
-    use crate::Retransmit;
     use asap_overlay::OverlayKind;
     use asap_overlay::PeerId;
     use asap_sim::checkpoint::{assert_canonical, Checkpoint};
+    use asap_sim::util::Retransmit;
     use asap_sim::{AuditConfig, Simulation};
     use asap_workload::KeywordId;
     use std::rc::Rc;

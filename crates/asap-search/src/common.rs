@@ -4,7 +4,7 @@ use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CodecError, Decoder};
 use asap_sim::collections::DetHashMap;
-use asap_sim::util::Backoff;
+use asap_sim::util::{Backoff, Retransmit};
 use asap_sim::{query_hit_size, Transport};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;
@@ -73,25 +73,6 @@ const RETRANSMIT_RETRIES: u32 = 2;
 /// Ceiling for the doubled backoff delays, µs.
 const RETRANSMIT_BACKOFF_CAP_US: u64 = 16_000_000;
 
-/// TTL-respecting retransmission policy for the walk/flood baselines: if a
-/// query is still unanswered when the timer fires, the requester re-launches
-/// the probe wave (with the configured TTL, never more) on a capped
-/// exponential backoff. `None` on the protocol config (the default) arms no
-/// timer at all, so fault-free replay digests are unchanged; `Some` is what
-/// the lossy bench profiles run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retransmit;
-
-impl Retransmit {
-    pub fn backoff(self) -> Backoff {
-        Backoff::new(
-            RETRANSMIT_TIMEOUT_US,
-            RETRANSMIT_BACKOFF_CAP_US,
-            RETRANSMIT_RETRIES,
-        )
-    }
-}
-
 /// Requester-side state of a query awaiting possible retransmission.
 #[derive(Debug)]
 pub struct RetransmitState {
@@ -105,7 +86,9 @@ pub struct RetransmitState {
 pub type RetransmitTable = DetHashMap<u32, RetransmitState>;
 
 /// Requester side of `on_query`, after the first wave went out: under a
-/// retransmit `policy`, remember the query and arm its first timer.
+/// retransmit `policy`, remember the query and arm its first timer. A query
+/// still unanswered when its timer fires is relaunched (with the configured
+/// TTL, never more) on a capped exponential backoff.
 pub fn arm_retransmit<C: Transport<Msg = BaselineMsg>>(
     table: &mut RetransmitTable,
     ctx: &mut C,
@@ -113,13 +96,17 @@ pub fn arm_retransmit<C: Transport<Msg = BaselineMsg>>(
     q: &QuerySpec,
     terms: Rc<[KeywordId]>,
 ) {
-    if let Some(rt) = policy {
+    if policy.is_some() {
         table.insert(
             q.id,
             RetransmitState {
                 requester: q.requester,
                 terms,
-                backoff: rt.backoff(),
+                backoff: Backoff::new(
+                    RETRANSMIT_TIMEOUT_US,
+                    RETRANSMIT_BACKOFF_CAP_US,
+                    RETRANSMIT_RETRIES,
+                ),
             },
         );
         ctx.set_timer(q.requester, RETRANSMIT_TIMEOUT_US, u64::from(q.id));

@@ -5,11 +5,12 @@
 //! Matching nodes return a hit directly to the requester.
 
 use crate::common::{
-    absorb_hit, arm_retransmit, reply_if_match, retransmit_due, BaselineMsg, Retransmit,
-    RetransmitTable, SeenTracker,
+    absorb_hit, arm_retransmit, reply_if_match, retransmit_due, BaselineMsg, RetransmitTable,
+    SeenTracker,
 };
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
+use asap_sim::util::Retransmit;
 use asap_sim::{query_size, spread, Protocol, Transport};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;

@@ -18,7 +18,7 @@ pub mod flooding;
 pub mod gsa;
 pub mod random_walk;
 
-pub use common::{BaselineMsg, Retransmit};
+pub use common::BaselineMsg;
 pub use flooding::{Flooding, FloodingConfig};
 pub use gsa::{Gsa, GsaConfig};
 pub use random_walk::{RandomWalk, RandomWalkConfig};

@@ -6,11 +6,11 @@
 //! its load lowest but its success rate poor under 1.28-copy replication.
 
 use crate::common::{
-    absorb_hit, arm_retransmit, reply_if_match, retransmit_due, BaselineMsg, Retransmit,
-    RetransmitTable,
+    absorb_hit, arm_retransmit, reply_if_match, retransmit_due, BaselineMsg, RetransmitTable,
 };
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
+use asap_sim::util::Retransmit;
 use asap_sim::{query_size, spread, Protocol, Transport};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;

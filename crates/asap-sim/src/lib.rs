@@ -12,7 +12,6 @@
 //! integration suite exploits for replay tests.
 
 pub mod adversary;
-pub mod arena;
 pub mod audit;
 pub mod checkpoint;
 pub mod engine;
@@ -40,7 +39,6 @@ pub use asap_trace as trace;
 pub use adversary::{
     assign_roles, AdversaryPlan, AdversaryRole, AdversaryState, AdversaryStats, EclipseTarget,
 };
-pub use arena::{NodeIdx, NodeTable};
 pub use audit::{AuditConfig, AuditReport};
 pub use checkpoint::{Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};

@@ -136,6 +136,14 @@ impl<K: Hash + Eq + Copy + Codec> SeenTracker<K> {
     }
 }
 
+/// The loss-recovery switch every protocol config carries as
+/// `Option<Retransmit>`. The paper's protocols never retransmit: `None`
+/// arms no timer at all, so fault-free replay digests are unchanged. Under
+/// `Some` (the lossy bench profiles) each protocol re-sends on a [`Backoff`]
+/// whose budgets are its own private constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retransmit;
+
 /// Capped exponential backoff with a bounded retry budget: the universal
 /// retransmission pacer for protocol robustness under loss. Pure integer
 /// arithmetic (this module is inside lint rule R3's no-float scope).

@@ -147,32 +147,30 @@ fn main() -> ExitCode {
             let workload = asap_workload::generate(&args.common.scale.workload(args.common.seed));
             emit_figure(&args, &args.command, Source::Workload(&workload));
         }
-        "all" => {
-            let workload = asap_workload::generate(&args.common.scale.workload(args.common.seed));
-            for name in ["fig2", "fig3"] {
-                emit_figure(&args, name, Source::Workload(&workload));
+        name @ ("all" | "fig4" | "fig5" | "fig6" | "fig7" | "fig8" | "fig9" | "fig10") => {
+            let world = World::build(args.common.scale, args.common.seed);
+            if name == "all" {
+                for fig in ["fig2", "fig3"] {
+                    emit_figure(&args, fig, Source::Workload(&world.workload));
+                }
             }
-            drop(workload);
-            let runs = run_matrix(&args, asap_bench::runner::full_matrix());
-            for name in MATRIX_FIGURES {
-                emit_figure(&args, name, Source::Runs(&runs));
+            let cells = match name {
+                "fig7" => vec![(AlgoKind::AsapRw, OverlayKind::Crawled)],
+                "fig10" => AlgoKind::ALL
+                    .iter()
+                    .map(|&a| (a, OverlayKind::Crawled))
+                    .collect(),
+                _ => asap_bench::runner::full_matrix(),
+            };
+            let runs = run_matrix(&args, &world, cells);
+            let figures: &[&str] = if name == "all" {
+                &MATRIX_FIGURES
+            } else {
+                &[name]
+            };
+            for fig in figures {
+                emit_figure(&args, fig, Source::Runs(&runs));
             }
-        }
-        "fig7" => {
-            let runs = run_matrix(&args, vec![(AlgoKind::AsapRw, OverlayKind::Crawled)]);
-            emit_figure(&args, "fig7", Source::Runs(&runs));
-        }
-        "fig10" => {
-            let cells = AlgoKind::ALL
-                .iter()
-                .map(|&a| (a, OverlayKind::Crawled))
-                .collect();
-            let runs = run_matrix(&args, cells);
-            emit_figure(&args, "fig10", Source::Runs(&runs));
-        }
-        name @ ("fig4" | "fig5" | "fig6" | "fig8" | "fig9") => {
-            let runs = run_matrix(&args, asap_bench::runner::full_matrix());
-            emit_figure(&args, name, Source::Runs(&runs));
         }
         "ablate" => ablations(&args),
         "robustness" => robustness(&args),
@@ -183,13 +181,12 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_matrix(args: &Args, cells: Vec<(AlgoKind, OverlayKind)>) -> Vec<RunSummary> {
-    let world = World::build(args.common.scale, args.common.seed);
+fn run_matrix(args: &Args, world: &World, cells: Vec<(AlgoKind, OverlayKind)>) -> Vec<RunSummary> {
     let mut spec = args.common.run_spec();
     if args.trace.is_some() {
         spec = spec.with_trace(TraceConfig::default());
     }
-    let reports = sweep_cells_spec(&world, &cells, args.common.workers, &spec);
+    let reports = sweep_cells_spec(world, &cells, args.common.workers, &spec);
     if let Some(stem) = &args.trace {
         export_traces(stem, args.trace_query, &reports);
     }

@@ -11,8 +11,9 @@
 //! at three split points; `--check` additionally demands each resumed digest
 //! equal its uninterrupted run's digest bit-for-bit) and
 //! `golden/ckpt_tiny.txt` (the length and FNV-1a 64 of each of those cells'
-//! serialized s2 checkpoint: the `VERSION = 4` bytes, not only what a
-//! resumed run computes from them).
+//! serialized s2 checkpoint: the bytes of the current
+//! [`asap_sim::checkpoint::VERSION`], not only what a resumed run computes
+//! from them).
 //!
 //! The fault-free and lossy matrices and the super-peer cells are replayed
 //! a second time on `asap_net`'s wire carrier ([`run_cell_net`]), where

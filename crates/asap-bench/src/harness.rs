@@ -469,8 +469,8 @@ mod tests {
         assert!(cells
             .iter()
             .any(|c| c.variant == ResumeVariant::Spam10 && c.algo.is_asap()));
-        // All twenty share golden_world(): the spam10 workload axis is inert.
-        assert!(ScenarioPack::Spam10.workload_pack().is_inert());
+        // All twenty share golden_world(): spam10 leaves the trace steady.
+        assert!(!ScenarioPack::Spam10.flash_crowd());
     }
 
     /// Regression for the `golden --check` first-mismatch exit: a

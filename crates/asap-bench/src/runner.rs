@@ -104,10 +104,9 @@ impl World {
 
     /// [`Self::build`] on an edited workload configuration: `edit` changes
     /// the scale's [`WorkloadConfig`] before the workload is generated, e.g.
-    /// a heterogeneity pack (arrival spikes, interest drift, hotspots,
-    /// session tails) or a churn multiplier. Both perturb the generated
-    /// trace, so two worlds differing only in such an edit share a
-    /// topology but not a trace. An edit that changes nothing reproduces
+    /// the flash-crowd switch or a churn multiplier. Both perturb the
+    /// generated trace, so two worlds differing only in such an edit share
+    /// a topology but not a trace. An edit that changes nothing reproduces
     /// [`Self::build`] exactly.
     pub fn build_with(scale: Scale, seed: u64, edit: impl FnOnce(&mut WorkloadConfig)) -> Self {
         let phys = PhysicalNetwork::generate(&scale.topology(seed));

@@ -1,16 +1,15 @@
-//! Pinned robustness scenario packs: named (adversary profile, workload
-//! pack) pairs, each with its own committed golden matrix.
+//! Pinned robustness scenario packs: named (adversary profile, flash-crowd
+//! switch) pairs, each with its own committed golden matrix.
 //!
 //! The honest goldens (`replay_tiny.txt`, `replay_tiny_lossy.txt`) pin the
 //! paper's perfect-network and lossy behavior; a scenario pack pins behavior
-//! under attack or under a heterogeneous workload. `cargo run -p asap-bench
+//! under attack or under a flash crowd. `cargo run -p asap-bench
 //! --bin golden` regenerates every pack's file next to the honest ones, and
 //! `golden --check` verifies them all.
 
 use crate::adversary::AdversaryProfile;
 use crate::harness::{GOLDEN_SCALE, GOLDEN_SEED};
 use crate::runner::World;
-use asap_workload::HeterogeneityPack;
 
 /// One named robustness scenario with a committed golden matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,12 +53,9 @@ impl ScenarioPack {
         }
     }
 
-    /// The workload axis of this scenario.
-    pub fn workload_pack(self) -> HeterogeneityPack {
-        match self {
-            Self::Spam10 | Self::FreeRider25 => HeterogeneityPack::inert(),
-            Self::FlashCrowd => HeterogeneityPack::flash_crowd(),
-        }
+    /// The workload axis of this scenario: does it spike the arrivals?
+    pub fn flash_crowd(self) -> bool {
+        self == Self::FlashCrowd
     }
 
     /// The committed golden file for this scenario, relative to the crate's
@@ -73,11 +69,10 @@ impl ScenarioPack {
     }
 
     /// Build this scenario's replay world (the golden scale and seed; the
-    /// workload pack perturbs the trace, so packs with a non-inert workload
-    /// axis get their own world).
+    /// flash crowd perturbs the trace, so it gets its own world).
     pub fn world(self) -> World {
         World::build_with(GOLDEN_SCALE, GOLDEN_SEED, |wl| {
-            wl.pack = self.workload_pack()
+            wl.flash_crowd = self.flash_crowd()
         })
     }
 }
@@ -97,11 +92,11 @@ mod tests {
     #[test]
     fn every_pack_perturbs_exactly_what_it_names() {
         assert!(!ScenarioPack::Spam10.adversary().is_none());
-        assert!(ScenarioPack::Spam10.workload_pack().is_inert());
+        assert!(!ScenarioPack::Spam10.flash_crowd());
         assert!(!ScenarioPack::FreeRider25.adversary().is_none());
-        assert!(ScenarioPack::FreeRider25.workload_pack().is_inert());
+        assert!(!ScenarioPack::FreeRider25.flash_crowd());
         assert!(ScenarioPack::FlashCrowd.adversary().is_none());
-        assert!(!ScenarioPack::FlashCrowd.workload_pack().is_inert());
+        assert!(ScenarioPack::FlashCrowd.flash_crowd());
     }
 
     #[test]

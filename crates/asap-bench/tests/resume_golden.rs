@@ -5,7 +5,7 @@
 //! this suite keeps the `cargo test -q` cost at two cells × one split each,
 //! pinned against the committed `golden/resume_tiny.txt` (what the
 //! resumed run computes) and `golden/ckpt_tiny.txt` (the checkpoint bytes it
-//! resumed from: the `VERSION = 2` format itself).
+//! resumed from: the `asap_sim::checkpoint::VERSION` format itself).
 
 use asap_bench::harness::{golden_world, ResumeCell, ResumeVariant, RESUME_SPLITS};
 use asap_bench::runner::{run_cell_spec, run_cell_split, World};
@@ -90,7 +90,8 @@ fn spot_check(world: &World, cell: ResumeCell) {
     assert!(
         CKPT_GOLDEN.lines().any(|l| l == pinned),
         "checkpoint bytes drifted from golden/ckpt_tiny.txt: computed `{pinned}` — \
-         VERSION 2 bytes must never be reinterpreted (DESIGN.md §6d)"
+         bytes written under one `asap_sim::checkpoint::VERSION` must never be \
+         reinterpreted (DESIGN.md §6d)"
     );
 }
 

@@ -14,10 +14,11 @@
 //! `search <p> [doc]`, `query <id>`, `stats`, `quit`.
 //!
 //! `--demo` runs the end-to-end smoke sequence CI pins: spawn the daemon,
-//! connect as a client, join an offline node, advertise a document on it,
-//! search for that document from another node, and poll until the query
-//! resolves — all in a few wall seconds at the default `--speed`. It exits
-//! non-zero unless the query resolved and `stats` reports `wire_errors=0`.
+//! connect as a client, cycle a node through leave and join, advertise a
+//! document on it, search for that document from another node, and poll
+//! until the query resolves — all in a few wall seconds at the default
+//! `--speed`. It exits non-zero unless the query resolved and `stats`
+//! reports `wire_errors=0`.
 
 #![allow(clippy::print_stdout)]
 
@@ -219,40 +220,26 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
     let mut client = Client::connect(&opts.cfg.socket, Duration::from_secs(5))
         .map_err(|e| fail("connect", e))?;
 
-    // Where is everyone? Join the first offline node (the reduced workload
-    // always generates a couple of late joiners).
+    // Where is everyone? The daemon starts every node online.
     let peers = client.roundtrip("peers").map_err(|e| fail("peers", e))?;
     let alive: Vec<u32> = field(&peers, "alive")
         .unwrap_or("")
         .split(',')
         .filter_map(|s| s.parse().ok())
         .collect();
-    let offline: Vec<u32> = field(&peers, "offline")
-        .unwrap_or("")
-        .split(',')
-        .filter_map(|s| s.parse().ok())
-        .collect();
-    if alive.is_empty() {
+    // Exercise churn: cycle the last live node through leave → join.
+    let Some(&publisher) = alive.last() else {
         return Err(format!("no live peers in: {peers}"));
-    }
-    // Exercise churn: join the first offline node, or cycle the last live
-    // one through leave → join when the trace left nobody offline.
-    let (publisher, join_cmds): (u32, Vec<String>) = match offline.first() {
-        Some(&p) => (p, vec![format!("join {p}")]),
-        None => {
-            let p = *alive.last().expect("nonempty");
-            (p, vec![format!("leave {p}"), format!("join {p}")])
-        }
     };
-    for cmd in &join_cmds {
-        let r = client.roundtrip(cmd).map_err(|e| fail(cmd, e))?;
+    for cmd in [format!("leave {publisher}"), format!("join {publisher}")] {
+        let r = client.roundtrip(&cmd).map_err(|e| fail(&cmd, e))?;
         if !r.starts_with("ok") {
             return Err(format!("{cmd} failed: {r}"));
         }
     }
-    println!("demo: node {publisher} (re)joined the overlay");
+    println!("demo: node {publisher} rejoined the overlay");
 
-    // Publish a fresh document on the (possibly just-joined) node...
+    // Publish a fresh document on the just-rejoined node...
     let ad = client
         .roundtrip(&format!("advertise {publisher}"))
         .map_err(|e| fail("advertise", e))?;

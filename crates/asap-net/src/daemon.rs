@@ -72,8 +72,8 @@ where
     F: FnOnce(&asap_workload::ContentModel) -> P,
 {
     let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(cfg.seed));
-    // One scripted query satisfies the generator's floor; the trace decides
-    // who starts offline and is then dropped — the operator *is* the trace.
+    // One scripted query satisfies the generator's floor; the trace is then
+    // dropped — the operator *is* the trace.
     let mut workload = asap_workload::generate(&WorkloadConfig::reduced(cfg.peers, 1, cfg.seed));
     workload.trace.events.clear();
     let overlay = OverlayConfig::new(OverlayKind::Random, cfg.peers, cfg.seed).build();

@@ -455,9 +455,9 @@ pub struct SimBuilder<'a, P: Protocol, C: Carrier<P::Msg> = InMemory> {
 
 impl<'a, P: Protocol, C: Carrier<P::Msg>> SimBuilder<'a, P, C> {
     /// Start configuring a simulation: peers are mapped onto distinct random
-    /// physical nodes, the trace is preloaded, and initial liveness comes
-    /// from the workload (joiners start offline **and detached**). Optional
-    /// layers are attached on the returned builder.
+    /// physical nodes, the trace is preloaded, and every peer starts online
+    /// and wired into `overlay`. Optional layers are attached on the
+    /// returned builder.
     pub fn new(
         phys: &'a PhysicalNetwork,
         workload: &'a Workload,
@@ -556,7 +556,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
     fn assemble(
         phys: &'a PhysicalNetwork,
         workload: &'a Workload,
-        mut overlay: Overlay,
+        overlay: Overlay,
         overlay_kind: OverlayKind,
         protocol: P,
         seed: u64,
@@ -580,20 +580,10 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             .map(|&i| phys.coord(PhysNodeId(i)))
             .collect();
 
-        // Initially-offline joiners are not wired into the overlay yet.
-        let alive = workload.initially_alive.clone();
-        for (i, &a) in alive.iter().enumerate() {
-            if !a {
-                overlay.detach(PeerId(i as u32));
-            }
-        }
-        let alive_count = alive.iter().filter(|&&a| a).count();
-        let alive_list: Vec<PeerId> = alive
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a)
-            .map(|(i, _)| PeerId(i as u32))
-            .collect();
+        // Every peer starts online; the trace's churn takes them off.
+        let alive = vec![true; n];
+        let alive_count = n;
+        let alive_list: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
 
         let mut queue = EventQueue::new();
         for te in &workload.trace.events {

@@ -12,8 +12,13 @@
 //!   (§V-A) — the property that makes random walk and GSA struggle;
 //! * **30,000 search requests**, each guaranteed ≥ 1 matching document on a
 //!   live peer at issue time, 10 % followed by a content change;
-//! * **1,000 join + 1,000 departure** events (rejoin churn: departures feed
-//!   the pool joins revive from); Poisson arrivals, λ = 8/s.
+//! * **1,000 join + 1,000 departure** events over a population that starts
+//!   wholly online (rejoin churn: departures feed the pool joins revive
+//!   from); Poisson arrivals, λ = 8/s.
+//!
+//! One switch departs from the paper's homogeneous trace:
+//! [`WorkloadConfig::flash_crowd`] compresses the middle fifth of the
+//! query arrivals sixfold, for the flash-crowd scenario.
 //!
 //! The generator replays its own churn/content state chronologically while
 //! emitting events, so the "always answerable" invariant holds by
@@ -29,7 +34,7 @@ pub mod vocab;
 pub mod zipf;
 
 pub use asap_overlay::PeerId;
-pub use config::{HeterogeneityPack, WorkloadConfig};
+pub use config::WorkloadConfig;
 pub use content::ContentModel;
 pub use ids::{ClassId, DocId, InterestSet, KeywordId};
 pub use state::{ContentState, Holdings};
@@ -39,15 +44,12 @@ pub use vocab::Vocabulary;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// A fully generated workload: the static content model, the event trace,
-/// and the initial liveness of every peer.
+/// A fully generated workload: the static content model and the event
+/// trace. Every peer is online when the trace starts.
 #[derive(Debug)]
 pub struct Workload {
     pub model: ContentModel,
     pub trace: Trace,
-    /// Peers alive at simulation start (all of them, under rejoin churn;
-    /// kept explicit so alternative churn models stay pluggable).
-    pub initially_alive: Vec<bool>,
 }
 
 /// Generate the complete workload for `config`. Deterministic in
@@ -56,12 +58,8 @@ pub fn generate(config: &WorkloadConfig) -> Workload {
     config.validate();
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x40AD_10AD);
     let model = content::generate_model(config, &mut rng);
-    let (trace, initially_alive) = trace::generate_trace(config, &model, &mut rng);
-    Workload {
-        model,
-        trace,
-        initially_alive,
-    }
+    let trace = trace::generate_trace(config, &model, &mut rng);
+    Workload { model, trace }
 }
 
 #[cfg(test)]
@@ -81,7 +79,6 @@ mod tests {
                 .count(),
             500
         );
-        assert_eq!(w.initially_alive.len(), 300);
     }
 
     #[test]

@@ -18,6 +18,13 @@ use rand::Rng;
 pub const ARRIVAL_RATE_HZ: f64 = 8.0;
 /// Query terms drawn from the target document, inclusive range.
 pub const QUERY_TERMS: (usize, usize) = (2, 4);
+/// Flash crowd: query gaps inside the spike window are divided by this
+/// factor (λ = 8/s becomes a 48/s burst).
+const FLASH_BOOST: f64 = 6.0;
+/// Centre of the flash-crowd window, as a fraction of the query sequence.
+const FLASH_CENTER: f64 = 0.5;
+/// Width of the flash-crowd window, as a fraction of the query sequence.
+const FLASH_WIDTH: f64 = 0.2;
 
 /// One search request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,12 +83,12 @@ impl Trace {
             .count()
     }
 
-    /// Replay the trace and assert every query has ≥ 1 matching document on
-    /// a live peer other than the requester at issue time. Returns the
-    /// number of queries checked.
-    pub fn validate(&self, model: &ContentModel, initially_alive: &[bool]) -> usize {
+    /// Replay the trace from every peer online and assert every query has
+    /// ≥ 1 matching document on a live peer other than the requester at
+    /// issue time. Returns the number of queries checked.
+    pub fn validate(&self, model: &ContentModel) -> usize {
         let mut state = Holdings::from_model(model);
-        let mut alive = initially_alive.to_vec();
+        let mut alive = vec![true; model.num_peers()];
         let mut checked = 0;
         for te in &self.events {
             match &te.event {
@@ -109,24 +116,25 @@ impl Trace {
     }
 }
 
-/// Generate the trace. Returns the event list and the initial liveness map.
-pub fn generate_trace(
-    config: &WorkloadConfig,
-    model: &ContentModel,
-    rng: &mut SmallRng,
-) -> (Trace, Vec<bool>) {
+/// Is query `i` of `total` inside the flash-crowd window?
+fn in_flash_window(i: usize, total: usize) -> bool {
+    let f = (i as f64 + 0.5) / total.max(1) as f64;
+    (f - FLASH_CENTER).abs() <= FLASH_WIDTH / 2.0
+}
+
+/// Generate the trace over a population that starts wholly online.
+pub fn generate_trace(config: &WorkloadConfig, model: &ContentModel, rng: &mut SmallRng) -> Trace {
     // --- timeline skeleton -------------------------------------------------
     // Query times: Poisson arrivals. Churn times: uniform over the duration.
-    let pack = &config.pack;
     let mut query_times = Vec::with_capacity(config.queries);
     let mut t = 0u64;
     for i in 0..config.queries {
         let mut gap = exp_gap_us(ARRIVAL_RATE_HZ, rng);
-        // Flash crowd: same exponential draw, compressed — the knob scales
-        // the gap rather than drawing again, so an inert pack consumes the
-        // exact RNG sequence of the unperturbed generator.
-        if pack.flash_boost > 1.0 && pack.in_flash_window(i, config.queries) {
-            gap = ((gap as f64 / pack.flash_boost) as u64).max(1);
+        // Flash crowd: same exponential draw, compressed — the switch scales
+        // the gap rather than drawing again, so the steady trace and the
+        // spiked one consume the same RNG sequence.
+        if config.flash_crowd && in_flash_window(i, config.queries) {
+            gap = ((gap as f64 / FLASH_BOOST) as u64).max(1);
         }
         t += gap;
         query_times.push(t);
@@ -155,10 +163,7 @@ pub fn generate_trace(
     // them off- and back on-line).
     let mut alive = vec![true; config.peers];
     let mut departed: Vec<PeerId> = Vec::new();
-    let initially_alive = alive.clone();
     let mut alive_count = config.peers;
-    // Rejoin order, newest last — the heavy-tail knob's eviction stack.
-    let mut recent_joiners: Vec<PeerId> = Vec::new();
 
     // --- chronological generation ------------------------------------------
     // Who holds what is all the generator reads; no keyword multiset here.
@@ -179,9 +184,6 @@ pub fn generate_trace(
                 let p = departed.swap_remove(i);
                 alive[p.index()] = true;
                 alive_count += 1;
-                if pack.session_tail > 0.0 {
-                    recent_joiners.push(p);
-                }
                 events.push(TimedEvent {
                     time_us,
                     event: TraceEvent::Join(p),
@@ -192,19 +194,7 @@ pub fn generate_trace(
                 if alive_count <= config.peers / 4 + 2 {
                     continue;
                 }
-                // Heavy-tailed sessions: prefer evicting the most recent
-                // rejoiner, so rejoin→leave cycles produce a population of
-                // short sessions on top of the uniform baseline.
-                let mut picked = None;
-                if pack.session_tail > 0.0 && rng.gen_bool(pack.session_tail) {
-                    while let Some(p) = recent_joiners.pop() {
-                        if alive[p.index()] {
-                            picked = Some(p);
-                            break;
-                        }
-                    }
-                }
-                let p = picked.unwrap_or_else(|| random_alive(&alive, alive_count, rng));
+                let p = random_alive(&alive, alive_count, rng);
                 alive[p.index()] = false;
                 alive_count -= 1;
                 departed.push(p);
@@ -214,18 +204,9 @@ pub fn generate_trace(
                 });
             }
             Slot::Query => {
-                let progress = f64::from(query_id) / config.queries.max(1) as f64;
-                let Some(q) = synthesize_query(
-                    config,
-                    model,
-                    &pools,
-                    &state,
-                    &alive,
-                    alive_count,
-                    query_id,
-                    progress,
-                    rng,
-                ) else {
+                let Some(q) =
+                    synthesize_query(model, &pools, &state, &alive, alive_count, query_id, rng)
+                else {
                     continue; // no answerable target right now (vanishingly rare)
                 };
                 query_id += 1;
@@ -245,7 +226,7 @@ pub fn generate_trace(
         }
     }
 
-    (Trace { events }, initially_alive)
+    Trace { events }
 }
 
 /// Every document grouped by class, each class's in ascending id order:
@@ -276,46 +257,27 @@ fn random_alive(alive: &[bool], alive_count: usize, rng: &mut SmallRng) -> PeerI
     }
 }
 
-/// Pick a requester and an answerable target document within its interests
-/// (or, under interest drift, progressively outside them).
-#[allow(clippy::too_many_arguments)]
+/// Pick a requester and an answerable target document within its interests.
 fn synthesize_query(
-    config: &WorkloadConfig,
     model: &ContentModel,
     pools: &[Vec<DocId>],
     state: &Holdings<'_>,
     alive: &[bool],
     alive_count: usize,
     id: u32,
-    progress: f64,
     rng: &mut SmallRng,
 ) -> Option<QuerySpec> {
-    let pack = &config.pack;
     // A few requester attempts; each tries several targets.
     for _ in 0..8 {
         let requester = random_alive(alive, alive_count, rng);
         let classes: Vec<ClassId> = model.interests[requester.index()].iter().collect();
         for _ in 0..32 {
-            let mut class = classes[rng.gen_range(0..classes.len())];
-            // Interest drift: rotate the class by an offset that grows with
-            // trace progress — late queries probe classes the requester's
-            // static profile (and everyone's cached ads) never covered.
-            if pack.drift_strength > 0.0 && rng.gen_bool(pack.drift_strength) {
-                let shift = 1 + (progress * (model.num_classes - 1) as f64) as usize;
-                class = ClassId(((class.index() + shift) % model.num_classes) as u8);
-            }
+            let class = classes[rng.gen_range(0..classes.len())];
             let pool = &pools[class.index()];
             if pool.is_empty() {
                 continue;
             }
-            // Content hotspot: pile demand onto the class's first document
-            // (an arbitrary-but-fixed "hit release") instead of spreading
-            // uniformly over the pool.
-            let doc = if pack.hotspot_prob > 0.0 && rng.gen_bool(pack.hotspot_prob) {
-                pool[0]
-            } else {
-                pool[rng.gen_range(0..pool.len())]
-            };
+            let doc = pool[rng.gen_range(0..pool.len())];
             if state.peer_has_doc(requester, doc) {
                 continue; // peers ask for documents they lack
             }
@@ -401,24 +363,27 @@ mod tests {
     use crate::content::generate_model;
     use rand::SeedableRng;
 
-    fn workload(peers: usize, queries: usize, seed: u64) -> (ContentModel, Trace, Vec<bool>) {
-        let cfg = WorkloadConfig::reduced(peers, queries, seed);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let model = generate_model(&cfg, &mut rng);
-        let (trace, alive) = generate_trace(&cfg, &model, &mut rng);
-        (model, trace, alive)
+    fn generated(cfg: &WorkloadConfig) -> (ContentModel, Trace) {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let model = generate_model(cfg, &mut rng);
+        let trace = generate_trace(cfg, &model, &mut rng);
+        (model, trace)
+    }
+
+    fn workload(peers: usize, queries: usize, seed: u64) -> (ContentModel, Trace) {
+        generated(&WorkloadConfig::reduced(peers, queries, seed))
     }
 
     #[test]
     fn every_query_is_answerable() {
-        let (model, trace, alive) = workload(400, 800, 21);
-        let checked = trace.validate(&model, &alive);
+        let (model, trace) = workload(400, 800, 21);
+        let checked = trace.validate(&model);
         assert!(checked >= 790, "only {checked} queries generated/validated");
     }
 
     #[test]
     fn events_are_time_sorted() {
-        let (_, trace, _) = workload(300, 500, 22);
+        let (_, trace) = workload(300, 500, 22);
         assert!(trace
             .events
             .windows(2)
@@ -427,7 +392,7 @@ mod tests {
 
     #[test]
     fn churn_counts_near_config() {
-        let (_, trace, alive) = workload(500, 600, 23);
+        let (_, trace) = workload(500, 600, 23);
         let joins = trace
             .events
             .iter()
@@ -441,15 +406,11 @@ mod tests {
         assert!(joins >= 20, "joins {joins}");
         assert!(leaves >= 40, "leaves {leaves}");
         assert!(joins <= leaves, "every join revives an earlier departure");
-        assert!(
-            alive.iter().all(|&a| a),
-            "rejoin churn: everyone starts online"
-        );
     }
 
     #[test]
     fn content_changes_near_ten_percent() {
-        let (_, trace, _) = workload(500, 2_000, 24);
+        let (_, trace) = workload(500, 2_000, 24);
         let changes = trace
             .events
             .iter()
@@ -467,7 +428,7 @@ mod tests {
 
     #[test]
     fn arrival_rate_near_lambda() {
-        let (_, trace, _) = workload(300, 2_000, 25);
+        let (_, trace) = workload(300, 2_000, 25);
         let queries = trace.num_queries() as f64;
         let secs = trace.duration_us() as f64 / 1e6;
         let rate = queries / secs;
@@ -476,9 +437,8 @@ mod tests {
 
     #[test]
     fn requesters_do_not_hold_target() {
-        let (model, trace, alive) = workload(300, 400, 26);
+        let (model, trace) = workload(300, 400, 26);
         let mut state = Holdings::from_model(&model);
-        let mut alive = alive;
         for te in &trace.events {
             match &te.event {
                 TraceEvent::Query(q) => {
@@ -490,39 +450,16 @@ mod tests {
                 TraceEvent::RemoveDocument { peer, doc } => {
                     state.remove(*peer, *doc);
                 }
-                TraceEvent::Join(p) => alive[p.index()] = true,
-                TraceEvent::Leave(p) => alive[p.index()] = false,
+                TraceEvent::Join(_) | TraceEvent::Leave(_) => {}
             }
         }
     }
 
-    fn pack_workload(
-        pack: crate::config::HeterogeneityPack,
-        peers: usize,
-        queries: usize,
-        seed: u64,
-    ) -> (WorkloadConfig, ContentModel, Trace, Vec<bool>) {
-        let mut cfg = WorkloadConfig::reduced(peers, queries, seed);
-        cfg.pack = pack;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let model = generate_model(&cfg, &mut rng);
-        let (trace, alive) = generate_trace(&cfg, &model, &mut rng);
-        (cfg, model, trace, alive)
-    }
-
-    #[test]
-    fn stress_pack_traces_stay_answerable() {
-        use crate::config::HeterogeneityPack;
-        let (cfg, model, trace, alive) = pack_workload(HeterogeneityPack::stress(), 400, 800, 31);
-        cfg.validate();
-        let checked = trace.validate(&model, &alive);
-        assert!(checked >= 700, "only {checked} stress queries validated");
-    }
-
     #[test]
     fn flash_crowd_compresses_arrivals_inside_the_window() {
-        use crate::config::HeterogeneityPack;
-        let (_, _, trace, _) = pack_workload(HeterogeneityPack::flash_crowd(), 300, 2_000, 32);
+        let mut cfg = WorkloadConfig::reduced(300, 2_000, 32);
+        cfg.flash_crowd = true;
+        let (_, trace) = generated(&cfg);
         let times: Vec<u64> = trace
             .events
             .iter()
@@ -543,121 +480,21 @@ mod tests {
     }
 
     #[test]
-    fn drift_probes_outside_static_interests() {
-        use crate::config::HeterogeneityPack;
-        let drifted = HeterogeneityPack {
-            drift_strength: 0.8,
-            ..HeterogeneityPack::inert()
-        };
-        let (_, model, trace, _) = pack_workload(drifted, 300, 1_000, 33);
-        let outside = |trace: &Trace| {
-            trace
-                .events
-                .iter()
-                .filter_map(|e| match &e.event {
-                    TraceEvent::Query(q) => Some(q),
-                    _ => None,
-                })
-                .filter(|q| {
-                    let class = model.doc(q.target).class;
-                    !model.interests[q.requester.index()].contains(class)
-                })
-                .count()
-        };
-        assert!(outside(&trace) > 0, "drift must reach uninterested classes");
-        // The homogeneous generator picks targets from the requester's own
-        // interests by construction — zero escapes.
-        let (_, model2, baseline, _) = pack_workload(HeterogeneityPack::inert(), 300, 1_000, 33);
-        let baseline_outside = baseline
-            .events
-            .iter()
-            .filter_map(|e| match &e.event {
-                TraceEvent::Query(q) => Some(q),
-                _ => None,
-            })
-            .filter(|q| {
-                let class = model2.doc(q.target).class;
-                !model2.interests[q.requester.index()].contains(class)
-            })
-            .count();
-        assert_eq!(baseline_outside, 0);
-    }
-
-    #[test]
-    fn hotspot_concentrates_target_popularity() {
-        use crate::config::HeterogeneityPack;
-        let hot = HeterogeneityPack {
-            hotspot_prob: 0.8,
-            ..HeterogeneityPack::inert()
-        };
-        let distinct = |trace: &Trace| {
-            let mut targets: Vec<DocId> = trace
-                .events
-                .iter()
-                .filter_map(|e| match &e.event {
-                    TraceEvent::Query(q) => Some(q.target),
-                    _ => None,
-                })
-                .collect();
-            targets.sort_unstable();
-            targets.dedup();
-            targets.len()
-        };
-        let (_, _, hot_trace, _) = pack_workload(hot, 300, 1_500, 34);
-        let (_, _, cold_trace, _) = pack_workload(HeterogeneityPack::inert(), 300, 1_500, 34);
+    fn flash_window_covers_the_middle_fifth() {
+        let total = 1_000;
+        let inside = (0..total).filter(|&i| in_flash_window(i, total)).count();
         assert!(
-            distinct(&hot_trace) * 2 < distinct(&cold_trace),
-            "hotspot must concentrate targets ({} vs {})",
-            distinct(&hot_trace),
-            distinct(&cold_trace)
+            (inside as f64 / total as f64 - FLASH_WIDTH).abs() < 0.01,
+            "window covered {inside}/{total}"
         );
-    }
-
-    #[test]
-    fn heavy_tail_produces_repeat_leavers() {
-        use crate::config::HeterogeneityPack;
-        let tail = HeterogeneityPack {
-            session_tail: 0.9,
-            ..HeterogeneityPack::inert()
-        };
-        let repeat_leavers = |trace: &Trace| {
-            let mut leavers: Vec<PeerId> = trace
-                .events
-                .iter()
-                .filter_map(|e| match e.event {
-                    TraceEvent::Leave(p) => Some(p),
-                    _ => None,
-                })
-                .collect();
-            leavers.sort_unstable();
-            let total = leavers.len();
-            leavers.dedup();
-            total - leavers.len() // leave events beyond each peer's first
-        };
-        let mk = |pack| {
-            let mut cfg = WorkloadConfig::reduced(400, 2_000, 35);
-            cfg.joins = 150;
-            cfg.leaves = 150;
-            cfg.pack = pack;
-            let mut rng = SmallRng::seed_from_u64(35);
-            let model = generate_model(&cfg, &mut rng);
-            let (trace, _) = generate_trace(&cfg, &model, &mut rng);
-            trace
-        };
-        let tailed = repeat_leavers(&mk(tail));
-        let uniform = repeat_leavers(&mk(HeterogeneityPack::inert()));
-        assert!(
-            tailed > uniform,
-            "rejoin-eviction bias must create repeat leavers ({tailed} vs {uniform})"
-        );
+        assert!(in_flash_window(total / 2, total));
+        assert!(!in_flash_window(0, total));
+        assert!(!in_flash_window(total - 1, total));
     }
 
     #[test]
     fn query_terms_within_configured_range() {
-        let cfg = WorkloadConfig::reduced(300, 400, 27);
-        let mut rng = SmallRng::seed_from_u64(27);
-        let model = generate_model(&cfg, &mut rng);
-        let (trace, _) = generate_trace(&cfg, &model, &mut rng);
+        let (model, trace) = workload(300, 400, 27);
         for te in &trace.events {
             if let TraceEvent::Query(q) = &te.event {
                 assert!(!q.terms.is_empty());

@@ -288,7 +288,7 @@ proptest! {
     fn every_query_answerable(seed in 0u64..10_000) {
         let cfg = WorkloadConfig::reduced(200, 250, seed);
         let w = asap_workload::generate(&cfg);
-        let checked = w.trace.validate(&w.model, &w.initially_alive);
+        let checked = w.trace.validate(&w.model);
         prop_assert!(checked > 200, "only {} queries", checked);
     }
 
@@ -348,8 +348,8 @@ proptest! {
     fn churn_liveness_consistent(seed in 0u64..10_000) {
         let cfg = WorkloadConfig::reduced(200, 300, seed);
         let w = asap_workload::generate(&cfg);
-        let mut alive = w.initially_alive.clone();
-        let mut count = alive.iter().filter(|&&a| a).count();
+        let mut alive = vec![true; w.model.num_peers()];
+        let mut count = alive.len();
         for ev in &w.trace.events {
             match &ev.event {
                 TraceEvent::Join(p) => {

@@ -15,12 +15,13 @@
 use asap_p2p::overlay::{OverlayConfig, OverlayKind};
 use asap_p2p::sim::{Codec, Encoder, Fnv64};
 use asap_p2p::topology::{self, PhysNodeId, PhysicalNetwork, TransitStubConfig};
-use asap_p2p::workload::{generate, DocId, TraceEvent, WorkloadConfig};
+use asap_p2p::workload::{generate, DocId, TraceEvent, Workload, WorkloadConfig};
 
 const PEERS: usize = 10_000;
 const SEED: u64 = 42;
 
 const TRACE_FNV: u64 = 0xbbcc_4a3f_3bff_5971;
+const FLASH_TRACE_FNV: u64 = 0xc26e_764a_43e8_cf5b;
 const CATALOGUE_FNV: u64 = 0xd934_b044_a3ba_02eb;
 const OVERLAY_FNV: [(OverlayKind, usize, u64); 3] = [
     (OverlayKind::Random, 25_070, 0x01b4_90bd_bfa7_41ee),
@@ -28,11 +29,10 @@ const OVERLAY_FNV: [(OverlayKind, usize, u64); 3] = [
     (OverlayKind::Crawled, 17_199, 0x3506_4e5f_18eb_f2a2),
 ];
 
-#[test]
-fn trace_at_10k_peers_is_pinned() {
-    let w = generate(&WorkloadConfig::reduced(PEERS, 3_000, SEED));
-    // Every event in its checkpoint encoding (a codec format change moves
-    // this constant together with `ckpt_tiny.txt`).
+/// The FNV of every event in its checkpoint encoding (a codec format change
+/// moves the trace constants together with `ckpt_tiny.txt`), and the
+/// number of content changes.
+fn trace_fnv(w: &Workload) -> (u64, usize) {
     let mut enc = Encoder::new();
     for te in &w.trace.events {
         enc.put_u64(te.time_us);
@@ -51,12 +51,37 @@ fn trace_at_10k_peers_is_pinned() {
             )
         })
         .count();
+    (h.finish(), changes)
+}
+
+#[test]
+fn trace_at_10k_peers_is_pinned() {
+    let w = generate(&WorkloadConfig::reduced(PEERS, 3_000, SEED));
+    let (fnv, changes) = trace_fnv(&w);
     assert!(
         changes > 200,
         "only {changes} content changes: the pin is weak"
     );
-    assert_eq!(w.trace.validate(&w.model, &w.initially_alive), 3_000);
-    assert_eq!(h.finish(), TRACE_FNV, "trace drifted: {:#018x}", h.finish());
+    assert_eq!(w.trace.validate(&w.model), 3_000);
+    assert_eq!(fnv, TRACE_FNV, "trace drifted: {fnv:#018x}");
+}
+
+/// The flash-crowd trace at the golden matrix's largest scale, where the
+/// scenario goldens (150 peers) do not reach. The constant was computed
+/// before the workload's perturbation knobs folded into one switch.
+#[test]
+fn flash_crowd_trace_is_pinned() {
+    let mut cfg = WorkloadConfig::reduced(1_500, 4_000, SEED);
+    cfg.flash_crowd = true;
+    let w = generate(&cfg);
+    let (fnv, changes) = trace_fnv(&w);
+    assert_eq!(w.trace.events.len(), 4_718);
+    assert_eq!(changes, 434);
+    assert_eq!(w.trace.validate(&w.model), 4_000);
+    assert_eq!(
+        fnv, FLASH_TRACE_FNV,
+        "flash-crowd trace drifted: {fnv:#018x}"
+    );
 }
 
 /// Every document's class, keyword count and keywords, then the document

@@ -8,10 +8,12 @@ use asap_overlay::codec_struct;
 
 // Hand-written: a zero `bits` or `hashes` is not a filter geometry.
 impl Codec for BloomParams {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_u32(self.bits);
         enc.put_u32(self.hashes);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let (bits, hashes) = Codec::pull(dec)?;
         if bits == 0 || hashes == 0 {
@@ -26,10 +28,12 @@ impl Codec for BloomParams {
 // allocation of its own; an ad cache shares equal filters by their contents
 // (`asap-core`'s `FilterStore`).
 impl Codec for BloomFilter {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         self.params().put(enc);
         enc.put_words(self.words());
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let params = BloomParams::pull(dec)?;
         let words = dec.get_count()?;

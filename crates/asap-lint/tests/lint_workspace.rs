@@ -42,11 +42,15 @@ fn workspace_is_lint_clean_under_committed_config() {
 /// true (trait renamed, root dropped, unpack no longer calling the
 /// decoder) the decoder would silently leave panic-reachability; this pins
 /// it inside, down to the checksum and the filter decode a filter-bearing
-/// frame goes through (`BloomFilter`'s `Codec` impl, a root as well).
+/// frame goes through (`BloomFilter`'s `Codec` impl, a root as well). The
+/// public decoders share the carrier's validator and are roots of their
+/// own in `lint.toml`.
 #[test]
 fn wire_decoder_is_in_the_panic_reachable_set() {
     assert_panic_reachable(&[
         "Framed::unpack",
+        "read_whole_frame",
+        "read_frame",
         "decode_frame_exact",
         "decode_frame",
         "checksum",

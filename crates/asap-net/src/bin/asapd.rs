@@ -18,9 +18,8 @@
 //! document on it, search for that document from another node, and poll
 //! until the query resolves — all in a few wall seconds at the default
 //! `--speed`. It exits non-zero unless the query resolved and `stats`
-//! reports `wire_errors=0`.
-
-#![allow(clippy::print_stdout)]
+//! reports `wire_errors=0`. A stdout that closes early (`asapd --demo |
+//! head -3`) ends the demo at that line: it quits the daemon and exits 0.
 
 use asap_core::{Asap, AsapConfig};
 use asap_net::daemon::{run_daemon, DaemonConfig};
@@ -130,7 +129,9 @@ fn main() -> ExitCode {
     if opts.demo {
         return demo(opts);
     }
-    println!(
+    // The banner is for a reader; a closed stdout does not stop the daemon.
+    let _ = writeln!(
+        std::io::stdout(),
         "asapd: {} nodes, algo {:?}, speed {}x, socket {}",
         opts.cfg.peers,
         opts.algo,
@@ -189,36 +190,60 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         .find_map(|w| w.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
 }
 
+/// Why the demo stopped before its end.
+enum Stop {
+    /// A step failed: the demo exits non-zero.
+    Failed(String),
+    /// Stdout closed (`asapd --demo | head -3`): no one reads the rest.
+    Unheard,
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        Self::Failed(msg)
+    }
+}
+
+/// One progress line; a closed stdout ends the demo.
+fn say(out: &mut impl Write, line: std::fmt::Arguments<'_>) -> Result<(), Stop> {
+    writeln!(out, "{line}").map_err(|_| Stop::Unheard)
+}
+
 fn demo(opts: Opts) -> ExitCode {
     let cfg = opts.cfg.clone();
     let algo = opts.algo;
     let daemon = thread::spawn(move || serve(&cfg, algo));
-    match run_demo(&opts) {
-        Ok(()) => {
-            // The quit command stops the daemon loop; join surfaces errors.
-            match daemon.join() {
-                Ok(Ok(())) => ExitCode::SUCCESS,
-                Ok(Err(e)) => {
-                    eprintln!("demo: daemon failed: {e}");
-                    ExitCode::FAILURE
-                }
-                Err(_) => {
-                    eprintln!("demo: daemon panicked");
-                    ExitCode::FAILURE
-                }
-            }
+    let mut client = match Client::connect(&opts.cfg.socket, Duration::from_secs(5)) {
+        Ok(client) => client,
+        Err(e) => {
+            eprintln!("demo: connect: {e}");
+            return ExitCode::FAILURE;
         }
-        Err(msg) => {
+    };
+    let outcome = run_demo(&mut client, &mut std::io::stdout().lock());
+    // The quit command stops the daemon loop, so the thread can be joined.
+    let _ = client.roundtrip("quit");
+    match outcome {
+        Ok(()) | Err(Stop::Unheard) => match daemon.join() {
+            Ok(Ok(())) => ExitCode::SUCCESS,
+            Ok(Err(e)) => {
+                eprintln!("demo: daemon failed: {e}");
+                ExitCode::FAILURE
+            }
+            Err(_) => {
+                eprintln!("demo: daemon panicked");
+                ExitCode::FAILURE
+            }
+        },
+        Err(Stop::Failed(msg)) => {
             eprintln!("demo: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run_demo(opts: &Opts) -> Result<(), String> {
+fn run_demo(client: &mut Client, out: &mut impl Write) -> Result<(), Stop> {
     let fail = |what: &str, e: std::io::Error| format!("{what}: {e}");
-    let mut client = Client::connect(&opts.cfg.socket, Duration::from_secs(5))
-        .map_err(|e| fail("connect", e))?;
 
     // Where is everyone? The daemon starts every node online.
     let peers = client.roundtrip("peers").map_err(|e| fail("peers", e))?;
@@ -229,22 +254,28 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
         .collect();
     // Exercise churn: cycle the last live node through leave → join.
     let Some(&publisher) = alive.last() else {
-        return Err(format!("no live peers in: {peers}"));
+        return Err(format!("no live peers in: {peers}").into());
     };
     for cmd in [format!("leave {publisher}"), format!("join {publisher}")] {
         let r = client.roundtrip(&cmd).map_err(|e| fail(&cmd, e))?;
         if !r.starts_with("ok") {
-            return Err(format!("{cmd} failed: {r}"));
+            return Err(format!("{cmd} failed: {r}").into());
         }
     }
-    println!("demo: node {publisher} rejoined the overlay");
+    say(
+        out,
+        format_args!("demo: node {publisher} rejoined the overlay"),
+    )?;
 
     // Publish a fresh document on the just-rejoined node...
     let ad = client
         .roundtrip(&format!("advertise {publisher}"))
         .map_err(|e| fail("advertise", e))?;
     let doc = field(&ad, "doc").ok_or_else(|| format!("advertise failed: {ad}"))?;
-    println!("demo: node {publisher} now shares doc {doc}");
+    say(
+        out,
+        format_args!("demo: node {publisher} now shares doc {doc}"),
+    )?;
 
     // ...and search for it from a different node.
     let requester = alive
@@ -263,7 +294,10 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
         let id = field(&sr, "id")
             .ok_or_else(|| format!("search failed: {sr}"))?
             .to_string();
-        println!("demo: node {requester} searching for doc {doc} (query {id})");
+        say(
+            out,
+            format_args!("demo: node {requester} searching for doc {doc} (query {id})"),
+        )?;
         let attempt_ends = (Instant::now() + Duration::from_millis(1_500)).min(deadline);
         while Instant::now() < attempt_ends {
             let q = client
@@ -277,15 +311,15 @@ fn run_demo(opts: &Opts) -> Result<(), String> {
         }
     }
     let Some(id) = answered_id else {
-        return Err("no search attempt resolved before the deadline".to_string());
+        return Err("no search attempt resolved before the deadline"
+            .to_string()
+            .into());
     };
     let stats = client.roundtrip("stats").map_err(|e| fail("stats", e))?;
-    println!("demo: query {id} answered; {stats}");
-    let _ = client.roundtrip("quit");
     // A frame that fails to decode is dropped, not fatal: the search above
     // can resolve around it, so the count is checked in its own right.
-    match field(&stats, "wire_errors") {
-        Some("0") => Ok(()),
-        _ => Err(format!("frames failed to decode: {stats}")),
+    if field(&stats, "wire_errors") != Some("0") {
+        return Err(format!("frames failed to decode: {stats}").into());
     }
+    say(out, format_args!("demo: query {id} answered; {stats}"))
 }

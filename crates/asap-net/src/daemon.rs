@@ -350,6 +350,7 @@ impl<'a, P: CheckpointProtocol, C: Carrier<P::Msg>> Daemon<'a, P, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loopback::PackedFrame;
     use asap_metrics::MsgClass;
     use asap_search::{BaselineMsg, Flooding, FloodingConfig};
     use asap_sim::SimBuilder;
@@ -372,7 +373,7 @@ mod tests {
     }
 
     impl<const NTH: u64> Carrier<BaselineMsg> for Flipping<NTH> {
-        type Packed = Vec<u8>;
+        type Packed = PackedFrame;
 
         fn pack(
             &mut self,
@@ -381,16 +382,16 @@ mod tests {
             class: MsgClass,
             bytes: usize,
             msg: BaselineMsg,
-        ) -> Vec<u8> {
+        ) -> PackedFrame {
             let mut frame = self.inner.pack(from, to, class, bytes, msg);
             self.packed += 1;
             if self.packed.is_multiple_of(NTH) {
-                frame[20] ^= 1;
+                frame.as_bytes_mut()[20] ^= 1;
             }
             frame
         }
 
-        fn unpack(&mut self, packed: Vec<u8>) -> Option<BaselineMsg> {
+        fn unpack(&mut self, packed: PackedFrame) -> Option<BaselineMsg> {
             self.inner.unpack(packed)
         }
     }

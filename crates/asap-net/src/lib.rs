@@ -32,5 +32,5 @@ pub mod wire;
 
 pub use clock::VirtualClock;
 pub use daemon::{run_daemon, DaemonConfig};
-pub use loopback::{Framed, Loopback};
+pub use loopback::{Framed, Loopback, PackedFrame};
 pub use wire::{Frame, WireError, MAX_FRAME};

@@ -16,8 +16,11 @@
 //! stream) with zero wire errors.
 //!
 //! The carrier keeps one thing between messages, owned by the engine's
-//! `Ctx` and gone with it: the buffer every frame is encoded in. Every
-//! frame decodes into allocations of its own. An ad's filter is cached by
+//! `Ctx` and gone with it: the buffer every frame is encoded in. The queue
+//! holds a [`PackedFrame`] copy of it: a short frame inline in the queue
+//! slot, a long one in one heap allocation. Dispatch runs the frame through
+//! the one validator every wire decoder shares and keeps only the message,
+//! whose `Rc`s are allocations of its own. An ad's filter is cached by
 //! many peers at once (that is the paper's point, §III-B); the protocol's
 //! ad caches find an arriving filter's equal by its contents
 //! (`asap_core::repository::FilterStore`), so its cachers share one
@@ -38,10 +41,72 @@ use asap_overlay::PeerId;
 use asap_sim::{Carrier, CheckpointProtocol, SimBuilder};
 use std::marker::PhantomData;
 
+/// One encoded frame as the event queue holds it. A frame of up to
+/// [`PackedFrame::INLINE`] bytes sits in the queue slot itself; a longer
+/// one (a full or patch ad, an ads reply) is one heap allocation of
+/// exactly its size.
+#[derive(Debug)]
+pub struct PackedFrame(Stored);
+
+#[derive(Debug)]
+enum Stored {
+    Inline {
+        len: u8,
+        bytes: [u8; PackedFrame::INLINE],
+    },
+    Heap(Box<[u8]>),
+}
+
+impl PackedFrame {
+    /// The longest frame kept inline. A refresh ad, nine frames in ten of
+    /// an ASAP run, is 48 bytes; 54 is the most that keeps a packed frame
+    /// at the 56 bytes a 48-byte one takes anyway (length and variant
+    /// bytes included), and it takes in every confirm reply and hit and
+    /// most confirms and query frames as well.
+    pub const INLINE: usize = 54;
+
+    /// Queue a copy of one encoded frame.
+    #[inline]
+    pub fn copy_of(frame: &[u8]) -> Self {
+        if frame.len() <= Self::INLINE {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..frame.len()].copy_from_slice(frame);
+            // INLINE < 256, so the length fits its byte.
+            let len = frame.len() as u8;
+            Self(Stored::Inline { len, bytes })
+        } else {
+            Self(Stored::Heap(frame.into()))
+        }
+    }
+
+    /// Whether the frame sits in the queue slot rather than on the heap.
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Stored::Inline { .. })
+    }
+
+    /// The frame's bytes, as [`wire::encode_frame_into`] wrote them.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Stored::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Stored::Heap(bytes) => bytes,
+        }
+    }
+
+    /// The frame's bytes, writable in place: how a test plants a corrupt
+    /// byte in a queued frame.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            Stored::Inline { len, bytes } => &mut bytes[..usize::from(*len)],
+            Stored::Heap(bytes) => bytes,
+        }
+    }
+}
+
 /// The wire carrier: the event queue holds encoded frames of protocol `P`.
 pub struct Framed<P> {
-    /// Every frame is encoded here first, so the queued copy is one
-    /// allocation of exactly the frame's size.
+    /// Every frame is encoded here first, then copied into its
+    /// [`PackedFrame`].
     scratch: Vec<u8>,
     protocol: PhantomData<P>,
 }
@@ -56,7 +121,7 @@ impl<P> Default for Framed<P> {
 }
 
 impl<P: CheckpointProtocol> Carrier<P::Msg> for Framed<P> {
-    type Packed = Vec<u8>;
+    type Packed = PackedFrame;
 
     fn pack(
         &mut self,
@@ -65,7 +130,7 @@ impl<P: CheckpointProtocol> Carrier<P::Msg> for Framed<P> {
         class: MsgClass,
         bytes: usize,
         msg: P::Msg,
-    ) -> Vec<u8> {
+    ) -> PackedFrame {
         let frame = Frame {
             from,
             to,
@@ -75,11 +140,13 @@ impl<P: CheckpointProtocol> Carrier<P::Msg> for Framed<P> {
         };
         self.scratch.clear();
         wire::encode_frame_into::<P>(&frame, &mut self.scratch);
-        self.scratch.as_slice().to_vec()
+        PackedFrame::copy_of(&self.scratch)
     }
 
-    fn unpack(&mut self, packed: Vec<u8>) -> Option<P::Msg> {
-        wire::decode_frame_exact::<P>(&packed).ok().map(|f| f.msg)
+    fn unpack(&mut self, packed: PackedFrame) -> Option<P::Msg> {
+        wire::read_whole_frame::<P>(packed.as_bytes())
+            .ok()
+            .map(|(_, msg)| msg)
     }
 }
 

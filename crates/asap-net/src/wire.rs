@@ -29,7 +29,10 @@
 //!
 //! Decoding is panic-free by construction (lint rule R4 applies to this
 //! crate): truncation, bit flips, bad length prefixes, unknown class tags,
-//! and malformed payloads all map to a typed [`WireError`].
+//! and malformed payloads all map to a typed [`WireError`]. [`decode_frame`],
+//! [`decode_frame_exact`] and the [`crate::Framed`] carrier's `unpack` run
+//! one private validator, so they cannot disagree about which frames are
+//! valid; the carrier keeps only the message.
 
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
@@ -144,15 +147,37 @@ pub fn encode_frame<P: CheckpointProtocol>(frame: &Frame<P::Msg>) -> Vec<u8> {
 /// valid-so-far but incomplete prefix.
 pub type Decoded<M> = Option<(Frame<M>, usize)>;
 
-/// Streaming decode: parse one frame from the front of `buf`.
-///
-/// * `Ok(Some((frame, consumed)))` — a complete, valid frame; the caller
-///   drops `consumed` bytes and goes again.
-/// * `Ok(None)` — the buffer holds a valid but incomplete prefix; read more
-///   bytes. (A stream that *ends* here is [`WireError::Truncated`] at the
-///   caller's discretion — see [`decode_frame_exact`].)
-/// * `Err(_)` — the prefix can never become a valid frame.
-pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>, WireError> {
+/// A frame's fields besides its message.
+pub(crate) struct Envelope {
+    from: PeerId,
+    to: PeerId,
+    class: MsgClass,
+    billed: u32,
+}
+
+impl Envelope {
+    #[inline]
+    fn carrying<M>(self, msg: M) -> Frame<M> {
+        Frame {
+            from: self.from,
+            to: self.to,
+            class: self.class,
+            billed: self.billed,
+            msg,
+        }
+    }
+}
+
+/// The one validation pass behind every decoder, over the frame at the
+/// front of `buf`: the length prefix against [`MAX_FRAME`] and
+/// [`ENVELOPE`], the checksum, the class tag, the payload through the
+/// message's codec, and no payload bytes after the message. `Ok(None)` is
+/// a valid but incomplete prefix; a whole frame yields its envelope, its
+/// message and its length on the wire.
+#[inline]
+fn read_frame<P: CheckpointProtocol>(
+    buf: &[u8],
+) -> Result<Option<(Envelope, P::Msg, usize)>, WireError> {
     let Some(len_bytes) = buf.first_chunk::<4>() else {
         return Ok(None);
     };
@@ -175,22 +200,42 @@ pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>
     }
     // Unbounded id spaces: frames are produced in-process by this engine.
     let mut dec = Decoder::new(body);
-    let from = PeerId(dec.get_u32()?);
-    let to = PeerId(dec.get_u32()?);
-    let class = class_from_tag(dec.get_u8()?)?;
-    let billed = dec.get_u32()?;
+    let envelope = Envelope {
+        from: PeerId(dec.get_u32()?),
+        to: PeerId(dec.get_u32()?),
+        class: class_from_tag(dec.get_u8()?)?,
+        billed: dec.get_u32()?,
+    };
     let msg = P::Msg::pull(&mut dec)?;
     dec.finish().map_err(|_| WireError::TrailingPayload)?;
-    Ok(Some((
-        Frame {
-            from,
-            to,
-            class,
-            billed,
-            msg,
-        },
-        total,
-    )))
+    Ok(Some((envelope, msg, total)))
+}
+
+/// [`read_frame`] over a buffer that must hold exactly one whole frame:
+/// incomplete input is [`WireError::Truncated`], bytes after the frame
+/// [`WireError::TrailingPayload`]. The carrier's decode, which keeps only
+/// the message.
+#[inline]
+pub(crate) fn read_whole_frame<P: CheckpointProtocol>(
+    buf: &[u8],
+) -> Result<(Envelope, P::Msg), WireError> {
+    match read_frame::<P>(buf)? {
+        Some((envelope, msg, consumed)) if consumed == buf.len() => Ok((envelope, msg)),
+        Some(_) => Err(WireError::TrailingPayload),
+        None => Err(WireError::Truncated),
+    }
+}
+
+/// Streaming decode: parse one frame from the front of `buf`.
+///
+/// * `Ok(Some((frame, consumed)))` — a complete, valid frame; the caller
+///   drops `consumed` bytes and goes again.
+/// * `Ok(None)` — the buffer holds a valid but incomplete prefix; read more
+///   bytes. (A stream that *ends* here is [`WireError::Truncated`] at the
+///   caller's discretion — see [`decode_frame_exact`].)
+/// * `Err(_)` — the prefix can never become a valid frame.
+pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>, WireError> {
+    Ok(read_frame::<P>(buf)?.map(|(envelope, msg, consumed)| (envelope.carrying(msg), consumed)))
 }
 
 /// Decode a buffer that must hold exactly one whole frame. Incomplete input
@@ -198,11 +243,7 @@ pub fn decode_frame<P: CheckpointProtocol>(buf: &[u8]) -> Result<Decoded<P::Msg>
 /// [`WireError::TrailingPayload`]. Every `Rc` in the message is an
 /// allocation of its own.
 pub fn decode_frame_exact<P: CheckpointProtocol>(buf: &[u8]) -> Result<Frame<P::Msg>, WireError> {
-    match decode_frame::<P>(buf)? {
-        Some((frame, consumed)) if consumed == buf.len() => Ok(frame),
-        Some(_) => Err(WireError::TrailingPayload),
-        None => Err(WireError::Truncated),
-    }
+    read_whole_frame::<P>(buf).map(|(envelope, msg)| envelope.carrying(msg))
 }
 
 #[cfg(test)]

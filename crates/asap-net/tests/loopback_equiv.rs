@@ -16,7 +16,7 @@
 
 use asap_core::{Asap, AsapConfig, SuperAsap};
 use asap_metrics::MsgClass;
-use asap_net::{Framed, Loopback};
+use asap_net::{Framed, Loopback, PackedFrame};
 use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
 use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
 use asap_sim::{
@@ -177,7 +177,7 @@ impl<P> Default for FlipOne<P> {
 }
 
 impl<P: CheckpointProtocol> Carrier<P::Msg> for FlipOne<P> {
-    type Packed = Vec<u8>;
+    type Packed = PackedFrame;
 
     fn pack(
         &mut self,
@@ -186,15 +186,16 @@ impl<P: CheckpointProtocol> Carrier<P::Msg> for FlipOne<P> {
         class: MsgClass,
         bytes: usize,
         msg: P::Msg,
-    ) -> Vec<u8> {
+    ) -> PackedFrame {
         self.framed.pack(from, to, class, bytes, msg)
     }
 
-    fn unpack(&mut self, mut packed: Vec<u8>) -> Option<P::Msg> {
+    fn unpack(&mut self, mut packed: PackedFrame) -> Option<P::Msg> {
         self.unpacked += 1;
         if self.unpacked == FLIPPED_FRAME {
-            let mid = packed.len() / 2;
-            packed[mid] ^= 0x01;
+            let bytes = packed.as_bytes_mut();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
         }
         self.framed.unpack(packed)
     }

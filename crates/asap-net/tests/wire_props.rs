@@ -12,6 +12,11 @@
 //! replies with Bloom-backed snapshots, confirms and their replies) and all
 //! nine `SuperMsg` variants of the super-peer deployment. A patch ad is the
 //! one frame that carries both a `FilterPatch` and a whole 1,443 B filter.
+//!
+//! The [`Framed`] carrier queues a frame of up to [`PackedFrame::INLINE`]
+//! bytes inline and a longer one on the heap, and decodes through the same
+//! validation as [`decode_frame_exact`]: both storages round-trip, and
+//! every malformed buffer below is `None` through `unpack` as well.
 
 use std::rc::Rc;
 
@@ -22,10 +27,11 @@ use asap_metrics::MsgClass;
 use asap_net::wire::{
     checksum, decode_frame, decode_frame_exact, encode_frame, Frame, WireError, ENVELOPE, MAX_FRAME,
 };
+use asap_net::{Framed, PackedFrame};
 use asap_overlay::PeerId;
 use asap_search::{BaselineMsg, Flooding};
 use asap_sim::checkpoint::assert_canonical;
-use asap_sim::{CheckpointProtocol, Codec, Encoder};
+use asap_sim::{Carrier, CheckpointProtocol, Codec, Encoder};
 use asap_workload::{InterestSet, KeywordId};
 use proptest::prelude::*;
 
@@ -274,6 +280,18 @@ fn assert_payload_is_codec<M: Codec + std::fmt::Debug>(msg: &M, frame_bytes: &[u
     assert_eq!(&frame_bytes[17..frame_bytes.len() - 8], enc.into_bytes());
 }
 
+/// A malformed buffer, queued as the carrier queues a frame, unpacks to
+/// `None`: the engine drops it and counts a wire error, never panics.
+fn assert_carrier_rejects<P: CheckpointProtocol>(bad: &[u8]) {
+    let msg = Framed::<P>::default().unpack(PackedFrame::copy_of(bad));
+    assert!(msg.is_none(), "the carrier accepted a malformed frame");
+}
+
+/// Pack `f` the way `send` does; returns the queued frame.
+fn pack<P: CheckpointProtocol>(f: &Frame<P::Msg>) -> PackedFrame {
+    Framed::<P>::default().pack(f.from, f.to, f.class, f.billed as usize, f.msg.clone())
+}
+
 /// Every proper prefix is either "keep reading" (streaming) or a typed
 /// `Truncated` (exact) — never a panic, never a bogus frame.
 fn assert_prefixes_truncate<P: CheckpointProtocol>(bytes: &[u8], cut: usize)
@@ -290,6 +308,75 @@ where
         decode_frame_exact::<P>(prefix).expect_err("prefix cannot be a whole frame"),
         WireError::Truncated
     );
+    assert_carrier_rejects::<P>(prefix);
+}
+
+/// Frames on both sides of the inline capacity, every baseline shape with
+/// zero to seven terms: each packs into the storage its length calls for,
+/// holds the bytes `encode_frame` writes, and unpacks to a message that
+/// re-encodes to them.
+#[test]
+fn frames_straddling_the_inline_capacity_roundtrip_through_the_carrier() {
+    let mut lengths = Vec::new();
+    for kind in 0..4 {
+        for nterms in 0..8 {
+            let f = frame(baseline_msg(kind, 911, 4_242, 17, nterms), 4_242, 3, 60);
+            let bytes = encode_frame::<Flooding>(&f);
+            let packed = pack::<Flooding>(&f);
+            assert_eq!(packed.as_bytes(), bytes);
+            assert_eq!(packed.is_inline(), bytes.len() <= PackedFrame::INLINE);
+            let msg = Framed::<Flooding>::default()
+                .unpack(packed)
+                .expect("a clean frame unpacks");
+            assert_eq!(encode_frame::<Flooding>(&Frame { msg, ..f }), bytes);
+            lengths.push(bytes.len());
+        }
+    }
+    for len in [PackedFrame::INLINE, PackedFrame::INLINE + 1] {
+        assert!(lengths.contains(&len), "no {len}-byte frame: {lengths:?}");
+    }
+}
+
+/// One flipped bit anywhere in a queued frame, inline or on the heap, is
+/// `None` out of `unpack`.
+#[test]
+fn a_flipped_byte_in_either_storage_is_dropped() {
+    let small = pack::<Flooding>(&frame(baseline_msg(0, 5, 6, 7, 2), 6, 0, 60));
+    let large = pack::<Asap>(&frame(asap_msg(0, 5, 6, 7, 2), 6, 2, 1_500));
+    assert!(small.is_inline() && !large.is_inline());
+    fn flip_each<P: CheckpointProtocol>(clean: &PackedFrame) {
+        for pos in 0..clean.as_bytes().len() {
+            let mut bad = PackedFrame::copy_of(clean.as_bytes());
+            bad.as_bytes_mut()[pos] ^= 0x10;
+            let msg = Framed::<P>::default().unpack(bad);
+            assert!(msg.is_none(), "flip at {pos} unpacked");
+        }
+    }
+    flip_each::<Flooding>(&small);
+    flip_each::<Asap>(&large);
+}
+
+/// Nine frames in ten of an ASAP run are 48-byte refresh ads, and a full-ad
+/// fetch is shorter still: both must stay in the queue slot, so a message
+/// change that pushes them onto the heap fails here rather than quietly
+/// costing an allocation per frame. A full ad goes to the heap.
+#[test]
+fn refresh_ads_and_fetches_pack_inline() {
+    let refresh = frame(asap_msg(2, 40_321, 77, 12, 3), 77, 4, 48);
+    let AsapMsg::Ad {
+        payload: AdPayload::Refresh { .. },
+        ..
+    } = &refresh.msg
+    else {
+        panic!("shape 2 is a refresh ad");
+    };
+    assert_eq!(encode_frame::<Asap>(&refresh).len(), 48);
+    assert!(pack::<Asap>(&refresh).is_inline());
+    let fetch = frame(asap_msg(3, 1, 2, 3, 0), 2, 5, 20);
+    assert!(matches!(fetch.msg, AsapMsg::FullAdFetch));
+    assert!(pack::<Asap>(&fetch).is_inline());
+    let full = frame(asap_msg(0, 1, 2, 3, 0), 2, 2, 1_500);
+    assert!(!pack::<Asap>(&full).is_inline());
 }
 
 /// A patch ad's frame holds the patch and the whole paper-sized filter
@@ -389,6 +476,7 @@ proptest! {
             decode_frame_exact::<SuperAsap>(&bad).is_err(),
             "single-bit flip at byte {pos} bit {bit} of a super-peer frame decoded cleanly"
         );
+        assert_carrier_rejects::<SuperAsap>(&bad);
         let f = frame(asap_msg(kind, query, peer, ttl, 3), peer, kind as usize, query);
         let (bad, pos) = flipped(encode_frame::<Asap>(&f));
         // A flip in the body fails the checksum; a flip in the length prefix
@@ -401,6 +489,7 @@ proptest! {
             decode_frame_exact::<Asap>(&bad).is_err(),
             "single-bit flip at byte {pos} bit {bit} decoded cleanly"
         );
+        assert_carrier_rejects::<Asap>(&bad);
     }
 
     #[test]
@@ -418,11 +507,21 @@ proptest! {
             decode_frame::<Flooding>(&bytes).unwrap_err(),
             WireError::OversizedFrame(oversized)
         );
+        prop_assert_eq!(
+            decode_frame_exact::<Flooding>(&bytes).unwrap_err(),
+            WireError::OversizedFrame(oversized)
+        );
+        assert_carrier_rejects::<Flooding>(&bytes);
         bytes[..4].copy_from_slice(&under.to_le_bytes());
         prop_assert_eq!(
             decode_frame::<Flooding>(&bytes).unwrap_err(),
             WireError::UndersizedFrame(under)
         );
+        prop_assert_eq!(
+            decode_frame_exact::<Flooding>(&bytes).unwrap_err(),
+            WireError::UndersizedFrame(under)
+        );
+        assert_carrier_rejects::<Flooding>(&bytes);
     }
 
     #[test]
@@ -444,6 +543,7 @@ proptest! {
             decode_frame_exact::<Flooding>(&bytes).unwrap_err(),
             WireError::BadClassTag(bad_tag)
         );
+        assert_carrier_rejects::<Flooding>(&bytes);
     }
 
     #[test]
@@ -469,6 +569,7 @@ proptest! {
         let len = (grown.len() - 4) as u32;
         grown[..4].copy_from_slice(&len.to_le_bytes());
         prop_assert_eq!(decode_frame_exact::<Asap>(&grown).unwrap_err(), WireError::BadChecksum);
+        assert_carrier_rejects::<Asap>(&grown);
     }
 
     #[test]
@@ -490,5 +591,6 @@ proptest! {
             decode_frame_exact::<Asap>(&bytes).unwrap_err(),
             WireError::TrailingPayload
         );
+        assert_carrier_rejects::<Asap>(&bytes);
     }
 }

@@ -161,12 +161,14 @@ pub struct Encoder {
 }
 
 impl Encoder {
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An encoder that appends to `buf`, keeping what it holds and its
     /// capacity: how a caller encodes into a buffer it reuses.
+    #[inline]
     pub fn appending_to(buf: Vec<u8>) -> Self {
         Self { buf }
     }
@@ -216,6 +218,7 @@ impl Encoder {
     /// A counted `u64` sequence, byte-identical to [`Encoder::put_seq`] over
     /// the same words but written as one block: one reservation, and a copy
     /// loop the compiler can widen, instead of a capacity check per word.
+    #[inline]
     pub fn put_words(&mut self, words: &[u64]) {
         self.put_len(words.len());
         let at = self.buf.len();
@@ -246,6 +249,7 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -282,6 +286,7 @@ pub struct Decoder<'b> {
 
 impl<'b> Decoder<'b> {
     /// A decoder with unbounded id spaces ([`IdBounds::NONE`]).
+    #[inline]
     pub fn new(buf: &'b [u8]) -> Self {
         Self {
             buf,
@@ -297,6 +302,7 @@ impl<'b> Decoder<'b> {
         self
     }
 
+    #[inline]
     pub fn bounds(&self) -> IdBounds {
         self.bounds
     }
@@ -346,6 +352,7 @@ impl<'b> Decoder<'b> {
         Ok(u64::from_le_bytes(b))
     }
 
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, CodecError> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -355,6 +362,7 @@ impl<'b> Decoder<'b> {
     }
 
     /// A `u32` id that must index into a space of `bound` entries.
+    #[inline]
     pub fn get_id(&mut self, bound: usize, what: &'static str) -> Result<u32, CodecError> {
         let id = self.get_u32()?;
         if (id as usize) < bound {
@@ -366,6 +374,7 @@ impl<'b> Decoder<'b> {
 
     /// A scalar length value: must fit in `usize`, no further guarantees.
     /// Use [`Decoder::get_count`] for item counts that gate allocation.
+    #[inline]
     pub fn get_len(&mut self) -> Result<usize, CodecError> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| CodecError::Invalid("length exceeds usize"))
@@ -374,6 +383,7 @@ impl<'b> Decoder<'b> {
     /// An item count: like [`Decoder::get_len`] but additionally bounded by
     /// the bytes still unread, so a corrupted count can never drive an
     /// oversized allocation (every item occupies at least one byte).
+    #[inline]
     pub fn get_count(&mut self) -> Result<usize, CodecError> {
         let n = self.get_len()?;
         if n > self.remaining() {
@@ -390,6 +400,7 @@ impl<'b> Decoder<'b> {
     }
 
     /// Assert the input is fully consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
             Ok(())
@@ -413,9 +424,11 @@ pub trait Codec: Sized {
 macro_rules! scalar_codec {
     ($($ty:ty => $put:ident / $get:ident),+) => {$(
         impl Codec for $ty {
+            #[inline]
             fn put(&self, enc: &mut Encoder) {
                 enc.$put(*self);
             }
+            #[inline]
             fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
                 dec.$get()
             }
@@ -426,9 +439,11 @@ scalar_codec!(u8 => put_u8 / get_u8, u16 => put_u16 / get_u16, u32 => put_u32 / 
 scalar_codec!(u64 => put_u64 / get_u64, bool => put_bool / get_bool, usize => put_len / get_len);
 
 impl Codec for String {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_str(self);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_str()
     }
@@ -436,9 +451,11 @@ impl Codec for String {
 
 // Hand-written: the id must lie inside the decoder's peer space.
 impl Codec for PeerId {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_u32(self.0);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_id(dec.bounds().peers, "peer id out of range")
             .map(PeerId)
@@ -448,12 +465,14 @@ impl Codec for PeerId {
 crate::codec_enum!(OverlayKind { 0 => Random, 1 => PowerLaw, 2 => Crawled });
 
 impl<T: Codec> Codec for Option<T> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_bool(self.is_some());
         if let Some(v) = self {
             v.put(enc);
         }
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(if dec.get_bool()? {
             Some(T::pull(dec)?)
@@ -466,9 +485,11 @@ impl<T: Codec> Codec for Option<T> {
 /// The one place an item count gates an allocation (see
 /// [`Decoder::get_count`]).
 impl<T: Codec> Codec for Vec<T> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_seq(self);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let n = dec.get_count()?;
         // Reserve no more memory than the input has bytes left, however
@@ -482,9 +503,11 @@ impl<T: Codec> Codec for Vec<T> {
 }
 
 impl<T: Codec> Codec for Rc<[T]> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_seq(self.iter());
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Vec::pull(dec).map(Into::into)
     }
@@ -493,18 +516,22 @@ impl<T: Codec> Codec for Rc<[T]> {
 /// Transparent: every handle writes the whole value and decodes into an
 /// allocation of its own.
 impl<T: Codec> Codec for Rc<T> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         (**self).put(enc);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         T::pull(dec).map(Rc::new)
     }
 }
 
 impl<T: Codec> Codec for Box<T> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         (**self).put(enc);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         T::pull(dec).map(Box::new)
     }
@@ -512,11 +539,13 @@ impl<T: Codec> Codec for Box<T> {
 
 /// Fixed-width: no count prefix.
 impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         for item in self {
             item.put(enc);
         }
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let mut a = [T::default(); N];
         for slot in a.iter_mut() {
@@ -529,9 +558,11 @@ impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
 macro_rules! tuple_codec {
     ($($t:ident $i:tt),+) => {
         impl<$($t: Codec),+> Codec for ($($t,)+) {
+            #[inline]
             fn put(&self, enc: &mut Encoder) {
                 $(self.$i.put(enc);)+
             }
+            #[inline]
             fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
                 Ok(($($t::pull(dec)?,)+))
             }
@@ -545,6 +576,7 @@ tuple_codec!(A 0, B 1, C 2, D 3);
 /// Maps serialize as a counted sequence of `(key, value)` in ascending key
 /// order, whatever the insertion history.
 impl<K: Codec + Ord + Hash, V: Codec> Codec for DetHashMap<K, V> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         let mut items: Vec<(&K, &V)> = self.iter().collect();
         items.sort_by_key(|&(k, _)| k);
@@ -554,6 +586,7 @@ impl<K: Codec + Ord + Hash, V: Codec> Codec for DetHashMap<K, V> {
             v.put(enc);
         }
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(Vec::<(K, V)>::pull(dec)?.into_iter().collect())
     }
@@ -561,11 +594,13 @@ impl<K: Codec + Ord + Hash, V: Codec> Codec for DetHashMap<K, V> {
 
 /// Sets serialize as a counted sequence in ascending element order.
 impl<K: Codec + Ord + Hash> Codec for DetHashSet<K> {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         let mut items: Vec<&K> = self.iter().collect();
         items.sort();
         enc.put_seq(items);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(Vec::<K>::pull(dec)?.into_iter().collect())
     }
@@ -578,9 +613,11 @@ impl<K: Codec + Ord + Hash> Codec for DetHashSet<K> {
 macro_rules! codec_struct {
     ($name:ident $(<$($g:ident),+>)? { $($f:ident),+ $(,)? }) => {
         impl$(<$($g: $crate::codec::Codec),+>)? $crate::codec::Codec for $name$(<$($g),+>)? {
+            #[inline]
             fn put(&self, enc: &mut $crate::codec::Encoder) {
                 $($crate::codec::Codec::put(&self.$f, enc);)+
             }
+            #[inline]
             fn pull(
                 dec: &mut $crate::codec::Decoder<'_>,
             ) -> Result<Self, $crate::codec::CodecError> {
@@ -600,6 +637,7 @@ macro_rules! codec_enum {
         $($tag:literal => $var:ident $(($($t:ident),+))? $({$($f:ident),+})?),+ $(,)?
     }) => {
         impl$(<$($g: $crate::codec::Codec),+>)? $crate::codec::Codec for $name$(<$($g),+>)? {
+            #[inline]
             fn put(&self, enc: &mut $crate::codec::Encoder) {
                 match self {$(
                     Self::$var $(($($t),+))? $({$($f),+})? => {
@@ -609,6 +647,7 @@ macro_rules! codec_enum {
                     }
                 )+}
             }
+            #[inline]
             fn pull(
                 dec: &mut $crate::codec::Decoder<'_>,
             ) -> Result<Self, $crate::codec::CodecError> {

@@ -12,16 +12,19 @@
 //!
 //! * [`InMemory`] (the default) queues the `P::Msg` value itself — the
 //!   deterministic sim engine every golden digest is pinned on, and
-//! * `asap_net::Framed` queues the message as an encoded wire frame whose
-//!   payload is the message's [`Codec`](crate::Codec):
-//!   [`Carrier::pack`] serializes inside `send`, [`Carrier::unpack`]
-//!   validates and decodes just before `on_message`. `asap-net`'s loopback
+//! * `asap_net::Framed` queues the message as an encoded wire frame
+//!   (`asap_net::PackedFrame`) whose payload is the message's
+//!   [`Codec`](crate::Codec): [`Carrier::pack`] serializes inside `send`,
+//!   [`Carrier::unpack`] validates the frame and decodes only its message
+//!   just before `on_message`. `asap-net`'s loopback
 //!   and the `asapd` daemon are this same engine on that carrier.
 //!
 //! The engine's `Ctx` owns one carrier value per run, so a carrier can keep
 //! state across messages without any global. The framed one keeps a
 //! single encode buffer, which every frame is written into before the
-//! queued copy is taken.
+//! queued copy is taken: inline in the queue slot for a short frame (the
+//! refresh ads that are most of an ASAP run), one heap allocation for a
+//! long one.
 //!
 //! The trait is deliberately *not* object-safe ([`Transport::trace`] is
 //! generic so an unobserved run never constructs the event); protocols

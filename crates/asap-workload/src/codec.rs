@@ -7,9 +7,11 @@ use asap_overlay::{codec_enum, codec_struct};
 
 // Hand-written: the id must lie inside the decoder's document space.
 impl Codec for DocId {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_u32(self.0);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_id(dec.bounds().docs, "doc id out of range")
             .map(DocId)
@@ -20,9 +22,11 @@ impl Codec for DocId {
 // inside the 16-bit keyword space under any bounds, the wire's included.
 // It takes four bytes, so checkpoint and frame formats keep their widths.
 impl Codec for KeywordId {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_u32(self.0.into());
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let bound = dec.bounds().keywords.min(KeywordId::SPACE);
         // In range, so the cast is exact.
@@ -32,9 +36,11 @@ impl Codec for KeywordId {
 }
 
 impl Codec for InterestSet {
+    #[inline]
     fn put(&self, enc: &mut Encoder) {
         enc.put_u16(self.0);
     }
+    #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_u16().map(InterestSet)
     }

@@ -25,12 +25,20 @@
 //! [`crate::repository::FilterStore`] keeps one slot per distinct filter,
 //! so the table numbers slots; the numbering is a function of the cached
 //! values alone, slot ids never reach the bytes, and decode → re-encode is
-//! byte-identical. The decoder accepts exactly that form: it rejects a
-//! table that repeats a filter, holds one no entry names or one of another
-//! geometry than the configuration's, an index out of range or out of
-//! first-use order, cache sources that are not strictly ascending, and a
-//! flat node's entry for its own ad; it rebuilds one store whose slot *i*
-//! is table filter *i*.
+//! byte-identical. A node's fields are written from its state and read
+//! back into it, and cache entries go through the table straight from and
+//! into the [`AdRepository`]; there is no image type between.
+//!
+//! The decoder checks only what the bytes alone state: the table repeats
+//! no filter, every index is in range and in first-use order, every table
+//! filter is named by some entry, and the spam claims ascend by peer, each
+//! with some topic. It rebuilds one store whose slot *i* is table filter
+//! *i*. Everything that can be stated over the restored state — cache
+//! capacity and sources, a flat node's entry for its own ad, filter
+//! geometry, entry stamps, a published filter that is not the one its
+//! holdings build, the dedup window — is the protocol's
+//! [`asap_sim::Protocol::validate`], which the resume runs once the world
+//! is installed and an audited run runs at its end.
 //!
 //! Other filters (a node's own, those in in-flight messages) are written
 //! per handle and decode into allocations of their own. A node's own
@@ -40,17 +48,16 @@
 //! values, so digests never see the difference.
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
-use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert, SEEN_WINDOW};
+use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
 use crate::repository::{AdRepository, Entry, FilterStore};
 use crate::search::{PendingSearch, Phase};
-use asap_bloom::{BloomFilter, BloomParams};
+use asap_bloom::BloomFilter;
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
-use asap_sim::collections::{DetHashMap, DetHashSet};
-use asap_sim::util::{Backoff, SeenTracker};
 use asap_sim::{codec_enum, codec_struct};
 use asap_workload::{DocId, InterestSet};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 // --- messages ---------------------------------------------------------------
@@ -102,27 +109,6 @@ codec_struct!(AsapStats {
 
 // --- ad caches: one filter table, one table index per entry ----------------
 
-/// One cache entry as a checkpoint writes it: its filter is an index into
-/// the protocol's filter table.
-pub(crate) struct EntryImage {
-    source: PeerId,
-    topics: InterestSet,
-    version: u16,
-    filter: u32,
-    last_used_us: u64,
-    last_refreshed_us: u64,
-    stale: bool,
-}
-codec_struct!(EntryImage {
-    source,
-    topics,
-    version,
-    filter,
-    last_used_us,
-    last_refreshed_us,
-    stale
-});
-
 /// The filters one protocol's caches name, numbered for one encode in
 /// order of first use — repositories in node order, entries in source
 /// order. Live store slots hold distinct filters, so numbering slots
@@ -167,111 +153,87 @@ impl FilterTable {
         self.filters.put(enc);
     }
 
-    /// `repo`'s entries with their filters as table indices.
-    pub(crate) fn entry_images(&self, repo: &AdRepository) -> Vec<EntryImage> {
-        repo.raw_entries()
-            .map(|(source, e)| EntryImage {
-                source,
-                topics: e.topics,
-                version: e.version,
-                filter: self
-                    .index
-                    .get(e.slot_id() as usize)
-                    .copied()
-                    .unwrap_or(u32::MAX),
-                last_used_us: e.last_used_us,
-                last_refreshed_us: e.last_refreshed_us,
-                stale: e.is_stale(),
-            })
-            .collect()
+    /// `repo`'s entries as a counted list of `(source, topics, version,
+    /// table index, last_used_us, last_refreshed_us, stale)`.
+    pub(crate) fn put_repo(&self, repo: &AdRepository, enc: &mut Encoder) {
+        enc.put_len(repo.len());
+        for (source, e) in repo.raw_entries() {
+            let filter = self.index.get(e.slot_id() as usize).copied();
+            (source, e.topics, e.version, filter.unwrap_or(u32::MAX)).put(enc);
+            (e.last_used_us, e.last_refreshed_us, e.is_stale()).put(enc);
+        }
     }
 }
 
-/// A decoded filter table turning entry images back into repositories
-/// over one fresh store. It accepts exactly what [`FilterTable`] writes:
-/// a table of distinct filters of the configured geometry, each named by
-/// some entry, numbered in order of first use.
+/// A decoded filter table turning entry lists back into repositories over
+/// one fresh store. It accepts exactly the table [`FilterTable`] writes:
+/// distinct filters, each named by some entry, numbered in order of first
+/// use.
 pub(crate) struct TableReader {
     store: Rc<RefCell<FilterStore>>,
-    configured: BloomParams,
     len: u32,
     /// Table indices named so far; the next new index must be this one.
     named: u32,
 }
 
 impl TableReader {
-    pub(crate) fn pull_table(
-        dec: &mut Decoder<'_>,
-        configured: BloomParams,
-    ) -> Result<Self, CodecError> {
+    pub(crate) fn pull_table(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let filters: Vec<Rc<BloomFilter>> = Codec::pull(dec)?;
         let len = u32::try_from(filters.len())
             .ok()
             .filter(|&n| n < 1 << 31)
             .ok_or(CodecError::Invalid("filter table too long"))?;
-        for filter in &filters {
-            check_node_filter(filter, configured)?;
-        }
         Ok(Self {
             store: Rc::new(RefCell::new(FilterStore::from_filters(filters)?)),
-            configured,
             len,
             named: 0,
         })
     }
 
-    /// A decoded node's own filter, checked against the configuration and
-    /// sharing the allocation of the equal table filter, if there is one,
-    /// as it did before the checkpoint.
-    pub(crate) fn node_filter(
+    /// A decoded node's own filter, sharing the allocation of the equal
+    /// table filter, if there is one, as it did before the checkpoint.
+    pub(crate) fn pull_node_filter(
         &self,
-        filter: Rc<BloomFilter>,
+        dec: &mut Decoder<'_>,
     ) -> Result<Rc<BloomFilter>, CodecError> {
-        check_node_filter(&filter, self.configured)?;
-        Ok(self.store.borrow().shared(filter))
+        Ok(self.store.borrow().shared(Codec::pull(dec)?))
     }
 
-    /// The repository of `owner` (`None`: one that may cache its owner's
-    /// own ad), holding at most `capacity` entries.
-    pub(crate) fn rebuild_repository(
+    /// A repository of `capacity` over the entries [`FilterTable::put_repo`]
+    /// wrote.
+    pub(crate) fn pull_repo(
         &mut self,
-        images: Vec<EntryImage>,
-        owner: Option<PeerId>,
+        dec: &mut Decoder<'_>,
         capacity: usize,
     ) -> Result<AdRepository, CodecError> {
-        if images.len() > capacity {
-            return Err(CodecError::Invalid("ad cache over capacity"));
-        }
-        let mut sources = Vec::with_capacity(images.len());
-        let mut entries = Vec::with_capacity(images.len());
+        // No allocation beyond what a valid cache holds: an entry count
+        // past `capacity` grows the vectors entry by entry until the bytes
+        // run out or `validate` refuses the cache.
+        let n = dec.get_len()?;
+        let mut sources = Vec::with_capacity(n.min(capacity));
+        let mut entries = Vec::with_capacity(n.min(capacity));
         let mut store = self.store.borrow_mut();
-        for img in images {
-            if sources.last().is_some_and(|&last| img.source <= last) {
-                return Err(CodecError::Invalid(
-                    "ad cache sources not strictly ascending",
-                ));
-            }
-            if Some(img.source) == owner {
-                return Err(CodecError::Invalid("ad cache holds its owner's own ad"));
-            }
-            if img.filter >= self.len {
+        for _ in 0..n {
+            let (source, topics, version, filter): (PeerId, _, _, u32) = Codec::pull(dec)?;
+            let (last_used_us, last_refreshed_us, stale) = Codec::pull(dec)?;
+            if filter >= self.len {
                 return Err(CodecError::Invalid("ad cache filter index out of range"));
             }
-            if img.filter > self.named {
+            if filter > self.named {
                 return Err(CodecError::Invalid(
                     "filter table not in order of first use",
                 ));
             }
-            self.named += u32::from(img.filter == self.named);
-            store.count_entry(img.filter);
-            sources.push(img.source);
+            self.named += u32::from(filter == self.named);
+            store.count_entry(filter);
+            sources.push(source);
             entries.push(Entry::packed(
-                img.topics,
-                img.version,
-                img.filter,
-                img.last_used_us,
-                img.last_refreshed_us,
-                img.stale,
+                topics,
+                version,
+                filter,
+                last_used_us,
+                last_refreshed_us,
+                stale,
             ));
         }
         drop(store);
@@ -294,70 +256,10 @@ impl TableReader {
     }
 }
 
-/// A flat node's state as it rides the checkpoint, its cache as entry
-/// images into the filter table written before the nodes.
-struct NodeImage {
-    snapshot: Rc<BloomFilter>,
-    version: u16,
-    repo: Vec<EntryImage>,
-    fetching: DetHashSet<PeerId>,
-    fetch_backoff: DetHashMap<PeerId, Backoff>,
-    fetches_served: u64,
-    readvert: Option<ReAdvert>,
-}
-codec_struct!(NodeImage {
-    snapshot,
-    version,
-    repo,
-    fetching,
-    fetch_backoff,
-    fetches_served,
-    readvert,
-});
-
-impl NodeImage {
-    fn of_node(st: &NodeState, table: &FilterTable) -> Self {
-        Self {
-            snapshot: Rc::clone(&st.snapshot),
-            version: st.version,
-            repo: table.entry_images(&st.repo),
-            fetching: st.fetching.clone(),
-            fetch_backoff: st.fetch_backoff.clone(),
-            fetches_served: st.fetches_served,
-            readvert: st.readvert.clone(),
-        }
-    }
-
-    fn into_state(self, repo: AdRepository) -> NodeState {
-        NodeState {
-            version: self.version,
-            snapshot: self.snapshot,
-            repo,
-            fetching: self.fetching,
-            fetch_backoff: self.fetch_backoff,
-            fetches_served: self.fetches_served,
-            readvert: self.readvert,
-        }
-    }
-}
-
 /// One ad spammer as it rides the checkpoint: its claimed topics and the
-/// documents its filter is poisoned with.
+/// documents its filter is poisoned with. Decoded as a map of the same
+/// bytes, so the spammers ascend and none is listed twice.
 type SpamClaim = (PeerId, InterestSet, Vec<DocId>);
-
-/// Rejects a filter built for other parameters than the configured ones.
-/// A node's next content change rebuilds its own with the configured
-/// parameters, and flat ASAP's [`asap_bloom::FilterPatch::diff`] between
-/// the two would panic mid-run; a cached one no peer could have announced.
-fn check_node_filter(filter: &BloomFilter, configured: BloomParams) -> Result<(), CodecError> {
-    if filter.params() == configured {
-        Ok(())
-    } else {
-        Err(CodecError::Invalid(
-            "node filter parameters differ from the configuration",
-        ))
-    }
-}
 
 // Hand-written: `term_hashes` is a pure function of `terms` and the
 // protocol's keyword table — left empty here, recomputed by `decode_state`.
@@ -394,12 +296,16 @@ impl CheckpointProtocol for Asap {
         let store = self.store.borrow();
         let table = FilterTable::number_filters(&store, self.nodes.iter().map(|st| &st.repo));
         table.put_table(enc);
-        let nodes: Vec<NodeImage> = self
-            .nodes
-            .iter()
-            .map(|st| NodeImage::of_node(st, &table))
-            .collect();
-        nodes.put(enc);
+        enc.put_len(self.nodes.len());
+        for st in &self.nodes {
+            st.snapshot.put(enc);
+            st.version.put(enc);
+            table.put_repo(&st.repo, enc);
+            st.fetching.put(enc);
+            st.fetch_backoff.put(enc);
+            st.fetches_served.put(enc);
+            st.readvert.put(enc);
+        }
         self.pending.put(enc);
         self.seen.put(enc);
         // Dense slots in index order == ascending peer order; EMPTY slots
@@ -420,29 +326,35 @@ impl CheckpointProtocol for Asap {
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let num_peers = self.nodes.len();
-        let mut table = TableReader::pull_table(dec, self.config.bloom)?;
-        let images: Vec<NodeImage> = Codec::pull(dec)?;
-        if images.len() != num_peers {
+        let mut table = TableReader::pull_table(dec)?;
+        if dec.get_len()? != num_peers {
             return Err(CodecError::Invalid("node count mismatch"));
         }
         let mut nodes = Vec::with_capacity(num_peers);
-        for (p, mut img) in images.into_iter().enumerate() {
-            img.snapshot = table.node_filter(img.snapshot)?;
-            let entries = std::mem::take(&mut img.repo);
-            let owner = Some(PeerId(p as u32));
-            let repo = table.rebuild_repository(entries, owner, self.config.cache_capacity)?;
-            nodes.push(img.into_state(repo));
+        for _ in 0..num_peers {
+            nodes.push(NodeState {
+                snapshot: table.pull_node_filter(dec)?,
+                version: Codec::pull(dec)?,
+                repo: table.pull_repo(dec, self.config.cache_capacity)?,
+                fetching: Codec::pull(dec)?,
+                fetch_backoff: Codec::pull(dec)?,
+                fetches_served: Codec::pull(dec)?,
+                readvert: Codec::pull(dec)?,
+            });
         }
         let store = table.into_store()?;
         let mut pending: asap_sim::collections::DetHashMap<u32, PendingSearch> = Codec::pull(dec)?;
         for p in pending.values_mut() {
             p.term_hashes = p.terms.iter().map(|&k| self.hash_of(k)).collect();
         }
-        let seen = SeenTracker::pull_window(dec, SEEN_WINDOW)?;
-        let claims: Vec<SpamClaim> = Codec::pull(dec)?;
+        let seen = Codec::pull(dec)?;
+        let claims: BTreeMap<PeerId, (InterestSet, Vec<DocId>)> = Codec::pull(dec)?;
         let mut claimed_topics = vec![InterestSet::EMPTY; num_peers];
         let mut poison = vec![Box::default(); num_peers];
-        for (p, topics, docs) in claims {
+        for (p, (topics, docs)) in claims {
+            if topics.is_empty() {
+                return Err(CodecError::Invalid("spam claim without topics"));
+            }
             claimed_topics[p.index()] = topics;
             poison[p.index()] = docs.into_boxed_slice();
         }
@@ -462,10 +374,14 @@ impl CheckpointProtocol for Asap {
 mod tests {
     use super::*;
     use crate::config::{AsapConfig, DeliveryKind};
+    use crate::superpeer::SuperAsap;
+    use asap_bloom::BloomParams;
     use asap_bloom::FilterPatch;
     use asap_overlay::{OverlayConfig, OverlayKind};
     use asap_sim::checkpoint::{assert_canonical, Checkpoint};
+    use asap_sim::collections::DetHashSet;
     use asap_sim::util::Retransmit;
+    use asap_sim::util::SeenTracker;
     use asap_sim::{AdversaryPlan, AuditConfig, FaultPlan, Simulation};
     use asap_topology::{PhysicalNetwork, TransitStubConfig};
     use asap_workload::{KeywordId, Workload, WorkloadConfig};
@@ -949,13 +865,160 @@ mod tests {
     /// its checkpoint is held to the same parameters.
     #[test]
     fn superpeer_node_filter_with_other_params_is_rejected() {
-        use crate::superpeer::SuperAsap;
+        let edit = |sp: &mut SuperAsap, peer: usize| sp.nodes[peer].snapshot = small_filter();
+        assert_eq!(
+            resume_with_edited_protocol(69, super_rw, edit),
+            OTHER_PARAMS
+        );
+    }
+
+    fn super_rw(model: &asap_workload::ContentModel) -> SuperAsap {
+        SuperAsap::new(scaled(DeliveryKind::RandomWalk), model)
+    }
+
+    /// `filter` with its first bit flipped: same geometry, other contents.
+    fn flipped(filter: &BloomFilter) -> Rc<BloomFilter> {
+        let mut words = filter.words().to_vec();
+        words[0] ^= 1;
+        Rc::new(BloomFilter::from_words(filter.params(), words).unwrap())
+    }
+
+    /// A cache entry stamped after the checkpoint's clock would outlive
+    /// the expiry it is measured against; the auditor reports it, and so
+    /// does the resume.
+    #[test]
+    fn flat_cache_entry_stamped_in_the_future_is_rejected() {
         let make = |model: &asap_workload::ContentModel| {
-            let asap = scaled(DeliveryKind::RandomWalk);
-            SuperAsap::new(asap, model)
+            Asap::new(scaled(DeliveryKind::RandomWalk), model)
         };
-        let edit = |sp: &mut SuperAsap, peer: usize| sp.set_node_filter(peer, small_filter());
-        assert_eq!(resume_with_edited_protocol(69, make, edit), OTHER_PARAMS);
+        let edit = |asap: &mut Asap, _| {
+            let (owner, source) = (0, PeerId(1));
+            let snap = AdSnapshot {
+                source,
+                topics: InterestSet(0b1),
+                version: asap.nodes[1].version,
+                filter: Rc::clone(&asap.nodes[1].snapshot),
+            };
+            asap.nodes[owner].repo.remove(source);
+            asap.nodes[owner].repo.insert_full(&snap, u64::MAX);
+        };
+        assert_eq!(
+            resume_with_edited_protocol(72, make, edit),
+            Err(CodecError::Invalid("ad cache entry stamped in the future"))
+        );
+    }
+
+    /// A super peer's cache holds at most four times the flat capacity.
+    /// The capacity is not on the wire, so more entries than that would
+    /// resume into a cache past its bound.
+    #[test]
+    fn superpeer_cache_over_capacity_is_rejected() {
+        let make = |model: &asap_workload::ContentModel| {
+            let config = AsapConfig {
+                cache_capacity: 8,
+                ..scaled(DeliveryKind::RandomWalk)
+            };
+            SuperAsap::new(config, model)
+        };
+        let edit = |sp: &mut SuperAsap, _| {
+            let full = sp.super_cache_capacity();
+            let mut repo = AdRepository::sharing(full + 1, &sp.store);
+            for p in 0..=full {
+                let snap = AdSnapshot {
+                    source: PeerId(p as u32),
+                    topics: InterestSet(0b1),
+                    version: sp.nodes[p].version,
+                    filter: Rc::clone(&sp.nodes[p].snapshot),
+                };
+                repo.insert_full(&snap, 0);
+            }
+            let node = sp.nodes.iter_mut().find(|st| st.repo.is_some());
+            node.expect("a super peer halfway").repo = Some(repo);
+        };
+        assert_eq!(
+            resume_with_edited_protocol(73, make, edit),
+            Err(CodecError::Invalid("ad cache over capacity"))
+        );
+    }
+
+    /// Only super peers cache ads: a leaf holding a repository would answer
+    /// searches the hierarchy never routes to it.
+    #[test]
+    fn superpeer_leaf_holding_a_repository_is_rejected() {
+        let edit = |sp: &mut SuperAsap, _| {
+            let leaf = (0..sp.nodes.len())
+                .find(|&p| !sp.is_super(PeerId(p as u32)))
+                .expect("a leaf");
+            let repo = AdRepository::sharing(sp.super_cache_capacity(), &sp.store);
+            sp.nodes[leaf].repo = Some(repo);
+        };
+        assert_eq!(
+            resume_with_edited_protocol(74, super_rw, edit),
+            Err(CodecError::Invalid(
+                "repository does not match the peer's role"
+            ))
+        );
+    }
+
+    /// A super-peer node's published filter is the one its holdings build,
+    /// as a flat node's is.
+    #[test]
+    fn superpeer_filter_that_differs_from_its_holdings_is_rejected() {
+        let edit = |sp: &mut SuperAsap, peer: usize| {
+            sp.nodes[peer].snapshot = flipped(&sp.nodes[peer].snapshot);
+        };
+        assert_eq!(
+            resume_with_edited_protocol(75, super_rw, edit),
+            Err(CodecError::Invalid(
+                "published filter differs from its holdings"
+            ))
+        );
+    }
+
+    /// The spam claims close the protocol section but for the delivery
+    /// counter and the stats: spammers out of order, one listed twice or
+    /// one claiming no topics used to decode `Ok`, sorted, merged or
+    /// dropped by the re-encode.
+    #[test]
+    fn spam_claims_out_of_canonical_form_are_rejected() {
+        let (_, workload, _) = world(100, 120, 76);
+        let roles: Vec<_> = (0..100)
+            .map(|p| match p % 10 == 3 {
+                true => asap_sim::AdversaryRole::AdSpammer,
+                false => asap_sim::AdversaryRole::Honest,
+            })
+            .collect();
+        let cfg = scaled(DeliveryKind::RandomWalk);
+        let spammy = Asap::new_with_adversaries(cfg.clone(), &workload.model, &roles, 76);
+        let mut enc = Encoder::new();
+        spammy.encode_state(&mut enc);
+        let state = enc.into_bytes();
+        let claim = |p: u32| {
+            let topics = spammy.claimed_topics[p as usize];
+            (PeerId(p), topics, spammy.poison[p as usize].to_vec())
+        };
+        let claims: Vec<SpamClaim> = (0..100).filter(|p| p % 10 == 3).map(claim).collect();
+        let mut written = Encoder::new();
+        claims.put(&mut written);
+        let (written, tail) = (written.into_bytes(), 8 + 9 * 8);
+        let head = state.len() - tail - written.len();
+        assert_eq!(state[head..state.len() - tail], written[..]);
+        let decode = |claims: Vec<SpamClaim>| {
+            let mut enc = Encoder::appending_to(state[..head].to_vec());
+            claims.put(&mut enc);
+            enc.put_bytes(&state[state.len() - tail..]);
+            let bytes = enc.into_bytes();
+            Asap::new(cfg.clone(), &workload.model).decode_state(&mut Decoder::new(&bytes))
+        };
+        assert_eq!(decode(claims.clone()), Ok(()));
+        let refused = Err(CodecError::Invalid("keys not strictly ascending"));
+        assert_eq!(decode(claims.iter().rev().cloned().collect()), refused);
+        assert_eq!(decode(vec![claim(3), claim(3)]), refused);
+        let silent = (PeerId(4), InterestSet::EMPTY, vec![DocId(0)]);
+        assert_eq!(
+            decode(vec![claim(3), silent]),
+            Err(CodecError::Invalid("spam claim without topics"))
+        );
     }
 
     /// Each spammer's poison rides the checkpoint: a resume into a protocol

@@ -13,7 +13,7 @@ use asap_overlay::PeerId;
 use asap_sim::collections::{DetHashMap, DetHashSet};
 use asap_sim::util::{Backoff, SeenTracker};
 use asap_sim::AdversaryRole;
-use asap_sim::{Protocol, Transport};
+use asap_sim::{Protocol, Transport, Violation};
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +94,49 @@ pub(crate) fn own_filter(
         .chain(poison)
         .flat_map(|&d| model.doc(d).keywords);
     BloomFilter::from_hashes(params, keywords.map(|kw| &kw_hashes[kw.index()]))
+}
+
+/// The first invariant an ASAP node breaks, flat or super-peer, for
+/// [`Protocol::validate`]: its own and cached filters have the configured
+/// geometry (a content change rebuilds with it, and `FilterPatch::diff`
+/// between the two would panic); its cache, if any, holds at most its
+/// capacity, sources strictly ascending, nothing stamped after `now_us`
+/// and not `owner`'s own ad (`handle_ad` never stores one); its published
+/// filter is `truth()`, [`own_filter`] of what it holds now.
+pub(crate) fn node_violation(
+    bloom: BloomParams,
+    snapshot: &BloomFilter,
+    repo: Option<&AdRepository>,
+    owner: Option<PeerId>,
+    now_us: u64,
+    truth: impl FnOnce() -> BloomFilter,
+) -> Option<&'static str> {
+    const OTHER_GEOMETRY: &str = "node filter parameters differ from the configuration";
+    if snapshot.params() != bloom {
+        return Some(OTHER_GEOMETRY);
+    }
+    if let Some(repo) = repo {
+        if repo.len() > repo.capacity() {
+            return Some("ad cache over capacity");
+        }
+        let mut last = None;
+        for (source, ad) in repo.iter() {
+            if last.is_some_and(|last| source <= last) {
+                return Some("ad cache sources not strictly ascending");
+            }
+            last = Some(source);
+            if Some(source) == owner {
+                return Some("ad cache holds its owner's own ad");
+            }
+            if ad.last_used_us > now_us || ad.last_refreshed_us > now_us {
+                return Some("ad cache entry stamped in the future");
+            }
+            if ad.filter.params() != bloom {
+                return Some(OTHER_GEOMETRY);
+            }
+        }
+    }
+    (*snapshot != truth()).then_some("published filter differs from its holdings")
 }
 
 /// Per-node ASAP state.
@@ -733,53 +776,23 @@ impl Protocol for Asap {
         );
     }
 
-    /// Structural invariants of the per-node ASAP state, swept once at the
-    /// end of an audited run:
-    ///
-    /// * every ad cache respects its configured capacity;
-    /// * no node caches its own ad (`handle_ad` filters `source == node`);
-    /// * cached-entry timestamps never run ahead of the clock;
-    /// * a node's published filter is `own_filter` of what it holds now.
-    fn audit_invariants<C: Transport<Msg = AsapMsg>>(&self, ctx: &C) -> Vec<String> {
-        let mut violations = Vec::new();
-        let now = ctx.now_us();
-        for (i, st) in self.nodes.iter().enumerate() {
+    /// Every node keeps `node_violation`'s invariants, and the flood
+    /// dedup window is [`SEEN_WINDOW`].
+    fn validate<C: Transport<Msg = AsapMsg>>(&self, ctx: &C) -> Vec<Violation> {
+        let (bloom, now) = (self.config.bloom, ctx.now_us());
+        let nodes = self.nodes.iter().zip(&self.poison).enumerate();
+        let nodes = nodes.filter_map(|(i, (st, poison))| {
             let node = PeerId(i as u32);
-            if st.repo.len() > st.repo.capacity() {
-                violations.push(format!(
-                    "node {i}: cache holds {} ads over capacity {}",
-                    st.repo.len(),
-                    st.repo.capacity()
-                ));
-            }
-            if st.repo.capacity() != self.config.cache_capacity {
-                violations.push(format!("node {i}: cache capacity drifted from config"));
-            }
-            for (source, ad) in st.repo.iter() {
-                if source == node {
-                    violations.push(format!("node {i} caches its own ad"));
-                }
-                if ad.last_used_us > now || ad.last_refreshed_us > now {
-                    violations.push(format!(
-                        "node {i}: ad from {source:?} stamped in the future"
-                    ));
-                }
-            }
             let docs = ctx.content().peer_docs(node);
-            let truth = own_filter(
-                self.config.bloom,
-                &self.kw_hashes,
-                ctx.model(),
-                docs,
-                &self.poison[node.index()],
-            );
-            if *st.snapshot != truth {
-                violations.push(format!(
-                    "node {i}: published filter differs from its holdings"
-                ));
-            }
-        }
-        violations
+            let truth = || own_filter(bloom, &self.kw_hashes, ctx.model(), docs, poison);
+            let kind = node_violation(bloom, &st.snapshot, Some(&st.repo), Some(node), now, truth);
+            Some(Violation {
+                node: Some(node),
+                kind: kind?,
+            })
+        });
+        let seen = self.seen.window_violation(SEEN_WINDOW);
+        seen.into_iter().chain(nodes).collect()
     }
 }
 
@@ -972,10 +985,7 @@ mod tests {
             &roles,
             5,
         ));
-        assert_eq!(
-            clean.protocol().audit_invariants(clean.ctx()),
-            Vec::<String>::new()
-        );
+        assert_eq!(clean.protocol().validate(clean.ctx()), Vec::new());
 
         let honest_sharer = (0..60)
             .find(|&p| p % 10 != 0 && !workload.model.is_free_rider(PeerId(p as u32)))
@@ -988,10 +998,11 @@ mod tests {
                 Rc::new(BloomFilter::from_words(cfg.bloom, words).unwrap());
             let sim = build(asap);
             assert_eq!(
-                sim.protocol().audit_invariants(sim.ctx()),
-                vec![format!(
-                    "node {victim}: published filter differs from its holdings"
-                )]
+                sim.protocol().validate(sim.ctx()),
+                vec![Violation {
+                    node: Some(PeerId(victim as u32)),
+                    kind: "published filter differs from its holdings"
+                }]
             );
         }
     }

@@ -316,8 +316,9 @@ impl AdRepository {
         }
     }
 
-    /// A repository over decoded entries, sorted and unique by source,
-    /// whose slots `store` already counts.
+    /// A repository over decoded entries whose slots `store` already
+    /// counts. Nothing may look a source up before the protocol's
+    /// `validate` has checked that the sources ascend strictly.
     pub(crate) fn from_decoded(
         capacity: usize,
         store: &Rc<RefCell<FilterStore>>,

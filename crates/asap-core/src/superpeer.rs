@@ -25,9 +25,9 @@
 //! flat protocol.
 
 use crate::ad::AdSnapshot;
-use crate::checkpoint::{EntryImage, FilterTable, TableReader};
+use crate::checkpoint::{FilterTable, TableReader};
 use crate::config::AsapConfig;
-use crate::protocol::own_filter;
+use crate::protocol::{node_violation, own_filter};
 use crate::repository::{AdRepository, FilterStore};
 use crate::search::MAX_CONFIRM_FANOUT;
 use asap_bloom::hashing::KeyHash;
@@ -37,7 +37,7 @@ use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::{
     ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_size, spread,
-    Protocol, Transport, HEADER_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
+    Protocol, Transport, Violation, HEADER_BYTES, TOPIC_WIRE_BYTES, VERSION_WIRE_BYTES,
 };
 use asap_sim::{codec_enum, codec_struct};
 use asap_workload::{ContentModel, DocId, InterestSet, KeywordId, QuerySpec};
@@ -119,13 +119,13 @@ pub struct SuperStats {
     pub super_fallbacks: u64,
 }
 
-struct NodeState {
-    version: u16,
+pub(crate) struct NodeState {
+    pub(crate) version: u16,
     /// The node's own filter at `version` ([`own_filter`] of its holdings).
-    snapshot: Rc<BloomFilter>,
+    pub(crate) snapshot: Rc<BloomFilter>,
     /// Super peers only: the ads repository and registered dependents.
-    repo: Option<AdRepository>,
-    registered: BTreeMap<PeerId, (InterestSet, u16)>,
+    pub(crate) repo: Option<AdRepository>,
+    pub(crate) registered: BTreeMap<PeerId, (InterestSet, u16)>,
 }
 
 /// The hierarchical ASAP protocol.
@@ -136,9 +136,9 @@ pub struct SuperAsap {
     /// so is `retransmit`: super-peer ASAP has no retry path.
     pub config: AsapConfig,
     roles: Vec<Role>,
-    nodes: Vec<NodeState>,
+    pub(crate) nodes: Vec<NodeState>,
     /// The filters behind every super peer's cache entries.
-    store: Rc<RefCell<FilterStore>>,
+    pub(crate) store: Rc<RefCell<FilterStore>>,
     kw_hashes: Vec<KeyHash>,
     /// Union of a super peer's own and registered leaves' interests.
     union_interests: Vec<InterestSet>,
@@ -180,7 +180,7 @@ impl SuperAsap {
     /// Super peers are the "powerful and willing" nodes of the hierarchy:
     /// they carry a multiple of the flat cache budget because they cache on
     /// behalf of all their leaves.
-    fn super_cache_capacity(&self) -> usize {
+    pub(crate) fn super_cache_capacity(&self) -> usize {
         self.config.cache_capacity * 4
     }
 
@@ -210,12 +210,6 @@ impl SuperAsap {
             .filter(|&s| self.is_super(s) && ctx.alive(s))
             .max_by_key(|&s| ctx.degree(s))
             .unwrap_or(node)
-    }
-
-    /// Overwrite `node`'s published filter (checkpoint decode tests).
-    #[cfg(test)]
-    pub(crate) fn set_node_filter(&mut self, node: usize, filter: Rc<BloomFilter>) {
-        self.nodes[node].snapshot = filter;
     }
 
     fn snapshot_of(&self, node: PeerId, topics: InterestSet) -> AdSnapshot {
@@ -716,6 +710,29 @@ impl Protocol for SuperAsap {
         }
         self.register_with_home(ctx, peer);
     }
+
+    /// Every node keeps `node_violation`'s invariants — a super peer
+    /// caches its own registration, so its own ad is legal, and its cache
+    /// holds up to four times the flat capacity — and has a repository
+    /// exactly when it is a super peer of an initialised hierarchy.
+    fn validate<C: Transport<Msg = SuperMsg>>(&self, ctx: &C) -> Vec<Violation> {
+        let (bloom, now) = (self.config.bloom, ctx.now_us());
+        let nodes = self.nodes.iter().enumerate().filter_map(|(i, st)| {
+            let node = PeerId(i as u32);
+            let docs = ctx.content().peer_docs(node);
+            let truth = || own_filter(bloom, &self.kw_hashes, ctx.model(), docs, &[]);
+            let kind = if st.repo.is_some() != (self.initialized && self.is_super(node)) {
+                Some("repository does not match the peer's role")
+            } else {
+                node_violation(bloom, &st.snapshot, st.repo.as_ref(), None, now, truth)
+            };
+            Some(Violation {
+                node: Some(node),
+                kind: kind?,
+            })
+        });
+        nodes.collect()
+    }
 }
 
 // --- checkpoint codec (and, through `SuperMsg`, the wire payload) -----------
@@ -743,23 +760,10 @@ codec_struct!(SuperStats {
     super_fallbacks,
 });
 
-/// A node's state as it rides the checkpoint: a super peer's cache as entry
-/// images into the filter table written before the nodes, its registered
-/// dependents as a list ascending by source.
-struct NodeImage {
-    snapshot: Rc<BloomFilter>,
-    version: u16,
-    repo: Option<Vec<EntryImage>>,
-    registered: Vec<(PeerId, (InterestSet, u16))>,
-}
-codec_struct!(NodeImage {
-    snapshot,
-    version,
-    repo,
-    registered
-});
-
 impl CheckpointProtocol for SuperAsap {
+    /// Each node's record: its own filter, version, a super peer's cache
+    /// as entries into the filter table written before the nodes, and its
+    /// registered dependents ascending by source.
     fn encode_state(&self, enc: &mut Encoder) {
         self.roles.put(enc);
         let store = self.store.borrow();
@@ -768,47 +772,42 @@ impl CheckpointProtocol for SuperAsap {
             self.nodes.iter().filter_map(|st| st.repo.as_ref()),
         );
         table.put_table(enc);
-        let nodes: Vec<NodeImage> = self
-            .nodes
-            .iter()
-            .map(|st| NodeImage {
-                snapshot: Rc::clone(&st.snapshot),
-                version: st.version,
-                repo: st.repo.as_ref().map(|repo| table.entry_images(repo)),
-                registered: st.registered.iter().map(|(&p, &e)| (p, e)).collect(),
-            })
-            .collect();
-        nodes.put(enc);
+        enc.put_len(self.nodes.len());
+        for st in &self.nodes {
+            st.snapshot.put(enc);
+            st.version.put(enc);
+            enc.put_bool(st.repo.is_some());
+            if let Some(repo) = &st.repo {
+                table.put_repo(repo, enc);
+            }
+            st.registered.put(enc);
+        }
         self.union_interests.put(enc);
         self.stats.put(enc);
         self.initialized.put(enc);
     }
 
-    /// A super peer caches its own registration, so its repository may
-    /// hold its own ad.
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
         let roles: Vec<Role> = Codec::pull(dec)?;
-        let mut table = TableReader::pull_table(dec, self.config.bloom)?;
-        let (images, unions): (Vec<NodeImage>, Vec<InterestSet>) = Codec::pull(dec)?;
+        let mut table = TableReader::pull_table(dec)?;
         let n = self.nodes.len();
-        if roles.len() != n || images.len() != n || unions.len() != n {
+        if roles.len() != n || dec.get_len()? != n {
             return Err(CodecError::Invalid("node count mismatch"));
         }
         let mut nodes = Vec::with_capacity(n);
-        for img in images {
-            let snapshot = table.node_filter(img.snapshot)?;
-            let repo = match img.repo {
-                Some(entries) => {
-                    Some(table.rebuild_repository(entries, None, self.super_cache_capacity())?)
-                }
-                None => None,
-            };
+        for _ in 0..n {
             nodes.push(NodeState {
-                version: img.version,
-                snapshot,
-                repo,
-                registered: img.registered.into_iter().collect(),
+                snapshot: table.pull_node_filter(dec)?,
+                version: Codec::pull(dec)?,
+                repo: (dec.get_bool()?)
+                    .then(|| table.pull_repo(dec, self.super_cache_capacity()))
+                    .transpose()?,
+                registered: Codec::pull(dec)?,
             });
+        }
+        let unions: Vec<InterestSet> = Codec::pull(dec)?;
+        if unions.len() != n {
+            return Err(CodecError::Invalid("node count mismatch"));
         }
         let store = table.into_store()?;
         (self.stats, self.initialized) = Codec::pull(dec)?;

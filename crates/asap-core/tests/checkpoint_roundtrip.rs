@@ -4,21 +4,26 @@
 //! Each case takes an ASAP(RW) checkpoint halfway through a tiny run,
 //! parses the head of its protocol section — the filter table, then the
 //! node records whose caches index it — edits it, re-encodes it, reseals
-//! the checksum and resumes. `VERSION = 4` writes sorted unique sources,
-//! no node caching its own ad, and a table of distinct filters each named
-//! by an entry in order of first use. Unsorted or repeated sources and a
+//! the checksum and resumes. The encoder writes sorted unique sources, no
+//! node caching its own ad, and a table of distinct filters each named by
+//! an entry in order of first use. Unsorted or repeated sources and a
 //! node's own ad used to resume, then re-encode to other bytes or send a
-//! confirmation from a node to itself mid-run; the table checks hold the
-//! rest of that form, and every table filter to the configured geometry. The control case resumes the unedited splice and
-//! re-encodes it byte for byte.
+//! confirmation from a node to itself mid-run; the protocol's `validate`
+//! refuses them now, the decoder's table checks hold the rest of that
+//! form, and `validate` holds every cached filter to the configured
+//! geometry. Super-peer ASAP's registrations are held to the same
+//! canonical form. The control cases resume the unedited splice and
+//! re-encode it byte for byte.
 
-use asap_core::{Asap, AsapConfig};
+use asap_core::superpeer::Role;
+use asap_core::{Asap, AsapConfig, SuperAsap};
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_sim::util::Backoff;
 use asap_sim::{codec_struct, Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
 use asap_sim::{Fnv64, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{ContentModel, InterestSet, Workload, WorkloadConfig};
+use std::marker::PhantomData;
 
 const PEERS: usize = 120;
 const QUERIES: usize = 150;
@@ -92,9 +97,38 @@ struct AsapCaches {
 }
 codec_struct!(AsapCaches { table, nodes });
 
-/// An ASAP(RW) checkpoint halfway through a run, ready to have its caches
-/// section edited and resumed.
-struct AsapSplice {
+/// A super-peer ASAP node record: a super peer's cache indexes the same
+/// kind of filter table, and its registered dependents ascend by source.
+struct SuperNode {
+    snapshot: FilterImage,
+    version: u16,
+    cache: Option<Vec<CacheEntry>>,
+    registered: Vec<(PeerId, (InterestSet, u16))>,
+}
+codec_struct!(SuperNode {
+    snapshot,
+    version,
+    cache,
+    registered
+});
+
+/// The head of super-peer ASAP's protocol section: roles, the filter
+/// table, the node records. The union interests and the rest follow.
+struct SuperCaches {
+    roles: Vec<Role>,
+    table: Vec<FilterImage>,
+    nodes: Vec<SuperNode>,
+}
+codec_struct!(SuperCaches {
+    roles,
+    table,
+    nodes
+});
+
+/// A checkpoint of protocol `P` halfway through a run, ready to have the
+/// head `S` of its protocol section edited and resumed.
+struct Splice<P, S> {
+    make: fn(&ContentModel) -> P,
     phys: PhysicalNetwork,
     workload: Workload,
     overlay: Overlay,
@@ -102,17 +136,20 @@ struct AsapSplice {
     bytes: Vec<u8>,
     /// Where the protocol section starts; it runs to the checksum.
     head: usize,
+    section: PhantomData<S>,
 }
 
-impl AsapSplice {
-    fn protocol(model: &ContentModel) -> Asap {
-        Asap::new(AsapConfig::rw().scaled_to(PEERS), model)
-    }
+type AsapSplice = Splice<Asap, AsapCaches>;
 
-    fn halfway(seed: u64) -> Self {
+fn flat_rw(model: &ContentModel) -> Asap {
+    Asap::new(AsapConfig::rw().scaled_to(PEERS), model)
+}
+
+impl<P: CheckpointProtocol, S: Codec> Splice<P, S> {
+    fn halfway_with(seed: u64, make: fn(&ContentModel) -> P) -> Self {
         let (phys, workload, overlay) = world(seed);
-        let protocol = Self::protocol(&workload.model);
         let kind = OverlayKind::Random;
+        let protocol = make(&workload.model);
         let mut sim =
             Simulation::builder(&phys, &workload, overlay.clone(), kind, protocol, seed).build();
         sim.run_until(workload.trace.duration_us() / 2);
@@ -128,26 +165,28 @@ impl AsapSplice {
         );
         let head = body.len() - state.len();
         Self {
+            make,
             phys,
             workload,
             overlay,
             seed,
             bytes,
             head,
+            section: PhantomData,
         }
     }
 
-    /// The checkpoint with its caches section re-encoded after `edit`,
-    /// resealed.
-    fn spliced(&self, edit: impl FnOnce(&mut AsapCaches)) -> Vec<u8> {
+    /// The checkpoint with the head of its protocol section re-encoded
+    /// after `edit`, resealed.
+    fn spliced(&self, edit: impl FnOnce(&mut S)) -> Vec<u8> {
         let mut dec = Decoder::new(&self.bytes[self.head..self.bytes.len() - 8]);
-        let mut caches = AsapCaches::pull(&mut dec).expect("own caches section");
+        let mut section = S::pull(&mut dec).expect("own section head");
         let rest = dec
             .get_bytes(dec.remaining())
             .expect("the rest of the section");
-        edit(&mut caches);
+        edit(&mut section);
         let mut enc = Encoder::appending_to(self.bytes[..self.head].to_vec());
-        caches.put(&mut enc);
+        section.put(&mut enc);
         enc.put_bytes(rest);
         enc.put_u64(0);
         let mut out = enc.into_bytes();
@@ -158,7 +197,7 @@ impl AsapSplice {
     /// Resume `bytes`; `Ok` carries the resumed simulation's checkpoint.
     fn resume(&self, bytes: Vec<u8>) -> Result<Vec<u8>, CodecError> {
         let ckpt = Checkpoint::from_bytes(bytes)?;
-        let protocol = Self::protocol(&self.workload.model);
+        let protocol = (self.make)(&self.workload.model);
         let (kind, overlay) = (OverlayKind::Random, self.overlay.clone());
         let resumed = Simulation::builder(
             &self.phys,
@@ -170,6 +209,12 @@ impl AsapSplice {
         )
         .from_checkpoint(&ckpt)?;
         Ok(resumed.checkpoint().into_bytes())
+    }
+}
+
+impl AsapSplice {
+    fn halfway(seed: u64) -> Self {
+        Self::halfway_with(seed, flat_rw)
     }
 }
 
@@ -327,4 +372,31 @@ fn asap_filter_table_entry_of_another_geometry_is_rejected() {
             "node filter parameters differ from the configuration"
         ))
     );
+}
+
+/// Super-peer registrations used to be read as a list and collected into a
+/// map, so an out-of-order or repeated source was sorted or merged and the
+/// resume re-encoded to other bytes. The map decodes strictly ascending
+/// sources only.
+#[test]
+fn superpeer_registrations_out_of_order_or_repeated_are_rejected() {
+    let s: Splice<SuperAsap, SuperCaches> = Splice::halfway_with(89, |model| {
+        SuperAsap::new(AsapConfig::rw().scaled_to(PEERS), model)
+    });
+    let unedited = s.spliced(|_| {});
+    assert_eq!(s.resume(unedited), Ok(s.bytes.clone()));
+    fn registered(c: &mut SuperCaches) -> &mut Vec<(PeerId, (InterestSet, u16))> {
+        let node = c.nodes.iter_mut().find(|n| n.registered.len() >= 2);
+        &mut node
+            .expect("a super peer with two registrations")
+            .registered
+    }
+    let refused = Err(CodecError::Invalid("keys not strictly ascending"));
+    let swapped = s.spliced(|c| registered(c).swap(0, 1));
+    assert_eq!(s.resume(swapped), refused);
+    let repeated = s.spliced(|c| {
+        let r = registered(c);
+        r[1].0 = r[0].0;
+    });
+    assert_eq!(s.resume(repeated), refused);
 }

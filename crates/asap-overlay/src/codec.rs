@@ -8,8 +8,8 @@
 //! from that list. An impl is hand-written only where decoding must enforce
 //! an invariant or rebuild a derived field; each such impl says which.
 //! Containers compose: counts are `u64`, `Option` is a bool byte, maps and
-//! sets serialize in ascending key order, so encode → decode → re-encode is
-//! byte-identical.
+//! sets serialize in strictly ascending key order and decode only that
+//! order, so encode → decode → re-encode is byte-identical.
 //!
 //! This module lives in `asap-overlay` for the same reason
 //! [`crate::collections`] does: it is the one crate every codec-bearing
@@ -19,6 +19,7 @@
 
 use crate::collections::{DetHashMap, DetHashSet};
 use crate::{OverlayKind, PeerId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
 use std::rc::Rc;
@@ -573,6 +574,21 @@ tuple_codec!(A 0, B 1);
 tuple_codec!(A 0, B 1, C 2);
 tuple_codec!(A 0, B 1, C 2, D 3);
 
+/// A counted sequence whose keys strictly ascend: the one form the map and
+/// set encoders write, so decode accepts nothing else — no key out of
+/// order, none twice.
+#[inline]
+fn pull_ascending<T: Codec, K: Ord, C: FromIterator<T>>(
+    dec: &mut Decoder<'_>,
+    key: impl Fn(&T) -> &K,
+) -> Result<C, CodecError> {
+    let items = Vec::<T>::pull(dec)?;
+    if items.windows(2).any(|w| key(&w[0]) >= key(&w[1])) {
+        return Err(CodecError::Invalid("keys not strictly ascending"));
+    }
+    Ok(items.into_iter().collect())
+}
+
 /// Maps serialize as a counted sequence of `(key, value)` in ascending key
 /// order, whatever the insertion history.
 impl<K: Codec + Ord + Hash, V: Codec> Codec for DetHashMap<K, V> {
@@ -588,7 +604,23 @@ impl<K: Codec + Ord + Hash, V: Codec> Codec for DetHashMap<K, V> {
     }
     #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Vec::<(K, V)>::pull(dec)?.into_iter().collect())
+        pull_ascending(dec, |(k, _): &(K, V)| k)
+    }
+}
+
+/// The same bytes as a [`DetHashMap`] of the same entries.
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    #[inline]
+    fn put(&self, enc: &mut Encoder) {
+        enc.put_len(self.len());
+        for (k, v) in self {
+            k.put(enc);
+            v.put(enc);
+        }
+    }
+    #[inline]
+    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        pull_ascending(dec, |(k, _): &(K, V)| k)
     }
 }
 
@@ -602,7 +634,7 @@ impl<K: Codec + Ord + Hash> Codec for DetHashSet<K> {
     }
     #[inline]
     fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Vec::<K>::pull(dec)?.into_iter().collect())
+        pull_ascending(dec, |k: &K| k)
     }
 }
 
@@ -730,6 +762,49 @@ mod tests {
         let mut dec = Decoder::new(&bytes);
         dec.get_u8().unwrap();
         assert_eq!(dec.finish(), Err(CodecError::TrailingBytes));
+    }
+
+    /// Maps and sets decode only the strictly ascending keys their
+    /// encoders write: a key out of order or listed twice is refused, not
+    /// sorted or merged into a state that re-encodes to other bytes.
+    #[test]
+    fn maps_and_sets_decode_only_ascending_keys() {
+        let bytes = |keys: &[u32], with_values: bool| {
+            let mut enc = Encoder::new();
+            enc.put_len(keys.len());
+            for (i, &k) in keys.iter().enumerate() {
+                enc.put_u32(k);
+                if with_values {
+                    enc.put_u32(i as u32 + 1);
+                }
+            }
+            enc.into_bytes()
+        };
+        let set = |b: &[u8]| DetHashSet::<u32>::pull(&mut Decoder::new(b)).map(|_| ());
+        let map = |b: &[u8]| DetHashMap::<u32, u32>::pull(&mut Decoder::new(b)).map(|_| ());
+        let tree = |b: &[u8]| BTreeMap::<u32, u32>::pull(&mut Decoder::new(b)).map(|_| ());
+        let refused = Err(CodecError::Invalid("keys not strictly ascending"));
+        for (keys, expect) in [
+            (&[][..], Ok(())),
+            (&[3, 7], Ok(())),
+            (&[7, 3], refused),
+            (&[3, 3], refused),
+            (&[1, 5, 4], refused),
+        ] {
+            assert_eq!(set(&bytes(keys, false)), expect, "set {keys:?}");
+            assert_eq!(map(&bytes(keys, true)), expect, "map {keys:?}");
+            assert_eq!(tree(&bytes(keys, true)), expect, "tree {keys:?}");
+        }
+        let mut entries = DetHashMap::default();
+        entries.insert(9u32, 1u32);
+        entries.insert(2, 2);
+        assert_canonical(&entries);
+        assert_canonical(
+            &entries
+                .iter()
+                .map(|(&k, &v)| (k, v))
+                .collect::<BTreeMap<_, _>>(),
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! encode → decode → re-encode is byte-identical). [`BaselineMsg`]'s field
 //! list below is also its `asap-net` wire payload.
 
-use crate::common::{BaselineMsg, RetransmitState, SeenTracker};
-use crate::flooding::{Flooding, SEEN_WINDOW};
+use crate::common::{BaselineMsg, RetransmitState};
+use crate::flooding::Flooding;
 use crate::gsa::Gsa;
 use crate::random_walk::RandomWalk;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
@@ -34,8 +34,7 @@ impl CheckpointProtocol for Flooding {
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.seen = SeenTracker::pull_window(dec, SEEN_WINDOW)?;
-        self.retrans = Codec::pull(dec)?;
+        (self.seen, self.retrans) = Codec::pull(dec)?;
         Ok(())
     }
 }
@@ -63,6 +62,7 @@ impl CheckpointProtocol for Gsa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::SeenTracker;
     use crate::flooding::FloodingConfig;
     use crate::gsa::GsaConfig;
     use crate::random_walk::RandomWalkConfig;
@@ -280,7 +280,7 @@ mod tests {
 
     /// A flooding checkpoint whose seen tracker carries another window than
     /// [`SEEN_WINDOW`] resumed `Ok` and ran under a different eviction
-    /// policy; it is refused at decode.
+    /// policy; it is refused at resume.
     #[test]
     fn seen_window_other_than_the_protocols_is_rejected() {
         let seed = 58;

@@ -2,10 +2,9 @@
 
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
-use asap_sim::checkpoint::{CodecError, Decoder};
 use asap_sim::collections::DetHashMap;
 use asap_sim::util::{Backoff, Retransmit};
-use asap_sim::{query_hit_size, Transport};
+use asap_sim::{query_hit_size, Transport, Violation};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;
 
@@ -166,16 +165,9 @@ impl SeenTracker {
         self.inner.first_visit(query, node.0)
     }
 
-    pub fn tracked_queries(&self) -> usize {
-        self.inner.tracked_keys()
-    }
-
-    /// Decode a tracker that must run with `window` (see
-    /// [`asap_sim::util::SeenTracker::pull_window`]).
-    pub fn pull_window(dec: &mut Decoder<'_>, window: usize) -> Result<Self, CodecError> {
-        Ok(Self {
-            inner: asap_sim::util::SeenTracker::pull_window(dec, window)?,
-        })
+    /// See [`asap_sim::util::SeenTracker::window_violation`].
+    pub fn window_violation(&self, window: usize) -> Option<Violation> {
+        self.inner.window_violation(window)
     }
 }
 
@@ -200,7 +192,7 @@ mod tests {
         for q in 0..10 {
             assert!(t.first_visit(q, PeerId(0)));
         }
-        assert!(t.tracked_queries() <= 4);
+        assert!(t.inner.tracked_keys() <= 4);
         // Query 0 was evicted, so it looks fresh again.
         assert!(t.first_visit(0, PeerId(0)));
     }

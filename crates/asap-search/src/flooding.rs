@@ -11,7 +11,7 @@ use crate::common::{
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_sim::util::Retransmit;
-use asap_sim::{query_size, spread, Protocol, Transport};
+use asap_sim::{query_size, spread, Protocol, Transport, Violation};
 use asap_workload::{KeywordId, QuerySpec};
 use std::rc::Rc;
 
@@ -126,17 +126,13 @@ impl Protocol for Flooding {
         self.retrans.retain(|_, s| s.requester != node);
     }
 
-    /// Flooding's only cross-event state is the duplicate-suppression
-    /// tracker, whose live-key count must respect its window.
-    fn audit_invariants<C: Transport<Msg = BaselineMsg>>(&self, _ctx: &C) -> Vec<String> {
-        let mut violations = Vec::new();
-        if self.seen.tracked_queries() > SEEN_WINDOW {
-            violations.push(format!(
-                "seen tracker holds {} queries, window is {SEEN_WINDOW}",
-                self.seen.tracked_queries(),
-            ));
-        }
-        violations
+    /// Flooding's only cross-event invariant: the duplicate-suppression
+    /// tracker runs with [`SEEN_WINDOW`] (so it never holds more queries).
+    fn validate<C: Transport<Msg = BaselineMsg>>(&self, _ctx: &C) -> Vec<Violation> {
+        self.seen
+            .window_violation(SEEN_WINDOW)
+            .into_iter()
+            .collect()
     }
 }
 

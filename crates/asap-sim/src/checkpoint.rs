@@ -33,9 +33,11 @@
 //! payloads included — is range-checked by its own `Codec` impl. The
 //! overlay, content and query-ledger sections must also keep the invariants
 //! the run later relies on (undirected adjacency; strictly ascending
-//! holdings; no answer before its issue or after the clock), so a
-//! checksummed-but-inconsistent checkpoint is a typed error at resume
-//! rather than a panic at the next churn event or in the report.
+//! holdings; no answer before its issue or after the clock), and the
+//! restored protocol state must pass [`Protocol::validate`], the sweep an
+//! audited run ends with, so a checksummed-but-inconsistent checkpoint is
+//! a typed error at resume rather than a panic at the next churn event or
+//! in the report.
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
 use crate::audit::SimAuditor;
@@ -76,7 +78,10 @@ pub trait CheckpointProtocol: Protocol<Msg: Codec> {
     /// the same configuration it used for the original run.
     fn encode_state(&self, enc: &mut Encoder);
 
-    /// Restore dynamic state over a freshly configured protocol instance.
+    /// Restore dynamic state over a freshly configured protocol instance,
+    /// checking only what the bytes alone state: what can be stated over
+    /// the restored state is [`Protocol::validate`]'s, which
+    /// [`SimBuilder::from_checkpoint`] runs before anything else does.
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError>;
 }
 
@@ -546,7 +551,12 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         });
         sim.started = header.started;
         sim.halted = header.halted;
-        Ok(sim)
+        // The protocol's state, checked against the world it now lives in
+        // by the same sweep an audited run ends with.
+        match sim.protocol.validate(&sim.ctx).first() {
+            Some(v) => Err(CodecError::Invalid(v.kind)),
+            None => Ok(sim),
+        }
     }
 }
 

@@ -66,14 +66,23 @@ pub trait Protocol {
         let _ = (ctx, peer, doc, added);
     }
 
-    /// Protocol-level invariant sweep, called once at the end of an
-    /// **audited** run (never on unaudited runs). Return one message per
-    /// violated protocol invariant; they land in the
-    /// [`AuditReport`] beside the engine's own.
-    fn audit_invariants<C: Transport<Msg = Self::Msg>>(&self, ctx: &C) -> Vec<String> {
+    /// Every invariant of the protocol's state, checked against the world
+    /// in `ctx`. Run at the end of an **audited** run, whose
+    /// [`AuditReport`] lists the violations beside the engine's own, and by
+    /// [`SimBuilder::from_checkpoint`], which refuses the first one.
+    fn validate<C: Transport<Msg = Self::Msg>>(&self, ctx: &C) -> Vec<Violation> {
         let _ = ctx;
         Vec::new()
     }
+}
+
+/// One broken protocol invariant: the node whose state breaks it (`None`:
+/// the whole protocol's) and its kind, which a resume refuses as
+/// `CodecError::Invalid(kind)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Violation {
+    pub node: Option<PeerId>,
+    pub kind: &'static str,
 }
 
 /// The world as seen by a protocol: clock, overlay, liveness, content,
@@ -842,8 +851,9 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         let adversary = self.ctx.adversary.take().map(|a| a.into_stats());
         let audit = self.ctx.audit.take().map(|auditor| {
             let mut auditor = *auditor;
-            for v in self.protocol.audit_invariants(&self.ctx) {
-                auditor.push_violation(format!("protocol: {v}"));
+            for Violation { node, kind } in self.protocol.validate(&self.ctx) {
+                let at = node.map_or(String::new(), |p| format!("node {}: ", p.0));
+                auditor.push_violation(format!("protocol: {at}{kind}"));
             }
             auditor.finish(
                 &self.ctx.load,
@@ -1209,8 +1219,12 @@ mod tests {
                 _: (),
             ) {
             }
-            fn audit_invariants<C: Transport<Msg = ()>>(&self, _: &C) -> Vec<String> {
-                vec!["cache over capacity".into()]
+            fn validate<C: Transport<Msg = ()>>(&self, _: &C) -> Vec<Violation> {
+                let node = Some(PeerId(3));
+                vec![Violation {
+                    node,
+                    kind: "cache over capacity",
+                }]
             }
         }
         let (phys, workload, overlay) = small_world(9);
@@ -1221,7 +1235,7 @@ mod tests {
         assert!(audit
             .violations
             .iter()
-            .any(|v| v == "protocol: cache over capacity"));
+            .any(|v| v == "protocol: node 3: cache over capacity"));
     }
 
     #[test]

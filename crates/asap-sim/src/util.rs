@@ -1,6 +1,7 @@
 //! Small protocol-side utilities.
 
 use crate::collections::DetHashMap;
+use crate::engine::Violation;
 use asap_overlay::codec::{Codec, CodecError, Decoder, Encoder};
 use asap_overlay::codec_struct;
 use std::collections::VecDeque;
@@ -68,11 +69,21 @@ impl<K: Hash + Eq + Copy> SeenTracker<K> {
     pub fn tracked_keys(&self) -> usize {
         self.seen.len()
     }
+
+    /// Its owner's one invariant over the tracker: it runs with `window`,
+    /// the protocol's constant, not under another eviction policy.
+    pub fn window_violation(&self, window: usize) -> Option<Violation> {
+        (self.window != window).then_some(Violation {
+            node: None,
+            kind: "seen window is not the protocol's",
+        })
+    }
 }
 
-// Hand-written: the window must be positive and hold every entry. Wire
-// form: the window, then `(key, visitors)` pairs in eviction-queue order
-// (oldest first), visitors as a counted list of ascending ids — the eviction
+// Hand-written: the window must be positive and hold every entry, and
+// decode accepts only what encode writes. Wire form: the window, then
+// `(key, visitors)` pairs in eviction-queue order (oldest first), each key
+// once, visitors as a counted list of strictly ascending ids — the eviction
 // queue and the map hold exactly the same keys, so this is the whole state.
 impl<K: Hash + Eq + Copy + Codec> Codec for SeenTracker<K> {
     fn put(&self, enc: &mut Encoder) {
@@ -104,15 +115,22 @@ impl<K: Hash + Eq + Copy + Codec> Codec for SeenTracker<K> {
         let mut order = VecDeque::with_capacity(entries.len());
         for (key, visitors) in entries {
             let mut bits = Vec::new();
+            let mut last = None;
             for visitor in visitors {
                 // The bitset grows to the highest id it is handed: a corrupt
                 // id must be refused here, not turned into an allocation.
                 if visitor as usize >= peers {
                     return Err(CodecError::Invalid("seen visitor out of range"));
                 }
+                if last.is_some_and(|last| visitor <= last) {
+                    return Err(CodecError::Invalid("seen visitors not strictly ascending"));
+                }
+                last = Some(visitor);
                 mark_visitor(&mut bits, visitor);
             }
-            seen.insert(key, bits);
+            if seen.insert(key, bits).is_some() {
+                return Err(CodecError::Invalid("seen key listed twice"));
+            }
             order.push_back(key);
         }
         Ok(Self {
@@ -120,19 +138,6 @@ impl<K: Hash + Eq + Copy + Codec> Codec for SeenTracker<K> {
             order,
             window,
         })
-    }
-}
-
-impl<K: Hash + Eq + Copy + Codec> SeenTracker<K> {
-    /// Decode a tracker its owner runs with `window`: the window is the
-    /// protocol's constant, so a checkpoint carrying another one is refused
-    /// rather than resumed under a different eviction policy.
-    pub fn pull_window(dec: &mut Decoder<'_>, window: usize) -> Result<Self, CodecError> {
-        let tracker = Self::pull(dec)?;
-        if tracker.window != window {
-            return Err(CodecError::Invalid("seen window is not the protocol's"));
-        }
-        Ok(tracker)
     }
 }
 
@@ -223,6 +228,19 @@ mod tests {
         }
         assert!(t.tracked_keys() <= 4);
         assert!(t.first_visit(0, 0), "evicted key looks fresh again");
+    }
+
+    /// What the encoder writes — eviction order, each key once, visitors
+    /// ascending whatever order they came in — decodes and re-encodes to
+    /// the same bytes (the refusals of every other form are in
+    /// `tests/checkpoint_roundtrip.rs`).
+    #[test]
+    fn seen_tracker_codec_is_canonical() {
+        let mut t: SeenTracker<u64> = SeenTracker::new(3);
+        for (key, visitor) in [(1, 70), (1, 2), (2, 5), (3, 0), (4, 64), (4, 1), (2, 9)] {
+            t.first_visit(key, visitor);
+        }
+        crate::checkpoint::assert_canonical(&t);
     }
 
     #[test]

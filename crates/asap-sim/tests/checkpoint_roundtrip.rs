@@ -983,6 +983,44 @@ fn out_of_range_visitor_in_a_seen_tracker_is_rejected() {
     }
 }
 
+/// A seen tracker decodes only what its encoder writes: each key once, its
+/// visitors strictly ascending. A visitor list out of order or a key listed
+/// twice used to decode `Ok` and re-encode to other bytes, and the repeated
+/// key sat twice in the eviction queue while the map held it once.
+#[test]
+fn seen_tracker_out_of_canonical_form_is_rejected() {
+    let decode = |entries: &[(u32, &[u32])]| {
+        let mut enc = Encoder::new();
+        enc.put_len(4); // window
+        enc.put_len(entries.len());
+        for &(key, visitors) in entries {
+            enc.put_u32(key);
+            enc.put_len(visitors.len());
+            for &v in visitors {
+                enc.put_u32(v);
+            }
+        }
+        let bytes = enc.into_bytes();
+        let bounds = IdBounds {
+            peers: PEERS,
+            ..IdBounds::NONE
+        };
+        SeenTracker::<u32>::pull(&mut Decoder::new(&bytes).with_bounds(bounds)).map(|t| {
+            let mut again = Encoder::new();
+            t.put(&mut again);
+            assert_eq!(again.into_bytes(), bytes, "re-encode of {entries:?}");
+        })
+    };
+    assert_eq!(decode(&[(9, &[3, 5]), (2, &[0])]), Ok(()));
+    let unsorted = Err(CodecError::Invalid("seen visitors not strictly ascending"));
+    assert_eq!(decode(&[(9, &[5, 3])]), unsorted);
+    assert_eq!(decode(&[(9, &[3, 3])]), unsorted);
+    assert_eq!(
+        decode(&[(9, &[3]), (2, &[1]), (9, &[4])]),
+        Err(CodecError::Invalid("seen key listed twice"))
+    );
+}
+
 proptest! {
     /// Every proper prefix decodes to a typed error, never a panic.
     #[test]

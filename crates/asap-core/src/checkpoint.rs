@@ -704,14 +704,15 @@ mod tests {
         .build();
         sim.run_until(workload.trace.duration_us() / 2);
         let ckpt1 = sim.checkpoint();
-        let resumed = Simulation::resume(
+        let resumed = Simulation::builder(
             &phys,
             &workload,
             overlay,
             OverlayKind::Random,
             make(),
-            &ckpt1,
+            ckpt1.run_seed(),
         )
+        .from_checkpoint(&ckpt1)
         .expect("resume");
         let ckpt2 = resumed.checkpoint();
         assert_eq!(
@@ -815,7 +816,16 @@ mod tests {
         let resume = |bytes: Vec<u8>| {
             let ckpt = Checkpoint::from_bytes(bytes)?;
             let protocol = make(&workload.model);
-            Simulation::resume(&phys, &workload, overlay.clone(), kind, protocol, &ckpt).map(|_| ())
+            Simulation::builder(
+                &phys,
+                &workload,
+                overlay.clone(),
+                kind,
+                protocol,
+                ckpt.run_seed(),
+            )
+            .from_checkpoint(&ckpt)
+            .map(|_| ())
         };
         let unedited = spliced_protocol(&bytes, &state, make(&workload.model), |_| {});
         assert_eq!(unedited, bytes, "decode → encode is byte-identical");

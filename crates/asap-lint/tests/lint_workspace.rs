@@ -79,8 +79,6 @@ fn event_queue_is_in_the_panic_reachable_set() {
         "EventQueue::advance_cursor",
         "EventQueue::locate_head",
         "EventQueue::remove_head",
-        "EventQueue::collect_tombstone",
-        "EventQueue::purge_cancelled",
         "EventKey::cmp",
     ]);
 }

@@ -157,6 +157,25 @@ impl LoadRecorder {
         &self.buckets
     }
 
+    /// The first step that breaks the alive timeline's invariant at clock
+    /// `now_us`, with what is wrong with it. Steps are appended as the clock
+    /// moves, so their times never decrease and none lies after the clock;
+    /// the per-second weighting in `alive_during` relies on the first half,
+    /// and a later step would break it once the clock caught up.
+    pub fn alive_timeline_violation(&self, now_us: u64) -> Option<(&'static str, (u64, usize))> {
+        let mut last_us = 0;
+        for &step in &self.alive_steps {
+            if step.0 < last_us {
+                return Some(("alive timeline goes backwards", step));
+            }
+            if step.0 > now_us {
+                return Some(("alive step after the clock", step));
+            }
+            last_us = step.0;
+        }
+        None
+    }
+
     /// Rebuild a recorder from raw checkpointed state: byte buckets, message
     /// totals, alive timeline, and notes, all restored verbatim.
     pub fn from_parts(

@@ -51,29 +51,38 @@ impl Overlay {
     }
 
     /// Rebuild an overlay from [`Overlay::adjacency`] output, verbatim,
-    /// after checking the undirected invariant [`Overlay::detach`] and
-    /// [`Overlay::remove_edge`] rely on: no self-loop, no neighbor listed
-    /// twice, every edge present in both directions.
+    /// after checking it keeps [`Overlay::undirected_violation`]'s
+    /// invariant.
     pub fn from_adjacency(adj: Vec<Vec<PeerId>>) -> Result<Self, CodecError> {
-        let mut edges: Vec<(PeerId, PeerId)> = adj
-            .iter()
-            .enumerate()
-            .flat_map(|(p, nbrs)| nbrs.iter().map(move |&n| (PeerId(p as u32), n)))
-            .collect();
-        edges.sort_unstable();
-        if edges.iter().any(|&(a, b)| a == b) {
-            return Err(CodecError::Invalid("overlay self-loop"));
+        let overlay = Self { adj };
+        match overlay.undirected_violation() {
+            Some((_, kind)) => Err(CodecError::Invalid(kind)),
+            None => Ok(overlay),
         }
-        if edges.windows(2).any(|w| w[0] == w[1]) {
-            return Err(CodecError::Invalid("overlay duplicate edge"));
+    }
+
+    /// The first break, peer by peer, of the undirected invariant
+    /// [`Overlay::detach`] and [`Overlay::remove_edge`] rely on: a
+    /// self-loop, a neighbor listed twice, or an edge without its reverse,
+    /// with the peer whose list holds it. The checkpoint decoder refuses
+    /// such an adjacency; the auditor checks for one after every churn.
+    pub fn undirected_violation(&self) -> Option<(PeerId, &'static str)> {
+        for (i, nbrs) in self.adj.iter().enumerate() {
+            let p = PeerId(i as u32);
+            for (k, &q) in nbrs.iter().enumerate() {
+                let kind = if q == p {
+                    "overlay self-loop"
+                } else if nbrs[..k].contains(&q) {
+                    "overlay duplicate edge"
+                } else if !self.adj.get(q.index()).is_some_and(|n| n.contains(&p)) {
+                    "overlay edge without its reverse"
+                } else {
+                    continue;
+                };
+                return Some((p, kind));
+            }
         }
-        if edges
-            .iter()
-            .any(|&(a, b)| edges.binary_search(&(b, a)).is_err())
-        {
-            return Err(CodecError::Invalid("overlay edge without its reverse"));
-        }
-        Ok(Self { adj })
+        None
     }
 
     pub fn num_edges(&self) -> usize {
@@ -286,6 +295,36 @@ mod tests {
         assert!(g.remove_edge(PeerId(1), PeerId(0)));
         assert_eq!(g.num_edges(), 0);
         assert!(!g.remove_edge(PeerId(1), PeerId(0)));
+    }
+
+    /// The three breaks of the undirected invariant and one good shape: the
+    /// check names the first break and its peer, and `from_adjacency`
+    /// refuses the adjacency with the same kind.
+    #[test]
+    fn undirected_violation_names_the_first_break() {
+        let p = PeerId;
+        let path = vec![vec![p(1)], vec![p(0), p(2)], vec![p(1)]];
+        let cases = [
+            (path, None),
+            (
+                vec![vec![p(1)], vec![p(0), p(1)], vec![]],
+                Some((p(1), "overlay self-loop")),
+            ),
+            (
+                vec![vec![p(1), p(1)], vec![p(0)], vec![]],
+                Some((p(0), "overlay duplicate edge")),
+            ),
+            (
+                vec![vec![p(1)], vec![p(0), p(2)], vec![]],
+                Some((p(1), "overlay edge without its reverse")),
+            ),
+        ];
+        for (adj, want) in cases {
+            let overlay = Overlay { adj: adj.clone() };
+            assert_eq!(overlay.undirected_violation(), want, "{adj:?}");
+            let refused = Overlay::from_adjacency(adj).err();
+            assert_eq!(refused, want.map(|(_, kind)| CodecError::Invalid(kind)));
+        }
     }
 
     #[test]

@@ -151,14 +151,15 @@ mod tests {
 
         // Roundtrip through raw bytes, as a file-based resume would.
         let ckpt = Checkpoint::from_bytes(ckpt.into_bytes()).expect("self-produced bytes");
-        let resumed = Simulation::resume(
+        let resumed = Simulation::builder(
             &phys,
             &workload,
             overlay,
             OverlayKind::Random,
             make(),
-            &ckpt,
+            ckpt.run_seed(),
         )
+        .from_checkpoint(&ckpt)
         .expect("resume");
         let warm = resumed.run();
         let warm_audit = warm.audit.expect("audited resume");
@@ -230,14 +231,15 @@ mod tests {
         .build();
         let ckpt = fresh.checkpoint();
         drop(fresh);
-        let warm = Simulation::resume(
+        let warm = Simulation::builder(
             &phys,
             &workload,
             overlay,
             OverlayKind::Random,
             Flooding::new(FloodingConfig::default()),
-            &ckpt,
+            ckpt.run_seed(),
         )
+        .from_checkpoint(&ckpt)
         .expect("resume")
         .run();
         assert_eq!(
@@ -319,14 +321,15 @@ mod tests {
         sum.write_bytes(&spliced);
         spliced.extend_from_slice(&sum.finish().to_le_bytes());
         let ckpt = Checkpoint::from_bytes(spliced).expect("resealed bytes parse");
-        let err = Simulation::resume(
+        let err = Simulation::builder(
             &phys,
             &workload,
             overlay,
             OverlayKind::Random,
             Flooding::new(FloodingConfig::default()),
-            &ckpt,
+            ckpt.run_seed(),
         )
+        .from_checkpoint(&ckpt)
         .err()
         .expect("a foreign seen window must be rejected");
         assert_eq!(
@@ -357,7 +360,7 @@ mod tests {
         // A full re-decode + re-encode of the whole checkpoint: resume then
         // immediately checkpoint again without stepping.
         let (phys2, workload2, overlay2) = world(100, 120, seed);
-        let resumed = Simulation::resume(
+        let resumed = Simulation::builder(
             &phys2,
             &workload2,
             overlay2,
@@ -365,8 +368,9 @@ mod tests {
             Flooding::new(FloodingConfig {
                 retransmit: Some(Retransmit),
             }),
-            &ckpt1,
+            ckpt1.run_seed(),
         )
+        .from_checkpoint(&ckpt1)
         .expect("resume");
         let ckpt2 = resumed.checkpoint();
         assert_eq!(

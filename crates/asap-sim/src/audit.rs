@@ -17,17 +17,19 @@
 //! * no message is dispatched to a dead node, and drops match the mirror;
 //! * event `(time, seq)` keys are strictly increasing at dispatch;
 //! * joins/leaves flip liveness in the legal direction only;
-//! * after churn, dead peers have degree 0, adjacency stays symmetric and
-//!   self-loop-free, and the engine's live count matches the mirror.
+//! * after churn, dead peers have degree 0, adjacency keeps the overlay's
+//!   undirected invariant (no self-loop, no neighbor listed twice, every
+//!   edge in both directions), and the engine's live count matches the
+//!   mirror.
 //!
 //! What it reads from the stream: every send arrives as exactly one of
 //! `send`, `fault-drop` or `adversary-absorb` and is mirrored and folded
 //! from whichever one it is; `deliver`, `timer-fired`, `query-issued`,
 //! `content-changed`, `join` and `leave` are the dispatched events;
-//! `fault-dup` and `counter` feed their mirrors. Timer arming and
-//! cancelling, answers and the protocol taps change nothing it mirrors and
-//! are ignored. The overlay sweep is a state check, not an event: the
-//! engine calls [`SimAuditor::check_overlay`] after each join and leave.
+//! `fault-dup` and `counter` feed their mirrors. Timer arming, answers
+//! and the protocol taps change nothing it mirrors and are ignored. The
+//! overlay sweep is a state check, not an event: the engine calls
+//! [`SimAuditor::check_overlay`] after each join and leave.
 //!
 //! The auditor also folds every dispatched event (and every send) into an
 //! FNV-1a digest. The digest covers integers only — peer ids, times,
@@ -371,7 +373,6 @@ impl SimAuditor {
                 self.fold(&[TAG_LEAVE, now_us, seq, peer.0 as u64]);
             }
             Event::TimerSet { .. }
-            | Event::TimerCancelled { .. }
             | Event::QueryAnswered { .. }
             | Event::AdPublished { .. }
             | Event::QueryLocalHits { .. }
@@ -419,8 +420,9 @@ impl SimAuditor {
     }
 
     /// Overlay/liveness consistency sweep, run after churn and at the end:
-    /// dead ⇒ degree 0, adjacency symmetric and self-loop-free, engine
-    /// liveness identical to the mirror.
+    /// engine liveness identical to the mirror, dead ⇒ degree 0, and the
+    /// overlay's own undirected invariant
+    /// ([`Overlay::undirected_violation`]).
     pub fn check_overlay(&mut self, overlay: &Overlay, engine_alive: &[bool], engine_count: usize) {
         self.check(engine_alive == self.alive.as_slice(), || {
             "engine liveness map diverged from audit mirror".to_string()
@@ -437,13 +439,11 @@ impl SimAuditor {
                     format!("dead node {p:?} still has degree {deg}")
                 });
             }
-            for &q in overlay.neighbors(p) {
-                self.check(q != p, || format!("self-loop at {p:?}"));
-                self.check(overlay.has_edge(q, p), || {
-                    format!("asymmetric edge {p:?} -> {q:?}")
-                });
-            }
         }
+        let broken = overlay.undirected_violation();
+        self.check(broken.is_none(), || {
+            broken.map_or_else(String::new, |(p, kind)| format!("{kind} at {p:?}"))
+        });
     }
 
     /// Final reconciliation against the engine's metrics, then fold the
@@ -541,13 +541,10 @@ impl SimAuditor {
             self.push_violation(v);
         }
 
-        // The live-peer step timeline must be monotone in time.
-        let steps = load.alive_steps();
-        for w in steps.windows(2) {
-            self.check(w[0].0 <= w[1].0, || {
-                format!("alive timeline goes backwards: {:?} then {:?}", w[0], w[1])
-            });
-        }
+        let broken = load.alive_timeline_violation(end_time_us);
+        self.check(broken.is_none(), || {
+            broken.map_or_else(String::new, |(kind, step)| format!("{kind}: {step:?}"))
+        });
 
         self.check_overlay(overlay, engine_alive, engine_count);
 
@@ -782,7 +779,6 @@ mod tests {
                 delay_us: 5,
                 tag: 1,
             },
-            Event::TimerCancelled { cancelled: true },
             Event::QueryAnswered { id: 3 },
             Event::QueryFallback {
                 id: 3,

@@ -8,7 +8,7 @@
 //! field-list macros live in [`asap_overlay::codec`] and are re-exported
 //! here — so this module is the engine's field lists plus the section
 //! order of a checkpoint body. Everything behavior-relevant is captured:
-//! the event queue with uncollected tombstones, overlay adjacency verbatim
+//! the event queue with its sequence counter, overlay adjacency verbatim
 //! (neighbor order is `swap_remove` history), the per-peer content
 //! holdings, every RNG stream's raw state, the auditor's running digest
 //! word and mirrors, fault/adversary layer state, metrics, and the
@@ -31,13 +31,14 @@
 //! the resume decoder carries the world's [`IdBounds`], so every peer,
 //! document and keyword id anywhere in the body — in-flight message
 //! payloads included — is range-checked by its own `Codec` impl. The
-//! overlay, content and query-ledger sections must also keep the invariants
-//! the run later relies on (undirected adjacency; strictly ascending
-//! holdings; no answer before its issue or after the clock), and the
-//! restored protocol state must pass [`Protocol::validate`], the sweep an
-//! audited run ends with, so a checksummed-but-inconsistent checkpoint is
-//! a typed error at resume rather than a panic at the next churn event or
-//! in the report.
+//! event-queue, overlay, content, load and query-ledger sections must also
+//! keep the invariants the run later relies on (nothing queued behind the
+//! clock; undirected adjacency; strictly ascending holdings; an alive
+//! timeline that never goes backwards or past the clock; no answer before
+//! its issue or after the clock), and the restored protocol state must
+//! pass [`Protocol::validate`], the sweep an audited run ends with, so a
+//! checksummed-but-inconsistent checkpoint is a typed error at resume
+//! rather than a panic at the next churn event or in the report.
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
 use crate::audit::SimAuditor;
@@ -46,8 +47,7 @@ use crate::event::{EngineEvent, EventQueue, Scheduled};
 use crate::fault::{FaultPlan, FaultState, FaultStats, PartitionWindow};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
 use asap_overlay::{codec_enum, codec_struct, Overlay, OverlayKind, PeerId};
-use asap_topology::PhysicalNetwork;
-use asap_workload::{ContentState, DocId, Workload};
+use asap_workload::{ContentState, DocId};
 use rand::rngs::SmallRng;
 
 pub use asap_overlay::codec::{
@@ -57,7 +57,7 @@ pub use asap_overlay::codec::{
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: [u8; 8] = *b"ASAPCKPT";
 /// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 5;
+pub const VERSION: u16 = 6;
 /// Trailing checksum width (FNV-1a 64 over the body).
 const TRAILER: usize = 8;
 /// Upper bound on the ledger's raw slot vector accepted at decode time.
@@ -350,10 +350,9 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
         .put(enc);
 
         // [1] Event queue: allocation counter, surviving entries in
-        // canonical (time, seq) order, uncollected tombstones (ascending).
+        // canonical (time, seq) order.
         ctx.queue.next_seq().put(enc);
         enc.put_seq(ctx.queue.entries_sorted());
-        ctx.queue.cancelled_sorted().put(enc);
         // [2] Overlay adjacency, verbatim (neighbor order is history).
         enc.put_seq(ctx.overlay.adjacency());
         // [3] Liveness bitmap (count pinned to num_peers by the header).
@@ -394,27 +393,6 @@ impl<'a, P: CheckpointProtocol> Simulation<'a, P> {
         adversary.put(enc);
         // [13] Protocol dynamic state.
         self.protocol.encode_state(enc);
-    }
-
-    /// One-call resume: rebuild the world from the same inputs the original
-    /// run used (the checkpoint pins the seed) and restore the state.
-    pub fn resume(
-        phys: &'a PhysicalNetwork,
-        workload: &'a Workload,
-        overlay: Overlay,
-        overlay_kind: OverlayKind,
-        protocol: P,
-        ckpt: &Checkpoint,
-    ) -> Result<Self, CodecError> {
-        Simulation::builder(
-            phys,
-            workload,
-            overlay,
-            overlay_kind,
-            protocol,
-            ckpt.run_seed(),
-        )
-        .from_checkpoint(ckpt)
     }
 }
 
@@ -463,8 +441,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         // [1] Event queue, checked against the queue's own invariants.
         let next_seq = u64::pull(&mut dec)?;
         let entries: Vec<Scheduled<P::Msg>> = Codec::pull(&mut dec)?;
-        let cancelled: Vec<u64> = Codec::pull(&mut dec)?;
-        let queue = EventQueue::from_parts(header.now_us, next_seq, entries, cancelled)?;
+        let queue = EventQueue::from_parts(header.now_us, next_seq, entries)?;
         // [2] Overlay: the undirected invariant `detach` relies on is
         // checked here, not met as a panic mid-run.
         let adj: Vec<Vec<PeerId>> = Codec::pull(&mut dec)?;
@@ -482,11 +459,16 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         let content = ContentState::from_parts(sim.ctx.model, holdings)?;
         // [5] Engine RNG.
         let RngState(rng_state) = Codec::pull(&mut dec)?;
-        // [6] Load recorder: buckets, message totals, alive steps, notes.
+        // [6] Load recorder: buckets, message totals, alive steps, notes;
+        // the alive timeline checked at the header's clock.
         let buckets: Vec<[u64; MsgClass::COUNT]> = Codec::pull(&mut dec)?;
         let msg_totals = Codec::pull(&mut dec)?;
         let alive_steps = Codec::pull(&mut dec)?;
         let notes = Codec::pull(&mut dec)?;
+        let load = LoadRecorder::from_parts(buckets, msg_totals, alive_steps, notes);
+        if let Some((kind, _)) = load.alive_timeline_violation(header.now_us) {
+            return Err(CodecError::Invalid(kind));
+        }
         // [7] Query ledger, checked against the ledger's own invariants at
         // the header's clock: an answer before its issue would underflow
         // the response-time mean in the report.
@@ -538,7 +520,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         ctx.alive = alive;
         ctx.content = content;
         ctx.rng = SmallRng::from_state(rng_state);
-        ctx.load = LoadRecorder::from_parts(buckets, msg_totals, alive_steps, notes);
+        ctx.load = load;
         ctx.ledger = ledger;
         ctx.retry = retry;
         ctx.profile = profile;

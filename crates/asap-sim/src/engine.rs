@@ -2,7 +2,7 @@
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats};
 use crate::audit::{AuditConfig, AuditReport, SimAuditor};
-use crate::event::{EngineEvent, EventHandle, EventQueue};
+use crate::event::{EngineEvent, EventQueue};
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultStats};
 use crate::transport::{Carrier, InMemory, ScratchGuard, ScratchSlot, Transport};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
@@ -302,7 +302,7 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         }
     }
 
-    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
+    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) {
         self.profile.timers_set += 1;
         self.trace(|| TraceEvt::TimerSet {
             node,
@@ -312,14 +312,7 @@ impl<'a, M: Clone, C: Carrier<M>> Transport for Ctx<'a, M, C> {
         // Saturating: a delay near `u64::MAX` means "never" (it lands past
         // any horizon), not a wrap into the past that fires at once.
         let fire_at = self.now_us.saturating_add(delay_us);
-        self.queue.push(fire_at, EngineEvent::Timer { node, tag })
-    }
-
-    /// See [`EventQueue::cancel`] for the return value's semantics.
-    fn cancel_timer(&mut self, handle: EventHandle) -> bool {
-        let cancelled = self.queue.cancel(handle);
-        self.trace(|| TraceEvt::TimerCancelled { cancelled });
-        cancelled
+        self.queue.push(fire_at, EngineEvent::Timer { node, tag });
     }
 
     #[inline]
@@ -794,17 +787,12 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
         }
         let Some(sched) = self.ctx.queue.pop() else {
             self.halted = true;
-            self.ctx.queue.purge_cancelled();
             return false;
         };
         debug_assert!(sched.time_us >= self.ctx.now_us, "time goes forward");
         if sched.time_us > self.ctx.horizon_us {
             self.ctx.profile.past_horizon = self.ctx.queue.len() as u64 + 1;
             self.halted = true;
-            // Events behind the horizon will never pop, so their tombstones
-            // are dead — drain them (behaviorally invisible; bounds the
-            // serialized tombstone list of a post-halt checkpoint).
-            self.ctx.queue.purge_cancelled();
             return false;
         }
         self.ctx.now_us = sched.time_us;
@@ -1236,53 +1224,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v == "protocol: node 3: cache over capacity"));
-    }
-
-    #[test]
-    fn cancelled_timer_never_fires() {
-        struct CancelProto {
-            handle: Option<crate::event::EventHandle>,
-            fired: Vec<u64>,
-        }
-        impl Protocol for CancelProto {
-            type Msg = ();
-            fn on_init<C: Transport<Msg = ()>>(&mut self, ctx: &mut C) {
-                ctx.set_timer(PeerId(0), 1_000, 1);
-                self.handle = Some(ctx.set_timer(PeerId(0), 2_000, 2));
-                ctx.set_timer(PeerId(0), 3_000, 3);
-            }
-            fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
-            fn on_message<C: Transport<Msg = ()>>(
-                &mut self,
-                _: &mut C,
-                _: PeerId,
-                _: PeerId,
-                _: (),
-            ) {
-            }
-            fn on_timer<C: Transport<Msg = ()>>(&mut self, ctx: &mut C, _: PeerId, tag: u64) {
-                if tag == 1 {
-                    assert!(ctx.cancel_timer(self.handle.take().unwrap()));
-                }
-                self.fired.push(tag);
-            }
-        }
-        let (phys, workload, overlay) = small_world(5);
-        let report = Simulation::builder(
-            &phys,
-            &workload,
-            overlay,
-            OverlayKind::Random,
-            CancelProto {
-                handle: None,
-                fired: vec![],
-            },
-            5,
-        )
-        .audit(AuditConfig::default())
-        .run();
-        assert_eq!(report.protocol.fired, vec![1, 3], "timer 2 was cancelled");
-        assert!(report.audit.unwrap().is_clean());
     }
 
     #[test]

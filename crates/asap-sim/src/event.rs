@@ -1,7 +1,7 @@
 //! The engine's event queue: a calendar ring over the µs clock that pops the
 //! unique `(time, seq)` minimum. `seq` is a monotone per-queue counter, so
 //! simultaneous events pop in insertion order and the pop stream is a pure
-//! function of the push/cancel history — the layout below is not state.
+//! function of the push history — the layout below is not state.
 //!
 //! Four parts, none of which can grow past the queue's own depth:
 //!
@@ -22,36 +22,14 @@
 //!   schedule therefore degrades to O(log n) per event, never to an O(n)
 //!   insert.
 //!
-//! Cancellation is tombstone-based — `cancel` records the sequence number,
-//! `pop`/`peek_time` discard matching entries as they surface — and
-//! tombstones whose entries can no longer surface are purged once the set
-//! outgrows `max(PURGE_TRIGGER, live entries)`, and at the engine's halt.
+//! The queue only schedules and pops: nothing is ever cancelled. A protocol
+//! keys its timers by tag and ignores one whose state is stale when it fires.
 
-use crate::collections::DetHashSet;
 use asap_overlay::codec::CodecError;
 use asap_overlay::PeerId;
 use asap_workload::TraceEvent;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-
-/// Opaque handle to a scheduled event, usable with [`EventQueue::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
-impl EventHandle {
-    /// The underlying queue sequence number. Sequence numbers survive
-    /// checkpoint/resume verbatim, so protocols that keep handles in their
-    /// own state can serialize them (`CheckpointProtocol::encode_state`)
-    /// and rebuild with [`EventHandle::from_raw`].
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuild a handle from a checkpointed sequence number.
-    pub fn from_raw(seq: u64) -> Self {
-        Self(seq)
-    }
-}
 
 /// An event awaiting execution.
 #[derive(Debug, Clone)]
@@ -125,10 +103,6 @@ const RING_BUCKETS: usize = 1 << 14;
 const RING_MASK: u64 = RING_BUCKETS as u64 - 1;
 const BITMAP_WORDS: usize = RING_BUCKETS / 64;
 
-/// Tombstone purges trigger once the set outgrows `max(PURGE_TRIGGER,
-/// live entries)` — at that point at least one tombstone is provably dead.
-const PURGE_TRIGGER: usize = 64;
-
 /// Which container holds the `(time, seq)` minimum.
 #[derive(Debug, Clone, Copy)]
 enum HeadAt {
@@ -137,16 +111,6 @@ enum HeadAt {
 }
 
 /// Min-queue of scheduled events with a monotone sequence counter.
-///
-/// Cancellation is tombstone-based: `cancel` records the handle's sequence
-/// number and `pop` silently discards matching entries when they surface, so
-/// cancelling is O(1) and never disturbs queue order. Tombstones whose
-/// entries never surface (cancel-after-fire, horizon cut-offs) are drained
-/// by [`EventQueue::purge_cancelled`] — automatically once the set outgrows
-/// the live queue, and at the engine's horizon halt. The tombstone set is
-/// used for membership only — iteration order never influences the
-/// simulation — but it is a [`DetHashSet`] anyway, per the repo-wide
-/// determinism policy (DESIGN.md §6).
 #[derive(Debug)]
 pub struct EventQueue<M> {
     /// One slot per queued payload; `None` marks a free slot.
@@ -173,10 +137,6 @@ pub struct EventQueue<M> {
     overflow: BinaryHeap<Reverse<EventKey>>,
     len: usize,
     next_seq: u64,
-    cancelled: DetHashSet<u64>,
-    /// High-water mark of `cancelled` over the queue's lifetime (diagnostic;
-    /// not serialized — a resumed queue restarts its mark).
-    cancelled_hwm: usize,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -192,8 +152,6 @@ impl<M> Default for EventQueue<M> {
             overflow: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
-            cancelled: DetHashSet::default(),
-            cancelled_hwm: 0,
         }
     }
 }
@@ -203,7 +161,7 @@ impl<M> EventQueue<M> {
         Self::default()
     }
 
-    pub fn push(&mut self, time_us: u64, event: EngineEvent<M>) -> EventHandle {
+    pub fn push(&mut self, time_us: u64, event: EngineEvent<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.enqueue_scheduled(Scheduled {
@@ -211,7 +169,6 @@ impl<M> EventQueue<M> {
             seq,
             event,
         });
-        EventHandle(seq)
     }
 
     fn enqueue_scheduled(&mut self, s: Scheduled<M>) {
@@ -356,85 +313,19 @@ impl<M> EventQueue<M> {
         self.release_slot(key.slot)
     }
 
-    /// Collect `seq`'s tombstone if it has one. The lookup is skipped while
-    /// the set is empty — no shipped protocol cancels timers, so the common
-    /// pop pays no hash probe.
-    fn collect_tombstone(&mut self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if a tombstone was
-    /// recorded (i.e. the handle was not already cancelled). Cancelling an
-    /// event that has already fired is benign — its tombstone can never match
-    /// a future pop — but the return value is not a fired/pending oracle;
-    /// callers that need that distinction must track firing themselves.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        debug_assert!(handle.0 < self.next_seq, "cancel of never-issued handle");
-        let fresh = self.cancelled.insert(handle.0);
-        if fresh {
-            self.cancelled_hwm = self.cancelled_hwm.max(self.cancelled.len());
-            // A tombstone per live entry is the most that can ever match;
-            // beyond that the set provably holds dead tombstones. Purging is
-            // a pure function of queue state, so it cannot perturb replay.
-            if self.cancelled.len() > PURGE_TRIGGER.max(self.len) {
-                self.purge_cancelled();
-            }
-        }
-        fresh
-    }
-
-    /// Drop every tombstone whose entry is no longer in the queue (it fired
-    /// before the cancel, or a horizon halt cut it off). Dead tombstones can
-    /// never match a pop, so purging is behaviorally invisible — it only
-    /// bounds memory and checkpoint size.
-    pub fn purge_cancelled(&mut self) {
-        if self.cancelled.is_empty() {
-            return;
-        }
-        self.cancelled = self
-            .queued()
-            .map(|s| s.seq)
-            .filter(|seq| self.cancelled.contains(seq))
-            .collect();
-    }
-
-    /// Uncollected tombstones currently held.
-    pub fn cancelled_len(&self) -> usize {
-        self.cancelled.len()
-    }
-
-    /// Largest tombstone count ever held (see the regression test pinning
-    /// this against unbounded cancel-after-fire growth).
-    pub fn cancelled_hwm(&self) -> usize {
-        self.cancelled_hwm
-    }
-
     pub fn pop(&mut self) -> Option<Scheduled<M>> {
-        loop {
-            let (at, key) = self.locate_head()?;
-            let s = self.remove_head(at, key);
-            debug_assert!(s.is_some(), "a key names a filled slot");
-            if !self.collect_tombstone(key.seq) {
-                return s;
-            }
-        }
+        let (at, key) = self.locate_head()?;
+        let s = self.remove_head(at, key);
+        debug_assert!(s.is_some(), "a key names a filled slot");
+        s
     }
 
     /// Time of the next event `pop` would return, without removing it.
-    /// Collects tombstoned heads exactly as the next `pop` would, so peeking
-    /// never changes what a later `pop` observes.
     pub fn peek_time(&mut self) -> Option<u64> {
-        loop {
-            let (at, key) = self.locate_head()?;
-            if !self.collect_tombstone(key.seq) {
-                return Some(key.time_us);
-            }
-            self.remove_head(at, key);
-        }
+        self.locate_head().map(|(_, key)| key.time_us)
     }
 
-    /// Scheduled entries still queued, including cancelled ones whose
-    /// tombstones have not yet been collected by `pop`.
+    /// Scheduled entries still queued.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -448,49 +339,28 @@ impl<M> EventQueue<M> {
         self.next_seq
     }
 
-    /// Every queued entry, in slab order.
-    fn queued(&self) -> impl Iterator<Item = &Scheduled<M>> {
-        self.slab.iter().filter_map(Option::as_ref)
-    }
-
-    /// Every entry still queued — uncollected tombstones included — in
-    /// canonical `(time, seq)` order, for checkpoint serialization. The
-    /// queue's internal layout is not state; the sorted view is.
+    /// Every entry still queued, in canonical `(time, seq)` order, for
+    /// checkpoint serialization. The queue's internal layout is not state;
+    /// the sorted view is.
     pub fn entries_sorted(&self) -> Vec<&Scheduled<M>> {
-        let mut v: Vec<&Scheduled<M>> = self.queued().collect();
+        let mut v: Vec<&Scheduled<M>> = self.slab.iter().filter_map(Option::as_ref).collect();
         v.sort_by_key(|s| (s.time_us, s.seq));
         v
     }
 
-    /// Uncollected tombstone sequence numbers in ascending order.
-    pub fn cancelled_sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.cancelled.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Rebuild a queue from checkpoint state: the surviving entries (with
-    /// their original sequence numbers), the uncollected tombstones, and the
-    /// sequence counter to continue from. `pop` always returns the unique
-    /// `(time, seq)` minimum, so replay order does not depend on the order
-    /// `entries` arrive in.
+    /// their original sequence numbers) and the sequence counter to continue
+    /// from. `pop` always returns the unique `(time, seq)` minimum, so
+    /// replay order does not depend on the order `entries` arrive in.
     ///
-    /// Rejects parts no history of `push`/`cancel` up to clock `now_us`
-    /// leaves behind: an entry scheduled before `now_us`, an entry or a
-    /// tombstone whose seq was never issued (a tombstone ≥ `next_seq`
-    /// would cancel a future push), or two entries sharing a seq. A
-    /// tombstone whose entry is no longer queued is legal.
+    /// Rejects entries no history of `push` up to clock `now_us` leaves
+    /// behind: one scheduled before `now_us`, one whose seq was never
+    /// issued, or two sharing a seq.
     pub fn from_parts(
         now_us: u64,
         next_seq: u64,
         entries: Vec<Scheduled<M>>,
-        cancelled: Vec<u64>,
     ) -> Result<Self, CodecError> {
-        if cancelled.iter().any(|&seq| seq >= next_seq) {
-            return Err(CodecError::Invalid(
-                "queue tombstone for a never-issued seq",
-            ));
-        }
         if entries.iter().any(|s| s.time_us < now_us) {
             return Err(CodecError::Invalid(
                 "queued entry scheduled before the clock",
@@ -508,7 +378,6 @@ impl<M> EventQueue<M> {
             slab: Vec::with_capacity(entries.len()),
             links: Vec::with_capacity(entries.len()),
             next_seq,
-            cancelled: cancelled.into_iter().collect(),
             ..Self::default()
         };
         for s in entries {
@@ -586,46 +455,6 @@ mod tests {
         assert_eq!(key(5, 9, 0), key(5, 9, 7), "the slot never decides");
     }
 
-    #[test]
-    fn cancelled_event_never_surfaces() {
-        let mut q = EventQueue::new();
-        q.push(100, timer(0, 0));
-        let h = q.push(200, timer(0, 1));
-        q.push(300, timer(0, 2));
-        assert!(q.cancel(h));
-        assert_eq!(drain_tags(&mut q), vec![0, 2]);
-    }
-
-    #[test]
-    fn cancel_is_idempotent() {
-        let mut q = EventQueue::new();
-        let h = q.push(1, timer(0, 0));
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h), "second cancel of the same handle is a no-op");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_benign() {
-        let mut q = EventQueue::new();
-        let h = q.push(1, timer(0, 0));
-        q.pop().unwrap();
-        q.cancel(h); // tombstone for an already-popped seq can never match
-        q.push(2, timer(0, 1));
-        assert!(q.pop().is_some(), "later events are unaffected");
-    }
-
-    #[test]
-    fn peek_time_matches_pop_and_collects_tombstones() {
-        let mut q = EventQueue::new();
-        let h = q.push(100, timer(0, 0));
-        q.push(200, timer(0, 1));
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(200), "tombstoned head is skipped");
-        assert_eq!(q.pop().unwrap().time_us, 200);
-        assert_eq!(q.peek_time(), None);
-    }
-
     /// `q` rebuilt from its checkpoint view.
     fn rebuilt_from_parts(q: &EventQueue<()>) -> EventQueue<()> {
         let entries: Vec<Scheduled<()>> = q
@@ -637,7 +466,7 @@ mod tests {
                 event: s.event.clone(),
             })
             .collect();
-        let rebuilt = EventQueue::from_parts(0, q.next_seq(), entries, q.cancelled_sorted())
+        let rebuilt = EventQueue::from_parts(0, q.next_seq(), entries)
             .expect("a queue's own parts are valid");
         assert_eq!(rebuilt.next_seq(), q.next_seq());
         assert_eq!(rebuilt.len(), q.len());
@@ -659,8 +488,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(300, timer(0, 3));
         q.push(100, timer(0, 1));
-        let h = q.push(200, timer(0, 2));
-        q.cancel(h);
+        q.push(200, timer(0, 2));
         let rebuilt = rebuilt_from_parts(&q);
         assert_same_pop_stream(q, rebuilt);
     }
@@ -676,16 +504,9 @@ mod tests {
         q.push(T0, timer(0, 0));
         q.push(T0 + 1, timer(0, 1));
         assert_eq!(q.pop().map(|s| s.time_us), Some(T0), "cursor is at 250 s");
-        let mut cancels = Vec::new();
         for i in 0..600u64 {
             // 0–6 s ahead of the cursor: about a third inside the window.
-            let h = q.push(T0 + i * 10_007 % 6_000_000, timer(0, i));
-            if i % 7 == 0 {
-                cancels.push(h);
-            }
-        }
-        for h in cancels {
-            q.cancel(h);
+            q.push(T0 + i * 10_007 % 6_000_000, timer(0, i));
         }
         assert!(!q.run.is_empty() && !q.overflow.is_empty());
         assert!(q.occupied.iter().any(|&w| w != 0));
@@ -702,16 +523,6 @@ mod tests {
         assert!(rebuilt.overflow.iter().all(|Reverse(k)| beyond(k)));
         assert!(rebuilt.occupied.iter().any(|&w| w != 0));
         assert_same_pop_stream(q, rebuilt);
-    }
-
-    #[test]
-    fn cancelling_head_does_not_reorder_survivors() {
-        let mut q = EventQueue::new();
-        let h = q.push(10, timer(0, 0));
-        q.push(10, timer(0, 1));
-        q.push(10, timer(0, 2));
-        q.cancel(h);
-        assert_eq!(drain_tags(&mut q), vec![1, 2]);
     }
 
     // --- calendar layout ---
@@ -764,139 +575,5 @@ mod tests {
         q.push(u64::MAX - 1, timer(0, 4));
         assert_eq!(q.peek_time(), Some(u64::MAX - 1));
         assert_eq!(drain_tags(&mut q), vec![4, 2, 3]);
-    }
-
-    /// Tombstoned heads at a bucket boundary: the last entry of one bucket
-    /// and the first of the next are cancelled, so `peek_time` has to
-    /// collect across a cursor advance. Peeking at every step changes
-    /// nothing a peek-free twin pops.
-    #[test]
-    fn tombstoned_heads_on_a_bucket_boundary_are_skipped_by_peek() {
-        let build = || {
-            let mut q = EventQueue::new();
-            let edge = 40 * BUCKET_US;
-            let times = [edge - 2, edge - 1, edge, edge + 1, edge + 3 * BUCKET_US];
-            let handles = times.map(|t| q.push(t, timer(0, t)));
-            q.cancel(handles[1]);
-            q.cancel(handles[2]);
-            q
-        };
-        let (mut peeked, mut plain) = (build(), build());
-        assert_eq!(peeked.peek_time(), Some(40 * BUCKET_US - 2));
-        assert_eq!(peeked.pop().map(|s| s.seq), plain.pop().map(|s| s.seq));
-        // Both tombstoned entries are now at the head, one per bucket.
-        assert_eq!(peeked.peek_time(), Some(40 * BUCKET_US + 1));
-        assert_eq!(peeked.len(), 2, "peek collected the two tombstoned heads");
-        assert_eq!(peeked.cancelled_len(), 0);
-        assert_eq!(drain_tags(&mut peeked), drain_tags(&mut plain));
-    }
-
-    /// A purge keeps the tombstone of every entry still queued, wherever the
-    /// entry sits: the run being drained, a ring bucket, or the overflow
-    /// heap on either side of the window.
-    #[test]
-    fn purge_keeps_live_tombstones_in_every_region() {
-        let mut q = EventQueue::new();
-        let t0 = 10 * BUCKET_US;
-        q.push(t0, timer(0, 0));
-        let in_run = q.push(t0 + 1, timer(0, 1));
-        let in_ring = q.push(t0 + 5 * BUCKET_US, timer(0, 2));
-        let beyond = q.push(t0 + 2 * WINDOW_US, timer(0, 3));
-        let fired = q.pop().expect("head");
-        let behind = q.push(t0 - BUCKET_US, timer(0, 4));
-        assert_eq!((q.run.len(), q.overflow.len()), (1, 2));
-        assert_eq!(q.occupied.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
-        let live = [in_run, in_ring, beyond, behind];
-        for h in live {
-            assert!(q.cancel(h));
-        }
-        q.cancel(EventHandle(fired.seq)); // dead: its entry already fired
-        q.purge_cancelled();
-        assert_eq!(q.cancelled_sorted(), live.map(EventHandle::raw).to_vec());
-        assert_eq!(q.len(), 4);
-        assert!(q.pop().is_none(), "every survivor was cancelled");
-    }
-
-    // --- tombstone purging (regression: unbounded cancel-after-fire) ---
-
-    /// Before purging landed, a workload that cancels every timer *after*
-    /// it fired (the common retry pattern: the reply arrives, the protocol
-    /// cancels its retransmit timer, but the timer already popped) grew the
-    /// tombstone set without bound. The high-water mark now stays pinned at
-    /// the auto-purge trigger.
-    #[test]
-    fn cancel_after_fire_tombstones_are_purged() {
-        let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            let h = q.push(i, timer(0, i));
-            let fired = q.pop().expect("just pushed");
-            assert_eq!(fired.seq, h.raw());
-            q.cancel(h); // cancel-after-fire: tombstone can never match
-        }
-        assert!(
-            q.cancelled_hwm() <= PURGE_TRIGGER + 1,
-            "hwm {} must stay pinned at the purge trigger",
-            q.cancelled_hwm()
-        );
-        assert!(q.cancelled_len() <= PURGE_TRIGGER + 1);
-    }
-
-    /// Live tombstones (cancelled entries still queued) survive a purge;
-    /// dead ones do not. Checkpoint-size parity: the serialized tombstone
-    /// list (`cancelled_sorted`, exactly what the checkpoint writes) shrinks
-    /// to the live set, while the entry list is untouched.
-    #[test]
-    fn purge_keeps_live_tombstones_and_shrinks_checkpoint_state() {
-        let mut q = EventQueue::new();
-        // 3 live cancelled entries…
-        let live: Vec<EventHandle> = (0..3).map(|i| q.push(1000 + i, timer(0, i))).collect();
-        // …and 200 cancel-after-fire tombstones (dead).
-        for i in 0..200u64 {
-            let h = q.push(i, timer(0, i));
-            q.pop();
-            q.cancelled.insert(h.raw()); // bypass auto-purge to build backlog
-        }
-        for &h in &live {
-            q.cancelled.insert(h.raw());
-        }
-        let entries_before = q.entries_sorted().len();
-        assert_eq!(q.cancelled_sorted().len(), 203);
-        q.purge_cancelled();
-        assert_eq!(
-            q.entries_sorted().len(),
-            entries_before,
-            "entries untouched"
-        );
-        let kept = q.cancelled_sorted();
-        assert_eq!(kept.len(), 3, "only live tombstones survive");
-        let mut want: Vec<u64> = live.iter().map(|h| h.raw()).collect();
-        want.sort_unstable();
-        assert_eq!(kept, want);
-        // The cancelled entries still never surface.
-        assert!(drain_tags(&mut q).is_empty());
-    }
-
-    /// A purge mid-stream changes nothing observable: pop order and
-    /// tombstone matching are identical with and without it.
-    #[test]
-    fn purge_is_behaviorally_invisible() {
-        let build = || {
-            let mut q = EventQueue::new();
-            let mut cancels = Vec::new();
-            for i in 0..50u64 {
-                let h = q.push(i * 7 % 40, timer(0, i));
-                if i % 3 == 0 {
-                    cancels.push(h);
-                }
-            }
-            for h in cancels {
-                q.cancel(h);
-            }
-            q
-        };
-        let mut plain = build();
-        let mut purged = build();
-        purged.purge_cancelled();
-        assert_eq!(drain_tags(&mut plain), drain_tags(&mut purged));
     }
 }

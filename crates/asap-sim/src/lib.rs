@@ -42,7 +42,7 @@ pub use adversary::{
 pub use audit::{AuditConfig, AuditReport};
 pub use checkpoint::{Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation, Violation};
-pub use event::{EngineEvent, EventHandle};
+pub use event::EngineEvent;
 pub use fault::{FaultDecision, FaultPlan, FaultState, FaultStats, PartitionWindow};
 pub use message::{
     ads_reply_size, ads_request_size, confirm_reply_size, confirm_size, query_hit_size, query_size,

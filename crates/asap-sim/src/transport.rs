@@ -44,8 +44,8 @@
 //!   implementation-defined; protocols may not rely on it.
 //! * **Timers** — [`set_timer`](Transport::set_timer) fires
 //!   `on_timer(node, tag)` no earlier than `delay_us` from now, and never
-//!   fires after a successful [`cancel_timer`](Transport::cancel_timer)
-//!   or on a dead node.
+//!   on a dead node. A timer cannot be cancelled: a protocol keys it by
+//!   tag and ignores one whose state has gone stale by the time it fires.
 //! * **Randomness** — [`rng`](Transport::rng) is the backend's decision
 //!   stream. Deterministic backends must document its seeding discipline
 //!   (see `lint.toml` rule R6); protocols must draw from it and nothing
@@ -54,7 +54,6 @@
 //!   the world as of the current event; they only change between
 //!   callbacks.
 
-use crate::event::EventHandle;
 use asap_metrics::{MsgClass, RetryStat};
 use asap_overlay::PeerId;
 use asap_trace::Event as TraceEvt;
@@ -82,11 +81,8 @@ pub trait Transport {
     fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: Self::Msg);
 
     /// Schedule `on_timer(node, tag)` after `delay_us` (dropped if the node
-    /// is dead when it fires). The handle can cancel it later.
-    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle;
-
-    /// Cancel a pending timer; a cancelled timer never reaches `on_timer`.
-    fn cancel_timer(&mut self, handle: EventHandle) -> bool;
+    /// is dead when it fires).
+    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64);
 
     /// Lease the backend's reusable scratch buffer (cleared); capacity
     /// returns automatically when the guard drops.

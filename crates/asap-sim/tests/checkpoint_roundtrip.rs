@@ -2,15 +2,14 @@
 //! states (see TESTING.md).
 //!
 //! The pinned resume goldens prove bit-identical resume for the shipped
-//! protocols, but none of those ever calls [`Ctx::cancel_timer`], so their
-//! checkpoints carry an empty tombstone set. This tier drives a protocol
-//! built to stress exactly the queue shapes the goldens miss — stored timer
-//! handles, live tombstones at the split point, retries re-arming timers —
-//! and layers randomized fault plans (loss, jitter, duplication, partition
-//! cuts) and adversary role maps on top. The load-bearing claims:
+//! protocols. This tier drives a protocol built to keep retry timers in
+//! flight at the split point — timers for queries already answered, which
+//! fire and find nothing, and timers that re-ask and re-arm — and layers
+//! randomized fault plans (loss, jitter, duplication, partition cuts) and
+//! adversary role maps on top. The load-bearing claims:
 //!
 //! * encode → decode → re-encode is **byte-identical** for arbitrary
-//!   reachable engine states, including tombstoned timers in flight;
+//!   reachable engine states, including retry timers in flight;
 //! * resuming under any plan mix finishes auditor-clean with the same
 //!   digest as the uninterrupted run;
 //! * decode of truncated, bit-flipped, or wrong-version bytes returns a
@@ -20,8 +19,8 @@
 //!   typed error at resume, not an index panic in the run that follows (or
 //!   an allocation sized by the corrupt id); so are content and overlay
 //!   sections that break the invariants the run later `expect`s, and an
-//!   event-queue or query-ledger section that breaks the queue's or the
-//!   ledger's own.
+//!   event-queue, alive-timeline or query-ledger section that breaks the
+//!   queue's, the load recorder's or the ledger's own.
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
@@ -31,8 +30,8 @@ use asap_sim::event::Scheduled;
 use asap_sim::util::SeenTracker;
 use asap_sim::{
     codec_enum, codec_struct, query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint,
-    CheckpointProtocol, Codec, CodecError, Decoder, Encoder, EngineEvent, EventHandle, FaultPlan,
-    Fnv64, PartitionWindow, Protocol, SimReport, Simulation, Transport,
+    CheckpointProtocol, Codec, CodecError, Decoder, Encoder, EngineEvent, FaultPlan, Fnv64,
+    PartitionWindow, Protocol, SimReport, Simulation, Transport,
 };
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::trace::TimedEvent;
@@ -46,31 +45,39 @@ use std::sync::OnceLock;
 const PEERS: usize = 120;
 const QUERIES: usize = 150;
 // Near the median query round-trip, so a run sees *both* outcomes: some
-// replies beat the timer (cancel → tombstone), some timers fire (retry).
+// replies beat their timer, some timers find the query pending and re-ask.
 const RETRY_DELAY_US: u64 = 30_000;
 const MAX_ATTEMPTS: u8 = 2;
 
-/// One outstanding query on the requester side: the armed retry timer plus
-/// everything needed to re-ask if it fires.
+/// One outstanding query on the requester side: everything needed to
+/// re-ask when its retry timer fires.
 #[derive(Debug, Clone)]
 struct Pending {
-    handle: EventHandle,
     requester: PeerId,
     target: DocId,
     terms: Vec<KeywordId>,
     attempts: u8,
 }
 
-/// Echo with retries: every query arms a timer whose handle lives in
-/// protocol state; a reply **cancels** it (creating a queue tombstone), a
-/// firing re-asks and re-arms. Splitting a run mid-flight therefore
-/// checkpoints stored handles, live tombstones, and pending retries — the
-/// queue shapes none of the shipped protocols produce.
+codec_struct!(Pending {
+    requester,
+    target,
+    attempts,
+    terms
+});
+
+/// Echo with retries: every query arms a retry timer tagged with its id. A
+/// reply drops the pending entry, so the timer finds nothing when it fires
+/// and returns, as the shipped protocols' timers do; a timer that finds
+/// its query still pending re-asks and re-arms. Splitting a run mid-flight
+/// therefore checkpoints pending retries beside timers whose query is
+/// already answered.
 #[derive(Default)]
 struct Pinger {
     pending: DetHashMap<u32, Pending>,
-    /// Timers cancelled while still pending — i.e. tombstones created.
-    cancelled_live: u64,
+    /// Replies that found their query still pending: their timer will
+    /// fire and find nothing.
+    beat_timer: u64,
     retried: u64,
 }
 
@@ -89,27 +96,6 @@ enum PingMsg {
 }
 
 codec_enum!(PingMsg { 0 => Ask { origin, query, terms }, 1 => Reply { query } });
-
-// Hand-written: the timer handle rides as its raw queue sequence number
-// (`EventHandle::raw` / `from_raw` survive checkpoint/resume verbatim).
-impl Codec for Pending {
-    fn put(&self, enc: &mut Encoder) {
-        self.handle.raw().put(enc);
-        self.requester.put(enc);
-        self.target.put(enc);
-        self.attempts.put(enc);
-        self.terms.put(enc);
-    }
-    fn pull(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            handle: EventHandle::from_raw(Codec::pull(dec)?),
-            requester: Codec::pull(dec)?,
-            target: Codec::pull(dec)?,
-            attempts: Codec::pull(dec)?,
-            terms: Codec::pull(dec)?,
-        })
-    }
-}
 
 fn ask<C: Transport<Msg = PingMsg>>(
     ctx: &mut C,
@@ -141,11 +127,10 @@ impl Protocol for Pinger {
 
     fn on_query<C: Transport<Msg = PingMsg>>(&mut self, ctx: &mut C, q: &QuerySpec) {
         ask(ctx, q.requester, q.target, q.id, &q.terms);
-        let handle = ctx.set_timer(q.requester, RETRY_DELAY_US, u64::from(q.id));
+        ctx.set_timer(q.requester, RETRY_DELAY_US, u64::from(q.id));
         self.pending.insert(
             q.id,
             Pending {
-                handle,
                 requester: q.requester,
                 target: q.target,
                 terms: q.terms.clone(),
@@ -179,10 +164,8 @@ impl Protocol for Pinger {
                 }
             }
             PingMsg::Reply { query } => {
-                if let Some(p) = self.pending.remove(&query) {
-                    if ctx.cancel_timer(p.handle) {
-                        self.cancelled_live += 1;
-                    }
+                if self.pending.remove(&query).is_some() {
+                    self.beat_timer += 1;
                 }
                 ctx.report_answer(query);
             }
@@ -200,7 +183,7 @@ impl Protocol for Pinger {
         p.attempts += 1;
         self.retried += 1;
         ask(ctx, p.requester, p.target, id, &p.terms);
-        p.handle = ctx.set_timer(p.requester, RETRY_DELAY_US, u64::from(id));
+        ctx.set_timer(p.requester, RETRY_DELAY_US, u64::from(id));
         self.pending.insert(id, p);
     }
 }
@@ -208,12 +191,12 @@ impl Protocol for Pinger {
 impl CheckpointProtocol for Pinger {
     fn encode_state(&self, enc: &mut Encoder) {
         self.pending.put(enc);
-        self.cancelled_live.put(enc);
+        self.beat_timer.put(enc);
         self.retried.put(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        (self.pending, self.cancelled_live, self.retried) = Codec::pull(dec)?;
+        (self.pending, self.beat_timer, self.retried) = Codec::pull(dec)?;
         Ok(())
     }
 }
@@ -263,20 +246,20 @@ fn digest(report: &SimReport<Pinger>, what: &str) -> u64 {
 }
 
 /// Deterministic anchor: the pinger really exercises what this tier is for
-/// — replies cancel armed timers (tombstones), timers fire (retries) — and
-/// a mid-run split with tombstones in flight still resumes bit-identically.
+/// — some replies beat their timer, some timers re-ask — and a mid-run
+/// split with retry timers in flight still resumes bit-identically.
 #[test]
-fn pinger_split_run_is_bit_identical_with_tombstones_in_flight() {
+fn pinger_split_run_is_bit_identical_with_timers_in_flight() {
     let seed = 71;
     let (phys, workload, overlay) = world(seed);
 
     let cold = builder(&phys, &workload, overlay.clone(), seed, None, None).run();
     let cold_digest = digest(&cold, "cold");
     assert!(
-        cold.protocol.cancelled_live > 0,
-        "replies never cancelled a live timer — the tier is vacuous"
+        cold.protocol.beat_timer > 0,
+        "no reply beat its timer — the tier is vacuous"
     );
-    assert!(cold.protocol.retried > 0, "no timer ever fired");
+    assert!(cold.protocol.retried > 0, "no timer ever re-asked");
 
     // A query resolves within ~2×RETRY_DELAY_US, so an arbitrary midpoint
     // usually lands in a quiet gap with nothing pending. Split 5ms after a
@@ -308,7 +291,7 @@ fn pinger_split_run_is_bit_identical_with_tombstones_in_flight() {
     assert_eq!(cold_digest, digest(&warm, "warm"), "resume digest diverged");
     assert_eq!(cold.messages_sent, warm.messages_sent);
     assert_eq!(cold.end_time_us, warm.end_time_us);
-    assert_eq!(cold.protocol.cancelled_live, warm.protocol.cancelled_live);
+    assert_eq!(cold.protocol.beat_timer, warm.protocol.beat_timer);
     assert_eq!(cold.protocol.retried, warm.protocol.retried);
 }
 
@@ -386,7 +369,7 @@ proptest! {
         let warm = resumed.run();
         prop_assert_eq!(cold_digest, digest(&warm, "warm"));
         prop_assert_eq!(cold.messages_sent, warm.messages_sent);
-        prop_assert_eq!(cold.protocol.cancelled_live, warm.protocol.cancelled_live);
+        prop_assert_eq!(cold.protocol.beat_timer, warm.protocol.beat_timer);
     }
 }
 
@@ -446,7 +429,6 @@ fn overlay_and_content(bytes: &[u8]) -> [Range<usize>; 2] {
     dec.get_bytes(HEADER).expect("header");
     u64::pull(&mut dec).expect("next_seq");
     Vec::<Scheduled<PingMsg>>::pull(&mut dec).expect("queued entries");
-    Vec::<u64>::pull(&mut dec).expect("tombstones");
     let adjacency = at(&dec);
     Vec::<Vec<PeerId>>::pull(&mut dec).expect("adjacency");
     let liveness = at(&dec);
@@ -454,6 +436,22 @@ fn overlay_and_content(bytes: &[u8]) -> [Range<usize>; 2] {
     let holdings = at(&dec);
     Vec::<Vec<DocId>>::pull(&mut dec).expect("holdings");
     [adjacency..liveness, holdings..at(&dec)]
+}
+
+/// Where section [6]'s alive timeline sits: after the RNG state of [5]
+/// and the load recorder's byte buckets and message totals.
+fn alive_timeline(bytes: &[u8]) -> Range<usize> {
+    let [_, content] = overlay_and_content(bytes);
+    let body = &bytes[..bytes.len() - 8];
+    let at = |dec: &Decoder<'_>| body.len() - dec.remaining();
+    let mut dec = Decoder::new(body);
+    dec.get_bytes(content.end).expect("sections [1] to [4]");
+    <[u64; 4]>::pull(&mut dec).expect("section [5]");
+    Vec::<[u64; MsgClass::COUNT]>::pull(&mut dec).expect("load buckets");
+    <[u64; MsgClass::COUNT]>::pull(&mut dec).expect("message totals");
+    let start = at(&dec);
+    Vec::<(u64, usize)>::pull(&mut dec).expect("alive steps");
+    start..at(&dec)
 }
 
 fn decode<T: Codec>(bytes: &[u8]) -> T {
@@ -504,6 +502,40 @@ fn holdings_not_strictly_ascending_are_rejected() {
             bad[p]
         );
     }
+}
+
+/// The alive timeline is appended as the clock moves: its times never
+/// decrease and none lies after the clock. A step behind the one before it
+/// in the same second resumed `Ok`, then underflowed that second's time
+/// weights in the load series: a panic in debug, a huge mean load in
+/// release.
+#[test]
+fn alive_timeline_out_of_order_is_rejected() {
+    let (bytes, resume) = halfway(76);
+    let now_us = Checkpoint::from_bytes(bytes.clone())
+        .expect("sealed")
+        .now_us();
+    let at = alive_timeline(&bytes);
+    let steps: Vec<(u64, usize)> = decode(&bytes[at.clone()]);
+    let count = steps.last().expect("the initial step").1;
+    let with = |extra: &[(u64, usize)]| {
+        let bad = [steps.as_slice(), extra].concat();
+        resume(spliced(&bytes, &at, &bad))
+    };
+    assert_eq!(with(&[]), Ok(()), "re-encoded as it was");
+    assert_eq!(
+        with(&[(now_us - 1, count), (now_us, count)]),
+        Ok(()),
+        "a step at the clock itself"
+    );
+    assert_eq!(
+        with(&[(now_us, count), (now_us - 1, count)]),
+        Err(CodecError::Invalid("alive timeline goes backwards"))
+    );
+    assert_eq!(
+        with(&[(now_us + 1, count)]),
+        Err(CodecError::Invalid("alive step after the clock"))
+    );
 }
 
 /// A checkpoint taken after content changes, one of them a peer removing a
@@ -672,17 +704,12 @@ fn adjacency_breaking_the_undirected_invariant_is_rejected() {
     );
 }
 
-/// Section [1]: the queue's seq counter, its entries, its tombstones.
+/// Section [1]: the queue's seq counter and its entries.
 struct QueueSection {
     next_seq: u64,
     entries: Vec<Scheduled<PingMsg>>,
-    tombstones: Vec<u64>,
 }
-codec_struct!(QueueSection {
-    next_seq,
-    entries,
-    tombstones
-});
+codec_struct!(QueueSection { next_seq, entries });
 
 /// An edit of section [1], handed the clock of the split.
 type QueueEdit<'e> = &'e dyn Fn(&mut QueueSection, u64);
@@ -704,35 +731,13 @@ fn queue_patcher(seed: u64) -> impl Fn(QueueEdit<'_>) -> Result<(), CodecError> 
     }
 }
 
-/// A tombstone is a seq `cancel` was handed, so it is below `next_seq`. One
-/// at `next_seq` resumed `Ok` and silently cancelled the next event pushed.
-/// A tombstone whose entry has already left the queue stays legal.
-#[test]
-fn queue_tombstone_for_a_never_issued_seq_is_rejected() {
-    let patched = queue_patcher(78);
-    assert_eq!(patched(&|_, _| {}), Ok(()), "re-encoded as it was");
-    let dead = |q: &mut QueueSection, _| {
-        let seq = (0..q.next_seq)
-            .find(|s| q.entries.iter().all(|e| e.seq != *s) && !q.tombstones.contains(s))
-            .expect("a seq that already left the queue");
-        q.tombstones.push(seq);
-        q.tombstones.sort_unstable();
-    };
-    assert_eq!(patched(&dead), Ok(()), "a tombstone for a fired event");
-    assert_eq!(
-        patched(&|q, _| q.tombstones.push(q.next_seq)),
-        Err(CodecError::Invalid(
-            "queue tombstone for a never-issued seq"
-        ))
-    );
-}
-
 /// Every queued seq was issued by `push`, so it is below `next_seq`; one at
 /// `next_seq` would tie with the next push and break the unique
 /// `(time, seq)` order `pop` promises.
 #[test]
 fn queued_entry_with_a_never_issued_seq_is_rejected() {
     let patched = queue_patcher(79);
+    assert_eq!(patched(&|_, _| {}), Ok(()), "re-encoded as it was");
     assert_eq!(
         patched(&|q, _| q.entries[0].seq = q.next_seq),
         Err(CodecError::Invalid("queued entry with a never-issued seq"))
@@ -785,13 +790,9 @@ fn ledger_patcher(seed: u64) -> impl Fn(LedgerEdit<'_>) -> Result<(), CodecError
     let now_us = Checkpoint::from_bytes(bytes.clone())
         .expect("sealed")
         .now_us();
-    let [_, content] = overlay_and_content(&bytes);
+    let steps = alive_timeline(&bytes);
     let body_len = bytes.len() - 8;
-    let mut dec = Decoder::new(&bytes[content.end..body_len]);
-    <[u64; 4]>::pull(&mut dec).expect("section [5]");
-    Vec::<[u64; MsgClass::COUNT]>::pull(&mut dec).expect("load buckets");
-    <[u64; MsgClass::COUNT]>::pull(&mut dec).expect("message totals");
-    Vec::<(u64, usize)>::pull(&mut dec).expect("alive steps");
+    let mut dec = Decoder::new(&bytes[steps.end..body_len]);
     Vec::<String>::pull(&mut dec).expect("notes");
     let start = body_len - dec.remaining();
     LedgerSection::pull(&mut dec).expect("section [7]");
@@ -1076,6 +1077,6 @@ fn previous_version_is_typed() {
     reseal(&mut bytes);
     assert_eq!(
         Checkpoint::from_bytes(bytes).expect_err("previous version accepted"),
-        CodecError::UnsupportedVersion(4)
+        CodecError::UnsupportedVersion(5)
     );
 }

@@ -58,9 +58,6 @@ pub enum Event {
     },
     /// A timer reached dispatch; `fired` is the liveness gate's verdict.
     TimerFired { node: PeerId, tag: u64, fired: bool },
-    /// A timer was cancelled (`cancelled` false: the handle was already
-    /// cancelled before).
-    TimerCancelled { cancelled: bool },
     /// A trace query entered the ledger and is about to reach the protocol.
     QueryIssued { id: u32, requester: PeerId },
     /// A confirmed answer for query `id` was reported.
@@ -125,7 +122,6 @@ impl Event {
             Self::AdversaryAbsorb { .. } => "adversary-absorb",
             Self::TimerSet { .. } => "timer-set",
             Self::TimerFired { .. } => "timer-fired",
-            Self::TimerCancelled { .. } => "timer-cancel",
             Self::QueryIssued { .. } => "query-issued",
             Self::QueryAnswered { .. } => "query-answered",
             Self::ContentChanged { .. } => "content-changed",
@@ -182,7 +178,7 @@ impl Event {
             Self::ContentChanged { peer, .. } | Self::Join { peer } | Self::Leave { peer } => {
                 Some(peer)
             }
-            Self::TimerCancelled { .. } | Self::QueryAnswered { .. } | Self::Counter { .. } => None,
+            Self::QueryAnswered { .. } | Self::Counter { .. } => None,
         }
     }
 }
@@ -290,9 +286,6 @@ impl Record {
                 push_u64(&mut out, "node", node.0 as u64);
                 push_u64(&mut out, "tag", tag);
                 push_bool(&mut out, "fired", fired);
-            }
-            Event::TimerCancelled { cancelled } => {
-                push_bool(&mut out, "cancelled", cancelled);
             }
             Event::QueryIssued { id, requester } => {
                 push_u64(&mut out, "id", id as u64);
@@ -468,7 +461,6 @@ mod tests {
                 tag: 9,
                 fired: true,
             },
-            Event::TimerCancelled { cancelled: true },
             Event::QueryIssued {
                 id: 7,
                 requester: PeerId(0),

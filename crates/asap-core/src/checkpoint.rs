@@ -31,11 +31,13 @@
 //!
 //! The decoder checks only what the bytes alone state: the table repeats
 //! no filter, every index is in range and in first-use order, every table
-//! filter is named by some entry, and the spam claims ascend by peer, each
-//! with some topic. It rebuilds one store whose slot *i* is table filter
-//! *i*. Everything that can be stated over the restored state — cache
-//! capacity and sources, a flat node's entry for its own ad, filter
-//! geometry, entry stamps, a published filter that is not the one its
+//! filter is named by some entry, every entry stamp is below
+//! [`asap_sim::CLOCK_BOUND_US`] (a repository keeps 48 bits of it), and
+//! the spam claims ascend by peer, each with some topic. It rebuilds one
+//! store whose slot *i* is table filter *i*. Everything that can be
+//! stated over the restored state — cache capacity and sources, a flat
+//! node's entry for its own ad, filter geometry, entry stamps, cache
+//! coherence with the sources, a published filter that is not the one its
 //! holdings build, the dedup window — is the protocol's
 //! [`asap_sim::Protocol::validate`], which the resume runs once the world
 //! is installed and an audited run runs at its end.
@@ -49,12 +51,12 @@
 
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::protocol::{Asap, AsapStats, NodeState, ReAdvert};
-use crate::repository::{AdRepository, Entry, FilterStore};
+use crate::repository::{AdRepository, Entry, FilterStore, Record};
 use crate::search::{PendingSearch, Phase};
 use asap_bloom::BloomFilter;
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::{CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
-use asap_sim::{codec_enum, codec_struct};
+use asap_sim::{codec_enum, codec_struct, CLOCK_BOUND_US};
 use asap_workload::{DocId, InterestSet};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -132,11 +134,11 @@ impl FilterTable {
         };
         for repo in repos {
             for (_, e) in repo.raw_entries() {
-                let slot = e.slot_id() as usize;
+                let slot = e.slot as usize;
                 if table.index.len() <= slot {
                     table.index.resize(slot + 1, u32::MAX);
                 }
-                let Some(filter) = store.filter_at(e.slot_id()) else {
+                let Some(filter) = store.filter_at(e.slot) else {
                     continue;
                 };
                 if table.index[slot] == u32::MAX {
@@ -158,9 +160,9 @@ impl FilterTable {
     pub(crate) fn put_repo(&self, repo: &AdRepository, enc: &mut Encoder) {
         enc.put_len(repo.len());
         for (source, e) in repo.raw_entries() {
-            let filter = self.index.get(e.slot_id() as usize).copied();
+            let filter = self.index.get(e.slot as usize).copied();
             (source, e.topics, e.version, filter.unwrap_or(u32::MAX)).put(enc);
-            (e.last_used_us, e.last_refreshed_us, e.is_stale()).put(enc);
+            (e.last_used_us, e.last_refreshed_us, e.stale).put(enc);
         }
     }
 }
@@ -207,42 +209,41 @@ impl TableReader {
         capacity: usize,
     ) -> Result<AdRepository, CodecError> {
         // No allocation beyond what a valid cache holds: an entry count
-        // past `capacity` grows the vectors entry by entry until the bytes
+        // past `capacity` grows the vector entry by entry until the bytes
         // run out or `validate` refuses the cache.
         let n = dec.get_len()?;
-        let mut sources = Vec::with_capacity(n.min(capacity));
-        let mut entries = Vec::with_capacity(n.min(capacity));
+        let mut records = Vec::with_capacity(n.min(capacity));
         let mut store = self.store.borrow_mut();
         for _ in 0..n {
-            let (source, topics, version, filter): (PeerId, _, _, u32) = Codec::pull(dec)?;
-            let (last_used_us, last_refreshed_us, stale) = Codec::pull(dec)?;
-            if filter >= self.len {
+            let (source, topics, version, slot): (PeerId, _, _, u32) = Codec::pull(dec)?;
+            let (last_used_us, last_refreshed_us, stale): (u64, u64, _) = Codec::pull(dec)?;
+            if slot >= self.len {
                 return Err(CodecError::Invalid("ad cache filter index out of range"));
             }
-            if filter > self.named {
+            if slot > self.named {
                 return Err(CodecError::Invalid(
                     "filter table not in order of first use",
                 ));
             }
-            self.named += u32::from(filter == self.named);
-            store.count_entry(filter);
-            sources.push(source);
-            entries.push(Entry::packed(
+            // A record keeps 48 bits of each stamp; a wider one would not
+            // re-encode to these bytes.
+            if last_used_us.max(last_refreshed_us) >= CLOCK_BOUND_US {
+                return Err(CodecError::Invalid("ad cache stamp past the clock bound"));
+            }
+            self.named += u32::from(slot == self.named);
+            store.count_entry(slot);
+            let entry = Entry {
                 topics,
                 version,
-                filter,
+                slot,
                 last_used_us,
                 last_refreshed_us,
                 stale,
-            ));
+            };
+            records.push(Record::new(source, entry));
         }
         drop(store);
-        Ok(AdRepository::from_decoded(
-            capacity,
-            &self.store,
-            sources,
-            entries,
-        ))
+        Ok(AdRepository::from_decoded(capacity, &self.store, records))
     }
 
     /// The store, once every table filter has been named.
@@ -910,7 +911,9 @@ mod tests {
                 filter: Rc::clone(&asap.nodes[1].snapshot),
             };
             asap.nodes[owner].repo.remove(source);
-            asap.nodes[owner].repo.insert_full(&snap, u64::MAX);
+            asap.nodes[owner]
+                .repo
+                .insert_full(&snap, CLOCK_BOUND_US - 1);
         };
         assert_eq!(
             resume_with_edited_protocol(72, make, edit),

@@ -4,7 +4,7 @@
 use crate::ad::{AdPayload, AdSnapshot, AsapMsg, Forwarding};
 use crate::config::AsapConfig;
 use crate::delivery::{ad_class, continue_delivery, start_delivery};
-use crate::repository::{AdRepository, ApplyOutcome, FilterStore};
+use crate::repository::{version_not_newer, AdRepository, ApplyOutcome, FilterStore};
 use crate::search::{self, PendingSearch};
 use asap_bloom::hashing::KeyHash;
 use asap_bloom::{BloomFilter, BloomParams, FilterPatch};
@@ -294,6 +294,33 @@ impl Asap {
         asap
     }
 
+    /// The first way an entry of `repo` disagrees with its source: it is
+    /// newer than the source's own version, or it is usable at that version
+    /// and holds another filter than the source's snapshot or other topics
+    /// than an ad of that version carries — what the source advertises,
+    /// plus, from a patch, the changed document's class, which a removal
+    /// can take off the source. An older or stale entry waits for the next
+    /// ad and is not checked.
+    fn incoherent_entry<C: Transport<Msg = AsapMsg>>(
+        &self,
+        ctx: &C,
+        repo: &AdRepository,
+    ) -> Option<&'static str> {
+        repo.iter().find_map(|(source, ad)| {
+            let src = self.nodes.get(source.index())?;
+            if !version_not_newer(ad.version, src.version) {
+                return Some("ad cache entry newer than its source");
+            }
+            if ad.stale || ad.version != src.version {
+                return None;
+            }
+            let advertised = self.advertised_topics(ctx, source).0;
+            let (missing, extra) = (advertised & !ad.topics.0, ad.topics.0 & !advertised);
+            (ad.filter != src.snapshot || missing != 0 || extra.count_ones() > 1)
+                .then_some("ad cache entry differs from its source at the same version")
+        })
+    }
+
     /// Topics `node` advertises: its real content classes, unioned with any
     /// falsely claimed ones. Honest nodes union with `EMPTY` (a no-op), so
     /// this is one indexed load over [`Asap::new`]'s behavior.
@@ -328,8 +355,8 @@ impl Asap {
         allocations.len()
     }
 
-    /// Heap bytes of the ad caches: every repository's two vectors at
-    /// their capacities, plus the filter store's tables and live filters.
+    /// Heap bytes of the ad caches: every repository's record vector at
+    /// its capacity, plus the filter store's tables and live filters.
     /// Diagnostic / test API.
     pub fn cache_heap_bytes(&self) -> usize {
         let repos: usize = self.nodes.iter().map(|st| st.repo.heap_bytes()).sum();
@@ -776,8 +803,9 @@ impl Protocol for Asap {
         );
     }
 
-    /// Every node keeps `node_violation`'s invariants, and the flood
-    /// dedup window is [`SEEN_WINDOW`].
+    /// The flood dedup window is [`SEEN_WINDOW`], every node keeps
+    /// `node_violation`'s invariants, and every cache is coherent with the
+    /// sources it caches (`incoherent_entry`).
     fn validate<C: Transport<Msg = AsapMsg>>(&self, ctx: &C) -> Vec<Violation> {
         let (bloom, now) = (self.config.bloom, ctx.now_us());
         let nodes = self.nodes.iter().zip(&self.poison).enumerate();
@@ -791,8 +819,15 @@ impl Protocol for Asap {
                 kind: kind?,
             })
         });
+        // Across nodes, once every node has been checked on its own.
+        let caches = self.nodes.iter().enumerate().filter_map(|(i, st)| {
+            Some(Violation {
+                node: Some(PeerId(i as u32)),
+                kind: self.incoherent_entry(ctx, &st.repo)?,
+            })
+        });
         let seen = self.seen.window_violation(SEEN_WINDOW);
-        seen.into_iter().chain(nodes).collect()
+        seen.into_iter().chain(nodes).chain(caches).collect()
     }
 }
 
@@ -1007,6 +1042,70 @@ mod tests {
         }
     }
 
+    /// A cache entry usable at its source's current version holds the
+    /// source's filter and topics (a patch may add one class), and none is
+    /// newer than its source: a perturbed copy of the filter, a missing
+    /// topic, two extra topics and a version ahead are each reported at
+    /// the cacher; an older entry is not checked.
+    #[test]
+    fn validate_reports_a_cache_entry_incoherent_with_its_source() {
+        let (phys, workload, overlay) = small_world(5);
+        let (cfg, model) = (AsapConfig::rw().scaled_to(60), &workload.model);
+        let (cacher, source) = (3, PeerId(7));
+        let topics: InterestSet = model
+            .initial_holdings(source)
+            .iter()
+            .map(|&d| model.doc(d).class)
+            .collect();
+        assert!(!topics.is_empty());
+        let validate = |ahead: u16, perturb: bool, topics: InterestSet| {
+            let mut asap = Asap::new(cfg.clone(), model);
+            let own = &asap.nodes[source.index()];
+            let mut words = own.snapshot.words().to_vec();
+            words[0] ^= u64::from(perturb);
+            let snap = AdSnapshot {
+                source,
+                topics,
+                version: own.version.wrapping_add(ahead),
+                filter: Rc::new(BloomFilter::from_words(cfg.bloom, words).unwrap()),
+            };
+            asap.nodes[cacher].repo.insert_full(&snap, 0);
+            let sim = Simulation::builder(
+                &phys,
+                &workload,
+                overlay.clone(),
+                OverlayKind::Random,
+                asap,
+                5,
+            )
+            .build();
+            sim.protocol().validate(sim.ctx())
+        };
+        let at = |kind| {
+            vec![Violation {
+                node: Some(PeerId(cacher as u32)),
+                kind,
+            }]
+        };
+        let differs = at("ad cache entry differs from its source at the same version");
+        assert_eq!(validate(0, false, topics), Vec::new());
+        assert_eq!(validate(0, true, topics), differs);
+        assert_eq!(validate(0, false, InterestSet::EMPTY), differs);
+        // A patch that removed a class's last document still carries it.
+        let absent: Vec<u16> = (0..16)
+            .map(|c| 1 << c)
+            .filter(|b| topics.0 & b == 0)
+            .collect();
+        let extra = |n: usize| InterestSet(absent[..n].iter().fold(topics.0, |t, b| t | b));
+        assert_eq!(validate(0, false, extra(1)), Vec::new());
+        assert_eq!(validate(0, false, extra(2)), differs);
+        assert_eq!(
+            validate(1, false, topics),
+            at("ad cache entry newer than its source")
+        );
+        assert_eq!(validate(u16::MAX, true, topics), Vec::new());
+    }
+
     /// An audited run of a reduced-scale world, and its end state.
     fn audited_run(peers: usize, seed: u64) -> Asap {
         let topology = if peers <= 300 {
@@ -1038,37 +1137,34 @@ mod tests {
 
     /// The ad caches' heap is what their entries and filters need.
     ///
-    /// An entry is 28 B: a 4 B source in `sources` and a 24 B `Entry`. A
-    /// vector grows by max(4, len / 8), so from 32 entries on it holds at
-    /// most an eighth more than it uses, 1.125 × 28 B per entry; the bound
-    /// allows 1.15 ×. A live filter is 1,448 B of words (11,542 bits), a
-    /// 56 B `Rc` block, a 16 B slot and its content-table entry, ≈ 1,540 B
-    /// against the bound's 1,500 B. Caches under 32 entries keep up to 4
-    /// slots of slack; the entries' spare 2.5 % pays for both as long as a
-    /// filter is cached some 60 times or more (here 89 times: 71,130
-    /// entries over 803 filters, 3.34 MB against a 3.49 MB bound). Doubling
-    /// growth or a 36 B entry would each break it.
+    /// An entry is one 24 B `Record`. The vector grows by max(4, len / 8),
+    /// so from 32 entries on it holds at most an eighth more than it uses,
+    /// 1.125 × 24 B per entry; the bound allows 1.15 ×. A live filter is
+    /// 1,448 B of words (11,542 bits), a 56 B `Rc` block, a 16 B slot and
+    /// its content-table entry, ≈ 1,540 B against the bound's 1,500 B.
+    /// Caches under 32 entries keep up to 4 slots of slack; the entries'
+    /// spare 2.5 % pays for both as long as a filter is cached some 70
+    /// times or more (here 89 times: 71,130 entries over 803 filters,
+    /// 3.04 MB against a 3.17 MB bound). Doubling growth or the 28 B
+    /// layout (3.34 MB) would each break it.
     #[test]
     fn ad_cache_heap_is_bounded_by_entries_and_filters() {
         let peers = 1_000;
         let asap = audited_run(peers, 22);
         let entries: usize = (0..peers as u32).map(|p| asap.cache_len(PeerId(p))).sum();
         let filters = asap.distinct_cached_filters();
-        let bound = entries * 28 * 115 / 100 + filters * 1_500;
+        let bound = entries * 24 * 115 / 100 + filters * 1_500;
         let heap = asap.cache_heap_bytes();
         assert!(
             heap <= bound,
             "{heap} B for {entries} entries over {filters} filters"
         );
         for st in asap.nodes.iter() {
-            let len = st.repo.len();
-            let (sources, entries) = st.repo.vector_capacities();
-            for cap in [sources, entries] {
-                assert!(
-                    cap <= len + (len / 8).max(4),
-                    "{cap} slots for {len} entries"
-                );
-            }
+            let (len, cap) = (st.repo.len(), st.repo.record_capacity());
+            assert!(
+                cap <= len + (len / 8).max(4),
+                "{cap} slots for {len} entries"
+            );
         }
     }
 

@@ -6,32 +6,34 @@
 //! paper's nodes "selectively store interesting ads"; a bounded cache is the
 //! practical reading).
 //!
-//! Layout: two parallel vectors sorted by source `PeerId` — a dense key
-//! array (`sources`) and a 24-byte entry array indexed by the same
-//! position. On the lookup/update hot path (every interested hop of an ad,
-//! most of them refreshes) a source is found by interpolation: cached ids
-//! spread roughly evenly, so the first probe goes to `source × len / (top + 1)`,
+//! Layout: one vector of 24-byte records sorted by source `PeerId`. On the
+//! lookup/update hot path (every interested hop of an ad, most of them
+//! refreshes) a source is found by interpolation: cached ids spread
+//! roughly evenly, so the first probe goes to `source × len / (top + 1)`,
 //! where `top` is the largest id the cache ever held, and a gallop from
 //! there brackets the answer for a short binary search. Iteration order
 //! (ascending `PeerId`) is what the simulator's replay digests and the
-//! checkpoint byte format depend on. The invariant `sources.len() ==
-//! entries.len()` with `sources` strictly ascending holds between all
+//! checkpoint byte format depend on. Sources ascend strictly between all
 //! public calls.
 //!
-//! An entry names its filter by a `u32` slot of the protocol's
+//! A record names its filter by a `u32` slot of the protocol's
 //! [`FilterStore`] instead of holding an `Rc` (the slot's top bit is free
-//! for the `stale` flag): `{ last_used_us, last_refreshed_us, filter,
-//! version, topics }` is 24 bytes against the 32 of an inline `Rc` entry.
-//! The store keeps one `Rc<BloomFilter>` per slot and counts the entries
+//! for the `stale` flag), and keeps its two µs stamps in 48 bits each:
+//! the engine's clock never reaches [`CLOCK_BOUND_US`] = 2⁴⁸ µs, so the
+//! stamps are exact. `{ source, filter, version, topics, last_used,
+//! last_refreshed }` is 24 bytes. `Entry` is the by-value view with the
+//! stamps widened again, which the checkpoint writes and reads.
+//!
+//! The store keeps one `Rc<BloomFilter>` per slot and counts the records
 //! that name it; a slot whose count drops to zero is freed and reused.
 //! A slot is found by its filter's contents, so live slots are pairwise
-//! distinct and entries share a slot exactly when their filters are equal,
+//! distinct and records share a slot exactly when their filters are equal,
 //! whichever allocation each arrived in. The usual hit, the very allocation
 //! the slot holds, is decided by address before any word is compared. The
 //! refresh path — most of an announcement walk's hops — never touches the
 //! store.
 //!
-//! Each vector grows by an eighth of its length (at least 4 entries) and
+//! The vector grows by an eighth of its length (at least 4 records) and
 //! never past the configured capacity, instead of doubling: a cache that
 //! fills to a few hundred entries keeps at most an eighth of them as slack.
 //!
@@ -46,6 +48,7 @@ use asap_bloom::{BloomFilter, ProbePlan};
 use asap_overlay::PeerId;
 use asap_sim::checkpoint::CodecError;
 use asap_sim::collections::DetHashMap;
+use asap_sim::CLOCK_BOUND_US;
 use asap_workload::InterestSet;
 use std::cell::RefCell;
 use std::mem::size_of;
@@ -80,52 +83,111 @@ pub enum ApplyOutcome {
     Outdated,
 }
 
-/// The `stale` flag's bit in [`Entry::filter`]; the slot is the rest.
+/// The `stale` flag's bit in a record's filter word; the slot is the rest.
 const STALE_BIT: u32 = 1 << 31;
 
-/// One cache entry: 24 bytes.
+/// A µs stamp in 48 bits, exact for every time below [`CLOCK_BOUND_US`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry {
-    /// Last time the entry was used by a lookup or updated (LRU key).
-    pub(crate) last_used_us: u64,
-    /// Last time the source proved liveness (any ad received).
-    pub(crate) last_refreshed_us: u64,
+struct Stamp([u16; 3]);
+
+const _: () = assert!(CLOCK_BOUND_US <= 1 << 48, "stamps hold 48 bits");
+
+impl Stamp {
+    /// `us`, which the engine keeps below [`CLOCK_BOUND_US`] and the
+    /// checkpoint decoder refuses at or past it.
+    #[inline]
+    fn at(us: u64) -> Self {
+        debug_assert!(us < CLOCK_BOUND_US, "stamp {us} µs past the clock bound");
+        Self([us as u16, (us >> 16) as u16, (us >> 32) as u16])
+    }
+
+    #[inline]
+    fn us(self) -> u64 {
+        let [lo, mid, hi] = self.0;
+        u64::from(lo) | u64::from(mid) << 16 | u64::from(hi) << 32
+    }
+}
+
+/// One cache entry as the repository stores it: 24 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record {
+    source: PeerId,
     /// The filter's [`FilterStore`] slot, with [`STALE_BIT`] set while a
     /// version gap makes the entry unusable.
     filter: u32,
-    pub(crate) version: u16,
-    pub(crate) topics: InterestSet,
+    version: u16,
+    topics: InterestSet,
+    /// Last time the entry was used by a lookup or updated (LRU key).
+    last_used: Stamp,
+    /// Last time the source proved liveness (any ad received).
+    last_refreshed: Stamp,
 }
 
-impl Entry {
-    pub(crate) fn packed(
-        topics: InterestSet,
-        version: u16,
-        slot: u32,
-        last_used_us: u64,
-        last_refreshed_us: u64,
-        stale: bool,
-    ) -> Self {
+impl Record {
+    /// `source`'s record of `e`, whose stamps are below [`CLOCK_BOUND_US`].
+    pub(crate) fn new(source: PeerId, e: Entry) -> Self {
         Self {
-            last_used_us,
-            last_refreshed_us,
-            filter: slot | if stale { STALE_BIT } else { 0 },
-            version,
-            topics,
+            source,
+            filter: e.slot | if e.stale { STALE_BIT } else { 0 },
+            version: e.version,
+            topics: e.topics,
+            last_used: Stamp::at(e.last_used_us),
+            last_refreshed: Stamp::at(e.last_refreshed_us),
         }
     }
 
-    pub(crate) fn slot_id(self) -> u32 {
+    /// A fresh, usable record stamped `now_us` twice.
+    fn fresh(source: PeerId, topics: InterestSet, version: u16, slot: u32, now_us: u64) -> Self {
+        let now = Stamp::at(now_us);
+        Self {
+            source,
+            filter: slot,
+            version,
+            topics,
+            last_used: now,
+            last_refreshed: now,
+        }
+    }
+
+    /// The record by value, its stamps widened to µs.
+    fn entry(self) -> Entry {
+        Entry {
+            topics: self.topics,
+            version: self.version,
+            slot: self.slot_id(),
+            last_used_us: self.last_used.us(),
+            last_refreshed_us: self.last_refreshed.us(),
+            stale: self.is_stale(),
+        }
+    }
+
+    fn slot_id(self) -> u32 {
         self.filter & !STALE_BIT
     }
 
-    pub(crate) fn is_stale(self) -> bool {
+    fn is_stale(self) -> bool {
         self.filter & STALE_BIT != 0
     }
 
     fn mark_stale(&mut self) {
         self.filter |= STALE_BIT;
     }
+}
+
+/// A cache entry by value, its stamps in µs: what the checkpoint writes
+/// and reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    pub(crate) topics: InterestSet,
+    pub(crate) version: u16,
+    /// The filter's [`FilterStore`] slot.
+    pub(crate) slot: u32,
+    /// Last time the entry was used by a lookup or updated (LRU key).
+    pub(crate) last_used_us: u64,
+    /// Last time the source proved liveness (any ad received).
+    pub(crate) last_refreshed_us: u64,
+    /// Version gap detected — unusable until repaired by a full ad.
+    pub(crate) stale: bool,
 }
 
 /// One store slot: a filter and the number of cache entries naming it
@@ -282,12 +344,12 @@ fn reserve_one<T>(v: &mut Vec<T>, limit: usize) {
     }
 }
 
-/// Capacity-bounded ad cache over sorted parallel vectors (see module docs).
+/// Capacity-bounded ad cache over one sorted record vector (see module
+/// docs).
 #[derive(Debug)]
 pub struct AdRepository {
-    /// Source peers, strictly ascending; position `i` owns `entries[i]`.
-    sources: Vec<PeerId>,
-    entries: Vec<Entry>,
+    /// Records by source, strictly ascending.
+    records: Vec<Record>,
     capacity: u32,
     /// No cached source is above this id: the largest one ever inserted
     /// (it never shrinks), the scale of [`AdRepository::position`]'s guess.
@@ -308,96 +370,91 @@ impl AdRepository {
             "capacity must be positive and fit in a u32"
         );
         Self {
-            sources: Vec::new(),
-            entries: Vec::new(),
+            records: Vec::new(),
             capacity: capacity as u32,
             top: 0,
             store: Rc::clone(store),
         }
     }
 
-    /// A repository over decoded entries whose slots `store` already
+    /// A repository over decoded records whose slots `store` already
     /// counts. Nothing may look a source up before the protocol's
     /// `validate` has checked that the sources ascend strictly.
     pub(crate) fn from_decoded(
         capacity: usize,
         store: &Rc<RefCell<FilterStore>>,
-        sources: Vec<PeerId>,
-        entries: Vec<Entry>,
+        records: Vec<Record>,
     ) -> Self {
         let mut repo = Self::sharing(capacity, store);
-        repo.top = sources.last().map_or(0, |s| s.0);
-        repo.sources = sources;
-        repo.entries = entries;
+        repo.top = records.last().map_or(0, |r| r.source.0);
+        repo.records = records;
         repo
     }
 
     pub fn len(&self) -> usize {
-        self.sources.len()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
+        self.records.is_empty()
     }
 
     pub fn capacity(&self) -> usize {
         self.capacity as usize
     }
 
-    /// Heap bytes of the two vectors (their capacities, not their lengths).
+    /// Heap bytes of the record vector (its capacity, not its length).
     pub fn heap_bytes(&self) -> usize {
-        self.sources.capacity() * size_of::<PeerId>() + self.entries.capacity() * size_of::<Entry>()
+        self.records.capacity() * size_of::<Record>()
     }
 
-    /// Capacities of the `sources` and `entries` vectors.
+    /// Capacity of the record vector.
     #[cfg(test)]
-    pub(crate) fn vector_capacities(&self) -> (usize, usize) {
-        (self.sources.capacity(), self.entries.capacity())
+    pub(crate) fn record_capacity(&self) -> usize {
+        self.records.capacity()
     }
 
     /// The raw entries, keyed by source, in `PeerId` order.
     pub(crate) fn raw_entries(&self) -> impl Iterator<Item = (PeerId, Entry)> + '_ {
-        self.sources
-            .iter()
-            .copied()
-            .zip(self.entries.iter().copied())
+        self.records.iter().map(|r| (r.source, r.entry()))
     }
 
     /// All cached entries, keyed by source, in `PeerId` order.
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, CachedAd)> + '_ {
         let store = self.store.borrow();
-        self.raw_entries().filter_map(move |(source, e)| {
-            Some((source, cached_view(e, store.filter_at(e.slot_id())?)))
-        })
+        self.records
+            .iter()
+            .filter_map(move |&r| Some((r.source, cached_view(r, store.filter_at(r.slot_id())?))))
     }
 
-    /// Where `source` sits in `sources`: `Ok` at its index, `Err` at the
+    /// Where `source` sits in `records`: `Ok` at its index, `Err` at the
     /// index it would be inserted at — the one answer a sorted vector has.
     ///
     /// Cached sources are peer ids spread roughly evenly over `0..=top`, so
     /// the first probe goes where an even spread puts `source`; from there
     /// the search gallops outward to bracket it and binary-searches only
     /// the bracket. A good guess reads one or two cache lines where a
-    /// binary search of a few hundred ids reads five; clustered ids cost
-    /// the gallop O(log n) probes.
+    /// binary search of a few hundred records reads eight; clustered ids
+    /// cost the gallop O(log n) probes.
     fn position(&self, source: PeerId) -> Result<usize, usize> {
-        let ids = &self.sources[..];
-        let len = ids.len();
+        let recs = &self.records[..];
+        let len = recs.len();
         if len == 0 || source.0 > self.top {
             return Err(len);
         }
         // `source <= top`, so the guess is below `len`.
         let guess = (u64::from(source.0) * len as u64 / (u64::from(self.top) + 1)) as usize;
-        // `ids[lo..hi]` holds the answer: every id left of `lo` is below
-        // `source`, and `ids[hi - 1] >= source` unless `hi == len`.
-        let (lo, hi) = if ids[guess] < source {
+        // `recs[lo..hi]` holds the answer: every source left of `lo` is
+        // below `source`, and `recs[hi - 1].source >= source` unless
+        // `hi == len`.
+        let (lo, hi) = if recs[guess].source < source {
             let (mut lo, mut step) = (guess + 1, 1);
             loop {
                 let probe = guess + step;
                 if probe >= len {
                     break (lo, len);
                 }
-                if ids[probe] >= source {
+                if recs[probe].source >= source {
                     break (lo, probe + 1);
                 }
                 lo = probe + 1;
@@ -409,30 +466,30 @@ impl AdRepository {
                 let Some(probe) = guess.checked_sub(step) else {
                     break (0, hi);
                 };
-                if ids[probe] < source {
+                if recs[probe].source < source {
                     break (probe + 1, hi);
                 }
                 hi = probe + 1;
                 step *= 2;
             }
         };
-        ids[lo..hi]
-            .binary_search(&source)
+        recs[lo..hi]
+            .binary_search_by_key(&source, |r| r.source)
             .map(|i| lo + i)
             .map_err(|i| lo + i)
     }
 
     /// The cached ad of `source`, if any.
     pub fn get(&self, source: PeerId) -> Option<CachedAd> {
-        let e = self.entries[self.position(source).ok()?];
+        let r = self.records[self.position(source).ok()?];
         let store = self.store.borrow();
-        Some(cached_view(e, store.filter_at(e.slot_id())?))
+        Some(cached_view(r, store.filter_at(r.slot_id())?))
     }
 
     /// `(version, stale)` of the entry for `source`, without the filter.
     pub(crate) fn version_of(&self, source: PeerId) -> Option<(u16, bool)> {
-        let e = self.entries[self.position(source).ok()?];
-        Some((e.version, e.is_stale()))
+        let r = self.records[self.position(source).ok()?];
+        Some((r.version, r.is_stale()))
     }
 
     /// Store/overwrite the full ad of `source`. Evicts the least-recently
@@ -441,22 +498,22 @@ impl AdRepository {
     pub fn insert_full(&mut self, snap: &AdSnapshot, now_us: u64) -> ApplyOutcome {
         match self.position(snap.source) {
             Ok(i) => {
-                let existing = &mut self.entries[i];
+                let existing = &mut self.records[i];
                 if !existing.is_stale() && version_not_newer(snap.version, existing.version) {
-                    existing.last_refreshed_us = now_us;
+                    existing.last_refreshed = Stamp::at(now_us);
                     return ApplyOutcome::Outdated;
                 }
                 let slot = self
                     .store
                     .borrow_mut()
                     .reassign(existing.slot_id(), &snap.filter);
-                *existing = Entry::packed(snap.topics, snap.version, slot, now_us, now_us, false);
+                *existing = Record::fresh(snap.source, snap.topics, snap.version, slot, now_us);
                 ApplyOutcome::Applied
             }
             Err(mut i) => {
                 let slot = self.store.borrow_mut().acquire(&snap.filter);
                 let limit = self.capacity();
-                if self.sources.len() >= limit {
+                if self.records.len() >= limit {
                     let victim = self.evict_lru();
                     // Eviction shifts the insertion point when the victim
                     // sat left of it.
@@ -464,12 +521,10 @@ impl AdRepository {
                         i -= 1;
                     }
                 }
-                reserve_one(&mut self.sources, limit);
-                reserve_one(&mut self.entries, limit);
-                self.sources.insert(i, snap.source);
+                reserve_one(&mut self.records, limit);
                 self.top = self.top.max(snap.source.0);
-                let fresh = Entry::packed(snap.topics, snap.version, slot, now_us, now_us, false);
-                self.entries.insert(i, fresh);
+                let fresh = Record::fresh(snap.source, snap.topics, snap.version, slot, now_us);
+                self.records.insert(i, fresh);
                 ApplyOutcome::Applied
             }
         }
@@ -488,20 +543,20 @@ impl AdRepository {
         let Ok(i) = self.position(source) else {
             return ApplyOutcome::Unknown;
         };
-        let entry = &mut self.entries[i];
-        if entry.is_stale() {
+        let record = &mut self.records[i];
+        if record.is_stale() {
             return ApplyOutcome::VersionGap;
         }
-        if version_not_newer(version, entry.version) {
-            entry.last_refreshed_us = now_us;
+        if version_not_newer(version, record.version) {
+            record.last_refreshed = Stamp::at(now_us);
             return ApplyOutcome::Outdated;
         }
-        if version != entry.version.wrapping_add(1) {
-            entry.mark_stale();
+        if version != record.version.wrapping_add(1) {
+            record.mark_stale();
             return ApplyOutcome::VersionGap;
         }
-        let slot = self.store.borrow_mut().reassign(entry.slot_id(), result);
-        *entry = Entry::packed(topics, version, slot, now_us, now_us, false);
+        let slot = self.store.borrow_mut().reassign(record.slot_id(), result);
+        *record = Record::fresh(source, topics, version, slot, now_us);
         ApplyOutcome::Applied
     }
 
@@ -511,17 +566,17 @@ impl AdRepository {
         let Ok(i) = self.position(source) else {
             return ApplyOutcome::Unknown;
         };
-        let entry = &mut self.entries[i];
-        if entry.is_stale() {
+        let record = &mut self.records[i];
+        if record.is_stale() {
             return ApplyOutcome::VersionGap;
         }
-        if entry.version == version {
-            entry.last_refreshed_us = now_us;
+        if record.version == version {
+            record.last_refreshed = Stamp::at(now_us);
             ApplyOutcome::Applied
-        } else if version_not_newer(version, entry.version) {
+        } else if version_not_newer(version, record.version) {
             ApplyOutcome::Outdated
         } else {
-            entry.mark_stale();
+            record.mark_stale();
             ApplyOutcome::VersionGap
         }
     }
@@ -554,12 +609,13 @@ impl AdRepository {
     ) -> Vec<PeerId> {
         let mut hits = Vec::new();
         let mut plan: Option<ProbePlan> = None;
+        let now = Stamp::at(now_us);
         let store = self.store.borrow();
-        for (&source, e) in self.sources.iter().zip(self.entries.iter_mut()) {
-            if e.is_stale() || e.last_refreshed_us < expire_before_us {
+        for r in self.records.iter_mut() {
+            if r.is_stale() || r.last_refreshed.us() < expire_before_us {
                 continue;
             }
-            let Some(filter) = store.filter_at(e.slot_id()) else {
+            let Some(filter) = store.filter_at(r.slot_id()) else {
                 continue;
             };
             let plan = plan.get_or_insert_with(|| ProbePlan::new(filter.params(), term_hashes));
@@ -569,8 +625,8 @@ impl AdRepository {
                 term_hashes.iter().all(|h| filter.contains_hash(h))
             };
             if matched {
-                e.last_used_us = now_us;
-                hits.push(source);
+                r.last_used = now;
+                hits.push(r.source);
             }
         }
         hits
@@ -597,21 +653,23 @@ impl AdRepository {
     /// Cached ads with topic overlap, for an ads reply — freshest first,
     /// capped at `max`.
     pub fn ads_for_interests(&self, interests: InterestSet, max: usize) -> Vec<AdSnapshot> {
-        let mut matches: Vec<(PeerId, Entry)> = self
-            .raw_entries()
-            .filter(|(_, e)| !e.is_stale() && e.topics.intersects(interests))
+        let mut matches: Vec<Record> = self
+            .records
+            .iter()
+            .copied()
+            .filter(|r| !r.is_stale() && r.topics.intersects(interests))
             .collect();
         // Stable sort: equal freshness keeps ascending-source order, as the
         // old map iteration did.
-        matches.sort_by_key(|(_, e)| std::cmp::Reverse(e.last_refreshed_us));
+        matches.sort_by_key(|r| std::cmp::Reverse(r.last_refreshed.us()));
         let store = self.store.borrow();
         matches
             .into_iter()
             .take(max)
-            .filter_map(|(source, e)| {
+            .filter_map(|r| {
                 Some(snapshot_from(
-                    source,
-                    cached_view(e, store.filter_at(e.slot_id())?),
+                    r.source,
+                    cached_view(r, store.filter_at(r.slot_id())?),
                 ))
             })
             .collect()
@@ -620,23 +678,24 @@ impl AdRepository {
     /// Remove the least-recently-used entry, returning its position.
     fn evict_lru(&mut self) -> usize {
         let mut victim = 0usize;
-        for (i, e) in self.entries.iter().enumerate() {
-            // Ties on last_used_us break toward the smaller source, which is
+        let mut oldest = u64::MAX;
+        for (i, r) in self.records.iter().enumerate() {
+            // Ties on the stamp break toward the smaller source, which is
             // the smaller index in a sorted array — i.e. first wins.
-            if e.last_used_us < self.entries[victim].last_used_us {
-                victim = i;
+            let used = r.last_used.us();
+            if used < oldest {
+                (victim, oldest) = (i, used);
             }
         }
-        if !self.sources.is_empty() {
+        if !self.records.is_empty() {
             self.remove_at(victim);
         }
         victim
     }
 
-    /// Drop the entry at `i` and release its slot.
+    /// Drop the record at `i` and release its slot.
     fn remove_at(&mut self, i: usize) {
-        self.sources.remove(i);
-        let gone = self.entries.remove(i);
+        let gone = self.records.remove(i);
         self.store.borrow_mut().release(gone.slot_id());
     }
 }
@@ -645,20 +704,20 @@ impl Drop for AdRepository {
     /// A dropped cache stops naming its filters.
     fn drop(&mut self) {
         let mut store = self.store.borrow_mut();
-        for e in &self.entries {
-            store.release(e.slot_id());
+        for r in &self.records {
+            store.release(r.slot_id());
         }
     }
 }
 
-fn cached_view(e: Entry, filter: &Rc<BloomFilter>) -> CachedAd {
+fn cached_view(r: Record, filter: &Rc<BloomFilter>) -> CachedAd {
     CachedAd {
-        topics: e.topics,
-        version: e.version,
+        topics: r.topics,
+        version: r.version,
         filter: Rc::clone(filter),
-        last_used_us: e.last_used_us,
-        last_refreshed_us: e.last_refreshed_us,
-        stale: e.is_stale(),
+        last_used_us: r.last_used.us(),
+        last_refreshed_us: r.last_refreshed.us(),
+        stale: r.is_stale(),
     }
 }
 
@@ -673,7 +732,7 @@ fn snapshot_from(source: PeerId, ad: CachedAd) -> AdSnapshot {
 
 /// `candidate` is not newer than `held`, under wrapping 16-bit versions
 /// (half-range comparison).
-fn version_not_newer(candidate: u16, held: u16) -> bool {
+pub(crate) fn version_not_newer(candidate: u16, held: u16) -> bool {
     candidate.wrapping_sub(held) == 0 || candidate.wrapping_sub(held) > u16::MAX / 2
 }
 
@@ -902,30 +961,58 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_is_24_bytes() {
-        assert_eq!(size_of::<Entry>(), 24);
+    fn a_record_is_24_bytes() {
+        assert_eq!(size_of::<Record>(), 24);
     }
 
     #[test]
-    fn a_repository_header_is_64_bytes() {
-        assert_eq!(size_of::<AdRepository>(), 64);
+    fn a_repository_header_is_40_bytes() {
+        assert_eq!(size_of::<AdRepository>(), 40);
+    }
+
+    /// A stamp keeps every µs below the clock bound exactly: zero, the
+    /// first time past 32 bits, and the last time the clock can reach.
+    #[test]
+    fn stamps_round_trip_up_to_the_clock_bound() {
+        for us in [
+            0,
+            1 << 32,
+            (1 << 32) - 1,
+            0x1234_5678_9abc,
+            CLOCK_BOUND_US - 1,
+        ] {
+            assert_eq!(Stamp::at(us).us(), us);
+        }
+        let mut repo = AdRepository::new(2);
+        let last = CLOCK_BOUND_US - 1;
+        repo.insert_full(&snap(1, 0, &["a"]), 1 << 32);
+        assert_eq!(
+            repo.apply_refresh(PeerId(1), 0, last),
+            ApplyOutcome::Applied
+        );
+        let ad = repo.get(PeerId(1)).unwrap();
+        assert_eq!((ad.last_used_us, ad.last_refreshed_us), (1 << 32, last));
+        // LRU order holds across the 32-bit line: the entry stamped just
+        // below it is the one evicted.
+        repo.insert_full(&snap(2, 0, &["b"]), (1 << 32) - 1);
+        repo.insert_full(&snap(3, 0, &["c"]), last);
+        assert!(repo.get(PeerId(2)).is_none());
+        assert!(repo.get(PeerId(1)).is_some());
     }
 
     #[test]
-    fn vectors_grow_by_an_eighth_and_stop_at_capacity() {
+    fn records_grow_by_an_eighth_and_stop_at_capacity() {
         let mut repo = AdRepository::new(100);
         for id in 0..150 {
             repo.insert_full(&snap(id, 0, &["k"]), u64::from(id));
-            let len = repo.len();
-            for cap in [repo.sources.capacity(), repo.entries.capacity()] {
-                assert!(
-                    cap <= len + (len / 8).max(4),
-                    "{cap} slots for {len} entries"
-                );
-                assert!(cap <= 100, "{cap} slots past the capacity");
-            }
+            let (len, cap) = (repo.len(), repo.record_capacity());
+            assert!(
+                cap <= len + (len / 8).max(4),
+                "{cap} slots for {len} entries"
+            );
+            assert!(cap <= 100, "{cap} slots past the capacity");
         }
-        assert_eq!(repo.entries.capacity(), 100);
+        assert_eq!(repo.record_capacity(), 100);
     }
 
     #[test]
@@ -1016,14 +1103,14 @@ mod tests {
                         }
                     }
                 }
-                let held: Vec<u32> = repo.sources.iter().map(|s| s.0).collect();
+                let held: Vec<u32> = repo.records.iter().map(|r| r.source.0).collect();
                 prop_assert!(held.windows(2).all(|w| w[0] < w[1]), "{:?}", held);
                 prop_assert!(held.iter().all(|&id| id <= repo.top));
                 for probe in probes(&ids, repo.top) {
                     let source = PeerId(probe);
                     prop_assert_eq!(
                         repo.position(source),
-                        repo.sources.binary_search(&source),
+                        repo.records.binary_search_by_key(&source, |r| r.source),
                         "probe {} in {:?} (top {})", probe, held, repo.top
                     );
                 }
@@ -1107,8 +1194,8 @@ mod tests {
             let mut named: BTreeMap<u32, u32> = BTreeMap::new();
             for (repo, expected) in repos.iter().zip(model) {
                 for (source, e) in repo.raw_entries() {
-                    *named.entry(e.slot_id()).or_default() += 1;
-                    let filter = store.filter_at(e.slot_id());
+                    *named.entry(e.slot).or_default() += 1;
+                    let filter = store.filter_at(e.slot);
                     prop_assert!(filter.is_some(), "{source:?} names a free slot");
                     prop_assert_eq!(filter.map(|f| &**f), expected.get(&source));
                 }

@@ -11,8 +11,9 @@
 //! confirmation from a node to itself mid-run; the protocol's `validate`
 //! refuses them now, the decoder's table checks hold the rest of that
 //! form, and `validate` holds every cached filter to the configured
-//! geometry. Super-peer ASAP's registrations are held to the same
-//! canonical form. The control cases resume the unedited splice and
+//! geometry. A stamp at or past the engine's clock bound, which a
+//! repository could not keep exactly, is refused by the decoder.
+//! Super-peer ASAP's registrations are held to the same canonical form. The control cases resume the unedited splice and
 //! re-encode it byte for byte.
 
 use asap_core::superpeer::Role;
@@ -20,7 +21,7 @@ use asap_core::{Asap, AsapConfig, SuperAsap};
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
 use asap_sim::util::Backoff;
 use asap_sim::{codec_struct, Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder};
-use asap_sim::{Fnv64, Simulation};
+use asap_sim::{Fnv64, Simulation, CLOCK_BOUND_US};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::{ContentModel, InterestSet, Workload, WorkloadConfig};
 use std::marker::PhantomData;
@@ -372,6 +373,20 @@ fn asap_filter_table_entry_of_another_geometry_is_rejected() {
             "node filter parameters differ from the configuration"
         ))
     );
+}
+
+/// A repository keeps 48 bits of each stamp, which holds every time the
+/// clock reaches (it stays below `CLOCK_BOUND_US`). A stamp of 2⁴⁸ µs
+/// would be packed to 0 — past the clock check `validate` makes — and
+/// re-encode to other bytes, so the decoder refuses it, in either field.
+#[test]
+fn asap_cache_stamp_past_the_clock_bound_is_rejected() {
+    let s = AsapSplice::halfway(90);
+    let past = Err(CodecError::Invalid("ad cache stamp past the clock bound"));
+    let used = s.spliced(|c| cache_of_at_least(c, 1)[0].last_used_us = CLOCK_BOUND_US);
+    assert_eq!(s.resume(used), past);
+    let refreshed = s.spliced(|c| cache_of_at_least(c, 1)[0].last_refreshed_us = CLOCK_BOUND_US);
+    assert_eq!(s.resume(refreshed), past);
 }
 
 /// Super-peer registrations used to be read as a list and collected into a

@@ -31,8 +31,9 @@
 //! the resume decoder carries the world's [`IdBounds`], so every peer,
 //! document and keyword id anywhere in the body — in-flight message
 //! payloads included — is range-checked by its own `Codec` impl. The
-//! event-queue, overlay, content, load and query-ledger sections must also
-//! keep the invariants the run later relies on (nothing queued behind the
+//! header's clock must be below [`crate::CLOCK_BOUND_US`], and the
+//! event-queue, overlay, content, load and query-ledger sections must keep
+//! the invariants the run later relies on (nothing queued behind the
 //! clock; undirected adjacency; strictly ascending holdings; an alive
 //! timeline that never goes backwards or past the clock; no answer before
 //! its issue or after the clock), and the restored protocol state must
@@ -42,7 +43,7 @@
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats, EclipseTarget};
 use crate::audit::SimAuditor;
-use crate::engine::{EngineProfile, Protocol, SimBuilder, Simulation};
+use crate::engine::{EngineProfile, Protocol, SimBuilder, Simulation, CLOCK_BOUND_US};
 use crate::event::{EngineEvent, EventQueue, Scheduled};
 use crate::fault::{FaultPlan, FaultState, FaultStats, PartitionWindow};
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters};
@@ -437,6 +438,9 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
         });
         preamble(&mut dec)?;
         let header = Header::pull(&mut dec)?;
+        if header.now_us >= CLOCK_BOUND_US {
+            return Err(CodecError::Invalid("checkpoint clock past the clock bound"));
+        }
 
         // [1] Event queue, checked against the queue's own invariants.
         let next_seq = u64::pull(&mut dec)?;

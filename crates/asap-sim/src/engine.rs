@@ -13,6 +13,12 @@ use asap_workload::{ContentModel, ContentState, DocId, QuerySpec, TraceEvent, Wo
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The virtual clock stays below this: 2⁴⁸ µs, 8.9 years. The builder
+/// caps every horizon under it and a resume refuses a checkpoint clock at
+/// or past it, so any time a protocol reads from [`Transport::now_us`]
+/// fits in 48 bits; ASAP's ad caches store their stamps in that width.
+pub const CLOCK_BOUND_US: u64 = 1 << 48;
+
 /// A search algorithm under test. The backend owns the world (overlay,
 /// liveness, content, clock); the protocol owns its own per-node state and
 /// reacts to events through these hooks. Every hook is generic over the
@@ -512,7 +518,9 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> SimBuilder<'a, P, C> {
     /// Override the simulation horizon (default: trace end + 30 s). Events
     /// scheduled past the horizon — periodic protocol timers, stragglers —
     /// are discarded, which is what terminates a run whose protocol re-arms
-    /// timers forever (ASAP's refresh beacons).
+    /// timers forever (ASAP's refresh beacons). The horizon is capped below
+    /// [`CLOCK_BOUND_US`], so a grace of `u64::MAX` (the daemon's) runs to
+    /// the last µs the clock can reach and stops there.
     pub fn horizon_grace(mut self, grace_us: u64) -> Self {
         self.sim.set_horizon_grace(grace_us);
         self
@@ -601,7 +609,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             // Default horizon: 30 s of grace after the last trace event, so
             // in-flight searches settle but periodic timers can't run the
             // simulation forever.
-            horizon_us: trace_end_us + 30_000_000,
+            horizon_us: horizon_after(trace_end_us, 30_000_000),
             now_us: 0,
             seq: 0,
             queue,
@@ -698,7 +706,7 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
     }
 
     fn set_horizon_grace(&mut self, grace_us: u64) {
-        self.ctx.horizon_us = self.ctx.trace_end_us.saturating_add(grace_us);
+        self.ctx.horizon_us = horizon_after(self.ctx.trace_end_us, grace_us);
     }
 
     /// Run to the horizon (or queue exhaustion) and return the report.
@@ -950,6 +958,14 @@ impl<'a, P: Protocol, C: Carrier<P::Msg>> Simulation<'a, P, C> {
             self.protocol.on_content_change(ctx, peer, doc, added);
         }
     }
+}
+
+/// The horizon `grace_us` after the trace end, capped at the last µs below
+/// [`CLOCK_BOUND_US`].
+fn horizon_after(trace_end_us: u64, grace_us: u64) -> u64 {
+    trace_end_us
+        .saturating_add(grace_us)
+        .min(CLOCK_BOUND_US - 1)
 }
 
 #[cfg(test)]
@@ -1370,6 +1386,39 @@ mod tests {
             "both are left past the horizon"
         );
         assert!(report.end_time_us <= workload.trace.duration_us() + 30_000_000);
+    }
+
+    /// The daemon's `horizon_grace(u64::MAX)` is capped below the clock
+    /// bound: a timer due at the last µs under it fires, one due at the
+    /// bound is left past the horizon, and the clock stops at
+    /// `CLOCK_BOUND_US - 1`.
+    #[test]
+    fn an_unbounded_horizon_stops_below_the_clock_bound() {
+        struct EdgeProto;
+        impl Protocol for EdgeProto {
+            type Msg = ();
+            fn on_init<C: Transport<Msg = ()>>(&mut self, ctx: &mut C) {
+                ctx.set_timer(PeerId(0), CLOCK_BOUND_US - 1, 1);
+                ctx.set_timer(PeerId(0), CLOCK_BOUND_US, 2);
+            }
+            fn on_query<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: &QuerySpec) {}
+            fn on_message<C: Transport<Msg = ()>>(
+                &mut self,
+                _: &mut C,
+                _: PeerId,
+                _: PeerId,
+                _: (),
+            ) {
+            }
+            fn on_timer<C: Transport<Msg = ()>>(&mut self, _: &mut C, _: PeerId, _: u64) {}
+        }
+        let (phys, workload, overlay) = small_world(5);
+        let report =
+            Simulation::builder(&phys, &workload, overlay, OverlayKind::Random, EdgeProto, 5)
+                .horizon_grace(u64::MAX)
+                .run();
+        assert_eq!(report.end_time_us, CLOCK_BOUND_US - 1);
+        assert_eq!(report.profile.past_horizon, 1, "the timer at the bound");
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub use adversary::{
 };
 pub use audit::{AuditConfig, AuditReport};
 pub use checkpoint::{Checkpoint, CheckpointProtocol, Codec, CodecError, Decoder, Encoder, Fnv64};
-pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation, Violation};
+pub use engine::{
+    Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation, Violation, CLOCK_BOUND_US,
+};
 pub use event::EngineEvent;
 pub use fault::{FaultDecision, FaultPlan, FaultState, FaultStats, PartitionWindow};
 pub use message::{

@@ -20,7 +20,8 @@
 //!   an allocation sized by the corrupt id); so are content and overlay
 //!   sections that break the invariants the run later `expect`s, and an
 //!   event-queue, alive-timeline or query-ledger section that breaks the
-//!   queue's, the load recorder's or the ledger's own.
+//!   queue's, the load recorder's or the ledger's own, and a clock at the
+//!   engine's clock bound.
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
@@ -31,7 +32,7 @@ use asap_sim::util::SeenTracker;
 use asap_sim::{
     codec_enum, codec_struct, query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint,
     CheckpointProtocol, Codec, CodecError, Decoder, Encoder, EngineEvent, FaultPlan, Fnv64,
-    PartitionWindow, Protocol, SimReport, Simulation, Transport,
+    PartitionWindow, Protocol, SimReport, Simulation, Transport, CLOCK_BOUND_US,
 };
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_workload::trace::TimedEvent;
@@ -470,6 +471,22 @@ fn spliced<T: Codec>(bytes: &[u8], range: &Range<usize>, value: &T) -> Vec<u8> {
     .concat();
     reseal(&mut out);
     out
+}
+
+/// The clock stays below `CLOCK_BOUND_US` (an engine horizon never
+/// reaches it), and a protocol may keep a time it reads in 48 bits; a
+/// checkpoint whose clock is at the bound is refused before any section
+/// is read.
+#[test]
+fn clock_at_the_clock_bound_is_rejected() {
+    let (mut bytes, resume) = halfway(78);
+    let now = HEADER - 2 - 8..HEADER - 2;
+    bytes[now].copy_from_slice(&CLOCK_BOUND_US.to_le_bytes());
+    reseal(&mut bytes);
+    assert_eq!(
+        resume(bytes),
+        Err(CodecError::Invalid("checkpoint clock past the clock bound"))
+    );
 }
 
 /// Holdings must be strictly ascending per peer: every content change and

@@ -33,10 +33,12 @@
 //! no filter, every index is in range and in first-use order, every table
 //! filter is named by some entry, every entry stamp is below
 //! [`asap_sim::CLOCK_BOUND_US`] (a repository keeps 48 bits of it), and
-//! the spam claims ascend by peer, each with some topic. It rebuilds one
-//! store whose slot *i* is table filter *i*. Everything that can be
-//! stated over the restored state — cache capacity and sources, a flat
-//! node's entry for its own ad, filter geometry, entry stamps, cache
+//! the spam claims ascend by peer, each with some topic. It also refuses
+//! a cache over its capacity or whose sources do not ascend strictly,
+//! before it builds the repository's rank index, which can hold neither.
+//! It rebuilds one store whose slot *i* is table filter *i*. Everything
+//! that can be stated over the restored state — a flat node's entry for
+//! its own ad, filter geometry, entry stamps, cache
 //! coherence with the sources, a published filter that is not the one its
 //! holdings build, the dedup window — is the protocol's
 //! [`asap_sim::Protocol::validate`], which the resume runs once the world
@@ -208,15 +210,23 @@ impl TableReader {
         dec: &mut Decoder<'_>,
         capacity: usize,
     ) -> Result<AdRepository, CodecError> {
-        // No allocation beyond what a valid cache holds: an entry count
-        // past `capacity` grows the vector entry by entry until the bytes
-        // run out or `validate` refuses the cache.
+        // The index holds only a cache of at most `capacity` entries with
+        // strictly ascending sources, so both are refused here.
         let n = dec.get_len()?;
-        let mut records = Vec::with_capacity(n.min(capacity));
+        if n > capacity {
+            return Err(CodecError::Invalid("ad cache over capacity"));
+        }
+        let mut sources: Vec<PeerId> = Vec::with_capacity(n);
+        let mut records = Vec::with_capacity(n);
         let mut store = self.store.borrow_mut();
         for _ in 0..n {
             let (source, topics, version, slot): (PeerId, _, _, u32) = Codec::pull(dec)?;
             let (last_used_us, last_refreshed_us, stale): (u64, u64, _) = Codec::pull(dec)?;
+            if sources.last().is_some_and(|&last| source <= last) {
+                return Err(CodecError::Invalid(
+                    "ad cache sources not strictly ascending",
+                ));
+            }
             if slot >= self.len {
                 return Err(CodecError::Invalid("ad cache filter index out of range"));
             }
@@ -240,10 +250,16 @@ impl TableReader {
                 last_refreshed_us,
                 stale,
             };
-            records.push(Record::new(source, entry));
+            sources.push(source);
+            records.push(Record::new(entry));
         }
         drop(store);
-        Ok(AdRepository::from_decoded(capacity, &self.store, records))
+        Ok(AdRepository::from_decoded(
+            capacity,
+            &self.store,
+            &sources,
+            records,
+        ))
     }
 
     /// The store, once every table filter has been named.

@@ -1,7 +1,12 @@
 //! ASAP protocol parameters.
 
+use crate::repository::MAX_CACHE_CAPACITY;
 use asap_bloom::BloomParams;
 use asap_sim::util::Retransmit;
+
+/// A super peer caches for its leaves too: its cache holds this many times
+/// [`AsapConfig::cache_capacity`].
+pub const SUPER_CACHE_FACTOR: usize = 4;
 
 /// How ads are forwarded through the overlay (paper §IV-A: "By adopting
 /// different ad forwarding algorithms … we develop and examine three ASAP
@@ -105,6 +110,12 @@ impl AsapConfig {
         assert!(self.budget_unit >= 1, "budget unit must be positive");
         assert!(self.cache_capacity >= 1, "cache capacity must be positive");
         assert!(
+            self.cache_capacity <= MAX_CACHE_CAPACITY / SUPER_CACHE_FACTOR,
+            "cache capacity {} past {} (a super peer caches {SUPER_CACHE_FACTOR} times it)",
+            self.cache_capacity,
+            MAX_CACHE_CAPACITY / SUPER_CACHE_FACTOR
+        );
+        assert!(
             self.refresh_interval_us > 0,
             "refresh interval must be positive"
         );
@@ -137,6 +148,30 @@ mod tests {
         // Scaling up never inflates beyond the paper's values.
         let up = AsapConfig::rw().scaled_to(50_000);
         assert_eq!(up.budget_unit, 3_000);
+    }
+
+    /// A cache's index counts records in 16 bits, and a super peer caches
+    /// four times the configured capacity: the paper's 4,096 and the
+    /// largest ablation's 8,192 fit, 16,384 does not.
+    #[test]
+    fn the_largest_capacity_a_super_peer_can_hold_validates() {
+        let largest = MAX_CACHE_CAPACITY / SUPER_CACHE_FACTOR;
+        assert_eq!(largest, 16_383);
+        let config = AsapConfig {
+            cache_capacity: largest,
+            ..AsapConfig::rw()
+        };
+        config.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache capacity 16384 past 16383")]
+    fn a_capacity_past_the_index_bound_is_refused() {
+        let config = AsapConfig {
+            cache_capacity: 16_384,
+            ..AsapConfig::rw()
+        };
+        config.validate();
     }
 
     #[test]

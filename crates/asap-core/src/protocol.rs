@@ -100,9 +100,10 @@ pub(crate) fn own_filter(
 /// [`Protocol::validate`]: its own and cached filters have the configured
 /// geometry (a content change rebuilds with it, and `FilterPatch::diff`
 /// between the two would panic); its cache, if any, holds at most its
-/// capacity, sources strictly ascending, nothing stamped after `now_us`
-/// and not `owner`'s own ad (`handle_ad` never stores one); its published
-/// filter is `truth()`, [`own_filter`] of what it holds now.
+/// capacity, nothing stamped after `now_us` and not `owner`'s own ad
+/// (`handle_ad` never stores one); its published filter is `truth()`,
+/// [`own_filter`] of what it holds now. A cache's sources ascend by
+/// construction: its index iterates them in order.
 pub(crate) fn node_violation(
     bloom: BloomParams,
     snapshot: &BloomFilter,
@@ -119,12 +120,7 @@ pub(crate) fn node_violation(
         if repo.len() > repo.capacity() {
             return Some("ad cache over capacity");
         }
-        let mut last = None;
         for (source, ad) in repo.iter() {
-            if last.is_some_and(|last| source <= last) {
-                return Some("ad cache sources not strictly ascending");
-            }
-            last = Some(source);
             if Some(source) == owner {
                 return Some("ad cache holds its owner's own ad");
             }
@@ -1135,25 +1131,29 @@ mod tests {
         assert!(live > 0);
     }
 
-    /// The ad caches' heap is what their entries and filters need.
+    /// The ad caches' heap is what their entries, indexes and filters
+    /// need.
     ///
-    /// An entry is one 24 B `Record`. The vector grows by max(4, len / 8),
+    /// An entry is one 20 B `Record`. The vector grows by max(4, len / 8),
     /// so from 32 entries on it holds at most an eighth more than it uses,
-    /// 1.125 × 24 B per entry; the bound allows 1.15 ×. A live filter is
-    /// 1,448 B of words (11,542 bits), a 56 B `Rc` block, a 16 B slot and
-    /// its content-table entry, ≈ 1,540 B against the bound's 1,500 B.
-    /// Caches under 32 entries keep up to 4 slots of slack; the entries'
-    /// spare 2.5 % pays for both as long as a filter is cached some 70
-    /// times or more (here 89 times: 71,130 entries over 803 filters,
-    /// 3.04 MB against a 3.17 MB bound). Doubling growth or the 28 B
-    /// layout (3.34 MB) would each break it.
+    /// 1.125 × 20 B per entry; the bound allows 1.15 ×. A cache's index is
+    /// one 8 B word per 48 peer ids up to its largest source, at most
+    /// `peers / 48 + 1` words. A live filter is 1,448 B of words (11,542
+    /// bits), a 56 B `Rc` block, a 16 B slot and its content-table entry,
+    /// ≈ 1,540 B against the bound's 1,500 B. Caches under 32 entries keep
+    /// up to 4 slots of slack; the entries' spare 2.5 % pays for both as
+    /// long as a filter is cached some 80 times or more (here 89 times:
+    /// 71,130 entries over 803 filters, 2.91 MB against a 3.01 MB bound,
+    /// 0.17 MB of it index). Doubling growth or the 24 B layout (3.21 MB
+    /// with the index) would each break it.
     #[test]
     fn ad_cache_heap_is_bounded_by_entries_and_filters() {
         let peers = 1_000;
         let asap = audited_run(peers, 22);
         let entries: usize = (0..peers as u32).map(|p| asap.cache_len(PeerId(p))).sum();
         let filters = asap.distinct_cached_filters();
-        let bound = entries * 24 * 115 / 100 + filters * 1_500;
+        let index = peers * (peers / 48 + 1) * 8;
+        let bound = entries * 20 * 115 / 100 + index + filters * 1_500;
         let heap = asap.cache_heap_bytes();
         assert!(
             heap <= bound,

@@ -6,23 +6,30 @@
 //! paper's nodes "selectively store interesting ads"; a bounded cache is the
 //! practical reading).
 //!
-//! Layout: one vector of 24-byte records sorted by source `PeerId`. On the
-//! lookup/update hot path (every interested hop of an ad, most of them
-//! refreshes) a source is found by interpolation: cached ids spread
-//! roughly evenly, so the first probe goes to `source × len / (top + 1)`,
-//! where `top` is the largest id the cache ever held, and a gallop from
-//! there brackets the answer for a short binary search. Iteration order
-//! (ascending `PeerId`) is what the simulator's replay digests and the
-//! checkpoint byte format depend on. Sources ascend strictly between all
-//! public calls.
+//! Layout: one vector of 20-byte records in ascending source order, and a
+//! rank index beside it that says where each source's record is. Index
+//! word `w` covers the 48 peer ids `48w..48w + 48`: bits `0..48` mark which
+//! of them are cached, bits `48..64` count the records whose source is
+//! below `48w`. On the lookup/update hot path (every interested hop of an
+//! ad, most of them refreshes) `source`'s record is at that count plus the
+//! marked bits below `source` in its word: one index word and one record,
+//! no search. An insert or remove moves the counts of the later words by
+//! one, O(ids / 48) beside the record vector's own shift. Iteration walks
+//! the set bits beside the records, so it runs in ascending `PeerId`
+//! order, which the simulator's replay digests and the checkpoint byte
+//! format depend on. Sources are peer ids, dense from 0 in a network of
+//! `n` peers: the index covers the ids up to the largest source ever
+//! cached, at most `n / 48 + 1` words. The 16-bit counts bound a cache at
+//! [`MAX_CACHE_CAPACITY`] records.
 //!
 //! A record names its filter by a `u32` slot of the protocol's
 //! [`FilterStore`] instead of holding an `Rc` (the slot's top bit is free
 //! for the `stale` flag), and keeps its two µs stamps in 48 bits each:
 //! the engine's clock never reaches [`CLOCK_BOUND_US`] = 2⁴⁸ µs, so the
-//! stamps are exact. `{ source, filter, version, topics, last_used,
-//! last_refreshed }` is 24 bytes. `Entry` is the by-value view with the
-//! stamps widened again, which the checkpoint writes and reads.
+//! stamps are exact. `{ filter, version, topics, last_used,
+//! last_refreshed }` is 20 bytes; the source is the record's place in the
+//! index. `Entry` is the by-value view with the stamps widened again,
+//! which the checkpoint writes and reads.
 //!
 //! The store keeps one `Rc<BloomFilter>` per slot and counts the records
 //! that name it; a slot whose count drops to zero is freed and reused.
@@ -36,6 +43,7 @@
 //! The vector grows by an eighth of its length (at least 4 records) and
 //! never past the configured capacity, instead of doubling: a cache that
 //! fills to a few hundred entries keeps at most an eighth of them as slack.
+//! The index grows to exactly the words its largest source needs.
 //!
 //! A repository made by [`AdRepository::new`] has a private store; the
 //! protocols make theirs with [`AdRepository::sharing`], so every cache of
@@ -108,10 +116,58 @@ impl Stamp {
     }
 }
 
-/// One cache entry as the repository stores it: 24 bytes.
+/// Most records one cache holds: an index word counts the records below
+/// it in 16 bits.
+pub const MAX_CACHE_CAPACITY: usize = u16::MAX as usize;
+
+/// Peer ids one index word covers, one presence bit each.
+const IDS_PER_WORD: u32 = 48;
+
+/// An index word's presence bits; the bits above are its rank.
+const PRESENCE: u64 = (1 << IDS_PER_WORD) - 1;
+
+/// One record in an index word's rank.
+const RANK_ONE: u64 = 1 << IDS_PER_WORD;
+
+/// The index word covering `source`, and `source`'s bit in it.
+#[inline]
+fn word_of(source: PeerId) -> (usize, u64) {
+    (
+        (source.0 / IDS_PER_WORD) as usize,
+        1 << (source.0 % IDS_PER_WORD),
+    )
+}
+
+/// Records whose source is below the ids `word` covers.
+#[inline]
+fn rank(word: u64) -> usize {
+    (word >> IDS_PER_WORD) as usize
+}
+
+/// The position of the record for the source whose bit in `word` is
+/// `bit`: the records below the word, then those marked below `bit`.
+#[inline]
+fn place(word: u64, bit: u64) -> usize {
+    rank(word) + (word & (bit - 1)).count_ones() as usize
+}
+
+/// The sources `index` marks, ascending: the source of each record in
+/// turn.
+fn sources(index: &[u64]) -> impl Iterator<Item = PeerId> + '_ {
+    index.iter().zip(0u32..).flat_map(|(&word, w)| {
+        let mut bits = word & PRESENCE;
+        std::iter::from_fn(move || {
+            let bit = bits.trailing_zeros();
+            bits &= bits.wrapping_sub(1);
+            (bit < IDS_PER_WORD).then(|| PeerId(w * IDS_PER_WORD + bit))
+        })
+    })
+}
+
+/// One cache entry as the repository stores it: 20 bytes. Its source is
+/// its place in the index.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Record {
-    source: PeerId,
     /// The filter's [`FilterStore`] slot, with [`STALE_BIT`] set while a
     /// version gap makes the entry unusable.
     filter: u32,
@@ -124,10 +180,9 @@ pub(crate) struct Record {
 }
 
 impl Record {
-    /// `source`'s record of `e`, whose stamps are below [`CLOCK_BOUND_US`].
-    pub(crate) fn new(source: PeerId, e: Entry) -> Self {
+    /// The record of `e`, whose stamps are below [`CLOCK_BOUND_US`].
+    pub(crate) fn new(e: Entry) -> Self {
         Self {
-            source,
             filter: e.slot | if e.stale { STALE_BIT } else { 0 },
             version: e.version,
             topics: e.topics,
@@ -137,10 +192,9 @@ impl Record {
     }
 
     /// A fresh, usable record stamped `now_us` twice.
-    fn fresh(source: PeerId, topics: InterestSet, version: u16, slot: u32, now_us: u64) -> Self {
+    fn fresh(topics: InterestSet, version: u16, slot: u32, now_us: u64) -> Self {
         let now = Stamp::at(now_us);
         Self {
-            source,
             filter: slot,
             version,
             topics,
@@ -176,7 +230,7 @@ impl Record {
 
 /// A cache entry by value, its stamps in µs: what the checkpoint writes
 /// and reads.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Entry {
     pub(crate) topics: InterestSet,
     pub(crate) version: u16,
@@ -344,16 +398,17 @@ fn reserve_one<T>(v: &mut Vec<T>, limit: usize) {
     }
 }
 
-/// Capacity-bounded ad cache over one sorted record vector (see module
-/// docs).
+/// Capacity-bounded ad cache over one record vector and its rank index
+/// (see module docs).
 #[derive(Debug)]
 pub struct AdRepository {
     /// Records by source, strictly ascending.
     records: Vec<Record>,
+    /// Word `w`: which of the sources `48w..48w + 48` are cached (bits
+    /// `0..48`), and how many records have a source below `48w` (bits
+    /// `48..64`).
+    index: Vec<u64>,
     capacity: u32,
-    /// No cached source is above this id: the largest one ever inserted
-    /// (it never shrinks), the scale of [`AdRepository::position`]'s guess.
-    top: u32,
     store: Rc<RefCell<FilterStore>>,
 }
 
@@ -366,28 +421,35 @@ impl AdRepository {
     /// An empty repository keeping its filters in `store`.
     pub fn sharing(capacity: usize, store: &Rc<RefCell<FilterStore>>) -> Self {
         assert!(
-            (1..=u32::MAX as usize).contains(&capacity),
-            "capacity must be positive and fit in a u32"
+            (1..=MAX_CACHE_CAPACITY).contains(&capacity),
+            "capacity must be between 1 and {MAX_CACHE_CAPACITY}"
         );
         Self {
             records: Vec::new(),
+            index: Vec::new(),
             capacity: capacity as u32,
-            top: 0,
             store: Rc::clone(store),
         }
     }
 
-    /// A repository over decoded records whose slots `store` already
-    /// counts. Nothing may look a source up before the protocol's
-    /// `validate` has checked that the sources ascend strictly.
+    /// A repository over decoded records, `records[i]` cached for
+    /// `sources[i]`, whose slots `store` already counts. The decoder has
+    /// checked that the sources ascend strictly and that there are at most
+    /// `capacity` of them.
     pub(crate) fn from_decoded(
         capacity: usize,
         store: &Rc<RefCell<FilterStore>>,
+        sources: &[PeerId],
         records: Vec<Record>,
     ) -> Self {
         let mut repo = Self::sharing(capacity, store);
-        repo.top = records.last().map_or(0, |r| r.source.0);
-        repo.records = records;
+        let words = sources.last().map_or(0, |&s| word_of(s).0 + 1);
+        repo.index.reserve_exact(words);
+        repo.records.reserve_exact(records.len());
+        for (&source, record) in sources.iter().zip(records) {
+            repo.mark(source);
+            repo.records.push(record);
+        }
         repo
     }
 
@@ -403,9 +465,10 @@ impl AdRepository {
         self.capacity as usize
     }
 
-    /// Heap bytes of the record vector (its capacity, not its length).
+    /// Heap bytes of the record vector and the index (their capacities,
+    /// not their lengths).
     pub fn heap_bytes(&self) -> usize {
-        self.records.capacity() * size_of::<Record>()
+        self.records.capacity() * size_of::<Record>() + self.index.capacity() * size_of::<u64>()
     }
 
     /// Capacity of the record vector.
@@ -416,67 +479,66 @@ impl AdRepository {
 
     /// The raw entries, keyed by source, in `PeerId` order.
     pub(crate) fn raw_entries(&self) -> impl Iterator<Item = (PeerId, Entry)> + '_ {
-        self.records.iter().map(|r| (r.source, r.entry()))
+        sources(&self.index)
+            .zip(&self.records)
+            .map(|(source, r)| (source, r.entry()))
     }
 
     /// All cached entries, keyed by source, in `PeerId` order.
     pub fn iter(&self) -> impl Iterator<Item = (PeerId, CachedAd)> + '_ {
         let store = self.store.borrow();
-        self.records
-            .iter()
-            .filter_map(move |&r| Some((r.source, cached_view(r, store.filter_at(r.slot_id())?))))
+        sources(&self.index)
+            .zip(&self.records)
+            .filter_map(move |(source, &r)| {
+                Some((source, cached_view(r, store.filter_at(r.slot_id())?)))
+            })
     }
 
     /// Where `source` sits in `records`: `Ok` at its index, `Err` at the
-    /// index it would be inserted at — the one answer a sorted vector has.
-    ///
-    /// Cached sources are peer ids spread roughly evenly over `0..=top`, so
-    /// the first probe goes where an even spread puts `source`; from there
-    /// the search gallops outward to bracket it and binary-searches only
-    /// the bracket. A good guess reads one or two cache lines where a
-    /// binary search of a few hundred records reads eight; clustered ids
-    /// cost the gallop O(log n) probes.
+    /// index it would be inserted at. The index word covering `source`
+    /// counts the records below its first id; the marked bits below
+    /// `source` in it count the rest.
     fn position(&self, source: PeerId) -> Result<usize, usize> {
-        let recs = &self.records[..];
-        let len = recs.len();
-        if len == 0 || source.0 > self.top {
-            return Err(len);
-        }
-        // `source <= top`, so the guess is below `len`.
-        let guess = (u64::from(source.0) * len as u64 / (u64::from(self.top) + 1)) as usize;
-        // `recs[lo..hi]` holds the answer: every source left of `lo` is
-        // below `source`, and `recs[hi - 1].source >= source` unless
-        // `hi == len`.
-        let (lo, hi) = if recs[guess].source < source {
-            let (mut lo, mut step) = (guess + 1, 1);
-            loop {
-                let probe = guess + step;
-                if probe >= len {
-                    break (lo, len);
-                }
-                if recs[probe].source >= source {
-                    break (lo, probe + 1);
-                }
-                lo = probe + 1;
-                step *= 2;
-            }
-        } else {
-            let (mut hi, mut step) = (guess + 1, 1);
-            loop {
-                let Some(probe) = guess.checked_sub(step) else {
-                    break (0, hi);
-                };
-                if recs[probe].source < source {
-                    break (probe + 1, hi);
-                }
-                hi = probe + 1;
-                step *= 2;
-            }
+        let (w, bit) = word_of(source);
+        let Some(&word) = self.index.get(w) else {
+            return Err(self.records.len());
         };
-        recs[lo..hi]
-            .binary_search_by_key(&source, |r| r.source)
-            .map(|i| lo + i)
-            .map_err(|i| lo + i)
+        if word & bit != 0 {
+            Ok(place(word, bit))
+        } else {
+            Err(place(word, bit))
+        }
+    }
+
+    /// The source of the record at `i < len`: the last index word whose
+    /// rank is at most `i` holds it, as its `i - rank`-th marked bit.
+    fn source_at(&self, i: usize) -> PeerId {
+        let w = self
+            .index
+            .partition_point(|&word| rank(word) <= i)
+            .saturating_sub(1);
+        let word = self.index[w];
+        let mut bits = word & PRESENCE;
+        for _ in rank(word)..i {
+            bits &= bits.wrapping_sub(1);
+        }
+        PeerId(w as u32 * IDS_PER_WORD + bits.trailing_zeros())
+    }
+
+    /// Mark `source`, which is not cached, in the index, growing it to
+    /// cover `source`: the position its record goes to.
+    fn mark(&mut self, source: PeerId) -> usize {
+        let (w, bit) = word_of(source);
+        if w >= self.index.len() {
+            let below = self.records.len() as u64 * RANK_ONE;
+            self.index.reserve_exact(w + 1 - self.index.len());
+            self.index.resize(w + 1, below);
+        }
+        for word in &mut self.index[w + 1..] {
+            *word += RANK_ONE;
+        }
+        self.index[w] |= bit;
+        place(self.index[w], bit)
     }
 
     /// The cached ad of `source`, if any.
@@ -507,23 +569,20 @@ impl AdRepository {
                     .store
                     .borrow_mut()
                     .reassign(existing.slot_id(), &snap.filter);
-                *existing = Record::fresh(snap.source, snap.topics, snap.version, slot, now_us);
+                *existing = Record::fresh(snap.topics, snap.version, slot, now_us);
                 ApplyOutcome::Applied
             }
-            Err(mut i) => {
+            Err(_) => {
                 let slot = self.store.borrow_mut().acquire(&snap.filter);
                 let limit = self.capacity();
+                // Evict before marking, so the new record's position
+                // counts the victim out.
                 if self.records.len() >= limit {
-                    let victim = self.evict_lru();
-                    // Eviction shifts the insertion point when the victim
-                    // sat left of it.
-                    if victim < i {
-                        i -= 1;
-                    }
+                    self.evict_lru();
                 }
                 reserve_one(&mut self.records, limit);
-                self.top = self.top.max(snap.source.0);
-                let fresh = Record::fresh(snap.source, snap.topics, snap.version, slot, now_us);
+                let i = self.mark(snap.source);
+                let fresh = Record::fresh(snap.topics, snap.version, slot, now_us);
                 self.records.insert(i, fresh);
                 ApplyOutcome::Applied
             }
@@ -556,7 +615,7 @@ impl AdRepository {
             return ApplyOutcome::VersionGap;
         }
         let slot = self.store.borrow_mut().reassign(record.slot_id(), result);
-        *record = Record::fresh(source, topics, version, slot, now_us);
+        *record = Record::fresh(topics, version, slot, now_us);
         ApplyOutcome::Applied
     }
 
@@ -584,7 +643,7 @@ impl AdRepository {
     pub fn remove(&mut self, source: PeerId) -> bool {
         match self.position(source) {
             Ok(i) => {
-                self.remove_at(i);
+                self.remove_at(i, source);
                 true
             }
             Err(_) => false,
@@ -611,7 +670,7 @@ impl AdRepository {
         let mut plan: Option<ProbePlan> = None;
         let now = Stamp::at(now_us);
         let store = self.store.borrow();
-        for r in self.records.iter_mut() {
+        for (source, r) in sources(&self.index).zip(self.records.iter_mut()) {
             if r.is_stale() || r.last_refreshed.us() < expire_before_us {
                 continue;
             }
@@ -626,7 +685,7 @@ impl AdRepository {
             };
             if matched {
                 r.last_used = now;
-                hits.push(r.source);
+                hits.push(source);
             }
         }
         hits
@@ -653,30 +712,29 @@ impl AdRepository {
     /// Cached ads with topic overlap, for an ads reply — freshest first,
     /// capped at `max`.
     pub fn ads_for_interests(&self, interests: InterestSet, max: usize) -> Vec<AdSnapshot> {
-        let mut matches: Vec<Record> = self
-            .records
-            .iter()
-            .copied()
-            .filter(|r| !r.is_stale() && r.topics.intersects(interests))
+        let mut matches: Vec<(PeerId, Record)> = sources(&self.index)
+            .zip(&self.records)
+            .filter(|(_, r)| !r.is_stale() && r.topics.intersects(interests))
+            .map(|(source, &r)| (source, r))
             .collect();
         // Stable sort: equal freshness keeps ascending-source order, as the
         // old map iteration did.
-        matches.sort_by_key(|r| std::cmp::Reverse(r.last_refreshed.us()));
+        matches.sort_by_key(|(_, r)| std::cmp::Reverse(r.last_refreshed.us()));
         let store = self.store.borrow();
         matches
             .into_iter()
             .take(max)
-            .filter_map(|r| {
+            .filter_map(|(source, r)| {
                 Some(snapshot_from(
-                    r.source,
+                    source,
                     cached_view(r, store.filter_at(r.slot_id())?),
                 ))
             })
             .collect()
     }
 
-    /// Remove the least-recently-used entry, returning its position.
-    fn evict_lru(&mut self) -> usize {
+    /// Remove the least-recently-used entry.
+    fn evict_lru(&mut self) {
         let mut victim = 0usize;
         let mut oldest = u64::MAX;
         for (i, r) in self.records.iter().enumerate() {
@@ -688,13 +746,19 @@ impl AdRepository {
             }
         }
         if !self.records.is_empty() {
-            self.remove_at(victim);
+            let source = self.source_at(victim);
+            self.remove_at(victim, source);
         }
-        victim
     }
 
-    /// Drop the record at `i` and release its slot.
-    fn remove_at(&mut self, i: usize) {
+    /// Drop the record at `i`, `source`'s, unmark `source` and release the
+    /// record's slot.
+    fn remove_at(&mut self, i: usize, source: PeerId) {
+        let (w, bit) = word_of(source);
+        self.index[w] &= !bit;
+        for word in &mut self.index[w + 1..] {
+            *word -= RANK_ONE;
+        }
         let gone = self.records.remove(i);
         self.store.borrow_mut().release(gone.slot_id());
     }
@@ -961,13 +1025,37 @@ mod tests {
     }
 
     #[test]
-    fn a_record_is_24_bytes() {
-        assert_eq!(size_of::<Record>(), 24);
+    fn a_record_is_20_bytes() {
+        assert_eq!(size_of::<Record>(), 20);
     }
 
     #[test]
-    fn a_repository_header_is_40_bytes() {
-        assert_eq!(size_of::<AdRepository>(), 40);
+    fn a_repository_header_is_64_bytes() {
+        assert_eq!(size_of::<AdRepository>(), 64);
+    }
+
+    /// An index word counts the records below it in 16 bits.
+    #[test]
+    fn the_largest_capacity_is_accepted() {
+        let repo = AdRepository::new(MAX_CACHE_CAPACITY);
+        assert_eq!(repo.capacity(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be between 1 and 65535")]
+    fn a_capacity_past_the_rank_bound_is_refused() {
+        AdRepository::new(MAX_CACHE_CAPACITY + 1);
+    }
+
+    /// Each index word's rank counts the marked bits of the words before
+    /// it, and the marks count the records.
+    fn check_index(repo: &AdRepository) {
+        let mut below = 0;
+        for (w, &word) in repo.index.iter().enumerate() {
+            assert_eq!(rank(word), below, "rank of word {w}");
+            below += (word & PRESENCE).count_ones() as usize;
+        }
+        assert_eq!(below, repo.len(), "marks against records");
     }
 
     /// A stamp keeps every µs below the clock bound exactly: zero, the
@@ -1046,14 +1134,14 @@ mod tests {
 
         /// Strictly ascending ids from `raw`, laid out `layout`: 0 spread
         /// evenly over a few thousand peers, 1 in three tight clusters far
-        /// apart, 2 packed just below `u32::MAX`.
+        /// apart, 2 packed densely over a few full index words.
         fn ids(layout: u8, raw: &[u32]) -> Vec<u32> {
             let mut ids: Vec<u32> = raw
                 .iter()
                 .map(|&x| match layout {
                     0 => x % 4_096,
-                    1 => [0, 1 << 20, 3 << 30][(x % 3) as usize] + (x >> 8) % 64,
-                    _ => u32::MAX - x % 512,
+                    1 => [0, 5_000, 20_000][(x % 3) as usize] + (x >> 8) % 64,
+                    _ => 10_000 + x % 512,
                 })
                 .collect();
             ids.sort_unstable();
@@ -1061,12 +1149,12 @@ mod tests {
             ids
         }
 
-        /// Probes below the least id, above the greatest and the top, at
-        /// every id, and beside every id (between neighbours or past one).
-        fn probes(ids: &[u32], top: u32) -> Vec<u32> {
-            let mut at = vec![0, 1, u32::MAX, u32::MAX - 1, top, top.saturating_add(1)];
+        /// Probes at 0, far past the greatest id, at every id, and beside
+        /// every id (between neighbours or past one).
+        fn probes(ids: &[u32]) -> Vec<u32> {
+            let mut at = vec![0, 1, 30_000, u32::MAX];
             for &id in ids {
-                at.extend([id, id.saturating_sub(1), id.saturating_add(1)]);
+                at.extend([id, id.saturating_sub(1), id + 1]);
             }
             at
         }
@@ -1074,13 +1162,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// `position` answers exactly what a binary search of the whole
-            /// vector answers, for every probe and every layout; `shape`
-            /// keeps 0 ids, 1 id, all of them (at capacity), or removes some
-            /// (the greatest included, when picked) so `top` sits above the
-            /// greatest id left.
+            /// `position` answers exactly what a binary search of the
+            /// cached ids answers, for every probe and every layout;
+            /// `shape` keeps 0 ids, 1 id, all of them (at capacity), or
+            /// removes some (the greatest included, when picked) so the
+            /// index covers words past the greatest id left.
             #[test]
-            fn agrees_with_a_binary_search_of_the_whole_vector(
+            fn agrees_with_a_binary_search_of_the_cached_ids(
                 layout in 0u8..3,
                 raw in prop::collection::vec(any::<u32>(), 1..300),
                 shape in 0u8..4,
@@ -1103,16 +1191,310 @@ mod tests {
                         }
                     }
                 }
-                let held: Vec<u32> = repo.records.iter().map(|r| r.source.0).collect();
+                check_index(&repo);
+                let held: Vec<u32> = repo.iter().map(|(s, _)| s.0).collect();
                 prop_assert!(held.windows(2).all(|w| w[0] < w[1]), "{:?}", held);
-                prop_assert!(held.iter().all(|&id| id <= repo.top));
-                for probe in probes(&ids, repo.top) {
-                    let source = PeerId(probe);
+                for (i, &id) in held.iter().enumerate() {
+                    prop_assert_eq!(repo.source_at(i), PeerId(id));
+                }
+                for probe in probes(&ids) {
                     prop_assert_eq!(
-                        repo.position(source),
-                        repo.records.binary_search_by_key(&source, |r| r.source),
-                        "probe {} in {:?} (top {})", probe, held, repo.top
+                        repo.position(PeerId(probe)),
+                        held.binary_search(&probe),
+                        "probe {} in {:?}", probe, held
                     );
+                }
+            }
+        }
+    }
+
+    /// `AdRepository` against a `BTreeMap` reference that states each
+    /// operation's rule directly: tapes of every operation over ids
+    /// 0..200, half of them beside the index words' boundaries, into
+    /// caches of 1 to 8 entries, so evictions and LRU ties happen.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Ids either side of the first three index-word boundaries, and
+        /// the two ends of the range.
+        const EDGES: [u32; 8] = [0, 47, 48, 95, 96, 143, 144, 199];
+        /// Filters in the pool; a lookup for keyword `KEYWORDS` has no
+        /// terms and matches every usable entry.
+        const KEYWORDS: usize = 4;
+
+        /// One step, taken `tick` µs (0 or 1, so stamps tie) after the last.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Full {
+                source: u32,
+                version: u16,
+                kw: usize,
+            },
+            Patch {
+                source: u32,
+                version: u16,
+                kw: usize,
+            },
+            Refresh {
+                source: u32,
+                version: u16,
+            },
+            Remove {
+                source: u32,
+            },
+            Lookup {
+                kw: usize,
+                expire_lag: u64,
+            },
+        }
+
+        fn id() -> impl Strategy<Value = u32> {
+            prop_oneof![0u32..200, (0..EDGES.len()).prop_map(|i| EDGES[i])]
+        }
+
+        fn op() -> impl Strategy<Value = (Op, u64)> {
+            let op = prop_oneof![
+                (id(), 0u16..4, 0..KEYWORDS).prop_map(|(source, version, kw)| Op::Full {
+                    source,
+                    version,
+                    kw
+                }),
+                (id(), 0u16..4, 0..KEYWORDS).prop_map(|(source, version, kw)| Op::Patch {
+                    source,
+                    version,
+                    kw
+                }),
+                (id(), 0u16..4).prop_map(|(source, version)| Op::Refresh { source, version }),
+                id().prop_map(|source| Op::Remove { source }),
+                (0..=KEYWORDS, 0u64..40).prop_map(|(kw, expire_lag)| Op::Lookup { kw, expire_lag }),
+            ];
+            (op, 0u64..2)
+        }
+
+        /// The reference: entries by source, `slot` naming the pool filter.
+        type Reference = BTreeMap<PeerId, Entry>;
+
+        fn fresh(kw: usize, version: u16, now_us: u64) -> Entry {
+            Entry {
+                topics: InterestSet(1 << kw),
+                version,
+                slot: kw as u32,
+                last_used_us: now_us,
+                last_refreshed_us: now_us,
+                stale: false,
+            }
+        }
+
+        /// A full ad: an older or equal version only refreshes a usable
+        /// entry; a new source evicts the least recently used entry
+        /// (ties: the smaller source) from a full cache.
+        fn insert_full(
+            reference: &mut Reference,
+            capacity: usize,
+            source: PeerId,
+            (version, kw): (u16, usize),
+            now_us: u64,
+        ) -> (ApplyOutcome, Option<PeerId>) {
+            if let Some(e) = reference.get_mut(&source) {
+                if !e.stale && version_not_newer(version, e.version) {
+                    e.last_refreshed_us = now_us;
+                    return (ApplyOutcome::Outdated, None);
+                }
+                *e = fresh(kw, version, now_us);
+                return (ApplyOutcome::Applied, None);
+            }
+            let mut victim = None;
+            if reference.len() >= capacity {
+                let lru = reference.iter().min_by_key(|(&s, e)| (e.last_used_us, s));
+                victim = lru.map(|(&s, _)| s);
+                reference.retain(|&s, _| Some(s) != victim);
+            }
+            reference.insert(source, fresh(kw, version, now_us));
+            (ApplyOutcome::Applied, victim)
+        }
+
+        fn apply_patch(
+            reference: &mut Reference,
+            source: PeerId,
+            (version, kw): (u16, usize),
+            now_us: u64,
+        ) -> ApplyOutcome {
+            let Some(e) = reference.get_mut(&source) else {
+                return ApplyOutcome::Unknown;
+            };
+            if e.stale {
+                ApplyOutcome::VersionGap
+            } else if version_not_newer(version, e.version) {
+                e.last_refreshed_us = now_us;
+                ApplyOutcome::Outdated
+            } else if version != e.version.wrapping_add(1) {
+                e.stale = true;
+                ApplyOutcome::VersionGap
+            } else {
+                *e = fresh(kw, version, now_us);
+                ApplyOutcome::Applied
+            }
+        }
+
+        fn apply_refresh(
+            reference: &mut Reference,
+            source: PeerId,
+            version: u16,
+            now_us: u64,
+        ) -> ApplyOutcome {
+            let Some(e) = reference.get_mut(&source) else {
+                return ApplyOutcome::Unknown;
+            };
+            if e.stale {
+                ApplyOutcome::VersionGap
+            } else if e.version == version {
+                e.last_refreshed_us = now_us;
+                ApplyOutcome::Applied
+            } else if version_not_newer(version, e.version) {
+                ApplyOutcome::Outdated
+            } else {
+                e.stale = true;
+                ApplyOutcome::VersionGap
+            }
+        }
+
+        /// Usable, unexpired entries whose filter holds every term, in
+        /// source order, their LRU stamps bumped.
+        fn lookup(
+            reference: &mut Reference,
+            pool: &[Rc<BloomFilter>],
+            terms: &[KeyHash],
+            now_us: u64,
+            expire_before_us: u64,
+        ) -> Vec<PeerId> {
+            let mut hits = Vec::new();
+            for (&source, e) in reference.iter_mut() {
+                if e.stale || e.last_refreshed_us < expire_before_us {
+                    continue;
+                }
+                let filter = &pool[e.slot as usize];
+                if terms.iter().all(|h| filter.contains_hash(h)) {
+                    e.last_used_us = now_us;
+                    hits.push(source);
+                }
+            }
+            hits
+        }
+
+        /// Every view of `repo` against the reference, its store slots
+        /// read back as pool indices.
+        fn check(repo: &AdRepository, reference: &Reference, pool: &[Rc<BloomFilter>]) {
+            check_index(repo);
+            let kw_of = |filter: &BloomFilter| pool.iter().position(|f| **f == *filter);
+            let raw: Vec<(PeerId, Entry)> = repo
+                .raw_entries()
+                .map(|(source, e)| {
+                    let filter = repo.store.borrow().filter_at(e.slot).map(|f| kw_of(f));
+                    let slot = filter.flatten().expect("a pool filter") as u32;
+                    (source, Entry { slot, ..e })
+                })
+                .collect();
+            let expected: Vec<(PeerId, Entry)> = reference.iter().map(|(&s, &e)| (s, e)).collect();
+            prop_assert_eq!(&raw, &expected);
+            prop_assert_eq!(repo.len(), reference.len());
+            let viewed: Vec<(PeerId, u16, bool, u64, u64)> = repo
+                .iter()
+                .map(|(s, ad)| {
+                    (
+                        s,
+                        ad.version,
+                        ad.stale,
+                        ad.last_used_us,
+                        ad.last_refreshed_us,
+                    )
+                })
+                .collect();
+            let expected_views: Vec<(PeerId, u16, bool, u64, u64)> = reference
+                .iter()
+                .map(|(&s, e)| (s, e.version, e.stale, e.last_used_us, e.last_refreshed_us))
+                .collect();
+            prop_assert_eq!(viewed, expected_views);
+            for id in 0..200 {
+                let source = PeerId(id);
+                let held = reference.get(&source);
+                prop_assert_eq!(repo.version_of(source), held.map(|e| (e.version, e.stale)));
+                let got = repo.get(source);
+                prop_assert_eq!(got.is_some(), held.is_some(), "get {}", id);
+                if let (Some(ad), Some(e)) = (got, held) {
+                    prop_assert_eq!(kw_of(&ad.filter), Some(e.slot as usize));
+                    prop_assert_eq!(ad.topics, e.topics);
+                    prop_assert_eq!((ad.version, ad.stale), (e.version, e.stale));
+                    prop_assert_eq!(
+                        (ad.last_used_us, ad.last_refreshed_us),
+                        (e.last_used_us, e.last_refreshed_us)
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn every_view_agrees_with_a_btree_map_after_every_step(
+                capacity in 1usize..9,
+                ops in prop::collection::vec(op(), 1..120),
+            ) {
+                let params = BloomParams::for_capacity(32, 4);
+                let keys: Vec<String> = (0..KEYWORDS).map(|kw| format!("kw{kw}")).collect();
+                let pool: Vec<Rc<BloomFilter>> = keys
+                    .iter()
+                    .map(|k| Rc::new(BloomFilter::from_keys(params, [k.as_str()])))
+                    .collect();
+                let mut repo = AdRepository::new(capacity);
+                let mut reference = Reference::new();
+                let mut now = 1;
+                for (op, tick) in ops {
+                    now += tick;
+                    match op {
+                        Op::Full { source, version, kw } => {
+                            let ad = AdSnapshot {
+                                source: PeerId(source),
+                                topics: InterestSet(1 << kw),
+                                version,
+                                filter: Rc::clone(&pool[kw]),
+                            };
+                            let before: Vec<PeerId> = repo.iter().map(|(s, _)| s).collect();
+                            let (outcome, victim) =
+                                insert_full(&mut reference, capacity, ad.source, (version, kw), now);
+                            prop_assert_eq!(repo.insert_full(&ad, now), outcome);
+                            let evicted: Vec<PeerId> =
+                                before.into_iter().filter(|&s| repo.get(s).is_none()).collect();
+                            prop_assert_eq!(evicted, victim.into_iter().collect::<Vec<_>>());
+                        }
+                        Op::Patch { source, version, kw } => {
+                            let outcome = apply_patch(&mut reference, PeerId(source), (version, kw), now);
+                            let got = repo.apply_patch(
+                                PeerId(source), version, InterestSet(1 << kw), &pool[kw], now,
+                            );
+                            prop_assert_eq!(got, outcome);
+                        }
+                        Op::Refresh { source, version } => {
+                            let outcome = apply_refresh(&mut reference, PeerId(source), version, now);
+                            prop_assert_eq!(repo.apply_refresh(PeerId(source), version, now), outcome);
+                        }
+                        Op::Remove { source } => {
+                            let held = reference.remove(&PeerId(source)).is_some();
+                            prop_assert_eq!(repo.remove(PeerId(source)), held);
+                        }
+                        Op::Lookup { kw, expire_lag } => {
+                            let terms = match keys.get(kw) {
+                                Some(key) => hashes(&[key.as_str()]),
+                                None => Vec::new(),
+                            };
+                            let expire = now.saturating_sub(expire_lag);
+                            let hits = lookup(&mut reference, &pool, &terms, now, expire);
+                            prop_assert_eq!(repo.lookup(&terms, now, expire), hits);
+                        }
+                    }
+                    check(&repo, &reference, &pool);
                 }
             }
         }

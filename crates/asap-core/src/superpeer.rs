@@ -26,7 +26,7 @@
 
 use crate::ad::AdSnapshot;
 use crate::checkpoint::{FilterTable, TableReader};
-use crate::config::AsapConfig;
+use crate::config::{AsapConfig, SUPER_CACHE_FACTOR};
 use crate::protocol::{node_violation, own_filter};
 use crate::repository::{AdRepository, FilterStore};
 use crate::search::MAX_CONFIRM_FANOUT;
@@ -181,7 +181,7 @@ impl SuperAsap {
     /// they carry a multiple of the flat cache budget because they cache on
     /// behalf of all their leaves.
     pub(crate) fn super_cache_capacity(&self) -> usize {
-        self.config.cache_capacity * 4
+        self.config.cache_capacity * SUPER_CACHE_FACTOR
     }
 
     pub fn role(&self, p: PeerId) -> Role {

@@ -13,10 +13,12 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// The sources ads come from: a sparse, clustered id space (the ends of
-/// `u32`, a run of neighbours, lone ids far apart), so lookups take the
-/// repository's interpolated path far from its even-spread guess.
-const SOURCES: [u32; 8] = [0, 1, 2, 1_499, 70_000, 3 << 30, u32::MAX - 1, u32::MAX];
+/// The sources ads come from: peer ids, sparse and clustered over the
+/// 100,000 peers of the largest scale (both ends, a run of neighbours,
+/// two ids either side of an index-word boundary, lone ids far apart),
+/// so lookups cross the repository's rank-index words and long runs of
+/// empty ones.
+const SOURCES: [u32; 8] = [0, 1, 2, 47, 48, 1_499, 70_000, 99_999];
 const CAPACITY: usize = 5;
 
 fn source() -> impl Strategy<Value = u32> {

@@ -151,8 +151,8 @@ fn content_change_path_is_in_the_panic_reachable_set() {
 /// and give back filter slots in the protocol's `FilterStore`
 /// (`acquire`, `release`, and `reassign` for an overwrite) and grow the cache's
 /// vectors by an eighth (`reserve_one`); a refresh ad, most hops of all,
-/// goes through `apply_refresh`; each finds its entry with the interpolated
-/// search `position`. A resume rebuilds the store from the checkpoint's
+/// goes through `apply_refresh`; each finds its entry with the rank
+/// lookup `position`. A resume rebuilds the store from the checkpoint's
 /// filter table (`from_filters`) and hands each node's own filter the
 /// store's equal one (`shared`). R4 must see that path, by name, so the
 /// slot and search arithmetic stay free of new `unwrap`/`expect`.
